@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::RwLock;
+use tvdp_kernel::sync::RwLock;
 use tvdp_storage::UserId;
 
 /// Thread-safe API key table: opaque tokens mapped to users.

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
+use tvdp_kernel::sync::Mutex;
 
 /// Bucket parameters.
 #[derive(Debug, Clone, Copy)]

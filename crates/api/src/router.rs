@@ -3,10 +3,9 @@
 //! Requests carry their JSON body as a *string* and responses carry a
 //! parsed [`Value`] tree — both sides of the wire format go through the
 //! workspace's own codec ([`tvdp_storage::codec`]), so the API layer
-//! runs without any external JSON machinery. The one exception is model
-//! weights (`models/upload`, `models/download` with `include_weights`),
-//! which still ride the serde exchange format of
-//! [`tvdp_ml::SerializableModel`].
+//! runs without any external JSON machinery. Model weights
+//! (`models/upload`, `models/download` with `include_weights`) travel as
+//! the value tree of [`tvdp_ml::SerializableModel`].
 //!
 //! Mutating uploads may attach an [`ApiRequest::idempotency_key`]: the
 //! platform stores the first outcome per key and replays it verbatim on
@@ -24,7 +23,7 @@ use tvdp_edge::{DeviceClass, DispatchConstraints};
 use tvdp_geo::{AngularRange, Fov, GeoPoint, GeoPolygon};
 use tvdp_ml::SerializableModel;
 use tvdp_query::{Query, QueryError, SpatialQuery, TemporalField, TextualMode, VisualMode};
-use tvdp_storage::codec::{self, Value};
+use tvdp_storage::codec::{self, obj, Value};
 use tvdp_storage::{ClassificationId, ImageId, ModelId, UserId};
 use tvdp_vision::Image;
 
@@ -111,15 +110,6 @@ impl ApiResponse {
     }
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn status_for(e: &PlatformError) -> u16 {
     match e {
         PlatformError::UnknownUser(_)
@@ -154,7 +144,7 @@ fn error_response(e: &PlatformError) -> ApiResponse {
 }
 
 // ---------------------------------------------------------------------
-// Body decoding: hand-written mirrors of the serde shapes the wire
+// Body decoding: hand-written decoders of the shapes the wire
 // format used historically (externally tagged enums, field-for-field
 // structs), so existing client payloads keep working unchanged.
 // ---------------------------------------------------------------------
@@ -796,15 +786,7 @@ impl ApiServer {
         ];
         if include_weights {
             match self.platform.models().export(id) {
-                // Weights still ride the serde exchange format; the
-                // rendered text is re-parsed into the response tree.
-                Some(model) => match serde_json::to_string(&model) {
-                    Ok(text) => match codec::parse(&text) {
-                        Ok(weights) => fields.push(("weights", weights)),
-                        Err(e) => return ApiResponse::err(500, format!("serialization: {e}")),
-                    },
-                    Err(e) => return ApiResponse::err(500, format!("serialization: {e}")),
-                },
+                Some(model) => fields.push(("weights", model.to_value())),
                 None => {
                     return ApiResponse::err(
                         409,
@@ -822,16 +804,14 @@ impl ApiServer {
             let scheme: u64 = codec::num_field(body, "scheme")?;
             let feature_kind = codec::decode_kind(codec::field(body, "feature_kind")?)?;
             let input_dim: usize = codec::num_field(body, "input_dim")?;
-            let weights = codec::field(body, "weights")?.render();
-            Ok((name, scheme, feature_kind, input_dim, weights))
+            let weights = codec::field(body, "weights")?;
+            let model = SerializableModel::from_value(weights, input_dim)
+                .map_err(|e| format!("bad model weights: {e}"))?;
+            Ok((name, scheme, feature_kind, input_dim, model))
         })();
-        let (name, scheme, feature_kind, input_dim, weights) = match parsed {
+        let (name, scheme, feature_kind, input_dim, model) = match parsed {
             Ok(p) => p,
             Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
-        let model: SerializableModel = match serde_json::from_str(&weights) {
-            Ok(m) => m,
-            Err(e) => return ApiResponse::err(400, format!("bad model weights: {e}")),
         };
         let interface = ModelInterface {
             feature_kind,

@@ -401,10 +401,8 @@ fn error_paths_return_proper_statuses() {
     assert_eq!(r.status, 400);
 }
 
-#[test]
-fn model_weights_download_and_upload_roundtrip() {
-    use tvdp_ml::{Classifier, SerializableModel};
-
+/// A server with twelve labelled uploads under a fresh binary scheme.
+fn trained_server() -> (ApiServer, String, u64) {
     let platform = fast_platform();
     let gov = platform.register_user("LASAN", Role::Government);
     let server = ApiServer::with_rate_limit(
@@ -416,8 +414,6 @@ fn model_weights_download_and_upload_roundtrip() {
         },
     );
     let key = server.issue_key(gov);
-
-    // Train a model through the API.
     let scheme = call(
         &server,
         &key,
@@ -443,30 +439,34 @@ fn model_weights_download_and_upload_roundtrip() {
             &format!(r#"{{"image":{id},"scheme":{scheme},"label":{class}}}"#),
         );
     }
-    let model = call(
-        &server,
-        &key,
-        "models/devise",
-        &format!(r#"{{"name":"m","scheme":{scheme},"feature_kind":"Cnn","algorithm":"Svm"}}"#),
+    (server, key, scheme)
+}
+
+fn upload_body(scheme: u64, input_dim: usize, weights: &str) -> String {
+    format!(
+        concat!(
+            r#"{{"name":"uploaded-copy","scheme":{},"feature_kind":"Cnn","#,
+            r#""input_dim":{},"weights":{}}}"#
+        ),
+        scheme, input_dim, weights
     )
-    .body["model"]
-        .as_u64()
-        .unwrap();
+}
 
-    // Edge device downloads the weights...
-    let r = call(
-        &server,
-        &key,
-        "models/download",
-        &format!(r#"{{"model":{model},"include_weights":true}}"#),
-    );
-    assert!(r.is_ok(), "{r:?}");
-    let weights = r.body["weights"].clone();
-    assert!(!weights.is_null());
-    let input_dim = r.body["interface"]["input_dim"].as_u64().unwrap() as usize;
+#[test]
+fn model_weights_download_and_upload_roundtrip() {
+    use tvdp_ml::{Classifier, SerializableModel};
 
-    // ...and runs it locally, off-platform.
-    let local: SerializableModel = serde_json::from_str(&weights.render()).unwrap();
+    let (server, key, scheme) = trained_server();
+    let download = |model: u64| {
+        let r = call(
+            &server,
+            &key,
+            "models/download",
+            &format!(r#"{{"model":{model},"include_weights":true}}"#),
+        );
+        assert!(r.is_ok(), "{r:?}");
+        r
+    };
     let probe_features = {
         let img = scene(0, 77);
         let r = call(
@@ -492,67 +492,155 @@ fn model_weights_download_and_upload_roundtrip() {
             .map(|v| v.as_f64().unwrap() as f32)
             .collect::<Vec<f32>>()
     };
-    assert_eq!(probe_features.len(), input_dim);
-    assert_eq!(
-        local.predict_one(&probe_features),
-        0,
-        "red scene on the edge"
-    );
-
-    // A collaborator uploads the same weights as a new shared model.
-    let r = call(
-        &server,
-        &key,
-        "models/upload",
-        &format!(
-            concat!(
-                r#"{{"name":"uploaded-copy","scheme":{},"feature_kind":"Cnn","#,
-                r#""input_dim":{},"weights":{}}}"#
-            ),
-            scheme,
-            input_dim,
-            weights.render()
-        ),
-    );
-    assert!(r.is_ok(), "{r:?}");
-    let uploaded = r.body["model"].as_u64().unwrap();
-    assert_ne!(uploaded, model);
-
-    // The uploaded copy predicts identically through the API.
     let img_id = call(&server, &key, "data/add", &add_body(1, 88, 34.01)).body["image"]
         .as_u64()
         .unwrap();
-    let p1 = call(
-        &server,
-        &key,
-        "models/apply",
-        &format!(r#"{{"model":{model},"images":[{img_id}]}}"#),
-    );
-    let p2 = call(
-        &server,
-        &key,
-        "models/apply",
-        &format!(r#"{{"model":{uploaded},"images":[{img_id}]}}"#),
-    );
-    assert_eq!(
-        p1.body["predictions"][0]["label"],
-        p2.body["predictions"][0]["label"]
-    );
 
-    // Garbage weights are rejected cleanly.
-    let r = call(
+    // Every algorithm the platform can train leaves and re-enters it.
+    for algorithm in [
+        r#"{"Knn":3}"#,
+        r#""DecisionTree""#,
+        r#""NaiveBayes""#,
+        r#"{"RandomForest":5}"#,
+        r#""Svm""#,
+        r#""LogisticRegression""#,
+        r#""Mlp""#,
+    ] {
+        let r = call(
+            &server,
+            &key,
+            "models/devise",
+            &format!(
+                r#"{{"name":"m","scheme":{scheme},"feature_kind":"Cnn","algorithm":{algorithm}}}"#
+            ),
+        );
+        assert!(r.is_ok(), "{algorithm}: {r:?}");
+        let model = r.body["model"].as_u64().unwrap();
+
+        // Edge device downloads the weights and runs them off-platform.
+        let r = download(model);
+        let weights = r.body["weights"].clone();
+        let input_dim = r.body["interface"]["input_dim"].as_u64().unwrap() as usize;
+        assert_eq!(probe_features.len(), input_dim);
+        let local = SerializableModel::from_value(&weights, input_dim).unwrap();
+        assert_eq!(local.predict_one(&probe_features), 0, "{algorithm}");
+
+        // A collaborator uploads the same weights as a new shared model.
+        let r = call(
+            &server,
+            &key,
+            "models/upload",
+            &upload_body(scheme, input_dim, &weights.render()),
+        );
+        assert!(r.is_ok(), "{algorithm}: {r:?}");
+        let uploaded = r.body["model"].as_u64().unwrap();
+        assert_ne!(uploaded, model);
+
+        // The copy carries the same bits: same export, same scores.
+        let again = download(uploaded).body["weights"].clone();
+        assert_eq!(again, weights, "{algorithm}");
+        let copy = SerializableModel::from_value(&again, input_dim).unwrap();
+        let bits = |m: &SerializableModel| {
+            let scores = m.decision_scores(&probe_features);
+            scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&copy), bits(&local), "{algorithm}");
+
+        // ...and predicts identically through the API.
+        let apply = |m: u64| {
+            call(
+                &server,
+                &key,
+                "models/apply",
+                &format!(r#"{{"model":{m},"images":[{img_id}]}}"#),
+            )
+            .body["predictions"][0]
+                .clone()
+        };
+        assert_eq!(apply(model), apply(uploaded), "{algorithm}");
+    }
+}
+
+/// `models/upload` takes weights from outside the platform: every
+/// malformed body is a 400 with a reason, never a panic.
+#[test]
+fn hostile_model_uploads_are_rejected_with_400() {
+    let (server, key, scheme) = trained_server();
+    let deep_split = {
+        let depth = codec::MAX_DEPTH;
+        let open =
+            r#"{"Split":{"feature":0,"threshold":0.5,"right":{"Leaf":{"dist":[1,0]}},"left":"#;
+        format!(
+            r#"{{"DecisionTree":{{"params":{{"max_depth":12,"min_samples_split":4,"max_thresholds":24,"features_per_split":null}},"seed":0,"n_classes":2,"root":{}{}{}}}}}"#,
+            open.repeat(depth),
+            r#"{"Leaf":{"dist":[1,0]}}"#,
+            "}}".repeat(depth)
+        )
+    };
+    let svm = |weights: &str| {
+        format!(
+            r#"{{"Svm":{{"inner":{{"params":{{"lambda":1e-5,"epochs":1,"seed":0}},"weights":{weights}}},"scaler":null}}}}"#
+        )
+    };
+    let tree = |root: &str| {
+        format!(
+            r#"{{"DecisionTree":{{"params":{{"max_depth":12,"min_samples_split":4,"max_thresholds":24,"features_per_split":null}},"seed":0,"n_classes":2,"root":{root}}}}}"#
+        )
+    };
+    let cases: Vec<(&str, String)> = vec![
+        ("truncated", r#"{"NaiveBayes":{"classes":["#.into()),
+        ("wrong variant tag", r#"{"Bogus":1}"#.into()),
+        ("no variant tag", r#"[1,2,3]"#.into()),
+        ("two variant tags", r#"{"Svm":1,"Mlp":2}"#.into()),
+        ("missing field", r#"{"NaiveBayes":{"classes":[]}}"#.into()),
+        ("mistyped field", svm(r#""heavy""#)),
+        ("mistyped number", svm(r#"[["a","b","c"]]"#)),
+        ("non-finite number", svm("[[1e999,0,0]]")),
+        ("negative count", svm("[[0,0,0]]").replace(r#""epochs":1"#, r#""epochs":-1"#)),
+        ("overflowing count", svm("[[0,0,0]]").replace(r#""seed":0"#, r#""seed":99999999999999999999"#)),
+        ("weight row shorter than input_dim", svm("[[0.5,0.25]]")),
+        ("ragged weight rows", svm("[[0,0,0],[0,0,0,0]]")),
+        ("empty weight row", svm("[[]]")),
+        ("split on a feature outside the row", tree(r#"{"Split":{"feature":2,"threshold":0.5,"left":{"Leaf":{"dist":[1,0]}},"right":{"Leaf":{"dist":[0,1]}}}}"#)),
+        ("leaf distribution of the wrong length", tree(r#"{"Leaf":{"dist":[1,0,0]}}"#)),
+        ("neither leaf nor split", tree(r#"{"Twig":{}}"#)),
+        ("split nesting beyond MAX_DEPTH", deep_split),
+        (
+            "knn label outside n_classes",
+            r#"{"Knn":{"inner":{"k":1,"weighted":false,"x":[[0,0]],"y":[5],"n_classes":2},"scaler":null}}"#.into(),
+        ),
+        (
+            "scaler of the wrong width",
+            r#"{"Knn":{"inner":{"k":1,"weighted":false,"x":[[0,0]],"y":[0],"n_classes":2},"scaler":{"mean":[0],"std":[1]}}}"#.into(),
+        ),
+        (
+            "mlp layer sizes disagree",
+            r#"{"Mlp":{"inner":{"params":{"hidden":4,"epochs":1,"learning_rate":0.01,"l2":0,"seed":0},"dim":2,"n_classes":2,"w1":[0,0,0],"b1":[0,0,0,0],"w2":[0,0,0,0,0,0,0,0],"b2":[0,0]},"scaler":null}}"#.into(),
+        ),
+        (
+            "mlp layer size overflows",
+            r#"{"Mlp":{"inner":{"params":{"hidden":18446744073709551615,"epochs":1,"learning_rate":0.01,"l2":0,"seed":0},"dim":2,"n_classes":2,"w1":[],"b1":[],"w2":[],"b2":[]},"scaler":null}}"#.into(),
+        ),
+    ];
+    for (what, weights) in cases {
+        let r = call(
+            &server,
+            &key,
+            "models/upload",
+            &upload_body(scheme, 2, &weights),
+        );
+        assert_eq!(r.status, 400, "{what}: {r:?}");
+        let reason = r.body["error"].as_str().unwrap_or_default();
+        assert!(!reason.is_empty(), "{what}: no reason given");
+    }
+    // The same shapes at the declared width are accepted.
+    let ok = call(
         &server,
         &key,
         "models/upload",
-        &format!(
-            concat!(
-                r#"{{"name":"x","scheme":{},"feature_kind":"Cnn","#,
-                r#""input_dim":4,"weights":{{"Bogus":1}}}}"#
-            ),
-            scheme
-        ),
+        &upload_body(scheme, 2, &svm("[[0,0,0],[1,1,1]]")),
     );
-    assert_eq!(r.status, 400);
+    assert!(ok.is_ok(), "{ok:?}");
 }
 
 #[test]

@@ -35,8 +35,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use tvdp_kernel::rng::Rng;
 
 use tvdp_core::{AdmissionConfig, AdmissionController, PlatformError, RequestClass};
 use tvdp_edge::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -411,7 +410,7 @@ const DIM: usize = 8;
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     let store = VisualStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     const WORDS: [&str; 4] = ["street", "tent", "trash", "corner"];
     for i in 0..n {
         let gps = GeoPoint::new(

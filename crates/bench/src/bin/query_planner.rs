@@ -19,9 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::{BBox, Fov, GeoPoint};
 use tvdp_kernel::RowSource;
@@ -40,7 +38,7 @@ const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alle
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     let store = VisualStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let cls = match store.register_scheme(
         "cleanliness",
         vec!["clean".into(), "dirty".into(), "encampment".into()],
@@ -98,7 +96,7 @@ fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     Arc::new(store)
 }
 
-fn random_example(rng: &mut StdRng) -> Vec<f32> {
+fn random_example(rng: &mut Rng) -> Vec<f32> {
     let class = rng.gen_range(0..3usize);
     (0..DIM)
         .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
@@ -111,7 +109,7 @@ fn random_example(rng: &mut StdRng) -> Vec<f32> {
 /// plan: the old one materializes a whole-corpus visual threshold scan
 /// per query, the new one drives from the selective temporal leaf and
 /// pushes the visual predicate down per candidate.
-fn and_hybrid(rng: &mut StdRng) -> Query {
+fn and_hybrid(rng: &mut Rng) -> Query {
     let from = 1_000 + rng.gen_range(0..95_000);
     Query::And(vec![
         Query::Temporal {
@@ -134,7 +132,7 @@ fn and_hybrid(rng: &mut StdRng) -> Query {
 /// `And[Or[Textual, Categorical], Temporal, Visual Threshold]` — a
 /// nested disjunction inside the conjunction; the `Or` leg must be
 /// materialized by both planners, the visual leg only by the old one.
-fn and_or_hybrid(rng: &mut StdRng) -> Query {
+fn and_or_hybrid(rng: &mut Rng) -> Query {
     let from = 1_000 + rng.gen_range(0..90_000);
     Query::And(vec![
         Query::Or(vec![
@@ -162,7 +160,7 @@ fn and_or_hybrid(rng: &mut StdRng) -> Query {
 }
 
 /// `Or[Textual Any, Categorical, Temporal]` — a wide union.
-fn or_mixed(rng: &mut StdRng) -> Query {
+fn or_mixed(rng: &mut Rng) -> Query {
     let from = 1_000 + rng.gen_range(0..80_000);
     Query::Or(vec![
         Query::Textual {
@@ -182,7 +180,7 @@ fn or_mixed(rng: &mut StdRng) -> Query {
     ])
 }
 
-fn topk_visual(rng: &mut StdRng) -> Query {
+fn topk_visual(rng: &mut Rng) -> Query {
     Query::Visual {
         example: random_example(rng),
         kind: FeatureKind::Cnn,
@@ -195,7 +193,7 @@ fn topk_visual(rng: &mut StdRng) -> Query {
 /// corpus, so the exact tree traversal degenerates to scoring most
 /// entries through its best-first heap while the quantized scan streams
 /// u8 codes.
-fn hybrid_topk(rng: &mut StdRng) -> Query {
+fn hybrid_topk(rng: &mut Rng) -> Query {
     let lat = 34.0 + rng.gen_range(0.0..0.02);
     let lon = -118.3 + rng.gen_range(0.0..0.02);
     let side = rng.gen_range(0.05..0.08);
@@ -371,7 +369,7 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Rng::seed_from_u64(7);
     let and_qs: Vec<Query> = (0..QUERIES).map(|_| and_hybrid(&mut rng)).collect();
     let and_or_qs: Vec<Query> = (0..QUERIES).map(|_| and_or_hybrid(&mut rng)).collect();
     let or_qs: Vec<Query> = (0..QUERIES).map(|_| or_mixed(&mut rng)).collect();

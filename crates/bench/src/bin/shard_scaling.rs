@@ -3,7 +3,7 @@
 //! Compares two architectures over the same corpus and scripts:
 //!
 //! * `single_lock` — the pre-shard design: one [`QueryEngine`] behind a
-//!   `parking_lot::RwLock`; every ingest takes the write lock (batched,
+//!   `tvdp_kernel::sync::RwLock`; every ingest takes the write lock (batched,
 //!   as the old `ingest_batch` held it across a whole batch), stalling
 //!   every reader on the whole corpus.
 //! * `sharded_N` — [`ShardedEngine`]: geo-grid routed shards, writers
@@ -46,10 +46,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
+use tvdp_kernel::sync::RwLock;
 
 use tvdp_geo::{BBox, Fov, GeoPoint};
 use tvdp_kernel::Pool;
@@ -107,7 +105,7 @@ struct Upload {
     class: usize,
 }
 
-fn make_upload(rng: &mut StdRng, id: u64) -> Upload {
+fn make_upload(rng: &mut Rng, id: u64) -> Upload {
     let lat = 34.0 + rng.gen_range(0.0..0.08);
     let lon = -118.3 + rng.gen_range(0.0..0.08);
     let gps = GeoPoint::new(lat, lon);
@@ -141,7 +139,7 @@ fn make_upload(rng: &mut StdRng, id: u64) -> Upload {
     }
 }
 
-fn random_example(rng: &mut StdRng) -> Vec<f32> {
+fn random_example(rng: &mut Rng) -> Vec<f32> {
     let class = rng.gen_range(0..3usize);
     (0..DIM)
         .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
@@ -150,7 +148,7 @@ fn random_example(rng: &mut StdRng) -> Vec<f32> {
 
 /// The mixed read workload: spatial, textual (boolean + ranked),
 /// temporal, categorical, visual top-k, and the hybrid conjunction.
-fn random_query(rng: &mut StdRng) -> Query {
+fn random_query(rng: &mut Rng) -> Query {
     match rng.gen_range(0..7u32) {
         0 => {
             let lat = 34.0 + rng.gen_range(0.0..0.06);
@@ -250,14 +248,14 @@ fn build_corpus(shards: usize) -> (Vec<Arc<VisualStore>>, Vec<Vec<Upload>>) {
             "register_scheme",
         );
     }
-    let mut rng = StdRng::seed_from_u64(0x5A4D);
+    let mut rng = Rng::seed_from_u64(0x5A4D);
     for i in 0..N_BASE {
         let up = make_upload(&mut rng, i as u64);
         apply_upload(&stores[shard_for(&up.meta.gps, shards)], &up);
     }
     let scripts: Vec<Vec<Upload>> = (0..WRITERS)
         .map(|w| {
-            let mut wrng = StdRng::seed_from_u64(0xBEEF + w as u64);
+            let mut wrng = Rng::seed_from_u64(0xBEEF + w as u64);
             (0..INGESTS_PER_WRITER)
                 .map(|j| {
                     let id = (N_BASE + w * INGESTS_PER_WRITER + j) as u64;
@@ -272,7 +270,7 @@ fn build_corpus(shards: usize) -> (Vec<Arc<VisualStore>>, Vec<Vec<Upload>>) {
 fn reader_scripts() -> Vec<Vec<Query>> {
     (0..READERS)
         .map(|r| {
-            let mut rng = StdRng::seed_from_u64(0xACE + r as u64);
+            let mut rng = Rng::seed_from_u64(0xACE + r as u64);
             (0..QUERIES_PER_READER)
                 .map(|_| random_query(&mut rng))
                 .collect()
@@ -592,7 +590,7 @@ impl SimOut {
 }
 
 /// Schedules the 4+4 tasks through one fair write-preferring RwLock
-/// (parking_lot semantics, the seed design). Writers hold the write
+/// (no poisoning, the seed design). Writers hold the write
 /// lock across a `WRITE_BATCH`-upload batch, exactly as the old
 /// `Tvdp::ingest_batch` held it across the whole batch loop. Under
 /// sustained ingest a fair lock alternates: one writer batch, then the

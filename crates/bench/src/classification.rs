@@ -8,8 +8,6 @@
 //! 20% (Fig. 6). Fig. 7 reports per-category F1 for the winning
 //! combination (SVM + CNN in the paper).
 
-use serde::{Deserialize, Serialize};
-
 use tvdp_datagen::{generate, CleanlinessClass, DatasetConfig};
 use tvdp_ml::data::stratified_split;
 use tvdp_ml::{cross_validate, Dataset};
@@ -55,7 +53,7 @@ impl Default for ClassificationConfig {
 }
 
 /// One cell of the Fig. 6 matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Cell {
     /// Feature family label (paper x-axis grouping).
     pub feature: String,
@@ -68,7 +66,7 @@ pub struct Fig6Cell {
 }
 
 /// The full Fig. 6 matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// All (feature, classifier) cells.
     pub cells: Vec<Fig6Cell>,
@@ -105,7 +103,7 @@ impl Fig6Result {
 }
 
 /// Per-category F1 for the winning combination (Fig. 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// `(class label, precision, recall, f1)` per cleanliness category.
     pub per_class: Vec<(String, f64, f64, f64)>,
@@ -118,7 +116,7 @@ pub struct Fig7Result {
 /// CV of the SVM on the training split per feature family, the numbers a
 /// practitioner would use to pick the winning combination before the
 /// Fig. 6 held-out evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CvProtocolResult {
     /// Per feature family: `(label, mean F1 across folds, std of F1)`.
     pub rows: Vec<(String, f64, f64)>,

@@ -1,8 +1,6 @@
 //! Section III experiment: iterative spatial crowdsourcing until the
 //! coverage goal is met, with the greedy-vs-matching assignment ablation.
 
-use serde::{Deserialize, Serialize};
-
 use tvdp_crowd::simulate::AssignStrategy;
 use tvdp_crowd::{simulate_campaign, Campaign, SimulationConfig};
 use tvdp_geo::{BBox, CoverageSpec, GeoPoint};
@@ -45,7 +43,7 @@ impl Default for CoverageConfig {
 }
 
 /// One strategy's trajectory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyOutcome {
     /// Strategy label.
     pub strategy: String,
@@ -60,7 +58,7 @@ pub struct StrategyOutcome {
 }
 
 /// The experiment result: one outcome per assignment strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoverageResult {
     /// Greedy and matching outcomes.
     pub outcomes: Vec<StrategyOutcome>,

@@ -5,8 +5,6 @@
 //! smartphone, and reports mean inference latency on a log10 scale. This
 //! experiment replays that grid on the analytical device simulator.
 
-use serde::{Deserialize, Serialize};
-
 use tvdp_edge::{simulate_inference, DeviceClass, MODEL_ZOO};
 
 /// Configuration for the Fig. 8 replay.
@@ -29,7 +27,7 @@ impl Default for Fig8Config {
 }
 
 /// One cell of the latency grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Cell {
     /// Model name.
     pub model: String,
@@ -42,7 +40,7 @@ pub struct Fig8Cell {
 }
 
 /// The full latency grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// All (model, device) cells.
     pub cells: Vec<Fig8Cell>,

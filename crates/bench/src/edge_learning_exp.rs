@@ -2,8 +2,6 @@
 //! random sample selection at equal bandwidth, plus the feature-vs-raw
 //! upload saving.
 
-use serde::{Deserialize, Serialize};
-
 use tvdp_datagen::{generate, DatasetConfig};
 use tvdp_edge::{learning::run_crowd_learning, CrowdLearningConfig, EdgeNode, SelectionStrategy};
 use tvdp_ml::data::stratified_split;
@@ -47,7 +45,7 @@ impl Default for EdgeLearningConfig {
 }
 
 /// One strategy's learning trajectory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdgeLearningOutcome {
     /// Strategy label.
     pub strategy: String,
@@ -58,7 +56,7 @@ pub struct EdgeLearningOutcome {
 }
 
 /// The experiment result: margin vs random at equal budget.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EdgeLearningResult {
     /// Both outcomes.
     pub outcomes: Vec<EdgeLearningOutcome>,

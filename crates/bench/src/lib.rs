@@ -2,8 +2,7 @@
 //!
 //! Each module implements one experiment as a pure function from a config
 //! to a structured result; the `src/bin/*` binaries print the paper-style
-//! tables and `benches/*` wrap the same runners under Criterion. See
-//! `EXPERIMENTS.md` at the repository root for paper-vs-measured records.
+//! tables. See `EXPERIMENTS.md` at the repository root for paper-vs-measured records.
 //!
 //! | experiment | module | binary |
 //! |---|---|---|
@@ -13,14 +12,12 @@
 //! | Fig. 9 — translational scenario | [`translational_exp`] | `fig9` |
 //! | §III — iterative coverage campaign | [`coverage_exp`] | `coverage_campaign` |
 //! | §VI — crowd-based learning ablation | [`edge_learning_exp`] | `edge_learning` |
-//! | §IV-C — index workloads | [`index_workload`] | (Criterion only) |
 //! | ref [23] — scene localization | [`localization_exp`] | `localization` |
 
 pub mod classification;
 pub mod coverage_exp;
 pub mod edge_inference;
 pub mod edge_learning_exp;
-pub mod index_workload;
 pub mod localization_exp;
 pub mod translational_exp;
 

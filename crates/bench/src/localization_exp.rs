@@ -11,8 +11,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use tvdp_datagen::{generate, DatasetConfig};
 use tvdp_geo::GeoPoint;
 use tvdp_query::engine::EngineConfig;
@@ -48,7 +46,7 @@ impl Default for LocalizationConfig {
 }
 
 /// Result of the experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalizationResult {
     /// Median localization error in metres.
     pub median_error_m: f64,

@@ -12,8 +12,6 @@
 //! 4. a **graffiti** study re-annotates the *same* stored images under a
 //!    second scheme, again without collecting anything new.
 
-use serde::{Deserialize, Serialize};
-
 use tvdp_core::platform::{Algorithm, IngestRequest};
 use tvdp_core::{count_by_cell, hotspots, PlatformConfig, Role, Tvdp};
 use tvdp_datagen::{generate, CleanlinessClass, DatasetConfig, StreetGrid};
@@ -49,7 +47,7 @@ impl Default for Fig9Config {
 }
 
 /// Scenario outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Precision of encampment retrieval on machine-annotated images.
     pub encampment_precision: f64,

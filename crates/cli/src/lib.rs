@@ -30,6 +30,7 @@ use tvdp_datagen::{generate, CleanlinessClass, DatasetConfig};
 use tvdp_geo::{BBox, GeoPoint, GeoPolygon};
 use tvdp_ml::SerializableModel;
 use tvdp_query::{Query, SpatialQuery, TemporalField, TextualMode};
+use tvdp_storage::codec::{self, Value};
 use tvdp_storage::persist;
 use tvdp_storage::VisualStore;
 use tvdp_vision::FeatureKind;
@@ -444,15 +445,13 @@ fn train(path: &str, rest: &[String]) -> Result<String, CliError> {
         .models()
         .interface(model)
         .ok_or_else(|| err("trained model vanished from the registry"))?;
-    let doc = serde_json::json!({
-        "scheme": scheme_name,
-        "feature_kind": interface.feature_kind,
-        "input_dim": interface.input_dim,
-        "weights": portable,
-    });
-    let encoded =
-        serde_json::to_string(&doc).map_err(|e| err(format!("cannot encode model: {e}")))?;
-    std::fs::write(model_out, encoded)
+    let doc = codec::obj(vec![
+        ("scheme", Value::str(scheme_name)),
+        ("feature_kind", codec::encode_kind(interface.feature_kind)),
+        ("input_dim", Value::num(interface.input_dim)),
+        ("weights", portable.to_value()),
+    ]);
+    std::fs::write(model_out, doc.render())
         .map_err(|e| err(format!("cannot write {model_out}: {e}")))?;
     Ok(format!(
         "trained {} on {} annotated images; weights written to {model_out}",
@@ -479,15 +478,13 @@ fn apply(path: &str, rest: &[String]) -> Result<String, CliError> {
 
     let raw = std::fs::read_to_string(model_path)
         .map_err(|e| err(format!("cannot read {model_path}: {e}")))?;
-    let doc: serde_json::Value =
-        serde_json::from_str(&raw).map_err(|e| err(format!("bad model file: {e}")))?;
-    let weights: SerializableModel = serde_json::from_value(doc["weights"].clone())
+    let doc = codec::parse(&raw).map_err(|e| err(format!("bad model file: {e}")))?;
+    let input_dim: usize =
+        codec::num_field(&doc, "input_dim").map_err(|e| err(format!("bad model file: {e}")))?;
+    let weights = SerializableModel::from_value(&doc["weights"], input_dim)
         .map_err(|e| err(format!("bad model weights: {e}")))?;
-    let feature_kind: FeatureKind = serde_json::from_value(doc["feature_kind"].clone())
+    let feature_kind = codec::decode_kind(&doc["feature_kind"])
         .map_err(|e| err(format!("bad model feature kind: {e}")))?;
-    let input_dim = doc["input_dim"]
-        .as_u64()
-        .ok_or_else(|| err("model file missing input_dim"))? as usize;
     // Guard against a model trained over a different feature pipeline:
     // the store's vectors must match the model's declared input size.
     if let Some(sample) = store

@@ -230,6 +230,58 @@ fn polygon_search() {
         .contains("at least 3"));
 }
 
+/// `train --model-out` then `apply --model` for every algorithm: the file
+/// decodes to a model that re-encodes to the same bytes (so its scores
+/// are bit-identical), and `apply` classifies with it.
+#[test]
+fn every_algorithm_roundtrips_through_a_model_file() {
+    use tvdp_ml::SerializableModel;
+    use tvdp_storage::codec;
+
+    let dir = TempDir::new("allmodels");
+    let store = dir.path("s.tvdp");
+    call(&["init", &store]).unwrap();
+    call(&[
+        "demo-data",
+        &store,
+        "--count",
+        "40",
+        "--size",
+        "32",
+        "--labelled",
+        "0.75",
+    ])
+    .unwrap();
+    for algorithm in ["knn", "tree", "bayes", "forest", "svm", "logreg", "mlp"] {
+        let model = dir.path(&format!("{algorithm}.json"));
+        call(&[
+            "train",
+            &store,
+            "--scheme",
+            "street-cleanliness",
+            "--algorithm",
+            algorithm,
+            "--model-out",
+            &model,
+        ])
+        .unwrap();
+        let doc = codec::parse(&std::fs::read_to_string(&model).unwrap()).unwrap();
+        let input_dim: usize = codec::num_field(&doc, "input_dim").unwrap();
+        let decoded = SerializableModel::from_value(&doc["weights"], input_dim).unwrap();
+        assert_eq!(decoded.to_value(), doc["weights"], "{algorithm}");
+        let out = call(&[
+            "apply",
+            &store,
+            "--model",
+            &model,
+            "--scheme",
+            "street-cleanliness",
+        ])
+        .unwrap();
+        assert!(out.contains("classified"), "{algorithm}: {out}");
+    }
+}
+
 #[test]
 fn apply_rejects_mismatched_model_dimensions() {
     let dir = TempDir::new("dimcheck");
@@ -238,18 +290,14 @@ fn apply_rejects_mismatched_model_dimensions() {
     call(&["demo-data", &store, "--count", "30", "--size", "32"]).unwrap();
     // Hand-craft a model file whose input_dim cannot match the store.
     let bogus = dir.path("bogus.json");
-    let weights = serde_json::json!({
-        "NaiveBayes": { "classes": [], "var_smoothing": 1e-6 }
-    });
     std::fs::write(
         &bogus,
-        serde_json::json!({
+        r#"{
             "scheme": "street-cleanliness",
             "feature_kind": "Cnn",
             "input_dim": 7,
-            "weights": weights,
-        })
-        .to_string(),
+            "weights": { "NaiveBayes": { "classes": [], "var_smoothing": 1e-6 } }
+        }"#,
     )
     .unwrap();
     let msg = call(&[

@@ -24,7 +24,7 @@
 //! lets the load harness emit byte-identical numbers across pool
 //! widths.
 
-use parking_lot::Mutex;
+use tvdp_kernel::sync::Mutex;
 
 use crate::error::PlatformError;
 

@@ -11,14 +11,13 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::sync::RwLock;
 use tvdp_ml::{Classifier, SerializableModel};
 use tvdp_storage::{ClassificationId, ModelId, UserId};
 use tvdp_vision::FeatureKind;
 
 /// The declared input/output contract of a registered model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelInterface {
     /// Feature family the model consumes.
     pub feature_kind: FeatureKind,
@@ -275,8 +274,9 @@ mod tests {
         let reg = ModelRegistry::new();
         let id = reg.register_portable("svm", UserId(1), interface(), trained_svm_portable());
         let exported = reg.export(id).unwrap();
-        let json = serde_json::to_string(&exported).unwrap();
-        let imported: SerializableModel = serde_json::from_str(&json).unwrap();
+        let json = exported.to_value().render();
+        let imported =
+            SerializableModel::from_value(&tvdp_storage::codec::parse(&json).unwrap(), 2).unwrap();
         let reimported = reg.register_portable("svm-copy", UserId(2), interface(), imported);
         for probe in [[0.1f32, 0.1], [4.9, 5.0], [2.5, 2.5]] {
             assert_eq!(reg.predict(id, &probe), reg.predict(reimported, &probe));

@@ -3,8 +3,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::sync::Mutex;
 
 use tvdp_crowd::{simulate_campaign, Campaign, SimulationConfig};
 use tvdp_edge::{
@@ -36,7 +35,7 @@ use crate::router::GeoShardRouter;
 use crate::users::{Role, UserRegistry};
 
 /// Training algorithms a participant can pick when devising a model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
     /// k-nearest neighbours with the given `k`.
     Knn(usize),
@@ -156,7 +155,7 @@ pub struct IngestRequest {
 }
 
 /// Aggregate platform statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlatformStats {
     /// Stored images.
     pub images: usize,

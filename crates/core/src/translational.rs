@@ -5,13 +5,11 @@
 //! Coordinator reuses directly — no new learning — to count and localize
 //! homeless tents. These helpers turn a (scheme, label) pair into
 //! spatial aggregates: per-cell counts and ranked hotspots.
-
-use serde::{Deserialize, Serialize};
 use tvdp_geo::{BBox, GeoPoint, METERS_PER_DEG_LAT};
 use tvdp_storage::{ClassificationId, VisualStore};
 
 /// An aggregation cell with its hit count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellCount {
     /// Cell bounds.
     pub cell: BBox,

@@ -7,12 +7,11 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::sync::RwLock;
 use tvdp_storage::UserId;
 
 /// Participant category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// City departments (e.g. LASAN) providing data and taking action.
     Government,
@@ -25,7 +24,7 @@ pub enum Role {
 }
 
 /// A registered participant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct User {
     /// Identifier.
     pub id: UserId,

@@ -7,8 +7,6 @@
 //! frame only when it adds something: enough travel, a new viewing
 //! direction, or fresh coverage area — the criteria behind the paper's
 //! key-frame-selection references \[6\]\[7\].
-
-use serde::{Deserialize, Serialize};
 use tvdp_geo::Fov;
 use tvdp_storage::ImageId;
 use tvdp_vision::Image;
@@ -25,7 +23,7 @@ pub struct VideoFrame {
 }
 
 /// Key-frame selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyframePolicy {
     /// Keep every `n`-th frame (the naive baseline).
     EveryNth(usize),

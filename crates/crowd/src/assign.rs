@@ -7,13 +7,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::task::{SpatialTask, TaskId};
 use crate::worker::{Worker, WorkerId};
 
 /// The outcome of an assignment round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Assignment {
     /// Assigned (worker, task) pairs.
     pub pairs: Vec<(WorkerId, TaskId)>,
@@ -217,9 +215,8 @@ mod tests {
 
     #[test]
     fn matching_never_worse_than_greedy_randomized() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
+        use tvdp_kernel::rng::Rng;
+        let mut rng = Rng::seed_from_u64(3);
         for round in 0..10 {
             let workers: Vec<Worker> = (0..8)
                 .map(|i| {

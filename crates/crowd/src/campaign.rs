@@ -5,8 +5,6 @@
 //! current [`CoverageGrid`] and emits one photo task per missing
 //! (cell, direction) pair — the iterative spatial crowdsourcing loop of
 //! the paper's Section III.
-
-use serde::{Deserialize, Serialize};
 use tvdp_geo::{CoverageGrid, CoverageSpec, GeoPoint};
 
 use crate::task::{SpatialTask, TaskId};
@@ -26,7 +24,7 @@ use crate::task::{SpatialTask, TaskId};
 /// assert!(!round.tasks.is_empty());
 /// assert!(!campaign.satisfied(&grid));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Campaign {
     /// Human-readable name.
     pub name: String,
@@ -107,7 +105,7 @@ impl Campaign {
 }
 
 /// One planned round of tasks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignRound {
     /// The photo tasks to dispatch.
     pub tasks: Vec<SpatialTask>,

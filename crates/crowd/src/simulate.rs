@@ -5,10 +5,7 @@
 //! accumulate coverage → repeat until the goal or the round budget is
 //! exhausted.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::{CoverageGrid, CoverageReport, Fov};
 
@@ -17,7 +14,7 @@ use crate::campaign::Campaign;
 use crate::worker::{Worker, WorkerId};
 
 /// Which assignment algorithm to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignStrategy {
     /// Nearest-available-worker heuristic.
     Greedy,
@@ -50,7 +47,7 @@ impl UplinkModel {
     /// many retransmissions it took. A perfect uplink short-circuits
     /// without touching the RNG, so the default configuration replays
     /// the exact capture sequence of earlier releases.
-    fn deliver(&self, rng: &mut StdRng) -> (bool, u32) {
+    fn deliver(&self, rng: &mut Rng) -> (bool, u32) {
         if self.delivery_rate >= 1.0 {
             return (true, 0);
         }
@@ -103,7 +100,7 @@ impl Default for SimulationConfig {
 }
 
 /// Per-round and final statistics of a simulated campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Coverage after each round.
     pub rounds: Vec<CoverageReport>,
@@ -125,7 +122,7 @@ pub fn simulate_campaign(
     campaign: &Campaign,
     config: &SimulationConfig,
 ) -> (CampaignReport, Vec<Fov>) {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let region = campaign.spec.region;
     // Workers scattered uniformly over the region.
     let workers: Vec<Worker> = (0..config.n_workers)

@@ -1,10 +1,8 @@
 //! Photo-collection tasks.
-
-use serde::{Deserialize, Serialize};
 use tvdp_geo::GeoPoint;
 
 /// Identifies a spatial task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
 impl std::fmt::Display for TaskId {
@@ -16,7 +14,7 @@ impl std::fmt::Display for TaskId {
 /// A request for one geo-tagged photo: go to `location` and photograph
 /// toward `required_heading` (when the campaign needs a specific viewing
 /// direction).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpatialTask {
     /// Task identifier.
     pub id: TaskId,

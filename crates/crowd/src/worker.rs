@@ -1,10 +1,8 @@
 //! Crowd workers.
-
-use serde::{Deserialize, Serialize};
 use tvdp_geo::GeoPoint;
 
 /// Identifies a worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub u64);
 
 impl std::fmt::Display for WorkerId {
@@ -16,7 +14,7 @@ impl std::fmt::Display for WorkerId {
 /// A participant who can perform photo tasks near their location
 /// (GeoCrowd's worker model: a spatial region of acceptance plus a
 /// maximum number of tasks).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Worker {
     /// Worker identifier.
     pub id: WorkerId,

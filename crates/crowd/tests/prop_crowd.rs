@@ -1,42 +1,49 @@
 //! Property-based tests of the crowdsourcing substrate.
 
-use proptest::prelude::*;
 use tvdp_crowd::{assign_greedy, assign_matching, SpatialTask, TaskId, Worker, WorkerId};
 use tvdp_geo::GeoPoint;
+use tvdp_kernel::rng::{for_each_case, Rng};
 
-fn la_point() -> impl Strategy<Value = GeoPoint> {
-    (34.0f64..34.05, -118.3f64..-118.25).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
+const CASES: u64 = 64;
+
+fn la_point(rng: &mut Rng) -> GeoPoint {
+    GeoPoint::new(rng.gen_range(34.0..34.05), rng.gen_range(-118.3..-118.25))
 }
 
-fn workers() -> impl Strategy<Value = Vec<Worker>> {
-    proptest::collection::vec((la_point(), 100.0f64..2_000.0, 1usize..4), 1..12).prop_map(|rows| {
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, (p, range, cap))| Worker::new(WorkerId(i as u64), p, range, cap))
-            .collect()
-    })
+fn workers(rng: &mut Rng) -> Vec<Worker> {
+    (0..rng.gen_range(1..12u64))
+        .map(|i| {
+            let p = la_point(rng);
+            Worker::new(
+                WorkerId(i),
+                p,
+                rng.gen_range(100.0..2_000.0),
+                rng.gen_range(1..4),
+            )
+        })
+        .collect()
 }
 
-fn tasks() -> impl Strategy<Value = Vec<SpatialTask>> {
-    proptest::collection::vec(la_point(), 1..25).prop_map(|pts| {
-        pts.into_iter()
-            .enumerate()
-            .map(|(i, p)| SpatialTask::anywhere(TaskId(i as u64), p, 1))
-            .collect()
-    })
+fn tasks(rng: &mut Rng) -> Vec<SpatialTask> {
+    (0..rng.gen_range(1..25u64))
+        .map(|i| SpatialTask::anywhere(TaskId(i), la_point(rng), 1))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn assignments_are_valid(workers in workers(), tasks in tasks()) {
-        for assignment in [assign_greedy(&workers, &tasks), assign_matching(&workers, &tasks)] {
+#[test]
+fn assignments_are_valid() {
+    for_each_case(CASES, |_, rng| {
+        let workers = workers(rng);
+        let tasks = tasks(rng);
+        for assignment in [
+            assign_greedy(&workers, &tasks),
+            assign_matching(&workers, &tasks),
+        ] {
             // Every assigned pair is within range.
             for (wid, tid) in &assignment.pairs {
                 let w = workers.iter().find(|w| w.id == *wid).expect("known worker");
                 let t = tasks.iter().find(|t| t.id == *tid).expect("known task");
-                prop_assert!(w.can_reach(&t.location));
+                assert!(w.can_reach(&t.location));
             }
             // No task assigned twice; assigned + unassigned partition.
             let mut seen: Vec<TaskId> = assignment.pairs.iter().map(|(_, t)| *t).collect();
@@ -44,32 +51,44 @@ proptest! {
             seen.sort();
             let mut expected: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
             expected.sort();
-            prop_assert_eq!(seen, expected);
+            assert_eq!(seen, expected);
             // Capacities respected.
             for w in &workers {
-                let load = assignment.pairs.iter().filter(|(wid, _)| *wid == w.id).count();
-                prop_assert!(load <= w.capacity, "worker {} over capacity", w.id);
+                let load = assignment
+                    .pairs
+                    .iter()
+                    .filter(|(wid, _)| *wid == w.id)
+                    .count();
+                assert!(load <= w.capacity, "worker {} over capacity", w.id);
             }
             // Travel accounting is non-negative and finite.
-            prop_assert!(assignment.total_travel_m.is_finite());
-            prop_assert!(assignment.total_travel_m >= 0.0);
+            assert!(assignment.total_travel_m.is_finite());
+            assert!(assignment.total_travel_m >= 0.0);
         }
-    }
+    });
+}
 
-    #[test]
-    fn matching_never_assigns_fewer(workers in workers(), tasks in tasks()) {
+#[test]
+fn matching_never_assigns_fewer() {
+    for_each_case(CASES, |_, rng| {
+        let workers = workers(rng);
+        let tasks = tasks(rng);
         let greedy = assign_greedy(&workers, &tasks);
         let matching = assign_matching(&workers, &tasks);
-        prop_assert!(
+        assert!(
             matching.assigned_count() >= greedy.assigned_count(),
             "matching {} < greedy {}",
             matching.assigned_count(),
             greedy.assigned_count()
         );
-    }
+    });
+}
 
-    #[test]
-    fn matching_is_maximal(workers in workers(), tasks in tasks()) {
+#[test]
+fn matching_is_maximal() {
+    for_each_case(CASES, |_, rng| {
+        let workers = workers(rng);
+        let tasks = tasks(rng);
         // No unassigned task may have a reachable worker with spare
         // capacity (otherwise the matching is not even maximal).
         let assignment = assign_matching(&workers, &tasks);
@@ -79,13 +98,17 @@ proptest! {
                 if !w.can_reach(&t.location) {
                     continue;
                 }
-                let load = assignment.pairs.iter().filter(|(wid, _)| *wid == w.id).count();
-                prop_assert!(
+                let load = assignment
+                    .pairs
+                    .iter()
+                    .filter(|(wid, _)| *wid == w.id)
+                    .count();
+                assert!(
                     load >= w.capacity,
                     "task {tid} unassigned but worker {} reachable with spare capacity",
                     w.id
                 );
             }
         }
-    }
+    });
 }

@@ -1,9 +1,7 @@
 //! The street-cleanliness label vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 /// The five LASAN cleanliness classes of the paper's Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CleanlinessClass {
     /// Abandoned furniture or other single large object.
     BulkyItem,

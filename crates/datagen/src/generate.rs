@@ -1,8 +1,6 @@
 //! End-to-end dataset generation: scenes + acquisition metadata.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::Fov;
 use tvdp_vision::Image;
@@ -89,7 +87,7 @@ pub fn generate(config: &DatasetConfig) -> Vec<SyntheticImage> {
     assert!(total_weight > 0.0, "class weights sum to zero");
 
     let grid = StreetGrid::downtown_la();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let mut out = Vec::with_capacity(config.n_images);
     for _ in 0..config.n_images {
         // Class by weighted draw.

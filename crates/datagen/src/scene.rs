@@ -6,8 +6,7 @@
 //! has a strong color signature (easiest), while encampment tarps vary in
 //! color so their signal is mostly structural (hardest).
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_vision::Image;
 
@@ -28,7 +27,7 @@ pub struct SceneParams {
 
 impl SceneParams {
     /// Samples realistic conditions.
-    pub fn sample(size: usize, rng: &mut StdRng) -> Self {
+    pub fn sample(size: usize, rng: &mut Rng) -> Self {
         Self {
             size,
             illumination: rng.gen_range(0.55..1.35),
@@ -138,7 +137,7 @@ pub fn render(
     class: CleanlinessClass,
     graffiti: bool,
     params: &SceneParams,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Image {
     render_styled(class, graffiti, params, rng, None)
 }
@@ -149,7 +148,7 @@ pub fn render_styled(
     class: CleanlinessClass,
     graffiti: bool,
     params: &SceneParams,
-    rng: &mut StdRng,
+    rng: &mut Rng,
     wall_base: Option<[f32; 3]>,
 ) -> Image {
     let size = params.size;
@@ -366,10 +365,9 @@ pub fn render_styled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn render_one(class: CleanlinessClass, seed: u64) -> Image {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let params = SceneParams::sample(48, &mut rng);
         render(class, false, &params, &mut rng)
     }
@@ -415,8 +413,8 @@ mod tests {
 
     #[test]
     fn graffiti_changes_the_wall() {
-        let mut rng1 = StdRng::seed_from_u64(5);
-        let mut rng2 = StdRng::seed_from_u64(5);
+        let mut rng1 = Rng::seed_from_u64(5);
+        let mut rng2 = Rng::seed_from_u64(5);
         let params = SceneParams {
             size: 48,
             illumination: 1.0,
@@ -432,7 +430,7 @@ mod tests {
     fn all_classes_render_at_various_sizes() {
         for class in CleanlinessClass::ALL {
             for size in [16, 32, 64] {
-                let mut rng = StdRng::seed_from_u64(1);
+                let mut rng = Rng::seed_from_u64(1);
                 let params = SceneParams::sample(size, &mut rng);
                 let img = render(class, true, &params, &mut rng);
                 assert_eq!(img.width(), size);
@@ -444,7 +442,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small")]
     fn tiny_scene_rejected() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let params = SceneParams {
             size: 8,
             illumination: 1.0,

@@ -5,8 +5,7 @@
 //! off) the direction of travel. The grid is a Manhattan-style lattice of
 //! north-south and east-west streets over a configurable region.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::{BBox, Fov, GeoPoint};
 
@@ -67,7 +66,7 @@ impl StreetGrid {
     /// Samples a camera pose on a random street: position on the street
     /// line (with a small lateral offset) and heading along the street
     /// (with jitter), as a garbage-truck-mounted camera would produce.
-    pub fn sample_camera(&self, rng: &mut StdRng) -> (GeoPoint, f64) {
+    pub fn sample_camera(&self, rng: &mut Rng) -> (GeoPoint, f64) {
         let lateral = self.spacing_m * 0.03;
         let mean_lat = ((self.region.min_lat + self.region.max_lat) / 2.0).to_radians();
         let m_per_deg_lon = tvdp_geo::METERS_PER_DEG_LAT * mean_lat.cos();
@@ -104,7 +103,7 @@ impl StreetGrid {
 
     /// Samples a full FOV: camera pose plus realistic optics (50–70°
     /// aperture, 60–120 m visible range).
-    pub fn sample_fov(&self, rng: &mut StdRng) -> Fov {
+    pub fn sample_fov(&self, rng: &mut Rng) -> Fov {
         let (camera, heading) = self.sample_camera(rng);
         Fov::new(
             camera,
@@ -118,7 +117,6 @@ impl StreetGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn grid_has_streets_in_both_directions() {
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn cameras_inside_region() {
         let grid = StreetGrid::downtown_la();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         for _ in 0..200 {
             let (p, heading) = grid.sample_camera(&mut rng);
             assert!(grid.region().contains(&p), "camera escaped region: {p:?}");
@@ -142,7 +140,7 @@ mod tests {
     #[test]
     fn headings_cluster_on_street_axes() {
         let grid = StreetGrid::downtown_la();
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let mut near_axis = 0;
         let n = 300;
         for _ in 0..n {
@@ -164,7 +162,7 @@ mod tests {
     #[test]
     fn fovs_have_realistic_optics() {
         let grid = StreetGrid::downtown_la();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for _ in 0..50 {
             let fov = grid.sample_fov(&mut rng);
             assert!((50.0..70.0).contains(&fov.angle_deg));
@@ -175,8 +173,8 @@ mod tests {
     #[test]
     fn deterministic_sampling() {
         let grid = StreetGrid::downtown_la();
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
+        let mut a = Rng::seed_from_u64(9);
+        let mut b = Rng::seed_from_u64(9);
         for _ in 0..20 {
             assert_eq!(grid.sample_camera(&mut a), grid.sample_camera(&mut b));
         }

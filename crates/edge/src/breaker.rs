@@ -13,8 +13,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Breaker tuning, in virtual milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BreakerConfig {
@@ -45,7 +43,7 @@ impl Default for BreakerConfig {
 }
 
 /// The classic three-state breaker machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: traffic flows, failures are counted.
     Closed,
@@ -218,7 +216,7 @@ impl CircuitBreaker {
 }
 
 /// One row of the device-health view.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceHealth {
     /// Device identifier.
     pub device: u64,

@@ -1,9 +1,7 @@
 //! Edge-device capability profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// The three device tiers of the paper's Fig. 8 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
     /// A common desktop machine.
     Desktop,
@@ -69,7 +67,7 @@ impl DeviceClass {
 }
 
 /// Concrete capabilities of one edge device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable name.
     pub name: &'static str,

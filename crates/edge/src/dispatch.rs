@@ -7,8 +7,6 @@
 //! accurate zoo model that fits the device's memory and meets the
 //! requested latency budget.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceProfile;
 use crate::energy::{inferences_per_charge, PowerProfile};
 use crate::latency::nominal_latency_ms;
@@ -32,7 +30,7 @@ impl std::fmt::Display for DispatchError {
 impl std::error::Error for DispatchError {}
 
 /// Requirements a dispatched model must satisfy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DispatchConstraints {
     /// Upper bound on per-inference latency, ms.
     pub max_latency_ms: f64,
@@ -84,7 +82,7 @@ impl LinkConditions {
 }
 
 /// Why a dispatch decision fell short of the preferred model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
     /// No zoo model satisfies the device + constraint combination.
     NoQualifyingModel,

@@ -6,14 +6,12 @@
 //! budget into an inference budget, which [`crate::dispatch`] can use as
 //! an additional constraint.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceProfile;
 use crate::latency::nominal_latency_ms;
 use crate::model::ModelSpec;
 
 /// Power characteristics of a device class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Power drawn while running inference, watts.
     pub active_w: f64,

@@ -10,8 +10,7 @@
 //! partition windows, all on a virtual millisecond clock (lint L4
 //! forbids wall-clock time in library code).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use tvdp_kernel::rng::Rng;
 
 /// One injected fault, applied to a single delivery attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +76,7 @@ enum Mode {
     /// Fixed attempt-by-attempt script; exhausted entries mean no fault.
     Scripted { faults: Vec<Fault>, cursor: usize },
     /// Faults drawn from a seeded RNG at the given rates.
-    Seeded { rng: StdRng, rates: FaultRates },
+    Seeded { rng: Rng, rates: FaultRates },
 }
 
 /// A deterministic plan of network faults.
@@ -115,7 +114,7 @@ impl FaultPlan {
     pub fn seeded(rates: FaultRates, seed: u64) -> Self {
         FaultPlan {
             mode: Mode::Seeded {
-                rng: StdRng::seed_from_u64(seed),
+                rng: Rng::seed_from_u64(seed),
                 rates,
             },
             partitions: Vec::new(),

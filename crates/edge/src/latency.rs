@@ -6,16 +6,13 @@
 //! reproduces the *relative* structure its Fig. 8 reports (which device
 //! tier is how many orders of magnitude slower).
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use crate::device::DeviceProfile;
 use crate::model::ModelSpec;
 
 /// Summary statistics over simulated runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyStats {
     /// Mean latency in milliseconds.
     pub mean_ms: f64,
@@ -49,7 +46,7 @@ pub fn simulate_inference(
     assert!(runs >= 1, "need at least one run");
     let nominal = nominal_latency_ms(model, device);
     let mut rng =
-        StdRng::seed_from_u64(seed ^ model.mflops.to_bits() ^ device.effective_gflops.to_bits());
+        Rng::seed_from_u64(seed ^ model.mflops.to_bits() ^ device.effective_gflops.to_bits());
     let mut sum = 0.0;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;

@@ -12,15 +12,12 @@
 //! lever: the report tracks both the bytes actually sent and the bytes a
 //! raw-image upload would have cost.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use tvdp_ml::{Classifier, ConfusionMatrix, Dataset};
 
 /// How an edge picks which samples to upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionStrategy {
     /// Smallest top-1 / top-2 margin first (uncertainty sampling) — the
     /// paper's prioritized distributed selection.
@@ -57,7 +54,7 @@ pub struct EdgeNode {
 }
 
 /// Per-round statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoundStats {
     /// Round index (0 = before any edge data).
     pub round: usize,
@@ -72,7 +69,7 @@ pub struct RoundStats {
 }
 
 /// Full loop report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrowdLearningReport {
     /// Per-round stats; entry 0 is the initial model before edge data.
     pub rounds: Vec<RoundStats>,
@@ -100,11 +97,11 @@ pub(crate) fn selection_order<C: Classifier>(
     model: &C,
     pool: &[(Vec<f32>, usize)],
     strategy: SelectionStrategy,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<usize> {
     let mut order: Vec<usize> = (0..pool.len()).collect();
     match strategy {
-        SelectionStrategy::Random => order.shuffle(rng),
+        SelectionStrategy::Random => rng.shuffle(&mut order),
         SelectionStrategy::Margin => {
             let mut scored: Vec<(f32, usize)> = pool
                 .iter()
@@ -144,7 +141,7 @@ where
 {
     assert!(config.rounds >= 1, "need at least one round");
     assert!(config.feature_bytes > 0, "zero feature size");
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let mut accumulated = train.clone();
     let mut rounds = Vec::new();
     let mut total_bytes = 0u64;
@@ -230,13 +227,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
     use tvdp_ml::LinearSvm;
 
     /// Two-blob problem; the initial training set is tiny and the edges
     /// hold the bulk of the data.
     fn setup(seed: u64) -> (Dataset, Dataset, Vec<EdgeNode>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut sample = |class: usize| -> (Vec<f32>, usize) {
             let cx = class as f32 * 2.0;
             (

@@ -6,10 +6,8 @@
 //! 224×224 / 299×299 inputs), which drive the latency simulation and the
 //! dispatcher's accuracy-vs-cost trade-off.
 
-use serde::{Deserialize, Serialize};
-
 /// A deployable model variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelSpec {
     /// Architecture name.
     pub name: &'static str,

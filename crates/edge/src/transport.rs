@@ -15,8 +15,7 @@
 //! packet carries an idempotency key; the server side dedups replays so
 //! at-least-once delivery becomes exactly-once ingest.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use tvdp_kernel::rng::Rng;
 
 use crate::breaker::CircuitBreaker;
 use crate::fault::{Fault, FaultPlan};
@@ -166,7 +165,7 @@ impl RetryPolicy {
     }
 
     /// Backoff before retry number `retry` (1-based), jittered by `rng`.
-    fn backoff_ms(&self, retry: u32, rng: &mut StdRng) -> u64 {
+    fn backoff_ms(&self, retry: u32, rng: &mut Rng) -> u64 {
         let exp = retry.saturating_sub(1).min(16);
         let raw = self
             .base_backoff_ms
@@ -248,7 +247,7 @@ pub struct EdgeTransport {
     clock: VirtualClock,
     policy: RetryPolicy,
     plan: FaultPlan,
-    rng: StdRng,
+    rng: Rng,
     /// Fault-free round-trip latency of the link, ms.
     pub nominal_rtt_ms: u64,
 }
@@ -261,7 +260,7 @@ impl EdgeTransport {
             clock: VirtualClock::new(0),
             policy,
             plan,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             nominal_rtt_ms: 40,
         }
     }

@@ -16,9 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use tvdp_ml::{Classifier, ConfusionMatrix, Dataset};
 
@@ -79,7 +77,7 @@ impl UplinkConfig {
 }
 
 /// Transport telemetry for one learning round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UplinkRoundStats {
     /// Learning round this row belongs to (1-based; round 0 has no
     /// uplink traffic).
@@ -99,7 +97,7 @@ pub struct UplinkRoundStats {
 }
 
 /// Outcome of a resilient crowd-learning run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResilientLearningReport {
     /// The learning trajectory (round 0 = initial model).
     pub learning: CrowdLearningReport,
@@ -161,7 +159,7 @@ where
 {
     assert!(config.rounds >= 1, "need at least one round");
     assert!(config.feature_bytes > 0, "zero feature size");
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let mut accumulated = train.clone();
     let mut rounds = Vec::new();
     let mut uplink_rounds = Vec::new();
@@ -316,11 +314,10 @@ where
 mod tests {
     use super::*;
     use crate::learning::SelectionStrategy;
-    use rand::Rng;
     use tvdp_ml::LinearSvm;
 
     fn setup(seed: u64) -> (Dataset, Dataset, Vec<EdgeNode>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut sample = |class: usize| -> (Vec<f32>, usize) {
             let cx = class as f32 * 2.0;
             (

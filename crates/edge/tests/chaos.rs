@@ -397,9 +397,8 @@ fn fleet_heal_probe_rate_is_bounded_per_device() {
 // --- resilient crowd learning under seeded chaos -----------------------
 
 fn crowd_setup(seed: u64) -> (Dataset, Dataset, Vec<EdgeNode>) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
+    use tvdp_kernel::rng::Rng;
+    let mut rng = Rng::seed_from_u64(seed);
     let mut sample = |class: usize| -> (Vec<f32>, usize) {
         let cx = class as f32 * 2.0;
         (

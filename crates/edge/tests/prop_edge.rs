@@ -1,55 +1,50 @@
 //! Property-based tests of the edge substrate: the dispatcher never
 //! violates its constraints and never leaves a better model on the table.
 
-use proptest::prelude::*;
 use tvdp_edge::{
     inferences_per_charge, nominal_latency_ms, DeviceClass, DispatchConstraints, ModelDispatcher,
     ModelSpec, PowerProfile,
 };
+use tvdp_kernel::rng::{for_each_case, Rng};
 
-fn arb_model(i: usize) -> impl Strategy<Value = ModelSpec> {
-    (50.0f64..8_000.0, 0.5f64..40.0, 0.5f64..0.95).prop_map(move |(mflops, params, accuracy)| {
-        // Leak a unique name: ModelSpec carries &'static str; fine in tests.
-        let name: &'static str = Box::leak(format!("model-{i}").into_boxed_str());
-        ModelSpec {
-            name,
-            mflops,
-            params_millions: params,
-            input_px: 224,
-            accuracy,
-        }
-    })
+const CASES: u64 = 128;
+
+fn arb_model(i: usize, rng: &mut Rng) -> ModelSpec {
+    // Leak a unique name: ModelSpec carries &'static str; fine in tests.
+    let name: &'static str = Box::leak(format!("model-{i}").into_boxed_str());
+    ModelSpec {
+        name,
+        mflops: rng.gen_range(50.0..8_000.0),
+        params_millions: rng.gen_range(0.5..40.0),
+        input_px: 224,
+        accuracy: rng.gen_range(0.5..0.95),
+    }
 }
 
-fn arb_zoo() -> impl Strategy<Value = Vec<ModelSpec>> {
-    (1usize..6).prop_flat_map(|n| {
-        let mut strategies = Vec::new();
-        for i in 0..n {
-            strategies.push(arb_model(i));
-        }
-        strategies
-    })
+fn arb_zoo(rng: &mut Rng) -> Vec<ModelSpec> {
+    (0..rng.gen_range(1usize..6))
+        .map(|i| arb_model(i, rng))
+        .collect()
 }
 
-fn arb_device() -> impl Strategy<Value = DeviceClass> {
-    prop_oneof![
-        Just(DeviceClass::Desktop),
-        Just(DeviceClass::Smartphone),
-        Just(DeviceClass::RaspberryPi),
-    ]
+fn arb_device(rng: &mut Rng) -> DeviceClass {
+    [
+        DeviceClass::Desktop,
+        DeviceClass::Smartphone,
+        DeviceClass::RaspberryPi,
+    ][rng.gen_range(0..3)]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn dispatch_honours_every_constraint(
-        zoo in arb_zoo(),
-        class in arb_device(),
-        max_latency in 1.0f64..20_000.0,
-        min_accuracy in proptest::option::of(0.4f64..0.99),
-        min_charge in proptest::option::of(1_000u64..1_000_000),
-    ) {
+#[test]
+fn dispatch_honours_every_constraint() {
+    for_each_case(CASES, |_, rng| {
+        let zoo = arb_zoo(rng);
+        let class = arb_device(rng);
+        let max_latency = rng.gen_range(1.0f64..20_000.0);
+        let min_accuracy = rng.gen_bool(0.5).then(|| rng.gen_range(0.4f64..0.99));
+        let min_charge = rng
+            .gen_bool(0.5)
+            .then(|| rng.gen_range(1_000u64..1_000_000));
         let device = class.profile();
         let power = PowerProfile::for_device(&device);
         let constraints = DispatchConstraints {
@@ -57,18 +52,18 @@ proptest! {
             min_accuracy,
             min_inferences_per_charge: min_charge,
         };
-        let dispatcher = ModelDispatcher::new(zoo.clone());
+        let dispatcher = ModelDispatcher::new(zoo.clone()).expect("non-empty zoo");
         match dispatcher.dispatch(&device, &constraints) {
             Some(picked) => {
-                prop_assert!(nominal_latency_ms(&picked, &device) <= max_latency);
+                assert!(nominal_latency_ms(&picked, &device) <= max_latency);
                 if let Some(floor) = min_accuracy {
-                    prop_assert!(picked.accuracy >= floor);
+                    assert!(picked.accuracy >= floor);
                 }
-                prop_assert!(picked.memory_mb() <= device.memory_mb);
+                assert!(picked.memory_mb() <= device.memory_mb);
                 if let (Some(need), Some(have)) =
                     (min_charge, inferences_per_charge(&picked, &device, &power))
                 {
-                    prop_assert!(have >= need);
+                    assert!(have >= need);
                 }
                 // Optimality: no qualifying model is strictly more accurate.
                 for m in &zoo {
@@ -80,10 +75,13 @@ proptest! {
                             _ => true,
                         };
                     if qualifies {
-                        prop_assert!(
+                        assert!(
                             m.accuracy <= picked.accuracy,
                             "{} ({}) beats picked {} ({})",
-                            m.name, m.accuracy, picked.name, picked.accuracy
+                            m.name,
+                            m.accuracy,
+                            picked.name,
+                            picked.accuracy
                         );
                     }
                 }
@@ -98,21 +96,37 @@ proptest! {
                             (Some(need), Some(have)) => have >= need,
                             _ => true,
                         };
-                    prop_assert!(!qualifies, "{} qualifies but dispatch returned None", m.name);
+                    assert!(
+                        !qualifies,
+                        "{} qualifies but dispatch returned None",
+                        m.name
+                    );
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn latency_monotone_in_model_size(class in arb_device(), mflops in 10.0f64..10_000.0) {
+#[test]
+fn latency_monotone_in_model_size() {
+    for_each_case(CASES, |_, rng| {
+        let class = arb_device(rng);
+        let mflops = rng.gen_range(10.0f64..10_000.0);
         let device = class.profile();
         let small = ModelSpec {
-            name: "small", mflops, params_millions: 1.0, input_px: 224, accuracy: 0.5,
+            name: "small",
+            mflops,
+            params_millions: 1.0,
+            input_px: 224,
+            accuracy: 0.5,
         };
         let big = ModelSpec {
-            name: "big", mflops: mflops * 2.0, params_millions: 2.0, input_px: 224, accuracy: 0.6,
+            name: "big",
+            mflops: mflops * 2.0,
+            params_millions: 2.0,
+            input_px: 224,
+            accuracy: 0.6,
         };
-        prop_assert!(nominal_latency_ms(&big, &device) > nominal_latency_ms(&small, &device));
-    }
+        assert!(nominal_latency_ms(&big, &device) > nominal_latency_ms(&small, &device));
+    });
 }

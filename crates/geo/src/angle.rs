@@ -4,8 +4,6 @@
 //! interval arithmetic does not apply: ranges may wrap through north
 //! (e.g. `350°..10°`). [`AngularRange`] models such wrap-around intervals.
 
-use serde::{Deserialize, Serialize};
-
 /// Normalizes an angle in degrees into `[0, 360)`.
 pub fn normalize_deg(deg: f64) -> f64 {
     let d = deg % 360.0;
@@ -30,7 +28,7 @@ pub fn angular_diff_deg(a: f64, b: f64) -> f64 {
 ///
 /// Stored as a start angle and a non-negative width, so the arc covers
 /// `start .. start + width` (mod 360). A width of `360` covers everything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AngularRange {
     start: f64,
     width: f64,

@@ -1,7 +1,5 @@
 //! Axis-aligned geographic bounding boxes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GeoError;
 use crate::point::GeoPoint;
 
@@ -11,7 +9,7 @@ use crate::point::GeoPoint;
 /// minimum bounding box of the region depicted in an image) and for spatial
 /// range queries. Boxes never wrap the antimeridian; TVDP deployments are
 /// city-scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     /// Southern edge, degrees.
     pub min_lat: f64,
@@ -77,8 +75,8 @@ impl BBox {
     /// `min <= max` per axis, latitudes within ±90°, longitudes within
     /// ±180° (no antimeridian wrap).
     ///
-    /// `BBox` has public fields and a serde `Deserialize` impl, both of
-    /// which bypass [`BBox::new`]; any box that crosses a trust boundary
+    /// `BBox` has public fields, and the wire decoders fill them directly;
+    /// both bypass [`BBox::new`], so any box that crosses a trust boundary
     /// must be re-validated with this before it reaches an index.
     pub fn validate(&self) -> Result<(), GeoError> {
         if !(self.min_lat.is_finite()

@@ -11,15 +11,13 @@
 //! The resulting [`CoverageReport`] drives iterative spatial crowdsourcing:
 //! under-covered cells/directions become the targets of the next campaign.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bbox::BBox;
 use crate::fov::Fov;
 use crate::point::GeoPoint;
 use crate::METERS_PER_DEG_LAT;
 
 /// Parameters of the coverage model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoverageSpec {
     /// Region of interest.
     pub region: BBox,
@@ -44,7 +42,7 @@ impl CoverageSpec {
 }
 
 /// Identifies one grid cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellId {
     /// Row (south to north).
     pub row: u32,
@@ -53,7 +51,7 @@ pub struct CellId {
 }
 
 /// Aggregate coverage statistics over the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageReport {
     /// Cells touched by at least one FOV / total cells.
     pub cell_coverage: f64,

@@ -8,8 +8,8 @@ use std::fmt;
 /// TVDP geometry is deliberately antimeridian-free ([`crate::BBox`] docs):
 /// deployments are city-scale, and every index structure (R*-tree MBRs,
 /// coverage grids, the equirectangular projection) assumes `min <= max` on
-/// both axes. `BBox` has public fields and a serde `Deserialize` impl, so a
-/// wrapped rectangle can still *arrive* — e.g. a query deserialized from an
+/// both axes. `BBox` has public fields that the wire decoders fill, so a
+/// wrapped rectangle can still *arrive* — e.g. a query decoded from an
 /// API request spanning ±180°. Those must be rejected with this error, not
 /// silently treated as a near-empty box.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,8 +7,6 @@
 //! directional spatial queries, scene localization, and coverage
 //! measurement.
 
-use serde::{Deserialize, Serialize};
-
 use crate::angle::{angular_diff_deg, normalize_deg, AngularRange};
 use crate::bbox::BBox;
 use crate::point::GeoPoint;
@@ -28,7 +26,7 @@ use crate::projection::{point_in_polygon, segments_intersect, LocalProjection, X
 /// // The scene location is the MBR of everything the image shows.
 /// assert!(fov.scene_location().contains(&ahead));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fov {
     /// Camera location `L` at capture time.
     pub camera: GeoPoint,

@@ -1,14 +1,12 @@
 //! Geographic points and great-circle arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{EARTH_RADIUS_M, METERS_PER_DEG_LAT};
 
 /// A WGS-84 geographic coordinate: the GPS spatial descriptor of an image.
 ///
 /// Latitude is in degrees north (`-90..=90`), longitude in degrees east
 /// (`-180..=180`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Degrees north.
     pub lat: f64,

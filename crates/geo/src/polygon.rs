@@ -5,14 +5,12 @@
 //! arbitrary simple polygons. Geometry runs on the local planar
 //! projection, exact at city scale.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bbox::BBox;
 use crate::point::GeoPoint;
 use crate::projection::{point_in_polygon, segments_intersect, LocalProjection, XY};
 
 /// A simple (non-self-intersecting) polygon over geographic points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeoPolygon {
     vertices: Vec<GeoPoint>,
 }
@@ -193,14 +191,6 @@ mod tests {
             diag_out.lon + 1e-5,
         );
         assert!(!t.intersects_bbox(&out));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = triangle();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: GeoPolygon = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -13,9 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 use tvdp_kernel::{l2_sq, Pool, RowSource, TopK, TotalF32};
 
 /// Below this many candidate-distance multiplications the re-rank runs
@@ -88,7 +86,7 @@ struct HashFamily {
 }
 
 impl HashFamily {
-    fn new(dim: usize, k: usize, width: f32, rng: &mut StdRng) -> Self {
+    fn new(dim: usize, k: usize, width: f32, rng: &mut Rng) -> Self {
         let projections = (0..k * dim)
             .map(|_| {
                 let u1: f32 = rng.gen_range(1e-7..1.0);
@@ -146,7 +144,7 @@ impl LshIndex {
         );
         assert!(config.bucket_width > 0.0, "bucket width must be positive");
         assert!(config.candidate_multiple >= 1, "degenerate oversampling");
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let families = (0..config.tables)
             .map(|_| HashFamily::new(dim, config.hashes_per_table, config.bucket_width, &mut rng))
             .collect();
@@ -296,7 +294,7 @@ mod tests {
     use tvdp_kernel::FeatureSlab;
 
     fn clustered_vectors(n_clusters: usize, per_cluster: usize, dim: usize) -> Vec<Vec<f32>> {
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = Rng::seed_from_u64(99);
         let mut out = Vec::new();
         for c in 0..n_clusters {
             let center: Vec<f32> = (0..dim).map(|d| ((c * 7 + d) % 5) as f32 * 2.0).collect();

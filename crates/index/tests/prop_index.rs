@@ -1,27 +1,43 @@
 //! Property-based tests: every index must agree with a linear scan.
 
-use proptest::prelude::*;
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
 use tvdp_index::{
     InvertedIndex, LshConfig, LshIndex, OrientedRTree, RTree, TemporalIndex, VisualRTree,
 };
+use tvdp_kernel::rng::{for_each_case, Rng};
 
-fn la_point() -> impl Strategy<Value = GeoPoint> {
-    (33.9f64..34.1, -118.4f64..-118.2).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
+const CASES: u64 = 64;
+
+fn la_point(rng: &mut Rng) -> GeoPoint {
+    GeoPoint::new(rng.gen_range(33.9..34.1), rng.gen_range(-118.4..-118.2))
 }
 
-fn la_bbox() -> impl Strategy<Value = BBox> {
-    (la_point(), la_point()).prop_map(|(a, b)| BBox::from_points(&[a, b]).unwrap())
+fn la_bbox(rng: &mut Rng) -> BBox {
+    BBox::from_points(&[la_point(rng), la_point(rng)]).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn la_points(rng: &mut Rng, min: usize, max: usize) -> Vec<GeoPoint> {
+    (0..rng.gen_range(min..max))
+        .map(|_| la_point(rng))
+        .collect()
+}
 
-    #[test]
-    fn rtree_range_equals_linear_scan(
-        points in proptest::collection::vec(la_point(), 1..120),
-        query in la_bbox(),
-    ) {
+fn floats(rng: &mut Rng, len: usize, bound: f32) -> Vec<f32> {
+    (0..len).map(|_| rng.gen_range(-bound..bound)).collect()
+}
+
+/// `len` characters drawn from `alphabet`.
+fn text(rng: &mut Rng, alphabet: &[u8], len: usize) -> String {
+    (0..len)
+        .map(|_| char::from(alphabet[rng.gen_range(0..alphabet.len())]))
+        .collect()
+}
+
+#[test]
+fn rtree_range_equals_linear_scan() {
+    for_each_case(CASES, |_, rng| {
+        let points = la_points(rng, 1, 120);
+        let query = la_bbox(rng);
         let mut tree = RTree::new();
         for (i, p) in points.iter().enumerate() {
             tree.insert_point(*p, i);
@@ -36,15 +52,16 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn rtree_knn_equals_linear_scan(
-        points in proptest::collection::vec(la_point(), 1..100),
-        q in la_point(),
-        k in 1usize..10,
-    ) {
+#[test]
+fn rtree_knn_equals_linear_scan() {
+    for_each_case(CASES, |_, rng| {
+        let points = la_points(rng, 1, 100);
+        let q = la_point(rng);
+        let k = rng.gen_range(1usize..10);
         let mut tree = RTree::new();
         for (i, p) in points.iter().enumerate() {
             tree.insert_point(*p, i);
@@ -53,19 +70,24 @@ proptest! {
         let mut lin: Vec<f64> = points.iter().map(|p| q.fast_distance_m(p)).collect();
         lin.sort_by(f64::total_cmp);
         lin.truncate(k);
-        prop_assert_eq!(got.len(), lin.len());
+        assert_eq!(got.len(), lin.len());
         for (g, e) in got.iter().zip(&lin) {
-            prop_assert!((g - e).abs() < 1e-6, "knn distance {} vs linear {}", g, e);
+            assert!((g - e).abs() < 1e-6, "knn distance {} vs linear {}", g, e);
         }
-    }
+    });
+}
 
-    #[test]
-    fn bulk_load_equals_linear_scan(
-        points in proptest::collection::vec(la_point(), 0..150),
-        query in la_bbox(),
-    ) {
+#[test]
+fn bulk_load_equals_linear_scan() {
+    for_each_case(CASES, |_, rng| {
+        let points = la_points(rng, 0, 150);
+        let query = la_bbox(rng);
         let tree = RTree::bulk_load(
-            points.iter().enumerate().map(|(i, p)| (BBox::from_point(*p), i)).collect(),
+            points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (BBox::from_point(*p), i))
+                .collect(),
         );
         if !points.is_empty() {
             tree.check_invariants();
@@ -79,15 +101,18 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn remove_then_range_equals_filtered_scan(
-        points in proptest::collection::vec(la_point(), 1..100),
-        removals in proptest::collection::vec(0usize..100, 0..40),
-        query in la_bbox(),
-    ) {
+#[test]
+fn remove_then_range_equals_filtered_scan() {
+    for_each_case(CASES, |_, rng| {
+        let points = la_points(rng, 1, 100);
+        let removals: Vec<usize> = (0..rng.gen_range(0..40))
+            .map(|_| rng.gen_range(0..100))
+            .collect();
+        let query = la_bbox(rng);
         let mut tree = RTree::new();
         for (i, p) in points.iter().enumerate() {
             tree.insert_point(*p, i);
@@ -99,11 +124,11 @@ proptest! {
                 continue;
             }
             let got = tree.remove(&BBox::from_point(points[idx]), |&v| v == idx);
-            prop_assert_eq!(got, Some(idx), "live entry must be removable");
+            assert_eq!(got, Some(idx), "live entry must be removable");
             removed.insert(idx);
         }
         tree.check_invariants();
-        prop_assert_eq!(tree.len(), points.len() - removed.len());
+        assert_eq!(tree.len(), points.len() - removed.len());
         let mut got: Vec<usize> = tree.range(&query).into_iter().copied().collect();
         got.sort_unstable();
         let mut expected: Vec<usize> = points
@@ -113,26 +138,34 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn oriented_rtree_equals_linear_scan(
-        cams in proptest::collection::vec((la_point(), 0.0f64..360.0), 1..80),
-        query in la_bbox(),
-        dir_start in 0.0f64..360.0,
-        dir_width in 10.0f64..180.0,
-    ) {
-        let fovs: Vec<Fov> =
-            cams.iter().map(|(p, h)| Fov::new(*p, *h, 60.0, 100.0)).collect();
+#[test]
+fn oriented_rtree_equals_linear_scan() {
+    for_each_case(CASES, |_, rng| {
+        let cams: Vec<(GeoPoint, f64)> = (0..rng.gen_range(1..80))
+            .map(|_| (la_point(rng), rng.gen_range(0.0..360.0)))
+            .collect();
+        let query = la_bbox(rng);
+        let dir_start = rng.gen_range(0.0f64..360.0);
+        let dir_width = rng.gen_range(10.0f64..180.0);
+        let fovs: Vec<Fov> = cams
+            .iter()
+            .map(|(p, h)| Fov::new(*p, *h, 60.0, 100.0))
+            .collect();
         let mut tree = OrientedRTree::new();
         for (i, f) in fovs.iter().enumerate() {
             tree.insert(*f, i);
         }
         tree.check_invariants();
         let dirs = AngularRange::new(dir_start, dir_width);
-        let mut got: Vec<usize> =
-            tree.range_directed(&query, &dirs).into_iter().map(|(_, i)| *i).collect();
+        let mut got: Vec<usize> = tree
+            .range_directed(&query, &dirs)
+            .into_iter()
+            .map(|(_, i)| *i)
+            .collect();
         got.sort_unstable();
         let mut expected: Vec<usize> = fovs
             .iter()
@@ -143,17 +176,19 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn visual_rtree_range_equals_linear_scan(
-        entries in proptest::collection::vec(
-            (la_point(), proptest::collection::vec(-1.0f32..1.0, 4)), 1..80),
-        query_region in la_bbox(),
-        query_feat in proptest::collection::vec(-1.0f32..1.0, 4),
-        threshold in 0.1f32..2.0,
-    ) {
+#[test]
+fn visual_rtree_range_equals_linear_scan() {
+    for_each_case(CASES, |_, rng| {
+        let entries: Vec<(GeoPoint, Vec<f32>)> = (0..rng.gen_range(1..80))
+            .map(|_| (la_point(rng), floats(rng, 4, 1.0)))
+            .collect();
+        let query_region = la_bbox(rng);
+        let query_feat = floats(rng, 4, 1.0);
+        let threshold = rng.gen_range(0.1f32..2.0);
         let mut tree = VisualRTree::new(4);
         let mut slab = tvdp_kernel::FeatureSlab::new(4);
         for (i, (p, f)) in entries.iter().enumerate() {
@@ -162,7 +197,11 @@ proptest! {
         }
         tree.check_invariants(&slab);
         let l2 = |a: &[f32], b: &[f32]| -> f32 {
-            a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>().sqrt()
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| (x - y) * (x - y))
+                .sum::<f32>()
+                .sqrt()
         };
         let mut got: Vec<usize> = tree
             .range_visual(&slab, &query_region, &query_feat, threshold)
@@ -173,21 +212,21 @@ proptest! {
         let mut expected: Vec<usize> = entries
             .iter()
             .enumerate()
-            .filter(|(_, (p, f))| {
-                query_region.contains(p) && l2(f, &query_feat) <= threshold
-            })
+            .filter(|(_, (p, f))| query_region.contains(p) && l2(f, &query_feat) <= threshold)
             .map(|(i, _)| i)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn lsh_self_query_always_hits(
-        vectors in proptest::collection::vec(
-            proptest::collection::vec(-5.0f32..5.0, 6), 1..60),
-        probe in 0usize..60,
-    ) {
+#[test]
+fn lsh_self_query_always_hits() {
+    for_each_case(CASES, |_, rng| {
+        let vectors: Vec<Vec<f32>> = (0..rng.gen_range(1..60))
+            .map(|_| floats(rng, 6, 5.0))
+            .collect();
+        let probe = rng.gen_range(0usize..60);
         let mut idx = LshIndex::new(6, LshConfig::default());
         let mut slab = tvdp_kernel::FeatureSlab::new(6);
         for v in &vectors {
@@ -196,16 +235,26 @@ proptest! {
         }
         let probe = probe % vectors.len();
         // A stored vector hashes identically to itself in every table.
-        prop_assert!(idx.candidates(&vectors[probe]).contains(&probe));
+        assert!(idx.candidates(&vectors[probe]).contains(&probe));
         let knn = idx.knn(&slab, &vectors[probe], 1);
-        prop_assert!(knn[0].0 < 1e-6);
-    }
+        assert!(knn[0].0 < 1e-6);
+    });
+}
 
-    #[test]
-    fn inverted_and_subset_of_or(
-        docs in proptest::collection::vec("[a-d ]{0,24}", 1..30),
-        query in "[a-d]( [a-d])?",
-    ) {
+#[test]
+fn inverted_and_subset_of_or() {
+    for_each_case(CASES, |_, rng| {
+        let docs: Vec<String> = (0..rng.gen_range(1..30))
+            .map(|_| {
+                let len = rng.gen_range(0..=24);
+                text(rng, b"abcd ", len)
+            })
+            .collect();
+        // One term, or two separated by a space.
+        let mut query = text(rng, b"abcd", 1);
+        if rng.gen_bool(0.5) {
+            query = format!("{query} {}", text(rng, b"abcd", 1));
+        }
         let mut idx = InvertedIndex::new();
         for (i, d) in docs.iter().enumerate() {
             idx.index_document(i, d);
@@ -213,22 +262,28 @@ proptest! {
         let and = idx.search_and(&query);
         let or = idx.search_or(&query);
         for d in &and {
-            prop_assert!(or.contains(d), "AND result {} missing from OR", d);
+            assert!(or.contains(d), "AND result {} missing from OR", d);
         }
         // Ranked results cover exactly the OR set when k is large.
-        let ranked: Vec<usize> =
-            idx.search_ranked(&query, docs.len()).into_iter().map(|(_, d)| d).collect();
+        let ranked: Vec<usize> = idx
+            .search_ranked(&query, docs.len())
+            .into_iter()
+            .map(|(_, d)| d)
+            .collect();
         let mut ranked_sorted = ranked.clone();
         ranked_sorted.sort_unstable();
-        prop_assert_eq!(ranked_sorted, or);
-    }
+        assert_eq!(ranked_sorted, or);
+    });
+}
 
-    #[test]
-    fn temporal_range_equals_filter(
-        stamps in proptest::collection::vec(-1000i64..1000, 1..80),
-        from in -1000i64..1000,
-        width in 0i64..500,
-    ) {
+#[test]
+fn temporal_range_equals_filter() {
+    for_each_case(CASES, |_, rng| {
+        let stamps: Vec<i64> = (0..rng.gen_range(1..80))
+            .map(|_| rng.gen_range(-1000..1000))
+            .collect();
+        let from = rng.gen_range(-1000i64..1000);
+        let width = rng.gen_range(0i64..500);
         let mut idx = TemporalIndex::new();
         for (i, &t) in stamps.iter().enumerate() {
             idx.insert(t, i);
@@ -243,6 +298,6 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
 }

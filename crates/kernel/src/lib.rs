@@ -28,6 +28,10 @@
 //!   snapshots in, readers take them out without ever blocking on a
 //!   writer. The sanctioned primitive behind every lock-free read path
 //!   (shard snapshots, slab views).
+//! * [`sync`] — `Mutex` / `RwLock` over `std::sync` with guard-returning,
+//!   poison-recovering lock methods: the only locks the workspace uses.
+//! * [`rng`] — the one seeded PRNG (SplitMix64) behind every synthetic
+//!   corpus, model initialisation, fault schedule and property test.
 //!
 //! The determinism contract all pieces uphold: **thread count and pool
 //! choice never change any computed value** — only wall-clock time.
@@ -36,6 +40,8 @@ pub mod arena;
 pub mod gencell;
 pub mod pool;
 pub mod quant;
+pub mod rng;
+pub mod sync;
 pub mod topk;
 
 pub use arena::{Chunk, ChunkLoader, FeatureSlab, RowRef, RowSource, SlabView, ROWS_PER_CHUNK};

@@ -1,23 +1,21 @@
 //! Gaussian naive Bayes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{validate_fit_input, Classifier};
 
 /// Gaussian naive Bayes: per-class, per-feature normal densities with
 /// variance smoothing, log-space scoring.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GaussianNb {
     /// Per class: (log prior, per-feature mean, per-feature variance).
-    classes: Vec<ClassStats>,
-    var_smoothing: f32,
+    pub(crate) classes: Vec<ClassStats>,
+    pub(crate) var_smoothing: f32,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ClassStats {
-    log_prior: f32,
-    mean: Vec<f32>,
-    var: Vec<f32>,
+#[derive(Debug, Clone)]
+pub(crate) struct ClassStats {
+    pub(crate) log_prior: f32,
+    pub(crate) mean: Vec<f32>,
+    pub(crate) var: Vec<f32>,
 }
 
 impl GaussianNb {

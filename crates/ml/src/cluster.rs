@@ -3,9 +3,7 @@
 //! Used to build the SIFT-BoW visual dictionary (the paper clusters SIFT
 //! key points into 1000 visual words with k-means).
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 use tvdp_kernel::Pool;
 
 use crate::sq_l2;
@@ -53,7 +51,7 @@ impl KMeans {
         assert!(data.iter().all(|r| r.len() == dim), "ragged rows");
 
         let parallel = data.len() * k * dim >= PARALLEL_ASSIGN_FLOPS;
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut centroids = Self::kmeanspp_init(data, k, &mut rng);
         let mut assignment = vec![0usize; data.len()];
         let mut inertia = f64::INFINITY;
@@ -108,7 +106,7 @@ impl KMeans {
         }
     }
 
-    fn kmeanspp_init(data: &[Vec<f32>], k: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
+    fn kmeanspp_init(data: &[Vec<f32>], k: usize, rng: &mut Rng) -> Vec<Vec<f32>> {
         let mut centroids = Vec::with_capacity(k);
         centroids.push(data[rng.gen_range(0..data.len())].clone());
         let mut dists: Vec<f32> = data.iter().map(|r| sq_l2(r, &centroids[0])).collect();

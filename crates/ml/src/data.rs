@@ -1,12 +1,9 @@
 //! Datasets, splits, and fold generation.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 /// A labelled dataset of dense feature rows.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Feature rows; all rows share one dimensionality.
     pub features: Vec<Vec<f32>>,
@@ -91,8 +88,8 @@ pub fn train_test_split(n: usize, train_fraction: f64, seed: u64) -> (Vec<usize>
         "fraction out of range"
     );
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
+    let mut rng = Rng::seed_from_u64(seed);
+    rng.shuffle(&mut idx);
     let cut = ((n as f64) * train_fraction).round() as usize;
     let test = idx.split_off(cut.min(n));
     (idx, test)
@@ -111,7 +108,7 @@ pub fn stratified_split(
         (0.0..=1.0).contains(&train_fraction),
         "fraction out of range"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut train = Vec::new();
     let mut test = Vec::new();
     for class in 0..n_classes {
@@ -121,14 +118,14 @@ pub fn stratified_split(
             .filter(|(_, &l)| l == class)
             .map(|(i, _)| i)
             .collect();
-        members.shuffle(&mut rng);
+        rng.shuffle(&mut members);
         let cut = ((members.len() as f64) * train_fraction).round() as usize;
         let rest = members.split_off(cut.min(members.len()));
         train.extend(members);
         test.extend(rest);
     }
-    train.shuffle(&mut rng);
-    test.shuffle(&mut rng);
+    rng.shuffle(&mut train);
+    rng.shuffle(&mut test);
     (train, test)
 }
 
@@ -138,8 +135,8 @@ pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usiz
     assert!(k >= 2, "need at least 2 folds");
     assert!(n >= k, "fewer samples than folds");
     let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
+    let mut rng = Rng::seed_from_u64(seed);
+    rng.shuffle(&mut idx);
     let mut folds = Vec::with_capacity(k);
     for f in 0..k {
         let lo = n * f / k;

@@ -2,8 +2,6 @@
 //!
 //! The paper's protocol (Section VII-A) trains on 80% of the data with
 //! 10-fold cross-validation and reports F1.
-
-use serde::{Deserialize, Serialize};
 use tvdp_kernel::Pool;
 
 use crate::data::{kfold_indices, Dataset};
@@ -11,7 +9,7 @@ use crate::metrics::ConfusionMatrix;
 use crate::Classifier;
 
 /// Aggregate result of a cross-validation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CvResult {
     /// Macro F1 per fold.
     pub fold_f1: Vec<f64>,
@@ -112,12 +110,10 @@ pub fn train_and_evaluate<C: Classifier>(
 mod tests {
     use super::*;
     use crate::knn::KnnClassifier;
-    use rand::rngs::StdRng;
-    use rand::Rng;
-    use rand::SeedableRng;
+    use tvdp_kernel::rng::Rng;
 
     fn blob_dataset(n_per_class: usize, seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut features = Vec::new();
         let mut labels = Vec::new();
         for c in 0..3usize {

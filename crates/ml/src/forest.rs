@@ -1,9 +1,6 @@
 //! Random forest: bagged CART trees with feature subsampling.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 use tvdp_kernel::Pool;
 
 use crate::tree::{DecisionTree, TreeParams};
@@ -19,17 +16,16 @@ const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Each tree trains on a bootstrap resample of the data and examines
 /// `sqrt(dim)` random features per split; prediction averages the per-tree
 /// leaf distributions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
-    n_trees: usize,
-    params: TreeParams,
-    seed: u64,
-    trees: Vec<DecisionTree>,
-    n_classes: usize,
+    pub(crate) n_trees: usize,
+    pub(crate) params: TreeParams,
+    pub(crate) seed: u64,
+    pub(crate) trees: Vec<DecisionTree>,
+    pub(crate) n_classes: usize,
     /// Worker count for per-tree training; `None` uses the global pool.
     /// Not part of the model, so excluded from serialization.
-    #[serde(skip)]
-    pool_threads: Option<usize>,
+    pub(crate) pool_threads: Option<usize>,
 }
 
 impl RandomForest {
@@ -86,7 +82,7 @@ impl Classifier for RandomForest {
         let seed = self.seed;
         self.trees = pool.map_index(self.n_trees, |t| {
             let n = x.len();
-            let mut rng = StdRng::seed_from_u64(seed ^ (t as u64 + 1).wrapping_mul(SEED_MIX));
+            let mut rng = Rng::seed_from_u64(seed ^ (t as u64 + 1).wrapping_mul(SEED_MIX));
             let mut bx = Vec::with_capacity(n);
             let mut by = Vec::with_capacity(n);
             for _ in 0..n {
@@ -124,7 +120,7 @@ mod tests {
     use super::*;
 
     fn noisy_blobs(seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut x = Vec::new();
         let mut y = Vec::new();
         for _ in 0..60 {
@@ -186,7 +182,7 @@ mod tests {
     fn forest_beats_or_matches_stump_on_xor() {
         let mut x = Vec::new();
         let mut y = Vec::new();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         for _ in 0..200 {
             let a: f32 = rng.gen_range(0.0..1.0);
             let b: f32 = rng.gen_range(0.0..1.0);

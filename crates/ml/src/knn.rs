@@ -1,20 +1,18 @@
 //! k-nearest-neighbour classifier.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{sq_l2, validate_fit_input, Classifier};
 
 /// k-NN with Euclidean distance and distance-weighted voting.
 ///
 /// Stores the training set; prediction scans all samples (the indexing
 /// crate's LSH provides a sub-linear alternative for retrieval workloads).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KnnClassifier {
-    k: usize,
-    weighted: bool,
-    x: Vec<Vec<f32>>,
-    y: Vec<usize>,
-    n_classes: usize,
+    pub(crate) k: usize,
+    pub(crate) weighted: bool,
+    pub(crate) x: Vec<Vec<f32>>,
+    pub(crate) y: Vec<usize>,
+    pub(crate) n_classes: usize,
 }
 
 impl KnnClassifier {

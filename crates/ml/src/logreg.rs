@@ -4,15 +4,12 @@
 //! collaborators can register additional model types (paper Section V,
 //! "Devise new ML models").
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use crate::{dot, validate_fit_input, Classifier};
 
 /// Hyper-parameters for [`LogisticRegression`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LogRegParams {
     /// SGD learning rate.
     pub learning_rate: f32,
@@ -36,11 +33,11 @@ impl Default for LogRegParams {
 }
 
 /// Softmax regression trained by SGD on cross-entropy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
-    params: LogRegParams,
+    pub(crate) params: LogRegParams,
     /// Per class: weights, last element is the bias.
-    weights: Vec<Vec<f32>>,
+    pub(crate) weights: Vec<Vec<f32>>,
 }
 
 impl LogisticRegression {
@@ -83,11 +80,11 @@ impl Classifier for LogisticRegression {
         let dim = validate_fit_input(x, y, n_classes);
         self.weights = vec![vec![0.0f32; dim + 1]; n_classes];
         let mut order: Vec<usize> = (0..x.len()).collect();
-        let mut rng = StdRng::seed_from_u64(self.params.seed);
+        let mut rng = Rng::seed_from_u64(self.params.seed);
         let lr = self.params.learning_rate;
         let l2 = self.params.l2;
         for _ in 0..self.params.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for &i in &order {
                 let logits: Vec<f32> = self
                     .weights
@@ -125,11 +122,10 @@ impl Classifier for LogisticRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn separates_blobs_and_yields_probabilities() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let mut x = Vec::new();
         let mut y = Vec::new();
         for _ in 0..80 {

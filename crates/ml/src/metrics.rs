@@ -3,11 +3,9 @@
 //! The paper reports macro F1 scores (Fig. 6) and per-category F1 (Fig. 7);
 //! this module computes both from a confusion matrix.
 
-use serde::{Deserialize, Serialize};
-
 /// A `n_classes x n_classes` confusion matrix; rows are true classes,
 /// columns predicted classes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfusionMatrix {
     n_classes: usize,
     counts: Vec<u64>,

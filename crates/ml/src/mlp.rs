@@ -9,16 +9,12 @@
 //!   embedding and exposing [`Mlp::hidden_activations`] as the fine-tuned
 //!   feature vector.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use crate::{validate_fit_input, Classifier};
 
 /// Hyper-parameters for [`Mlp`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MlpParams {
     /// Hidden-layer width.
     pub hidden: usize,
@@ -45,17 +41,17 @@ impl Default for MlpParams {
 }
 
 /// One-hidden-layer MLP classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
-    params: MlpParams,
-    dim: usize,
-    n_classes: usize,
+    pub(crate) params: MlpParams,
+    pub(crate) dim: usize,
+    pub(crate) n_classes: usize,
     /// Hidden weights, `[hidden][dim]` flattened; plus per-unit bias.
-    w1: Vec<f32>,
-    b1: Vec<f32>,
+    pub(crate) w1: Vec<f32>,
+    pub(crate) b1: Vec<f32>,
     /// Output weights, `[classes][hidden]` flattened; plus per-class bias.
-    w2: Vec<f32>,
-    b2: Vec<f32>,
+    pub(crate) w2: Vec<f32>,
+    pub(crate) b2: Vec<f32>,
 }
 
 impl Mlp {
@@ -143,7 +139,7 @@ impl Classifier for Mlp {
         self.dim = dim;
         self.n_classes = n_classes;
         let h = self.params.hidden;
-        let mut rng = StdRng::seed_from_u64(self.params.seed);
+        let mut rng = Rng::seed_from_u64(self.params.seed);
         let mut gaussian = |scale: f32| {
             let u1: f32 = rng.gen_range(1e-7..1.0f32);
             let u2: f32 = rng.gen_range(0.0..1.0f32);
@@ -162,7 +158,7 @@ impl Classifier for Mlp {
         let lr = self.params.learning_rate;
         let l2 = self.params.l2;
         for _ in 0..self.params.epochs {
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             for &i in &order {
                 self.forward_hidden(&x[i], &mut hidden);
                 self.forward_logits(&hidden, &mut logits);
@@ -213,7 +209,7 @@ mod tests {
     use super::*;
 
     fn xor_data(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut x = Vec::new();
         let mut y = Vec::new();
         for _ in 0..n {
@@ -225,23 +221,36 @@ mod tests {
         (x, y)
     }
 
+    fn accuracy(model: &impl Classifier, x: &[Vec<f32>], y: &[usize]) -> f64 {
+        let preds = model.predict(x);
+        preds.iter().zip(y).filter(|(p, t)| p == t).count() as f64 / y.len() as f64
+    }
+
+    /// Holds for every seed, not one stream: the hidden layer separates
+    /// the XOR quadrants a linear boundary cannot.
     #[test]
     fn learns_xor_unlike_linear_models() {
         let (x, y) = xor_data(300, 1);
-        let mut mlp = Mlp::with_params(MlpParams {
-            hidden: 16,
-            epochs: 120,
-            ..Default::default()
-        });
-        mlp.fit(&x, &y, 2);
-        let acc = mlp
-            .predict(&x)
-            .iter()
-            .zip(&y)
-            .filter(|(p, t)| p == t)
-            .count() as f64
-            / y.len() as f64;
-        assert!(acc > 0.9, "MLP XOR accuracy {acc}");
+        for seed in 0..6 {
+            let mut mlp = Mlp::with_params(MlpParams {
+                hidden: 16,
+                epochs: 120,
+                seed,
+                ..Default::default()
+            });
+            mlp.fit(&x, &y, 2);
+            let mut linear = crate::LogisticRegression::with_params(crate::logreg::LogRegParams {
+                seed,
+                ..Default::default()
+            });
+            linear.fit(&x, &y, 2);
+            let (acc, linear_acc) = (accuracy(&mlp, &x, &y), accuracy(&linear, &x, &y));
+            assert!(acc > 0.8, "seed {seed}: MLP XOR accuracy {acc}");
+            assert!(
+                linear_acc < 0.7,
+                "seed {seed}: linear XOR accuracy {linear_acc}"
+            );
+        }
     }
 
     #[test]

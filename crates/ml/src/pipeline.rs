@@ -5,16 +5,14 @@
 //! [`ScaledClassifier`] bundles a [`StandardScaler`] with any classifier
 //! so the platform can persist and apply the pair as one model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scale::StandardScaler;
 use crate::Classifier;
 
 /// A classifier that standardizes its inputs with train-split statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScaledClassifier<C> {
-    inner: C,
-    scaler: Option<StandardScaler>,
+    pub(crate) inner: C,
+    pub(crate) scaler: Option<StandardScaler>,
 }
 
 impl<C: Classifier> ScaledClassifier<C> {

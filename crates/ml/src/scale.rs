@@ -1,15 +1,13 @@
 //! Feature preprocessing: standardization and L2 normalization.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-feature standardization to zero mean / unit variance.
 ///
 /// SVM and logistic regression are scale-sensitive; the analysis pipelines
 /// fit the scaler on training data only and apply it to both splits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StandardScaler {
-    mean: Vec<f32>,
-    std: Vec<f32>,
+    pub(crate) mean: Vec<f32>,
+    pub(crate) std: Vec<f32>,
 }
 
 impl StandardScaler {
@@ -64,7 +62,7 @@ impl StandardScaler {
 }
 
 /// Scales each row to unit Euclidean norm (zero rows are left unchanged).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct L2Normalizer;
 
 impl L2Normalizer {

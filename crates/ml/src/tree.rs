@@ -1,15 +1,12 @@
 //! CART decision tree with Gini impurity.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use crate::{validate_fit_input, Classifier};
 
 /// Hyper-parameters for [`DecisionTree`] (and the trees inside
 /// [`crate::forest::RandomForest`]).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeParams {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -34,8 +31,8 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
+#[derive(Debug, Clone)]
+pub(crate) enum Node {
     Leaf {
         /// Class probability distribution at the leaf.
         dist: Vec<f32>,
@@ -49,12 +46,12 @@ enum Node {
 }
 
 /// A CART classifier: binary splits chosen by Gini-impurity reduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
-    params: TreeParams,
-    seed: u64,
-    root: Option<Node>,
-    n_classes: usize,
+    pub(crate) params: TreeParams,
+    pub(crate) seed: u64,
+    pub(crate) root: Option<Node>,
+    pub(crate) n_classes: usize,
 }
 
 impl DecisionTree {
@@ -119,7 +116,7 @@ impl DecisionTree {
         indices: &mut Vec<usize>,
         depth: usize,
         n_classes: usize,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> Node {
         let mut counts = vec![0usize; n_classes];
         for &i in indices.iter() {
@@ -136,7 +133,7 @@ impl DecisionTree {
         let mut feature_pool: Vec<usize> = (0..dim).collect();
         let n_features = self.params.features_per_split.unwrap_or(dim).clamp(1, dim);
         if n_features < dim {
-            feature_pool.shuffle(rng);
+            rng.shuffle(&mut feature_pool);
             feature_pool.truncate(n_features);
         }
 
@@ -213,7 +210,7 @@ impl Classifier for DecisionTree {
         validate_fit_input(x, y, n_classes);
         self.n_classes = n_classes;
         let mut indices: Vec<usize> = (0..x.len()).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Rng::seed_from_u64(self.seed);
         self.root = Some(self.build(x, y, &mut indices, 0, n_classes, &mut rng));
     }
 

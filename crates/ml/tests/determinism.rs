@@ -4,9 +4,7 @@
 //! semantics knob: fitting on one worker and on many must produce
 //! bit-identical models and scores.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 use tvdp_kernel::Pool;
 use tvdp_ml::eval::cross_validate_with_pool;
 use tvdp_ml::{Classifier, Dataset, KMeans, KnnClassifier, RandomForest};
@@ -14,7 +12,7 @@ use tvdp_ml::{Classifier, Dataset, KMeans, KnnClassifier, RandomForest};
 /// Clustered data big enough (`n * k * dim` well above the parallel
 /// cut-over) that the pooled assignment path actually runs.
 fn clustered(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
             let centre = (i % 4) as f32 * 3.0;

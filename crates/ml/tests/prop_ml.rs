@@ -1,86 +1,113 @@
 //! Property-based tests of ML substrate invariants.
 
-use proptest::prelude::*;
+use tvdp_kernel::rng::{for_each_case, Rng};
 use tvdp_ml::{
     argmax, cosine, ConfusionMatrix, GaussianNb, KnnClassifier, LinearSvm, StandardScaler,
 };
 use tvdp_ml::{kfold_indices, train_test_split, Classifier};
 
-fn labels_and_preds() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
-    (1usize..100).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(0usize..4, n),
-            proptest::collection::vec(0usize..4, n),
-        )
-    })
+const CASES: u64 = 256;
+
+fn labels_and_preds(rng: &mut Rng) -> (Vec<usize>, Vec<usize>) {
+    let n = rng.gen_range(1..100);
+    let mut labels = || (0..n).map(|_| rng.gen_range(0..4)).collect();
+    (labels(), labels())
 }
 
-proptest! {
-    #[test]
-    fn confusion_metrics_in_unit_interval((truth, pred) in labels_and_preds()) {
-        let cm = ConfusionMatrix::from_predictions(&truth, &pred, 4);
-        prop_assert!((0.0..=1.0).contains(&cm.accuracy()));
-        prop_assert!((0.0..=1.0).contains(&cm.macro_f1()));
-        for c in 0..4 {
-            prop_assert!((0.0..=1.0).contains(&cm.precision(c)));
-            prop_assert!((0.0..=1.0).contains(&cm.recall(c)));
-            prop_assert!((0.0..=1.0).contains(&cm.f1(c)));
-        }
-        prop_assert_eq!(cm.total() as usize, truth.len());
-    }
+fn floats(rng: &mut Rng, len: usize, bound: f32) -> Vec<f32> {
+    (0..len).map(|_| rng.gen_range(-bound..bound)).collect()
+}
 
-    #[test]
-    fn f1_between_min_and_max_of_p_r((truth, pred) in labels_and_preds()) {
+#[test]
+fn confusion_metrics_in_unit_interval() {
+    for_each_case(CASES, |_, rng| {
+        let (truth, pred) = labels_and_preds(rng);
+        let cm = ConfusionMatrix::from_predictions(&truth, &pred, 4);
+        assert!((0.0..=1.0).contains(&cm.accuracy()));
+        assert!((0.0..=1.0).contains(&cm.macro_f1()));
+        for c in 0..4 {
+            assert!((0.0..=1.0).contains(&cm.precision(c)));
+            assert!((0.0..=1.0).contains(&cm.recall(c)));
+            assert!((0.0..=1.0).contains(&cm.f1(c)));
+        }
+        assert_eq!(cm.total() as usize, truth.len());
+    });
+}
+
+#[test]
+fn f1_between_min_and_max_of_p_r() {
+    for_each_case(CASES, |_, rng| {
+        let (truth, pred) = labels_and_preds(rng);
         let cm = ConfusionMatrix::from_predictions(&truth, &pred, 4);
         for c in 0..4 {
             let p = cm.precision(c);
             let r = cm.recall(c);
             let f = cm.f1(c);
-            prop_assert!(f <= p.max(r) + 1e-12);
-            prop_assert!(f >= 0.0);
+            assert!(f <= p.max(r) + 1e-12);
+            assert!(f >= 0.0);
             // Harmonic mean never exceeds arithmetic mean.
-            prop_assert!(f <= (p + r) / 2.0 + 1e-12);
+            assert!(f <= (p + r) / 2.0 + 1e-12);
         }
-    }
+    });
+}
 
-    #[test]
-    fn split_partitions(n in 2usize..500, frac in 0.1f64..0.9, seed in 0u64..1000) {
+#[test]
+fn split_partitions() {
+    for_each_case(CASES, |_, rng| {
+        let n = rng.gen_range(2usize..500);
+        let frac = rng.gen_range(0.1f64..0.9);
+        let seed = rng.gen_range(0u64..1000);
         let (train, test) = train_test_split(n, frac, seed);
         let mut all: Vec<usize> = train.iter().chain(test.iter()).copied().collect();
         all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
+        assert_eq!(all, (0..n).collect::<Vec<_>>());
+    });
+}
 
-    #[test]
-    fn kfold_validation_sets_partition(n in 10usize..200, k in 2usize..8, seed in 0u64..100) {
-        prop_assume!(n >= k);
+#[test]
+fn kfold_validation_sets_partition() {
+    for_each_case(CASES, |_, rng| {
+        let n = rng.gen_range(10usize..200);
+        let k = rng.gen_range(2usize..8);
+        let seed = rng.gen_range(0u64..100);
         let folds = kfold_indices(n, k, seed);
         let mut all: Vec<usize> = folds.iter().flat_map(|(_, v)| v.iter().copied()).collect();
         all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
+        assert_eq!(all, (0..n).collect::<Vec<_>>());
+    });
+}
 
-    #[test]
-    fn cosine_bounded(a in proptest::collection::vec(-10.0f32..10.0, 1..16)) {
+#[test]
+fn cosine_bounded() {
+    for_each_case(CASES, |_, rng| {
+        let len = rng.gen_range(1..16);
+        let a = floats(rng, len, 10.0);
         let b: Vec<f32> = a.iter().rev().copied().collect();
         let c = cosine(&a, &b);
-        prop_assert!((-1.0 - 1e-5..=1.0 + 1e-5).contains(&c));
+        assert!((-1.0 - 1e-5..=1.0 + 1e-5).contains(&c));
         // Self-similarity is 1 for non-zero vectors.
         if a.iter().any(|&v| v != 0.0) {
-            prop_assert!((cosine(&a, &a) - 1.0).abs() < 1e-4);
+            assert!((cosine(&a, &a) - 1.0).abs() < 1e-4);
         }
-    }
+    });
+}
 
-    #[test]
-    fn scaler_output_is_finite(rows in proptest::collection::vec(
-        proptest::collection::vec(-100.0f32..100.0, 4), 2..30)) {
+#[test]
+fn scaler_output_is_finite() {
+    for_each_case(CASES, |_, rng| {
+        let rows: Vec<Vec<f32>> = (0..rng.gen_range(2..30))
+            .map(|_| floats(rng, 4, 100.0))
+            .collect();
         let scaler = StandardScaler::fit(&rows);
         let t = scaler.transform(&rows);
-        prop_assert!(t.iter().flatten().all(|v| v.is_finite()));
-    }
+        assert!(t.iter().flatten().all(|v| v.is_finite()));
+    });
+}
 
-    #[test]
-    fn classifiers_predict_within_label_space(seed in 0u64..50) {
+#[test]
+fn classifiers_predict_within_label_space() {
+    for_each_case(CASES, |_, rng| {
+        let seed = rng.gen_range(0u64..50);
         // Two tight blobs; every classifier must emit labels in range and
         // classify its own training data mostly correctly.
         let mut x = Vec::new();
@@ -101,11 +128,11 @@ proptest! {
             m.fit(&x, &y, 2);
             for row in &x {
                 let p = m.predict_one(row);
-                prop_assert!(p < 2);
+                assert!(p < 2);
             }
             let scores = m.decision_scores(&x[0]);
-            prop_assert_eq!(scores.len(), 2);
-            prop_assert_eq!(argmax(&scores), m.predict_one(&x[0]));
+            assert_eq!(scores.len(), 2);
+            assert_eq!(argmax(&scores), m.predict_one(&x[0]));
         }
-    }
+    });
 }

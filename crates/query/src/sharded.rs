@@ -42,9 +42,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tvdp_geo::BBox;
 use tvdp_index::inverted::{ranked_term_contribution, tokenize};
+use tvdp_kernel::sync::Mutex;
 use tvdp_kernel::{l2_sq, GenCell, Pool, TopK, TotalF64};
 use tvdp_storage::{ImageId, ImageRecord, VisualStore};
 

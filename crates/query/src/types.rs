@@ -1,12 +1,10 @@
 //! Query and result types.
-
-use serde::{Deserialize, Serialize};
 use tvdp_geo::{AngularRange, BBox, GeoPoint, GeoPolygon};
 use tvdp_storage::{ClassificationId, ImageId};
 use tvdp_vision::FeatureKind;
 
 /// Spatial sub-queries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum SpatialQuery {
     /// Images whose scene location intersects the box.
     Range(BBox),
@@ -31,7 +29,7 @@ pub enum SpatialQuery {
 }
 
 /// Visual similarity modes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VisualMode {
     /// The `k` most similar images.
     TopK(usize),
@@ -40,7 +38,7 @@ pub enum VisualMode {
 }
 
 /// Textual retrieval modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TextualMode {
     /// Every query term must match.
     All,
@@ -51,7 +49,7 @@ pub enum TextualMode {
 }
 
 /// Which timestamp a temporal filter applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemporalField {
     /// Capture time.
     Captured,
@@ -60,7 +58,7 @@ pub enum TemporalField {
 }
 
 /// A TVDP query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Query {
     /// Spatial search.
     Spatial(SpatialQuery),
@@ -168,7 +166,7 @@ impl From<tvdp_geo::GeoError> for QueryError {
 /// distance for visual queries (lower = better), metres for nearest
 /// queries, tf-idf score for ranked text (higher = better), `0.0` for
 /// pure filters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Matching image.
     pub image: ImageId,
@@ -191,28 +189,6 @@ pub fn result_ids(results: &[QueryResult]) -> Vec<ImageId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn query_serde_roundtrip() {
-        let q = Query::And(vec![
-            Query::Spatial(SpatialQuery::Range(BBox::new(34.0, -118.3, 34.1, -118.2))),
-            Query::Visual {
-                example: vec![0.1, 0.2],
-                kind: FeatureKind::Cnn,
-                mode: VisualMode::TopK(5),
-            },
-            Query::Textual {
-                text: "tent".into(),
-                mode: TextualMode::All,
-            },
-        ]);
-        let json = serde_json::to_string(&q).unwrap();
-        let back: Query = serde_json::from_str(&json).unwrap();
-        match back {
-            Query::And(subs) => assert_eq!(subs.len(), 3),
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
 
     #[test]
     fn result_ids_preserve_order() {

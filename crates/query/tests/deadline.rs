@@ -6,9 +6,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::{BBox, GeoPoint};
 use tvdp_kernel::Pool;
@@ -23,7 +21,7 @@ const DIM: usize = 8;
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     let store = VisualStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     const WORDS: [&str; 4] = ["street", "tent", "trash", "corner"];
     for i in 0..n {
         let gps = GeoPoint::new(

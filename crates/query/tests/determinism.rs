@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::{BBox, Fov, GeoPoint};
 use tvdp_kernel::Pool;
@@ -26,7 +24,7 @@ const DIM: usize = 8;
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     let store = VisualStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let cls = store
         .register_scheme("cleanliness", vec!["clean".into(), "dirty".into()])
         .unwrap();

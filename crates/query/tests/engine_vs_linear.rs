@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
 use tvdp_query::types::result_ids;
@@ -20,7 +18,7 @@ const DIM: usize = 8;
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     let store = VisualStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let cls = store
         .register_scheme(
             "cleanliness",

@@ -21,9 +21,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp_geo::{AngularRange, BBox, Fov, GeoError, GeoPoint, GeoPolygon};
 use tvdp_kernel::Pool;
@@ -41,7 +39,7 @@ const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alle
 
 fn build_store(n: usize, seed: u64) -> (Arc<VisualStore>, ClassificationId) {
     let store = VisualStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let cls = store
         .register_scheme(
             "cleanliness",
@@ -99,14 +97,14 @@ fn build_store(n: usize, seed: u64) -> (Arc<VisualStore>, ClassificationId) {
 
 /// A query example drawn from the same clustered distribution as the
 /// stored features.
-fn random_example(rng: &mut StdRng) -> Vec<f32> {
+fn random_example(rng: &mut Rng) -> Vec<f32> {
     let class = rng.gen_range(0..3usize);
     (0..DIM)
         .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
         .collect()
 }
 
-fn random_text(rng: &mut StdRng) -> String {
+fn random_text(rng: &mut Rng) -> String {
     let n = rng.gen_range(1..3);
     (0..n)
         .map(|_| WORDS[rng.gen_range(0..WORDS.len())])
@@ -114,7 +112,7 @@ fn random_text(rng: &mut StdRng) -> String {
         .join(" ")
 }
 
-fn random_leaf(rng: &mut StdRng, cls: ClassificationId) -> Query {
+fn random_leaf(rng: &mut Rng, cls: ClassificationId) -> Query {
     match rng.gen_range(0..11u32) {
         0 => {
             let from = 1_000 + rng.gen_range(0..8_000);
@@ -195,7 +193,7 @@ fn random_leaf(rng: &mut StdRng, cls: ClassificationId) -> Query {
     }
 }
 
-fn random_query(rng: &mut StdRng, depth: usize, cls: ClassificationId) -> Query {
+fn random_query(rng: &mut Rng, depth: usize, cls: ClassificationId) -> Query {
     if depth == 0 {
         return random_leaf(rng, cls);
     }
@@ -234,7 +232,7 @@ fn randomized_trees_match_linear_scan() {
         let (store, cls) = build_store(140, 1_000 + store_seed);
         let engine = QueryEngine::build(Arc::clone(&store), Default::default());
         let linear = LinearExecutor::new(store);
-        let mut rng = StdRng::seed_from_u64(store_seed * 7 + 3);
+        let mut rng = Rng::seed_from_u64(store_seed * 7 + 3);
         for _ in 0..6 {
             let q = random_query(&mut rng, 2, cls);
             let e = engine.execute(&q);
@@ -248,7 +246,7 @@ fn randomized_trees_match_linear_scan() {
 fn batch_output_bytes_identical_across_pool_widths() {
     let (store, cls) = build_store(160, 99);
     let engine = QueryEngine::build(Arc::clone(&store), Default::default());
-    let mut rng = StdRng::seed_from_u64(4_242);
+    let mut rng = Rng::seed_from_u64(4_242);
     let queries: Vec<Query> = (0..24).map(|_| random_query(&mut rng, 2, cls)).collect();
     let one = engine.execute_batch_with_pool(&queries, &Pool::new(1));
     let eight = engine.execute_batch_with_pool(&queries, &Pool::new(8));
@@ -417,7 +415,7 @@ fn sharded_engine_matches_linear_scan_across_shard_counts() {
                 EngineConfig::default(),
                 TEST_SEAL_CAP,
             );
-            let mut rng = StdRng::seed_from_u64(store_seed * 11 + 5);
+            let mut rng = Rng::seed_from_u64(store_seed * 11 + 5);
             for _ in 0..6 {
                 let q = random_query(&mut rng, 2, cls);
                 let sharded = engine.try_execute(&q).expect("cnn-only tree");
@@ -435,7 +433,7 @@ fn sharded_engine_matches_linear_scan_across_shard_counts() {
 #[test]
 fn sharded_batch_bytes_identical_across_shard_counts_and_pool_widths() {
     let (store, cls) = build_store(160, 4_242);
-    let mut rng = StdRng::seed_from_u64(4_243);
+    let mut rng = Rng::seed_from_u64(4_243);
     let queries: Vec<Query> = (0..24).map(|_| random_query(&mut rng, 2, cls)).collect();
     let mut reference: Option<String> = None;
     for shards in [1usize, 3, 8] {
@@ -482,7 +480,7 @@ const QUANT_CORPUS: usize = 2_600;
 /// Visual and spatial+visual top-k trees over the clustered corpus.
 /// Features are continuous random draws, so distances are tie-free and
 /// result order — not just the result set — must agree.
-fn quant_workload(rng: &mut StdRng) -> Vec<Query> {
+fn quant_workload(rng: &mut Rng) -> Vec<Query> {
     let mut queries = Vec::new();
     for k in [1usize, 10, 40] {
         queries.push(Query::Visual {
@@ -513,7 +511,7 @@ fn quant_workload(rng: &mut StdRng) -> Vec<Query> {
 fn quantized_scan_is_bit_identical_to_exact_tree() {
     let (store, _) = build_store(QUANT_CORPUS, 77);
     let exact = QueryEngine::build(Arc::clone(&store), quant_config(QuantMode::Never, 64));
-    let mut rng = StdRng::seed_from_u64(909);
+    let mut rng = Rng::seed_from_u64(909);
     let queries = quant_workload(&mut rng);
     // Depth 1 exercises the provable minimum (clamped up to k); depth
     // 160 exercises a re-rank set far wider than any queried k.
@@ -538,7 +536,7 @@ fn quantized_scan_is_bit_identical_to_exact_tree() {
 #[test]
 fn quantized_parity_holds_across_pool_widths_and_shard_counts() {
     let (store, cls) = build_store(QUANT_CORPUS, 78);
-    let mut rng = StdRng::seed_from_u64(910);
+    let mut rng = Rng::seed_from_u64(910);
     let queries = quant_workload(&mut rng);
     // Seal cap large enough that shard stores still freeze arena chunks
     // per segment batch yet every shard carries several sealed segments.

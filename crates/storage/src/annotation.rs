@@ -7,13 +7,11 @@
 //! the paper's translational-data story (cleanliness labels reused for
 //! homeless counting; graffiti labels added later over the same images).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
 
 /// A named labelling task with a fixed label vocabulary
 /// (`Image_Content_Classification` + `..._Types` in Fig. 2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassificationScheme {
     /// Scheme identifier.
     pub id: ClassificationId,
@@ -45,7 +43,7 @@ impl ClassificationScheme {
 }
 
 /// Who (or what) produced an annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnnotationSource {
     /// A human label (trusted; confidence 1.0 by convention).
     Human(UserId),
@@ -54,7 +52,7 @@ pub enum AnnotationSource {
 }
 
 /// An axis-aligned pixel region inside an image, for part-of-image labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionOfInterest {
     /// Left edge in pixels.
     pub x: usize,
@@ -67,7 +65,7 @@ pub struct RegionOfInterest {
 }
 
 /// One annotation row (`Image_Content_Annotation`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Annotation {
     /// Row identifier.
     pub id: AnnotationId,

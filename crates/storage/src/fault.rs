@@ -20,7 +20,7 @@
 use std::io::{Error, Write};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use tvdp_kernel::sync::Mutex;
 
 /// Which error an injected write fault reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

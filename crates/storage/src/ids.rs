@@ -3,14 +3,10 @@
 //! Each entity family gets its own newtype over `u64` so identifiers
 //! cannot be confused across tables at compile time.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -79,13 +75,5 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert!(ImageId(1) < ImageId(2));
         assert_eq!(ImageId(9).raw(), 9);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let id = ImageId(42);
-        let json = serde_json::to_string(&id).unwrap();
-        let back: ImageId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 }

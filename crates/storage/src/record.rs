@@ -1,13 +1,11 @@
 //! Image records: the `Images` entity plus its spatial descriptors.
-
-use serde::{Deserialize, Serialize};
 use tvdp_geo::{BBox, Fov, GeoPoint};
 
 use crate::ids::{ImageId, UserId};
 
 /// Provenance of an image: captured in the field, or synthesized from
 /// another stored image by an augmentation operator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImageOrigin {
     /// Captured by a camera and uploaded.
     Original,
@@ -22,7 +20,7 @@ pub enum ImageOrigin {
 }
 
 /// Descriptive metadata supplied at upload time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageMeta {
     /// Uploading user.
     pub uploader: UserId,
@@ -39,7 +37,7 @@ pub struct ImageMeta {
 }
 
 /// A stored image row: metadata plus derived spatial descriptors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageRecord {
     /// Row identifier.
     pub id: ImageId,
@@ -139,20 +137,5 @@ mod tests {
         let rec = ImageRecord::new(ImageId(3), meta_with_fov(None), origin.clone(), 64, 48);
         assert!(rec.is_augmented());
         assert_eq!(rec.origin, origin);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let fov = Fov::new(GeoPoint::new(34.0, -118.25), 45.0, 50.0, 80.0);
-        let rec = ImageRecord::new(
-            ImageId(9),
-            meta_with_fov(Some(fov)),
-            ImageOrigin::Original,
-            32,
-            32,
-        );
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: ImageRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
     }
 }

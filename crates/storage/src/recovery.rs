@@ -42,7 +42,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use tvdp_kernel::sync::Mutex;
 use tvdp_kernel::Pool;
 use tvdp_vision::{FeatureKind, Image};
 

@@ -2,8 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::sync::RwLock;
 use tvdp_kernel::{FeatureSlab, RowRef, RowSource, SlabView};
 use tvdp_vision::{FeatureKind, Image};
 
@@ -211,7 +210,7 @@ impl std::error::Error for SnapshotError {}
 /// Equality is structural over every table, which makes snapshots the
 /// ground truth for crash-recovery tests: two stores are "the same
 /// state" exactly when their snapshots compare equal.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Snapshot {
     pub(crate) images: Vec<ImageRecord>,
     pub(crate) blobs: Vec<(ImageId, usize, usize, Vec<u8>)>,

@@ -1,8 +1,8 @@
 //! Property-based tests: arbitrary store contents survive the snapshot
 //! and persistence round trips intact.
 
-use proptest::prelude::*;
 use tvdp_geo::GeoPoint;
+use tvdp_kernel::rng::{for_each_case, Rng};
 use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
 use tvdp_vision::{FeatureKind, Image};
 
@@ -18,29 +18,30 @@ struct Row {
     with_pixels: bool,
 }
 
-fn arb_row() -> impl Strategy<Value = Row> {
-    (
-        33.5f64..34.5,
-        -119.0f64..-118.0,
-        0i64..1_000_000,
-        proptest::collection::vec("[a-z]{1,8}", 0..3),
-        0usize..3,
-        0.0f32..=1.0,
-        proptest::collection::vec(-10.0f32..10.0, 4),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(lat, lon, captured, keywords, label, confidence, feature, with_pixels)| Row {
-                lat,
-                lon,
-                captured,
-                keywords,
-                label,
-                confidence,
-                feature,
-                with_pixels,
-            },
-        )
+const CASES: u64 = 24;
+
+/// One to eight lowercase letters.
+fn arb_word(rng: &mut Rng) -> String {
+    (0..rng.gen_range(1..=8))
+        .map(|_| char::from(rng.gen_range(b'a'..=b'z')))
+        .collect()
+}
+
+fn arb_row(rng: &mut Rng) -> Row {
+    Row {
+        lat: rng.gen_range(33.5..34.5),
+        lon: rng.gen_range(-119.0..-118.0),
+        captured: rng.gen_range(0..1_000_000),
+        keywords: (0..rng.gen_range(0..3)).map(|_| arb_word(rng)).collect(),
+        label: rng.gen_range(0..3),
+        confidence: rng.gen_range(0.0..=1.0),
+        feature: (0..4).map(|_| rng.gen_range(-10.0..10.0)).collect(),
+        with_pixels: rng.gen_bool(0.5),
+    }
+}
+
+fn arb_rows(rng: &mut Rng, max: usize) -> Vec<Row> {
+    (0..rng.gen_range(1..max)).map(|_| arb_row(rng)).collect()
 }
 
 fn populate(rows: &[Row]) -> VisualStore {
@@ -80,28 +81,30 @@ fn populate(rows: &[Row]) -> VisualStore {
     store
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn snapshot_roundtrip_preserves_everything(rows in proptest::collection::vec(arb_row(), 1..20)) {
+#[test]
+fn snapshot_roundtrip_preserves_everything() {
+    for_each_case(CASES, |_, rng| {
+        let rows = arb_rows(rng, 20);
         let store = populate(&rows);
         let restored = VisualStore::from_snapshot(store.snapshot()).unwrap();
-        prop_assert_eq!(restored.len(), store.len());
-        prop_assert_eq!(restored.annotation_count(), store.annotation_count());
+        assert_eq!(restored.len(), store.len());
+        assert_eq!(restored.annotation_count(), store.annotation_count());
         for id in store.image_ids() {
-            prop_assert_eq!(restored.image(id), store.image(id));
-            prop_assert_eq!(restored.pixels(id), store.pixels(id));
-            prop_assert_eq!(
+            assert_eq!(restored.image(id), store.image(id));
+            assert_eq!(restored.pixels(id), store.pixels(id));
+            assert_eq!(
                 restored.feature(id, FeatureKind::Cnn),
                 store.feature(id, FeatureKind::Cnn)
             );
-            prop_assert_eq!(restored.annotations_of(id), store.annotations_of(id));
+            assert_eq!(restored.annotations_of(id), store.annotations_of(id));
         }
-    }
+    });
+}
 
-    #[test]
-    fn persistence_roundtrip_preserves_everything(rows in proptest::collection::vec(arb_row(), 1..12)) {
+#[test]
+fn persistence_roundtrip_preserves_everything() {
+    for_each_case(CASES, |_, rng| {
+        let rows = arb_rows(rng, 12);
         let store = populate(&rows);
         let mut path = std::env::temp_dir();
         path.push(format!(
@@ -112,23 +115,26 @@ proptest! {
         tvdp_storage::persist::save(&store, &path).unwrap();
         let restored = tvdp_storage::persist::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(restored.len(), store.len());
+        assert_eq!(restored.len(), store.len());
         for id in store.image_ids() {
-            prop_assert_eq!(restored.image(id), store.image(id));
-            prop_assert_eq!(restored.pixels(id), store.pixels(id));
+            assert_eq!(restored.image(id), store.image(id));
+            assert_eq!(restored.pixels(id), store.pixels(id));
         }
         // Label queries agree.
         let scheme = store.scheme_by_name("s").unwrap().id;
         for label in 0..3 {
-            prop_assert_eq!(
+            assert_eq!(
                 restored.annotations_with_label(scheme, label).len(),
                 store.annotations_with_label(scheme, label).len()
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn id_allocation_never_collides_after_restore(rows in proptest::collection::vec(arb_row(), 1..10)) {
+#[test]
+fn id_allocation_never_collides_after_restore() {
+    for_each_case(CASES, |_, rng| {
+        let rows = arb_rows(rng, 10);
         let store = populate(&rows);
         let restored = VisualStore::from_snapshot(store.snapshot()).unwrap();
         let before = restored.image_ids();
@@ -140,7 +146,9 @@ proptest! {
             uploaded_at: 1,
             keywords: vec![],
         };
-        let new_id = restored.add_image(meta, ImageOrigin::Original, None).unwrap();
-        prop_assert!(!before.contains(&new_id), "fresh id {new_id} collides");
-    }
+        let new_id = restored
+            .add_image(meta, ImageOrigin::Original, None)
+            .unwrap();
+        assert!(!before.contains(&new_id), "fresh id {new_id} collides");
+    });
 }

@@ -5,15 +5,12 @@
 //! augmented images via cropping, rotation, etc. This module provides the
 //! corresponding operators; the storage crate records augmentation lineage.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tvdp_kernel::rng::Rng;
 
 use crate::image::Image;
 
 /// A deterministic augmentation operator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Augmentation {
     /// Mirror around the vertical axis.
     FlipHorizontal,
@@ -82,7 +79,7 @@ impl Augmentation {
                 [adjust(px[0]), adjust(px[1]), adjust(px[2])]
             }),
             Augmentation::GaussianNoise { sigma, seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = Rng::seed_from_u64(seed);
                 Image::from_fn(w, h, |x, y| {
                     let px = img.get(x, y);
                     let mut out = [0u8; 3];

@@ -13,9 +13,7 @@
 //! spatial grid of the last feature map, preserving coarse layout, then
 //! L2-normalizes.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use crate::image::Image;
 use crate::{FeatureExtractor, FeatureKind};
@@ -54,7 +52,7 @@ struct ConvStage {
 }
 
 impl ConvStage {
-    fn new(in_ch: usize, out_ch: usize, rng: &mut StdRng) -> Self {
+    fn new(in_ch: usize, out_ch: usize, rng: &mut Rng) -> Self {
         let fan_in = (in_ch * 9) as f32;
         let scale = (2.0 / fan_in).sqrt(); // He initialization
         let weights = (0..out_ch * in_ch * 9)
@@ -176,7 +174,7 @@ impl CnnExtractor {
         assert!(config.input_size >= 8, "input too small");
         assert!(!config.stage_channels.is_empty(), "need at least one stage");
         assert!(config.pool_grid >= 1, "pool grid must be positive");
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let mut stages = Vec::with_capacity(config.stage_channels.len());
         let mut in_ch = 3;
         for &out_ch in &config.stage_channels {

@@ -1,9 +1,7 @@
 //! In-memory RGB images.
 
-use serde::{Deserialize, Serialize};
-
 /// An 8-bit RGB raster image, row-major, interleaved channels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     width: usize,
     height: usize,

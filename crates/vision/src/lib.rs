@@ -32,10 +32,8 @@ pub use color::{rgb_to_hsv, ColorHistogramExtractor};
 pub use image::Image;
 pub use sift::{Keypoint, SiftConfig, SiftExtractor};
 
-use serde::{Deserialize, Serialize};
-
 /// The feature families of the paper's evaluation (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FeatureKind {
     /// HSV color histogram.
     ColorHistogram,

@@ -3,8 +3,7 @@
 //! seeded RNG, the shape `tvdp_edge::transport` actually uses. The
 //! linter must pass it with no findings.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use tvdp_kernel::rng::Rng;
 
 /// Virtual milliseconds; advanced explicitly, never read from the host.
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +30,7 @@ impl VirtualClock {
 
 /// Seeded-jitter exponential backoff: replayable for a given seed.
 pub fn backoff_ms(retry: u32, base_ms: u64, seed: u64) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed ^ retry as u64);
+    let mut rng = Rng::seed_from_u64(seed ^ retry as u64);
     let raw = base_ms.saturating_mul(1u64 << retry.min(16));
     let factor: f64 = rng.gen_range(0.8..1.2);
     (raw as f64 * factor) as u64

@@ -19,8 +19,9 @@ pub fn stamp_upload() -> u64 {
     }
 }
 
-/// Jitter from an unseeded RNG differs per process.
+/// Jitter from an unseeded RNG differs per process; the workspace PRNG
+/// (`tvdp_kernel::rng::Rng`) is always seeded.
 pub fn backoff_jitter(base_ms: u64) -> u64 {
-    let mut rng = rand::thread_rng();
+    let mut rng = thread_rng();
     base_ms + rng.gen_range(0..base_ms.max(1))
 }

@@ -9,8 +9,9 @@ pub fn elapsed_score(base: f64) -> f64 {
     base + t.elapsed().as_secs_f64()
 }
 
-/// Unseeded randomness differs per process.
+/// Unseeded randomness differs per process; the workspace PRNG
+/// (`tvdp_kernel::rng::Rng`) is always seeded.
 pub fn jitter() -> f64 {
-    let mut rng = rand::thread_rng();
+    let mut rng = thread_rng();
     rng.gen_range(0.0..1.0)
 }

@@ -1,7 +1,7 @@
 //! Fixture: L5 violations — a lock guard held across a pool dispatch,
 //! and a nested lock acquisition while another guard is live.
 
-use parking_lot::Mutex;
+use tvdp_kernel::sync::Mutex;
 use tvdp_kernel::Pool;
 
 /// Holds the writer lock across a pool fan-out: the dispatch blocks on

@@ -1,12 +1,13 @@
 //! `cargo xtask` — workspace automation for TVDP.
 //!
-//! The only subcommand today is `lint`, a dependency-free static
+//! The only subcommand today is `lint`, a registry-free static
 //! analysis pass enforcing the platform's reproducibility invariants
 //! (see [`rules`]): city-scale query serving needs answers that are
 //! crash-free (L1), bit-reproducible across runs and thread counts
 //! (L2, L3, L5, L7), and independent of ambient time/randomness (L4),
 //! with every explicit atomic ordering carrying a reviewed
-//! justification (L6).
+//! justification (L6) — and buildable offline from a bare checkout:
+//! every manifest may depend on workspace path crates only (L0).
 //!
 //! Run as `cargo xtask lint` (whole workspace) or
 //! `cargo xtask lint <file>...` (specific files, strict policy). Add
@@ -19,9 +20,13 @@ pub mod walk;
 use std::io;
 use std::path::Path;
 
+use tvdp_json::{obj, Value};
+
 pub use rules::{Finding, Policy, Rule};
 pub use source::SourceModel;
-pub use walk::{lint_file, lint_workspace, policy_for, workspace_sources, FileFinding};
+pub use walk::{
+    lint_file, lint_workspace, policy_for, workspace_manifests, workspace_sources, FileFinding,
+};
 
 /// Report format for [`run_lint_with_format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,8 +34,7 @@ pub enum OutputFormat {
     /// Human-readable `path:line:col: [Lx/rule] message` lines.
     #[default]
     Text,
-    /// One JSON object with a `findings` array (CI annotations). The
-    /// encoder is hand-rolled: the linter stays dependency-free.
+    /// One JSON object with a `findings` array (CI annotations).
     Json,
 }
 
@@ -94,64 +98,28 @@ pub fn run_lint_with_format<W: io::Write>(
 /// `{"findings":[{"file":..,"line":..,"col":..,"rule":..,"name":..,
 /// "message":..,"snippet":..},..],"count":N}`.
 pub fn findings_to_json(findings: &[FileFinding]) -> String {
-    let mut s = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"file\":");
-        json_string(&mut s, &f.path);
-        s.push_str(",\"line\":");
-        s.push_str(&f.finding.line.to_string());
-        s.push_str(",\"col\":");
-        s.push_str(&f.finding.col.to_string());
-        s.push_str(",\"rule\":");
-        json_string(&mut s, f.finding.rule.id());
-        s.push_str(",\"name\":");
-        json_string(&mut s, f.finding.rule.name());
-        s.push_str(",\"message\":");
-        json_string(&mut s, &f.finding.message);
-        s.push_str(",\"snippet\":");
-        json_string(&mut s, &f.snippet);
-        s.push('}');
-    }
-    s.push_str("],\"count\":");
-    s.push_str(&findings.len().to_string());
-    s.push('}');
-    s
-}
-
-/// Appends `value` to `out` as a JSON string literal (RFC 8259
-/// escaping: quote, backslash, and control characters).
-fn json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let rows = findings.iter().map(|f| {
+        obj(vec![
+            ("file", Value::str(&f.path)),
+            ("line", Value::num(f.finding.line)),
+            ("col", Value::num(f.finding.col)),
+            ("rule", Value::str(f.finding.rule.id())),
+            ("name", Value::str(f.finding.rule.name())),
+            ("message", Value::str(&f.finding.message)),
+            ("snippet", Value::str(&f.snippet)),
+        ])
+    });
+    obj(vec![
+        ("findings", Value::Arr(rows.collect())),
+        ("count", Value::num(findings.len())),
+    ])
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rules::{Finding, Rule};
-
-    #[test]
-    fn json_escapes_quotes_and_control_chars() {
-        let mut s = String::new();
-        json_string(&mut s, "say \"hi\"\n\tdone\u{1}");
-        assert_eq!(s, "\"say \\\"hi\\\"\\n\\tdone\\u0001\"");
-    }
 
     #[test]
     fn json_report_shape_is_stable() {

@@ -11,10 +11,12 @@ fn usage() -> ExitCode {
         io::stderr(),
         "usage: cargo xtask lint [--format text|json] [FILE...]\n\
          \n\
-         Enforces the TVDP invariants over crates/*/src (no args) or the\n\
-         given files: L1 no-panic, L2 determinism, L3 pool-only\n\
-         threading, L4 no ambient time/randomness, L5 lock discipline,\n\
-         L6 reviewed atomic orderings, L7 canonical float reductions."
+         Enforces the TVDP invariants over crates/*/src and every\n\
+         manifest (no args) or the given files: L1 no-panic, L2\n\
+         determinism, L3 pool-only threading, L4 no ambient\n\
+         time/randomness, L5 lock discipline, L6 reviewed atomic\n\
+         orderings, L7 canonical float reductions, and (Cargo.toml)\n\
+         L0 path-crate dependencies only."
     );
     ExitCode::from(2)
 }

@@ -1,4 +1,4 @@
-//! The seven TVDP invariant rules.
+//! The seven TVDP invariant rules, plus the manifest check.
 //!
 //! | id  | rule                  | what it forbids (outside `#[cfg(test)]`)        |
 //! |-----|-----------------------|--------------------------------------------------|
@@ -9,6 +9,7 @@
 //! | L5  | `lock_discipline`     | lock guards held across a pool dispatch, and nested lock acquisition while a guard is live |
 //! | L6  | `atomic_ordering`     | any explicit `Ordering::{Relaxed,..,SeqCst}` without a reviewed allow annotation |
 //! | L7  | `float_reduction`     | ad-hoc `f32`/`f64` `sum`/`fold`/`+=` reductions outside the kernel's canonical reduce paths |
+//! | L0  | `registry_dependency` | (manifests) any dependency that is not a `tvdp-*`/`xtask` path crate |
 //!
 //! Every rule is suppressible per line with
 //! `// tvdp-lint: allow(<rule>, reason = "...")`. The escape hatch is
@@ -37,6 +38,8 @@ pub enum Rule {
     FloatReduction,
     /// Malformed or unused `tvdp-lint:` escape-hatch comment.
     BadAllow,
+    /// A manifest names a dependency that is not a workspace path crate.
+    RegistryDependency,
 }
 
 impl Rule {
@@ -50,7 +53,7 @@ impl Rule {
             Rule::LockDiscipline => "L5",
             Rule::AtomicOrdering => "L6",
             Rule::FloatReduction => "L7",
-            Rule::BadAllow => "L0",
+            Rule::BadAllow | Rule::RegistryDependency => "L0",
         }
     }
 
@@ -65,6 +68,7 @@ impl Rule {
             Rule::AtomicOrdering => "atomic_ordering",
             Rule::FloatReduction => "float_reduction",
             Rule::BadAllow => "bad_allow",
+            Rule::RegistryDependency => "registry_dependency",
         }
     }
 }
@@ -366,6 +370,57 @@ fn determinism(model: &SourceModel, out: &mut Vec<Finding>) {
     }
 }
 
+/// L0 over a `Cargo.toml`: every entry of every dependency table must be
+/// a workspace path crate (`tvdp`, `tvdp-*`, `xtask`), either inherited
+/// (`name.workspace = true`) or given by `path`. The workspace builds
+/// offline from a bare checkout, so one registry crate anywhere breaks
+/// tier-1 for everyone.
+pub fn check_manifest(text: &str) -> Vec<Finding> {
+    let ours = |name: &str| name == "tvdp" || name == "xtask" || name.starts_with("tvdp-");
+    let mut out = Vec::new();
+    let mut in_dependency_table = false;
+    for (i, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        let mut flag = |name: &str, why: &str| {
+            out.push(Finding {
+                rule: Rule::RegistryDependency,
+                line: i + 1,
+                col: 1,
+                message: format!(
+                    "dependency `{name}` {why}: the workspace resolves offline from \
+                     path crates only; write the code in-tree (`tvdp-kernel`, `tvdp-json`)"
+                ),
+            });
+        };
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_matches(|c| c == '[' || c == ']');
+            // `[dependencies]`, `[workspace.dependencies]`,
+            // `[target.'cfg(..)'.dev-dependencies]`, and the one-crate
+            // table form `[dependencies.name]`.
+            let (table, name) = match header.rsplit_once('.') {
+                Some((table, name)) if table.ends_with("dependencies") => (table, Some(name)),
+                _ => (header, None),
+            };
+            in_dependency_table = name.is_none() && table.ends_with("dependencies");
+            if let Some(name) = name.filter(|n| !ours(n)) {
+                flag(name, "is not a workspace crate");
+            }
+        } else if in_dependency_table {
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            let key = key.trim();
+            let name = key.split('.').next().unwrap_or(key).trim_matches('"');
+            if !ours(name) {
+                flag(name, "is not a workspace crate");
+            } else if !key.ends_with(".workspace") && !value.contains("path") {
+                flag(name, "is not given by `path`");
+            }
+        }
+    }
+    out
+}
+
 /// L3: ad-hoc threads. Everything must go through `tvdp_kernel::Pool`.
 ///
 /// Also covers ad-hoc `std::sync` locks: shared snapshots are published
@@ -412,7 +467,7 @@ fn pool_only_threading(model: &SourceModel, out: &mut Vec<Finding>) {
                     message: format!(
                         "`std::sync::{lock}` outside tvdp-kernel: publish read-path \
                          snapshots through `tvdp_kernel::GenCell` generations (lock-free \
-                         Arc-swap reads) and guard writer state with `parking_lot`"
+                         Arc-swap reads) and guard writer state with `tvdp_kernel::sync`"
                     ),
                 });
             }
@@ -444,8 +499,9 @@ fn no_wall_clock(model: &SourceModel, out: &mut Vec<Finding>) {
                 line,
                 col,
                 message: format!(
-                    "`{needle}`: {why}; take time/seed as an explicit parameter \
-                     (see api::limit) or allowlist the module"
+                    "`{needle}`: {why}; take time as an explicit parameter (see \
+                     api::limit), draw from a seeded `tvdp_kernel::rng::Rng`, or \
+                     allowlist the module"
                 ),
             });
         }
@@ -1021,10 +1077,32 @@ mod tests {
     }
 
     #[test]
-    fn l3_allows_gencell_publication_and_parking_lot() {
+    fn l0_manifest_accepts_path_crates_only() {
+        let clean = "[package]\nname = \"tvdp-x\"\nversion = \"1\"\n\n[dependencies]\n\
+                     tvdp-kernel.workspace = true\ntvdp-geo = { path = \"../geo\" }\n\n\
+                     [workspace.dependencies]\ntvdp-json = { path = \"crates/json\" }\n";
+        assert!(check_manifest(clean).is_empty());
+        for (bad, line) in [
+            ("[dependencies]\nrand = \"0.8\"\n", 2),
+            ("[dev-dependencies]\nproptest.workspace = true\n", 2),
+            ("[workspace.dependencies]\nserde = { version = \"1\" }\n", 2),
+            ("[dependencies.parking_lot]\nversion = \"0.12\"\n", 1),
+            ("[target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n", 2),
+            ("[dependencies]\ntvdp-geo = \"0.1\"\n", 2),
+        ] {
+            let f = check_manifest(bad);
+            assert_eq!(f.len(), 1, "{bad:?}: {f:?}");
+            assert_eq!((f[0].rule, f[0].line), (Rule::RegistryDependency, line));
+        }
+        // Keys outside dependency tables are not dependencies.
+        assert!(check_manifest("[package]\nrand = \"x\"\n[features]\nserde = []\n").is_empty());
+    }
+
+    #[test]
+    fn l3_allows_gencell_publication_and_kernel_sync() {
         // The blessed pattern: GenCell generation publication plus a
-        // parking_lot writer mutex. `std::sync::Arc` alone is fine.
-        let src = "use std::sync::Arc;\nuse parking_lot::Mutex;\nuse tvdp_kernel::GenCell;\n\
+        // kernel-sync writer mutex. `std::sync::Arc` alone is fine.
+        let src = "use std::sync::Arc;\nuse tvdp_kernel::sync::Mutex;\nuse tvdp_kernel::GenCell;\n\
                    fn publish(cell: &GenCell<u8>, w: &Mutex<u8>) {\n\
                     let v = *w.lock();\n cell.store(Arc::new(v));\n let _ = cell.load();\n}\n";
         assert!(findings(src).is_empty());
@@ -1036,7 +1114,7 @@ mod tests {
         let f = findings("fn f() -> std::time::Instant { std::time::Instant::now() }\n");
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|f| f.rule == Rule::NoWallClock));
-        let f = findings("fn f() { let mut r = rand::thread_rng(); }\n");
+        let f = findings("fn f() { let mut r = thread_rng(); }\n");
         assert_eq!(f.len(), 1);
     }
 
@@ -1100,7 +1178,7 @@ mod tests {
 
     #[test]
     fn l5_flags_guard_held_across_pool_dispatch() {
-        let src = "fn f(m: &parking_lot::Mutex<u8>, pool: &Pool) {\n \
+        let src = "fn f(m: &tvdp_kernel::sync::Mutex<u8>, pool: &Pool) {\n \
                    let g = m.lock();\n \
                    pool.scope(|| {});\n \
                    let _ = *g;\n}\n";
@@ -1114,7 +1192,7 @@ mod tests {
 
     #[test]
     fn l5_flags_nested_lock_acquisition() {
-        let src = "fn f(a: &parking_lot::Mutex<u8>, b: &parking_lot::Mutex<u8>) {\n \
+        let src = "fn f(a: &tvdp_kernel::sync::Mutex<u8>, b: &tvdp_kernel::sync::Mutex<u8>) {\n \
                    let ga = a.lock();\n \
                    let gb = b.lock();\n \
                    let _ = (*ga, *gb);\n}\n";
@@ -1128,7 +1206,7 @@ mod tests {
 
     #[test]
     fn l5_respects_explicit_drop_before_dispatch() {
-        let src = "fn f(m: &parking_lot::Mutex<u8>, pool: &Pool) {\n \
+        let src = "fn f(m: &tvdp_kernel::sync::Mutex<u8>, pool: &Pool) {\n \
                    let g = m.lock();\n \
                    let v = *g;\n \
                    drop(g);\n \
@@ -1138,7 +1216,7 @@ mod tests {
 
     #[test]
     fn l5_option_map_under_guard_is_not_a_dispatch() {
-        let src = "fn f(m: &parking_lot::Mutex<Option<u8>>) -> Option<u8> {\n \
+        let src = "fn f(m: &tvdp_kernel::sync::Mutex<Option<u8>>) -> Option<u8> {\n \
                    let g = m.lock();\n \
                    g.map(|v| v + 1)\n}\n";
         assert!(findings(src).is_empty());
@@ -1146,7 +1224,7 @@ mod tests {
 
     #[test]
     fn l5_pool_map_under_guard_is_a_dispatch() {
-        let src = "fn f(m: &parking_lot::Mutex<u8>, pool: &Pool) -> Vec<u8> {\n \
+        let src = "fn f(m: &tvdp_kernel::sync::Mutex<u8>, pool: &Pool) -> Vec<u8> {\n \
                    let g = m.lock();\n \
                    pool.map(&[1u8, 2], |_, &x| x + *g)\n}\n";
         let f = findings(src);
@@ -1161,7 +1239,7 @@ mod tests {
     fn l5_ignores_temporary_guards_and_consumed_results() {
         // `*m.lock() = 1` drops its guard at the semicolon; `.lock().clone()`
         // consumes the guard in the same expression. Neither stays live.
-        let src = "fn f(m: &parking_lot::Mutex<u8>, p: &parking_lot::Mutex<u8>) {\n \
+        let src = "fn f(m: &tvdp_kernel::sync::Mutex<u8>, p: &tvdp_kernel::sync::Mutex<u8>) {\n \
                    *m.lock() = 1;\n \
                    let v = p.lock().clone();\n \
                    let _ = v;\n}\n";

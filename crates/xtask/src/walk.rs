@@ -1,8 +1,9 @@
 //! Workspace traversal and per-file lint policy.
 //!
 //! Workspace mode walks `crates/*/src/**/*.rs` plus the umbrella crate's
-//! `src/`, in sorted order (the linter obeys its own determinism rule).
-//! Policy is derived from the path:
+//! `src/`, then the root and `crates/*` manifests (L0: path crates
+//! only), in sorted order (the linter obeys its own determinism rule).
+//! Policy for sources is derived from the path:
 //!
 //! * `crates/kernel` — owns the thread pool, so L3 is off there; it is
 //!   also the home of the canonical fixed-order reductions (L7 off) and
@@ -19,7 +20,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{check, Finding, Policy};
+use crate::rules::{check, check_manifest, Finding, Policy};
 use crate::source::SourceModel;
 
 /// Modules where ambient time/randomness is part of the job.
@@ -74,18 +75,44 @@ pub struct FileFinding {
     pub snippet: String,
 }
 
-/// Lints one file under an explicit policy.
+/// Lints one file: a `.toml` manifest under the L0 dependency check,
+/// anything else as Rust source under an explicit policy.
 pub fn lint_file(root: &Path, rel_path: &str, policy: Policy) -> io::Result<Vec<FileFinding>> {
     let text = fs::read_to_string(root.join(rel_path))?;
-    let model = SourceModel::parse(&text);
-    Ok(check(&model, policy)
+    let findings = if rel_path.ends_with(".toml") {
+        check_manifest(&text)
+    } else {
+        check(&SourceModel::parse(&text), policy)
+    };
+    Ok(findings
         .into_iter()
         .map(|finding| FileFinding {
             path: rel_path.to_string(),
-            snippet: model.line_text(finding.line).to_string(),
+            snippet: text
+                .lines()
+                .nth(finding.line - 1)
+                .unwrap_or("")
+                .trim()
+                .to_string(),
             finding,
         })
         .collect())
+}
+
+/// The root manifest and every `crates/*/Cargo.toml`, sorted.
+pub fn workspace_manifests(root: &Path) -> io::Result<Vec<String>> {
+    let mut rel: Vec<String> = fs::read_dir(root.join("crates"))?
+        .filter_map(|e| e.ok().map(|e| e.path().join("Cargo.toml")))
+        .filter(|p| p.is_file())
+        .filter_map(|p| {
+            p.strip_prefix(root)
+                .ok()
+                .map(|r| r.to_string_lossy().replace('\\', "/"))
+        })
+        .collect();
+    rel.push("Cargo.toml".to_string());
+    rel.sort();
+    Ok(rel)
 }
 
 /// All library source files in the workspace, sorted.
@@ -137,7 +164,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Lints the whole workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<FileFinding>> {
     let mut findings = Vec::new();
-    for rel in workspace_sources(root)? {
+    for rel in workspace_sources(root)?
+        .into_iter()
+        .chain(workspace_manifests(root)?)
+    {
         findings.extend(lint_file(root, &rel, policy_for(&rel))?);
     }
     Ok(findings)

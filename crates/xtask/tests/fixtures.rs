@@ -40,6 +40,20 @@ fn assert_fires(fixture: &str, rule_tag: &str) {
 }
 
 #[test]
+fn l0_registry_dependency_fixture_rejected() {
+    assert_fires("l0_registry_dependency.toml", "[L0/registry_dependency]");
+    let out = run_lint_on("l0_registry_dependency.toml");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // rand, serde, proptest and the `[dependencies.parking_lot]` table;
+    // the two path crates pass.
+    assert_eq!(
+        stdout.matches("[L0/registry_dependency]").count(),
+        4,
+        "wrong violation count:\n{stdout}"
+    );
+}
+
+#[test]
 fn l1_fixture_rejected() {
     assert_fires("l1_no_panic.rs", "[L1/no_panic]");
 }

@@ -6,9 +6,7 @@
 //!
 //! Run with: `cargo run --release --example disaster_response`
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use tvdp_kernel::rng::Rng;
 
 use tvdp::crowd::simulate::AssignStrategy;
 use tvdp::crowd::{Campaign, SimulationConfig};
@@ -18,7 +16,7 @@ use tvdp::query::{Query, SpatialQuery, TemporalField};
 use tvdp::vision::Image;
 
 /// Synthesizes a smoke-tinged aerial frame for a capture pose.
-fn drone_frame(rng: &mut StdRng) -> Image {
+fn drone_frame(rng: &mut Rng) -> Image {
     let smoke = rng.gen_range(60..200u16);
     Image::from_fn(48, 48, |x, y| {
         let terrain = ((x * 7 + y * 13) % 31) as u16 * 3;
@@ -51,7 +49,7 @@ fn main() {
 
     // 2. Run the iterative campaign; every captured FOV becomes an
     //    ingested drone frame.
-    let mut rng = StdRng::seed_from_u64(0xF12E);
+    let mut rng = Rng::seed_from_u64(0xF12E);
     let mut t = 1_700_000_000i64;
     let sim = SimulationConfig {
         n_workers: 30,

@@ -4,9 +4,30 @@
 //! figure binaries verify them at full scale).
 
 use tvdp_bench::{
-    run_coverage, run_edge_learning, run_fig8, run_fig9, CoverageConfig, EdgeLearningConfig,
-    Fig8Config, Fig9Config,
+    run_coverage, run_edge_learning, run_fig6, run_fig8, run_fig9, ClassificationConfig,
+    CoverageConfig, EdgeLearningConfig, Fig8Config, Fig9Config,
 };
+
+#[test]
+fn fig6_feature_families_rank_as_in_the_paper() {
+    // 64 px is the smallest frame that gives SIFT enough keypoints for
+    // its vocabulary to beat a colour histogram; below it only CNN's lead
+    // survives.
+    let result = run_fig6(&ClassificationConfig {
+        n_images: 600,
+        bow_vocabulary: 48,
+        head_hidden: 32,
+        head_epochs: 40,
+        ..Default::default()
+    });
+    let mean = |feature| result.mean_f1_for_feature(feature);
+    let (color, bow, cnn) = (mean("Color Histogram"), mean("SIFT-BoW"), mean("CNN"));
+    assert!(
+        cnn > bow && bow > color,
+        "paper's ordering CNN > SIFT-BoW > colour: {cnn} {bow} {color}"
+    );
+    assert_eq!(result.best().feature, "CNN");
+}
 
 #[test]
 fn fig8_latency_ordering_holds() {
