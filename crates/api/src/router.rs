@@ -17,10 +17,11 @@ use std::sync::Arc;
 use tvdp_core::models::ModelInterface;
 use tvdp_core::platform::Algorithm;
 use tvdp_core::{
-    AdmissionConfig, AdmissionController, IngestRequest, PlatformError, RequestClass, Tvdp,
+    AdmissionConfig, AdmissionController, IngestRequest, PlatformError, RequestClass, Tvdp, Upload,
 };
 use tvdp_edge::{DeviceClass, DispatchConstraints};
 use tvdp_geo::{AngularRange, Fov, GeoPoint, GeoPolygon};
+use tvdp_kernel::Pool;
 use tvdp_ml::SerializableModel;
 use tvdp_query::{Query, QueryError, SpatialQuery, TemporalField, TextualMode, VisualMode};
 use tvdp_storage::codec::{self, obj, Value};
@@ -191,9 +192,9 @@ fn decode_fov_body(v: &Value, gps: GeoPoint) -> Result<Fov, ParseError> {
 }
 
 /// Decodes one upload object (the `data/add` body shape) into the
-/// image and ingest request it describes. Shared by `data/add` and
-/// every element of `data/add_batch`.
-fn decode_upload(body: &Value) -> Result<(Image, IngestRequest), String> {
+/// un-keyed [`Upload`] it describes. Shared by `data/add` and every
+/// element of `data/add_batch`.
+fn decode_upload(body: &Value) -> Result<Upload, String> {
     let parsed = (|| -> Result<_, ParseError> {
         let width: usize = codec::num_field(body, "width")?;
         let height: usize = codec::num_field(body, "height")?;
@@ -228,16 +229,17 @@ fn decode_upload(body: &Value) -> Result<(Image, IngestRequest), String> {
         Some(f) => Some(decode_fov_body(f, gps).map_err(|e| format!("bad request body: {e}"))?),
         None => None,
     };
-    Ok((
-        Image::from_raw(width, height, pixels),
-        IngestRequest {
+    Ok(Upload {
+        image: Image::from_raw(width, height, pixels),
+        request: IngestRequest {
             gps,
             fov,
             captured_at,
             uploaded_at,
             keywords,
         },
-    ))
+        key: None,
+    })
 }
 
 fn decode_visual_mode(v: &Value) -> Result<VisualMode, ParseError> {
@@ -520,49 +522,40 @@ impl ApiServer {
         idempotency_key: Option<&str>,
         now_ms: i64,
     ) -> ApiResponse {
-        let (image, request) = match decode_upload(body) {
+        let mut upload = match decode_upload(body) {
             Ok(u) => u,
             Err(e) => return ApiResponse::err(400, e),
         };
+        upload.key = idempotency_key.map(str::to_string);
         if let Err(shed) = self.admit(RequestClass::Ingest, Self::INGEST_UNITS_PER_IMAGE, now_ms) {
             return shed;
         }
-        let outcome = match idempotency_key {
-            Some(key) => self
-                .platform
-                .ingest_idempotent(user, image, request, key)
-                .map(|(id, _replayed)| id),
-            None => self.platform.ingest(user, image, request),
-        };
-        match outcome {
-            Ok(id) => ApiResponse::ok(obj(vec![("image", Value::num(id.raw()))])),
+        match self
+            .platform
+            .ingest_uploads(user, vec![upload], &Pool::serial())
+        {
+            Ok(stored) => ApiResponse::ok(obj(vec![("image", Value::num(stored[0].0.raw()))])),
             Err(e) => error_response(&e),
         }
     }
 
-    /// `data/add_batch`: bulk upload, the API face of the platform's
-    /// group-commit ingest. Body: `{"uploads": [<data/add body>...]}`,
-    /// where each element may carry its own `"idempotency_key"` —
-    /// either every element has one (the batch is journaled as
-    /// composite idempotent records) or none does. A shard's whole
-    /// group rides one WAL fsync instead of one per op.
+    /// `data/add_batch`: bulk upload. Body: `{"uploads": [<data/add
+    /// body>...]}`, where each element may carry its own
+    /// `"idempotency_key"`. Each shard's share of the batch rides one
+    /// WAL fsync instead of one per op.
     fn add_data_batch(&self, user: UserId, body: &Value, now_ms: i64) -> ApiResponse {
-        let uploads = match codec::arr_field(body, "uploads") {
+        let items = match codec::arr_field(body, "uploads") {
             Ok(items) => items,
             Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
         };
-        let mut keyed = Vec::with_capacity(uploads.len());
-        let mut keys_seen = 0usize;
-        for (i, item) in uploads.iter().enumerate() {
-            let (image, request) = match decode_upload(item) {
+        let mut uploads = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            let mut upload = match decode_upload(item) {
                 Ok(u) => u,
                 Err(e) => return ApiResponse::err(400, format!("uploads[{i}]: {e}")),
             };
-            let key = match opt_field(item, "idempotency_key") {
-                Some(Value::Str(k)) => {
-                    keys_seen += 1;
-                    Some(k.clone())
-                }
+            upload.key = match opt_field(item, "idempotency_key") {
+                Some(Value::Str(k)) => Some(k.clone()),
                 Some(_) => {
                     return ApiResponse::err(
                         400,
@@ -571,38 +564,14 @@ impl ApiServer {
                 }
                 None => None,
             };
-            keyed.push((image, request, key));
+            uploads.push(upload);
         }
-        if keys_seen != 0 && keys_seen != keyed.len() {
-            return ApiResponse::err(
-                400,
-                "either every upload carries an idempotency_key or none does",
-            );
-        }
-        let batch_units = Self::INGEST_UNITS_PER_IMAGE * keyed.len().max(1) as u64;
+        let batch_units = Self::INGEST_UNITS_PER_IMAGE * uploads.len().max(1) as u64;
         if let Err(shed) = self.admit(RequestClass::Ingest, batch_units, now_ms) {
             return shed;
         }
-        let threads = keyed.len().clamp(1, 8);
-        let outcome = if keys_seen == 0 {
-            self.platform
-                .ingest_batch(
-                    user,
-                    keyed.into_iter().map(|(im, rq, _)| (im, rq)).collect(),
-                    threads,
-                )
-                .map(|ids| ids.into_iter().map(|id| (id, false)).collect::<Vec<_>>())
-        } else {
-            self.platform.ingest_idempotent_batch(
-                user,
-                keyed
-                    .into_iter()
-                    .map(|(im, rq, k)| (im, rq, k.unwrap_or_default()))
-                    .collect(),
-                threads,
-            )
-        };
-        match outcome {
+        let pool = Pool::new(uploads.len().clamp(1, 8));
+        match self.platform.ingest_uploads(user, uploads, &pool) {
             Ok(rows) => ApiResponse::ok(obj(vec![
                 ("count", Value::num(rows.len())),
                 (
@@ -869,16 +838,25 @@ impl ApiServer {
             let image: u64 = codec::num_field(body, "image")?;
             let scheme: u64 = codec::num_field(body, "scheme")?;
             let label: usize = codec::num_field(body, "label")?;
-            Ok((image, scheme, label))
+            // The annotator's own confidence; a plain label is certain.
+            let confidence: f32 = match opt_field(body, "confidence") {
+                Some(c) => codec::num(c, "confidence")?,
+                None => 1.0,
+            };
+            Ok((image, scheme, label, confidence))
         })();
-        let (image, scheme, label) = match parsed {
+        let (image, scheme, label, confidence) = match parsed {
             Ok(p) => p,
             Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
         };
-        match self
-            .platform
-            .annotate_human(user, ImageId(image), ClassificationId(scheme), label)
-        {
+        match self.platform.annotate(
+            user,
+            ImageId(image),
+            ClassificationId(scheme),
+            label,
+            confidence,
+            None,
+        ) {
             Ok(id) => ApiResponse::ok(obj(vec![("annotation", Value::num(id.raw()))])),
             Err(e) => error_response(&e),
         }

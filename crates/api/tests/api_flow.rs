@@ -8,8 +8,8 @@ use tvdp_core::{PlatformConfig, Role, Tvdp};
 use tvdp_storage::codec;
 use tvdp_vision::{CnnConfig, Image};
 
-fn fast_platform() -> Arc<Tvdp> {
-    Arc::new(Tvdp::new(PlatformConfig {
+fn fast_config() -> PlatformConfig {
+    PlatformConfig {
         cnn: CnnConfig {
             input_size: 16,
             stage_channels: vec![4, 8],
@@ -18,7 +18,11 @@ fn fast_platform() -> Arc<Tvdp> {
         },
         min_training_samples: 6,
         ..Default::default()
-    }))
+    }
+}
+
+fn fast_platform() -> Arc<Tvdp> {
+    Arc::new(Tvdp::new(fast_config()))
 }
 
 fn scene(class: usize, seed: usize) -> Image {
@@ -307,7 +311,18 @@ fn auth_and_rate_limits_enforced() {
 
 #[test]
 fn error_paths_return_proper_statuses() {
-    let platform = fast_platform();
+    // Both platform kinds run one validator, so they answer alike.
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("tvdp-api-flow-errors-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let durable = Arc::new(Tvdp::open(&dir, fast_config()).unwrap().0);
+    for platform in [fast_platform(), durable] {
+        error_paths_on(platform);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn error_paths_on(platform: Arc<Tvdp>) {
     let user = platform.register_user("u", Role::Researcher);
     let server = ApiServer::new(Arc::clone(&platform));
     let key = server.issue_key(user);
@@ -383,6 +398,28 @@ fn error_paths_return_proper_statuses() {
         ),
     );
     assert_eq!(r.status, 400);
+    // A degenerate label vocabulary: a refused request, not a panic and
+    // not a storage fault.
+    for labels in [r#"[]"#, r#"["a","a"]"#] {
+        let body = format!(r#"{{"name":"degenerate","labels":{labels}}}"#);
+        let r = call(&server, &key, "schemes/register", &body);
+        assert_eq!(r.status, 400, "{labels}: {r:?}");
+        assert!(r.body["error"].as_str().unwrap().contains("vocabulary"));
+    }
+    // An annotation whose confidence is out of range or not a number.
+    let image = call(&server, &key, "data/add", &add_body(0, 0, 34.0)).body["image"]
+        .as_u64()
+        .unwrap();
+    for confidence in ["1.5", "-0.25", "1e39"] {
+        let body =
+            format!(r#"{{"image":{image},"scheme":{scheme},"label":0,"confidence":{confidence}}}"#);
+        let r = call(&server, &key, "annotations/add", &body);
+        assert_eq!(r.status, 400, "{confidence}: {r:?}");
+    }
+    assert_eq!(platform.stats().annotations, 0);
+    let h = call(&server, &key, "health", "");
+    assert_eq!(h.body["state"].as_str(), Some("ok"));
+    assert_eq!(h.body["write_faults"].as_u64(), Some(0));
     // Impossible dispatch.
     let r = call(
         &server,
@@ -701,15 +738,24 @@ fn batched_uploads_through_the_api() {
     );
     assert_eq!(platform.stats().images, 5);
 
-    // Mixed keyed/keyless batches are rejected whole.
+    // A mixed keyed/keyless batch lands both; a retry of the batch
+    // replays only the keyed upload.
     let body = format!(
         r#"{{"uploads":[{},{}]}}"#,
         add_body(0, 20, 34.01),
         keyed(21, "cam-c"),
     );
     let r = call(&server, &key, "data/add_batch", &body);
-    assert_eq!(r.status, 400);
-    assert_eq!(platform.stats().images, 5);
+    assert!(r.is_ok(), "{r:?}");
+    assert_eq!(platform.stats().images, 7);
+    let retry = call(&server, &key, "data/add_batch", &body);
+    assert_eq!(retry.body["replayed"][0].as_bool(), Some(false));
+    assert_eq!(retry.body["replayed"][1].as_bool(), Some(true));
+    assert_eq!(
+        retry.body["images"][1].as_u64(),
+        r.body["images"][1].as_u64()
+    );
+    assert_eq!(platform.stats().images, 8);
 
     // A malformed element pinpoints its index.
     let r = call(

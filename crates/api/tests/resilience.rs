@@ -11,7 +11,9 @@
 //! * a WAL write fault during live traffic flips the platform
 //!   read-only (mutations 503, reads still 200), the `health` endpoint
 //!   narrates ReadOnly → Degraded → Ok, and clearing the fault heals
-//!   the platform without a restart.
+//!   the platform without a restart;
+//! * a request is one physical journal write, so a write fault at any
+//!   byte of it stores none of the request.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -19,7 +21,7 @@ use std::sync::Arc;
 use tvdp_api::{ApiRequest, ApiServer, RateLimitConfig};
 use tvdp_core::{AdmissionConfig, PlatformConfig, Role, Tvdp};
 use tvdp_storage::{codec, WriteFaultPlan};
-use tvdp_vision::{CnnConfig, Image};
+use tvdp_vision::{CnnConfig, FeatureKind, Image};
 
 fn fast_config() -> PlatformConfig {
     PlatformConfig {
@@ -298,8 +300,8 @@ fn write_fault_flips_read_only_and_heals_through_the_api() {
     assert!(healed.is_ok(), "{healed:?}");
     let h = call_at(&server, &key, "health", "", 31);
     assert_eq!(h.body["state"].as_str().unwrap(), "degraded");
-    // An upload journals several commits; the first one proves the
-    // write path and the platform is Ok again by the time it returns.
+    // The next commit that lands confirms the write path: the platform
+    // is Ok again by the time the upload returns.
     let confirmed = call_at(&server, &key, "data/add", &add_body(13), 32);
     assert!(confirmed.is_ok(), "{confirmed:?}");
     let h = call_at(&server, &key, "health", "", 33);
@@ -320,6 +322,162 @@ fn write_fault_flips_read_only_and_heals_through_the_api() {
     drop(platform);
     let (reopened, _r) = Tvdp::open(&dir, fast_config()).unwrap();
     assert_eq!(reopened.stats().images, 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// One request, one write: a fault at any byte stores none of it.
+// ---------------------------------------------------------------------
+
+/// A small two-class upload: frames of a few hundred bytes keep an
+/// every-byte sweep cheap.
+fn tiny_add_body(class: usize, seed: usize) -> String {
+    let img = Image::from_fn(2, 2, |x, y| {
+        let v = ((x + 2 * y + seed) % 5) as u8 * 40;
+        if class == 0 {
+            [200, v, v]
+        } else {
+            [v, v, 220]
+        }
+    });
+    format!(
+        concat!(
+            r#"{{"width":2,"height":2,"pixels":"{}","lat":34.05,"lon":-118.25,"#,
+            r#""captured_at":{},"uploaded_at":{},"keywords":["street"]}}"#
+        ),
+        codec::hex_encode(img.raw()),
+        1000 + seed,
+        1100 + seed,
+    )
+}
+
+/// Failed requests burn the ids they were given, so later frames run a
+/// few digits longer than the measured ones; sweeping this far past the
+/// measured length still cuts every byte (a budget at or beyond the
+/// write's length lets every byte land and fails it all the same).
+const ID_GROWTH_MARGIN: usize = 16;
+
+#[test]
+fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
+    let dir = temp_dir("upload-cuts");
+    let platform = Arc::new(Tvdp::open(&dir, fast_config()).unwrap().0);
+    let user = platform.register_user("field", Role::Researcher);
+    let server = ApiServer::with_rate_limit(Arc::clone(&platform), open_limit());
+    let key = server.issue_key(user);
+
+    // A clean upload measures the three frames (image row, two feature
+    // rows) an un-keyed `data/add` journals as one write.
+    let r = call_at(&server, &key, "data/add", &tiny_add_body(0, 0), 0);
+    assert!(r.is_ok(), "{r:?}");
+    let frames_len = std::fs::metadata(dir.join("wal-0.log")).unwrap().len() as usize;
+    let mut acked = 1;
+    let mut acked_state = platform.store().snapshot();
+
+    let plan = WriteFaultPlan::new();
+    platform
+        .set_write_fault_plan(Some(Arc::clone(&plan)))
+        .unwrap();
+    for budget in 0..=frames_len + ID_GROWTH_MARGIN {
+        let body = tiny_add_body(0, budget);
+        plan.arm_enospc(budget);
+        let cut = call_at(&server, &key, "data/add", &body, 1);
+        assert_eq!(cut.status, 503, "budget {budget}: {cut:?}");
+        assert_eq!(platform.stats().images, acked, "budget {budget}");
+        assert!(
+            platform.store().snapshot() == acked_state,
+            "budget {budget}: part of the refused upload was stored"
+        );
+        plan.clear();
+        let retry = call_at(&server, &key, "data/add", &body, 2);
+        assert!(retry.is_ok(), "budget {budget}: {retry:?}");
+        acked += 1;
+        acked_state = platform.store().snapshot();
+    }
+    drop(server);
+    drop(platform);
+
+    // Exactly the acked uploads, each whole.
+    let (reopened, _) = Tvdp::open(&dir, fast_config()).unwrap();
+    assert_eq!(reopened.stats().images, acked);
+    assert!(reopened.store().snapshot() == acked_state);
+    assert_eq!(
+        reopened.store().images_with_feature(FeatureKind::Cnn).len(),
+        acked
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_write_fault_at_any_byte_of_a_model_application_stores_no_annotation() {
+    const K: usize = 4;
+    let dir = temp_dir("apply-cuts");
+    let platform = Arc::new(Tvdp::open(&dir, fast_config()).unwrap().0);
+    let user = platform.register_user("analyst", Role::Researcher);
+    let server = ApiServer::with_rate_limit(Arc::clone(&platform), open_limit());
+    let key = server.issue_key(user);
+
+    // Twelve labelled uploads and a model devised from them.
+    let scheme = call_at(
+        &server,
+        &key,
+        "schemes/register",
+        r#"{"name":"binary","labels":["red","blue"]}"#,
+        0,
+    )
+    .body["scheme"]
+        .as_u64()
+        .unwrap();
+    let mut images = Vec::new();
+    for i in 0..12 {
+        let r = call_at(&server, &key, "data/add", &tiny_add_body(i % 2, i), 0);
+        let id = r.body["image"].as_u64().unwrap();
+        let label = format!(r#"{{"image":{id},"scheme":{scheme},"label":{}}}"#, i % 2);
+        assert!(call_at(&server, &key, "annotations/add", &label, 0).is_ok());
+        images.push(id.to_string());
+    }
+    let devise = format!(
+        r#"{{"name":"m","scheme":{scheme},"feature_kind":"Cnn","algorithm":"NaiveBayes"}}"#
+    );
+    let model = call_at(&server, &key, "models/devise", &devise, 0);
+    assert!(model.is_ok(), "{model:?}");
+    let apply = format!(
+        r#"{{"model":{},"images":[{}]}}"#,
+        model.body["model"].as_u64().unwrap(),
+        images[..K].join(",")
+    );
+
+    // A clean application measures its K `Annotate` frames: one write.
+    let wal = dir.join("wal-0.log");
+    let before = std::fs::metadata(&wal).unwrap().len();
+    let r = call_at(&server, &key, "models/apply", &apply, 1);
+    assert!(r.is_ok(), "{r:?}");
+    let frames_len = (std::fs::metadata(&wal).unwrap().len() - before) as usize;
+    let mut annotations = 12 + K;
+    assert_eq!(platform.stats().annotations, annotations);
+
+    // Wherever the write is cut — inside the first frame or after it —
+    // no prediction of the refused request is stored. The plan is
+    // re-armed without healing in between: every attempt first repairs
+    // the tail its predecessor tore.
+    let plan = WriteFaultPlan::new();
+    platform
+        .set_write_fault_plan(Some(Arc::clone(&plan)))
+        .unwrap();
+    for budget in 0..=frames_len + ID_GROWTH_MARGIN {
+        plan.arm_enospc(budget);
+        let cut = call_at(&server, &key, "models/apply", &apply, 2);
+        assert_eq!(cut.status, 503, "budget {budget}: {cut:?}");
+        assert_eq!(platform.stats().annotations, annotations, "budget {budget}");
+    }
+    plan.clear();
+    let r = call_at(&server, &key, "models/apply", &apply, 3);
+    assert!(r.is_ok(), "{r:?}");
+    annotations += K;
+    drop(server);
+    drop(platform);
+
+    let (reopened, _) = Tvdp::open(&dir, fast_config()).unwrap();
+    assert_eq!(reopened.stats().annotations, annotations);
     std::fs::remove_dir_all(&dir).ok();
 }
 

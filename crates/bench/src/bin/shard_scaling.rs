@@ -54,7 +54,7 @@ use tvdp_kernel::Pool;
 use tvdp_query::{
     Query, QueryEngine, ShardedEngine, SpatialQuery, TemporalField, TextualMode, VisualMode,
 };
-use tvdp_storage::{AnnotationSource, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{AnnotationSource, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
 use tvdp_vision::FeatureKind;
 
 const N_BASE: usize = 6_000;
@@ -214,8 +214,13 @@ fn random_query(rng: &mut Rng) -> Query {
 /// included, so categorical queries see fresh rows too).
 fn apply_upload(store: &VisualStore, up: &Upload) {
     ok(
-        store.add_image_at(up.id, up.meta.clone(), ImageOrigin::Original, None),
-        "add_image_at",
+        store.apply_batch(vec![WalOp::AddImage {
+            id: up.id,
+            meta: up.meta.clone(),
+            origin: ImageOrigin::Original,
+            pixels: None,
+        }]),
+        "add_image",
     );
     ok(
         store.put_feature(up.id, FeatureKind::Cnn, up.feature.clone()),

@@ -1,15 +1,17 @@
 //! Group commit: many enqueued ops, one fsync, then — and only then —
 //! the acks.
 //!
-//! The production storage engine (`tvdp-storage`'s `Wal::append_batch`
-//! / `CommitQueue`) coalesces every op pending at the commit point
-//! into one framed write followed by a single `fsync`, and acks the
-//! whole batch only after that sync returns. The protocol invariant
-//! is `acked ⊆ durable` at *every* instant: a crash between any two
-//! steps must still find every acked op in the synced journal. Group
-//! commit makes the window subtle — a whole batch is acked at once,
-//! so acking even a moment before the (single) fsync exposes N ops,
-//! not one.
+//! The production storage engine (`tvdp-storage`'s
+//! `DurableStore::apply_batch` over `Wal::append_batch`) lands every op
+//! of a batch as one framed write followed by a single `fsync`, and
+//! applies and acks the whole batch only after that sync returns. (The
+//! queue the model drains is a scale model of callers handing batches
+//! to that one seam; the shipped code has no pending-op queue.) The
+//! protocol invariant is `acked ⊆ durable` at *every* instant: a crash
+//! between any two steps must still find every acked op in the synced
+//! journal. Group commit makes the window subtle — a whole batch is
+//! acked at once, so acking even a moment before the (single) fsync
+//! exposes N ops, not one.
 //!
 //! The model runs a producer enqueueing one op next to a committer
 //! that enqueues a second op and then drains the queue in up to two

@@ -3,8 +3,9 @@
 //! [`Tvdp`] is the platform facade the paper's Fig. 1 describes: one
 //! object wiring the four core services over shared storage:
 //!
-//! * **Acquisition** — uploads ([`Tvdp::ingest`]), augmentation with
-//!   lineage ([`Tvdp::augment`]), and spatial-crowdsourcing campaigns
+//! * **Acquisition** — uploads (one pipeline, [`Tvdp::ingest_uploads`];
+//!   [`Tvdp::ingest`] is a batch of one), augmentation with lineage
+//!   ([`Tvdp::augment`]), and spatial-crowdsourcing campaigns
 //!   ([`Tvdp::acquire_via_campaign`]),
 //! * **Access** — the full query language ([`Tvdp::search`]) served by
 //!   the indexing substrate,
@@ -21,6 +22,7 @@
 
 pub mod admission;
 pub mod error;
+pub mod ingest;
 pub mod models;
 pub mod platform;
 pub mod router;
@@ -32,6 +34,7 @@ pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, AdmissionTicket, ClassStats, RequestClass,
 };
 pub use error::PlatformError;
+pub use ingest::Upload;
 pub use models::{ModelEntry, ModelInterface, ModelRegistry};
 pub use platform::{HealthReport, IngestRequest, PlatformConfig, Tvdp};
 pub use router::GeoShardRouter;

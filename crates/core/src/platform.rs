@@ -20,8 +20,8 @@ use tvdp_ml::{
 use tvdp_query::engine::EngineConfig;
 use tvdp_query::{Query, QueryResult, ShardedEngine, DEFAULT_SEAL_CAP};
 use tvdp_storage::{
-    AnnotationId, AnnotationSource, ClassificationId, CompactionReport, DurableStore, HealthState,
-    ImageId, ImageMeta, ImageOrigin, ModelId, RecoveryReport, RegionOfInterest, UserId,
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, CompactionReport, DurableStore,
+    HealthState, ImageId, ImageOrigin, ModelId, RecoveryReport, RegionOfInterest, UserId,
     VisualStore, WalOp,
 };
 use tvdp_vision::{
@@ -30,6 +30,7 @@ use tvdp_vision::{
 };
 
 use crate::error::PlatformError;
+use crate::ingest::{upload_ops, Upload};
 use crate::models::{ModelInterface, ModelRegistry};
 use crate::router::GeoShardRouter;
 use crate::users::{Role, UserRegistry};
@@ -213,10 +214,10 @@ struct NextIds {
 /// generations and gathers a deterministic merge.
 pub struct Tvdp {
     config: PlatformConfig,
-    stores: Vec<Arc<VisualStore>>,
-    durables: Vec<DurableStore>,
-    engine: ShardedEngine,
-    router: GeoShardRouter,
+    pub(crate) stores: Vec<Arc<VisualStore>>,
+    pub(crate) durables: Vec<DurableStore>,
+    pub(crate) engine: ShardedEngine,
+    pub(crate) router: GeoShardRouter,
     ids: Mutex<NextIds>,
     users: UserRegistry,
     models: ModelRegistry,
@@ -401,7 +402,7 @@ impl Tvdp {
     // allocated id, so ids are unique across shards and the allocation
     // order (= upload order) is recoverable from ids alone.
 
-    fn alloc_image_id(&self) -> ImageId {
+    pub(crate) fn alloc_image_id(&self) -> ImageId {
         let mut ids = self.ids.lock();
         let id = ImageId(ids.image);
         ids.image += 1;
@@ -431,99 +432,8 @@ impl Tvdp {
         self.stores.iter().find_map(|s| s.image(image))
     }
 
-    fn find_marker(&self, marker: &str) -> Option<ImageId> {
+    pub(crate) fn find_marker(&self, marker: &str) -> Option<ImageId> {
         self.stores.iter().find_map(|s| s.upload_marker(marker))
-    }
-
-    // Mutation dispatch: a durable platform journals each write before
-    // applying it; an in-memory platform hits the shard store directly.
-
-    fn store_add_image_at(
-        &self,
-        shard: usize,
-        id: ImageId,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-    ) -> Result<ImageId, PlatformError> {
-        match self.durables.get(shard) {
-            Some(d) => Ok(d.add_image_at(id, meta, origin, pixels)?),
-            None => Ok(self.stores[shard].add_image_at(id, meta, origin, pixels)?),
-        }
-    }
-
-    fn store_add_image(
-        &self,
-        shard: usize,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-    ) -> Result<ImageId, PlatformError> {
-        let id = self.alloc_image_id();
-        self.store_add_image_at(shard, id, meta, origin, pixels)
-    }
-
-    fn store_put_feature(
-        &self,
-        shard: usize,
-        image: ImageId,
-        kind: FeatureKind,
-        vector: Vec<f32>,
-    ) -> Result<(), PlatformError> {
-        match self.durables.get(shard) {
-            Some(d) => Ok(d.put_feature(image, kind, vector)?),
-            None => Ok(self.stores[shard].put_feature(image, kind, vector)?),
-        }
-    }
-
-    fn store_register_scheme(
-        &self,
-        name: String,
-        labels: Vec<String>,
-    ) -> Result<ClassificationId, PlatformError> {
-        // A scheme is platform-wide: broadcast it to every shard under
-        // one global id so any shard can validate and serve
-        // annotations against it.
-        let id = self.alloc_classification_id();
-        if self.durables.is_empty() {
-            for s in &self.stores {
-                s.register_scheme_at(id, name.clone(), labels.clone())?;
-            }
-        } else {
-            for d in &self.durables {
-                d.register_scheme_at(id, name.clone(), labels.clone())?;
-            }
-        }
-        Ok(id)
-    }
-
-    fn store_annotate(
-        &self,
-        image: ImageId,
-        classification: ClassificationId,
-        label: usize,
-        confidence: f32,
-        source: AnnotationSource,
-        region: Option<RegionOfInterest>,
-    ) -> Result<AnnotationId, PlatformError> {
-        let shard = self
-            .shard_of(image)
-            .ok_or(PlatformError::UnknownImage(image))?;
-        let id = self.alloc_annotation_id();
-        match self.durables.get(shard) {
-            Some(d) => {
-                Ok(d.annotate_at(id, image, classification, label, confidence, source, region)?)
-            }
-            None => Ok(self.stores[shard].annotate_at(
-                id,
-                image,
-                classification,
-                label,
-                confidence,
-                source,
-                region,
-            )?),
-        }
     }
 
     /// Shard 0's store (read access for analysis pipelines). On a
@@ -564,16 +474,27 @@ impl Tvdp {
         self.users.register(name, role)
     }
 
-    /// Registers a classification scheme (a labelling task).
+    /// Registers a classification scheme (a labelling task). A scheme
+    /// is platform-wide: it is broadcast to every shard under one global
+    /// id so any shard can validate and serve annotations against it.
     pub fn register_scheme(
         &self,
         name: impl Into<String>,
         labels: Vec<String>,
     ) -> Result<ClassificationId, PlatformError> {
-        self.store_register_scheme(name.into(), labels)
+        let id = self.alloc_classification_id();
+        let op = WalOp::RegisterScheme {
+            id,
+            name: name.into(),
+            labels,
+        };
+        for shard in 0..self.stores.len() {
+            self.commit(shard, vec![op.clone()])?;
+        }
+        Ok(id)
     }
 
-    fn require_user(&self, user: UserId) -> Result<(), PlatformError> {
+    pub(crate) fn require_user(&self, user: UserId) -> Result<(), PlatformError> {
         if self.users.exists(user) {
             Ok(())
         } else {
@@ -582,303 +503,30 @@ impl Tvdp {
     }
 
     /// **Acquisition**: uploads an image; features (color histogram and
-    /// CNN embedding) are extracted and every index is updated.
+    /// CNN embedding) are extracted and every index is updated. A batch
+    /// of one through [`Tvdp::ingest_uploads`].
     pub fn ingest(
         &self,
         user: UserId,
         image: Image,
         request: IngestRequest,
     ) -> Result<ImageId, PlatformError> {
-        self.require_user(user)?;
-        let meta = ImageMeta {
-            uploader: user,
-            gps: request.gps,
-            fov: request.fov,
-            captured_at: request.captured_at,
-            uploaded_at: request.uploaded_at,
-            keywords: request.keywords,
-        };
-        let shard = self.router.shard(&meta.gps);
-        let color = self.color.extract(&image);
-        let cnn = self.cnn.extract(&image);
-        let id = self.store_add_image(shard, meta, ImageOrigin::Original, Some(image))?;
-        self.store_put_feature(shard, id, FeatureKind::ColorHistogram, color)?;
-        self.store_put_feature(shard, id, FeatureKind::Cnn, cnn)?;
-        self.engine.index_image(shard, id);
-        Ok(id)
+        let uploads = vec![Upload::from((image, request))];
+        Ok(self.ingest_uploads(user, uploads, &Pool::serial())?[0].0)
     }
 
-    /// **Acquisition**: idempotent upload for at-least-once transports.
-    /// `key` is the client's idempotency key for this upload attempt; a
-    /// retry carrying the same key (e.g. after a lost acknowledgement)
-    /// returns the originally stored image with `replayed = true`
-    /// instead of storing a duplicate. The image row, both feature
-    /// vectors, and the dedup marker are recorded atomically — on
-    /// durable platforms as one composite WAL record, so an upload that
-    /// was acked once is ingested exactly once even across crashes.
-    pub fn ingest_idempotent(
-        &self,
-        user: UserId,
-        image: Image,
-        request: IngestRequest,
-        key: &str,
-    ) -> Result<(ImageId, bool), PlatformError> {
-        self.require_user(user)?;
-        // Scope the marker per uploader so two clients' self-chosen
-        // keys can never collide.
-        let marker = format!("u{}:{key}", user.0);
-        // Cheap pre-check skips feature extraction on an obvious
-        // replay; the owning shard re-checks under its write lock. A
-        // retry carries the same GPS, so the router sends it to the
-        // shard that already holds the marker.
-        if let Some(existing) = self.find_marker(&marker) {
-            return Ok((existing, true));
-        }
-        let meta = ImageMeta {
-            uploader: user,
-            gps: request.gps,
-            fov: request.fov,
-            captured_at: request.captured_at,
-            uploaded_at: request.uploaded_at,
-            keywords: request.keywords,
-        };
-        let shard = self.router.shard(&meta.gps);
-        let features = vec![
-            (FeatureKind::ColorHistogram, self.color.extract(&image)),
-            (FeatureKind::Cnn, self.cnn.extract(&image)),
-        ];
-        let fresh = self.alloc_image_id();
-        let (id, replayed) = match self.durables.get(shard) {
-            Some(d) => d.ingest_upload_at(
-                &marker,
-                fresh,
-                meta,
-                ImageOrigin::Original,
-                Some(image),
-                features,
-            )?,
-            None => self.stores[shard].ingest_upload_at(
-                &marker,
-                fresh,
-                meta,
-                ImageOrigin::Original,
-                Some(image),
-                &features,
-            )?,
-        };
-        if !replayed {
-            self.engine.index_image(shard, id);
-        }
-        Ok((id, replayed))
-    }
-
-    /// **Acquisition**: bulk upload with parallel feature extraction
-    /// and per-shard fan-out.
-    ///
-    /// Feature extraction dominates ingest cost; this path fans the
-    /// extraction of a batch out over `threads` workers on a
-    /// [`tvdp_kernel::Pool`], allocates ids serially in input order,
-    /// then groups the rows by owning shard and applies each shard's
-    /// group on its own worker — shards share no locks, so storage and
-    /// index updates proceed concurrently across shards. Ids are
-    /// returned in input order, and both the extracted features and
-    /// the stored rows are bit-identical to sequential ingest.
+    /// **Acquisition**: bulk upload — [`Tvdp::ingest_uploads`] without
+    /// idempotency keys on a pool of `threads` workers. Ids are returned
+    /// in input order.
     pub fn ingest_batch(
         &self,
         user: UserId,
         batch: Vec<(Image, IngestRequest)>,
         threads: usize,
     ) -> Result<Vec<ImageId>, PlatformError> {
-        self.require_user(user)?;
-        let pool = Pool::new(threads);
-        // Phase 1: parallel extraction.
-        let extracted: Vec<(Vec<f32>, Vec<f32>)> = pool.map(&batch, |_, (image, _)| {
-            (self.color.extract(image), self.cnn.extract(image))
-        });
-        // Phase 2: serial id allocation + shard routing, in input order.
-        type Row = (ImageId, ImageMeta, Image, Vec<f32>, Vec<f32>);
-        let mut groups: Vec<Vec<Row>> = (0..self.stores.len()).map(|_| Vec::new()).collect();
-        let mut ids = Vec::with_capacity(batch.len());
-        for ((image, request), (color, cnn)) in batch.into_iter().zip(extracted) {
-            let meta = ImageMeta {
-                uploader: user,
-                gps: request.gps,
-                fov: request.fov,
-                captured_at: request.captured_at,
-                uploaded_at: request.uploaded_at,
-                keywords: request.keywords,
-            };
-            let shard = self.router.shard(&meta.gps);
-            let id = self.alloc_image_id();
-            groups[shard].push((id, meta, image, color, cnn));
-            ids.push(id);
-        }
-        // Phase 3: per-shard apply. Workers own disjoint shards, so
-        // the rows are moved out through a mutex each worker locks
-        // exactly once. On a durable platform each shard's rows are
-        // group-committed: the whole group journals as one framed
-        // write + one fsync ([`tvdp_storage::DurableStore::apply_batch`])
-        // instead of one fsync per op, which is what makes bulk ingest
-        // sustain city-scale rates with durability on.
-        let groups: Vec<Mutex<Vec<Row>>> = groups.into_iter().map(Mutex::new).collect();
-        let outcomes: Vec<Result<(), PlatformError>> = pool.map(&groups, |shard, group| {
-            let rows = std::mem::take(&mut *group.lock());
-            match self.durables.get(shard) {
-                Some(d) => {
-                    let mut ops = Vec::with_capacity(rows.len() * 3);
-                    let mut indexed = Vec::with_capacity(rows.len());
-                    for (id, meta, image, color, cnn) in rows {
-                        ops.push(WalOp::AddImage {
-                            id,
-                            meta,
-                            origin: ImageOrigin::Original,
-                            pixels: Some((image.width(), image.height(), image.raw().to_vec())),
-                        });
-                        ops.push(WalOp::PutFeature {
-                            image: id,
-                            kind: FeatureKind::ColorHistogram,
-                            vector: color,
-                        });
-                        ops.push(WalOp::PutFeature {
-                            image: id,
-                            kind: FeatureKind::Cnn,
-                            vector: cnn,
-                        });
-                        indexed.push(id);
-                    }
-                    d.apply_batch(ops)?;
-                    for id in indexed {
-                        self.engine.index_image(shard, id);
-                    }
-                }
-                None => {
-                    for (id, meta, image, color, cnn) in rows {
-                        self.store_add_image_at(
-                            shard,
-                            id,
-                            meta,
-                            ImageOrigin::Original,
-                            Some(image),
-                        )?;
-                        self.store_put_feature(shard, id, FeatureKind::ColorHistogram, color)?;
-                        self.store_put_feature(shard, id, FeatureKind::Cnn, cnn)?;
-                        self.engine.index_image(shard, id);
-                    }
-                }
-            }
-            Ok(())
-        });
-        for outcome in outcomes {
-            outcome?;
-        }
-        Ok(ids)
-    }
-
-    /// **Acquisition**: bulk idempotent upload — [`Tvdp::ingest_batch`]
-    /// for at-least-once transports. Every element carries its own
-    /// idempotency key (see [`Tvdp::ingest_idempotent`]); replays are
-    /// answered from the existing rows, fresh uploads are extracted in
-    /// parallel and group-committed per shard, with each upload's row,
-    /// features, and dedup marker journaled as one composite record —
-    /// a whole shard group rides a single fsync. Outcomes are returned
-    /// in input order as `(id, replayed)`.
-    pub fn ingest_idempotent_batch(
-        &self,
-        user: UserId,
-        batch: Vec<(Image, IngestRequest, String)>,
-        threads: usize,
-    ) -> Result<Vec<(ImageId, bool)>, PlatformError> {
-        self.require_user(user)?;
-        let pool = Pool::new(threads);
-        // Phase 1: parallel extraction. Replays still extract here —
-        // wasted work on the rare retry, but the common path stays
-        // branch-free and the outcome is unaffected.
-        let extracted: Vec<(Vec<f32>, Vec<f32>)> = pool.map(&batch, |_, (image, _, _)| {
-            (self.color.extract(image), self.cnn.extract(image))
-        });
-        // Phase 2: serial dedup + id allocation + shard routing, in
-        // input order. A key seen earlier in this same batch dedups
-        // against the earlier element, exactly as two sequential
-        // ingest_idempotent calls would.
-        type Row = (String, ImageId, ImageMeta, Image, Vec<f32>, Vec<f32>);
-        let mut groups: Vec<Vec<Row>> = (0..self.stores.len()).map(|_| Vec::new()).collect();
-        let mut outcomes: Vec<(ImageId, bool)> = Vec::with_capacity(batch.len());
-        let mut batch_markers: std::collections::BTreeMap<String, ImageId> =
-            std::collections::BTreeMap::new();
-        for ((image, request, key), (color, cnn)) in batch.into_iter().zip(extracted) {
-            let marker = format!("u{}:{key}", user.0);
-            if let Some(&prior) = batch_markers.get(&marker) {
-                outcomes.push((prior, true));
-                continue;
-            }
-            if let Some(existing) = self.find_marker(&marker) {
-                outcomes.push((existing, true));
-                continue;
-            }
-            let meta = ImageMeta {
-                uploader: user,
-                gps: request.gps,
-                fov: request.fov,
-                captured_at: request.captured_at,
-                uploaded_at: request.uploaded_at,
-                keywords: request.keywords,
-            };
-            let shard = self.router.shard(&meta.gps);
-            let id = self.alloc_image_id();
-            batch_markers.insert(marker.clone(), id);
-            groups[shard].push((marker, id, meta, image, color, cnn));
-            outcomes.push((id, false));
-        }
-        // Phase 3: per-shard group commit of composite upload records.
-        let groups: Vec<Mutex<Vec<Row>>> = groups.into_iter().map(Mutex::new).collect();
-        let applied: Vec<Result<(), PlatformError>> = pool.map(&groups, |shard, group| {
-            let rows = std::mem::take(&mut *group.lock());
-            match self.durables.get(shard) {
-                Some(d) => {
-                    let mut ops = Vec::with_capacity(rows.len());
-                    let mut indexed = Vec::with_capacity(rows.len());
-                    for (marker, id, meta, image, color, cnn) in rows {
-                        ops.push(WalOp::IngestUpload {
-                            marker,
-                            id,
-                            meta,
-                            origin: ImageOrigin::Original,
-                            pixels: Some((image.width(), image.height(), image.raw().to_vec())),
-                            features: vec![
-                                (FeatureKind::ColorHistogram, color),
-                                (FeatureKind::Cnn, cnn),
-                            ],
-                        });
-                        indexed.push(id);
-                    }
-                    d.apply_batch(ops)?;
-                    for id in indexed {
-                        self.engine.index_image(shard, id);
-                    }
-                }
-                None => {
-                    for (marker, id, meta, image, color, cnn) in rows {
-                        self.stores[shard].ingest_upload_at(
-                            &marker,
-                            id,
-                            meta,
-                            ImageOrigin::Original,
-                            Some(image),
-                            &[
-                                (FeatureKind::ColorHistogram, color),
-                                (FeatureKind::Cnn, cnn),
-                            ],
-                        )?;
-                        self.engine.index_image(shard, id);
-                    }
-                }
-            }
-            Ok(())
-        });
-        for outcome in applied {
-            outcome?;
-        }
-        Ok(outcomes)
+        let uploads = batch.into_iter().map(Upload::from).collect();
+        let stored = self.ingest_uploads(user, uploads, &Pool::new(threads))?;
+        Ok(stored.into_iter().map(|(id, _)| id).collect())
     }
 
     /// **Acquisition**: uploads an image with near-duplicate detection
@@ -928,24 +576,25 @@ impl Tvdp {
         policy: crate::video::KeyframePolicy,
         keywords: Vec<String>,
     ) -> Result<crate::video::VideoIngestReport, PlatformError> {
-        self.require_user(user)?;
-        let kept = crate::video::select_keyframes(frames, policy);
-        let mut keyframes = Vec::with_capacity(kept.len());
-        for &i in &kept {
-            let frame = &frames[i];
-            let id = self.ingest(
-                user,
-                frame.image.clone(),
-                IngestRequest {
+        let uploads = crate::video::select_keyframes(frames, policy)
+            .into_iter()
+            .map(|i| {
+                let frame = &frames[i];
+                let request = IngestRequest {
                     gps: frame.fov.camera,
                     fov: Some(frame.fov),
                     captured_at: frame.captured_at,
                     uploaded_at: frame.captured_at + 1,
                     keywords: keywords.clone(),
-                },
-            )?;
-            keyframes.push(id);
-        }
+                };
+                Upload::from((frame.image.clone(), request))
+            })
+            .collect();
+        let keyframes: Vec<ImageId> = self
+            .ingest_uploads(user, uploads, Pool::global())?
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         Ok(crate::video::VideoIngestReport {
             frames_offered: frames.len(),
             frames_dropped: frames.len() - keyframes.len(),
@@ -975,19 +624,14 @@ impl Tvdp {
             .pixels(parent)
             .ok_or(PlatformError::MissingPixels(parent))?;
         let augmented = op.apply(&pixels);
-        let color = self.color.extract(&augmented);
-        let cnn = self.cnn.extract(&augmented);
-        let id = self.store_add_image(
-            shard,
-            record.meta.clone(),
-            ImageOrigin::Augmented {
-                parent,
-                op: op.tag(),
-            },
-            Some(augmented),
-        )?;
-        self.store_put_feature(shard, id, FeatureKind::ColorHistogram, color)?;
-        self.store_put_feature(shard, id, FeatureKind::Cnn, cnn)?;
+        let features = self.extract_features(&augmented);
+        let origin = ImageOrigin::Augmented {
+            parent,
+            op: op.tag(),
+        };
+        let id = self.alloc_image_id();
+        let ops = upload_ops(id, record.meta, origin, augmented, features, None);
+        self.commit(shard, ops)?;
         self.engine.index_image(shard, id);
         Ok(id)
     }
@@ -1005,23 +649,22 @@ impl Tvdp {
     ) -> Result<(tvdp_crowd::CampaignReport, Vec<ImageId>), PlatformError> {
         self.require_user(user)?;
         let (report, fovs) = simulate_campaign(campaign, sim);
-        let mut ids = Vec::with_capacity(fovs.len());
-        for fov in &fovs {
-            let (image, keywords, captured_at) = capture(fov);
-            let id = self.ingest(
-                user,
-                image,
-                IngestRequest {
+        let uploads = fovs
+            .iter()
+            .map(|fov| {
+                let (image, keywords, captured_at) = capture(fov);
+                let request = IngestRequest {
                     gps: fov.camera,
                     fov: Some(*fov),
                     captured_at,
                     uploaded_at: captured_at + 60,
                     keywords,
-                },
-            )?;
-            ids.push(id);
-        }
-        Ok((report, ids))
+                };
+                Upload::from((image, request))
+            })
+            .collect();
+        let stored = self.ingest_uploads(user, uploads, Pool::global())?;
+        Ok((report, stored.into_iter().map(|(id, _)| id).collect()))
     }
 
     /// **Access**: executes a query, scattering it across the shards'
@@ -1127,15 +770,7 @@ impl Tvdp {
         scheme: ClassificationId,
         label: usize,
     ) -> Result<AnnotationId, PlatformError> {
-        self.require_user(user)?;
-        self.store_annotate(
-            image,
-            scheme,
-            label,
-            1.0,
-            AnnotationSource::Human(user),
-            None,
-        )
+        self.annotate(user, image, scheme, label, 1.0, None)
     }
 
     /// Records a human annotation on a sub-region of the image (the
@@ -1148,27 +783,48 @@ impl Tvdp {
         image: ImageId,
         scheme: ClassificationId,
         label: usize,
-        region: tvdp_storage::RegionOfInterest,
+        region: RegionOfInterest,
+    ) -> Result<AnnotationId, PlatformError> {
+        self.annotate(user, image, scheme, label, 1.0, Some(region))
+    }
+
+    /// Records a human annotation with the annotator's own `confidence`
+    /// in `[0, 1]`, on the whole image or on `region` of it.
+    pub fn annotate(
+        &self,
+        user: UserId,
+        image: ImageId,
+        scheme: ClassificationId,
+        label: usize,
+        confidence: f32,
+        region: Option<RegionOfInterest>,
     ) -> Result<AnnotationId, PlatformError> {
         self.require_user(user)?;
-        let record = self
-            .image_record(image)
+        let shard = self
+            .shard_of(image)
             .ok_or(PlatformError::UnknownImage(image))?;
-        if record.width > 0
-            && (region.x + region.width > record.width || region.y + region.height > record.height)
-        {
-            return Err(PlatformError::Storage(
-                tvdp_storage::StorageError::UnknownImage(image),
-            ));
+        if let (Some(region), Some(record)) = (region, self.stores[shard].image(image)) {
+            if record.width > 0
+                && (region.x + region.width > record.width
+                    || region.y + region.height > record.height)
+            {
+                return Err(PlatformError::Storage(
+                    tvdp_storage::StorageError::UnknownImage(image),
+                ));
+            }
         }
-        self.store_annotate(
+        let id = self.alloc_annotation_id();
+        let op = WalOp::Annotate(Annotation {
+            id,
             image,
-            scheme,
+            classification: scheme,
             label,
-            1.0,
-            AnnotationSource::Human(user),
-            Some(region),
-        )
+            confidence,
+            source: AnnotationSource::Human(user),
+            region,
+        });
+        self.commit(shard, vec![op])?;
+        Ok(id)
     }
 
     /// **Analysis**: trains a classifier on every stored image that has
@@ -1274,27 +930,35 @@ impl Tvdp {
             .interface(model)
             .ok_or(PlatformError::UnknownModel(model))?;
         let mut out = Vec::with_capacity(images.len());
+        let mut groups: Vec<Vec<WalOp>> = vec![Vec::new(); self.stores.len()];
         for &image in images {
             // Borrow the feature row from the owning shard's arena; no
             // per-image clone.
-            let feature = self
+            let (shard, feature) = self
                 .stores
                 .iter()
-                .find_map(|s| s.feature_ref(image, interface.feature_kind))
+                .enumerate()
+                .find_map(|(i, s)| Some((i, s.feature_ref(image, interface.feature_kind)?)))
                 .ok_or(PlatformError::MissingFeature(image, interface.feature_kind))?;
             let (label, confidence) = self
                 .models
                 .predict(model, &feature)
                 .ok_or(PlatformError::UnknownModel(model))?;
-            self.store_annotate(
+            groups[shard].push(WalOp::Annotate(Annotation {
+                id: self.alloc_annotation_id(),
                 image,
-                interface.scheme,
+                classification: interface.scheme,
                 label,
                 confidence,
-                AnnotationSource::Machine(model),
-                None,
-            )?;
+                source: AnnotationSource::Machine(model),
+                region: None,
+            }));
             out.push((image, label, confidence));
+        }
+        // One commit per shard: every prediction is made before the first
+        // is stored, and a shard's annotations land together or not at all.
+        for (shard, ops) in groups.into_iter().enumerate() {
+            self.commit(shard, ops)?;
         }
         Ok(out)
     }
@@ -1650,139 +1314,6 @@ mod tests {
         );
         assert!(matches!(broken, DispatchDecision::ServerSide { .. }));
     }
-
-    #[test]
-    fn ingest_idempotent_dedups_retries() {
-        let tvdp = Tvdp::new(fast_config());
-        let user = tvdp.register_user("LASAN", Role::Government);
-        let (id, replayed) = tvdp
-            .ingest_idempotent(user, scene(0, 0), request(0), "cam7-frame3")
-            .unwrap();
-        assert!(!replayed);
-        assert!(tvdp.store().feature(id, FeatureKind::Cnn).is_some());
-        // The lost-ack retry is acknowledged without a second row.
-        let (again, replayed) = tvdp
-            .ingest_idempotent(user, scene(0, 0), request(0), "cam7-frame3")
-            .unwrap();
-        assert!(replayed);
-        assert_eq!(again, id);
-        assert_eq!(tvdp.stats().images, 1);
-        // The same key from a different user is a different upload.
-        let other = tvdp.register_user("USC", Role::Researcher);
-        let (theirs, replayed) = tvdp
-            .ingest_idempotent(other, scene(1, 1), request(1), "cam7-frame3")
-            .unwrap();
-        assert!(!replayed);
-        assert_ne!(theirs, id);
-        // The first ingest was indexed exactly once.
-        let hits = tvdp
-            .search(&Query::Textual {
-                text: "street".into(),
-                mode: tvdp_query::TextualMode::All,
-            })
-            .unwrap();
-        assert_eq!(hits.len(), 2);
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-    use tvdp_geo::GeoPoint;
-
-    fn cfg() -> PlatformConfig {
-        PlatformConfig {
-            cnn: CnnConfig {
-                input_size: 16,
-                stage_channels: vec![4, 8],
-                pool_grid: 2,
-                seed: 1,
-            },
-            ..Default::default()
-        }
-    }
-
-    fn img(i: usize) -> Image {
-        Image::from_fn(20, 20, |x, y| [(x * i) as u8, (y + i) as u8, 7])
-    }
-
-    fn req(i: i64) -> IngestRequest {
-        IngestRequest {
-            gps: GeoPoint::new(34.0 + i as f64 * 1e-4, -118.25),
-            fov: None,
-            captured_at: i,
-            uploaded_at: i + 1,
-            keywords: vec![format!("kw{i}")],
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential_ingest() {
-        let seq = Tvdp::new(cfg());
-        let par = Tvdp::new(cfg());
-        let user_s = seq.register_user("u", Role::Government);
-        let user_p = par.register_user("u", Role::Government);
-        let batch: Vec<(Image, IngestRequest)> = (0..17).map(|i| (img(i), req(i as i64))).collect();
-        let seq_ids: Vec<ImageId> = batch
-            .iter()
-            .map(|(im, rq)| seq.ingest(user_s, im.clone(), rq.clone()).unwrap())
-            .collect();
-        let par_ids = par.ingest_batch(user_p, batch, 4).unwrap();
-        assert_eq!(seq_ids, par_ids, "ids in input order");
-        for (&a, &b) in seq_ids.iter().zip(&par_ids) {
-            assert_eq!(
-                seq.store().feature(a, FeatureKind::Cnn),
-                par.store().feature(b, FeatureKind::Cnn),
-                "parallel extraction must be bit-identical"
-            );
-            assert_eq!(seq.store().image(a), par.store().image(b));
-        }
-        // Index sees everything.
-        let hits = par
-            .search(&Query::Textual {
-                text: "kw3".into(),
-                mode: tvdp_query::TextualMode::All,
-            })
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn search_batch_matches_per_query_search() {
-        let tvdp = Tvdp::new(cfg());
-        let user = tvdp.register_user("u", Role::Government);
-        let batch: Vec<(Image, IngestRequest)> = (0..12).map(|i| (img(i), req(i as i64))).collect();
-        tvdp.ingest_batch(user, batch, 4).unwrap();
-        let queries: Vec<Query> = (0..12)
-            .map(|i| Query::Textual {
-                text: format!("kw{i}"),
-                mode: tvdp_query::TextualMode::All,
-            })
-            .collect();
-        let batched = tvdp.search_batch(&queries).unwrap();
-        assert_eq!(batched.len(), queries.len());
-        for (q, results) in queries.iter().zip(&batched) {
-            assert_eq!(&tvdp.search(q).unwrap(), results, "diverged on {q:?}");
-        }
-    }
-
-    #[test]
-    fn batch_handles_empty_and_single() {
-        let tvdp = Tvdp::new(cfg());
-        let user = tvdp.register_user("u", Role::Government);
-        assert!(tvdp.ingest_batch(user, vec![], 4).unwrap().is_empty());
-        let one = tvdp.ingest_batch(user, vec![(img(1), req(1))], 8).unwrap();
-        assert_eq!(one.len(), 1);
-    }
-
-    #[test]
-    fn batch_rejects_unknown_user() {
-        let tvdp = Tvdp::new(cfg());
-        let err = tvdp
-            .ingest_batch(UserId(9), vec![(img(1), req(1))], 2)
-            .unwrap_err();
-        assert!(matches!(err, PlatformError::UnknownUser(_)));
-    }
 }
 
 #[cfg(test)]
@@ -2013,37 +1544,6 @@ mod durability_tests {
     }
 
     #[test]
-    fn ingest_idempotent_dedups_across_crash_recovery() {
-        let dir = temp_dir("idem");
-        let id;
-        {
-            let (tvdp, _) = Tvdp::open(&dir, fast_config()).unwrap();
-            let user = tvdp.register_user("LASAN", Role::Government);
-            let (stored, replayed) = tvdp
-                .ingest_idempotent(user, scene(0, 0), request(0), "edge4-s9")
-                .unwrap();
-            assert!(!replayed);
-            id = stored;
-            // No flush: the upload must come back from the composite
-            // WAL record alone.
-        }
-        let (tvdp, report) = Tvdp::open(&dir, fast_config()).unwrap();
-        // One composite record covers image + features + marker.
-        assert_eq!(report.replayed_ops, 1);
-        assert_eq!(tvdp.stats().images, 1);
-        assert!(tvdp.store().feature(id, FeatureKind::Cnn).is_some());
-        // The client's retry after the crash still deduplicates.
-        let user = tvdp.register_user("LASAN", Role::Government);
-        let (again, replayed) = tvdp
-            .ingest_idempotent(user, scene(0, 0), request(0), "edge4-s9")
-            .unwrap();
-        assert!(replayed);
-        assert_eq!(again, id);
-        assert_eq!(tvdp.stats().images, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn batched_ingest_group_commits_and_survives_reopen() {
         let dir = temp_dir("batch-reopen");
         let config = PlatformConfig {
@@ -2085,40 +1585,6 @@ mod durability_tests {
     }
 
     #[test]
-    fn batched_ingest_journals_identical_bytes_at_any_thread_count() {
-        let batch = |n: i64| -> Vec<(Image, IngestRequest)> {
-            (0..n)
-                .map(|i| {
-                    let mut rq = request(i);
-                    rq.gps = GeoPoint::new(34.0 + 0.03 * i as f64, -118.25 - 0.02 * i as f64);
-                    (scene(0, i as usize), rq)
-                })
-                .collect()
-        };
-        let config = PlatformConfig {
-            shards: 3,
-            ..fast_config()
-        };
-        let dir1 = temp_dir("batch-threads-1");
-        let dir4 = temp_dir("batch-threads-4");
-        for (dir, threads) in [(&dir1, 1usize), (&dir4, 4usize)] {
-            let (tvdp, _) = Tvdp::open(dir, config.clone()).unwrap();
-            let user = tvdp.register_user("LASAN", Role::Government);
-            tvdp.ingest_batch(user, batch(9), threads).unwrap();
-        }
-        for shard in 0..3 {
-            let wal = format!("shard-{shard}/wal-0.log");
-            assert_eq!(
-                std::fs::read(dir1.join(&wal)).unwrap(),
-                std::fs::read(dir4.join(&wal)).unwrap(),
-                "{wal} diverged across thread counts"
-            );
-        }
-        std::fs::remove_dir_all(&dir1).ok();
-        std::fs::remove_dir_all(&dir4).ok();
-    }
-
-    #[test]
     fn flush_snapshot_bytes_are_pool_width_invariant() {
         let config = PlatformConfig {
             shards: 2,
@@ -2147,45 +1613,6 @@ mod durability_tests {
         }
         std::fs::remove_dir_all(&dir_s).ok();
         std::fs::remove_dir_all(&dir_p).ok();
-    }
-
-    #[test]
-    fn idempotent_batch_dedups_in_batch_and_across_reopen() {
-        let dir = temp_dir("idem-batch");
-        let first;
-        {
-            let (tvdp, _) = Tvdp::open(&dir, fast_config()).unwrap();
-            let user = tvdp.register_user("LASAN", Role::Government);
-            let batch = vec![
-                (scene(0, 0), request(0), "s0".to_string()),
-                (scene(0, 1), request(1), "s1".to_string()),
-                // A retry of s0 inside the same batch dedups against
-                // the first element, not a new row.
-                (scene(0, 0), request(0), "s0".to_string()),
-            ];
-            let outcomes = tvdp.ingest_idempotent_batch(user, batch, 2).unwrap();
-            assert_eq!(outcomes.len(), 3);
-            assert!(!outcomes[0].1 && !outcomes[1].1);
-            assert!(outcomes[2].1, "in-batch duplicate key must replay");
-            assert_eq!(outcomes[2].0, outcomes[0].0);
-            assert_eq!(tvdp.stats().images, 2);
-            first = outcomes[0].0;
-        }
-        let (tvdp, report) = Tvdp::open(&dir, fast_config()).unwrap();
-        // Two composite records, each carrying row + features + marker.
-        assert_eq!(report.replayed_ops, 2);
-        assert_eq!(tvdp.stats().images, 2);
-        // A whole-batch retry after the crash replays everything.
-        let user = tvdp.register_user("LASAN", Role::Government);
-        let retry = vec![
-            (scene(0, 0), request(0), "s0".to_string()),
-            (scene(0, 1), request(1), "s1".to_string()),
-        ];
-        let outcomes = tvdp.ingest_idempotent_batch(user, retry, 2).unwrap();
-        assert!(outcomes.iter().all(|&(_, replayed)| replayed));
-        assert_eq!(outcomes[0].0, first);
-        assert_eq!(tvdp.stats().images, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -2422,21 +1849,5 @@ mod shard_tests {
             }])])
             .unwrap_err();
         assert!(matches!(err, PlatformError::Query(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn idempotent_uploads_route_to_the_marker_owner() {
-        let tvdp = Tvdp::new(cfg(4));
-        let user = tvdp.register_user("LASAN", Role::Government);
-        let (id, replayed) = tvdp
-            .ingest_idempotent(user, img(3), req(3), "cam1-f1")
-            .unwrap();
-        assert!(!replayed);
-        let (again, replayed) = tvdp
-            .ingest_idempotent(user, img(3), req(3), "cam1-f1")
-            .unwrap();
-        assert!(replayed);
-        assert_eq!(again, id);
-        assert_eq!(tvdp.stats().images, 1);
     }
 }

@@ -1,0 +1,286 @@
+//! Write-path parity: every mutation is a `WalOp` batch through one
+//! commit seam, so the same script ends in the same store whether the
+//! platform journals or not, the same uploads journal the same bytes
+//! however they are cut into calls, and one idempotency key stores one
+//! row whoever submits it.
+
+use std::path::PathBuf;
+use std::sync::Barrier;
+
+use tvdp_core::platform::Algorithm;
+use tvdp_core::{IngestRequest, KeyframePolicy, PlatformConfig, Role, Tvdp, Upload, VideoFrame};
+use tvdp_geo::{Fov, GeoPoint};
+use tvdp_kernel::Pool;
+use tvdp_query::{Query, TemporalField};
+use tvdp_storage::{ImageId, RegionOfInterest, Snapshot};
+use tvdp_vision::{Augmentation, CnnConfig, FeatureKind, Image};
+
+fn config(shards: usize) -> PlatformConfig {
+    PlatformConfig {
+        cnn: CnnConfig {
+            input_size: 16,
+            stage_channels: vec![4, 8],
+            pool_grid: 2,
+            seed: 1,
+        },
+        min_training_samples: 6,
+        shards,
+        ..Default::default()
+    }
+}
+
+/// Two visually distinct classes (even `i` red, odd `i` blue).
+fn scene(i: usize) -> Image {
+    Image::from_fn(24, 24, |x, y| {
+        let v = ((x * 3 + y * 5 + i) % 17) as u8 * 3;
+        if i.is_multiple_of(2) {
+            [200, v, v]
+        } else {
+            [v, v, 220]
+        }
+    })
+}
+
+/// Spread far enough that uploads land in many grid cells.
+fn request(i: usize) -> IngestRequest {
+    IngestRequest {
+        gps: GeoPoint::new(34.0 + 0.03 * i as f64, -118.25 - 0.02 * i as f64),
+        fov: None,
+        captured_at: 1000 + i as i64,
+        uploaded_at: 1100 + i as i64,
+        keywords: vec!["street".into(), format!("kw{i}")],
+    }
+}
+
+fn upload(i: usize, key: Option<&str>) -> Upload {
+    Upload {
+        image: scene(i),
+        request: request(i),
+        key: key.map(str::to_string),
+    }
+}
+
+fn temp_dir(name: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!("tvdp-write-path-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&p).ok();
+    p
+}
+
+fn snapshots(tvdp: &Tvdp) -> Vec<Snapshot> {
+    tvdp.stores().iter().map(|s| s.snapshot()).collect()
+}
+
+/// One pass over every mutating entry point of the facade.
+fn script(tvdp: &Tvdp) {
+    let user = tvdp.register_user("LASAN", Role::Government);
+    let mut ids = vec![tvdp.ingest(user, scene(0), request(0)).unwrap()];
+    ids.extend(
+        tvdp.ingest_batch(
+            user,
+            vec![(scene(1), request(1)), (scene(2), request(2))],
+            2,
+        )
+        .unwrap(),
+    );
+    // Keyed and un-keyed uploads in one call, one key twice.
+    let mixed = vec![
+        upload(3, Some("k3")),
+        upload(4, None),
+        upload(3, Some("k3")),
+        upload(5, Some("k5")),
+    ];
+    let stored = tvdp.ingest_uploads(user, mixed, &Pool::new(4)).unwrap();
+    assert_eq!(stored[2], (stored[0].0, true), "in-batch duplicate key");
+    assert!(!stored[0].1 && !stored[1].1 && !stored[3].1);
+    // A retry of a stored key stores nothing.
+    let retry = tvdp
+        .ingest_uploads(user, vec![upload(5, Some("k5"))], &Pool::serial())
+        .unwrap();
+    assert_eq!(retry, vec![(stored[3].0, true)]);
+    ids.extend([stored[0].0, stored[1].0, stored[3].0]);
+
+    ids.push(
+        tvdp.augment(user, ids[0], Augmentation::FlipHorizontal)
+            .unwrap(),
+    );
+    let frames: Vec<VideoFrame> = (0..6)
+        .map(|i| VideoFrame {
+            image: scene(10 + i),
+            fov: Fov::new(
+                GeoPoint::new(34.02, -118.3).destination(90.0, 2500.0 * i as f64),
+                90.0,
+                60.0,
+                80.0,
+            ),
+            captured_at: 2000 + i as i64,
+        })
+        .collect();
+    let video = tvdp
+        .ingest_video(
+            user,
+            &frames,
+            KeyframePolicy::EveryNth(2),
+            vec!["route-7".into()],
+        )
+        .unwrap();
+    assert_eq!(video.keyframes.len(), 3);
+    ids.extend(&video.keyframes);
+
+    let scheme = tvdp
+        .register_scheme("binary", vec!["red".into(), "blue".into()])
+        .unwrap();
+    for (n, &id) in ids.iter().enumerate() {
+        tvdp.annotate_human(user, id, scheme, n % 2).unwrap();
+    }
+    let region = RegionOfInterest {
+        x: 2,
+        y: 2,
+        width: 8,
+        height: 8,
+    };
+    tvdp.annotate_human_region(user, ids[0], scheme, 0, region)
+        .unwrap();
+    let model = tvdp
+        .train_model(user, "m", scheme, FeatureKind::Cnn, Algorithm::NaiveBayes)
+        .unwrap();
+    let predictions = tvdp.apply_model(model, &ids).unwrap();
+    assert_eq!(predictions.len(), ids.len());
+    assert_eq!(tvdp.stats().images, ids.len());
+    assert_eq!(tvdp.stats().annotations, 2 * ids.len() + 1);
+}
+
+#[test]
+fn one_script_ends_in_one_state_on_every_platform_kind() {
+    for shards in [1, 4] {
+        let memory = Tvdp::new(config(shards));
+        script(&memory);
+        let expected = snapshots(&memory);
+        if shards > 1 {
+            let occupied = expected
+                .iter()
+                .filter(|s| **s != Snapshot::default())
+                .count();
+            assert!(occupied > 1, "routing sent everything to one shard");
+        }
+
+        let dir = temp_dir(&format!("parity-{shards}"));
+        let (durable, _) = Tvdp::open(&dir, config(shards)).unwrap();
+        script(&durable);
+        assert_eq!(
+            snapshots(&durable),
+            expected,
+            "journaled, {shards} shard(s)"
+        );
+        drop(durable);
+
+        let (reopened, _) = Tvdp::open(&dir, config(shards)).unwrap();
+        assert_eq!(
+            snapshots(&reopened),
+            expected,
+            "replayed, {shards} shard(s)"
+        );
+        // The retry still deduplicates after the restart.
+        let user = reopened.register_user("LASAN", Role::Government);
+        let retry = reopened
+            .ingest_uploads(user, vec![upload(3, Some("k3"))], &Pool::serial())
+            .unwrap();
+        assert!(retry[0].1);
+        assert_eq!(snapshots(&reopened), expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn the_same_uploads_journal_identical_bytes_however_they_are_cut() {
+    const N: usize = 9;
+    const SHARDS: usize = 3;
+    let wal = |dir: &PathBuf, shard: usize| {
+        std::fs::read(dir.join(format!("shard-{shard}/wal-0.log"))).unwrap()
+    };
+    let one_by_one = temp_dir("bytes-single");
+    {
+        let (tvdp, _) = Tvdp::open(&one_by_one, config(SHARDS)).unwrap();
+        let user = tvdp.register_user("LASAN", Role::Government);
+        for i in 0..N {
+            tvdp.ingest(user, scene(i), request(i)).unwrap();
+        }
+    }
+    assert!(
+        (0..SHARDS)
+            .filter(|&s| !wal(&one_by_one, s).is_empty())
+            .count()
+            > 1
+    );
+    for threads in [1, 8] {
+        let batched = temp_dir(&format!("bytes-batch-{threads}"));
+        let piped = temp_dir(&format!("bytes-uploads-{threads}"));
+        {
+            let (tvdp, _) = Tvdp::open(&batched, config(SHARDS)).unwrap();
+            let user = tvdp.register_user("LASAN", Role::Government);
+            let batch = (0..N).map(|i| (scene(i), request(i))).collect();
+            tvdp.ingest_batch(user, batch, threads).unwrap();
+            let (tvdp, _) = Tvdp::open(&piped, config(SHARDS)).unwrap();
+            let user = tvdp.register_user("LASAN", Role::Government);
+            let uploads = (0..N).map(|i| upload(i, None)).collect();
+            tvdp.ingest_uploads(user, uploads, &Pool::new(threads))
+                .unwrap();
+        }
+        for shard in 0..SHARDS {
+            let expected = wal(&one_by_one, shard);
+            assert_eq!(
+                wal(&batched, shard),
+                expected,
+                "ingest_batch, {threads} thread(s)"
+            );
+            assert_eq!(
+                wal(&piped, shard),
+                expected,
+                "ingest_uploads, {threads} thread(s)"
+            );
+        }
+        std::fs::remove_dir_all(&batched).ok();
+        std::fs::remove_dir_all(&piped).ok();
+    }
+    std::fs::remove_dir_all(&one_by_one).ok();
+}
+
+#[test]
+fn two_requests_racing_on_one_key_store_one_row() {
+    const ROUNDS: usize = 200;
+    let dir = temp_dir("race");
+    let platforms = [Tvdp::new(config(1)), Tvdp::open(&dir, config(1)).unwrap().0];
+    for tvdp in &platforms {
+        let user = tvdp.register_user("edge", Role::CommunityPartner);
+        for round in 0..ROUNDS {
+            // Both requests pass the cheap marker pre-check before either
+            // commits; the shard's own check under its write (or journal)
+            // lock picks the winner.
+            let start = Barrier::new(2);
+            let submit = || {
+                start.wait();
+                let key = format!("race-{round}");
+                tvdp.ingest_uploads(user, vec![upload(round, Some(&key))], &Pool::serial())
+                    .map(|stored| stored[0])
+            };
+            let (a, b) = std::thread::scope(|scope| {
+                let other = scope.spawn(submit);
+                (submit(), other.join().expect("racing request panicked"))
+            });
+            let (a, b): ((ImageId, bool), (ImageId, bool)) = (a.unwrap(), b.unwrap());
+            assert_eq!(a.0, b.0, "round {round}: one key, one id");
+            assert!(
+                a.1 != b.1,
+                "round {round}: exactly one request stored the row"
+            );
+        }
+        assert_eq!(tvdp.stats().images, ROUNDS);
+        let everything = Query::Temporal {
+            field: TemporalField::Captured,
+            from: 0,
+            to: i64::MAX,
+        };
+        assert_eq!(tvdp.search(&everything).unwrap().len(), ROUNDS);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

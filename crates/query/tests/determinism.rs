@@ -17,7 +17,7 @@ use tvdp_query::{
     EngineConfig, Query, QueryEngine, QueryResult, ShardedEngine, SpatialQuery, TemporalField,
     TextualMode, VisualMode,
 };
-use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
 use tvdp_vision::FeatureKind;
 
 const DIM: usize = 8;
@@ -214,28 +214,32 @@ fn shard_stores(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
         .scheme_by_name("cleanliness")
         .expect("reference scheme");
     for s in &stores {
-        s.register_scheme_at(scheme.id, scheme.name.clone(), scheme.labels.clone())
-            .unwrap();
+        s.apply_batch(vec![WalOp::RegisterScheme {
+            id: scheme.id,
+            name: scheme.name.clone(),
+            labels: scheme.labels.clone(),
+        }])
+        .unwrap();
     }
     for id in source.image_ids() {
         let rec = source.image(id).expect("listed id");
-        let s = &stores[shard_for(&rec.meta.gps, shards)];
-        s.add_image_at(id, rec.meta.clone(), rec.origin.clone(), None)
+        let mut ops = vec![
+            WalOp::AddImage {
+                id,
+                meta: rec.meta.clone(),
+                origin: rec.origin.clone(),
+                pixels: None,
+            },
+            WalOp::PutFeature {
+                image: id,
+                kind: FeatureKind::Cnn,
+                vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
+            },
+        ];
+        ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
+        stores[shard_for(&rec.meta.gps, shards)]
+            .apply_batch(ops)
             .unwrap();
-        let feature = source.feature(id, FeatureKind::Cnn).expect("cnn feature");
-        s.put_feature(id, FeatureKind::Cnn, feature).unwrap();
-        for a in source.annotations_of(id) {
-            s.annotate_at(
-                a.id,
-                a.image,
-                a.classification,
-                a.label,
-                a.confidence,
-                a.source,
-                a.region,
-            )
-            .unwrap();
-        }
     }
     stores.into_iter().map(Arc::new).collect()
 }

@@ -30,7 +30,7 @@ use tvdp_query::{
     QueryResult, ShardedEngine, SpatialQuery, TemporalField, TextualMode, VisualMode,
 };
 use tvdp_storage::{
-    AnnotationSource, ClassificationId, ImageMeta, ImageOrigin, UserId, VisualStore,
+    AnnotationSource, ClassificationId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp,
 };
 use tvdp_vision::FeatureKind;
 
@@ -363,9 +363,9 @@ fn shard_for(gps: &GeoPoint, shards: usize) -> usize {
 }
 
 /// Splits `source` into `shards` fresh stores by geo-grid routing,
-/// preserving every global id (`add_image_at` / `annotate_at` /
-/// `register_scheme_at`), so the sharded stores hold exactly the same
-/// logical corpus as the single reference store.
+/// preserving every global id (ops carry their ids through
+/// `VisualStore::apply_batch`), so the sharded stores hold exactly the
+/// same logical corpus as the single reference store.
 fn shard_stores(
     source: &VisualStore,
     cls: ClassificationId,
@@ -374,28 +374,32 @@ fn shard_stores(
     let stores: Vec<VisualStore> = (0..shards).map(|_| VisualStore::new()).collect();
     let scheme = source.scheme(cls).expect("reference scheme");
     for s in &stores {
-        s.register_scheme_at(scheme.id, scheme.name.clone(), scheme.labels.clone())
-            .unwrap();
+        s.apply_batch(vec![WalOp::RegisterScheme {
+            id: scheme.id,
+            name: scheme.name.clone(),
+            labels: scheme.labels.clone(),
+        }])
+        .unwrap();
     }
     for id in source.image_ids() {
         let rec = source.image(id).expect("listed id");
-        let s = &stores[shard_for(&rec.meta.gps, shards)];
-        s.add_image_at(id, rec.meta.clone(), rec.origin.clone(), None)
+        let mut ops = vec![
+            WalOp::AddImage {
+                id,
+                meta: rec.meta.clone(),
+                origin: rec.origin.clone(),
+                pixels: None,
+            },
+            WalOp::PutFeature {
+                image: id,
+                kind: FeatureKind::Cnn,
+                vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
+            },
+        ];
+        ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
+        stores[shard_for(&rec.meta.gps, shards)]
+            .apply_batch(ops)
             .unwrap();
-        let feature = source.feature(id, FeatureKind::Cnn).expect("cnn feature");
-        s.put_feature(id, FeatureKind::Cnn, feature).unwrap();
-        for a in source.annotations_of(id) {
-            s.annotate_at(
-                a.id,
-                a.image,
-                a.classification,
-                a.label,
-                a.confidence,
-                a.source,
-                a.region,
-            )
-            .unwrap();
-        }
     }
     stores.into_iter().map(Arc::new).collect()
 }

@@ -21,7 +21,6 @@
 
 pub mod annotation;
 pub mod codec;
-pub mod commit;
 pub mod fault;
 pub mod ids;
 pub mod persist;
@@ -32,7 +31,6 @@ pub mod store;
 pub mod wal;
 
 pub use annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
-pub use commit::{CommitQueue, GroupCommitPolicy};
 pub use fault::{FailingWriter, FaultKind, WriteFaultPlan};
 pub use ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
 pub use persist::{PersistError, FORMAT_VERSION};
@@ -42,6 +40,7 @@ pub use recovery::{
     StoreHealth,
 };
 pub use store::{
-    FeatureHandle, Snapshot, SnapshotError, StorageError, VisualStore, UPLOAD_MARKER_CAPACITY,
+    FeatureHandle, Replays, Snapshot, SnapshotError, StorageError, VisualStore,
+    UPLOAD_MARKER_CAPACITY,
 };
 pub use wal::WalOp;

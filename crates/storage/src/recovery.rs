@@ -51,8 +51,8 @@ use crate::ids::{AnnotationId, ClassificationId, ImageId};
 use crate::persist::{self, PersistError};
 use crate::record::{ImageMeta, ImageOrigin};
 use crate::spill::{self, SpillStats};
-use crate::store::{Snapshot, SnapshotError, StorageError, VisualStore};
-use crate::wal::{Wal, WalError, WalOp};
+use crate::store::{Replays, Snapshot, SnapshotError, StorageError, VisualStore};
+use crate::wal::{pixel_blob, Wal, WalError, WalOp};
 
 /// File name of the snapshot inside a durable store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
@@ -66,11 +66,11 @@ pub enum DurableError {
     Persist(PersistError),
     /// The WAL failed to append or recover.
     Wal(WalError),
-    /// A mutation was rejected by the store's integrity checks.
+    /// A mutation was refused by the store's validator before anything
+    /// was journaled.
     Storage(StorageError),
-    /// A mutation was rejected before journaling (an invariant the
-    /// store would otherwise enforce by panicking, e.g. an empty label
-    /// vocabulary or a confidence outside `[0, 1]`).
+    /// A compaction call that does not fit the fold's state (a second
+    /// concurrent fold, a step after publish).
     Rejected(String),
     /// WAL replay could not reproduce the journaled state.
     Replay(String),
@@ -279,19 +279,15 @@ struct Journal {
 }
 
 impl Journal {
-    /// Runs one journal append through the health machine: while
-    /// `ReadOnly`, first probes recovery by truncating the torn tail
-    /// the failed append left; on success the append proceeds and the
-    /// state advances (`ReadOnly → Degraded → Ok`), on failure the
-    /// mutation is shed with a typed [`DurableError::ReadOnly`]. Any
-    /// append failure trips the store to `ReadOnly` — never a panic,
-    /// and never a store/journal divergence, because the op is applied
-    /// only after its frames are durable.
-    fn commit_frames(
-        &mut self,
-        n_ops: usize,
-        append: impl FnOnce(&mut Wal) -> Result<(), WalError>,
-    ) -> Result<(), DurableError> {
+    /// Journals `ops` as one framed write + one fsync through the
+    /// health machine: while `ReadOnly`, first probes recovery by
+    /// truncating the torn tail the failed append left; on success the
+    /// append proceeds and the state advances (`ReadOnly → Degraded →
+    /// Ok`), on failure the mutation is shed with a typed
+    /// [`DurableError::ReadOnly`]. Any append failure trips the store to
+    /// `ReadOnly` — never a panic, and never a store/journal divergence,
+    /// because ops are applied only after their frames are durable.
+    fn commit(&mut self, ops: &[WalOp]) -> Result<(), DurableError> {
         if self.health == HealthState::ReadOnly {
             if let Err(e) = self.wal.repair_tail() {
                 self.last_error = Some(e.to_string());
@@ -301,9 +297,9 @@ impl Journal {
             }
         }
         let entered = self.health;
-        match append(&mut self.wal) {
+        match self.wal.append_batch(ops) {
             Ok(()) => {
-                self.wal_ops += n_ops;
+                self.wal_ops += ops.len();
                 self.health = match entered {
                     HealthState::ReadOnly => HealthState::Degraded,
                     _ => HealthState::Ok,
@@ -325,14 +321,6 @@ impl Journal {
                 }
             }
         }
-    }
-
-    fn commit_one(&mut self, op: &WalOp) -> Result<(), DurableError> {
-        self.commit_frames(1, |wal| wal.append(op))
-    }
-
-    fn commit_batch(&mut self, ops: &[WalOp]) -> Result<(), DurableError> {
-        self.commit_frames(ops.len(), |wal| wal.append_batch(ops))
     }
 }
 
@@ -365,236 +353,6 @@ impl std::fmt::Debug for DurableStore {
 
 fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("wal-{epoch}.log"))
-}
-
-/// Applies one journaled op to the store at exactly the journaled ids.
-///
-/// Replay uses the explicit-id insert paths so a journal written by a
-/// sharded platform (ids allocated by a global counter, rows landing on
-/// whichever shard owns the image's region) reproduces the same rows on
-/// reopen even though the ids are not contiguous per store.
-fn apply_op(store: &VisualStore, op: &WalOp) -> Result<(), String> {
-    match op {
-        WalOp::AddImage {
-            id,
-            meta,
-            origin,
-            pixels,
-        } => {
-            let img = match pixels {
-                None => None,
-                Some((w, h, raw)) => {
-                    if *w == 0 || *h == 0 || raw.len() != w.saturating_mul(*h).saturating_mul(3) {
-                        return Err(format!(
-                            "blob for {id}: {} bytes does not match {w}x{h}x3",
-                            raw.len()
-                        ));
-                    }
-                    Some(Image::from_raw(*w, *h, raw.clone()))
-                }
-            };
-            store
-                .add_image_at(*id, meta.clone(), origin.clone(), img)
-                .map_err(|e| e.to_string())?;
-        }
-        WalOp::PutFeature {
-            image,
-            kind,
-            vector,
-        } => {
-            store
-                .put_feature(*image, *kind, vector.clone())
-                .map_err(|e| e.to_string())?;
-        }
-        WalOp::RegisterScheme { id, name, labels } => {
-            check_labels(labels)?;
-            store
-                .register_scheme_at(*id, name.clone(), labels.clone())
-                .map_err(|e| e.to_string())?;
-        }
-        WalOp::Annotate(a) => {
-            check_confidence(a.confidence)?;
-            store
-                .annotate_at(
-                    a.id,
-                    a.image,
-                    a.classification,
-                    a.label,
-                    a.confidence,
-                    a.source,
-                    a.region,
-                )
-                .map_err(|e| e.to_string())?;
-        }
-        WalOp::IngestUpload {
-            marker,
-            id,
-            meta,
-            origin,
-            pixels,
-            features,
-        } => {
-            let img = match pixels {
-                None => None,
-                Some((w, h, raw)) => {
-                    if *w == 0 || *h == 0 || raw.len() != w.saturating_mul(*h).saturating_mul(3) {
-                        return Err(format!(
-                            "blob for {id}: {} bytes does not match {w}x{h}x3",
-                            raw.len()
-                        ));
-                    }
-                    Some(Image::from_raw(*w, *h, raw.clone()))
-                }
-            };
-            let (_, replayed) = store
-                .ingest_upload_at(marker, *id, meta.clone(), origin.clone(), img, features)
-                .map_err(|e| e.to_string())?;
-            if replayed {
-                // The live WAL holds only ops journaled after the
-                // snapshot epoch, so a marker that already exists
-                // means the journal disagrees with itself.
-                return Err(format!("upload marker `{marker}` journaled twice"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates a batch of explicit-id ops against the current store state
-/// *plus* the effects of earlier ops in the same batch (an `AddImage`
-/// makes a later `PutFeature` for that image legal, a scheme registered
-/// earlier in the batch can be annotated against later, and so on).
-/// Nothing is journaled unless every op passes — group commit must not
-/// ack a batch it would refuse to replay.
-fn validate_batch(store: &VisualStore, ops: &[WalOp]) -> Result<(), DurableError> {
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut new_images: BTreeSet<ImageId> = BTreeSet::new();
-    let mut new_schemes: BTreeMap<ClassificationId, usize> = BTreeMap::new();
-    let mut new_scheme_names: BTreeSet<&str> = BTreeSet::new();
-    let mut new_annotations: BTreeSet<AnnotationId> = BTreeSet::new();
-    let mut new_markers: BTreeSet<&str> = BTreeSet::new();
-    let reject = |i: usize, m: String| Err(DurableError::Rejected(format!("batch op {i}: {m}")));
-    let image_known =
-        |new: &BTreeSet<ImageId>, id: ImageId| new.contains(&id) || store.image(id).is_some();
-    let check_pixels = |pixels: &Option<(usize, usize, Vec<u8>)>| -> Result<(), String> {
-        match pixels {
-            None => Ok(()),
-            Some((w, h, raw)) => {
-                if *w == 0 || *h == 0 || raw.len() != w.saturating_mul(*h).saturating_mul(3) {
-                    Err(format!("{} blob bytes do not match {w}x{h}x3", raw.len()))
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    };
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            WalOp::AddImage {
-                id, origin, pixels, ..
-            } => {
-                if let ImageOrigin::Augmented { parent, .. } = origin {
-                    if !image_known(&new_images, *parent) {
-                        return reject(i, format!("unknown parent {parent}"));
-                    }
-                }
-                if image_known(&new_images, *id) {
-                    return reject(i, format!("duplicate image id {id}"));
-                }
-                if let Err(m) = check_pixels(pixels) {
-                    return reject(i, m);
-                }
-                new_images.insert(*id);
-            }
-            WalOp::PutFeature { image, .. } => {
-                if !image_known(&new_images, *image) {
-                    return reject(i, format!("unknown image {image}"));
-                }
-            }
-            WalOp::RegisterScheme { id, name, labels } => {
-                if let Err(m) = check_labels(labels) {
-                    return reject(i, m);
-                }
-                if new_scheme_names.contains(name.as_str()) || store.scheme_by_name(name).is_some()
-                {
-                    return reject(i, format!("duplicate scheme `{name}`"));
-                }
-                if new_schemes.contains_key(id) || store.scheme(*id).is_some() {
-                    return reject(i, format!("duplicate classification id {id}"));
-                }
-                new_schemes.insert(*id, labels.len());
-                new_scheme_names.insert(name.as_str());
-            }
-            WalOp::Annotate(a) => {
-                if let Err(m) = check_confidence(a.confidence) {
-                    return reject(i, m);
-                }
-                if !image_known(&new_images, a.image) {
-                    return reject(i, format!("unknown image {}", a.image));
-                }
-                let vocabulary = match new_schemes
-                    .get(&a.classification)
-                    .copied()
-                    .or_else(|| store.scheme(a.classification).map(|s| s.labels.len()))
-                {
-                    Some(v) => v,
-                    None => {
-                        return reject(i, format!("unknown classification {}", a.classification))
-                    }
-                };
-                if a.label >= vocabulary {
-                    return reject(
-                        i,
-                        format!("label {} outside vocabulary of {vocabulary}", a.label),
-                    );
-                }
-                if new_annotations.contains(&a.id) || store.annotation(a.id).is_some() {
-                    return reject(i, format!("duplicate annotation id {}", a.id));
-                }
-                new_annotations.insert(a.id);
-            }
-            WalOp::IngestUpload {
-                marker,
-                id,
-                origin,
-                pixels,
-                ..
-            } => {
-                if new_markers.contains(marker.as_str()) || store.upload_marker(marker).is_some() {
-                    return reject(i, format!("duplicate upload marker `{marker}`"));
-                }
-                if let ImageOrigin::Augmented { parent, .. } = origin {
-                    if !image_known(&new_images, *parent) {
-                        return reject(i, format!("unknown parent {parent}"));
-                    }
-                }
-                if image_known(&new_images, *id) {
-                    return reject(i, format!("duplicate image id {id}"));
-                }
-                if let Err(m) = check_pixels(pixels) {
-                    return reject(i, m);
-                }
-                new_images.insert(*id);
-                new_markers.insert(marker.as_str());
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_labels(labels: &[String]) -> Result<(), String> {
-    let mut seen = std::collections::BTreeSet::new();
-    if labels.is_empty() || !labels.iter().all(|l| seen.insert(l.as_str())) {
-        return Err("label vocabulary must be non-empty and unique".into());
-    }
-    Ok(())
-}
-
-fn check_confidence(confidence: f32) -> Result<(), String> {
-    if !(0.0..=1.0).contains(&confidence) {
-        return Err(format!("confidence {confidence} outside [0, 1]"));
-    }
-    Ok(())
 }
 
 impl DurableStore {
@@ -669,13 +427,25 @@ impl DurableStore {
         // there is corruption, not an interrupted append.
         let mut replayed_ops = 0usize;
         let mut torn_bytes = 0u64;
-        let mut replay = |ops: &[WalOp], epoch: u64| -> Result<(), DurableError> {
-            for (i, op) in ops.iter().enumerate() {
-                apply_op(&store, op).map_err(|m| {
-                    DurableError::Replay(format!("segment {epoch} record {i}: {m}"))
-                })?;
+        let mut replay = |ops: Vec<WalOp>, epoch: u64| -> Result<(), DurableError> {
+            // One record at a time, in journal order: the marker table
+            // evicts as it fills, so only the state *at* a record says
+            // whether its marker is still held.
+            for (i, op) in ops.into_iter().enumerate() {
+                let refused =
+                    |m: String| DurableError::Replay(format!("segment {epoch} record {i}: {m}"));
+                let replays = store
+                    .apply_batch(vec![op])
+                    .map_err(|e| refused(e.to_string()))?;
+                // A replayed upload is never journaled, so a marker the
+                // store still holds means the journal disagrees with itself.
+                if let Some((_, stored)) = replays.first() {
+                    return Err(refused(format!(
+                        "upload marker of {stored} journaled twice"
+                    )));
+                }
+                replayed_ops += 1;
             }
-            replayed_ops += ops.len();
             Ok(())
         };
         let (live_epoch, sealed) = match live_segments.split_last() {
@@ -689,11 +459,11 @@ impl DurableStore {
                     "sealed wal segment {epoch} has {torn} torn byte(s)"
                 )));
             }
-            replay(&ops, epoch)?;
+            replay(ops, epoch)?;
         }
         let (wal, ops, torn) = Wal::open_recover(&wal_path(dir, live_epoch))?;
         torn_bytes += torn;
-        replay(&ops, live_epoch)?;
+        replay(ops, live_epoch)?;
 
         let report = RecoveryReport {
             epoch: live_epoch,
@@ -750,40 +520,65 @@ impl DurableStore {
         Ok(self.journal.lock().wal.len_bytes()?)
     }
 
-    /// Journaled-then-applied [`VisualStore::add_image`]. When this
-    /// returns `Ok`, the image survives a crash.
+    /// The one durable write path: builds a batch under the journal
+    /// lock (so a peeked id is the id its op lands at), validates it
+    /// whole against the store *and* its own earlier ops, journals it as
+    /// one framed write + one fsync ([`Wal::append_batch`]), and only
+    /// then applies it. A refused batch journals nothing; a failed write
+    /// applies nothing; a crash mid-append recovers an in-order prefix
+    /// of the batch, none of which was acknowledged.
+    fn commit(
+        &self,
+        build: impl FnOnce(&VisualStore) -> Vec<WalOp>,
+    ) -> Result<Replays, DurableError> {
+        let mut journal = self.journal.lock();
+        let mut ops = build(&self.store);
+        let replays = self.store.validate_batch(&mut ops)?;
+        if !ops.is_empty() {
+            journal.commit(&ops)?;
+            self.store.apply_validated(ops);
+        }
+        Ok(replays)
+    }
+
+    /// Group commit — [`VisualStore::apply_batch`] with the journal
+    /// write between check and apply: when this returns `Ok` the whole
+    /// batch survives a crash. Ops carry explicit ids: callers allocate
+    /// them up front, e.g. from a platform-wide allocator, and replay
+    /// reproduces them exactly. Uploads whose idempotency marker is
+    /// already stored never reach the journal and are reported as
+    /// [`Replays`].
+    pub fn apply_batch(&self, ops: Vec<WalOp>) -> Result<Replays, DurableError> {
+        self.commit(|_| ops)
+    }
+
+    /// Journaled [`VisualStore::add_image`]: a batch of one at the
+    /// store's next id.
     pub fn add_image(
         &self,
         meta: ImageMeta,
         origin: ImageOrigin,
         pixels: Option<Image>,
     ) -> Result<ImageId, DurableError> {
-        let mut journal = self.journal.lock();
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if self.store.image(*parent).is_none() {
-                return Err(StorageError::UnknownImage(*parent).into());
-            }
-        }
-        let id = self.store.peek_next_image_id();
-        let op = WalOp::AddImage {
-            id,
-            meta: meta.clone(),
-            origin: origin.clone(),
-            pixels: pixels
-                .as_ref()
-                .map(|p| (p.width(), p.height(), p.raw().to_vec())),
-        };
-        journal.commit_one(&op)?;
-        Ok(self.store.add_image(meta, origin, pixels)?)
+        let mut id = ImageId(0);
+        self.commit(|store| {
+            id = store.peek_next_image_id();
+            vec![WalOp::AddImage {
+                id,
+                meta,
+                origin,
+                pixels: pixels.map(pixel_blob),
+            }]
+        })?;
+        Ok(id)
     }
 
-    /// Journaled-then-applied [`VisualStore::ingest_upload`]: the image
-    /// row, its feature vectors, and the upload's idempotency marker
-    /// travel as one composite WAL record, so a crash at any byte
-    /// preserves either the whole acknowledged upload or none of it —
-    /// an acked-once upload is ingested exactly once across crashes.
-    /// Replays (marker already present) return the original id with
-    /// `replayed = true` without touching the journal.
+    /// Journaled [`VisualStore::ingest_upload`]: the image row, its
+    /// feature vectors, and the upload's idempotency marker travel as
+    /// one composite WAL record, so a crash at any byte preserves either
+    /// the whole acknowledged upload or none of it. Replays (marker
+    /// already present) return the original id with `replayed = true`
+    /// without touching the journal.
     pub fn ingest_upload(
         &self,
         marker: &str,
@@ -792,76 +587,57 @@ impl DurableStore {
         pixels: Option<Image>,
         features: Vec<(FeatureKind, Vec<f32>)>,
     ) -> Result<(ImageId, bool), DurableError> {
-        let mut journal = self.journal.lock();
-        if let Some(existing) = self.store.upload_marker(marker) {
-            return Ok((existing, true));
-        }
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if self.store.image(*parent).is_none() {
-                return Err(StorageError::UnknownImage(*parent).into());
-            }
-        }
-        let id = self.store.peek_next_image_id();
-        let op = WalOp::IngestUpload {
-            marker: marker.to_string(),
-            id,
-            meta: meta.clone(),
-            origin: origin.clone(),
-            pixels: pixels
-                .as_ref()
-                .map(|p| (p.width(), p.height(), p.raw().to_vec())),
-            features: features.clone(),
-        };
-        journal.commit_one(&op)?;
-        Ok(self
-            .store
-            .ingest_upload(marker, meta, origin, pixels, &features)?)
+        let mut id = ImageId(0);
+        let replays = self.commit(|store| {
+            id = store.peek_next_image_id();
+            vec![WalOp::IngestUpload {
+                marker: marker.to_string(),
+                id,
+                meta,
+                origin,
+                pixels: pixels.map(pixel_blob),
+                features,
+            }]
+        })?;
+        Ok(replays
+            .first()
+            .map_or((id, false), |&(_, stored)| (stored, true)))
     }
 
-    /// Journaled-then-applied [`VisualStore::put_feature`].
+    /// Journaled [`VisualStore::put_feature`].
     pub fn put_feature(
         &self,
         image: ImageId,
         kind: FeatureKind,
         vector: Vec<f32>,
     ) -> Result<(), DurableError> {
-        let mut journal = self.journal.lock();
-        if self.store.image(image).is_none() {
-            return Err(StorageError::UnknownImage(image).into());
-        }
-        let op = WalOp::PutFeature {
+        self.apply_batch(vec![WalOp::PutFeature {
             image,
             kind,
-            vector: vector.clone(),
-        };
-        journal.commit_one(&op)?;
-        Ok(self.store.put_feature(image, kind, vector)?)
+            vector,
+        }])
+        .map(drop)
     }
 
-    /// Journaled-then-applied [`VisualStore::register_scheme`].
+    /// Journaled [`VisualStore::register_scheme`].
     pub fn register_scheme(
         &self,
         name: impl Into<String>,
         labels: Vec<String>,
     ) -> Result<ClassificationId, DurableError> {
-        let name = name.into();
-        let mut journal = self.journal.lock();
-        check_labels(&labels).map_err(DurableError::Rejected)?;
-        if self.store.scheme_by_name(&name).is_some() {
-            return Err(StorageError::DuplicateScheme(name).into());
-        }
-        let id = self.store.peek_next_classification_id();
-        let op = WalOp::RegisterScheme {
-            id,
-            name: name.clone(),
-            labels: labels.clone(),
-        };
-        journal.commit_one(&op)?;
-        Ok(self.store.register_scheme(name, labels)?)
+        let mut id = ClassificationId(0);
+        self.commit(|store| {
+            id = store.peek_next_classification_id();
+            vec![WalOp::RegisterScheme {
+                id,
+                name: name.into(),
+                labels,
+            }]
+        })?;
+        Ok(id)
     }
 
-    /// Journaled-then-applied [`VisualStore::annotate`].
-    #[allow(clippy::too_many_arguments)]
+    /// Journaled [`VisualStore::annotate`].
     pub fn annotate(
         &self,
         image: ImageId,
@@ -871,229 +647,20 @@ impl DurableStore {
         source: AnnotationSource,
         region: Option<RegionOfInterest>,
     ) -> Result<AnnotationId, DurableError> {
-        let mut journal = self.journal.lock();
-        check_confidence(confidence).map_err(DurableError::Rejected)?;
-        if self.store.image(image).is_none() {
-            return Err(StorageError::UnknownImage(image).into());
-        }
-        let vocabulary = match self.store.scheme(classification) {
-            None => return Err(StorageError::UnknownClassification(classification).into()),
-            Some(s) => s.labels.len(),
-        };
-        if label >= vocabulary {
-            return Err(StorageError::LabelOutOfRange {
+        let mut id = AnnotationId(0);
+        self.commit(|store| {
+            id = store.peek_next_annotation_id();
+            vec![WalOp::Annotate(Annotation {
+                id,
+                image,
                 classification,
                 label,
-                vocabulary,
-            }
-            .into());
-        }
-        let id = self.store.peek_next_annotation_id();
-        let op = WalOp::Annotate(Annotation {
-            id,
-            image,
-            classification,
-            label,
-            confidence,
-            source,
-            region,
-        });
-        journal.commit_one(&op)?;
-        Ok(self
-            .store
-            .annotate(image, classification, label, confidence, source, region)?)
-    }
-
-    /// Journaled-then-applied [`VisualStore::add_image_at`]: inserts the
-    /// image under a caller-chosen id (e.g. one drawn from a platform-
-    /// wide allocator shared across shards).
-    pub fn add_image_at(
-        &self,
-        id: ImageId,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-    ) -> Result<ImageId, DurableError> {
-        let mut journal = self.journal.lock();
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if self.store.image(*parent).is_none() {
-                return Err(StorageError::UnknownImage(*parent).into());
-            }
-        }
-        if self.store.image(id).is_some() {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "image",
-            }
-            .into());
-        }
-        let op = WalOp::AddImage {
-            id,
-            meta: meta.clone(),
-            origin: origin.clone(),
-            pixels: pixels
-                .as_ref()
-                .map(|p| (p.width(), p.height(), p.raw().to_vec())),
-        };
-        journal.commit_one(&op)?;
-        Ok(self.store.add_image_at(id, meta, origin, pixels)?)
-    }
-
-    /// Journaled-then-applied [`VisualStore::ingest_upload_at`]: the
-    /// composite upload record carries the caller-chosen id, so replay
-    /// on a shard's WAL reproduces the platform-wide id exactly.
-    /// Replays (marker already present) return the original id with
-    /// `replayed = true` without touching the journal.
-    pub fn ingest_upload_at(
-        &self,
-        marker: &str,
-        id: ImageId,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-        features: Vec<(FeatureKind, Vec<f32>)>,
-    ) -> Result<(ImageId, bool), DurableError> {
-        let mut journal = self.journal.lock();
-        if let Some(existing) = self.store.upload_marker(marker) {
-            return Ok((existing, true));
-        }
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if self.store.image(*parent).is_none() {
-                return Err(StorageError::UnknownImage(*parent).into());
-            }
-        }
-        if self.store.image(id).is_some() {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "image",
-            }
-            .into());
-        }
-        let op = WalOp::IngestUpload {
-            marker: marker.to_string(),
-            id,
-            meta: meta.clone(),
-            origin: origin.clone(),
-            pixels: pixels
-                .as_ref()
-                .map(|p| (p.width(), p.height(), p.raw().to_vec())),
-            features: features.clone(),
-        };
-        journal.commit_one(&op)?;
-        Ok(self
-            .store
-            .ingest_upload_at(marker, id, meta, origin, pixels, &features)?)
-    }
-
-    /// Journaled-then-applied [`VisualStore::register_scheme_at`]:
-    /// registers a scheme under a caller-chosen id so every shard of a
-    /// partitioned platform shares one classification-id space.
-    pub fn register_scheme_at(
-        &self,
-        id: ClassificationId,
-        name: impl Into<String>,
-        labels: Vec<String>,
-    ) -> Result<ClassificationId, DurableError> {
-        let name = name.into();
-        let mut journal = self.journal.lock();
-        check_labels(&labels).map_err(DurableError::Rejected)?;
-        if self.store.scheme_by_name(&name).is_some() {
-            return Err(StorageError::DuplicateScheme(name).into());
-        }
-        if self.store.scheme(id).is_some() {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "classification",
-            }
-            .into());
-        }
-        let op = WalOp::RegisterScheme {
-            id,
-            name: name.clone(),
-            labels: labels.clone(),
-        };
-        journal.commit_one(&op)?;
-        Ok(self.store.register_scheme_at(id, name, labels)?)
-    }
-
-    /// Journaled-then-applied [`VisualStore::annotate_at`]: records an
-    /// annotation under a caller-chosen id from a platform-wide
-    /// allocator.
-    #[allow(clippy::too_many_arguments)]
-    pub fn annotate_at(
-        &self,
-        id: AnnotationId,
-        image: ImageId,
-        classification: ClassificationId,
-        label: usize,
-        confidence: f32,
-        source: AnnotationSource,
-        region: Option<RegionOfInterest>,
-    ) -> Result<AnnotationId, DurableError> {
-        let mut journal = self.journal.lock();
-        check_confidence(confidence).map_err(DurableError::Rejected)?;
-        if self.store.image(image).is_none() {
-            return Err(StorageError::UnknownImage(image).into());
-        }
-        let vocabulary = match self.store.scheme(classification) {
-            None => return Err(StorageError::UnknownClassification(classification).into()),
-            Some(s) => s.labels.len(),
-        };
-        if label >= vocabulary {
-            return Err(StorageError::LabelOutOfRange {
-                classification,
-                label,
-                vocabulary,
-            }
-            .into());
-        }
-        if self.store.annotation(id).is_some() {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "annotation",
-            }
-            .into());
-        }
-        let op = WalOp::Annotate(Annotation {
-            id,
-            image,
-            classification,
-            label,
-            confidence,
-            source,
-            region,
-        });
-        journal.commit_one(&op)?;
-        Ok(self
-            .store
-            .annotate_at(id, image, classification, label, confidence, source, region)?)
-    }
-
-    /// Group commit: journals every op in `ops` as one framed write +
-    /// one fsync ([`Wal::append_batch`]), then applies them in order.
-    /// The whole batch is validated against the store *and* its own
-    /// earlier ops before a single byte is journaled, so an `Ok` means
-    /// every op is durable and applied; a crash mid-append recovers an
-    /// in-order prefix of the batch, none of which was acknowledged.
-    ///
-    /// Ops carry explicit ids (the `_at` discipline): callers allocate
-    /// ids up front — e.g. from a platform-wide allocator — and replay
-    /// reproduces them exactly.
-    pub fn apply_batch(&self, ops: Vec<WalOp>) -> Result<(), DurableError> {
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let mut journal = self.journal.lock();
-        validate_batch(&self.store, &ops)?;
-        journal.commit_batch(&ops)?;
-        for (i, op) in ops.iter().enumerate() {
-            // Validation above guarantees application succeeds; a
-            // failure here means journal and store disagree, which is
-            // exactly what Replay signals.
-            apply_op(&self.store, op)
-                .map_err(|m| DurableError::Replay(format!("batch op {i}: {m}")))?;
-        }
-        Ok(())
+                confidence,
+                source,
+                region,
+            })]
+        })?;
+        Ok(id)
     }
 
     /// Seals the live WAL segment and starts a fresh one at the next
@@ -1540,7 +1107,10 @@ mod tests {
                 None
             )
             .is_err());
-        assert!(ds.register_scheme("bad", vec![]).is_err());
+        assert!(matches!(
+            ds.register_scheme("bad", vec![]),
+            Err(DurableError::Storage(StorageError::BadVocabulary(_)))
+        ));
         assert!(matches!(
             ds.annotate(
                 ImageId(0),
@@ -1550,7 +1120,7 @@ mod tests {
                 AnnotationSource::Human(UserId(1)),
                 None
             ),
-            Err(DurableError::Rejected(_))
+            Err(DurableError::Storage(StorageError::BadConfidence(_)))
         ));
         assert_eq!(ds.wal_bytes().unwrap(), wal0);
         std::fs::remove_dir_all(&dir).ok();
@@ -1601,6 +1171,33 @@ mod tests {
         assert!(replayed);
         assert_eq!(after, id);
         assert_eq!(ds3.store().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_key_reused_after_its_marker_was_evicted_replays_as_journaled() {
+        use crate::store::UPLOAD_MARKER_CAPACITY;
+        let dir = temp_dir("marker-reuse");
+        let (ds, _) = DurableStore::open(&dir).unwrap();
+        let upload = |i: u64, marker: &str| WalOp::IngestUpload {
+            marker: marker.into(),
+            id: ImageId(i),
+            meta: meta(),
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: vec![],
+        };
+        let n = UPLOAD_MARKER_CAPACITY as u64 + 1;
+        let fill = (0..n).map(|i| upload(i, &format!("m{i}"))).collect();
+        assert!(ds.apply_batch(fill).unwrap().is_empty());
+        // "m0" was evicted, so the same key is a fresh upload again and
+        // the journal now names that marker twice — legitimately.
+        assert!(ds.apply_batch(vec![upload(n, "m0")]).unwrap().is_empty());
+        let live = ds.store().snapshot();
+        drop(ds);
+        let (ds2, report) = DurableStore::open(&dir).unwrap();
+        assert_eq!(report.replayed_ops as u64, n + 1);
+        assert!(ds2.store().snapshot() == live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1770,7 +1367,9 @@ mod tests {
         ];
         assert!(matches!(
             ds.apply_batch(bad),
-            Err(DurableError::Rejected(_))
+            Err(DurableError::Storage(StorageError::UnknownImage(ImageId(
+                999
+            ))))
         ));
         assert_eq!(ds.wal_bytes().unwrap(), wal_before);
         assert_eq!(ds.store().snapshot(), live);
@@ -1812,7 +1411,7 @@ mod tests {
         };
         assert!(matches!(
             ds.apply_batch(vec![dup(next), dup(next)]),
-            Err(DurableError::Rejected(_))
+            Err(DurableError::Storage(StorageError::DuplicateId { .. }))
         ));
         assert_eq!(ds.store().len(), 1);
         std::fs::remove_dir_all(&dir).ok();

@@ -1,6 +1,6 @@
 //! The concurrency-safe visual data store.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use tvdp_kernel::sync::RwLock;
 use tvdp_kernel::{FeatureSlab, RowRef, RowSource, SlabView};
@@ -9,6 +9,7 @@ use tvdp_vision::{FeatureKind, Image};
 use crate::annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
 use crate::ids::{AnnotationId, ClassificationId, ImageId};
 use crate::record::{ImageMeta, ImageOrigin, ImageRecord};
+use crate::wal::{pixel_blob, PixelBlob, WalOp};
 
 /// Capacity of the upload idempotency table
 /// ([`VisualStore::ingest_upload`]): at most this many marker keys are
@@ -18,8 +19,11 @@ use crate::record::{ImageMeta, ImageOrigin, ImageRecord};
 /// replays older than the window are ingested as fresh uploads.
 pub const UPLOAD_MARKER_CAPACITY: usize = 4096;
 
-/// Errors surfaced by store operations on bad references.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Why the store refused a mutation. Every write — in-memory, journaled,
+/// or replayed from a WAL — is checked by the one validator
+/// ([`VisualStore::apply_batch`]), so these are the only shapes a refused
+/// op can take.
+#[derive(Debug, Clone, PartialEq)]
 pub enum StorageError {
     /// The referenced image does not exist.
     UnknownImage(ImageId),
@@ -44,6 +48,22 @@ pub enum StorageError {
         /// `"classification"`).
         table: &'static str,
     },
+    /// A scheme's label vocabulary is empty or repeats a label.
+    BadVocabulary(String),
+    /// An annotation's confidence is outside `[0, 1]` or not a number.
+    BadConfidence(f32),
+    /// A pixel blob's byte count disagrees with `width * height * 3`,
+    /// or a dimension is zero.
+    BlobShape {
+        /// Image the blob belongs to.
+        image: ImageId,
+        /// Declared width in pixels.
+        width: usize,
+        /// Declared height in pixels.
+        height: usize,
+        /// Actual byte count of the raw payload.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -63,11 +83,45 @@ impl std::fmt::Display for StorageError {
             StorageError::DuplicateId { id, table } => {
                 write!(f, "{table} id {id} is already occupied")
             }
+            StorageError::BadVocabulary(name) => write!(
+                f,
+                "scheme {name}: label vocabulary must be non-empty and unique"
+            ),
+            StorageError::BadConfidence(c) => write!(f, "confidence {c} outside [0, 1]"),
+            StorageError::BlobShape {
+                image,
+                width,
+                height,
+                len,
+            } => write!(
+                f,
+                "blob for {image}: {len} bytes does not match {width}x{height}x3"
+            ),
         }
     }
 }
 
 impl std::error::Error for StorageError {}
+
+/// Uploads a batch skipped as replays, as `(id the op carried, id
+/// already stored under its marker)`: an [`WalOp::IngestUpload`] whose
+/// idempotency marker is already present is neither journaled nor
+/// applied, and the id it carried stays unused.
+pub type Replays = Vec<(ImageId, ImageId)>;
+
+fn blob_shape_ok(width: usize, height: usize, len: usize) -> bool {
+    width > 0 && height > 0 && len == width.saturating_mul(height).saturating_mul(3)
+}
+
+fn vocabulary_ok(labels: &[String]) -> bool {
+    let mut seen = BTreeSet::new();
+    !labels.is_empty() && labels.iter().all(|l| seen.insert(l.as_str()))
+}
+
+/// `false` for NaN and the infinities as well as out-of-range values.
+fn confidence_ok(confidence: f32) -> bool {
+    (0.0..=1.0).contains(&confidence)
+}
 
 /// Referential-integrity failures found while rebuilding a store from a
 /// snapshot ([`VisualStore::from_snapshot`]). A snapshot that decodes
@@ -295,6 +349,215 @@ impl Tables {
             self.slabs[&(handle.kind, handle.dim)].row(handle.row)
         }
     }
+
+    /// Checks `ops` against the tables *plus* the effects of earlier ops
+    /// in the same batch (an `AddImage` makes a later `PutFeature` for
+    /// that image legal, a scheme registered earlier in the batch can be
+    /// annotated against later, and so on). Every write path runs this
+    /// before anything is journaled or applied, so a batch is refused
+    /// whole and [`Tables::apply_op`] cannot fail. Uploads whose marker
+    /// is already stored (or appeared earlier in the batch) are removed
+    /// from `ops` and returned as [`Replays`].
+    fn validate_batch(&self, ops: &mut Vec<WalOp>) -> Result<Replays, StorageError> {
+        let mut new_images: BTreeSet<ImageId> = BTreeSet::new();
+        let mut new_schemes: BTreeMap<ClassificationId, usize> = BTreeMap::new();
+        let mut new_scheme_names: BTreeSet<&str> = BTreeSet::new();
+        let mut new_annotations: BTreeSet<AnnotationId> = BTreeSet::new();
+        let mut new_markers: BTreeMap<&str, ImageId> = BTreeMap::new();
+        let mut replays = Replays::new();
+        let mut skipped: Vec<usize> = Vec::new();
+        let image_known = |new: &BTreeSet<ImageId>, id: ImageId| {
+            new.contains(&id) || self.images.contains_key(&id)
+        };
+        let check_new_image = |new: &BTreeSet<ImageId>,
+                               id: ImageId,
+                               origin: &ImageOrigin,
+                               pixels: &Option<PixelBlob>| {
+            if let ImageOrigin::Augmented { parent, .. } = origin {
+                if !image_known(new, *parent) {
+                    return Err(StorageError::UnknownImage(*parent));
+                }
+            }
+            if image_known(new, id) {
+                return Err(StorageError::DuplicateId {
+                    id: id.0,
+                    table: "image",
+                });
+            }
+            match pixels {
+                Some((width, height, raw)) if !blob_shape_ok(*width, *height, raw.len()) => {
+                    Err(StorageError::BlobShape {
+                        image: id,
+                        width: *width,
+                        height: *height,
+                        len: raw.len(),
+                    })
+                }
+                _ => Ok(()),
+            }
+        };
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                WalOp::AddImage {
+                    id, origin, pixels, ..
+                } => {
+                    check_new_image(&new_images, *id, origin, pixels)?;
+                    new_images.insert(*id);
+                }
+                WalOp::PutFeature { image, .. } => {
+                    if !image_known(&new_images, *image) {
+                        return Err(StorageError::UnknownImage(*image));
+                    }
+                }
+                WalOp::RegisterScheme { id, name, labels } => {
+                    if !vocabulary_ok(labels) {
+                        return Err(StorageError::BadVocabulary(name.clone()));
+                    }
+                    if new_scheme_names.contains(name.as_str())
+                        || self.schemes.values().any(|s| s.name == *name)
+                    {
+                        return Err(StorageError::DuplicateScheme(name.clone()));
+                    }
+                    if new_schemes.contains_key(id) || self.schemes.contains_key(id) {
+                        return Err(StorageError::DuplicateId {
+                            id: id.0,
+                            table: "classification",
+                        });
+                    }
+                    new_schemes.insert(*id, labels.len());
+                    new_scheme_names.insert(name.as_str());
+                }
+                WalOp::Annotate(a) => {
+                    if !confidence_ok(a.confidence) {
+                        return Err(StorageError::BadConfidence(a.confidence));
+                    }
+                    if !image_known(&new_images, a.image) {
+                        return Err(StorageError::UnknownImage(a.image));
+                    }
+                    let vocabulary = new_schemes
+                        .get(&a.classification)
+                        .copied()
+                        .or_else(|| self.schemes.get(&a.classification).map(|s| s.labels.len()))
+                        .ok_or(StorageError::UnknownClassification(a.classification))?;
+                    if a.label >= vocabulary {
+                        return Err(StorageError::LabelOutOfRange {
+                            classification: a.classification,
+                            label: a.label,
+                            vocabulary,
+                        });
+                    }
+                    if new_annotations.contains(&a.id) || self.annotations.contains_key(&a.id) {
+                        return Err(StorageError::DuplicateId {
+                            id: a.id.0,
+                            table: "annotation",
+                        });
+                    }
+                    new_annotations.insert(a.id);
+                }
+                WalOp::IngestUpload {
+                    marker,
+                    id,
+                    origin,
+                    pixels,
+                    ..
+                } => {
+                    let stored = new_markers
+                        .get(marker.as_str())
+                        .copied()
+                        .or_else(|| self.upload_markers.get(marker).map(|(image, _)| *image));
+                    if let Some(existing) = stored {
+                        replays.push((*id, existing));
+                        skipped.push(i);
+                        continue;
+                    }
+                    check_new_image(&new_images, *id, origin, pixels)?;
+                    new_images.insert(*id);
+                    new_markers.insert(marker.as_str(), *id);
+                }
+            }
+        }
+        for i in skipped.into_iter().rev() {
+            ops.remove(i);
+        }
+        Ok(replays)
+    }
+
+    /// Applies one op [`Tables::validate_batch`] has passed, at exactly
+    /// the ids it carries; each auto-assign counter advances past them.
+    fn apply_op(&mut self, op: WalOp) {
+        match op {
+            WalOp::AddImage {
+                id,
+                meta,
+                origin,
+                pixels,
+            } => self.insert_image(id, meta, origin, pixels),
+            WalOp::PutFeature {
+                image,
+                kind,
+                vector,
+            } => self.put_feature_row(image, kind, &vector),
+            WalOp::RegisterScheme { id, name, labels } => {
+                self.next_classification = self.next_classification.max(id.0.saturating_add(1));
+                self.schemes
+                    .insert(id, ClassificationScheme { id, name, labels });
+            }
+            WalOp::Annotate(a) => {
+                self.next_annotation = self.next_annotation.max(a.id.0.saturating_add(1));
+                self.annotations_by_image
+                    .entry(a.image)
+                    .or_default()
+                    .push(a.id);
+                *self
+                    .label_counts
+                    .entry((a.classification, a.label))
+                    .or_default() += 1;
+                self.annotations.insert(a.id, a);
+            }
+            WalOp::IngestUpload {
+                marker,
+                id,
+                meta,
+                origin,
+                pixels,
+                features,
+            } => {
+                self.insert_image(id, meta, origin, pixels);
+                for (kind, vector) in &features {
+                    self.put_feature_row(id, *kind, vector);
+                }
+                let seq = self.next_marker_seq;
+                self.next_marker_seq += 1;
+                self.upload_markers.insert(marker, (id, seq));
+                if self.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
+                    let oldest = self
+                        .upload_markers
+                        .iter()
+                        .min_by_key(|(_, (_, s))| *s)
+                        .map(|(k, _)| k.clone());
+                    if let Some(key) = oldest {
+                        self.upload_markers.remove(&key);
+                    }
+                }
+            }
+        }
+    }
+
+    fn insert_image(
+        &mut self,
+        id: ImageId,
+        meta: ImageMeta,
+        origin: ImageOrigin,
+        pixels: Option<PixelBlob>,
+    ) {
+        self.next_image = self.next_image.max(id.0.saturating_add(1));
+        let (width, height) = pixels.as_ref().map_or((0, 0), |(w, h, _)| (*w, *h));
+        self.images
+            .insert(id, ImageRecord::new(id, meta, origin, width, height));
+        if let Some((w, h, raw)) = pixels {
+            self.blobs.insert(id, Image::from_raw(w, h, raw));
+        }
+    }
 }
 
 /// The TVDP visual data store: all Fig. 2 tables behind one
@@ -344,6 +607,48 @@ impl VisualStore {
         self.len() == 0
     }
 
+    /// The one mutation path: builds a batch from the tables' next ids,
+    /// validates it whole, then applies it — all under one write-lock
+    /// acquisition, so readers never observe an image without its
+    /// features and a concurrent retry of one marker sees either no row
+    /// or the finished one.
+    fn commit(&self, build: impl FnOnce(&Tables) -> Vec<WalOp>) -> Result<Replays, StorageError> {
+        let mut t = self.inner.write();
+        let mut ops = build(&t);
+        let replays = t.validate_batch(&mut ops)?;
+        for op in ops {
+            t.apply_op(op);
+        }
+        Ok(replays)
+    }
+
+    /// Validates `ops` against the store and against each other, then
+    /// applies them in order at exactly the ids they carry — all or
+    /// none. This is what an in-memory platform commits through, what
+    /// [`crate::DurableStore`] runs either side of its journal write,
+    /// and what WAL replay re-executes, so every check exists once.
+    /// Uploads whose idempotency marker is already stored are skipped
+    /// and reported as [`Replays`].
+    pub fn apply_batch(&self, ops: Vec<WalOp>) -> Result<Replays, StorageError> {
+        self.commit(|_| ops)
+    }
+
+    /// The checking half of [`VisualStore::apply_batch`] under the read
+    /// lock, for a caller that journals between check and apply and is
+    /// the store's only mutator. Replayed uploads are removed from `ops`.
+    pub(crate) fn validate_batch(&self, ops: &mut Vec<WalOp>) -> Result<Replays, StorageError> {
+        self.inner.read().validate_batch(ops)
+    }
+
+    /// The applying half: `ops` must have passed
+    /// [`VisualStore::validate_batch`] with no mutation in between.
+    pub(crate) fn apply_validated(&self, ops: Vec<WalOp>) {
+        let mut t = self.inner.write();
+        for op in ops {
+            t.apply_op(op);
+        }
+    }
+
     /// Ingests an image row; `pixels` may be omitted for metadata-only
     /// rows (e.g. when only features were uploaded from an edge device).
     ///
@@ -355,59 +660,16 @@ impl VisualStore {
         origin: ImageOrigin,
         pixels: Option<Image>,
     ) -> Result<ImageId, StorageError> {
-        let mut t = self.inner.write();
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if !t.images.contains_key(parent) {
-                return Err(StorageError::UnknownImage(*parent));
-            }
-        }
-        let id = ImageId(t.next_image);
-        t.next_image += 1;
-        let (width, height) = pixels
-            .as_ref()
-            .map_or((0, 0), |img| (img.width(), img.height()));
-        let record = ImageRecord::new(id, meta, origin, width, height);
-        t.images.insert(id, record);
-        if let Some(img) = pixels {
-            t.blobs.insert(id, img);
-        }
-        Ok(id)
-    }
-
-    /// [`VisualStore::add_image`] at a caller-chosen id. A sharded
-    /// platform allocates ids globally and routes rows to per-shard
-    /// stores, and WAL replay re-inserts rows at their journaled ids —
-    /// both need the id to be an input, not an output. Fails when the
-    /// id is already occupied; the auto-assign counter advances past
-    /// `id` so mixed explicit/auto inserts never collide.
-    pub fn add_image_at(
-        &self,
-        id: ImageId,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-    ) -> Result<ImageId, StorageError> {
-        let mut t = self.inner.write();
-        if t.images.contains_key(&id) {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "image",
-            });
-        }
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if !t.images.contains_key(parent) {
-                return Err(StorageError::UnknownImage(*parent));
-            }
-        }
-        t.next_image = t.next_image.max(id.0.saturating_add(1));
-        let (width, height) = pixels
-            .as_ref()
-            .map_or((0, 0), |img| (img.width(), img.height()));
-        let record = ImageRecord::new(id, meta, origin, width, height);
-        t.images.insert(id, record);
-        if let Some(img) = pixels {
-            t.blobs.insert(id, img);
-        }
+        let mut id = ImageId(0);
+        self.commit(|t| {
+            id = ImageId(t.next_image);
+            vec![WalOp::AddImage {
+                id,
+                meta,
+                origin,
+                pixels: pixels.map(pixel_blob),
+            }]
+        })?;
         Ok(id)
     }
 
@@ -416,9 +678,7 @@ impl VisualStore {
     /// `(id, replayed)`: when the marker is already present the stored
     /// image's id comes back with `replayed = true` and nothing is
     /// written, so a client retrying a partially acknowledged upload
-    /// can never duplicate rows. All writes happen under a single
-    /// write-lock acquisition, so readers never observe the image
-    /// without its features. Markers beyond
+    /// can never duplicate rows. Markers beyond
     /// [`UPLOAD_MARKER_CAPACITY`] evict oldest-first.
     pub fn ingest_upload(
         &self,
@@ -428,97 +688,21 @@ impl VisualStore {
         pixels: Option<Image>,
         features: &[(FeatureKind, Vec<f32>)],
     ) -> Result<(ImageId, bool), StorageError> {
-        let mut t = self.inner.write();
-        if let Some((id, _)) = t.upload_markers.get(marker) {
-            return Ok((*id, true));
-        }
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if !t.images.contains_key(parent) {
-                return Err(StorageError::UnknownImage(*parent));
-            }
-        }
-        let id = ImageId(t.next_image);
-        t.next_image += 1;
-        let (width, height) = pixels
-            .as_ref()
-            .map_or((0, 0), |img| (img.width(), img.height()));
-        t.images
-            .insert(id, ImageRecord::new(id, meta, origin, width, height));
-        if let Some(img) = pixels {
-            t.blobs.insert(id, img);
-        }
-        for (kind, vector) in features {
-            t.put_feature_row(id, *kind, vector);
-        }
-        let seq = t.next_marker_seq;
-        t.next_marker_seq += 1;
-        t.upload_markers.insert(marker.to_string(), (id, seq));
-        if t.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
-            let oldest = t
-                .upload_markers
-                .iter()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(k, _)| k.clone());
-            if let Some(key) = oldest {
-                t.upload_markers.remove(&key);
-            }
-        }
-        Ok((id, false))
-    }
-
-    /// [`VisualStore::ingest_upload`] at a caller-chosen id (see
-    /// [`VisualStore::add_image_at`]). A replayed marker returns the
-    /// originally stored image and leaves `id` unused.
-    pub fn ingest_upload_at(
-        &self,
-        marker: &str,
-        id: ImageId,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-        features: &[(FeatureKind, Vec<f32>)],
-    ) -> Result<(ImageId, bool), StorageError> {
-        let mut t = self.inner.write();
-        if let Some((existing, _)) = t.upload_markers.get(marker) {
-            return Ok((*existing, true));
-        }
-        if t.images.contains_key(&id) {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "image",
-            });
-        }
-        if let ImageOrigin::Augmented { parent, .. } = &origin {
-            if !t.images.contains_key(parent) {
-                return Err(StorageError::UnknownImage(*parent));
-            }
-        }
-        t.next_image = t.next_image.max(id.0.saturating_add(1));
-        let (width, height) = pixels
-            .as_ref()
-            .map_or((0, 0), |img| (img.width(), img.height()));
-        t.images
-            .insert(id, ImageRecord::new(id, meta, origin, width, height));
-        if let Some(img) = pixels {
-            t.blobs.insert(id, img);
-        }
-        for (kind, vector) in features {
-            t.put_feature_row(id, *kind, vector);
-        }
-        let seq = t.next_marker_seq;
-        t.next_marker_seq += 1;
-        t.upload_markers.insert(marker.to_string(), (id, seq));
-        if t.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
-            let oldest = t
-                .upload_markers
-                .iter()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(k, _)| k.clone());
-            if let Some(key) = oldest {
-                t.upload_markers.remove(&key);
-            }
-        }
-        Ok((id, false))
+        let mut id = ImageId(0);
+        let replays = self.commit(|t| {
+            id = ImageId(t.next_image);
+            vec![WalOp::IngestUpload {
+                marker: marker.to_string(),
+                id,
+                meta,
+                origin,
+                pixels: pixels.map(pixel_blob),
+                features: features.to_vec(),
+            }]
+        })?;
+        Ok(replays
+            .first()
+            .map_or((id, false), |&(_, stored)| (stored, true)))
     }
 
     /// The image a previously acknowledged upload with this idempotency
@@ -609,12 +793,12 @@ impl VisualStore {
         kind: FeatureKind,
         vector: Vec<f32>,
     ) -> Result<(), StorageError> {
-        let mut t = self.inner.write();
-        if !t.images.contains_key(&image) {
-            return Err(StorageError::UnknownImage(image));
-        }
-        t.put_feature_row(image, kind, &vector);
-        Ok(())
+        self.apply_batch(vec![WalOp::PutFeature {
+            image,
+            kind,
+            vector,
+        }])
+        .map(drop)
     }
 
     /// The stored feature vector, if any, as an owned copy. Prefer
@@ -749,47 +933,22 @@ impl VisualStore {
             .collect()
     }
 
-    /// Registers a classification scheme with a unique name.
+    /// Registers a classification scheme with a unique name and a
+    /// non-empty, duplicate-free label vocabulary.
     pub fn register_scheme(
         &self,
         name: impl Into<String>,
         labels: Vec<String>,
     ) -> Result<ClassificationId, StorageError> {
-        let name = name.into();
-        let mut t = self.inner.write();
-        if t.schemes.values().any(|s| s.name == name) {
-            return Err(StorageError::DuplicateScheme(name));
-        }
-        let id = ClassificationId(t.next_classification);
-        t.next_classification += 1;
-        t.schemes
-            .insert(id, ClassificationScheme::new(id, name, labels));
-        Ok(id)
-    }
-
-    /// [`VisualStore::register_scheme`] at a caller-chosen id (see
-    /// [`VisualStore::add_image_at`]). A sharded platform broadcasts
-    /// each scheme to every shard store under one global id.
-    pub fn register_scheme_at(
-        &self,
-        id: ClassificationId,
-        name: impl Into<String>,
-        labels: Vec<String>,
-    ) -> Result<ClassificationId, StorageError> {
-        let name = name.into();
-        let mut t = self.inner.write();
-        if t.schemes.values().any(|s| s.name == name) {
-            return Err(StorageError::DuplicateScheme(name));
-        }
-        if t.schemes.contains_key(&id) {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "classification",
-            });
-        }
-        t.next_classification = t.next_classification.max(id.0.saturating_add(1));
-        t.schemes
-            .insert(id, ClassificationScheme::new(id, name, labels));
+        let mut id = ClassificationId(0);
+        self.commit(|t| {
+            id = ClassificationId(t.next_classification);
+            vec![WalOp::RegisterScheme {
+                id,
+                name: name.into(),
+                labels,
+            }]
+        })?;
         Ok(id)
     }
 
@@ -813,7 +972,8 @@ impl VisualStore {
         self.inner.read().schemes.values().cloned().collect()
     }
 
-    /// Adds an annotation, validating every foreign key.
+    /// Adds an annotation, validating every foreign key and the
+    /// confidence range.
     pub fn annotate(
         &self,
         image: ImageId,
@@ -823,69 +983,19 @@ impl VisualStore {
         source: AnnotationSource,
         region: Option<RegionOfInterest>,
     ) -> Result<AnnotationId, StorageError> {
-        let mut t = self.inner.write();
-        if !t.images.contains_key(&image) {
-            return Err(StorageError::UnknownImage(image));
-        }
-        let vocabulary = match t.schemes.get(&classification) {
-            None => return Err(StorageError::UnknownClassification(classification)),
-            Some(s) => s.labels.len(),
-        };
-        if label >= vocabulary {
-            return Err(StorageError::LabelOutOfRange {
+        let mut id = AnnotationId(0);
+        self.commit(|t| {
+            id = AnnotationId(t.next_annotation);
+            vec![WalOp::Annotate(Annotation {
+                id,
+                image,
                 classification,
                 label,
-                vocabulary,
-            });
-        }
-        let id = AnnotationId(t.next_annotation);
-        t.next_annotation += 1;
-        let ann = Annotation::new(id, image, classification, label, confidence, source, region);
-        t.annotations.insert(id, ann);
-        t.annotations_by_image.entry(image).or_default().push(id);
-        *t.label_counts.entry((classification, label)).or_default() += 1;
-        Ok(id)
-    }
-
-    /// [`VisualStore::annotate`] at a caller-chosen annotation id (see
-    /// [`VisualStore::add_image_at`]): a sharded platform keeps
-    /// annotation ids globally unique across per-shard stores.
-    pub fn annotate_at(
-        &self,
-        id: AnnotationId,
-        image: ImageId,
-        classification: ClassificationId,
-        label: usize,
-        confidence: f32,
-        source: AnnotationSource,
-        region: Option<RegionOfInterest>,
-    ) -> Result<AnnotationId, StorageError> {
-        let mut t = self.inner.write();
-        if t.annotations.contains_key(&id) {
-            return Err(StorageError::DuplicateId {
-                id: id.0,
-                table: "annotation",
-            });
-        }
-        if !t.images.contains_key(&image) {
-            return Err(StorageError::UnknownImage(image));
-        }
-        let vocabulary = match t.schemes.get(&classification) {
-            None => return Err(StorageError::UnknownClassification(classification)),
-            Some(s) => s.labels.len(),
-        };
-        if label >= vocabulary {
-            return Err(StorageError::LabelOutOfRange {
-                classification,
-                label,
-                vocabulary,
-            });
-        }
-        t.next_annotation = t.next_annotation.max(id.0.saturating_add(1));
-        let ann = Annotation::new(id, image, classification, label, confidence, source, region);
-        t.annotations.insert(id, ann);
-        t.annotations_by_image.entry(image).or_default().push(id);
-        *t.label_counts.entry((classification, label)).or_default() += 1;
+                confidence,
+                source,
+                region,
+            })]
+        })?;
         Ok(id)
     }
 
@@ -1001,7 +1111,7 @@ impl VisualStore {
             }
         }
         for (id, w, h, raw) in snap.blobs {
-            if w == 0 || h == 0 || raw.len() != w.saturating_mul(h).saturating_mul(3) {
+            if !blob_shape_ok(w, h, raw.len()) {
                 return Err(SnapshotError::BlobShape {
                     image: id,
                     width: w,
@@ -1022,8 +1132,7 @@ impl VisualStore {
         }
         for s in snap.schemes {
             t.next_classification = t.next_classification.max(s.id.raw().saturating_add(1));
-            let mut seen = std::collections::BTreeSet::new();
-            if s.labels.is_empty() || !s.labels.iter().all(|l| seen.insert(l.as_str())) {
+            if !vocabulary_ok(&s.labels) {
                 return Err(SnapshotError::BadScheme(s.id));
             }
             let id = s.id;
@@ -1055,7 +1164,7 @@ impl VisualStore {
                     vocabulary,
                 });
             }
-            if !(0.0..=1.0).contains(&a.confidence) {
+            if !confidence_ok(a.confidence) {
                 return Err(SnapshotError::BadConfidence {
                     annotation: a.id,
                     confidence: a.confidence,

@@ -23,7 +23,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tvdp_vision::FeatureKind;
+use tvdp_vision::{FeatureKind, Image};
 
 use crate::annotation::Annotation;
 use crate::codec::{self, Value};
@@ -65,9 +65,18 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// One journaled store mutation. Ops carry the ids the store assigned
-/// (journaling happens under the mutation lock, after peeking the next
-/// id), so replay can verify it reproduces the exact same rows.
+/// A pixel payload as an op carries it: `(width, height, raw RGB bytes)`.
+pub type PixelBlob = (usize, usize, Vec<u8>);
+
+/// Moves an image's pixels into the shape an op carries.
+pub fn pixel_blob(image: Image) -> PixelBlob {
+    (image.width(), image.height(), image.into_raw())
+}
+
+/// One store mutation — the unit every write path hands to
+/// [`crate::VisualStore::apply_batch`] and, on a durable store, the
+/// journal. Ops carry explicit ids (allocated by the caller, or peeked
+/// under the mutation lock), so replay reproduces the exact same rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// [`crate::store::VisualStore::add_image`] with its assigned id.
@@ -78,8 +87,8 @@ pub enum WalOp {
         meta: ImageMeta,
         /// Provenance.
         origin: ImageOrigin,
-        /// Pixel payload as `(width, height, raw RGB bytes)`, if any.
-        pixels: Option<(usize, usize, Vec<u8>)>,
+        /// Pixel payload, if any.
+        pixels: Option<PixelBlob>,
     },
     /// [`crate::store::VisualStore::put_feature`].
     PutFeature {
@@ -120,8 +129,8 @@ pub enum WalOp {
         meta: ImageMeta,
         /// Provenance.
         origin: ImageOrigin,
-        /// Pixel payload as `(width, height, raw RGB bytes)`, if any.
-        pixels: Option<(usize, usize, Vec<u8>)>,
+        /// Pixel payload, if any.
+        pixels: Option<PixelBlob>,
         /// Feature vectors uploaded alongside the image.
         features: Vec<(FeatureKind, Vec<f32>)>,
     },
@@ -136,25 +145,15 @@ impl WalOp {
                 meta,
                 origin,
                 pixels,
-            } => {
-                let pixels = match pixels {
-                    None => Value::Null,
-                    Some((w, h, raw)) => Value::Obj(vec![
-                        ("width".into(), Value::num(*w)),
-                        ("height".into(), Value::num(*h)),
-                        ("raw".into(), Value::str(codec::hex_encode(raw))),
-                    ]),
-                };
-                tag(
-                    "AddImage",
-                    Value::Obj(vec![
-                        ("id".into(), Value::num(id.raw())),
-                        ("meta".into(), codec::encode_meta(meta)),
-                        ("origin".into(), codec::encode_origin(origin)),
-                        ("pixels".into(), pixels),
-                    ]),
-                )
-            }
+            } => tag(
+                "AddImage",
+                Value::Obj(vec![
+                    ("id".into(), Value::num(id.raw())),
+                    ("meta".into(), codec::encode_meta(meta)),
+                    ("origin".into(), codec::encode_origin(origin)),
+                    ("pixels".into(), encode_pixels(pixels)),
+                ]),
+            ),
             WalOp::PutFeature {
                 image,
                 kind,
@@ -187,14 +186,6 @@ impl WalOp {
                 pixels,
                 features,
             } => {
-                let pixels = match pixels {
-                    None => Value::Null,
-                    Some((w, h, raw)) => Value::Obj(vec![
-                        ("width".into(), Value::num(*w)),
-                        ("height".into(), Value::num(*h)),
-                        ("raw".into(), Value::str(codec::hex_encode(raw))),
-                    ]),
-                };
                 let features = Value::Arr(
                     features
                         .iter()
@@ -213,7 +204,7 @@ impl WalOp {
                         ("id".into(), Value::num(id.raw())),
                         ("meta".into(), codec::encode_meta(meta)),
                         ("origin".into(), codec::encode_origin(origin)),
-                        ("pixels".into(), pixels),
+                        ("pixels".into(), encode_pixels(pixels)),
                         ("features".into(), features),
                     ]),
                 )
@@ -230,25 +221,12 @@ impl WalOp {
             _ => return Err("expected a single-key op object".into()),
         };
         match name.as_str() {
-            "AddImage" => {
-                let pixels = match codec::field(body, "pixels")? {
-                    Value::Null => None,
-                    p => {
-                        let raw = codec::hex_decode(codec::str_field(p, "raw")?)?;
-                        Some((
-                            codec::num_field(p, "width")?,
-                            codec::num_field(p, "height")?,
-                            raw,
-                        ))
-                    }
-                };
-                Ok(WalOp::AddImage {
-                    id: ImageId(codec::num_field(body, "id")?),
-                    meta: codec::decode_meta(codec::field(body, "meta")?)?,
-                    origin: codec::decode_origin(codec::field(body, "origin")?)?,
-                    pixels,
-                })
-            }
+            "AddImage" => Ok(WalOp::AddImage {
+                id: ImageId(codec::num_field(body, "id")?),
+                meta: codec::decode_meta(codec::field(body, "meta")?)?,
+                origin: codec::decode_origin(codec::field(body, "origin")?)?,
+                pixels: decode_pixels(codec::field(body, "pixels")?)?,
+            }),
             "PutFeature" => Ok(WalOp::PutFeature {
                 image: ImageId(codec::num_field(body, "image")?),
                 kind: codec::decode_kind(codec::field(body, "kind")?)?,
@@ -270,17 +248,6 @@ impl WalOp {
             }
             "Annotate" => Ok(WalOp::Annotate(codec::decode_annotation(body)?)),
             "IngestUpload" => {
-                let pixels = match codec::field(body, "pixels")? {
-                    Value::Null => None,
-                    p => {
-                        let raw = codec::hex_decode(codec::str_field(p, "raw")?)?;
-                        Some((
-                            codec::num_field(p, "width")?,
-                            codec::num_field(p, "height")?,
-                            raw,
-                        ))
-                    }
-                };
                 let features = codec::arr_field(body, "features")?
                     .iter()
                     .map(|entry| {
@@ -295,7 +262,7 @@ impl WalOp {
                     id: ImageId(codec::num_field(body, "id")?),
                     meta: codec::decode_meta(codec::field(body, "meta")?)?,
                     origin: codec::decode_origin(codec::field(body, "origin")?)?,
-                    pixels,
+                    pixels: decode_pixels(codec::field(body, "pixels")?)?,
                     features,
                 })
             }
@@ -306,6 +273,31 @@ impl WalOp {
 
 fn tag(name: &str, payload: Value) -> Value {
     Value::Obj(vec![(name.to_string(), payload)])
+}
+
+fn encode_pixels(pixels: &Option<PixelBlob>) -> Value {
+    match pixels {
+        None => Value::Null,
+        Some((w, h, raw)) => Value::Obj(vec![
+            ("width".into(), Value::num(*w)),
+            ("height".into(), Value::num(*h)),
+            ("raw".into(), Value::str(codec::hex_encode(raw))),
+        ]),
+    }
+}
+
+fn decode_pixels(v: &Value) -> Result<Option<PixelBlob>, String> {
+    match v {
+        Value::Null => Ok(None),
+        p => {
+            let raw = codec::hex_decode(codec::str_field(p, "raw")?)?;
+            Ok(Some((
+                codec::num_field(p, "width")?,
+                codec::num_field(p, "height")?,
+                raw,
+            )))
+        }
+    }
 }
 
 /// IEEE CRC-32 (the polynomial used by zip/gzip/PNG), table-driven.
@@ -530,10 +522,9 @@ impl Wal {
         Ok(torn)
     }
 
-    /// Appends one op and fsyncs before returning.
+    /// Appends one op and fsyncs before returning: a batch of one.
     pub fn append(&mut self, op: &WalOp) -> Result<(), WalError> {
-        let record = frame(&op.encode());
-        self.guarded_write(record.as_bytes())
+        self.append_batch(std::slice::from_ref(op))
     }
 
     /// Group commit: appends every op as its own framed record but pays
