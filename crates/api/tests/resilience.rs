@@ -351,12 +351,6 @@ fn tiny_add_body(class: usize, seed: usize) -> String {
     )
 }
 
-/// Failed requests burn the ids they were given, so later frames run a
-/// few digits longer than the measured ones; sweeping this far past the
-/// measured length still cuts every byte (a budget at or beyond the
-/// write's length lets every byte land and fails it all the same).
-const ID_GROWTH_MARGIN: usize = 16;
-
 #[test]
 fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
     let dir = temp_dir("upload-cuts");
@@ -365,8 +359,10 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
     let server = ApiServer::with_rate_limit(Arc::clone(&platform), open_limit());
     let key = server.issue_key(user);
 
-    // A clean upload measures the three frames (image row, two feature
-    // rows) an un-keyed `data/add` journals as one write.
+    // A clean upload measures the one composite record a `data/add`
+    // journals. Records are fixed-width in the ids they carry, so every
+    // later one is as long; a budget of the whole length lets every
+    // byte land and fails the write all the same.
     let r = call_at(&server, &key, "data/add", &tiny_add_body(0, 0), 0);
     assert!(r.is_ok(), "{r:?}");
     let frames_len = std::fs::metadata(dir.join("wal-0.log")).unwrap().len() as usize;
@@ -377,7 +373,7 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
     platform
         .set_write_fault_plan(Some(Arc::clone(&plan)))
         .unwrap();
-    for budget in 0..=frames_len + ID_GROWTH_MARGIN {
+    for budget in 0..=frames_len {
         let body = tiny_add_body(0, budget);
         plan.arm_enospc(budget);
         let cut = call_at(&server, &key, "data/add", &body, 1);
@@ -463,7 +459,7 @@ fn a_write_fault_at_any_byte_of_a_model_application_stores_no_annotation() {
     platform
         .set_write_fault_plan(Some(Arc::clone(&plan)))
         .unwrap();
-    for budget in 0..=frames_len + ID_GROWTH_MARGIN {
+    for budget in 0..=frames_len {
         plan.arm_enospc(budget);
         let cut = call_at(&server, &key, "models/apply", &apply, 2);
         assert_eq!(cut.status, 503, "budget {budget}: {cut:?}");

@@ -5,9 +5,11 @@
 //! the storage engine sustain, and what does group commit buy?
 //!
 //! * `per_op_fsync` — the pre-group-commit design: every journaled op
-//!   is its own framed write + `fdatasync`. One platform ingest is
+//!   is its own framed write + `fdatasync`. One scripted ingest is
 //!   three ops (image row + color-histogram + CNN feature), so three
-//!   syncs per acked upload.
+//!   syncs per acked upload. (The platform itself journals an upload as
+//!   one composite `IngestUpload` record; the script keeps the three-op
+//!   shape because the sync count per upload is what it compares.)
 //! * `group_commit` — `DurableStore::apply_batch`: every op pending at
 //!   the commit point rides one framed write and **one** sync, then
 //!   the whole batch acks. On-disk bytes are identical to the per-op
@@ -40,7 +42,8 @@ use tvdp_kernel::Pool;
 use tvdp_storage::{DurableStore, ImageId, ImageMeta, ImageOrigin, UserId, WalOp};
 use tvdp_vision::FeatureKind;
 
-/// Acked uploads per shard per mode (each upload journals three ops).
+/// Acked uploads per shard per mode (each scripted upload journals
+/// three ops).
 const INGESTS_PER_SHARD: usize = 384;
 /// Ops coalesced per group commit (the platform batches a whole API
 /// `data/add_batch` shard group; 64 uploads is its order of magnitude).
@@ -86,7 +89,7 @@ fn upload_meta(shard: usize, seq: usize) -> ImageMeta {
     }
 }
 
-/// The three ops one platform ingest journals: image row, color
+/// The three ops one scripted ingest journals: image row, color
 /// histogram, CNN feature.
 fn upload_ops(shard: usize, seq: usize, id: u64) -> [WalOp; 3] {
     let id = ImageId(id);
@@ -112,6 +115,26 @@ fn upload_ops(shard: usize, seq: usize, id: u64) -> [WalOp; 3] {
             vector: cnn,
         },
     ]
+}
+
+/// The checkout this binary was run from: `git rev-parse --short HEAD`,
+/// with `-dirty` when the tree has uncommitted changes.
+fn git_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) => match git(&["status", "--porcelain"]) {
+            Some(changes) if !changes.is_empty() => format!("{head}-dirty"),
+            _ => head,
+        },
+        None => "unknown".into(),
+    }
 }
 
 fn percentile(values: &[f64], p: f64) -> f64 {
@@ -392,13 +415,17 @@ fn main() {
 
     println!("{{");
     println!(
-        "  \"description\": \"Sustained durable ingest: {INGESTS_PER_SHARD} scripted uploads per shard (each journaling 3 WAL ops: image + 2 feature vectors), one writer thread per shard over 1/4/8 independent DurableStore shards. per_op_fsync = one framed write + fdatasync per op (3 syncs per acked upload, the pre-group-commit design); group_commit = DurableStore::apply_batch coalescing {GROUP_INGESTS} uploads into one framed write + one sync. On-disk WAL bytes are identical across modes and thread counts (torture- and determinism-verified), so the comparison isolates sync amortization.\","
+        "  \"description\": \"Sustained durable ingest: {INGESTS_PER_SHARD} scripted uploads per shard (the script journals each as 3 WAL ops, image + 2 feature vectors; the platform itself journals an upload as one composite IngestUpload record), one writer thread per shard over 1/4/8 independent DurableStore shards. per_op_fsync = one framed write + fdatasync per op (3 syncs per acked upload, the pre-group-commit design); group_commit = DurableStore::apply_batch coalescing {GROUP_INGESTS} uploads into one framed write + one sync. On-disk WAL bytes (binary records, format v3) are identical across modes and thread counts (torture- and determinism-verified), so the comparison isolates sync amortization.\","
     );
     println!(
         "  \"methodology\": \"All runs on this host's filesystem (fdatasync probe below); ack latency is the time from an upload reaching the journal head to its group's sync returning — under group commit every upload in a group acks at the group's single sync. Recovery lays an n-op WAL (group commits of {RECOVERY_BATCH}), drops the store without compacting (the crash), then times a cold DurableStore::open; byte_identical_to_no_crash compacts the recovered store and a never-crashed control fed the same script and compares published snapshot.json bytes.\","
     );
     println!("  \"regenerate\": \"cargo run --release -p tvdp-bench --bin ingest_throughput > BENCH_ingest.json\",");
-    println!("  \"host\": {{ \"fdatasync_us\": {fsync_us:.0} }},");
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    println!(
+        "  \"host\": {{ \"fdatasync_us\": {fsync_us:.0}, \"cores\": {cores}, \"commit\": \"{}\" }},",
+        git_commit()
+    );
     println!("  \"sustained_ingest\": [");
     println!(
         "{}",
@@ -435,7 +462,7 @@ fn main() {
         big.recover_s,
     );
     println!(
-        "    \"determinism\": \"journal and snapshot bytes are invariant under thread count and pool width — held by crates/core tests batched_ingest_journals_identical_bytes_at_any_thread_count and flush_snapshot_bytes_are_pool_width_invariant, and crates/storage torture suite group_commit_batch_killed_at_every_offset_is_all_or_prefix\"");
+        "    \"determinism\": \"journal and snapshot bytes are invariant under thread count and pool width — held by crates/core tests the_same_uploads_journal_identical_bytes_however_they_are_cut (tests/write_path.rs) and flush_snapshot_bytes_are_pool_width_invariant, and crates/storage torture suite group_commit_batch_killed_at_every_offset_is_all_or_prefix\"");
     println!("  }}");
     println!("}}");
 }

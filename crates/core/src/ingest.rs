@@ -38,47 +38,27 @@ impl From<(Image, IngestRequest)> for Upload {
     }
 }
 
-/// Turns one upload into the ops that store it — the one place that
-/// decides the journal's frame shape. Un-keyed: the image row, then one
-/// feature row per family. Keyed: one composite record, so the row, its
-/// features and the dedup marker land or tear together and an upload
-/// that was acked once is ingested exactly once even across crashes.
-pub(crate) fn upload_ops(
+/// Turns one upload into the op that stores it — the one place that
+/// decides the journal's record shape. Keyed or not, an upload is one
+/// composite record: the row and its features land or tear together,
+/// and so does the dedup marker when there is one, which is what makes
+/// an upload that was acked once ingested exactly once even across
+/// crashes.
+pub(crate) fn upload_op(
     id: ImageId,
     meta: ImageMeta,
     origin: ImageOrigin,
     image: Image,
     features: Vec<(FeatureKind, Vec<f32>)>,
     marker: Option<String>,
-) -> Vec<WalOp> {
-    let pixels = Some(pixel_blob(image));
-    match marker {
-        Some(marker) => vec![WalOp::IngestUpload {
-            marker,
-            id,
-            meta,
-            origin,
-            pixels,
-            features,
-        }],
-        None => {
-            let mut ops = vec![WalOp::AddImage {
-                id,
-                meta,
-                origin,
-                pixels,
-            }];
-            ops.extend(
-                features
-                    .into_iter()
-                    .map(|(kind, vector)| WalOp::PutFeature {
-                        image: id,
-                        kind,
-                        vector,
-                    }),
-            );
-            ops
-        }
+) -> WalOp {
+    WalOp::IngestUpload {
+        marker,
+        id,
+        meta,
+        origin,
+        pixels: Some(pixel_blob(image)),
+        features,
     }
 }
 
@@ -157,8 +137,8 @@ impl Tvdp {
         type Group = (Vec<WalOp>, Vec<ImageId>);
         let mut groups: Vec<Group> = vec![Group::default(); self.stores.len()];
         for ((shard, id, meta, image, marker), features) in fresh.into_iter().zip(features) {
-            let ops = upload_ops(id, meta, ImageOrigin::Original, image, features, marker);
-            groups[shard].0.extend(ops);
+            let op = upload_op(id, meta, ImageOrigin::Original, image, features, marker);
+            groups[shard].0.push(op);
             groups[shard].1.push(id);
         }
         // Workers own disjoint shards, so each group is moved out through
@@ -354,9 +334,8 @@ mod batch_tests {
             first = outcomes[0].0;
         }
         let (tvdp, report) = Tvdp::open(&dir, cfg()).unwrap();
-        // One composite record (row + features + marker), then the
-        // un-keyed upload's image row and two feature rows.
-        assert_eq!(report.replayed_ops, 4);
+        // One composite record per stored upload, keyed or not.
+        assert_eq!(report.replayed_ops, 2);
         assert_eq!(tvdp.stats().images, 2);
         // The client's retry after the crash still deduplicates.
         let user = tvdp.register_user("LASAN", Role::Government);

@@ -30,7 +30,7 @@ use tvdp_vision::{
 };
 
 use crate::error::PlatformError;
-use crate::ingest::{upload_ops, Upload};
+use crate::ingest::{upload_op, Upload};
 use crate::models::{ModelInterface, ModelRegistry};
 use crate::router::GeoShardRouter;
 use crate::users::{Role, UserRegistry};
@@ -630,8 +630,8 @@ impl Tvdp {
             op: op.tag(),
         };
         let id = self.alloc_image_id();
-        let ops = upload_ops(id, record.meta, origin, augmented, features, None);
-        self.commit(shard, ops)?;
+        let op = upload_op(id, record.meta, origin, augmented, features, None);
+        self.commit(shard, vec![op])?;
         self.engine.index_image(shard, id);
         Ok(id)
     }
@@ -1450,8 +1450,8 @@ mod durability_tests {
             // No flush: everything below must come back from the WAL alone.
         }
         let (tvdp, report) = Tvdp::open(&dir, fast_config()).unwrap();
-        // scheme + image + two features + annotation
-        assert_eq!(report.replayed_ops, 5);
+        // scheme + upload + annotation
+        assert_eq!(report.replayed_ops, 3);
         assert_eq!(tvdp.stats().images, 1);
         assert!(tvdp.store().feature(id, FeatureKind::Cnn).is_some());
         assert_eq!(tvdp.store().annotations_of(id)[0].id, ann);
@@ -1479,7 +1479,7 @@ mod durability_tests {
             let user = tvdp.register_user("LASAN", Role::Government);
             tvdp.ingest(user, scene(0, 0), request(0)).unwrap();
             let report = tvdp.flush().unwrap();
-            assert!(report.ops_compacted >= 3);
+            assert_eq!(report.ops_compacted, 1); // the upload's one record
             assert!(report.wal_bytes_before > 0);
         }
         // After compaction the state comes back from the snapshot, not a replay.
@@ -1523,8 +1523,8 @@ mod durability_tests {
             // No flush: everything must come back from per-shard WALs.
         }
         let (tvdp, report) = Tvdp::open(&dir, config).unwrap();
-        // 3x scheme broadcast + 9 x (image + 2 features + annotation).
-        assert_eq!(report.replayed_ops, 3 + 9 * 4);
+        // 3x scheme broadcast + 9 x (upload + annotation).
+        assert_eq!(report.replayed_ops, 3 + 9 * 2);
         assert_eq!(tvdp.stats().images, 9);
         for &id in &ids {
             assert!(tvdp.shard_of(id).is_some());
@@ -1572,8 +1572,8 @@ mod durability_tests {
             // WAL frames alone.
         }
         let (tvdp, report) = Tvdp::open(&dir, config).unwrap();
-        // 9 x (image + 2 features), journaled as one frame run per shard.
-        assert_eq!(report.replayed_ops, 27);
+        // 9 uploads, journaled as one run of records per shard.
+        assert_eq!(report.replayed_ops, 9);
         assert_eq!(tvdp.stats().images, 9);
         for (shard, snap) in live.iter().enumerate() {
             assert_eq!(tvdp.stores()[shard].snapshot(), *snap, "shard {shard}");

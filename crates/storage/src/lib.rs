@@ -23,6 +23,7 @@ pub mod annotation;
 pub mod codec;
 pub mod fault;
 pub mod ids;
+pub mod le;
 pub mod persist;
 pub mod record;
 pub mod recovery;

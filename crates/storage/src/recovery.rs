@@ -2,20 +2,27 @@
 //!
 //! A durable store directory holds three kinds of files:
 //!
-//! * `snapshot.json` — an atomic snapshot ([`crate::persist`]) whose
-//!   header records the *base* WAL epoch it was cut against,
-//! * `wal-<epoch>.log` — append-only op journal segments
-//!   ([`crate::wal`]): every segment with epoch >= the snapshot's base
-//!   holds mutations since that snapshot (the L0 tier), and
+//! * `snapshot.json` — an atomic JSON-lines snapshot
+//!   ([`crate::persist`]) whose header records the *base* WAL epoch it
+//!   was cut against,
+//! * `wal-<epoch>.log` — append-only binary op journal segments
+//!   ([`crate::wal`]: a magic+version header, then CRC-framed
+//!   little-endian records): every segment with epoch >= the snapshot's
+//!   base holds mutations since that snapshot (the L0 tier), and
 //! * `spill-*.bin` — cold feature-arena chunks spilled out of memory
 //!   ([`crate::spill`]).
 //!
 //! [`DurableStore::open`] is open-or-recover: load the snapshot (if
 //! any), replay every live segment in ascending epoch order (sealed
 //! segments must be intact; only the highest — the one a crash could
-//! have torn mid-append — gets its torn tail truncated), and sweep
-//! crash debris (a stale `snapshot.json.tmp`, segments older than the
-//! snapshot's base, spill files — the store reopens fully resident).
+//! have torn mid-append — gets its torn tail truncated, or its header
+//! stamped if the crash came before even that), and sweep crash debris
+//! (a stale `snapshot.json.tmp`, segments older than the snapshot's
+//! base, spill files — the store reopens fully resident). A segment in
+//! any other format — the text journal of builds before v3 — fails the
+//! open with [`crate::wal::WalError::UnsupportedFormat`] and is left
+//! byte-for-byte as found; `tvdp compact` with the build that wrote it
+//! folds it into the snapshot, which this build reads unchanged.
 //!
 //! Compaction is **incremental and tiered**. [`DurableStore::seal`]
 //! rotates the live segment, growing the L0 tier without folding
@@ -195,7 +202,7 @@ impl std::fmt::Display for CompactionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "epoch {}: {} op(s) folded into a {} byte snapshot, wal shrunk {} -> 0 bytes; \
+            "epoch {}: {} op(s) folded into a {} byte snapshot, {} wal byte(s) retired; \
              {} tier(s) merged in {} increment(s), {} byte(s) spilled, {} byte(s) reloaded",
             self.epoch,
             self.ops_compacted,
@@ -591,7 +598,7 @@ impl DurableStore {
         let replays = self.commit(|store| {
             id = store.peek_next_image_id();
             vec![WalOp::IngestUpload {
-                marker: marker.to_string(),
+                marker: Some(marker.to_string()),
                 id,
                 meta,
                 origin,
@@ -995,6 +1002,9 @@ mod tests {
     use crate::ids::UserId;
     use tvdp_geo::GeoPoint;
 
+    /// Size of a segment holding no record: its header.
+    const EMPTY_WAL: u64 = crate::wal::SEGMENT_MAGIC.len() as u64;
+
     fn meta() -> ImageMeta {
         ImageMeta {
             uploader: UserId(1),
@@ -1056,12 +1066,12 @@ mod tests {
         populate(&ds);
         let live = ds.store().snapshot();
         let before = ds.wal_bytes().unwrap();
-        assert!(before > 0);
+        assert!(before > EMPTY_WAL);
         let report = ds.compact().unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.ops_compacted, 4);
         assert_eq!(report.wal_bytes_before, before);
-        assert_eq!(ds.wal_bytes().unwrap(), 0);
+        assert_eq!(ds.wal_bytes().unwrap(), EMPTY_WAL);
         assert_eq!(ds.store().snapshot(), live);
         drop(ds);
 
@@ -1180,7 +1190,7 @@ mod tests {
         let dir = temp_dir("marker-reuse");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let upload = |i: u64, marker: &str| WalOp::IngestUpload {
-            marker: marker.into(),
+            marker: Some(marker.into()),
             id: ImageId(i),
             meta: meta(),
             origin: ImageOrigin::Original,
@@ -1203,44 +1213,49 @@ mod tests {
 
     #[test]
     fn torn_composite_upload_record_is_all_or_nothing() {
-        use crate::wal::frame;
+        use crate::wal::{frame, SEGMENT_MAGIC};
         let dir = temp_dir("torn-upload");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let id = ds.store().peek_next_image_id();
         drop(ds);
-        let op = WalOp::IngestUpload {
-            marker: "edge1-s42".into(),
-            id,
-            meta: meta(),
-            origin: ImageOrigin::Original,
-            pixels: Some((2, 2, vec![9u8; 12])),
-            features: vec![(FeatureKind::Cnn, vec![0.5, 0.25])],
-        };
-        let record = frame(&op.encode());
-        let wal_file = dir.join("wal-0.log");
-        // Crash the append at every byte offset: recovery must see
-        // either the whole upload (rows + marker) or none of it —
-        // never an image without its features or marker.
-        for cut in 0..=record.len() {
-            std::fs::write(&wal_file, &record.as_bytes()[..cut]).unwrap();
-            let (ds, report) = DurableStore::open(&dir).unwrap();
-            if cut == record.len() {
-                assert_eq!(report.replayed_ops, 1);
-                assert_eq!(ds.store().len(), 1);
-                assert_eq!(ds.store().upload_marker("edge1-s42"), Some(id));
-                assert_eq!(
-                    ds.store().feature(id, FeatureKind::Cnn).unwrap(),
-                    vec![0.5, 0.25]
-                );
-            } else {
-                assert_eq!(report.replayed_ops, 0, "cut at byte {cut}");
-                assert_eq!(ds.store().len(), 0, "cut at byte {cut}");
-                assert!(
-                    ds.store().upload_marker("edge1-s42").is_none(),
-                    "cut at byte {cut}"
-                );
+        // Keyed or not, an upload is one record.
+        for marker in [Some("edge1-s42"), None] {
+            let op = WalOp::IngestUpload {
+                marker: marker.map(String::from),
+                id,
+                meta: meta(),
+                origin: ImageOrigin::Original,
+                pixels: Some((2, 2, vec![9u8; 12])),
+                features: vec![(FeatureKind::Cnn, vec![0.5, 0.25])],
+            };
+            let mut segment = SEGMENT_MAGIC.to_vec();
+            segment.extend_from_slice(&frame(&op.encode()));
+            let wal_file = dir.join("wal-0.log");
+            // Crash the append at every byte offset, the segment header's
+            // included: recovery must see either the whole upload (rows +
+            // marker) or none of it — never an image without its
+            // features or marker.
+            for cut in 0..=segment.len() {
+                std::fs::write(&wal_file, &segment[..cut]).unwrap();
+                let (ds, report) = DurableStore::open(&dir).unwrap();
+                if cut == segment.len() {
+                    assert_eq!(report.replayed_ops, 1);
+                    assert_eq!(ds.store().len(), 1);
+                    assert_eq!(ds.store().upload_marker("edge1-s42"), marker.map(|_| id));
+                    assert_eq!(
+                        ds.store().feature(id, FeatureKind::Cnn).unwrap(),
+                        vec![0.5, 0.25]
+                    );
+                } else {
+                    assert_eq!(report.replayed_ops, 0, "cut at byte {cut}");
+                    assert_eq!(ds.store().len(), 0, "cut at byte {cut}");
+                    assert!(
+                        ds.store().upload_marker("edge1-s42").is_none(),
+                        "cut at byte {cut}"
+                    );
+                }
+                drop(ds);
             }
-            drop(ds);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1442,7 +1457,7 @@ mod tests {
         assert_eq!(report.tiers_merged, 1);
         assert!(report.increments_run >= 2);
         // The post-cut annotation is in the live WAL, not the snapshot.
-        assert!(ds.wal_bytes().unwrap() > 0);
+        assert!(ds.wal_bytes().unwrap() > EMPTY_WAL);
         let live = ds.store().snapshot();
         drop(ds);
 

@@ -44,6 +44,7 @@ use tvdp_kernel::quant::QuantChunk;
 use tvdp_kernel::ChunkLoader;
 use tvdp_vision::FeatureKind;
 
+use crate::le;
 use crate::wal::crc32;
 
 /// A spill file could not be written or read back.
@@ -210,14 +211,6 @@ impl SpillStats {
     }
 }
 
-fn float_bytes(data: &[f32]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    bytes
-}
-
 /// Writes one chunk's floats — and, when present, its quantized mirror
 /// — to its spill file with the staged-rename protocol and returns the
 /// body bytes written. If the file already exists (a re-spill of a
@@ -237,12 +230,13 @@ pub fn write_spill(
     if path.exists() {
         return Ok(0);
     }
-    let mut body = float_bytes(data);
+    let mut body = Vec::new();
+    le::put_f32s(&mut body, data);
     if let Some(q) = quant {
         let p = q.params();
-        body.extend_from_slice(&float_bytes(p.min()));
-        body.extend_from_slice(&float_bytes(p.scale()));
-        body.extend_from_slice(&p.eps().to_le_bytes());
+        le::put_f32s(&mut body, p.min());
+        le::put_f32s(&mut body, p.scale());
+        le::put_f32s(&mut body, &[p.eps()]);
         body.extend_from_slice(q.codes());
     }
     let mut contents = match quant {
@@ -287,14 +281,6 @@ pub struct SpillPayload {
     pub floats: Vec<f32>,
     /// The chunk's quantized mirror (v2 files only).
     pub quant: Option<QuantChunk>,
-}
-
-fn parse_floats(body: &[u8]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(body.len() / 4);
-    for quad in body.chunks_exact(4) {
-        out.push(f32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]));
-    }
-    out
 }
 
 /// Reads a spill file back, verifying the header and CRC.
@@ -357,16 +343,16 @@ pub fn read_spill(path: &Path, expect_floats: usize) -> Result<SpillPayload, Spi
     }
     let quant = quant_geometry.map(|(codes, qdim)| {
         let mut at = floats * 4;
-        let min = parse_floats(&body[at..at + qdim * 4]);
+        let min = le::f32s(&body[at..at + qdim * 4]);
         at += qdim * 4;
-        let scale = parse_floats(&body[at..at + qdim * 4]);
+        let scale = le::f32s(&body[at..at + qdim * 4]);
         at += qdim * 4;
         let eps = f32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
         at += 4;
         QuantChunk::from_parts(min, scale, eps, body[at..at + codes].to_vec())
     });
     Ok(SpillPayload {
-        floats: parse_floats(&body[..floats * 4]),
+        floats: le::f32s(&body[..floats * 4]),
         quant,
     })
 }

@@ -461,10 +461,12 @@ impl Tables {
                     pixels,
                     ..
                 } => {
-                    let stored = new_markers
-                        .get(marker.as_str())
-                        .copied()
-                        .or_else(|| self.upload_markers.get(marker).map(|(image, _)| *image));
+                    let stored = marker.as_deref().and_then(|marker| {
+                        new_markers
+                            .get(marker)
+                            .copied()
+                            .or_else(|| self.upload_markers.get(marker).map(|(image, _)| *image))
+                    });
                     if let Some(existing) = stored {
                         replays.push((*id, existing));
                         skipped.push(i);
@@ -472,7 +474,9 @@ impl Tables {
                     }
                     check_new_image(&new_images, *id, origin, pixels)?;
                     new_images.insert(*id);
-                    new_markers.insert(marker.as_str(), *id);
+                    if let Some(marker) = marker {
+                        new_markers.insert(marker.as_str(), *id);
+                    }
                 }
             }
         }
@@ -526,19 +530,27 @@ impl Tables {
                 for (kind, vector) in &features {
                     self.put_feature_row(id, *kind, vector);
                 }
-                let seq = self.next_marker_seq;
-                self.next_marker_seq += 1;
-                self.upload_markers.insert(marker, (id, seq));
-                if self.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
-                    let oldest = self
-                        .upload_markers
-                        .iter()
-                        .min_by_key(|(_, (_, s))| *s)
-                        .map(|(k, _)| k.clone());
-                    if let Some(key) = oldest {
-                        self.upload_markers.remove(&key);
-                    }
+                if let Some(marker) = marker {
+                    self.remember_marker(marker, id);
                 }
+            }
+        }
+    }
+
+    /// Records an upload's idempotency marker, evicting the oldest one
+    /// past [`UPLOAD_MARKER_CAPACITY`].
+    fn remember_marker(&mut self, marker: String, id: ImageId) {
+        let seq = self.next_marker_seq;
+        self.next_marker_seq += 1;
+        self.upload_markers.insert(marker, (id, seq));
+        if self.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
+            let oldest = self
+                .upload_markers
+                .iter()
+                .min_by_key(|(_, (_, s))| *s)
+                .map(|(k, _)| k.clone());
+            if let Some(key) = oldest {
+                self.upload_markers.remove(&key);
             }
         }
     }
@@ -692,7 +704,7 @@ impl VisualStore {
         let replays = self.commit(|t| {
             id = ImageId(t.next_image);
             vec![WalOp::IngestUpload {
-                marker: marker.to_string(),
+                marker: Some(marker.to_string()),
                 id,
                 meta,
                 origin,

@@ -3,32 +3,60 @@
 //!
 //! Every mutation is journaled — and fsynced — *before* it is applied
 //! to the in-memory store, so an operation that returned `Ok` is
-//! guaranteed to survive a crash. Records are framed as
+//! guaranteed to survive a crash.
+//!
+//! The journal is binary (format v3). A segment starts with the 8-byte
+//! [`SEGMENT_MAGIC`] (seven magic bytes and the format version), and
+//! every record after it is
 //!
 //! ```text
-//! <len> <crc32> <payload>\n
+//! [len u32 LE][crc32 u32 LE][payload: tag u8, fields…]
 //! ```
 //!
-//! where `len` is the payload's byte length in decimal, `crc32` is the
-//! IEEE CRC-32 of the payload bytes as eight lowercase hex digits, and
-//! `payload` is the op as one JSON object rendered by
-//! [`crate::codec`]. The framing makes a torn tail detectable without
-//! trusting the payload: a crash mid-append leaves a record whose
-//! length, checksum, or terminator doesn't line up, and recovery
-//! truncates the file back to the last intact record
-//! ([`Wal::open_recover`]).
+//! where `len` is the payload's byte length (at least 1: the tag) and
+//! `crc32` is the IEEE CRC-32 of the payload bytes. Inside a payload,
+//! ids and timestamps are fixed-width little-endian integers, GPS/FOV
+//! numbers are `f64` bits, a feature vector is a `u32` count and the raw
+//! `f32` bits, pixels are raw bytes, and strings are length-prefixed
+//! UTF-8 ([`crate::le`]). Floats therefore round-trip bit-exactly, and
+//! neither writing nor replaying a record goes through JSON.
+//!
+//! The framing makes a torn tail detectable without trusting the
+//! payload: a crash mid-append leaves a record whose length or checksum
+//! doesn't line up, and recovery truncates the file back to the last
+//! intact record ([`Wal::open_recover`]). A run of zero bytes — a
+//! preallocated or NUL-gapped tail — reads as `len = 0`, which no record
+//! has, so it is a torn tail too and never a stream of empty records.
+//!
+//! A non-empty segment that does not start with the magic was written by
+//! some other format (the text journal of builds before v3) and is
+//! refused untouched with [`WalError::UnsupportedFormat`]; an older
+//! build, for its part, would read a v3 segment as one torn tail, so
+//! downgrading over a live journal is not supported either.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use tvdp_geo::{Fov, GeoPoint};
 use tvdp_vision::{FeatureKind, Image};
 
-use crate::annotation::Annotation;
-use crate::codec::{self, Value};
-use crate::ids::{ClassificationId, ImageId};
+use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
+use crate::ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
+use crate::le::{self, DecodeError, Reader};
 use crate::record::{ImageMeta, ImageOrigin};
+
+/// First bytes of every segment: `TVDPWAL` and the format version.
+pub const SEGMENT_MAGIC: [u8; 8] = *b"TVDPWAL\x03";
+
+/// Bytes of `len` + `crc32` in front of every record's payload.
+const RECORD_HEADER_LEN: usize = 8;
+
+/// Largest payload a record may carry. The writer refuses anything
+/// larger, so the scanner can call a longer claimed length torn without
+/// looking further.
+pub const MAX_RECORD_BYTES: usize = 1 << 30;
 
 /// Errors from appending to or recovering a WAL.
 #[derive(Debug)]
@@ -44,6 +72,15 @@ pub enum WalError {
         /// Decoder message.
         message: String,
     },
+    /// The segment does not start with [`SEGMENT_MAGIC`]: it holds some
+    /// other format's bytes (or, for a sealed segment, lost its header).
+    /// The file is left exactly as found.
+    UnsupportedFormat {
+        /// The refused segment.
+        path: PathBuf,
+        /// Its first bytes (at most eight).
+        found: Vec<u8>,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -53,6 +90,14 @@ impl std::fmt::Display for WalError {
             WalError::Corrupt { record, message } => {
                 write!(f, "corrupt wal record {record}: {message}")
             }
+            WalError::UnsupportedFormat { path, found } => write!(
+                f,
+                "{} is not a v3 journal segment (it starts with \"{}\"); a journal written \
+                 by an older build must be folded into the snapshot first: run \
+                 `tvdp compact <dir>` with that build, then reopen",
+                path.display(),
+                found.escape_ascii()
+            ),
         }
     }
 }
@@ -112,17 +157,18 @@ pub enum WalOp {
     /// [`crate::store::VisualStore::annotate`]; the annotation carries
     /// its assigned id.
     Annotate(Annotation),
-    /// [`crate::store::VisualStore::ingest_upload`] — one atomic
-    /// composite record: the image row, its feature vectors, and the
-    /// upload's idempotency marker land together or not at all. The
-    /// WAL's all-or-nothing framing of this record is what makes an
-    /// acked-once upload ingested-exactly-once across crashes: a torn
-    /// append leaves neither the rows nor the marker, so the client's
-    /// retry re-ingests cleanly; an intact record replays both, so the
-    /// retry deduplicates.
+    /// One whole upload — the image row, its feature vectors and, when
+    /// the client sent an idempotency key, the dedup marker — as one
+    /// record, so they land together or not at all. That all-or-nothing
+    /// framing is what keeps an image from surviving a crash without its
+    /// features, and what makes an acked-once keyed upload
+    /// ingested-exactly-once across crashes: a torn append leaves neither
+    /// the rows nor the marker, so the client's retry re-ingests cleanly;
+    /// an intact record replays both, so the retry deduplicates.
     IngestUpload {
-        /// Idempotency key the uploading client attached.
-        marker: String,
+        /// Idempotency key the uploading client attached; `None` touches
+        /// no marker state.
+        marker: Option<String>,
         /// Id the store assigned.
         id: ImageId,
         /// Upload-time metadata.
@@ -136,48 +182,64 @@ pub enum WalOp {
     },
 }
 
+// Record tags. 0 is never a tag, so zeroed bytes cannot pass for an op.
+const TAG_ADD_IMAGE: u8 = 1;
+const TAG_PUT_FEATURE: u8 = 2;
+const TAG_REGISTER_SCHEME: u8 = 3;
+const TAG_ANNOTATE: u8 = 4;
+const TAG_INGEST_UPLOAD: u8 = 5;
+
 impl WalOp {
-    /// Renders the op as its JSON payload (unframed).
-    pub fn encode(&self) -> String {
-        let v = match self {
+    /// Appends the op's record payload (tag and fields, unframed) to
+    /// `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
             WalOp::AddImage {
                 id,
                 meta,
                 origin,
                 pixels,
-            } => tag(
-                "AddImage",
-                Value::Obj(vec![
-                    ("id".into(), Value::num(id.raw())),
-                    ("meta".into(), codec::encode_meta(meta)),
-                    ("origin".into(), codec::encode_origin(origin)),
-                    ("pixels".into(), encode_pixels(pixels)),
-                ]),
-            ),
+            } => {
+                out.push(TAG_ADD_IMAGE);
+                le::put_u64(out, id.raw());
+                put_meta(out, meta);
+                put_origin(out, origin);
+                put_pixels(out, pixels);
+            }
             WalOp::PutFeature {
                 image,
                 kind,
                 vector,
-            } => tag(
-                "PutFeature",
-                Value::Obj(vec![
-                    ("image".into(), Value::num(image.raw())),
-                    ("kind".into(), codec::encode_kind(*kind)),
-                    ("vector".into(), codec::encode_vector(vector)),
-                ]),
-            ),
-            WalOp::RegisterScheme { id, name, labels } => tag(
-                "RegisterScheme",
-                Value::Obj(vec![
-                    ("id".into(), Value::num(id.raw())),
-                    ("name".into(), Value::str(name.clone())),
-                    (
-                        "labels".into(),
-                        Value::Arr(labels.iter().map(|l| Value::str(l.clone())).collect()),
-                    ),
-                ]),
-            ),
-            WalOp::Annotate(a) => tag("Annotate", codec::encode_annotation(a)),
+            } => {
+                out.push(TAG_PUT_FEATURE);
+                le::put_u64(out, image.raw());
+                put_feature(out, *kind, vector);
+            }
+            WalOp::RegisterScheme { id, name, labels } => {
+                out.push(TAG_REGISTER_SCHEME);
+                le::put_u64(out, id.raw());
+                le::put_bytes(out, name.as_bytes());
+                put_strings(out, labels);
+            }
+            WalOp::Annotate(a) => {
+                out.push(TAG_ANNOTATE);
+                le::put_u64(out, a.id.raw());
+                le::put_u64(out, a.image.raw());
+                le::put_u64(out, a.classification.raw());
+                le::put_u64(out, a.label as u64);
+                out.extend_from_slice(&a.confidence.to_le_bytes());
+                let (source, who) = match a.source {
+                    AnnotationSource::Human(u) => (SOURCE_HUMAN, u.raw()),
+                    AnnotationSource::Machine(m) => (SOURCE_MACHINE, m.raw()),
+                };
+                out.push(source);
+                le::put_u64(out, who);
+                put_option(out, &a.region, |out, r| {
+                    for v in [r.x, r.y, r.width, r.height] {
+                        le::put_u64(out, v as u64);
+                    }
+                });
+            }
             WalOp::IngestUpload {
                 marker,
                 id,
@@ -186,132 +248,258 @@ impl WalOp {
                 pixels,
                 features,
             } => {
-                let features = Value::Arr(
-                    features
-                        .iter()
-                        .map(|(kind, vector)| {
-                            Value::Obj(vec![
-                                ("kind".into(), codec::encode_kind(*kind)),
-                                ("vector".into(), codec::encode_vector(vector)),
-                            ])
-                        })
-                        .collect(),
-                );
-                tag(
-                    "IngestUpload",
-                    Value::Obj(vec![
-                        ("marker".into(), Value::str(marker.clone())),
-                        ("id".into(), Value::num(id.raw())),
-                        ("meta".into(), codec::encode_meta(meta)),
-                        ("origin".into(), codec::encode_origin(origin)),
-                        ("pixels".into(), encode_pixels(pixels)),
-                        ("features".into(), features),
-                    ]),
-                )
+                out.push(TAG_INGEST_UPLOAD);
+                put_option(out, marker, |out, m| le::put_bytes(out, m.as_bytes()));
+                le::put_u64(out, id.raw());
+                put_meta(out, meta);
+                put_origin(out, origin);
+                put_pixels(out, pixels);
+                le::put_count(out, features.len());
+                for (kind, vector) in features {
+                    put_feature(out, *kind, vector);
+                }
             }
-        };
-        v.render()
+        }
     }
 
-    /// Decodes an op from its JSON payload.
-    pub fn decode(payload: &str) -> Result<WalOp, String> {
-        let v = codec::parse(payload)?;
-        let (name, body) = match &v {
-            Value::Obj(fields) if fields.len() == 1 => (&fields[0].0, &fields[0].1),
-            _ => return Err("expected a single-key op object".into()),
+    /// The op's record payload (unframed).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Decodes an op from a record payload. Every read is bounds-checked
+    /// and every count is checked against the bytes that remain before
+    /// anything is allocated for it, so hostile bytes end in an error.
+    pub fn decode(payload: &[u8]) -> Result<WalOp, DecodeError> {
+        let mut r = Reader::new(payload);
+        let op = match r.u8()? {
+            TAG_ADD_IMAGE => WalOp::AddImage {
+                id: ImageId(r.u64()?),
+                meta: read_meta(&mut r)?,
+                origin: read_origin(&mut r)?,
+                pixels: read_pixels(&mut r)?,
+            },
+            TAG_PUT_FEATURE => {
+                let image = ImageId(r.u64()?);
+                let (kind, vector) = read_feature(&mut r)?;
+                WalOp::PutFeature {
+                    image,
+                    kind,
+                    vector,
+                }
+            }
+            TAG_REGISTER_SCHEME => WalOp::RegisterScheme {
+                id: ClassificationId(r.u64()?),
+                name: r.string()?,
+                labels: read_strings(&mut r)?,
+            },
+            TAG_ANNOTATE => WalOp::Annotate(Annotation {
+                id: AnnotationId(r.u64()?),
+                image: ImageId(r.u64()?),
+                classification: ClassificationId(r.u64()?),
+                label: r.usize()?,
+                confidence: r.f32()?,
+                source: match (r.u8()?, r.u64()?) {
+                    (SOURCE_HUMAN, who) => AnnotationSource::Human(UserId(who)),
+                    (SOURCE_MACHINE, who) => AnnotationSource::Machine(ModelId(who)),
+                    (other, _) => return Err(format!("unknown annotation source {other}")),
+                },
+                region: read_option(&mut r, |r| {
+                    Ok(RegionOfInterest {
+                        x: r.usize()?,
+                        y: r.usize()?,
+                        width: r.usize()?,
+                        height: r.usize()?,
+                    })
+                })?,
+            }),
+            TAG_INGEST_UPLOAD => WalOp::IngestUpload {
+                marker: read_option(&mut r, Reader::string)?,
+                id: ImageId(r.u64()?),
+                meta: read_meta(&mut r)?,
+                origin: read_origin(&mut r)?,
+                pixels: read_pixels(&mut r)?,
+                // A feature is at least its kind byte and its count.
+                features: r.list(5, read_feature)?,
+            },
+            other => return Err(format!("unknown op tag {other}")),
         };
-        match name.as_str() {
-            "AddImage" => Ok(WalOp::AddImage {
-                id: ImageId(codec::num_field(body, "id")?),
-                meta: codec::decode_meta(codec::field(body, "meta")?)?,
-                origin: codec::decode_origin(codec::field(body, "origin")?)?,
-                pixels: decode_pixels(codec::field(body, "pixels")?)?,
-            }),
-            "PutFeature" => Ok(WalOp::PutFeature {
-                image: ImageId(codec::num_field(body, "image")?),
-                kind: codec::decode_kind(codec::field(body, "kind")?)?,
-                vector: codec::decode_vector(codec::field(body, "vector")?)?,
-            }),
-            "RegisterScheme" => {
-                let labels = codec::arr_field(body, "labels")?
-                    .iter()
-                    .map(|l| match l {
-                        Value::Str(s) => Ok(s.clone()),
-                        _ => Err("labels: expected strings".to_string()),
-                    })
-                    .collect::<Result<_, _>>()?;
-                Ok(WalOp::RegisterScheme {
-                    id: ClassificationId(codec::num_field(body, "id")?),
-                    name: codec::str_field(body, "name")?.to_string(),
-                    labels,
-                })
-            }
-            "Annotate" => Ok(WalOp::Annotate(codec::decode_annotation(body)?)),
-            "IngestUpload" => {
-                let features = codec::arr_field(body, "features")?
-                    .iter()
-                    .map(|entry| {
-                        Ok((
-                            codec::decode_kind(codec::field(entry, "kind")?)?,
-                            codec::decode_vector(codec::field(entry, "vector")?)?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(WalOp::IngestUpload {
-                    marker: codec::str_field(body, "marker")?.to_string(),
-                    id: ImageId(codec::num_field(body, "id")?),
-                    meta: codec::decode_meta(codec::field(body, "meta")?)?,
-                    origin: codec::decode_origin(codec::field(body, "origin")?)?,
-                    pixels: decode_pixels(codec::field(body, "pixels")?)?,
-                    features,
-                })
-            }
-            other => Err(format!("unknown op tag `{other}`")),
+        match r.remaining() {
+            0 => Ok(op),
+            n => Err(format!("{n} trailing byte(s) after the op")),
         }
     }
 }
 
-fn tag(name: &str, payload: Value) -> Value {
-    Value::Obj(vec![(name.to_string(), payload)])
-}
+const SOURCE_HUMAN: u8 = 0;
+const SOURCE_MACHINE: u8 = 1;
 
-fn encode_pixels(pixels: &Option<PixelBlob>) -> Value {
-    match pixels {
-        None => Value::Null,
-        Some((w, h, raw)) => Value::Obj(vec![
-            ("width".into(), Value::num(*w)),
-            ("height".into(), Value::num(*h)),
-            ("raw".into(), Value::str(codec::hex_encode(raw))),
-        ]),
-    }
-}
-
-fn decode_pixels(v: &Value) -> Result<Option<PixelBlob>, String> {
+/// `None` is a 0 byte; `Some` a 1 byte and then the value.
+fn put_option<T>(out: &mut Vec<u8>, v: &Option<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
     match v {
-        Value::Null => Ok(None),
-        p => {
-            let raw = codec::hex_decode(codec::str_field(p, "raw")?)?;
-            Ok(Some((
-                codec::num_field(p, "width")?,
-                codec::num_field(p, "height")?,
-                raw,
-            )))
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            put(out, v);
         }
     }
 }
 
-/// IEEE CRC-32 (the polynomial used by zip/gzip/PNG), table-driven.
+fn read_option<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<Option<T>, DecodeError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => read(r).map(Some),
+        other => Err(format!("option flag {other} is neither 0 nor 1")),
+    }
+}
+
+fn put_strings(out: &mut Vec<u8>, strings: &[String]) {
+    le::put_count(out, strings.len());
+    for s in strings {
+        le::put_bytes(out, s.as_bytes());
+    }
+}
+
+fn read_strings(r: &mut Reader<'_>) -> Result<Vec<String>, DecodeError> {
+    // A string is at least its length prefix.
+    r.list(4, Reader::string)
+}
+
+fn put_point(out: &mut Vec<u8>, p: &GeoPoint) {
+    le::put_u64(out, p.lat.to_bits());
+    le::put_u64(out, p.lon.to_bits());
+}
+
+fn read_point(r: &mut Reader<'_>) -> Result<GeoPoint, DecodeError> {
+    Ok(GeoPoint {
+        lat: r.f64()?,
+        lon: r.f64()?,
+    })
+}
+
+fn put_meta(out: &mut Vec<u8>, m: &ImageMeta) {
+    le::put_u64(out, m.uploader.raw());
+    put_point(out, &m.gps);
+    put_option(out, &m.fov, |out, f| {
+        put_point(out, &f.camera);
+        for v in [f.heading_deg, f.angle_deg, f.radius_m] {
+            le::put_u64(out, v.to_bits());
+        }
+    });
+    out.extend_from_slice(&m.captured_at.to_le_bytes());
+    out.extend_from_slice(&m.uploaded_at.to_le_bytes());
+    put_strings(out, &m.keywords);
+}
+
+fn read_meta(r: &mut Reader<'_>) -> Result<ImageMeta, DecodeError> {
+    Ok(ImageMeta {
+        uploader: UserId(r.u64()?),
+        gps: read_point(r)?,
+        fov: read_option(r, |r| {
+            Ok(Fov {
+                camera: read_point(r)?,
+                heading_deg: r.f64()?,
+                angle_deg: r.f64()?,
+                radius_m: r.f64()?,
+            })
+        })?,
+        captured_at: r.i64()?,
+        uploaded_at: r.i64()?,
+        keywords: read_strings(r)?,
+    })
+}
+
+/// `Original` is a 0 byte; `Augmented` a 1 byte, the parent and the op.
+fn put_origin(out: &mut Vec<u8>, origin: &ImageOrigin) {
+    match origin {
+        ImageOrigin::Original => out.push(0),
+        ImageOrigin::Augmented { parent, op } => {
+            out.push(1);
+            le::put_u64(out, parent.raw());
+            le::put_bytes(out, op.as_bytes());
+        }
+    }
+}
+
+fn read_origin(r: &mut Reader<'_>) -> Result<ImageOrigin, DecodeError> {
+    match r.u8()? {
+        0 => Ok(ImageOrigin::Original),
+        1 => Ok(ImageOrigin::Augmented {
+            parent: ImageId(r.u64()?),
+            op: r.string()?,
+        }),
+        other => Err(format!("unknown image origin {other}")),
+    }
+}
+
+fn put_pixels(out: &mut Vec<u8>, pixels: &Option<PixelBlob>) {
+    put_option(out, pixels, |out, (width, height, raw)| {
+        le::put_u64(out, *width as u64);
+        le::put_u64(out, *height as u64);
+        le::put_bytes(out, raw);
+    });
+}
+
+fn read_pixels(r: &mut Reader<'_>) -> Result<Option<PixelBlob>, DecodeError> {
+    read_option(r, |r| Ok((r.usize()?, r.usize()?, r.bytes()?.to_vec())))
+}
+
+fn put_feature(out: &mut Vec<u8>, kind: FeatureKind, vector: &[f32]) {
+    out.push(match kind {
+        FeatureKind::ColorHistogram => 0,
+        FeatureKind::SiftBow => 1,
+        FeatureKind::Cnn => 2,
+    });
+    le::put_count(out, vector.len());
+    le::put_f32s(out, vector);
+}
+
+fn read_feature(r: &mut Reader<'_>) -> Result<(FeatureKind, Vec<f32>), DecodeError> {
+    let kind = match r.u8()? {
+        0 => FeatureKind::ColorHistogram,
+        1 => FeatureKind::SiftBow,
+        2 => FeatureKind::Cnn,
+        other => return Err(format!("unknown feature kind {other}")),
+    };
+    Ok((kind, r.f32_vec()?))
+}
+
+/// IEEE CRC-32 (the polynomial used by zip/gzip/PNG), slicing-by-8:
+/// eight table lookups fold eight input bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut octets = bytes.chunks_exact(8);
+    for o in &mut octets {
+        let lo = c ^ u32::from_le_bytes([o[0], o[1], o[2], o[3]]);
+        let hi = u32::from_le_bytes([o[4], o[5], o[6], o[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in octets.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC32_TABLES[k][b]` is the CRC state after byte `b` and then `k`
+/// zero bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -324,90 +512,106 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// Frames one op payload as a full WAL record
-/// (`<len> <crc32> <payload>\n`). Exposed so fault-injection tests can
-/// materialize arbitrary crash prefixes of an append.
-pub fn frame(payload: &str) -> String {
-    format!(
-        "{} {:08x} {payload}\n",
-        payload.len(),
-        crc32(payload.as_bytes())
-    )
+/// Appends one framed record to `buf` — the header, then whatever
+/// `write_payload` appends, then the header patched with that payload's
+/// length and checksum — and returns the payload's length.
+fn push_record(buf: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    write_payload(buf);
+    let (header, payload) = buf[start..].split_at_mut(RECORD_HEADER_LEN);
+    // A length past `u32` saturates; `MAX_RECORD_BYTES` is far below it,
+    // so such a record is refused by the writer and torn to the scanner.
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    payload.len()
 }
 
-/// Result of scanning raw WAL bytes: the intact records and where they
-/// end.
+/// Frames one op payload as a full WAL record (`len`, `crc32`,
+/// payload): the bytes [`Wal::append`] adds to a segment for that op.
+/// Exposed so fault-injection tests can materialize arbitrary crash
+/// prefixes of an append.
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    push_record(&mut buf, |out| out.extend_from_slice(payload));
+    buf
+}
+
+/// Result of scanning a segment's bytes: the intact records and where
+/// they end.
 struct Scan {
     ops: Vec<WalOp>,
     /// Byte offset just past the last intact record; everything after
-    /// is a torn tail.
+    /// is a torn tail. 0 when even the header is missing or cut short.
     valid_len: usize,
 }
 
-/// Scans raw WAL bytes, stopping at the first torn record. A record
-/// whose checksum verifies but whose payload doesn't decode is a hard
-/// error (see [`WalError::Corrupt`]).
-fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
+fn unsupported(path: &Path, bytes: &[u8]) -> WalError {
+    WalError::UnsupportedFormat {
+        path: path.to_path_buf(),
+        found: bytes.iter().take(SEGMENT_MAGIC.len()).copied().collect(),
+    }
+}
+
+/// Scans a segment's bytes, stopping at the first torn record: one whose
+/// header is cut short, whose length is 0, above [`MAX_RECORD_BYTES`] or
+/// more than the bytes that follow, or whose checksum does not match.
+/// Nothing is allocated on a claimed length. A record whose checksum
+/// verifies but whose payload doesn't decode is a hard error (see
+/// [`WalError::Corrupt`]), as are leading bytes that are not (a prefix
+/// of) the magic.
+fn scan(path: &Path, bytes: &[u8]) -> Result<Scan, WalError> {
     let mut ops = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let start = pos;
-        let torn = |ops: Vec<WalOp>| Scan {
-            ops,
-            valid_len: start,
+    let Some(mut rest) = bytes.strip_prefix(&SEGMENT_MAGIC) else {
+        // A crash inside `Wal::create` leaves a strict prefix of the
+        // magic, possibly none of it.
+        return if SEGMENT_MAGIC.starts_with(bytes) {
+            Ok(Scan { ops, valid_len: 0 })
+        } else {
+            Err(unsupported(path, bytes))
         };
-        // <len> as ASCII decimal, capped well below overflow; a longer
-        // length prefix is torn garbage, not a real record.
-        let mut len: usize = 0;
-        let mut digits = 0;
-        while pos < bytes.len() && bytes[pos].is_ascii_digit() && digits < 12 {
-            len = len * 10 + (bytes[pos] - b'0') as usize;
-            digits += 1;
-            pos += 1;
+    };
+    while let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], body)) =
+        rest.split_first_chunk::<RECORD_HEADER_LEN>()
+    {
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+        if len == 0 || len > MAX_RECORD_BYTES {
+            break;
         }
-        if digits == 0 || digits >= 12 || bytes.get(pos) != Some(&b' ') {
-            return Ok(torn(ops));
-        }
-        // 8 hex digits, a space, `len` payload bytes, a newline.
-        let crc_end = pos + 9;
-        let payload_start = crc_end + 1;
-        let Some(payload_end) = payload_start.checked_add(len) else {
-            return Ok(torn(ops));
+        let Some((payload, after)) = body.split_at_checked(len) else {
+            break;
         };
-        if payload_end >= bytes.len()
-            || bytes.get(crc_end) != Some(&b' ')
-            || bytes[payload_end] != b'\n'
-        {
-            return Ok(torn(ops));
+        if crc32(payload) != crc {
+            break;
         }
-        let crc_claimed = std::str::from_utf8(&bytes[pos + 1..crc_end])
-            .ok()
-            .and_then(|s| u32::from_str_radix(s, 16).ok());
-        let payload = &bytes[payload_start..payload_end];
-        match crc_claimed {
-            Some(c) if crc32(payload) == c => {}
-            _ => return Ok(torn(ops)),
-        }
-        let text = std::str::from_utf8(payload).map_err(|_| WalError::Corrupt {
-            record: ops.len(),
-            message: "non-utf8 payload with intact checksum".into(),
-        })?;
-        let op = WalOp::decode(text).map_err(|message| WalError::Corrupt {
+        let op = WalOp::decode(payload).map_err(|message| WalError::Corrupt {
             record: ops.len(),
             message,
         })?;
         ops.push(op);
-        pos = payload_end + 1;
+        rest = after;
     }
     Ok(Scan {
         ops,
-        valid_len: pos,
+        valid_len: bytes.len() - rest.len(),
     })
 }
 
@@ -418,8 +622,8 @@ fn scan(bytes: &[u8]) -> Result<Scan, WalError> {
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// Bytes known to hold only intact, fsynced records. A failed
-    /// append may leave torn bytes past this mark;
+    /// Bytes known to hold only the header and intact, fsynced records.
+    /// A failed append may leave torn bytes past this mark;
     /// [`Wal::repair_tail`] truncates back to it.
     valid_len: u64,
     /// Optional injected write-fault script (chaos tests only).
@@ -427,34 +631,41 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates a fresh, empty WAL at `path` (truncating any existing
-    /// file) and fsyncs it plus its parent directory so the file
-    /// itself survives a crash.
+    /// Creates a fresh WAL at `path` (truncating any existing file)
+    /// holding only the segment header, and fsyncs it plus its parent
+    /// directory so the file itself survives a crash.
     pub fn create(path: &Path) -> Result<Wal, WalError> {
-        let file = File::create(path)?;
+        let mut file = File::create(path)?;
+        file.write_all(&SEGMENT_MAGIC)?;
         file.sync_all()?;
         crate::persist::fsync_parent(path)?;
         Ok(Wal {
             file,
             path: path.to_path_buf(),
-            valid_len: 0,
+            valid_len: SEGMENT_MAGIC.len() as u64,
             fault: None,
         })
     }
 
-    /// Opens the WAL at `path` (creating it empty if absent), recovers
-    /// every intact record, and truncates any torn tail left by a
-    /// crash mid-append. Returns the log handle positioned for
-    /// appending, the recovered ops in append order, and how many torn
-    /// bytes were dropped.
+    /// Opens the WAL at `path` (creating it if absent), recovers every
+    /// intact record, and truncates any torn tail left by a crash
+    /// mid-append. A file that is empty or holds only the start of the
+    /// header (a crash inside [`Wal::create`]) is stamped afresh; one
+    /// that starts with anything else is refused untouched
+    /// ([`WalError::UnsupportedFormat`]). Returns the log handle
+    /// positioned for appending, the recovered ops in append order, and
+    /// how many torn bytes were dropped.
     pub fn open_recover(path: &Path) -> Result<(Wal, Vec<WalOp>, u64), WalError> {
         if !path.exists() {
             let wal = Wal::create(path)?;
             return Ok((wal, Vec::new(), 0));
         }
         let bytes = std::fs::read(path)?;
-        let scanned = scan(&bytes)?;
+        let scanned = scan(path, &bytes)?;
         let torn = (bytes.len() - scanned.valid_len) as u64;
+        if scanned.valid_len == 0 {
+            return Ok((Wal::create(path)?, Vec::new(), torn));
+        }
         if torn > 0 {
             let file = OpenOptions::new().write(true).open(path)?;
             file.set_len(scanned.valid_len as u64)?;
@@ -527,37 +738,50 @@ impl Wal {
         self.append_batch(std::slice::from_ref(op))
     }
 
-    /// Group commit: appends every op as its own framed record but pays
-    /// a *single* `write_all` + `sync_data` for the whole batch. On-disk
-    /// bytes are identical to `ops.iter().map(append)` — recovery sees
-    /// per-op records either way — so a crash mid-batch recovers an
-    /// in-order prefix of the batch (all-or-prefix), and an `Ok` return
-    /// means every op in the batch survives. An empty batch is a no-op
-    /// (no write, no fsync).
+    /// Group commit: every op is encoded straight into one buffer as
+    /// its own framed record, and the batch pays a *single* `write_all`
+    /// + `sync_data`. On-disk bytes are identical to
+    /// `ops.iter().map(append)` — recovery sees per-op records either
+    /// way — so a crash mid-batch recovers an in-order prefix of the
+    /// batch (all-or-prefix), and an `Ok` return means every op in the
+    /// batch survives. An empty batch is a no-op (no write, no fsync);
+    /// an op over [`MAX_RECORD_BYTES`] fails the batch before any byte
+    /// of it is written.
     pub fn append_batch(&mut self, ops: &[WalOp]) -> Result<(), WalError> {
         if ops.is_empty() {
             return Ok(());
         }
-        let mut buf = String::new();
+        let mut buf = Vec::new();
         for op in ops {
-            buf.push_str(&frame(&op.encode()));
+            let len = push_record(&mut buf, |out| op.encode_into(out));
+            if len > MAX_RECORD_BYTES {
+                return Err(WalError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("a {len} byte op exceeds the journal's record limit"),
+                )));
+            }
         }
-        self.guarded_write(buf.as_bytes())
+        self.guarded_write(&buf)
     }
 
     /// Scans every record of the WAL at `path` without opening it for
     /// appending and without truncating anything: returns the intact
     /// ops plus the torn trailing byte count. Used for *sealed* WAL
     /// segments, which are never written again — a torn tail there is
-    /// the caller's decision to reject, not silently repair.
+    /// the caller's decision to reject, not silently repair — and whose
+    /// header was synced before their first record, so a missing or
+    /// cut-short one is refused here.
     pub fn read_all(path: &Path) -> Result<(Vec<WalOp>, u64), WalError> {
         let bytes = std::fs::read(path)?;
-        let scanned = scan(&bytes)?;
+        let scanned = scan(path, &bytes)?;
+        if scanned.valid_len == 0 {
+            return Err(unsupported(path, &bytes));
+        }
         let torn = (bytes.len() - scanned.valid_len) as u64;
         Ok((scanned.ops, torn))
     }
 
-    /// Current size of the log in bytes.
+    /// Current size of the log in bytes, header included.
     pub fn len_bytes(&self) -> Result<u64, WalError> {
         Ok(self.file.metadata()?.len())
     }
@@ -571,22 +795,24 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotation::AnnotationSource;
-    use crate::ids::{AnnotationId, UserId};
-    use tvdp_geo::GeoPoint;
+    use tvdp_kernel::rng::for_each_case;
+
+    fn meta(uploader: u64, keywords: &[&str]) -> ImageMeta {
+        ImageMeta {
+            uploader: UserId(uploader),
+            gps: GeoPoint::new(34.0, -118.25),
+            fov: None,
+            captured_at: 100,
+            uploaded_at: 110,
+            keywords: keywords.iter().map(|k| k.to_string()).collect(),
+        }
+    }
 
     fn sample_ops() -> Vec<WalOp> {
         vec![
             WalOp::AddImage {
                 id: ImageId(0),
-                meta: ImageMeta {
-                    uploader: UserId(1),
-                    gps: GeoPoint::new(34.0, -118.25),
-                    fov: None,
-                    captured_at: 100,
-                    uploaded_at: 110,
-                    keywords: vec!["wal \"quoted\"".into()],
-                },
+                meta: meta(1, &["wal \"quoted\""]),
                 origin: ImageOrigin::Original,
                 pixels: Some((1, 1, vec![7, 8, 9])),
             },
@@ -610,16 +836,9 @@ mod tests {
                 region: None,
             }),
             WalOp::IngestUpload {
-                marker: "edge7-s13".into(),
+                marker: Some("edge7-s13".into()),
                 id: ImageId(1),
-                meta: ImageMeta {
-                    uploader: UserId(2),
-                    gps: GeoPoint::new(34.1, -118.2),
-                    fov: None,
-                    captured_at: 200,
-                    uploaded_at: 210,
-                    keywords: vec![],
-                },
+                meta: meta(2, &[]),
                 origin: ImageOrigin::Original,
                 pixels: Some((1, 2, vec![1, 2, 3, 4, 5, 6])),
                 features: vec![
@@ -630,25 +849,292 @@ mod tests {
         ]
     }
 
+    /// One op of every kind and every optional shape: pixels, an empty
+    /// and a 480-float vector, a marker and none, a region, a machine
+    /// source, an FOV, an `Augmented` origin.
+    fn every_shape() -> Vec<WalOp> {
+        let mut ops = sample_ops();
+        ops.push(WalOp::IngestUpload {
+            marker: None,
+            id: ImageId(2),
+            meta: ImageMeta {
+                fov: Some(Fov::new(GeoPoint::new(34.05, -118.24), 123.4, 60.0, 80.5)),
+                ..meta(3, &["street", "λ"])
+            },
+            origin: ImageOrigin::Augmented {
+                parent: ImageId(1),
+                op: "flip_h".into(),
+            },
+            pixels: None,
+            features: vec![(
+                FeatureKind::SiftBow,
+                (0..480).map(|i| (i as f32).sin()).collect(),
+            )],
+        });
+        ops.push(WalOp::Annotate(Annotation {
+            id: AnnotationId(1),
+            image: ImageId(2),
+            classification: ClassificationId(0),
+            label: 0,
+            confidence: 0.25,
+            source: AnnotationSource::Machine(ModelId(9)),
+            region: Some(RegionOfInterest {
+                x: 1,
+                y: 2,
+                width: 3,
+                height: 4,
+            }),
+        }));
+        ops
+    }
+
+    /// A segment holding `ops`, and the offset at which each record ends
+    /// (leading entry: the header's end).
+    fn segment(ops: &[WalOp]) -> (Vec<u8>, Vec<usize>) {
+        let mut bytes = SEGMENT_MAGIC.to_vec();
+        let mut ends = vec![bytes.len()];
+        for op in ops {
+            bytes.extend_from_slice(&frame(&op.encode()));
+            ends.push(bytes.len());
+        }
+        (bytes, ends)
+    }
+
+    fn scan_bytes(bytes: &[u8]) -> Result<Scan, WalError> {
+        scan(Path::new("test.log"), bytes)
+    }
+
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("tvdp-wal-{name}-{}", std::process::id()));
         p
     }
 
+    /// The byte-at-a-time table loop `crc32` replaced, kept as its
+    /// reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
     #[test]
+    fn sliced_crc32_matches_the_bytewise_reference() {
+        for_each_case(8, |_, rng| {
+            for len in (0..=64).chain([255, 4096, 65_537]) {
+                let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                assert_eq!(crc32(&buf), crc32_bytewise(&buf), "{len} byte(s)");
+            }
+        });
+    }
+
+    #[test]
     fn ops_roundtrip_through_encode_decode() {
-        for op in sample_ops() {
-            let back = WalOp::decode(&op.encode()).unwrap();
-            assert_eq!(back, op);
+        for op in every_shape() {
+            let payload = op.encode();
+            assert_eq!(WalOp::decode(&payload).unwrap(), op);
+            // `encode_into` appends: what is already in the buffer stays.
+            let mut buf = vec![0xAA];
+            op.encode_into(&mut buf);
+            assert_eq!(buf[0], 0xAA);
+            assert_eq!(buf[1..], payload[..]);
         }
+    }
+
+    #[test]
+    fn float_vectors_roundtrip_bit_exactly() {
+        let vector = vec![
+            -0.0f32,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::NAN,
+        ];
+        let op = WalOp::PutFeature {
+            image: ImageId(1),
+            kind: FeatureKind::Cnn,
+            vector: vector.clone(),
+        };
+        let Ok(WalOp::PutFeature { vector: back, .. }) = WalOp::decode(&op.encode()) else {
+            panic!("feature op did not decode");
+        };
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&vector));
+    }
+
+    /// The format, byte for byte. A change here is a format change:
+    /// bump the version in [`SEGMENT_MAGIC`] with it.
+    #[test]
+    fn golden_bytes_pin_the_format() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        assert_eq!(hex(&SEGMENT_MAGIC), "5456445057414c03");
+        let small_meta = ImageMeta {
+            uploader: UserId(2),
+            gps: GeoPoint::new(1.0, -2.0),
+            fov: None,
+            captured_at: -1,
+            uploaded_at: 3,
+            keywords: vec!["k".into()],
+        };
+        let golden: Vec<(WalOp, &str)> = vec![
+            (
+                WalOp::AddImage {
+                    id: ImageId(1),
+                    meta: small_meta.clone(),
+                    origin: ImageOrigin::Original,
+                    pixels: Some((1, 1, vec![7, 8, 9])),
+                },
+                concat!(
+                    "01",               // tag
+                    "0100000000000000", // id
+                    "0200000000000000", // uploader
+                    "000000000000f03f", // lat 1.0
+                    "00000000000000c0", // lon -2.0
+                    "00",               // no fov
+                    "ffffffffffffffff", // captured_at -1
+                    "0300000000000000", // uploaded_at
+                    "01000000",         // one keyword
+                    "01000000",         // of one byte
+                    "6b",               // "k"
+                    "00",               // original
+                    "01",               // pixels present
+                    "0100000000000000", // width
+                    "0100000000000000", // height
+                    "03000000",         // three raw bytes
+                    "070809",
+                ),
+            ),
+            (
+                WalOp::PutFeature {
+                    image: ImageId(1),
+                    kind: FeatureKind::Cnn,
+                    vector: vec![1.0, -0.0],
+                },
+                concat!(
+                    "02",               // tag
+                    "0100000000000000", // image
+                    "02",               // Cnn
+                    "02000000",         // two floats
+                    "0000803f",         // 1.0
+                    "00000080",         // -0.0
+                ),
+            ),
+            (
+                WalOp::RegisterScheme {
+                    id: ClassificationId(4),
+                    name: "s".into(),
+                    labels: vec!["a".into(), "bc".into()],
+                },
+                concat!(
+                    "03",               // tag
+                    "0400000000000000", // id
+                    "01000000",         // name: one byte
+                    "73",               // "s"
+                    "02000000",         // two labels
+                    "01000000",
+                    "61", // "a"
+                    "02000000",
+                    "6263", // "bc"
+                ),
+            ),
+            (
+                WalOp::Annotate(Annotation {
+                    id: AnnotationId(5),
+                    image: ImageId(1),
+                    classification: ClassificationId(4),
+                    label: 1,
+                    confidence: 0.5,
+                    source: AnnotationSource::Machine(ModelId(6)),
+                    region: Some(RegionOfInterest {
+                        x: 1,
+                        y: 2,
+                        width: 3,
+                        height: 4,
+                    }),
+                }),
+                concat!(
+                    "04",               // tag
+                    "0500000000000000", // id
+                    "0100000000000000", // image
+                    "0400000000000000", // classification
+                    "0100000000000000", // label
+                    "0000003f",         // confidence 0.5
+                    "01",               // machine
+                    "0600000000000000", // model
+                    "01",               // region present
+                    "0100000000000000", // x
+                    "0200000000000000", // y
+                    "0300000000000000", // width
+                    "0400000000000000", // height
+                ),
+            ),
+            (
+                WalOp::IngestUpload {
+                    marker: Some("m".into()),
+                    id: ImageId(7),
+                    meta: ImageMeta {
+                        fov: Some(Fov::new(GeoPoint::new(1.0, -2.0), 90.0, 60.0, 100.0)),
+                        keywords: vec![],
+                        ..small_meta
+                    },
+                    origin: ImageOrigin::Augmented {
+                        parent: ImageId(1),
+                        op: "f".into(),
+                    },
+                    pixels: None,
+                    features: vec![(FeatureKind::ColorHistogram, vec![0.5])],
+                },
+                concat!(
+                    "05",               // tag
+                    "01",               // marker present
+                    "01000000",         // of one byte
+                    "6d",               // "m"
+                    "0700000000000000", // id
+                    "0200000000000000", // uploader
+                    "000000000000f03f", // lat
+                    "00000000000000c0", // lon
+                    "01",               // fov present
+                    "000000000000f03f", // camera lat
+                    "00000000000000c0", // camera lon
+                    "0000000000805640", // heading 90
+                    "0000000000004e40", // angle 60
+                    "0000000000005940", // radius 100
+                    "ffffffffffffffff", // captured_at
+                    "0300000000000000", // uploaded_at
+                    "00000000",         // no keywords
+                    "01",               // augmented
+                    "0100000000000000", // parent
+                    "01000000",         // op: one byte
+                    "66",               // "f"
+                    "00",               // no pixels
+                    "01000000",         // one feature
+                    "00",               // ColorHistogram
+                    "01000000",         // one float
+                    "0000003f",         // 0.5
+                ),
+            ),
+        ];
+        for (op, expected) in &golden {
+            assert_eq!(hex(&op.encode()), *expected, "{op:?}");
+        }
+        // The frame around a payload: its length, its CRC, then itself.
+        assert_eq!(
+            hex(&frame(b"123456789")),
+            concat!("09000000", "2639f4cb", "313233343536373839")
+        );
     }
 
     #[test]
@@ -669,31 +1155,23 @@ mod tests {
     #[test]
     fn torn_tail_truncated_at_every_prefix() {
         let ops = sample_ops();
-        let mut full = String::new();
-        for op in &ops {
-            full.push_str(&frame(&op.encode()));
-        }
+        let (full, ends) = segment(&ops);
         let path = temp_path("torn");
+        // From byte 0: the header's own crash prefixes are cuts too.
         for cut in 0..full.len() {
-            std::fs::write(&path, &full.as_bytes()[..cut]).unwrap();
+            std::fs::write(&path, &full[..cut]).unwrap();
             let (_, recovered, _) = Wal::open_recover(&path).unwrap();
             // The recovered prefix is exactly the ops whose full
             // records fit in the cut.
-            let mut expect = Vec::new();
-            let mut consumed = 0;
-            for op in &ops {
-                let rec = frame(&op.encode());
-                if consumed + rec.len() <= cut {
-                    consumed += rec.len();
-                    expect.push(op.clone());
-                } else {
-                    break;
-                }
-            }
-            assert_eq!(recovered, expect, "cut at byte {cut}");
-            // After recovery the file holds exactly the intact
-            // records.
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), consumed as u64);
+            let intact = ends.iter().filter(|&&e| e <= cut).count().saturating_sub(1);
+            assert_eq!(recovered, ops[..intact].to_vec(), "cut at byte {cut}");
+            // After recovery the file holds exactly the header and the
+            // intact records.
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                ends[intact] as u64,
+                "cut at byte {cut}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -718,6 +1196,8 @@ mod tests {
             std::fs::read(&batched).unwrap(),
             "group commit must be byte-identical to per-op appends"
         );
+        // ... and to the header plus `frame(encode())` of each op.
+        assert_eq!(std::fs::read(&batched).unwrap(), segment(&ops).0);
         let (_, recovered, torn) = Wal::open_recover(&batched).unwrap();
         assert_eq!(recovered, ops);
         assert_eq!(torn, 0);
@@ -730,17 +1210,12 @@ mod tests {
         // A torn group-committed batch must recover as an in-order
         // prefix of the batch at every possible crash offset.
         let ops = sample_ops();
-        let mut full = String::new();
-        let mut boundaries = vec![0usize];
-        for op in &ops {
-            full.push_str(&frame(&op.encode()));
-            boundaries.push(full.len());
-        }
+        let (full, ends) = segment(&ops);
         let path = temp_path("batch-torn");
         for cut in 0..=full.len() {
-            std::fs::write(&path, &full.as_bytes()[..cut]).unwrap();
+            std::fs::write(&path, &full[..cut]).unwrap();
             let (_, recovered, _) = Wal::open_recover(&path).unwrap();
-            let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+            let intact = ends.iter().filter(|&&e| e <= cut).count().saturating_sub(1);
             assert_eq!(recovered, ops[..intact].to_vec(), "cut at byte {cut}");
         }
         std::fs::remove_file(&path).ok();
@@ -748,8 +1223,7 @@ mod tests {
 
     #[test]
     fn bitflip_in_payload_detected_as_torn() {
-        let op = &sample_ops()[1];
-        let mut bytes = frame(&op.encode()).into_bytes();
+        let (mut bytes, _) = segment(&sample_ops()[1..2]);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         let path = temp_path("bitflip");
@@ -768,17 +1242,225 @@ mod tests {
         wal.append(&sample_ops()[1]).unwrap();
         drop(wal);
         // Simulate a torn append after the good record.
+        let torn_record = frame(&sample_ops()[0].encode());
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"999 deadbeef {\"half").unwrap();
+        f.write_all(&torn_record[..torn_record.len() / 2]).unwrap();
         drop(f);
         let (mut wal, ops, torn) = Wal::open_recover(&path).unwrap();
         assert_eq!(ops.len(), 1);
-        assert!(torn > 0);
+        assert_eq!(torn, (torn_record.len() / 2) as u64);
         wal.append(&sample_ops()[2]).unwrap();
         drop(wal);
         let (_, ops, torn) = Wal::open_recover(&path).unwrap();
         assert_eq!(ops, vec![sample_ops()[1].clone(), sample_ops()[2].clone()]);
         assert_eq!(torn, 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn blank_and_half_stamped_segments_open_empty_and_are_stamped() {
+        let path = temp_path("blank");
+        for cut in 0..SEGMENT_MAGIC.len() {
+            std::fs::write(&path, &SEGMENT_MAGIC[..cut]).unwrap();
+            let (mut wal, ops, torn) = Wal::open_recover(&path).unwrap();
+            assert!(ops.is_empty());
+            assert_eq!(torn, cut as u64);
+            assert_eq!(std::fs::read(&path).unwrap(), SEGMENT_MAGIC);
+            wal.append(&sample_ops()[1]).unwrap();
+            drop(wal);
+            let (_, ops, torn) = Wal::open_recover(&path).unwrap();
+            assert_eq!(ops, sample_ops()[1..2].to_vec());
+            assert_eq!(torn, 0);
+            // A sealed segment is never half-stamped: its header was
+            // synced before its first record.
+            std::fs::write(&path, &SEGMENT_MAGIC[..cut]).unwrap();
+            assert!(matches!(
+                Wal::read_all(&path),
+                Err(WalError::UnsupportedFormat { .. })
+            ));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn zeroed_tail_is_torn_not_a_stream_of_empty_records() {
+        // `crc32(b"") == 0`, so eight zero bytes would frame an empty
+        // payload with a matching checksum if `len = 0` were a record.
+        let (mut bytes, ends) = segment(&sample_ops()[..2]);
+        bytes.extend_from_slice(&[0; 4096]);
+        let scanned = scan_bytes(&bytes).unwrap();
+        assert_eq!(scanned.ops, sample_ops()[..2].to_vec());
+        assert_eq!(scanned.valid_len, ends[2]);
+        // A whole zeroed file is not a journal of this format at all.
+        assert!(matches!(
+            scan_bytes(&[0; 64]),
+            Err(WalError::UnsupportedFormat { .. })
+        ));
+        // And a checksummed payload whose tag is 0 is corrupt, not an op.
+        let mut tagged = SEGMENT_MAGIC.to_vec();
+        tagged.extend_from_slice(&frame(&[0]));
+        assert!(matches!(
+            scan_bytes(&tagged),
+            Err(WalError::Corrupt { record: 0, .. })
+        ));
+    }
+
+    /// What a scan of damaged bytes may come to: an in-order prefix of
+    /// the ops that were written plus a torn tail (returns how many), or
+    /// a typed error (returns `None`).
+    fn prefix_or_typed_error(bytes: &[u8], ops: &[WalOp], what: &str) -> Option<usize> {
+        match scan_bytes(bytes) {
+            Ok(scanned) => {
+                assert!(scanned.valid_len <= bytes.len(), "{what}");
+                assert!(scanned.ops.len() <= ops.len(), "{what}");
+                assert_eq!(scanned.ops, ops[..scanned.ops.len()].to_vec(), "{what}");
+                Some(scanned.ops.len())
+            }
+            Err(WalError::Corrupt { .. } | WalError::UnsupportedFormat { .. }) => None,
+            Err(WalError::Io(e)) => panic!("{what}: scanning does no i/o, got {e}"),
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_scan_to_a_prefix_or_a_typed_error() {
+        let ops = every_shape();
+        let (full, ends) = segment(&ops);
+        // Every truncation point: exactly the records that fit.
+        for cut in 0..=full.len() {
+            let intact = ends.iter().filter(|&&e| e <= cut).count().saturating_sub(1);
+            let what = format!("cut at byte {cut}");
+            assert_eq!(
+                prefix_or_typed_error(&full[..cut], &ops, &what),
+                Some(intact),
+                "{what}"
+            );
+        }
+        // Every single-bit flip: the damaged record and everything after
+        // it are a torn tail (or the damage is called out); nothing
+        // before it is lost or reordered.
+        let mut flipped = full.clone();
+        for byte in 0..full.len() {
+            for bit in 0..8 {
+                flipped[byte] ^= 1 << bit;
+                let what = format!("bit {bit} of byte {byte}");
+                if let Some(recovered) = prefix_or_typed_error(&flipped, &ops, &what) {
+                    let before = ends.iter().filter(|&&e| e <= byte).count() - 1;
+                    assert_eq!(recovered, before, "{what}");
+                }
+                flipped[byte] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn length_bombs_are_refused_without_allocating_for_them() {
+        // A record header claiming 4 GiB, with nothing behind it.
+        let mut bytes = SEGMENT_MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 12]);
+        let scanned = scan_bytes(&bytes).unwrap();
+        assert!(scanned.ops.is_empty());
+        assert_eq!(scanned.valid_len, SEGMENT_MAGIC.len());
+        // ... and one just past the limit, which is torn whatever follows.
+        let mut bytes = SEGMENT_MAGIC.to_vec();
+        bytes.extend_from_slice(&(MAX_RECORD_BYTES as u32 + 1).to_le_bytes());
+        assert_eq!(scan_bytes(&bytes).unwrap().valid_len, SEGMENT_MAGIC.len());
+
+        // Counts of `u32::MAX` inside payloads whose checksum is right:
+        // each must fail on the count, not try to reserve room for it.
+        let bomb = u32::MAX.to_le_bytes();
+        let mut payloads: Vec<Vec<u8>> = Vec::new();
+        // PutFeature: float count.
+        let mut p = vec![TAG_PUT_FEATURE];
+        le::put_u64(&mut p, 1);
+        p.push(2);
+        p.extend_from_slice(&bomb);
+        payloads.push(p);
+        // RegisterScheme: name length, then label count.
+        let mut p = vec![TAG_REGISTER_SCHEME];
+        le::put_u64(&mut p, 1);
+        p.extend_from_slice(&bomb);
+        payloads.push(p);
+        let mut p = vec![TAG_REGISTER_SCHEME];
+        le::put_u64(&mut p, 1);
+        le::put_bytes(&mut p, b"s");
+        p.extend_from_slice(&bomb);
+        payloads.push(p);
+        // AddImage: keyword count, then pixel byte count.
+        let add_image = |keywords: &[u8], pixel_len: &[u8]| {
+            let mut p = vec![TAG_ADD_IMAGE];
+            le::put_u64(&mut p, 1);
+            le::put_u64(&mut p, 1);
+            p.extend_from_slice(&[0; 16]); // gps
+            p.push(0); // no fov
+            p.extend_from_slice(&[0; 16]); // timestamps
+            p.extend_from_slice(keywords);
+            if !pixel_len.is_empty() {
+                p.push(0); // original
+                p.push(1); // pixels present
+                p.extend_from_slice(&[1; 16]); // width, height
+                p.extend_from_slice(pixel_len);
+            }
+            p
+        };
+        payloads.push(add_image(&bomb, &[]));
+        payloads.push(add_image(&[0; 4], &bomb));
+        // IngestUpload: feature count.
+        let mut p = vec![TAG_INGEST_UPLOAD, 0];
+        le::put_u64(&mut p, 1);
+        le::put_u64(&mut p, 1);
+        p.extend_from_slice(&[0; 16]);
+        p.push(0);
+        p.extend_from_slice(&[0; 16]);
+        p.extend_from_slice(&[0; 4]); // no keywords
+        p.push(0); // original
+        p.push(0); // no pixels
+        p.extend_from_slice(&bomb);
+        payloads.push(p);
+        for payload in &payloads {
+            // Padding after the count must not make it plausible either.
+            for pad in [0usize, 64] {
+                let mut payload = payload.clone();
+                payload.resize(payload.len() + pad, 0);
+                let message = WalOp::decode(&payload).unwrap_err();
+                assert!(message.contains("count"), "{message}");
+                let mut bytes = SEGMENT_MAGIC.to_vec();
+                bytes.extend_from_slice(&frame(&payload));
+                assert!(matches!(
+                    scan_bytes(&bytes),
+                    Err(WalError::Corrupt { record: 0, .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn checksummed_garbage_is_corrupt_not_torn() {
+        let good = sample_ops()[1].encode();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut bad_utf8 = good.clone();
+        let last = bad_utf8.len() - 1;
+        bad_utf8[last] = 0xff; // the final label's only byte
+        let cases: [(&str, &[u8]); 4] = [
+            ("unknown tag", &[9, 0, 0]),
+            ("trailing byte", &trailing),
+            ("bad utf-8", &bad_utf8),
+            ("short field", &good[..good.len() - 1]),
+        ];
+        for (what, payload) in cases {
+            let (mut bytes, ends) = segment(&sample_ops()[..1]);
+            bytes.extend_from_slice(&frame(payload));
+            assert!(
+                matches!(scan_bytes(&bytes), Err(WalError::Corrupt { record: 1, .. })),
+                "{what}"
+            );
+            // The same bytes with a wrong checksum are merely torn.
+            let crc_at = ends[1] + 4;
+            bytes[crc_at] ^= 0xff;
+            let scanned = scan_bytes(&bytes).unwrap();
+            assert_eq!(scanned.ops.len(), 1, "{what}");
+            assert_eq!(scanned.valid_len, ends[1], "{what}");
+        }
     }
 }

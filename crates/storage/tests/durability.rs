@@ -15,9 +15,10 @@ use tvdp_geo::GeoPoint;
 use tvdp_storage::fault::FailingWriter;
 use tvdp_storage::persist::{self, render_snapshot};
 use tvdp_storage::store::Snapshot;
+use tvdp_storage::wal::{WalError, SEGMENT_MAGIC};
 use tvdp_storage::{
-    Annotation, AnnotationSource, DurableStore, HealthState, ImageMeta, ImageOrigin, UserId,
-    VisualStore, WalOp, WriteFaultPlan,
+    Annotation, AnnotationSource, DurableError, DurableStore, HealthState, ImageMeta, ImageOrigin,
+    UserId, VisualStore, WalOp, WriteFaultPlan,
 };
 use tvdp_vision::{FeatureKind, Image};
 
@@ -56,18 +57,16 @@ fn crash_prefix(bytes: &[u8], budget: usize) -> Vec<u8> {
     w.into_written()
 }
 
-/// Byte offsets at which each WAL record ends (plus leading 0), parsed
-/// from the length prefixes of well-formed records.
+/// Byte offsets at which each WAL record ends (plus leading 0: until
+/// the header and a whole record are down, no op is), parsed from the
+/// length prefixes of well-formed records.
 fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
     let mut bounds = vec![0];
-    let mut pos = 0;
+    let mut pos = SEGMENT_MAGIC.len();
+    assert_eq!(bytes[..pos], SEGMENT_MAGIC);
     while pos < bytes.len() {
-        let sp = bytes[pos..].iter().position(|&c| c == b' ').unwrap();
-        let len: usize = std::str::from_utf8(&bytes[pos..pos + sp])
-            .unwrap()
-            .parse()
-            .unwrap();
-        pos += sp + 1 + 8 + 1 + len + 1;
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 4 + 4 + len;
         bounds.push(pos);
     }
     assert_eq!(pos, bytes.len());
@@ -190,7 +189,9 @@ fn wal_append_killed_at_every_offset_is_pre_or_post_never_torn() {
             "wal cut at byte {cut}: expected state after {intact} op(s)"
         );
         assert_eq!(report.replayed_ops, intact);
-        if bounds.binary_search(&cut).is_err() {
+        // A whole header with nothing after it is as clean as a record
+        // boundary; a cut inside the header is torn like any other.
+        if cut != SEGMENT_MAGIC.len() && bounds.binary_search(&cut).is_err() {
             assert!(report.torn_bytes > 0, "cut at byte {cut} should be torn");
         }
     }
@@ -292,8 +293,10 @@ fn compaction_preserves_state_and_shrinks_the_log() {
     let wal_before = ds.wal_bytes().unwrap();
     let report = ds.compact().unwrap();
     assert_eq!(report.wal_bytes_before, wal_before);
-    assert!(wal_before > 0);
-    assert_eq!(ds.wal_bytes().unwrap(), 0);
+    // A segment with no record in it is its header.
+    let empty = SEGMENT_MAGIC.len() as u64;
+    assert!(wal_before > empty);
+    assert_eq!(ds.wal_bytes().unwrap(), empty);
     assert_eq!(ds.store().snapshot(), live);
     drop(ds);
     let (reopened, recovery) = DurableStore::open(&dir).unwrap();
@@ -359,6 +362,83 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     assert_eq!(report.debris_removed, 1); // the torn staging file
     drop(ds);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two records as the text journal of the builds before format v3 wrote
+/// them (`<len> <crc32 hex> <json>\n`).
+const V2_TEXT_JOURNAL: &str = concat!(
+    r#"75 df31ced5 {"RegisterScheme":{"id":0,"name":"cleanliness","labels":["clean","dirty"]}}"#,
+    "\n",
+    r#"72 a5676cc0 {"RegisterScheme":{"id":1,"name":"graffiti","labels":["none","tagged"]}}"#,
+    "\n",
+);
+
+#[test]
+fn a_text_journal_from_an_older_build_is_refused_untouched() {
+    let dir = temp_dir("legacy-journal");
+    let wal_file = dir.join("wal-0.log");
+    // Whole, and cut anywhere a crash of that build could have left it.
+    for cut in [V2_TEXT_JOURNAL.len(), 100, 3, 1] {
+        let legacy = &V2_TEXT_JOURNAL.as_bytes()[..cut];
+        write_dir(&dir, None, 0, legacy);
+        let refusal = match DurableStore::open(&dir) {
+            Err(DurableError::Wal(e)) => e,
+            other => panic!("{cut} legacy byte(s): expected a refusal, got {other:?}"),
+        };
+        let WalError::UnsupportedFormat { path, found } = &refusal else {
+            panic!("{cut} legacy byte(s): wrong refusal: {refusal}");
+        };
+        assert_eq!(path, &wal_file);
+        assert_eq!(found[..], legacy[..legacy.len().min(8)]);
+        // The error says how to get out of it.
+        assert!(refusal.to_string().contains("tvdp compact"), "{refusal}");
+        // Not truncated, not stamped, not rewritten.
+        assert_eq!(std::fs::read(&wal_file).unwrap(), legacy, "{cut} byte(s)");
+    }
+    // The same bytes in a sealed segment are refused the same way.
+    write_dir(&dir, None, 1, b"");
+    std::fs::write(&wal_file, V2_TEXT_JOURNAL).unwrap();
+    assert!(matches!(
+        DurableStore::open(&dir),
+        Err(DurableError::Wal(WalError::UnsupportedFormat { .. }))
+    ));
+    assert_eq!(
+        std::fs::read(&wal_file).unwrap(),
+        V2_TEXT_JOURNAL.as_bytes()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_compacted_directory_from_an_older_build_opens_and_takes_writes() {
+    // What `tvdp compact` of the previous build leaves behind: a JSON
+    // snapshot (unchanged format) and an empty live segment.
+    let base = base_store().snapshot();
+    let dir = temp_dir("legacy-compacted");
+    write_dir(&dir, Some(render_snapshot(&base, 3).as_bytes()), 3, b"");
+    let (ds, report) = DurableStore::open(&dir).unwrap();
+    assert!(report.snapshot_found);
+    assert_eq!((report.epoch, report.replayed_ops), (3, 0));
+    assert_eq!(ds.store().snapshot(), base);
+    // The empty segment was stamped on open.
+    assert_eq!(std::fs::read(dir.join("wal-3.log")).unwrap(), SEGMENT_MAGIC);
+    let (id, replayed) = ds
+        .ingest_upload(
+            "after-upgrade",
+            meta("upgraded"),
+            ImageOrigin::Original,
+            Some(Image::from_fn(1, 1, |_, _| [4, 5, 6])),
+            vec![(FeatureKind::Cnn, vec![0.5, -0.25])],
+        )
+        .unwrap();
+    assert!(!replayed);
+    let live = ds.store().snapshot();
+    drop(ds);
+    let (ds, report) = DurableStore::open(&dir).unwrap();
+    assert_eq!(report.replayed_ops, 1);
+    assert_eq!(ds.store().snapshot(), live);
+    assert_eq!(ds.store().upload_marker("after-upgrade"), Some(id));
     std::fs::remove_dir_all(&dir).ok();
 }
 
