@@ -481,7 +481,11 @@ fn main() {
 
     // Resident footprint of the compressed representation vs the floats
     // it mirrors (codes plus per-chunk min/scale/eps sidecar).
-    let view = store.slab_view(FeatureKind::Cnn, DIM);
+    let view = store.slab_view(
+        FeatureKind::Cnn,
+        DIM,
+        store.slab_rows(FeatureKind::Cnn, DIM),
+    );
     let quant_rows = view.quant_rows();
     let chunks = quant_rows / tvdp_kernel::ROWS_PER_CHUNK;
     let code_bytes = quant_rows * DIM + chunks * (DIM * 8 + 4);

@@ -249,8 +249,9 @@ impl FeatureSlab {
     /// chunk's exact contents wherever `loader` reads from *before*
     /// calling this — afterwards the arena drops its reference and the
     /// next access reloads through the loader. Views taken earlier keep
-    /// their own handles (and their memory) until they are dropped;
-    /// views taken after see the spill. Re-spilling a reloaded chunk is
+    /// their own handles (and their memory) until they are dropped, so
+    /// an owner that caches a view drops it when it spills; views taken
+    /// after see the spill. Re-spilling a reloaded chunk is
     /// a pure in-memory swap: chunks are write-once, so the copy behind
     /// `loader` never goes stale.
     pub fn spill_frozen(&mut self, chunk: usize, loader: Arc<dyn ChunkLoader>) {

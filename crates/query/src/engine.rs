@@ -3,8 +3,9 @@
 //! Visual features live in the store's shared [feature
 //! arena](tvdp_kernel::arena): the engine indexes `u32` row handles,
 //! inserts run against the live slab under the store's read lock, and
-//! queries resolve rows through a lazily refreshed `Arc`-shared
-//! [`SlabView`] snapshot — no feature vector is cloned on either path.
+//! queries resolve rows through the store's one `Arc`-shared
+//! [`SlabView`] snapshot ([`VisualStore::slab_view`]) — no feature
+//! vector is cloned on either path, and no engine owns arena memory.
 //!
 //! Conjunctions are planned by selectivity (see
 //! [`QueryEngine::execute`]): exact-membership leaves (temporal ranges,
@@ -21,13 +22,14 @@ use tvdp_index::{
     inverted::tokenize, InvertedIndex, LshConfig, LshIndex, OrientedRTree, RTree, TemporalIndex,
     VisualFirstIndex, VisualRTree,
 };
-use tvdp_kernel::{l2_sq, l2_sq_asym, GenCell, Pool, RowSource, SlabView, TopK, TotalF32};
+use tvdp_kernel::{l2_sq, l2_sq_asym, Pool, RowSource, SlabView, TopK, TotalF32};
 use tvdp_storage::{ClassificationId, ImageId, VisualStore};
 use tvdp_vision::FeatureKind;
 
 use crate::plan;
 use crate::types::{
-    Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode, VisualMode,
+    sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode,
+    VisualMode,
 };
 
 /// Which scan the exact top-k visual path uses for quantizable work.
@@ -251,6 +253,9 @@ pub struct QueryEngine {
     /// Flat list of every visually indexed entry `(row, id, doc)` in
     /// insertion order — the quantized scan's candidate stream.
     visual_entries: Vec<(u32, ImageId, usize)>,
+    /// The approximate top-k path's index and its handle -> image id
+    /// table. Only that path reads them, so they are built iff
+    /// `config.exact_visual` is `false`.
     lsh: Option<LshIndex>,
     lsh_ids: Vec<ImageId>,
     text: InvertedIndex,
@@ -271,12 +276,8 @@ pub struct QueryEngine {
     /// first indexed feature).
     visual_dim: Option<usize>,
     /// One past the highest arena row the visual indexes reference;
-    /// the cached view must cover at least this many rows.
+    /// the view a query resolves rows through must cover this many.
     rows_hi: u32,
-    /// Lazily refreshed arena snapshot shared by every visual query,
-    /// published as an immutable generation: readers never block on a
-    /// refresh and a refresh never blocks readers.
-    view_cache: GenCell<SlabView>,
     /// Union of all indexed scene boxes (spatial selectivity model).
     extent: Option<BBox>,
     /// Ordered set (lint rule L2): never leaks hash order into results.
@@ -326,7 +327,6 @@ impl QueryEngine {
             rows_by_id: BTreeMap::new(),
             visual_dim: None,
             rows_hi: 0,
-            view_cache: GenCell::new(Arc::new(SlabView::empty(1))),
             extent: None,
             indexed: BTreeSet::new(),
         }
@@ -353,74 +353,81 @@ impl QueryEngine {
         if self.indexed.contains(&id) {
             return;
         }
-        let Some(record) = self.store.image(id) else {
+        let store = Arc::clone(&self.store);
+        // The record is read in place under the store's read lock; only
+        // the columns the engine keeps are copied out of it.
+        let mut indexed_as = None;
+        store.with_images(&[id], |record| {
+            self.indexed.insert(id);
+            self.scene_tree.insert(record.scene_location, id);
+            if let Some(fov) = record.meta.fov {
+                self.fov_tree.insert(fov, id);
+            }
+            let doc = self.docs.len();
+            self.docs.push(id);
+            self.doc_of.insert(id, doc);
+            self.text
+                .index_document(doc, &record.meta.keywords.join(" "));
+            self.captured.insert(record.meta.captured_at, doc);
+            self.uploaded.insert(record.meta.uploaded_at, doc);
+            self.captured_at.push(record.meta.captured_at);
+            self.uploaded_at.push(record.meta.uploaded_at);
+            self.scenes.push(record.scene_location);
+            self.extent = Some(match self.extent {
+                None => record.scene_location,
+                Some(e) => e.union(&record.scene_location),
+            });
+            indexed_as = Some((doc, record.scene_location));
+        });
+        let Some((doc, scene)) = indexed_as else {
             return;
         };
-        self.indexed.insert(id);
-        self.scene_tree.insert(record.scene_location, id);
-        if let Some(fov) = record.meta.fov {
-            self.fov_tree.insert(fov, id);
-        }
-        let doc = self.docs.len();
-        self.docs.push(id);
-        self.doc_of.insert(id, doc);
-        self.text
-            .index_document(doc, &record.meta.keywords.join(" "));
-        self.captured.insert(record.meta.captured_at, doc);
-        self.uploaded.insert(record.meta.uploaded_at, doc);
-        self.captured_at.push(record.meta.captured_at);
-        self.uploaded_at.push(record.meta.uploaded_at);
-        self.scenes.push(record.scene_location);
-        self.extent = Some(match self.extent {
-            None => record.scene_location,
-            Some(e) => e.union(&record.scene_location),
-        });
         let kind = self.config.visual_kind;
-        if let Some(handle) = self.store.feature_handle(id, kind) {
-            if handle.dim > 0 {
-                let dim = handle.dim as usize;
-                let store = Arc::clone(&self.store);
-                let config_lsh = self.config.lsh;
-                let ordering = self.config.ordering;
-                let hybrid = self
-                    .hybrid
-                    .get_or_insert_with(|| HybridIndex::new(ordering, dim));
-                let lsh = self
-                    .lsh
-                    .get_or_insert_with(|| LshIndex::new(dim, config_lsh));
-                let scene = record.scene_location;
-                // Zero-copy insert: both indexes read the feature row
-                // straight out of the live slab, under the store's read
-                // lock, and keep only the `u32` row handle.
-                let _ = store.with_slab(kind, dim, |slab| {
-                    hybrid.insert(slab, scene, handle.row, id);
-                    lsh.insert(slab.row(handle.row), handle.row);
-                });
-                self.lsh_ids.push(id);
-                self.visual_entries.push((handle.row, id, doc));
-                self.rows_by_id.insert(id, handle.row);
-                self.visual_dim = Some(dim);
-                self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
+        let Some(handle) = store.feature_handle(id, kind).filter(|h| h.dim > 0) else {
+            return;
+        };
+        let dim = handle.dim as usize;
+        let ordering = self.config.ordering;
+        let hybrid = self
+            .hybrid
+            .get_or_insert_with(|| HybridIndex::new(ordering, dim));
+        let lsh = if self.config.exact_visual {
+            None
+        } else {
+            let config = self.config.lsh;
+            self.lsh_ids.push(id);
+            Some(self.lsh.get_or_insert_with(|| LshIndex::new(dim, config)))
+        };
+        // Zero-copy insert: the indexes read the feature row straight
+        // out of the live slab, under the store's read lock, and keep
+        // only the `u32` row handle.
+        let _ = store.with_slab(kind, dim, |slab| {
+            hybrid.insert(slab, scene, handle.row, id);
+            if let Some(lsh) = lsh {
+                lsh.insert(slab.row(handle.row), handle.row);
             }
-        }
+        });
+        self.visual_entries.push((handle.row, id, doc));
+        self.rows_by_id.insert(id, handle.row);
+        self.visual_dim = Some(dim);
+        self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
     }
 
-    /// The arena snapshot every visual query path reads rows from.
-    /// Refreshed only when an indexed row is not yet covered, so
-    /// steady-state queries share one `Arc` and allocate nothing.
-    fn visual_view(&self) -> Arc<SlabView> {
-        let needed = self.rows_hi as usize;
-        let view = self.view_cache.load();
-        if view.rows() >= needed {
-            return view;
-        }
-        let dim = self.visual_dim.unwrap_or(1);
-        let fresh = Arc::new(self.store.slab_view(self.config.visual_kind, dim));
-        // Racing refreshes may publish in either order; snapshots only
-        // ever grow and indexes never reference uncovered rows, so
-        // whichever generation wins cannot change any query result.
-        self.view_cache.store(Arc::clone(&fresh));
-        fresh
+    /// Whether this engine built an LSH index.
+    #[cfg(test)]
+    pub(crate) fn has_lsh(&self) -> bool {
+        self.lsh.is_some() || !self.lsh_ids.is_empty()
+    }
+
+    /// The arena snapshot every visual query path reads rows from: the
+    /// store's shared view, which already covers this engine's rows in
+    /// the steady state (one `Arc` clone, no allocation, no table lock).
+    pub(crate) fn visual_view(&self) -> Arc<SlabView> {
+        self.store.slab_view(
+            self.config.visual_kind,
+            self.visual_dim.unwrap_or(1),
+            self.rows_hi as usize,
+        )
     }
 
     /// Validates a query tree against the engine's configuration
@@ -594,7 +601,7 @@ impl QueryEngine {
                 _ => out.push(QueryResult::new(id, s)),
             }
         }
-        out.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.image.cmp(&b.image)));
+        sort_ranked(&mut out);
         out
     }
 
@@ -614,14 +621,14 @@ impl QueryEngine {
                 .collect(),
             SpatialQuery::Within(polygon) => {
                 // Index pre-filter on the polygon's bounding box, then the
-                // exact polygon-rectangle test.
+                // exact polygon-rectangle test on the index-time scene.
                 self.scene_tree
                     .range(&polygon.bbox())
                     .into_iter()
                     .filter(|id| {
-                        self.store
-                            .image(**id)
-                            .is_some_and(|record| polygon.intersects_bbox(&record.scene_location))
+                        self.doc_of
+                            .get(*id)
+                            .is_some_and(|&doc| polygon.intersects_bbox(&self.scenes[doc]))
                     })
                     .map(|id| QueryResult::new(*id, 0.0))
                     .collect()
@@ -669,7 +676,7 @@ impl QueryEngine {
         };
         let view = self.visual_view();
         let region = region.copied().unwrap_or_else(world);
-        match mode {
+        let mut out: Vec<QueryResult> = match mode {
             VisualMode::Threshold(max_dist) => hybrid
                 .range_visual(&*view, &region, example, max_dist)
                 .into_iter()
@@ -706,7 +713,12 @@ impl QueryEngine {
                         .collect()
                 }
             }
-        }
+        };
+        // Every path above ranks on squared distances; two of those can
+        // round to one reported root, and rows that tie on the reported
+        // score are ordered by id like everywhere else.
+        sort_ranked(&mut out);
+        out
     }
 
     /// Whether the exact top-k leaf should run as a quantized flat scan
@@ -1214,7 +1226,7 @@ impl QueryEngine {
                 QueryResult::new(id, score)
             })
             .collect();
-        out.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.image.cmp(&b.image)));
+        sort_ranked(&mut out);
         out
     }
 }

@@ -11,7 +11,9 @@ use tvdp_geo::BBox;
 use tvdp_kernel::{l2_sq, TopK, TotalF32};
 use tvdp_storage::{ImageId, ImageRecord, VisualStore};
 
-use crate::types::{Query, QueryResult, SpatialQuery, TemporalField, TextualMode, VisualMode};
+use crate::types::{
+    sort_ranked, Query, QueryResult, SpatialQuery, TemporalField, TextualMode, VisualMode,
+};
 
 /// Linear-scan executor over a store.
 pub struct LinearExecutor {
@@ -88,7 +90,7 @@ impl LinearExecutor {
             .into_iter()
             .map(|(id, s)| QueryResult::new(id, s))
             .collect();
-        out.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.image.cmp(&b.image)));
+        sort_ranked(&mut out);
         out
     }
 
@@ -175,10 +177,14 @@ impl LinearExecutor {
                 hits
             }
         };
-        scored
+        let mut out: Vec<QueryResult> = scored
             .into_iter()
             .map(|(d_sq, id)| QueryResult::new(id, f64::from(d_sq.sqrt())))
-            .collect()
+            .collect();
+        // Distinct squared distances can share one reported root; ties
+        // on the reported score are broken by id, not by `d_sq`.
+        sort_ranked(&mut out);
+        out
     }
 
     fn textual(&self, text: &str, mode: TextualMode) -> Vec<QueryResult> {
@@ -286,7 +292,7 @@ impl LinearExecutor {
             .into_iter()
             .map(|id| QueryResult::new(id, scored.get(&id).copied().unwrap_or(0.0)))
             .collect();
-        out.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.image.cmp(&b.image)));
+        sort_ranked(&mut out);
         out
     }
 }

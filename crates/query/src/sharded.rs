@@ -50,7 +50,8 @@ use tvdp_storage::{ImageId, ImageRecord, VisualStore};
 
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::types::{
-    Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode, VisualMode,
+    sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode,
+    VisualMode,
 };
 
 /// Default number of pending images a shard accumulates before sealing
@@ -204,29 +205,66 @@ impl ShardedEngine {
         config: EngineConfig,
         seal_cap: usize,
     ) -> Self {
+        Self::with_seal_cap_with_pool(stores, config, seal_cap, Pool::global())
+    }
+
+    /// [`ShardedEngine::with_seal_cap`] building the sealed segments on
+    /// the given pool.
+    ///
+    /// A populated store is indexed in bulk: each shard's ascending ids
+    /// are cut into `seal_cap` runs, every full run is built as one
+    /// sealed segment (the runs fan out over the pool), the remainder
+    /// becomes the pending tail, and the shard publishes once. Those are
+    /// exactly the segments, in the order and over the ids, that feeding
+    /// the same ids through [`ShardedEngine::index_image`] arrives at.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `stores` is empty.
+    pub fn with_seal_cap_with_pool(
+        stores: Vec<Arc<VisualStore>>,
+        config: EngineConfig,
+        seal_cap: usize,
+        pool: &Pool,
+    ) -> Self {
         assert!(
             !stores.is_empty(),
             "a sharded engine needs at least one shard"
         );
+        let seal_cap = seal_cap.max(1);
         let shards = stores
             .into_iter()
-            .map(|store| Shard {
-                store,
-                writer: Mutex::new(WriterState::default()),
-                published: GenCell::new(Arc::new(ShardGen::default())),
+            .map(|store| {
+                let ids = store.image_ids();
+                let runs = ids.chunks_exact(seal_cap);
+                let pending = runs.remainder().to_vec();
+                let runs: Vec<&[ImageId]> = runs.collect();
+                let segments = pool.map(&runs, |_, run| {
+                    Arc::new(QueryEngine::build_over(
+                        Arc::clone(&store),
+                        config.clone(),
+                        run,
+                    ))
+                });
+                Shard {
+                    published: GenCell::new(Arc::new(ShardGen {
+                        segments: segments.clone(),
+                        tail: Arc::new(pending.clone()),
+                    })),
+                    writer: Mutex::new(WriterState {
+                        segments,
+                        pending,
+                        indexed: ids.into_iter().collect(),
+                    }),
+                    store,
+                }
             })
             .collect();
-        let engine = Self {
+        Self {
             shards,
             config,
-            seal_cap: seal_cap.max(1),
-        };
-        for shard in 0..engine.shards.len() {
-            for id in engine.shards[shard].store.image_ids() {
-                engine.index_image(shard, id);
-            }
+            seal_cap,
         }
-        engine
     }
 
     /// Number of shards.
@@ -939,7 +977,70 @@ fn token_eq(token: &str, term: &str) -> bool {
     }
 }
 
-/// Orders results by `(score, id)` — the scored-merge gather rule.
-fn sort_ranked(results: &mut [QueryResult]) {
-    results.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.image.cmp(&b.image)));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tvdp_geo::GeoPoint;
+    use tvdp_storage::{ImageMeta, ImageOrigin, UserId};
+    use tvdp_vision::FeatureKind;
+
+    /// `n` featured rows in one store: far fewer than a chunk, so the
+    /// whole slab is one partial tail chunk.
+    fn store_of(n: usize) -> Arc<VisualStore> {
+        let store = VisualStore::new();
+        for i in 0..n {
+            let meta = ImageMeta {
+                uploader: UserId(1),
+                gps: GeoPoint::new(34.0 + i as f64 * 1e-4, -118.25),
+                fov: None,
+                captured_at: 100,
+                uploaded_at: 110,
+                keywords: vec!["row".into()],
+            };
+            let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+            store
+                .put_feature(id, FeatureKind::Cnn, vec![i as f32; 4])
+                .unwrap();
+        }
+        Arc::new(store)
+    }
+
+    fn segments(engine: &ShardedEngine) -> Vec<Arc<QueryEngine>> {
+        engine.shards[0].published.load().segments.clone()
+    }
+
+    #[test]
+    fn every_segment_resolves_rows_through_the_stores_one_view() {
+        let store = store_of(40);
+        let engine = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 8);
+        let hits = engine
+            .try_execute(&Query::Visual {
+                example: vec![0.0; 4],
+                kind: FeatureKind::Cnn,
+                mode: VisualMode::Threshold(1e6),
+            })
+            .unwrap();
+        assert_eq!(hits.len(), 40, "the query went through every segment");
+        let shared = store.slab_view(FeatureKind::Cnn, 4, 0);
+        let segments = segments(&engine);
+        assert_eq!(segments.len(), 5);
+        for segment in &segments {
+            assert!(
+                Arc::ptr_eq(&segment.visual_view(), &shared),
+                "a segment holds a view (and a tail copy) of its own"
+            );
+        }
+    }
+
+    #[test]
+    fn lsh_exists_iff_the_configuration_reads_it() {
+        let exact = ShardedEngine::with_seal_cap(vec![store_of(16)], Default::default(), 8);
+        assert!(segments(&exact).iter().all(|s| !s.has_lsh()));
+        let config = EngineConfig {
+            exact_visual: false,
+            ..Default::default()
+        };
+        let approximate = ShardedEngine::with_seal_cap(vec![store_of(16)], config, 8);
+        assert!(segments(&approximate).iter().all(|s| s.has_lsh()));
+    }
 }

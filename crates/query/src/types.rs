@@ -181,6 +181,15 @@ impl QueryResult {
     }
 }
 
+/// The one total order of scored rows — ascending score, then ascending
+/// image id — that every executor reports in (the linear scan, the
+/// engine, and the sharded gather). Applied to *reported* scores: rows
+/// ranked on a finer internal key (squared distance) are re-ordered by
+/// it once the reported score is computed.
+pub(crate) fn sort_ranked(results: &mut [QueryResult]) {
+    results.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.image.cmp(&b.image)));
+}
+
 /// Extracts just the ids, preserving order.
 pub fn result_ids(results: &[QueryResult]) -> Vec<ImageId> {
     results.iter().map(|r| r.image).collect()

@@ -17,7 +17,7 @@ use tvdp_query::{
     EngineConfig, Query, QueryEngine, QueryResult, ShardedEngine, SpatialQuery, TemporalField,
     TextualMode, VisualMode,
 };
-use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
+use tvdp_storage::{AnnotationSource, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
 use tvdp_vision::FeatureKind;
 
 const DIM: usize = 8;
@@ -206,42 +206,63 @@ fn shard_for(gps: &GeoPoint, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Splits `source` across `shards` fresh stores, preserving global ids
-/// so the sharded corpus is the same logical corpus.
-fn shard_stores(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
-    let stores: Vec<VisualStore> = (0..shards).map(|_| VisualStore::new()).collect();
+/// `shards` fresh stores carrying `source`'s classification scheme.
+fn empty_shards(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
     let scheme = source
         .scheme_by_name("cleanliness")
         .expect("reference scheme");
-    for s in &stores {
-        s.apply_batch(vec![WalOp::RegisterScheme {
-            id: scheme.id,
-            name: scheme.name.clone(),
-            labels: scheme.labels.clone(),
-        }])
-        .unwrap();
-    }
-    for id in source.image_ids() {
-        let rec = source.image(id).expect("listed id");
-        let mut ops = vec![
-            WalOp::AddImage {
-                id,
-                meta: rec.meta.clone(),
-                origin: rec.origin.clone(),
-                pixels: None,
-            },
-            WalOp::PutFeature {
-                image: id,
-                kind: FeatureKind::Cnn,
-                vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
-            },
-        ];
-        ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
-        stores[shard_for(&rec.meta.gps, shards)]
-            .apply_batch(ops)
-            .unwrap();
-    }
-    stores.into_iter().map(Arc::new).collect()
+    (0..shards)
+        .map(|_| {
+            let store = VisualStore::new();
+            store
+                .apply_batch(vec![WalOp::RegisterScheme {
+                    id: scheme.id,
+                    name: scheme.name.clone(),
+                    labels: scheme.labels.clone(),
+                }])
+                .unwrap();
+            Arc::new(store)
+        })
+        .collect()
+}
+
+/// Copies the rows `ids` of `source` into `stores` by geo-grid routing,
+/// preserving global ids so the sharded corpus is the same logical
+/// corpus. Returns where each row went.
+fn copy_rows(
+    source: &VisualStore,
+    ids: &[ImageId],
+    stores: &[Arc<VisualStore>],
+) -> Vec<(usize, ImageId)> {
+    ids.iter()
+        .map(|&id| {
+            let rec = source.image(id).expect("listed id");
+            let mut ops = vec![
+                WalOp::AddImage {
+                    id,
+                    meta: rec.meta.clone(),
+                    origin: rec.origin.clone(),
+                    pixels: None,
+                },
+                WalOp::PutFeature {
+                    image: id,
+                    kind: FeatureKind::Cnn,
+                    vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
+                },
+            ];
+            ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
+            let shard = shard_for(&rec.meta.gps, stores.len());
+            stores[shard].apply_batch(ops).unwrap();
+            (shard, id)
+        })
+        .collect()
+}
+
+/// Splits `source` across `shards` fresh stores.
+fn shard_stores(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
+    let stores = empty_shards(source, shards);
+    copy_rows(source, &source.image_ids(), &stores);
+    stores
 }
 
 fn run_sharded(shards: usize, threads: usize) -> Vec<u8> {
@@ -267,5 +288,87 @@ fn sharded_engine_is_shard_and_thread_count_invariant() {
             reference,
             "{shards} shards x {threads} threads diverged from 1 shard x 1 thread"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Construction axis: rebuilding over a populated store in bulk must be
+// indistinguishable from having indexed the same rows one at a time.
+// ---------------------------------------------------------------------
+
+/// What a sharded engine answers and how it prices the workload: the
+/// result bytes plus each query's admission units, which count one per
+/// segment and one per tail row and so pin the segment boundaries too.
+fn witness(engine: &ShardedEngine, pool: &Pool) -> Vec<u8> {
+    let queries = workload();
+    let results = engine
+        .try_execute_batch_with_pool(&queries, pool)
+        .expect("cnn-only workload");
+    let mut out = serialize(&results);
+    out.extend_from_slice(format!("len {}\n", engine.len()).as_bytes());
+    for q in &queries {
+        out.extend_from_slice(format!("units {}\n", engine.estimate_query_units(q)).as_bytes());
+    }
+    out
+}
+
+#[test]
+fn bulk_rebuild_is_indistinguishable_from_incremental_indexing() {
+    // (seal cap, full-segment multiple k): corpora of k·cap, k·cap − 1
+    // and 0 rows, each later grown by 2·cap rows.
+    const CASES: [(usize, usize); 3] = [(1, 40), (7, 6), (128, 2)];
+    let source = build_store(2 * 128 + 2 * 128, 42);
+    let ids = source.image_ids();
+    for (cap, k) in CASES {
+        for rows in [k * cap, k * cap - 1, 0] {
+            for shards in [1usize, 4] {
+                for width in [1usize, 2, 8] {
+                    let pool = Pool::new(width);
+                    let case = format!("cap {cap} rows {rows} shards {shards} width {width}");
+                    let stores = empty_shards(&source, shards);
+                    let incremental = ShardedEngine::with_seal_cap_with_pool(
+                        stores.clone(),
+                        EngineConfig::default(),
+                        cap,
+                        &pool,
+                    );
+                    for (shard, id) in copy_rows(&source, &ids[..rows], &stores) {
+                        incremental.index_image(shard, id);
+                    }
+                    let bulk = ShardedEngine::with_seal_cap_with_pool(
+                        stores.clone(),
+                        EngineConfig::default(),
+                        cap,
+                        &pool,
+                    );
+                    assert_eq!(bulk.len(), rows, "{case}");
+                    assert_eq!(
+                        witness(&bulk, &pool),
+                        witness(&incremental, &pool),
+                        "{case}: bulk rebuild diverged from incremental indexing"
+                    );
+
+                    // Both keep ingesting from the state they were left
+                    // in: the bulk path seeded its pending tail and its
+                    // idempotency set like the incremental one.
+                    let more = copy_rows(&source, &ids[rows..rows + 2 * cap], &stores);
+                    for &(shard, id) in &more {
+                        incremental.index_image(shard, id);
+                        bulk.index_image(shard, id);
+                    }
+                    for (shard, store) in stores.iter().enumerate() {
+                        for id in store.image_ids() {
+                            bulk.index_image(shard, id);
+                        }
+                    }
+                    assert_eq!(bulk.len(), rows + 2 * cap, "{case}: re-indexed a row");
+                    assert_eq!(
+                        witness(&bulk, &pool),
+                        witness(&incremental, &pool),
+                        "{case}: engines diverged after further ingest"
+                    );
+                }
+            }
+        }
     }
 }

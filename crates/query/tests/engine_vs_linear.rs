@@ -8,8 +8,8 @@ use tvdp_kernel::rng::Rng;
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
 use tvdp_query::types::result_ids;
 use tvdp_query::{
-    LinearExecutor, Query, QueryEngine, QueryResult, SpatialQuery, TemporalField, TextualMode,
-    VisualMode,
+    LinearExecutor, Query, QueryEngine, QueryResult, ShardedEngine, SpatialQuery, TemporalField,
+    TextualMode, VisualMode,
 };
 use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
 use tvdp_vision::FeatureKind;
@@ -500,4 +500,63 @@ fn polygon_within_agrees() {
         in_tri < in_box,
         "triangle ({in_tri}) must prune vs its bbox ({in_box})"
     );
+}
+
+/// Two rows whose squared distances differ but whose reported `f32`
+/// roots are equal, stored so that the *farther* one has the lower id:
+/// ranking on `d_sq` and ordering by `(score, id)` disagree about them,
+/// and every executor must report the latter.
+#[test]
+fn rows_tying_on_the_reported_score_come_out_in_id_order_everywhere() {
+    let example = vec![0.0f32, 0.0];
+    let near = vec![2.0f32, 0.0];
+    let far = vec![2.0f32, 2.0f32.powf(-10.5)];
+    let (d_near, d_far) = (
+        tvdp_kernel::l2_sq(&near, &example),
+        tvdp_kernel::l2_sq(&far, &example),
+    );
+    assert!(d_near < d_far, "distinct squared distances");
+    assert_eq!(d_near.sqrt(), d_far.sqrt(), "one reported score");
+
+    let store = Arc::new(VisualStore::new());
+    let mut ids = Vec::new();
+    for feature in [far, near, vec![9.0, 9.0]] {
+        let gps = GeoPoint::new(34.02, -118.28);
+        let meta = ImageMeta {
+            uploader: UserId(1),
+            gps,
+            fov: None,
+            captured_at: 5_000,
+            uploaded_at: 5_100,
+            keywords: vec!["tie".into()],
+        };
+        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
+        ids.push(id);
+    }
+    let want = vec![
+        QueryResult::new(ids[0], f64::from(d_far.sqrt())),
+        QueryResult::new(ids[1], f64::from(d_near.sqrt())),
+    ];
+
+    let linear = LinearExecutor::new(Arc::clone(&store));
+    let engine = QueryEngine::build(Arc::clone(&store), Default::default());
+    // Seal cap 1: each row is its own sealed segment; the default cap
+    // leaves all three in the linear-scanned tail.
+    let sealed = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 1);
+    let tail = ShardedEngine::build(vec![Arc::clone(&store)], Default::default());
+    let visual = |mode| Query::Visual {
+        example: example.clone(),
+        kind: FeatureKind::Cnn,
+        mode,
+    };
+    let world = Query::Spatial(SpatialQuery::Range(BBox::new(-90.0, -180.0, 90.0, 180.0)));
+    for mode in [VisualMode::TopK(2), VisualMode::Threshold(3.0)] {
+        for q in [visual(mode), Query::And(vec![world.clone(), visual(mode)])] {
+            assert_eq!(linear.execute(&q), want, "linear on {q:?}");
+            assert_eq!(engine.execute(&q), want, "engine on {q:?}");
+            assert_eq!(sealed.try_execute(&q).unwrap(), want, "segments on {q:?}");
+            assert_eq!(tail.try_execute(&q).unwrap(), want, "tail on {q:?}");
+        }
+    }
 }

@@ -30,7 +30,8 @@ use tvdp_query::{
     QueryResult, ShardedEngine, SpatialQuery, TemporalField, TextualMode, VisualMode,
 };
 use tvdp_storage::{
-    AnnotationSource, ClassificationId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp,
+    AnnotationSource, ClassificationId, DurableStore, ImageId, ImageMeta, ImageOrigin, UserId,
+    VisualStore, WalOp,
 };
 use tvdp_vision::FeatureKind;
 
@@ -362,6 +363,26 @@ fn shard_for(gps: &GeoPoint, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
+/// The ops that re-create row `id` of `source` (image and CNN feature)
+/// under the same id in another store, with the row's capture point.
+fn row_ops(source: &VisualStore, id: ImageId) -> (GeoPoint, Vec<WalOp>) {
+    let rec = source.image(id).expect("listed id");
+    let ops = vec![
+        WalOp::AddImage {
+            id,
+            meta: rec.meta.clone(),
+            origin: rec.origin,
+            pixels: None,
+        },
+        WalOp::PutFeature {
+            image: id,
+            kind: FeatureKind::Cnn,
+            vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
+        },
+    ];
+    (rec.meta.gps, ops)
+}
+
 /// Splits `source` into `shards` fresh stores by geo-grid routing,
 /// preserving every global id (ops carry their ids through
 /// `VisualStore::apply_batch`), so the sharded stores hold exactly the
@@ -382,24 +403,9 @@ fn shard_stores(
         .unwrap();
     }
     for id in source.image_ids() {
-        let rec = source.image(id).expect("listed id");
-        let mut ops = vec![
-            WalOp::AddImage {
-                id,
-                meta: rec.meta.clone(),
-                origin: rec.origin.clone(),
-                pixels: None,
-            },
-            WalOp::PutFeature {
-                image: id,
-                kind: FeatureKind::Cnn,
-                vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
-            },
-        ];
+        let (gps, mut ops) = row_ops(source, id);
         ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
-        stores[shard_for(&rec.meta.gps, shards)]
-            .apply_batch(ops)
-            .unwrap();
+        stores[shard_for(&gps, shards)].apply_batch(ops).unwrap();
     }
     stores.into_iter().map(Arc::new).collect()
 }
@@ -567,6 +573,73 @@ fn quantized_parity_holds_across_pool_widths_and_shard_counts() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Spill axis: spilling cold arena chunks under a serving engine must
+// actually release them, and change no result byte.
+// ---------------------------------------------------------------------
+
+#[test]
+fn spilled_chunks_leave_memory_and_reload_to_identical_results() {
+    const FROZEN: usize = 3;
+    let (source, _) = build_store(FROZEN * tvdp_kernel::ROWS_PER_CHUNK + 200, 79);
+    let dir = std::env::temp_dir().join(format!("tvdp-parity-spill-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (durable, _) = DurableStore::open(&dir).expect("fresh durable directory");
+    let ops: Vec<WalOp> = source
+        .image_ids()
+        .into_iter()
+        .flat_map(|id| row_ops(&source, id).1)
+        .collect();
+    durable.apply_batch(ops).expect("journaled copy");
+    let store = durable.store_arc();
+    let rows = store.slab_rows(FeatureKind::Cnn, DIM);
+    let engine = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 256);
+
+    let mut rng = Rng::seed_from_u64(911);
+    let mut queries = quant_workload(&mut rng);
+    // A threshold no row misses: reads every row of every segment.
+    queries.push(Query::Visual {
+        example: random_example(&mut rng),
+        kind: FeatureKind::Cnn,
+        mode: VisualMode::Threshold(1e6),
+    });
+    let run = || {
+        let out = engine
+            .try_execute_batch_with_pool(&queries, &Pool::new(2))
+            .expect("cnn-only trees");
+        assert_eq!(out.last().map(Vec::len), Some(rows));
+        format!("{out:?}")
+    };
+
+    let before = run();
+    let serving = Arc::downgrade(&store.slab_view(FeatureKind::Cnn, DIM, rows));
+    assert!(serving.upgrade().is_some(), "the segments' shared view");
+
+    let (chunks, bytes) = durable.spill_cold_features(1).expect("spill");
+    assert_eq!(chunks, FROZEN - 1);
+    assert_eq!(
+        bytes,
+        (chunks * tvdp_kernel::ROWS_PER_CHUNK * DIM * 4) as u64
+    );
+    // No query is in flight, so nothing may keep the spilled floats
+    // alive: the view every segment served from (the one holder of the
+    // chunks besides the slab) is gone, and the next query has to read
+    // the cold chunks back.
+    assert!(
+        serving.upgrade().is_none(),
+        "the pre-spill view outlived the spill"
+    );
+    assert_eq!(durable.spill_stats().chunks_reloaded(), 0);
+
+    assert_eq!(run(), before, "results changed across the spill");
+    assert_eq!(
+        durable.spill_stats().chunks_reloaded(),
+        (FROZEN - 1) as u64,
+        "each cold chunk reloads exactly once"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
 //! The concurrency-safe visual data store.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use tvdp_kernel::sync::RwLock;
-use tvdp_kernel::{FeatureSlab, RowRef, RowSource, SlabView};
+use tvdp_kernel::{FeatureSlab, GenCell, RowRef, RowSource, SlabView};
 use tvdp_vision::{FeatureKind, Image};
 
 use crate::annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
@@ -601,6 +602,10 @@ impl Tables {
 #[derive(Debug, Default)]
 pub struct VisualStore {
     inner: RwLock<Tables>,
+    /// The one arena view per `(kind, dim)` slab that every reader of
+    /// this store shares ([`VisualStore::slab_view`]), published beside
+    /// the tables so a covered lookup takes no table lock.
+    views: GenCell<BTreeMap<(FeatureKind, u32), Arc<SlabView>>>,
 }
 
 impl VisualStore {
@@ -841,17 +846,38 @@ impl VisualStore {
         self.inner.read().features.get(&(image, kind)).copied()
     }
 
-    /// An `Arc`-sharing snapshot of the `(kind, dim)` feature slab.
-    /// Row handles issued up to this call resolve against the view
-    /// without taking the store lock again. Returns an empty view when
-    /// no feature of that shape has been stored.
-    pub fn slab_view(&self, kind: FeatureKind, dim: usize) -> SlabView {
-        self.inner
-            .read()
-            .slabs
-            .get(&(kind, dim as u32))
-            .map(FeatureSlab::view)
-            .unwrap_or_else(|| SlabView::empty(dim.max(1)))
+    /// The store's shared snapshot of the `(kind, dim)` feature slab,
+    /// covering at least the first `rows` rows (the caller's row handles
+    /// must all be below `rows`; handles resolve against the view
+    /// without taking the store lock). The store keeps one view per
+    /// slab: a call the cached view already covers returns that same
+    /// `Arc`, and only a call it does not cover replaces it — one copy
+    /// of the slab's partial tail chunk — so however many indexes sit
+    /// over the slab, at most one tail copy outlives the queries in
+    /// flight. An empty view when no feature of that shape is stored.
+    pub fn slab_view(&self, kind: FeatureKind, dim: usize, rows: usize) -> Arc<SlabView> {
+        let key = (kind, dim as u32);
+        if let Some(view) = self.views.load().get(&key) {
+            if view.rows() >= rows {
+                return Arc::clone(view);
+            }
+        }
+        let t = self.inner.read();
+        let Some(slab) = t.slabs.get(&key) else {
+            return Arc::new(SlabView::empty(dim.max(1)));
+        };
+        let fresh = Arc::new(slab.view());
+        // Published before the read guard drops, so a refresh is wholly
+        // before or wholly after a spill's write section and can never
+        // put a pre-spill view back. Racing refreshes may publish in
+        // either order (and one may drop another slab's entry): views
+        // only ever grow and callers never hold uncovered handles, so
+        // the loser costs its next caller one more refresh, never a
+        // different row.
+        let mut views = BTreeMap::clone(&self.views.load());
+        views.insert(key, Arc::clone(&fresh));
+        self.views.store(Arc::new(views));
+        fresh
     }
 
     /// Total resident bytes of trained quantized codes (plus their
@@ -901,7 +927,9 @@ impl VisualStore {
     /// CRC frame. Chunks already spilled and not since reloaded are
     /// skipped. Returns `(chunks, float_bytes)` released from memory.
     /// Deterministic: slabs iterate in `(kind, dim)` order, chunks
-    /// oldest-first.
+    /// oldest-first. The cached [`VisualStore::slab_view`]s are dropped
+    /// with the chunks, so a spilled chunk stays resident only while a
+    /// query already in flight holds the old view.
     pub fn spill_cold_chunks<E>(
         &self,
         keep_hot: usize,
@@ -911,9 +939,12 @@ impl VisualStore {
             usize,
             &[f32],
             &tvdp_kernel::quant::QuantChunk,
-        ) -> Result<std::sync::Arc<dyn tvdp_kernel::ChunkLoader>, E>,
+        ) -> Result<Arc<dyn tvdp_kernel::ChunkLoader>, E>,
     ) -> Result<(usize, u64), E> {
         let mut t = self.inner.write();
+        // No refresh can publish while the write guard is held, so
+        // dropping the views first also covers an early error return.
+        self.views.store(Arc::default());
         let mut chunks = 0usize;
         let mut bytes = 0u64;
         for (&(kind, dim), slab) in t.slabs.iter_mut() {
@@ -922,7 +953,7 @@ impl VisualStore {
                 if !slab.chunk_in_memory(c) {
                     continue;
                 }
-                let quant = std::sync::Arc::clone(slab.chunk_quant(c));
+                let quant = Arc::clone(slab.chunk_quant(c));
                 let loader = spill(kind, dim, c, slab.chunk_data(c), &quant)?;
                 let floats = slab.chunk_data(c).len() as u64;
                 slab.spill_frozen(c, loader);
@@ -1205,6 +1236,7 @@ impl VisualStore {
         }
         Ok(Self {
             inner: RwLock::new(t),
+            views: GenCell::default(),
         })
     }
 
@@ -1337,7 +1369,7 @@ mod tests {
         assert_eq!(&*r, &[1.0, 2.0]);
 
         // A view snapshot resolves issued handles without the lock.
-        let view = store.slab_view(FeatureKind::Cnn, 2);
+        let view = store.slab_view(FeatureKind::Cnn, 2, 2);
         assert_eq!(view.rows(), 2);
         assert_eq!(view.row(hb.row), &[3.0, 4.0]);
 
@@ -1377,6 +1409,66 @@ mod tests {
             .feature_ref(b, FeatureKind::ColorHistogram)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn slab_view_is_shared_until_a_caller_needs_rows_it_lacks() {
+        let store = VisualStore::new();
+        let put = |v: f32| {
+            let id = store
+                .add_image(meta(), ImageOrigin::Original, None)
+                .unwrap();
+            store.put_feature(id, FeatureKind::Cnn, vec![v; 3]).unwrap();
+        };
+        put(0.0);
+        put(1.0);
+        let cached = store.slab_view(FeatureKind::Cnn, 3, 2);
+        assert_eq!(cached.rows(), 2);
+        // Covered requests, including smaller ones, share the cached view.
+        for rows in [0, 1, 2] {
+            assert!(Arc::ptr_eq(
+                &cached,
+                &store.slab_view(FeatureKind::Cnn, 3, rows)
+            ));
+        }
+        // Growth alone replaces nothing: only a caller that needs the
+        // new row gets (and publishes) a fresh view that covers it.
+        put(2.0);
+        assert!(Arc::ptr_eq(
+            &cached,
+            &store.slab_view(FeatureKind::Cnn, 3, 2)
+        ));
+        let grown = store.slab_view(FeatureKind::Cnn, 3, 3);
+        assert!(!Arc::ptr_eq(&cached, &grown));
+        assert_eq!(grown.rows(), 3);
+        assert_eq!(grown.row(2), &[2.0; 3]);
+        assert_eq!(cached.rows(), 2, "a view in flight never changes");
+        // Asking for fewer rows after growth returns the new cached view.
+        assert!(Arc::ptr_eq(
+            &grown,
+            &store.slab_view(FeatureKind::Cnn, 3, 1)
+        ));
+        // Slabs are cached independently; an unknown shape is empty.
+        put(3.0);
+        let id = store.image_ids()[0];
+        store
+            .put_feature(id, FeatureKind::SiftBow, vec![7.0; 5])
+            .unwrap();
+        let sift = store.slab_view(FeatureKind::SiftBow, 5, 1);
+        assert_eq!(sift.row(0), &[7.0; 5]);
+        assert!(Arc::ptr_eq(
+            &grown,
+            &store.slab_view(FeatureKind::Cnn, 3, 3)
+        ));
+        assert!(Arc::ptr_eq(
+            &sift,
+            &store.slab_view(FeatureKind::SiftBow, 5, 1)
+        ));
+        for rows in [0, 4] {
+            let unknown = store.slab_view(FeatureKind::SiftBow, 9, rows);
+            assert!(unknown.is_empty());
+            assert_eq!(unknown.dim(), 9);
+        }
     }
 
     #[test]
@@ -1727,7 +1819,6 @@ mod tests {
 
     #[test]
     fn concurrent_ingest_is_safe() {
-        use std::sync::Arc;
         let store = Arc::new(VisualStore::new());
         let mut handles = Vec::new();
         for _ in 0..4 {
