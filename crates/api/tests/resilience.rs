@@ -87,6 +87,15 @@ fn temp_dir(name: &str) -> PathBuf {
 // Malformed queries: structured 400s, never panics.
 // ---------------------------------------------------------------------
 
+/// `And[Range, Visual]` whose example is of the indexed family (CNN)
+/// but two floats long.
+const BAD_HYBRID: &str = concat!(
+    r#"{"query":{"And":["#,
+    r#"{"Spatial":{"Range":{"min_lat":33.0,"min_lon":-119.0,"max_lat":35.0,"max_lon":-118.0}}},"#,
+    r#"{"Visual":{"example":[0.25,0.5],"kind":"Cnn","mode":{"TopK":3}}}"#,
+    r#"]}}"#,
+);
+
 #[test]
 fn malformed_hybrid_query_is_a_structured_400_not_a_panic() {
     let platform = Arc::new(Tvdp::new(fast_config()));
@@ -94,24 +103,18 @@ fn malformed_hybrid_query_is_a_structured_400_not_a_panic() {
     let server = ApiServer::with_rate_limit(Arc::clone(&platform), open_limit());
     let key = server.issue_key(user);
 
-    // Seed one image so the visual index has a feature family to
-    // mismatch against.
+    // Seed one image so the visual index has rows to mismatch against.
     let r = call_at(&server, &key, "data/add", &add_body(0), 0);
     assert!(r.is_ok(), "{r:?}");
 
     // A hybrid query whose visual leg carries a wrong-dimension
-    // example: the structured try_execute path reports it as a 400
-    // (regression: the panicking execute path would abort the server).
-    let bad_hybrid = concat!(
-        r#"{"query":{"And":["#,
-        r#"{"Spatial":{"Range":{"min_lat":33.0,"min_lon":-119.0,"max_lat":35.0,"max_lon":-118.0}}},"#,
-        r#"{"Visual":{"example":[0.25,0.5],"kind":"ColorHistogram","mode":{"TopK":3}}}"#,
-        r#"]}}"#,
-    );
-    let r = call_at(&server, &key, "data/search", bad_hybrid, 0);
+    // example of the indexed family: the structured try_execute path
+    // reports it as a 400 (regression: the index asserts on the length
+    // and the scan kernel would score the common prefix).
+    let r = call_at(&server, &key, "data/search", BAD_HYBRID, 0);
     assert_eq!(r.status, 400, "{r:?}");
     let msg = r.body["error"].as_str().unwrap();
-    assert!(msg.contains("dimension") || msg.contains("query"), "{msg}");
+    assert!(msg.contains("dimension"), "{msg}");
 
     // Structurally broken bodies and unknown query heads also land on
     // 400 with an explanatory error.
@@ -123,6 +126,48 @@ fn malformed_hybrid_query_is_a_structured_400_not_a_panic() {
         let r = call_at(&server, &key, "data/search", body, 0);
         assert_eq!(r.status, 400, "{body} -> {r:?}");
         assert!(!r.body["error"].is_null(), "{body} -> {r:?}");
+    }
+}
+
+/// The wrong-length example is a 400 naming the dimension whether the
+/// rows it would have been compared with sit in a shard's tail (linear
+/// scan) or in sealed segments (hybrid tree), alone or inside a hybrid
+/// tree, and the server keeps answering afterwards.
+#[test]
+fn wrong_dimension_example_is_a_400_over_tail_rows_and_sealed_segments() {
+    const BAD_VISUAL: &str =
+        r#"{"query":{"Visual":{"example":[0.25,0.5],"kind":"Cnn","mode":{"Threshold":9.0}}}}"#;
+    const RANGE: &str = r#"{"query":{"Spatial":{"Range":{"min_lat":33.0,"min_lon":-119.0,"max_lat":35.0,"max_lon":-118.0}}}}"#;
+    for seal_cap in [tvdp_query::DEFAULT_SEAL_CAP, 1] {
+        let platform = Arc::new(Tvdp::new(PlatformConfig {
+            seal_cap,
+            ..fast_config()
+        }));
+        let user = platform.register_user("analyst", Role::Researcher);
+        let server = ApiServer::with_rate_limit(Arc::clone(&platform), open_limit());
+        let key = server.issue_key(user);
+        for seed in 0..3 {
+            let r = call_at(&server, &key, "data/add", &add_body(seed), 0);
+            assert!(r.is_ok(), "{r:?}");
+        }
+        let dim = platform
+            .stores()
+            .iter()
+            .find_map(|s| s.feature(*s.image_ids().first()?, FeatureKind::Cnn))
+            .expect("an extracted CNN row")
+            .len();
+        for body in [BAD_VISUAL, BAD_HYBRID] {
+            let r = call_at(&server, &key, "data/search", body, 0);
+            assert_eq!(r.status, 400, "seal_cap {seal_cap}: {body} -> {r:?}");
+            let msg = r.body["error"].as_str().unwrap();
+            assert!(
+                msg.contains("dimension") && msg.contains(&dim.to_string()),
+                "seal_cap {seal_cap}: {msg}"
+            );
+        }
+        let r = call_at(&server, &key, "data/search", RANGE, 0);
+        assert!(r.is_ok(), "seal_cap {seal_cap}: {r:?}");
+        assert_eq!(r.body["count"].as_u64(), Some(3), "{r:?}");
     }
 }
 

@@ -21,11 +21,9 @@ use std::time::Instant;
 
 use tvdp_kernel::rng::Rng;
 
-use tvdp_geo::{BBox, Fov, GeoPoint};
-use tvdp_kernel::RowSource;
+use tvdp_geo::{Fov, GeoPoint};
 use tvdp_query::{
-    EngineConfig, LinearExecutor, QuantConfig, QuantMode, Query, QueryEngine, QueryResult,
-    SpatialQuery, TemporalField, TextualMode, VisualMode,
+    LinearExecutor, Query, QueryEngine, QueryResult, TemporalField, TextualMode, VisualMode,
 };
 use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
 use tvdp_vision::FeatureKind;
@@ -188,65 +186,6 @@ fn topk_visual(rng: &mut Rng) -> Query {
     }
 }
 
-/// `And[broad spatial range, visual top-10]` — the city-wide hybrid
-/// workload the quantized scan targets: the region keeps 40-100% of the
-/// corpus, so the exact tree traversal degenerates to scoring most
-/// entries through its best-first heap while the quantized scan streams
-/// u8 codes.
-fn hybrid_topk(rng: &mut Rng) -> Query {
-    let lat = 34.0 + rng.gen_range(0.0..0.02);
-    let lon = -118.3 + rng.gen_range(0.0..0.02);
-    let side = rng.gen_range(0.05..0.08);
-    Query::And(vec![
-        Query::Spatial(SpatialQuery::Range(BBox::new(
-            lat,
-            lon,
-            lat + side,
-            lon + side,
-        ))),
-        Query::Visual {
-            example: random_example(rng),
-            kind: FeatureKind::Cnn,
-            mode: VisualMode::TopK(10),
-        },
-    ])
-}
-
-/// An engine whose exact top-k path is pinned to one scan.
-fn engine_with_quant(
-    store: &Arc<VisualStore>,
-    mode: QuantMode,
-    rerank_depth: usize,
-) -> QueryEngine {
-    QueryEngine::build(
-        Arc::clone(store),
-        EngineConfig {
-            quant: QuantConfig { mode, rerank_depth },
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// Top-10 ids of each query result (already distance-ascending).
-fn top_ids(results: &[QueryResult], k: usize) -> Vec<u64> {
-    results.iter().take(k).map(|r| r.image.raw()).collect()
-}
-
-/// Fraction of `truth` recovered, averaged over the batch.
-fn recall_at(truth: &[Vec<u64>], got: &[Vec<u64>]) -> f64 {
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for (t, g) in truth.iter().zip(got) {
-        total += t.len();
-        hits += t.iter().filter(|id| g.contains(id)).count();
-    }
-    if total == 0 {
-        1.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
 /// The pre-rewrite conjunction plan: materialize every leg through the
 /// engine's leaf executors, intersect through a `BTreeMap`, keep the
 /// first leg's score.
@@ -293,13 +232,24 @@ fn materialized_or(engine: &QueryEngine, subs: &[Query]) -> Vec<QueryResult> {
     out
 }
 
+/// Runs a query this benchmark built for the engine's own corpus.
+fn run(engine: &QueryEngine, q: &Query) -> Vec<QueryResult> {
+    match engine.try_execute(q) {
+        Ok(results) => results,
+        Err(e) => {
+            eprintln!("query rejected: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Executes one leg the way the old plan did: leaves through the
 /// engine's leaf executors, nested booleans recursively materialized.
 fn materialized(engine: &QueryEngine, q: &Query) -> Vec<QueryResult> {
     match q {
         Query::And(subs) => materialized_and(engine, subs),
         Query::Or(subs) => materialized_or(engine, subs),
-        leaf => engine.execute(leaf),
+        leaf => run(engine, leaf),
     }
 }
 
@@ -377,7 +327,7 @@ fn main() {
 
     // Parity gate: numbers only count if the answers are equal.
     for q in and_qs.iter().chain(&and_or_qs).chain(&or_qs) {
-        let e = canonical(&engine.execute(q));
+        let e = canonical(&run(&engine, q));
         let b = canonical(&materialized(&engine, q));
         if e != b {
             eprintln!("parity failure on {q:?}");
@@ -385,7 +335,7 @@ fn main() {
         }
     }
     for q in &topk_qs {
-        let e = canonical(&engine.execute(q));
+        let e = canonical(&run(&engine, q));
         let l = canonical(&linear.execute(q));
         if e != l {
             eprintln!("parity failure on {q:?}");
@@ -397,7 +347,7 @@ fn main() {
     let mut workloads = Vec::new();
     for (name, qs) in [("and_hybrid", &and_qs), ("and_or_hybrid", &and_or_qs)] {
         let (baseline_ms, _) = time_batch(qs, |q| materialized(&engine, q));
-        let (engine_ms, rows) = time_batch(qs, |q| engine.execute(q));
+        let (engine_ms, rows) = time_batch(qs, |q| run(&engine, q));
         workloads.push(Workload {
             name,
             baseline_name: "materialized conjunction (pre-rewrite plan)",
@@ -408,7 +358,7 @@ fn main() {
     }
     {
         let (baseline_ms, _) = time_batch(&or_qs, |q| materialized(&engine, q));
-        let (engine_ms, rows) = time_batch(&or_qs, |q| engine.execute(q));
+        let (engine_ms, rows) = time_batch(&or_qs, |q| run(&engine, q));
         workloads.push(Workload {
             name: "or_mixed",
             baseline_name: "BTreeMap union (pre-rewrite plan)",
@@ -419,7 +369,7 @@ fn main() {
     }
     {
         let (baseline_ms, _) = time_batch(&topk_qs, |q| linear.execute(q));
-        let (engine_ms, rows) = time_batch(&topk_qs, |q| engine.execute(q));
+        let (engine_ms, rows) = time_batch(&topk_qs, |q| run(&engine, q));
         workloads.push(Workload {
             name: "topk_visual",
             baseline_name: "linear scan reference",
@@ -438,59 +388,6 @@ fn main() {
         );
     }
 
-    // ------------------------------------------------------------------
-    // Quantized-scan curve: city-wide hybrid top-10, exact tree baseline.
-    // The quantized path re-ranks within the decode-error margin, so it
-    // is exact at every depth; recall is measured anyway rather than
-    // asserted.
-    // ------------------------------------------------------------------
-    let hybrid_qs: Vec<Query> = (0..QUERIES).map(|_| hybrid_topk(&mut rng)).collect();
-    let exact_engine = engine_with_quant(&store, QuantMode::Never, 64);
-    let truth: Vec<Vec<u64>> = hybrid_qs
-        .iter()
-        .map(|q| top_ids(&exact_engine.execute(q), 10))
-        .collect();
-    let (exact_ms, _) = time_batch(&hybrid_qs, |q| exact_engine.execute(q));
-    eprintln!("  hybrid_topk    exact tree {exact_ms:>8.1} ms");
-
-    const DEPTHS: [usize; 5] = [10, 16, 32, 64, 128];
-    struct CurvePoint {
-        depth: usize,
-        engine_ms: f64,
-        recall: f64,
-    }
-    let mut curve = Vec::new();
-    for depth in DEPTHS {
-        let quant_engine = engine_with_quant(&store, QuantMode::Always, depth);
-        let got: Vec<Vec<u64>> = hybrid_qs
-            .iter()
-            .map(|q| top_ids(&quant_engine.execute(q), 10))
-            .collect();
-        let recall = recall_at(&truth, &got);
-        let (engine_ms, _) = time_batch(&hybrid_qs, |q| quant_engine.execute(q));
-        eprintln!(
-            "  quantized d={depth:<4} {engine_ms:>8.1} ms  recall@10 {recall:.3}  speedup {:.2}x",
-            exact_ms / engine_ms
-        );
-        curve.push(CurvePoint {
-            depth,
-            engine_ms,
-            recall,
-        });
-    }
-
-    // Resident footprint of the compressed representation vs the floats
-    // it mirrors (codes plus per-chunk min/scale/eps sidecar).
-    let view = store.slab_view(
-        FeatureKind::Cnn,
-        DIM,
-        store.slab_rows(FeatureKind::Cnn, DIM),
-    );
-    let quant_rows = view.quant_rows();
-    let chunks = quant_rows / tvdp_kernel::ROWS_PER_CHUNK;
-    let code_bytes = quant_rows * DIM + chunks * (DIM * 8 + 4);
-    let float_bytes = view.rows() * DIM * 4;
-
     let body: Vec<String> = workloads.iter().map(Workload::json).collect();
     println!("{{");
     println!(
@@ -498,32 +395,6 @@ fn main() {
     );
     println!("  \"regenerate\": \"cargo run --release -p tvdp-bench --bin query_planner > BENCH_query.json\",");
     println!("  \"workloads\": {{\n{}\n  }},", body.join(",\n"));
-    println!("  \"quantized\": {{");
-    println!("    \"workload\": \"And[broad spatial range, visual top-10], {QUERIES} queries over the {N_IMAGES}-image corpus\",");
-    println!("    \"baseline\": \"exact f32 hybrid-tree traversal (QuantMode::Never)\",");
-    println!(
-        "    \"exact_ms\": {exact_ms:.1},\n    \"exact_qps\": {:.0},",
-        QUERIES as f64 / (exact_ms / 1e3)
-    );
-    println!(
-        "    \"resident_code_bytes\": {code_bytes},\n    \"resident_float_bytes\": {float_bytes},\n    \"compression\": {:.2},",
-        float_bytes as f64 / code_bytes as f64
-    );
-    let curve_body: Vec<String> = curve
-        .iter()
-        .map(|p| {
-            format!(
-                "      {{\"rerank_depth\": {}, \"engine_ms\": {:.1}, \"qps\": {:.0}, \"speedup_vs_exact\": {:.2}, \"recall_at_10\": {:.4}}}",
-                p.depth,
-                p.engine_ms,
-                QUERIES as f64 / (p.engine_ms / 1e3),
-                exact_ms / p.engine_ms,
-                p.recall
-            )
-        })
-        .collect();
-    println!("    \"curve\": [\n{}\n    ]", curve_body.join(",\n"));
-    println!("  }},");
     let min_hybrid = workloads
         .iter()
         .filter(|w| w.name.starts_with("and"))
@@ -542,27 +413,6 @@ fn main() {
     println!(
         "    \"topk_visual_speedup_2x\": \"{}: {topk:.2}x over the linear reference\",",
         if topk >= 2.0 { "met" } else { "NOT met" }
-    );
-    // Default-depth point of the curve (rerank_depth 64).
-    let default_point = curve.iter().find(|p| p.depth == 64).unwrap_or(&curve[0]);
-    println!(
-        "    \"recall_floor_at_default_depth\": \"{}: recall@10 = {:.3} at rerank depth {} (floor 0.95; the margin re-rank makes the scan exact)\",",
-        if default_point.recall >= 0.95 {
-            "met"
-        } else {
-            "NOT met"
-        },
-        default_point.recall,
-        default_point.depth
-    );
-    let best_speedup = curve
-        .iter()
-        .filter(|p| p.recall >= 0.95)
-        .map(|p| exact_ms / p.engine_ms)
-        .fold(0.0f64, f64::max);
-    println!(
-        "    \"qps_2x_at_recall_095\": \"{}: {best_speedup:.2}x QPS over the exact scan at recall@10 >= 0.95\",",
-        if best_speedup >= 2.0 { "met" } else { "NOT met" }
     );
     println!("    \"zero_copy\": \"visual path allocates no per-query feature copies: LSH re-rank and hybrid pruning call tvdp_kernel::l2_sq on arena rows borrowed from the shared FeatureSlab view\"");
     println!("  }}");

@@ -367,7 +367,7 @@ fn measure_single_lock(query_scripts: &[Vec<Query>]) -> PerOp {
                 .iter()
                 .map(|q| {
                     let t0 = Instant::now();
-                    black_box(engine.execute(q).len());
+                    black_box(ok(engine.try_execute(q), "query").len());
                     t0.elapsed().as_secs_f64() * 1e6
                 })
                 .collect()
@@ -514,7 +514,7 @@ fn run_single_lock(query_scripts: &[Vec<Query>]) -> Measurement {
         "single_lock".into(),
         query_scripts,
         &write_scripts,
-        |q| engine.read().execute(q).len(),
+        |q| ok(engine.read().try_execute(q), "query").len(),
         |up| {
             apply_upload(&store, up);
             engine.write().index_image(up.id);

@@ -166,9 +166,11 @@ pub struct PlatformStats {
     pub models: usize,
     /// Registered users.
     pub users: usize,
-    /// Resident bytes of quantized feature codes across all shards —
-    /// the compressed working set the quantized candidate scan reads
-    /// (the mirrored `f32` rows cost 4x as much and may be spilled).
+    /// Resident bytes of the arena's quantized (`u8`) mirror of frozen
+    /// feature chunks across all shards. No query path reads the codes
+    /// (PR 20 made the exact top-k the hybrid tree over the `f32`
+    /// rows); they stay resident, and are still written to spill files,
+    /// until the kernel mirror itself is deleted (ROADMAP item 5).
     pub quant_code_bytes: usize,
 }
 

@@ -19,10 +19,7 @@
 //! * [`hybrid::VisualRTree`] — the hybrid spatial-visual index of
 //!   Alfarrarjeh et al. (ACM MM Workshops 2017, ref \[28\]): an R-tree whose
 //!   nodes carry feature-space summaries so one traversal prunes in both
-//!   spaces at once,
-//! * [`vfirst::VisualFirstIndex`] — the opposite hybrid ordering
-//!   (visual-first IVF cells with spatial MBR pruning), for workloads
-//!   whose spatial predicate is broad and visual predicate sharp.
+//!   spaces at once.
 
 pub mod hybrid;
 pub mod inverted;
@@ -30,7 +27,6 @@ pub mod lsh;
 pub mod oriented;
 pub mod rtree;
 pub mod temporal;
-pub mod vfirst;
 
 pub use hybrid::VisualRTree;
 pub use inverted::InvertedIndex;
@@ -38,4 +34,3 @@ pub use lsh::{LshConfig, LshIndex};
 pub use oriented::OrientedRTree;
 pub use rtree::RTree;
 pub use temporal::TemporalIndex;
-pub use vfirst::VisualFirstIndex;

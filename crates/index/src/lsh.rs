@@ -44,11 +44,10 @@ pub struct LshConfig {
     /// fetches `max(k * candidate_multiple, min_candidates)` neighbours
     /// (see [`LshConfig::oversampled_fetch`]). A pure multiple cliffs at
     /// small `k` — `k = 1` with the default multiple fetches only 4
-    /// candidates, and any post-filter (spatial region, quantized
-    /// pre-scan) that eats most of them collapses recall on small
-    /// indexes. The floor keeps the post-filter fed; 32 costs at most a
-    /// few thousand extra FLOPs per query, which is noise next to one
-    /// hash probe.
+    /// candidates, and a post-filter (the spatial region) that eats
+    /// most of them collapses recall on small indexes. The floor keeps
+    /// the post-filter fed; 32 costs at most a few thousand extra FLOPs
+    /// per query, which is noise next to one hash probe.
     pub min_candidates: usize,
 }
 
@@ -398,9 +397,7 @@ mod tests {
     fn min_candidates_floor_prevents_small_k_recall_cliff() {
         // k = 1 with multiple 1 fetches a single neighbour; a post-filter
         // that rejects it (here: odd handles) zeroes recall. The floor
-        // keeps the filter fed regardless of k — this is the regression
-        // pin for the quantized pre-scan, whose candidate filter is
-        // strictly tighter than the plain spatial one.
+        // keeps the filter fed regardless of k.
         let dim = 8;
         let vectors = clustered_vectors(6, 25, dim);
         let config = LshConfig {

@@ -8,8 +8,8 @@
 //! vector is cloned on either path, and no engine owns arena memory.
 //!
 //! Conjunctions are planned by selectivity (see
-//! [`QueryEngine::execute`]): exact-membership leaves (temporal ranges,
-//! keyword filters, annotation labels, spatial boxes, visual
+//! [`QueryEngine::try_execute`]): exact-membership leaves (temporal
+//! ranges, keyword filters, annotation labels, spatial boxes, visual
 //! thresholds) are evaluated per candidate instead of materialized,
 //! and candidate sets travel as one sorted `Vec<ImageId>` narrowed by
 //! galloping intersection.
@@ -20,9 +20,9 @@ use std::sync::Arc;
 use tvdp_geo::{BBox, GeoPolygon};
 use tvdp_index::{
     inverted::tokenize, InvertedIndex, LshConfig, LshIndex, OrientedRTree, RTree, TemporalIndex,
-    VisualFirstIndex, VisualRTree,
+    VisualRTree,
 };
-use tvdp_kernel::{l2_sq, l2_sq_asym, Pool, RowSource, SlabView, TopK, TotalF32};
+use tvdp_kernel::{l2_sq, RowSource, SlabView};
 use tvdp_storage::{ClassificationId, ImageId, VisualStore};
 use tvdp_vision::FeatureKind;
 
@@ -31,58 +31,6 @@ use crate::types::{
     sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode,
     VisualMode,
 };
-
-/// Which scan the exact top-k visual path uses for quantizable work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantMode {
-    /// The planner picks quantized-scan vs tree per leaf from index
-    /// stats (the default; see [`crate::plan::quantized_scan_wins`]).
-    Auto,
-    /// Always use the quantized scan when any codes exist.
-    Always,
-    /// Never use the quantized scan.
-    Never,
-}
-
-/// Quantized-scan tuning.
-///
-/// The quantized path scans `u8` codes with the asymmetric kernel, then
-/// re-ranks survivors on the exact `f32` rows. The re-rank set always
-/// includes every candidate within the decode-error margin of the k-th
-/// approximate distance, so the final top-k is **exact** — bit-identical
-/// to the full-precision scan — at any `rerank_depth >= k`; the depth
-/// only widens the re-rank set beyond the provable minimum.
-#[derive(Debug, Clone, Copy)]
-pub struct QuantConfig {
-    /// Scan selection policy.
-    pub mode: QuantMode,
-    /// Minimum number of approximate candidates re-ranked exactly
-    /// (clamped up to `k` at query time).
-    pub rerank_depth: usize,
-}
-
-impl Default for QuantConfig {
-    fn default() -> Self {
-        Self {
-            mode: QuantMode::Auto,
-            rerank_depth: 64,
-        }
-    }
-}
-
-/// Which hybrid-index ordering backs exact spatial-visual queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HybridOrdering {
-    /// Spatial-first Visual R*-tree (the default): nodes group by
-    /// location, feature balls prune second. Best when the spatial
-    /// predicate is sharp.
-    SpatialFirst,
-    /// Visual-first IVF cells with spatial MBR pruning
-    /// ([`tvdp_index::VisualFirstIndex`]): cells group by feature,
-    /// MBRs prune second. Best when the spatial predicate is broad and
-    /// the visual one sharp. Both orderings are exact.
-    VisualFirst,
-}
 
 /// Engine construction options.
 #[derive(Debug, Clone)]
@@ -95,10 +43,6 @@ pub struct EngineConfig {
     /// index; when `false`, top-k visual queries use the LSH candidate
     /// path (approximate, faster at scale).
     pub exact_visual: bool,
-    /// Quantized-scan policy for the exact top-k path.
-    pub quant: QuantConfig,
-    /// Hybrid-index ordering for exact spatial-visual queries.
-    pub ordering: HybridOrdering,
 }
 
 impl Default for EngineConfig {
@@ -107,102 +51,6 @@ impl Default for EngineConfig {
             visual_kind: FeatureKind::Cnn,
             lsh: LshConfig::default(),
             exact_visual: true,
-            quant: QuantConfig::default(),
-            ordering: HybridOrdering::SpatialFirst,
-        }
-    }
-}
-
-/// Either hybrid-index ordering behind one exact query surface. Both
-/// variants return identical result sets (up to distance ties); the
-/// ordering only changes which pruning channel leads.
-enum HybridIndex {
-    SpatialFirst(VisualRTree<ImageId>),
-    VisualFirst(VisualFirstIndex<ImageId>),
-}
-
-impl HybridIndex {
-    fn new(ordering: HybridOrdering, dim: usize) -> Self {
-        match ordering {
-            HybridOrdering::SpatialFirst => HybridIndex::SpatialFirst(VisualRTree::new(dim)),
-            HybridOrdering::VisualFirst => HybridIndex::VisualFirst(VisualFirstIndex::new(dim)),
-        }
-    }
-
-    fn dim(&self) -> usize {
-        match self {
-            HybridIndex::SpatialFirst(t) => t.dim(),
-            HybridIndex::VisualFirst(v) => v.dim(),
-        }
-    }
-
-    fn insert(&mut self, rows: &impl RowSource, bbox: BBox, row: u32, id: ImageId) {
-        match self {
-            HybridIndex::SpatialFirst(t) => t.insert(rows, bbox, row, id),
-            HybridIndex::VisualFirst(v) => v.insert(rows, bbox, row, id),
-        }
-    }
-
-    fn knn_visual(
-        &self,
-        rows: &impl RowSource,
-        region: &BBox,
-        query: &[f32],
-        k: usize,
-    ) -> Vec<(f32, ImageId)> {
-        match self {
-            HybridIndex::SpatialFirst(t) => t
-                .knn_visual(rows, region, query, k)
-                .into_iter()
-                .map(|(d, id)| (d, *id))
-                .collect(),
-            HybridIndex::VisualFirst(v) => v
-                .knn_visual(rows, region, query, k)
-                .into_iter()
-                .map(|(d, id)| (d, *id))
-                .collect(),
-        }
-    }
-
-    fn range_visual(
-        &self,
-        rows: &impl RowSource,
-        region: &BBox,
-        query: &[f32],
-        max_dist: f32,
-    ) -> Vec<(f32, ImageId)> {
-        match self {
-            HybridIndex::SpatialFirst(t) => t
-                .range_visual(rows, region, query, max_dist)
-                .into_iter()
-                .map(|(d, id)| (d, *id))
-                .collect(),
-            HybridIndex::VisualFirst(v) => v
-                .range_visual(rows, region, query, max_dist)
-                .into_iter()
-                .map(|(d, id)| (d, *id))
-                .collect(),
-        }
-    }
-
-    fn range_visual_sq(
-        &self,
-        rows: &impl RowSource,
-        region: &BBox,
-        query: &[f32],
-        max_dist_sq: f32,
-    ) -> Vec<(f32, ImageId)> {
-        match self {
-            HybridIndex::SpatialFirst(t) => t
-                .range_visual_sq(rows, region, query, max_dist_sq)
-                .into_iter()
-                .map(|(d, id)| (d, *id))
-                .collect(),
-            HybridIndex::VisualFirst(v) => v
-                .range_visual_sq(rows, region, query, max_dist_sq)
-                .into_iter()
-                .map(|(d, id)| (d, *id))
-                .collect(),
         }
     }
 }
@@ -249,10 +97,7 @@ pub struct QueryEngine {
     config: EngineConfig,
     scene_tree: RTree<ImageId>,
     fov_tree: OrientedRTree<ImageId>,
-    hybrid: Option<HybridIndex>,
-    /// Flat list of every visually indexed entry `(row, id, doc)` in
-    /// insertion order — the quantized scan's candidate stream.
-    visual_entries: Vec<(u32, ImageId, usize)>,
+    hybrid: Option<VisualRTree<ImageId>>,
     /// The approximate top-k path's index and its handle -> image id
     /// table. Only that path reads them, so they are built iff
     /// `config.exact_visual` is `false`.
@@ -272,9 +117,6 @@ pub struct QueryEngine {
     scenes: Vec<BBox>,
     /// Arena row of each visually indexed image (ordered, L2).
     rows_by_id: BTreeMap<ImageId, u32>,
-    /// Dimensionality of the indexed feature family (fixed by the
-    /// first indexed feature).
-    visual_dim: Option<usize>,
     /// One past the highest arena row the visual indexes reference;
     /// the view a query resolves rows through must cover this many.
     rows_hi: u32,
@@ -313,7 +155,6 @@ impl QueryEngine {
             scene_tree: RTree::new(),
             fov_tree: OrientedRTree::new(),
             hybrid: None,
-            visual_entries: Vec::new(),
             lsh: None,
             lsh_ids: Vec::new(),
             text: InvertedIndex::new(),
@@ -325,7 +166,6 @@ impl QueryEngine {
             uploaded_at: Vec::new(),
             scenes: Vec::new(),
             rows_by_id: BTreeMap::new(),
-            visual_dim: None,
             rows_hi: 0,
             extent: None,
             indexed: BTreeSet::new(),
@@ -356,7 +196,7 @@ impl QueryEngine {
         let store = Arc::clone(&self.store);
         // The record is read in place under the store's read lock; only
         // the columns the engine keeps are copied out of it.
-        let mut indexed_as = None;
+        let mut scene = None;
         store.with_images(&[id], |record| {
             self.indexed.insert(id);
             self.scene_tree.insert(record.scene_location, id);
@@ -377,9 +217,9 @@ impl QueryEngine {
                 None => record.scene_location,
                 Some(e) => e.union(&record.scene_location),
             });
-            indexed_as = Some((doc, record.scene_location));
+            scene = Some(record.scene_location);
         });
-        let Some((doc, scene)) = indexed_as else {
+        let Some(scene) = scene else {
             return;
         };
         let kind = self.config.visual_kind;
@@ -387,10 +227,7 @@ impl QueryEngine {
             return;
         };
         let dim = handle.dim as usize;
-        let ordering = self.config.ordering;
-        let hybrid = self
-            .hybrid
-            .get_or_insert_with(|| HybridIndex::new(ordering, dim));
+        let hybrid = self.hybrid.get_or_insert_with(|| VisualRTree::new(dim));
         let lsh = if self.config.exact_visual {
             None
         } else {
@@ -407,9 +244,7 @@ impl QueryEngine {
                 lsh.insert(slab.row(handle.row), handle.row);
             }
         });
-        self.visual_entries.push((handle.row, id, doc));
         self.rows_by_id.insert(id, handle.row);
-        self.visual_dim = Some(dim);
         self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
     }
 
@@ -425,55 +260,25 @@ impl QueryEngine {
     pub(crate) fn visual_view(&self) -> Arc<SlabView> {
         self.store.slab_view(
             self.config.visual_kind,
-            self.visual_dim.unwrap_or(1),
+            self.visual_dim().unwrap_or(1),
             self.rows_hi as usize,
         )
     }
 
-    /// Validates a query tree against the engine's configuration
-    /// without executing it.
-    fn validate(&self, query: &Query) -> Result<(), QueryError> {
-        match query {
-            Query::Visual { kind, .. } if *kind != self.config.visual_kind => {
-                Err(QueryError::KindMismatch {
-                    indexed: self.config.visual_kind,
-                    queried: *kind,
-                })
-            }
-            Query::Spatial(SpatialQuery::Range(region))
-            | Query::Spatial(SpatialQuery::Directed { region, .. }) => {
-                region.validate().map_err(QueryError::Geo)
-            }
-            Query::And(subs) | Query::Or(subs) => subs.iter().try_for_each(|q| self.validate(q)),
-            _ => Ok(()),
-        }
+    /// Dimensionality of the indexed feature rows (fixed by the first
+    /// one); `None` until a visual row is indexed.
+    pub(crate) fn visual_dim(&self) -> Option<usize> {
+        self.hybrid.as_ref().map(VisualRTree::dim)
     }
 
-    /// Executes a query, rejecting invalid ones with a typed error: a
-    /// visual leaf anywhere in the tree whose feature family differs
-    /// from the indexed one yields [`QueryError::KindMismatch`] instead
-    /// of silently wrong (or silently dropped) results.
+    /// Executes a query, rejecting invalid ones with a typed error (see
+    /// [`Query::validate`]): a visual leaf anywhere in the tree whose
+    /// feature family or example length differs from the indexed rows
+    /// yields [`QueryError::KindMismatch`] / [`QueryError::DimMismatch`]
+    /// instead of silently wrong (or silently dropped) results.
     pub fn try_execute(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
-        self.validate(query)?;
+        query.validate(self.config.visual_kind, self.visual_dim())?;
         Ok(self.run(query))
-    }
-
-    /// Executes a query.
-    ///
-    /// This is the panicking convenience wrapper over
-    /// [`QueryEngine::try_execute`]; use that method to handle invalid
-    /// queries gracefully.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a visual leaf names a feature family other than the
-    /// indexed one (caller error).
-    pub fn execute(&self, query: &Query) -> Vec<QueryResult> {
-        match self.try_execute(query) {
-            Ok(results) => results,
-            // tvdp-lint: allow(no_panic, reason = "documented panicking wrapper; try_execute is the fallible API")
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Dispatch after validation. Recursive planner paths (and the
@@ -517,20 +322,6 @@ impl QueryEngine {
         }
     }
 
-    /// Executes a batch of independent queries, fanning them out across
-    /// the given pool. Results arrive in input order and are identical to
-    /// calling [`QueryEngine::execute`] per query — the engine is
-    /// read-only during execution, so the queries share every index.
-    pub fn execute_batch_with_pool(&self, queries: &[Query], pool: &Pool) -> Vec<Vec<QueryResult>> {
-        pool.map(queries, |_, q| self.execute(q))
-    }
-
-    /// [`QueryEngine::execute_batch_with_pool`] on the global
-    /// (one-worker-per-CPU) pool.
-    pub fn execute_batch(&self, queries: &[Query]) -> Vec<Vec<QueryResult>> {
-        self.execute_batch_with_pool(queries, Pool::global())
-    }
-
     /// Document frequency of a (lowercased) term in this engine's text
     /// index — one addend of a partitioned corpus's global df.
     pub(crate) fn term_df(&self, term: &str) -> usize {
@@ -558,19 +349,6 @@ impl QueryEngine {
             .collect()
     }
 
-    /// Visual search optionally restricted to a region — the engine's
-    /// hybrid fast path, exposed to the sharded executor so a
-    /// spatial+visual conjunction scatters as one index traversal per
-    /// segment.
-    pub(crate) fn run_visual(
-        &self,
-        example: &[f32],
-        mode: VisualMode,
-        region: Option<&BBox>,
-    ) -> Vec<QueryResult> {
-        self.execute_visual(example, mode, region)
-    }
-
     /// All images whose indexed feature lies within squared distance
     /// `max_dist_sq` of `example`, as `(squared_distance, id)` sorted
     /// ascending. The sqrt-free thresholding path (near-duplicate
@@ -580,7 +358,11 @@ impl QueryEngine {
             return Vec::new();
         };
         let view = self.visual_view();
-        hybrid.range_visual_sq(&*view, &world(), example, max_dist_sq)
+        hybrid
+            .range_visual_sq(&*view, &world(), example, max_dist_sq)
+            .into_iter()
+            .map(|(d_sq, id)| (d_sq, *id))
+            .collect()
     }
 
     /// Disjunction: union of the branches, keeping each image's best
@@ -663,9 +445,10 @@ impl QueryEngine {
     }
 
     /// Visual query, optionally restricted to a spatial region (the
-    /// hybrid spatial-visual plan). Feature rows are read from the
-    /// shared arena snapshot; nothing is cloned per query.
-    fn execute_visual(
+    /// hybrid spatial-visual plan, which the sharded executor scatters
+    /// as one index traversal per segment). Feature rows are read from
+    /// the shared arena snapshot; nothing is cloned per query.
+    pub(crate) fn execute_visual(
         &self,
         example: &[f32],
         mode: VisualMode,
@@ -680,19 +463,15 @@ impl QueryEngine {
             VisualMode::Threshold(max_dist) => hybrid
                 .range_visual(&*view, &region, example, max_dist)
                 .into_iter()
-                .map(|(d, id)| QueryResult::new(id, f64::from(d)))
+                .map(|(d, id)| QueryResult::new(*id, f64::from(d)))
                 .collect(),
             VisualMode::TopK(k) => {
                 if self.config.exact_visual {
-                    if self.use_quantized_scan(&view, &region, example, k) {
-                        self.quantized_topk(&view, &region, example, k)
-                    } else {
-                        hybrid
-                            .knn_visual(&*view, &region, example, k)
-                            .into_iter()
-                            .map(|(d, id)| QueryResult::new(id, f64::from(d)))
-                            .collect()
-                    }
+                    hybrid
+                        .knn_visual(&*view, &region, example, k)
+                        .into_iter()
+                        .map(|(d, id)| QueryResult::new(*id, f64::from(d)))
+                        .collect()
                 } else {
                     // Approximate: LSH candidates, exact re-rank on the
                     // arena rows, then spatial post-filter. Oversampling
@@ -719,113 +498,6 @@ impl QueryEngine {
         // score are ordered by id like everywhere else.
         sort_ranked(&mut out);
         out
-    }
-
-    /// Whether the exact top-k leaf should run as a quantized flat scan
-    /// instead of the hybrid-index traversal. Both paths return the same
-    /// results; this is purely a cost decision (except `Always`/`Never`,
-    /// which pin the choice for tests and benchmarks).
-    fn use_quantized_scan(
-        &self,
-        view: &SlabView,
-        region: &BBox,
-        example: &[f32],
-        k: usize,
-    ) -> bool {
-        if self.visual_dim != Some(example.len()) || self.visual_entries.is_empty() {
-            return false;
-        }
-        match self.config.quant.mode {
-            QuantMode::Never => false,
-            QuantMode::Always => view.quant_rows() > 0,
-            QuantMode::Auto => {
-                let quant_rows = view.quant_rows() as u32;
-                if quant_rows == 0 {
-                    return false;
-                }
-                // Chunks freeze in row order, so exactly the rows below
-                // `quant_rows` carry codes.
-                let covered = self
-                    .visual_entries
-                    .iter()
-                    .filter(|&&(row, _, _)| row < quant_rows)
-                    .count();
-                let entries = self.visual_entries.len();
-                plan::quantized_scan_wins(&plan::VisualLeafStats {
-                    entries,
-                    est_candidates: self.spatial_fraction(region) * entries as f64,
-                    dim: example.len(),
-                    quant_coverage: covered as f64 / entries as f64,
-                    rerank_depth: self.config.quant.rerank_depth.max(k),
-                })
-            }
-        }
-    }
-
-    /// Exact top-k via the quantized flat scan: pass 1 ranks every
-    /// region-intersecting entry by asymmetric (f32-query vs u8-code)
-    /// distance, pass 2 re-ranks the survivors on the full `f32` rows.
-    ///
-    /// Exactness: let `t̂` be the k-th smallest approximate distance and
-    /// `eps` the worst decode error any trained chunk certified at
-    /// freeze. For every row, `|d̂ - d| <= eps` in the triangle-inequality
-    /// sense, so any entry whose true distance makes top-k satisfies
-    /// `d̂ <= t̂ + 2·eps`. Re-ranking everything under
-    /// `max(t̂ + 2·eps, d̂_depth)` therefore reproduces the full-precision
-    /// top-k bit-identically at any `rerank_depth >= k` — the configured
-    /// depth only widens the re-rank set beyond the provable minimum.
-    /// Rows not yet quantized (live tail chunk) contribute their exact
-    /// distance in pass 1, which the margin trivially covers.
-    fn quantized_topk(
-        &self,
-        view: &SlabView,
-        region: &BBox,
-        example: &[f32],
-        k: usize,
-    ) -> Vec<QueryResult> {
-        if k == 0 {
-            return Vec::new();
-        }
-        // Pass 1: approximate squared distances over the candidate set
-        // (same `scene.intersects(region)` predicate the tree applies).
-        let mut approx: Vec<(f32, u32, ImageId)> = Vec::new();
-        for &(row, id, doc) in &self.visual_entries {
-            if !self.scenes[doc].intersects(region) {
-                continue;
-            }
-            let d_sq = match view.quant_row(row) {
-                Some((codes, params)) => l2_sq_asym(example, codes, params),
-                None => l2_sq(view.row(row), example),
-            };
-            approx.push((d_sq, row, id));
-        }
-        let depth = self.config.quant.rerank_depth.max(k).min(approx.len());
-        // Approximate ranking; id tiebreak keeps the cutoff deterministic.
-        let mut sel = TopK::new(depth);
-        for &(d_sq, _, id) in &approx {
-            sel.push((TotalF32(d_sq), id));
-        }
-        let ranked = sel.into_sorted_vec();
-        let cutoff_sq = match ranked.get(k - 1) {
-            None => f32::INFINITY, // fewer candidates than k: re-rank all
-            Some(&(TotalF32(t_hat_sq), _)) => {
-                let d_depth = ranked.last().map_or(0.0, |&(TotalF32(d), _)| d).sqrt();
-                let cutoff = (t_hat_sq.sqrt() + 2.0 * view.max_quant_eps()).max(d_depth);
-                cutoff * cutoff
-            }
-        };
-        // Pass 2: exact re-rank of every entry inside the error margin.
-        let mut exact = TopK::new(k);
-        for &(d_sq, row, id) in &approx {
-            if d_sq <= cutoff_sq {
-                exact.push((TotalF32(l2_sq(view.row(row), example)), id));
-            }
-        }
-        exact
-            .into_sorted_vec()
-            .into_iter()
-            .map(|(TotalF32(d_sq), id)| QueryResult::new(id, f64::from(d_sq.sqrt())))
-            .collect()
     }
 
     fn execute_textual(&self, text: &str, mode: TextualMode) -> Vec<QueryResult> {
@@ -897,23 +569,18 @@ impl QueryEngine {
                 },
                 5,
             )),
+            // Validation pinned the example to the indexed length.
             Query::Visual {
                 example,
                 mode: VisualMode::Threshold(t),
                 ..
-            } if self
-                .hybrid
-                .as_ref()
-                .is_some_and(|h| h.dim() == example.len()) =>
-            {
-                Some((
-                    Filter::VisualThreshold {
-                        example,
-                        max_dist: *t,
-                    },
-                    8,
-                ))
-            }
+            } if self.hybrid.is_some() => Some((
+                Filter::VisualThreshold {
+                    example,
+                    max_dist: *t,
+                },
+                8,
+            )),
             _ => None,
         }
     }

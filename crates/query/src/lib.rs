@@ -25,7 +25,7 @@ pub mod plan;
 pub mod sharded;
 pub mod types;
 
-pub use engine::{EngineConfig, HybridOrdering, QuantConfig, QuantMode, QueryEngine};
+pub use engine::{EngineConfig, QueryEngine};
 pub use linear::LinearExecutor;
 pub use localize::{localize, LocalizationEstimate};
 pub use sharded::{ShardedEngine, DEFAULT_SEAL_CAP};

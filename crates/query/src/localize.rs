@@ -35,7 +35,8 @@ pub struct LocalizationEstimate {
 
 /// Localizes an image by its feature vector against the engine's visual
 /// index. Returns `None` when fewer than two geo-tagged neighbours are
-/// available.
+/// available — including when `features` cannot be compared with the
+/// indexed rows at all (another feature family, or another length).
 ///
 /// `k` controls how many visual neighbours vote (the reference approach
 /// uses a small committee; 5–15 works well).
@@ -47,11 +48,13 @@ pub fn localize(
     k: usize,
 ) -> Option<LocalizationEstimate> {
     assert!(k >= 2, "need at least two neighbours to localize");
-    let results = engine.execute(&Query::Visual {
-        example: features.to_vec(),
-        kind,
-        mode: VisualMode::TopK(k),
-    });
+    let results = engine
+        .try_execute(&Query::Visual {
+            example: features.to_vec(),
+            kind,
+            mode: VisualMode::TopK(k),
+        })
+        .ok()?;
     if results.len() < 2 {
         return None;
     }

@@ -12,45 +12,6 @@ use tvdp_storage::ImageId;
 
 use crate::types::QueryResult;
 
-/// Per-leaf statistics the exact top-k planner inspects when choosing
-/// between the hybrid-index traversal and the quantized flat scan.
-#[derive(Debug, Clone, Copy)]
-pub struct VisualLeafStats {
-    /// Visually indexed entries in the segment.
-    pub entries: usize,
-    /// Estimated entries surviving the spatial predicate (from the
-    /// engine's extent-overlap selectivity model).
-    pub est_candidates: f64,
-    /// Feature dimensionality.
-    pub dim: usize,
-    /// Fraction of entries with trained `u8` codes (frozen chunks).
-    pub quant_coverage: f64,
-    /// Re-rank width already clamped to `max(rerank_depth, k)`.
-    pub rerank_depth: usize,
-}
-
-/// Whether the quantized flat scan is expected to beat the hybrid-index
-/// traversal for one exact top-k leaf.
-///
-/// Cost model in bytes touched: the quantized scan reads every entry's
-/// codes (`dim` bytes each, plus ~16 bytes of per-entry bookkeeping)
-/// and re-ranks `rerank_depth` full `f32` rows; the tree traversal
-/// reads roughly one full `f32` row plus ~64 bytes of node structure
-/// per *surviving* candidate. A broad spatial predicate therefore
-/// favors the scan (4x less bandwidth per entry), while a sharp one
-/// favors the tree (it never visits pruned entries at all). Low code
-/// coverage disqualifies the scan: uncoded rows fall back to full
-/// `f32` reads, eroding the bandwidth win.
-pub fn quantized_scan_wins(stats: &VisualLeafStats) -> bool {
-    if stats.entries == 0 || stats.quant_coverage < 0.5 {
-        return false;
-    }
-    let dim = stats.dim as f64;
-    let scan_cost = stats.entries as f64 * (dim + 16.0) + stats.rerank_depth as f64 * 4.0 * dim;
-    let tree_cost = stats.est_candidates * (4.0 * dim + 64.0);
-    scan_cost < tree_cost
-}
-
 /// The ids of `results`, sorted ascending. Result rows never repeat an
 /// image (every executor dedups per leaf), so no `dedup` pass is
 /// needed.

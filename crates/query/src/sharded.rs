@@ -47,6 +47,7 @@ use tvdp_index::inverted::{ranked_term_contribution, tokenize};
 use tvdp_kernel::sync::Mutex;
 use tvdp_kernel::{l2_sq, GenCell, Pool, TopK, TotalF64};
 use tvdp_storage::{ImageId, ImageRecord, VisualStore};
+use tvdp_vision::FeatureKind;
 
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::types::{
@@ -100,6 +101,30 @@ struct Snapshot {
 struct ShardView {
     store: Arc<VisualStore>,
     gen: Arc<ShardGen>,
+}
+
+impl Snapshot {
+    /// Length of the indexed family's feature rows: what any sealed
+    /// segment recorded, else — while every row is still in a tail —
+    /// what the store holds for a tail row. `None` when no visual row
+    /// exists yet.
+    fn visual_dim(&self, kind: FeatureKind) -> Option<usize> {
+        let sealed = self
+            .shards
+            .iter()
+            .flat_map(|sv| &sv.gen.segments)
+            .find_map(|seg| seg.visual_dim());
+        sealed.or_else(|| {
+            self.shards.iter().find_map(|sv| {
+                sv.gen.tail.iter().find_map(|&id| {
+                    sv.store
+                        .feature_handle(id, kind)
+                        .filter(|h| h.dim > 0)
+                        .map(|h| h.dim as usize)
+                })
+            })
+        })
+    }
 }
 
 /// A unit of scatter work: one sealed segment, or one shard's tail.
@@ -325,25 +350,6 @@ impl ShardedEngine {
         }));
     }
 
-    /// Validates a query tree against the sharded configuration
-    /// (mirrors [`QueryEngine::try_execute`]'s checks).
-    fn validate(&self, query: &Query) -> Result<(), QueryError> {
-        match query {
-            Query::Visual { kind, .. } if *kind != self.config.visual_kind => {
-                Err(QueryError::KindMismatch {
-                    indexed: self.config.visual_kind,
-                    queried: *kind,
-                })
-            }
-            Query::Spatial(SpatialQuery::Range(region))
-            | Query::Spatial(SpatialQuery::Directed { region, .. }) => {
-                region.validate().map_err(QueryError::Geo)
-            }
-            Query::And(subs) | Query::Or(subs) => subs.iter().try_for_each(|q| self.validate(q)),
-            _ => Ok(()),
-        }
-    }
-
     fn snapshot(&self) -> Snapshot {
         Snapshot {
             shards: self
@@ -357,10 +363,27 @@ impl ShardedEngine {
         }
     }
 
+    /// Loads the snapshot a request runs against, having validated its
+    /// queries ([`Query::validate`]) against the configured feature
+    /// family and the row length that snapshot indexes.
+    fn admit<'q>(
+        &self,
+        queries: impl IntoIterator<Item = &'q Query>,
+    ) -> Result<Snapshot, QueryError> {
+        let snap = self.snapshot();
+        let kind = self.config.visual_kind;
+        let dim = snap.visual_dim(kind);
+        for q in queries {
+            q.validate(kind, dim)?;
+        }
+        Ok(snap)
+    }
+
     /// Executes a query: scatter across every shard's published
     /// generation on the global pool, gather deterministically. A
-    /// visual leaf naming a feature family other than the indexed one
-    /// is rejected with [`QueryError::KindMismatch`].
+    /// visual leaf whose feature family or example length differs from
+    /// the indexed rows is rejected with [`QueryError::KindMismatch`] /
+    /// [`QueryError::DimMismatch`].
     pub fn try_execute(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
         self.try_execute_with_pool(query, Pool::global())
     }
@@ -371,8 +394,7 @@ impl ShardedEngine {
         query: &Query,
         pool: &Pool,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        self.validate(query)?;
-        let snap = self.snapshot();
+        let snap = self.admit([query])?;
         self.run_on(&snap, query, pool, None)
     }
 
@@ -391,8 +413,7 @@ impl ShardedEngine {
         now_ms: i64,
         deadline_ms: i64,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        self.validate(query)?;
-        let snap = self.snapshot();
+        let snap = self.admit([query])?;
         let dl = DeadlineCtx {
             deadline_ms,
             clock_ms: Cell::new(now_ms),
@@ -427,10 +448,7 @@ impl ShardedEngine {
         queries: &[Query],
         pool: &Pool,
     ) -> Result<Vec<Vec<QueryResult>>, QueryError> {
-        for q in queries {
-            self.validate(q)?;
-        }
-        let snap = self.snapshot();
+        let snap = self.admit(queries)?;
         pool.map(queries, |_, q| {
             let serial = Pool::serial();
             self.run_on(&snap, q, &serial, None)
@@ -878,7 +896,7 @@ impl ShardedEngine {
                 dl.walk_units(&units)?;
             }
             let partials = pool.map(&units, |_, unit| match unit {
-                Unit::Seg(engine) => engine.run_visual(example, mode, Some(region)),
+                Unit::Seg(engine) => engine.execute_visual(example, mode, Some(region)),
                 Unit::Tail(sv) => self.tail_visual(sv, example, mode, Some(region)),
             });
             let mut results: Vec<QueryResult> = partials.into_iter().flatten().collect();
@@ -982,7 +1000,6 @@ mod tests {
     use super::*;
     use tvdp_geo::GeoPoint;
     use tvdp_storage::{ImageMeta, ImageOrigin, UserId};
-    use tvdp_vision::FeatureKind;
 
     /// `n` featured rows in one store: far fewer than a chunk, so the
     /// whole slab is one partial tail chunk.

@@ -104,6 +104,42 @@ pub enum Query {
     Or(Vec<Query>),
 }
 
+impl Query {
+    /// Validates the tree against what an executor indexes, without
+    /// executing anything — the one set of checks every engine entry
+    /// point runs first. `indexed_kind` is the feature family the visual
+    /// indexes cover and `indexed_dim` the length of its rows (`None`
+    /// while no visual row exists: nothing can be compared, so any
+    /// example length is accepted and matches nothing).
+    pub fn validate(
+        &self,
+        indexed_kind: FeatureKind,
+        indexed_dim: Option<usize>,
+    ) -> Result<(), QueryError> {
+        match self {
+            Query::Visual { kind, .. } if *kind != indexed_kind => Err(QueryError::KindMismatch {
+                indexed: indexed_kind,
+                queried: *kind,
+            }),
+            Query::Visual { example, .. } => match indexed_dim {
+                Some(indexed) if indexed != example.len() => Err(QueryError::DimMismatch {
+                    indexed,
+                    queried: example.len(),
+                }),
+                _ => Ok(()),
+            },
+            Query::Spatial(SpatialQuery::Range(region))
+            | Query::Spatial(SpatialQuery::Directed { region, .. }) => {
+                region.validate().map_err(QueryError::Geo)
+            }
+            Query::And(subs) | Query::Or(subs) => subs
+                .iter()
+                .try_for_each(|q| q.validate(indexed_kind, indexed_dim)),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Errors a query can be rejected with before execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryError {
@@ -116,6 +152,16 @@ pub enum QueryError {
         indexed: FeatureKind,
         /// The feature family the query asked for.
         queried: FeatureKind,
+    },
+    /// A visual leaf's example has a different length from the indexed
+    /// family's feature rows. A distance between vectors of different
+    /// lengths is undefined: the indexes assert on it and the scan
+    /// kernel would score the common prefix.
+    DimMismatch {
+        /// The length of the indexed feature rows.
+        indexed: usize,
+        /// The length of the query's example.
+        queried: usize,
     },
     /// A spatial leaf carried a malformed region — most importantly a
     /// rectangle wrapping the antimeridian, which the planner would
@@ -141,6 +187,10 @@ impl std::fmt::Display for QueryError {
             QueryError::KindMismatch { indexed, queried } => write!(
                 f,
                 "visual kind mismatch: engine indexes {indexed:?}, query uses {queried:?}"
+            ),
+            QueryError::DimMismatch { indexed, queried } => write!(
+                f,
+                "visual dimension mismatch: indexed features have {indexed} dimensions, query example has {queried}"
             ),
             QueryError::Geo(e) => write!(f, "invalid spatial region: {e}"),
             QueryError::DeadlineExceeded {

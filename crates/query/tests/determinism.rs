@@ -145,7 +145,9 @@ fn run_with_threads(config: &EngineConfig, threads: usize) -> Vec<u8> {
     let store = build_store(300, 42);
     let engine = QueryEngine::build(Arc::clone(&store), config.clone());
     let pool = Pool::new(threads);
-    let results = engine.execute_batch_with_pool(&workload(), &pool);
+    let results = pool.map(&workload(), |_, q| {
+        engine.try_execute(q).expect("workload matches the index")
+    });
     serialize(&results)
 }
 

@@ -8,8 +8,8 @@ use tvdp_kernel::rng::Rng;
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
 use tvdp_query::types::result_ids;
 use tvdp_query::{
-    LinearExecutor, Query, QueryEngine, QueryResult, ShardedEngine, SpatialQuery, TemporalField,
-    TextualMode, VisualMode,
+    LinearExecutor, Query, QueryEngine, QueryError, QueryResult, ShardedEngine, SpatialQuery,
+    TemporalField, TextualMode, VisualMode,
 };
 use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
 use tvdp_vision::FeatureKind;
@@ -80,11 +80,16 @@ fn sorted_ids(results: &[QueryResult]) -> Vec<u64> {
     ids
 }
 
+/// Runs a query the test knows to be valid for `engine`.
+fn run(engine: &QueryEngine, query: &Query) -> Vec<QueryResult> {
+    engine.try_execute(query).expect("valid query")
+}
+
 fn check_agreement(query: &Query, n: usize, seed: u64) {
     let store = build_store(n, seed);
     let engine = QueryEngine::build(Arc::clone(&store), Default::default());
     let linear = LinearExecutor::new(store);
-    let e = engine.execute(query);
+    let e = run(&engine, query);
     let l = linear.execute(query);
     assert_eq!(sorted_ids(&e), sorted_ids(&l), "mismatch on {query:?}");
 }
@@ -121,7 +126,7 @@ fn spatial_nearest_matches_distances() {
         point: GeoPoint::new(34.025, -118.275),
         k: 7,
     });
-    let e = engine.execute(&q);
+    let e = run(&engine, &q);
     let l = linear.execute(&q);
     assert_eq!(e.len(), 7);
     for (a, b) in e.iter().zip(&l) {
@@ -154,7 +159,7 @@ fn visual_topk_matches_distances() {
         kind: FeatureKind::Cnn,
         mode: VisualMode::TopK(10),
     };
-    let e = engine.execute(&q);
+    let e = run(&engine, &q);
     let l = linear.execute(&q);
     assert_eq!(e.len(), 10);
     for (a, b) in e.iter().zip(&l) {
@@ -179,10 +184,10 @@ fn categorical_agrees() {
         min_confidence: 0.7,
     };
     assert_eq!(
-        sorted_ids(&engine.execute(&q)),
+        sorted_ids(&run(&engine, &q)),
         sorted_ids(&linear.execute(&q))
     );
-    assert!(!engine.execute(&q).is_empty());
+    assert!(!run(&engine, &q).is_empty());
 }
 
 #[test]
@@ -203,7 +208,7 @@ fn textual_modes_agree() {
         mode: TextualMode::Ranked(1000),
     };
     assert_eq!(
-        sorted_ids(&engine.execute(&q)),
+        sorted_ids(&run(&engine, &q)),
         sorted_ids(&linear.execute(&q))
     );
 }
@@ -267,7 +272,7 @@ fn triple_hybrid_agrees() {
 fn empty_and_returns_nothing() {
     let store = build_store(20, 13);
     let engine = QueryEngine::build(Arc::clone(&store), Default::default());
-    assert!(engine.execute(&Query::And(vec![])).is_empty());
+    assert!(run(&engine, &Query::And(vec![])).is_empty());
 }
 
 #[test]
@@ -292,8 +297,8 @@ fn approximate_visual_path_has_high_recall() {
         kind: FeatureKind::Cnn,
         mode: VisualMode::TopK(10),
     };
-    let exact_ids: Vec<_> = result_ids(&exact.execute(&q));
-    let approx_ids: Vec<_> = result_ids(&approx.execute(&q));
+    let exact_ids: Vec<_> = result_ids(&run(&exact, &q));
+    let approx_ids: Vec<_> = result_ids(&run(&approx, &q));
     let hit = exact_ids
         .iter()
         .filter(|id| approx_ids.contains(id))
@@ -326,10 +331,13 @@ fn incremental_indexing_picks_up_new_images() {
         .unwrap();
     engine.index_image(id);
     assert_eq!(engine.len(), before + 1);
-    let hits = engine.execute(&Query::Textual {
-        text: "uniquekeyword".into(),
-        mode: TextualMode::All,
-    });
+    let hits = run(
+        &engine,
+        &Query::Textual {
+            text: "uniquekeyword".into(),
+            mode: TextualMode::All,
+        },
+    );
     assert_eq!(result_ids(&hits), vec![id]);
     // Re-indexing is idempotent.
     engine.index_image(id);
@@ -359,7 +367,7 @@ fn or_union_agrees_and_keeps_best_score() {
     // Union semantics: no sub-query result is lost.
     let store = build_store(200, 16);
     let engine = QueryEngine::build(Arc::clone(&store), Default::default());
-    let union = engine.execute(&q);
+    let union = run(&engine, &q);
     for sub in [
         Query::Textual {
             text: "tent".into(),
@@ -371,7 +379,7 @@ fn or_union_agrees_and_keeps_best_score() {
             to: 4_000,
         },
     ] {
-        for r in engine.execute(&sub) {
+        for r in run(&engine, &sub) {
             assert!(
                 union.iter().any(|u| u.image == r.image),
                 "lost {:?}",
@@ -405,7 +413,7 @@ fn nested_and_or_composition() {
 }
 
 #[test]
-fn execute_batch_matches_per_query_and_linear() {
+fn pooled_execution_matches_per_query_and_linear() {
     let store = build_store(200, 19);
     let engine = QueryEngine::build(Arc::clone(&store), Default::default());
     let linear = LinearExecutor::new(store);
@@ -439,17 +447,9 @@ fn execute_batch_matches_per_query_and_linear() {
             },
         ]),
     ];
-    let batched = engine.execute_batch(&queries);
-    assert_eq!(
-        batched.len(),
-        queries.len(),
-        "one result set per query, in order"
-    );
-    for (q, batch_results) in queries.iter().zip(&batched) {
-        // Batch == per-query on the engine, including scores and order.
-        let single = engine.execute(q);
-        assert_eq!(&single, batch_results, "batch diverged on {q:?}");
-        // …and both agree with the linear-scan reference on membership
+    let singles: Vec<Vec<QueryResult>> = queries.iter().map(|q| run(&engine, q)).collect();
+    for (q, single) in queries.iter().zip(&singles) {
+        // The engine agrees with the linear-scan reference on membership
         // (top-k boundary ties may legitimately differ, so skip those).
         if !matches!(
             q,
@@ -459,16 +459,18 @@ fn execute_batch_matches_per_query_and_linear() {
             }
         ) {
             assert_eq!(
-                sorted_ids(batch_results),
+                sorted_ids(single),
                 sorted_ids(&linear.execute(q)),
                 "linear mismatch on {q:?}"
             );
         }
     }
-    // Thread count is a latency knob only.
+    // The engine is read-only during execution, so queries fanned out
+    // over a pool share every index: same rows, scores and order as one
+    // at a time, and thread count is a latency knob only.
     for threads in [1, 4] {
-        let pooled = engine.execute_batch_with_pool(&queries, &tvdp_kernel::Pool::new(threads));
-        assert_eq!(pooled, batched, "{threads} threads");
+        let pooled = tvdp_kernel::Pool::new(threads).map(&queries, |_, q| run(&engine, q));
+        assert_eq!(pooled, singles, "{threads} threads");
     }
 }
 
@@ -491,10 +493,8 @@ fn polygon_within_agrees() {
         Query::Spatial(SpatialQuery::Within(p)) => p.clone(),
         _ => unreachable!(),
     };
-    let in_tri = engine.execute(&q).len();
-    let in_box = engine
-        .execute(&Query::Spatial(SpatialQuery::Range(tri.bbox())))
-        .len();
+    let in_tri = run(&engine, &q).len();
+    let in_box = run(&engine, &Query::Spatial(SpatialQuery::Range(tri.bbox()))).len();
     assert!(in_tri > 0);
     assert!(
         in_tri < in_box,
@@ -554,9 +554,67 @@ fn rows_tying_on_the_reported_score_come_out_in_id_order_everywhere() {
     for mode in [VisualMode::TopK(2), VisualMode::Threshold(3.0)] {
         for q in [visual(mode), Query::And(vec![world.clone(), visual(mode)])] {
             assert_eq!(linear.execute(&q), want, "linear on {q:?}");
-            assert_eq!(engine.execute(&q), want, "engine on {q:?}");
+            assert_eq!(run(&engine, &q), want, "engine on {q:?}");
             assert_eq!(sealed.try_execute(&q).unwrap(), want, "segments on {q:?}");
             assert_eq!(tail.try_execute(&q).unwrap(), want, "tail on {q:?}");
         }
+    }
+}
+
+/// An example of the indexed family but the wrong length has no distance
+/// to any row: every executor entry point rejects it with a typed error
+/// wherever the leaf sits, over sealed segments (whose tree asserts on
+/// the length) and over tail rows (whose scan kernel would score the
+/// common prefix) alike. With no visual row there is nothing to compare
+/// against, so any length is accepted and matches nothing.
+#[test]
+fn wrong_length_example_is_rejected_wherever_the_leaf_sits() {
+    let store = build_store(40, 23);
+    let engine = QueryEngine::build(Arc::clone(&store), Default::default());
+    // Seal cap 1: every row sealed; the default cap leaves all 40 in the
+    // tail, so the dimension has to come from the store.
+    let sealed = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 1);
+    let tail = ShardedEngine::build(vec![Arc::clone(&store)], Default::default());
+    let err = QueryError::DimMismatch {
+        indexed: DIM,
+        queried: 2,
+    };
+    let pool = tvdp_kernel::Pool::global();
+    let range = Query::Spatial(SpatialQuery::Range(BBox::new(34.0, -118.3, 34.05, -118.25)));
+    for mode in [VisualMode::TopK(3), VisualMode::Threshold(1.0)] {
+        let visual = |len: usize| Query::Visual {
+            example: vec![0.0; len],
+            kind: FeatureKind::Cnn,
+            mode,
+        };
+        for q in [
+            visual(2),
+            Query::Or(vec![range.clone(), visual(2)]),
+            Query::And(vec![range.clone(), visual(2)]),
+            Query::And(vec![visual(DIM), visual(2)]),
+        ] {
+            assert_eq!(engine.try_execute(&q), Err(err), "engine on {q:?}");
+            assert_eq!(sealed.try_execute(&q), Err(err), "segments on {q:?}");
+            assert_eq!(tail.try_execute(&q), Err(err), "tail on {q:?}");
+            assert_eq!(
+                tail.try_execute_batch_with_pool(&[visual(DIM), q.clone()], pool),
+                Err(err),
+                "batch on {q:?}"
+            );
+            assert_eq!(
+                sealed.try_execute_with_deadline(&q, pool, 0, i64::MAX),
+                Err(err),
+                "deadline on {q:?}"
+            );
+        }
+        assert!(engine.try_execute(&visual(DIM)).is_ok());
+        assert!(sealed.try_execute(&visual(DIM)).is_ok());
+        assert!(tail.try_execute(&visual(DIM)).is_ok());
+
+        let empty = Arc::new(VisualStore::new());
+        let nothing_indexed = QueryEngine::build(Arc::clone(&empty), Default::default());
+        assert_eq!(nothing_indexed.try_execute(&visual(2)), Ok(Vec::new()));
+        let nothing_sharded = ShardedEngine::build(vec![empty], Default::default());
+        assert_eq!(nothing_sharded.try_execute(&visual(2)), Ok(Vec::new()));
     }
 }

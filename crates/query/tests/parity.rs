@@ -26,8 +26,8 @@ use tvdp_kernel::rng::Rng;
 use tvdp_geo::{AngularRange, BBox, Fov, GeoError, GeoPoint, GeoPolygon};
 use tvdp_kernel::Pool;
 use tvdp_query::{
-    EngineConfig, LinearExecutor, QuantConfig, QuantMode, Query, QueryEngine, QueryError,
-    QueryResult, ShardedEngine, SpatialQuery, TemporalField, TextualMode, VisualMode,
+    EngineConfig, LinearExecutor, Query, QueryEngine, QueryError, QueryResult, ShardedEngine,
+    SpatialQuery, TemporalField, TextualMode, VisualMode,
 };
 use tvdp_storage::{
     AnnotationSource, ClassificationId, DurableStore, ImageId, ImageMeta, ImageOrigin, UserId,
@@ -236,7 +236,7 @@ fn randomized_trees_match_linear_scan() {
         let mut rng = Rng::seed_from_u64(store_seed * 7 + 3);
         for _ in 0..6 {
             let q = random_query(&mut rng, 2, cls);
-            let e = engine.execute(&q);
+            let e = engine.try_execute(&q).expect("cnn-only tree");
             let l = linear.execute(&q);
             assert_eq!(canonical(&e), canonical(&l), "mismatch on {q:?}");
         }
@@ -249,8 +249,13 @@ fn batch_output_bytes_identical_across_pool_widths() {
     let engine = QueryEngine::build(Arc::clone(&store), Default::default());
     let mut rng = Rng::seed_from_u64(4_242);
     let queries: Vec<Query> = (0..24).map(|_| random_query(&mut rng, 2, cls)).collect();
-    let one = engine.execute_batch_with_pool(&queries, &Pool::new(1));
-    let eight = engine.execute_batch_with_pool(&queries, &Pool::new(8));
+    let run = |pool: Pool| {
+        pool.map(&queries, |_, q| {
+            engine.try_execute(q).expect("cnn-only tree")
+        })
+    };
+    let one = run(Pool::new(1));
+    let eight = run(Pool::new(8));
     assert_eq!(format!("{one:?}"), format!("{eight:?}"));
 }
 
@@ -302,18 +307,6 @@ fn standalone_wrong_kind_visual_is_rejected() {
     );
 }
 
-#[test]
-#[should_panic(expected = "visual kind mismatch")]
-fn execute_panics_on_kind_mismatch() {
-    let (store, _) = build_store(40, 9);
-    let engine = QueryEngine::build(store, Default::default());
-    engine.execute(&Query::Visual {
-        example: vec![0.0; DIM],
-        kind: FeatureKind::ColorHistogram,
-        mode: VisualMode::TopK(3),
-    });
-}
-
 /// Two visual leaves of the *indexed* kind are legal; the conjunction
 /// must route them through the general plan and still match the
 /// reference exactly.
@@ -335,7 +328,7 @@ fn two_same_kind_visual_leaves_take_general_plan_and_agree() {
             mode: VisualMode::Threshold(3.0),
         },
     ]);
-    let e = engine.execute(&q);
+    let e = engine.try_execute(&q).expect("cnn-only tree");
     let l = linear.execute(&q);
     assert!(!e.is_empty());
     assert_eq!(canonical(&e), canonical(&l));
@@ -469,28 +462,19 @@ fn sharded_batch_bytes_identical_across_shard_counts_and_pool_widths() {
 }
 
 // ---------------------------------------------------------------------
-// Quantized-scan axis: the u8-code scan plus exact re-rank must be
-// indistinguishable — byte for byte — from the pure-f32 tree traversal
-// whenever the re-rank depth is at least k (it is always clamped up to
-// k, so every configuration qualifies).
+// Multi-chunk axis: the exact top-k over a corpus whose arena has frozen
+// several chunks must equal the linear scan row for row, and serialise
+// to the same bytes however the corpus is sharded and scattered.
 // ---------------------------------------------------------------------
 
-/// Engine config pinning the exact top-k path to one scan.
-fn quant_config(mode: QuantMode, rerank_depth: usize) -> EngineConfig {
-    EngineConfig {
-        quant: QuantConfig { mode, rerank_depth },
-        ..EngineConfig::default()
-    }
-}
-
 /// A corpus large enough that the feature arena freezes multiple chunks
-/// (1024 rows each), so real trained codes back the quantized scan.
-const QUANT_CORPUS: usize = 2_600;
+/// (1024 rows each), so the tree resolves rows across chunk boundaries.
+const MULTI_CHUNK_CORPUS: usize = 2_600;
 
 /// Visual and spatial+visual top-k trees over the clustered corpus.
 /// Features are continuous random draws, so distances are tie-free and
 /// result order — not just the result set — must agree.
-fn quant_workload(rng: &mut Rng) -> Vec<Query> {
+fn topk_workload(rng: &mut Rng) -> Vec<Query> {
     let mut queries = Vec::new();
     for k in [1usize, 10, 40] {
         queries.push(Query::Visual {
@@ -518,59 +502,41 @@ fn quant_workload(rng: &mut Rng) -> Vec<Query> {
 }
 
 #[test]
-fn quantized_scan_is_bit_identical_to_exact_tree() {
-    let (store, _) = build_store(QUANT_CORPUS, 77);
-    let exact = QueryEngine::build(Arc::clone(&store), quant_config(QuantMode::Never, 64));
+fn exact_topk_equals_linear_scan_across_shard_counts_and_pool_widths() {
+    let (store, cls) = build_store(MULTI_CHUNK_CORPUS, 77);
     let mut rng = Rng::seed_from_u64(909);
-    let queries = quant_workload(&mut rng);
-    // Depth 1 exercises the provable minimum (clamped up to k); depth
-    // 160 exercises a re-rank set far wider than any queried k.
-    for rerank_depth in [1usize, 160] {
-        let quantized = QueryEngine::build(
-            Arc::clone(&store),
-            quant_config(QuantMode::Always, rerank_depth),
-        );
-        for q in &queries {
-            let reference = exact.execute(q);
-            let scanned = quantized.execute(q);
-            assert!(!reference.is_empty());
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{scanned:?}"),
-                "quantized scan (depth {rerank_depth}) diverged on {q:?}"
-            );
-        }
-    }
-}
+    let queries = topk_workload(&mut rng);
+    let linear = LinearExecutor::new(Arc::clone(&store));
+    let reference: Vec<Vec<QueryResult>> = queries.iter().map(|q| linear.execute(q)).collect();
+    assert!(reference.iter().all(|rows| !rows.is_empty()));
+    // `Debug` prints the shortest text that round-trips an `f64`, so
+    // equal bytes mean equal order, ids and score bits.
+    let want = format!("{reference:?}");
 
-#[test]
-fn quantized_parity_holds_across_pool_widths_and_shard_counts() {
-    let (store, cls) = build_store(QUANT_CORPUS, 78);
-    let mut rng = Rng::seed_from_u64(910);
-    let queries = quant_workload(&mut rng);
+    let engine = QueryEngine::build(Arc::clone(&store), Default::default());
+    let single: Vec<Vec<QueryResult>> = queries
+        .iter()
+        .map(|q| engine.try_execute(q).expect("cnn-only tree"))
+        .collect();
+    assert_eq!(format!("{single:?}"), want, "single engine diverged");
+
     // Seal cap large enough that shard stores still freeze arena chunks
     // per segment batch yet every shard carries several sealed segments.
-    let mut reference: Option<String> = None;
     for shards in [1usize, 2] {
-        for mode in [QuantMode::Never, QuantMode::Always] {
-            let engine = ShardedEngine::with_seal_cap(
-                shard_stores(&store, cls, shards),
-                quant_config(mode, 64),
-                512,
+        let sharded = ShardedEngine::with_seal_cap(
+            shard_stores(&store, cls, shards),
+            EngineConfig::default(),
+            512,
+        );
+        for threads in [1usize, 8] {
+            let out = sharded
+                .try_execute_batch_with_pool(&queries, &Pool::new(threads))
+                .expect("cnn-only trees");
+            assert_eq!(
+                format!("{out:?}"),
+                want,
+                "{shards} shards x {threads} threads diverged"
             );
-            for threads in [1usize, 8] {
-                let out = engine
-                    .try_execute_batch_with_pool(&queries, &Pool::new(threads))
-                    .expect("cnn-only trees");
-                let bytes = format!("{out:?}");
-                match &reference {
-                    None => reference = Some(bytes),
-                    Some(want) => assert_eq!(
-                        &bytes, want,
-                        "{shards} shards x {threads} threads x {mode:?} diverged"
-                    ),
-                }
-            }
         }
     }
 }
@@ -598,7 +564,7 @@ fn spilled_chunks_leave_memory_and_reload_to_identical_results() {
     let engine = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 256);
 
     let mut rng = Rng::seed_from_u64(911);
-    let mut queries = quant_workload(&mut rng);
+    let mut queries = topk_workload(&mut rng);
     // A threshold no row misses: reads every row of every segment.
     queries.push(Query::Visual {
         example: random_example(&mut rng),

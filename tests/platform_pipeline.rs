@@ -134,10 +134,12 @@ fn persistence_roundtrip_preserves_queryability() {
     assert_eq!(reloaded.len(), 40);
 
     let engine = QueryEngine::build(Arc::clone(&reloaded), EngineConfig::default());
-    let hits = engine.execute(&Query::Textual {
-        text: "persisted".into(),
-        mode: TextualMode::All,
-    });
+    let hits = engine
+        .try_execute(&Query::Textual {
+            text: "persisted".into(),
+            mode: TextualMode::All,
+        })
+        .unwrap();
     assert_eq!(hits.len(), 40);
 
     // Spatial queries agree before and after the round trip.
@@ -147,7 +149,8 @@ fn persistence_roundtrip_preserves_queryability() {
         .unwrap()
         .len();
     let after = engine
-        .execute(&Query::Spatial(SpatialQuery::Range(region)))
+        .try_execute(&Query::Spatial(SpatialQuery::Range(region)))
+        .unwrap()
         .len();
     assert_eq!(before, after);
 
