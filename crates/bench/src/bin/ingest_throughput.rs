@@ -27,14 +27,14 @@
 //! A second section measures recovery: time to reopen a store whose
 //! WAL holds N ops, for N up to 100 000 — and proves the replayed
 //! state is *byte-identical* to the no-crash state by compacting both
-//! and comparing `snapshot.json` bytes.
+//! and comparing the bytes of the base segment each publishes.
 //!
 //! Prints a JSON document to stdout; regenerate the checked-in
 //! snapshot with
 //! `cargo run --release -p tvdp-bench --bin ingest_throughput > BENCH_ingest.json`.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use tvdp_geo::GeoPoint;
@@ -237,7 +237,7 @@ fn run_ingest(shards: usize, group: bool) -> IngestRun {
                             let us = b0.elapsed().as_secs_f64() * 1e6;
                             // Every upload in the group acks when its
                             // group's single sync returns.
-                            acks.extend(std::iter::repeat(us).take(hi - lo));
+                            acks.extend(std::iter::repeat_n(us, hi - lo));
                         }
                     } else {
                         for seq in 0..INGESTS_PER_SHARD {
@@ -303,7 +303,7 @@ impl RecoveryRun {
 
 /// Journals `n` AddImage ops into `dir` (group commits of
 /// `RECOVERY_BATCH`) and returns the WAL's on-disk size.
-fn lay_wal(dir: &PathBuf, n: usize) -> u64 {
+fn lay_wal(dir: &Path, n: usize) -> u64 {
     let (ds, _) = ok(DurableStore::open(dir), "open for lay");
     let mut seq = 0usize;
     while seq < n {
@@ -322,12 +322,13 @@ fn lay_wal(dir: &PathBuf, n: usize) -> u64 {
     ok(std::fs::metadata(dir.join("wal-0.log")), "wal metadata").len()
 }
 
-/// Compacts the store in `dir` and returns the published snapshot's
-/// bytes.
-fn compacted_snapshot_bytes(dir: &PathBuf) -> Vec<u8> {
+/// Compacts the store in `dir` and returns the published base
+/// segment's bytes.
+fn compacted_snapshot_bytes(dir: &Path) -> Vec<u8> {
     let (ds, _) = ok(DurableStore::open(dir), "open for compact");
-    ok(ds.compact(), "compact");
-    ok(std::fs::read(dir.join("snapshot.json")), "read snapshot")
+    let report = ok(ds.compact(), "compact");
+    let base = dir.join(format!("base-{}.seg", report.epoch));
+    ok(std::fs::read(base), "read base segment")
 }
 
 /// Times a cold `DurableStore::open` over an `n`-op WAL and proves the
@@ -418,7 +419,7 @@ fn main() {
         "  \"description\": \"Sustained durable ingest: {INGESTS_PER_SHARD} scripted uploads per shard (the script journals each as 3 WAL ops, image + 2 feature vectors; the platform itself journals an upload as one composite IngestUpload record), one writer thread per shard over 1/4/8 independent DurableStore shards. per_op_fsync = one framed write + fdatasync per op (3 syncs per acked upload, the pre-group-commit design); group_commit = DurableStore::apply_batch coalescing {GROUP_INGESTS} uploads into one framed write + one sync. On-disk WAL bytes (binary records, format v3) are identical across modes and thread counts (torture- and determinism-verified), so the comparison isolates sync amortization.\","
     );
     println!(
-        "  \"methodology\": \"All runs on this host's filesystem (fdatasync probe below); ack latency is the time from an upload reaching the journal head to its group's sync returning — under group commit every upload in a group acks at the group's single sync. Recovery lays an n-op WAL (group commits of {RECOVERY_BATCH}), drops the store without compacting (the crash), then times a cold DurableStore::open; byte_identical_to_no_crash compacts the recovered store and a never-crashed control fed the same script and compares published snapshot.json bytes.\","
+        "  \"methodology\": \"All runs on this host's filesystem (fdatasync probe below); ack latency is the time from an upload reaching the journal head to its group's sync returning — under group commit every upload in a group acks at the group's single sync. Recovery lays an n-op WAL (group commits of {RECOVERY_BATCH}), drops the store without compacting (the crash), then times a cold DurableStore::open; byte_identical_to_no_crash compacts the recovered store and a never-crashed control fed the same script and compares the bytes of the base segment (base-<epoch>.seg, the journal's record format) each publishes.\","
     );
     println!("  \"regenerate\": \"cargo run --release -p tvdp-bench --bin ingest_throughput > BENCH_ingest.json\",");
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -453,7 +454,7 @@ fn main() {
         speedup_at(4),
     );
     println!(
-        "    \"recovery_100k_byte_identical\": \"{}: a 100000-op WAL replays in {:.3}s and the recovered store's compacted snapshot is byte-identical to the no-crash control\",",
+        "    \"recovery_100k_byte_identical\": \"{}: a 100000-op WAL replays in {:.3}s and the recovered store's compacted base segment is byte-identical to the no-crash control\",",
         if big.replayed_ops == 100_000 && big.byte_identical {
             "met"
         } else {
@@ -462,7 +463,7 @@ fn main() {
         big.recover_s,
     );
     println!(
-        "    \"determinism\": \"journal and snapshot bytes are invariant under thread count and pool width — held by crates/core tests the_same_uploads_journal_identical_bytes_however_they_are_cut (tests/write_path.rs) and flush_snapshot_bytes_are_pool_width_invariant, and crates/storage torture suite group_commit_batch_killed_at_every_offset_is_all_or_prefix\"");
+        "    \"determinism\": \"journal bytes are invariant under thread count and pool width — held by crates/core test the_same_uploads_journal_identical_bytes_however_they_are_cut (tests/write_path.rs) and crates/storage torture suite group_commit_batch_killed_at_every_offset_is_all_or_prefix; a base segment's bytes are a function of the store alone (compaction takes no pool), which byte_identical_to_no_crash above checks\"");
     println!("  }}");
     println!("}}");
 }

@@ -1,7 +1,7 @@
 //! Command-line interface for the Translational Visual Data Platform.
 //!
-//! Operates on a store file persisted in the JSON-lines format of
-//! `tvdp_storage::persist`. Commands:
+//! Operates on a store file: one binary base segment, the journal's
+//! record format (`tvdp_storage::persist`). Commands:
 //!
 //! ```text
 //! tvdp init <store>
@@ -87,13 +87,16 @@ run `tvdp help` for details";
 const HELP: &str = "TVDP — Translational Visual Data Platform CLI\n\
 \n\
   tvdp init <store>\n\
-      Create an empty store file.\n\
+      Create an empty store file (binary: one base segment of journal\n\
+      records; a JSON store file of an older build is refused).\n\
   tvdp open <dir>\n\
-      Open (or create) a crash-safe store directory: recover the\n\
-      snapshot, replay the write-ahead log, report what was repaired.\n\
+      Open (or create) a crash-safe store directory: replay the base\n\
+      segment and the write-ahead log, report what was repaired. A\n\
+      directory holding an older build's snapshot.json is refused\n\
+      untouched.\n\
   tvdp compact <dir>\n\
-      Fold a crash-safe store's journal into a fresh snapshot and\n\
-      rotate its write-ahead log.\n\
+      Fold a crash-safe store's journal into a fresh base segment\n\
+      (base-<epoch>.seg) and rotate its write-ahead log.\n\
   tvdp demo-data <store> --count N [--size PX] [--seed S] [--labelled FRAC]\n\
       Generate synthetic street imagery, extract features, annotate the\n\
       labelled fraction with ground truth, and persist everything.\n\

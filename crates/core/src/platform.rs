@@ -344,8 +344,9 @@ impl Tvdp {
         !self.durables.is_empty()
     }
 
-    /// Folds every shard's journal into a fresh snapshot and rotates
-    /// its write-ahead log (durable platforms only). Call periodically
+    /// Folds every shard's journal into a fresh snapshot — a base
+    /// segment in the journal's own record format — and rotates its
+    /// write-ahead log (durable platforms only). Call periodically
     /// to bound the logs and keep reopen cost proportional to store
     /// size, not mutation history. The report aggregates all shards
     /// (max epoch, summed byte/op counts).
@@ -362,18 +363,12 @@ impl Tvdp {
     /// acknowledged after `flush` was called may therefore be in the
     /// new live segment rather than the snapshot — durable either way.
     pub fn flush(&self) -> Result<CompactionReport, PlatformError> {
-        self.flush_with_pool(&Pool::serial())
-    }
-
-    /// [`Tvdp::flush`] with the fold's rendering increments fanned out
-    /// over `pool`. Snapshot bytes are pool-width independent.
-    pub fn flush_with_pool(&self, pool: &Pool) -> Result<CompactionReport, PlatformError> {
         if self.durables.is_empty() {
             return Err(PlatformError::NotDurable);
         }
         let mut merged: Option<CompactionReport> = None;
         for d in &self.durables {
-            let r = d.compact_with_pool(pool)?;
+            let r = d.compact()?;
             merged = Some(match merged {
                 None => r,
                 Some(m) => CompactionReport {
@@ -1585,37 +1580,6 @@ mod durability_tests {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
-
-    #[test]
-    fn flush_snapshot_bytes_are_pool_width_invariant() {
-        let config = PlatformConfig {
-            shards: 2,
-            ..fast_config()
-        };
-        let dir_s = temp_dir("flush-serial");
-        let dir_p = temp_dir("flush-pool");
-        for (dir, threads) in [(&dir_s, 1usize), (&dir_p, 4usize)] {
-            let (tvdp, _) = Tvdp::open(dir, config.clone()).unwrap();
-            let user = tvdp.register_user("LASAN", Role::Government);
-            for i in 0..6 {
-                let mut rq = request(i);
-                rq.gps = GeoPoint::new(34.0 + 0.05 * i as f64, -118.25);
-                tvdp.ingest(user, scene(0, i as usize), rq).unwrap();
-            }
-            let report = tvdp.flush_with_pool(&Pool::new(threads)).unwrap();
-            assert_eq!(report.tiers_merged, 2, "one L0 tier per shard");
-        }
-        for shard in 0..2 {
-            let snap = format!("shard-{shard}/snapshot.json");
-            assert_eq!(
-                std::fs::read(dir_s.join(&snap)).unwrap(),
-                std::fs::read(dir_p.join(&snap)).unwrap(),
-                "{snap} diverged across pool widths"
-            );
-        }
-        std::fs::remove_dir_all(&dir_s).ok();
-        std::fs::remove_dir_all(&dir_p).ok();
-    }
 }
 
 #[cfg(test)]
@@ -1678,7 +1642,7 @@ mod shard_tests {
         assert_eq!(sharded.stats().images, 24);
         assert!(sharded.shard_count() == 4);
         // Rows actually spread over shards.
-        let occupied = sharded.stores().iter().filter(|s| s.len() > 0).count();
+        let occupied = sharded.stores().iter().filter(|s| !s.is_empty()).count();
         assert!(occupied > 1, "routing sent everything to one shard");
 
         let example = single

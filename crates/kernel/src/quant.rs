@@ -61,8 +61,8 @@ impl QuantParams {
     }
 
     /// Decode-error radius: an upper bound on the Euclidean distance
-    /// between any encoded row and its decoded counterpart. `|l2(q, x)
-    /// - l2(q, decode(x))| <= eps` for every row `x` of the chunk, so
+    /// between any encoded row and its decoded counterpart.
+    /// `|l2(q, x) - l2(q, decode(x))| <= eps` for every row `x` of the chunk, so
     /// an approximate ranking cut `2 * eps` past the k-th approximate
     /// distance provably covers the exact top-k.
     pub fn eps(&self) -> f32 {

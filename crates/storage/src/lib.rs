@@ -15,7 +15,7 @@
 //! * `Image_Manual_Keywords` — textual descriptors.
 //!
 //! The store ([`VisualStore`]) is concurrency-safe (readers-writer locks
-//! per table) and persists as a JSON-lines snapshot ([`persist`]). Videos
+//! per table) and persists as a base segment of journal records ([`persist`]). Videos
 //! follow the paper's convention: a video is a sequence of key frames,
 //! each stored as an image carrying its own FOV.
 
@@ -34,14 +34,12 @@ pub mod wal;
 pub use annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
 pub use fault::{FailingWriter, FaultKind, WriteFaultPlan};
 pub use ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
-pub use persist::{PersistError, FORMAT_VERSION};
 pub use record::{ImageMeta, ImageOrigin, ImageRecord};
 pub use recovery::{
     CompactionReport, CompactionTask, DurableError, DurableStore, HealthState, RecoveryReport,
     StoreHealth,
 };
 pub use store::{
-    FeatureHandle, Replays, Snapshot, SnapshotError, StorageError, VisualStore,
-    UPLOAD_MARKER_CAPACITY,
+    FeatureHandle, Replays, Snapshot, StorageError, VisualStore, UPLOAD_MARKER_CAPACITY,
 };
 pub use wal::WalOp;

@@ -1,196 +1,45 @@
-//! JSON-lines snapshot persistence for the visual store.
+//! A store as one file: a base segment.
 //!
-//! The snapshot format is line-oriented: a header on line 1 followed by
-//! one JSON object per row, each tagged with its table
-//! (`{"Image":{...}}`, `{"Blob":{...}}`, …). Line orientation keeps
-//! partial corruption local and makes dumps greppable during
-//! operations. Rows are rendered by the self-contained [`crate::codec`]
-//! — persistence works without any external JSON machinery.
+//! A base segment is a journal segment ([`crate::wal`]: the same
+//! [`SEGMENT_MAGIC`] header, the same CRC-framed records) holding the
+//! ops that rebuild a store on an empty one
+//! ([`crate::store::Snapshot::into_ops`]). Compaction publishes its cut
+//! as one; [`save`] and [`load`] are the same thing for a store kept as
+//! a single file (the CLI's store file), so there is one encoder, one
+//! scanner and one validator for every row that reaches disk.
 //!
-//! Writing is crash-safe: [`save`] renders the whole snapshot to a
-//! sibling `<name>.tmp` file, flushes, `fsync`s the file, atomically
-//! renames it over the destination, and `fsync`s the parent directory
-//! so the rename itself is durable. A crash at any byte offset leaves
-//! either the complete old snapshot or the complete new one — never a
-//! torn file.
+//! Writing is crash-safe: the bytes go to a sibling `<name>.tmp` file,
+//! which is `fsync`ed, atomically renamed over the destination, and
+//! made durable by an `fsync` of the parent directory. A crash at any
+//! byte offset leaves either the complete old file or the complete new
+//! one — never a torn one.
 //!
-//! Reading is strict: the header must be line 1 and appear exactly
-//! once, every row must decode, blob byte counts must match their
-//! declared dimensions, and the assembled snapshot must pass
-//! referential-integrity validation ([`VisualStore::from_snapshot`]).
+//! Reading is strict, because a published base is a sealed segment: a
+//! missing header, a torn tail, a record that does not decode, and a
+//! record the store's validator refuses are all typed errors. A file
+//! in the JSON form of builds up to PR 20 is refused untouched
+//! ([`crate::wal::WalError::UnsupportedFormat`]).
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{self, Value};
-use crate::ids::ImageId;
-use crate::store::{Snapshot, SnapshotError, VisualStore};
+use crate::recovery::{replay_sealed, DurableError};
+use crate::store::VisualStore;
+use crate::wal::{self, WalOp, SEGMENT_MAGIC};
 
-/// Current on-disk format version. Version 2 moved the row encoding to
-/// the in-tree codec and added the WAL epoch to the header.
-pub const FORMAT_VERSION: u32 = 2;
+/// Ops encoded per write while rendering a base segment.
+pub(crate) const BASE_WRITE_OPS: usize = 2048;
 
-/// Errors from loading or saving a snapshot file.
-#[derive(Debug)]
-pub enum PersistError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// A line failed to decode or carried an impossible row.
-    Corrupt {
-        /// 1-based line number of the bad row.
-        line: usize,
-        /// Decoder message.
-        message: String,
-    },
-    /// Missing, misplaced, duplicated, or wrong-version header.
-    BadHeader,
-    /// The snapshot decoded but its tables are mutually inconsistent.
-    Invalid(SnapshotError),
-}
-
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PersistError::Io(e) => write!(f, "io error: {e}"),
-            PersistError::Corrupt { line, message } => {
-                write!(f, "corrupt snapshot at line {line}: {message}")
-            }
-            PersistError::BadHeader => write!(f, "missing or incompatible snapshot header"),
-            PersistError::Invalid(e) => write!(f, "inconsistent snapshot: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
-    }
-}
-
-impl From<SnapshotError> for PersistError {
-    fn from(e: SnapshotError) -> Self {
-        PersistError::Invalid(e)
-    }
-}
-
-fn tag(name: &str, payload: Value) -> Value {
-    Value::Obj(vec![(name.to_string(), payload)])
-}
-
-/// Renders the header line (trailing `\n` included).
-pub fn render_header_line(wal_epoch: u64) -> String {
-    let mut line = tag(
-        "Header",
-        Value::Obj(vec![
-            ("version".into(), Value::num(FORMAT_VERSION)),
-            ("wal_epoch".into(), Value::num(wal_epoch)),
-        ]),
-    )
-    .render();
-    line.push('\n');
-    line
-}
-
-/// Number of data rows (lines after the header) a snapshot renders to.
-pub fn snapshot_row_count(snap: &Snapshot) -> usize {
-    snap.images.len()
-        + snap.blobs.len()
-        + snap.features.len()
-        + snap.schemes.len()
-        + snap.annotations.len()
-        + snap.markers.len()
-}
-
-/// Renders data row `row` (0-based, sections concatenated in file
-/// order: images, blobs, features, schemes, annotations, markers) with
-/// its trailing `\n`. Pure per-row rendering is what lets incremental
-/// compaction fan rows out over a work pool and still write
-/// byte-identical files regardless of thread count.
-///
-/// # Panics
-///
-/// Panics when `row >= snapshot_row_count(snap)`.
-pub fn render_snapshot_row(snap: &Snapshot, row: usize) -> String {
-    let mut i = row;
-    let v = 'section: {
-        if i < snap.images.len() {
-            break 'section tag("Image", codec::encode_record(&snap.images[i]));
-        }
-        i -= snap.images.len();
-        if i < snap.blobs.len() {
-            let (id, width, height, raw) = &snap.blobs[i];
-            break 'section tag(
-                "Blob",
-                Value::Obj(vec![
-                    ("id".into(), Value::num(id.raw())),
-                    ("width".into(), Value::num(*width)),
-                    ("height".into(), Value::num(*height)),
-                    ("raw".into(), Value::str(codec::hex_encode(raw))),
-                ]),
-            );
-        }
-        i -= snap.blobs.len();
-        if i < snap.features.len() {
-            let (id, kind, vector) = &snap.features[i];
-            break 'section tag(
-                "Feature",
-                Value::Obj(vec![
-                    ("id".into(), Value::num(id.raw())),
-                    ("kind".into(), codec::encode_kind(*kind)),
-                    ("vector".into(), codec::encode_vector(vector)),
-                ]),
-            );
-        }
-        i -= snap.features.len();
-        if i < snap.schemes.len() {
-            break 'section tag("Scheme", codec::encode_scheme(&snap.schemes[i]));
-        }
-        i -= snap.schemes.len();
-        if i < snap.annotations.len() {
-            break 'section tag("Annotation", codec::encode_annotation(&snap.annotations[i]));
-        }
-        i -= snap.annotations.len();
-        let (key, image, seq) = &snap.markers[i];
-        tag(
-            "Marker",
-            Value::Obj(vec![
-                ("key".into(), Value::str(key.clone())),
-                ("image".into(), Value::num(image.raw())),
-                ("seq".into(), Value::num(*seq)),
-            ]),
-        )
-    };
-    let mut line = v.render();
-    line.push('\n');
-    line
-}
-
-/// Renders a snapshot to the full on-disk file contents (header line
-/// plus one row per line, each `\n`-terminated). Exposed so
-/// fault-injection tests can materialize arbitrary crash prefixes of a
-/// save. Byte-for-byte identical to the incremental
-/// [`render_snapshot_row`] path.
-pub fn render_snapshot(snap: &Snapshot, wal_epoch: u64) -> String {
-    let mut out = render_header_line(wal_epoch);
-    for row in 0..snapshot_row_count(snap) {
-        out.push_str(&render_snapshot_row(snap, row));
-    }
-    out
-}
-
-/// The sibling temporary path a save stages its bytes in before the
-/// atomic rename (`<name>.tmp` in the same directory). Exposed so
-/// recovery can clean up after a crash mid-save and so tests can plant
-/// crash debris.
-pub fn staging_path(path: &Path) -> Result<PathBuf, PersistError> {
+/// The sibling temporary path a base segment stages its bytes in before
+/// the atomic rename (`<name>.tmp` in the same directory). Exposed so
+/// tests can plant crash debris.
+pub fn staging_path(path: &Path) -> std::io::Result<PathBuf> {
     let name = path.file_name().ok_or_else(|| {
-        PersistError::Io(std::io::Error::new(
+        std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            "snapshot path has no file name",
-        ))
+            "base segment path has no file name",
+        )
     })?;
     let mut tmp = name.to_os_string();
     tmp.push(".tmp");
@@ -199,7 +48,7 @@ pub fn staging_path(path: &Path) -> Result<PathBuf, PersistError> {
 
 /// Fsyncs the directory containing `path`, making a rename, create, or
 /// unlink of that path itself durable. Every staged-rename site in the
-/// crate (snapshot publish, WAL create/rotate, spill files, segment
+/// crate (base publish, WAL create/rotate, spill files, segment
 /// removal) must call this after the metadata operation — the PR 4
 /// protocol.
 pub(crate) fn fsync_parent(path: &Path) -> std::io::Result<()> {
@@ -210,139 +59,70 @@ pub(crate) fn fsync_parent(path: &Path) -> std::io::Result<()> {
     File::open(parent)?.sync_all()
 }
 
-/// Atomically replaces the snapshot at `path` with `snap`: stage to
-/// `<name>.tmp`, flush, `fsync`, rename over `path`, `fsync` the parent
-/// directory. The previous snapshot survives intact until the rename
-/// commits.
-pub fn save_snapshot(snap: &Snapshot, path: &Path, wal_epoch: u64) -> Result<(), PersistError> {
-    let bytes = render_snapshot(snap, wal_epoch);
-    let tmp = staging_path(path)?;
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes.as_bytes())?;
-        f.flush()?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    fsync_parent(path)?;
-    Ok(())
+/// A base segment being staged beside its destination.
+#[derive(Debug)]
+pub(crate) struct BaseWriter {
+    file: File,
+    dest: PathBuf,
+    staging: PathBuf,
+    buf: Vec<u8>,
 }
 
-/// Writes a full snapshot of `store` to `path` via the atomic staged
-/// rename of [`save_snapshot`].
-pub fn save(store: &VisualStore, path: &Path) -> Result<(), PersistError> {
-    save_snapshot(&store.snapshot(), path, 0)
-}
+impl BaseWriter {
+    /// Creates the staging file for `dest`, holding the segment header.
+    pub(crate) fn create(dest: &Path) -> Result<Self, DurableError> {
+        let staging = staging_path(dest)?;
+        let mut file = File::create(&staging)?;
+        file.write_all(&SEGMENT_MAGIC)?;
+        Ok(BaseWriter {
+            file,
+            dest: dest.to_path_buf(),
+            staging,
+            buf: Vec::new(),
+        })
+    }
 
-fn corrupt(line: usize, message: impl Into<String>) -> PersistError {
-    PersistError::Corrupt {
-        line,
-        message: message.into(),
+    /// Appends `ops` as framed records.
+    pub(crate) fn write(&mut self, ops: &[WalOp]) -> Result<(), DurableError> {
+        self.buf.clear();
+        wal::push_records(&mut self.buf, ops)?;
+        Ok(self.file.write_all(&self.buf)?)
+    }
+
+    /// Makes the staged bytes durable and atomically renames them over
+    /// the destination; returns the segment's size in bytes. Nothing
+    /// may be written after it.
+    pub(crate) fn publish(&self) -> Result<u64, DurableError> {
+        self.file.sync_all()?;
+        let len = self.file.metadata()?.len();
+        std::fs::rename(&self.staging, &self.dest)?;
+        fsync_parent(&self.dest)?;
+        Ok(len)
+    }
+
+    /// Drops the staging file: nothing was published.
+    pub(crate) fn abandon(self) {
+        drop(self.file);
+        std::fs::remove_file(&self.staging).ok();
     }
 }
 
-/// Reads a snapshot file into its table dump plus the WAL epoch the
-/// header recorded. Strict: header on line 1 exactly once, every row
-/// valid, blob shapes consistent.
-pub fn load_snapshot(path: &Path) -> Result<(Snapshot, u64), PersistError> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut snap = Snapshot::default();
-    let mut wal_epoch = 0u64;
-    let mut saw_header = false;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let lineno = i + 1;
-        let v = codec::parse(&line).map_err(|e| corrupt(lineno, e))?;
-        let (name, payload) = match &v {
-            Value::Obj(fields) if fields.len() == 1 => (&fields[0].0, &fields[0].1),
-            _ => return Err(corrupt(lineno, "expected a single-key row object")),
-        };
-        if lineno == 1 {
-            if name != "Header" {
-                return Err(PersistError::BadHeader);
-            }
-            let version: u32 =
-                codec::num_field(payload, "version").map_err(|e| corrupt(lineno, e))?;
-            if version != FORMAT_VERSION {
-                return Err(PersistError::BadHeader);
-            }
-            wal_epoch = codec::num_field(payload, "wal_epoch").map_err(|e| corrupt(lineno, e))?;
-            saw_header = true;
-            continue;
-        }
-        match name.as_str() {
-            // A header anywhere but line 1 means two files were
-            // concatenated or the writer was interrupted mid-swap;
-            // refuse rather than silently merging stores.
-            "Header" => return Err(corrupt(lineno, "duplicate header")),
-            "Image" => snap
-                .images
-                .push(codec::decode_record(payload).map_err(|e| corrupt(lineno, e))?),
-            "Blob" => {
-                let id = ImageId(codec::num_field(payload, "id").map_err(|e| corrupt(lineno, e))?);
-                let width: usize =
-                    codec::num_field(payload, "width").map_err(|e| corrupt(lineno, e))?;
-                let height: usize =
-                    codec::num_field(payload, "height").map_err(|e| corrupt(lineno, e))?;
-                let raw = codec::hex_decode(
-                    codec::str_field(payload, "raw").map_err(|e| corrupt(lineno, e))?,
-                )
-                .map_err(|e| corrupt(lineno, e))?;
-                if width == 0
-                    || height == 0
-                    || raw.len() != width.saturating_mul(height).saturating_mul(3)
-                {
-                    return Err(corrupt(
-                        lineno,
-                        format!(
-                            "blob for {id}: {} bytes does not match {width}x{height}x3",
-                            raw.len()
-                        ),
-                    ));
-                }
-                snap.blobs.push((id, width, height, raw));
-            }
-            "Feature" => {
-                let id = ImageId(codec::num_field(payload, "id").map_err(|e| corrupt(lineno, e))?);
-                let kind = codec::decode_kind(
-                    codec::field(payload, "kind").map_err(|e| corrupt(lineno, e))?,
-                )
-                .map_err(|e| corrupt(lineno, e))?;
-                let vector = codec::decode_vector(
-                    codec::field(payload, "vector").map_err(|e| corrupt(lineno, e))?,
-                )
-                .map_err(|e| corrupt(lineno, e))?;
-                snap.features.push((id, kind, vector));
-            }
-            "Scheme" => snap
-                .schemes
-                .push(codec::decode_scheme(payload).map_err(|e| corrupt(lineno, e))?),
-            "Annotation" => snap
-                .annotations
-                .push(codec::decode_annotation(payload).map_err(|e| corrupt(lineno, e))?),
-            "Marker" => {
-                let key = codec::str_field(payload, "key")
-                    .map_err(|e| corrupt(lineno, e))?
-                    .to_string();
-                let image =
-                    ImageId(codec::num_field(payload, "image").map_err(|e| corrupt(lineno, e))?);
-                let seq: u64 = codec::num_field(payload, "seq").map_err(|e| corrupt(lineno, e))?;
-                snap.markers.push((key, image, seq));
-            }
-            other => return Err(corrupt(lineno, format!("unknown row tag `{other}`"))),
-        }
+/// Atomically replaces the file at `path` with a base segment of
+/// `store`. The previous file survives intact until the rename commits.
+pub fn save(store: &VisualStore, path: &Path) -> Result<(), DurableError> {
+    let mut writer = BaseWriter::create(path)?;
+    for ops in store.snapshot().into_ops().chunks(BASE_WRITE_OPS) {
+        writer.write(ops)?;
     }
-    if !saw_header {
-        return Err(PersistError::BadHeader);
-    }
-    Ok((snap, wal_epoch))
+    writer.publish().map(drop)
 }
 
-/// Loads a snapshot file into a fresh store, validating referential
-/// integrity.
-pub fn load(path: &Path) -> Result<VisualStore, PersistError> {
-    let (snap, _) = load_snapshot(path)?;
-    Ok(VisualStore::from_snapshot(snap)?)
+/// Loads the base segment at `path` into a fresh store, every record
+/// through the store's validator.
+pub fn load(path: &Path) -> Result<VisualStore, DurableError> {
+    let store = VisualStore::new();
+    replay_sealed(&store, path, true)?;
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -351,6 +131,7 @@ mod tests {
     use crate::annotation::AnnotationSource;
     use crate::ids::UserId;
     use crate::record::{ImageMeta, ImageOrigin};
+    use crate::wal::WalError;
     use tvdp_geo::GeoPoint;
     use tvdp_vision::{FeatureKind, Image};
 
@@ -415,8 +196,8 @@ mod tests {
         let store = populated_store();
         let path = temp_path("atomic");
         save(&store, &path).unwrap();
-        // Second save over an existing snapshot succeeds and the
-        // staging file is gone after the rename.
+        // Second save over an existing file succeeds and the staging
+        // file is gone after the rename.
         save(&store, &path).unwrap();
         assert!(!staging_path(&path).unwrap().exists());
         assert_eq!(load(&path).unwrap().snapshot(), store.snapshot());
@@ -424,126 +205,55 @@ mod tests {
     }
 
     #[test]
-    fn missing_header_rejected() {
-        let path = temp_path("noheader");
-        std::fs::write(&path, "").unwrap();
-        assert!(matches!(load(&path), Err(PersistError::BadHeader)));
-        // A data row on line 1 is equally a missing header.
-        let store = populated_store();
-        let body = render_snapshot(&store.snapshot(), 0);
-        let without_first = body.split_once('\n').unwrap().1;
-        std::fs::write(&path, without_first).unwrap();
-        assert!(matches!(load(&path), Err(PersistError::BadHeader)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn duplicate_or_trailing_header_rejected() {
-        let store = populated_store();
-        let path = temp_path("dupheader");
-        let mut body = render_snapshot(&store.snapshot(), 0);
-        let header = body.split_once('\n').unwrap().0.to_string();
-        body.push_str(&header);
-        body.push('\n');
-        std::fs::write(&path, &body).unwrap();
-        match load(&path) {
-            Err(PersistError::Corrupt { line, message }) => {
-                assert!(line > 1);
-                assert!(message.contains("duplicate header"));
-            }
-            other => panic!("expected corrupt error, got {other:?}"),
+    fn a_file_that_is_not_a_whole_base_segment_is_refused() {
+        let path = temp_path("not-a-base");
+        // Empty, half a header, another format version, and the JSON
+        // store file of older builds: none of them is a sealed segment.
+        let json = b"{\"Header\":{\"version\":2,\"wal_epoch\":0}}\n";
+        for bytes in [&b""[..], &SEGMENT_MAGIC[..5], b"TVDPWAL\x04", json] {
+            std::fs::write(&path, bytes).unwrap();
+            let Err(DurableError::Wal(refusal @ WalError::UnsupportedFormat { .. })) = load(&path)
+            else {
+                panic!("{bytes:?} loaded");
+            };
+            assert!(refusal.to_string().contains("0104dbe"), "{refusal}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "refused untouched");
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wrong_version_rejected() {
-        let path = temp_path("version");
-        std::fs::write(&path, "{\"Header\":{\"version\":1,\"wal_epoch\":0}}\n").unwrap();
-        assert!(matches!(load(&path), Err(PersistError::BadHeader)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_line_reported_with_number() {
+        // A store file cut short or with bytes after its last record is
+        // torn, and a base is never repaired by truncation.
         let store = populated_store();
-        let path = temp_path("corrupt");
         save(&store, &path).unwrap();
-        let mut contents = std::fs::read_to_string(&path).unwrap();
-        contents.push_str("{not json\n");
-        std::fs::write(&path, contents).unwrap();
-        match load(&path) {
-            Err(PersistError::Corrupt { line, .. }) => assert!(line > 1),
-            other => panic!("expected corrupt error, got {other:?}"),
+        let whole = std::fs::read(&path).unwrap();
+        let mut longer = whole.clone();
+        longer.extend_from_slice(b"{not a record\n");
+        for bytes in [&whole[..whole.len() - 1], &longer[..]] {
+            std::fs::write(&path, bytes).unwrap();
+            let Err(DurableError::Replay(message)) = load(&path) else {
+                panic!("a torn store file loaded");
+            };
+            assert!(message.contains("torn"), "{message}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn blob_with_wrong_byte_count_rejected_with_line() {
-        let store = populated_store();
-        let path = temp_path("badblob");
-        save(&store, &path).unwrap();
-        let contents = std::fs::read_to_string(&path).unwrap();
-        // Shrink the blob payload by one pixel without touching the
-        // declared dimensions.
-        let mangled: Vec<String> = contents
-            .lines()
-            .map(|l| {
-                if let Some(pos) = l.find("\"raw\":\"") {
-                    let start = pos + "\"raw\":\"".len();
-                    let mut s = l.to_string();
-                    s.replace_range(start..start + 6, "");
-                    s
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect();
-        std::fs::write(&path, mangled.join("\n") + "\n").unwrap();
-        match load(&path) {
-            Err(PersistError::Corrupt { line, message }) => {
-                assert!(line > 1);
-                assert!(message.contains("does not match"), "got: {message}");
-            }
-            other => panic!("expected corrupt error, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn dangling_reference_rejected_as_invalid() {
-        let store = populated_store();
-        let path = temp_path("dangling");
-        save(&store, &path).unwrap();
-        let contents = std::fs::read_to_string(&path).unwrap();
-        // Point the feature row at an image id that does not exist.
-        let mangled: Vec<String> = contents
-            .lines()
-            .map(|l| {
-                if l.starts_with("{\"Feature\"") {
-                    l.replacen("\"id\":0", "\"id\":999", 1)
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect();
-        std::fs::write(&path, mangled.join("\n") + "\n").unwrap();
-        assert!(matches!(
-            load(&path),
-            Err(PersistError::Invalid(SnapshotError::DanglingFeature(_)))
-        ));
+        // Cut at a record boundary nothing is torn, but the marker table
+        // that closes every base is missing.
+        let table = wal::frame(&WalOp::UploadMarkers(Vec::new()).encode());
+        assert!(whole.ends_with(&table));
+        std::fs::write(&path, &whole[..whole.len() - table.len()]).unwrap();
+        let Err(DurableError::Replay(message)) = load(&path) else {
+            panic!("a store file without its last record loaded");
+        };
+        assert!(message.contains("cut short"), "{message}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn load_missing_file_is_io_error() {
         let path = temp_path("missing-file-never-created");
-        assert!(matches!(load(&path), Err(PersistError::Io(_))));
+        assert!(matches!(load(&path), Err(DurableError::Io(_))));
     }
 
     #[test]
-    fn upload_markers_roundtrip_through_snapshot_file() {
+    fn upload_markers_roundtrip_through_a_store_file() {
         let store = populated_store();
         let (id, _) = store
             .ingest_upload(
@@ -566,17 +276,6 @@ mod tests {
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.upload_marker("edge2-s9"), Some(id));
         assert_eq!(loaded.snapshot(), store.snapshot());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wal_epoch_roundtrips_through_header() {
-        let store = populated_store();
-        let path = temp_path("epoch");
-        save_snapshot(&store.snapshot(), &path, 7).unwrap();
-        let (snap, epoch) = load_snapshot(&path).unwrap();
-        assert_eq!(epoch, 7);
-        assert_eq!(snap, store.snapshot());
         std::fs::remove_file(&path).ok();
     }
 }

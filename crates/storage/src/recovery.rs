@@ -1,77 +1,78 @@
 //! Crash recovery and the durable store wrapper.
 //!
-//! A durable store directory holds three kinds of files:
+//! A durable store directory holds three kinds of files, the first two
+//! in one format ([`crate::wal`]: a magic+version header, then
+//! CRC-framed little-endian records):
 //!
-//! * `snapshot.json` — an atomic JSON-lines snapshot
-//!   ([`crate::persist`]) whose header records the *base* WAL epoch it
-//!   was cut against,
-//! * `wal-<epoch>.log` — append-only binary op journal segments
-//!   ([`crate::wal`]: a magic+version header, then CRC-framed
-//!   little-endian records): every segment with epoch >= the snapshot's
-//!   base holds mutations since that snapshot (the L0 tier), and
+//! * `base-<epoch>.seg` — the *base segment*: the store as compaction
+//!   last cut it, rendered as the ops that rebuild it
+//!   ([`crate::store::Snapshot::into_ops`]). The epoch in its name is
+//!   the WAL epoch it was cut against; the highest one wins,
+//! * `wal-<epoch>.log` — append-only journal segments: every segment
+//!   with epoch >= the base's holds mutations since that cut (the L0
+//!   tier), and
 //! * `spill-*.bin` — cold feature-arena chunks spilled out of memory
 //!   ([`crate::spill`]).
 //!
-//! [`DurableStore::open`] is open-or-recover: load the snapshot (if
-//! any), replay every live segment in ascending epoch order (sealed
-//! segments must be intact; only the highest — the one a crash could
-//! have torn mid-append — gets its torn tail truncated, or its header
-//! stamped if the crash came before even that), and sweep crash debris
-//! (a stale `snapshot.json.tmp`, segments older than the snapshot's
-//! base, spill files — the store reopens fully resident). A segment in
-//! any other format — the text journal of builds before v3 — fails the
-//! open with [`crate::wal::WalError::UnsupportedFormat`] and is left
-//! byte-for-byte as found; `tvdp compact` with the build that wrote it
-//! folds it into the snapshot, which this build reads unchanged.
+//! [`DurableStore::open`] is open-or-recover, and one scanner
+//! ([`crate::wal::scan`]) feeding one validator
+//! ([`VisualStore::apply_batch`]) record by record: the base (if any),
+//! then every live segment in ascending epoch order. The base and the
+//! sealed segments must be intact; only the highest journal segment —
+//! the one a crash could have torn mid-append — gets its torn tail
+//! truncated, or its header stamped if the crash came before even that.
+//! Crash debris is swept (a stale `base-*.tmp`, bases and segments older
+//! than the winning base, spill files — the store reopens fully
+//! resident). A file in any other format — the text journal of builds
+//! before v3, the `snapshot.json` of builds up to PR 20 — fails the open
+//! with [`crate::wal::WalError::UnsupportedFormat`] before anything in
+//! the directory is touched.
 //!
 //! Compaction is **incremental and tiered**. [`DurableStore::seal`]
 //! rotates the live segment, growing the L0 tier without folding
 //! anything. [`DurableStore::begin_compaction`] atomically (under the
-//! journal lock) cuts a snapshot of the store *and* seals the live
+//! journal lock) cuts a dump of the store *and* seals the live
 //! segment, so the cut covers exactly the ops in the sealed tier;
 //! writers then proceed into the new live segment while
-//! [`CompactionTask::step`] renders the snapshot in bounded increments
-//! on a [`tvdp_kernel::Pool`] — the full fold never blocks writers. The
-//! final increment publishes with the PR 4 staged-rename protocol
-//! (stage, fsync, rename, parent fsync), retires the folded segments,
-//! and spills cold arena chunks. [`DurableStore::compact`] wraps the
-//! whole schedule for callers that want the old stop-the-world
-//! behavior.
+//! [`CompactionTask::step`] encodes the cut in bounded increments — the
+//! full fold never blocks writers. The final increment publishes with
+//! the PR 4 staged-rename protocol (stage, fsync, rename, parent
+//! fsync), retires the old base and the folded segments, and spills
+//! cold arena chunks. [`DurableStore::compact`] wraps the whole
+//! schedule for callers that want the old stop-the-world behavior.
 //!
-//! Epochs make all of this crash-safe. The snapshot's base epoch `B`
-//! means "replay every `wal-<e>.log` with `e >= B`, ascending"; the
-//! next epoch's empty segment is always created *before* the snapshot
-//! naming it is published. A crash on either side of the publish leaves
-//! a snapshot whose surviving segments replay to exactly the
-//! acknowledged state — ops are never replayed twice and never lost.
+//! Epochs make all of this crash-safe. A base at epoch `B` means
+//! "replay every `wal-<e>.log` with `e >= B`, ascending"; the next
+//! epoch's empty segment is always created *before* the base naming it
+//! is published. A crash on either side of the publish leaves a base
+//! whose surviving segments replay to exactly the acknowledged state —
+//! ops are never replayed twice and never lost.
 
-use std::io::Write;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tvdp_kernel::sync::Mutex;
-use tvdp_kernel::Pool;
 use tvdp_vision::{FeatureKind, Image};
 
 use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
 use crate::ids::{AnnotationId, ClassificationId, ImageId};
-use crate::persist::{self, PersistError};
+use crate::persist::{self, BaseWriter};
 use crate::record::{ImageMeta, ImageOrigin};
 use crate::spill::{self, SpillStats};
-use crate::store::{Replays, Snapshot, SnapshotError, StorageError, VisualStore};
-use crate::wal::{pixel_blob, Wal, WalError, WalOp};
+use crate::store::{Replays, StorageError, VisualStore};
+use crate::wal::{self, pixel_blob, Wal, WalError, WalOp};
 
-/// File name of the snapshot inside a durable store directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.json";
+/// File name of the JSON snapshot that builds up to PR 20 kept in a
+/// durable store directory; its presence fails the open.
+const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
 
 /// Errors from opening, mutating, or compacting a durable store.
 #[derive(Debug)]
 pub enum DurableError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// The snapshot failed to load or save.
-    Persist(PersistError),
-    /// The WAL failed to append or recover.
+    /// A segment failed to append or scan.
     Wal(WalError),
     /// A mutation was refused by the store's validator before anything
     /// was journaled.
@@ -79,7 +80,8 @@ pub enum DurableError {
     /// A compaction call that does not fit the fold's state (a second
     /// concurrent fold, a step after publish).
     Rejected(String),
-    /// WAL replay could not reproduce the journaled state.
+    /// Replaying a base or journal segment could not reproduce the
+    /// state it records; names the segment and the record.
     Replay(String),
     /// A cold-chunk spill file failed to write or read back; carries
     /// the offending path and CRC context.
@@ -95,11 +97,10 @@ impl std::fmt::Display for DurableError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DurableError::Io(e) => write!(f, "io error: {e}"),
-            DurableError::Persist(e) => write!(f, "{e}"),
             DurableError::Wal(e) => write!(f, "{e}"),
             DurableError::Storage(e) => write!(f, "{e}"),
             DurableError::Rejected(m) => write!(f, "rejected: {m}"),
-            DurableError::Replay(m) => write!(f, "wal replay failed: {m}"),
+            DurableError::Replay(m) => write!(f, "replay failed: {m}"),
             DurableError::Spill(e) => write!(f, "spill failed: {e}"),
             DurableError::ReadOnly(m) => {
                 write!(f, "store is read-only (journal write fault): {m}")
@@ -113,18 +114,6 @@ impl std::error::Error for DurableError {}
 impl From<std::io::Error> for DurableError {
     fn from(e: std::io::Error) -> Self {
         DurableError::Io(e)
-    }
-}
-
-impl From<PersistError> for DurableError {
-    fn from(e: PersistError) -> Self {
-        DurableError::Persist(e)
-    }
-}
-
-impl From<SnapshotError> for DurableError {
-    fn from(e: SnapshotError) -> Self {
-        DurableError::Persist(PersistError::Invalid(e))
     }
 }
 
@@ -151,14 +140,15 @@ impl From<crate::spill::SpillError> for DurableError {
 pub struct RecoveryReport {
     /// WAL epoch the store is now on.
     pub epoch: u64,
-    /// Whether a snapshot file existed.
+    /// Whether a base segment existed.
     pub snapshot_found: bool,
-    /// Ops replayed from the WAL on top of the snapshot.
+    /// Ops replayed from the journal on top of the base (the base's own
+    /// records are not counted).
     pub replayed_ops: usize,
     /// Torn trailing bytes truncated from the WAL.
     pub torn_bytes: u64,
-    /// Crash-debris files swept (stale staging file, WALs from other
-    /// epochs).
+    /// Crash-debris files swept (stale staging file, bases and WALs
+    /// from older epochs).
     pub debris_removed: usize,
 }
 
@@ -180,15 +170,15 @@ impl std::fmt::Display for RecoveryReport {
 /// [`CompactionTask`]) accomplished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// WAL epoch after rotation (the new snapshot's base).
+    /// WAL epoch after rotation (the new base segment's).
     pub epoch: u64,
-    /// Journaled ops folded into the snapshot.
+    /// Journaled ops folded into the base.
     pub ops_compacted: usize,
     /// Total bytes across the folded L0 segments.
     pub wal_bytes_before: u64,
-    /// Snapshot size after the write, in bytes.
+    /// Size of the published base segment, in bytes.
     pub snapshot_bytes: u64,
-    /// L0 WAL segments merged into the snapshot tier.
+    /// L0 WAL segments merged into the base tier.
     pub tiers_merged: usize,
     /// Bounded merge increments the fold ran as.
     pub increments_run: usize,
@@ -269,10 +259,10 @@ struct Journal {
     wal: Wal,
     /// Epoch of the live (highest) segment.
     epoch: u64,
-    /// Epoch the current snapshot was cut against; segments in
+    /// Epoch the current base was cut against; segments in
     /// `base_epoch..=epoch` are the unfolded L0 tier.
     base_epoch: u64,
-    /// Unfolded ops across every live segment.
+    /// Unfolded ops across every live segment (never the base's).
     wal_ops: usize,
     /// Write-path health machine (see [`HealthState`]).
     health: HealthState,
@@ -362,122 +352,216 @@ fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("wal-{epoch}.log"))
 }
 
+/// Not `wal-*`: a base is not journal growth, and tooling that sizes
+/// the journal sums that prefix.
+fn base_path(dir: &Path, epoch: u64) -> PathBuf {
+    dir.join(format!("base-{epoch}.seg"))
+}
+
+/// The epoch in a `<prefix><epoch><suffix>` file name.
+fn epoch_of(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+    name.strip_prefix(prefix)?
+        .strip_suffix(suffix)?
+        .parse()
+        .ok()
+}
+
+/// What [`replay_segment`] got through.
+struct Replayed {
+    /// Records applied.
+    ops: usize,
+    /// Offset just past the last intact record.
+    valid_len: usize,
+    /// Whether the last record was the marker table that ends a base.
+    closed: bool,
+}
+
+/// Applies the records of one segment's `bytes` to `store`, one at a
+/// time and in order — the marker table evicts as it fills, so only the
+/// state *at* a record says whether its marker is still held — each
+/// through the store's validator. A refused record is a
+/// [`DurableError::Replay`] naming the segment and the record; so is a
+/// marker table outside a `base` segment, and anything after one.
+fn replay_segment(
+    store: &VisualStore,
+    path: &Path,
+    bytes: &[u8],
+    base: bool,
+) -> Result<Replayed, DurableError> {
+    let mut scan = wal::scan(path, bytes)?;
+    let mut ops = 0usize;
+    let mut closed = false;
+    for op in &mut scan {
+        let op = op?;
+        let refused = |m: String| {
+            let name = path.file_name().unwrap_or(path.as_os_str());
+            DurableError::Replay(format!("{} record {ops}: {m}", name.to_string_lossy()))
+        };
+        if closed {
+            return Err(refused(
+                "a record after the marker table that ends a base".into(),
+            ));
+        }
+        if matches!(op, WalOp::UploadMarkers(_)) {
+            if !base {
+                return Err(refused(
+                    "an upload-marker table outside a base segment".into(),
+                ));
+            }
+            closed = true;
+        }
+        let replays = store
+            .apply_batch(vec![op])
+            .map_err(|e| refused(e.to_string()))?;
+        // A replayed upload is never journaled, so a marker the store
+        // still holds means the segment disagrees with itself.
+        if let Some((_, stored)) = replays.first() {
+            return Err(refused(format!(
+                "upload marker of {stored} journaled twice"
+            )));
+        }
+        ops += 1;
+    }
+    Ok(Replayed {
+        ops,
+        valid_len: scan.valid_len(),
+        closed,
+    })
+}
+
+/// [`replay_segment`] for a file that is never written again — a base,
+/// a sealed journal segment, the CLI's store file — returning the
+/// records applied. Every record in it was fsynced before it was
+/// published or rotated away, header first, so a missing header, a torn
+/// tail or a base without its closing marker table is corruption, not
+/// an interrupted append, and is refused rather than repaired.
+pub(crate) fn replay_sealed(
+    store: &VisualStore,
+    path: &Path,
+    base: bool,
+) -> Result<usize, DurableError> {
+    let bytes = std::fs::read(path)?;
+    let replayed = replay_segment(store, path, &bytes, base)?;
+    if replayed.valid_len == 0 {
+        return Err(wal::unsupported(path, &bytes).into());
+    }
+    let torn = bytes.len() - replayed.valid_len;
+    if torn > 0 {
+        return Err(DurableError::Replay(format!(
+            "sealed segment {} has {torn} torn byte(s)",
+            path.display()
+        )));
+    }
+    if base && !replayed.closed {
+        return Err(DurableError::Replay(format!(
+            "base segment {} ends without its marker table: it was cut short",
+            path.display()
+        )));
+    }
+    Ok(replayed.ops)
+}
+
 impl DurableStore {
     /// Opens (or creates) the durable store at `dir`, recovering from
-    /// any crash: loads the newest intact snapshot, replays every live
-    /// WAL segment (epoch >= the snapshot's base) in ascending order —
-    /// truncating a torn tail only on the highest segment, the one a
-    /// crash could have torn mid-append — and sweeps crash debris
-    /// (stale staging files, segments older than the base, spill
-    /// files: the store reopens fully resident).
+    /// any crash: replays the newest base segment, then every live WAL
+    /// segment (epoch >= the base's) in ascending order — truncating a
+    /// torn tail only on the highest segment, the one a crash could
+    /// have torn mid-append — and sweeps crash debris (stale staging
+    /// files, bases and segments older than the base, spill files: the
+    /// store reopens fully resident).
     pub fn open(dir: &Path) -> Result<(DurableStore, RecoveryReport), DurableError> {
         std::fs::create_dir_all(dir)?;
-        let mut debris_removed = 0usize;
 
-        // A staging file is a save that never reached its rename; the
-        // real snapshot (if any) is still intact.
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        let staging = persist::staging_path(&snapshot_path)?;
-        if staging.exists() {
-            std::fs::remove_file(&staging)?;
-            debris_removed += 1;
-        }
-
-        let (store, base_epoch, snapshot_found) = if snapshot_path.exists() {
-            let (snap, epoch) = persist::load_snapshot(&snapshot_path)?;
-            (VisualStore::from_snapshot(snap)?, epoch, true)
-        } else {
-            (VisualStore::new(), 0, false)
-        };
-
-        // Inventory the directory: live segments (epoch >= base,
-        // replayed ascending), stale segments (epoch < base — folded
-        // into the snapshot before a crash interrupted their removal),
-        // and spill artifacts (the rebuilt store is fully resident, so
-        // every spill file is stale).
-        let mut live_segments: Vec<u64> = Vec::new();
+        // Inventory the directory: bases (the highest wins), journal
+        // segments, and debris — staging files (a base that never
+        // reached its rename; the published one, if any, is intact) and
+        // spill artifacts (the rebuilt store is fully resident, so every
+        // spill file is stale).
+        let mut bases: Vec<u64> = Vec::new();
+        let mut segments: Vec<u64> = Vec::new();
         let mut debris: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let Some(name) = entry.file_name().to_str().map(str::to_string) else {
                 continue;
             };
-            if spill::is_spill_debris(&name) {
-                debris.push(entry.path());
-            } else if let Some(epoch) = name
-                .strip_prefix("wal-")
-                .and_then(|rest| rest.strip_suffix(".log"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                if epoch >= base_epoch {
-                    live_segments.push(epoch);
-                } else {
-                    debris.push(entry.path());
-                }
-            } else if name.starts_with("wal-") && name.ends_with(".log") {
+            if name == LEGACY_SNAPSHOT_FILE {
+                let mut found = Vec::new();
+                std::fs::File::open(entry.path())?
+                    .take(wal::SEGMENT_MAGIC.len() as u64)
+                    .read_to_end(&mut found)?;
+                return Err(wal::unsupported(&entry.path(), &found).into());
+            } else if let Some(epoch) = epoch_of(&name, "base-", ".seg") {
+                bases.push(epoch);
+            } else if let Some(epoch) = epoch_of(&name, "wal-", ".log") {
+                segments.push(epoch);
+            } else if spill::is_spill_debris(&name)
+                || (name.starts_with("base-") && name.ends_with(".tmp"))
                 // Unparseable epoch: not ours, treat as debris.
+                || (name.starts_with("wal-") && name.ends_with(".log"))
+            {
                 debris.push(entry.path());
             }
         }
-        live_segments.sort_unstable();
+        // Bases and segments below the winning base were folded into it
+        // before a crash interrupted their removal.
+        let base_epoch = bases.iter().copied().max();
+        let folded = |epoch: &u64| Some(*epoch) < base_epoch;
+        debris.extend(
+            bases
+                .iter()
+                .filter(|e| folded(e))
+                .map(|e| base_path(dir, *e)),
+        );
+        debris.extend(
+            segments
+                .iter()
+                .filter(|e| folded(e))
+                .map(|e| wal_path(dir, *e)),
+        );
+        segments.retain(|e| !folded(e));
+        segments.sort_unstable();
+
+        // The base first, and the sweep only once it has replayed whole:
+        // a base that is refused leaves what it superseded in place.
+        let store = VisualStore::new();
+        if let Some(epoch) = base_epoch {
+            replay_sealed(&store, &base_path(dir, epoch), true)?;
+        }
+        let base_epoch = base_epoch.unwrap_or(0);
         debris.sort();
         for path in &debris {
             std::fs::remove_file(path)?;
-            debris_removed += 1;
         }
         if !debris.is_empty() {
-            persist::fsync_parent(&snapshot_path)?;
+            persist::fsync_parent(&debris[0])?;
         }
-
-        // Replay sealed segments strictly: they were rotated away while
-        // every record in them was already fsynced, so a torn tail
-        // there is corruption, not an interrupted append.
-        let mut replayed_ops = 0usize;
-        let mut torn_bytes = 0u64;
-        let mut replay = |ops: Vec<WalOp>, epoch: u64| -> Result<(), DurableError> {
-            // One record at a time, in journal order: the marker table
-            // evicts as it fills, so only the state *at* a record says
-            // whether its marker is still held.
-            for (i, op) in ops.into_iter().enumerate() {
-                let refused =
-                    |m: String| DurableError::Replay(format!("segment {epoch} record {i}: {m}"));
-                let replays = store
-                    .apply_batch(vec![op])
-                    .map_err(|e| refused(e.to_string()))?;
-                // A replayed upload is never journaled, so a marker the
-                // store still holds means the journal disagrees with itself.
-                if let Some((_, stored)) = replays.first() {
-                    return Err(refused(format!(
-                        "upload marker of {stored} journaled twice"
-                    )));
-                }
-                replayed_ops += 1;
-            }
-            Ok(())
-        };
-        let (live_epoch, sealed) = match live_segments.split_last() {
+        let (live_epoch, sealed) = match segments.split_last() {
             Some((&highest, sealed)) => (highest, sealed),
             None => (base_epoch, &[][..]),
         };
+        let mut replayed_ops = 0usize;
         for &epoch in sealed {
-            let (ops, torn) = Wal::read_all(&wal_path(dir, epoch))?;
-            if torn > 0 {
-                return Err(DurableError::Replay(format!(
-                    "sealed wal segment {epoch} has {torn} torn byte(s)"
-                )));
-            }
-            replay(ops, epoch)?;
+            replayed_ops += replay_sealed(&store, &wal_path(dir, epoch), false)?;
         }
-        let (wal, ops, torn) = Wal::open_recover(&wal_path(dir, live_epoch))?;
-        torn_bytes += torn;
-        replay(ops, live_epoch)?;
+        let live_path = wal_path(dir, live_epoch);
+        let mut torn_bytes = 0u64;
+        let wal = if live_path.exists() {
+            let bytes = std::fs::read(&live_path)?;
+            let replayed = replay_segment(&store, &live_path, &bytes, false)?;
+            replayed_ops += replayed.ops;
+            torn_bytes = (bytes.len() - replayed.valid_len) as u64;
+            Wal::resume(&live_path, replayed.valid_len as u64)?
+        } else {
+            Wal::create(&live_path)?
+        };
 
         let report = RecoveryReport {
             epoch: live_epoch,
-            snapshot_found,
+            snapshot_found: !bases.is_empty(),
             replayed_ops,
             torn_bytes,
-            debris_removed,
+            debris_removed: debris.len(),
         };
         Ok((
             DurableStore {
@@ -540,6 +624,11 @@ impl DurableStore {
     ) -> Result<Replays, DurableError> {
         let mut journal = self.journal.lock();
         let mut ops = build(&self.store);
+        if ops.iter().any(|op| matches!(op, WalOp::UploadMarkers(_))) {
+            return Err(DurableError::Rejected(
+                "an upload-marker table is a base-segment record, not a mutation".into(),
+            ));
+        }
         let replays = self.store.validate_batch(&mut ops)?;
         if !ops.is_empty() {
             journal.commit(&ops)?;
@@ -707,8 +796,8 @@ impl DurableStore {
     }
 
     /// Begins an incremental tiered compaction. Under the journal lock
-    /// — atomically with respect to every mutator — this cuts a
-    /// snapshot of the store and seals the live segment, so the cut
+    /// — atomically with respect to every mutator — this cuts a dump
+    /// of the store and seals the live segment, so the cut
     /// covers exactly the ops journaled so far and nothing that lands
     /// afterwards. Writers proceed into the new live segment
     /// immediately; drive the returned task with
@@ -755,54 +844,44 @@ impl DurableStore {
         // only. Either way nothing can replay twice.
         let cut = self.store.snapshot();
         let ops_compacted = journal.wal_ops;
+        let old_base = journal.base_epoch;
         journal.wal = next_wal;
         journal.epoch = next_epoch;
         journal.wal_ops = 0;
         drop(journal);
 
-        let staging = persist::staging_path(&self.dir.join(SNAPSHOT_FILE))?;
-        let rows = persist::snapshot_row_count(&cut);
         Ok(CompactionTask {
             ds: self,
-            cut,
+            cut: cut.into_ops(),
             new_base: next_epoch,
+            old_base,
             folded,
             ops_compacted,
             wal_bytes_before,
-            staging,
-            file: None,
-            next_row: 0,
-            rows,
+            writer: None,
+            next_op: 0,
             increments_run: 0,
             reloaded_at_begin: self.spill_stats.bytes_reloaded(),
             published: false,
         })
     }
 
-    /// Stop-the-world wrapper around the incremental schedule: begins a
-    /// compaction and drives every increment to completion on `pool`
-    /// before returning. State and on-disk bytes are identical for
-    /// every pool width (increments render rows in deterministic
-    /// order).
-    pub fn compact_with_pool(&self, pool: &Pool) -> Result<CompactionReport, DurableError> {
+    /// Folds the journal into a fresh base segment and rotates the WAL
+    /// to the next epoch: the stop-the-world wrapper around the
+    /// incremental schedule, driving every increment to completion.
+    /// Safe against a crash at any point: the next epoch's empty WAL is
+    /// created *before* the base naming it is atomically published,
+    /// and the superseded base and segments are only removed after —
+    /// whichever side of the publish a crash lands on, the surviving
+    /// base pairs with intact segments that replay to the acknowledged
+    /// state.
+    pub fn compact(&self) -> Result<CompactionReport, DurableError> {
         let mut task = self.begin_compaction()?;
         loop {
-            if let Some(report) = task.step(pool)? {
+            if let Some(report) = task.step()? {
                 return Ok(report);
             }
         }
-    }
-
-    /// Folds the journal into a fresh snapshot and rotates the WAL to
-    /// the next epoch (serial [`DurableStore::compact_with_pool`]).
-    /// Safe against a crash at any point: the next epoch's empty WAL is
-    /// created *before* the snapshot naming it is atomically published,
-    /// and the superseded segments are only removed after — whichever
-    /// side of the publish a crash lands on, the surviving snapshot
-    /// pairs with intact segments that replay to the acknowledged
-    /// state.
-    pub fn compact(&self) -> Result<CompactionReport, DurableError> {
-        self.compact_with_pool(&Pool::serial())
     }
 
     /// Spills every cold feature-arena chunk (all frozen chunks except
@@ -845,28 +924,21 @@ impl DurableStore {
     }
 }
 
-/// Rows rendered per compaction increment. Small enough that one
-/// increment is a bounded slice of work on the pool; large enough that
-/// a city-scale snapshot folds in few thousand increments.
-const COMPACTION_INCREMENT_ROWS: usize = 2048;
-
 /// An in-progress incremental compaction (see
 /// [`DurableStore::begin_compaction`]). Each [`CompactionTask::step`]
-/// renders a bounded slice of the snapshot cut into the staging file,
-/// fanning row rendering out over the given pool; the final step
-/// publishes atomically (PR 4 staged-rename protocol), retires the
-/// folded L0 segments, and spills cold arena chunks.
+/// encodes a bounded slice of the cut into the staging file; the final
+/// step publishes atomically (PR 4 staged-rename protocol), retires the
+/// old base and the folded L0 segments, and spills cold arena chunks.
 pub struct CompactionTask<'a> {
     ds: &'a DurableStore,
-    cut: Snapshot,
+    cut: Vec<WalOp>,
     new_base: u64,
+    old_base: u64,
     folded: Vec<PathBuf>,
     ops_compacted: usize,
     wal_bytes_before: u64,
-    staging: PathBuf,
-    file: Option<std::fs::File>,
-    next_row: usize,
-    rows: usize,
+    writer: Option<BaseWriter>,
+    next_op: usize,
     increments_run: usize,
     reloaded_at_begin: u64,
     published: bool,
@@ -876,79 +948,60 @@ impl std::fmt::Debug for CompactionTask<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompactionTask")
             .field("new_base", &self.new_base)
-            .field("next_row", &self.next_row)
-            .field("rows", &self.rows)
+            .field("next_op", &self.next_op)
+            .field("ops", &self.cut.len())
             .field("published", &self.published)
             .finish_non_exhaustive()
     }
 }
 
 impl CompactionTask<'_> {
-    /// Runs one bounded increment. Rendering increments write up to
-    /// [`COMPACTION_INCREMENT_ROWS`] rows (rendered in parallel on
-    /// `pool`, concatenated in row order — bytes are pool-width
-    /// independent); the final increment fsyncs, atomically publishes
-    /// the snapshot, fsyncs the parent directory, retires the folded
-    /// segments, and spills cold arena chunks. Returns `Some(report)`
-    /// once published, `None` while work remains.
-    pub fn step(&mut self, pool: &Pool) -> Result<Option<CompactionReport>, DurableError> {
+    /// Runs one bounded increment. The first creates the staging file;
+    /// encoding increments append up to 2048 of the cut's ops as
+    /// records (`persist::BASE_WRITE_OPS`); the final increment fsyncs, atomically
+    /// publishes the base, fsyncs the parent directory, retires the old
+    /// base and the folded segments, and spills cold arena chunks.
+    /// Returns `Some(report)` once published, `None` while work
+    /// remains.
+    pub fn step(&mut self) -> Result<Option<CompactionReport>, DurableError> {
         if self.published {
             return Err(DurableError::Rejected(
                 "compaction already published".into(),
             ));
         }
         self.increments_run += 1;
-        if self.file.is_none() {
-            let mut file = std::fs::File::create(&self.staging)?;
-            file.write_all(persist::render_header_line(self.new_base).as_bytes())?;
-            self.file = Some(file);
+        let dest = base_path(&self.ds.dir, self.new_base);
+        let Some(writer) = &mut self.writer else {
+            self.writer = Some(BaseWriter::create(&dest)?);
             return Ok(None);
-        }
-        if self.next_row < self.rows {
-            let start = self.next_row;
-            let end = (start + COMPACTION_INCREMENT_ROWS).min(self.rows);
-            let cut = &self.cut;
-            let lines = pool.map_index(end - start, |i| {
-                persist::render_snapshot_row(cut, start + i)
-            });
-            let file = match self.file.as_mut() {
-                Some(f) => f,
-                // The branch above created it; unreachable by construction.
-                None => return Err(DurableError::Rejected("staging file vanished".into())),
-            };
-            for line in &lines {
-                file.write_all(line.as_bytes())?;
-            }
-            self.next_row = end;
+        };
+        if self.next_op < self.cut.len() {
+            let end = (self.next_op + persist::BASE_WRITE_OPS).min(self.cut.len());
+            writer.write(&self.cut[self.next_op..end])?;
+            self.next_op = end;
             return Ok(None);
         }
 
-        // Publish: flush + fsync the staging file, atomically rename it
-        // over the snapshot, fsync the parent so the rename is durable,
-        // then retire the folded segments (their removal is fsynced
-        // too; if a crash interleaves, open() sweeps them as debris).
-        let snapshot_path = self.ds.dir.join(SNAPSHOT_FILE);
-        if let Some(mut file) = self.file.take() {
-            file.flush()?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&self.staging, &snapshot_path)?;
-        persist::fsync_parent(&snapshot_path)?;
+        // Publish, then retire what the new base supersedes (removals
+        // are fsynced too; if a crash interleaves, open() sweeps them
+        // as debris).
+        let snapshot_bytes = writer.publish()?;
+        self.writer = None;
         self.published = true;
         {
             let mut journal = self.ds.journal.lock();
             journal.base_epoch = self.new_base;
         }
         *self.ds.fold_active.lock() = false;
-        for path in &self.folded {
+        let old_base = base_path(&self.ds.dir, self.old_base);
+        for path in [&old_base].into_iter().chain(&self.folded) {
             // Best-effort: if a removal doesn't happen, open() sweeps
-            // the stale segment.
+            // the stale file.
             std::fs::remove_file(path).ok();
         }
-        persist::fsync_parent(&snapshot_path)?;
+        persist::fsync_parent(&dest)?;
 
         let (_, bytes_spilled) = self.ds.spill_cold_features(1)?;
-        let snapshot_bytes = std::fs::metadata(&snapshot_path)?.len();
         Ok(Some(CompactionReport {
             epoch: self.new_base,
             ops_compacted: self.ops_compacted,
@@ -965,9 +1018,9 @@ impl CompactionTask<'_> {
         }))
     }
 
-    /// Rows of the snapshot cut still waiting to be rendered.
+    /// Ops of the cut still waiting to be encoded.
     pub fn remaining_rows(&self) -> usize {
-        self.rows - self.next_row
+        self.cut.len() - self.next_op
     }
 
     /// Increments run so far.
@@ -975,7 +1028,7 @@ impl CompactionTask<'_> {
         self.increments_run
     }
 
-    /// Whether the snapshot has been published (the task is finished).
+    /// Whether the base has been published (the task is finished).
     pub fn is_published(&self) -> bool {
         self.published
     }
@@ -989,8 +1042,9 @@ impl Drop for CompactionTask<'_> {
             // the next compaction reports it, drop the staging debris,
             // and release the fold gate.
             self.ds.journal.lock().wal_ops += self.ops_compacted;
-            self.file.take();
-            std::fs::remove_file(&self.staging).ok();
+            if let Some(writer) = self.writer.take() {
+                writer.abandon();
+            }
             *self.ds.fold_active.lock() = false;
         }
     }
@@ -1096,6 +1150,9 @@ mod tests {
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 1);
         assert_eq!(ds2.store().snapshot(), live);
+        // The base's own records were not replayed ops, so the next fold
+        // counts only what the journal held.
+        assert_eq!(ds2.compact().unwrap().ops_compacted, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1267,15 +1324,20 @@ mod tests {
         populate(&ds);
         ds.compact().unwrap(); // base epoch is now 1
         drop(ds);
-        // Plant an interrupted save, a folded segment whose removal was
-        // interrupted, an interrupted spill, and a stale spill file.
-        std::fs::write(dir.join("snapshot.json.tmp"), b"partial").unwrap();
+        // Plant an interrupted publish, a superseded base and a folded
+        // segment whose removals were interrupted, an interrupted spill,
+        // and a stale spill file.
+        std::fs::write(dir.join("base-2.seg.tmp"), b"partial").unwrap();
+        std::fs::write(dir.join("base-0.seg"), b"stale").unwrap();
         std::fs::write(dir.join("wal-0.log"), b"stale").unwrap();
         std::fs::write(dir.join("spill-cnn-2-0.bin.tmp"), b"partial").unwrap();
         std::fs::write(dir.join("spill-cnn-2-0.bin"), b"stale").unwrap();
         let (ds2, report) = DurableStore::open(&dir).unwrap();
-        assert_eq!(report.debris_removed, 4);
-        assert!(!dir.join("snapshot.json.tmp").exists());
+        assert_eq!(report.debris_removed, 5);
+        assert_eq!(report.epoch, 1);
+        assert!(!dir.join("base-2.seg.tmp").exists());
+        assert!(!dir.join("base-0.seg").exists());
+        assert!(dir.join("base-1.seg").exists());
         assert!(!dir.join("wal-0.log").exists());
         assert!(!dir.join("spill-cnn-2-0.bin").exists());
         assert_eq!(ds2.store().len(), 1);
@@ -1444,9 +1506,8 @@ mod tests {
         // while the fold is still rendering.
         ds.annotate(img, cls, 0, 0.3, AnnotationSource::Human(UserId(3)), None)
             .unwrap();
-        let pool = Pool::serial();
         let report = loop {
-            if let Some(r) = task.step(&pool).unwrap() {
+            if let Some(r) = task.step().unwrap() {
                 break r;
             }
         };
@@ -1475,10 +1536,10 @@ mod tests {
         populate(&ds);
         {
             let mut task = ds.begin_compaction().unwrap();
-            task.step(&Pool::serial()).unwrap();
+            task.step().unwrap();
             // Dropped before publish: nothing folded, staging removed.
         }
-        assert!(!dir.join("snapshot.json.tmp").exists());
+        assert!(!dir.join("base-1.seg.tmp").exists());
         let report = ds.compact().unwrap();
         // The abandoned fold's ops are still accounted for.
         assert_eq!(report.ops_compacted, 4);
@@ -1539,6 +1600,253 @@ mod tests {
             );
         }
         assert_eq!(ds.spill_stats().chunks_reloaded(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A directory holding `records` as its base segment at epoch 0.
+    fn dir_with_base(name: &str, records: &[WalOp]) -> PathBuf {
+        let dir = temp_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = crate::wal::SEGMENT_MAGIC.to_vec();
+        for op in records {
+            bytes.extend_from_slice(&crate::wal::frame(&op.encode()));
+        }
+        std::fs::write(dir.join("base-0.seg"), bytes).unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_base_record_the_validator_refuses_fails_open_naming_the_record() {
+        let image = |id: u64, pixels: Option<crate::wal::PixelBlob>| WalOp::IngestUpload {
+            marker: None,
+            id: ImageId(id),
+            meta: meta(),
+            origin: ImageOrigin::Original,
+            pixels,
+            features: vec![(FeatureKind::Cnn, vec![0.5, 0.25])],
+        };
+        let scheme = |id: u64, name: &str, labels: &[&str]| WalOp::RegisterScheme {
+            id: ClassificationId(id),
+            name: name.into(),
+            labels: labels.iter().map(|l| l.to_string()).collect(),
+        };
+        let annotation = |id: u64, image: u64, scheme: u64, label: usize, confidence: f32| {
+            WalOp::Annotate(Annotation {
+                id: AnnotationId(id),
+                image: ImageId(image),
+                classification: ClassificationId(scheme),
+                label,
+                confidence,
+                source: AnnotationSource::Human(UserId(1)),
+                region: None,
+            })
+        };
+        let markers = |m: &[(&str, u64)]| {
+            WalOp::UploadMarkers(
+                m.iter()
+                    .map(|(key, image)| (key.to_string(), ImageId(*image), 0))
+                    .collect(),
+            )
+        };
+        // The head every case shares: a scheme and an image, both valid.
+        let head = || vec![scheme(0, "c", &["a", "b"]), image(0, None)];
+        let feature = WalOp::PutFeature {
+            image: ImageId(77),
+            kind: FeatureKind::Cnn,
+            vector: vec![1.0],
+        };
+        let cases: Vec<(&str, WalOp, &str)> = vec![
+            (
+                "dangling annotation image",
+                annotation(0, 77, 0, 0, 0.9),
+                "unknown image",
+            ),
+            (
+                "dangling annotation scheme",
+                annotation(0, 0, 77, 0, 0.9),
+                "unknown classification",
+            ),
+            ("dangling feature", feature, "unknown image"),
+            ("dangling marker", markers(&[("k", 77)]), "unknown image"),
+            (
+                "duplicate marker",
+                markers(&[("k", 0), ("k", 0)]),
+                "duplicate upload marker",
+            ),
+            ("duplicate image id", image(0, None), "already occupied"),
+            (
+                "duplicate scheme id",
+                scheme(0, "d", &["a"]),
+                "already occupied",
+            ),
+            (
+                "duplicate scheme name",
+                scheme(1, "c", &["a"]),
+                "duplicate scheme",
+            ),
+            ("repeated label", scheme(1, "d", &["a", "a"]), "vocabulary"),
+            (
+                "short blob",
+                image(1, Some((2, 2, vec![0; 11]))),
+                "does not match",
+            ),
+            (
+                "zero-width blob",
+                image(1, Some((0, 2, vec![]))),
+                "does not match",
+            ),
+            ("bad confidence", annotation(0, 0, 0, 0, 1.5), "confidence"),
+            (
+                "nan confidence",
+                annotation(0, 0, 0, 0, f32::NAN),
+                "confidence",
+            ),
+            (
+                "label out of range",
+                annotation(0, 0, 0, 9, 0.9),
+                "out of range",
+            ),
+        ];
+        for (what, bad, expected) in cases {
+            let mut records = head();
+            records.push(bad);
+            // A valid record after the bad one must not be reached.
+            records.push(image(5, None));
+            let dir = dir_with_base("bad-base", &records);
+            let before = std::fs::read(dir.join("base-0.seg")).unwrap();
+            let Err(DurableError::Replay(message)) = DurableStore::open(&dir) else {
+                panic!("{what}: the base opened");
+            };
+            assert!(
+                message.starts_with("base-0.seg record 2: "),
+                "{what}: {message}"
+            );
+            assert!(message.contains(expected), "{what}: {message}");
+            assert_eq!(
+                std::fs::read(dir.join("base-0.seg")).unwrap(),
+                before,
+                "{what}"
+            );
+            // The same stream as a store file fails the same way.
+            assert!(matches!(
+                persist::load(&dir.join("base-0.seg")),
+                Err(DurableError::Replay(m)) if m == message
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        // A duplicate annotation id needs its first copy in the stream.
+        let mut records = head();
+        records.extend([annotation(0, 0, 0, 0, 0.9), annotation(0, 0, 0, 1, 0.9)]);
+        let dir = dir_with_base("bad-base", &records);
+        let Err(DurableError::Replay(message)) = DurableStore::open(&dir) else {
+            panic!("a duplicate annotation id opened");
+        };
+        assert!(
+            message.starts_with("base-0.seg record 3: annotation id 0"),
+            "{message}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_marker_table_is_refused_outside_a_base_segment() {
+        let dir = temp_dir("marker-op-live");
+        let (ds, _) = DurableStore::open(&dir).unwrap();
+        let (img, _) = populate(&ds);
+        let table = WalOp::UploadMarkers(vec![("k".into(), img, 0)]);
+        // As a mutation: refused before anything is journaled.
+        let wal_before = ds.wal_bytes().unwrap();
+        assert!(matches!(
+            ds.apply_batch(vec![table.clone()]),
+            Err(DurableError::Rejected(_))
+        ));
+        assert_eq!(ds.wal_bytes().unwrap(), wal_before);
+        assert_eq!(ds.health().state, HealthState::Ok);
+        assert!(ds.store().upload_marker("k").is_none());
+        ds.seal().unwrap();
+        drop(ds);
+        // Forged into a journal segment, live or sealed: the open fails.
+        for segment in ["wal-1.log", "wal-0.log"] {
+            let path = dir.join(segment);
+            let clean = std::fs::read(&path).unwrap();
+            let mut forged = clean.clone();
+            forged.extend_from_slice(&crate::wal::frame(&table.encode()));
+            std::fs::write(&path, forged).unwrap();
+            let Err(DurableError::Replay(message)) = DurableStore::open(&dir) else {
+                panic!("a marker table in {segment} replayed");
+            };
+            assert!(message.starts_with(segment), "{message}");
+            assert!(message.contains("outside a base segment"), "{message}");
+            std::fs::write(&path, clean).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_damaged_base_is_a_typed_refusal_never_a_repair() {
+        use tvdp_kernel::rng::for_each_case;
+        let dir = temp_dir("hostile-base");
+        let (ds, _) = DurableStore::open(&dir).unwrap();
+        populate(&ds);
+        ds.ingest_upload("edge0-s7", meta(), ImageOrigin::Original, None, vec![])
+            .unwrap();
+        ds.compact().unwrap();
+        let live = ds.store().snapshot();
+        drop(ds);
+        let base = dir.join("base-1.seg");
+        let whole = std::fs::read(&base).unwrap();
+        // What the base superseded, its removal interrupted.
+        let superseded = dir.join("base-0.seg");
+        std::fs::write(&superseded, crate::wal::SEGMENT_MAGIC).unwrap();
+        let refused = |bytes: &[u8], what: &str| {
+            std::fs::write(&base, bytes).unwrap();
+            match DurableStore::open(&dir) {
+                Err(DurableError::Replay(_) | DurableError::Wal(_)) => {}
+                Err(other) => panic!("{what}: untyped refusal {other}"),
+                Ok(_) => panic!("{what}: a damaged base opened"),
+            }
+            // A base is sealed: refused as found, never truncated, and
+            // nothing is swept on the word of a base that did not replay.
+            assert_eq!(std::fs::read(&base).unwrap(), bytes, "{what}");
+            assert!(superseded.exists(), "{what}");
+        };
+        // Truncation at every offset, the header's included.
+        for cut in 0..whole.len() {
+            refused(&whole[..cut], &format!("cut at byte {cut}"));
+        }
+        // Seeded bit flips: CRC-32 catches every single-bit error, and a
+        // flipped header is another format or a torn record.
+        for_each_case(64, |_, rng| {
+            let mut flipped = whole.clone();
+            let byte = rng.gen_range(0..whole.len());
+            let bit = rng.gen_range(0..8);
+            flipped[byte] ^= 1 << bit;
+            refused(&flipped, &format!("bit {bit} of byte {byte}"));
+        });
+        // Length bombs: a record header claiming 4 GiB after the last
+        // record, and trailing zeroes.
+        let mut bomb = whole.clone();
+        bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        bomb.extend_from_slice(&[0; 12]);
+        refused(&bomb, "length bomb");
+        let mut zeroes = whole.clone();
+        zeroes.extend_from_slice(&[0; 64]);
+        refused(&zeroes, "zeroed tail");
+        // A checksummed record that does not decode names its index.
+        let mut garbage = whole.clone();
+        garbage.extend_from_slice(&crate::wal::frame(&[9, 0, 0]));
+        std::fs::write(&base, &garbage).unwrap();
+        assert!(matches!(
+            DurableStore::open(&dir),
+            Err(DurableError::Wal(WalError::Corrupt { .. }))
+        ));
+        // Put back whole, it opens to the state that was compacted.
+        std::fs::write(&base, &whole).unwrap();
+        let (ds, report) = DurableStore::open(&dir).unwrap();
+        assert_eq!((report.replayed_ops, report.torn_bytes), (0, 0));
+        assert_eq!(report.debris_removed, 1);
+        assert!(!superseded.exists());
+        assert_eq!(ds.store().snapshot(), live);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

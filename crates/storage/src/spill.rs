@@ -316,7 +316,7 @@ pub fn read_spill(path: &Path, expect_floats: usize) -> Result<SpillPayload, Spi
     let quant_geometry = if fields.len() == 5 {
         let codes: usize = fields[3].parse().map_err(|_| err_at("bad code count"))?;
         let qdim: usize = fields[4].parse().map_err(|_| err_at("bad code dim"))?;
-        if qdim == 0 || codes % qdim != 0 {
+        if qdim == 0 || !codes.is_multiple_of(qdim) {
             return Err(err_at("code count not a multiple of dim"));
         }
         Some((codes, qdim))
@@ -569,7 +569,7 @@ mod tests {
     fn debris_naming() {
         assert!(is_spill_debris("spill-cnn-8-0.bin"));
         assert!(is_spill_debris("spill-cnn-8-0.bin.tmp"));
-        assert!(!is_spill_debris("snapshot.json"));
+        assert!(!is_spill_debris("base-3.seg"));
         assert!(!is_spill_debris("wal-3.log"));
     }
 }

@@ -65,6 +65,9 @@ pub enum StorageError {
         /// Actual byte count of the raw payload.
         len: usize,
     },
+    /// An upload-marker table ([`WalOp::UploadMarkers`]) names an
+    /// idempotency key that is already held.
+    DuplicateMarker(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -98,6 +101,7 @@ impl std::fmt::Display for StorageError {
                 f,
                 "blob for {image}: {len} bytes does not match {width}x{height}x3"
             ),
+            StorageError::DuplicateMarker(key) => write!(f, "duplicate upload marker `{key}`"),
         }
     }
 }
@@ -124,143 +128,8 @@ fn confidence_ok(confidence: f32) -> bool {
     (0.0..=1.0).contains(&confidence)
 }
 
-/// Referential-integrity failures found while rebuilding a store from a
-/// snapshot ([`VisualStore::from_snapshot`]). A snapshot that decodes
-/// structurally can still be inconsistent — rows naming ids that do not
-/// exist, labels outside a scheme's vocabulary, pixel blobs whose byte
-/// count disagrees with their declared dimensions — and loading such a
-/// snapshot must fail loudly instead of panicking or building a corrupt
-/// store.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotError {
-    /// Two image rows carry the same id.
-    DuplicateImage(ImageId),
-    /// A pixel blob's byte count disagrees with `width * height * 3`,
-    /// or a dimension is zero.
-    BlobShape {
-        /// Image the blob belongs to.
-        image: ImageId,
-        /// Declared width in pixels.
-        width: usize,
-        /// Declared height in pixels.
-        height: usize,
-        /// Actual byte count of the raw payload.
-        len: usize,
-    },
-    /// A pixel blob names an image id with no image row.
-    DanglingBlob(ImageId),
-    /// A feature row names an image id with no image row.
-    DanglingFeature(ImageId),
-    /// Two scheme rows carry the same id.
-    DuplicateSchemeId(ClassificationId),
-    /// A scheme has an empty or duplicated label vocabulary.
-    BadScheme(ClassificationId),
-    /// Two annotation rows carry the same id.
-    DuplicateAnnotation(AnnotationId),
-    /// An annotation names an image id with no image row.
-    DanglingAnnotationImage {
-        /// The offending annotation.
-        annotation: AnnotationId,
-        /// The missing image.
-        image: ImageId,
-    },
-    /// An annotation names a scheme id with no scheme row.
-    DanglingAnnotationScheme {
-        /// The offending annotation.
-        annotation: AnnotationId,
-        /// The missing scheme.
-        classification: ClassificationId,
-    },
-    /// An annotation's label index exceeds its scheme's vocabulary.
-    LabelOutOfRange {
-        /// The offending annotation.
-        annotation: AnnotationId,
-        /// Offending label index.
-        label: usize,
-        /// Vocabulary size of the named scheme.
-        vocabulary: usize,
-    },
-    /// An annotation's confidence is outside `[0, 1]` or not a number.
-    BadConfidence {
-        /// The offending annotation.
-        annotation: AnnotationId,
-        /// The out-of-range value.
-        confidence: f32,
-    },
-    /// Two upload-marker rows carry the same idempotency key.
-    DuplicateMarker(String),
-    /// An upload marker names an image id with no image row.
-    DanglingMarker {
-        /// The offending idempotency key.
-        key: String,
-        /// The missing image.
-        image: ImageId,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::DuplicateImage(id) => write!(f, "duplicate image id {id}"),
-            SnapshotError::BlobShape {
-                image,
-                width,
-                height,
-                len,
-            } => write!(
-                f,
-                "blob for {image}: {len} bytes does not match {width}x{height}x3"
-            ),
-            SnapshotError::DanglingBlob(id) => write!(f, "blob references missing image {id}"),
-            SnapshotError::DanglingFeature(id) => {
-                write!(f, "feature references missing image {id}")
-            }
-            SnapshotError::DuplicateSchemeId(id) => write!(f, "duplicate scheme id {id}"),
-            SnapshotError::BadScheme(id) => {
-                write!(f, "scheme {id} has an empty or duplicated vocabulary")
-            }
-            SnapshotError::DuplicateAnnotation(id) => write!(f, "duplicate annotation id {id}"),
-            SnapshotError::DanglingAnnotationImage { annotation, image } => {
-                write!(
-                    f,
-                    "annotation {annotation} references missing image {image}"
-                )
-            }
-            SnapshotError::DanglingAnnotationScheme {
-                annotation,
-                classification,
-            } => write!(
-                f,
-                "annotation {annotation} references missing scheme {classification}"
-            ),
-            SnapshotError::LabelOutOfRange {
-                annotation,
-                label,
-                vocabulary,
-            } => write!(
-                f,
-                "annotation {annotation}: label {label} out of range (vocabulary size {vocabulary})"
-            ),
-            SnapshotError::BadConfidence {
-                annotation,
-                confidence,
-            } => write!(
-                f,
-                "annotation {annotation}: confidence {confidence} outside [0, 1]"
-            ),
-            SnapshotError::DuplicateMarker(key) => {
-                write!(f, "duplicate upload marker `{key}`")
-            }
-            SnapshotError::DanglingMarker { key, image } => {
-                write!(f, "upload marker `{key}` references missing image {image}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// Serializable dump of every table (used by [`crate::persist`]).
+/// Dump of every table: what a base segment is rendered from
+/// ([`Snapshot::into_ops`]).
 ///
 /// Equality is structural over every table, which makes snapshots the
 /// ground truth for crash-recovery tests: two stores are "the same
@@ -274,6 +143,66 @@ pub struct Snapshot {
     pub(crate) annotations: Vec<Annotation>,
     /// Upload idempotency markers as `(key, image, sequence)`.
     pub(crate) markers: Vec<(String, ImageId, u64)>,
+}
+
+impl Snapshot {
+    /// The dump as ops that rebuild it on an empty store, in an order
+    /// the validator accepts: schemes; then each image with its pixels
+    /// and features as one unkeyed upload, by id, except that an
+    /// augmented child committed at a lower id than its parent follows
+    /// that parent; then annotations; then the marker table, always
+    /// and last, which is how a reader knows the dump is whole.
+    pub fn into_ops(self) -> Vec<WalOp> {
+        let mut blobs: BTreeMap<ImageId, PixelBlob> = self
+            .blobs
+            .into_iter()
+            .map(|(id, width, height, raw)| (id, (width, height, raw)))
+            .collect();
+        let mut features: BTreeMap<ImageId, Vec<(FeatureKind, Vec<f32>)>> = BTreeMap::new();
+        for (id, kind, vector) in self.features {
+            features.entry(id).or_default().push((kind, vector));
+        }
+        let mut images: BTreeMap<ImageId, ImageRecord> =
+            self.images.into_iter().map(|r| (r.id, r)).collect();
+        let mut ops =
+            Vec::with_capacity(self.schemes.len() + images.len() + self.annotations.len() + 1);
+        ops.extend(self.schemes.into_iter().map(|s| WalOp::RegisterScheme {
+            id: s.id,
+            name: s.name,
+            labels: s.labels,
+        }));
+        // `images` holds what is not yet emitted, so its first key is
+        // the lowest such id and any parent still in it has a higher one.
+        while let Some(lowest) = images.keys().next().copied() {
+            let mut lineage = vec![lowest];
+            while let Some(ImageOrigin::Augmented { parent, .. }) = lineage
+                .last()
+                .and_then(|id| images.get(id))
+                .map(|r| &r.origin)
+            {
+                if !images.contains_key(parent) {
+                    break;
+                }
+                lineage.push(*parent);
+            }
+            for id in lineage.into_iter().rev() {
+                let Some(record) = images.remove(&id) else {
+                    continue;
+                };
+                ops.push(WalOp::IngestUpload {
+                    marker: None,
+                    id,
+                    meta: record.meta,
+                    origin: record.origin,
+                    pixels: blobs.remove(&id),
+                    features: features.remove(&id).unwrap_or_default(),
+                });
+            }
+        }
+        ops.extend(self.annotations.into_iter().map(WalOp::Annotate));
+        ops.push(WalOp::UploadMarkers(self.markers));
+        ops
+    }
 }
 
 /// Stable address of one feature row in the store's arena: the slab is
@@ -479,6 +408,18 @@ impl Tables {
                         new_markers.insert(marker.as_str(), *id);
                     }
                 }
+                WalOp::UploadMarkers(markers) => {
+                    for (key, image, _) in markers {
+                        if !image_known(&new_images, *image) {
+                            return Err(StorageError::UnknownImage(*image));
+                        }
+                        if self.upload_markers.contains_key(key)
+                            || new_markers.insert(key.as_str(), *image).is_some()
+                        {
+                            return Err(StorageError::DuplicateMarker(key.clone()));
+                        }
+                    }
+                }
             }
         }
         for i in skipped.into_iter().rev() {
@@ -532,17 +473,22 @@ impl Tables {
                     self.put_feature_row(id, *kind, vector);
                 }
                 if let Some(marker) = marker {
-                    self.remember_marker(marker, id);
+                    self.remember_marker(marker, id, self.next_marker_seq);
+                }
+            }
+            WalOp::UploadMarkers(markers) => {
+                for (key, image, seq) in markers {
+                    self.remember_marker(key, image, seq);
                 }
             }
         }
     }
 
-    /// Records an upload's idempotency marker, evicting the oldest one
-    /// past [`UPLOAD_MARKER_CAPACITY`].
-    fn remember_marker(&mut self, marker: String, id: ImageId) {
-        let seq = self.next_marker_seq;
-        self.next_marker_seq += 1;
+    /// Records an upload's idempotency marker at `seq` (the counter
+    /// resumes past it), evicting the oldest one past
+    /// [`UPLOAD_MARKER_CAPACITY`].
+    fn remember_marker(&mut self, marker: String, id: ImageId, seq: u64) {
+        self.next_marker_seq = self.next_marker_seq.max(seq.saturating_add(1));
         self.upload_markers.insert(marker, (id, seq));
         if self.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
             let oldest = self
@@ -1114,7 +1060,7 @@ impl VisualStore {
         self.inner.read().annotations.len()
     }
 
-    /// Serializable dump of every table.
+    /// Dump of every table.
     pub fn snapshot(&self) -> Snapshot {
         let t = self.inner.read();
         Snapshot {
@@ -1137,107 +1083,6 @@ impl VisualStore {
                 .map(|(key, (id, seq))| (key.clone(), *id, *seq))
                 .collect(),
         }
-    }
-
-    /// Rebuilds a store from a snapshot, validating referential
-    /// integrity: blob shapes must match their declared dimensions,
-    /// every blob/feature/annotation must name an existing image,
-    /// annotations must name an existing scheme with the label in
-    /// range, and no table may repeat an id.
-    pub fn from_snapshot(snap: Snapshot) -> Result<Self, SnapshotError> {
-        let mut t = Tables::default();
-        for rec in snap.images {
-            t.next_image = t.next_image.max(rec.id.raw().saturating_add(1));
-            let id = rec.id;
-            if t.images.insert(id, rec).is_some() {
-                return Err(SnapshotError::DuplicateImage(id));
-            }
-        }
-        for (id, w, h, raw) in snap.blobs {
-            if !blob_shape_ok(w, h, raw.len()) {
-                return Err(SnapshotError::BlobShape {
-                    image: id,
-                    width: w,
-                    height: h,
-                    len: raw.len(),
-                });
-            }
-            if !t.images.contains_key(&id) {
-                return Err(SnapshotError::DanglingBlob(id));
-            }
-            t.blobs.insert(id, Image::from_raw(w, h, raw));
-        }
-        for (id, kind, v) in snap.features {
-            if !t.images.contains_key(&id) {
-                return Err(SnapshotError::DanglingFeature(id));
-            }
-            t.put_feature_row(id, kind, &v);
-        }
-        for s in snap.schemes {
-            t.next_classification = t.next_classification.max(s.id.raw().saturating_add(1));
-            if !vocabulary_ok(&s.labels) {
-                return Err(SnapshotError::BadScheme(s.id));
-            }
-            let id = s.id;
-            if t.schemes.insert(id, s).is_some() {
-                return Err(SnapshotError::DuplicateSchemeId(id));
-            }
-        }
-        for a in snap.annotations {
-            t.next_annotation = t.next_annotation.max(a.id.raw().saturating_add(1));
-            if !t.images.contains_key(&a.image) {
-                return Err(SnapshotError::DanglingAnnotationImage {
-                    annotation: a.id,
-                    image: a.image,
-                });
-            }
-            let vocabulary = match t.schemes.get(&a.classification) {
-                None => {
-                    return Err(SnapshotError::DanglingAnnotationScheme {
-                        annotation: a.id,
-                        classification: a.classification,
-                    })
-                }
-                Some(s) => s.labels.len(),
-            };
-            if a.label >= vocabulary {
-                return Err(SnapshotError::LabelOutOfRange {
-                    annotation: a.id,
-                    label: a.label,
-                    vocabulary,
-                });
-            }
-            if !confidence_ok(a.confidence) {
-                return Err(SnapshotError::BadConfidence {
-                    annotation: a.id,
-                    confidence: a.confidence,
-                });
-            }
-            t.annotations_by_image
-                .entry(a.image)
-                .or_default()
-                .push(a.id);
-            *t.label_counts
-                .entry((a.classification, a.label))
-                .or_default() += 1;
-            let id = a.id;
-            if t.annotations.insert(id, a).is_some() {
-                return Err(SnapshotError::DuplicateAnnotation(id));
-            }
-        }
-        for (key, image, seq) in snap.markers {
-            if !t.images.contains_key(&image) {
-                return Err(SnapshotError::DanglingMarker { key, image });
-            }
-            t.next_marker_seq = t.next_marker_seq.max(seq.saturating_add(1));
-            if t.upload_markers.insert(key.clone(), (image, seq)).is_some() {
-                return Err(SnapshotError::DuplicateMarker(key));
-            }
-        }
-        Ok(Self {
-            inner: RwLock::new(t),
-            views: GenCell::default(),
-        })
     }
 
     /// The id the next [`VisualStore::add_image`] will assign. Only
@@ -1280,6 +1125,14 @@ mod tests {
 
     fn tiny_image() -> Image {
         Image::from_fn(4, 4, |x, y| [x as u8, y as u8, 0])
+    }
+
+    /// A fresh store rebuilt from `store`'s dump, as a base segment is.
+    fn rebuilt(store: &VisualStore) -> VisualStore {
+        let fresh = VisualStore::new();
+        let replays = fresh.apply_batch(store.snapshot().into_ops()).unwrap();
+        assert!(replays.is_empty());
+        fresh
     }
 
     #[test]
@@ -1487,7 +1340,7 @@ mod tests {
         assert_eq!(store.label_count(cls, 0), 3);
         assert_eq!(store.label_count(cls, 1), 2);
         assert_eq!(store.label_count(cls, 9), 0);
-        let restored = VisualStore::from_snapshot(store.snapshot()).unwrap();
+        let restored = rebuilt(&store);
         assert_eq!(restored.label_count(cls, 0), 3);
         assert_eq!(restored.label_count(cls, 1), 2);
     }
@@ -1569,8 +1422,7 @@ mod tests {
         store
             .annotate(img, cls, 0, 1.0, AnnotationSource::Human(UserId(1)), None)
             .unwrap();
-        let snap = store.snapshot();
-        let restored = VisualStore::from_snapshot(snap).unwrap();
+        let restored = rebuilt(&store);
         assert_eq!(restored.len(), 1);
         assert_eq!(restored.pixels(img).unwrap(), tiny_image());
         assert_eq!(
@@ -1586,102 +1438,40 @@ mod tests {
     }
 
     #[test]
-    fn from_snapshot_rejects_inconsistencies() {
+    fn dump_ops_put_a_parent_before_a_child_committed_at_a_lower_id() {
         let store = VisualStore::new();
-        let img = store
-            .add_image(meta(), ImageOrigin::Original, Some(tiny_image()))
-            .unwrap();
-        let cls = store
-            .register_scheme("c", vec!["a".into(), "b".into()])
-            .unwrap();
+        let add = |id: u64, parent: Option<u64>| WalOp::AddImage {
+            id: ImageId(id),
+            meta: meta(),
+            origin: parent.map_or(ImageOrigin::Original, |p| ImageOrigin::Augmented {
+                parent: ImageId(p),
+                op: "flip_h".into(),
+            }),
+            pixels: None,
+        };
+        // 9 <- 4 <- 2, committed oldest ancestor first; 5 is a bystander
+        // and 7 a child in the usual order.
         store
-            .annotate(img, cls, 0, 0.9, AnnotationSource::Human(UserId(1)), None)
+            .apply_batch(vec![
+                add(9, None),
+                add(4, Some(9)),
+                add(2, Some(4)),
+                add(5, None),
+                add(7, Some(5)),
+            ])
             .unwrap();
-        let good = store.snapshot();
-        assert!(VisualStore::from_snapshot(good.clone()).is_ok());
-
-        // Blob byte count disagreeing with declared dimensions.
-        let mut bad = good.clone();
-        bad.blobs[0].3.pop();
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::BlobShape { .. })
-        ));
-
-        // Zero-sized blob dimensions.
-        let mut bad = good.clone();
-        bad.blobs[0].1 = 0;
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::BlobShape { .. })
-        ));
-
-        // Blob, feature, and annotation naming a missing image.
-        let mut bad = good.clone();
-        bad.blobs[0].0 = ImageId(77);
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DanglingBlob(ImageId(77)))
-        ));
-        let mut bad = good.clone();
-        bad.features
-            .push((ImageId(77), FeatureKind::Cnn, vec![1.0]));
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DanglingFeature(ImageId(77)))
-        ));
-        let mut bad = good.clone();
-        bad.annotations[0].image = ImageId(77);
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DanglingAnnotationImage { .. })
-        ));
-
-        // Annotation naming a missing scheme or an out-of-range label.
-        let mut bad = good.clone();
-        bad.annotations[0].classification = ClassificationId(77);
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DanglingAnnotationScheme { .. })
-        ));
-        let mut bad = good.clone();
-        bad.annotations[0].label = 9;
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::LabelOutOfRange { .. })
-        ));
-        let mut bad = good.clone();
-        bad.annotations[0].confidence = 1.5;
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::BadConfidence { .. })
-        ));
-
-        // Duplicate ids and degenerate vocabularies.
-        let mut bad = good.clone();
-        bad.images.push(bad.images[0].clone());
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DuplicateImage(_))
-        ));
-        let mut bad = good.clone();
-        bad.schemes.push(bad.schemes[0].clone());
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DuplicateSchemeId(_))
-        ));
-        let mut bad = good.clone();
-        bad.schemes[0].labels = vec!["a".into(), "a".into()];
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::BadScheme(_))
-        ));
-        let mut bad = good.clone();
-        bad.annotations.push(bad.annotations[0].clone());
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DuplicateAnnotation(_))
-        ));
+        let order: Vec<u64> = store
+            .snapshot()
+            .into_ops()
+            .iter()
+            .filter_map(|op| match op {
+                WalOp::IngestUpload { id, .. } => Some(id.raw()),
+                WalOp::UploadMarkers(markers) if markers.is_empty() => None,
+                other => panic!("unexpected op {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, vec![9, 4, 2, 5, 7]);
+        assert_eq!(rebuilt(&store).snapshot(), store.snapshot());
     }
 
     #[test]
@@ -1785,7 +1575,7 @@ mod tests {
     }
 
     #[test]
-    fn markers_roundtrip_through_snapshots_and_bad_ones_are_rejected() {
+    fn a_marker_table_op_restores_the_markers_and_refuses_bad_ones() {
         let store = VisualStore::new();
         let (id, _) = store
             .ingest_upload("edge0-s1", meta(), ImageOrigin::Original, None, &[])
@@ -1793,7 +1583,7 @@ mod tests {
         let good = store.snapshot();
         assert_eq!(good.markers, vec![("edge0-s1".to_string(), id, 0)]);
 
-        let restored = VisualStore::from_snapshot(good.clone()).unwrap();
+        let restored = rebuilt(&store);
         assert_eq!(restored.upload_marker("edge0-s1"), Some(id));
         // The sequence counter resumes past restored markers, so new
         // markers still evict in insertion order.
@@ -1802,19 +1592,44 @@ mod tests {
             .unwrap();
         assert!(replayed);
         assert_eq!(restored.snapshot(), good);
+        restored
+            .ingest_upload("edge0-s2", meta(), ImageOrigin::Original, None, &[])
+            .unwrap();
+        assert_eq!(restored.snapshot().markers[1].2, 1);
 
-        let mut bad = good.clone();
-        bad.markers[0].1 = ImageId(77);
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DanglingMarker { .. })
-        ));
-        let mut bad = good.clone();
-        bad.markers.push(bad.markers[0].clone());
-        assert!(matches!(
-            VisualStore::from_snapshot(bad),
-            Err(SnapshotError::DuplicateMarker(_))
-        ));
+        // A marker naming no image, a key the table holds, a key twice.
+        let table = |markers: &[(&str, ImageId)]| {
+            WalOp::UploadMarkers(
+                markers
+                    .iter()
+                    .map(|(key, image)| (key.to_string(), *image, 7))
+                    .collect(),
+            )
+        };
+        assert_eq!(
+            restored.apply_batch(vec![table(&[("k", ImageId(77))])]),
+            Err(StorageError::UnknownImage(ImageId(77)))
+        );
+        for markers in [&[("edge0-s1", id)][..], &[("k", id), ("k", id)]] {
+            assert!(matches!(
+                restored.apply_batch(vec![table(markers)]),
+                Err(StorageError::DuplicateMarker(_))
+            ));
+        }
+        // An upload later in the batch whose key the table just brought
+        // in is a replay of it.
+        let fresh = VisualStore::new();
+        let mut ops = good.clone().into_ops();
+        ops.push(WalOp::IngestUpload {
+            marker: Some("edge0-s1".into()),
+            id: ImageId(9),
+            meta: meta(),
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: vec![],
+        });
+        assert_eq!(fresh.apply_batch(ops).unwrap(), vec![(ImageId(9), id)]);
+        assert_eq!(fresh.snapshot(), good);
     }
 
     #[test]

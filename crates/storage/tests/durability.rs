@@ -13,9 +13,9 @@ use std::path::{Path, PathBuf};
 
 use tvdp_geo::GeoPoint;
 use tvdp_storage::fault::FailingWriter;
-use tvdp_storage::persist::{self, render_snapshot};
+use tvdp_storage::persist;
 use tvdp_storage::store::Snapshot;
-use tvdp_storage::wal::{WalError, SEGMENT_MAGIC};
+use tvdp_storage::wal::{frame, WalError, SEGMENT_MAGIC};
 use tvdp_storage::{
     Annotation, AnnotationSource, DurableError, DurableStore, HealthState, ImageMeta, ImageOrigin,
     UserId, VisualStore, WalOp, WriteFaultPlan,
@@ -40,14 +40,24 @@ fn temp_dir(name: &str) -> PathBuf {
     p
 }
 
-/// Lays a durable-store directory down from raw bytes.
-fn write_dir(dir: &Path, snapshot: Option<&[u8]>, wal_epoch: u64, wal: &[u8]) {
+/// Lays a durable-store directory down from raw bytes: a base segment
+/// (if any) and the live journal segment, both at `epoch`.
+fn write_dir(dir: &Path, base: Option<&[u8]>, epoch: u64, wal: &[u8]) {
     std::fs::remove_dir_all(dir).ok();
     std::fs::create_dir_all(dir).unwrap();
-    if let Some(s) = snapshot {
-        std::fs::write(dir.join("snapshot.json"), s).unwrap();
+    if let Some(b) = base {
+        std::fs::write(dir.join(format!("base-{epoch}.seg")), b).unwrap();
     }
-    std::fs::write(dir.join(format!("wal-{wal_epoch}.log")), wal).unwrap();
+    std::fs::write(dir.join(format!("wal-{epoch}.log")), wal).unwrap();
+}
+
+/// The base segment compaction publishes for `snap`.
+fn render_base(snap: &Snapshot) -> Vec<u8> {
+    let mut bytes = SEGMENT_MAGIC.to_vec();
+    for op in snap.clone().into_ops() {
+        bytes.extend_from_slice(&frame(&op.encode()));
+    }
+    bytes
 }
 
 /// The crash prefix a write killed after `budget` bytes leaves behind.
@@ -99,7 +109,7 @@ fn base_store() -> VisualStore {
 /// and the store state after each op (index 0 = pre-mutation state).
 fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Snapshot>) {
     let base = base_store().snapshot();
-    write_dir(scratch, Some(render_snapshot(&base, 0).as_bytes()), 0, b"");
+    write_dir(scratch, Some(&render_base(&base)), 0, b"");
     let (ds, _) = DurableStore::open(scratch).unwrap();
     let mut states = vec![ds.store().snapshot()];
     assert_eq!(states[0], base);
@@ -130,24 +140,24 @@ fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Snapshot>) {
 #[test]
 fn save_killed_at_every_offset_preserves_the_old_snapshot() {
     let old = base_store().snapshot();
-    let old_bytes = render_snapshot(&old, 0);
+    let old_bytes = render_base(&old);
 
     // The new state a crashed save was trying to persist.
-    let store = VisualStore::from_snapshot(old.clone()).unwrap();
+    let store = base_store();
     store
         .add_image(meta("new"), ImageOrigin::Original, None)
         .unwrap();
     let new = store.snapshot();
-    let new_bytes = render_snapshot(&new, 0);
+    let new_bytes = render_base(&new);
 
     let dir = temp_dir("save-torture");
     for cut in 0..=new_bytes.len() {
         // Crash mid-staging: the real snapshot is untouched, the
         // staging file holds whatever prefix made it to disk.
-        write_dir(&dir, Some(old_bytes.as_bytes()), 0, b"");
+        write_dir(&dir, Some(&old_bytes), 0, b"");
         std::fs::write(
-            persist::staging_path(&dir.join("snapshot.json")).unwrap(),
-            crash_prefix(new_bytes.as_bytes(), cut),
+            persist::staging_path(&dir.join("base-1.seg")).unwrap(),
+            crash_prefix(&new_bytes, cut),
         )
         .unwrap();
         let (ds, report) = DurableStore::open(&dir).unwrap();
@@ -156,7 +166,7 @@ fn save_killed_at_every_offset_preserves_the_old_snapshot() {
     }
 
     // Crash after the rename committed: the new snapshot is complete.
-    write_dir(&dir, Some(new_bytes.as_bytes()), 0, b"");
+    write_dir(&dir, Some(&new_bytes), 0, b"");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     assert_eq!(ds.store().snapshot(), new);
     std::fs::remove_dir_all(&dir).ok();
@@ -170,15 +180,10 @@ fn wal_append_killed_at_every_offset_is_pre_or_post_never_torn() {
     let bounds = record_boundaries(&wal_bytes);
     assert_eq!(bounds.len(), states.len());
 
-    let base_bytes = render_snapshot(&states[0], 0);
+    let base_bytes = render_base(&states[0]);
     let dir = temp_dir("wal-torture");
     for cut in 0..=wal_bytes.len() {
-        write_dir(
-            &dir,
-            Some(base_bytes.as_bytes()),
-            0,
-            &crash_prefix(&wal_bytes, cut),
-        );
+        write_dir(&dir, Some(&base_bytes), 0, &crash_prefix(&wal_bytes, cut));
         let (ds, report) = DurableStore::open(&dir).unwrap();
         // The store must equal the state after the last op whose
         // record fully made it to disk — nothing in between.
@@ -310,22 +315,22 @@ fn compaction_preserves_state_and_shrinks_the_log() {
 fn compaction_crash_windows_never_lose_or_double_apply() {
     // Reconstruct the three crash windows of an incremental compaction
     // by hand and check each recovers to exactly the live pre-crash
-    // state under the epoch protocol (snapshot base B => replay every
+    // state under the epoch protocol (base at epoch B => replay every
     // segment with epoch >= B, ascending).
     let scratch = temp_dir("compact-crash-scratch");
     let (wal_bytes, states) = scripted_mutations(&scratch);
     std::fs::remove_dir_all(&scratch).ok();
     let base = &states[0];
     let live = states.last().unwrap();
-    let base_bytes = render_snapshot(base, 0);
-    let live_bytes_epoch1 = render_snapshot(live, 1);
+    let base_bytes = render_base(base);
+    let live_bytes_epoch1 = render_base(live);
 
     let dir = temp_dir("compact-crash");
 
     // Window 1: live segment sealed and the next epoch's WAL created,
     // snapshot not yet published. Both segments are >= the old base, so
     // the sealed tier replays and nothing is lost.
-    write_dir(&dir, Some(base_bytes.as_bytes()), 0, &wal_bytes);
+    write_dir(&dir, Some(&base_bytes), 0, &wal_bytes);
     std::fs::write(dir.join("wal-1.log"), b"").unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(ds.store().snapshot(), *live);
@@ -337,7 +342,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     // Window 2: snapshot published at base 1, folded segment not yet
     // removed. Replaying the folded segment here would double-apply —
     // its epoch is below the base, so it is swept instead.
-    write_dir(&dir, Some(live_bytes_epoch1.as_bytes()), 1, b"");
+    write_dir(&dir, Some(&live_bytes_epoch1), 1, b"");
     std::fs::write(dir.join("wal-0.log"), &wal_bytes).unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(ds.store().snapshot(), *live);
@@ -345,13 +350,24 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     assert_eq!(report.replayed_ops, 0);
     assert_eq!(report.debris_removed, 1); // the superseded wal-0.log
     drop(ds);
+    // The same window one step earlier: the old base is still there too.
+    // The higher epoch wins and the lower one is swept with its segment.
+    write_dir(&dir, Some(&live_bytes_epoch1), 1, b"");
+    std::fs::write(dir.join("wal-0.log"), &wal_bytes).unwrap();
+    std::fs::write(dir.join("base-0.seg"), &base_bytes).unwrap();
+    let (ds, report) = DurableStore::open(&dir).unwrap();
+    assert_eq!(ds.store().snapshot(), *live);
+    assert_eq!((report.epoch, report.replayed_ops), (1, 0));
+    assert_eq!(report.debris_removed, 2);
+    assert!(!dir.join("base-0.seg").exists());
+    drop(ds);
 
     // Window 3: crash mid-publish — staging file partially written,
     // both the sealed segment and the old snapshot intact.
-    write_dir(&dir, Some(base_bytes.as_bytes()), 0, &wal_bytes);
+    write_dir(&dir, Some(&base_bytes), 0, &wal_bytes);
     std::fs::write(
-        persist::staging_path(&dir.join("snapshot.json")).unwrap(),
-        crash_prefix(live_bytes_epoch1.as_bytes(), live_bytes_epoch1.len() / 2),
+        persist::staging_path(&dir.join("base-1.seg")).unwrap(),
+        crash_prefix(&live_bytes_epoch1, live_bytes_epoch1.len() / 2),
     )
     .unwrap();
     std::fs::write(dir.join("wal-1.log"), b"").unwrap();
@@ -410,35 +426,64 @@ fn a_text_journal_from_an_older_build_is_refused_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The head of the JSON-lines snapshot the builds up to PR 20 published
+/// (`snapshot.json`: a header line carrying the base epoch, then one
+/// tagged row per line).
+const JSON_SNAPSHOT: &str = concat!(
+    r#"{"Header":{"version":2,"wal_epoch":3}}"#,
+    "\n",
+    r#"{"Scheme":{"id":0,"name":"cleanliness","labels":["clean","dirty"]}}"#,
+    "\n",
+);
+
 #[test]
-fn a_compacted_directory_from_an_older_build_opens_and_takes_writes() {
+fn a_json_snapshot_from_an_older_build_is_refused_untouched() {
     // What `tvdp compact` of the previous build leaves behind: a JSON
-    // snapshot (unchanged format) and an empty live segment.
-    let base = base_store().snapshot();
+    // snapshot and a stamped, empty live segment at the same epoch.
     let dir = temp_dir("legacy-compacted");
-    write_dir(&dir, Some(render_snapshot(&base, 3).as_bytes()), 3, b"");
-    let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert!(report.snapshot_found);
-    assert_eq!((report.epoch, report.replayed_ops), (3, 0));
-    assert_eq!(ds.store().snapshot(), base);
-    // The empty segment was stamped on open.
-    assert_eq!(std::fs::read(dir.join("wal-3.log")).unwrap(), SEGMENT_MAGIC);
-    let (id, replayed) = ds
-        .ingest_upload(
-            "after-upgrade",
-            meta("upgraded"),
-            ImageOrigin::Original,
-            Some(Image::from_fn(1, 1, |_, _| [4, 5, 6])),
-            vec![(FeatureKind::Cnn, vec![0.5, -0.25])],
-        )
-        .unwrap();
-    assert!(!replayed);
-    let live = ds.store().snapshot();
-    drop(ds);
-    let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(report.replayed_ops, 1);
-    assert_eq!(ds.store().snapshot(), live);
-    assert_eq!(ds.store().upload_marker("after-upgrade"), Some(id));
+    write_dir(&dir, None, 3, &SEGMENT_MAGIC);
+    let snapshot_file = dir.join("snapshot.json");
+    std::fs::write(&snapshot_file, JSON_SNAPSHOT).unwrap();
+    let listing = |dir: &Path| {
+        let mut files: Vec<(std::ffi::OsString, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name(), std::fs::read(e.path()).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    let before = listing(&dir);
+    assert_eq!(before.len(), 2);
+
+    let refusal = match DurableStore::open(&dir) {
+        Err(DurableError::Wal(e)) => e,
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+    let WalError::UnsupportedFormat { path, found } = &refusal else {
+        panic!("wrong refusal: {refusal}");
+    };
+    assert_eq!(path, &snapshot_file);
+    assert_eq!(found[..], JSON_SNAPSHOT.as_bytes()[..8]);
+    // The error names the last commit that can still read the directory.
+    assert!(refusal.to_string().contains("0104dbe"), "{refusal}");
+    assert!(refusal.to_string().contains("PR 20"), "{refusal}");
+    // Nothing created, stamped, swept or rewritten.
+    assert_eq!(listing(&dir), before);
+
+    // A current base beside it does not make the JSON one ignorable: the
+    // directory was written by two formats and is refused the same way.
+    std::fs::write(
+        dir.join("base-3.seg"),
+        render_base(&base_store().snapshot()),
+    )
+    .unwrap();
+    let before = listing(&dir);
+    assert!(matches!(
+        DurableStore::open(&dir),
+        Err(DurableError::Wal(WalError::UnsupportedFormat { .. }))
+    ));
+    assert_eq!(listing(&dir), before);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -488,8 +533,8 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
 
     // Journal the same ops through the group-commit path.
     let scratch2 = temp_dir("batch-torture-scratch2");
-    let base_bytes = render_snapshot(&states[0], 0);
-    write_dir(&scratch2, Some(base_bytes.as_bytes()), 0, b"");
+    let base_bytes = render_base(&states[0]);
+    write_dir(&scratch2, Some(&base_bytes), 0, b"");
     let (ds, _) = DurableStore::open(&scratch2).unwrap();
     ds.apply_batch(scripted_batch(&ds)).unwrap();
     assert_eq!(ds.store().snapshot(), *states.last().unwrap());
@@ -504,12 +549,7 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
     let bounds = record_boundaries(&batch_bytes);
     let dir = temp_dir("batch-torture");
     for cut in 0..=batch_bytes.len() {
-        write_dir(
-            &dir,
-            Some(base_bytes.as_bytes()),
-            0,
-            &crash_prefix(&batch_bytes, cut),
-        );
+        write_dir(&dir, Some(&base_bytes), 0, &crash_prefix(&batch_bytes, cut));
         let (ds, report) = DurableStore::open(&dir).unwrap();
         let intact = bounds.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
@@ -547,11 +587,11 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
     let scratch = temp_dir("enospc-scratch");
     let (batch_bytes, states) = scripted_mutations(&scratch);
     std::fs::remove_dir_all(&scratch).ok();
-    let base_bytes = render_snapshot(&states[0], 0);
+    let base_bytes = render_base(&states[0]);
 
     let dir = temp_dir("enospc-torture");
     for cut in 0..=batch_bytes.len() {
-        write_dir(&dir, Some(base_bytes.as_bytes()), 0, b"");
+        write_dir(&dir, Some(&base_bytes), 0, b"");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let plan = WriteFaultPlan::new();
         ds.set_write_fault_plan(Some(plan.clone()));
@@ -676,7 +716,6 @@ fn crash_at_every_incremental_compaction_boundary_preserves_state() {
     // Crash between every pair of increments: freeze the directory,
     // reopen the frozen copy, and require the exact live state.
     let frozen = temp_dir("fold-crash-frozen");
-    let pool = tvdp_kernel::Pool::serial();
     let mut task = ds.begin_compaction().unwrap();
     let mut boundary = 0usize;
     let report = loop {
@@ -689,7 +728,7 @@ fn crash_at_every_incremental_compaction_boundary_preserves_state() {
         );
         drop(frozen_ds);
         boundary += 1;
-        if let Some(r) = task.step(&pool).unwrap() {
+        if let Some(r) = task.step().unwrap() {
             break r;
         }
     };

@@ -1,9 +1,13 @@
-//! Property-based tests: arbitrary store contents survive the snapshot
-//! and persistence round trips intact.
+//! Property-based tests: arbitrary store contents survive the
+//! persistence round trips — a store file, a compacted directory —
+//! intact.
 
 use tvdp_geo::GeoPoint;
 use tvdp_kernel::rng::{for_each_case, Rng};
-use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{
+    persist, Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableStore, ImageId,
+    ImageMeta, ImageOrigin, UserId, VisualStore, WalOp, UPLOAD_MARKER_CAPACITY,
+};
 use tvdp_vision::{FeatureKind, Image};
 
 #[derive(Debug, Clone)]
@@ -42,6 +46,16 @@ fn arb_row(rng: &mut Rng) -> Row {
 
 fn arb_rows(rng: &mut Rng, max: usize) -> Vec<Row> {
     (0..rng.gen_range(1..max)).map(|_| arb_row(rng)).collect()
+}
+
+/// `store` saved as a store file and loaded back.
+fn saved_and_loaded(store: &VisualStore, tag: u64) -> VisualStore {
+    let mut path = std::env::temp_dir();
+    path.push(format!("tvdp-prop-{}-{tag}.store", std::process::id()));
+    persist::save(store, &path).unwrap();
+    let restored = persist::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    restored
 }
 
 fn populate(rows: &[Row]) -> VisualStore {
@@ -83,10 +97,10 @@ fn populate(rows: &[Row]) -> VisualStore {
 
 #[test]
 fn snapshot_roundtrip_preserves_everything() {
-    for_each_case(CASES, |_, rng| {
+    for_each_case(CASES, |case, rng| {
         let rows = arb_rows(rng, 20);
         let store = populate(&rows);
-        let restored = VisualStore::from_snapshot(store.snapshot()).unwrap();
+        let restored = saved_and_loaded(&store, case);
         assert_eq!(restored.len(), store.len());
         assert_eq!(restored.annotation_count(), store.annotation_count());
         for id in store.image_ids() {
@@ -103,18 +117,10 @@ fn snapshot_roundtrip_preserves_everything() {
 
 #[test]
 fn persistence_roundtrip_preserves_everything() {
-    for_each_case(CASES, |_, rng| {
+    for_each_case(CASES, |case, rng| {
         let rows = arb_rows(rng, 12);
         let store = populate(&rows);
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "tvdp-prop-{}-{}.jsonl",
-            std::process::id(),
-            rows.len() * 1000 + rows.first().map_or(0, |r| r.label)
-        ));
-        tvdp_storage::persist::save(&store, &path).unwrap();
-        let restored = tvdp_storage::persist::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let restored = saved_and_loaded(&store, 100 + case);
         assert_eq!(restored.len(), store.len());
         for id in store.image_ids() {
             assert_eq!(restored.image(id), store.image(id));
@@ -133,10 +139,10 @@ fn persistence_roundtrip_preserves_everything() {
 
 #[test]
 fn id_allocation_never_collides_after_restore() {
-    for_each_case(CASES, |_, rng| {
+    for_each_case(CASES, |case, rng| {
         let rows = arb_rows(rng, 10);
         let store = populate(&rows);
-        let restored = VisualStore::from_snapshot(store.snapshot()).unwrap();
+        let restored = saved_and_loaded(&store, 200 + case);
         let before = restored.image_ids();
         let meta = ImageMeta {
             uploader: UserId(0),
@@ -150,5 +156,181 @@ fn id_allocation_never_collides_after_restore() {
             .add_image(meta, ImageOrigin::Original, None)
             .unwrap();
         assert!(!before.contains(&new_id), "fresh id {new_id} collides");
+    });
+}
+
+fn arb_meta(rng: &mut Rng) -> ImageMeta {
+    ImageMeta {
+        uploader: UserId(rng.gen_range(0..4)),
+        gps: GeoPoint::new(rng.gen_range(33.5..34.5), rng.gen_range(-119.0..-118.0)),
+        fov: None,
+        captured_at: rng.gen_range(0..1_000_000),
+        uploaded_at: rng.gen_range(0..1_000_000),
+        keywords: (0..rng.gen_range(0..3)).map(|_| arb_word(rng)).collect(),
+    }
+}
+
+/// The batches of one case of the compaction round trip: more keyed
+/// uploads than the marker table holds, at explicit ids committed out of
+/// id order; augmented children whose parent may carry the higher id;
+/// replaced and empty feature rows; images with and without pixels and
+/// features; annotations.
+fn arb_history(rng: &mut Rng) -> Vec<Vec<WalOp>> {
+    let uploads = UPLOAD_MARKER_CAPACITY + rng.gen_range(1..64);
+    // Distinct ids in a shuffled order, with gaps.
+    let mut ids: Vec<u64> = (0..uploads as u64 + 200).map(|i| i * 2).collect();
+    rng.shuffle(&mut ids);
+    let mut fresh = ids.into_iter().map(ImageId);
+    let mut committed: Vec<ImageId> = Vec::new();
+    let scheme = ClassificationId(rng.gen_range(0..9));
+    let mut batches = vec![vec![WalOp::RegisterScheme {
+        id: scheme,
+        name: "s".into(),
+        labels: vec!["a".into(), "b".into(), "c".into()],
+    }]];
+    let mut annotations = 0u64;
+    let mut batch = Vec::new();
+    for upload in 0..uploads {
+        let id = fresh.next().unwrap();
+        let rich = rng.gen_bool(0.05);
+        // Now and then an early key comes back: a fresh upload if its
+        // marker was evicted by then, a skipped replay if not.
+        let reused = upload > UPLOAD_MARKER_CAPACITY && rng.gen_bool(0.3);
+        batch.push(WalOp::IngestUpload {
+            marker: Some(if reused {
+                format!("k{}", rng.gen_range(0..8))
+            } else {
+                format!("k{upload}")
+            }),
+            id,
+            meta: arb_meta(rng),
+            origin: ImageOrigin::Original,
+            pixels: rich.then(|| (2, 1, (0..6).map(|_| rng.gen_range(0..=255)).collect())),
+            features: if rich {
+                vec![
+                    (
+                        FeatureKind::Cnn,
+                        (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                    ),
+                    (FeatureKind::ColorHistogram, Vec::new()),
+                ]
+            } else {
+                Vec::new()
+            },
+        });
+        if !reused {
+            committed.push(id);
+        }
+        let known = committed[rng.gen_range(0..committed.len())];
+        match rng.gen_range(0..40) {
+            0 => {
+                let child = fresh.next().unwrap();
+                batch.push(WalOp::AddImage {
+                    id: child,
+                    meta: arb_meta(rng),
+                    origin: ImageOrigin::Augmented {
+                        parent: known,
+                        op: "flip_h".into(),
+                    },
+                    pixels: None,
+                });
+                committed.push(child);
+            }
+            // Put twice: the second row replaces the first.
+            1 | 2 => batch.extend((0..2).map(|_| WalOp::PutFeature {
+                image: known,
+                kind: FeatureKind::Cnn,
+                vector: (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            })),
+            3 => {
+                batch.push(WalOp::Annotate(Annotation {
+                    id: AnnotationId(annotations * 3 + rng.gen_range(0..3)),
+                    image: known,
+                    classification: scheme,
+                    label: rng.gen_range(0..3),
+                    confidence: rng.gen_range(0.0..=1.0),
+                    source: AnnotationSource::Human(UserId(0)),
+                    region: None,
+                }));
+                annotations += 1;
+            }
+            _ => {}
+        }
+        if batch.len() >= 512 {
+            batches.push(std::mem::take(&mut batch));
+        }
+    }
+    batches.push(batch);
+    batches
+}
+
+#[test]
+fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
+    for_each_case(3, |case, rng| {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("tvdp-prop-compact-{}-{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (durable, _) = DurableStore::open(&dir).unwrap();
+        // The same history on an in-memory store: what the directory
+        // must come back as.
+        let live = VisualStore::new();
+        for batch in arb_history(rng) {
+            let replays = live.apply_batch(batch.clone()).unwrap();
+            assert_eq!(durable.apply_batch(batch).unwrap(), replays);
+        }
+        assert_eq!(live.upload_marker_count(), UPLOAD_MARKER_CAPACITY);
+        let ids = live.image_ids();
+        assert!(
+            ids.iter().any(|id| live.image(*id).is_some_and(
+                |r| matches!(r.origin, ImageOrigin::Augmented { parent, .. } if parent > *id)
+            )),
+            "no child below its parent: the case does not exercise the render order"
+        );
+
+        let report = durable.compact().unwrap();
+        drop(durable);
+        let (reopened, recovery) = DurableStore::open(&dir).unwrap();
+        assert!(recovery.snapshot_found);
+        assert_eq!((recovery.replayed_ops, recovery.torn_bytes), (0, 0));
+        assert_eq!(recovery.epoch, report.epoch);
+        let same = |what: &str, restored: &VisualStore| {
+            assert!(
+                restored.snapshot() == live.snapshot(),
+                "case {case}: {what}"
+            );
+            assert_eq!(restored.peek_next_image_id(), live.peek_next_image_id());
+            assert_eq!(
+                restored.peek_next_annotation_id(),
+                live.peek_next_annotation_id()
+            );
+            assert_eq!(
+                restored.peek_next_classification_id(),
+                live.peek_next_classification_id()
+            );
+        };
+        same("reopened directory", reopened.store());
+        let loaded = saved_and_loaded(&live, 300 + case);
+        same("loaded store file", &loaded);
+
+        // One more keyed upload evicts the same marker everywhere: the
+        // sequence numbers came back, not just the keys.
+        let one_more = |id: ImageId| {
+            vec![WalOp::IngestUpload {
+                marker: Some("one-more".into()),
+                id,
+                meta: arb_meta(&mut Rng::seed_from_u64(case)),
+                origin: ImageOrigin::Original,
+                pixels: None,
+                features: Vec::new(),
+            }]
+        };
+        let id = live.peek_next_image_id();
+        live.apply_batch(one_more(id)).unwrap();
+        reopened.apply_batch(one_more(id)).unwrap();
+        loaded.apply_batch(one_more(id)).unwrap();
+        same("reopened directory after an eviction", reopened.store());
+        same("loaded store file after an eviction", &loaded);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
     });
 }

@@ -146,7 +146,7 @@ fn main() {
     // 4. End of shift: persist everything.
     // ------------------------------------------------------------------
     let mut path = std::env::temp_dir();
-    path.push("tvdp-field-ops.jsonl");
+    path.push("tvdp-field-ops.tvdp");
     persist::save(store, &path).expect("persist");
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!(

@@ -127,7 +127,7 @@ fn persistence_roundtrip_preserves_queryability() {
 
     // Save, reload, rebuild the engine over the reloaded store.
     let mut path = std::env::temp_dir();
-    path.push(format!("tvdp-pipeline-{}.jsonl", std::process::id()));
+    path.push(format!("tvdp-pipeline-{}.tvdp", std::process::id()));
     persist::save(tvdp.store(), &path).unwrap();
     let reloaded = Arc::new(persist::load(&path).unwrap());
     std::fs::remove_file(&path).ok();
