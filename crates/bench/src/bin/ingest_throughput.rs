@@ -117,26 +117,6 @@ fn upload_ops(shard: usize, seq: usize, id: u64) -> [WalOp; 3] {
     ]
 }
 
-/// The checkout this binary was run from: `git rev-parse --short HEAD`,
-/// with `-dirty` when the tree has uncommitted changes.
-fn git_commit() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-    };
-    match git(&["rev-parse", "--short", "HEAD"]) {
-        Some(head) => match git(&["status", "--porcelain"]) {
-            Some(changes) if !changes.is_empty() => format!("{head}-dirty"),
-            _ => head,
-        },
-        None => "unknown".into(),
-    }
-}
-
 fn percentile(values: &[f64], p: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -425,7 +405,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     println!(
         "  \"host\": {{ \"fdatasync_us\": {fsync_us:.0}, \"cores\": {cores}, \"commit\": \"{}\" }},",
-        git_commit()
+        tvdp_bench::git_commit()
     );
     println!("  \"sustained_ingest\": [");
     println!(

@@ -27,3 +27,23 @@ pub use edge_inference::{run_fig8, Fig8Config, Fig8Result};
 pub use edge_learning_exp::{run_edge_learning, EdgeLearningConfig, EdgeLearningResult};
 pub use localization_exp::{run_localization, LocalizationConfig, LocalizationResult};
 pub use translational_exp::{run_fig9, Fig9Config, Fig9Result};
+
+/// The checkout this binary was run from: `git rev-parse --short HEAD`,
+/// with `-dirty` when the tree has uncommitted changes.
+pub fn git_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) => match git(&["status", "--porcelain"]) {
+            Some(changes) if !changes.is_empty() => format!("{head}-dirty"),
+            _ => head,
+        },
+        None => "unknown".into(),
+    }
+}

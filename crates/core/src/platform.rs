@@ -18,7 +18,7 @@ use tvdp_ml::{
     RandomForest, ScaledClassifier, SerializableModel,
 };
 use tvdp_query::engine::EngineConfig;
-use tvdp_query::{Query, QueryResult, ShardedEngine, DEFAULT_SEAL_CAP};
+use tvdp_query::{Query, QueryResult, ShardedEngine, VisualMode, DEFAULT_SEAL_CAP};
 use tvdp_storage::{
     Annotation, AnnotationId, AnnotationSource, ClassificationId, CompactionReport, DurableStore,
     HealthState, ImageId, ImageOrigin, ModelId, RecoveryReport, RegionOfInterest, UserId,
@@ -541,21 +541,22 @@ impl Tvdp {
         max_camera_distance_m: f64,
     ) -> Result<IngestOutcome, PlatformError> {
         self.require_user(user)?;
-        let cnn = self.cnn.extract(&image);
-        // Compare in squared-distance space: candidate enumeration and the
-        // threshold check never take a square root; only the reported
-        // distance of an actual duplicate does.
-        let candidates = self
-            .engine
-            .visual_within_sq(&cnn, max_feature_dist * max_feature_dist);
-        for &(d_sq, image_id) in &candidates {
-            let Some(existing) = self.image_record(image_id) else {
+        // A visual threshold query like any other request: validated
+        // (a platform indexing another family refuses it), thresholded
+        // in squared-distance space, nearest first.
+        let candidates = self.search(&Query::Visual {
+            example: self.cnn.extract(&image),
+            kind: FeatureKind::Cnn,
+            mode: VisualMode::Threshold(max_feature_dist),
+        })?;
+        for candidate in candidates {
+            let Some(existing) = self.image_record(candidate.image) else {
                 continue;
             };
             if existing.meta.gps.fast_distance_m(&request.gps) <= max_camera_distance_m {
                 return Ok(IngestOutcome::Duplicate {
-                    existing: image_id,
-                    feature_distance: d_sq.sqrt(),
+                    existing: candidate.image,
+                    feature_distance: candidate.score as f32,
                 });
             }
         }
@@ -1226,6 +1227,33 @@ mod tests {
                 .unwrap(),
             IngestOutcome::Stored(_)
         ));
+    }
+
+    /// Dedup compares CNN rows. A platform whose engine indexes another
+    /// family has none to compare against, and says so with the typed
+    /// error every visual request gets (the 480-float example used to
+    /// reach the 50-float tree and die on its length assertion).
+    #[test]
+    fn dedup_on_a_platform_indexing_another_family_is_a_typed_refusal() {
+        let mut config = fast_config();
+        config.engine.visual_kind = FeatureKind::ColorHistogram;
+        let tvdp = Tvdp::new(config);
+        let user = tvdp.register_user("u", Role::CommunityPartner);
+        tvdp.ingest(user, scene(0, 1), request(1)).unwrap();
+        let err = tvdp
+            .ingest_dedup(user, scene(0, 1), request(1), 0.05, 50.0)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PlatformError::Query(tvdp_query::QueryError::KindMismatch {
+                    indexed: FeatureKind::ColorHistogram,
+                    queried: FeatureKind::Cnn,
+                })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(tvdp.stats().images, 1, "nothing was stored");
     }
 
     #[test]

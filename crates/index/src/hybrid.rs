@@ -18,10 +18,13 @@
 //! Only the per-node ball centroids are owned — they are derived
 //! aggregates, not copies of any row.
 
-use tvdp_geo::BBox;
-use tvdp_kernel::{l2, l2_sq, RowSource};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::rtree::{choose_subtree, split_entries, HasBBox, NODE_MAX};
+use tvdp_geo::BBox;
+use tvdp_kernel::{l2, l2_sq, RowSource, TotalF32};
+
+use crate::rtree::{choose_subtree, split_entries, Frontier, HasBBox, NODE_MAX};
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
@@ -44,6 +47,20 @@ struct Ball {
     centroid: Vec<f32>,
     radius: f32,
     count: usize,
+}
+
+impl Ball {
+    /// A lower bound on `l2(row, query)` over every row inside the ball:
+    /// `‖q − centroid‖ − radius`, shaded down by a relative margin far
+    /// above the rounding of the three `f32` sums behind it. Without the
+    /// margin the bound can exceed, by an ulp, the distance of a row it
+    /// covers, and a search then meets that row after rows it ties or
+    /// beats (a ball of identical rows is the common case: its centroid
+    /// is their mean only up to rounding).
+    fn lower_bound(&self, query: &[f32]) -> f32 {
+        const MARGIN: f32 = 1e-4;
+        (l2(&self.centroid, query) * (1.0 - MARGIN) - self.radius * (1.0 + MARGIN)).max(0.0)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -247,7 +264,8 @@ impl<T: Clone> VisualRTree<T> {
 
     /// Spatial-visual range query: entries intersecting `region` whose
     /// feature distance to `query` is at most `max_dist`. Returns
-    /// `(distance, payload)` sorted by distance.
+    /// `(distance, payload)` sorted by distance. Candidates are compared
+    /// in squared-distance space; the root is taken only of the hits.
     pub fn range_visual(
         &self,
         rows: &impl RowSource,
@@ -255,28 +273,20 @@ impl<T: Clone> VisualRTree<T> {
         query: &[f32],
         max_dist: f32,
     ) -> Vec<(f32, &T)> {
-        self.range_visual_sq(rows, region, query, max_dist * max_dist)
-            .into_iter()
-            .map(|(d_sq, v)| (d_sq.sqrt(), v))
-            .collect()
-    }
-
-    /// [`VisualRTree::range_visual`] in squared-distance space: entries
-    /// intersecting `region` with `l2_sq(feature, query) <= max_dist_sq`,
-    /// as `(squared_distance, payload)` sorted ascending. The compare-only
-    /// form every thresholding path (dedup, visual filters) should use —
-    /// no square root is taken anywhere.
-    pub fn range_visual_sq(
-        &self,
-        rows: &impl RowSource,
-        region: &BBox,
-        query: &[f32],
-        max_dist_sq: f32,
-    ) -> Vec<(f32, &T)> {
         assert_eq!(query.len(), self.dim, "feature dimension mismatch");
         let mut out = Vec::new();
-        Self::range_rec(&self.root, rows, region, query, max_dist_sq, &mut out);
+        Self::range_rec(
+            &self.root,
+            rows,
+            region,
+            query,
+            max_dist * max_dist,
+            &mut out,
+        );
         out.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for hit in &mut out {
+            hit.0 = hit.0.sqrt();
+        }
         out
     }
 
@@ -304,7 +314,7 @@ impl<T: Clone> VisualRTree<T> {
                     // Ball pruning needs the true centroid distance (the
                     // lower bound subtracts a radius), but it runs once
                     // per child node, not once per candidate entry.
-                    let feat_lb = (l2(&c.ball.centroid, query) - c.ball.radius).max(0.0);
+                    let feat_lb = c.ball.lower_bound(query);
                     if c.bbox.intersects(region) && feat_lb * feat_lb <= max_dist_sq {
                         Self::range_rec(&c.node, rows, region, query, max_dist_sq, out);
                     }
@@ -315,77 +325,45 @@ impl<T: Clone> VisualRTree<T> {
 
     /// Spatial-visual top-k: the `k` entries intersecting `region` most
     /// similar to `query`, via best-first traversal on the feature-distance
-    /// lower bound.
+    /// lower bound; entries at one distance come out by payload, whatever
+    /// the tree's shape (the order of `Frontier`).
     pub fn knn_visual(
         &self,
         rows: &impl RowSource,
         region: &BBox,
         query: &[f32],
         k: usize,
-    ) -> Vec<(f32, &T)> {
+    ) -> Vec<(f32, &T)>
+    where
+        T: Ord,
+    {
         assert_eq!(query.len(), self.dim, "feature dimension mismatch");
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        struct Item<'a, T> {
-            dist: f32,
-            kind: Kind<'a, T>,
-        }
-        enum Kind<'a, T> {
-            Node(&'a Node<T>),
-            Entry(&'a T),
-        }
-        impl<T> PartialEq for Item<'_, T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist == other.dist
-            }
-        }
-        impl<T> Eq for Item<'_, T> {}
-        impl<T> PartialOrd for Item<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T> Ord for Item<'_, T> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.dist.total_cmp(&other.dist)
-            }
-        }
-
         let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Item {
-            dist: 0.0,
-            kind: Kind::Node(&self.root),
-        }));
+        heap.push(Reverse(Frontier::Node(TotalF32(0.0), &self.root)));
         let mut out = Vec::with_capacity(k);
         while let Some(Reverse(item)) = heap.pop() {
-            match item.kind {
-                Kind::Entry(v) => {
-                    out.push((item.dist, v));
-                    if out.len() == k {
-                        break;
-                    }
+            if out.len() == k {
+                break;
+            }
+            match item {
+                Frontier::Entry(TotalF32(d), v) => out.push((d, v)),
+                Frontier::Node(_, Node::Leaf { entries }) => {
+                    let inside = entries.iter().filter(|e| e.bbox.intersects(region));
+                    heap.extend(inside.map(|e| {
+                        Reverse(Frontier::Entry(
+                            TotalF32(l2(rows.row(e.row), query)),
+                            &e.value,
+                        ))
+                    }));
                 }
-                Kind::Node(Node::Leaf { entries }) => {
-                    for e in entries {
-                        if e.bbox.intersects(region) {
-                            heap.push(Reverse(Item {
-                                dist: l2(rows.row(e.row), query),
-                                kind: Kind::Entry(&e.value),
-                            }));
-                        }
-                    }
-                }
-                Kind::Node(Node::Internal { children }) => {
-                    for c in children {
-                        if c.bbox.intersects(region) {
-                            let lb = (l2(&c.ball.centroid, query) - c.ball.radius).max(0.0);
-                            heap.push(Reverse(Item {
-                                dist: lb,
-                                kind: Kind::Node(&c.node),
-                            }));
-                        }
-                    }
+                Frontier::Node(_, Node::Internal { children }) => {
+                    let inside = children.iter().filter(|c| c.bbox.intersects(region));
+                    heap.extend(inside.map(|c| {
+                        Reverse(Frontier::Node(
+                            TotalF32(c.ball.lower_bound(query)),
+                            &*c.node,
+                        ))
+                    }));
                 }
             }
         }
@@ -487,8 +465,8 @@ mod tests {
         let view = slab.view();
         let region = BBox::new(33.9, -118.4, 34.1, -118.2);
         let query = vec![0.1f32, 0.1, 1.0, 0.1];
-        let direct = tree.range_visual_sq(&slab, &region, &query, 0.5);
-        let snapped = tree.range_visual_sq(&view, &region, &query, 0.5);
+        let direct = tree.range_visual(&slab, &region, &query, 0.7);
+        let snapped = tree.range_visual(&view, &region, &query, 0.7);
         assert_eq!(direct.len(), snapped.len());
         for ((da, ia), (db, ib)) in direct.iter().zip(&snapped) {
             assert_eq!(da.to_bits(), db.to_bits());
@@ -522,6 +500,31 @@ mod tests {
         // Distances sorted ascending.
         for w in got.windows(2) {
             assert!(w[0] <= w[1]);
+        }
+    }
+
+    /// Rows with one feature tie on distance; the `k` kept are the `k`
+    /// lowest payloads whatever order the rows went in, including when
+    /// a ball of identical rows has a centroid that is their mean only
+    /// up to rounding.
+    #[test]
+    fn knn_visual_breaks_distance_ties_by_payload() {
+        let mut tree = VisualRTree::new(3);
+        let mut slab = FeatureSlab::new(3);
+        let here = BBox::from_point(GeoPoint::new(34.0, -118.3));
+        for i in 0..200usize {
+            let row = slab.push(&[0.1, 0.7, 0.3]);
+            tree.insert(&slab, here, row, (i * 77) % 200);
+        }
+        tree.check_invariants(&slab);
+        let everywhere = BBox::new(33.0, -119.0, 35.0, -118.0);
+        for query in [[0.1, 0.7, 0.3], [0.9, 0.2, 0.6], [0.3, 0.3, 0.3]] {
+            let got: Vec<usize> = tree
+                .knn_visual(&slab, &everywhere, &query, 7)
+                .iter()
+                .map(|(_, id)| **id)
+                .collect();
+            assert_eq!(got, (0..7).collect::<Vec<usize>>(), "{query:?}");
         }
     }
 

@@ -368,7 +368,7 @@ mod tests {
         let k = 10;
         let vectors = clustered_vectors(6, 25, dim);
         let (idx, slab) = indexed(&vectors, dim, LshConfig::default());
-        let keep = |id: usize| id % 2 == 0;
+        let keep = |id: usize| id.is_multiple_of(2);
         let exact: Vec<usize> = idx
             .knn_exact(&slab, &vectors[0], vectors.len())
             .into_iter()
@@ -409,7 +409,7 @@ mod tests {
         assert_eq!(config.oversampled_fetch(100), 100);
         assert_eq!(LshConfig::default().oversampled_fetch(4), 32);
         assert_eq!(LshConfig::default().oversampled_fetch(10), 40);
-        let keep = |id: usize| id % 2 == 0;
+        let keep = |id: usize| id.is_multiple_of(2);
         let truth = idx
             .knn_exact(&slab, &vectors[1], vectors.len())
             .into_iter()

@@ -5,7 +5,11 @@
 //! heuristics (Beckmann et al.) without forced reinsertion, which keeps
 //! the structure simple while preserving good query fan-out.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use tvdp_geo::{BBox, GeoPoint};
+use tvdp_kernel::TotalF64;
 
 const MAX_ENTRIES: usize = 16;
 const MIN_ENTRIES: usize = 6;
@@ -311,67 +315,34 @@ impl<T: Clone> RTree<T> {
         self.range(&BBox::from_point(*p))
     }
 
-    /// The `k` entries nearest to `p` by box min-distance, closest first.
-    /// Returns `(distance_m, payload)` pairs.
-    pub fn knn(&self, p: &GeoPoint, k: usize) -> Vec<(f64, &T)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        /// Orders heap items by distance (min-heap via Reverse).
-        struct Item<'a, T> {
-            dist: f64,
-            kind: ItemKind<'a, T>,
-        }
-        enum ItemKind<'a, T> {
-            Node(&'a Node<T>),
-            Entry(&'a T),
-        }
-        impl<T> PartialEq for Item<'_, T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist == other.dist
-            }
-        }
-        impl<T> Eq for Item<'_, T> {}
-        impl<T> PartialOrd for Item<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T> Ord for Item<'_, T> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.dist.total_cmp(&other.dist)
-            }
-        }
-
+    /// The `k` entries nearest to `p` by box min-distance, closest first
+    /// and by payload among entries at one distance, whatever the
+    /// tree's shape (the order of `Frontier`). Returns `(distance_m, payload)`
+    /// pairs.
+    pub fn knn(&self, p: &GeoPoint, k: usize) -> Vec<(f64, &T)>
+    where
+        T: Ord,
+    {
         let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Item {
-            dist: 0.0,
-            kind: ItemKind::Node(&self.root),
-        }));
+        heap.push(Reverse(Frontier::Node(TotalF64(0.0), &self.root)));
         let mut out = Vec::with_capacity(k);
         while let Some(Reverse(item)) = heap.pop() {
-            match item.kind {
-                ItemKind::Entry(v) => {
-                    out.push((item.dist, v));
-                    if out.len() == k {
-                        break;
-                    }
+            if out.len() == k {
+                break;
+            }
+            match item {
+                Frontier::Entry(TotalF64(d), v) => out.push((d, v)),
+                Frontier::Node(_, Node::Leaf { entries }) => {
+                    heap.extend(
+                        entries.iter().map(|(b, v)| {
+                            Reverse(Frontier::Entry(TotalF64(b.min_distance_m(p)), v))
+                        }),
+                    );
                 }
-                ItemKind::Node(Node::Leaf { entries }) => {
-                    for (b, v) in entries {
-                        heap.push(Reverse(Item {
-                            dist: b.min_distance_m(p),
-                            kind: ItemKind::Entry(v),
-                        }));
-                    }
-                }
-                ItemKind::Node(Node::Internal { children }) => {
-                    for (b, child) in children {
-                        heap.push(Reverse(Item {
-                            dist: b.min_distance_m(p),
-                            kind: ItemKind::Node(child),
-                        }));
-                    }
+                Frontier::Node(_, Node::Internal { children }) => {
+                    heap.extend(children.iter().map(|(b, child)| {
+                        Reverse(Frontier::Node(TotalF64(b.min_distance_m(p)), &**child))
+                    }));
                 }
             }
         }
@@ -556,6 +527,44 @@ fn str_tiles<E>(mut items: Vec<E>, key: impl Fn(&E) -> BBox) -> Vec<Vec<E>> {
     tiles
 }
 
+/// One item on a best-first search's frontier: a subtree under the lower
+/// bound of what it holds, or an entry at its distance. The order is
+/// distance, then a subtree before an entry (so every entry tying a
+/// distance is on the frontier before the first of them is reported),
+/// then entries by payload: a search reports its entries in
+/// `(distance, payload)` order, and which of several entries tying the
+/// k-th distance make the cut does not depend on the tree's shape.
+pub(crate) enum Frontier<'a, D, N, T> {
+    Node(D, &'a N),
+    Entry(D, &'a T),
+}
+
+impl<D: Ord, N, T: Ord> Ord for Frontier<'_, D, N, T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        use Frontier::{Entry, Node};
+        match (self, other) {
+            (Node(a, _), Node(b, _)) => a.cmp(b),
+            (Node(a, _), Entry(b, _)) => a.cmp(b).then(Ordering::Less),
+            (Entry(a, _), Node(b, _)) => a.cmp(b).then(Ordering::Greater),
+            (Entry(a, x), Entry(b, y)) => a.cmp(b).then_with(|| x.cmp(y)),
+        }
+    }
+}
+
+impl<D: Ord, N, T: Ord> PartialOrd for Frontier<'_, D, N, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<D: Ord, N, T: Ord> PartialEq for Frontier<'_, D, N, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<D: Ord, N, T: Ord> Eq for Frontier<'_, D, N, T> {}
+
 /// Anything carrying a bounding box (leaf entries and internal children);
 /// shared with the oriented and hybrid trees so they reuse the same split
 /// machinery. The split constants are re-exported for them as well.
@@ -645,6 +654,23 @@ mod tests {
         tree.insert_point(GeoPoint::new(34.1, -118.1), 2u32);
         let knn = tree.knn(&GeoPoint::new(34.0, -118.0), 10);
         assert_eq!(knn.len(), 2);
+    }
+
+    /// Entries at one distance come out by payload, so which of them a
+    /// `k` inside the tie keeps is not an accident of insertion order
+    /// and splits.
+    #[test]
+    fn knn_breaks_distance_ties_by_payload() {
+        let mut tree = RTree::new();
+        let here = GeoPoint::new(34.0, -118.0);
+        for i in 0..200u32 {
+            tree.insert_point(here, (i * 77) % 200);
+        }
+        tree.insert_point(GeoPoint::new(35.0, -117.0), 999);
+        let knn = tree.knn(&GeoPoint::new(34.1, -118.1), 7);
+        let got: Vec<u32> = knn.iter().map(|(_, id)| **id).collect();
+        assert_eq!(got, (0..7).collect::<Vec<u32>>());
+        assert!(tree.knn(&here, 0).is_empty());
     }
 
     #[test]

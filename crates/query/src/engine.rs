@@ -110,11 +110,13 @@ pub struct QueryEngine {
     docs: Vec<ImageId>,
     /// Image id -> doc handle (candidate-side lookups; ordered, L2).
     doc_of: BTreeMap<ImageId, usize>,
-    /// Per-doc capture/upload timestamps and scene boxes, recorded at
-    /// index time so per-candidate predicates never take the store lock.
+    /// Per-doc capture/upload timestamps, scene boxes and whether the
+    /// row carries an FOV, recorded at index time so per-candidate
+    /// predicates never take the store lock.
     captured_at: Vec<i64>,
     uploaded_at: Vec<i64>,
     scenes: Vec<BBox>,
+    has_fov: Vec<bool>,
     /// Arena row of each visually indexed image (ordered, L2).
     rows_by_id: BTreeMap<ImageId, u32>,
     /// One past the highest arena row the visual indexes reference;
@@ -129,11 +131,8 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Builds the engine, indexing every image currently in `store`.
     pub fn build(store: Arc<VisualStore>, config: EngineConfig) -> Self {
-        let mut engine = Self::build_empty(Arc::clone(&store), config);
-        for id in store.image_ids() {
-            engine.index_image(id);
-        }
-        engine
+        let ids = store.image_ids();
+        Self::build_over(store, config, &ids)
     }
 
     /// Builds an engine indexing only the given image ids (ids absent
@@ -165,6 +164,7 @@ impl QueryEngine {
             captured_at: Vec::new(),
             uploaded_at: Vec::new(),
             scenes: Vec::new(),
+            has_fov: Vec::new(),
             rows_by_id: BTreeMap::new(),
             rows_hi: 0,
             extent: None,
@@ -194,12 +194,14 @@ impl QueryEngine {
             return;
         }
         let store = Arc::clone(&self.store);
-        // The record is read in place under the store's read lock; only
-        // the columns the engine keeps are copied out of it.
-        let mut scene = None;
-        store.with_images(&[id], |record| {
+        // One read-lock acquisition per row: the record is read in
+        // place (only the columns the engine keeps are copied out of
+        // it), and the visual indexes read the feature row straight out
+        // of the live slab, keeping only its `u32` row handle.
+        store.with_image_row(id, self.config.visual_kind, |record, row| {
+            let scene = record.scene_location;
             self.indexed.insert(id);
-            self.scene_tree.insert(record.scene_location, id);
+            self.scene_tree.insert(scene, id);
             if let Some(fov) = record.meta.fov {
                 self.fov_tree.insert(fov, id);
             }
@@ -212,40 +214,27 @@ impl QueryEngine {
             self.uploaded.insert(record.meta.uploaded_at, doc);
             self.captured_at.push(record.meta.captured_at);
             self.uploaded_at.push(record.meta.uploaded_at);
-            self.scenes.push(record.scene_location);
-            self.extent = Some(match self.extent {
-                None => record.scene_location,
-                Some(e) => e.union(&record.scene_location),
-            });
-            scene = Some(record.scene_location);
-        });
-        let Some(scene) = scene else {
-            return;
-        };
-        let kind = self.config.visual_kind;
-        let Some(handle) = store.feature_handle(id, kind).filter(|h| h.dim > 0) else {
-            return;
-        };
-        let dim = handle.dim as usize;
-        let hybrid = self.hybrid.get_or_insert_with(|| VisualRTree::new(dim));
-        let lsh = if self.config.exact_visual {
-            None
-        } else {
-            let config = self.config.lsh;
-            self.lsh_ids.push(id);
-            Some(self.lsh.get_or_insert_with(|| LshIndex::new(dim, config)))
-        };
-        // Zero-copy insert: the indexes read the feature row straight
-        // out of the live slab, under the store's read lock, and keep
-        // only the `u32` row handle.
-        let _ = store.with_slab(kind, dim, |slab| {
-            hybrid.insert(slab, scene, handle.row, id);
-            if let Some(lsh) = lsh {
-                lsh.insert(slab.row(handle.row), handle.row);
+            self.scenes.push(scene);
+            self.has_fov.push(record.meta.fov.is_some());
+            self.extent = Some(self.extent.map_or(scene, |e| e.union(&scene)));
+
+            let Some((handle, slab)) = row else {
+                return;
+            };
+            let dim = handle.dim as usize;
+            self.hybrid
+                .get_or_insert_with(|| VisualRTree::new(dim))
+                .insert(slab, scene, handle.row, id);
+            if !self.config.exact_visual {
+                let config = self.config.lsh;
+                self.lsh_ids.push(id);
+                self.lsh
+                    .get_or_insert_with(|| LshIndex::new(dim, config))
+                    .insert(slab.row(handle.row), handle.row);
             }
+            self.rows_by_id.insert(id, handle.row);
+            self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
         });
-        self.rows_by_id.insert(id, handle.row);
-        self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
     }
 
     /// Whether this engine built an LSH index.
@@ -292,20 +281,7 @@ impl QueryEngine {
                 scheme,
                 label,
                 min_confidence,
-            } => {
-                let mut ids: Vec<ImageId> = self
-                    .store
-                    .annotations_with_label(*scheme, *label)
-                    .into_iter()
-                    .filter(|a| a.confidence >= *min_confidence)
-                    .map(|a| a.image)
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                ids.into_iter()
-                    .map(|id| QueryResult::new(id, 0.0))
-                    .collect()
-            }
+            } => plan::categorical([&*self.store], *scheme, *label, *min_confidence),
             Query::Textual { text, mode } => self.execute_textual(text, *mode),
             Query::Temporal { field, from, to } => {
                 let idx = match field {
@@ -318,7 +294,7 @@ impl QueryEngine {
                     .collect()
             }
             Query::And(subs) => self.execute_and(subs),
-            Query::Or(subs) => self.execute_or(subs),
+            Query::Or(subs) => plan::or_fold(subs.iter().flat_map(|q| self.run(q)).collect()),
         }
     }
 
@@ -347,44 +323,6 @@ impl QueryEngine {
             .into_iter()
             .map(|(score, doc)| (score, self.docs[doc]))
             .collect()
-    }
-
-    /// All images whose indexed feature lies within squared distance
-    /// `max_dist_sq` of `example`, as `(squared_distance, id)` sorted
-    /// ascending. The sqrt-free thresholding path (near-duplicate
-    /// detection); no spatial constraint.
-    pub fn visual_within_sq(&self, example: &[f32], max_dist_sq: f32) -> Vec<(f32, ImageId)> {
-        let Some(hybrid) = &self.hybrid else {
-            return Vec::new();
-        };
-        let view = self.visual_view();
-        hybrid
-            .range_visual_sq(&*view, &world(), example, max_dist_sq)
-            .into_iter()
-            .map(|(d_sq, id)| (d_sq, *id))
-            .collect()
-    }
-
-    /// Disjunction: union of the branches, keeping each image's best
-    /// (lowest) score; output ordered by score then id. Branch results
-    /// are folded over one sorted pairs vector — the stable sort keeps
-    /// branch order within an image id, so the min-fold visits scores
-    /// in the same order a per-image map would.
-    fn execute_or(&self, subs: &[Query]) -> Vec<QueryResult> {
-        let mut pairs: Vec<(ImageId, f64)> = Vec::new();
-        for q in subs {
-            pairs.extend(self.run(q).into_iter().map(|r| (r.image, r.score)));
-        }
-        pairs.sort_by_key(|&(id, _)| id);
-        let mut out: Vec<QueryResult> = Vec::new();
-        for (id, s) in pairs {
-            match out.last_mut() {
-                Some(last) if last.image == id => last.score = last.score.min(s),
-                _ => out.push(QueryResult::new(id, s)),
-            }
-        }
-        sort_ranked(&mut out);
-        out
     }
 
     fn execute_spatial(&self, sq: &SpatialQuery) -> Vec<QueryResult> {
@@ -425,7 +363,7 @@ impl QueryEngine {
                     .map(|(_, id)| *id)
                     .collect();
                 for id in self.scene_tree.containing(p) {
-                    if self.store.image(*id).is_some_and(|r| r.meta.fov.is_none()) {
+                    if self.doc_of.get(id).is_some_and(|&doc| !self.has_fov[doc]) {
                         ids.push(*id);
                     }
                 }
@@ -751,39 +689,13 @@ impl QueryEngine {
         if subs.is_empty() {
             return Vec::new();
         }
-        // Hybrid fast path: exactly one spatial range + one visual leaf
-        // (any extra filters applied afterwards). Validation has already
-        // pinned every visual leaf to the indexed family, so counting
-        // all visual leaves here is what guarantees the post-filter
-        // below never drops one silently: a second visual leaf forces
-        // the general plan instead.
-        let ranges: Vec<&BBox> = subs
-            .iter()
-            .filter_map(|q| match q {
-                Query::Spatial(SpatialQuery::Range(b)) => Some(b),
-                _ => None,
-            })
-            .collect();
-        let visuals: Vec<(&Vec<f32>, VisualMode)> = subs
-            .iter()
-            .filter_map(|q| match q {
-                Query::Visual { example, mode, .. } => Some((example, *mode)),
-                _ => None,
-            })
-            .collect();
-        if ranges.len() == 1 && visuals.len() == 1 {
-            let (example, mode) = visuals[0];
-            let mut results = self.execute_visual(example, mode, Some(ranges[0]));
-            // Stream the remaining predicates over the visual candidates.
-            let rest = subs.iter().filter(|q| {
-                !matches!(
-                    q,
-                    Query::Spatial(SpatialQuery::Range(_)) | Query::Visual { .. }
-                )
-            });
+        // Hybrid fast path: exactly one spatial range + one visual leaf,
+        // the remaining predicates streamed over the visual candidates.
+        if let Some(pair) = plan::hybrid_pair(subs) {
+            let mut results = self.execute_visual(pair.example, pair.mode, Some(pair.region));
             let mut filters: Vec<(Filter, u32, usize)> = Vec::new();
             let mut materialize: Vec<&Query> = Vec::new();
-            for (i, q) in rest.enumerate() {
+            for (i, q) in pair.rest.into_iter().enumerate() {
                 match self.pushdown(q) {
                     Some((f, cost)) => filters.push((f, cost, i)),
                     None => materialize.push(q),
@@ -802,8 +714,7 @@ impl QueryEngine {
                 if results.is_empty() {
                     return results;
                 }
-                let ids = plan::sorted_ids(&self.run(q));
-                results.retain(|r| plan::contains_sorted(&ids, r.image));
+                plan::retain_in(&mut results, &self.run(q));
             }
             return results;
         }

@@ -15,8 +15,13 @@
 //!   chaining single-modal indexes.
 //!
 //! [`QueryEngine`] serves queries from the indexing substrate;
-//! [`linear::LinearExecutor`] is the brute-force reference the tests and
-//! benchmarks compare against.
+//! [`ShardedEngine`] scatters them over sealed `QueryEngine` segments
+//! and each shard's unsealed tail. [`linear`] is the scan: a linear
+//! segment answers the leaves over an id list in place, and is both a
+//! shard's tail and, over the whole store, [`linear::LinearExecutor`],
+//! the brute-force reference the tests and benchmarks compare against.
+//! What every executor does alike (`Categorical`, `Or`, the hybrid-pair
+//! split, the general conjunction) is written once in [`plan`].
 
 pub mod engine;
 pub mod linear;

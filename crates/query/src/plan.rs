@@ -1,16 +1,123 @@
-//! Streaming set primitives for the conjunction planner.
+//! What every executor does the same way, written once: the
+//! `Categorical` leaf, the `Or` min-fold, the hybrid-pair split of a
+//! conjunction, the materialise-and-intersect conjunction, and the
+//! sorted-id set primitives under them.
 //!
-//! The planner carries conjunction candidates as a single sorted
-//! `Vec<ImageId>` and narrows it in place. Intersection with another
-//! sorted id list uses *galloping* (exponential probe + binary search)
-//! so the cost is `O(|small| · log |large|)` rather than the
-//! `O(|a| + |b|)` of a merge or the allocation churn of `BTreeSet`
-//! intersection — exactly the regime hybrid queries live in, where a
-//! selective leaf yields few candidates and the other legs are broad.
+//! Conjunction candidates travel as one sorted `Vec<ImageId>` narrowed
+//! in place. Intersection with another sorted id list uses *galloping*
+//! (exponential probe + binary search), so the cost is
+//! `O(|small| · log |large|)` rather than the `O(|a| + |b|)` of a merge
+//! or the allocation churn of `BTreeSet` intersection — the regime
+//! hybrid queries live in, where a selective leaf yields few candidates
+//! and the other legs are broad.
 
-use tvdp_storage::ImageId;
+use tvdp_geo::BBox;
+use tvdp_storage::{ClassificationId, ImageId, VisualStore};
+use tvdp_vision::FeatureKind;
 
-use crate::types::QueryResult;
+use crate::types::{sort_ranked, Query, QueryResult, SpatialQuery, VisualMode};
+
+/// The `Categorical` leaf: images annotated `label` of `scheme` at or
+/// above `min_confidence`, ascending by id. Annotations are store-level
+/// state, not index state, so every executor answers this leaf from its
+/// stores (a sealed segment must never see it: each would report its
+/// whole shard).
+pub(crate) fn categorical<'a>(
+    stores: impl IntoIterator<Item = &'a VisualStore>,
+    scheme: ClassificationId,
+    label: usize,
+    min_confidence: f32,
+) -> Vec<QueryResult> {
+    let mut ids: Vec<ImageId> = stores
+        .into_iter()
+        .flat_map(|store| store.annotations_with_label(scheme, label))
+        .filter(|a| a.confidence >= min_confidence)
+        .map(|a| a.image)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter()
+        .map(|id| QueryResult::new(id, 0.0))
+        .collect()
+}
+
+/// Disjunction over the concatenated results of every branch: each
+/// image keeps its best (lowest) score, output ordered by `(score, id)`.
+pub(crate) fn or_fold(mut rows: Vec<QueryResult>) -> Vec<QueryResult> {
+    rows.sort_by_key(|r| r.image);
+    let mut out: Vec<QueryResult> = Vec::new();
+    for r in rows {
+        match out.last_mut() {
+            Some(last) if last.image == r.image => last.score = last.score.min(r.score),
+            _ => out.push(r),
+        }
+    }
+    sort_ranked(&mut out);
+    out
+}
+
+/// A conjunction holding exactly one spatial range and one visual leaf:
+/// "visual search restricted to the region", answered by one
+/// region-restricted visual pass whose rows are then filtered by `rest`.
+pub(crate) struct HybridPair<'q> {
+    pub region: &'q BBox,
+    pub example: &'q [f32],
+    pub kind: FeatureKind,
+    pub mode: VisualMode,
+    /// Every other leg, in query order.
+    pub rest: Vec<&'q Query>,
+}
+
+/// Splits `subs` into its [`HybridPair`], or `None` when it is not one.
+/// Every visual leaf counts, so a second one forces the general plan
+/// and the post-filter over `rest` never drops one silently.
+pub(crate) fn hybrid_pair(subs: &[Query]) -> Option<HybridPair<'_>> {
+    let (mut region, mut visual, mut rest) = (None, None, Vec::new());
+    for q in subs {
+        let repeated = match q {
+            Query::Spatial(SpatialQuery::Range(b)) => region.replace(b).is_some(),
+            Query::Visual {
+                example,
+                kind,
+                mode,
+            } => visual.replace((example, *kind, *mode)).is_some(),
+            other => {
+                rest.push(other);
+                false
+            }
+        };
+        if repeated {
+            return None;
+        }
+    }
+    let (example, kind, mode) = visual?;
+    Some(HybridPair {
+        region: region?,
+        example,
+        kind,
+        mode,
+        rest,
+    })
+}
+
+/// The general conjunction over materialised legs: the rows of the
+/// first leg (and so its scores) that every other leg also holds,
+/// ordered by `(score, id)`.
+pub(crate) fn intersect_legs(legs: Vec<Vec<QueryResult>>) -> Vec<QueryResult> {
+    let mut legs = legs.into_iter();
+    let mut out = legs.next().unwrap_or_default();
+    for leg in legs {
+        retain_in(&mut out, &leg);
+    }
+    sort_ranked(&mut out);
+    out
+}
+
+/// Keeps the rows of `results` whose image `leg` also holds, in order.
+pub(crate) fn retain_in(results: &mut Vec<QueryResult>, leg: &[QueryResult]) {
+    let ids = sorted_ids(leg);
+    results.retain(|r| contains_sorted(&ids, r.image));
+}
 
 /// The ids of `results`, sorted ascending. Result rows never repeat an
 /// image (every executor dedups per leaf), so no `dedup` pass is
@@ -53,7 +160,7 @@ pub(crate) fn intersect_sorted(cands: &mut Vec<ImageId>, other: &[ImageId]) {
 
 /// Binary membership test in a sorted id list (for candidate streams
 /// that must keep a non-id order, e.g. distance-ranked visual results).
-pub(crate) fn contains_sorted(sorted: &[ImageId], id: ImageId) -> bool {
+fn contains_sorted(sorted: &[ImageId], id: ImageId) -> bool {
     sorted.binary_search(&id).is_ok()
 }
 

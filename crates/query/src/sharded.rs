@@ -6,8 +6,10 @@
 //!
 //! * **sealed segments** — immutable [`QueryEngine`]s built over a
 //!   fixed id set ([`QueryEngine::build_over`]), and
-//! * a **tail** — the ids ingested since the last seal, evaluated by
-//!   a small linear executor with bit-identical scoring.
+//! * a **tail** — the ids ingested since the last seal: a linear
+//!   segment ([`crate::linear`]), the reference executor's own scan run
+//!   over that id list, so a tail row is matched and scored by the code
+//!   the oracle matches and scores it by.
 //!
 //! Every mutation republishes the shard's `(segments, tail)` pair as an
 //! immutable *generation* through a [`GenCell`], so queries never block
@@ -20,8 +22,10 @@
 //!
 //! * score-0 filter leaves concatenate and sort by image id (shards
 //!   partition the id space, so no dedup is needed),
-//! * top-k leaves (visual top-k, spatial nearest) take per-partition
-//!   top-k lists and re-rank globally by `(score, id)`,
+//! * top-k leaves (visual top-k, spatial nearest): every partition
+//!   reports its own `k` lowest rows under the reported `(score, id)`
+//!   order, whichever rows tie, and the gather's sort-and-truncate under
+//!   that order is the one place a global cut is made,
 //! * ranked text runs in two phases: gather corpus-global document
 //!   frequencies first, then score each partition against the global
 //!   statistics ([`tvdp_index::ranked_term_contribution`] is a pure
@@ -29,30 +33,33 @@
 //!   big index),
 //! * conjunctions keep the planner's hybrid fast path — one spatial
 //!   range plus one visual leaf scatters as a single restricted index
-//!   traversal per segment.
+//!   traversal per segment; that split, `Or`, `Categorical` and the
+//!   general conjunction are [`crate::plan`]'s, shared with the other
+//!   executors.
 //!
 //! Merge order never depends on shard count or worker count: the same
 //! corpus sharded 1 way or N ways, queried on 1 thread or M, yields
-//! byte-identical results (the approximate LSH path is the documented
-//! exception — it is thread-invariant but not shard-count-invariant,
-//! since each segment hashes its own candidate set).
+//! byte-identical results, at any seal cap (the approximate LSH path is
+//! the documented exception — it is thread-invariant but not
+//! shard-count-invariant, since each segment hashes its own candidate
+//! set).
 
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use tvdp_geo::BBox;
 use tvdp_index::inverted::{ranked_term_contribution, tokenize};
 use tvdp_kernel::sync::Mutex;
-use tvdp_kernel::{l2_sq, GenCell, Pool, TopK, TotalF64};
-use tvdp_storage::{ImageId, ImageRecord, VisualStore};
+use tvdp_kernel::{GenCell, Pool, TopK, TotalF64};
+use tvdp_storage::{ImageId, VisualStore};
 use tvdp_vision::FeatureKind;
 
 use crate::engine::{EngineConfig, QueryEngine};
+use crate::linear::{LinearSegment, RowTerms};
+use crate::plan;
 use crate::types::{
-    sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode,
-    VisualMode,
+    sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TextualMode, VisualMode,
 };
 
 /// Default number of pending images a shard accumulates before sealing
@@ -101,6 +108,16 @@ struct Snapshot {
 struct ShardView {
     store: Arc<VisualStore>,
     gen: Arc<ShardGen>,
+}
+
+impl ShardView {
+    /// The pending tail as the linear segment it is.
+    fn tail(&self) -> LinearSegment<'_> {
+        LinearSegment {
+            store: &self.store,
+            ids: &self.gen.tail,
+        }
+    }
 }
 
 impl Snapshot {
@@ -457,30 +474,6 @@ impl ShardedEngine {
         .collect()
     }
 
-    /// All images within squared feature distance `max_dist_sq` of
-    /// `example`, as `(squared_distance, id)` sorted ascending — the
-    /// sharded counterpart of [`QueryEngine::visual_within_sq`].
-    pub fn visual_within_sq(&self, example: &[f32], max_dist_sq: f32) -> Vec<(f32, ImageId)> {
-        let snap = self.snapshot();
-        let kind = self.config.visual_kind;
-        let mut out: Vec<(f32, ImageId)> = Vec::new();
-        for sv in &snap.shards {
-            for seg in &sv.gen.segments {
-                out.extend(seg.visual_within_sq(example, max_dist_sq));
-            }
-            for &id in sv.gen.tail.iter() {
-                if let Some(feature) = sv.store.feature_ref(id, kind) {
-                    let d_sq = l2_sq(&feature, example);
-                    if d_sq <= max_dist_sq {
-                        out.push((d_sq, id));
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
-    }
-
     /// Post-validation dispatch over one snapshot. `dl` carries the
     /// optional deadline accounting; `None` never errors.
     fn run_on(
@@ -506,27 +499,8 @@ impl ShardedEngine {
                     dl.charge(snap.shards.len() as i64);
                     dl.check()?;
                 }
-                // Annotations are store-level state, not index state:
-                // scan each shard's store directly (segments must never
-                // see a categorical leaf — each would report the whole
-                // shard).
-                let mut ids: Vec<ImageId> = snap
-                    .shards
-                    .iter()
-                    .flat_map(|sv| {
-                        sv.store
-                            .annotations_with_label(*scheme, *label)
-                            .into_iter()
-                            .filter(|a| a.confidence >= *min_confidence)
-                            .map(|a| a.image)
-                    })
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                Ok(ids
-                    .into_iter()
-                    .map(|id| QueryResult::new(id, 0.0))
-                    .collect())
+                let stores = snap.shards.iter().map(|sv| &*sv.store);
+                Ok(plan::categorical(stores, *scheme, *label, *min_confidence))
             }
             Query::Textual {
                 text,
@@ -551,167 +525,19 @@ impl ShardedEngine {
         }
         let partials = pool.map(&units, |_, unit| match unit {
             Unit::Seg(engine) => engine.run(leaf),
-            Unit::Tail(sv) => self.tail_leaf(sv, leaf),
+            Unit::Tail(sv) => sv.tail().leaf(leaf),
         });
-        let mut all: Vec<QueryResult> = partials.into_iter().flatten().collect();
-        match leaf {
-            Query::Spatial(SpatialQuery::Nearest { k, .. }) => {
-                sort_ranked(&mut all);
-                all.truncate(*k);
-            }
-            Query::Visual {
-                mode: VisualMode::TopK(k),
-                ..
-            } => {
-                sort_ranked(&mut all);
-                all.truncate(*k);
-            }
-            Query::Visual {
-                mode: VisualMode::Threshold(_),
-                ..
-            } => sort_ranked(&mut all),
+        Ok(match leaf {
+            Query::Spatial(SpatialQuery::Nearest { k, .. }) => gather_ranked(partials, Some(*k)),
+            Query::Visual { mode, .. } => gather_ranked(partials, top_k(*mode)),
             // Score-0 filters: partitions are disjoint, so the union is
             // just a sort by id.
-            _ => all.sort_by_key(|r| r.image),
-        }
-        Ok(all)
-    }
-
-    /// Evaluates a single-modal leaf over one shard's pending tail with
-    /// the reference (linear-scan) semantics — bit-identical scores to
-    /// the indexed paths. Each arm is a single pass over the tail under
-    /// one store read-lock acquisition; records are visited by
-    /// reference, never cloned (queries hit every pending row, so this
-    /// is the hot loop that keeps tail reads O(rows) instead of
-    /// O(rows × record size)).
-    fn tail_leaf(&self, sv: &ShardView, leaf: &Query) -> Vec<QueryResult> {
-        let mut out = Vec::new();
-        match leaf {
-            Query::Temporal { field, from, to } => with_tail(sv, |r| {
-                let t = match field {
-                    TemporalField::Captured => r.meta.captured_at,
-                    TemporalField::Uploaded => r.meta.uploaded_at,
-                };
-                if t >= *from && t <= *to {
-                    out.push(QueryResult::new(r.id, 0.0));
-                }
-            }),
-            Query::Textual { text, mode } => {
-                let terms = tokenize(text);
-                if terms.is_empty() {
-                    return out;
-                }
-                with_tail(sv, |r| {
-                    let has = |term: &String| {
-                        r.meta
-                            .keywords
-                            .iter()
-                            .any(|k| tokens_of(k).any(|t| token_eq(t, term)))
-                    };
-                    let hit = match mode {
-                        TextualMode::All => terms.iter().all(has),
-                        _ => terms.iter().any(has),
-                    };
-                    if hit {
-                        out.push(QueryResult::new(r.id, 0.0));
-                    }
-                });
+            _ => {
+                let mut all: Vec<QueryResult> = partials.into_iter().flatten().collect();
+                all.sort_by_key(|r| r.image);
+                all
             }
-            Query::Spatial(sq) => match sq {
-                SpatialQuery::Range(bbox) => with_tail(sv, |r| {
-                    if r.scene_location.intersects(bbox) {
-                        out.push(QueryResult::new(r.id, 0.0));
-                    }
-                }),
-                SpatialQuery::Nearest { point, k } => {
-                    let mut scored: Vec<(f64, ImageId)> = Vec::new();
-                    with_tail(sv, |r| {
-                        scored.push((r.scene_location.min_distance_m(point), r.id));
-                    });
-                    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    scored.truncate(*k);
-                    out.extend(scored.into_iter().map(|(d, id)| QueryResult::new(id, d)));
-                }
-                SpatialQuery::Within(polygon) => with_tail(sv, |r| {
-                    if polygon.intersects_bbox(&r.scene_location) {
-                        out.push(QueryResult::new(r.id, 0.0));
-                    }
-                }),
-                SpatialQuery::Covering(p) => with_tail(sv, |r| {
-                    let hit = match &r.meta.fov {
-                        Some(fov) => fov.contains(p),
-                        None => r.scene_location.contains(p),
-                    };
-                    if hit {
-                        out.push(QueryResult::new(r.id, 0.0));
-                    }
-                }),
-                SpatialQuery::Directed { region, directions } => with_tail(sv, |r| {
-                    let hit = match &r.meta.fov {
-                        Some(fov) => {
-                            fov.scene_location().intersects(region)
-                                && fov.direction_range().overlaps(directions)
-                        }
-                        None => false,
-                    };
-                    if hit {
-                        out.push(QueryResult::new(r.id, 0.0));
-                    }
-                }),
-            },
-            Query::Visual { example, mode, .. } => {
-                out = self.tail_visual(sv, example, *mode, None);
-            }
-            // And/Or/Categorical/Ranked are handled before scatter.
-            _ => {}
-        }
-        out
-    }
-
-    /// Visual scan of a tail, optionally region-restricted: one pass
-    /// over `(record, feature)` pairs under a single store read-lock
-    /// acquisition, features read in place from the arena. Squared
-    /// distances for ranking and thresholding, square roots only for
-    /// reported scores — exactly the reference executor's arithmetic.
-    fn tail_visual(
-        &self,
-        sv: &ShardView,
-        example: &[f32],
-        mode: VisualMode,
-        region: Option<&BBox>,
-    ) -> Vec<QueryResult> {
-        let kind = self.config.visual_kind;
-        let scored: Vec<(f32, ImageId)> = match mode {
-            VisualMode::TopK(k) => {
-                let mut top = TopK::new(k);
-                sv.store.with_image_features(&sv.gen.tail, kind, |r, f| {
-                    if region.is_none_or(|b| r.scene_location.intersects(b)) {
-                        top.push((tvdp_kernel::TotalF32(l2_sq(f, example)), r.id));
-                    }
-                });
-                top.into_sorted_vec()
-                    .into_iter()
-                    .map(|(tvdp_kernel::TotalF32(d_sq), id)| (d_sq, id))
-                    .collect()
-            }
-            VisualMode::Threshold(t) => {
-                let mut hits: Vec<(f32, ImageId)> = Vec::new();
-                sv.store.with_image_features(&sv.gen.tail, kind, |r, f| {
-                    if region.is_none_or(|b| r.scene_location.intersects(b)) {
-                        let d_sq = l2_sq(f, example);
-                        if d_sq <= t * t {
-                            hits.push((d_sq, r.id));
-                        }
-                    }
-                });
-                hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                hits
-            }
-        };
-        scored
-            .into_iter()
-            .map(|(d_sq, id)| QueryResult::new(id, f64::from(d_sq.sqrt())))
-            .collect()
+        })
     }
 
     /// Two-phase distributed tf-idf. Phase 1 gathers corpus-global
@@ -735,32 +561,11 @@ impl ShardedEngine {
             dl.walk_units(&units_of(snap))?;
         }
         let terms = tokenize(text);
-        /// One tail row's ranked-text statistics: `tf[i]` is the term
-        /// frequency of `terms[i]` (duplicate query terms get duplicate
-        /// slots, same as the reference scorer's term loop).
-        struct TailDoc {
-            id: ImageId,
-            tf: Vec<u32>,
-            len: u32,
-        }
-        let mut tail_docs: Vec<TailDoc> = Vec::new();
-        for sv in &snap.shards {
-            with_tail(sv, |r| {
-                let mut len = 0u32;
-                let mut tf = vec![0u32; terms.len()];
-                for k in &r.meta.keywords {
-                    for tok in tokens_of(k) {
-                        len += 1;
-                        for (i, term) in terms.iter().enumerate() {
-                            if token_eq(tok, term) {
-                                tf[i] += 1;
-                            }
-                        }
-                    }
-                }
-                tail_docs.push(TailDoc { id: r.id, tf, len });
-            });
-        }
+        let tail_docs: Vec<RowTerms> = snap
+            .shards
+            .iter()
+            .flat_map(|sv| sv.tail().term_stats(&terms))
+            .collect();
         let n_total: usize = snap
             .shards
             .iter()
@@ -839,24 +644,11 @@ impl ShardedEngine {
         pool: &Pool,
         dl: Option<&DeadlineCtx>,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        let mut pairs: Vec<(ImageId, f64)> = Vec::new();
+        let mut rows = Vec::new();
         for q in subs {
-            pairs.extend(
-                self.run_on(snap, q, pool, dl)?
-                    .into_iter()
-                    .map(|r| (r.image, r.score)),
-            );
+            rows.extend(self.run_on(snap, q, pool, dl)?);
         }
-        pairs.sort_by_key(|&(id, _)| id);
-        let mut out: Vec<QueryResult> = Vec::new();
-        for (id, s) in pairs {
-            match out.last_mut() {
-                Some(last) if last.image == id => last.score = last.score.min(s),
-                _ => out.push(QueryResult::new(id, s)),
-            }
-        }
-        sort_ranked(&mut out);
-        Ok(out)
+        Ok(plan::or_fold(rows))
     }
 
     /// Conjunction. The hybrid fast path — exactly one spatial range
@@ -871,85 +663,52 @@ impl ShardedEngine {
         pool: &Pool,
         dl: Option<&DeadlineCtx>,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        if subs.is_empty() {
-            return Ok(Vec::new());
+        let Some(pair) = plan::hybrid_pair(subs) else {
+            let legs: Result<Vec<_>, _> = subs
+                .iter()
+                .map(|q| self.run_on(snap, q, pool, dl))
+                .collect();
+            return Ok(plan::intersect_legs(legs?));
+        };
+        let units = units_of(snap);
+        if let Some(dl) = dl {
+            dl.walk_units(&units)?;
         }
-        let ranges: Vec<&BBox> = subs
-            .iter()
-            .filter_map(|q| match q {
-                Query::Spatial(SpatialQuery::Range(b)) => Some(b),
-                _ => None,
-            })
-            .collect();
-        let visuals: Vec<(&Vec<f32>, VisualMode)> = subs
-            .iter()
-            .filter_map(|q| match q {
-                Query::Visual { example, mode, .. } => Some((example, *mode)),
-                _ => None,
-            })
-            .collect();
-        if ranges.len() == 1 && visuals.len() == 1 {
-            let (example, mode) = visuals[0];
-            let region = ranges[0];
-            let units = units_of(snap);
-            if let Some(dl) = dl {
-                dl.walk_units(&units)?;
+        let partials = pool.map(&units, |_, unit| match unit {
+            Unit::Seg(engine) => engine.execute_visual(pair.example, pair.mode, Some(pair.region)),
+            Unit::Tail(sv) => {
+                sv.tail()
+                    .visual(pair.example, pair.kind, pair.mode, Some(pair.region))
             }
-            let partials = pool.map(&units, |_, unit| match unit {
-                Unit::Seg(engine) => engine.execute_visual(example, mode, Some(region)),
-                Unit::Tail(sv) => self.tail_visual(sv, example, mode, Some(region)),
-            });
-            let mut results: Vec<QueryResult> = partials.into_iter().flatten().collect();
-            sort_ranked(&mut results);
-            if let VisualMode::TopK(k) = mode {
-                results.truncate(k);
+        });
+        let mut results = gather_ranked(partials, top_k(pair.mode));
+        for q in pair.rest {
+            if results.is_empty() {
+                break;
             }
-            let rest = subs.iter().filter(|q| {
-                !matches!(
-                    q,
-                    Query::Spatial(SpatialQuery::Range(_)) | Query::Visual { .. }
-                )
-            });
-            for q in rest {
-                if results.is_empty() {
-                    return Ok(results);
-                }
-                let ids: BTreeSet<ImageId> = self
-                    .run_on(snap, q, pool, dl)?
-                    .into_iter()
-                    .map(|r| r.image)
-                    .collect();
-                results.retain(|r| ids.contains(&r.image));
-            }
-            return Ok(results);
+            plan::retain_in(&mut results, &self.run_on(snap, q, pool, dl)?);
         }
+        Ok(results)
+    }
+}
 
-        let mut first_scores: Vec<(ImageId, f64)> = Vec::new();
-        let mut allowed: Option<BTreeSet<ImageId>> = None;
-        for (i, q) in subs.iter().enumerate() {
-            let results = self.run_on(snap, q, pool, dl)?;
-            if i == 0 {
-                first_scores = results.iter().map(|r| (r.image, r.score)).collect();
-                first_scores.sort_by_key(|&(id, _)| id);
-            }
-            let ids: BTreeSet<ImageId> = results.into_iter().map(|r| r.image).collect();
-            allowed = Some(match allowed {
-                None => ids,
-                Some(prev) => prev.intersection(&ids).copied().collect(),
-            });
-        }
-        let mut out: Vec<QueryResult> = allowed
-            .unwrap_or_default()
-            .into_iter()
-            .map(|id| {
-                let score = first_scores
-                    .binary_search_by_key(&id, |&(i, _)| i)
-                    .map_or(0.0, |pos| first_scores[pos].1);
-                QueryResult::new(id, score)
-            })
-            .collect();
-        sort_ranked(&mut out);
-        Ok(out)
+/// The gather of a ranked scatter: every partition reports its rows in
+/// `(score, id)` order (a top-k leaf its own `k` lowest), so the global
+/// answer is their merge under the same order, and this truncation is
+/// the one place a global top-k cut is made.
+fn gather_ranked(partials: Vec<Vec<QueryResult>>, k: Option<usize>) -> Vec<QueryResult> {
+    let mut all: Vec<QueryResult> = partials.into_iter().flatten().collect();
+    sort_ranked(&mut all);
+    if let Some(k) = k {
+        all.truncate(k);
+    }
+    all
+}
+
+fn top_k(mode: VisualMode) -> Option<usize> {
+    match mode {
+        VisualMode::TopK(k) => Some(k),
+        VisualMode::Threshold(_) => None,
     }
 }
 
@@ -966,33 +725,6 @@ fn units_of(snap: &Snapshot) -> Vec<Unit<'_>> {
         }
     }
     units
-}
-
-/// Runs `f` over one shard's tail records (ascending id order) under a
-/// single store read-lock acquisition. `f` must not call back into the
-/// store.
-fn with_tail(sv: &ShardView, f: impl FnMut(&ImageRecord)) {
-    sv.store.with_images(&sv.gen.tail, f);
-}
-
-/// Splits `text` at the same boundaries as
-/// [`tvdp_index::inverted::tokenize`], but borrows instead of
-/// allocating — tail scans run this per record per query.
-fn tokens_of(text: &str) -> impl Iterator<Item = &str> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-}
-
-/// Whether `token` lowercases to the (already lowercased) query `term`
-/// — allocation-free equivalent of `tokenize(token).contains(term)`
-/// for a single token. Non-ASCII tokens fall back to the exact
-/// `str::to_lowercase` the index tokenizer uses.
-fn token_eq(token: &str, term: &str) -> bool {
-    if token.is_ascii() && term.is_ascii() {
-        token.eq_ignore_ascii_case(term)
-    } else {
-        token.to_lowercase() == *term
-    }
 }
 
 #[cfg(test)]

@@ -534,7 +534,7 @@ fn rows_tying_on_the_reported_score_come_out_in_id_order_everywhere() {
         store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
         ids.push(id);
     }
-    let want = vec![
+    let want = [
         QueryResult::new(ids[0], f64::from(d_far.sqrt())),
         QueryResult::new(ids[1], f64::from(d_near.sqrt())),
     ];
@@ -551,7 +551,13 @@ fn rows_tying_on_the_reported_score_come_out_in_id_order_everywhere() {
         mode,
     };
     let world = Query::Spatial(SpatialQuery::Range(BBox::new(-90.0, -180.0, 90.0, 180.0)));
-    for mode in [VisualMode::TopK(2), VisualMode::Threshold(3.0)] {
+    // `TopK(1)` cuts between the two rows that share a root: the one
+    // kept is the lower id, not the lower squared distance.
+    for (mode, want) in [
+        (VisualMode::TopK(2), &want[..]),
+        (VisualMode::Threshold(3.0), &want[..]),
+        (VisualMode::TopK(1), &want[..1]),
+    ] {
         for q in [visual(mode), Query::And(vec![world.clone(), visual(mode)])] {
             assert_eq!(linear.execute(&q), want, "linear on {q:?}");
             assert_eq!(run(&engine, &q), want, "engine on {q:?}");

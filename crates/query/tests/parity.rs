@@ -541,6 +541,170 @@ fn exact_topk_equals_linear_scan_across_shard_counts_and_pool_widths() {
     }
 }
 
+/// `source` dealt round-robin by id into `shards` stores: unlike the
+/// geo-grid routing, rows at one point land in every shard.
+fn deal_stores(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
+    let stores: Vec<VisualStore> = (0..shards).map(|_| VisualStore::new()).collect();
+    for id in source.image_ids() {
+        let (_, ops) = row_ops(source, id);
+        stores[id.raw() as usize % shards].apply_batch(ops).unwrap();
+    }
+    stores.into_iter().map(Arc::new).collect()
+}
+
+/// The top-k cut inside a tie. 200 rows at one point draw their
+/// features from five vectors, so every visual distance is shared by 40
+/// rows and every `Nearest` distance by all 200. A `k` that falls inside
+/// such a run has one right answer, the `k` lowest rows under the
+/// reported `(score, id)` order, and it may not depend on how the rows
+/// are cut into segments, tails and shards: each partition has to keep
+/// *its* `k` lowest under that order (a tree whose heap breaks distance
+/// ties by shape, or a scan cut on a finer key, keeps others).
+#[test]
+fn a_topk_cut_inside_a_tie_is_the_same_cut_for_every_partitioning() {
+    let mut rng = Rng::seed_from_u64(2_200);
+    let pool: Vec<Vec<f32>> = (0..5).map(|_| random_example(&mut rng)).collect();
+    let here = GeoPoint::new(34.02, -118.28);
+    let store = Arc::new(VisualStore::new());
+    for i in 0..200 {
+        let meta = ImageMeta {
+            uploader: UserId(1),
+            gps: here,
+            fov: None,
+            captured_at: 5_000,
+            uploaded_at: 5_100,
+            keywords: vec!["tie".into()],
+        };
+        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+        let feature = pool[i % pool.len()].clone();
+        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
+    }
+
+    let around = BBox::new(34.0, -118.3, 34.05, -118.25);
+    let mut queries = Vec::new();
+    for k in [1usize, 3, 45, 130] {
+        for example in [pool[0].clone(), random_example(&mut rng)] {
+            let visual = Query::Visual {
+                example,
+                kind: FeatureKind::Cnn,
+                mode: VisualMode::TopK(k),
+            };
+            queries.push(visual.clone());
+            queries.push(Query::And(vec![
+                Query::Spatial(SpatialQuery::Range(around)),
+                visual,
+            ]));
+        }
+        queries.push(Query::Spatial(SpatialQuery::Nearest {
+            point: GeoPoint::new(34.03, -118.27),
+            k,
+        }));
+    }
+    let linear = LinearExecutor::new(Arc::clone(&store));
+    let want: Vec<_> = queries
+        .iter()
+        .map(|q| canonical(&linear.execute(q)))
+        .collect();
+    // The oracle's own cut is the lowest ids of the nearest run.
+    assert_eq!(want[0], vec![(0, 0f64.to_bits())]);
+    assert_eq!(
+        want[9].iter().map(|row| row.0).collect::<Vec<_>>(),
+        vec![0, 1, 2],
+        "Nearest {{ k: 3 }}"
+    );
+
+    let engine = QueryEngine::build(Arc::clone(&store), Default::default());
+    for (q, want) in queries.iter().zip(&want) {
+        assert_eq!(&canonical(&engine.try_execute(q).unwrap()), want, "{q:?}");
+    }
+    for shards in [1usize, 3] {
+        for cap in [1usize, 7, 16, 64, 128, 1000] {
+            let sharded = ShardedEngine::with_seal_cap(
+                deal_stores(&store, shards),
+                EngineConfig::default(),
+                cap,
+            );
+            for threads in [1usize, 8] {
+                let pool = Pool::new(threads);
+                for (q, want) in queries.iter().zip(&want) {
+                    assert_eq!(
+                        &canonical(&sharded.try_execute_with_pool(q, &pool).unwrap()),
+                        want,
+                        "{shards} shards, seal cap {cap}, {threads} threads: {q:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Textual leaves over keywords whose lowercasing is not ASCII's, with
+/// matching rows both in sealed segments (answered from the inverted
+/// index, which tokenizes at index time) and in the tail (answered by
+/// the scan's in-place matcher): both must agree with `tokenize`.
+#[test]
+fn non_ascii_keywords_match_the_same_in_segments_and_tail() {
+    const KEYWORDS: [&[&str]; 5] = [
+        &["Straße", "Nord-Süd"],
+        &["İstanbul café"],
+        &["ǅ", "route_66"],
+        &["STRASSE", "istanbul"],
+        &["ΟΔΟΣ 7", "straße"],
+    ];
+    let store = Arc::new(VisualStore::new());
+    for i in 0..15 {
+        let meta = ImageMeta {
+            uploader: UserId(1),
+            gps: GeoPoint::new(34.0 + i as f64 * 1e-3, -118.28),
+            fov: None,
+            captured_at: 5_000,
+            uploaded_at: 5_100,
+            keywords: KEYWORDS[i % 5].iter().map(|k| k.to_string()).collect(),
+        };
+        store.add_image(meta, ImageOrigin::Original, None).unwrap();
+    }
+    // Two sealed segments of six rows and a tail of three: every keyword
+    // list sits in a segment and, for lists 2..5, in the tail as well.
+    let sharded = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 6);
+    let linear = LinearExecutor::new(Arc::clone(&store));
+    let tokenize = tvdp_index::inverted::tokenize;
+    for text in [
+        "straße",
+        "STRASSE",
+        "İstanbul",
+        "istanbul",
+        "ǆ",
+        "66 route",
+        "café İSTANBUL",
+        "οδος",
+        "süd nord",
+        "Ǆ 7",
+    ] {
+        let terms = tokenize(text);
+        for mode in [TextualMode::All, TextualMode::Any] {
+            let expected: Vec<u64> = (0..15u64)
+                .filter(|&i| {
+                    let tokens = tokenize(&KEYWORDS[i as usize % 5].join(" "));
+                    let has = |t: &String| tokens.contains(t);
+                    match mode {
+                        TextualMode::All => terms.iter().all(has),
+                        _ => terms.iter().any(has),
+                    }
+                })
+                .collect();
+            let q = Query::Textual {
+                text: text.into(),
+                mode,
+            };
+            let ids = |rows: Vec<QueryResult>| -> Vec<u64> {
+                canonical(&rows).into_iter().map(|row| row.0).collect()
+            };
+            assert_eq!(ids(linear.execute(&q)), expected, "oracle on {q:?}");
+            assert_eq!(ids(sharded.try_execute(&q).unwrap()), expected, "{q:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Spill axis: spilling cold arena chunks under a serving engine must
 // actually release them, and change no result byte.

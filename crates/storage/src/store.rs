@@ -848,18 +848,27 @@ impl VisualStore {
             .map_or(0, RowSource::rows)
     }
 
-    /// Runs `f` against the live `(kind, dim)` slab under the store
-    /// read lock — zero-copy row access for insert-time index
-    /// maintenance. Keep `f` cheap; it blocks writers. Returns `None`
-    /// when the slab does not exist.
-    pub fn with_slab<R>(
+    /// Runs `f` over one image's record and, when the image holds a
+    /// non-empty feature of `kind`, that feature's arena handle with the
+    /// live slab it points into: everything an index reads to insert the
+    /// row, zero-copy, under a single read-lock acquisition. Keep `f`
+    /// cheap (it blocks writers); the no-reentrancy rule of
+    /// [`VisualStore::with_images`] applies. `None` when the image is
+    /// absent.
+    pub fn with_image_row<R>(
         &self,
+        id: ImageId,
         kind: FeatureKind,
-        dim: usize,
-        f: impl FnOnce(&FeatureSlab) -> R,
+        f: impl FnOnce(&ImageRecord, Option<(FeatureHandle, &FeatureSlab)>) -> R,
     ) -> Option<R> {
         let t = self.inner.read();
-        t.slabs.get(&(kind, dim as u32)).map(f)
+        let record = t.images.get(&id)?;
+        let row = t
+            .features
+            .get(&(id, kind))
+            .filter(|h| h.dim > 0)
+            .map(|h| (*h, &t.slabs[&(h.kind, h.dim)]));
+        Some(f(record, row))
     }
 
     /// Spills cold feature-arena chunks: every frozen chunk except the
@@ -1242,13 +1251,15 @@ mod tests {
             .put_feature(b, FeatureKind::SiftBow, vec![7.0; 5])
             .unwrap();
         assert_eq!(store.slab_rows(FeatureKind::SiftBow, 5), 1);
-        assert_eq!(
-            store
-                .with_slab(FeatureKind::SiftBow, 5, |slab| slab.row(0).to_vec())
-                .unwrap(),
-            vec![7.0; 5]
-        );
-        assert!(store.with_slab(FeatureKind::SiftBow, 9, |_| ()).is_none());
+        let sift_row = |id| {
+            store.with_image_row(id, FeatureKind::SiftBow, |record, row| {
+                assert_eq!(record.id, id);
+                row.map(|(handle, slab)| slab.row(handle.row).to_vec())
+            })
+        };
+        assert_eq!(sift_row(b), Some(Some(vec![7.0; 5])));
+        assert_eq!(sift_row(a), Some(None), "no feature of that kind");
+        assert_eq!(sift_row(ImageId(999)), None, "no such image");
 
         // Empty vectors round-trip without a slab row.
         store
