@@ -503,7 +503,6 @@ impl ApiServer {
                     ("annotations", Value::num(s.annotations)),
                     ("models", Value::num(s.models)),
                     ("users", Value::num(s.users)),
-                    ("quant_code_bytes", Value::num(s.quant_code_bytes)),
                 ]))
             }
             other => ApiResponse::err(404, format!("unknown endpoint {other}")),

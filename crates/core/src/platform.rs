@@ -166,12 +166,6 @@ pub struct PlatformStats {
     pub models: usize,
     /// Registered users.
     pub users: usize,
-    /// Resident bytes of the arena's quantized (`u8`) mirror of frozen
-    /// feature chunks across all shards. No query path reads the codes
-    /// (PR 20 made the exact top-k the hybrid tree over the `f32`
-    /// rows); they stay resident, and are still written to spill files,
-    /// until the kernel mirror itself is deleted (ROADMAP item 5).
-    pub quant_code_bytes: usize,
 }
 
 /// Aggregated serving-health report ([`Tvdp::health`]): the worst
@@ -1000,7 +994,6 @@ impl Tvdp {
             annotations: self.stores.iter().map(|s| s.annotation_count()).sum(),
             models: self.models.ids().len(),
             users: self.users.all().len(),
-            quant_code_bytes: self.stores.iter().map(|s| s.quant_code_bytes()).sum(),
         }
     }
 }

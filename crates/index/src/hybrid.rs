@@ -24,7 +24,7 @@ use std::collections::BinaryHeap;
 use tvdp_geo::BBox;
 use tvdp_kernel::{l2, l2_sq, RowSource, TotalF32};
 
-use crate::rtree::{choose_subtree, split_entries, Frontier, HasBBox, NODE_MAX};
+use crate::rtree::{choose_subtree, mbr_of, split_entries, Frontier, HasBBox, NODE_MAX};
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
@@ -83,15 +83,23 @@ enum Node<T> {
 }
 
 impl<T> Node<T> {
-    /// Recomputes (MBR, ball) from immediate children/entries only.
-    fn summary(&self, rows: &impl RowSource, dim: usize) -> Option<(BBox, Ball)> {
+    /// The box around the node's immediate children/entries. The node
+    /// must be non-empty.
+    fn mbr(&self) -> BBox {
+        match self {
+            Node::Leaf { entries } => mbr_of(entries),
+            Node::Internal { children } => mbr_of(children),
+        }
+    }
+
+    /// The ball around the node's immediate children/entries: a pure
+    /// function of their rows (a leaf) or of their balls (an internal
+    /// node), in child order.
+    fn ball(&self, rows: &impl RowSource, dim: usize) -> Ball {
+        let mut centroid = vec![0.0f32; dim];
         match self {
             Node::Leaf { entries } => {
-                let first = entries.first()?;
-                let mut bbox = first.bbox;
-                let mut centroid = vec![0.0f32; dim];
                 for e in entries {
-                    bbox = bbox.union(&e.bbox);
                     for (c, &f) in centroid.iter_mut().zip(rows.row(e.row)) {
                         *c += f;
                     }
@@ -104,22 +112,15 @@ impl<T> Node<T> {
                     .iter()
                     .map(|e| l2(&centroid, rows.row(e.row)))
                     .fold(0.0f32, f32::max);
-                Some((
-                    bbox,
-                    Ball {
-                        centroid,
-                        radius,
-                        count: entries.len(),
-                    },
-                ))
+                Ball {
+                    centroid,
+                    radius,
+                    count: entries.len(),
+                }
             }
             Node::Internal { children } => {
-                let first = children.first()?;
-                let mut bbox = first.bbox;
-                let mut centroid = vec![0.0f32; dim];
                 let mut total = 0usize;
                 for c in children {
-                    bbox = bbox.union(&c.bbox);
                     total += c.ball.count;
                     for (acc, &f) in centroid.iter_mut().zip(&c.ball.centroid) {
                         *acc += f * c.ball.count as f32;
@@ -134,15 +135,34 @@ impl<T> Node<T> {
                     .iter()
                     .map(|c| l2(&centroid, &c.ball.centroid) + c.ball.radius)
                     .fold(0.0f32, f32::max);
-                Some((
-                    bbox,
-                    Ball {
-                        centroid,
-                        radius,
-                        count: total,
-                    },
-                ))
+                Ball {
+                    centroid,
+                    radius,
+                    count: total,
+                }
             }
+        }
+    }
+
+    /// Gives every child slot beneath this node its ball, leaves first.
+    fn summarise(&mut self, rows: &impl RowSource, dim: usize) {
+        if let Node::Internal { children } = self {
+            for c in children {
+                c.node.summarise(rows, dim);
+                c.ball = c.node.ball(rows, dim);
+            }
+        }
+    }
+}
+
+impl<T> Child<T> {
+    /// The slot holding `node`, boxed from its contents and balled by
+    /// `ball_of`.
+    fn over(node: Node<T>, ball_of: &impl Fn(&Node<T>) -> Ball) -> Self {
+        Child {
+            bbox: node.mbr(),
+            ball: ball_of(&node),
+            node: Box::new(node),
         }
     }
 }
@@ -186,36 +206,55 @@ impl<T: Clone> VisualRTree<T> {
     /// Inserts an object with spatial extent `bbox` whose feature
     /// vector is arena row `row` of `rows`. The source must resolve
     /// every previously inserted row too (ball maintenance re-reads
-    /// sibling features on splits).
+    /// sibling features on splits). Every node on the insert path has
+    /// its ball recomputed; a caller that has all its entries up front
+    /// uses [`VisualRTree::build`] and pays for each ball once.
     ///
     /// # Panics
     ///
     /// Panics on feature dimensionality mismatch.
     pub fn insert(&mut self, rows: &impl RowSource, bbox: BBox, row: u32, value: T) {
         assert_eq!(rows.dim(), self.dim, "feature dimension mismatch");
+        let dim = self.dim;
+        self.place(Entry { bbox, row, value }, &|n| n.ball(rows, dim));
+    }
+
+    /// The tree over `entries` (`(bbox, arena row, payload)`, in insert
+    /// order), bit-identical to [`VisualRTree::insert`]ing them one by
+    /// one: where an entry lands depends on boxes alone, and a ball is a
+    /// function of the final contents of the node it covers, so every
+    /// entry is placed first and each ball is then computed once,
+    /// leaves first.
+    pub fn build(rows: &impl RowSource, entries: impl IntoIterator<Item = (BBox, u32, T)>) -> Self {
+        let mut tree = Self::new(rows.dim());
+        let unset = |_: &Node<T>| Ball {
+            centroid: Vec::new(),
+            radius: 0.0,
+            count: 0,
+        };
+        for (bbox, row, value) in entries {
+            tree.place(Entry { bbox, row, value }, &unset);
+        }
+        tree.root.summarise(rows, tree.dim);
+        tree
+    }
+
+    /// The spatial half of an insert: descends by box, splits what
+    /// overflows and re-boxes the touched path. It never reads a ball;
+    /// the slots it touches get theirs from `ball_of`.
+    fn place(&mut self, entry: Entry<T>, ball_of: &impl Fn(&Node<T>) -> Ball) {
         self.len += 1;
-        let entry = Entry { bbox, row, value };
-        if let Some((left, right)) = Self::insert_rec(&mut self.root, rows, entry, self.dim) {
-            let mk = |n: Node<T>, dim: usize| {
-                // tvdp-lint: allow(no_panic, reason = "hybrid-tree structural invariant: the node touched here is non-empty by construction")
-                let (bbox, ball) = n.summary(rows, dim).expect("split node non-empty");
-                Child {
-                    bbox,
-                    ball,
-                    node: Box::new(n),
-                }
-            };
+        if let Some((left, right)) = Self::place_rec(&mut self.root, entry, ball_of) {
             self.root = Node::Internal {
-                children: vec![mk(left, self.dim), mk(right, self.dim)],
+                children: vec![Child::over(left, ball_of), Child::over(right, ball_of)],
             };
         }
     }
 
-    fn insert_rec(
+    fn place_rec(
         node: &mut Node<T>,
-        rows: &impl RowSource,
         entry: Entry<T>,
-        dim: usize,
+        ball_of: &impl Fn(&Node<T>) -> Ball,
     ) -> Option<(Node<T>, Node<T>)> {
         match node {
             Node::Leaf { entries } => {
@@ -228,26 +267,15 @@ impl<T: Clone> VisualRTree<T> {
             }
             Node::Internal { children } => {
                 let idx = choose_subtree(children, &entry.bbox);
-                match Self::insert_rec(&mut children[idx].node, rows, entry, dim) {
+                match Self::place_rec(&mut children[idx].node, entry, ball_of) {
                     None => {
-                        let (bbox, ball) =
-                            // tvdp-lint: allow(no_panic, reason = "hybrid-tree structural invariant: the node touched here is non-empty by construction")
-                            children[idx].node.summary(rows, dim).expect("child non-empty");
-                        children[idx].bbox = bbox;
-                        children[idx].ball = ball;
+                        let touched = &mut children[idx];
+                        touched.bbox = touched.node.mbr();
+                        touched.ball = ball_of(&touched.node);
                     }
                     Some((left, right)) => {
-                        let mk = |n: Node<T>| {
-                            // tvdp-lint: allow(no_panic, reason = "hybrid-tree structural invariant: the node touched here is non-empty by construction")
-                            let (bbox, ball) = n.summary(rows, dim).expect("split node non-empty");
-                            Child {
-                                bbox,
-                                ball,
-                                node: Box::new(n),
-                            }
-                        };
-                        children[idx] = mk(left);
-                        children.push(mk(right));
+                        children[idx] = Child::over(left, ball_of);
+                        children.push(Child::over(right, ball_of));
                         if children.len() > NODE_MAX {
                             let (a, b) = split_entries(std::mem::take(children));
                             return Some((
@@ -403,12 +431,64 @@ impl<T: Clone> VisualRTree<T> {
         }
         walk(&self.root, rows);
     }
+
+    /// The tree flattened depth-first: one [`Part`] per child slot and
+    /// per entry.
+    #[cfg(test)]
+    fn shape(&self) -> Vec<Part<T>> {
+        fn walk<T: Clone>(node: &Node<T>, depth: usize, out: &mut Vec<Part<T>>) {
+            match node {
+                Node::Leaf { entries } => out.extend(entries.iter().map(|e| Part::Entry {
+                    depth,
+                    bbox: e.bbox,
+                    row: e.row,
+                    value: e.value.clone(),
+                })),
+                Node::Internal { children } => {
+                    for c in children {
+                        out.push(Part::Slot {
+                            depth,
+                            bbox: c.bbox,
+                            centroid: c.ball.centroid.iter().map(|f| f.to_bits()).collect(),
+                            radius: c.ball.radius.to_bits(),
+                            count: c.ball.count,
+                        });
+                        walk(&c.node, depth + 1, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, 0, &mut out);
+        out
+    }
+}
+
+/// One line of [`VisualRTree::shape`]: floats as their bits, so equal
+/// means bit-equal.
+#[cfg(test)]
+#[derive(PartialEq)]
+enum Part<T> {
+    Slot {
+        depth: usize,
+        bbox: BBox,
+        centroid: Vec<u32>,
+        radius: u32,
+        count: usize,
+    },
+    Entry {
+        depth: usize,
+        bbox: BBox,
+        row: u32,
+        value: T,
+    },
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tvdp_geo::GeoPoint;
+    use tvdp_kernel::rng::for_each_case;
     use tvdp_kernel::FeatureSlab;
 
     type RawEntry = (BBox, Vec<f32>, usize);
@@ -526,6 +606,70 @@ mod tests {
                 .collect();
             assert_eq!(got, (0..7).collect::<Vec<usize>>(), "{query:?}");
         }
+    }
+
+    /// The write-once constructor against per-row insertion: the same
+    /// nodes, the same children in the same order, every box, centroid,
+    /// radius and count bit for bit, and so the same answers. Rows and
+    /// boxes repeat, so splits meet ties.
+    #[test]
+    fn build_is_bit_identical_to_per_row_insertion() {
+        let sizes = [1usize, 16, 17, 128, 1_000];
+        for_each_case(sizes.len() as u64 * 4, |case, rng| {
+            let n = sizes[case as usize % sizes.len()];
+            let dim = 6;
+            let mut slab = FeatureSlab::new(dim);
+            let mut entries: Vec<(BBox, u32, usize)> = Vec::new();
+            for i in 0..n {
+                if i > 0 && rng.gen_range(0..4) == 0 {
+                    // A duplicate: an earlier box, an earlier row's
+                    // floats, or both.
+                    let (bbox, row, _) = entries[rng.gen_range(0..i)];
+                    let bbox = if rng.gen_range(0..2) == 0 {
+                        bbox
+                    } else {
+                        entries[rng.gen_range(0..i)].0
+                    };
+                    let floats = slab.row(row).to_vec();
+                    entries.push((bbox, slab.push(&floats), i));
+                    continue;
+                }
+                let at = GeoPoint::new(rng.gen_range(33.9..34.1), rng.gen_range(-118.4..-118.2));
+                let floats: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                entries.push((BBox::from_point(at), slab.push(&floats), i));
+            }
+            let mut grown = VisualRTree::new(dim);
+            for &(bbox, row, id) in &entries {
+                grown.insert(&slab, bbox, row, id);
+            }
+            // Built from a detached view, as a sealed segment is.
+            let view = slab.view();
+            let built = VisualRTree::build(&view, entries.iter().copied());
+            grown.check_invariants(&slab);
+            built.check_invariants(&view);
+            assert_eq!(built.len(), grown.len());
+            assert_eq!(built.dim(), grown.dim());
+            assert!(built.shape() == grown.shape(), "n = {n}: trees differ");
+
+            let everywhere = BBox::new(33.0, -119.0, 35.0, -118.0);
+            let half = BBox::new(33.9, -118.4, 34.0, -118.2);
+            let bits = |hits: Vec<(f32, &usize)>| -> Vec<(u32, usize)> {
+                hits.into_iter().map(|(d, id)| (d.to_bits(), *id)).collect()
+            };
+            for _ in 0..4 {
+                let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                for region in [everywhere, half] {
+                    assert_eq!(
+                        bits(built.knn_visual(&view, &region, &query, 10)),
+                        bits(grown.knn_visual(&slab, &region, &query, 10))
+                    );
+                    assert_eq!(
+                        bits(built.range_visual(&view, &region, &query, 1.2)),
+                        bits(grown.range_visual(&slab, &region, &query, 1.2))
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -423,19 +423,20 @@ pub(crate) fn choose_subtree<E: HasBBox>(children: &[E], bbox: &BBox) -> usize {
     best
 }
 
+/// The box around a non-empty run of entries.
+pub(crate) fn mbr_of<E: HasBBox>(slice: &[E]) -> BBox {
+    let mut it = slice.iter().map(|e| e.bbox());
+    // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
+    let first = it.next().expect("non-empty slice");
+    it.fold(first, |acc, b| acc.union(&b))
+}
+
 /// R* split: choose the axis with minimum total margin over candidate
 /// distributions, then the distribution with least MBR overlap (ties:
 /// least total area).
 pub(crate) fn split_entries<E: HasBBox>(mut entries: Vec<E>) -> (Vec<E>, Vec<E>) {
     let total = entries.len();
     debug_assert!(total > MAX_ENTRIES);
-
-    let mbr_of = |slice: &[E]| -> BBox {
-        let mut it = slice.iter().map(|e| e.bbox());
-        // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-        let first = it.next().expect("non-empty slice");
-        it.fold(first, |acc, b| acc.union(&b))
-    };
 
     // Candidate split positions for a sorted entry list.
     let candidate_range = MIN_ENTRIES..=(total - MIN_ENTRIES);

@@ -4,15 +4,17 @@
 //! capture time and upload time — and serves temporal range filters
 //! (paper Section IV). Timestamps are Unix seconds (`i64`).
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::BTreeSet;
 
-/// A secondary index from timestamp to document handles. Multiple
-/// documents may share a timestamp.
+/// A secondary index from timestamp to document handles: one ordered
+/// set of `(timestamp, doc)` pairs, so a fact costs its 16 bytes plus
+/// its share of a B-tree node rather than a map entry and a `Vec` of
+/// its own. Multiple documents may share a timestamp; they come out in
+/// doc order, which is insertion order for a caller that hands out
+/// ascending doc handles.
 #[derive(Debug, Clone, Default)]
 pub struct TemporalIndex {
-    by_time: BTreeMap<i64, Vec<usize>>,
-    len: usize,
+    by_time: BTreeSet<(i64, usize)>,
 }
 
 impl TemporalIndex {
@@ -23,70 +25,60 @@ impl TemporalIndex {
 
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.by_time.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.by_time.is_empty()
     }
 
     /// Indexes `doc` at `timestamp`.
     pub fn insert(&mut self, timestamp: i64, doc: usize) {
-        self.by_time.entry(timestamp).or_default().push(doc);
-        self.len += 1;
+        self.by_time.insert((timestamp, doc));
     }
 
     /// Documents with timestamps in `[from, to]` (inclusive), in time
-    /// order (ties in insertion order).
+    /// order (ties in doc order).
     pub fn range(&self, from: i64, to: i64) -> Vec<usize> {
         if from > to {
             return Vec::new();
         }
         self.by_time
-            .range((Bound::Included(from), Bound::Included(to)))
-            .flat_map(|(_, docs)| docs.iter().copied())
+            .range((from, usize::MIN)..=(to, usize::MAX))
+            .map(|&(_, doc)| doc)
             .collect()
     }
 
     /// Documents strictly before `t`, in time order.
     pub fn before(&self, t: i64) -> Vec<usize> {
         self.by_time
-            .range((Bound::Unbounded, Bound::Excluded(t)))
-            .flat_map(|(_, docs)| docs.iter().copied())
+            .range(..(t, usize::MIN))
+            .map(|&(_, doc)| doc)
             .collect()
     }
 
     /// Documents at or after `t`, in time order.
     pub fn since(&self, t: i64) -> Vec<usize> {
         self.by_time
-            .range((Bound::Included(t), Bound::Unbounded))
-            .flat_map(|(_, docs)| docs.iter().copied())
+            .range((t, usize::MIN)..)
+            .map(|&(_, doc)| doc)
             .collect()
     }
 
     /// Earliest and latest indexed timestamps.
     pub fn span(&self) -> Option<(i64, i64)> {
-        let first = *self.by_time.keys().next()?;
-        let last = *self.by_time.keys().next_back()?;
-        Some((first, last))
+        Some((self.by_time.first()?.0, self.by_time.last()?.0))
     }
 
     /// The `k` most recent documents, newest first.
     pub fn most_recent(&self, k: usize) -> Vec<usize> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(k);
-        for (_, docs) in self.by_time.iter().rev() {
-            for &d in docs.iter().rev() {
-                out.push(d);
-                if out.len() == k {
-                    return out;
-                }
-            }
-        }
-        out
+        self.by_time
+            .iter()
+            .rev()
+            .take(k)
+            .map(|&(_, doc)| doc)
+            .collect()
     }
 }
 

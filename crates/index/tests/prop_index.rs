@@ -276,28 +276,47 @@ fn inverted_and_subset_of_or() {
     });
 }
 
+/// Every accessor against a filter over the `(timestamp, doc)` facts
+/// themselves: duplicate timestamps, the two ends of `i64` as stamps
+/// and as bounds, and `from > to`.
 #[test]
-fn temporal_range_equals_filter() {
+fn temporal_index_equals_filter() {
     for_each_case(CASES, |_, rng| {
-        let stamps: Vec<i64> = (0..rng.gen_range(1..80))
-            .map(|_| rng.gen_range(-1000..1000))
-            .collect();
-        let from = rng.gen_range(-1000i64..1000);
-        let width = rng.gen_range(0i64..500);
+        let stamp = |rng: &mut Rng| match rng.gen_range(0..12) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            _ => rng.gen_range(-40i64..40),
+        };
+        let mut facts: Vec<(i64, usize)> = Vec::new();
         let mut idx = TemporalIndex::new();
-        for (i, &t) in stamps.iter().enumerate() {
-            idx.insert(t, i);
+        for doc in 0..rng.gen_range(1..80) {
+            let t = stamp(rng);
+            idx.insert(t, doc);
+            facts.push((t, doc));
         }
-        let to = from + width;
-        let mut got = idx.range(from, to);
-        got.sort_unstable();
-        let mut expected: Vec<usize> = stamps
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t >= from && t <= to)
-            .map(|(i, _)| i)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
+        // Time order, ties in doc order.
+        facts.sort_unstable();
+        let docs = |keep: &dyn Fn(i64) -> bool| -> Vec<usize> {
+            facts
+                .iter()
+                .filter(|(t, _)| keep(*t))
+                .map(|&(_, doc)| doc)
+                .collect()
+        };
+        assert_eq!(idx.len(), facts.len());
+        assert_eq!(idx.span(), Some((facts[0].0, facts[facts.len() - 1].0)));
+        for _ in 0..8 {
+            let (from, to) = (stamp(rng), stamp(rng));
+            assert_eq!(
+                idx.range(from, to),
+                docs(&|t| t >= from && t <= to),
+                "[{from}, {to}]"
+            );
+            assert_eq!(idx.before(from), docs(&|t| t < from), "before {from}");
+            assert_eq!(idx.since(from), docs(&|t| t >= from), "since {from}");
+        }
+        let k = rng.gen_range(0..100);
+        let newest: Vec<usize> = facts.iter().rev().take(k).map(|&(_, d)| d).collect();
+        assert_eq!(idx.most_recent(k), newest);
     });
 }

@@ -160,12 +160,6 @@ pub struct FeatureSlab {
     /// (never written again) and shared with snapshots by `Arc`.
     /// Individual chunks may be spilled ([`FeatureSlab::spill_frozen`]).
     frozen: Vec<Chunk>,
-    /// Scalar-quantized mirror of `frozen`, one [`QuantChunk`] per
-    /// frozen chunk, trained at freeze time ([`crate::quant`]). Codes
-    /// stay resident even when the `f32` chunk is spilled: they *are*
-    /// the compressed in-memory representation the quantized candidate
-    /// scan reads, at a quarter of the float footprint.
-    quant: Vec<Arc<QuantChunk>>,
     /// The chunk currently being filled (< `ROWS_PER_CHUNK` rows).
     tail: Vec<f32>,
     len: usize,
@@ -182,7 +176,6 @@ impl FeatureSlab {
         Self {
             dim,
             frozen: Vec::new(),
-            quant: Vec::new(),
             tail: Vec::new(),
             len: 0,
         }
@@ -205,12 +198,6 @@ impl FeatureSlab {
         self.len += 1;
         if self.tail.len() == ROWS_PER_CHUNK * self.dim {
             let full = std::mem::take(&mut self.tail);
-            // Freeze time is when the chunk's value ranges are final:
-            // train the scalar-quantized mirror before the floats are
-            // shared out. Deterministic, so replayed ingests rebuild
-            // byte-identical codes.
-            self.quant
-                .push(Arc::new(QuantChunk::encode(&full, self.dim)));
             self.frozen.push(Chunk::resident(Arc::from(full)));
         }
         row
@@ -229,19 +216,6 @@ impl FeatureSlab {
     /// The floats of frozen chunk `chunk` (reloading if spilled).
     pub fn chunk_data(&self, chunk: usize) -> &[f32] {
         self.frozen[chunk].data()
-    }
-
-    /// The quantized mirror of frozen chunk `chunk` (always resident —
-    /// codes are never spilled, only the floats are).
-    pub fn chunk_quant(&self, chunk: usize) -> &Arc<QuantChunk> {
-        &self.quant[chunk]
-    }
-
-    /// Total resident bytes of the quantized mirrors (codes plus
-    /// decode-parameter sidecars) across every frozen chunk — the
-    /// compressed footprint the quantized candidate scan works from.
-    pub fn quant_code_bytes(&self) -> usize {
-        self.quant.iter().map(|q| q.resident_bytes()).sum()
     }
 
     /// Replaces frozen chunk `chunk`'s resident floats with a lazy
@@ -271,7 +245,7 @@ impl FeatureSlab {
             dim: self.dim,
             len: self.len,
             chunks,
-            quant: self.quant.clone(),
+            quant: self.frozen.iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -336,9 +310,11 @@ pub struct SlabView {
     len: usize,
     /// Every chunk except the last holds exactly `ROWS_PER_CHUNK` rows.
     chunks: Vec<Chunk>,
-    /// Quantized mirrors of the frozen chunks (never the partial tail),
-    /// shared by `Arc` with the slab. `quant.len() <= chunks.len()`.
-    quant: Vec<Arc<QuantChunk>>,
+    /// One cell per full chunk (never the partial tail), filled with
+    /// the chunk's scalar-quantized codes ([`crate::quant`]) the first
+    /// time [`SlabView::quant_row`] asks for a row of it. A view nobody
+    /// asks holds no codes.
+    quant: Vec<OnceLock<QuantChunk>>,
 }
 
 impl SlabView {
@@ -357,32 +333,32 @@ impl SlabView {
         self.len == 0
     }
 
-    /// Number of rows covered by quantized chunks (a prefix of the
-    /// view: frozen chunks are quantized, the mutable tail is not).
+    /// Number of rows [`SlabView::quant_row`] can resolve: the rows in
+    /// full chunks (a prefix of the view; the partial tail has none).
     pub fn quant_rows(&self) -> usize {
-        (self.quant.len() * ROWS_PER_CHUNK).min(self.len)
+        self.quant.len() * ROWS_PER_CHUNK
     }
 
     /// The quantized codes and decode parameters of `row`, or `None`
-    /// when the row lives in the unquantized tail. Resolving a row here
-    /// never touches the `f32` chunk, so a spilled chunk stays on disk
-    /// through the whole approximate scan.
+    /// when the row lives in the partial tail. Codes are derived on
+    /// first read: the first call for any row of a chunk encodes the
+    /// whole chunk from its floats (reloading them if spilled, like any
+    /// other read) and every later call on this view reuses the result.
     #[inline]
     pub fn quant_row(&self, row: u32) -> Option<(&[u8], &QuantParams)> {
         let r = row as usize;
-        let chunk = self.quant.get(r / ROWS_PER_CHUNK)?;
+        let c = r / ROWS_PER_CHUNK;
+        let chunk = self
+            .quant
+            .get(c)?
+            .get_or_init(|| QuantChunk::encode(self.chunks[c].data(), self.dim));
         Some((chunk.row_codes(r % ROWS_PER_CHUNK), chunk.params()))
     }
 
-    /// The largest decode-error radius across the view's quantized
-    /// chunks — the `eps` the exactness margin of a quantized scan +
-    /// re-rank must use ([`QuantParams::eps`]). `0.0` when nothing is
-    /// quantized.
-    pub fn max_quant_eps(&self) -> f32 {
-        self.quant
-            .iter()
-            .map(|q| q.params().eps())
-            .fold(0.0, f32::max)
+    /// How many chunks have had their codes derived.
+    #[cfg(test)]
+    fn derived_chunks(&self) -> usize {
+        self.quant.iter().filter(|q| q.get().is_some()).count()
     }
 }
 
@@ -582,35 +558,74 @@ mod tests {
     }
 
     #[test]
-    fn frozen_chunks_carry_quantized_mirrors() {
+    fn quantized_codes_are_derived_on_first_read_and_once() {
         let dim = 5;
         let mut slab = FeatureSlab::new(dim);
-        for i in 0..ROWS_PER_CHUNK + 3 {
+        for i in 0..ROWS_PER_CHUNK * 2 + 3 {
             slab.push(&row_of(i, dim));
         }
         let view = slab.view();
-        assert_eq!(view.quant_rows(), ROWS_PER_CHUNK);
-        assert!(view.max_quant_eps() > 0.0);
-        // Quantized rows decode to within eps of the exact floats.
+        assert_eq!(view.quant_rows(), ROWS_PER_CHUNK * 2);
+        assert_eq!(view.derived_chunks(), 0);
+        // What comes out is `QuantChunk::encode` of the chunk's floats.
+        let want = QuantChunk::encode(slab.chunk_data(1), dim);
+        for r in [0, 17, ROWS_PER_CHUNK - 1] {
+            let (codes, params) = view.quant_row((ROWS_PER_CHUNK + r) as u32).unwrap();
+            assert_eq!(codes, want.row_codes(r));
+            assert_eq!(params, want.params());
+        }
+        // Only the chunk that was asked for was encoded, and once: a
+        // second read hands out the same allocation.
+        assert_eq!(view.derived_chunks(), 1);
+        let first = view.quant_row(ROWS_PER_CHUNK as u32).unwrap().0.as_ptr();
+        let again = view.quant_row(ROWS_PER_CHUNK as u32).unwrap().0.as_ptr();
+        assert_eq!(first, again);
+        // Codes decode to within eps of the exact floats.
         let (codes, params) = view.quant_row(17).unwrap();
-        assert_eq!(codes.len(), dim);
         let d = crate::quant::l2_sq_asym(view.row(17), codes, params).sqrt();
         assert!(
             d <= params.eps(),
             "self-distance {d} > eps {}",
             params.eps()
         );
-        // Tail rows are not quantized.
-        assert!(view.quant_row(ROWS_PER_CHUNK as u32).is_none());
-        // Spilling the floats keeps the codes resident: the quantized
-        // path needs no reload.
+        // Tail rows have no codes.
+        assert!(view.quant_row((ROWS_PER_CHUNK * 2) as u32).is_none());
+        assert!(SlabView::empty(dim).quant_row(0).is_none());
+    }
+
+    #[test]
+    fn a_spilled_chunk_derives_the_same_codes_after_reload() {
+        let dim = 3;
+        let mut slab = FeatureSlab::new(dim);
+        for i in 0..ROWS_PER_CHUNK + 9 {
+            slab.push(&row_of(i, dim));
+        }
+        let want = QuantChunk::encode(slab.chunk_data(0), dim);
         let (counter, loader) = MapLoader::capture(&slab, 0);
         slab.spill_frozen(0, loader);
-        let spilled_view = slab.view();
-        assert!(spilled_view.quant_row(17).is_some());
+        let view = slab.view();
         assert_eq!(counter.loads.load(std::sync::atomic::Ordering::SeqCst), 0);
-        // Quantized mirrors are shared, not copied, across views.
-        assert!(Arc::ptr_eq(&view.quant[0], &spilled_view.quant[0]));
+        for r in [0, 500, ROWS_PER_CHUNK - 1] {
+            let (codes, params) = view.quant_row(r as u32).unwrap();
+            assert_eq!(codes, want.row_codes(r));
+            assert_eq!(params, want.params());
+        }
+        assert_eq!(counter.loads.load(std::sync::atomic::Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_view_nobody_asks_holds_no_codes() {
+        let dim = 4;
+        let mut slab = FeatureSlab::new(dim);
+        for i in 0..5_000 {
+            slab.push(&row_of(i, dim));
+        }
+        let view = slab.view();
+        for r in 0..view.rows() as u32 {
+            assert_eq!(view.row(r), &row_of(r as usize, dim)[..]);
+        }
+        assert_eq!(view.quant_rows(), 4 * ROWS_PER_CHUNK);
+        assert_eq!(view.derived_chunks(), 0);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   stores and indexes reference rows by `u32` handle instead of
 //!   owning `Vec<f32>` clones.
 //! * [`quant`] — scalar quantization for the arena: `u8` codes with
-//!   per-dimension affine decode trained per frozen chunk, and
-//!   [`l2_sq_asym`], the asymmetric f32-query-vs-u8-codes distance
-//!   kernel behind the compressed candidate scan.
+//!   per-dimension affine decode, derived per full chunk the first time
+//!   a [`SlabView`] is asked for them, and [`l2_sq_asym`], the
+//!   asymmetric f32-query-vs-u8-codes distance kernel. Nothing in the
+//!   platform reads codes; the end-to-end benchmark's kernel probe does.
 //! * [`TopK`] / [`TotalF32`] — bounded top-k selection over float
 //!   scores, replacing collect-then-sort on every top-k query path.
 //! * [`GenCell`] — generation publication: writers `Arc`-swap frozen

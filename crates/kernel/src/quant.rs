@@ -1,9 +1,14 @@
 //! Scalar quantization for the feature arena: `u8` codes with a
-//! per-dimension affine decode, trained independently for every frozen
+//! per-dimension affine decode, trained independently for every full
 //! chunk.
 //!
-//! A frozen chunk's rows are write-once, so its per-dimension value
-//! range is known exactly at freeze time. Each dimension `d` stores a
+//! Nothing in the platform trains, keeps or spills codes: the one
+//! caller of [`QuantChunk::encode`] is [`crate::SlabView::quant_row`],
+//! which derives a chunk's codes the first time a row of it is asked
+//! for (today only by the end-to-end benchmark's kernel probe).
+//!
+//! A full chunk's rows are write-once, so its per-dimension value
+//! range is final. Each dimension `d` stores a
 //! `min[d]` / `scale[d]` pair with `scale = (max - min) / 255`, and a
 //! row value `v` is encoded as `round((v - min) / scale)` clamped to
 //! `[0, 255]`. The decoded value is `min + scale * code`, so the
@@ -70,9 +75,8 @@ impl QuantParams {
     }
 }
 
-/// One frozen chunk's quantized representation: `rows * dim` `u8`
-/// codes plus the chunk's [`QuantParams`]. Immutable after training,
-/// shared by `Arc` exactly like the `f32` chunk it mirrors.
+/// One full chunk's quantized representation: `rows * dim` `u8`
+/// codes plus the chunk's [`QuantParams`]. Immutable after training.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantChunk {
     params: QuantParams,
@@ -84,8 +88,7 @@ impl QuantChunk {
     /// `rows * dim` floats, row-major) and encodes every row.
     ///
     /// Deterministic: the same floats always produce the same codes and
-    /// parameters, so a chunk re-frozen during recovery replay carries
-    /// byte-identical quantized state.
+    /// parameters.
     ///
     /// # Panics
     ///
@@ -147,41 +150,9 @@ impl QuantChunk {
         }
     }
 
-    /// Rebuilds a chunk from previously serialized parts (spill-file
-    /// reload). The caller is responsible for `min`/`scale`/`codes`
-    /// coming from a matching [`QuantChunk::encode`] run.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `min` and `scale` lengths differ, are empty, or
-    /// `codes.len()` is not a multiple of the dimension.
-    pub fn from_parts(min: Vec<f32>, scale: Vec<f32>, eps: f32, codes: Vec<u8>) -> QuantChunk {
-        assert!(!min.is_empty(), "zero-dimensional parameters");
-        assert_eq!(min.len(), scale.len(), "min/scale length mismatch");
-        assert_eq!(codes.len() % min.len(), 0, "partial row in codes");
-        QuantChunk {
-            params: QuantParams {
-                min: min.into_boxed_slice(),
-                scale: scale.into_boxed_slice(),
-                eps,
-            },
-            codes: codes.into_boxed_slice(),
-        }
-    }
-
     /// The chunk's decode parameters.
     pub fn params(&self) -> &QuantParams {
         &self.params
-    }
-
-    /// All codes, row-major (`rows * dim` bytes; spill serialization).
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
-    }
-
-    /// Number of encoded rows.
-    pub fn rows(&self) -> usize {
-        self.codes.len() / self.params.dim()
     }
 
     /// The codes of one row within the chunk.
@@ -189,12 +160,6 @@ impl QuantChunk {
     pub fn row_codes(&self, row_in_chunk: usize) -> &[u8] {
         let dim = self.params.dim();
         &self.codes[row_in_chunk * dim..(row_in_chunk + 1) * dim]
-    }
-
-    /// Resident bytes of the compressed representation: the codes plus
-    /// the per-dimension `min`/`scale` sidecar and the `eps` scalar.
-    pub fn resident_bytes(&self) -> usize {
-        self.codes.len() + self.params.dim() * 8 + 4
     }
 }
 
@@ -279,7 +244,6 @@ mod tests {
         let dim = 9;
         let data = rows(300, dim, 7);
         let chunk = QuantChunk::encode(&data, dim);
-        assert_eq!(chunk.rows(), 300);
         let eps = chunk.params().eps();
         assert!(eps > 0.0);
         for r in 0..300 {
@@ -341,19 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn encode_is_deterministic_and_parts_roundtrip() {
+    fn encode_is_deterministic() {
         let dim = 8;
         let data = rows(100, dim, 42);
-        let a = QuantChunk::encode(&data, dim);
-        let b = QuantChunk::encode(&data, dim);
-        assert_eq!(a, b);
-        let rebuilt = QuantChunk::from_parts(
-            a.params().min().to_vec(),
-            a.params().scale().to_vec(),
-            a.params().eps(),
-            a.codes().to_vec(),
+        assert_eq!(
+            QuantChunk::encode(&data, dim),
+            QuantChunk::encode(&data, dim)
         );
-        assert_eq!(a, rebuilt);
     }
 
     #[test]

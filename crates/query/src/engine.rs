@@ -14,7 +14,7 @@
 //! and candidate sets travel as one sorted `Vec<ImageId>` narrowed by
 //! galloping intersection.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tvdp_geo::{BBox, GeoPolygon};
@@ -22,8 +22,8 @@ use tvdp_index::{
     inverted::tokenize, InvertedIndex, LshConfig, LshIndex, OrientedRTree, RTree, TemporalIndex,
     VisualRTree,
 };
-use tvdp_kernel::{l2_sq, RowSource, SlabView};
-use tvdp_storage::{ClassificationId, ImageId, VisualStore};
+use tvdp_kernel::{l2_sq, FeatureSlab, RowSource, SlabView};
+use tvdp_storage::{ClassificationId, FeatureHandle, ImageId, VisualStore};
 use tvdp_vision::FeatureKind;
 
 use crate::plan;
@@ -109,6 +109,7 @@ pub struct QueryEngine {
     /// Dense doc handle -> image id (text/temporal indexes).
     docs: Vec<ImageId>,
     /// Image id -> doc handle (candidate-side lookups; ordered, L2).
+    /// Its key set is the set of indexed images.
     doc_of: BTreeMap<ImageId, usize>,
     /// Per-doc capture/upload timestamps, scene boxes and whether the
     /// row carries an FOV, recorded at index time so per-candidate
@@ -124,8 +125,6 @@ pub struct QueryEngine {
     rows_hi: u32,
     /// Union of all indexed scene boxes (spatial selectivity model).
     extent: Option<BBox>,
-    /// Ordered set (lint rule L2): never leaks hash order into results.
-    indexed: BTreeSet<ImageId>,
 }
 
 impl QueryEngine {
@@ -139,10 +138,31 @@ impl QueryEngine {
     /// from the store are ignored). This is how a shard seals a segment:
     /// a small immutable engine over exactly the rows the segment owns,
     /// sharing the store's feature arena zero-copy like [`QueryEngine::build`].
+    ///
+    /// Indistinguishable from [`QueryEngine::index_image`] over the same
+    /// ids in the same order, but the id list is final, so the hybrid
+    /// tree is built write-once ([`VisualRTree::build`]): entries are
+    /// placed as they are met and each ball is computed once at the
+    /// end, from the arena view queries will read, with no store lock
+    /// held for the pass.
     pub fn build_over(store: Arc<VisualStore>, config: EngineConfig, ids: &[ImageId]) -> Self {
         let mut engine = Self::build_empty(store, config);
+        let mut entries: Vec<(BBox, u32, ImageId)> = Vec::new();
+        let mut dim = None;
         for &id in ids {
-            engine.index_image(id);
+            engine.index_row(id, |_, scene, handle, _| {
+                let first = *dim.get_or_insert(handle.dim);
+                assert_eq!(handle.dim, first, "feature dimension mismatch");
+                entries.push((scene, handle.row, id));
+            });
+        }
+        if let Some(dim) = dim {
+            let view = engine.store.slab_view(
+                engine.config.visual_kind,
+                dim as usize,
+                engine.rows_hi as usize,
+            );
+            engine.hybrid = Some(VisualRTree::build(&*view, entries));
         }
         engine
     }
@@ -168,7 +188,6 @@ impl QueryEngine {
             rows_by_id: BTreeMap::new(),
             rows_hi: 0,
             extent: None,
-            indexed: BTreeSet::new(),
         }
     }
 
@@ -179,18 +198,35 @@ impl QueryEngine {
 
     /// Number of indexed images.
     pub fn len(&self) -> usize {
-        self.indexed.len()
+        self.docs.len()
     }
 
     /// Whether nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.indexed.is_empty()
+        self.docs.is_empty()
     }
 
     /// Indexes one image from the store into every applicable index.
     /// Idempotent per image id; unknown ids are ignored.
     pub fn index_image(&mut self, id: ImageId) {
-        if self.indexed.contains(&id) {
+        self.index_row(id, |engine, scene, handle, slab| {
+            engine
+                .hybrid
+                .get_or_insert_with(|| VisualRTree::new(handle.dim as usize))
+                .insert(slab, scene, handle.row, id);
+        });
+    }
+
+    /// Everything indexing one image does except giving its feature row
+    /// to the hybrid tree, which is `place_visual`'s job (called with the
+    /// row's scene box, arena handle and live slab, under the store's
+    /// read lock, iff the image holds a row of the indexed family).
+    fn index_row(
+        &mut self,
+        id: ImageId,
+        place_visual: impl FnOnce(&mut Self, BBox, FeatureHandle, &FeatureSlab),
+    ) {
+        if self.doc_of.contains_key(&id) {
             return;
         }
         let store = Arc::clone(&self.store);
@@ -200,7 +236,6 @@ impl QueryEngine {
         // of the live slab, keeping only its `u32` row handle.
         store.with_image_row(id, self.config.visual_kind, |record, row| {
             let scene = record.scene_location;
-            self.indexed.insert(id);
             self.scene_tree.insert(scene, id);
             if let Some(fov) = record.meta.fov {
                 self.fov_tree.insert(fov, id);
@@ -221,15 +256,12 @@ impl QueryEngine {
             let Some((handle, slab)) = row else {
                 return;
             };
-            let dim = handle.dim as usize;
-            self.hybrid
-                .get_or_insert_with(|| VisualRTree::new(dim))
-                .insert(slab, scene, handle.row, id);
+            place_visual(self, scene, handle, slab);
             if !self.config.exact_visual {
                 let config = self.config.lsh;
                 self.lsh_ids.push(id);
                 self.lsh
-                    .get_or_insert_with(|| LshIndex::new(dim, config))
+                    .get_or_insert_with(|| LshIndex::new(handle.dim as usize, config))
                     .insert(slab.row(handle.row), handle.row);
             }
             self.rows_by_id.insert(id, handle.row);
@@ -608,7 +640,9 @@ impl QueryEngine {
                 match idx.span() {
                     None => 0.0,
                     Some((lo, hi)) => {
-                        let span = (hi - lo) as f64 + 1.0;
+                        // In `f64`: the two ends of `i64` are valid
+                        // stamps, and their difference is not an `i64`.
+                        let span = hi as f64 - lo as f64 + 1.0;
                         let overlap =
                             ((*to).min(hi) as f64 - (*from).max(lo) as f64 + 1.0).max(0.0);
                         n * (overlap / span).clamp(0.0, 1.0)

@@ -11,8 +11,8 @@ use tvdp_kernel::rng::Rng;
 use tvdp_geo::{BBox, GeoPoint};
 use tvdp_kernel::Pool;
 use tvdp_query::{
-    EngineConfig, Query, QueryError, ShardedEngine, SpatialQuery, TemporalField, TextualMode,
-    VisualMode,
+    EngineConfig, Query, QueryEngine, QueryError, ShardedEngine, SpatialQuery, TemporalField,
+    TextualMode, VisualMode,
 };
 use tvdp_storage::{ImageMeta, ImageOrigin, UserId, VisualStore};
 use tvdp_vision::FeatureKind;
@@ -169,4 +169,47 @@ fn estimate_units_is_deterministic_and_scales_with_corpus() {
             "a 20x corpus must price higher: {q:?}"
         );
     }
+}
+
+/// `data/add` accepts any `i64` capture time, so a segment's temporal
+/// span can be the whole of `i64`: wider than an `i64` can hold. Pricing
+/// a temporal leaf over it must neither overflow (a debug panic) nor
+/// take the wrapped span for an empty one (every row "matches").
+#[test]
+fn temporal_estimate_survives_a_span_wider_than_i64() {
+    let store = VisualStore::new();
+    for captured_at in [i64::MIN, i64::MAX] {
+        let meta = ImageMeta {
+            uploader: UserId(0),
+            gps: GeoPoint::new(34.0, -118.3),
+            fov: None,
+            captured_at,
+            uploaded_at: 0,
+            keywords: Vec::new(),
+        };
+        store.add_image(meta, ImageOrigin::Original, None).unwrap();
+    }
+    let store = Arc::new(store);
+    let captured = |from, to| Query::Temporal {
+        field: TemporalField::Captured,
+        from,
+        to,
+    };
+    let (narrow, whole) = (captured(0, 10), captured(i64::MIN, i64::MAX));
+
+    let single = QueryEngine::build(Arc::clone(&store), EngineConfig::default());
+    assert!(single.estimated_cardinality(&narrow) < 1e-9);
+    assert_eq!(single.estimated_cardinality(&whole), 2.0);
+    assert!(single.try_execute(&narrow).unwrap().is_empty());
+    assert_eq!(single.try_execute(&whole).unwrap().len(), 2);
+
+    // Seal cap 2: both rows sit in one sealed segment, the tail is
+    // empty. One unit for the query, one for the segment, then the
+    // segment's estimated rows.
+    let sharded = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), 2);
+    assert_eq!(sharded.estimate_query_units(&narrow), 2);
+    assert_eq!(sharded.estimate_query_units(&whole), 4);
+    // The conjunction planner prices the same leaf to pick its driver.
+    let both = Query::And(vec![narrow, whole]);
+    assert!(sharded.try_execute(&both).unwrap().is_empty());
 }

@@ -344,6 +344,62 @@ fn incremental_indexing_picks_up_new_images() {
     assert_eq!(engine.len(), before + 1);
 }
 
+/// `build_over` places a segment's hybrid-tree entries and computes each
+/// ball once; `index_image` re-summarises the insert path row by row.
+/// The two engines must be indistinguishable: scores to the bit, and
+/// the estimates admission prices queries by.
+#[test]
+fn a_built_engine_equals_one_indexed_row_by_row() {
+    let store = build_store(700, 23);
+    let built = QueryEngine::build(Arc::clone(&store), Default::default());
+    let mut grown = QueryEngine::build_over(Arc::clone(&store), Default::default(), &[]);
+    assert!(grown.is_empty());
+    for id in store.image_ids() {
+        grown.index_image(id);
+    }
+    assert_eq!(built.len(), 700);
+    assert_eq!(grown.len(), 700);
+    let region = BBox::new(34.01, -118.29, 34.04, -118.26);
+    let mut rng = Rng::seed_from_u64(5);
+    for _ in 0..20 {
+        let example: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-0.5..4.5)).collect();
+        let visual = |mode| Query::Visual {
+            example: example.clone(),
+            kind: FeatureKind::Cnn,
+            mode,
+        };
+        let queries = [
+            visual(VisualMode::TopK(10)),
+            visual(VisualMode::Threshold(1.0)),
+            Query::And(vec![
+                Query::Spatial(SpatialQuery::Range(region)),
+                visual(VisualMode::TopK(10)),
+            ]),
+            Query::And(vec![
+                Query::Temporal {
+                    field: TemporalField::Captured,
+                    from: 2_000,
+                    to: 6_000,
+                },
+                visual(VisualMode::Threshold(1.5)),
+            ]),
+        ];
+        for q in &queries {
+            let bits = |engine: &QueryEngine| -> Vec<(u64, u64)> {
+                run(engine, q)
+                    .iter()
+                    .map(|r| (r.image.raw(), r.score.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&built), bits(&grown), "{q:?}");
+            assert_eq!(
+                built.estimated_cardinality(q).to_bits(),
+                grown.estimated_cardinality(q).to_bits()
+            );
+        }
+    }
+}
+
 #[test]
 fn or_union_agrees_and_keeps_best_score() {
     let q = Query::Or(vec![

@@ -895,8 +895,8 @@ impl DurableStore {
         let stats = Arc::clone(&self.spill_stats);
         let result = self
             .store
-            .spill_cold_chunks(keep_hot, |kind, dim, chunk, data, quant| {
-                spill::write_spill(&dir, kind, dim, chunk, data, Some(quant), &stats)?;
+            .spill_cold_chunks(keep_hot, |kind, dim, chunk, data| {
+                spill::write_spill(&dir, kind, dim, chunk, data, &stats)?;
                 Ok::<_, DurableError>(Arc::new(spill::DiskChunkLoader::new(
                     dir.clone(),
                     kind,
@@ -1591,6 +1591,8 @@ mod tests {
             "one cold chunk of 2-d f32 rows"
         );
         assert_eq!(ds.spill_stats().chunks_spilled(), 1);
+        // What was written is what was released: floats, nothing else.
+        assert_eq!(ds.spill_stats().bytes_spilled(), report.bytes_spilled);
         // Reads still see every row, bit-exact, via transparent reload.
         for (i, img) in imgs.iter().enumerate() {
             assert_eq!(

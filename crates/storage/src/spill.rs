@@ -17,17 +17,12 @@
 //! `spill-*` files (including `.tmp` stragglers) are crash debris and
 //! are swept.
 //!
-//! Format (v1, unquantized chunk): one ASCII header line
-//! `tvdp-spill <floats> <crc32>\n` followed by the floats as
-//! little-endian `f32` bytes. When the chunk carries a quantized mirror
-//! the header gains two fields — `tvdp-spill <floats> <crc32> <codes>
-//! <dim>\n` — and the body appends the quantization block after the
-//! floats: per-dimension minima (`dim` LE `f32`), per-dimension scales
-//! (`dim` LE `f32`), the decode-error radius `eps` (one LE `f32`), then
-//! the `u8` codes. The CRC always covers the **whole** body, so codes
-//! spill in the same CRC frame as their chunk and a torn or bit-flipped
-//! spill is detected on reload rather than silently corrupting query
-//! results.
+//! Format: one ASCII header line `tvdp-spill <floats> <crc32>\n`
+//! followed by the floats as little-endian `f32` bytes, which is the
+//! whole body the CRC covers: a torn or bit-flipped spill is detected
+//! on reload rather than silently corrupting query results. Any other
+//! header field count is a malformed header (files written before
+//! PR 23 had five: they also carried quantized codes).
 //!
 //! Failures surface as typed [`SpillError`]s carrying the offending
 //! path (plus the claimed/actual CRC on checksum mismatches), so a
@@ -40,7 +35,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tvdp_kernel::quant::QuantChunk;
 use tvdp_kernel::ChunkLoader;
 use tvdp_vision::FeatureKind;
 
@@ -211,19 +205,17 @@ impl SpillStats {
     }
 }
 
-/// Writes one chunk's floats — and, when present, its quantized mirror
-/// — to its spill file with the staged-rename protocol and returns the
-/// body bytes written. If the file already exists (a re-spill of a
-/// previously reloaded chunk) nothing is written — chunks are
-/// write-once, so the existing copy is current — and `Ok(0)` is
-/// returned.
+/// Writes one chunk's floats to its spill file with the staged-rename
+/// protocol and returns the body bytes written. If the file already
+/// exists (a re-spill of a previously reloaded chunk) nothing is
+/// written — chunks are write-once, so the existing copy is current —
+/// and `Ok(0)` is returned.
 pub fn write_spill(
     dir: &Path,
     kind: FeatureKind,
     dim: u32,
     chunk: usize,
     data: &[f32],
-    quant: Option<&QuantChunk>,
     stats: &SpillStats,
 ) -> Result<u64, SpillError> {
     let path = spill_path(dir, kind, dim, chunk);
@@ -232,24 +224,7 @@ pub fn write_spill(
     }
     let mut body = Vec::new();
     le::put_f32s(&mut body, data);
-    if let Some(q) = quant {
-        let p = q.params();
-        le::put_f32s(&mut body, p.min());
-        le::put_f32s(&mut body, p.scale());
-        le::put_f32s(&mut body, &[p.eps()]);
-        body.extend_from_slice(q.codes());
-    }
-    let mut contents = match quant {
-        None => format!("tvdp-spill {} {:08x}\n", data.len(), crc32(&body)),
-        Some(q) => format!(
-            "tvdp-spill {} {:08x} {} {}\n",
-            data.len(),
-            crc32(&body),
-            q.codes().len(),
-            q.params().dim(),
-        ),
-    }
-    .into_bytes();
+    let mut contents = format!("tvdp-spill {} {:08x}\n", data.len(), crc32(&body)).into_bytes();
     contents.extend_from_slice(&body);
     let tmp = path.with_file_name(format!("spill-{}-{dim}-{chunk}.bin.tmp", kind_tag(kind)));
     let io = |at: &Path| {
@@ -273,18 +248,9 @@ pub fn write_spill(
     Ok(body.len() as u64)
 }
 
-/// What a spill file holds: the chunk's floats plus its quantized
-/// mirror when one was spilled alongside them.
-#[derive(Debug)]
-pub struct SpillPayload {
-    /// The frozen chunk's row data, bit-exact.
-    pub floats: Vec<f32>,
-    /// The chunk's quantized mirror (v2 files only).
-    pub quant: Option<QuantChunk>,
-}
-
-/// Reads a spill file back, verifying the header and CRC.
-pub fn read_spill(path: &Path, expect_floats: usize) -> Result<SpillPayload, SpillError> {
+/// Reads a spill file's floats back, bit-exact, verifying the header
+/// and CRC.
+pub fn read_spill(path: &Path, expect_floats: usize) -> Result<Vec<f32>, SpillError> {
     let contents = std::fs::read(path).map_err(|source| SpillError::Io {
         path: path.to_path_buf(),
         source,
@@ -306,26 +272,14 @@ pub fn read_spill(path: &Path, expect_floats: usize) -> Result<SpillPayload, Spi
     if fields.first().copied() != Some("tvdp-spill") {
         return Err(err_at("bad magic"));
     }
-    // v1 = magic + floats + crc; v2 adds codes + dim.
-    if fields.len() != 3 && fields.len() != 5 {
+    if fields.len() != 3 {
         return Err(err_at("wrong field count"));
     }
     let floats: usize = fields[1].parse().map_err(|_| err_at("bad float count"))?;
     let crc_claimed =
         u32::from_str_radix(fields[2], 16).map_err(|_| err_at("bad checksum field"))?;
-    let quant_geometry = if fields.len() == 5 {
-        let codes: usize = fields[3].parse().map_err(|_| err_at("bad code count"))?;
-        let qdim: usize = fields[4].parse().map_err(|_| err_at("bad code dim"))?;
-        if qdim == 0 || !codes.is_multiple_of(qdim) {
-            return Err(err_at("code count not a multiple of dim"));
-        }
-        Some((codes, qdim))
-    } else {
-        None
-    };
     let body = &contents[nl + 1..];
-    let quant_bytes = quant_geometry.map_or(0, |(codes, qdim)| qdim * 8 + 4 + codes);
-    if floats != expect_floats || body.len() != floats * 4 + quant_bytes {
+    if floats != expect_floats || body.len() != floats * 4 {
         return Err(SpillError::LengthMismatch {
             path: path.to_path_buf(),
             expected_floats: expect_floats,
@@ -341,20 +295,7 @@ pub fn read_spill(path: &Path, expect_floats: usize) -> Result<SpillPayload, Spi
             actual,
         });
     }
-    let quant = quant_geometry.map(|(codes, qdim)| {
-        let mut at = floats * 4;
-        let min = le::f32s(&body[at..at + qdim * 4]);
-        at += qdim * 4;
-        let scale = le::f32s(&body[at..at + qdim * 4]);
-        at += qdim * 4;
-        let eps = f32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
-        at += 4;
-        QuantChunk::from_parts(min, scale, eps, body[at..at + codes].to_vec())
-    });
-    Ok(SpillPayload {
-        floats: le::f32s(&body[..floats * 4]),
-        quant,
-    })
+    Ok(le::f32s(body))
 }
 
 /// [`ChunkLoader`] that reloads spilled chunks from a durable store
@@ -391,7 +332,7 @@ impl ChunkLoader for DiskChunkLoader {
     fn load(&self, index: usize) -> Arc<[f32]> {
         let path = spill_path(&self.dir, self.kind, self.dim, index);
         let data = match read_spill(&path, self.floats_per_chunk) {
-            Ok(payload) => payload.floats,
+            Ok(floats) => floats,
             Err(m) => {
                 // tvdp-lint: allow(no_panic, reason = "a spilled chunk that cannot be reloaded is unrecoverable data corruption under the arena's infallible RowSource contract; aborting beats serving wrong feature vectors")
                 panic!("spill reload failed: {m}");
@@ -424,75 +365,46 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let stats = SpillStats::default();
         let data: Vec<f32> = (0..512).map(|i| (i as f32).sin()).collect();
-        let written = write_spill(&dir, FeatureKind::Cnn, 8, 3, &data, None, &stats).unwrap();
+        let written = write_spill(&dir, FeatureKind::Cnn, 8, 3, &data, &stats).unwrap();
         assert_eq!(written, 512 * 4);
         assert_eq!(stats.chunks_spilled(), 1);
         let back = read_spill(&spill_path(&dir, FeatureKind::Cnn, 8, 3), 512).unwrap();
         assert_eq!(
-            back.floats.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        assert!(back.quant.is_none());
+        // The counter is the float bytes, nothing else rides along.
+        assert_eq!(stats.bytes_spilled(), 512 * 4);
         // Re-spill of an existing file is a no-op.
         assert_eq!(
-            write_spill(&dir, FeatureKind::Cnn, 8, 3, &data, None, &stats).unwrap(),
+            write_spill(&dir, FeatureKind::Cnn, 8, 3, &data, &stats).unwrap(),
             0
         );
         assert_eq!(stats.chunks_spilled(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The header of the files that also carried quantized codes (two
+    /// more fields, a longer body) is not a format the reader knows,
+    /// even when its CRC and lengths are self-consistent.
     #[test]
-    fn quantized_spill_roundtrips_codes_in_same_frame() {
-        let dir = temp_dir("quant-roundtrip");
-        let stats = SpillStats::default();
-        let dim = 8usize;
-        let data: Vec<f32> = (0..64 * dim).map(|i| (i as f32 * 0.37).cos()).collect();
-        let quant = QuantChunk::encode(&data, dim);
-        let written = write_spill(
-            &dir,
-            FeatureKind::Cnn,
-            dim as u32,
-            0,
-            &data,
-            Some(&quant),
-            &stats,
-        )
-        .unwrap();
-        // Body = floats + min + scale + eps + codes, all CRC-framed together.
-        assert_eq!(written as usize, data.len() * 4 + dim * 8 + 4 + data.len());
-        let back = read_spill(
-            &spill_path(&dir, FeatureKind::Cnn, dim as u32, 0),
-            data.len(),
-        )
-        .unwrap();
-        assert_eq!(
-            back.floats.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        let q = back.quant.expect("quant section");
-        assert_eq!(q.codes(), quant.codes());
-        assert_eq!(q.params().eps().to_bits(), quant.params().eps().to_bits());
-        for d in 0..dim {
-            assert_eq!(
-                q.params().min()[d].to_bits(),
-                quant.params().min()[d].to_bits()
-            );
-            assert_eq!(
-                q.params().scale()[d].to_bits(),
-                quant.params().scale()[d].to_bits()
-            );
+    fn five_field_header_is_malformed() {
+        let dir = temp_dir("five-field");
+        let data = [0.25f32, -1.5, 3.0, 8.0];
+        let mut body = Vec::new();
+        le::put_f32s(&mut body, &data);
+        body.extend_from_slice(&[0u8; 2 * 8 + 4 + 4]);
+        let path = dir.join("spill-cnn-2-0.bin");
+        let mut contents = format!("tvdp-spill 4 {:08x} 4 2\n", crc32(&body)).into_bytes();
+        contents.extend_from_slice(&body);
+        std::fs::write(&path, &contents).unwrap();
+        match read_spill(&path, 4).unwrap_err() {
+            SpillError::MalformedHeader { path: p, detail } => {
+                assert_eq!(p, path);
+                assert_eq!(detail, "wrong field count");
+            }
+            other => panic!("expected malformed header, got {other:?}"),
         }
-        // A flipped bit anywhere in the quant section trips the shared CRC.
-        let path = spill_path(&dir, FeatureKind::Cnn, dim as u32, 0);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1; // last code byte
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_spill(&path, data.len()),
-            Err(SpillError::ChecksumMismatch { .. })
-        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -501,7 +413,7 @@ mod tests {
         let dir = temp_dir("loader");
         let stats = Arc::new(SpillStats::default());
         let data: Vec<f32> = (0..64).map(|i| i as f32 * 0.5).collect();
-        write_spill(&dir, FeatureKind::SiftBow, 4, 0, &data, None, &stats).unwrap();
+        write_spill(&dir, FeatureKind::SiftBow, 4, 0, &data, &stats).unwrap();
         let loader = DiskChunkLoader::new(dir.clone(), FeatureKind::SiftBow, 4, 64, stats.clone());
         let back = loader.load(0);
         assert_eq!(&back[..], &data[..]);
@@ -515,16 +427,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let stats = SpillStats::default();
         let data = vec![1.0f32; 16];
-        write_spill(
-            &dir,
-            FeatureKind::ColorHistogram,
-            16,
-            1,
-            &data,
-            None,
-            &stats,
-        )
-        .unwrap();
+        write_spill(&dir, FeatureKind::ColorHistogram, 16, 1, &data, &stats).unwrap();
         let path = spill_path(&dir, FeatureKind::ColorHistogram, 16, 1);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;

@@ -826,18 +826,6 @@ impl VisualStore {
         fresh
     }
 
-    /// Total resident bytes of trained quantized codes (plus their
-    /// decode-parameter sidecars) across every feature family's arena —
-    /// the compressed-scan working set this store keeps in memory.
-    pub fn quant_code_bytes(&self) -> usize {
-        self.inner
-            .read()
-            .slabs
-            .values()
-            .map(FeatureSlab::quant_code_bytes)
-            .sum()
-    }
-
     /// Number of arena rows in the `(kind, dim)` slab (monotonic; used
     /// to detect stale views cheaply).
     pub fn slab_rows(&self, kind: FeatureKind, dim: usize) -> usize {
@@ -872,15 +860,12 @@ impl VisualStore {
     }
 
     /// Spills cold feature-arena chunks: every frozen chunk except the
-    /// newest `keep_hot` per slab is handed to `spill` along with its
-    /// quantized mirror; the callback must durably persist the floats
-    /// (and codes) and return the
-    /// [`ChunkLoader`](tvdp_kernel::ChunkLoader) that reloads the
-    /// floats; the resident float memory is then released. The
-    /// quantized codes stay resident — they are the compressed scan's
-    /// working set — and spill only as a durable copy inside the same
-    /// CRC frame. Chunks already spilled and not since reloaded are
-    /// skipped. Returns `(chunks, float_bytes)` released from memory.
+    /// newest `keep_hot` per slab is handed to `spill`; the callback
+    /// must durably persist the floats and return the
+    /// [`ChunkLoader`](tvdp_kernel::ChunkLoader) that reloads them; the
+    /// resident float memory is then released. Chunks already spilled
+    /// and not since reloaded are skipped. Returns `(chunks,
+    /// float_bytes)` released from memory.
     /// Deterministic: slabs iterate in `(kind, dim)` order, chunks
     /// oldest-first. The cached [`VisualStore::slab_view`]s are dropped
     /// with the chunks, so a spilled chunk stays resident only while a
@@ -893,7 +878,6 @@ impl VisualStore {
             u32,
             usize,
             &[f32],
-            &tvdp_kernel::quant::QuantChunk,
         ) -> Result<Arc<dyn tvdp_kernel::ChunkLoader>, E>,
     ) -> Result<(usize, u64), E> {
         let mut t = self.inner.write();
@@ -908,12 +892,11 @@ impl VisualStore {
                 if !slab.chunk_in_memory(c) {
                     continue;
                 }
-                let quant = Arc::clone(slab.chunk_quant(c));
-                let loader = spill(kind, dim, c, slab.chunk_data(c), &quant)?;
-                let floats = slab.chunk_data(c).len() as u64;
+                let data = slab.chunk_data(c);
+                let loader = spill(kind, dim, c, data)?;
+                bytes += data.len() as u64 * 4;
                 slab.spill_frozen(c, loader);
                 chunks += 1;
-                bytes += floats * 4;
             }
         }
         Ok((chunks, bytes))

@@ -757,15 +757,10 @@ fn spill_file_killed_at_every_offset_never_reads_back_wrong() {
     std::fs::create_dir_all(&dir).unwrap();
     let data: Vec<f32> = (0..64).map(|i| (i as f32) * 0.5 - 7.0).collect();
     let stats = SpillStats::default();
-    // Quantized (v2) layout: codes ride in the same CRC frame, so the
-    // torture covers the larger format.
-    let quant = tvdp_kernel::quant::QuantChunk::encode(&data, 2);
-    write_spill(&dir, FeatureKind::Cnn, 2, 0, &data, Some(&quant), &stats).unwrap();
+    write_spill(&dir, FeatureKind::Cnn, 2, 0, &data, &stats).unwrap();
     let path = spill_path(&dir, FeatureKind::Cnn, 2, 0);
     let full = std::fs::read(&path).unwrap();
-    let payload = read_spill(&path, data.len()).unwrap();
-    assert_eq!(payload.floats, data);
-    assert_eq!(payload.quant.unwrap().codes(), quant.codes());
+    assert_eq!(read_spill(&path, data.len()).unwrap(), data);
 
     let torn = dir.join("torn.bin");
     for cut in 0..full.len() {
@@ -773,6 +768,16 @@ fn spill_file_killed_at_every_offset_never_reads_back_wrong() {
         assert!(
             read_spill(&torn, data.len()).is_err(),
             "prefix of {cut} byte(s) must not pass validation"
+        );
+    }
+    // Nor may the full length with one bit flipped, header or body.
+    for at in 0..full.len() {
+        let mut flipped = full.clone();
+        flipped[at] ^= 0x10;
+        std::fs::write(&torn, &flipped).unwrap();
+        assert!(
+            read_spill(&torn, data.len()).is_err(),
+            "a flipped bit in byte {at} must not pass validation"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
