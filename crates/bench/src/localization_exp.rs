@@ -100,7 +100,6 @@ pub fn run_localization(config: &LocalizationConfig) -> LocalizationResult {
         Arc::clone(&store),
         EngineConfig {
             visual_kind: FeatureKind::ColorHistogram,
-            ..Default::default()
         },
     );
 

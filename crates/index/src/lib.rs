@@ -20,6 +20,10 @@
 //!   Alfarrarjeh et al. (ACM MM Workshops 2017, ref \[28\]): an R-tree whose
 //!   nodes carry feature-space summaries so one traversal prunes in both
 //!   spaces at once.
+//!
+//! The three trees are one R*-tree body ([`rtree`]'s crate-private
+//! `Tree`) under three per-node summaries: none, viewing arcs, feature
+//! balls.
 
 pub mod hybrid;
 pub mod inverted;

@@ -6,11 +6,12 @@
 //! the oriented R-tree stores, alongside the spatial MBR, the union of the
 //! viewing-direction arcs of all FOVs beneath it; a directional query can
 //! then discard whole subtrees whose direction summary misses the query
-//! arc.
+//! arc. The tree itself is [`crate::rtree`]'s shared body; this file is
+//! the entry, the arc summary and the prune test.
 
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
 
-use crate::rtree::{choose_subtree, split_entries, HasBBox, NODE_MAX};
+use crate::rtree::{HasBBox, Node, Tree};
 
 /// A leaf entry: scene-location box, the FOV itself, and the payload.
 #[derive(Debug, Clone)]
@@ -20,193 +21,95 @@ struct Entry<T> {
     value: T,
 }
 
+impl<T> Entry<T> {
+    /// Keyed by the FOV's scene location.
+    fn new(fov: Fov, value: T) -> Self {
+        Entry {
+            bbox: fov.scene_location(),
+            fov,
+            value,
+        }
+    }
+}
+
 impl<T> HasBBox for Entry<T> {
     fn bbox(&self) -> BBox {
         self.bbox
     }
 }
 
-#[derive(Debug, Clone)]
-struct Child<T> {
-    bbox: BBox,
-    dirs: AngularRange,
-    node: Box<Node<T>>,
+/// The smallest arc covering a non-empty run of arcs, folded in order.
+fn union_of(arcs: impl Iterator<Item = AngularRange>) -> AngularRange {
+    let union = arcs.reduce(|all, arc| all.union(&arc));
+    // tvdp-lint: allow(no_panic, reason = "OR-tree structural invariant: the node touched here is non-empty by construction")
+    union.expect("non-empty node")
 }
 
-impl<T> HasBBox for Child<T> {
-    fn bbox(&self) -> BBox {
-        self.bbox
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Node<T> {
-    Leaf { entries: Vec<Entry<T>> },
-    Internal { children: Vec<Child<T>> },
-}
-
-impl<T> Node<T> {
-    fn summary(&self) -> Option<(BBox, AngularRange)> {
-        match self {
-            Node::Leaf { entries } => {
-                let first = entries.first()?;
-                let mut bbox = first.bbox;
-                let mut dirs = first.fov.direction_range();
-                for e in &entries[1..] {
-                    bbox = bbox.union(&e.bbox);
-                    dirs = dirs.union(&e.fov.direction_range());
-                }
-                Some((bbox, dirs))
-            }
-            Node::Internal { children } => {
-                let first = children.first()?;
-                let mut bbox = first.bbox;
-                let mut dirs = first.dirs;
-                for c in &children[1..] {
-                    bbox = bbox.union(&c.bbox);
-                    dirs = dirs.union(&c.dirs);
-                }
-                Some((bbox, dirs))
-            }
-        }
+/// The union of the viewing arcs beneath a node: of its FOVs' (a leaf)
+/// or of its children's summaries, in child order.
+fn dirs_of<T>(node: &Node<Entry<T>, AngularRange>) -> AngularRange {
+    match node {
+        Node::Leaf(entries) => union_of(entries.iter().map(|e| e.fov.direction_range())),
+        Node::Internal(children) => union_of(children.iter().map(|c| c.summary)),
     }
 }
 
 /// An R-tree over FOVs with per-node viewing-direction summaries.
 #[derive(Debug, Clone)]
 pub struct OrientedRTree<T> {
-    root: Node<T>,
-    len: usize,
+    tree: Tree<Entry<T>, AngularRange>,
 }
 
-impl<T: Clone> Default for OrientedRTree<T> {
+impl<T> Default for OrientedRTree<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Clone> OrientedRTree<T> {
+impl<T> OrientedRTree<T> {
     /// An empty tree.
     pub fn new() -> Self {
+        Self { tree: Tree::new() }
+    }
+
+    /// The tree over `fovs`, bit-identical to [`OrientedRTree::insert`]ing
+    /// them one by one, with each node's arc computed once.
+    pub fn build(fovs: impl IntoIterator<Item = (Fov, T)>) -> Self {
+        let entries = fovs.into_iter().map(|(fov, value)| Entry::new(fov, value));
         Self {
-            root: Node::Leaf {
-                entries: Vec::new(),
-            },
-            len: 0,
+            tree: Tree::build(entries, AngularRange::FULL, &dirs_of),
         }
     }
 
     /// Number of stored FOVs.
     pub fn len(&self) -> usize {
-        self.len
+        self.tree.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Inserts an FOV with payload; the spatial key is the FOV's scene
     /// location.
     pub fn insert(&mut self, fov: Fov, value: T) {
-        self.len += 1;
-        let entry = Entry {
-            bbox: fov.scene_location(),
-            fov,
-            value,
-        };
-        if let Some((left, right)) = Self::insert_rec(&mut self.root, entry) {
-            let mk_child = |n: Node<T>| {
-                // tvdp-lint: allow(no_panic, reason = "OR-tree structural invariant: the node touched here is non-empty by construction")
-                let (bbox, dirs) = n.summary().expect("split node non-empty");
-                Child {
-                    bbox,
-                    dirs,
-                    node: Box::new(n),
-                }
-            };
-            self.root = Node::Internal {
-                children: vec![mk_child(left), mk_child(right)],
-            };
-        }
-    }
-
-    fn insert_rec(node: &mut Node<T>, entry: Entry<T>) -> Option<(Node<T>, Node<T>)> {
-        match node {
-            Node::Leaf { entries } => {
-                entries.push(entry);
-                if entries.len() > NODE_MAX {
-                    let (a, b) = split_entries(std::mem::take(entries));
-                    return Some((Node::Leaf { entries: a }, Node::Leaf { entries: b }));
-                }
-                None
-            }
-            Node::Internal { children } => {
-                let idx = choose_subtree(children, &entry.bbox);
-                match Self::insert_rec(&mut children[idx].node, entry) {
-                    None => {
-                        // tvdp-lint: allow(no_panic, reason = "OR-tree structural invariant: the node touched here is non-empty by construction")
-                        let (bbox, dirs) = children[idx].node.summary().expect("child non-empty");
-                        children[idx].bbox = bbox;
-                        children[idx].dirs = dirs;
-                    }
-                    Some((left, right)) => {
-                        let mk_child = |n: Node<T>| {
-                            // tvdp-lint: allow(no_panic, reason = "OR-tree structural invariant: the node touched here is non-empty by construction")
-                            let (bbox, dirs) = n.summary().expect("split node non-empty");
-                            Child {
-                                bbox,
-                                dirs,
-                                node: Box::new(n),
-                            }
-                        };
-                        children[idx] = mk_child(left);
-                        children.push(mk_child(right));
-                        if children.len() > NODE_MAX {
-                            let (a, b) = split_entries(std::mem::take(children));
-                            return Some((
-                                Node::Internal { children: a },
-                                Node::Internal { children: b },
-                            ));
-                        }
-                    }
-                }
-                None
-            }
-        }
+        self.tree.insert(Entry::new(fov, value), &dirs_of);
     }
 
     /// FOVs whose scene location intersects `region` and whose viewing
     /// direction overlaps `directions`. Pass [`AngularRange::FULL`] for a
     /// purely spatial query.
     pub fn range_directed(&self, region: &BBox, directions: &AngularRange) -> Vec<(&Fov, &T)> {
+        let admits =
+            |bbox: &BBox, dirs: &AngularRange| bbox.intersects(region) && dirs.overlaps(directions);
         let mut out = Vec::new();
-        Self::query_rec(&self.root, region, directions, &mut out);
+        self.tree.visit(&admits, &mut |e| {
+            if admits(&e.bbox, &e.fov.direction_range()) {
+                out.push((&e.fov, &e.value));
+            }
+        });
         out
-    }
-
-    fn query_rec<'a>(
-        node: &'a Node<T>,
-        region: &BBox,
-        directions: &AngularRange,
-        out: &mut Vec<(&'a Fov, &'a T)>,
-    ) {
-        match node {
-            Node::Leaf { entries } => {
-                for e in entries {
-                    if e.bbox.intersects(region) && e.fov.direction_range().overlaps(directions) {
-                        out.push((&e.fov, &e.value));
-                    }
-                }
-            }
-            Node::Internal { children } => {
-                for c in children {
-                    if c.bbox.intersects(region) && c.dirs.overlaps(directions) {
-                        Self::query_rec(&c.node, region, directions, out);
-                    }
-                }
-            }
-        }
     }
 
     /// FOVs that actually *see* point `p` (exact sector test after index
@@ -224,27 +127,40 @@ impl<T: Clone> OrientedRTree<T> {
             .collect()
     }
 
-    /// Verifies per-node summaries cover their subtrees (test helper).
+    /// Verifies the shared structure (`Tree::check_invariants`) and
+    /// that every stored arc covers the arcs beneath it (test helper).
     pub fn check_invariants(&self) {
-        fn walk<T>(node: &Node<T>) {
-            if let Node::Internal { children } = node {
-                for c in children {
-                    // tvdp-lint: allow(no_panic, reason = "OR-tree structural invariant: the node touched here is non-empty by construction")
-                    let (bbox, dirs) = c.node.summary().expect("child non-empty");
-                    assert!(c.bbox.contains_bbox(&bbox), "bbox summary too small");
-                    // Every direction covered below must be inside the
-                    // stored summary: test a dense sample.
-                    for step in 0..72 {
-                        let deg = step as f64 * 5.0;
-                        if dirs.contains(deg) {
-                            assert!(c.dirs.contains(deg), "direction summary misses {deg}");
-                        }
-                    }
-                    walk(&c.node);
+        self.tree.check_invariants(&|slot| {
+            // Every direction covered below must be inside the stored
+            // summary: test a dense sample.
+            let below = dirs_of(&slot.node);
+            for step in 0..72 {
+                let deg = step as f64 * 5.0;
+                if below.contains(deg) {
+                    assert!(slot.summary.contains(deg), "direction summary misses {deg}");
                 }
             }
-        }
-        walk(&self.root);
+        });
+    }
+
+    #[cfg(test)]
+    pub(crate) fn shape(&self) -> Vec<crate::rtree::Part>
+    where
+        T: Copy + TryInto<u64>,
+    {
+        let arc = |dirs: &AngularRange| vec![dirs.start().to_bits(), dirs.width().to_bits()];
+        self.tree.shape(&arc, &|e| {
+            let fov = [
+                e.fov.camera.lat,
+                e.fov.camera.lon,
+                e.fov.heading_deg,
+                e.fov.angle_deg,
+                e.fov.radius_m,
+            ];
+            let mut bits = fov.map(f64::to_bits).to_vec();
+            bits.push(crate::rtree::payload_bits(&e.value));
+            bits
+        })
     }
 }
 

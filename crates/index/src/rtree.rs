@@ -1,9 +1,18 @@
-//! An R*-style spatial tree over geographic bounding boxes.
+//! R*-style trees over geographic bounding boxes: the plain spatial
+//! [`RTree`], and the one tree body it shares with the oriented and the
+//! hybrid tree.
 //!
-//! Supports rectangle insertion, range queries, point queries, and
-//! best-first k-nearest-neighbour search. Splits use the R* axis/margin
-//! heuristics (Beckmann et al.) without forced reinsertion, which keeps
-//! the structure simple while preserving good query fan-out.
+//! All three are "an R-tree whose child slots carry one extra summary
+//! `S`": nothing here, the union of viewing arcs in
+//! [`crate::oriented`], a feature-space ball in [`crate::hybrid`]. The
+//! body (`Tree`) is written once over an entry type and `S`: the
+//! insert descent with the R* axis/margin split (Beckmann et al.,
+//! without forced reinsertion) and root growth, the write-once
+//! `Tree::build`, one pruned descent, one best-first search and one
+//! structural invariant walk. Where an entry lands depends on boxes
+//! alone, so a tree never reads a summary to place one; an owner says
+//! how a summary is computed from a node and which ones a query prunes
+//! on.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -14,26 +23,351 @@ use tvdp_kernel::TotalF64;
 const MAX_ENTRIES: usize = 16;
 const MIN_ENTRIES: usize = 6;
 
-#[derive(Debug, Clone)]
-enum Node<T> {
-    Leaf { entries: Vec<(BBox, T)> },
-    Internal { children: Vec<(BBox, Box<Node<T>>)> },
+/// Anything carrying a bounding box: leaf entries and child slots.
+pub(crate) trait HasBBox {
+    fn bbox(&self) -> BBox;
 }
 
-impl<T> Node<T> {
-    fn mbr(&self) -> Option<BBox> {
+impl<T> HasBBox for (BBox, T) {
+    fn bbox(&self) -> BBox {
+        self.0
+    }
+}
+
+/// A child slot: the box around everything beneath `node` and the
+/// owner's summary of it.
+#[derive(Debug, Clone)]
+pub(crate) struct Child<E, S> {
+    pub(crate) bbox: BBox,
+    pub(crate) summary: S,
+    pub(crate) node: Box<Node<E, S>>,
+}
+
+impl<E, S> HasBBox for Child<E, S> {
+    fn bbox(&self) -> BBox {
+        self.bbox
+    }
+}
+
+impl<E: HasBBox, S> Child<E, S> {
+    /// The slot holding `node`, boxed from its contents and summarised
+    /// by `summary_of`.
+    fn over(node: Node<E, S>, summary_of: &impl Fn(&Node<E, S>) -> S) -> Self {
+        Child {
+            bbox: node.mbr(),
+            summary: summary_of(&node),
+            node: Box::new(node),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+pub(crate) enum Node<E, S> {
+    Leaf(Vec<E>),
+    Internal(Vec<Child<E, S>>),
+}
+
+impl<E: HasBBox, S> Node<E, S> {
+    /// The box around the node's immediate children/entries. The node
+    /// must be non-empty.
+    fn mbr(&self) -> BBox {
         match self {
-            Node::Leaf { entries } => {
-                let mut it = entries.iter().map(|(b, _)| *b);
-                let first = it.next()?;
-                Some(it.fold(first, |acc, b| acc.union(&b)))
+            Node::Leaf(entries) => mbr_of(entries),
+            Node::Internal(children) => mbr_of(children),
+        }
+    }
+
+    /// How many entries (a leaf) or children the node holds.
+    fn fill(&self) -> usize {
+        match self {
+            Node::Leaf(entries) => entries.len(),
+            Node::Internal(children) => children.len(),
+        }
+    }
+
+    /// The spatial half of an insert: descends by box, splits what
+    /// overflows and re-boxes the touched path. It never reads a
+    /// summary; the slots it touches get theirs from `summary_of`.
+    fn place(&mut self, entry: E, summary_of: &impl Fn(&Self) -> S) -> Option<(Self, Self)> {
+        match self {
+            Node::Leaf(entries) => {
+                entries.push(entry);
+                if entries.len() > MAX_ENTRIES {
+                    let (a, b) = split_entries(std::mem::take(entries));
+                    return Some((Node::Leaf(a), Node::Leaf(b)));
+                }
             }
-            Node::Internal { children } => {
-                let mut it = children.iter().map(|(b, _)| *b);
-                let first = it.next()?;
-                Some(it.fold(first, |acc, b| acc.union(&b)))
+            Node::Internal(children) => {
+                let idx = choose_subtree(children, &entry.bbox());
+                match children[idx].node.place(entry, summary_of) {
+                    None => {
+                        let touched = &mut children[idx];
+                        touched.bbox = touched.node.mbr();
+                        touched.summary = summary_of(&touched.node);
+                    }
+                    Some((left, right)) => {
+                        children[idx] = Child::over(left, summary_of);
+                        children.push(Child::over(right, summary_of));
+                        if children.len() > MAX_ENTRIES {
+                            let (a, b) = split_entries(std::mem::take(children));
+                            return Some((Node::Internal(a), Node::Internal(b)));
+                        }
+                    }
+                }
             }
         }
+        None
+    }
+
+    /// Gives every child slot beneath this node its summary, leaves
+    /// first.
+    fn summarise(&mut self, summary_of: &impl Fn(&Self) -> S) {
+        if let Node::Internal(children) = self {
+            for c in children {
+                c.node.summarise(summary_of);
+                c.summary = summary_of(&c.node);
+            }
+        }
+    }
+
+    /// The pruned descent: hands `found` every entry beneath the child
+    /// slots `descend` admits, in tree order.
+    pub(crate) fn visit<'a>(
+        &'a self,
+        descend: &impl Fn(&BBox, &S) -> bool,
+        found: &mut impl FnMut(&'a E),
+    ) {
+        match self {
+            Node::Leaf(entries) => entries.iter().for_each(found),
+            Node::Internal(children) => {
+                for c in children {
+                    if descend(&c.bbox, &c.summary) {
+                        c.node.visit(descend, found);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The tree body: entries `E` under child slots summarised by `S`.
+#[derive(Debug, Clone)]
+pub(crate) struct Tree<E, S> {
+    root: Node<E, S>,
+    len: usize,
+    /// The fewest entries or children a non-root node may hold:
+    /// `MIN_ENTRIES` in a tree grown by splits, `1` in an STR-packed one
+    /// (a slab's last tile holds what is left).
+    min_fill: usize,
+}
+
+impl<E: HasBBox, S> Tree<E, S> {
+    pub(crate) fn new() -> Self {
+        Self {
+            root: Node::Leaf(Vec::new()),
+            len: 0,
+            min_fill: MIN_ENTRIES,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The pruned descent from the root ([`Node::visit`]).
+    pub(crate) fn visit<'a>(
+        &'a self,
+        descend: &impl Fn(&BBox, &S) -> bool,
+        found: &mut impl FnMut(&'a E),
+    ) {
+        self.root.visit(descend, found);
+    }
+
+    /// Inserts one entry; every slot on the insert path is re-summarised
+    /// by `summary_of`.
+    pub(crate) fn insert(&mut self, entry: E, summary_of: &impl Fn(&Node<E, S>) -> S) {
+        self.len += 1;
+        if let Some((left, right)) = self.root.place(entry, summary_of) {
+            // Root split: grow the tree by one level.
+            self.root = Node::Internal(vec![
+                Child::over(left, summary_of),
+                Child::over(right, summary_of),
+            ]);
+        }
+    }
+
+    /// The tree over `entries`, node for node and bit for bit the one
+    /// [`Tree::insert`] grows from them in that order: where an entry
+    /// lands depends on boxes alone and a summary is a function of the
+    /// final contents of the node it covers, so every entry is placed
+    /// first, under `unset` summaries nothing reads, and each summary is
+    /// then computed once, leaves first.
+    pub(crate) fn build(
+        entries: impl IntoIterator<Item = E>,
+        unset: S,
+        summary_of: &impl Fn(&Node<E, S>) -> S,
+    ) -> Self
+    where
+        S: Clone,
+    {
+        let mut tree = Self::new();
+        for entry in entries {
+            tree.insert(entry, &|_| unset.clone());
+        }
+        tree.root.summarise(summary_of);
+        tree
+    }
+
+    /// Best-first search: the `k` entries of lowest rank, in
+    /// `(rank, payload)` order whatever the tree's shape (the order of
+    /// [`Frontier`]). `bound` is a lower bound on the rank of anything
+    /// beneath a child slot and `rank` an entry's own rank and payload;
+    /// either returns `None` for what the search must skip.
+    pub(crate) fn nearest<'a, D: Ord, T: Ord>(
+        &'a self,
+        k: usize,
+        bound: impl Fn(&BBox, &S) -> Option<D>,
+        rank: impl Fn(&'a E) -> Option<(D, &'a T)>,
+    ) -> Vec<(D, &'a T)> {
+        let mut heap = BinaryHeap::new();
+        let expand = |node: &'a Node<E, S>, heap: &mut BinaryHeap<_>| match node {
+            Node::Leaf(entries) => heap.extend(
+                entries
+                    .iter()
+                    .filter_map(&rank)
+                    .map(|(d, v)| Reverse(Frontier::Entry(d, v))),
+            ),
+            Node::Internal(children) => heap.extend(children.iter().filter_map(|c| {
+                Some(Reverse(Frontier::Node(
+                    bound(&c.bbox, &c.summary)?,
+                    &*c.node,
+                )))
+            })),
+        };
+        expand(&self.root, &mut heap);
+        let mut out = Vec::with_capacity(k);
+        while out.len() < k {
+            match heap.pop() {
+                Some(Reverse(Frontier::Entry(d, v))) => out.push((d, v)),
+                Some(Reverse(Frontier::Node(_, node))) => expand(node, &mut heap),
+                None => break,
+            }
+        }
+        out
+    }
+
+    /// Verifies the structure every owner shares: the recorded length,
+    /// node occupancy within the branching bounds, all leaves at one
+    /// depth, every stored box covering its subtree; `covers` then
+    /// checks the owner's summary on each child slot.
+    pub(crate) fn check_invariants(&self, covers: &impl Fn(&Child<E, S>)) {
+        struct Walk {
+            min_fill: usize,
+            leaf_depth: Option<usize>,
+            entries: usize,
+        }
+        fn walk<E: HasBBox, S>(
+            node: &Node<E, S>,
+            depth: usize,
+            state: &mut Walk,
+            covers: &impl Fn(&Child<E, S>),
+        ) {
+            let fill = node.fill();
+            assert!(fill <= MAX_ENTRIES, "overfull node: {fill}");
+            assert!(
+                depth == 0 || fill >= state.min_fill,
+                "underfull node: {fill} < {}",
+                state.min_fill
+            );
+            match node {
+                Node::Leaf(entries) => {
+                    state.entries += entries.len();
+                    let at = *state.leaf_depth.get_or_insert(depth);
+                    assert_eq!(at, depth, "leaves at different depths");
+                }
+                Node::Internal(children) => {
+                    assert!(children.len() >= 2 || depth > 0, "a root with one child");
+                    for c in children {
+                        walk(&c.node, depth + 1, state, covers);
+                        assert!(
+                            c.bbox.contains_bbox(&c.node.mbr()),
+                            "stored box does not cover its subtree"
+                        );
+                        covers(c);
+                    }
+                }
+            }
+        }
+        let mut state = Walk {
+            min_fill: self.min_fill,
+            leaf_depth: None,
+            entries: 0,
+        };
+        walk(&self.root, 0, &mut state, covers);
+        assert_eq!(state.entries, self.len, "length mismatch");
+    }
+}
+
+/// One line of [`Tree::shape`]: a child slot or an entry at its depth,
+/// every float as its bits, so equal means bit-equal.
+#[cfg(test)]
+#[derive(Debug, PartialEq)]
+pub(crate) struct Part {
+    pub(crate) depth: usize,
+    slot: bool,
+    bbox: [u64; 4],
+    rest: Vec<u64>,
+}
+
+/// A payload as [`Part`] bits.
+#[cfg(test)]
+pub(crate) fn payload_bits<T: Copy + TryInto<u64>>(value: &T) -> u64 {
+    (*value).try_into().ok().expect("a payload that fits u64")
+}
+
+#[cfg(test)]
+impl<E: HasBBox, S> Tree<E, S> {
+    /// The tree flattened depth-first: one [`Part`] per child slot
+    /// (its box and `summary_bits`) and per entry (its box and
+    /// `entry_bits`).
+    pub(crate) fn shape(
+        &self,
+        summary_bits: &impl Fn(&S) -> Vec<u64>,
+        entry_bits: &impl Fn(&E) -> Vec<u64>,
+    ) -> Vec<Part> {
+        fn part(depth: usize, slot: bool, b: BBox, rest: Vec<u64>) -> Part {
+            let bbox = [b.min_lat, b.min_lon, b.max_lat, b.max_lon].map(f64::to_bits);
+            Part {
+                depth,
+                slot,
+                bbox,
+                rest,
+            }
+        }
+        fn walk<E: HasBBox, S>(
+            node: &Node<E, S>,
+            depth: usize,
+            summary_bits: &impl Fn(&S) -> Vec<u64>,
+            entry_bits: &impl Fn(&E) -> Vec<u64>,
+            out: &mut Vec<Part>,
+        ) {
+            match node {
+                Node::Leaf(entries) => out.extend(
+                    entries
+                        .iter()
+                        .map(|e| part(depth, false, e.bbox(), entry_bits(e))),
+                ),
+                Node::Internal(children) => {
+                    for c in children {
+                        out.push(part(depth, true, c.bbox, summary_bits(&c.summary)));
+                        walk(&c.node, depth + 1, summary_bits, entry_bits, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, 0, summary_bits, entry_bits, &mut out);
+        out
     }
 }
 
@@ -53,37 +387,28 @@ impl<T> Node<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
-    root: Node<T>,
-    len: usize,
-    height: usize,
+    tree: Tree<(BBox, T), ()>,
 }
 
-impl<T: Clone> Default for RTree<T> {
+impl<T> Default for RTree<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Clone> RTree<T> {
+impl<T> RTree<T> {
     /// An empty tree.
     pub fn new() -> Self {
-        Self {
-            root: Node::Leaf {
-                entries: Vec::new(),
-            },
-            len: 0,
-            height: 1,
-        }
+        Self { tree: Tree::new() }
     }
 
-    /// Bulk construction by repeated insertion (baseline; prefer
-    /// [`RTree::bulk_load`] for large static sets).
-    pub fn bulk(items: impl IntoIterator<Item = (BBox, T)>) -> Self {
-        let mut t = Self::new();
-        for (b, v) in items {
-            t.insert(b, v);
+    /// The tree over `items`, the one [`RTree::insert`] grows from them
+    /// in that order (prefer [`RTree::bulk_load`] for large static sets
+    /// whose shape nothing else has to reproduce).
+    pub fn build(items: impl IntoIterator<Item = (BBox, T)>) -> Self {
+        Self {
+            tree: Tree::build(items, (), &|_| ()),
         }
-        t
     }
 
     /// Sort-Tile-Recursive (STR) bulk loading: packs entries into fully
@@ -93,151 +418,38 @@ impl<T: Clone> RTree<T> {
     /// construct.
     pub fn bulk_load(items: Vec<(BBox, T)>) -> Self {
         let len = items.len();
-        if len == 0 {
-            return Self::new();
-        }
-        // Pack the leaf level.
-        let mut leaves: Vec<Node<T>> = str_tiles(items, |e| e.0)
-            .into_iter()
-            .map(|entries| Node::Leaf { entries })
-            .collect();
-        let mut height = 1;
+        let mut level: Vec<Node<(BBox, T), ()>> =
+            str_tiles(items).into_iter().map(Node::Leaf).collect();
         // Build upper levels until one root remains.
-        while leaves.len() > 1 {
-            let children: Vec<(BBox, Box<Node<T>>)> = leaves
+        while level.len() > 1 {
+            let children = level.into_iter().map(|n| Child::over(n, &|_| ())).collect();
+            level = str_tiles(children)
                 .into_iter()
-                // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                .map(|n| (n.mbr().expect("packed node non-empty"), Box::new(n)))
+                .map(Node::Internal)
                 .collect();
-            leaves = str_tiles(children, |c| c.0)
-                .into_iter()
-                .map(|children| Node::Internal { children })
-                .collect();
-            height += 1;
         }
         Self {
-            // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-            root: leaves.pop().expect("one root remains"),
-            len,
-            height,
-        }
-    }
-
-    /// Removes one entry matching `bbox` whose payload satisfies `pred`.
-    /// Returns the removed payload, or `None` when nothing matched.
-    /// Under-full nodes along the path are dissolved and their remaining
-    /// entries re-inserted (the classic R-tree condense step).
-    pub fn remove(&mut self, bbox: &BBox, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let mut orphans: Vec<(BBox, T)> = Vec::new();
-        let removed = Self::remove_rec(&mut self.root, bbox, &mut pred, &mut orphans, true);
-        if removed.is_some() {
-            self.len -= 1;
-            // Collapse a root with a single internal child.
-            loop {
-                let replace = match &mut self.root {
-                    Node::Internal { children } if children.len() == 1 => {
-                        // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                        Some(*children.pop().expect("one child").1)
-                    }
-                    _ => None,
-                };
-                match replace {
-                    Some(child) => {
-                        self.root = child;
-                        self.height -= 1;
-                    }
-                    None => break,
-                }
-            }
-            let reinserts = orphans.len();
-            for (b, v) in orphans {
-                self.insert(b, v);
-            }
-            // `insert` bumped len for each orphan, but they were already
-            // counted before removal.
-            self.len -= reinserts;
-        }
-        removed
-    }
-
-    fn remove_rec(
-        node: &mut Node<T>,
-        bbox: &BBox,
-        pred: &mut impl FnMut(&T) -> bool,
-        orphans: &mut Vec<(BBox, T)>,
-        is_root: bool,
-    ) -> Option<T> {
-        match node {
-            Node::Leaf { entries } => {
-                let pos = entries.iter().position(|(b, v)| b == bbox && pred(v))?;
-                Some(entries.remove(pos).1)
-            }
-            Node::Internal { children } => {
-                for i in 0..children.len() {
-                    if !children[i].0.intersects(bbox) {
-                        continue;
-                    }
-                    if let Some(v) =
-                        Self::remove_rec(&mut children[i].1, bbox, pred, orphans, false)
-                    {
-                        let child_len = match children[i].1.as_ref() {
-                            Node::Leaf { entries } => entries.len(),
-                            Node::Internal { children } => children.len(),
-                        };
-                        if child_len < MIN_ENTRIES && (!is_root || children.len() > 1) {
-                            // Dissolve the under-full child; re-insert its
-                            // entries from the top.
-                            let (_, child) = children.remove(i);
-                            collect_entries(*child, orphans);
-                        } else if child_len > 0 {
-                            // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                            children[i].0 = children[i].1.mbr().expect("non-empty child");
-                        }
-                        return Some(v);
-                    }
-                }
-                None
-            }
+            tree: Tree {
+                root: level.pop().unwrap_or(Node::Leaf(Vec::new())),
+                len,
+                min_fill: 1,
+            },
         }
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.tree.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Tree height (leaf level = 1); a balance diagnostic.
-    pub fn height(&self) -> usize {
-        self.height
+        self.len() == 0
     }
 
     /// Inserts a rectangle with payload.
     pub fn insert(&mut self, bbox: BBox, value: T) {
-        self.len += 1;
-        if let Some((left, right)) = Self::insert_rec(&mut self.root, bbox, value) {
-            // Root split: grow the tree by one level.
-            let old = std::mem::replace(
-                &mut self.root,
-                Node::Internal {
-                    children: Vec::new(),
-                },
-            );
-            drop(old);
-            self.root = Node::Internal {
-                children: vec![
-                    // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                    (left.mbr().expect("split node non-empty"), Box::new(left)),
-                    // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                    (right.mbr().expect("split node non-empty"), Box::new(right)),
-                ],
-            };
-            self.height += 1;
-        }
+        self.tree.insert((bbox, value), &|_| ());
     }
 
     /// Inserts a point (degenerate rectangle).
@@ -245,69 +457,16 @@ impl<T: Clone> RTree<T> {
         self.insert(BBox::from_point(p), value);
     }
 
-    fn insert_rec(node: &mut Node<T>, bbox: BBox, value: T) -> Option<(Node<T>, Node<T>)> {
-        match node {
-            Node::Leaf { entries } => {
-                entries.push((bbox, value));
-                if entries.len() > MAX_ENTRIES {
-                    let (a, b) = split_entries(std::mem::take(entries));
-                    return Some((Node::Leaf { entries: a }, Node::Leaf { entries: b }));
-                }
-                None
-            }
-            Node::Internal { children } => {
-                let idx = choose_subtree(children, &bbox);
-                match Self::insert_rec(&mut children[idx].1, bbox, value) {
-                    None => {
-                        // Refresh the child's MBR after insertion.
-                        // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                        children[idx].0 = children[idx].1.mbr().expect("child non-empty");
-                    }
-                    Some((left, right)) => {
-                        // The old child was drained by the split; replace it.
-                        // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                        children[idx] = (left.mbr().expect("split node non-empty"), Box::new(left));
-                        children
-                            // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                            .push((right.mbr().expect("split node non-empty"), Box::new(right)));
-                        if children.len() > MAX_ENTRIES {
-                            let (a, b) = split_entries(std::mem::take(children));
-                            return Some((
-                                Node::Internal { children: a },
-                                Node::Internal { children: b },
-                            ));
-                        }
-                    }
-                }
-                None
-            }
-        }
-    }
-
     /// All payloads whose rectangle intersects `query`.
     pub fn range(&self, query: &BBox) -> Vec<&T> {
         let mut out = Vec::new();
-        Self::range_rec(&self.root, query, &mut out);
+        self.tree
+            .visit(&|bbox, ()| bbox.intersects(query), &mut |(bbox, value)| {
+                if bbox.intersects(query) {
+                    out.push(value);
+                }
+            });
         out
-    }
-
-    fn range_rec<'a>(node: &'a Node<T>, query: &BBox, out: &mut Vec<&'a T>) {
-        match node {
-            Node::Leaf { entries } => {
-                for (b, v) in entries {
-                    if b.intersects(query) {
-                        out.push(v);
-                    }
-                }
-            }
-            Node::Internal { children } => {
-                for (b, child) in children {
-                    if b.intersects(query) {
-                        Self::range_rec(child, query, out);
-                    }
-                }
-            }
-        }
     }
 
     /// All payloads whose rectangle contains the point `p`.
@@ -317,96 +476,43 @@ impl<T: Clone> RTree<T> {
 
     /// The `k` entries nearest to `p` by box min-distance, closest first
     /// and by payload among entries at one distance, whatever the
-    /// tree's shape (the order of `Frontier`). Returns `(distance_m, payload)`
-    /// pairs.
+    /// tree's shape. Returns `(distance_m, payload)` pairs.
     pub fn knn(&self, p: &GeoPoint, k: usize) -> Vec<(f64, &T)>
     where
         T: Ord,
     {
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Frontier::Node(TotalF64(0.0), &self.root)));
-        let mut out = Vec::with_capacity(k);
-        while let Some(Reverse(item)) = heap.pop() {
-            if out.len() == k {
-                break;
-            }
-            match item {
-                Frontier::Entry(TotalF64(d), v) => out.push((d, v)),
-                Frontier::Node(_, Node::Leaf { entries }) => {
-                    heap.extend(
-                        entries.iter().map(|(b, v)| {
-                            Reverse(Frontier::Entry(TotalF64(b.min_distance_m(p)), v))
-                        }),
-                    );
-                }
-                Frontier::Node(_, Node::Internal { children }) => {
-                    heap.extend(children.iter().map(|(b, child)| {
-                        Reverse(Frontier::Node(TotalF64(b.min_distance_m(p)), &**child))
-                    }));
-                }
-            }
-        }
-        out
+        let distance = |bbox: &BBox| TotalF64(bbox.min_distance_m(p));
+        self.tree
+            .nearest(
+                k,
+                |bbox, ()| Some(distance(bbox)),
+                |(bbox, value)| Some((distance(bbox), value)),
+            )
+            .into_iter()
+            .map(|(TotalF64(d), value)| (d, value))
+            .collect()
     }
 
-    /// Visits every entry (diagnostics / verification).
-    pub fn for_each(&self, mut f: impl FnMut(&BBox, &T)) {
-        fn walk<T>(node: &Node<T>, f: &mut impl FnMut(&BBox, &T)) {
-            match node {
-                Node::Leaf { entries } => {
-                    for (b, v) in entries {
-                        f(b, v);
-                    }
-                }
-                Node::Internal { children } => {
-                    for (_, c) in children {
-                        walk(c, f);
-                    }
-                }
-            }
-        }
-        walk(&self.root, &mut f);
-    }
-
-    /// Verifies structural invariants (tests/debugging): MBRs cover their
-    /// subtrees and node occupancy respects the branching bounds.
+    /// Verifies structural invariants (tests/debugging): the shared
+    /// walk of `Tree::check_invariants`; a plain tree has no summary
+    /// to check.
     pub fn check_invariants(&self) {
-        fn walk<T>(node: &Node<T>, is_root: bool, depth: usize, leaf_depth: &mut Option<usize>) {
-            match node {
-                Node::Leaf { entries } => {
-                    assert!(
-                        is_root || entries.len() >= MIN_ENTRIES.min(1),
-                        "underfull leaf"
-                    );
-                    assert!(entries.len() <= MAX_ENTRIES, "overfull leaf");
-                    match leaf_depth {
-                        None => *leaf_depth = Some(depth),
-                        Some(d) => assert_eq!(*d, depth, "leaves at different depths"),
-                    }
-                }
-                Node::Internal { children } => {
-                    assert!(!children.is_empty(), "empty internal node");
-                    assert!(children.len() <= MAX_ENTRIES, "overfull internal node");
-                    for (b, c) in children {
-                        // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
-                        let child_mbr = c.mbr().expect("child non-empty");
-                        assert!(
-                            b.contains_bbox(&child_mbr),
-                            "stored MBR does not cover child"
-                        );
-                        walk(c, false, depth + 1, leaf_depth);
-                    }
-                }
-            }
-        }
-        let mut leaf_depth = None;
-        walk(&self.root, true, 0, &mut leaf_depth);
+        self.tree.check_invariants(&|_| ());
+    }
+
+    #[cfg(test)]
+    pub(crate) fn shape(&self) -> Vec<Part>
+    where
+        T: Copy + TryInto<u64>,
+    {
+        self.tree
+            .shape(&|()| Vec::new(), &|(_, value)| vec![payload_bits(value)])
     }
 }
 
 /// Picks the child whose MBR needs least area enlargement (ties: least
 /// area) to absorb `bbox`.
-pub(crate) fn choose_subtree<E: HasBBox>(children: &[E], bbox: &BBox) -> usize {
+fn choose_subtree<E: HasBBox>(children: &[E], bbox: &BBox) -> usize {
     let mut best = 0;
     let mut best_enlarge = f64::INFINITY;
     let mut best_area = f64::INFINITY;
@@ -424,40 +530,40 @@ pub(crate) fn choose_subtree<E: HasBBox>(children: &[E], bbox: &BBox) -> usize {
 }
 
 /// The box around a non-empty run of entries.
-pub(crate) fn mbr_of<E: HasBBox>(slice: &[E]) -> BBox {
+fn mbr_of<E: HasBBox>(slice: &[E]) -> BBox {
     let mut it = slice.iter().map(|e| e.bbox());
     // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
     let first = it.next().expect("non-empty slice");
     it.fold(first, |acc, b| acc.union(&b))
 }
 
+/// Sorts entries by their lower then upper edge along `axis` (0 =
+/// latitude, 1 = longitude).
+fn sort_along<E: HasBBox>(entries: &mut [E], axis: usize) {
+    let edges = |e: &E| {
+        let b = e.bbox();
+        match axis {
+            0 => (b.min_lat, b.max_lat),
+            _ => (b.min_lon, b.max_lon),
+        }
+    };
+    entries.sort_by(|a, b| {
+        let ((a_lo, a_hi), (b_lo, b_hi)) = (edges(a), edges(b));
+        a_lo.total_cmp(&b_lo).then(a_hi.total_cmp(&b_hi))
+    });
+}
+
 /// R* split: choose the axis with minimum total margin over candidate
 /// distributions, then the distribution with least MBR overlap (ties:
 /// least total area).
-pub(crate) fn split_entries<E: HasBBox>(mut entries: Vec<E>) -> (Vec<E>, Vec<E>) {
+fn split_entries<E: HasBBox>(mut entries: Vec<E>) -> (Vec<E>, Vec<E>) {
     let total = entries.len();
     debug_assert!(total > MAX_ENTRIES);
 
-    // Candidate split positions for a sorted entry list.
-    let candidate_range = MIN_ENTRIES..=(total - MIN_ENTRIES);
-
     let mut best: Option<(usize, usize, f64, f64)> = None; // (axis, split_at, overlap, area)
     for axis in 0..2 {
-        match axis {
-            0 => entries.sort_by(|a, b| {
-                a.bbox()
-                    .min_lat
-                    .total_cmp(&b.bbox().min_lat)
-                    .then(a.bbox().max_lat.total_cmp(&b.bbox().max_lat))
-            }),
-            _ => entries.sort_by(|a, b| {
-                a.bbox()
-                    .min_lon
-                    .total_cmp(&b.bbox().min_lon)
-                    .then(a.bbox().max_lon.total_cmp(&b.bbox().max_lon))
-            }),
-        }
-        for at in candidate_range.clone() {
+        sort_along(&mut entries, axis);
+        for at in MIN_ENTRIES..=(total - MIN_ENTRIES) {
             let left = mbr_of(&entries[..at]);
             let right = mbr_of(&entries[at..]);
             let overlap = left.intersection(&right).map_or(0.0, |i| i.area_deg2());
@@ -470,46 +576,21 @@ pub(crate) fn split_entries<E: HasBBox>(mut entries: Vec<E>) -> (Vec<E>, Vec<E>)
     // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
     let (axis, at, _, _) = best.expect("at least one candidate split");
     // Re-sort on the winning axis (entries may be sorted on the other).
-    match axis {
-        0 => entries.sort_by(|a, b| {
-            a.bbox()
-                .min_lat
-                .total_cmp(&b.bbox().min_lat)
-                .then(a.bbox().max_lat.total_cmp(&b.bbox().max_lat))
-        }),
-        _ => entries.sort_by(|a, b| {
-            a.bbox()
-                .min_lon
-                .total_cmp(&b.bbox().min_lon)
-                .then(a.bbox().max_lon.total_cmp(&b.bbox().max_lon))
-        }),
-    }
+    sort_along(&mut entries, axis);
     let right = entries.split_off(at);
     (entries, right)
-}
-
-/// Flattens a subtree back into raw leaf entries (condense step).
-fn collect_entries<T>(node: Node<T>, out: &mut Vec<(BBox, T)>) {
-    match node {
-        Node::Leaf { entries } => out.extend(entries),
-        Node::Internal { children } => {
-            for (_, child) in children {
-                collect_entries(*child, out);
-            }
-        }
-    }
 }
 
 /// Partitions `items` into STR tiles of at most `MAX_ENTRIES` each:
 /// sort by latitude, cut into vertical slabs of `slab = ceil(sqrt(P))`
 /// tiles, sort each slab by longitude, and chunk.
-fn str_tiles<E>(mut items: Vec<E>, key: impl Fn(&E) -> BBox) -> Vec<Vec<E>> {
+fn str_tiles<E: HasBBox>(mut items: Vec<E>) -> Vec<Vec<E>> {
     let per_node = MAX_ENTRIES;
     let n_tiles = items.len().div_ceil(per_node);
     let slabs = (n_tiles as f64).sqrt().ceil() as usize;
     let per_slab = items.len().div_ceil(slabs.max(1));
     items.sort_by(|a, b| {
-        let (ka, kb) = (key(a), key(b));
+        let (ka, kb) = (a.bbox(), b.bbox());
         (ka.min_lat + ka.max_lat).total_cmp(&(kb.min_lat + kb.max_lat))
     });
     let mut tiles = Vec::with_capacity(n_tiles);
@@ -517,7 +598,7 @@ fn str_tiles<E>(mut items: Vec<E>, key: impl Fn(&E) -> BBox) -> Vec<Vec<E>> {
     while items.peek().is_some() {
         let mut slab: Vec<E> = items.by_ref().take(per_slab).collect();
         slab.sort_by(|a, b| {
-            let (ka, kb) = (key(a), key(b));
+            let (ka, kb) = (a.bbox(), b.bbox());
             (ka.min_lon + ka.max_lon).total_cmp(&(kb.min_lon + kb.max_lon))
         });
         let mut slab = slab.into_iter().peekable();
@@ -535,7 +616,7 @@ fn str_tiles<E>(mut items: Vec<E>, key: impl Fn(&E) -> BBox) -> Vec<Vec<E>> {
 /// then entries by payload: a search reports its entries in
 /// `(distance, payload)` order, and which of several entries tying the
 /// k-th distance make the cut does not depend on the tree's shape.
-pub(crate) enum Frontier<'a, D, N, T> {
+enum Frontier<'a, D, N, T> {
     Node(D, &'a N),
     Entry(D, &'a T),
 }
@@ -566,24 +647,18 @@ impl<D: Ord, N, T: Ord> PartialEq for Frontier<'_, D, N, T> {
 
 impl<D: Ord, N, T: Ord> Eq for Frontier<'_, D, N, T> {}
 
-/// Anything carrying a bounding box (leaf entries and internal children);
-/// shared with the oriented and hybrid trees so they reuse the same split
-/// machinery. The split constants are re-exported for them as well.
-pub(crate) trait HasBBox {
-    fn bbox(&self) -> BBox;
-}
-
-impl<T> HasBBox for (BBox, T) {
-    fn bbox(&self) -> BBox {
-        self.0
-    }
-}
-
-pub(crate) const NODE_MAX: usize = MAX_ENTRIES;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OrientedRTree, VisualRTree};
+    use tvdp_geo::Fov;
+    use tvdp_kernel::rng::for_each_case;
+    use tvdp_kernel::{FeatureSlab, RowSource};
+
+    /// Levels in the tree a [`Part`] list came from (a lone leaf = 1).
+    fn height(shape: &[Part]) -> usize {
+        shape.iter().map(|p| p.depth + 1).max().unwrap_or(1)
+    }
 
     fn grid_points(n: usize) -> Vec<(GeoPoint, usize)> {
         // n x n grid of points near downtown LA.
@@ -630,7 +705,7 @@ mod tests {
     #[test]
     fn knn_returns_sorted_nearest() {
         let pts = grid_points(10);
-        let tree = RTree::bulk(pts.iter().map(|(p, id)| (BBox::from_point(*p), *id)));
+        let tree = RTree::build(pts.iter().map(|(p, id)| (BBox::from_point(*p), *id)));
         let q = GeoPoint::new(34.0045, -118.2955);
         let knn = tree.knn(&q, 5);
         assert_eq!(knn.len(), 5);
@@ -694,17 +769,16 @@ mod tests {
         for (p, id) in grid_points(20) {
             tree.insert_point(p, id);
         }
-        assert!(tree.height() >= 2, "400 entries must split the root");
+        assert!(height(&tree.shape()) >= 3, "400 entries must split twice");
         tree.check_invariants();
-        let mut count = 0;
-        tree.for_each(|_, _| count += 1);
-        assert_eq!(count, 400);
+        let world = BBox::new(33.0, -119.0, 35.0, -117.0);
+        assert_eq!(tree.range(&world).len(), 400);
     }
 
     #[test]
     fn bulk_load_equals_incremental_queries() {
         let pts = grid_points(18); // 324 entries, multiple levels
-        let incremental = RTree::bulk(pts.iter().map(|(p, id)| (BBox::from_point(*p), *id)));
+        let incremental = RTree::build(pts.iter().map(|(p, id)| (BBox::from_point(*p), *id)));
         let packed = RTree::bulk_load(
             pts.iter()
                 .map(|(p, id)| (BBox::from_point(*p), *id))
@@ -712,7 +786,7 @@ mod tests {
         );
         packed.check_invariants();
         assert_eq!(packed.len(), 324);
-        assert!(packed.height() <= incremental.height());
+        assert!(height(&packed.shape()) <= height(&incremental.shape()));
         for query in [
             BBox::new(34.0, -118.3, 34.004, -118.296),
             BBox::new(34.008, -118.29, 34.016, -118.284),
@@ -735,65 +809,105 @@ mod tests {
         assert_eq!(one.range(&BBox::new(0.5, 0.5, 0.6, 0.6)), vec![&7]);
     }
 
-    #[test]
-    fn remove_deletes_exactly_one_match() {
-        let pts = grid_points(10);
-        let mut tree = RTree::new();
-        for (p, id) in &pts {
-            tree.insert_point(*p, *id);
-        }
-        let (target_p, target_id) = pts[37];
-        let removed = tree.remove(&BBox::from_point(target_p), |&id| id == target_id);
-        assert_eq!(removed, Some(target_id));
-        assert_eq!(tree.len(), 99);
-        tree.check_invariants();
-        assert!(tree.containing(&target_p).is_empty());
-        // Removing again finds nothing.
-        assert_eq!(
-            tree.remove(&BBox::from_point(target_p), |&id| id == target_id),
-            None
+    /// `built` against `grown`, two flattenings of what must be one
+    /// tree: the same nodes, the same children in the same order, every
+    /// box, summary and entry bit for bit, and at least `levels` levels.
+    fn assert_same_tree(which: &str, n: usize, levels: usize, built: &[Part], grown: &[Part]) {
+        assert!(
+            height(grown) >= levels,
+            "{which}, n = {n}: {} level(s)",
+            height(grown)
         );
-        // Everything else is still there.
-        let world = BBox::new(33.0, -119.0, 35.0, -117.0);
-        assert_eq!(tree.range(&world).len(), 99);
+        assert!(built == grown, "{which}, n = {n}: trees differ");
     }
 
+    /// The write-once constructor against per-row insertion, for each
+    /// of the three trees over the shared body, at sizes that fit the
+    /// root leaf, split it once, and split the root again. Boxes, FOVs
+    /// and rows repeat, so splits meet ties.
     #[test]
-    fn remove_many_then_queries_stay_correct() {
-        let pts = grid_points(12);
-        let mut tree = RTree::new();
-        for (p, id) in &pts {
-            tree.insert_point(*p, *id);
-        }
-        // Delete every third entry.
-        for (p, id) in pts.iter().filter(|(_, id)| id % 3 == 0) {
-            assert!(tree.remove(&BBox::from_point(*p), |&v| v == *id).is_some());
-        }
-        tree.check_invariants();
-        let world = BBox::new(33.0, -119.0, 35.0, -117.0);
-        let mut left: Vec<usize> = tree.range(&world).into_iter().copied().collect();
-        left.sort_unstable();
-        let expected: Vec<usize> = pts
-            .iter()
-            .map(|(_, id)| *id)
-            .filter(|id| id % 3 != 0)
-            .collect();
-        assert_eq!(left, expected);
-        assert_eq!(tree.len(), expected.len());
-    }
+    fn build_is_bit_identical_to_per_row_insertion() {
+        let sizes = [(1usize, 1usize), (16, 1), (17, 2), (128, 2), (1_000, 3)];
+        for_each_case(sizes.len() as u64 * 4, |case, rng| {
+            let (n, levels) = sizes[case as usize % sizes.len()];
+            let dim = 6;
+            let mut slab = FeatureSlab::new(dim);
+            let mut rows: Vec<(Fov, u32, u32)> = Vec::new();
+            for id in 0..n as u32 {
+                let fresh = Fov::new(
+                    GeoPoint::new(rng.gen_range(33.9..34.1), rng.gen_range(-118.4..-118.2)),
+                    rng.gen_range(0.0..360.0),
+                    rng.gen_range(20.0..120.0),
+                    rng.gen_range(20.0..200.0),
+                );
+                let floats: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                // One row in four repeats an earlier FOV, an earlier
+                // row's floats, or both.
+                let (fov, floats) = match (rows.is_empty(), rng.gen_range(0..8)) {
+                    (false, 0) => (rows[rng.gen_range(0..rows.len())].0, floats),
+                    (false, 1) => {
+                        let earlier = rows[rng.gen_range(0..rows.len())];
+                        (earlier.0, slab.row(earlier.1).to_vec())
+                    }
+                    _ => (fresh, floats),
+                };
+                rows.push((fov, slab.push(&floats), id));
+            }
+            // Built from a detached view, as a sealed segment is.
+            let view = slab.view();
+            let scenes = || rows.iter().map(|&(fov, _, id)| (fov.scene_location(), id));
 
-    #[test]
-    fn remove_predicate_disambiguates_duplicates() {
-        let mut tree = RTree::new();
-        let p = GeoPoint::new(34.0, -118.0);
-        for i in 0..5u32 {
-            tree.insert_point(p, i);
-        }
-        let removed = tree.remove(&BBox::from_point(p), |&v| v == 3);
-        assert_eq!(removed, Some(3));
-        let mut rest: Vec<u32> = tree.containing(&p).into_iter().copied().collect();
-        rest.sort_unstable();
-        assert_eq!(rest, vec![0, 1, 2, 4]);
+            let mut grown = RTree::new();
+            scenes().for_each(|(scene, id)| grown.insert(scene, id));
+            let built = RTree::build(scenes());
+            grown.check_invariants();
+            built.check_invariants();
+            assert_eq!(built.len(), n);
+            assert_same_tree("plain", n, levels, &built.shape(), &grown.shape());
+
+            let mut grown = OrientedRTree::new();
+            rows.iter().for_each(|&(fov, _, id)| grown.insert(fov, id));
+            let built = OrientedRTree::build(rows.iter().map(|&(fov, _, id)| (fov, id)));
+            grown.check_invariants();
+            built.check_invariants();
+            assert_eq!(built.len(), n);
+            assert_same_tree("oriented", n, levels, &built.shape(), &grown.shape());
+
+            let mut grown = VisualRTree::new(dim);
+            for (&(_, row, id), (scene, _)) in rows.iter().zip(scenes()) {
+                grown.insert(&slab, scene, row, id);
+            }
+            let built = VisualRTree::build(
+                &view,
+                rows.iter()
+                    .zip(scenes())
+                    .map(|(&(_, row, id), (scene, _))| (scene, row, id)),
+            );
+            grown.check_invariants(&slab);
+            built.check_invariants(&view);
+            assert_eq!(built.len(), n);
+            assert_eq!(built.dim(), grown.dim());
+            assert_same_tree("hybrid", n, levels, &built.shape(), &grown.shape());
+
+            let everywhere = BBox::new(33.0, -119.0, 35.0, -118.0);
+            let half = BBox::new(33.9, -118.4, 34.0, -118.2);
+            let bits = |hits: Vec<(f32, &u32)>| -> Vec<(u32, u32)> {
+                hits.into_iter().map(|(d, id)| (d.to_bits(), *id)).collect()
+            };
+            for _ in 0..4 {
+                let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                for region in [everywhere, half] {
+                    assert_eq!(
+                        bits(built.knn_visual(&view, &region, &query, 10)),
+                        bits(grown.knn_visual(&slab, &region, &query, 10))
+                    );
+                    assert_eq!(
+                        bits(built.range_visual(&view, &region, &query, 1.2)),
+                        bits(grown.range_visual(&slab, &region, &query, 1.2))
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -106,46 +106,10 @@ fn bulk_load_equals_linear_scan() {
 }
 
 #[test]
-fn remove_then_range_equals_filtered_scan() {
-    for_each_case(CASES, |_, rng| {
-        let points = la_points(rng, 1, 100);
-        let removals: Vec<usize> = (0..rng.gen_range(0..40))
-            .map(|_| rng.gen_range(0..100))
-            .collect();
-        let query = la_bbox(rng);
-        let mut tree = RTree::new();
-        for (i, p) in points.iter().enumerate() {
-            tree.insert_point(*p, i);
-        }
-        let mut removed = std::collections::HashSet::new();
-        for r in removals {
-            let idx = r % points.len();
-            if removed.contains(&idx) {
-                continue;
-            }
-            let got = tree.remove(&BBox::from_point(points[idx]), |&v| v == idx);
-            assert_eq!(got, Some(idx), "live entry must be removable");
-            removed.insert(idx);
-        }
-        tree.check_invariants();
-        assert_eq!(tree.len(), points.len() - removed.len());
-        let mut got: Vec<usize> = tree.range(&query).into_iter().copied().collect();
-        got.sort_unstable();
-        let mut expected: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| !removed.contains(i) && query.contains(p))
-            .map(|(i, _)| i)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
-    });
-}
-
-#[test]
 fn oriented_rtree_equals_linear_scan() {
     for_each_case(CASES, |_, rng| {
-        let cams: Vec<(GeoPoint, f64)> = (0..rng.gen_range(1..80))
+        // Up to three levels, so the walk meets internal nodes below the root.
+        let cams: Vec<(GeoPoint, f64)> = (0..rng.gen_range(1..300))
             .map(|_| (la_point(rng), rng.gen_range(0.0..360.0)))
             .collect();
         let query = la_bbox(rng);
@@ -160,12 +124,15 @@ fn oriented_rtree_equals_linear_scan() {
             tree.insert(*f, i);
         }
         tree.check_invariants();
+        let built = OrientedRTree::build(fovs.iter().copied().zip(0..));
+        built.check_invariants();
         let dirs = AngularRange::new(dir_start, dir_width);
-        let mut got: Vec<usize> = tree
-            .range_directed(&query, &dirs)
-            .into_iter()
-            .map(|(_, i)| *i)
-            .collect();
+        let ids = |tree: &OrientedRTree<usize>| -> Vec<usize> {
+            let hits = tree.range_directed(&query, &dirs);
+            hits.into_iter().map(|(_, i)| *i).collect()
+        };
+        let mut got = ids(&tree);
+        assert_eq!(got, ids(&built), "a built tree answers in another order");
         got.sort_unstable();
         let mut expected: Vec<usize> = fovs
             .iter()
@@ -183,7 +150,7 @@ fn oriented_rtree_equals_linear_scan() {
 #[test]
 fn visual_rtree_range_equals_linear_scan() {
     for_each_case(CASES, |_, rng| {
-        let entries: Vec<(GeoPoint, Vec<f32>)> = (0..rng.gen_range(1..80))
+        let entries: Vec<(GeoPoint, Vec<f32>)> = (0..rng.gen_range(1..300))
             .map(|_| (la_point(rng), floats(rng, 4, 1.0)))
             .collect();
         let query_region = la_bbox(rng);
@@ -196,6 +163,12 @@ fn visual_rtree_range_equals_linear_scan() {
             tree.insert(&slab, BBox::from_point(*p), row, i);
         }
         tree.check_invariants(&slab);
+        // Rows were pushed in entry order, so entry `i` is arena row `i`.
+        let built = VisualRTree::build(
+            &slab,
+            (entries.iter().enumerate()).map(|(i, (p, _))| (BBox::from_point(*p), i as u32, i)),
+        );
+        built.check_invariants(&slab);
         let l2 = |a: &[f32], b: &[f32]| -> f32 {
             a.iter()
                 .zip(b)
@@ -203,11 +176,12 @@ fn visual_rtree_range_equals_linear_scan() {
                 .sum::<f32>()
                 .sqrt()
         };
-        let mut got: Vec<usize> = tree
-            .range_visual(&slab, &query_region, &query_feat, threshold)
-            .into_iter()
-            .map(|(_, i)| *i)
-            .collect();
+        let ids = |tree: &VisualRTree<usize>| -> Vec<usize> {
+            let hits = tree.range_visual(&slab, &query_region, &query_feat, threshold);
+            hits.into_iter().map(|(_, i)| *i).collect()
+        };
+        let mut got = ids(&tree);
+        assert_eq!(got, ids(&built), "a built tree answers in another order");
         got.sort_unstable();
         let mut expected: Vec<usize> = entries
             .iter()

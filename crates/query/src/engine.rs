@@ -17,13 +17,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use tvdp_geo::{BBox, GeoPolygon};
+use tvdp_geo::{BBox, Fov, GeoPolygon};
 use tvdp_index::{
-    inverted::tokenize, InvertedIndex, LshConfig, LshIndex, OrientedRTree, RTree, TemporalIndex,
-    VisualRTree,
+    inverted::tokenize, InvertedIndex, OrientedRTree, RTree, TemporalIndex, VisualRTree,
 };
-use tvdp_kernel::{l2_sq, FeatureSlab, RowSource, SlabView};
-use tvdp_storage::{ClassificationId, FeatureHandle, ImageId, VisualStore};
+use tvdp_kernel::{l2_sq, RowSource, SlabView};
+use tvdp_storage::{ClassificationId, FeatureHandle, ImageId, ImageRecord, VisualStore};
 use tvdp_vision::FeatureKind;
 
 use crate::plan;
@@ -37,20 +36,12 @@ use crate::types::{
 pub struct EngineConfig {
     /// Which feature family the visual indexes are built over.
     pub visual_kind: FeatureKind,
-    /// LSH tuning for the approximate visual path.
-    pub lsh: LshConfig,
-    /// When `true` (default), visual queries run exactly on the hybrid
-    /// index; when `false`, top-k visual queries use the LSH candidate
-    /// path (approximate, faster at scale).
-    pub exact_visual: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             visual_kind: FeatureKind::Cnn,
-            lsh: LshConfig::default(),
-            exact_visual: true,
         }
     }
 }
@@ -98,11 +89,6 @@ pub struct QueryEngine {
     scene_tree: RTree<ImageId>,
     fov_tree: OrientedRTree<ImageId>,
     hybrid: Option<VisualRTree<ImageId>>,
-    /// The approximate top-k path's index and its handle -> image id
-    /// table. Only that path reads them, so they are built iff
-    /// `config.exact_visual` is `false`.
-    lsh: Option<LshIndex>,
-    lsh_ids: Vec<ImageId>,
     text: InvertedIndex,
     captured: TemporalIndex,
     uploaded: TemporalIndex,
@@ -140,29 +126,41 @@ impl QueryEngine {
     /// sharing the store's feature arena zero-copy like [`QueryEngine::build`].
     ///
     /// Indistinguishable from [`QueryEngine::index_image`] over the same
-    /// ids in the same order, but the id list is final, so the hybrid
-    /// tree is built write-once ([`VisualRTree::build`]): entries are
-    /// placed as they are met and each ball is computed once at the
-    /// end, from the arena view queries will read, with no store lock
-    /// held for the pass.
+    /// ids in the same order, but the id list is final, so the three
+    /// trees are built write-once from their entry lists: entries are
+    /// placed as they were met and each node summary is computed once
+    /// at the end, the hybrid tree's from the arena view queries will
+    /// read, with no store lock held for the pass.
     pub fn build_over(store: Arc<VisualStore>, config: EngineConfig, ids: &[ImageId]) -> Self {
-        let mut engine = Self::build_empty(store, config);
-        let mut entries: Vec<(BBox, u32, ImageId)> = Vec::new();
+        let mut engine = Self::build_empty(Arc::clone(&store), config);
+        let mut scenes: Vec<(BBox, ImageId)> = Vec::new();
+        let mut fovs: Vec<(Fov, ImageId)> = Vec::new();
+        let mut visual: Vec<(BBox, u32, ImageId)> = Vec::new();
         let mut dim = None;
         for &id in ids {
-            engine.index_row(id, |_, scene, handle, _| {
-                let first = *dim.get_or_insert(handle.dim);
-                assert_eq!(handle.dim, first, "feature dimension mismatch");
-                entries.push((scene, handle.row, id));
+            store.with_image_row(id, engine.config.visual_kind, |record, row| {
+                let handle = row.map(|(handle, _)| handle);
+                let Some((scene, fov)) = engine.index_row(id, record, handle) else {
+                    return;
+                };
+                scenes.push((scene, id));
+                fovs.extend(fov.map(|fov| (fov, id)));
+                if let Some(handle) = handle {
+                    let first = *dim.get_or_insert(handle.dim);
+                    assert_eq!(handle.dim, first, "feature dimension mismatch");
+                    visual.push((scene, handle.row, id));
+                }
             });
         }
+        engine.scene_tree = RTree::build(scenes);
+        engine.fov_tree = OrientedRTree::build(fovs);
         if let Some(dim) = dim {
-            let view = engine.store.slab_view(
+            let view = store.slab_view(
                 engine.config.visual_kind,
                 dim as usize,
                 engine.rows_hi as usize,
             );
-            engine.hybrid = Some(VisualRTree::build(&*view, entries));
+            engine.hybrid = Some(VisualRTree::build(&*view, visual));
         }
         engine
     }
@@ -174,8 +172,6 @@ impl QueryEngine {
             scene_tree: RTree::new(),
             fov_tree: OrientedRTree::new(),
             hybrid: None,
-            lsh: None,
-            lsh_ids: Vec::new(),
             text: InvertedIndex::new(),
             captured: TemporalIndex::new(),
             uploaded: TemporalIndex::new(),
@@ -207,72 +203,61 @@ impl QueryEngine {
     }
 
     /// Indexes one image from the store into every applicable index.
-    /// Idempotent per image id; unknown ids are ignored.
+    /// Idempotent per image id; unknown ids are ignored. One read-lock
+    /// acquisition per row: the record is read in place, and the hybrid
+    /// tree reads the feature row (on a split, its siblings' rows too)
+    /// straight out of the live slab, keeping only its `u32` handle.
     pub fn index_image(&mut self, id: ImageId) {
-        self.index_row(id, |engine, scene, handle, slab| {
-            engine
-                .hybrid
-                .get_or_insert_with(|| VisualRTree::new(handle.dim as usize))
-                .insert(slab, scene, handle.row, id);
+        let store = Arc::clone(&self.store);
+        store.with_image_row(id, self.config.visual_kind, |record, row| {
+            let handle = row.map(|(handle, _)| handle);
+            let Some((scene, fov)) = self.index_row(id, record, handle) else {
+                return;
+            };
+            self.scene_tree.insert(scene, id);
+            if let Some(fov) = fov {
+                self.fov_tree.insert(fov, id);
+            }
+            if let Some((handle, slab)) = row {
+                self.hybrid
+                    .get_or_insert_with(|| VisualRTree::new(handle.dim as usize))
+                    .insert(slab, scene, handle.row, id);
+            }
         });
     }
 
-    /// Everything indexing one image does except giving its feature row
-    /// to the hybrid tree, which is `place_visual`'s job (called with the
-    /// row's scene box, arena handle and live slab, under the store's
-    /// read lock, iff the image holds a row of the indexed family).
+    /// Records the non-tree columns of one image, read from its store
+    /// `record` and the arena `handle` of its row of the indexed family
+    /// (if it holds one), and returns what the trees key it by: its
+    /// scene box and its FOV. `None`, with nothing recorded, when the
+    /// image is already indexed.
     fn index_row(
         &mut self,
         id: ImageId,
-        place_visual: impl FnOnce(&mut Self, BBox, FeatureHandle, &FeatureSlab),
-    ) {
+        record: &ImageRecord,
+        handle: Option<FeatureHandle>,
+    ) -> Option<(BBox, Option<Fov>)> {
         if self.doc_of.contains_key(&id) {
-            return;
+            return None;
         }
-        let store = Arc::clone(&self.store);
-        // One read-lock acquisition per row: the record is read in
-        // place (only the columns the engine keeps are copied out of
-        // it), and the visual indexes read the feature row straight out
-        // of the live slab, keeping only its `u32` row handle.
-        store.with_image_row(id, self.config.visual_kind, |record, row| {
-            let scene = record.scene_location;
-            self.scene_tree.insert(scene, id);
-            if let Some(fov) = record.meta.fov {
-                self.fov_tree.insert(fov, id);
-            }
-            let doc = self.docs.len();
-            self.docs.push(id);
-            self.doc_of.insert(id, doc);
-            self.text
-                .index_document(doc, &record.meta.keywords.join(" "));
-            self.captured.insert(record.meta.captured_at, doc);
-            self.uploaded.insert(record.meta.uploaded_at, doc);
-            self.captured_at.push(record.meta.captured_at);
-            self.uploaded_at.push(record.meta.uploaded_at);
-            self.scenes.push(scene);
-            self.has_fov.push(record.meta.fov.is_some());
-            self.extent = Some(self.extent.map_or(scene, |e| e.union(&scene)));
-
-            let Some((handle, slab)) = row else {
-                return;
-            };
-            place_visual(self, scene, handle, slab);
-            if !self.config.exact_visual {
-                let config = self.config.lsh;
-                self.lsh_ids.push(id);
-                self.lsh
-                    .get_or_insert_with(|| LshIndex::new(handle.dim as usize, config))
-                    .insert(slab.row(handle.row), handle.row);
-            }
+        let scene = record.scene_location;
+        let doc = self.docs.len();
+        self.docs.push(id);
+        self.doc_of.insert(id, doc);
+        self.text
+            .index_document(doc, &record.meta.keywords.join(" "));
+        self.captured.insert(record.meta.captured_at, doc);
+        self.uploaded.insert(record.meta.uploaded_at, doc);
+        self.captured_at.push(record.meta.captured_at);
+        self.uploaded_at.push(record.meta.uploaded_at);
+        self.scenes.push(scene);
+        self.has_fov.push(record.meta.fov.is_some());
+        self.extent = Some(self.extent.map_or(scene, |e| e.union(&scene)));
+        if let Some(handle) = handle {
             self.rows_by_id.insert(id, handle.row);
             self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
-        });
-    }
-
-    /// Whether this engine built an LSH index.
-    #[cfg(test)]
-    pub(crate) fn has_lsh(&self) -> bool {
-        self.lsh.is_some() || !self.lsh_ids.is_empty()
+        }
+        Some((scene, record.meta.fov))
     }
 
     /// The arena snapshot every visual query path reads rows from: the
@@ -435,33 +420,11 @@ impl QueryEngine {
                 .into_iter()
                 .map(|(d, id)| QueryResult::new(*id, f64::from(d)))
                 .collect(),
-            VisualMode::TopK(k) => {
-                if self.config.exact_visual {
-                    hybrid
-                        .knn_visual(&*view, &region, example, k)
-                        .into_iter()
-                        .map(|(d, id)| QueryResult::new(*id, f64::from(d)))
-                        .collect()
-                } else {
-                    // Approximate: LSH candidates, exact re-rank on the
-                    // arena rows, then spatial post-filter. Oversampling
-                    // is configurable (LshConfig::candidate_multiple).
-                    let Some(lsh) = self.lsh.as_ref() else {
-                        return Vec::new();
-                    };
-                    lsh.knn(&*view, example, self.config.lsh.oversampled_fetch(k))
-                        .into_iter()
-                        .map(|(d, handle)| (d, self.lsh_ids[handle]))
-                        .filter(|(_, id)| {
-                            self.doc_of
-                                .get(id)
-                                .is_some_and(|&doc| self.scenes[doc].intersects(&region))
-                        })
-                        .take(k)
-                        .map(|(d, id)| QueryResult::new(id, f64::from(d)))
-                        .collect()
-                }
-            }
+            VisualMode::TopK(k) => hybrid
+                .knn_visual(&*view, &region, example, k)
+                .into_iter()
+                .map(|(d, id)| QueryResult::new(*id, f64::from(d)))
+                .collect(),
         };
         // Every path above ranks on squared distances; two of those can
         // round to one reported root, and rows that tie on the reported

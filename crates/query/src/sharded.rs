@@ -39,10 +39,7 @@
 //!
 //! Merge order never depends on shard count or worker count: the same
 //! corpus sharded 1 way or N ways, queried on 1 thread or M, yields
-//! byte-identical results, at any seal cap (the approximate LSH path is
-//! the documented exception — it is thread-invariant but not
-//! shard-count-invariant, since each segment hashes its own candidate
-//! set).
+//! byte-identical results, at any seal cap.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -779,17 +776,5 @@ mod tests {
                 "a segment holds a view (and a tail copy) of its own"
             );
         }
-    }
-
-    #[test]
-    fn lsh_exists_iff_the_configuration_reads_it() {
-        let exact = ShardedEngine::with_seal_cap(vec![store_of(16)], Default::default(), 8);
-        assert!(segments(&exact).iter().all(|s| !s.has_lsh()));
-        let config = EngineConfig {
-            exact_visual: false,
-            ..Default::default()
-        };
-        let approximate = ShardedEngine::with_seal_cap(vec![store_of(16)], config, 8);
-        assert!(segments(&approximate).iter().all(|s| s.has_lsh()));
     }
 }

@@ -164,21 +164,6 @@ fn exact_engine_is_thread_count_invariant() {
 }
 
 #[test]
-fn lsh_engine_is_thread_count_invariant() {
-    let config = EngineConfig {
-        exact_visual: false,
-        ..EngineConfig::default()
-    };
-    let serial = run_with_threads(&config, 1);
-    let pooled = run_with_threads(&config, 8);
-    assert!(!serial.is_empty());
-    assert_eq!(
-        serial, pooled,
-        "LSH workload differs between 1 and 8 pool threads"
-    );
-}
-
-#[test]
 fn rebuilt_engine_reproduces_identical_bytes() {
     // Same store seed, fresh engine + pool: the whole pipeline (ingest,
     // index build, batch execution) must be a pure function of the seed.

@@ -276,37 +276,6 @@ fn empty_and_returns_nothing() {
 }
 
 #[test]
-fn approximate_visual_path_has_high_recall() {
-    let store = build_store(300, 14);
-    let exact = QueryEngine::build(Arc::clone(&store), Default::default());
-    // Bucket width tuned to the test data's nearest-neighbour distances,
-    // as E2LSH deployments do.
-    let approx = QueryEngine::build(
-        Arc::clone(&store),
-        tvdp_query::engine::EngineConfig {
-            exact_visual: false,
-            lsh: tvdp_index::LshConfig {
-                bucket_width: 2.0,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let q = Query::Visual {
-        example: vec![2.0; DIM],
-        kind: FeatureKind::Cnn,
-        mode: VisualMode::TopK(10),
-    };
-    let exact_ids: Vec<_> = result_ids(&run(&exact, &q));
-    let approx_ids: Vec<_> = result_ids(&run(&approx, &q));
-    let hit = exact_ids
-        .iter()
-        .filter(|id| approx_ids.contains(id))
-        .count();
-    assert!(hit >= 8, "LSH recall too low: {hit}/10");
-}
-
-#[test]
 fn incremental_indexing_picks_up_new_images() {
     let store = build_store(50, 15);
     let mut engine = QueryEngine::build(Arc::clone(&store), Default::default());

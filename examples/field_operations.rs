@@ -123,7 +123,6 @@ fn main() {
         Arc::clone(store),
         EngineConfig {
             visual_kind: FeatureKind::ColorHistogram,
-            ..Default::default()
         },
     );
     // Forty photos with stripped EXIF; report the median placement error.
