@@ -680,6 +680,47 @@ fn hostile_model_uploads_are_rejected_with_400() {
     assert!(ok.is_ok(), "{ok:?}");
 }
 
+/// A model whose declared width is not the stored features' is refused
+/// on `models/apply` with a reason, and the server keeps serving.
+#[test]
+fn applying_a_model_of_another_width_is_a_400_not_a_panic() {
+    let (server, key, scheme) = trained_server();
+    let svm = r#"{"Svm":{"inner":{"params":{"lambda":1e-5,"epochs":1,"seed":0},"weights":[[0,0,0],[1,1,1]]},"scaler":null}}"#;
+    let r = call(&server, &key, "models/upload", &upload_body(scheme, 2, svm));
+    assert!(r.is_ok(), "{r:?}");
+    let model = r.body["model"].as_u64().unwrap();
+    let image = call(&server, &key, "data/add", &add_body(0, 99, 34.02)).body["image"]
+        .as_u64()
+        .unwrap();
+    let annotations = |server: &ApiServer| {
+        call(server, &key, "stats", "{}").body["annotations"]
+            .as_u64()
+            .unwrap()
+    };
+    let before = annotations(&server);
+
+    let r = call(
+        &server,
+        &key,
+        "models/apply",
+        &format!(r#"{{"model":{model},"images":[{image}]}}"#),
+    );
+    assert_eq!(r.status, 400, "{r:?}");
+    let reason = r.body["error"].as_str().unwrap_or_default();
+    assert!(reason.contains("2-dim"), "{reason}");
+    assert!(reason.contains(&format!("img-{image}")), "{reason}");
+    assert_eq!(annotations(&server), before, "nothing was stored");
+
+    // The request thread survived: the next request is served.
+    let r = call(
+        &server,
+        &key,
+        "data/download",
+        &format!(r#"{{"ids":[{image}]}}"#),
+    );
+    assert!(r.is_ok(), "{r:?}");
+}
+
 #[test]
 fn batched_uploads_through_the_api() {
     let platform = fast_platform();

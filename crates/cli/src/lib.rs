@@ -488,20 +488,6 @@ fn apply(path: &str, rest: &[String]) -> Result<String, CliError> {
         .map_err(|e| err(format!("bad model weights: {e}")))?;
     let feature_kind = codec::decode_kind(&doc["feature_kind"])
         .map_err(|e| err(format!("bad model feature kind: {e}")))?;
-    // Guard against a model trained over a different feature pipeline:
-    // the store's vectors must match the model's declared input size.
-    if let Some(sample) = store
-        .image_ids()
-        .first()
-        .and_then(|&id| store.feature_ref(id, feature_kind))
-    {
-        if sample.len() != input_dim {
-            return Err(err(format!(
-                "model expects {input_dim}-dim {feature_kind:?} features but this store                  holds {}-dim vectors (different extractor configuration?)",
-                sample.len()
-            )));
-        }
-    }
     let model = platform
         .upload_model(
             operator,

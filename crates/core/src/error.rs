@@ -28,6 +28,19 @@ pub enum PlatformError {
     },
     /// The image lacks the stored feature a model needs.
     MissingFeature(ImageId, FeatureKind),
+    /// The image's stored feature is not as wide as the model's
+    /// declared input (a model uploaded for another extractor
+    /// configuration).
+    FeatureWidth {
+        /// The image whose feature was read.
+        image: ImageId,
+        /// The feature family the model consumes.
+        kind: FeatureKind,
+        /// The model's declared `input_dim`.
+        expected: usize,
+        /// The stored feature's width.
+        found: usize,
+    },
     /// No pixels stored for an image that needs processing.
     MissingPixels(ImageId),
     /// A query was malformed (e.g. a visual example whose dimension
@@ -66,6 +79,16 @@ impl std::fmt::Display for PlatformError {
             PlatformError::MissingFeature(id, kind) => {
                 write!(f, "image {id} lacks a stored {kind:?} feature")
             }
+            PlatformError::FeatureWidth {
+                image,
+                kind,
+                expected,
+                found,
+            } => write!(
+                f,
+                "model expects {expected}-dim {kind:?} features but image {image} holds a \
+                 {found}-dim one (different extractor configuration?)"
+            ),
             PlatformError::MissingPixels(id) => write!(f, "image {id} has no stored pixels"),
             PlatformError::Query(e) => write!(f, "query: {e}"),
             PlatformError::Durable(e) => write!(f, "durability: {e}"),

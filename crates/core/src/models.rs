@@ -183,19 +183,11 @@ impl ModelRegistry {
     }
 
     /// Runs the model on one feature vector, returning per-class scores.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the feature dimensionality violates the declared
-    /// interface (caller error).
+    /// The vector must be as wide as the model's declared `input_dim`;
+    /// [`crate::Tvdp::apply_model`] checks that before it asks.
     pub fn score(&self, id: ModelId, features: &[f32]) -> Option<Vec<f32>> {
         let inner = self.inner.read();
         let entry = inner.models.get(&id)?;
-        assert_eq!(
-            features.len(),
-            entry.interface.input_dim,
-            "feature dim violates model interface"
-        );
         Some(entry.implementation.classifier().decision_scores(features))
     }
 
@@ -288,13 +280,5 @@ mod tests {
         let reg = ModelRegistry::new();
         assert!(reg.predict(ModelId(9), &[0.0, 0.0]).is_none());
         assert!(reg.interface(ModelId(9)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "model interface")]
-    fn wrong_dim_panics() {
-        let reg = ModelRegistry::new();
-        let id = reg.register("m", UserId(1), interface(), trained_knn());
-        let _ = reg.score(id, &[1.0, 2.0, 3.0]);
     }
 }

@@ -299,7 +299,7 @@ impl Tvdp {
     ) -> Result<(Self, RecoveryReport), PlatformError> {
         let shards = config.shards.max(1);
         let mut durables = Vec::with_capacity(shards);
-        let mut merged: Option<RecoveryReport> = None;
+        let mut report = RecoveryReport::default();
         for i in 0..shards {
             let shard_dir = if shards == 1 {
                 dir.to_path_buf()
@@ -308,24 +308,8 @@ impl Tvdp {
             };
             let (d, r) = DurableStore::open(&shard_dir)?;
             durables.push(d);
-            merged = Some(match merged {
-                None => r,
-                Some(m) => RecoveryReport {
-                    epoch: m.epoch.max(r.epoch),
-                    snapshot_found: m.snapshot_found || r.snapshot_found,
-                    replayed_ops: m.replayed_ops + r.replayed_ops,
-                    torn_bytes: m.torn_bytes + r.torn_bytes,
-                    debris_removed: m.debris_removed + r.debris_removed,
-                },
-            });
+            report = report.merge(r);
         }
-        let report = merged.unwrap_or(RecoveryReport {
-            epoch: 0,
-            snapshot_found: false,
-            replayed_ops: 0,
-            torn_bytes: 0,
-            debris_removed: 0,
-        });
         let stores = durables.iter().map(|d| d.store_arc()).collect();
         let mut platform = Self::from_stores(stores, config);
         platform.durables = durables;
@@ -360,33 +344,11 @@ impl Tvdp {
         if self.durables.is_empty() {
             return Err(PlatformError::NotDurable);
         }
-        let mut merged: Option<CompactionReport> = None;
+        let mut report = CompactionReport::default();
         for d in &self.durables {
-            let r = d.compact()?;
-            merged = Some(match merged {
-                None => r,
-                Some(m) => CompactionReport {
-                    epoch: m.epoch.max(r.epoch),
-                    ops_compacted: m.ops_compacted + r.ops_compacted,
-                    wal_bytes_before: m.wal_bytes_before + r.wal_bytes_before,
-                    snapshot_bytes: m.snapshot_bytes + r.snapshot_bytes,
-                    tiers_merged: m.tiers_merged + r.tiers_merged,
-                    increments_run: m.increments_run + r.increments_run,
-                    bytes_spilled: m.bytes_spilled + r.bytes_spilled,
-                    bytes_reloaded: m.bytes_reloaded + r.bytes_reloaded,
-                },
-            });
+            report = report.merge(d.compact()?);
         }
-        Ok(merged.unwrap_or(CompactionReport {
-            epoch: 0,
-            ops_compacted: 0,
-            wal_bytes_before: 0,
-            snapshot_bytes: 0,
-            tiers_merged: 0,
-            increments_run: 0,
-            bytes_spilled: 0,
-            bytes_reloaded: 0,
-        }))
+        Ok(report)
     }
 
     // Platform-wide id allocation. A shard insert happens *at* the
@@ -910,8 +872,10 @@ impl Tvdp {
 
     /// **Analysis → translational write-back**: applies a registered
     /// model to images, storing each prediction as a machine annotation.
-    /// Returns `(image, label, confidence)` per processed image; images
-    /// lacking the required feature are reported as errors.
+    /// Returns `(image, label, confidence)` per processed image; an image
+    /// lacking the required feature, or holding one of another width
+    /// than the model's declared `input_dim`, is reported as an error
+    /// and nothing is stored.
     pub fn apply_model(
         &self,
         model: ModelId,
@@ -932,6 +896,14 @@ impl Tvdp {
                 .enumerate()
                 .find_map(|(i, s)| Some((i, s.feature_ref(image, interface.feature_kind)?)))
                 .ok_or(PlatformError::MissingFeature(image, interface.feature_kind))?;
+            if feature.len() != interface.input_dim {
+                return Err(PlatformError::FeatureWidth {
+                    image,
+                    kind: interface.feature_kind,
+                    expected: interface.input_dim,
+                    found: feature.len(),
+                });
+            }
             let (label, confidence) = self
                 .models
                 .predict(model, &feature)

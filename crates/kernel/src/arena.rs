@@ -21,17 +21,9 @@
 //!
 //! Rows are write-once: replacing a feature appends a new row and
 //! repoints the handle, which is what makes lock-free snapshot reads
-//! safe without any `unsafe` code.
-//!
-//! Frozen chunks can additionally be **spilled**: the owner trades the
-//! resident `Arc<[f32]>` for a [`ChunkLoader`] handle
-//! ([`FeatureSlab::spill_frozen`]), and the first row access through
-//! any holder transparently reloads the chunk exactly once
-//! ([`Chunk::data`]). Because chunks are write-once, a spilled copy on
-//! disk never goes stale, so re-spilling a reloaded chunk is a pure
-//! in-memory swap. Everything still flows through [`RowSource`] — index
-//! structures and query execution cannot tell a reloaded chunk from one
-//! that never left memory.
+//! safe without any `unsafe` code. The arena is always resident: a
+//! frozen chunk is a plain `Arc<[f32]>`, so a row is one index and one
+//! slice away from its floats.
 
 use std::sync::{Arc, OnceLock};
 
@@ -42,102 +34,6 @@ use crate::quant::{QuantChunk, QuantParams};
 /// keeps a dim-512 chunk at 2 MiB (hugepage-friendly) and bounds the
 /// tail copy a snapshot refresh may perform.
 pub const ROWS_PER_CHUNK: usize = 1024;
-
-/// Reloads a spilled chunk's floats from backing storage.
-///
-/// Implementations live with whatever owns the spilled bytes (the
-/// storage layer's snapshot tier); the arena only needs the exact
-/// float sequence back. `load` must be pure for a given chunk index —
-/// chunks are write-once, so the loader is called at most once per
-/// [`Chunk`] handle and every call for the same index must return the
-/// same data.
-pub trait ChunkLoader: Send + Sync + std::fmt::Debug {
-    /// Returns the full float contents of chunk `index`.
-    fn load(&self, index: usize) -> Arc<[f32]>;
-}
-
-#[derive(Debug)]
-enum ChunkState {
-    /// The floats are in memory.
-    Resident(Arc<[f32]>),
-    /// The floats were spilled; the first access reloads them through
-    /// the loader and caches the result for every later access.
-    Spilled {
-        index: usize,
-        loader: Arc<dyn ChunkLoader>,
-        cache: OnceLock<Arc<[f32]>>,
-    },
-}
-
-/// One frozen slab chunk: either resident floats or a lazy handle to a
-/// spilled copy. Clones share state (`Arc`), so a reload performed
-/// through one holder is visible to every clone taken from the same
-/// spill.
-#[derive(Debug, Clone)]
-pub struct Chunk {
-    state: Arc<ChunkState>,
-}
-
-impl Chunk {
-    /// A chunk whose floats are in memory.
-    pub fn resident(data: Arc<[f32]>) -> Chunk {
-        Chunk {
-            state: Arc::new(ChunkState::Resident(data)),
-        }
-    }
-
-    /// A chunk whose floats live with `loader` until first access.
-    pub fn spilled(index: usize, loader: Arc<dyn ChunkLoader>) -> Chunk {
-        Chunk {
-            state: Arc::new(ChunkState::Spilled {
-                index,
-                loader,
-                cache: OnceLock::new(),
-            }),
-        }
-    }
-
-    fn arc(&self) -> &Arc<[f32]> {
-        match &*self.state {
-            ChunkState::Resident(data) => data,
-            ChunkState::Spilled {
-                index,
-                loader,
-                cache,
-            } => cache.get_or_init(|| loader.load(*index)),
-        }
-    }
-
-    /// The chunk's floats, reloading from the spill on first access.
-    #[inline]
-    pub fn data(&self) -> &[f32] {
-        self.arc()
-    }
-
-    /// An owning handle to the chunk's floats (reloading if spilled).
-    pub fn data_arc(&self) -> Arc<[f32]> {
-        Arc::clone(self.arc())
-    }
-
-    /// Whether the floats are currently in memory (resident, or a
-    /// spilled chunk that has already been reloaded).
-    pub fn is_in_memory(&self) -> bool {
-        match &*self.state {
-            ChunkState::Resident(_) => true,
-            ChunkState::Spilled { cache, .. } => cache.get().is_some(),
-        }
-    }
-
-    /// Whether this handle points at a spilled copy (reloaded or not).
-    pub fn is_spilled(&self) -> bool {
-        matches!(&*self.state, ChunkState::Spilled { .. })
-    }
-
-    /// Whether two handles share the same state allocation.
-    pub fn ptr_eq(&self, other: &Chunk) -> bool {
-        Arc::ptr_eq(&self.state, &other.state)
-    }
-}
 
 /// Anything that can resolve a row handle to its `f32` slice: both
 /// [`FeatureSlab`] (direct, under the owner's borrow) and [`SlabView`]
@@ -158,8 +54,7 @@ pub struct FeatureSlab {
     dim: usize,
     /// Full chunks, each exactly `ROWS_PER_CHUNK * dim` floats, frozen
     /// (never written again) and shared with snapshots by `Arc`.
-    /// Individual chunks may be spilled ([`FeatureSlab::spill_frozen`]).
-    frozen: Vec<Chunk>,
+    frozen: Vec<Arc<[f32]>>,
     /// The chunk currently being filled (< `ROWS_PER_CHUNK` rows).
     tail: Vec<f32>,
     len: usize,
@@ -198,38 +93,9 @@ impl FeatureSlab {
         self.len += 1;
         if self.tail.len() == ROWS_PER_CHUNK * self.dim {
             let full = std::mem::take(&mut self.tail);
-            self.frozen.push(Chunk::resident(Arc::from(full)));
+            self.frozen.push(Arc::from(full));
         }
         row
-    }
-
-    /// Number of frozen (full, write-once) chunks.
-    pub fn frozen_chunks(&self) -> usize {
-        self.frozen.len()
-    }
-
-    /// Whether frozen chunk `chunk` is currently held in memory.
-    pub fn chunk_in_memory(&self, chunk: usize) -> bool {
-        self.frozen[chunk].is_in_memory()
-    }
-
-    /// The floats of frozen chunk `chunk` (reloading if spilled).
-    pub fn chunk_data(&self, chunk: usize) -> &[f32] {
-        self.frozen[chunk].data()
-    }
-
-    /// Replaces frozen chunk `chunk`'s resident floats with a lazy
-    /// spill handle. The caller is responsible for having written the
-    /// chunk's exact contents wherever `loader` reads from *before*
-    /// calling this — afterwards the arena drops its reference and the
-    /// next access reloads through the loader. Views taken earlier keep
-    /// their own handles (and their memory) until they are dropped, so
-    /// an owner that caches a view drops it when it spills; views taken
-    /// after see the spill. Re-spilling a reloaded chunk is
-    /// a pure in-memory swap: chunks are write-once, so the copy behind
-    /// `loader` never goes stale.
-    pub fn spill_frozen(&mut self, chunk: usize, loader: Arc<dyn ChunkLoader>) {
-        self.frozen[chunk] = Chunk::spilled(chunk, loader);
     }
 
     /// An `Arc`-sharing snapshot of every row pushed so far. Frozen
@@ -239,7 +105,7 @@ impl FeatureSlab {
     pub fn view(&self) -> SlabView {
         let mut chunks = self.frozen.clone();
         if !self.tail.is_empty() {
-            chunks.push(Chunk::resident(Arc::from(self.tail.clone())));
+            chunks.push(Arc::from(self.tail.clone()));
         }
         SlabView {
             dim: self.dim,
@@ -259,7 +125,7 @@ impl FeatureSlab {
         if chunk < self.frozen.len() {
             let start = (r % ROWS_PER_CHUNK) * self.dim;
             RowRef {
-                chunk: self.frozen[chunk].data_arc(),
+                chunk: Arc::clone(&self.frozen[chunk]),
                 start,
                 len: self.dim,
             }
@@ -293,7 +159,7 @@ impl RowSource for FeatureSlab {
         let chunk = r / ROWS_PER_CHUNK;
         if chunk < self.frozen.len() {
             let start = (r % ROWS_PER_CHUNK) * self.dim;
-            &self.frozen[chunk].data()[start..start + self.dim]
+            &self.frozen[chunk][start..start + self.dim]
         } else {
             let start = (r - self.frozen.len() * ROWS_PER_CHUNK) * self.dim;
             &self.tail[start..start + self.dim]
@@ -309,7 +175,7 @@ pub struct SlabView {
     dim: usize,
     len: usize,
     /// Every chunk except the last holds exactly `ROWS_PER_CHUNK` rows.
-    chunks: Vec<Chunk>,
+    chunks: Vec<Arc<[f32]>>,
     /// One cell per full chunk (never the partial tail), filled with
     /// the chunk's scalar-quantized codes ([`crate::quant`]) the first
     /// time [`SlabView::quant_row`] asks for a row of it. A view nobody
@@ -342,8 +208,8 @@ impl SlabView {
     /// The quantized codes and decode parameters of `row`, or `None`
     /// when the row lives in the partial tail. Codes are derived on
     /// first read: the first call for any row of a chunk encodes the
-    /// whole chunk from its floats (reloading them if spilled, like any
-    /// other read) and every later call on this view reuses the result.
+    /// whole chunk from its floats and every later call on this view
+    /// reuses the result.
     #[inline]
     pub fn quant_row(&self, row: u32) -> Option<(&[u8], &QuantParams)> {
         let r = row as usize;
@@ -351,7 +217,7 @@ impl SlabView {
         let chunk = self
             .quant
             .get(c)?
-            .get_or_init(|| QuantChunk::encode(self.chunks[c].data(), self.dim));
+            .get_or_init(|| QuantChunk::encode(&self.chunks[c], self.dim));
         Some((chunk.row_codes(r % ROWS_PER_CHUNK), chunk.params()))
     }
 
@@ -375,7 +241,7 @@ impl RowSource for SlabView {
     fn row(&self, row: u32) -> &[f32] {
         let r = row as usize;
         let start = (r % ROWS_PER_CHUNK) * self.dim;
-        &self.chunks[r / ROWS_PER_CHUNK].data()[start..start + self.dim]
+        &self.chunks[r / ROWS_PER_CHUNK][start..start + self.dim]
     }
 }
 
@@ -468,79 +334,7 @@ mod tests {
         }
         // Frozen chunks are shared, not copied: same allocation.
         let view2 = slab.view();
-        assert!(view.chunks[0].ptr_eq(&view2.chunks[0]));
-    }
-
-    /// A loader that serves chunks from a captured copy, counting loads.
-    #[derive(Debug)]
-    struct MapLoader {
-        chunks: std::sync::Mutex<std::collections::BTreeMap<usize, Vec<f32>>>,
-        loads: std::sync::atomic::AtomicUsize,
-    }
-
-    impl MapLoader {
-        fn capture(slab: &FeatureSlab, chunk: usize) -> (Arc<MapLoader>, Arc<dyn ChunkLoader>) {
-            let mut chunks = std::collections::BTreeMap::new();
-            chunks.insert(chunk, slab.chunk_data(chunk).to_vec());
-            let l = Arc::new(MapLoader {
-                chunks: std::sync::Mutex::new(chunks),
-                loads: std::sync::atomic::AtomicUsize::new(0),
-            });
-            (Arc::clone(&l), l)
-        }
-    }
-
-    impl ChunkLoader for MapLoader {
-        fn load(&self, index: usize) -> Arc<[f32]> {
-            self.loads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Arc::from(self.chunks.lock().unwrap()[&index].clone())
-        }
-    }
-
-    #[test]
-    fn spilled_chunk_reloads_once_and_rows_are_identical() {
-        let dim = 3;
-        let mut slab = FeatureSlab::new(dim);
-        for i in 0..ROWS_PER_CHUNK * 2 + 9 {
-            slab.push(&row_of(i, dim));
-        }
-        let before: Vec<Vec<f32>> = (0..slab.rows() as u32)
-            .map(|r| slab.row(r).to_vec())
-            .collect();
-        let (counter, loader) = MapLoader::capture(&slab, 0);
-        slab.spill_frozen(0, loader);
-        assert!(!slab.chunk_in_memory(0));
-        assert!(slab.chunk_in_memory(1));
-        // Rows resolve identically through slab, view, and row_ref, and
-        // the loader fires exactly once for all of them combined.
-        let view = slab.view();
-        for r in 0..slab.rows() as u32 {
-            assert_eq!(slab.row(r), &before[r as usize][..]);
-            assert_eq!(view.row(r), &before[r as usize][..]);
-        }
-        assert_eq!(&*slab.row_ref(5), &before[5][..]);
-        assert_eq!(counter.loads.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert!(slab.chunk_in_memory(0), "reload caches the chunk");
-    }
-
-    #[test]
-    fn respill_of_reloaded_chunk_drops_cache_without_new_handle_loads() {
-        let dim = 2;
-        let mut slab = FeatureSlab::new(dim);
-        for i in 0..ROWS_PER_CHUNK + 1 {
-            slab.push(&row_of(i, dim));
-        }
-        let (counter, loader) = MapLoader::capture(&slab, 0);
-        slab.spill_frozen(0, Arc::clone(&loader) as Arc<dyn ChunkLoader>);
-        // Views taken before the spill keep their resident memory and
-        // never hit the loader.
-        let _ = slab.row(0);
-        assert_eq!(counter.loads.load(std::sync::atomic::Ordering::SeqCst), 1);
-        // Re-spill: fresh handle, cache dropped, next access reloads.
-        slab.spill_frozen(0, loader);
-        assert!(!slab.chunk_in_memory(0));
-        assert_eq!(slab.row(0), &row_of(0, dim)[..]);
-        assert_eq!(counter.loads.load(std::sync::atomic::Ordering::SeqCst), 2);
+        assert!(Arc::ptr_eq(&view.chunks[0], &view2.chunks[0]));
     }
 
     #[test]
@@ -568,7 +362,7 @@ mod tests {
         assert_eq!(view.quant_rows(), ROWS_PER_CHUNK * 2);
         assert_eq!(view.derived_chunks(), 0);
         // What comes out is `QuantChunk::encode` of the chunk's floats.
-        let want = QuantChunk::encode(slab.chunk_data(1), dim);
+        let want = QuantChunk::encode(&slab.frozen[1], dim);
         for r in [0, 17, ROWS_PER_CHUNK - 1] {
             let (codes, params) = view.quant_row((ROWS_PER_CHUNK + r) as u32).unwrap();
             assert_eq!(codes, want.row_codes(r));
@@ -591,26 +385,6 @@ mod tests {
         // Tail rows have no codes.
         assert!(view.quant_row((ROWS_PER_CHUNK * 2) as u32).is_none());
         assert!(SlabView::empty(dim).quant_row(0).is_none());
-    }
-
-    #[test]
-    fn a_spilled_chunk_derives_the_same_codes_after_reload() {
-        let dim = 3;
-        let mut slab = FeatureSlab::new(dim);
-        for i in 0..ROWS_PER_CHUNK + 9 {
-            slab.push(&row_of(i, dim));
-        }
-        let want = QuantChunk::encode(slab.chunk_data(0), dim);
-        let (counter, loader) = MapLoader::capture(&slab, 0);
-        slab.spill_frozen(0, loader);
-        let view = slab.view();
-        assert_eq!(counter.loads.load(std::sync::atomic::Ordering::SeqCst), 0);
-        for r in [0, 500, ROWS_PER_CHUNK - 1] {
-            let (codes, params) = view.quant_row(r as u32).unwrap();
-            assert_eq!(codes, want.row_codes(r));
-            assert_eq!(params, want.params());
-        }
-        assert_eq!(counter.loads.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod rng;
 pub mod sync;
 pub mod topk;
 
-pub use arena::{Chunk, ChunkLoader, FeatureSlab, RowRef, RowSource, SlabView, ROWS_PER_CHUNK};
+pub use arena::{FeatureSlab, RowRef, RowSource, SlabView, ROWS_PER_CHUNK};
 pub use gencell::GenCell;
 pub use pool::Pool;
 pub use quant::{l2_sq_asym, QuantChunk, QuantParams};

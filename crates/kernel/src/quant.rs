@@ -2,7 +2,7 @@
 //! per-dimension affine decode, trained independently for every full
 //! chunk.
 //!
-//! Nothing in the platform trains, keeps or spills codes: the one
+//! Nothing in the platform trains or keeps codes: the one
 //! caller of [`QuantChunk::encode`] is [`crate::SlabView::quant_row`],
 //! which derives a chunk's codes the first time a row of it is asked
 //! for (today only by the end-to-end benchmark's kernel probe).

@@ -30,8 +30,7 @@ use tvdp_query::{
     SpatialQuery, TemporalField, TextualMode, VisualMode,
 };
 use tvdp_storage::{
-    AnnotationSource, ClassificationId, DurableStore, ImageId, ImageMeta, ImageOrigin, UserId,
-    VisualStore, WalOp,
+    AnnotationSource, ClassificationId, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp,
 };
 use tvdp_vision::FeatureKind;
 
@@ -703,73 +702,6 @@ fn non_ascii_keywords_match_the_same_in_segments_and_tail() {
             assert_eq!(ids(sharded.try_execute(&q).unwrap()), expected, "{q:?}");
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Spill axis: spilling cold arena chunks under a serving engine must
-// actually release them, and change no result byte.
-// ---------------------------------------------------------------------
-
-#[test]
-fn spilled_chunks_leave_memory_and_reload_to_identical_results() {
-    const FROZEN: usize = 3;
-    let (source, _) = build_store(FROZEN * tvdp_kernel::ROWS_PER_CHUNK + 200, 79);
-    let dir = std::env::temp_dir().join(format!("tvdp-parity-spill-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let (durable, _) = DurableStore::open(&dir).expect("fresh durable directory");
-    let ops: Vec<WalOp> = source
-        .image_ids()
-        .into_iter()
-        .flat_map(|id| row_ops(&source, id).1)
-        .collect();
-    durable.apply_batch(ops).expect("journaled copy");
-    let store = durable.store_arc();
-    let rows = store.slab_rows(FeatureKind::Cnn, DIM);
-    let engine = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 256);
-
-    let mut rng = Rng::seed_from_u64(911);
-    let mut queries = topk_workload(&mut rng);
-    // A threshold no row misses: reads every row of every segment.
-    queries.push(Query::Visual {
-        example: random_example(&mut rng),
-        kind: FeatureKind::Cnn,
-        mode: VisualMode::Threshold(1e6),
-    });
-    let run = || {
-        let out = engine
-            .try_execute_batch_with_pool(&queries, &Pool::new(2))
-            .expect("cnn-only trees");
-        assert_eq!(out.last().map(Vec::len), Some(rows));
-        format!("{out:?}")
-    };
-
-    let before = run();
-    let serving = Arc::downgrade(&store.slab_view(FeatureKind::Cnn, DIM, rows));
-    assert!(serving.upgrade().is_some(), "the segments' shared view");
-
-    let (chunks, bytes) = durable.spill_cold_features(1).expect("spill");
-    assert_eq!(chunks, FROZEN - 1);
-    assert_eq!(
-        bytes,
-        (chunks * tvdp_kernel::ROWS_PER_CHUNK * DIM * 4) as u64
-    );
-    // No query is in flight, so nothing may keep the spilled floats
-    // alive: the view every segment served from (the one holder of the
-    // chunks besides the slab) is gone, and the next query has to read
-    // the cold chunks back.
-    assert!(
-        serving.upgrade().is_none(),
-        "the pre-spill view outlived the spill"
-    );
-    assert_eq!(durable.spill_stats().chunks_reloaded(), 0);
-
-    assert_eq!(run(), before, "results changed across the spill");
-    assert_eq!(
-        durable.spill_stats().chunks_reloaded(),
-        (FROZEN - 1) as u64,
-        "each cold chunk reloads exactly once"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,10 @@
-//! Little-endian primitives shared by the binary on-disk formats (the
-//! journal's records, the spill files' float sections): appenders that
-//! write into one caller-owned buffer, and a [`Reader`] whose every read
-//! is bounds-checked, so bytes from outside the program can produce a
-//! decode error but never a panic, and never an allocation sized by a
-//! count they merely claim: a count is believed only up to the number
-//! of elements the remaining bytes could hold.
+//! Little-endian primitives of the one binary on-disk format (the
+//! journal's records): appenders that write into one caller-owned
+//! buffer, and a [`Reader`] whose every read is bounds-checked, so
+//! bytes from outside the program can produce a decode error but never
+//! a panic, and never an allocation sized by a count they merely claim:
+//! a count is believed only up to the number of elements the remaining
+//! bytes could hold.
 
 /// Error text of a failed read.
 pub type DecodeError = String;

@@ -27,7 +27,6 @@ pub mod le;
 pub mod persist;
 pub mod record;
 pub mod recovery;
-pub mod spill;
 pub mod store;
 pub mod wal;
 

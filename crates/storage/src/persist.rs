@@ -48,9 +48,8 @@ pub fn staging_path(path: &Path) -> std::io::Result<PathBuf> {
 
 /// Fsyncs the directory containing `path`, making a rename, create, or
 /// unlink of that path itself durable. Every staged-rename site in the
-/// crate (base publish, WAL create/rotate, spill files, segment
-/// removal) must call this after the metadata operation — the PR 4
-/// protocol.
+/// crate (base publish, WAL create/rotate, segment removal) must call
+/// this after the metadata operation — the PR 4 protocol.
 pub(crate) fn fsync_parent(path: &Path) -> std::io::Result<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),

@@ -1,8 +1,8 @@
 //! Crash recovery and the durable store wrapper.
 //!
-//! A durable store directory holds three kinds of files, the first two
-//! in one format ([`crate::wal`]: a magic+version header, then
-//! CRC-framed little-endian records):
+//! A durable store directory holds two kinds of files, both in one
+//! format ([`crate::wal`]: a magic+version header, then CRC-framed
+//! little-endian records):
 //!
 //! * `base-<epoch>.seg` — the *base segment*: the store as compaction
 //!   last cut it, rendered as the ops that rebuild it
@@ -10,9 +10,7 @@
 //!   the WAL epoch it was cut against; the highest one wins,
 //! * `wal-<epoch>.log` — append-only journal segments: every segment
 //!   with epoch >= the base's holds mutations since that cut (the L0
-//!   tier), and
-//! * `spill-*.bin` — cold feature-arena chunks spilled out of memory
-//!   ([`crate::spill`]).
+//!   tier).
 //!
 //! [`DurableStore::open`] is open-or-recover, and one scanner
 //! ([`crate::wal::scan`]) feeding one validator
@@ -22,11 +20,12 @@
 //! the one a crash could have torn mid-append — gets its torn tail
 //! truncated, or its header stamped if the crash came before even that.
 //! Crash debris is swept (a stale `base-*.tmp`, bases and segments older
-//! than the winning base, spill files — the store reopens fully
-//! resident). A file in any other format — the text journal of builds
-//! before v3, the `snapshot.json` of builds up to PR 20 — fails the open
-//! with [`crate::wal::WalError::UnsupportedFormat`] before anything in
-//! the directory is touched.
+//! than the winning base, and the `spill-*` files of builds up to PR 24,
+//! which wrote cold feature chunks out of memory). A file in any other
+//! format — the text journal of builds before v3, the `snapshot.json` of
+//! builds up to PR 20 — fails the open with
+//! [`crate::wal::WalError::UnsupportedFormat`] before anything in the
+//! directory is touched.
 //!
 //! Compaction is **incremental and tiered**. [`DurableStore::seal`]
 //! rotates the live segment, growing the L0 tier without folding
@@ -37,9 +36,9 @@
 //! [`CompactionTask::step`] encodes the cut in bounded increments — the
 //! full fold never blocks writers. The final increment publishes with
 //! the PR 4 staged-rename protocol (stage, fsync, rename, parent
-//! fsync), retires the old base and the folded segments, and spills
-//! cold arena chunks. [`DurableStore::compact`] wraps the whole
-//! schedule for callers that want the old stop-the-world behavior.
+//! fsync) and retires the old base and the folded segments.
+//! [`DurableStore::compact`] wraps the whole schedule for callers that
+//! want the old stop-the-world behavior.
 //!
 //! Epochs make all of this crash-safe. A base at epoch `B` means
 //! "replay every `wal-<e>.log` with `e >= B`, ascending"; the next
@@ -53,15 +52,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tvdp_kernel::sync::Mutex;
-use tvdp_vision::{FeatureKind, Image};
 
-use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
-use crate::ids::{AnnotationId, ClassificationId, ImageId};
 use crate::persist::{self, BaseWriter};
-use crate::record::{ImageMeta, ImageOrigin};
-use crate::spill::{self, SpillStats};
 use crate::store::{Replays, StorageError, VisualStore};
-use crate::wal::{self, pixel_blob, Wal, WalError, WalOp};
+use crate::wal::{self, Wal, WalError, WalOp};
 
 /// File name of the JSON snapshot that builds up to PR 20 kept in a
 /// durable store directory; its presence fails the open.
@@ -83,9 +77,6 @@ pub enum DurableError {
     /// Replaying a base or journal segment could not reproduce the
     /// state it records; names the segment and the record.
     Replay(String),
-    /// A cold-chunk spill file failed to write or read back; carries
-    /// the offending path and CRC context.
-    Spill(crate::spill::SpillError),
     /// The store is in the read-only degraded state: a journal write
     /// fault (disk full, dying device) tripped it, mutations are being
     /// shed, and reads continue from the applied state. Clears
@@ -101,7 +92,6 @@ impl std::fmt::Display for DurableError {
             DurableError::Storage(e) => write!(f, "{e}"),
             DurableError::Rejected(m) => write!(f, "rejected: {m}"),
             DurableError::Replay(m) => write!(f, "replay failed: {m}"),
-            DurableError::Spill(e) => write!(f, "spill failed: {e}"),
             DurableError::ReadOnly(m) => {
                 write!(f, "store is read-only (journal write fault): {m}")
             }
@@ -129,14 +119,8 @@ impl From<StorageError> for DurableError {
     }
 }
 
-impl From<crate::spill::SpillError> for DurableError {
-    fn from(e: crate::spill::SpillError) -> Self {
-        DurableError::Spill(e)
-    }
-}
-
 /// What [`DurableStore::open`] found and repaired.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// WAL epoch the store is now on.
     pub epoch: u64,
@@ -150,6 +134,20 @@ pub struct RecoveryReport {
     /// Crash-debris files swept (stale staging file, bases and WALs
     /// from older epochs).
     pub debris_removed: usize,
+}
+
+impl RecoveryReport {
+    /// The report of two stores opened side by side (a sharded
+    /// platform's): the higher epoch, and every count summed.
+    pub fn merge(self, other: RecoveryReport) -> RecoveryReport {
+        RecoveryReport {
+            epoch: self.epoch.max(other.epoch),
+            snapshot_found: self.snapshot_found || other.snapshot_found,
+            replayed_ops: self.replayed_ops + other.replayed_ops,
+            torn_bytes: self.torn_bytes + other.torn_bytes,
+            debris_removed: self.debris_removed + other.debris_removed,
+        }
+    }
 }
 
 impl std::fmt::Display for RecoveryReport {
@@ -168,7 +166,7 @@ impl std::fmt::Display for RecoveryReport {
 
 /// What a compaction ([`DurableStore::compact`] /
 /// [`CompactionTask`]) accomplished.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// WAL epoch after rotation (the new base segment's).
     pub epoch: u64,
@@ -182,10 +180,21 @@ pub struct CompactionReport {
     pub tiers_merged: usize,
     /// Bounded merge increments the fold ran as.
     pub increments_run: usize,
-    /// Feature-arena float bytes released from memory to spill files.
-    pub bytes_spilled: u64,
-    /// Spilled float bytes reloaded from disk during the fold.
-    pub bytes_reloaded: u64,
+}
+
+impl CompactionReport {
+    /// The report of two stores compacted side by side (a sharded
+    /// platform's): the higher epoch, and every count summed.
+    pub fn merge(self, other: CompactionReport) -> CompactionReport {
+        CompactionReport {
+            epoch: self.epoch.max(other.epoch),
+            ops_compacted: self.ops_compacted + other.ops_compacted,
+            wal_bytes_before: self.wal_bytes_before + other.wal_bytes_before,
+            snapshot_bytes: self.snapshot_bytes + other.snapshot_bytes,
+            tiers_merged: self.tiers_merged + other.tiers_merged,
+            increments_run: self.increments_run + other.increments_run,
+        }
+    }
 }
 
 impl std::fmt::Display for CompactionReport {
@@ -193,15 +202,13 @@ impl std::fmt::Display for CompactionReport {
         write!(
             f,
             "epoch {}: {} op(s) folded into a {} byte snapshot, {} wal byte(s) retired; \
-             {} tier(s) merged in {} increment(s), {} byte(s) spilled, {} byte(s) reloaded",
+             {} tier(s) merged in {} increment(s)",
             self.epoch,
             self.ops_compacted,
             self.snapshot_bytes,
             self.wal_bytes_before,
             self.tiers_merged,
             self.increments_run,
-            self.bytes_spilled,
-            self.bytes_reloaded,
         )
     }
 }
@@ -333,9 +340,6 @@ pub struct DurableStore {
     dir: PathBuf,
     store: Arc<VisualStore>,
     journal: Mutex<Journal>,
-    /// Spill/reload counters shared with every loader handed to the
-    /// arena.
-    spill_stats: Arc<SpillStats>,
     /// Guards against two concurrent [`CompactionTask`]s.
     fold_active: Mutex<bool>,
 }
@@ -467,16 +471,16 @@ impl DurableStore {
     /// segment (epoch >= the base's) in ascending order — truncating a
     /// torn tail only on the highest segment, the one a crash could
     /// have torn mid-append — and sweeps crash debris (stale staging
-    /// files, bases and segments older than the base, spill files: the
-    /// store reopens fully resident).
+    /// files, bases and segments older than the base, the spill files
+    /// of older builds).
     pub fn open(dir: &Path) -> Result<(DurableStore, RecoveryReport), DurableError> {
         std::fs::create_dir_all(dir)?;
 
         // Inventory the directory: bases (the highest wins), journal
         // segments, and debris — staging files (a base that never
         // reached its rename; the published one, if any, is intact) and
-        // spill artifacts (the rebuilt store is fully resident, so every
-        // spill file is stale).
+        // the cold-chunk files builds up to PR 24 wrote beside the base
+        // (`spill-<kind>-<dim>-<chunk>.bin`, staged as `.bin.tmp`).
         let mut bases: Vec<u64> = Vec::new();
         let mut segments: Vec<u64> = Vec::new();
         let mut debris: Vec<PathBuf> = Vec::new();
@@ -495,7 +499,8 @@ impl DurableStore {
                 bases.push(epoch);
             } else if let Some(epoch) = epoch_of(&name, "wal-", ".log") {
                 segments.push(epoch);
-            } else if spill::is_spill_debris(&name)
+            } else if (name.starts_with("spill-")
+                && (name.ends_with(".bin") || name.ends_with(".bin.tmp")))
                 || (name.starts_with("base-") && name.ends_with(".tmp"))
                 // Unparseable epoch: not ours, treat as debris.
                 || (name.starts_with("wal-") && name.ends_with(".log"))
@@ -577,7 +582,6 @@ impl DurableStore {
                     last_error: None,
                     fault: None,
                 }),
-                spill_stats: Arc::new(SpillStats::default()),
                 fold_active: Mutex::new(false),
             },
             report,
@@ -611,152 +615,31 @@ impl DurableStore {
         Ok(self.journal.lock().wal.len_bytes()?)
     }
 
-    /// The one durable write path: builds a batch under the journal
-    /// lock (so a peeked id is the id its op lands at), validates it
-    /// whole against the store *and* its own earlier ops, journals it as
-    /// one framed write + one fsync ([`Wal::append_batch`]), and only
-    /// then applies it. A refused batch journals nothing; a failed write
-    /// applies nothing; a crash mid-append recovers an in-order prefix
-    /// of the batch, none of which was acknowledged.
-    fn commit(
-        &self,
-        build: impl FnOnce(&VisualStore) -> Vec<WalOp>,
-    ) -> Result<Replays, DurableError> {
-        let mut journal = self.journal.lock();
-        let mut ops = build(&self.store);
+    /// The one durable write path, and group commit —
+    /// [`VisualStore::apply_batch`] with the journal write between check
+    /// and apply: the batch is validated whole against the store *and*
+    /// its own earlier ops, journaled as one framed write + one fsync
+    /// ([`Wal::append_batch`]), and only then applied. When this returns
+    /// `Ok` the whole batch survives a crash; a refused batch journals
+    /// nothing, a failed write applies nothing, and a crash mid-append
+    /// recovers an in-order prefix of the batch, none of which was
+    /// acknowledged. Ops carry explicit ids: callers allocate them up
+    /// front, e.g. from a platform-wide allocator, and replay reproduces
+    /// them exactly. Uploads whose idempotency marker is already stored
+    /// never reach the journal and are reported as [`Replays`].
+    pub fn apply_batch(&self, mut ops: Vec<WalOp>) -> Result<Replays, DurableError> {
         if ops.iter().any(|op| matches!(op, WalOp::UploadMarkers(_))) {
             return Err(DurableError::Rejected(
                 "an upload-marker table is a base-segment record, not a mutation".into(),
             ));
         }
+        let mut journal = self.journal.lock();
         let replays = self.store.validate_batch(&mut ops)?;
         if !ops.is_empty() {
             journal.commit(&ops)?;
             self.store.apply_validated(ops);
         }
         Ok(replays)
-    }
-
-    /// Group commit — [`VisualStore::apply_batch`] with the journal
-    /// write between check and apply: when this returns `Ok` the whole
-    /// batch survives a crash. Ops carry explicit ids: callers allocate
-    /// them up front, e.g. from a platform-wide allocator, and replay
-    /// reproduces them exactly. Uploads whose idempotency marker is
-    /// already stored never reach the journal and are reported as
-    /// [`Replays`].
-    pub fn apply_batch(&self, ops: Vec<WalOp>) -> Result<Replays, DurableError> {
-        self.commit(|_| ops)
-    }
-
-    /// Journaled [`VisualStore::add_image`]: a batch of one at the
-    /// store's next id.
-    pub fn add_image(
-        &self,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-    ) -> Result<ImageId, DurableError> {
-        let mut id = ImageId(0);
-        self.commit(|store| {
-            id = store.peek_next_image_id();
-            vec![WalOp::AddImage {
-                id,
-                meta,
-                origin,
-                pixels: pixels.map(pixel_blob),
-            }]
-        })?;
-        Ok(id)
-    }
-
-    /// Journaled [`VisualStore::ingest_upload`]: the image row, its
-    /// feature vectors, and the upload's idempotency marker travel as
-    /// one composite WAL record, so a crash at any byte preserves either
-    /// the whole acknowledged upload or none of it. Replays (marker
-    /// already present) return the original id with `replayed = true`
-    /// without touching the journal.
-    pub fn ingest_upload(
-        &self,
-        marker: &str,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-        features: Vec<(FeatureKind, Vec<f32>)>,
-    ) -> Result<(ImageId, bool), DurableError> {
-        let mut id = ImageId(0);
-        let replays = self.commit(|store| {
-            id = store.peek_next_image_id();
-            vec![WalOp::IngestUpload {
-                marker: Some(marker.to_string()),
-                id,
-                meta,
-                origin,
-                pixels: pixels.map(pixel_blob),
-                features,
-            }]
-        })?;
-        Ok(replays
-            .first()
-            .map_or((id, false), |&(_, stored)| (stored, true)))
-    }
-
-    /// Journaled [`VisualStore::put_feature`].
-    pub fn put_feature(
-        &self,
-        image: ImageId,
-        kind: FeatureKind,
-        vector: Vec<f32>,
-    ) -> Result<(), DurableError> {
-        self.apply_batch(vec![WalOp::PutFeature {
-            image,
-            kind,
-            vector,
-        }])
-        .map(drop)
-    }
-
-    /// Journaled [`VisualStore::register_scheme`].
-    pub fn register_scheme(
-        &self,
-        name: impl Into<String>,
-        labels: Vec<String>,
-    ) -> Result<ClassificationId, DurableError> {
-        let mut id = ClassificationId(0);
-        self.commit(|store| {
-            id = store.peek_next_classification_id();
-            vec![WalOp::RegisterScheme {
-                id,
-                name: name.into(),
-                labels,
-            }]
-        })?;
-        Ok(id)
-    }
-
-    /// Journaled [`VisualStore::annotate`].
-    pub fn annotate(
-        &self,
-        image: ImageId,
-        classification: ClassificationId,
-        label: usize,
-        confidence: f32,
-        source: AnnotationSource,
-        region: Option<RegionOfInterest>,
-    ) -> Result<AnnotationId, DurableError> {
-        let mut id = AnnotationId(0);
-        self.commit(|store| {
-            id = store.peek_next_annotation_id();
-            vec![WalOp::Annotate(Annotation {
-                id,
-                image,
-                classification,
-                label,
-                confidence,
-                source,
-                region,
-            })]
-        })?;
-        Ok(id)
     }
 
     /// Seals the live WAL segment and starts a fresh one at the next
@@ -861,7 +744,6 @@ impl DurableStore {
             writer: None,
             next_op: 0,
             increments_run: 0,
-            reloaded_at_begin: self.spill_stats.bytes_reloaded(),
             published: false,
         })
     }
@@ -883,52 +765,13 @@ impl DurableStore {
             }
         }
     }
-
-    /// Spills every cold feature-arena chunk (all frozen chunks except
-    /// the newest `keep_hot` per slab) to `spill-*.bin` files in the
-    /// store directory, releasing their resident memory. Returns
-    /// `(chunks, float_bytes)` released. Reads through
-    /// [`DurableStore::store`] transparently reload spilled chunks on
-    /// first touch.
-    pub fn spill_cold_features(&self, keep_hot: usize) -> Result<(usize, u64), DurableError> {
-        let dir = self.dir.clone();
-        let stats = Arc::clone(&self.spill_stats);
-        let result = self
-            .store
-            .spill_cold_chunks(keep_hot, |kind, dim, chunk, data| {
-                spill::write_spill(&dir, kind, dim, chunk, data, &stats)?;
-                Ok::<_, DurableError>(Arc::new(spill::DiskChunkLoader::new(
-                    dir.clone(),
-                    kind,
-                    dim,
-                    data.len(),
-                    Arc::clone(&stats),
-                )) as Arc<dyn tvdp_kernel::ChunkLoader>)
-            });
-        if let Err(e) = &result {
-            // A failed spill leaves the chunks resident and the store
-            // fully serviceable — degraded, not read-only: writes are
-            // unaffected, only the memory-release goal was missed.
-            let mut journal = self.journal.lock();
-            if journal.health == HealthState::Ok {
-                journal.health = HealthState::Degraded;
-            }
-            journal.last_error = Some(format!("spill: {e}"));
-        }
-        result
-    }
-
-    /// Spill/reload counters for this store's feature arena.
-    pub fn spill_stats(&self) -> &SpillStats {
-        &self.spill_stats
-    }
 }
 
 /// An in-progress incremental compaction (see
 /// [`DurableStore::begin_compaction`]). Each [`CompactionTask::step`]
 /// encodes a bounded slice of the cut into the staging file; the final
-/// step publishes atomically (PR 4 staged-rename protocol), retires the
-/// old base and the folded L0 segments, and spills cold arena chunks.
+/// step publishes atomically (PR 4 staged-rename protocol) and retires
+/// the old base and the folded L0 segments.
 pub struct CompactionTask<'a> {
     ds: &'a DurableStore,
     cut: Vec<WalOp>,
@@ -940,7 +783,6 @@ pub struct CompactionTask<'a> {
     writer: Option<BaseWriter>,
     next_op: usize,
     increments_run: usize,
-    reloaded_at_begin: u64,
     published: bool,
 }
 
@@ -959,8 +801,8 @@ impl CompactionTask<'_> {
     /// Runs one bounded increment. The first creates the staging file;
     /// encoding increments append up to 2048 of the cut's ops as
     /// records (`persist::BASE_WRITE_OPS`); the final increment fsyncs, atomically
-    /// publishes the base, fsyncs the parent directory, retires the old
-    /// base and the folded segments, and spills cold arena chunks.
+    /// publishes the base, fsyncs the parent directory, and retires the
+    /// old base and the folded segments.
     /// Returns `Some(report)` once published, `None` while work
     /// remains.
     pub fn step(&mut self) -> Result<Option<CompactionReport>, DurableError> {
@@ -1000,8 +842,6 @@ impl CompactionTask<'_> {
             std::fs::remove_file(path).ok();
         }
         persist::fsync_parent(&dest)?;
-
-        let (_, bytes_spilled) = self.ds.spill_cold_features(1)?;
         Ok(Some(CompactionReport {
             epoch: self.new_base,
             ops_compacted: self.ops_compacted,
@@ -1009,12 +849,6 @@ impl CompactionTask<'_> {
             snapshot_bytes,
             tiers_merged: self.folded.len(),
             increments_run: self.increments_run,
-            bytes_spilled,
-            bytes_reloaded: self
-                .ds
-                .spill_stats
-                .bytes_reloaded()
-                .saturating_sub(self.reloaded_at_begin),
         }))
     }
 
@@ -1053,8 +887,12 @@ impl Drop for CompactionTask<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::UserId;
+    use crate::annotation::{Annotation, AnnotationSource};
+    use crate::ids::{AnnotationId, ClassificationId, ImageId, UserId};
+    use crate::record::{ImageMeta, ImageOrigin};
+    use crate::wal::pixel_blob;
     use tvdp_geo::GeoPoint;
+    use tvdp_vision::{FeatureKind, Image};
 
     /// Size of a segment holding no record: its header.
     const EMPTY_WAL: u64 = crate::wal::SEGMENT_MAGIC.len() as u64;
@@ -1077,21 +915,93 @@ mod tests {
         p
     }
 
+    /// An image at the store's next id, journaled as a batch of one.
+    fn add_image(
+        ds: &DurableStore,
+        origin: ImageOrigin,
+        pixels: Option<Image>,
+    ) -> Result<ImageId, DurableError> {
+        let id = ds.store().peek_next_image_id();
+        ds.apply_batch(vec![WalOp::AddImage {
+            id,
+            meta: meta(),
+            origin,
+            pixels: pixels.map(pixel_blob),
+        }])?;
+        Ok(id)
+    }
+
+    /// A human label at the store's next annotation id.
+    fn annotate(
+        ds: &DurableStore,
+        image: ImageId,
+        classification: ClassificationId,
+        label: usize,
+        confidence: f32,
+    ) -> Result<Replays, DurableError> {
+        ds.apply_batch(vec![WalOp::Annotate(Annotation {
+            id: ds.store().peek_next_annotation_id(),
+            image,
+            classification,
+            label,
+            confidence,
+            source: AnnotationSource::Human(UserId(1)),
+            region: None,
+        })])
+    }
+
+    /// A keyed upload at the store's next id: the id it landed at (or
+    /// was already stored at) and whether it was a replay.
+    fn upload(
+        ds: &DurableStore,
+        marker: &str,
+        features: Vec<(FeatureKind, Vec<f32>)>,
+    ) -> (ImageId, bool) {
+        let id = ds.store().peek_next_image_id();
+        let replays = ds
+            .apply_batch(vec![WalOp::IngestUpload {
+                marker: Some(marker.into()),
+                id,
+                meta: meta(),
+                origin: ImageOrigin::Original,
+                pixels: None,
+                features,
+            }])
+            .unwrap();
+        replays
+            .first()
+            .map_or((id, false), |&(_, stored)| (stored, true))
+    }
+
+    fn feature(image: ImageId, kind: FeatureKind, vector: Vec<f32>) -> WalOp {
+        WalOp::PutFeature {
+            image,
+            kind,
+            vector,
+        }
+    }
+
+    fn scheme(id: u64, name: &str, labels: &[&str]) -> WalOp {
+        WalOp::RegisterScheme {
+            id: ClassificationId(id),
+            name: name.into(),
+            labels: labels.iter().map(|l| l.to_string()).collect(),
+        }
+    }
+
     fn populate(ds: &DurableStore) -> (ImageId, ClassificationId) {
-        let img = ds
-            .add_image(
-                meta(),
-                ImageOrigin::Original,
-                Some(Image::from_fn(2, 2, |x, y| [x as u8, y as u8, 3])),
-            )
+        let img = add_image(
+            ds,
+            ImageOrigin::Original,
+            Some(Image::from_fn(2, 2, |x, y| [x as u8, y as u8, 3])),
+        )
+        .unwrap();
+        let cls = ds.store().peek_next_classification_id();
+        ds.apply_batch(vec![scheme(cls.raw(), "cleanliness", &["clean", "dirty"])])
             .unwrap();
-        let cls = ds
-            .register_scheme("cleanliness", vec!["clean".into(), "dirty".into()])
+        ds.apply_batch(vec![feature(img, FeatureKind::Cnn, vec![0.5, 0.25])])
             .unwrap();
-        ds.put_feature(img, FeatureKind::Cnn, vec![0.5, 0.25])
-            .unwrap();
-        ds.annotate(img, cls, 1, 0.8, AnnotationSource::Human(UserId(1)), None)
-            .unwrap();
+        annotate(ds, img, cls, 1, 0.8).unwrap();
         (img, cls)
     }
 
@@ -1117,16 +1027,38 @@ mod tests {
     fn compaction_preserves_state_and_shrinks_log() {
         let dir = temp_dir("compact");
         let (ds, _) = DurableStore::open(&dir).unwrap();
-        populate(&ds);
+        let (img, _) = populate(&ds);
+        // Two more full arena chunks of CNN rows (builds up to PR 24
+        // spilled all but the newest frozen chunk here).
+        let rows = 2 * tvdp_kernel::ROWS_PER_CHUNK;
+        let ops = (1..=rows)
+            .map(|i| WalOp::IngestUpload {
+                marker: None,
+                id: ImageId(img.raw() + i as u64),
+                meta: meta(),
+                origin: ImageOrigin::Original,
+                pixels: None,
+                features: vec![(FeatureKind::Cnn, vec![i as f32, -(i as f32)])],
+            })
+            .collect();
+        ds.apply_batch(ops).unwrap();
         let live = ds.store().snapshot();
         let before = ds.wal_bytes().unwrap();
         assert!(before > EMPTY_WAL);
         let report = ds.compact().unwrap();
         assert_eq!(report.epoch, 1);
-        assert_eq!(report.ops_compacted, 4);
+        assert_eq!(report.ops_compacted, 4 + rows);
         assert_eq!(report.wal_bytes_before, before);
         assert_eq!(ds.wal_bytes().unwrap(), EMPTY_WAL);
         assert_eq!(ds.store().snapshot(), live);
+        // The journal is the only format a compaction writes: no
+        // `spill-*` file beside the base.
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["base-1.seg", "wal-1.log"]);
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
@@ -1143,8 +1075,7 @@ mod tests {
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let (img, cls) = populate(&ds);
         ds.compact().unwrap();
-        ds.annotate(img, cls, 0, 0.4, AnnotationSource::Human(UserId(2)), None)
-            .unwrap();
+        annotate(&ds, img, cls, 0, 0.4).unwrap();
         let live = ds.store().snapshot();
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
@@ -1162,31 +1093,19 @@ mod tests {
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let wal0 = ds.wal_bytes().unwrap();
         assert!(ds
-            .put_feature(ImageId(9), FeatureKind::Cnn, vec![1.0])
+            .apply_batch(vec![feature(ImageId(9), FeatureKind::Cnn, vec![1.0])])
             .is_err());
-        assert!(ds
-            .add_image(
-                meta(),
-                ImageOrigin::Augmented {
-                    parent: ImageId(9),
-                    op: "flip".into()
-                },
-                None
-            )
-            .is_err());
+        let augmented = ImageOrigin::Augmented {
+            parent: ImageId(9),
+            op: "flip".into(),
+        };
+        assert!(add_image(&ds, augmented, None).is_err());
         assert!(matches!(
-            ds.register_scheme("bad", vec![]),
+            ds.apply_batch(vec![scheme(0, "bad", &[])]),
             Err(DurableError::Storage(StorageError::BadVocabulary(_)))
         ));
         assert!(matches!(
-            ds.annotate(
-                ImageId(0),
-                ClassificationId(0),
-                0,
-                1.5,
-                AnnotationSource::Human(UserId(1)),
-                None
-            ),
+            annotate(&ds, ImageId(0), ClassificationId(0), 0, 1.5),
             Err(DurableError::Storage(StorageError::BadConfidence(_)))
         ));
         assert_eq!(ds.wal_bytes().unwrap(), wal0);
@@ -1198,15 +1117,11 @@ mod tests {
         let dir = temp_dir("idem-upload");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let features = vec![(FeatureKind::Cnn, vec![1.0, -2.0])];
-        let (id, replayed) = ds
-            .ingest_upload("edge0-s7", meta(), ImageOrigin::Original, None, features)
-            .unwrap();
+        let (id, replayed) = upload(&ds, "edge0-s7", features);
         assert!(!replayed);
         // A same-process retry dedups without growing the journal.
         let wal_after_first = ds.wal_bytes().unwrap();
-        let (again, replayed) = ds
-            .ingest_upload("edge0-s7", meta(), ImageOrigin::Original, None, vec![])
-            .unwrap();
+        let (again, replayed) = upload(&ds, "edge0-s7", vec![]);
         assert!(replayed);
         assert_eq!(again, id);
         assert_eq!(ds.wal_bytes().unwrap(), wal_after_first);
@@ -1216,9 +1131,7 @@ mod tests {
         // finds the marker after WAL replay.
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 1);
-        let (after, replayed) = ds2
-            .ingest_upload("edge0-s7", meta(), ImageOrigin::Original, None, vec![])
-            .unwrap();
+        let (after, replayed) = upload(&ds2, "edge0-s7", vec![]);
         assert!(replayed);
         assert_eq!(after, id);
         assert_eq!(ds2.store().len(), 1);
@@ -1232,9 +1145,7 @@ mod tests {
         drop(ds2);
         let (ds3, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 0);
-        let (after, replayed) = ds3
-            .ingest_upload("edge0-s7", meta(), ImageOrigin::Original, None, vec![])
-            .unwrap();
+        let (after, replayed) = upload(&ds3, "edge0-s7", vec![]);
         assert!(replayed);
         assert_eq!(after, id);
         assert_eq!(ds3.store().len(), 1);
@@ -1350,11 +1261,10 @@ mod tests {
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let (img, cls) = populate(&ds); // 4 ops in segment 0
         assert_eq!(ds.seal().unwrap(), 1);
-        ds.annotate(img, cls, 0, 0.5, AnnotationSource::Human(UserId(2)), None)
-            .unwrap(); // 1 op in segment 1
+        annotate(&ds, img, cls, 0, 0.5).unwrap(); // 1 op in segment 1
         assert_eq!(ds.seal().unwrap(), 2);
-        ds.put_feature(img, FeatureKind::ColorHistogram, vec![0.1, 0.2])
-            .unwrap(); // 1 op in segment 2
+        let hist = feature(img, FeatureKind::ColorHistogram, vec![0.1, 0.2]);
+        ds.apply_batch(vec![hist]).unwrap(); // 1 op in segment 2
         let live = ds.store().snapshot();
         drop(ds);
 
@@ -1504,8 +1414,7 @@ mod tests {
         let mut task = ds.begin_compaction().unwrap();
         // The live segment was rotated: writers land in the new epoch
         // while the fold is still rendering.
-        ds.annotate(img, cls, 0, 0.3, AnnotationSource::Human(UserId(3)), None)
-            .unwrap();
+        annotate(&ds, img, cls, 0, 0.3).unwrap();
         let report = loop {
             if let Some(r) = task.step().unwrap() {
                 break r;
@@ -1569,42 +1478,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn compaction_spills_cold_chunks_that_reload_transparently() {
-        use tvdp_kernel::ROWS_PER_CHUNK;
-        let dir = temp_dir("spill-fold");
-        let (ds, _) = DurableStore::open(&dir).unwrap();
-        // Two full chunks of 2-d CNN features; keep_hot = 1 spills the
-        // first.
-        let n = 2 * ROWS_PER_CHUNK;
-        let mut imgs = Vec::new();
-        for i in 0..n {
-            let img = ds.add_image(meta(), ImageOrigin::Original, None).unwrap();
-            ds.put_feature(img, FeatureKind::Cnn, vec![i as f32, -(i as f32)])
-                .unwrap();
-            imgs.push(img);
-        }
-        let report = ds.compact().unwrap();
-        assert_eq!(
-            report.bytes_spilled,
-            (ROWS_PER_CHUNK * 2 * 4) as u64,
-            "one cold chunk of 2-d f32 rows"
-        );
-        assert_eq!(ds.spill_stats().chunks_spilled(), 1);
-        // What was written is what was released: floats, nothing else.
-        assert_eq!(ds.spill_stats().bytes_spilled(), report.bytes_spilled);
-        // Reads still see every row, bit-exact, via transparent reload.
-        for (i, img) in imgs.iter().enumerate() {
-            assert_eq!(
-                ds.store().feature(*img, FeatureKind::Cnn).unwrap(),
-                vec![i as f32, -(i as f32)],
-                "row {i}"
-            );
-        }
-        assert_eq!(ds.spill_stats().chunks_reloaded(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// A directory holding `records` as its base segment at epoch 0.
     fn dir_with_base(name: &str, records: &[WalOp]) -> PathBuf {
         let dir = temp_dir(name);
@@ -1627,11 +1500,6 @@ mod tests {
             pixels,
             features: vec![(FeatureKind::Cnn, vec![0.5, 0.25])],
         };
-        let scheme = |id: u64, name: &str, labels: &[&str]| WalOp::RegisterScheme {
-            id: ClassificationId(id),
-            name: name.into(),
-            labels: labels.iter().map(|l| l.to_string()).collect(),
-        };
         let annotation = |id: u64, image: u64, scheme: u64, label: usize, confidence: f32| {
             WalOp::Annotate(Annotation {
                 id: AnnotationId(id),
@@ -1652,11 +1520,6 @@ mod tests {
         };
         // The head every case shares: a scheme and an image, both valid.
         let head = || vec![scheme(0, "c", &["a", "b"]), image(0, None)];
-        let feature = WalOp::PutFeature {
-            image: ImageId(77),
-            kind: FeatureKind::Cnn,
-            vector: vec![1.0],
-        };
         let cases: Vec<(&str, WalOp, &str)> = vec![
             (
                 "dangling annotation image",
@@ -1668,7 +1531,11 @@ mod tests {
                 annotation(0, 0, 77, 0, 0.9),
                 "unknown classification",
             ),
-            ("dangling feature", feature, "unknown image"),
+            (
+                "dangling feature",
+                feature(ImageId(77), FeatureKind::Cnn, vec![1.0]),
+                "unknown image",
+            ),
             ("dangling marker", markers(&[("k", 77)]), "unknown image"),
             (
                 "duplicate marker",
@@ -1790,8 +1657,7 @@ mod tests {
         let dir = temp_dir("hostile-base");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         populate(&ds);
-        ds.ingest_upload("edge0-s7", meta(), ImageOrigin::Original, None, vec![])
-            .unwrap();
+        upload(&ds, "edge0-s7", vec![]);
         ds.compact().unwrap();
         let live = ds.store().snapshot();
         drop(ds);

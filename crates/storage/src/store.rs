@@ -813,13 +813,10 @@ impl VisualStore {
             return Arc::new(SlabView::empty(dim.max(1)));
         };
         let fresh = Arc::new(slab.view());
-        // Published before the read guard drops, so a refresh is wholly
-        // before or wholly after a spill's write section and can never
-        // put a pre-spill view back. Racing refreshes may publish in
-        // either order (and one may drop another slab's entry): views
-        // only ever grow and callers never hold uncovered handles, so
-        // the loser costs its next caller one more refresh, never a
-        // different row.
+        // Racing refreshes may publish in either order (and one may
+        // drop another slab's entry): views only ever grow and callers
+        // never hold uncovered handles, so the loser costs its next
+        // caller one more refresh, never a different row.
         let mut views = BTreeMap::clone(&self.views.load());
         views.insert(key, Arc::clone(&fresh));
         self.views.store(Arc::new(views));
@@ -857,49 +854,6 @@ impl VisualStore {
             .filter(|h| h.dim > 0)
             .map(|h| (*h, &t.slabs[&(h.kind, h.dim)]));
         Some(f(record, row))
-    }
-
-    /// Spills cold feature-arena chunks: every frozen chunk except the
-    /// newest `keep_hot` per slab is handed to `spill`; the callback
-    /// must durably persist the floats and return the
-    /// [`ChunkLoader`](tvdp_kernel::ChunkLoader) that reloads them; the
-    /// resident float memory is then released. Chunks already spilled
-    /// and not since reloaded are skipped. Returns `(chunks,
-    /// float_bytes)` released from memory.
-    /// Deterministic: slabs iterate in `(kind, dim)` order, chunks
-    /// oldest-first. The cached [`VisualStore::slab_view`]s are dropped
-    /// with the chunks, so a spilled chunk stays resident only while a
-    /// query already in flight holds the old view.
-    pub fn spill_cold_chunks<E>(
-        &self,
-        keep_hot: usize,
-        mut spill: impl FnMut(
-            FeatureKind,
-            u32,
-            usize,
-            &[f32],
-        ) -> Result<Arc<dyn tvdp_kernel::ChunkLoader>, E>,
-    ) -> Result<(usize, u64), E> {
-        let mut t = self.inner.write();
-        // No refresh can publish while the write guard is held, so
-        // dropping the views first also covers an early error return.
-        self.views.store(Arc::default());
-        let mut chunks = 0usize;
-        let mut bytes = 0u64;
-        for (&(kind, dim), slab) in t.slabs.iter_mut() {
-            let cold = slab.frozen_chunks().saturating_sub(keep_hot);
-            for c in 0..cold {
-                if !slab.chunk_in_memory(c) {
-                    continue;
-                }
-                let data = slab.chunk_data(c);
-                let loader = spill(kind, dim, c, data)?;
-                bytes += data.len() as u64 * 4;
-                slab.spill_frozen(c, loader);
-                chunks += 1;
-            }
-        }
-        Ok((chunks, bytes))
     }
 
     /// Images that have a stored feature of `kind`.

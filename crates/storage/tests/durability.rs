@@ -15,10 +15,10 @@ use tvdp_geo::GeoPoint;
 use tvdp_storage::fault::FailingWriter;
 use tvdp_storage::persist;
 use tvdp_storage::store::Snapshot;
-use tvdp_storage::wal::{frame, WalError, SEGMENT_MAGIC};
+use tvdp_storage::wal::{frame, pixel_blob, WalError, SEGMENT_MAGIC};
 use tvdp_storage::{
-    Annotation, AnnotationSource, DurableError, DurableStore, HealthState, ImageMeta, ImageOrigin,
-    UserId, VisualStore, WalOp, WriteFaultPlan,
+    Annotation, AnnotationSource, ClassificationId, DurableError, DurableStore, HealthState,
+    ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp, WriteFaultPlan,
 };
 use tvdp_vision::{FeatureKind, Image};
 
@@ -31,6 +31,73 @@ fn meta(keyword: &str) -> ImageMeta {
         uploaded_at: 110,
         keywords: vec![keyword.into()],
     }
+}
+
+// Single mutations, each journaled as a batch of one at the store's
+// next id, the way `Tvdp::commit` journals them.
+
+fn add_image(
+    ds: &DurableStore,
+    meta: ImageMeta,
+    origin: ImageOrigin,
+    pixels: Option<Image>,
+) -> Result<ImageId, DurableError> {
+    let id = ds.store().peek_next_image_id();
+    ds.apply_batch(vec![WalOp::AddImage {
+        id,
+        meta,
+        origin,
+        pixels: pixels.map(pixel_blob),
+    }])?;
+    Ok(id)
+}
+
+fn put_feature(
+    ds: &DurableStore,
+    image: ImageId,
+    kind: FeatureKind,
+    vector: Vec<f32>,
+) -> Result<(), DurableError> {
+    ds.apply_batch(vec![WalOp::PutFeature {
+        image,
+        kind,
+        vector,
+    }])
+    .map(drop)
+}
+
+fn register_scheme(
+    ds: &DurableStore,
+    name: &str,
+    labels: Vec<String>,
+) -> Result<ClassificationId, DurableError> {
+    let id = ds.store().peek_next_classification_id();
+    ds.apply_batch(vec![WalOp::RegisterScheme {
+        id,
+        name: name.into(),
+        labels,
+    }])?;
+    Ok(id)
+}
+
+fn annotate(
+    ds: &DurableStore,
+    image: ImageId,
+    classification: ClassificationId,
+    label: usize,
+    confidence: f32,
+    source: AnnotationSource,
+) -> Result<(), DurableError> {
+    ds.apply_batch(vec![WalOp::Annotate(Annotation {
+        id: ds.store().peek_next_annotation_id(),
+        image,
+        classification,
+        label,
+        confidence,
+        source,
+        region: None,
+    })])
+    .map(drop)
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -114,23 +181,19 @@ fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Snapshot>) {
     let mut states = vec![ds.store().snapshot()];
     assert_eq!(states[0], base);
 
-    let img = ds
-        .add_image(
-            meta("wal-born"),
-            ImageOrigin::Original,
-            Some(Image::from_fn(1, 1, |_, _| [1, 2, 3])),
-        )
-        .unwrap();
+    let img = add_image(
+        &ds,
+        meta("wal-born"),
+        ImageOrigin::Original,
+        Some(Image::from_fn(1, 1, |_, _| [1, 2, 3])),
+    )
+    .unwrap();
     states.push(ds.store().snapshot());
-    ds.put_feature(img, FeatureKind::Cnn, vec![0.1, -2.5])
-        .unwrap();
+    put_feature(&ds, img, FeatureKind::Cnn, vec![0.1, -2.5]).unwrap();
     states.push(ds.store().snapshot());
-    let cls = ds
-        .register_scheme("graffiti", vec!["none".into(), "tagged".into()])
-        .unwrap();
+    let cls = register_scheme(&ds, "graffiti", vec!["none".into(), "tagged".into()]).unwrap();
     states.push(ds.store().snapshot());
-    ds.annotate(img, cls, 1, 0.7, AnnotationSource::Human(UserId(2)), None)
-        .unwrap();
+    annotate(&ds, img, cls, 1, 0.7, AnnotationSource::Human(UserId(2))).unwrap();
     states.push(ds.store().snapshot());
 
     let wal_bytes = std::fs::read(scratch.join("wal-0.log")).unwrap();
@@ -209,25 +272,21 @@ fn journaled_mutation_that_returned_ok_survives_reopen() {
     let (ds, _) = DurableStore::open(&dir).unwrap();
     // After each acknowledged mutation, a crash (drop without
     // compaction or any explicit flush) must not lose it.
-    let img = ds
-        .add_image(
-            meta("acked"),
-            ImageOrigin::Original,
-            Some(Image::from_fn(1, 1, |_, _| [9, 9, 9])),
-        )
-        .unwrap();
+    let img = add_image(
+        &ds,
+        meta("acked"),
+        ImageOrigin::Original,
+        Some(Image::from_fn(1, 1, |_, _| [9, 9, 9])),
+    )
+    .unwrap();
     let after_add = ds.store().snapshot();
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
     assert_eq!(ds.store().snapshot(), after_add);
 
-    let cls = ds
-        .register_scheme("acked-scheme", vec!["yes".into(), "no".into()])
-        .unwrap();
-    ds.put_feature(img, FeatureKind::SiftBow, vec![1.0; 8])
-        .unwrap();
-    ds.annotate(img, cls, 0, 1.0, AnnotationSource::Human(UserId(3)), None)
-        .unwrap();
+    let cls = register_scheme(&ds, "acked-scheme", vec!["yes".into(), "no".into()]).unwrap();
+    put_feature(&ds, img, FeatureKind::SiftBow, vec![1.0; 8]).unwrap();
+    annotate(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(3))).unwrap();
     let after_all = ds.store().snapshot();
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
@@ -239,32 +298,28 @@ fn journaled_mutation_that_returned_ok_survives_reopen() {
 fn snapshot_plus_wal_replay_equals_live_store() {
     let dir = temp_dir("replay-equality");
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    let img = ds
-        .add_image(
-            meta("live"),
-            ImageOrigin::Original,
-            Some(Image::from_fn(2, 3, |x, y| [x as u8, y as u8, 7])),
-        )
-        .unwrap();
-    let cls = ds
-        .register_scheme("lighting", vec!["lit".into(), "dark".into()])
-        .unwrap();
+    let img = add_image(
+        &ds,
+        meta("live"),
+        ImageOrigin::Original,
+        Some(Image::from_fn(2, 3, |x, y| [x as u8, y as u8, 7])),
+    )
+    .unwrap();
+    let cls = register_scheme(&ds, "lighting", vec!["lit".into(), "dark".into()]).unwrap();
     ds.compact().unwrap();
     // Post-compaction mutations live only in the WAL.
-    let child = ds
-        .add_image(
-            meta("child"),
-            ImageOrigin::Augmented {
-                parent: img,
-                op: "flip_h".into(),
-            },
-            None,
-        )
-        .unwrap();
-    ds.put_feature(child, FeatureKind::Cnn, vec![0.25; 4])
-        .unwrap();
-    ds.annotate(child, cls, 1, 0.6, AnnotationSource::Human(UserId(1)), None)
-        .unwrap();
+    let child = add_image(
+        &ds,
+        meta("child"),
+        ImageOrigin::Augmented {
+            parent: img,
+            op: "flip_h".into(),
+        },
+        None,
+    )
+    .unwrap();
+    put_feature(&ds, child, FeatureKind::Cnn, vec![0.25; 4]).unwrap();
+    annotate(&ds, child, cls, 1, 0.6, AnnotationSource::Human(UserId(1))).unwrap();
     let live = ds.store().snapshot();
     drop(ds);
 
@@ -272,9 +327,7 @@ fn snapshot_plus_wal_replay_equals_live_store() {
     assert_eq!(report.replayed_ops, 3);
     assert_eq!(reopened.store().snapshot(), live);
     // Ids keep advancing from where the live store left off.
-    let next = reopened
-        .add_image(meta("next"), ImageOrigin::Original, None)
-        .unwrap();
+    let next = add_image(&reopened, meta("next"), ImageOrigin::Original, None).unwrap();
     assert!(next.raw() > child.raw());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -284,15 +337,14 @@ fn compaction_preserves_state_and_shrinks_the_log() {
     let dir = temp_dir("compaction");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     for i in 0..8 {
-        let img = ds
-            .add_image(
-                meta(&format!("img-{i}")),
-                ImageOrigin::Original,
-                Some(Image::from_fn(4, 4, |x, y| [x as u8, y as u8, i])),
-            )
-            .unwrap();
-        ds.put_feature(img, FeatureKind::Cnn, vec![f32::from(i); 16])
-            .unwrap();
+        let img = add_image(
+            &ds,
+            meta(&format!("img-{i}")),
+            ImageOrigin::Original,
+            Some(Image::from_fn(4, 4, |x, y| [x as u8, y as u8, i])),
+        )
+        .unwrap();
+        put_feature(&ds, img, FeatureKind::Cnn, vec![f32::from(i); 16]).unwrap();
     }
     let live = ds.store().snapshot();
     let wal_before = ds.wal_bytes().unwrap();
@@ -612,9 +664,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
 
         // While the disk stays full, further mutations are shed with the
         // typed read-only error — still no panic, still serving reads.
-        let shed = ds
-            .add_image(meta("while-full"), ImageOrigin::Original, None)
-            .unwrap_err();
+        let shed = add_image(&ds, meta("while-full"), ImageOrigin::Original, None).unwrap_err();
         assert!(
             shed.to_string().contains("read-only"),
             "expected typed read-only shed, got: {shed}"
@@ -650,9 +700,7 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     // journal stays append-clean.
     let dir = temp_dir("fault-cycle");
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    let img = ds
-        .add_image(meta("acked"), ImageOrigin::Original, None)
-        .unwrap();
+    let img = add_image(&ds, meta("acked"), ImageOrigin::Original, None).unwrap();
     let acked = ds.store().snapshot();
     assert_eq!(ds.health().state, HealthState::Ok);
 
@@ -660,26 +708,24 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     ds.set_write_fault_plan(Some(plan.clone()));
     plan.arm_enospc(3); // three bytes of torn debris, then no space
 
-    ds.put_feature(img, FeatureKind::Cnn, vec![1.0; 4])
-        .unwrap_err();
+    put_feature(&ds, img, FeatureKind::Cnn, vec![1.0; 4]).unwrap_err();
     assert_eq!(ds.health().state, HealthState::ReadOnly);
     assert_eq!(ds.store().snapshot(), acked, "reads keep working");
 
     // Still full: mutations shed, fault counter climbs deterministically.
-    ds.register_scheme("shed", vec!["a".into()]).unwrap_err();
+    register_scheme(&ds, "shed", vec!["a".into()]).unwrap_err();
     assert_eq!(ds.health().state, HealthState::ReadOnly);
     assert_eq!(ds.health().write_faults, 2);
 
     // Operator frees space; the next mutation repairs the torn tail,
     // lands durably, and the store enters probation.
     plan.clear();
-    ds.put_feature(img, FeatureKind::Cnn, vec![2.0; 4]).unwrap();
+    put_feature(&ds, img, FeatureKind::Cnn, vec![2.0; 4]).unwrap();
     assert_eq!(ds.health().state, HealthState::Degraded);
-    let cls = ds.register_scheme("healed", vec!["ok".into()]).unwrap();
+    let cls = register_scheme(&ds, "healed", vec!["ok".into()]).unwrap();
     assert_eq!(ds.health().state, HealthState::Ok);
     assert!(ds.health().last_error.is_none());
-    ds.annotate(img, cls, 0, 1.0, AnnotationSource::Human(UserId(1)), None)
-        .unwrap();
+    annotate(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(1))).unwrap();
 
     // Everything acked across the cycle survives a crash/reopen.
     let live = ds.store().snapshot();
@@ -706,11 +752,8 @@ fn crash_at_every_incremental_compaction_boundary_preserves_state() {
     let (ds, _) = DurableStore::open(&dir).unwrap();
     ds.apply_batch(scripted_batch(&ds)).unwrap();
     ds.seal().unwrap(); // two L0 tiers for the fold to merge
-    let img2 = ds
-        .add_image(meta("tier-two"), ImageOrigin::Original, None)
-        .unwrap();
-    ds.put_feature(img2, FeatureKind::SiftBow, vec![2.0; 4])
-        .unwrap();
+    let img2 = add_image(&ds, meta("tier-two"), ImageOrigin::Original, None).unwrap();
+    put_feature(&ds, img2, FeatureKind::SiftBow, vec![2.0; 4]).unwrap();
     let live = ds.store().snapshot();
 
     // Crash between every pair of increments: freeze the directory,
@@ -744,41 +787,5 @@ fn crash_at_every_incremental_compaction_boundary_preserves_state() {
     drop(frozen_ds);
 
     std::fs::remove_dir_all(&frozen).ok();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn spill_file_killed_at_every_offset_never_reads_back_wrong() {
-    use tvdp_storage::spill::{read_spill, spill_path, write_spill, SpillStats};
-    // A complete spill file reads back bit-exact; any FailingWriter
-    // prefix of it must be rejected by the header/CRC checks, never
-    // silently served as feature data.
-    let dir = temp_dir("spill-torture");
-    std::fs::create_dir_all(&dir).unwrap();
-    let data: Vec<f32> = (0..64).map(|i| (i as f32) * 0.5 - 7.0).collect();
-    let stats = SpillStats::default();
-    write_spill(&dir, FeatureKind::Cnn, 2, 0, &data, &stats).unwrap();
-    let path = spill_path(&dir, FeatureKind::Cnn, 2, 0);
-    let full = std::fs::read(&path).unwrap();
-    assert_eq!(read_spill(&path, data.len()).unwrap(), data);
-
-    let torn = dir.join("torn.bin");
-    for cut in 0..full.len() {
-        std::fs::write(&torn, crash_prefix(&full, cut)).unwrap();
-        assert!(
-            read_spill(&torn, data.len()).is_err(),
-            "prefix of {cut} byte(s) must not pass validation"
-        );
-    }
-    // Nor may the full length with one bit flipped, header or body.
-    for at in 0..full.len() {
-        let mut flipped = full.clone();
-        flipped[at] ^= 0x10;
-        std::fs::write(&torn, &flipped).unwrap();
-        assert!(
-            read_spill(&torn, data.len()).is_err(),
-            "a flipped bit in byte {at} must not pass validation"
-        );
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
