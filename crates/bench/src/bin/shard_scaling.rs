@@ -210,12 +210,12 @@ fn random_query(rng: &mut Rng) -> Query {
     }
 }
 
-/// Applies one upload to the store owning its shard (annotation
-/// included, so categorical queries see fresh rows too).
-fn apply_upload(store: &VisualStore, up: &Upload) {
+/// Applies one upload, as image `id`, to the store owning its shard
+/// (annotation included, so categorical queries see fresh rows too).
+fn apply_upload(store: &VisualStore, id: ImageId, up: &Upload) {
     ok(
         store.apply_batch(vec![WalOp::AddImage {
-            id: up.id,
+            id,
             meta: up.meta.clone(),
             origin: ImageOrigin::Original,
             pixels: None,
@@ -223,12 +223,12 @@ fn apply_upload(store: &VisualStore, up: &Upload) {
         "add_image",
     );
     ok(
-        store.put_feature(up.id, FeatureKind::Cnn, up.feature.clone()),
+        store.put_feature(id, FeatureKind::Cnn, up.feature.clone()),
         "put_feature",
     );
     ok(
         store.annotate(
-            up.id,
+            id,
             tvdp_storage::ClassificationId(0),
             up.class,
             0.9,
@@ -256,7 +256,7 @@ fn build_corpus(shards: usize) -> (Vec<Arc<VisualStore>>, Vec<Vec<Upload>>) {
     let mut rng = Rng::seed_from_u64(0x5A4D);
     for i in 0..N_BASE {
         let up = make_upload(&mut rng, i as u64);
-        apply_upload(&stores[shard_for(&up.meta.gps, shards)], &up);
+        apply_upload(&stores[shard_for(&up.meta.gps, shards)], up.id, &up);
     }
     let scripts: Vec<Vec<Upload>> = (0..WRITERS)
         .map(|w| {
@@ -353,8 +353,8 @@ fn measure_single_lock(query_scripts: &[Vec<Query>]) -> PerOp {
                 .iter()
                 .map(|up| {
                     let t0 = Instant::now();
-                    apply_upload(&store, up);
-                    engine.index_image(up.id);
+                    apply_upload(&store, up.id, up);
+                    ok(engine.index_image(up.id), "index_image");
                     (t0.elapsed().as_secs_f64() * 1e6, 0usize)
                 })
                 .collect()
@@ -393,7 +393,7 @@ fn measure_sharded(shards: usize, query_scripts: &[Vec<Query>]) -> PerOp {
                 .map(|up| {
                     let shard = shard_for(&up.meta.gps, shards);
                     let t0 = Instant::now();
-                    apply_upload(&stores[shard], up);
+                    apply_upload(&stores[shard], up.id, up);
                     engine.index_image(shard, up.id);
                     (t0.elapsed().as_secs_f64() * 1e6, shard)
                 })
@@ -516,8 +516,13 @@ fn run_single_lock(query_scripts: &[Vec<Query>]) -> Measurement {
         &write_scripts,
         |q| ok(engine.read().try_execute(q), "query").len(),
         |up| {
-            apply_upload(&store, up);
-            engine.write().index_image(up.id);
+            // One lock over store and engine: the store assigns the id
+            // under it, so ids reach the engine ascending, as an engine
+            // only appends.
+            let mut engine = engine.write();
+            let id = store.peek_next_image_id();
+            apply_upload(&store, id, up);
+            ok(engine.index_image(id), "index_image");
         },
     )
 }
@@ -533,7 +538,7 @@ fn run_sharded(shards: usize, query_scripts: &[Vec<Query>]) -> Measurement {
         |q| ok(engine.try_execute_with_pool(q, &serial), "query").len(),
         |up| {
             let shard = shard_for(&up.meta.gps, shards);
-            apply_upload(&stores[shard], up);
+            apply_upload(&stores[shard], up.id, up);
             engine.index_image(shard, up.id);
         },
     )

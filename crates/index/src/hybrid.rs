@@ -40,7 +40,7 @@ impl<T> HasBBox for Entry<T> {
 
 /// Feature-space bounding ball: every feature below lies within
 /// `radius` of `centroid`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Ball {
     centroid: Vec<f32>,
     radius: f32,
@@ -161,16 +161,16 @@ impl<T> VisualRTree<T> {
             .insert(Entry { bbox, row, value }, &|node| Ball::of(node, rows));
     }
 
-    /// The tree over `entries` (`(bbox, arena row, payload)`, in insert
-    /// order), bit-identical to [`VisualRTree::insert`]ing them one by
-    /// one, with each ball computed once.
+    /// The tree over `entries` (`(bbox, arena row, payload)`), packed as
+    /// [`crate::RTree::build`] packs, with each ball computed once from
+    /// a finished node.
     pub fn build(rows: &impl RowSource, entries: impl IntoIterator<Item = (BBox, u32, T)>) -> Self {
         assert!(rows.dim() > 0, "zero-dimensional features");
         let entries = entries
             .into_iter()
             .map(|(bbox, row, value)| Entry { bbox, row, value });
         Self {
-            tree: Tree::build(entries, Ball::default(), &|node| Ball::of(node, rows)),
+            tree: Tree::build(entries, &|node| Ball::of(node, rows)),
             dim: rows.dim(),
         }
     }
@@ -265,21 +265,6 @@ impl<T> VisualRTree<T> {
             });
             assert_eq!(below, slot.summary.count, "count mismatch");
         });
-    }
-
-    #[cfg(test)]
-    pub(crate) fn shape(&self) -> Vec<crate::rtree::Part>
-    where
-        T: Copy + TryInto<u64>,
-    {
-        let ball = |ball: &Ball| {
-            let mut bits = vec![ball.count as u64, u64::from(ball.radius.to_bits())];
-            bits.extend(ball.centroid.iter().map(|f| u64::from(f.to_bits())));
-            bits
-        };
-        self.tree.shape(&ball, &|e| {
-            vec![u64::from(e.row), crate::rtree::payload_bits(&e.value)]
-        })
     }
 }
 

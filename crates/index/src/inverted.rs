@@ -27,10 +27,14 @@ pub struct InvertedIndex {
     /// ordered map (lint rule L2): postings iteration must never leak
     /// hash order into ranked results.
     postings: BTreeMap<String, Vec<(usize, u32)>>,
-    /// Number of terms per document (for length normalization).
-    doc_lengths: BTreeMap<usize, u32>,
+    /// Number of terms per document (for length normalization), indexed
+    /// by the dense handle; [`UNINDEXED`] marks a handle not (yet) used.
+    doc_lengths: Vec<u32>,
     n_docs: usize,
 }
+
+/// The `doc_lengths` slot of a handle no document holds.
+const UNINDEXED: u32 = u32::MAX;
 
 /// Lowercases and splits text into alphanumeric tokens.
 pub fn tokenize(text: &str) -> Vec<String> {
@@ -82,7 +86,9 @@ impl InvertedIndex {
     /// Panics when `doc` was already indexed (documents are immutable).
     pub fn index_document(&mut self, doc: usize, text: &str) {
         assert!(
-            !self.doc_lengths.contains_key(&doc),
+            self.doc_lengths
+                .get(doc)
+                .is_none_or(|&len| len == UNINDEXED),
             "document {doc} already indexed"
         );
         let tokens = tokenize(text);
@@ -96,7 +102,10 @@ impl InvertedIndex {
             let pos = list.partition_point(|&(d, _)| d < doc);
             list.insert(pos, (doc, count));
         }
-        self.doc_lengths.insert(doc, tokens.len() as u32);
+        if self.doc_lengths.len() <= doc {
+            self.doc_lengths.resize(doc + 1, UNINDEXED);
+        }
+        self.doc_lengths[doc] = tokens.len() as u32;
         self.n_docs += 1;
     }
 
@@ -171,7 +180,7 @@ impl InvertedIndex {
             let term_df = df(term, list.len());
             for &(doc, tf) in list {
                 *scores.entry(doc).or_insert(0.0) +=
-                    ranked_term_contribution(tf, self.doc_lengths[&doc], n_docs, term_df);
+                    ranked_term_contribution(tf, self.doc_lengths[doc], n_docs, term_df);
             }
         }
         // "Smallest k" under (Reverse(score), doc) = highest score first,

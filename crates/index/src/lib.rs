@@ -14,8 +14,6 @@
 //!   visual-feature similarity search,
 //! * [`inverted::InvertedIndex`] — a tf-idf inverted file (Zobel & Moffat,
 //!   ref \[27\]) for textual keyword queries,
-//! * [`temporal::TemporalIndex`] — an ordered index over capture /
-//!   upload timestamps,
 //! * [`hybrid::VisualRTree`] — the hybrid spatial-visual index of
 //!   Alfarrarjeh et al. (ACM MM Workshops 2017, ref \[28\]): an R-tree whose
 //!   nodes carry feature-space summaries so one traversal prunes in both
@@ -23,18 +21,19 @@
 //!
 //! The three trees are one R*-tree body ([`rtree`]'s crate-private
 //! `Tree`) under three per-node summaries: none, viewing arcs, feature
-//! balls.
+//! balls. A tree whose entries are known up front is packed
+//! Sort-Tile-Recursive (`build`); `insert` grows one row at a time.
+//! Temporal filters need no index here: the query engine keeps each
+//! timestamp column with a permutation of its rows in time order.
 
 pub mod hybrid;
 pub mod inverted;
 pub mod lsh;
 pub mod oriented;
 pub mod rtree;
-pub mod temporal;
 
 pub use hybrid::VisualRTree;
 pub use inverted::InvertedIndex;
 pub use lsh::{LshConfig, LshIndex};
 pub use oriented::OrientedRTree;
 pub use rtree::RTree;
-pub use temporal::TemporalIndex;

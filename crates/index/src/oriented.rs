@@ -21,17 +21,6 @@ struct Entry<T> {
     value: T,
 }
 
-impl<T> Entry<T> {
-    /// Keyed by the FOV's scene location.
-    fn new(fov: Fov, value: T) -> Self {
-        Entry {
-            bbox: fov.scene_location(),
-            fov,
-            value,
-        }
-    }
-}
-
 impl<T> HasBBox for Entry<T> {
     fn bbox(&self) -> BBox {
         self.bbox
@@ -72,12 +61,15 @@ impl<T> OrientedRTree<T> {
         Self { tree: Tree::new() }
     }
 
-    /// The tree over `fovs`, bit-identical to [`OrientedRTree::insert`]ing
-    /// them one by one, with each node's arc computed once.
-    pub fn build(fovs: impl IntoIterator<Item = (Fov, T)>) -> Self {
-        let entries = fovs.into_iter().map(|(fov, value)| Entry::new(fov, value));
+    /// The tree over `fovs` (`(scene location, FOV, payload)`), packed
+    /// as [`crate::RTree::build`] packs, with each node's arc computed
+    /// once.
+    pub fn build(fovs: impl IntoIterator<Item = (BBox, Fov, T)>) -> Self {
+        let entries = fovs
+            .into_iter()
+            .map(|(bbox, fov, value)| Entry { bbox, fov, value });
         Self {
-            tree: Tree::build(entries, AngularRange::FULL, &dirs_of),
+            tree: Tree::build(entries, &dirs_of),
         }
     }
 
@@ -91,10 +83,11 @@ impl<T> OrientedRTree<T> {
         self.len() == 0
     }
 
-    /// Inserts an FOV with payload; the spatial key is the FOV's scene
-    /// location.
-    pub fn insert(&mut self, fov: Fov, value: T) {
-        self.tree.insert(Entry::new(fov, value), &dirs_of);
+    /// Inserts an FOV with payload. The spatial key `bbox` is the FOV's
+    /// scene location ([`Fov::scene_location`]), which a caller holding
+    /// an image record already has; the tree does not derive it again.
+    pub fn insert(&mut self, bbox: BBox, fov: Fov, value: T) {
+        self.tree.insert(Entry { bbox, fov, value }, &dirs_of);
     }
 
     /// FOVs whose scene location intersects `region` and whose viewing
@@ -142,26 +135,6 @@ impl<T> OrientedRTree<T> {
             }
         });
     }
-
-    #[cfg(test)]
-    pub(crate) fn shape(&self) -> Vec<crate::rtree::Part>
-    where
-        T: Copy + TryInto<u64>,
-    {
-        let arc = |dirs: &AngularRange| vec![dirs.start().to_bits(), dirs.width().to_bits()];
-        self.tree.shape(&arc, &|e| {
-            let fov = [
-                e.fov.camera.lat,
-                e.fov.camera.lon,
-                e.fov.heading_deg,
-                e.fov.angle_deg,
-                e.fov.radius_m,
-            ];
-            let mut bits = fov.map(f64::to_bits).to_vec();
-            bits.push(crate::rtree::payload_bits(&e.value));
-            bits
-        })
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +158,7 @@ mod tests {
         let fovs = make_fovs(150);
         let mut tree = OrientedRTree::new();
         for (f, id) in &fovs {
-            tree.insert(*f, *id);
+            tree.insert(f.scene_location(), *f, *id);
         }
         tree.check_invariants();
         let region = BBox::new(34.002, -118.297, 34.008, -118.291);
@@ -213,7 +186,7 @@ mod tests {
         let fovs = make_fovs(150);
         let mut tree = OrientedRTree::new();
         for (f, id) in &fovs {
-            tree.insert(*f, *id);
+            tree.insert(f.scene_location(), *f, *id);
         }
         let region = BBox::new(33.99, -118.31, 34.03, -118.27);
         let all = tree.range_directed(&region, &AngularRange::FULL).len();
@@ -231,8 +204,10 @@ mod tests {
     fn covering_point_is_exact() {
         let cam = GeoPoint::new(34.01, -118.29);
         let mut tree = OrientedRTree::new();
-        tree.insert(Fov::new(cam, 0.0, 60.0, 100.0), "north");
-        tree.insert(Fov::new(cam, 180.0, 60.0, 100.0), "south");
+        let north = Fov::new(cam, 0.0, 60.0, 100.0);
+        tree.insert(north.scene_location(), north, "north");
+        let south = Fov::new(cam, 180.0, 60.0, 100.0);
+        tree.insert(south.scene_location(), south, "south");
         let ahead = cam.destination(0.0, 50.0);
         let hits = tree.covering_point(&ahead, None);
         assert_eq!(hits.len(), 1);
@@ -257,7 +232,7 @@ mod tests {
         let fovs = make_fovs(300);
         let mut tree = OrientedRTree::new();
         for (f, id) in &fovs {
-            tree.insert(*f, *id);
+            tree.insert(f.scene_location(), *f, *id);
         }
         assert_eq!(tree.len(), 300);
         tree.check_invariants();

@@ -8,11 +8,11 @@
 //! body (`Tree`) is written once over an entry type and `S`: the
 //! insert descent with the R* axis/margin split (Beckmann et al.,
 //! without forced reinsertion) and root growth, the write-once
-//! `Tree::build`, one pruned descent, one best-first search and one
-//! structural invariant walk. Where an entry lands depends on boxes
-//! alone, so a tree never reads a summary to place one; an owner says
-//! how a summary is computed from a node and which ones a query prunes
-//! on.
+//! `Tree::build` (Sort-Tile-Recursive packing), one pruned descent, one
+//! best-first search and one structural invariant walk. Where an entry
+//! lands depends on boxes alone, so a tree never reads a summary to
+//! place one; an owner says how a summary is computed from a node and
+//! which ones a query prunes on.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -119,17 +119,6 @@ impl<E: HasBBox, S> Node<E, S> {
         None
     }
 
-    /// Gives every child slot beneath this node its summary, leaves
-    /// first.
-    fn summarise(&mut self, summary_of: &impl Fn(&Self) -> S) {
-        if let Node::Internal(children) = self {
-            for c in children {
-                c.node.summarise(summary_of);
-                c.summary = summary_of(&c.node);
-            }
-        }
-    }
-
     /// The pruned descent: hands `found` every entry beneath the child
     /// slots `descend` admits, in tree order.
     pub(crate) fn visit<'a>(
@@ -156,8 +145,8 @@ pub(crate) struct Tree<E, S> {
     root: Node<E, S>,
     len: usize,
     /// The fewest entries or children a non-root node may hold:
-    /// `MIN_ENTRIES` in a tree grown by splits, `1` in an STR-packed one
-    /// (a slab's last tile holds what is left).
+    /// `MIN_ENTRIES` in a tree grown by splits, `1` in a packed one (a
+    /// level's last tile holds what is left).
     min_fill: usize,
 }
 
@@ -196,26 +185,34 @@ impl<E: HasBBox, S> Tree<E, S> {
         }
     }
 
-    /// The tree over `entries`, node for node and bit for bit the one
-    /// [`Tree::insert`] grows from them in that order: where an entry
-    /// lands depends on boxes alone and a summary is a function of the
-    /// final contents of the node it covers, so every entry is placed
-    /// first, under `unset` summaries nothing reads, and each summary is
-    /// then computed once, leaves first.
+    /// The tree over `entries`, packed Sort-Tile-Recursive: the entries
+    /// are tiled into full leaves of nearby boxes ([`str_tiles`]), each
+    /// level above tiles the slots of the one below until one node is
+    /// left, every node is allocated at its size, and each summary is
+    /// computed once, from a finished node, as its slot is made. A packed
+    /// tree differs in shape from the one [`Tree::insert`] grows from
+    /// the same entries, never in what a query finds: filters visit the
+    /// same entries (in another order) and best-first searches report in
+    /// `(rank, payload)` order whatever the shape.
     pub(crate) fn build(
         entries: impl IntoIterator<Item = E>,
-        unset: S,
         summary_of: &impl Fn(&Node<E, S>) -> S,
-    ) -> Self
-    where
-        S: Clone,
-    {
-        let mut tree = Self::new();
-        for entry in entries {
-            tree.insert(entry, &|_| unset.clone());
+    ) -> Self {
+        let entries: Vec<E> = entries.into_iter().collect();
+        let len = entries.len();
+        let mut level: Vec<Node<E, S>> = str_tiles(entries).into_iter().map(Node::Leaf).collect();
+        while level.len() > 1 {
+            let slots = level.into_iter().map(|n| Child::over(n, summary_of));
+            level = str_tiles(slots.collect())
+                .into_iter()
+                .map(Node::Internal)
+                .collect();
         }
-        tree.root.summarise(summary_of);
-        tree
+        Self {
+            root: level.pop().unwrap_or(Node::Leaf(Vec::new())),
+            len,
+            min_fill: 1,
+        }
     }
 
     /// Best-first search: the `k` entries of lowest rank, in
@@ -308,66 +305,17 @@ impl<E: HasBBox, S> Tree<E, S> {
     }
 }
 
-/// One line of [`Tree::shape`]: a child slot or an entry at its depth,
-/// every float as its bits, so equal means bit-equal.
 #[cfg(test)]
-#[derive(Debug, PartialEq)]
-pub(crate) struct Part {
-    pub(crate) depth: usize,
-    slot: bool,
-    bbox: [u64; 4],
-    rest: Vec<u64>,
-}
-
-/// A payload as [`Part`] bits.
-#[cfg(test)]
-pub(crate) fn payload_bits<T: Copy + TryInto<u64>>(value: &T) -> u64 {
-    (*value).try_into().ok().expect("a payload that fits u64")
-}
-
-#[cfg(test)]
-impl<E: HasBBox, S> Tree<E, S> {
-    /// The tree flattened depth-first: one [`Part`] per child slot
-    /// (its box and `summary_bits`) and per entry (its box and
-    /// `entry_bits`).
-    pub(crate) fn shape(
-        &self,
-        summary_bits: &impl Fn(&S) -> Vec<u64>,
-        entry_bits: &impl Fn(&E) -> Vec<u64>,
-    ) -> Vec<Part> {
-        fn part(depth: usize, slot: bool, b: BBox, rest: Vec<u64>) -> Part {
-            let bbox = [b.min_lat, b.min_lon, b.max_lat, b.max_lon].map(f64::to_bits);
-            Part {
-                depth,
-                slot,
-                bbox,
-                rest,
-            }
+impl<E, S> Tree<E, S> {
+    /// Levels from the root to the leaves (a lone leaf = 1).
+    pub(crate) fn height(&self) -> usize {
+        let mut node = &self.root;
+        let mut levels = 1;
+        while let Node::Internal(children) = node {
+            node = &children[0].node;
+            levels += 1;
         }
-        fn walk<E: HasBBox, S>(
-            node: &Node<E, S>,
-            depth: usize,
-            summary_bits: &impl Fn(&S) -> Vec<u64>,
-            entry_bits: &impl Fn(&E) -> Vec<u64>,
-            out: &mut Vec<Part>,
-        ) {
-            match node {
-                Node::Leaf(entries) => out.extend(
-                    entries
-                        .iter()
-                        .map(|e| part(depth, false, e.bbox(), entry_bits(e))),
-                ),
-                Node::Internal(children) => {
-                    for c in children {
-                        out.push(part(depth, true, c.bbox, summary_bits(&c.summary)));
-                        walk(&c.node, depth + 1, summary_bits, entry_bits, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, 0, summary_bits, entry_bits, &mut out);
-        out
+        levels
     }
 }
 
@@ -402,39 +350,19 @@ impl<T> RTree<T> {
         Self { tree: Tree::new() }
     }
 
-    /// The tree over `items`, the one [`RTree::insert`] grows from them
-    /// in that order (prefer [`RTree::bulk_load`] for large static sets
-    /// whose shape nothing else has to reproduce).
+    /// The tree over `items`, packed Sort-Tile-Recursive: full leaves
+    /// of nearby boxes, each level above tiled the same way, every node
+    /// allocated at its size. Shallower and tighter than a tree grown by
+    /// [`RTree::insert`], and much faster to construct.
     pub fn build(items: impl IntoIterator<Item = (BBox, T)>) -> Self {
         Self {
-            tree: Tree::build(items, (), &|_| ()),
+            tree: Tree::build(items, &|_| ()),
         }
     }
 
-    /// Sort-Tile-Recursive (STR) bulk loading: packs entries into fully
-    /// occupied leaves by sorting on latitude then tiling on longitude,
-    /// then builds the upper levels the same way. Produces a tighter,
-    /// shallower tree than repeated insertion and is much faster to
-    /// construct.
+    /// [`RTree::build`] under its older name.
     pub fn bulk_load(items: Vec<(BBox, T)>) -> Self {
-        let len = items.len();
-        let mut level: Vec<Node<(BBox, T), ()>> =
-            str_tiles(items).into_iter().map(Node::Leaf).collect();
-        // Build upper levels until one root remains.
-        while level.len() > 1 {
-            let children = level.into_iter().map(|n| Child::over(n, &|_| ())).collect();
-            level = str_tiles(children)
-                .into_iter()
-                .map(Node::Internal)
-                .collect();
-        }
-        Self {
-            tree: Tree {
-                root: level.pop().unwrap_or(Node::Leaf(Vec::new())),
-                len,
-                min_fill: 1,
-            },
-        }
+        Self::build(items)
     }
 
     /// Number of stored entries.
@@ -498,15 +426,6 @@ impl<T> RTree<T> {
     /// to check.
     pub fn check_invariants(&self) {
         self.tree.check_invariants(&|_| ());
-    }
-
-    #[cfg(test)]
-    pub(crate) fn shape(&self) -> Vec<Part>
-    where
-        T: Copy + TryInto<u64>,
-    {
-        self.tree
-            .shape(&|()| Vec::new(), &|(_, value)| vec![payload_bits(value)])
     }
 }
 
@@ -581,29 +500,35 @@ fn split_entries<E: HasBBox>(mut entries: Vec<E>) -> (Vec<E>, Vec<E>) {
     (entries, right)
 }
 
-/// Partitions `items` into STR tiles of at most `MAX_ENTRIES` each:
-/// sort by latitude, cut into vertical slabs of `slab = ceil(sqrt(P))`
-/// tiles, sort each slab by longitude, and chunk.
+/// The one STR packer: partitions `items` into the `P = ceil(n / M)`
+/// tiles of Sort-Tile-Recursive (`M = MAX_ENTRIES`), each allocated at
+/// its size. Items are sorted by box centre latitude and cut into
+/// `ceil(sqrt(P))` slabs of whole tiles; each slab is sorted by centre
+/// longitude and cut into tiles of `M`. Every tile is full but the
+/// last. Both sorts are stable, so the tiles are a function of the
+/// items' order.
 fn str_tiles<E: HasBBox>(mut items: Vec<E>) -> Vec<Vec<E>> {
-    let per_node = MAX_ENTRIES;
-    let n_tiles = items.len().div_ceil(per_node);
+    let n_tiles = items.len().div_ceil(MAX_ENTRIES);
     let slabs = (n_tiles as f64).sqrt().ceil() as usize;
-    let per_slab = items.len().div_ceil(slabs.max(1));
-    items.sort_by(|a, b| {
-        let (ka, kb) = (a.bbox(), b.bbox());
-        (ka.min_lat + ka.max_lat).total_cmp(&(kb.min_lat + kb.max_lat))
-    });
+    let per_slab = n_tiles.div_ceil(slabs.max(1)) * MAX_ENTRIES;
+    let centre = |e: &E, axis: usize| {
+        let b = e.bbox();
+        match axis {
+            0 => b.min_lat + b.max_lat,
+            _ => b.min_lon + b.max_lon,
+        }
+    };
+    items.sort_by(|a, b| centre(a, 0).total_cmp(&centre(b, 0)));
     let mut tiles = Vec::with_capacity(n_tiles);
-    let mut items = items.into_iter().peekable();
-    while items.peek().is_some() {
+    let mut items = items.into_iter();
+    while items.len() > 0 {
         let mut slab: Vec<E> = items.by_ref().take(per_slab).collect();
-        slab.sort_by(|a, b| {
-            let (ka, kb) = (a.bbox(), b.bbox());
-            (ka.min_lon + ka.max_lon).total_cmp(&(kb.min_lon + kb.max_lon))
-        });
-        let mut slab = slab.into_iter().peekable();
-        while slab.peek().is_some() {
-            tiles.push(slab.by_ref().take(per_node).collect());
+        slab.sort_by(|a, b| centre(a, 1).total_cmp(&centre(b, 1)));
+        let mut slab = slab.into_iter();
+        while slab.len() > 0 {
+            let mut tile = Vec::with_capacity(slab.len().min(MAX_ENTRIES));
+            tile.extend(slab.by_ref().take(MAX_ENTRIES));
+            tiles.push(tile);
         }
     }
     tiles
@@ -651,14 +576,9 @@ impl<D: Ord, N, T: Ord> Eq for Frontier<'_, D, N, T> {}
 mod tests {
     use super::*;
     use crate::{OrientedRTree, VisualRTree};
-    use tvdp_geo::Fov;
+    use tvdp_geo::{AngularRange, Fov};
     use tvdp_kernel::rng::for_each_case;
-    use tvdp_kernel::{FeatureSlab, RowSource};
-
-    /// Levels in the tree a [`Part`] list came from (a lone leaf = 1).
-    fn height(shape: &[Part]) -> usize {
-        shape.iter().map(|p| p.depth + 1).max().unwrap_or(1)
-    }
+    use tvdp_kernel::{l2, l2_sq, FeatureSlab, RowSource};
 
     fn grid_points(n: usize) -> Vec<(GeoPoint, usize)> {
         // n x n grid of points near downtown LA.
@@ -769,7 +689,7 @@ mod tests {
         for (p, id) in grid_points(20) {
             tree.insert_point(p, id);
         }
-        assert!(height(&tree.shape()) >= 3, "400 entries must split twice");
+        assert!(tree.tree.height() >= 3, "400 entries must split twice");
         tree.check_invariants();
         let world = BBox::new(33.0, -119.0, 35.0, -117.0);
         assert_eq!(tree.range(&world).len(), 400);
@@ -778,7 +698,10 @@ mod tests {
     #[test]
     fn bulk_load_equals_incremental_queries() {
         let pts = grid_points(18); // 324 entries, multiple levels
-        let incremental = RTree::build(pts.iter().map(|(p, id)| (BBox::from_point(*p), *id)));
+        let mut incremental = RTree::new();
+        for (p, id) in &pts {
+            incremental.insert_point(*p, *id);
+        }
         let packed = RTree::bulk_load(
             pts.iter()
                 .map(|(p, id)| (BBox::from_point(*p), *id))
@@ -786,7 +709,7 @@ mod tests {
         );
         packed.check_invariants();
         assert_eq!(packed.len(), 324);
-        assert!(height(&packed.shape()) <= height(&incremental.shape()));
+        assert!(packed.tree.height() <= incremental.tree.height());
         for query in [
             BBox::new(34.0, -118.3, 34.004, -118.296),
             BBox::new(34.008, -118.29, 34.016, -118.284),
@@ -809,27 +732,35 @@ mod tests {
         assert_eq!(one.range(&BBox::new(0.5, 0.5, 0.6, 0.6)), vec![&7]);
     }
 
-    /// `built` against `grown`, two flattenings of what must be one
-    /// tree: the same nodes, the same children in the same order, every
-    /// box, summary and entry bit for bit, and at least `levels` levels.
-    fn assert_same_tree(which: &str, n: usize, levels: usize, built: &[Part], grown: &[Part]) {
-        assert!(
-            height(grown) >= levels,
-            "{which}, n = {n}: {} level(s)",
-            height(grown)
-        );
-        assert!(built == grown, "{which}, n = {n}: trees differ");
+    /// `hits` as a set: ids ascending.
+    fn sorted<'a>(hits: impl IntoIterator<Item = &'a u32>) -> Vec<u32> {
+        let mut ids: Vec<u32> = hits.into_iter().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
-    /// The write-once constructor against per-row insertion, for each
-    /// of the three trees over the shared body, at sizes that fit the
-    /// root leaf, split it once, and split the root again. Boxes, FOVs
-    /// and rows repeat, so splits meet ties.
+    /// The `k` lowest of `(rank, payload)` pairs, in that order: what a
+    /// best-first search must report whatever the tree's shape.
+    fn lowest<D: PartialOrd + Copy>(mut ranked: Vec<(D, u32)>, k: usize) -> Vec<(D, u32)> {
+        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        ranked.truncate(k);
+        ranked
+    }
+
+    /// A packed tree against a grown one and a scan, for each of the
+    /// three trees over the shared body, at sizes that are empty, fit
+    /// one leaf, fill it and spill one entry past it, then at random
+    /// sizes up to 300. Boxes, FOVs and rows repeat, so splits, tiles and
+    /// searches meet ties. Filters agree as sets; best-first searches
+    /// agree entry for entry, in `(rank, payload)` order.
     #[test]
-    fn build_is_bit_identical_to_per_row_insertion() {
-        let sizes = [(1usize, 1usize), (16, 1), (17, 2), (128, 2), (1_000, 3)];
-        for_each_case(sizes.len() as u64 * 4, |case, rng| {
-            let (n, levels) = sizes[case as usize % sizes.len()];
+    fn packed_trees_answer_as_grown_trees_and_a_scan() {
+        let fixed = [0usize, 1, 16, 17];
+        for_each_case(48, |case, rng| {
+            let n = match fixed.get(case as usize) {
+                Some(&n) => n,
+                None => rng.gen_range(0..=300),
+            };
             let dim = 6;
             let mut slab = FeatureSlab::new(dim);
             let mut rows: Vec<(Fov, u32, u32)> = Vec::new();
@@ -853,57 +784,124 @@ mod tests {
                 };
                 rows.push((fov, slab.push(&floats), id));
             }
-            // Built from a detached view, as a sealed segment is.
+            // Packed from a detached view, as a sealed segment is.
             let view = slab.view();
             let scenes = || rows.iter().map(|&(fov, _, id)| (fov.scene_location(), id));
+            let regions = [
+                BBox::new(33.0, -119.0, 35.0, -118.0),
+                BBox::new(33.9, -118.4, 34.0, -118.2),
+                BBox::new(34.02, -118.33, 34.05, -118.29),
+            ];
+            let points = [GeoPoint::new(34.0, -118.3), GeoPoint::new(34.11, -118.19)];
 
             let mut grown = RTree::new();
             scenes().for_each(|(scene, id)| grown.insert(scene, id));
-            let built = RTree::build(scenes());
+            let packed = RTree::build(scenes());
             grown.check_invariants();
-            built.check_invariants();
-            assert_eq!(built.len(), n);
-            assert_same_tree("plain", n, levels, &built.shape(), &grown.shape());
+            packed.check_invariants();
+            assert_eq!(packed.len(), n);
+            for region in &regions {
+                let scan = rows
+                    .iter()
+                    .filter(|(fov, _, _)| fov.scene_location().intersects(region));
+                let want = sorted(scan.map(|(_, _, id)| id));
+                assert_eq!(sorted(packed.range(region)), want);
+                assert_eq!(sorted(grown.range(region)), want);
+            }
+            for p in &points {
+                for k in [1, 7, 40] {
+                    let scan = scenes().map(|(b, id)| (b.min_distance_m(p), id)).collect();
+                    let bits = |hits: Vec<(f64, &u32)>| -> Vec<(u64, u32)> {
+                        hits.into_iter().map(|(d, id)| (d.to_bits(), *id)).collect()
+                    };
+                    let want: Vec<(u64, u32)> = lowest(scan, k)
+                        .into_iter()
+                        .map(|(d, id)| (d.to_bits(), id))
+                        .collect();
+                    assert_eq!(bits(packed.knn(p, k)), want, "n = {n}, k = {k}");
+                    assert_eq!(bits(grown.knn(p, k)), want, "n = {n}, k = {k}");
+                }
+            }
 
             let mut grown = OrientedRTree::new();
-            rows.iter().for_each(|&(fov, _, id)| grown.insert(fov, id));
-            let built = OrientedRTree::build(rows.iter().map(|&(fov, _, id)| (fov, id)));
+            for (&(fov, _, id), (scene, _)) in rows.iter().zip(scenes()) {
+                grown.insert(scene, fov, id);
+            }
+            let packed = OrientedRTree::build(
+                rows.iter()
+                    .zip(scenes())
+                    .map(|(&(fov, _, id), (scene, _))| (scene, fov, id)),
+            );
             grown.check_invariants();
-            built.check_invariants();
-            assert_eq!(built.len(), n);
-            assert_same_tree("oriented", n, levels, &built.shape(), &grown.shape());
+            packed.check_invariants();
+            assert_eq!(packed.len(), n);
+            let ids = |hits: Vec<(&Fov, &u32)>| sorted(hits.into_iter().map(|(_, id)| id));
+            for region in &regions {
+                for dirs in [AngularRange::FULL, AngularRange::centered(90.0, 60.0)] {
+                    let scan = rows.iter().filter(|(fov, _, _)| {
+                        fov.scene_location().intersects(region)
+                            && fov.direction_range().overlaps(&dirs)
+                    });
+                    let want = sorted(scan.map(|(_, _, id)| id));
+                    assert_eq!(ids(packed.range_directed(region, &dirs)), want);
+                    assert_eq!(ids(grown.range_directed(region, &dirs)), want);
+                }
+            }
 
             let mut grown = VisualRTree::new(dim);
             for (&(_, row, id), (scene, _)) in rows.iter().zip(scenes()) {
                 grown.insert(&slab, scene, row, id);
             }
-            let built = VisualRTree::build(
+            let packed = VisualRTree::build(
                 &view,
                 rows.iter()
                     .zip(scenes())
                     .map(|(&(_, row, id), (scene, _))| (scene, row, id)),
             );
             grown.check_invariants(&slab);
-            built.check_invariants(&view);
-            assert_eq!(built.len(), n);
-            assert_eq!(built.dim(), grown.dim());
-            assert_same_tree("hybrid", n, levels, &built.shape(), &grown.shape());
-
-            let everywhere = BBox::new(33.0, -119.0, 35.0, -118.0);
-            let half = BBox::new(33.9, -118.4, 34.0, -118.2);
+            packed.check_invariants(&view);
+            assert_eq!(packed.len(), n);
+            assert_eq!(packed.dim(), dim);
             let bits = |hits: Vec<(f32, &u32)>| -> Vec<(u32, u32)> {
                 hits.into_iter().map(|(d, id)| (d.to_bits(), *id)).collect()
             };
-            for _ in 0..4 {
+            let canonical = |hits: Vec<(f32, &u32)>| {
+                let mut rows = bits(hits);
+                rows.sort_unstable_by_key(|&(d, id)| (id, d));
+                rows
+            };
+            for _ in 0..3 {
                 let query: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                for region in [everywhere, half] {
+                for region in &regions {
+                    let in_region = || {
+                        rows.iter()
+                            .zip(scenes())
+                            .filter(|(_, (b, _))| b.intersects(region))
+                    };
+                    let scan = in_region()
+                        .map(|(&(_, row, id), _)| (l2(view.row(row), &query), id))
+                        .collect();
+                    let want: Vec<(u32, u32)> = lowest(scan, 10)
+                        .into_iter()
+                        .map(|(d, id)| (d.to_bits(), id))
+                        .collect();
+                    assert_eq!(bits(packed.knn_visual(&view, region, &query, 10)), want);
+                    assert_eq!(bits(grown.knn_visual(&slab, region, &query, 10)), want);
+
+                    let mut want: Vec<(u32, u32)> = in_region()
+                        .filter_map(|(&(_, row, id), _)| {
+                            let d_sq = l2_sq(view.row(row), &query);
+                            (d_sq <= 1.2 * 1.2).then(|| (d_sq.sqrt().to_bits(), id))
+                        })
+                        .collect();
+                    want.sort_unstable_by_key(|&(d, id)| (id, d));
                     assert_eq!(
-                        bits(built.knn_visual(&view, &region, &query, 10)),
-                        bits(grown.knn_visual(&slab, &region, &query, 10))
+                        canonical(packed.range_visual(&view, region, &query, 1.2)),
+                        want
                     );
                     assert_eq!(
-                        bits(built.range_visual(&view, &region, &query, 1.2)),
-                        bits(grown.range_visual(&slab, &region, &query, 1.2))
+                        canonical(grown.range_visual(&slab, region, &query, 1.2)),
+                        want
                     );
                 }
             }

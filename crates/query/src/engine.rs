@@ -18,9 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tvdp_geo::{BBox, Fov, GeoPolygon};
-use tvdp_index::{
-    inverted::tokenize, InvertedIndex, OrientedRTree, RTree, TemporalIndex, VisualRTree,
-};
+use tvdp_index::{inverted::tokenize, InvertedIndex, OrientedRTree, RTree, VisualRTree};
 use tvdp_kernel::{l2_sq, RowSource, SlabView};
 use tvdp_storage::{ClassificationId, FeatureHandle, ImageId, ImageRecord, VisualStore};
 use tvdp_vision::FeatureKind;
@@ -44,6 +42,41 @@ impl Default for EngineConfig {
             visual_kind: FeatureKind::Cnn,
         }
     }
+}
+
+/// Why [`QueryEngine::index_image`] refused an id: an engine's ids
+/// ascend (its doc handles, and every column indexed by them, are in id
+/// order), so an id may only be appended above the highest one indexed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfOrder {
+    /// The refused id.
+    pub id: ImageId,
+    /// The highest id the engine indexes.
+    pub highest: ImageId,
+}
+
+impl std::fmt::Display for OutOfOrder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} is below {}, the highest id this engine indexes, and is not indexed: an engine only appends",
+            self.id, self.highest
+        )
+    }
+}
+
+impl std::error::Error for OutOfOrder {}
+
+/// The `rows` slot of a doc with no feature row of the indexed family.
+const NO_ROW: u32 = u32::MAX;
+
+/// A permutation of doc handles in `(timestamp, doc)` order over one
+/// timestamp column: a temporal range is the run between two binary
+/// searches, ties in doc (so id) order.
+fn time_order(stamps: &[i64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..stamps.len() as u32).collect();
+    order.sort_unstable_by_key(|&doc| (stamps[doc as usize], doc));
+    order
 }
 
 /// The whole-planet region used when a visual query has no spatial
@@ -82,7 +115,7 @@ enum Filter<'q> {
 /// An index-backed executor over a [`VisualStore`] snapshot.
 ///
 /// Built once from the store; images ingested afterwards are indexed via
-/// [`QueryEngine::index_image`].
+/// [`QueryEngine::index_image`], above the highest id already indexed.
 pub struct QueryEngine {
     store: Arc<VisualStore>,
     config: EngineConfig,
@@ -90,22 +123,21 @@ pub struct QueryEngine {
     fov_tree: OrientedRTree<ImageId>,
     hybrid: Option<VisualRTree<ImageId>>,
     text: InvertedIndex,
-    captured: TemporalIndex,
-    uploaded: TemporalIndex,
-    /// Dense doc handle -> image id (text/temporal indexes).
+    /// Dense doc handle -> image id, ascending: the indexed set, and
+    /// (by binary search) image id -> doc handle.
     docs: Vec<ImageId>,
-    /// Image id -> doc handle (candidate-side lookups; ordered, L2).
-    /// Its key set is the set of indexed images.
-    doc_of: BTreeMap<ImageId, usize>,
-    /// Per-doc capture/upload timestamps, scene boxes and whether the
-    /// row carries an FOV, recorded at index time so per-candidate
-    /// predicates never take the store lock.
+    /// Per-doc columns, parallel to `docs`: capture/upload timestamps,
+    /// scene boxes, whether the row carries an FOV and its arena row of
+    /// the indexed family ([`NO_ROW`] when it holds none), recorded at
+    /// index time so per-candidate predicates never take the store lock.
     captured_at: Vec<i64>,
     uploaded_at: Vec<i64>,
     scenes: Vec<BBox>,
     has_fov: Vec<bool>,
-    /// Arena row of each visually indexed image (ordered, L2).
-    rows_by_id: BTreeMap<ImageId, u32>,
+    rows: Vec<u32>,
+    /// The docs in `(captured_at, doc)` and `(uploaded_at, doc)` order.
+    captured_order: Vec<u32>,
+    uploaded_order: Vec<u32>,
     /// One past the highest arena row the visual indexes reference;
     /// the view a query resolves rows through must cover this many.
     rows_hi: u32,
@@ -120,31 +152,33 @@ impl QueryEngine {
         Self::build_over(store, config, &ids)
     }
 
-    /// Builds an engine indexing only the given image ids (ids absent
-    /// from the store are ignored). This is how a shard seals a segment:
-    /// a small immutable engine over exactly the rows the segment owns,
-    /// sharing the store's feature arena zero-copy like [`QueryEngine::build`].
+    /// Builds an engine indexing only the given image ids (in any order,
+    /// repeats counted once; ids absent from the store are ignored).
+    /// This is how a shard seals a segment: a small immutable engine
+    /// over exactly the rows the segment owns, sharing the store's
+    /// feature arena zero-copy like [`QueryEngine::build`].
     ///
-    /// Indistinguishable from [`QueryEngine::index_image`] over the same
-    /// ids in the same order, but the id list is final, so the three
-    /// trees are built write-once from their entry lists: entries are
-    /// placed as they were met and each node summary is computed once
-    /// at the end, the hybrid tree's from the arena view queries will
-    /// read, with no store lock held for the pass.
+    /// Answers as [`QueryEngine::index_image`] over the same ids in
+    /// ascending order would, but the id list is final, so it is built
+    /// write-once: the three trees are packed from their entry lists
+    /// (each node summary computed once, the hybrid tree's from the
+    /// arena view queries will read, with no store lock held for the
+    /// pass) and each time order is one sort.
     pub fn build_over(store: Arc<VisualStore>, config: EngineConfig, ids: &[ImageId]) -> Self {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
         let mut engine = Self::build_empty(Arc::clone(&store), config);
         let mut scenes: Vec<(BBox, ImageId)> = Vec::new();
-        let mut fovs: Vec<(Fov, ImageId)> = Vec::new();
+        let mut fovs: Vec<(BBox, Fov, ImageId)> = Vec::new();
         let mut visual: Vec<(BBox, u32, ImageId)> = Vec::new();
         let mut dim = None;
-        for &id in ids {
+        for &id in &ids {
             store.with_image_row(id, engine.config.visual_kind, |record, row| {
                 let handle = row.map(|(handle, _)| handle);
-                let Some((scene, fov)) = engine.index_row(id, record, handle) else {
-                    return;
-                };
+                let (scene, fov) = engine.index_row(id, record, handle);
                 scenes.push((scene, id));
-                fovs.extend(fov.map(|fov| (fov, id)));
+                fovs.extend(fov.map(|fov| (scene, fov, id)));
                 if let Some(handle) = handle {
                     let first = *dim.get_or_insert(handle.dim);
                     assert_eq!(handle.dim, first, "feature dimension mismatch");
@@ -152,6 +186,8 @@ impl QueryEngine {
                 }
             });
         }
+        engine.captured_order = time_order(&engine.captured_at);
+        engine.uploaded_order = time_order(&engine.uploaded_at);
         engine.scene_tree = RTree::build(scenes);
         engine.fov_tree = OrientedRTree::build(fovs);
         if let Some(dim) = dim {
@@ -173,18 +209,22 @@ impl QueryEngine {
             fov_tree: OrientedRTree::new(),
             hybrid: None,
             text: InvertedIndex::new(),
-            captured: TemporalIndex::new(),
-            uploaded: TemporalIndex::new(),
             docs: Vec::new(),
-            doc_of: BTreeMap::new(),
             captured_at: Vec::new(),
             uploaded_at: Vec::new(),
             scenes: Vec::new(),
             has_fov: Vec::new(),
-            rows_by_id: BTreeMap::new(),
+            rows: Vec::new(),
+            captured_order: Vec::new(),
+            uploaded_order: Vec::new(),
             rows_hi: 0,
             extent: None,
         }
+    }
+
+    /// The doc handle of `id`, if indexed.
+    fn doc_of(&self, id: ImageId) -> Option<usize> {
+        self.docs.binary_search(&id).ok()
     }
 
     /// The underlying store.
@@ -202,21 +242,41 @@ impl QueryEngine {
         self.docs.is_empty()
     }
 
-    /// Indexes one image from the store into every applicable index.
-    /// Idempotent per image id; unknown ids are ignored. One read-lock
-    /// acquisition per row: the record is read in place, and the hybrid
-    /// tree reads the feature row (on a split, its siblings' rows too)
-    /// straight out of the live slab, keeping only its `u32` handle.
-    pub fn index_image(&mut self, id: ImageId) {
+    /// Indexes one image from the store into every applicable index,
+    /// appending it above the highest id indexed so far; unknown ids are
+    /// ignored. An id at or below the highest is a no-op when already
+    /// indexed and refused with [`OutOfOrder`], the engine unchanged,
+    /// when not. One read-lock acquisition per row: the record is read
+    /// in place, and the hybrid tree reads the feature row (on a split,
+    /// its siblings' rows too) straight out of the live slab, keeping
+    /// only its `u32` handle.
+    pub fn index_image(&mut self, id: ImageId) -> Result<(), OutOfOrder> {
+        if let Some(&highest) = self.docs.last() {
+            if id <= highest {
+                return match self.doc_of(id) {
+                    Some(_) => Ok(()),
+                    None => Err(OutOfOrder { id, highest }),
+                };
+            }
+        }
         let store = Arc::clone(&self.store);
         store.with_image_row(id, self.config.visual_kind, |record, row| {
             let handle = row.map(|(handle, _)| handle);
-            let Some((scene, fov)) = self.index_row(id, record, handle) else {
-                return;
-            };
+            let (scene, fov) = self.index_row(id, record, handle);
+            // The new doc is the highest, so it goes after every doc
+            // sharing its timestamp.
+            let doc = (self.docs.len() - 1) as u32;
+            for (order, stamps) in [
+                (&mut self.captured_order, &self.captured_at),
+                (&mut self.uploaded_order, &self.uploaded_at),
+            ] {
+                let t = stamps[doc as usize];
+                let at = order.partition_point(|&d| stamps[d as usize] <= t);
+                order.insert(at, doc);
+            }
             self.scene_tree.insert(scene, id);
             if let Some(fov) = fov {
-                self.fov_tree.insert(fov, id);
+                self.fov_tree.insert(scene, fov, id);
             }
             if let Some((handle, slab)) = row {
                 self.hybrid
@@ -224,40 +284,59 @@ impl QueryEngine {
                     .insert(slab, scene, handle.row, id);
             }
         });
+        Ok(())
     }
 
-    /// Records the non-tree columns of one image, read from its store
-    /// `record` and the arena `handle` of its row of the indexed family
-    /// (if it holds one), and returns what the trees key it by: its
-    /// scene box and its FOV. `None`, with nothing recorded, when the
-    /// image is already indexed.
+    /// Appends the per-doc columns of one image above every indexed id,
+    /// read from its store `record` and the arena `handle` of its row of
+    /// the indexed family (if it holds one), and returns what the trees
+    /// key it by: its scene box and its FOV.
     fn index_row(
         &mut self,
         id: ImageId,
         record: &ImageRecord,
         handle: Option<FeatureHandle>,
-    ) -> Option<(BBox, Option<Fov>)> {
-        if self.doc_of.contains_key(&id) {
-            return None;
-        }
+    ) -> (BBox, Option<Fov>) {
+        debug_assert!(self.docs.last().is_none_or(|&last| last < id));
         let scene = record.scene_location;
         let doc = self.docs.len();
         self.docs.push(id);
-        self.doc_of.insert(id, doc);
         self.text
             .index_document(doc, &record.meta.keywords.join(" "));
-        self.captured.insert(record.meta.captured_at, doc);
-        self.uploaded.insert(record.meta.uploaded_at, doc);
         self.captured_at.push(record.meta.captured_at);
         self.uploaded_at.push(record.meta.uploaded_at);
         self.scenes.push(scene);
         self.has_fov.push(record.meta.fov.is_some());
         self.extent = Some(self.extent.map_or(scene, |e| e.union(&scene)));
+        self.rows.push(handle.map_or(NO_ROW, |h| h.row));
         if let Some(handle) = handle {
-            self.rows_by_id.insert(id, handle.row);
             self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
         }
-        Some((scene, record.meta.fov))
+        (scene, record.meta.fov)
+    }
+
+    /// The docs whose `field` timestamp lies in `[from, to]`, in
+    /// `(timestamp, doc)` order.
+    fn time_range(&self, field: TemporalField, from: i64, to: i64) -> &[u32] {
+        let (order, stamps) = self.time_column(field);
+        let lo = order.partition_point(|&d| stamps[d as usize] < from);
+        let hi = order.partition_point(|&d| stamps[d as usize] <= to);
+        &order[lo..hi.max(lo)]
+    }
+
+    /// One timestamp column with its time order.
+    fn time_column(&self, field: TemporalField) -> (&[u32], &[i64]) {
+        match field {
+            TemporalField::Captured => (&self.captured_order, &self.captured_at),
+            TemporalField::Uploaded => (&self.uploaded_order, &self.uploaded_at),
+        }
+    }
+
+    /// The arena row of `id`, if indexed with a feature row.
+    fn row_of(&self, id: ImageId) -> Option<u32> {
+        self.doc_of(id)
+            .map(|doc| self.rows[doc])
+            .filter(|&row| row != NO_ROW)
     }
 
     /// The arena snapshot every visual query path reads rows from: the
@@ -300,16 +379,11 @@ impl QueryEngine {
                 min_confidence,
             } => plan::categorical([&*self.store], *scheme, *label, *min_confidence),
             Query::Textual { text, mode } => self.execute_textual(text, *mode),
-            Query::Temporal { field, from, to } => {
-                let idx = match field {
-                    TemporalField::Captured => &self.captured,
-                    TemporalField::Uploaded => &self.uploaded,
-                };
-                idx.range(*from, *to)
-                    .into_iter()
-                    .map(|doc| QueryResult::new(self.docs[doc], 0.0))
-                    .collect()
-            }
+            Query::Temporal { field, from, to } => self
+                .time_range(*field, *from, *to)
+                .iter()
+                .map(|&doc| QueryResult::new(self.docs[doc as usize], 0.0))
+                .collect(),
             Query::And(subs) => self.execute_and(subs),
             Query::Or(subs) => plan::or_fold(subs.iter().flat_map(|q| self.run(q)).collect()),
         }
@@ -363,9 +437,8 @@ impl QueryEngine {
                     .range(&polygon.bbox())
                     .into_iter()
                     .filter(|id| {
-                        self.doc_of
-                            .get(*id)
-                            .is_some_and(|&doc| polygon.intersects_bbox(&self.scenes[doc]))
+                        self.doc_of(**id)
+                            .is_some_and(|doc| polygon.intersects_bbox(&self.scenes[doc]))
                     })
                     .map(|id| QueryResult::new(*id, 0.0))
                     .collect()
@@ -380,7 +453,7 @@ impl QueryEngine {
                     .map(|(_, id)| *id)
                     .collect();
                 for id in self.scene_tree.containing(p) {
-                    if self.doc_of.get(id).is_some_and(|&doc| !self.has_fov[doc]) {
+                    if self.doc_of(*id).is_some_and(|doc| !self.has_fov[doc]) {
                         ids.push(*id);
                     }
                 }
@@ -525,14 +598,11 @@ impl QueryEngine {
     /// same arena row the hybrid tree would visit.
     fn filter_matches(&self, f: &Filter, id: ImageId, view: Option<&SlabView>) -> bool {
         match f {
-            Filter::Temporal { field, from, to } => self.doc_of.get(&id).is_some_and(|&doc| {
-                let t = match field {
-                    TemporalField::Captured => self.captured_at[doc],
-                    TemporalField::Uploaded => self.uploaded_at[doc],
-                };
+            Filter::Temporal { field, from, to } => self.doc_of(id).is_some_and(|doc| {
+                let t = self.time_column(*field).1[doc];
                 t >= *from && t <= *to
             }),
-            Filter::Textual { terms, all } => self.doc_of.get(&id).is_some_and(|&doc| {
+            Filter::Textual { terms, all } => self.doc_of(id).is_some_and(|doc| {
                 if *all {
                     self.text.doc_matches_all(doc, terms)
                 } else {
@@ -547,18 +617,16 @@ impl QueryEngine {
                 .store
                 .has_annotation(id, *scheme, *label, *min_confidence),
             Filter::Range(b) => self
-                .doc_of
-                .get(&id)
-                .is_some_and(|&doc| self.scenes[doc].intersects(b)),
-            Filter::Within(p) => self.doc_of.get(&id).is_some_and(|&doc| {
+                .doc_of(id)
+                .is_some_and(|doc| self.scenes[doc].intersects(b)),
+            Filter::Within(p) => self.doc_of(id).is_some_and(|doc| {
                 let scene = &self.scenes[doc];
                 scene.intersects(&p.bbox()) && p.intersects_bbox(scene)
             }),
             Filter::VisualThreshold { example, max_dist } => self
-                .rows_by_id
-                .get(&id)
+                .row_of(id)
                 .zip(view)
-                .is_some_and(|(&row, v)| l2_sq(v.row(row), example) <= max_dist * max_dist),
+                .is_some_and(|(row, v)| l2_sq(v.row(row), example) <= max_dist * max_dist),
         }
     }
 
@@ -567,11 +635,10 @@ impl QueryEngine {
     /// for a visual threshold.
     fn filter_score(&self, f: &Filter, id: ImageId, view: Option<&SlabView>) -> f64 {
         match f {
-            Filter::VisualThreshold { example, .. } => {
-                self.rows_by_id.get(&id).zip(view).map_or(0.0, |(&row, v)| {
-                    f64::from(l2_sq(v.row(row), example).sqrt())
-                })
-            }
+            Filter::VisualThreshold { example, .. } => self
+                .row_of(id)
+                .zip(view)
+                .map_or(0.0, |(row, v)| f64::from(l2_sq(v.row(row), example).sqrt())),
             _ => 0.0,
         }
     }
@@ -596,11 +663,9 @@ impl QueryEngine {
         let n = self.docs.len() as f64;
         match q {
             Query::Temporal { field, from, to } => {
-                let idx = match field {
-                    TemporalField::Captured => &self.captured,
-                    TemporalField::Uploaded => &self.uploaded,
-                };
-                match idx.span() {
+                let (order, stamps) = self.time_column(*field);
+                let span = order.first().zip(order.last());
+                match span.map(|(&lo, &hi)| (stamps[lo as usize], stamps[hi as usize])) {
                     None => 0.0,
                     Some((lo, hi)) => {
                         // In `f64`: the two ends of `i64` are valid

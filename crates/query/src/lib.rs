@@ -30,7 +30,7 @@ pub mod plan;
 pub mod sharded;
 pub mod types;
 
-pub use engine::{EngineConfig, QueryEngine};
+pub use engine::{EngineConfig, OutOfOrder, QueryEngine};
 pub use linear::LinearExecutor;
 pub use localize::{localize, LocalizationEstimate};
 pub use sharded::{ShardedEngine, DEFAULT_SEAL_CAP};

@@ -63,9 +63,10 @@ impl LinearSegment<'_> {
                     Some(fov) => fov.contains(p),
                     None => r.scene_location.contains(p),
                 },
+                // A record's scene box is its FOV's scene location.
                 SpatialQuery::Directed { region, directions } => {
                     r.meta.fov.as_ref().is_some_and(|fov| {
-                        fov.scene_location().intersects(region)
+                        r.scene_location.intersects(region)
                             && fov.direction_range().overlaps(directions)
                     })
                 }

@@ -219,19 +219,38 @@ pub struct FeatureHandle {
     pub row: u32,
 }
 
+/// One image's row of the image table: its record and, per
+/// [`FeatureKind`] (at [`slot`]), the handle of its feature of that
+/// kind in the arena, where vector bytes live exactly once.
+#[derive(Debug)]
+struct Row {
+    record: ImageRecord,
+    features: [Option<FeatureHandle>; 3],
+}
+
+/// A kind's index in [`Row::features`]: `FeatureKind` order.
+fn slot(kind: FeatureKind) -> usize {
+    match kind {
+        FeatureKind::ColorHistogram => 0,
+        FeatureKind::SiftBow => 1,
+        FeatureKind::Cnn => 2,
+    }
+}
+
 #[derive(Debug, Default)]
 struct Tables {
     next_image: u64,
     next_annotation: u64,
     next_classification: u64,
-    // All tables are ordered maps (never hash maps): table iteration
-    // feeds query results and persisted snapshots, so iteration order
-    // must be reproducible (lint rule L2).
-    images: BTreeMap<ImageId, ImageRecord>,
+    // Every table iterates in key order (ordered maps, never hash maps,
+    // and one sorted `Vec`): table iteration feeds query results and
+    // persisted snapshots, so iteration order must be reproducible
+    // (lint rule L2).
+    /// The image table: one row per image, sorted by id. Ids are mostly
+    /// handed out ascending, so a row is appended; an explicit id below
+    /// the last one is inserted in place.
+    rows: Vec<Row>,
     blobs: BTreeMap<ImageId, Image>,
-    /// Per-(image, kind) handle into `slabs`; vector bytes live in the
-    /// arena exactly once.
-    features: BTreeMap<(ImageId, FeatureKind), FeatureHandle>,
     /// The feature arena: one append-only slab per `(kind, dim)` family.
     slabs: BTreeMap<(FeatureKind, u32), FeatureSlab>,
     schemes: BTreeMap<ClassificationId, ClassificationScheme>,
@@ -248,10 +267,23 @@ struct Tables {
 }
 
 impl Tables {
+    /// The row of image `id`, if stored.
+    fn row(&self, id: ImageId) -> Option<&Row> {
+        let at = self.rows.binary_search_by_key(&id, |r| r.record.id).ok()?;
+        Some(&self.rows[at])
+    }
+
+    /// The handle of `image`'s feature of `kind`, if stored.
+    fn handle(&self, image: ImageId, kind: FeatureKind) -> Option<FeatureHandle> {
+        self.row(image)?.features[slot(kind)]
+    }
+
     /// Appends `vector` to the arena and repoints the `(image, kind)`
-    /// handle. Replacement leaves the previous row in place (rows are
-    /// write-once so outstanding snapshots stay valid); the orphaned
-    /// row is reclaimed on the next snapshot/restore cycle.
+    /// handle in the image's row. Replacement leaves the previous arena
+    /// row in place (rows are write-once so outstanding snapshots stay
+    /// valid); the orphaned row is reclaimed on the next
+    /// snapshot/restore cycle. The image must be stored (the validator
+    /// has checked it).
     fn put_feature_row(&mut self, image: ImageId, kind: FeatureKind, vector: &[f32]) {
         let handle = if vector.is_empty() {
             FeatureHandle {
@@ -268,7 +300,9 @@ impl Tables {
             let row = slab.push(vector);
             FeatureHandle { kind, dim, row }
         };
-        self.features.insert((image, kind), handle);
+        if let Ok(at) = self.rows.binary_search_by_key(&image, |r| r.record.id) {
+            self.rows[at].features[slot(kind)] = Some(handle);
+        }
     }
 
     /// The feature bytes a handle points at.
@@ -296,9 +330,8 @@ impl Tables {
         let mut new_markers: BTreeMap<&str, ImageId> = BTreeMap::new();
         let mut replays = Replays::new();
         let mut skipped: Vec<usize> = Vec::new();
-        let image_known = |new: &BTreeSet<ImageId>, id: ImageId| {
-            new.contains(&id) || self.images.contains_key(&id)
-        };
+        let image_known =
+            |new: &BTreeSet<ImageId>, id: ImageId| new.contains(&id) || self.row(id).is_some();
         let check_new_image = |new: &BTreeSet<ImageId>,
                                id: ImageId,
                                origin: &ImageOrigin,
@@ -511,8 +544,13 @@ impl Tables {
     ) {
         self.next_image = self.next_image.max(id.0.saturating_add(1));
         let (width, height) = pixels.as_ref().map_or((0, 0), |(w, h, _)| (*w, *h));
-        self.images
-            .insert(id, ImageRecord::new(id, meta, origin, width, height));
+        let row = Row {
+            record: ImageRecord::new(id, meta, origin, width, height),
+            features: [None; 3],
+        };
+        // At the end, unless an explicit id lands below the last one.
+        let at = self.rows.partition_point(|r| r.record.id < id);
+        self.rows.insert(at, row);
         if let Some((w, h, raw)) = pixels {
             self.blobs.insert(id, Image::from_raw(w, h, raw));
         }
@@ -562,7 +600,7 @@ impl VisualStore {
 
     /// Number of stored images.
     pub fn len(&self) -> usize {
-        self.inner.read().images.len()
+        self.inner.read().rows.len()
     }
 
     /// Whether the store holds no images.
@@ -681,7 +719,7 @@ impl VisualStore {
 
     /// The image row, if present.
     pub fn image(&self, id: ImageId) -> Option<ImageRecord> {
-        self.inner.read().images.get(&id).cloned()
+        self.inner.read().row(id).map(|r| r.record.clone())
     }
 
     /// The pixel data, if stored.
@@ -689,16 +727,16 @@ impl VisualStore {
         self.inner.read().blobs.get(&id).cloned()
     }
 
-    /// All image ids in insertion order.
+    /// All image ids, ascending.
     pub fn image_ids(&self) -> Vec<ImageId> {
-        self.inner.read().images.keys().copied().collect()
+        self.inner.read().rows.iter().map(|r| r.record.id).collect()
     }
 
     /// Runs `f` over every image record (under the read lock; keep `f`
     /// cheap).
     pub fn for_each_image(&self, mut f: impl FnMut(&ImageRecord)) {
-        for record in self.inner.read().images.values() {
-            f(record);
+        for row in &self.inner.read().rows {
+            f(&row.record);
         }
     }
 
@@ -709,9 +747,9 @@ impl VisualStore {
     /// is not recursively acquirable).
     pub fn with_images(&self, ids: &[ImageId], mut f: impl FnMut(&ImageRecord)) {
         let t = self.inner.read();
-        for id in ids {
-            if let Some(record) = t.images.get(id) {
-                f(record);
+        for &id in ids {
+            if let Some(row) = t.row(id) {
+                f(&row.record);
             }
         }
     }
@@ -727,9 +765,11 @@ impl VisualStore {
         mut f: impl FnMut(&ImageRecord, &[f32]),
     ) {
         let t = self.inner.read();
-        for id in ids {
-            if let (Some(record), Some(handle)) = (t.images.get(id), t.features.get(&(*id, kind))) {
-                f(record, t.feature_slice(handle));
+        for &id in ids {
+            if let Some(row) = t.row(id) {
+                if let Some(handle) = &row.features[slot(kind)] {
+                    f(&row.record, t.feature_slice(handle));
+                }
             }
         }
     }
@@ -738,8 +778,9 @@ impl VisualStore {
     pub fn augmented_children(&self, parent: ImageId) -> Vec<ImageId> {
         self.inner
             .read()
-            .images
-            .values()
+            .rows
+            .iter()
+            .map(|r| &r.record)
             .filter(
                 |r| matches!(&r.origin, ImageOrigin::Augmented { parent: p, .. } if *p == parent),
             )
@@ -769,8 +810,8 @@ impl VisualStore {
     /// allocation instead of cloning.
     pub fn feature(&self, image: ImageId, kind: FeatureKind) -> Option<Vec<f32>> {
         let t = self.inner.read();
-        let handle = t.features.get(&(image, kind))?;
-        Some(t.feature_slice(handle).to_vec())
+        let handle = t.handle(image, kind)?;
+        Some(t.feature_slice(&handle).to_vec())
     }
 
     /// A zero-copy reference to the stored feature vector, if any.
@@ -779,7 +820,7 @@ impl VisualStore {
     /// chunks.
     pub fn feature_ref(&self, image: ImageId, kind: FeatureKind) -> Option<RowRef> {
         let t = self.inner.read();
-        let handle = t.features.get(&(image, kind))?;
+        let handle = t.handle(image, kind)?;
         if handle.dim == 0 {
             Some(RowRef::empty())
         } else {
@@ -789,7 +830,7 @@ impl VisualStore {
 
     /// The arena handle for an image's feature of `kind`, if stored.
     pub fn feature_handle(&self, image: ImageId, kind: FeatureKind) -> Option<FeatureHandle> {
-        self.inner.read().features.get(&(image, kind)).copied()
+        self.inner.read().handle(image, kind)
     }
 
     /// The store's shared snapshot of the `(kind, dim)` feature slab,
@@ -847,24 +888,20 @@ impl VisualStore {
         f: impl FnOnce(&ImageRecord, Option<(FeatureHandle, &FeatureSlab)>) -> R,
     ) -> Option<R> {
         let t = self.inner.read();
-        let record = t.images.get(&id)?;
-        let row = t
-            .features
-            .get(&(id, kind))
+        let row = t.row(id)?;
+        let feature = row.features[slot(kind)]
             .filter(|h| h.dim > 0)
-            .map(|h| (*h, &t.slabs[&(h.kind, h.dim)]));
-        Some(f(record, row))
+            .map(|h| (h, &t.slabs[&(h.kind, h.dim)]));
+        Some(f(&row.record, feature))
     }
 
     /// Images that have a stored feature of `kind`.
     pub fn images_with_feature(&self, kind: FeatureKind) -> Vec<ImageId> {
         let t = self.inner.read();
-        // BTreeMap keys iterate sorted by (id, kind), so the filtered
-        // ids are already ascending.
-        t.features
-            .keys()
-            .filter(|(_, k)| *k == kind)
-            .map(|(id, _)| *id)
+        t.rows
+            .iter()
+            .filter(|r| r.features[slot(kind)].is_some())
+            .map(|r| r.record.id)
             .collect()
     }
 
@@ -1010,16 +1047,18 @@ impl VisualStore {
     pub fn snapshot(&self) -> Snapshot {
         let t = self.inner.read();
         Snapshot {
-            images: t.images.values().cloned().collect(),
+            images: t.rows.iter().map(|r| r.record.clone()).collect(),
             blobs: t
                 .blobs
                 .iter()
                 .map(|(id, img)| (*id, img.width(), img.height(), img.raw().to_vec()))
                 .collect(),
+            // By id, then in `FeatureKind` order.
             features: t
-                .features
+                .rows
                 .iter()
-                .map(|((id, kind), handle)| (*id, *kind, t.feature_slice(handle).to_vec()))
+                .flat_map(|r| r.features.iter().flatten().map(move |h| (r.record.id, h)))
+                .map(|(id, handle)| (id, handle.kind, t.feature_slice(handle).to_vec()))
                 .collect(),
             schemes: t.schemes.values().cloned().collect(),
             annotations: t.annotations.values().cloned().collect(),
@@ -1420,6 +1459,125 @@ mod tests {
             .collect();
         assert_eq!(order, vec![9, 4, 2, 5, 7]);
         assert_eq!(rebuilt(&store).snapshot(), store.snapshot());
+    }
+
+    /// The image table is one `Vec` sorted by id: an explicit id below
+    /// the last one is inserted in place, so ids stay ascending, every
+    /// lookup finds its own row, and the dump rebuilds the same store.
+    #[test]
+    fn an_explicit_id_below_the_last_is_inserted_in_place() {
+        let store = VisualStore::new();
+        let add = |id: u64| WalOp::AddImage {
+            id: ImageId(id),
+            meta: ImageMeta {
+                captured_at: id as i64,
+                ..meta()
+            },
+            origin: ImageOrigin::Original,
+            pixels: None,
+        };
+        let put = |id: u64, kind| WalOp::PutFeature {
+            image: ImageId(id),
+            kind,
+            vector: vec![id as f32; 2],
+        };
+        store.apply_batch(vec![add(5), add(9)]).unwrap();
+        store
+            .apply_batch(vec![add(2), put(2, FeatureKind::Cnn), add(7), add(0)])
+            .unwrap();
+        store
+            .apply_batch(vec![
+                put(9, FeatureKind::Cnn),
+                put(7, FeatureKind::SiftBow),
+                put(7, FeatureKind::ColorHistogram),
+            ])
+            .unwrap();
+        let ids: Vec<u64> = store.image_ids().iter().map(|id| id.raw()).collect();
+        assert_eq!(ids, vec![0, 2, 5, 7, 9]);
+        for id in [0, 2, 5, 7, 9] {
+            let record = store.image(ImageId(id)).unwrap();
+            assert_eq!(
+                (record.id, record.meta.captured_at),
+                (ImageId(id), id as i64)
+            );
+        }
+        assert!(store.image(ImageId(3)).is_none());
+        assert_eq!(
+            store.images_with_feature(FeatureKind::Cnn),
+            vec![ImageId(2), ImageId(9)]
+        );
+        assert_eq!(
+            store.feature(ImageId(9), FeatureKind::Cnn),
+            Some(vec![9.0; 2])
+        );
+        assert_eq!(store.feature(ImageId(5), FeatureKind::Cnn), None);
+        let mut seen = Vec::new();
+        store.with_image_features(
+            &[ImageId(9), ImageId(5), ImageId(2)],
+            FeatureKind::Cnn,
+            |r, row| seen.push((r.id.raw(), row[0])),
+        );
+        assert_eq!(
+            seen,
+            vec![(9, 9.0), (2, 2.0)],
+            "in the order asked, featureless skipped"
+        );
+        // Features dump by id, then in `FeatureKind` order.
+        let dump = store.snapshot();
+        let features: Vec<(u64, FeatureKind)> = dump
+            .features
+            .iter()
+            .map(|(id, kind, _)| (id.raw(), *kind))
+            .collect();
+        assert_eq!(
+            features,
+            vec![
+                (2, FeatureKind::Cnn),
+                (7, FeatureKind::ColorHistogram),
+                (7, FeatureKind::SiftBow),
+                (9, FeatureKind::Cnn),
+            ]
+        );
+        let restored = rebuilt(&store);
+        assert_eq!(restored.snapshot(), dump);
+        assert_eq!(restored.image_ids(), store.image_ids());
+        assert_eq!(restored.peek_next_image_id(), ImageId(10));
+    }
+
+    /// Replacing a feature repoints that one slot of the image's row:
+    /// no row is added, the other kinds keep their handles, and the dump
+    /// holds the new vector once.
+    #[test]
+    fn a_feature_replacement_repoints_the_handle_in_place() {
+        let store = VisualStore::new();
+        let a = store
+            .add_image(meta(), ImageOrigin::Original, None)
+            .unwrap();
+        store
+            .put_feature(a, FeatureKind::Cnn, vec![1.0; 3])
+            .unwrap();
+        store
+            .put_feature(a, FeatureKind::SiftBow, vec![5.0; 2])
+            .unwrap();
+        let sift = store.feature_handle(a, FeatureKind::SiftBow);
+        let first = store.feature_handle(a, FeatureKind::Cnn).unwrap();
+        store
+            .put_feature(a, FeatureKind::Cnn, vec![2.0; 3])
+            .unwrap();
+        let second = store.feature_handle(a, FeatureKind::Cnn).unwrap();
+        assert_eq!((first.row, second.row), (0, 1));
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.image_ids(), vec![a]);
+        assert_eq!(store.feature_handle(a, FeatureKind::SiftBow), sift);
+        assert_eq!(store.feature(a, FeatureKind::Cnn), Some(vec![2.0; 3]));
+        let dump = store.snapshot();
+        let cnn: Vec<&Vec<f32>> = dump
+            .features
+            .iter()
+            .filter(|(_, kind, _)| *kind == FeatureKind::Cnn)
+            .map(|(_, _, v)| v)
+            .collect();
+        assert_eq!(cnn, vec![&vec![2.0; 3]]);
     }
 
     #[test]
