@@ -1,27 +1,31 @@
 //! Command-line interface for the Translational Visual Data Platform.
 //!
-//! Operates on a store file: one binary base segment, the journal's
-//! record format (`tvdp_storage::persist`). Commands:
+//! Every command works on a store *directory*, the crash-safe layout
+//! [`Tvdp::open`] recovers (`tvdp_storage::recovery`: a base segment
+//! and the write-ahead log). `init` creates one; `open` and `compact`
+//! open or create one; every other command refuses a missing path.
+//! Mutating commands (`demo-data`, `apply`) journal through the
+//! platform like any other client; `compact` folds the journal.
+//! Commands:
 //!
 //! ```text
-//! tvdp init <store>
+//! tvdp init <dir>
 //! tvdp open <dir>
 //! tvdp compact <dir>
-//! tvdp demo-data <store> --count N [--size PX] [--seed S] [--labelled FRAC]
-//! tvdp stats <store>
-//! tvdp search <store> (--keyword W | --region S,W,N,E | --near LAT,LON,K |
-//!                      --polygon "LAT,LON;LAT,LON;..." |
-//!                      --label SCHEME:LABEL | --since T --until T)
-//! tvdp train <store> --scheme NAME --algorithm ALGO --model-out FILE
-//! tvdp apply <store> --model FILE --scheme NAME
-//! tvdp hotspots <store> --scheme NAME --label NAME [--cell METRES] [--top K]
+//! tvdp demo-data <dir> --count N [--size PX] [--seed S] [--labelled FRAC]
+//! tvdp stats <dir>
+//! tvdp search <dir> (--keyword W | --region S,W,N,E | --near LAT,LON,K |
+//!                    --polygon "LAT,LON;LAT,LON;..." |
+//!                    --label SCHEME:LABEL | --since T --until T)
+//! tvdp train <dir> --scheme NAME --algorithm ALGO --model-out FILE
+//! tvdp apply <dir> --model FILE --scheme NAME
+//! tvdp hotspots <dir> --scheme NAME --label NAME [--cell METRES] [--top K]
 //! ```
 //!
 //! The command logic lives in [`run`], which returns the rendered output
 //! as a string so the test suite can drive every command in-process.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use tvdp_core::models::ModelInterface;
 use tvdp_core::platform::{Algorithm, IngestRequest};
@@ -31,8 +35,7 @@ use tvdp_geo::{BBox, GeoPoint, GeoPolygon};
 use tvdp_ml::SerializableModel;
 use tvdp_query::{Query, SpatialQuery, TemporalField, TextualMode};
 use tvdp_storage::codec::{self, Value};
-use tvdp_storage::persist;
-use tvdp_storage::VisualStore;
+use tvdp_storage::{RecoveryReport, VisualStore};
 use tvdp_vision::FeatureKind;
 
 /// A CLI failure: message shown to the user, non-zero exit.
@@ -81,39 +84,41 @@ impl<'a> Flags<'a> {
 }
 
 const USAGE: &str =
-    "usage: tvdp <init|open|compact|demo-data|stats|search|train|apply|hotspots> <store> [flags]\n\
+    "usage: tvdp <init|open|compact|demo-data|stats|search|train|apply|hotspots> <dir> [flags]\n\
 run `tvdp help` for details";
 
 const HELP: &str = "TVDP — Translational Visual Data Platform CLI\n\
 \n\
-  tvdp init <store>\n\
-      Create an empty store file (binary: one base segment of journal\n\
-      records; a JSON store file of an older build is refused).\n\
+Every command works on a store directory: a base segment and a\n\
+write-ahead log, every mutation journaled before it is applied.\n\
+\n\
+  tvdp init <dir>\n\
+      Create an empty store directory (refuses an existing path).\n\
   tvdp open <dir>\n\
-      Open (or create) a crash-safe store directory: replay the base\n\
-      segment and the write-ahead log, report what was repaired. A\n\
-      directory holding an older build's snapshot.json is refused\n\
-      untouched.\n\
+      Open (or create) a store directory: replay the base segment and\n\
+      the write-ahead log, report what was repaired. A directory\n\
+      holding an older build's snapshot.json is refused untouched.\n\
   tvdp compact <dir>\n\
-      Fold a crash-safe store's journal into a fresh base segment\n\
-      (base-<epoch>.seg) and rotate its write-ahead log.\n\
-  tvdp demo-data <store> --count N [--size PX] [--seed S] [--labelled FRAC]\n\
+      Fold the journal into a fresh base segment (base-<epoch>.seg)\n\
+      and rotate the write-ahead log.\n\
+  tvdp demo-data <dir> --count N [--size PX] [--seed S] [--labelled FRAC]\n\
       Generate synthetic street imagery, extract features, annotate the\n\
-      labelled fraction with ground truth, and persist everything.\n\
-  tvdp stats <store>\n\
+      labelled fraction with ground truth; every row is journaled.\n\
+  tvdp stats <dir>\n\
       Row counts and schemes.\n\
-  tvdp search <store> --keyword W\n\
-  tvdp search <store> --region S,W,N,E\n\
-  tvdp search <store> --near LAT,LON,K\n\
-  tvdp search <store> --label SCHEME:LABEL\n\
-  tvdp search <store> --since T --until T\n\
+  tvdp search <dir> --keyword W\n\
+  tvdp search <dir> --region S,W,N,E\n\
+  tvdp search <dir> --near LAT,LON,K\n\
+  tvdp search <dir> --label SCHEME:LABEL\n\
+  tvdp search <dir> --since T --until T\n\
       Query the store (filters may be combined; combined = AND).\n\
-  tvdp train <store> --scheme NAME --algorithm knn|tree|bayes|forest|svm|logreg|mlp \\\n\
+  tvdp train <dir> --scheme NAME --algorithm knn|tree|bayes|forest|svm|logreg|mlp \\\n\
              --model-out FILE\n\
       Train on stored CNN features + annotations; write portable weights.\n\
-  tvdp apply <store> --model FILE --scheme NAME\n\
-      Classify every unannotated image, write machine annotations, persist.\n\
-  tvdp hotspots <store> --scheme NAME --label NAME [--cell METRES] [--top K]\n\
+  tvdp apply <dir> --model FILE --scheme NAME\n\
+      Classify every unannotated image; the machine annotations are\n\
+      journaled.\n\
+  tvdp hotspots <dir> --scheme NAME --label NAME [--cell METRES] [--top K]\n\
       Spatial aggregation of a label (e.g. encampment hotspots).";
 
 /// Executes a CLI invocation (`args` excludes the program name) and
@@ -135,28 +140,35 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn load_store(path: &str) -> Result<Arc<VisualStore>, CliError> {
-    persist::load(Path::new(path))
-        .map(Arc::new)
-        .map_err(|e| err(format!("cannot load store {path}: {e}")))
-}
-
-fn save_store(store: &VisualStore, path: &str) -> Result<(), CliError> {
-    persist::save(store, Path::new(path)).map_err(|e| err(format!("cannot save store {path}: {e}")))
+/// Opens the store directory at `path`, creating it if `create` and
+/// refusing a missing one otherwise.
+fn open_store(path: &str, create: bool) -> Result<(Tvdp, RecoveryReport), CliError> {
+    let dir = Path::new(path);
+    if dir.is_file() {
+        return Err(err(format!(
+            "{path} is a file, not a store directory (a store file of an older build \
+             is a base segment: move it to <dir>/base-0.seg)"
+        )));
+    }
+    if !create && !dir.exists() {
+        return Err(err(format!(
+            "no store at {path}: create one with `tvdp init {path}`"
+        )));
+    }
+    Tvdp::open(dir, PlatformConfig::default())
+        .map_err(|e| err(format!("cannot open store {path}: {e}")))
 }
 
 fn init(path: &str) -> Result<String, CliError> {
     if Path::new(path).exists() {
         return Err(err(format!("{path} already exists")));
     }
-    let store = VisualStore::new();
-    save_store(&store, path)?;
+    open_store(path, true)?;
     Ok(format!("initialized empty store at {path}"))
 }
 
 fn open_cmd(path: &str) -> Result<String, CliError> {
-    let (platform, report) = Tvdp::open(Path::new(path), PlatformConfig::default())
-        .map_err(|e| err(format!("cannot open durable store {path}: {e}")))?;
+    let (platform, report) = open_store(path, true)?;
     let stats = platform.stats();
     Ok(format!(
         "recovered {path}\n  {report}\n  images      : {}\n  annotations : {}\n",
@@ -165,8 +177,7 @@ fn open_cmd(path: &str) -> Result<String, CliError> {
 }
 
 fn compact_cmd(path: &str) -> Result<String, CliError> {
-    let (platform, _) = Tvdp::open(Path::new(path), PlatformConfig::default())
-        .map_err(|e| err(format!("cannot open durable store {path}: {e}")))?;
+    let (platform, _) = open_store(path, true)?;
     let report = platform
         .flush()
         .map_err(|e| err(format!("cannot compact {path}: {e}")))?;
@@ -183,8 +194,7 @@ fn demo_data(path: &str, rest: &[String]) -> Result<String, CliError> {
         return Err(err("--labelled must be in 0..=1"));
     }
 
-    let store = load_store(path)?;
-    let platform = Tvdp::with_store(Arc::clone(&store), PlatformConfig::default());
+    let (platform, _) = open_store(path, false)?;
     let operator = platform.register_user("cli", Role::Government);
     let scheme = match platform.store().scheme_by_name("street-cleanliness") {
         Some(s) => s.id,
@@ -229,7 +239,6 @@ fn demo_data(path: &str, rest: &[String]) -> Result<String, CliError> {
             .annotate_human(operator, id, scheme, d.cleanliness.index())
             .map_err(|e| err(e.to_string()))?;
     }
-    save_store(platform.store(), path)?;
     Ok(format!(
         "ingested {count} images ({n_labelled} labelled) into {path}; store now holds {} images",
         platform.store().len()
@@ -237,7 +246,8 @@ fn demo_data(path: &str, rest: &[String]) -> Result<String, CliError> {
 }
 
 fn stats(path: &str) -> Result<String, CliError> {
-    let store = load_store(path)?;
+    let (platform, _) = open_store(path, false)?;
+    let store = platform.store();
     let mut out = format!(
         "images      : {}\nannotations : {}\n",
         store.len(),
@@ -302,8 +312,8 @@ fn resolve_label(
 
 fn search(path: &str, rest: &[String]) -> Result<String, CliError> {
     let flags = Flags::new(rest);
-    let store = load_store(path)?;
-    let platform = Tvdp::with_store(Arc::clone(&store), PlatformConfig::default());
+    let (platform, _) = open_store(path, false)?;
+    let store = platform.store();
 
     let mut subs: Vec<Query> = Vec::new();
     if let Some(word) = flags.get("--keyword") {
@@ -352,7 +362,7 @@ fn search(path: &str, rest: &[String]) -> Result<String, CliError> {
         ))));
     }
     if let Some(spec) = flags.get("--label") {
-        let (scheme, label) = resolve_label(&store, spec)?;
+        let (scheme, label) = resolve_label(store, spec)?;
         subs.push(Query::Categorical {
             scheme,
             label,
@@ -425,8 +435,8 @@ fn train(path: &str, rest: &[String]) -> Result<String, CliError> {
         .get("--model-out")
         .ok_or_else(|| err("--model-out required"))?;
 
-    let store = load_store(path)?;
-    let platform = Tvdp::with_store(Arc::clone(&store), PlatformConfig::default());
+    let (platform, _) = open_store(path, false)?;
+    let store = platform.store();
     let operator = platform.register_user("cli", Role::Researcher);
     let scheme = store
         .scheme_by_name(scheme_name)
@@ -472,8 +482,8 @@ fn apply(path: &str, rest: &[String]) -> Result<String, CliError> {
         .get("--scheme")
         .ok_or_else(|| err("--scheme required"))?;
 
-    let store = load_store(path)?;
-    let platform = Tvdp::with_store(Arc::clone(&store), PlatformConfig::default());
+    let (platform, _) = open_store(path, false)?;
+    let store = platform.store();
     let operator = platform.register_user("cli", Role::Researcher);
     let scheme = store
         .scheme_by_name(scheme_name)
@@ -515,7 +525,6 @@ fn apply(path: &str, rest: &[String]) -> Result<String, CliError> {
     let results = platform
         .apply_model(model, &targets)
         .map_err(|e| err(e.to_string()))?;
-    save_store(platform.store(), path)?;
     let mut counts = vec![0usize; scheme.labels.len()];
     for (_, label, _) in &results {
         counts[*label] += 1;
@@ -538,15 +547,16 @@ fn hotspots_cmd(path: &str, rest: &[String]) -> Result<String, CliError> {
     let cell: f64 = flags.parse("--cell")?.unwrap_or(200.0);
     let top: usize = flags.parse("--top")?.unwrap_or(5);
 
-    let store = load_store(path)?;
-    let (scheme, label) = resolve_label(&store, &format!("{scheme_name}:{label_name}"))?;
+    let (platform, _) = open_store(path, false)?;
+    let store = platform.store();
+    let (scheme, label) = resolve_label(store, &format!("{scheme_name}:{label_name}"))?;
     // Aggregate over the bounding box of all camera positions.
     let mut points = Vec::new();
     store.for_each_image(|r| points.push(r.meta.gps));
     let Some(region) = BBox::from_points(&points) else {
         return Ok("store is empty".into());
     };
-    let cells = hotspots(&store, scheme, label, &region, cell, 0.0, top);
+    let cells = hotspots(store, scheme, label, &region, cell, 0.0, top);
     if cells.is_empty() {
         return Ok(format!("no `{label_name}` sightings in {path}"));
     }

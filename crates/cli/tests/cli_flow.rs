@@ -1,5 +1,5 @@
 //! End-to-end CLI tests: every command driven in-process against a
-//! temporary store file.
+//! temporary store directory.
 
 use tvdp_cli::run;
 
@@ -32,12 +32,15 @@ fn call(args: &[&str]) -> Result<String, String> {
 #[test]
 fn full_cli_workflow() {
     let dir = TempDir::new("workflow");
-    let store = dir.path("city.tvdp");
+    let store = dir.path("city");
     let model = dir.path("model.json");
 
-    // init
+    // init creates an empty store directory
     let out = call(&["init", &store]).unwrap();
     assert!(out.contains("initialized"), "{out}");
+    assert!(std::path::Path::new(&store).is_dir());
+    let out = call(&["stats", &store]).unwrap();
+    assert!(out.contains("images      : 0"), "{out}");
     // init refuses to clobber
     assert!(call(&["init", &store]).unwrap_err().contains("exists"));
 
@@ -104,7 +107,7 @@ fn full_cli_workflow() {
     assert!(out.contains("Random Forest"), "{out}");
     assert!(std::path::Path::new(&model).exists());
 
-    // apply to the 30 unlabelled images; store is re-persisted
+    // apply to the 30 unlabelled images; the annotations are journaled
     let out = call(&[
         "apply",
         &store,
@@ -131,16 +134,56 @@ fn full_cli_workflow() {
     ])
     .unwrap();
     assert!(out.contains("hotspots"), "{out}");
+
+    // open replays what demo-data and apply journaled...
+    let out = call(&["open", &store]).unwrap();
+    assert!(out.contains("snapshot absent"), "{out}");
+    assert!(!out.contains(" 0 op(s) replayed"), "{out}");
+    assert!(out.contains("images      : 120"), "{out}");
+    assert!(out.contains("annotations : 120"), "{out}");
+
+    // ...compact folds it into a base segment...
+    let out = call(&["compact", &store]).unwrap();
+    assert!(out.contains("folded into"), "{out}");
+
+    // ...after which open loads the base and replays nothing.
+    let out = call(&["open", &store]).unwrap();
+    assert!(out.contains("snapshot loaded"), "{out}");
+    assert!(out.contains("0 op(s) replayed"), "{out}");
+    assert!(out.contains("images      : 120"), "{out}");
+    assert!(out.contains("annotations : 120"), "{out}");
+    let out = call(&["search", &store, "--region", "34.0,-118.3,34.1,-118.2"]).unwrap();
+    assert!(out.starts_with("120 hits"), "{out}");
 }
 
 #[test]
 fn errors_are_helpful() {
     let dir = TempDir::new("errors");
-    let store = dir.path("s.tvdp");
-    // Missing store.
-    assert!(call(&["stats", &store])
+    let store = dir.path("s");
+    // A missing store is refused, and nothing is created in its place.
+    let model = dir.path("m.json");
+    let commands: [&[&str]; 6] = [
+        &["stats"],
+        &["search", "--keyword", "street"],
+        &["train", "--scheme", "s", "--model-out", &model],
+        &["apply", "--model", &model, "--scheme", "s"],
+        &["hotspots", "--scheme", "s", "--label", "l"],
+        &["demo-data", "--count", "1"],
+    ];
+    for args in commands {
+        let mut argv = vec![args[0], store.as_str()];
+        argv.extend_from_slice(&args[1..]);
+        let msg = call(&argv).unwrap_err();
+        assert!(msg.contains("no store at"), "{argv:?}: {msg}");
+        assert!(!std::path::Path::new(&store).exists(), "{argv:?}");
+    }
+    // So is a file where a directory should be.
+    let file = dir.path("old.tvdp");
+    std::fs::write(&file, b"TVDPWAL\x03").unwrap();
+    assert!(call(&["stats", &file])
         .unwrap_err()
-        .contains("cannot load"));
+        .contains("not a store directory"));
+    assert!(call(&["init", &file]).unwrap_err().contains("exists"));
     call(&["init", &store]).unwrap();
     call(&["demo-data", &store, "--count", "30", "--size", "32"]).unwrap();
     // Unknown command.
@@ -181,14 +224,27 @@ fn errors_are_helpful() {
     ])
     .unwrap_err()
     .contains("unknown algorithm"));
-    // Help exists.
-    assert!(call(&["help"]).unwrap().contains("demo-data"));
+    // Help documents every command.
+    let help = call(&["help"]).unwrap();
+    for command in [
+        "init",
+        "open",
+        "compact",
+        "demo-data",
+        "stats",
+        "search",
+        "train",
+        "apply",
+        "hotspots",
+    ] {
+        assert!(help.contains(&format!("tvdp {command} <dir>")), "{command}");
+    }
 }
 
 #[test]
 fn temporal_search_filters() {
     let dir = TempDir::new("temporal");
-    let store = dir.path("s.tvdp");
+    let store = dir.path("s");
     call(&["init", &store]).unwrap();
     call(&["demo-data", &store, "--count", "40", "--size", "32"]).unwrap();
     let all = call(&["search", &store, "--since", "0"]).unwrap();
@@ -200,7 +256,7 @@ fn temporal_search_filters() {
 #[test]
 fn polygon_search() {
     let dir = TempDir::new("polygon");
-    let store = dir.path("s.tvdp");
+    let store = dir.path("s");
     call(&["init", &store]).unwrap();
     call(&["demo-data", &store, "--count", "60", "--size", "32"]).unwrap();
     // A triangle over the western half of downtown.
@@ -239,7 +295,7 @@ fn every_algorithm_roundtrips_through_a_model_file() {
     use tvdp_storage::codec;
 
     let dir = TempDir::new("allmodels");
-    let store = dir.path("s.tvdp");
+    let store = dir.path("s");
     call(&["init", &store]).unwrap();
     call(&[
         "demo-data",
@@ -285,7 +341,7 @@ fn every_algorithm_roundtrips_through_a_model_file() {
 #[test]
 fn apply_rejects_mismatched_model_dimensions() {
     let dir = TempDir::new("dimcheck");
-    let store = dir.path("s.tvdp");
+    let store = dir.path("s");
     call(&["init", &store]).unwrap();
     call(&["demo-data", &store, "--count", "30", "--size", "32"]).unwrap();
     // Hand-craft a model file whose input_dim cannot match the store.
@@ -310,60 +366,4 @@ fn apply_rejects_mismatched_model_dimensions() {
     ])
     .unwrap_err();
     assert!(msg.contains("7-dim"), "{msg}");
-}
-
-#[test]
-fn open_and_compact_durable_directory() {
-    let dir = TempDir::new("durable");
-    let store_dir = dir.path("crash-safe");
-
-    // First open creates an empty crash-safe directory.
-    let out = call(&["open", &store_dir]).unwrap();
-    assert!(out.contains("snapshot absent"), "{out}");
-    assert!(out.contains("images      : 0"), "{out}");
-
-    // Seed it through the durable platform API (the CLI's open/compact
-    // operate on directories written by Tvdp::open, not store files).
-    {
-        use tvdp_core::platform::IngestRequest;
-        use tvdp_core::{PlatformConfig, Role, Tvdp};
-        let (tvdp, _) =
-            Tvdp::open(std::path::Path::new(&store_dir), PlatformConfig::default()).unwrap();
-        let user = tvdp.register_user("cli-test", Role::Government);
-        let image = tvdp_vision::Image::from_fn(24, 24, |x, y| [x as u8, y as u8, 120]);
-        tvdp.ingest(
-            user,
-            image,
-            IngestRequest {
-                gps: tvdp_geo::GeoPoint::new(34.05, -118.25),
-                fov: None,
-                captured_at: 1000,
-                uploaded_at: 1100,
-                keywords: vec!["street".into()],
-            },
-        )
-        .unwrap();
-    }
-
-    // Reopening replays the journal and reports the recovered rows.
-    let out = call(&["open", &store_dir]).unwrap();
-    assert!(out.contains("op(s) replayed"), "{out}");
-    assert!(out.contains("images      : 1"), "{out}");
-
-    // Compaction folds the journal into a snapshot...
-    let out = call(&["compact", &store_dir]).unwrap();
-    assert!(out.contains("folded into"), "{out}");
-
-    // ...after which recovery loads the snapshot and replays nothing.
-    let out = call(&["open", &store_dir]).unwrap();
-    assert!(out.contains("snapshot loaded"), "{out}");
-    assert!(out.contains("0 op(s) replayed"), "{out}");
-    assert!(out.contains("images      : 1"), "{out}");
-
-    // The new commands are documented.
-    let help = call(&["help"]).unwrap();
-    assert!(
-        help.contains("tvdp open") && help.contains("tvdp compact"),
-        "{help}"
-    );
 }

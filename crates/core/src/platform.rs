@@ -335,8 +335,8 @@ impl Tvdp {
     /// that critical section, so an op either lands wholly before the
     /// cut (folded into the snapshot) or wholly after (journaled in the
     /// new live segment). Writers are *not* blocked for the fold
-    /// itself: the merge runs as bounded increments
-    /// ([`tvdp_storage::CompactionTask`]) concurrent with new writes,
+    /// itself: [`tvdp_storage::DurableStore::compact`] writes and
+    /// publishes the base outside the lock, concurrent with new writes,
     /// and `flush` returns once every shard's fold has published. Ops
     /// acknowledged after `flush` was called may therefore be in the
     /// new live segment rather than the snapshot — durable either way.

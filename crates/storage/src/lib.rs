@@ -15,7 +15,8 @@
 //! * `Image_Manual_Keywords` — textual descriptors.
 //!
 //! The store ([`VisualStore`]) is concurrency-safe (readers-writer locks
-//! per table) and persists as a base segment of journal records ([`persist`]). Videos
+//! per table) and persists as a directory of journal segments folded
+//! into a base segment of the same records ([`recovery`]). Videos
 //! follow the paper's convention: a video is a sequence of key frames,
 //! each stored as an image carrying its own FOV.
 
@@ -35,8 +36,7 @@ pub use fault::{FailingWriter, FaultKind, WriteFaultPlan};
 pub use ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
 pub use record::{ImageMeta, ImageOrigin, ImageRecord};
 pub use recovery::{
-    CompactionReport, CompactionTask, DurableError, DurableStore, HealthState, RecoveryReport,
-    StoreHealth,
+    CompactionReport, DurableError, DurableStore, HealthState, RecoveryReport, StoreHealth,
 };
 pub use store::{
     FeatureHandle, Replays, Snapshot, StorageError, VisualStore, UPLOAD_MARKER_CAPACITY,

@@ -9,8 +9,9 @@
 //!   ([`crate::store::Snapshot::into_ops`]). The epoch in its name is
 //!   the WAL epoch it was cut against; the highest one wins,
 //! * `wal-<epoch>.log` — append-only journal segments: every segment
-//!   with epoch >= the base's holds mutations since that cut (the L0
-//!   tier).
+//!   with epoch >= the base's holds mutations since that cut. Only the
+//!   highest is live; a lower one was sealed by a compaction that
+//!   rotated past it and crashed before publishing its base.
 //!
 //! [`DurableStore::open`] is open-or-recover, and one scanner
 //! ([`crate::wal::scan`]) feeding one validator
@@ -27,18 +28,14 @@
 //! [`crate::wal::WalError::UnsupportedFormat`] before anything in the
 //! directory is touched.
 //!
-//! Compaction is **incremental and tiered**. [`DurableStore::seal`]
-//! rotates the live segment, growing the L0 tier without folding
-//! anything. [`DurableStore::begin_compaction`] atomically (under the
-//! journal lock) cuts a dump of the store *and* seals the live
-//! segment, so the cut covers exactly the ops in the sealed tier;
-//! writers then proceed into the new live segment while
-//! [`CompactionTask::step`] encodes the cut in bounded increments — the
-//! full fold never blocks writers. The final increment publishes with
-//! the PR 4 staged-rename protocol (stage, fsync, rename, parent
-//! fsync) and retires the old base and the folded segments.
-//! [`DurableStore::compact`] wraps the whole schedule for callers that
-//! want the old stop-the-world behavior.
+//! Compaction is one call, [`DurableStore::compact`]. Under the journal
+//! lock — atomically with respect to every mutator — it cuts a dump of
+//! the store *and* rotates the live segment, so the cut covers exactly
+//! the ops in the segments it seals. Writers then proceed into the new
+//! live segment while the fold writes the cut outside the lock,
+//! publishes it with the PR 4 staged-rename protocol (stage, fsync,
+//! rename, parent fsync) and retires the old base and the folded
+//! segments; writers only ever wait for the cut.
 //!
 //! Epochs make all of this crash-safe. A base at epoch `B` means
 //! "replay every `wal-<e>.log` with `e >= B`, ascending"; the next
@@ -53,7 +50,7 @@ use std::sync::Arc;
 
 use tvdp_kernel::sync::Mutex;
 
-use crate::persist::{self, BaseWriter};
+use crate::persist;
 use crate::store::{Replays, StorageError, VisualStore};
 use crate::wal::{self, Wal, WalError, WalOp};
 
@@ -71,8 +68,9 @@ pub enum DurableError {
     /// A mutation was refused by the store's validator before anything
     /// was journaled.
     Storage(StorageError),
-    /// A compaction call that does not fit the fold's state (a second
-    /// concurrent fold, a step after publish).
+    /// A call the store refuses before touching anything: a second
+    /// compaction while one is in flight, or an upload-marker table
+    /// offered as a mutation.
     Rejected(String),
     /// Replaying a base or journal segment could not reproduce the
     /// state it records; names the segment and the record.
@@ -164,22 +162,19 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// What a compaction ([`DurableStore::compact`] /
-/// [`CompactionTask`]) accomplished.
+/// What a compaction ([`DurableStore::compact`]) accomplished.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// WAL epoch after rotation (the new base segment's).
     pub epoch: u64,
     /// Journaled ops folded into the base.
     pub ops_compacted: usize,
-    /// Total bytes across the folded L0 segments.
+    /// Total bytes across the folded journal segments.
     pub wal_bytes_before: u64,
     /// Size of the published base segment, in bytes.
     pub snapshot_bytes: u64,
-    /// L0 WAL segments merged into the base tier.
+    /// Journal segments folded into the base.
     pub tiers_merged: usize,
-    /// Bounded merge increments the fold ran as.
-    pub increments_run: usize,
 }
 
 impl CompactionReport {
@@ -192,7 +187,6 @@ impl CompactionReport {
             wal_bytes_before: self.wal_bytes_before + other.wal_bytes_before,
             snapshot_bytes: self.snapshot_bytes + other.snapshot_bytes,
             tiers_merged: self.tiers_merged + other.tiers_merged,
-            increments_run: self.increments_run + other.increments_run,
         }
     }
 }
@@ -202,13 +196,12 @@ impl std::fmt::Display for CompactionReport {
         write!(
             f,
             "epoch {}: {} op(s) folded into a {} byte snapshot, {} wal byte(s) retired; \
-             {} tier(s) merged in {} increment(s)",
+             {} tier(s) merged",
             self.epoch,
             self.ops_compacted,
             self.snapshot_bytes,
             self.wal_bytes_before,
             self.tiers_merged,
-            self.increments_run,
         )
     }
 }
@@ -267,7 +260,7 @@ struct Journal {
     /// Epoch of the live (highest) segment.
     epoch: u64,
     /// Epoch the current base was cut against; segments in
-    /// `base_epoch..=epoch` are the unfolded L0 tier.
+    /// `base_epoch..=epoch` are the unfolded journal.
     base_epoch: u64,
     /// Unfolded ops across every live segment (never the base's).
     wal_ops: usize,
@@ -340,7 +333,8 @@ pub struct DurableStore {
     dir: PathBuf,
     store: Arc<VisualStore>,
     journal: Mutex<Journal>,
-    /// Guards against two concurrent [`CompactionTask`]s.
+    /// Whether a [`DurableStore::compact`] is in flight: a second one
+    /// is refused.
     fold_active: Mutex<bool>,
 }
 
@@ -433,17 +427,13 @@ fn replay_segment(
     })
 }
 
-/// [`replay_segment`] for a file that is never written again — a base,
-/// a sealed journal segment, the CLI's store file — returning the
-/// records applied. Every record in it was fsynced before it was
-/// published or rotated away, header first, so a missing header, a torn
-/// tail or a base without its closing marker table is corruption, not
-/// an interrupted append, and is refused rather than repaired.
-pub(crate) fn replay_sealed(
-    store: &VisualStore,
-    path: &Path,
-    base: bool,
-) -> Result<usize, DurableError> {
+/// [`replay_segment`] for a file that is never written again — a base
+/// or a sealed journal segment — returning the records applied. Every
+/// record in it was fsynced before it was published or rotated away,
+/// header first, so a missing header, a torn tail or a base without its
+/// closing marker table is corruption, not an interrupted append, and
+/// is refused rather than repaired.
+fn replay_sealed(store: &VisualStore, path: &Path, base: bool) -> Result<usize, DurableError> {
     let bytes = std::fs::read(path)?;
     let replayed = replay_segment(store, path, &bytes, base)?;
     if replayed.valid_len == 0 {
@@ -642,25 +632,11 @@ impl DurableStore {
         Ok(replays)
     }
 
-    /// Seals the live WAL segment and starts a fresh one at the next
-    /// epoch, growing the L0 tier without folding anything. Sealed
-    /// segments are immutable, replayed in epoch order on open, and
-    /// retired by the next compaction. Returns the new live epoch.
-    pub fn seal(&self) -> Result<u64, DurableError> {
-        let mut journal = self.journal.lock();
-        let next = journal.epoch + 1;
-        let mut wal = Wal::create(&wal_path(&self.dir, next))?;
-        wal.set_fault_plan(journal.fault.clone());
-        journal.wal = wal;
-        journal.epoch = next;
-        Ok(next)
-    }
-
     /// Installs (or removes) an injected write-fault script on the
-    /// journal: the plan follows the live WAL across seals and
-    /// compactions, so a chaos test can fill the "disk" mid-traffic
-    /// and watch the health machine shed, probe, and recover. Chaos
-    /// tooling only; a cleared plan has no effect on the write path.
+    /// journal: the plan follows the live WAL across compactions, so a
+    /// chaos test can fill the "disk" mid-traffic and watch the health
+    /// machine shed, probe, and recover. Chaos tooling only; a cleared
+    /// plan has no effect on the write path.
     pub fn set_write_fault_plan(&self, plan: Option<Arc<crate::fault::WriteFaultPlan>>) {
         let mut journal = self.journal.lock();
         journal.wal.set_fault_plan(plan.clone());
@@ -678,17 +654,23 @@ impl DurableStore {
         }
     }
 
-    /// Begins an incremental tiered compaction. Under the journal lock
-    /// — atomically with respect to every mutator — this cuts a dump
-    /// of the store and seals the live segment, so the cut
-    /// covers exactly the ops journaled so far and nothing that lands
-    /// afterwards. Writers proceed into the new live segment
-    /// immediately; drive the returned task with
-    /// [`CompactionTask::step`] to fold the sealed tier without ever
-    /// blocking them. Dropping the task without finishing abandons the
-    /// fold harmlessly (the staging file is debris; nothing was
-    /// published).
-    pub fn begin_compaction(&self) -> Result<CompactionTask<'_>, DurableError> {
+    /// Folds the journal into a fresh base segment and rotates the WAL
+    /// to the next epoch. Under the journal lock — atomically with
+    /// respect to every mutator — this cuts a dump of the store and
+    /// rotates the live segment, so the cut covers exactly the ops
+    /// journaled so far and nothing that lands afterwards. Writers wait
+    /// for that cut only: the base is written, published and the folded
+    /// files retired outside the lock.
+    ///
+    /// Safe against a crash at any point: the next epoch's empty WAL is
+    /// created *before* the base naming it is atomically published, and
+    /// the superseded base and segments are only removed after —
+    /// whichever side of the publish a crash lands on, the surviving
+    /// base pairs with intact segments that replay to the acknowledged
+    /// state. A fold that fails publishes nothing and leaves no staging
+    /// file; its ops stay in the journal and the next call folds them.
+    /// A call while another is in flight is [`DurableError::Rejected`].
+    pub fn compact(&self) -> Result<CompactionReport, DurableError> {
         {
             let mut active = self.fold_active.lock();
             if *active {
@@ -698,16 +680,13 @@ impl DurableStore {
             }
             *active = true;
         }
-        match self.begin_compaction_inner() {
-            Ok(task) => Ok(task),
-            Err(e) => {
-                *self.fold_active.lock() = false;
-                Err(e)
-            }
-        }
+        let folded = self.fold();
+        *self.fold_active.lock() = false;
+        folded
     }
 
-    fn begin_compaction_inner(&self) -> Result<CompactionTask<'_>, DurableError> {
+    /// [`DurableStore::compact`] behind its gate.
+    fn fold(&self) -> Result<CompactionReport, DurableError> {
         let mut journal = self.journal.lock();
         let mut folded = Vec::new();
         let mut wal_bytes_before = 0u64;
@@ -718,169 +697,45 @@ impl DurableStore {
                 folded.push(path);
             }
         }
-        let next_epoch = journal.epoch + 1;
-        let mut next_wal = Wal::create(&wal_path(&self.dir, next_epoch))?;
+        let new_base = journal.epoch + 1;
+        let mut next_wal = Wal::create(&wal_path(&self.dir, new_base))?;
         next_wal.set_fault_plan(journal.fault.clone());
         // The cut happens while the journal lock still excludes every
         // mutator: ops journaled up to here are in the cut and in the
-        // sealed tier; ops journaled after go to the new live segment
-        // only. Either way nothing can replay twice.
+        // sealed segments; ops journaled after go to the new live
+        // segment only. Either way nothing can replay twice.
         let cut = self.store.snapshot();
         let ops_compacted = journal.wal_ops;
         let old_base = journal.base_epoch;
         journal.wal = next_wal;
-        journal.epoch = next_epoch;
+        journal.epoch = new_base;
         journal.wal_ops = 0;
         drop(journal);
 
-        Ok(CompactionTask {
-            ds: self,
-            cut: cut.into_ops(),
-            new_base: next_epoch,
-            old_base,
-            folded,
-            ops_compacted,
-            wal_bytes_before,
-            writer: None,
-            next_op: 0,
-            increments_run: 0,
-            published: false,
-        })
-    }
-
-    /// Folds the journal into a fresh base segment and rotates the WAL
-    /// to the next epoch: the stop-the-world wrapper around the
-    /// incremental schedule, driving every increment to completion.
-    /// Safe against a crash at any point: the next epoch's empty WAL is
-    /// created *before* the base naming it is atomically published,
-    /// and the superseded base and segments are only removed after —
-    /// whichever side of the publish a crash lands on, the surviving
-    /// base pairs with intact segments that replay to the acknowledged
-    /// state.
-    pub fn compact(&self) -> Result<CompactionReport, DurableError> {
-        let mut task = self.begin_compaction()?;
-        loop {
-            if let Some(report) = task.step()? {
-                return Ok(report);
+        let dest = base_path(&self.dir, new_base);
+        let snapshot_bytes = match persist::write_base(&dest, &cut.into_ops()) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                // Nothing was published: the sealed segments still
+                // replay on open, and the next fold reports their ops.
+                self.journal.lock().wal_ops += ops_compacted;
+                return Err(e);
             }
-        }
-    }
-}
-
-/// An in-progress incremental compaction (see
-/// [`DurableStore::begin_compaction`]). Each [`CompactionTask::step`]
-/// encodes a bounded slice of the cut into the staging file; the final
-/// step publishes atomically (PR 4 staged-rename protocol) and retires
-/// the old base and the folded L0 segments.
-pub struct CompactionTask<'a> {
-    ds: &'a DurableStore,
-    cut: Vec<WalOp>,
-    new_base: u64,
-    old_base: u64,
-    folded: Vec<PathBuf>,
-    ops_compacted: usize,
-    wal_bytes_before: u64,
-    writer: Option<BaseWriter>,
-    next_op: usize,
-    increments_run: usize,
-    published: bool,
-}
-
-impl std::fmt::Debug for CompactionTask<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompactionTask")
-            .field("new_base", &self.new_base)
-            .field("next_op", &self.next_op)
-            .field("ops", &self.cut.len())
-            .field("published", &self.published)
-            .finish_non_exhaustive()
-    }
-}
-
-impl CompactionTask<'_> {
-    /// Runs one bounded increment. The first creates the staging file;
-    /// encoding increments append up to 2048 of the cut's ops as
-    /// records (`persist::BASE_WRITE_OPS`); the final increment fsyncs, atomically
-    /// publishes the base, fsyncs the parent directory, and retires the
-    /// old base and the folded segments.
-    /// Returns `Some(report)` once published, `None` while work
-    /// remains.
-    pub fn step(&mut self) -> Result<Option<CompactionReport>, DurableError> {
-        if self.published {
-            return Err(DurableError::Rejected(
-                "compaction already published".into(),
-            ));
-        }
-        self.increments_run += 1;
-        let dest = base_path(&self.ds.dir, self.new_base);
-        let Some(writer) = &mut self.writer else {
-            self.writer = Some(BaseWriter::create(&dest)?);
-            return Ok(None);
         };
-        if self.next_op < self.cut.len() {
-            let end = (self.next_op + persist::BASE_WRITE_OPS).min(self.cut.len());
-            writer.write(&self.cut[self.next_op..end])?;
-            self.next_op = end;
-            return Ok(None);
-        }
-
-        // Publish, then retire what the new base supersedes (removals
-        // are fsynced too; if a crash interleaves, open() sweeps them
-        // as debris).
-        let snapshot_bytes = writer.publish()?;
-        self.writer = None;
-        self.published = true;
-        {
-            let mut journal = self.ds.journal.lock();
-            journal.base_epoch = self.new_base;
-        }
-        *self.ds.fold_active.lock() = false;
-        let old_base = base_path(&self.ds.dir, self.old_base);
-        for path in [&old_base].into_iter().chain(&self.folded) {
-            // Best-effort: if a removal doesn't happen, open() sweeps
-            // the stale file.
+        self.journal.lock().base_epoch = new_base;
+        // Retire what the new base supersedes. Best-effort: a file whose
+        // removal does not happen is swept as debris by the next open.
+        for path in [&base_path(&self.dir, old_base)].into_iter().chain(&folded) {
             std::fs::remove_file(path).ok();
         }
         persist::fsync_parent(&dest)?;
-        Ok(Some(CompactionReport {
-            epoch: self.new_base,
-            ops_compacted: self.ops_compacted,
-            wal_bytes_before: self.wal_bytes_before,
+        Ok(CompactionReport {
+            epoch: new_base,
+            ops_compacted,
+            wal_bytes_before,
             snapshot_bytes,
-            tiers_merged: self.folded.len(),
-            increments_run: self.increments_run,
-        }))
-    }
-
-    /// Ops of the cut still waiting to be encoded.
-    pub fn remaining_rows(&self) -> usize {
-        self.cut.len() - self.next_op
-    }
-
-    /// Increments run so far.
-    pub fn increments_run(&self) -> usize {
-        self.increments_run
-    }
-
-    /// Whether the base has been published (the task is finished).
-    pub fn is_published(&self) -> bool {
-        self.published
-    }
-}
-
-impl Drop for CompactionTask<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            // Abandoned fold: nothing was published, the sealed
-            // segments still replay on open. Put the op count back so
-            // the next compaction reports it, drop the staging debris,
-            // and release the fold gate.
-            self.ds.journal.lock().wal_ops += self.ops_compacted;
-            if let Some(writer) = self.writer.take() {
-                writer.abandon();
-            }
-            *self.ds.fold_active.lock() = false;
-        }
+            tiers_merged: folded.len(),
+        })
     }
 }
 
@@ -1059,6 +914,12 @@ mod tests {
             .collect();
         files.sort();
         assert_eq!(files, ["base-1.seg", "wal-1.log"]);
+        // The base is the cut rendered as records, across every batch
+        // the writer encodes.
+        assert_eq!(
+            std::fs::read(dir.join("base-1.seg")).unwrap(),
+            render(&live.clone().into_ops())
+        );
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
@@ -1255,14 +1116,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Leaves `dir` as a compaction that rotated to `epoch` and crashed
+    /// before publishing its base leaves it: the segment below is sealed
+    /// and `wal-<epoch>.log` is a fresh one holding its header.
+    fn crash_after_rotation(dir: &Path, epoch: u64) {
+        std::fs::write(wal_path(dir, epoch), crate::wal::SEGMENT_MAGIC).unwrap();
+    }
+
     #[test]
     fn sealed_segments_replay_in_epoch_order_on_open() {
         let dir = temp_dir("sealed");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let (img, cls) = populate(&ds); // 4 ops in segment 0
-        assert_eq!(ds.seal().unwrap(), 1);
+        drop(ds);
+        crash_after_rotation(&dir, 1);
+        let (ds, report) = DurableStore::open(&dir).unwrap();
+        assert_eq!((report.epoch, report.replayed_ops), (1, 4));
         annotate(&ds, img, cls, 0, 0.5).unwrap(); // 1 op in segment 1
-        assert_eq!(ds.seal().unwrap(), 2);
+        drop(ds);
+        crash_after_rotation(&dir, 2);
+        let (ds, _) = DurableStore::open(&dir).unwrap();
         let hist = feature(img, FeatureKind::ColorHistogram, vec![0.1, 0.2]);
         ds.apply_batch(vec![hist]).unwrap(); // 1 op in segment 2
         let live = ds.store().snapshot();
@@ -1272,6 +1145,10 @@ mod tests {
         assert_eq!(report.epoch, 2);
         assert_eq!(report.replayed_ops, 6);
         assert_eq!(ds2.store().snapshot(), live);
+        // The next fold takes every segment at once.
+        let folded = ds2.compact().unwrap();
+        assert_eq!((folded.epoch, folded.ops_compacted), (3, 6));
+        assert_eq!(folded.tiers_merged, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1280,8 +1157,8 @@ mod tests {
         let dir = temp_dir("torn-sealed");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         populate(&ds);
-        ds.seal().unwrap();
         drop(ds);
+        crash_after_rotation(&dir, 1);
         // Tear the sealed segment's tail: every record in it was
         // fsynced before the rotation, so this is corruption.
         let sealed = dir.join("wal-0.log");
@@ -1405,89 +1282,224 @@ mod tests {
     }
 
     #[test]
-    fn incremental_compaction_allows_writes_between_increments() {
-        let dir = temp_dir("incremental");
+    fn a_failed_fold_publishes_nothing_and_the_next_fold_takes_its_ops() {
+        let dir = temp_dir("failed-fold");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let (img, cls) = populate(&ds);
-        let before = ds.wal_bytes().unwrap();
-
-        let mut task = ds.begin_compaction().unwrap();
-        // The live segment was rotated: writers land in the new epoch
-        // while the fold is still rendering.
-        annotate(&ds, img, cls, 0, 0.3).unwrap();
-        let report = loop {
-            if let Some(r) = task.step().unwrap() {
-                break r;
-            }
+        let listing = || {
+            let mut files: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            files.sort();
+            files
         };
-        drop(task);
-        assert_eq!(report.epoch, 1);
-        assert_eq!(report.ops_compacted, 4);
-        assert_eq!(report.wal_bytes_before, before);
-        assert_eq!(report.tiers_merged, 1);
-        assert!(report.increments_run >= 2);
-        // The post-cut annotation is in the live WAL, not the snapshot.
-        assert!(ds.wal_bytes().unwrap() > EMPTY_WAL);
+        // A directory where the fold stages its base: the staging file
+        // cannot be created.
+        let blocker = dir.join("base-1.seg.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(matches!(ds.compact(), Err(DurableError::Io(_))));
+        assert_eq!(listing(), ["base-1.seg.tmp", "wal-0.log", "wal-1.log"]);
+        std::fs::remove_dir(&blocker).unwrap();
+        // Writers carry on in the segment the failed fold rotated to.
+        annotate(&ds, img, cls, 0, 0.3).unwrap();
+        // A directory where the fold publishes its base: the staging
+        // file is written whole, its rename fails, and it is removed.
+        let blocker = dir.join("base-2.seg");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(matches!(ds.compact(), Err(DurableError::Io(_))));
+        assert_eq!(
+            listing(),
+            ["base-2.seg", "wal-0.log", "wal-1.log", "wal-2.log"]
+        );
+        std::fs::remove_dir(&blocker).unwrap();
         let live = ds.store().snapshot();
-        drop(ds);
 
-        let (ds2, report) = DurableStore::open(&dir).unwrap();
-        assert!(report.snapshot_found);
-        assert_eq!(report.replayed_ops, 1);
-        assert_eq!(ds2.store().snapshot(), live);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn abandoned_compaction_folds_fully_on_retry() {
-        let dir = temp_dir("abandoned");
-        let (ds, _) = DurableStore::open(&dir).unwrap();
-        populate(&ds);
-        {
-            let mut task = ds.begin_compaction().unwrap();
-            task.step().unwrap();
-            // Dropped before publish: nothing folded, staging removed.
+        // A crash here replays every segment to the live state.
+        let frozen = temp_dir("failed-fold-frozen");
+        std::fs::create_dir_all(&frozen).unwrap();
+        for name in ["wal-0.log", "wal-1.log", "wal-2.log"] {
+            std::fs::copy(dir.join(name), frozen.join(name)).unwrap();
         }
-        assert!(!dir.join("base-1.seg.tmp").exists());
+        let (reopened, report) = DurableStore::open(&frozen).unwrap();
+        assert_eq!((report.replayed_ops, report.epoch), (5, 2));
+        assert_eq!(reopened.store().snapshot(), live);
+        drop(reopened);
+        std::fs::remove_dir_all(&frozen).ok();
+
+        // The next fold takes the failed folds' ops too.
         let report = ds.compact().unwrap();
-        // The abandoned fold's ops are still accounted for.
-        assert_eq!(report.ops_compacted, 4);
-        assert_eq!(report.tiers_merged, 2); // wal-0 and the abandoned wal-1
-        let live = ds.store().snapshot();
+        assert_eq!(report.epoch, 3);
+        assert_eq!(report.ops_compacted, 5);
+        assert_eq!(report.tiers_merged, 3);
+        assert_eq!(listing(), ["base-3.seg", "wal-3.log"]);
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
-        assert_eq!(report.replayed_ops, 0);
+        assert_eq!((report.replayed_ops, report.debris_removed), (0, 0));
         assert_eq!(ds2.store().snapshot(), live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn only_one_compaction_runs_at_a_time() {
+    fn a_compaction_while_one_is_in_flight_is_refused_and_touches_nothing() {
         let dir = temp_dir("fold-gate");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         populate(&ds);
-        let task = ds.begin_compaction().unwrap();
-        assert!(matches!(
-            ds.begin_compaction(),
-            Err(DurableError::Rejected(_))
-        ));
-        drop(task);
-        // Dropping the first releases the gate.
-        let task2 = ds.begin_compaction().unwrap();
-        drop(task2);
+        let listing = || {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| {
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, std::fs::read(e.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = listing();
+        *ds.fold_active.lock() = true;
+        assert!(matches!(ds.compact(), Err(DurableError::Rejected(_))));
+        assert_eq!(listing(), before);
+        assert_eq!(ds.epoch(), 0);
+        // Once the fold in flight is done, the next one runs.
+        *ds.fold_active.lock() = false;
+        let report = ds.compact().unwrap();
+        assert_eq!((report.epoch, report.ops_compacted), (1, 4));
+        assert!(!*ds.fold_active.lock());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `records` as a segment: the header, then one frame each.
+    fn render(records: &[WalOp]) -> Vec<u8> {
+        let mut bytes = crate::wal::SEGMENT_MAGIC.to_vec();
+        for op in records {
+            bytes.extend_from_slice(&crate::wal::frame(&op.encode()));
+        }
+        bytes
     }
 
     /// A directory holding `records` as its base segment at epoch 0.
     fn dir_with_base(name: &str, records: &[WalOp]) -> PathBuf {
         let dir = temp_dir(name);
         std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = crate::wal::SEGMENT_MAGIC.to_vec();
-        for op in records {
-            bytes.extend_from_slice(&crate::wal::frame(&op.encode()));
-        }
-        std::fs::write(dir.join("base-0.seg"), bytes).unwrap();
+        std::fs::write(dir.join("base-0.seg"), render(records)).unwrap();
         dir
+    }
+
+    /// A store holding a row of every kind: an image with pixels, a
+    /// CNN feature, a scheme, an annotation, an image without pixels,
+    /// and a keyed upload.
+    fn populated_store() -> VisualStore {
+        let store = VisualStore::new();
+        let img = store
+            .add_image(
+                meta(),
+                ImageOrigin::Original,
+                Some(Image::from_fn(4, 4, |x, y| [x as u8, y as u8, 9])),
+            )
+            .unwrap();
+        let cls = store
+            .register_scheme("cleanliness", vec!["clean".into(), "dirty".into()])
+            .unwrap();
+        store
+            .put_feature(img, FeatureKind::Cnn, vec![0.1, 0.2, 0.3])
+            .unwrap();
+        store
+            .annotate(img, cls, 1, 0.7, AnnotationSource::Human(UserId(1)), None)
+            .unwrap();
+        store
+            .add_image(meta(), ImageOrigin::Original, None)
+            .unwrap();
+        store
+            .ingest_upload(
+                "edge2-s9",
+                meta(),
+                ImageOrigin::Original,
+                None,
+                &[(FeatureKind::Cnn, vec![0.9])],
+            )
+            .unwrap();
+        store
+    }
+
+    #[test]
+    fn a_dump_rendered_as_a_base_opens_to_the_store_it_was_cut_from() {
+        let store = populated_store();
+        let rendered = render(&store.snapshot().into_ops());
+        let dir = dir_with_base("rendered-base", &store.snapshot().into_ops());
+        let (ds, report) = DurableStore::open(&dir).unwrap();
+        assert!(report.snapshot_found);
+        assert_eq!((report.replayed_ops, report.torn_bytes), (0, 0));
+        let loaded = ds.store();
+        assert_eq!(loaded.len(), 3);
+        assert_eq!(loaded.annotation_count(), 1);
+        let ids = loaded.image_ids();
+        assert_eq!(
+            loaded.feature(ids[0], FeatureKind::Cnn).unwrap(),
+            vec![0.1, 0.2, 0.3]
+        );
+        assert_eq!(loaded.pixels(ids[0]).unwrap().get(1, 2), [1, 2, 9]);
+        assert!(loaded.scheme_by_name("cleanliness").is_some());
+        assert_eq!(loaded.upload_marker("edge2-s9"), Some(ids[2]));
+        assert_eq!(loaded.snapshot(), store.snapshot());
+        // What a compaction of that store publishes is the same bytes.
+        let report = ds.compact().unwrap();
+        assert_eq!(report.snapshot_bytes, rendered.len() as u64);
+        assert_eq!(std::fs::read(dir.join("base-1.seg")).unwrap(), rendered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_file_that_is_not_a_whole_base_segment_is_refused() {
+        let dir = temp_dir("not-a-base");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("base-0.seg");
+        // Refused as found, with nothing created beside it.
+        let refused = |bytes: &[u8]| -> DurableError {
+            std::fs::write(&base, bytes).unwrap();
+            let Err(refusal) = DurableStore::open(&dir) else {
+                panic!("{bytes:?} opened");
+            };
+            assert_eq!(std::fs::read(&base).unwrap(), bytes, "refused untouched");
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+            refusal
+        };
+        // Empty, half a header, another format version, and the JSON
+        // store file of older builds: none of them is a sealed segment.
+        let json = b"{\"Header\":{\"version\":2,\"wal_epoch\":0}}\n";
+        for bytes in [
+            &b""[..],
+            &crate::wal::SEGMENT_MAGIC[..5],
+            b"TVDPWAL\x04",
+            json,
+        ] {
+            let DurableError::Wal(refusal @ WalError::UnsupportedFormat { .. }) = refused(bytes)
+            else {
+                panic!("{bytes:?}: not an unsupported-format refusal");
+            };
+            assert!(refusal.to_string().contains("0104dbe"), "{refusal}");
+        }
+        // A base cut short or with bytes after its last record is torn,
+        // and a base is never repaired by truncation.
+        let ops = populated_store().snapshot().into_ops();
+        let whole = render(&ops);
+        let mut longer = whole.clone();
+        longer.extend_from_slice(b"{not a record\n");
+        for bytes in [&whole[..whole.len() - 1], &longer[..]] {
+            let DurableError::Replay(message) = refused(bytes) else {
+                panic!("a torn base opened");
+            };
+            assert!(message.contains("torn"), "{message}");
+        }
+        // Cut at a record boundary nothing is torn, but the marker table
+        // that closes every base is missing.
+        assert!(matches!(ops.last(), Some(WalOp::UploadMarkers(_))));
+        let DurableError::Replay(message) = refused(&render(&ops[..ops.len() - 1])) else {
+            panic!("a base without its last record opened");
+        };
+        assert!(message.contains("cut short"), "{message}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1596,11 +1608,6 @@ mod tests {
                 before,
                 "{what}"
             );
-            // The same stream as a store file fails the same way.
-            assert!(matches!(
-                persist::load(&dir.join("base-0.seg")),
-                Err(DurableError::Replay(m)) if m == message
-            ));
             std::fs::remove_dir_all(&dir).ok();
         }
         // A duplicate annotation id needs its first copy in the stream.
@@ -1632,8 +1639,8 @@ mod tests {
         assert_eq!(ds.wal_bytes().unwrap(), wal_before);
         assert_eq!(ds.health().state, HealthState::Ok);
         assert!(ds.store().upload_marker("k").is_none());
-        ds.seal().unwrap();
         drop(ds);
+        crash_after_rotation(&dir, 1);
         // Forged into a journal segment, live or sealed: the open fails.
         for segment in ["wal-1.log", "wal-0.log"] {
             let path = dir.join(segment);

@@ -36,10 +36,9 @@
 //! over a live journal is not supported either.
 //!
 //! The same header and records are the whole on-disk format: a *base
-//! segment* (`base-<epoch>.seg`, or the CLI's single store file) is a
-//! store rendered as records by [`crate::store::Snapshot::into_ops`]
-//! and read back by the same [`scan`]. It alone may carry
-//! [`WalOp::UploadMarkers`].
+//! segment* (`base-<epoch>.seg`) is a store rendered as records by
+//! [`crate::store::Snapshot::into_ops`] and read back by the same
+//! [`scan`]. It alone may carry [`WalOp::UploadMarkers`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};

@@ -365,7 +365,7 @@ fn compaction_preserves_state_and_shrinks_the_log() {
 
 #[test]
 fn compaction_crash_windows_never_lose_or_double_apply() {
-    // Reconstruct the three crash windows of an incremental compaction
+    // Reconstruct the three crash windows of a compaction
     // by hand and check each recovers to exactly the live pre-crash
     // state under the epoch protocol (base at epoch B => replay every
     // segment with epoch >= B, ascending).
@@ -735,57 +735,42 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Copies a durable-store directory byte-for-byte, freezing the state a
-/// crash at that instant would leave on disk.
-fn freeze_dir(src: &Path, dst: &Path) {
-    std::fs::remove_dir_all(dst).ok();
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-    }
-}
-
 #[test]
-fn crash_at_every_incremental_compaction_boundary_preserves_state() {
-    let dir = temp_dir("fold-crash");
+fn writers_keep_journaling_while_compactions_fold() {
+    const ROUNDS: usize = 4;
+    const IMAGES_PER_ROUND: usize = 16;
+    let dir = temp_dir("fold-under-writes");
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    ds.apply_batch(scripted_batch(&ds)).unwrap();
-    ds.seal().unwrap(); // two L0 tiers for the fold to merge
-    let img2 = add_image(&ds, meta("tier-two"), ImageOrigin::Original, None).unwrap();
-    put_feature(&ds, img2, FeatureKind::SiftBow, vec![2.0; 4]).unwrap();
-    let live = ds.store().snapshot();
-
-    // Crash between every pair of increments: freeze the directory,
-    // reopen the frozen copy, and require the exact live state.
-    let frozen = temp_dir("fold-crash-frozen");
-    let mut task = ds.begin_compaction().unwrap();
-    let mut boundary = 0usize;
-    let report = loop {
-        freeze_dir(&dir, &frozen);
-        let (frozen_ds, _) = DurableStore::open(&frozen).unwrap();
-        assert_eq!(
-            frozen_ds.store().snapshot(),
-            live,
-            "crash before increment {boundary} lost or doubled ops"
-        );
-        drop(frozen_ds);
-        boundary += 1;
-        if let Some(r) = task.step().unwrap() {
-            break r;
+    // Each fold starts once a round is journaled, and runs while the
+    // writer journals the next one.
+    let round_done = std::sync::Barrier::new(2);
+    let folded = tvdp_kernel::Pool::new(2).scope(|s| {
+        let writer = s.spawn(|| {
+            for round in 0..ROUNDS {
+                for i in 0..IMAGES_PER_ROUND {
+                    let keyword = format!("round-{round}-{i}");
+                    let img = add_image(&ds, meta(&keyword), ImageOrigin::Original, None).unwrap();
+                    put_feature(&ds, img, FeatureKind::Cnn, vec![i as f32; 4]).unwrap();
+                }
+                round_done.wait();
+            }
+        });
+        let mut folded = 0;
+        for _ in 0..ROUNDS {
+            round_done.wait();
+            folded += ds.compact().unwrap().ops_compacted;
         }
-    };
-    drop(task);
-    assert_eq!(report.tiers_merged, 2);
-    assert!(boundary >= 2, "fold ran as at least two increments");
+        writer.join().unwrap();
+        folded
+    });
+    let live = ds.store().snapshot();
+    assert_eq!(ds.store().len(), ROUNDS * IMAGES_PER_ROUND);
+    drop(ds);
 
-    // And after the publish itself.
-    freeze_dir(&dir, &frozen);
-    let (frozen_ds, report) = DurableStore::open(&frozen).unwrap();
-    assert_eq!(frozen_ds.store().snapshot(), live);
-    assert_eq!(report.replayed_ops, 0);
-    drop(frozen_ds);
-
-    std::fs::remove_dir_all(&frozen).ok();
+    // Every journaled op was folded exactly once or is still in the
+    // journal, and the directory reopens to the live store.
+    let (reopened, report) = DurableStore::open(&dir).unwrap();
+    assert_eq!(reopened.store().snapshot(), live);
+    assert_eq!(folded + report.replayed_ops, 2 * ROUNDS * IMAGES_PER_ROUND);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,12 +1,15 @@
 //! Property-based tests: arbitrary store contents survive the
-//! persistence round trips — a store file, a compacted directory —
-//! intact.
+//! persistence round trips — a rendered base segment, a compacted
+//! directory — intact.
+
+use std::sync::Arc;
 
 use tvdp_geo::GeoPoint;
 use tvdp_kernel::rng::{for_each_case, Rng};
+use tvdp_storage::wal::{frame, SEGMENT_MAGIC};
 use tvdp_storage::{
-    persist, Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableStore, ImageId,
-    ImageMeta, ImageOrigin, UserId, VisualStore, WalOp, UPLOAD_MARKER_CAPACITY,
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableStore, ImageId, ImageMeta,
+    ImageOrigin, UserId, VisualStore, WalOp, UPLOAD_MARKER_CAPACITY,
 };
 use tvdp_vision::{FeatureKind, Image};
 
@@ -48,13 +51,23 @@ fn arb_rows(rng: &mut Rng, max: usize) -> Vec<Row> {
     (0..rng.gen_range(1..max)).map(|_| arb_row(rng)).collect()
 }
 
-/// `store` saved as a store file and loaded back.
-fn saved_and_loaded(store: &VisualStore, tag: u64) -> VisualStore {
-    let mut path = std::env::temp_dir();
-    path.push(format!("tvdp-prop-{}-{tag}.store", std::process::id()));
-    persist::save(store, &path).unwrap();
-    let restored = persist::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+/// `store`'s dump rendered as the base segment of a directory, and the
+/// store that directory opens to.
+fn reopened_from_its_base(store: &VisualStore, tag: u64) -> Arc<VisualStore> {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("tvdp-prop-base-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut base = SEGMENT_MAGIC.to_vec();
+    for op in store.snapshot().into_ops() {
+        base.extend_from_slice(&frame(&op.encode()));
+    }
+    std::fs::write(dir.join("base-0.seg"), base).unwrap();
+    let (durable, report) = DurableStore::open(&dir).unwrap();
+    assert!(report.snapshot_found);
+    let restored = durable.store_arc();
+    drop(durable);
+    std::fs::remove_dir_all(&dir).ok();
     restored
 }
 
@@ -100,7 +113,7 @@ fn snapshot_roundtrip_preserves_everything() {
     for_each_case(CASES, |case, rng| {
         let rows = arb_rows(rng, 20);
         let store = populate(&rows);
-        let restored = saved_and_loaded(&store, case);
+        let restored = reopened_from_its_base(&store, case);
         assert_eq!(restored.len(), store.len());
         assert_eq!(restored.annotation_count(), store.annotation_count());
         for id in store.image_ids() {
@@ -120,7 +133,7 @@ fn persistence_roundtrip_preserves_everything() {
     for_each_case(CASES, |case, rng| {
         let rows = arb_rows(rng, 12);
         let store = populate(&rows);
-        let restored = saved_and_loaded(&store, 100 + case);
+        let restored = reopened_from_its_base(&store, 100 + case);
         assert_eq!(restored.len(), store.len());
         for id in store.image_ids() {
             assert_eq!(restored.image(id), store.image(id));
@@ -142,7 +155,7 @@ fn id_allocation_never_collides_after_restore() {
     for_each_case(CASES, |case, rng| {
         let rows = arb_rows(rng, 10);
         let store = populate(&rows);
-        let restored = saved_and_loaded(&store, 200 + case);
+        let restored = reopened_from_its_base(&store, 200 + case);
         let before = restored.image_ids();
         let meta = ImageMeta {
             uploader: UserId(0),
@@ -309,8 +322,8 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
             );
         };
         same("reopened directory", reopened.store());
-        let loaded = saved_and_loaded(&live, 300 + case);
-        same("loaded store file", &loaded);
+        let loaded = reopened_from_its_base(&live, 300 + case);
+        same("reopened base", &loaded);
 
         // One more keyed upload evicts the same marker everywhere: the
         // sequence numbers came back, not just the keys.
@@ -329,7 +342,7 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
         reopened.apply_batch(one_more(id)).unwrap();
         loaded.apply_batch(one_more(id)).unwrap();
         same("reopened directory after an eviction", reopened.store());
-        same("loaded store file after an eviction", &loaded);
+        same("reopened base after an eviction", &loaded);
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     });

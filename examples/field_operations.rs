@@ -13,11 +13,13 @@ use tvdp::platform::video::{KeyframePolicy, VideoFrame};
 use tvdp::platform::{PlatformConfig, Role, Tvdp};
 use tvdp::query::engine::EngineConfig;
 use tvdp::query::{localize, QueryEngine};
-use tvdp::storage::persist;
 use tvdp::vision::{ColorHistogramExtractor, FeatureExtractor, FeatureKind, Image};
 
 fn main() {
-    let tvdp = Tvdp::new(PlatformConfig::default());
+    // Every upload of the shift is journaled under one store directory.
+    let dir = std::env::temp_dir().join("tvdp-field-ops");
+    std::fs::remove_dir_all(&dir).ok();
+    let (tvdp, _) = Tvdp::open(&dir, PlatformConfig::default()).expect("open store directory");
     let dept = tvdp.register_user("Street Services", Role::Government);
 
     // ------------------------------------------------------------------
@@ -142,18 +144,16 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 4. End of shift: persist everything.
+    // 4. End of shift: fold the journal into one base segment.
     // ------------------------------------------------------------------
-    let mut path = std::env::temp_dir();
-    path.push("tvdp-field-ops.tvdp");
-    persist::save(store, &path).expect("persist");
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    let report = tvdp.flush().expect("flush");
     println!(
-        "\npersisted {} images ({} annotations) to {} ({} KiB)",
+        "\npersisted {} images ({} annotations) to {} ({} KiB base segment)",
         tvdp.stats().images,
         tvdp.stats().annotations,
-        path.display(),
-        bytes / 1024
+        dir.display(),
+        report.snapshot_bytes / 1024
     );
-    std::fs::remove_file(&path).ok();
+    drop(tvdp);
+    std::fs::remove_dir_all(&dir).ok();
 }

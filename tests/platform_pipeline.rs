@@ -8,11 +8,10 @@ use tvdp::platform::platform::{Algorithm, IngestRequest};
 use tvdp::platform::{count_by_cell, PlatformConfig, Role, Tvdp};
 use tvdp::query::engine::EngineConfig;
 use tvdp::query::{Query, QueryEngine, SpatialQuery, TextualMode};
-use tvdp::storage::persist;
 use tvdp::vision::{CnnConfig, FeatureKind};
 
-fn fast_platform() -> Tvdp {
-    Tvdp::new(PlatformConfig {
+fn fast_config() -> PlatformConfig {
+    PlatformConfig {
         cnn: CnnConfig {
             input_size: 16,
             stage_channels: vec![4, 8],
@@ -21,7 +20,11 @@ fn fast_platform() -> Tvdp {
         },
         min_training_samples: 10,
         ..Default::default()
-    })
+    }
+}
+
+fn fast_platform() -> Tvdp {
+    Tvdp::new(fast_config())
 }
 
 #[test]
@@ -103,7 +106,10 @@ fn ingest_train_apply_translate() {
 
 #[test]
 fn persistence_roundtrip_preserves_queryability() {
-    let tvdp = fast_platform();
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("tvdp-pipeline-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (tvdp, _) = Tvdp::open(&dir, fast_config()).unwrap();
     let user = tvdp.register_user("u", Role::CommunityPartner);
     let data = generate(&DatasetConfig {
         n_images: 40,
@@ -125,12 +131,20 @@ fn persistence_roundtrip_preserves_queryability() {
         .unwrap();
     }
 
-    // Save, reload, rebuild the engine over the reloaded store.
-    let mut path = std::env::temp_dir();
-    path.push(format!("tvdp-pipeline-{}.tvdp", std::process::id()));
-    persist::save(tvdp.store(), &path).unwrap();
-    let reloaded = Arc::new(persist::load(&path).unwrap());
-    std::fs::remove_file(&path).ok();
+    // Compact, reopen, rebuild an engine over the reopened store.
+    let region = *StreetGrid::downtown_la().region();
+    let before = tvdp
+        .search(&Query::Spatial(SpatialQuery::Range(region)))
+        .unwrap()
+        .len();
+    tvdp.flush().unwrap();
+    drop(tvdp);
+    let (reopened, report) = Tvdp::open(&dir, fast_config()).unwrap();
+    assert!(report.snapshot_found);
+    assert_eq!(report.replayed_ops, 0);
+    let reloaded = Arc::clone(reopened.store());
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(reloaded.len(), 40);
 
     let engine = QueryEngine::build(Arc::clone(&reloaded), EngineConfig::default());
@@ -143,11 +157,6 @@ fn persistence_roundtrip_preserves_queryability() {
     assert_eq!(hits.len(), 40);
 
     // Spatial queries agree before and after the round trip.
-    let region = *StreetGrid::downtown_la().region();
-    let before = tvdp
-        .search(&Query::Spatial(SpatialQuery::Range(region)))
-        .unwrap()
-        .len();
     let after = engine
         .try_execute(&Query::Spatial(SpatialQuery::Range(region)))
         .unwrap()
