@@ -111,7 +111,8 @@ impl RateLimiter {
     }
 
     /// Number of keys currently tracked (bounded by `max_keys`).
-    pub fn tracked_keys(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_keys(&self) -> usize {
         self.buckets.lock().len()
     }
 }

@@ -72,6 +72,7 @@ impl ApiRequest {
     }
 
     /// Attaches an absolute virtual-clock deadline.
+    // tvdp-lint: allow(dead_api, reason = "(c) API capability: a per-request deadline for callers building requests in code; no route sets one yet")
     pub fn with_deadline(mut self, deadline_ms: i64) -> Self {
         self.deadline_ms = Some(deadline_ms);
         self
@@ -445,6 +446,7 @@ impl ApiServer {
     }
 
     /// Revokes a key.
+    // tvdp-lint: allow(dead_api, reason = "(c) API capability: key revocation, which no admin route exposes yet")
     pub fn revoke_key(&self, key: &str) -> bool {
         self.keys.revoke(key)
     }

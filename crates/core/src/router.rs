@@ -78,13 +78,6 @@ impl GeoShardRouter {
         }
         (h % u64::from(self.shards)) as usize
     }
-
-    /// The shard owning an optional capture origin. Origin-less rows
-    /// (synthetic content, migrated archives without GPS) all land on
-    /// shard 0, a fixed policy every replay and retry agrees on.
-    pub fn shard_opt(&self, point: Option<&GeoPoint>) -> usize {
-        point.map_or(0, |p| self.shard(p))
-    }
 }
 
 #[cfg(test)]
@@ -106,18 +99,6 @@ mod tests {
         assert_eq!(r.shard(&p), r.shard(&p));
         assert_eq!(r.shard(&p), r.shard(&same_cell));
         assert!(r.shard(&p) < 8);
-    }
-
-    #[test]
-    fn origin_less_rows_route_to_shard_zero_at_every_shard_count() {
-        for shards in [1u32, 2, 3, 8, 64] {
-            let r = GeoShardRouter::new(shards, 0.01);
-            assert_eq!(r.shard_opt(None), 0, "shards={shards}");
-        }
-        // With an origin, shard_opt is exactly shard().
-        let r = GeoShardRouter::new(8, 0.01);
-        let p = GeoPoint::new(34.05, -118.25);
-        assert_eq!(r.shard_opt(Some(&p)), r.shard(&p));
     }
 
     #[test]

@@ -82,17 +82,6 @@ impl UserRegistry {
     pub fn all(&self) -> Vec<User> {
         self.inner.read().users.values().cloned().collect()
     }
-
-    /// Users holding a role.
-    pub fn with_role(&self, role: Role) -> Vec<User> {
-        self.inner
-            .read()
-            .users
-            .values()
-            .filter(|u| u.role == role)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,15 +98,5 @@ mod tests {
         assert!(reg.exists(usc));
         assert!(!reg.exists(UserId(99)));
         assert_eq!(reg.all().len(), 2);
-    }
-
-    #[test]
-    fn role_filter() {
-        let reg = UserRegistry::new();
-        reg.register("LASAN", Role::Government);
-        reg.register("Homeless Coordinator", Role::Government);
-        reg.register("USC", Role::Researcher);
-        assert_eq!(reg.with_role(Role::Government).len(), 2);
-        assert_eq!(reg.with_role(Role::Academic).len(), 0);
     }
 }

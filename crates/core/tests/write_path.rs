@@ -140,7 +140,7 @@ fn script(tvdp: &Tvdp) {
         width: 8,
         height: 8,
     };
-    tvdp.annotate_human_region(user, ids[0], scheme, 0, region)
+    tvdp.annotate(user, ids[0], scheme, 0, 1.0, Some(region))
         .unwrap();
     let model = tvdp
         .train_model(user, "m", scheme, FeatureKind::Cnn, Algorithm::NaiveBayes)

@@ -21,13 +21,6 @@ pub struct Assignment {
     pub total_travel_m: f64,
 }
 
-impl Assignment {
-    /// Number of assigned tasks.
-    pub fn assigned_count(&self) -> usize {
-        self.pairs.len()
-    }
-}
-
 /// Greedy assignment: tasks in input order each take the nearest worker
 /// with remaining capacity. Fast (`O(tasks × workers)`) but can strand
 /// tasks a different pairing would have served.
@@ -152,13 +145,23 @@ mod tests {
         GeoPoint::new(34.0, -118.25).destination(90.0, dx_m)
     }
 
+    /// A direction-free task worth one point.
+    fn task(id: u64, location: GeoPoint) -> SpatialTask {
+        SpatialTask {
+            id: TaskId(id),
+            location,
+            required_heading: None,
+            reward: 1,
+        }
+    }
+
     #[test]
     fn greedy_assigns_nearest() {
         let workers = vec![
             Worker::new(WorkerId(1), p(0.0), 1000.0, 1),
             Worker::new(WorkerId(2), p(500.0), 1000.0, 1),
         ];
-        let tasks = vec![SpatialTask::anywhere(TaskId(1), p(450.0), 1)];
+        let tasks = vec![task(1, p(450.0))];
         let a = assign_greedy(&workers, &tasks);
         assert_eq!(a.pairs, vec![(WorkerId(2), TaskId(1))]);
         assert!(a.unassigned.is_empty());
@@ -174,28 +177,23 @@ mod tests {
             Worker::new(WorkerId(1), p(0.0), 2000.0, 1),   // A
             Worker::new(WorkerId(2), p(-200.0), 300.0, 1), // B: only near task 1
         ];
-        let tasks = vec![
-            SpatialTask::anywhere(TaskId(1), p(-50.0), 1),
-            SpatialTask::anywhere(TaskId(2), p(1500.0), 1),
-        ];
+        let tasks = vec![task(1, p(-50.0)), task(2, p(1500.0))];
         let g = assign_greedy(&workers, &tasks);
         let m = assign_matching(&workers, &tasks);
-        assert_eq!(g.assigned_count(), 1, "greedy strands task 2");
-        assert_eq!(m.assigned_count(), 2, "matching serves both");
+        assert_eq!(g.pairs.len(), 1, "greedy strands task 2");
+        assert_eq!(m.pairs.len(), 2, "matching serves both");
         assert!(m.unassigned.is_empty());
     }
 
     #[test]
     fn capacity_respected() {
         let workers = vec![Worker::new(WorkerId(1), p(0.0), 5000.0, 2)];
-        let tasks: Vec<SpatialTask> = (0..4)
-            .map(|i| SpatialTask::anywhere(TaskId(i), p(i as f64 * 100.0), 1))
-            .collect();
+        let tasks: Vec<SpatialTask> = (0..4).map(|i| task(i, p(i as f64 * 100.0))).collect();
         for a in [
             assign_greedy(&workers, &tasks),
             assign_matching(&workers, &tasks),
         ] {
-            assert_eq!(a.assigned_count(), 2);
+            assert_eq!(a.pairs.len(), 2);
             assert_eq!(a.unassigned.len(), 2);
         }
     }
@@ -203,12 +201,12 @@ mod tests {
     #[test]
     fn unreachable_tasks_unassigned() {
         let workers = vec![Worker::new(WorkerId(1), p(0.0), 100.0, 5)];
-        let tasks = vec![SpatialTask::anywhere(TaskId(1), p(5000.0), 1)];
+        let tasks = vec![task(1, p(5000.0))];
         for a in [
             assign_greedy(&workers, &tasks),
             assign_matching(&workers, &tasks),
         ] {
-            assert_eq!(a.assigned_count(), 0);
+            assert_eq!(a.pairs.len(), 0);
             assert_eq!(a.unassigned, vec![TaskId(1)]);
         }
     }
@@ -229,15 +227,15 @@ mod tests {
                 })
                 .collect();
             let tasks: Vec<SpatialTask> = (0..15)
-                .map(|i| SpatialTask::anywhere(TaskId(i), p(rng.gen_range(0.0..3000.0)), 1))
+                .map(|i| task(i, p(rng.gen_range(0.0..3000.0))))
                 .collect();
             let g = assign_greedy(&workers, &tasks);
             let m = assign_matching(&workers, &tasks);
             assert!(
-                m.assigned_count() >= g.assigned_count(),
+                m.pairs.len() >= g.pairs.len(),
                 "round {round}: matching {} < greedy {}",
-                m.assigned_count(),
-                g.assigned_count()
+                m.pairs.len(),
+                g.pairs.len()
             );
             // Every assignment is within range.
             for (wid, tid) in m.pairs.iter().chain(g.pairs.iter()) {

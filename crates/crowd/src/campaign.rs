@@ -131,10 +131,10 @@ mod tests {
         let campaign = Campaign::new("c", spec, 2, 1);
         let grid = CoverageGrid::new(spec);
         let round = campaign.plan_round(&grid, 0, 1000);
-        let (rows, cols) = grid.dims();
+        let cells = grid.report().total_cells;
         // Every cell needs min_sectors tasks.
-        assert_eq!(round.tasks.len(), (rows * cols) as usize * 2);
-        assert_eq!(round.cells_below_goal, (rows * cols) as usize);
+        assert_eq!(round.tasks.len(), cells * 2);
+        assert_eq!(round.cells_below_goal, cells);
         assert!(!campaign.satisfied(&grid));
         // Task ids are sequential from 0.
         assert_eq!(round.tasks[0].id, TaskId(0));
@@ -159,14 +159,9 @@ mod tests {
         let campaign = Campaign::new("c", spec, 1, 1);
         let mut grid = CoverageGrid::new(spec);
         // Photograph every cell centre in one direction with a wide view.
-        let (rows, cols) = grid.dims();
-        for r in 0..rows {
-            for c in 0..cols {
-                let center = grid
-                    .cell_bbox(tvdp_geo::coverage::CellId { row: r, col: c })
-                    .center();
-                grid.add_fov(&Fov::new(center, 0.0, 360.0, 80.0));
-            }
+        for (cell, _) in grid.undercovered(1) {
+            let center = grid.cell_bbox(cell).center();
+            grid.add_fov(&Fov::new(center, 0.0, 360.0, 80.0));
         }
         assert!(campaign.satisfied(&grid));
         let round = campaign.plan_round(&grid, 0, 100);
@@ -180,18 +175,13 @@ mod tests {
         let campaign = Campaign::new("c", spec, 2, 1);
         let mut grid = CoverageGrid::new(spec);
         // Cover every cell from the north sector only.
-        let (rows, cols) = grid.dims();
-        for r in 0..rows {
-            for c in 0..cols {
-                let center = grid
-                    .cell_bbox(tvdp_geo::coverage::CellId { row: r, col: c })
-                    .center();
-                grid.add_fov(&Fov::new(center, grid.sector_heading(0), 40.0, 60.0));
-            }
+        for (cell, _) in grid.undercovered(1) {
+            let center = grid.cell_bbox(cell).center();
+            grid.add_fov(&Fov::new(center, grid.sector_heading(0), 40.0, 60.0));
         }
         let round = campaign.plan_round(&grid, 0, 10_000);
         // Each cell already has >= 1 sector; only one more is requested.
-        assert_eq!(round.tasks.len(), (rows * cols) as usize);
+        assert_eq!(round.tasks.len(), grid.report().total_cells);
         for t in &round.tasks {
             let h = t.required_heading.expect("directed task");
             assert!(

@@ -36,16 +36,6 @@ impl SpatialTask {
             reward,
         }
     }
-
-    /// Creates a direction-free task.
-    pub fn anywhere(id: TaskId, location: GeoPoint, reward: u32) -> Self {
-        Self {
-            id,
-            location,
-            required_heading: None,
-            reward,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -57,12 +47,5 @@ mod tests {
         let t = SpatialTask::directed(TaskId(1), GeoPoint::new(34.0, -118.0), 370.0, 5);
         assert_eq!(t.required_heading, Some(10.0));
         assert_eq!(t.id.to_string(), "task-1");
-    }
-
-    #[test]
-    fn anywhere_task_has_no_heading() {
-        let t = SpatialTask::anywhere(TaskId(2), GeoPoint::new(34.0, -118.0), 3);
-        assert_eq!(t.required_heading, None);
-        assert_eq!(t.reward, 3);
     }
 }

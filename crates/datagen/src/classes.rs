@@ -30,13 +30,8 @@ impl CleanlinessClass {
         Self::ALL
             .iter()
             .position(|&c| c == self)
-            // tvdp-lint: allow(no_panic, reason = "ALL enumerates every variant; index/from_index round-trip is covered by tests")
+            // tvdp-lint: allow(no_panic, reason = "ALL enumerates every variant; the index round-trip is covered by tests")
             .expect("class in ALL")
-    }
-
-    /// Class from a label index.
-    pub fn from_index(i: usize) -> Option<CleanlinessClass> {
-        Self::ALL.get(i).copied()
     }
 
     /// Display name matching the paper's figures.
@@ -70,9 +65,7 @@ mod tests {
     fn index_roundtrip() {
         for (i, c) in CleanlinessClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(CleanlinessClass::from_index(i), Some(*c));
         }
-        assert_eq!(CleanlinessClass::from_index(5), None);
     }
 
     #[test]

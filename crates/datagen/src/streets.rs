@@ -58,11 +58,6 @@ impl StreetGrid {
         &self.region
     }
 
-    /// Number of streets `(north-south, east-west)`.
-    pub fn street_counts(&self) -> (usize, usize) {
-        (self.ns_lons.len(), self.ew_lats.len())
-    }
-
     /// Samples a camera pose on a random street: position on the street
     /// line (with a small lateral offset) and heading along the street
     /// (with jitter), as a garbage-truck-mounted camera would produce.
@@ -121,7 +116,7 @@ mod tests {
     #[test]
     fn grid_has_streets_in_both_directions() {
         let grid = StreetGrid::downtown_la();
-        let (ns, ew) = grid.street_counts();
+        let (ns, ew) = (grid.ns_lons.len(), grid.ew_lats.len());
         assert!(ns >= 5, "ns {ns}");
         assert!(ew >= 5, "ew {ew}");
     }

@@ -254,11 +254,6 @@ impl FleetHealth {
             .or_insert_with(|| CircuitBreaker::new(config))
     }
 
-    /// Whether `device` may send now (unseen devices may).
-    pub fn device_allowed(&mut self, device: u64, now_ms: i64) -> bool {
-        self.breaker(device).allow(now_ms)
-    }
-
     /// A deterministic snapshot of every tracked device's health.
     pub fn view(&self) -> Vec<DeviceHealth> {
         self.breakers
@@ -270,14 +265,6 @@ impl FleetHealth {
                 open_until_ms: b.open_until_ms(),
             })
             .collect()
-    }
-
-    /// How many tracked devices are currently shedding (open breaker).
-    pub fn open_count(&self) -> usize {
-        self.breakers
-            .values()
-            .filter(|b| b.state() == BreakerState::Open)
-            .count()
     }
 }
 
@@ -414,7 +401,8 @@ mod tests {
         let view = fleet.view();
         let ids: Vec<u64> = view.iter().map(|h| h.device).collect();
         assert_eq!(ids, vec![1, 2, 3], "sorted by device id");
-        assert_eq!(fleet.open_count(), 1);
+        let open = view.iter().filter(|h| h.state == BreakerState::Open);
+        assert_eq!(open.count(), 1);
         let h2 = &view[1];
         assert_eq!(h2.state, BreakerState::Open);
         assert!(h2.open_until_ms.is_some());

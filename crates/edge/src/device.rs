@@ -85,13 +85,6 @@ pub struct DeviceProfile {
     pub battery_limited: bool,
 }
 
-impl DeviceProfile {
-    /// Seconds to upload `bytes` at the profile's bandwidth.
-    pub fn upload_seconds(&self, bytes: u64) -> f64 {
-        (bytes as f64 * 8.0) / (self.bandwidth_mbps * 1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,15 +98,6 @@ mod tests {
         assert!(s.effective_gflops > r.effective_gflops);
         // ~1.5+ orders of magnitude between desktop and RPi.
         assert!(d.effective_gflops / r.effective_gflops >= 30.0);
-    }
-
-    #[test]
-    fn upload_time_scales_with_bytes() {
-        let p = DeviceClass::Smartphone.profile();
-        let t1 = p.upload_seconds(1_000_000);
-        let t2 = p.upload_seconds(2_000_000);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
-        assert!(t1 > 0.0);
     }
 
     #[test]

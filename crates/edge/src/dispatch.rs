@@ -115,17 +115,6 @@ pub enum DispatchDecision {
     },
 }
 
-impl DispatchDecision {
-    /// The model placed on the device, if any.
-    pub fn deployed(&self) -> Option<ModelSpec> {
-        match self {
-            DispatchDecision::Deploy(m) => Some(*m),
-            DispatchDecision::Degraded { chosen, .. } => Some(*chosen),
-            DispatchDecision::ServerSide { .. } => None,
-        }
-    }
-}
-
 /// Chooses models from a zoo for heterogeneous devices.
 ///
 /// ```
@@ -246,23 +235,6 @@ impl ModelDispatcher {
             },
         }
     }
-
-    /// Dispatch decisions for a whole fleet, in input order.
-    pub fn dispatch_fleet(
-        &self,
-        devices: &[DeviceProfile],
-        constraints: &DispatchConstraints,
-    ) -> Vec<Option<ModelSpec>> {
-        devices
-            .iter()
-            .map(|d| self.dispatch(d, constraints))
-            .collect()
-    }
-
-    /// Seconds for `device` to download `model`'s weights.
-    pub fn download_seconds(device: &DeviceProfile, model: &ModelSpec) -> f64 {
-        device.upload_seconds(model.download_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +321,10 @@ mod tests {
             min_accuracy: None,
             ..Default::default()
         };
-        let picks = dispatcher().dispatch_fleet(&devices, &constraints);
+        let picks: Vec<_> = devices
+            .iter()
+            .map(|d| dispatcher().dispatch(d, &constraints))
+            .collect();
         // Desktop can afford Inception within 200 ms; RPi cannot.
         assert_eq!(picks[0].unwrap().name, "InceptionV3");
         assert!(picks[2].is_none_or(|m| m.name != "InceptionV3"));
@@ -422,21 +397,6 @@ mod tests {
                 reason: DegradeReason::DownloadBudgetExceeded
             }
         );
-        assert_eq!(
-            dispatcher()
-                .dispatch_degraded(&phone, &constraints, &hopeless)
-                .deployed(),
-            None
-        );
-    }
-
-    #[test]
-    fn download_time_positive_and_ordered() {
-        let d = DeviceClass::Smartphone.profile();
-        let small = ModelDispatcher::download_seconds(&d, &MODEL_ZOO[0]);
-        let big = ModelDispatcher::download_seconds(&d, &MODEL_ZOO[2]);
-        assert!(small > 0.0);
-        assert!(big > small);
     }
 }
 

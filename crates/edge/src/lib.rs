@@ -28,7 +28,6 @@
 //! learning loop over that lossy link with idempotency-keyed,
 //! exactly-once sample ingest.
 
-pub mod batch;
 pub mod breaker;
 pub mod device;
 pub mod dispatch;
@@ -40,7 +39,6 @@ pub mod model;
 pub mod transport;
 pub mod uplink;
 
-pub use batch::{BatchPolicy, UploadBatcher};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, DeviceHealth, FleetHealth};
 pub use device::{DeviceClass, DeviceProfile};
 pub use dispatch::{

@@ -60,8 +60,9 @@ pub const MODEL_ZOO: [ModelSpec; 3] = [
     },
 ];
 
-/// Looks a zoo model up by name.
-pub fn zoo_model(name: &str) -> Option<ModelSpec> {
+/// Looks a zoo model up by name (the edge crate's tests name models).
+#[cfg(test)]
+pub(crate) fn zoo_model(name: &str) -> Option<ModelSpec> {
     MODEL_ZOO.iter().copied().find(|m| m.name == name)
 }
 

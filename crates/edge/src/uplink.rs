@@ -145,6 +145,7 @@ const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Selected samples that fail to upload stay in their edge's pool; only
 /// acknowledged samples join the server's training set, each exactly
 /// once even when an ack is lost and the send retried.
+// tvdp-lint: allow(dead_api, reason = "(c) paper capability: the crowd-learning loop over the lossy uplink, awaiting a route or bin")
 pub fn run_crowd_learning_resilient<C, F>(
     train: &Dataset,
     test: &Dataset,

@@ -343,6 +343,12 @@ fn fleet_heal_probe_rate_is_bounded_per_device() {
     // probe per device, paced `probe_interval_ms` apart, so the
     // recovering server sees a bounded, deterministic probe trickle
     // instead of a thundering herd.
+    let open_count = |fleet: &FleetHealth| {
+        let view = fleet.view();
+        view.iter()
+            .filter(|h| h.state == BreakerState::Open)
+            .count()
+    };
     const DEVICES: u64 = 6;
     let mut fleet = FleetHealth::new(BreakerConfig {
         failure_threshold: 1,
@@ -353,17 +359,17 @@ fn fleet_heal_probe_rate_is_bounded_per_device() {
     for d in 0..DEVICES {
         fleet.breaker(d).record_failure(0);
     }
-    assert_eq!(fleet.open_count(), DEVICES as usize, "all tripped");
+    assert_eq!(open_count(&fleet), DEVICES as usize, "all tripped");
 
     // Healed at t=1_000: tick every 100 ms; each device hammers
-    // device_allowed ten times per tick (an impatient retry loop).
+    // its breaker ten times per tick (an impatient retry loop).
     let mut probe_log: Vec<(i64, u64)> = Vec::new();
     let mut t = 1_000i64;
     while fleet.view().iter().any(|h| h.state != BreakerState::Closed) {
         for d in 0..DEVICES {
             let mut admitted = 0u32;
             for _ in 0..10 {
-                if fleet.device_allowed(d, t) {
+                if fleet.breaker(d).allow(t) {
                     admitted += 1;
                 }
             }
@@ -391,7 +397,7 @@ fn fleet_heal_probe_rate_is_bounded_per_device() {
             .collect();
         assert_eq!(times, vec![1_000, 1_300], "device {d} probe schedule");
     }
-    assert_eq!(fleet.open_count(), 0);
+    assert_eq!(open_count(&fleet), 0);
 }
 
 // --- resilient crowd learning under seeded chaos -----------------------

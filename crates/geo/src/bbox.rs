@@ -185,11 +185,6 @@ impl BBox {
         (self.max_lat - self.min_lat) * (self.max_lon - self.min_lon)
     }
 
-    /// Half-perimeter in degrees (R*-tree margin heuristic).
-    pub fn margin_deg(&self) -> f64 {
-        (self.max_lat - self.min_lat) + (self.max_lon - self.min_lon)
-    }
-
     /// Approximate physical area in square metres.
     pub fn area_m2(&self) -> f64 {
         let mean_lat = ((self.min_lat + self.max_lat) / 2.0).to_radians();
@@ -284,7 +279,6 @@ mod tests {
         let small = BBox::new(0.0, 0.0, 1.0, 1.0);
         let big = BBox::new(0.0, 0.0, 2.0, 2.0);
         assert!(big.area_deg2() > small.area_deg2());
-        assert!(big.margin_deg() > small.margin_deg());
         assert!(small.area_m2() > 0.0);
     }
 

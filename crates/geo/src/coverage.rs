@@ -95,11 +95,6 @@ impl CoverageGrid {
         }
     }
 
-    /// Grid dimensions `(rows, cols)`.
-    pub fn dims(&self) -> (u32, u32) {
-        (self.rows, self.cols)
-    }
-
     /// The spec this grid was built from.
     pub fn spec(&self) -> &CoverageSpec {
         &self.spec
@@ -315,8 +310,8 @@ mod tests {
     #[test]
     fn cell_of_roundtrips_with_cell_bbox() {
         let g = grid();
-        for row in 0..g.dims().0 {
-            for col in 0..g.dims().1 {
+        for row in 0..g.rows {
+            for col in 0..g.cols {
                 let cell = CellId { row, col };
                 let center = g.cell_bbox(cell).center();
                 assert_eq!(g.cell_of(&center), Some(cell));

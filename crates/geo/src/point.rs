@@ -47,6 +47,7 @@ impl GeoPoint {
     }
 
     /// Great-circle (haversine) distance to `other` in metres.
+    // tvdp-lint: allow(dead_api, reason = "(b) reference implementation: prop_geo holds fast_distance_m against it")
     pub fn haversine_m(&self, other: &GeoPoint) -> f64 {
         let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
         let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());

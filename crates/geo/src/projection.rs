@@ -55,7 +55,8 @@ impl LocalProjection {
     }
 
     /// Inverse projection.
-    pub fn to_geo(&self, p: &XY) -> GeoPoint {
+    #[cfg(test)]
+    fn to_geo(self, p: &XY) -> GeoPoint {
         GeoPoint::new(
             self.anchor.lat + p.y / METERS_PER_DEG_LAT,
             self.anchor.lon + p.x / self.meters_per_deg_lon,

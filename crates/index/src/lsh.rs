@@ -34,21 +34,6 @@ pub struct LshConfig {
     pub bucket_width: f32,
     /// Seed for projection directions and offsets.
     pub seed: u64,
-    /// Oversampling factor for approximate top-k serving: callers that
-    /// post-filter LSH results (e.g. the query engine restricting to
-    /// indexed images) fetch `k * candidate_multiple` neighbours before
-    /// filtering down to `k`. Higher values trade re-rank work for
-    /// recall.
-    pub candidate_multiple: usize,
-    /// Absolute floor on the oversampled fetch: approximate serving
-    /// fetches `max(k * candidate_multiple, min_candidates)` neighbours
-    /// (see [`LshConfig::oversampled_fetch`]). A pure multiple cliffs at
-    /// small `k` — `k = 1` with the default multiple fetches only 4
-    /// candidates, and a post-filter (the spatial region) that eats
-    /// most of them collapses recall on small indexes. The floor keeps
-    /// the post-filter fed; 32 costs at most a few thousand extra FLOPs
-    /// per query, which is noise next to one hash probe.
-    pub min_candidates: usize,
 }
 
 impl Default for LshConfig {
@@ -58,19 +43,7 @@ impl Default for LshConfig {
             hashes_per_table: 8,
             bucket_width: 1.0,
             seed: 0x154,
-            candidate_multiple: 4,
-            min_candidates: 32,
         }
-    }
-}
-
-impl LshConfig {
-    /// How many neighbours approximate serving should fetch before
-    /// post-filtering down to `k`: `max(k * candidate_multiple,
-    /// min_candidates)`. Every call site that oversamples must go
-    /// through this so the documented floor is applied uniformly.
-    pub fn oversampled_fetch(&self, k: usize) -> usize {
-        (k * self.candidate_multiple).max(self.min_candidates)
     }
 }
 
@@ -121,6 +94,7 @@ impl HashFamily {
 
 /// An LSH index over arena feature rows with dense `usize` handles.
 #[derive(Debug, Clone)]
+// tvdp-lint: allow(dead_api, reason = "(c) the paper's LSH; ROADMAP item 10's bake-off against the exact visual path decides it")
 pub struct LshIndex {
     config: LshConfig,
     dim: usize,
@@ -142,7 +116,6 @@ impl LshIndex {
             "degenerate config"
         );
         assert!(config.bucket_width > 0.0, "bucket width must be positive");
-        assert!(config.candidate_multiple >= 1, "degenerate oversampling");
         let mut rng = Rng::seed_from_u64(config.seed);
         let families = (0..config.tables)
             .map(|_| HashFamily::new(dim, config.hashes_per_table, config.bucket_width, &mut rng))
@@ -251,36 +224,10 @@ impl LshIndex {
         Self::select_k(d_sq, ids, k)
     }
 
-    /// All handles within `radius` of `q` among the candidates.
-    pub fn within_radius(
-        &self,
-        rows: &(impl RowSource + Sync),
-        q: &[f32],
-        radius: f32,
-    ) -> Vec<(f32, usize)> {
-        let ids = self.candidates(q);
-        let radius_sq = radius * radius;
-        let mut out: Vec<(f32, usize)> = self
-            .rerank_sq(rows, q, &ids)
-            .into_iter()
-            .zip(ids)
-            .filter_map(|(d_sq, id)| (d_sq <= radius_sq).then_some((d_sq, id)))
-            .collect();
-        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for o in &mut out {
-            o.0 = o.0.sqrt();
-        }
-        out
-    }
-
-    /// Exact linear-scan k-NN over all stored vectors (the brute-force
-    /// baseline the benchmarks compare against).
-    pub fn knn_exact(
-        &self,
-        rows: &(impl RowSource + Sync),
-        q: &[f32],
-        k: usize,
-    ) -> Vec<(f32, usize)> {
+    /// Exact linear-scan k-NN over all stored vectors (the recall
+    /// tests' ground truth).
+    #[cfg(test)]
+    fn knn_exact(&self, rows: &(impl RowSource + Sync), q: &[f32], k: usize) -> Vec<(f32, usize)> {
         let ids: Vec<usize> = (0..self.rows.len()).collect();
         let d_sq = self.rerank_sq(rows, q, &ids);
         Self::select_k(d_sq, ids, k)
@@ -356,91 +303,6 @@ mod tests {
         }
         let recall = total_recall / queries as f64;
         assert!(recall >= 0.8, "recall {recall}");
-    }
-
-    #[test]
-    fn oversampling_multiple_improves_recall_after_post_filter() {
-        // Emulates the engine's approximate visual path: fetch
-        // `k * candidate_multiple` neighbours, post-filter half the
-        // corpus away, keep k. Recall against the filtered exact top-k
-        // must not degrade when the multiple grows.
-        let dim = 8;
-        let k = 10;
-        let vectors = clustered_vectors(6, 25, dim);
-        let (idx, slab) = indexed(&vectors, dim, LshConfig::default());
-        let keep = |id: usize| id.is_multiple_of(2);
-        let exact: Vec<usize> = idx
-            .knn_exact(&slab, &vectors[0], vectors.len())
-            .into_iter()
-            .filter(|&(_, id)| keep(id))
-            .take(k)
-            .map(|(_, id)| id)
-            .collect();
-        let recall_at = |fetch: usize| {
-            let approx: Vec<usize> = idx
-                .knn(&slab, &vectors[0], fetch)
-                .into_iter()
-                .filter(|&(_, id)| keep(id))
-                .take(k)
-                .map(|(_, id)| id)
-                .collect();
-            exact.iter().filter(|id| approx.contains(id)).count() as f64 / exact.len() as f64
-        };
-        let low = recall_at(k);
-        let default = recall_at(LshConfig::default().oversampled_fetch(k));
-        assert_eq!(LshConfig::default().candidate_multiple, 4);
-        assert!(default >= low, "recall fell from {low} to {default}");
-        assert!(default >= 0.8, "oversampled recall {default}");
-    }
-
-    #[test]
-    fn min_candidates_floor_prevents_small_k_recall_cliff() {
-        // k = 1 with multiple 1 fetches a single neighbour; a post-filter
-        // that rejects it (here: odd handles) zeroes recall. The floor
-        // keeps the filter fed regardless of k.
-        let dim = 8;
-        let vectors = clustered_vectors(6, 25, dim);
-        let config = LshConfig {
-            candidate_multiple: 1,
-            ..Default::default()
-        };
-        let (idx, slab) = indexed(&vectors, dim, config);
-        assert_eq!(config.oversampled_fetch(1), config.min_candidates);
-        assert_eq!(config.oversampled_fetch(100), 100);
-        assert_eq!(LshConfig::default().oversampled_fetch(4), 32);
-        assert_eq!(LshConfig::default().oversampled_fetch(10), 40);
-        let keep = |id: usize| id.is_multiple_of(2);
-        let truth = idx
-            .knn_exact(&slab, &vectors[1], vectors.len())
-            .into_iter()
-            .find(|&(_, id)| keep(id))
-            .map(|(_, id)| id)
-            .unwrap();
-        let top_with = |fetch: usize| {
-            idx.knn(&slab, &vectors[1], fetch)
-                .into_iter()
-                .find(|&(_, id)| keep(id))
-                .map(|(_, id)| id)
-        };
-        // Unclamped fetch of k = 1 candidates cannot survive the filter
-        // (handle 1 is odd); the floored fetch recovers the true hit.
-        assert_ne!(top_with(1), Some(truth));
-        assert_eq!(top_with(config.oversampled_fetch(1)), Some(truth));
-    }
-
-    #[test]
-    fn within_radius_returns_only_close_vectors() {
-        let vectors = vec![
-            vec![0.0; 4],
-            vec![0.05, 0.0, 0.0, 0.0],
-            vec![10.0, 10.0, 10.0, 10.0],
-        ];
-        let (idx, slab) = indexed(&vectors, 4, LshConfig::default());
-        let hits = idx.within_radius(&slab, &[0.0; 4], 0.5);
-        let ids: Vec<usize> = hits.iter().map(|&(_, i)| i).collect();
-        assert!(ids.contains(&0));
-        assert!(ids.contains(&1));
-        assert!(!ids.contains(&2));
     }
 
     #[test]

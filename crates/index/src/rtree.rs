@@ -326,8 +326,8 @@ impl<E, S> Tree<E, S> {
 /// use tvdp_geo::{BBox, GeoPoint};
 ///
 /// let mut tree = RTree::new();
-/// tree.insert_point(GeoPoint::new(34.05, -118.25), "city hall");
-/// tree.insert_point(GeoPoint::new(34.02, -118.29), "campus");
+/// tree.insert(BBox::from_point(GeoPoint::new(34.05, -118.25)), "city hall");
+/// tree.insert(BBox::from_point(GeoPoint::new(34.02, -118.29)), "campus");
 /// let downtown = BBox::new(34.04, -118.26, 34.06, -118.24);
 /// assert_eq!(tree.range(&downtown), vec![&"city hall"]);
 /// let nearest = tree.knn(&GeoPoint::new(34.021, -118.288), 1);
@@ -378,11 +378,6 @@ impl<T> RTree<T> {
     /// Inserts a rectangle with payload.
     pub fn insert(&mut self, bbox: BBox, value: T) {
         self.tree.insert((bbox, value), &|_| ());
-    }
-
-    /// Inserts a point (degenerate rectangle).
-    pub fn insert_point(&mut self, p: GeoPoint, value: T) {
-        self.insert(BBox::from_point(p), value);
     }
 
     /// All payloads whose rectangle intersects `query`.
@@ -598,7 +593,7 @@ mod tests {
         let pts = grid_points(12); // 144 points forces multiple splits
         let mut tree = RTree::new();
         for (p, id) in &pts {
-            tree.insert_point(*p, *id);
+            tree.insert(BBox::from_point(*p), *id);
         }
         assert_eq!(tree.len(), 144);
         tree.check_invariants();
@@ -646,8 +641,8 @@ mod tests {
     #[test]
     fn knn_k_exceeds_len() {
         let mut tree = RTree::new();
-        tree.insert_point(GeoPoint::new(34.0, -118.0), 1u32);
-        tree.insert_point(GeoPoint::new(34.1, -118.1), 2u32);
+        tree.insert(BBox::from_point(GeoPoint::new(34.0, -118.0)), 1u32);
+        tree.insert(BBox::from_point(GeoPoint::new(34.1, -118.1)), 2u32);
         let knn = tree.knn(&GeoPoint::new(34.0, -118.0), 10);
         assert_eq!(knn.len(), 2);
     }
@@ -660,9 +655,9 @@ mod tests {
         let mut tree = RTree::new();
         let here = GeoPoint::new(34.0, -118.0);
         for i in 0..200u32 {
-            tree.insert_point(here, (i * 77) % 200);
+            tree.insert(BBox::from_point(here), (i * 77) % 200);
         }
-        tree.insert_point(GeoPoint::new(35.0, -117.0), 999);
+        tree.insert(BBox::from_point(GeoPoint::new(35.0, -117.0)), 999);
         let knn = tree.knn(&GeoPoint::new(34.1, -118.1), 7);
         let got: Vec<u32> = knn.iter().map(|(_, id)| **id).collect();
         assert_eq!(got, (0..7).collect::<Vec<u32>>());
@@ -687,7 +682,7 @@ mod tests {
     fn tree_grows_in_height_and_stays_balanced() {
         let mut tree = RTree::new();
         for (p, id) in grid_points(20) {
-            tree.insert_point(p, id);
+            tree.insert(BBox::from_point(p), id);
         }
         assert!(tree.tree.height() >= 3, "400 entries must split twice");
         tree.check_invariants();
@@ -700,7 +695,7 @@ mod tests {
         let pts = grid_points(18); // 324 entries, multiple levels
         let mut incremental = RTree::new();
         for (p, id) in &pts {
-            incremental.insert_point(*p, *id);
+            incremental.insert(BBox::from_point(*p), *id);
         }
         let packed = RTree::bulk_load(
             pts.iter()
@@ -913,7 +908,7 @@ mod tests {
         let mut tree = RTree::new();
         let p = GeoPoint::new(34.0, -118.0);
         for i in 0..30u32 {
-            tree.insert_point(p, i);
+            tree.insert(BBox::from_point(p), i);
         }
         let hits = tree.containing(&p);
         assert_eq!(hits.len(), 30);

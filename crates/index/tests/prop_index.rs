@@ -38,7 +38,7 @@ fn rtree_range_equals_linear_scan() {
         let query = la_bbox(rng);
         let mut tree = RTree::new();
         for (i, p) in points.iter().enumerate() {
-            tree.insert_point(*p, i);
+            tree.insert(BBox::from_point(*p), i);
         }
         tree.check_invariants();
         let mut got: Vec<usize> = tree.range(&query).into_iter().copied().collect();
@@ -62,7 +62,7 @@ fn rtree_knn_equals_linear_scan() {
         let k = rng.gen_range(1usize..10);
         let mut tree = RTree::new();
         for (i, p) in points.iter().enumerate() {
-            tree.insert_point(*p, i);
+            tree.insert(BBox::from_point(*p), i);
         }
         let got: Vec<f64> = tree.knn(&q, k).iter().map(|(d, _)| *d).collect();
         let mut lin: Vec<f64> = points.iter().map(|p| q.fast_distance_m(p)).collect();

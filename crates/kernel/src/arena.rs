@@ -138,11 +138,6 @@ impl FeatureSlab {
             }
         }
     }
-
-    /// Total floats stored (diagnostics / memory accounting).
-    pub fn float_len(&self) -> usize {
-        self.len * self.dim
-    }
 }
 
 impl RowSource for FeatureSlab {
@@ -304,7 +299,6 @@ mod tests {
             assert_eq!(r as usize, i);
         }
         assert_eq!(slab.rows(), n);
-        assert_eq!(slab.float_len(), n * dim);
         for i in [
             0,
             1,

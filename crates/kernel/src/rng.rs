@@ -126,6 +126,7 @@ uniform_float!(f32, f64);
 /// # Panics
 ///
 /// Re-raises the first panic of `body`, after naming the case.
+// tvdp-lint: allow(dead_api, reason = "(a) test support: every crate's property tests run through it")
 pub fn for_each_case(cases: u64, mut body: impl FnMut(u64, &mut Rng)) {
     for case in 0..cases {
         let mut rng = Rng::seed_from_u64(case);

@@ -8,7 +8,7 @@
 //! `std::sync` locks out of every other crate, so this is the only place
 //! the poisoning decision is made.
 
-use std::sync::{self, PoisonError, TryLockError};
+use std::sync::{self, PoisonError};
 
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
@@ -32,15 +32,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Blocks until the lock is held.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The lock if it is free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Direct access through exclusive ownership.
@@ -102,7 +93,6 @@ mod tests {
         .join();
         assert!(died.is_err());
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.try_lock().map(|g| *g), Some(2));
         assert_eq!(*rw.read(), 2);
         *rw.write() = 3;
         assert_eq!(*rw.read(), 3);
@@ -110,14 +100,5 @@ mod tests {
         assert_eq!(*m.get_mut(), 2);
         assert_eq!(m.into_inner(), 2);
         assert_eq!(Arc::into_inner(rw).expect("sole owner").into_inner(), 3);
-    }
-
-    #[test]
-    fn try_lock_reports_a_held_lock() {
-        let m = Mutex::new(0u8);
-        let held = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(held);
-        assert!(m.try_lock().is_some());
     }
 }

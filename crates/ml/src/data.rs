@@ -51,15 +51,6 @@ impl Dataset {
         self.features.first().map_or(0, Vec::len)
     }
 
-    /// Per-class sample counts.
-    pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0; self.n_classes];
-        for &l in &self.labels {
-            counts[l] += 1;
-        }
-        counts
-    }
-
     /// Selects the subset at `indices` (cloning rows).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         Dataset {
@@ -78,21 +69,6 @@ impl Dataset {
         self.features.extend(other.features.iter().cloned());
         self.labels.extend_from_slice(&other.labels);
     }
-}
-
-/// Splits `n` samples into shuffled (train, test) index sets with
-/// `train_fraction` of samples in train. Deterministic under `seed`.
-pub fn train_test_split(n: usize, train_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    assert!(
-        (0.0..=1.0).contains(&train_fraction),
-        "fraction out of range"
-    );
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = Rng::seed_from_u64(seed);
-    rng.shuffle(&mut idx);
-    let cut = ((n as f64) * train_fraction).round() as usize;
-    let test = idx.split_off(cut.min(n));
-    (idx, test)
 }
 
 /// Stratified split: preserves per-class proportions between train and test.
@@ -170,7 +146,6 @@ mod tests {
         let d = toy();
         assert_eq!(d.len(), 4);
         assert_eq!(d.dim(), 2);
-        assert_eq!(d.class_counts(), vec![2, 2]);
         assert!(!d.is_empty());
     }
 
@@ -195,22 +170,6 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
         let _ = Dataset::new(vec![vec![1.0], vec![1.0, 2.0]], vec![0, 1], 2);
-    }
-
-    #[test]
-    fn split_partitions_and_is_deterministic() {
-        let (tr1, te1) = train_test_split(100, 0.8, 7);
-        let (tr2, te2) = train_test_split(100, 0.8, 7);
-        assert_eq!(tr1, tr2);
-        assert_eq!(te1, te2);
-        assert_eq!(tr1.len(), 80);
-        assert_eq!(te1.len(), 20);
-        let mut all: Vec<usize> = tr1.iter().chain(te1.iter()).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-        // A different seed gives a different shuffle.
-        let (tr3, _) = train_test_split(100, 0.8, 8);
-        assert_ne!(tr1, tr3);
     }
 
     #[test]

@@ -23,11 +23,6 @@ impl CvResult {
         mean(&self.fold_f1)
     }
 
-    /// Mean accuracy across folds.
-    pub fn mean_accuracy(&self) -> f64 {
-        mean(&self.fold_accuracy)
-    }
-
     /// Sample standard deviation of fold F1.
     pub fn std_f1(&self) -> f64 {
         let m = self.mean_f1();
@@ -93,19 +88,6 @@ where
     }
 }
 
-/// Trains on `train` and evaluates on `test`, returning the confusion
-/// matrix (the paper's final-score protocol after CV model selection).
-pub fn train_and_evaluate<C: Classifier>(
-    model: &mut C,
-    train: &Dataset,
-    test: &Dataset,
-) -> ConfusionMatrix {
-    assert_eq!(train.n_classes, test.n_classes, "class-count mismatch");
-    model.fit(&train.features, &train.labels, train.n_classes);
-    let preds = model.predict(&test.features);
-    ConfusionMatrix::from_predictions(&test.labels, &preds, test.n_classes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +117,7 @@ mod tests {
         let result = cross_validate(&data, 5, 42, || KnnClassifier::new(3));
         assert_eq!(result.fold_f1.len(), 5);
         assert!(result.mean_f1() > 0.9, "mean f1 {}", result.mean_f1());
-        assert!(result.mean_accuracy() > 0.9);
+        assert!(mean(&result.fold_accuracy) > 0.9);
     }
 
     #[test]
@@ -153,17 +135,5 @@ mod tests {
             fold_accuracy: vec![0.8],
         };
         assert_eq!(r.std_f1(), 0.0);
-    }
-
-    #[test]
-    fn train_and_evaluate_returns_test_confusion() {
-        let data = blob_dataset(20, 3);
-        let (train_idx, test_idx) = crate::data::train_test_split(data.len(), 0.8, 5);
-        let train = data.subset(&train_idx);
-        let test = data.subset(&test_idx);
-        let mut model = KnnClassifier::new(3);
-        let cm = train_and_evaluate(&mut model, &train, &test);
-        assert_eq!(cm.total() as usize, test.len());
-        assert!(cm.accuracy() > 0.9);
     }
 }

@@ -43,24 +43,13 @@ impl RandomForest {
         }
     }
 
-    /// Overrides the per-tree parameters (the forest still forces feature
-    /// subsampling to `sqrt(dim)` unless already set).
-    pub fn with_tree_params(mut self, params: TreeParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Trains trees on a pool of `threads` workers instead of the global
     /// pool. Each tree derives its bootstrap RNG from the forest seed and
     /// its own index, so the fitted model is identical for any count.
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-ml's determinism and tvdp-edge's chaos tests vary the pool width")
     pub fn with_pool_threads(mut self, threads: usize) -> Self {
         self.pool_threads = Some(threads);
         self
-    }
-
-    /// Number of trained trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
     }
 }
 
@@ -139,7 +128,7 @@ mod tests {
         let (x, y) = noisy_blobs(1);
         let mut rf = RandomForest::new(15, 42);
         rf.fit(&x, &y, 2);
-        assert_eq!(rf.tree_count(), 15);
+        assert_eq!(rf.trees.len(), 15);
         assert_eq!(rf.predict_one(&[0.0, 0.0, 0.0]), 0);
         assert_eq!(rf.predict_one(&[3.0, 3.0, 0.0]), 1);
     }

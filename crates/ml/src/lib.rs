@@ -11,9 +11,9 @@
 //!   in the paper's Fig. 6 plus logistic regression as an extension,
 //! * clustering: [`cluster::KMeans`] (k-means++), used to build the
 //!   SIFT-BoW visual dictionary,
-//! * preprocessing: [`scale::StandardScaler`], [`scale::L2Normalizer`],
+//! * preprocessing: [`scale::StandardScaler`],
 //! * evaluation: [`metrics::ConfusionMatrix`] (precision / recall / F1),
-//!   train/test splits and k-fold cross-validation in [`data`] and [`eval`].
+//!   stratified splits and k-fold cross-validation in [`data`] and [`eval`].
 //!
 //! Every classifier implements the [`Classifier`] trait and can report
 //! per-class decision scores, which the edge crate's crowd-based learning
@@ -36,7 +36,7 @@ pub mod tree;
 
 pub use bayes::GaussianNb;
 pub use cluster::KMeans;
-pub use data::{kfold_indices, stratified_split, train_test_split, Dataset};
+pub use data::{kfold_indices, stratified_split, Dataset};
 pub use eval::{cross_validate, cross_validate_with_pool, CvResult};
 pub use forest::RandomForest;
 pub use knn::KnnClassifier;
@@ -45,7 +45,7 @@ pub use metrics::ConfusionMatrix;
 pub use mlp::{Mlp, MlpParams};
 pub use model_io::SerializableModel;
 pub use pipeline::ScaledClassifier;
-pub use scale::{L2Normalizer, StandardScaler};
+pub use scale::StandardScaler;
 pub use svm::LinearSvm;
 pub use tree::DecisionTree;
 
@@ -136,17 +136,6 @@ pub use tvdp_kernel::dot;
 #[doc(inline)]
 pub use tvdp_kernel::l2_sq as sq_l2;
 
-/// Cosine similarity in `[-1, 1]`; zero vectors yield 0.
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let na = dot(a, a).sqrt();
-    let nb = dot(b, b).sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot(a, b) / (na * nb)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,9 +158,6 @@ mod tests {
         let b = [0.0, 1.0, 2.0];
         assert_eq!(sq_l2(&a, &b), 2.0);
         assert_eq!(dot(&a, &b), 4.0);
-        let c = cosine(&a, &a);
-        assert!((c - 1.0).abs() < 1e-6);
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
     }
 
     #[test]

@@ -64,7 +64,8 @@ impl LogisticRegression {
     }
 
     /// Class probabilities for one sample.
-    pub fn predict_proba(&self, x: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    fn predict_proba(&self, x: &[f32]) -> Vec<f32> {
         Self::softmax(&self.decision_scores(x))
     }
 }

@@ -104,11 +104,6 @@ impl ConfusionMatrix {
         (0..self.n_classes).map(|c| self.f1(c)).sum::<f64>() / self.n_classes as f64
     }
 
-    /// Micro F1 (equals accuracy for single-label multi-class problems).
-    pub fn micro_f1(&self) -> f64 {
-        self.accuracy()
-    }
-
     /// Per-class (precision, recall, f1) rows, for experiment reports.
     pub fn per_class(&self) -> Vec<(f64, f64, f64)> {
         (0..self.n_classes)
@@ -157,12 +152,6 @@ mod tests {
         assert_eq!(m.recall(2), 0.0);
         assert_eq!(m.f1(2), 0.0);
         assert!(!m.macro_f1().is_nan());
-    }
-
-    #[test]
-    fn micro_f1_equals_accuracy() {
-        let m = ConfusionMatrix::from_predictions(&[0, 1, 2, 2, 1], &[0, 2, 2, 1, 1], 3);
-        assert_eq!(m.micro_f1(), m.accuracy());
     }
 
     #[test]

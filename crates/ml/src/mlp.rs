@@ -75,11 +75,6 @@ impl Mlp {
         }
     }
 
-    /// Hidden-layer width.
-    pub fn hidden_width(&self) -> usize {
-        self.params.hidden
-    }
-
     fn forward_hidden(&self, x: &[f32], hidden: &mut [f32]) {
         for (j, (out, bias)) in hidden.iter_mut().zip(&self.b1).enumerate() {
             let mut acc = *bias;
@@ -104,7 +99,7 @@ impl Mlp {
     }
 
     /// ReLU hidden activations for a sample — the fine-tuned feature
-    /// vector of length [`Self::hidden_width`].
+    /// vector of length `params.hidden`.
     pub fn hidden_activations(&self, x: &[f32]) -> Vec<f32> {
         assert!(self.dim > 0, "classifier not fitted");
         assert_eq!(x.len(), self.dim, "dimension mismatch");

@@ -1,4 +1,4 @@
-//! Feature preprocessing: standardization and L2 normalization.
+//! Feature preprocessing: standardization.
 
 /// Per-feature standardization to zero mean / unit variance.
 ///
@@ -61,28 +61,6 @@ impl StandardScaler {
     }
 }
 
-/// Scales each row to unit Euclidean norm (zero rows are left unchanged).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct L2Normalizer;
-
-impl L2Normalizer {
-    /// Normalizes one row in place.
-    pub fn transform_row(row: &mut [f32]) {
-        tvdp_kernel::normalize(row);
-    }
-
-    /// Normalizes a copy of the dataset.
-    pub fn transform(data: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        data.iter()
-            .map(|row| {
-                let mut r = row.clone();
-                Self::transform_row(&mut r);
-                r
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,15 +84,6 @@ mod tests {
         let scaler = StandardScaler::fit(&data);
         let t = scaler.transform(&data);
         assert!(t.iter().all(|r| r[0] == 0.0));
-    }
-
-    #[test]
-    fn normalizer_scales_rows_to_unit_norm() {
-        let data = vec![vec![3.0, 4.0], vec![0.0, 0.0]];
-        let t = L2Normalizer::transform(&data);
-        let norm: f32 = t[0].iter().map(|v| v * v).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-6);
-        assert_eq!(t[1], vec![0.0, 0.0]);
     }
 
     #[test]

@@ -74,7 +74,8 @@ impl DecisionTree {
     }
 
     /// Number of decision nodes plus leaves (model complexity diagnostic).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         fn count(n: &Node) -> usize {
             match n {
                 Node::Leaf { .. } => 1,

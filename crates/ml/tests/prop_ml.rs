@@ -1,10 +1,8 @@
 //! Property-based tests of ML substrate invariants.
 
 use tvdp_kernel::rng::{for_each_case, Rng};
-use tvdp_ml::{
-    argmax, cosine, ConfusionMatrix, GaussianNb, KnnClassifier, LinearSvm, StandardScaler,
-};
-use tvdp_ml::{kfold_indices, train_test_split, Classifier};
+use tvdp_ml::{argmax, ConfusionMatrix, GaussianNb, KnnClassifier, LinearSvm, StandardScaler};
+use tvdp_ml::{kfold_indices, Classifier};
 
 const CASES: u64 = 256;
 
@@ -52,19 +50,6 @@ fn f1_between_min_and_max_of_p_r() {
 }
 
 #[test]
-fn split_partitions() {
-    for_each_case(CASES, |_, rng| {
-        let n = rng.gen_range(2usize..500);
-        let frac = rng.gen_range(0.1f64..0.9);
-        let seed = rng.gen_range(0u64..1000);
-        let (train, test) = train_test_split(n, frac, seed);
-        let mut all: Vec<usize> = train.iter().chain(test.iter()).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..n).collect::<Vec<_>>());
-    });
-}
-
-#[test]
 fn kfold_validation_sets_partition() {
     for_each_case(CASES, |_, rng| {
         let n = rng.gen_range(10usize..200);
@@ -74,21 +59,6 @@ fn kfold_validation_sets_partition() {
         let mut all: Vec<usize> = folds.iter().flat_map(|(_, v)| v.iter().copied()).collect();
         all.sort_unstable();
         assert_eq!(all, (0..n).collect::<Vec<_>>());
-    });
-}
-
-#[test]
-fn cosine_bounded() {
-    for_each_case(CASES, |_, rng| {
-        let len = rng.gen_range(1..16);
-        let a = floats(rng, len, 10.0);
-        let b: Vec<f32> = a.iter().rev().copied().collect();
-        let c = cosine(&a, &b);
-        assert!((-1.0 - 1e-5..=1.0 + 1e-5).contains(&c));
-        // Self-similarity is 1 for non-zero vectors.
-        if a.iter().any(|&v| v != 0.0) {
-            assert!((cosine(&a, &a) - 1.0).abs() < 1e-4);
-        }
     });
 }
 

@@ -239,22 +239,3 @@ impl QueryResult {
 pub(crate) fn sort_ranked(results: &mut [QueryResult]) {
     results.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.image.cmp(&b.image)));
 }
-
-/// Extracts just the ids, preserving order.
-pub fn result_ids(results: &[QueryResult]) -> Vec<ImageId> {
-    results.iter().map(|r| r.image).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn result_ids_preserve_order() {
-        let rs = vec![
-            QueryResult::new(ImageId(3), 0.1),
-            QueryResult::new(ImageId(1), 0.2),
-        ];
-        assert_eq!(result_ids(&rs), vec![ImageId(3), ImageId(1)]);
-    }
-}

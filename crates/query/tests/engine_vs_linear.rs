@@ -6,7 +6,6 @@ use std::sync::Arc;
 use tvdp_kernel::rng::{for_each_case, Rng};
 
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
-use tvdp_query::types::result_ids;
 use tvdp_query::{
     LinearExecutor, OutOfOrder, Query, QueryEngine, QueryError, QueryResult, ShardedEngine,
     SpatialQuery, TemporalField, TextualMode, VisualMode,
@@ -307,7 +306,8 @@ fn incremental_indexing_picks_up_new_images() {
             mode: TextualMode::All,
         },
     );
-    assert_eq!(result_ids(&hits), vec![id]);
+    let ids: Vec<_> = hits.iter().map(|r| r.image).collect();
+    assert_eq!(ids, vec![id]);
     // Re-indexing is idempotent.
     assert_eq!(engine.index_image(id), Ok(()));
     assert_eq!(engine.len(), before + 1);

@@ -742,7 +742,7 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotation::{Annotation, AnnotationSource};
+    use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
     use crate::ids::{AnnotationId, ClassificationId, ImageId, UserId};
     use crate::record::{ImageMeta, ImageOrigin};
     use crate::wal::pixel_blob;
@@ -1242,6 +1242,80 @@ mod tests {
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 4);
         assert_eq!(ds2.store().snapshot(), live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_region_past_its_image_is_refused_before_the_journal() {
+        let dir = temp_dir("region-bounds");
+        let (ds, _) = DurableStore::open(&dir).unwrap();
+        let cls = ds.store().peek_next_classification_id();
+        let label = |image, region| {
+            WalOp::Annotate(Annotation {
+                id: ds.store().peek_next_annotation_id(),
+                image,
+                classification: cls,
+                label: 0,
+                confidence: 1.0,
+                source: AnnotationSource::Human(UserId(1)),
+                region: Some(region),
+            })
+        };
+        let add_4x3 = |id| WalOp::AddImage {
+            id,
+            meta: meta(),
+            origin: ImageOrigin::Original,
+            pixels: Some(pixel_blob(Image::from_fn(4, 3, |_, _| [9, 9, 9]))),
+        };
+        let region = |x, y, width, height| RegionOfInterest {
+            x,
+            y,
+            width,
+            height,
+        };
+        // A region flush with the edges of an image the same batch adds.
+        let img = ds.store().peek_next_image_id();
+        ds.apply_batch(vec![
+            add_4x3(img),
+            WalOp::RegisterScheme {
+                id: cls,
+                name: "parts".into(),
+                labels: vec!["tent".into()],
+            },
+            label(img, region(0, 0, 4, 3)),
+        ])
+        .unwrap();
+
+        let wal_before = ds.wal_bytes().unwrap();
+        let live = ds.store().snapshot();
+        let next = ds.store().peek_next_image_id();
+        for bad in [
+            vec![label(img, region(usize::MAX, 0, 1, 1))],
+            vec![label(img, region(0, usize::MAX, 1, 1))],
+            vec![label(img, region(1, 0, 4, 1))],
+            vec![add_4x3(next), label(next, region(0, 1, 1, 3))],
+        ] {
+            let image = match &bad[bad.len() - 1] {
+                WalOp::Annotate(a) => a.image,
+                _ => unreachable!(),
+            };
+            match ds.apply_batch(bad) {
+                Err(DurableError::Storage(StorageError::RegionOutOfBounds {
+                    image: refused,
+                    width: 4,
+                    height: 3,
+                    ..
+                })) => assert_eq!(refused, image),
+                other => panic!("expected a region refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(ds.wal_bytes().unwrap(), wal_before, "nothing journaled");
+        assert_eq!(ds.store().snapshot(), live);
+
+        // A row stored without pixels has no bounds to check against.
+        let bare = add_image(&ds, ImageOrigin::Original, None).unwrap();
+        ds.apply_batch(vec![label(bare, region(usize::MAX, 7, 1, 1))])
+            .unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,8 +12,8 @@ use crate::ids::{AnnotationId, ClassificationId, ImageId};
 use crate::record::{ImageMeta, ImageOrigin, ImageRecord};
 use crate::wal::{pixel_blob, PixelBlob, WalOp};
 
-/// Capacity of the upload idempotency table
-/// ([`VisualStore::ingest_upload`]): at most this many marker keys are
+/// Capacity of the upload idempotency table (the markers of
+/// [`WalOp::IngestUpload`]): at most this many marker keys are
 /// remembered, and inserting past the bound evicts the oldest marker
 /// (smallest sequence number). The table bounds memory; the window
 /// bounds how stale a client retry can be and still deduplicate —
@@ -68,6 +68,17 @@ pub enum StorageError {
     /// An upload-marker table ([`WalOp::UploadMarkers`]) names an
     /// idempotency key that is already held.
     DuplicateMarker(String),
+    /// An annotation's region reaches past its image's pixel bounds.
+    RegionOutOfBounds {
+        /// The annotated image.
+        image: ImageId,
+        /// The refused region.
+        region: RegionOfInterest,
+        /// The image's width in pixels.
+        width: usize,
+        /// The image's height in pixels.
+        height: usize,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -102,6 +113,16 @@ impl std::fmt::Display for StorageError {
                 "blob for {image}: {len} bytes does not match {width}x{height}x3"
             ),
             StorageError::DuplicateMarker(key) => write!(f, "duplicate upload marker `{key}`"),
+            StorageError::RegionOutOfBounds {
+                image,
+                region,
+                width,
+                height,
+            } => write!(
+                f,
+                "region at ({}, {}) of {}x{} exceeds {image}'s {width}x{height} pixels",
+                region.x, region.y, region.width, region.height
+            ),
         }
     }
 }
@@ -113,6 +134,12 @@ impl std::error::Error for StorageError {}
 /// idempotency marker is already present is neither journaled nor
 /// applied, and the id it carried stays unused.
 pub type Replays = Vec<(ImageId, ImageId)>;
+
+/// The `(width, height)` an image row gets from its pixels, `(0, 0)`
+/// for a row stored without them.
+fn pixel_dims(pixels: &Option<PixelBlob>) -> (usize, usize) {
+    pixels.as_ref().map_or((0, 0), |(w, h, _)| (*w, *h))
+}
 
 fn blob_shape_ok(width: usize, height: usize, len: usize) -> bool {
     width > 0 && height > 0 && len == width.saturating_mul(height).saturating_mul(3)
@@ -323,16 +350,18 @@ impl Tables {
     /// is already stored (or appeared earlier in the batch) are removed
     /// from `ops` and returned as [`Replays`].
     fn validate_batch(&self, ops: &mut Vec<WalOp>) -> Result<Replays, StorageError> {
-        let mut new_images: BTreeSet<ImageId> = BTreeSet::new();
+        // Images this batch adds, with their pixel `(width, height)`.
+        let mut new_images: BTreeMap<ImageId, (usize, usize)> = BTreeMap::new();
         let mut new_schemes: BTreeMap<ClassificationId, usize> = BTreeMap::new();
         let mut new_scheme_names: BTreeSet<&str> = BTreeSet::new();
         let mut new_annotations: BTreeSet<AnnotationId> = BTreeSet::new();
         let mut new_markers: BTreeMap<&str, ImageId> = BTreeMap::new();
         let mut replays = Replays::new();
         let mut skipped: Vec<usize> = Vec::new();
-        let image_known =
-            |new: &BTreeSet<ImageId>, id: ImageId| new.contains(&id) || self.row(id).is_some();
-        let check_new_image = |new: &BTreeSet<ImageId>,
+        let image_known = |new: &BTreeMap<ImageId, (usize, usize)>, id: ImageId| {
+            new.contains_key(&id) || self.row(id).is_some()
+        };
+        let check_new_image = |new: &BTreeMap<ImageId, (usize, usize)>,
                                id: ImageId,
                                origin: &ImageOrigin,
                                pixels: &Option<PixelBlob>| {
@@ -365,7 +394,7 @@ impl Tables {
                     id, origin, pixels, ..
                 } => {
                     check_new_image(&new_images, *id, origin, pixels)?;
-                    new_images.insert(*id);
+                    new_images.insert(*id, pixel_dims(pixels));
                 }
                 WalOp::PutFeature { image, .. } => {
                     if !image_known(&new_images, *image) {
@@ -394,8 +423,27 @@ impl Tables {
                     if !confidence_ok(a.confidence) {
                         return Err(StorageError::BadConfidence(a.confidence));
                     }
-                    if !image_known(&new_images, a.image) {
+                    let Some((width, height)) = new_images
+                        .get(&a.image)
+                        .copied()
+                        .or_else(|| self.row(a.image).map(|r| (r.record.width, r.record.height)))
+                    else {
                         return Err(StorageError::UnknownImage(a.image));
+                    };
+                    // An image stored without pixels (width 0) takes any
+                    // region.
+                    let within = |at: usize, len: usize, bound: usize| {
+                        at.checked_add(len).is_some_and(|end| end <= bound)
+                    };
+                    if let Some(region) = a.region.filter(|r| {
+                        width > 0 && !(within(r.x, r.width, width) && within(r.y, r.height, height))
+                    }) {
+                        return Err(StorageError::RegionOutOfBounds {
+                            image: a.image,
+                            region,
+                            width,
+                            height,
+                        });
                     }
                     let vocabulary = new_schemes
                         .get(&a.classification)
@@ -436,7 +484,7 @@ impl Tables {
                         continue;
                     }
                     check_new_image(&new_images, *id, origin, pixels)?;
-                    new_images.insert(*id);
+                    new_images.insert(*id, pixel_dims(pixels));
                     if let Some(marker) = marker {
                         new_markers.insert(marker.as_str(), *id);
                     }
@@ -543,7 +591,7 @@ impl Tables {
         pixels: Option<PixelBlob>,
     ) {
         self.next_image = self.next_image.max(id.0.saturating_add(1));
-        let (width, height) = pixels.as_ref().map_or((0, 0), |(w, h, _)| (*w, *h));
+        let (width, height) = pixel_dims(&pixels);
         let row = Row {
             record: ImageRecord::new(id, meta, origin, width, height),
             features: [None; 3],
@@ -680,8 +728,10 @@ impl VisualStore {
     /// image's id comes back with `replayed = true` and nothing is
     /// written, so a client retrying a partially acknowledged upload
     /// can never duplicate rows. Markers beyond
-    /// [`UPLOAD_MARKER_CAPACITY`] evict oldest-first.
-    pub fn ingest_upload(
+    /// [`UPLOAD_MARKER_CAPACITY`] evict oldest-first. (What `Tvdp`
+    /// commits as one `WalOp::IngestUpload`; the unit tests' shorthand.)
+    #[cfg(test)]
+    pub(crate) fn ingest_upload(
         &self,
         marker: &str,
         meta: ImageMeta,
@@ -710,11 +760,6 @@ impl VisualStore {
     /// key produced, if the marker is still within the bounded window.
     pub fn upload_marker(&self, key: &str) -> Option<ImageId> {
         self.inner.read().upload_markers.get(key).map(|(id, _)| *id)
-    }
-
-    /// Number of live upload markers (≤ [`UPLOAD_MARKER_CAPACITY`]).
-    pub fn upload_marker_count(&self) -> usize {
-        self.inner.read().upload_markers.len()
     }
 
     /// The image row, if present.
@@ -772,20 +817,6 @@ impl VisualStore {
                 }
             }
         }
-    }
-
-    /// Ids of images derived from `parent` by augmentation.
-    pub fn augmented_children(&self, parent: ImageId) -> Vec<ImageId> {
-        self.inner
-            .read()
-            .rows
-            .iter()
-            .map(|r| &r.record)
-            .filter(
-                |r| matches!(&r.origin, ImageOrigin::Augmented { parent: p, .. } if *p == parent),
-            )
-            .map(|r| r.id)
-            .collect()
     }
 
     /// Stores (or replaces) a feature vector for an image. The bytes
@@ -862,16 +893,6 @@ impl VisualStore {
         views.insert(key, Arc::clone(&fresh));
         self.views.store(Arc::new(views));
         fresh
-    }
-
-    /// Number of arena rows in the `(kind, dim)` slab (monotonic; used
-    /// to detect stale views cheaply).
-    pub fn slab_rows(&self, kind: FeatureKind, dim: usize) -> usize {
-        self.inner
-            .read()
-            .slabs
-            .get(&(kind, dim as u32))
-            .map_or(0, RowSource::rows)
     }
 
     /// Runs `f` over one image's record and, when the image holds a
@@ -1158,7 +1179,8 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert_eq!(store.augmented_children(parent), vec![child]);
+        let origin = store.image(child).unwrap().origin;
+        assert!(matches!(origin, ImageOrigin::Augmented { parent: p, .. } if p == parent));
     }
 
     #[test]
@@ -1220,13 +1242,16 @@ mod tests {
         assert_eq!(ha2.row, 2);
         assert_eq!(store.feature(a, FeatureKind::Cnn).unwrap(), vec![9.0, 9.0]);
         assert_eq!(view.row(ha.row), &[1.0, 2.0]);
-        assert_eq!(store.slab_rows(FeatureKind::Cnn, 2), 3);
+        assert_eq!(store.inner.read().slabs[&(FeatureKind::Cnn, 2)].rows(), 3);
 
         // Different dims of the same kind live in separate slabs.
         store
             .put_feature(b, FeatureKind::SiftBow, vec![7.0; 5])
             .unwrap();
-        assert_eq!(store.slab_rows(FeatureKind::SiftBow, 5), 1);
+        assert_eq!(
+            store.inner.read().slabs[&(FeatureKind::SiftBow, 5)].rows(),
+            1
+        );
         let sift_row = |id| {
             store.with_image_row(id, FeatureKind::SiftBow, |record, row| {
                 assert_eq!(record.id, id);
@@ -1631,7 +1656,7 @@ mod tests {
         assert!(replayed);
         assert_eq!(again, id);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.upload_marker_count(), 1);
+        assert_eq!(store.inner.read().upload_markers.len(), 1);
 
         // A different marker is a fresh upload.
         let (other, replayed) = store
@@ -1667,7 +1692,10 @@ mod tests {
                 .ingest_upload(&format!("m{i}"), meta(), ImageOrigin::Original, None, &[])
                 .unwrap();
         }
-        assert_eq!(store.upload_marker_count(), UPLOAD_MARKER_CAPACITY);
+        assert_eq!(
+            store.inner.read().upload_markers.len(),
+            UPLOAD_MARKER_CAPACITY
+        );
         assert!(
             store.upload_marker("m0").is_none(),
             "oldest marker evicted first"

@@ -111,15 +111,6 @@ impl Augmentation {
     }
 }
 
-/// Applies a sequence of augmentations left-to-right.
-pub fn apply_pipeline(img: &Image, ops: &[Augmentation]) -> Image {
-    let mut out = img.clone();
-    for op in ops {
-        out = op.apply(&out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,15 +193,6 @@ mod tests {
         let b = op.apply(&img);
         assert_eq!(a, b);
         assert_ne!(a, img);
-    }
-
-    #[test]
-    fn pipeline_applies_in_order() {
-        let img = sample();
-        let ops = [Augmentation::Rotate90, Augmentation::FlipHorizontal];
-        let p = apply_pipeline(&img, &ops);
-        let manual = Augmentation::FlipHorizontal.apply(&Augmentation::Rotate90.apply(&img));
-        assert_eq!(p, manual);
     }
 
     #[test]

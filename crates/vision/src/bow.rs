@@ -47,27 +47,9 @@ impl BowEncoder {
         Self { dictionary, sift }
     }
 
-    /// Builds an encoder from pre-extracted descriptors (used when the
-    /// platform has stored descriptors and wants to avoid re-detection).
-    pub fn from_descriptors(
-        descriptors: &[Vec<f32>],
-        sift: SiftExtractor,
-        vocabulary_size: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(descriptors.len() >= vocabulary_size, "too few descriptors");
-        let dictionary = KMeans::fit(descriptors, vocabulary_size, 25, seed);
-        Self { dictionary, sift }
-    }
-
     /// Vocabulary size.
     pub fn vocabulary_size(&self) -> usize {
         self.dictionary.k()
-    }
-
-    /// Quantizes one descriptor to its visual-word index.
-    pub fn quantize(&self, descriptor: &[f32]) -> usize {
-        self.dictionary.assign(descriptor)
     }
 }
 
@@ -141,15 +123,6 @@ mod tests {
         let flat = Image::from_fn(48, 48, |_, _| [90, 90, 90]);
         let h = enc.extract(&flat);
         assert!(h.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn quantize_in_vocab_range() {
-        let enc = trained_encoder();
-        let pairs = SiftExtractor::new().detect_and_describe(&textured(1));
-        for (_, d) in pairs {
-            assert!(enc.quantize(&d) < 8);
-        }
     }
 
     #[test]

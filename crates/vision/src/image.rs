@@ -158,6 +158,7 @@ impl Image {
     }
 
     /// Mean per-channel value, useful for exposure statistics.
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-datagen's scene and corpus tests compare class colours through it")
     pub fn mean_rgb(&self) -> [f32; 3] {
         let mut acc = [0.0f64; 3];
         for px in self.data.chunks_exact(3) {

@@ -57,9 +57,6 @@ pub struct SiftExtractor {
     config: SiftConfig,
 }
 
-/// Dimensionality of a single SIFT descriptor (4×4 cells × 8 bins).
-pub const DESCRIPTOR_DIM: usize = 128;
-
 impl SiftExtractor {
     /// Extractor with default configuration.
     pub fn new() -> Self {
@@ -73,20 +70,6 @@ impl SiftExtractor {
         assert!(config.levels >= 3, "need at least 3 levels for DoG extrema");
         assert!(config.sigma_step > 1.0, "sigma step must exceed 1");
         Self { config }
-    }
-
-    /// Detects keypoints in an image.
-    pub fn detect(&self, image: &Image) -> Vec<Keypoint> {
-        let gray = GrayImage::new(image.width(), image.height(), image.to_gray());
-        let (stack, dogs) = self.build_scale_space(&gray);
-        let mut kps = self.find_extrema(&dogs);
-        // Orientation from the blur level nearest each keypoint's scale.
-        for kp in &mut kps {
-            kp.orientation = Self::dominant_orientation(&stack[kp.scale + 1], kp.x, kp.y);
-        }
-        kps.sort_by(|a, b| b.response.total_cmp(&a.response));
-        kps.truncate(self.config.max_keypoints);
-        kps
     }
 
     /// Detects keypoints and computes their 128-d descriptors.
@@ -275,6 +258,13 @@ mod tests {
         })
     }
 
+    impl SiftExtractor {
+        fn detect(&self, image: &Image) -> Vec<Keypoint> {
+            let pairs = self.detect_and_describe(image);
+            pairs.into_iter().map(|(kp, _)| kp).collect()
+        }
+    }
+
     #[test]
     fn flat_image_has_no_keypoints() {
         let img = Image::from_fn(48, 48, |_, _| [128, 128, 128]);
@@ -301,7 +291,7 @@ mod tests {
         let pairs = SiftExtractor::new().detect_and_describe(&blob_image());
         assert!(!pairs.is_empty());
         for (_, d) in &pairs {
-            assert_eq!(d.len(), DESCRIPTOR_DIM);
+            assert_eq!(d.len(), 128, "4x4 cells x 8 bins");
             let norm: f32 = d.iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((norm - 1.0).abs() < 1e-3, "norm {norm}");
             assert!(d.iter().all(|&v| v >= 0.0));

@@ -7,12 +7,16 @@
 //! (L2, L3, L5, L7), and independent of ambient time/randomness (L4),
 //! with every explicit atomic ordering carrying a reviewed
 //! justification (L6) — and buildable offline from a bare checkout:
-//! every manifest may depend on workspace path crates only (L0).
+//! every manifest may depend on workspace path crates only (L0). In
+//! workspace mode a public item that no shipped code names is a finding
+//! too (L8, [`dead_api`]); the `allow(dead_api, ..)` comments are the
+//! inventory of those kept on purpose.
 //!
 //! Run as `cargo xtask lint` (whole workspace) or
 //! `cargo xtask lint <file>...` (specific files, strict policy). Add
 //! `--format json` for machine-readable output (CI annotations).
 
+pub mod dead_api;
 pub mod rules;
 pub mod source;
 pub mod walk;

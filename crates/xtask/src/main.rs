@@ -15,7 +15,8 @@ fn usage() -> ExitCode {
          manifest (no args) or the given files: L1 no-panic, L2\n\
          determinism, L3 pool-only threading, L4 no ambient\n\
          time/randomness, L5 lock discipline, L6 reviewed atomic\n\
-         orderings, L7 canonical float reductions, and (Cargo.toml)\n\
+         orderings, L7 canonical float reductions, (no args) L8 no\n\
+         public item that shipped code never names, and (Cargo.toml)\n\
          L0 path-crate dependencies only."
     );
     ExitCode::from(2)

@@ -1,4 +1,4 @@
-//! The seven TVDP invariant rules, plus the manifest check.
+//! The TVDP invariant rules, plus the manifest check.
 //!
 //! | id  | rule                  | what it forbids (outside `#[cfg(test)]`)        |
 //! |-----|-----------------------|--------------------------------------------------|
@@ -9,6 +9,7 @@
 //! | L5  | `lock_discipline`     | lock guards held across a pool dispatch, and nested lock acquisition while a guard is live |
 //! | L6  | `atomic_ordering`     | any explicit `Ordering::{Relaxed,..,SeqCst}` without a reviewed allow annotation |
 //! | L7  | `float_reduction`     | ad-hoc `f32`/`f64` `sum`/`fold`/`+=` reductions outside the kernel's canonical reduce paths |
+//! | L8  | `dead_api`            | (workspace mode, [`crate::dead_api`]) a `pub` item in `crates/*/src` that no shipped code names |
 //! | L0  | `registry_dependency` | (manifests) any dependency that is not a `tvdp-*`/`xtask` path crate |
 //!
 //! Every rule is suppressible per line with
@@ -36,6 +37,8 @@ pub enum Rule {
     AtomicOrdering,
     /// L7: ad-hoc floating-point reductions (order-sensitive rounding).
     FloatReduction,
+    /// L8: a public item that no shipped code names.
+    DeadApi,
     /// Malformed or unused `tvdp-lint:` escape-hatch comment.
     BadAllow,
     /// A manifest names a dependency that is not a workspace path crate.
@@ -43,7 +46,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Short id shown in reports (`L1`..`L7`).
+    /// Short id shown in reports (`L0`..`L8`).
     pub fn id(self) -> &'static str {
         match self {
             Rule::NoPanic => "L1",
@@ -53,6 +56,7 @@ impl Rule {
             Rule::LockDiscipline => "L5",
             Rule::AtomicOrdering => "L6",
             Rule::FloatReduction => "L7",
+            Rule::DeadApi => "L8",
             Rule::BadAllow | Rule::RegistryDependency => "L0",
         }
     }
@@ -67,6 +71,7 @@ impl Rule {
             Rule::LockDiscipline => "lock_discipline",
             Rule::AtomicOrdering => "atomic_ordering",
             Rule::FloatReduction => "float_reduction",
+            Rule::DeadApi => "dead_api",
             Rule::BadAllow => "bad_allow",
             Rule::RegistryDependency => "registry_dependency",
         }
@@ -167,11 +172,16 @@ fn prev_non_ws(bytes: &[u8], i: usize) -> Option<u8> {
 /// Runs every applicable rule over one parsed file, returning findings
 /// that are not in test code and not suppressed by an allow comment.
 ///
+/// `dead_api` carries the file's L8 findings when the caller ran the
+/// workspace-wide pass, and is `None` when it did not (file mode).
+///
 /// Allow comments are audited in the same pass: an allow that no raw
 /// finding consumed is dead weight that would silently mask a future
-/// regression at that line, so it is reported as an L0 finding.
-pub fn check(model: &SourceModel, policy: Policy) -> Vec<Finding> {
-    let mut raw = Vec::new();
+/// regression at that line, so it is reported as an L0 finding. L8
+/// allows are audited only when L8 ran.
+pub fn check(model: &SourceModel, policy: Policy, dead_api: Option<Vec<Finding>>) -> Vec<Finding> {
+    let audit_dead_api = dead_api.is_some();
+    let mut raw = dead_api.unwrap_or_default();
     no_panic(model, &mut raw);
     determinism(model, &mut raw);
     if policy.check_threading {
@@ -215,6 +225,9 @@ pub fn check(model: &SourceModel, policy: Policy) -> Vec<Finding> {
             continue;
         }
         for a in allows {
+            if a.rule == Rule::DeadApi.name() && !audit_dead_api {
+                continue;
+            }
             let consumed = used_allows
                 .iter()
                 .any(|(l, rule)| l == line && *rule == a.rule);
@@ -976,7 +989,7 @@ mod tests {
     use crate::source::SourceModel;
 
     fn findings(src: &str) -> Vec<Finding> {
-        check(&SourceModel::parse(src), Policy::strict())
+        check(&SourceModel::parse(src), Policy::strict(), None)
     }
 
     #[test]
@@ -1054,7 +1067,7 @@ mod tests {
             check_threading: false,
             ..Policy::strict()
         };
-        assert!(check(&SourceModel::parse(src), kernel).is_empty());
+        assert!(check(&SourceModel::parse(src), kernel, None).is_empty());
     }
 
     #[test]
@@ -1073,7 +1086,7 @@ mod tests {
             ..Policy::strict()
         };
         let src = "use std::sync::{Arc, RwLock};\nfn f() { let l = RwLock::new(0); }\n";
-        assert!(check(&SourceModel::parse(src), kernel).is_empty());
+        assert!(check(&SourceModel::parse(src), kernel, None).is_empty());
     }
 
     #[test]

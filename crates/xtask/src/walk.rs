@@ -3,6 +3,7 @@
 //! Workspace mode walks `crates/*/src/**/*.rs` plus the umbrella crate's
 //! `src/`, then the root and `crates/*` manifests (L0: path crates
 //! only), in sorted order (the linter obeys its own determinism rule).
+//! L8 reads `examples/**` too, as callers only.
 //! Policy for sources is derived from the path:
 //!
 //! * `crates/kernel` — owns the thread pool, so L3 is off there; it is
@@ -20,6 +21,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::dead_api::dead_api;
 use crate::rules::{check, check_manifest, Finding, Policy};
 use crate::source::SourceModel;
 
@@ -76,15 +78,21 @@ pub struct FileFinding {
 }
 
 /// Lints one file: a `.toml` manifest under the L0 dependency check,
-/// anything else as Rust source under an explicit policy.
+/// anything else as Rust source under an explicit policy. L8 needs the
+/// whole workspace and does not run here.
 pub fn lint_file(root: &Path, rel_path: &str, policy: Policy) -> io::Result<Vec<FileFinding>> {
     let text = fs::read_to_string(root.join(rel_path))?;
     let findings = if rel_path.ends_with(".toml") {
         check_manifest(&text)
     } else {
-        check(&SourceModel::parse(&text), policy)
+        check(&SourceModel::parse(&text), policy, None)
     };
-    Ok(findings
+    Ok(bind(rel_path, &text, findings))
+}
+
+/// Attaches the path and the offending line's text to each finding.
+fn bind(rel_path: &str, text: &str, findings: Vec<Finding>) -> Vec<FileFinding> {
+    findings
         .into_iter()
         .map(|finding| FileFinding {
             path: rel_path.to_string(),
@@ -96,7 +104,7 @@ pub fn lint_file(root: &Path, rel_path: &str, policy: Policy) -> io::Result<Vec<
                 .to_string(),
             finding,
         })
-        .collect())
+        .collect()
 }
 
 /// The root manifest and every `crates/*/Cargo.toml`, sorted.
@@ -127,13 +135,29 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
     for dir in crate_dirs {
         let src = dir.join("src");
         if src.is_dir() {
-            collect_rs(&src, &mut files)?;
+            collect_rs(&src, &[], &mut files)?;
         }
     }
     let umbrella = root.join("src");
     if umbrella.is_dir() {
-        collect_rs(&umbrella, &mut files)?;
+        collect_rs(&umbrella, &[], &mut files)?;
     }
+    Ok(relative(root, files))
+}
+
+/// The sources under `examples/`, sorted, build output aside: read by
+/// L8 for callers, never linted themselves.
+pub fn example_sources(root: &Path) -> io::Result<Vec<String>> {
+    let examples = root.join("examples");
+    let mut files = Vec::new();
+    if examples.is_dir() {
+        collect_rs(&examples, &[examples.join("e2e/target")], &mut files)?;
+    }
+    Ok(relative(root, files))
+}
+
+/// Workspace-relative, `/`-separated, sorted.
+fn relative(root: &Path, files: Vec<PathBuf>) -> Vec<String> {
     let mut rel: Vec<String> = files
         .iter()
         .filter_map(|p| {
@@ -143,17 +167,19 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
         })
         .collect();
     rel.sort();
-    Ok(rel)
+    rel
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs(dir: &Path, skip: &[PathBuf], out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            collect_rs(&path, out)?;
+            if !skip.contains(&path) {
+                collect_rs(&path, skip, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -161,13 +187,22 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lints the whole workspace rooted at `root`.
+/// Lints the whole workspace rooted at `root`: every rule over every
+/// library source (L8 across them and the examples), then the manifests.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<FileFinding>> {
+    let sources = workspace_sources(root)?;
+    let mut files = Vec::new();
+    for rel in sources.iter().chain(&example_sources(root)?) {
+        let text = fs::read_to_string(root.join(rel))?;
+        files.push((rel.clone(), SourceModel::parse(&text)));
+    }
+    let dead = dead_api(&files);
     let mut findings = Vec::new();
-    for rel in workspace_sources(root)?
-        .into_iter()
-        .chain(workspace_manifests(root)?)
-    {
+    for ((rel, model), dead) in files.iter().zip(dead).take(sources.len()) {
+        let found = check(model, policy_for(rel), Some(dead));
+        findings.extend(bind(rel, &model.raw, found));
+    }
+    for rel in workspace_manifests(root)? {
         findings.extend(lint_file(root, &rel, policy_for(&rel))?);
     }
     Ok(findings)

@@ -97,7 +97,8 @@ fn learning_loop_runs_on_dispatched_fleet() {
         },
         LinearSvm::new,
     );
-    assert!(report.final_f1() >= report.initial_f1() - 0.02);
+    let (initial, last) = (&report.rounds[0], &report.rounds[report.rounds.len() - 1]);
+    assert!(last.test_f1 >= initial.test_f1 - 0.02);
     assert!(report.bandwidth_saving > 0.99);
     // Each edge shipped at most its budget each round.
     for r in &report.rounds[1..] {

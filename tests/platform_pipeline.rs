@@ -8,6 +8,7 @@ use tvdp::platform::platform::{Algorithm, IngestRequest};
 use tvdp::platform::{count_by_cell, PlatformConfig, Role, Tvdp};
 use tvdp::query::engine::EngineConfig;
 use tvdp::query::{Query, QueryEngine, SpatialQuery, TextualMode};
+use tvdp::storage::ImageOrigin;
 use tvdp::vision::{CnnConfig, FeatureKind};
 
 fn fast_config() -> PlatformConfig {
@@ -254,7 +255,19 @@ fn augmentation_expands_training_data_with_lineage() {
         .iter()
         .map(|op| tvdp.augment(user, parent, *op).unwrap())
         .collect();
-    assert_eq!(tvdp.store().augmented_children(parent).len(), 4);
+    let store = tvdp.store();
+    let lineage = |id| {
+        let origin = store.image(id).map(|r| r.origin);
+        matches!(origin, Some(ImageOrigin::Augmented { parent: p, .. }) if p == parent)
+    };
+    assert_eq!(
+        store
+            .image_ids()
+            .into_iter()
+            .filter(|&id| lineage(id))
+            .count(),
+        4
+    );
     for &child in &children {
         let rec = tvdp.store().image(child).unwrap();
         assert!(rec.is_augmented());
