@@ -81,13 +81,42 @@ impl GeoPoint {
     /// The point reached by travelling `distance_m` metres along compass
     /// bearing `bearing_deg` (degrees clockwise from north).
     pub fn destination(&self, bearing_deg: f64, distance_m: f64) -> GeoPoint {
-        let brg = bearing_deg.to_radians();
+        self.destinations(distance_m).toward(bearing_deg)
+    }
+
+    /// [`GeoPoint::destination`] at `distance_m` for many bearings: the
+    /// trigonometry of the start point and the distance is done here,
+    /// once, and [`Destinations::toward`] does only the bearing's.
+    pub(crate) fn destinations(&self, distance_m: f64) -> Destinations {
         let lat1 = self.lat.to_radians();
-        let lon1 = self.lon.to_radians();
         let d = distance_m / EARTH_RADIUS_M;
-        let lat2 = (lat1.sin() * d.cos() + lat1.cos() * d.sin() * brg.cos()).asin();
-        let lon2 =
-            lon1 + (brg.sin() * d.sin() * lat1.cos()).atan2(d.cos() - lat1.sin() * lat2.sin());
+        Destinations {
+            lat1_sin: lat1.sin(),
+            lat1_cos: lat1.cos(),
+            lon1: self.lon.to_radians(),
+            d_sin: d.sin(),
+            d_cos: d.cos(),
+        }
+    }
+}
+
+/// The points a fixed distance away from one start point, by bearing
+/// (see [`GeoPoint::destinations`]).
+pub(crate) struct Destinations {
+    lat1_sin: f64,
+    lat1_cos: f64,
+    lon1: f64,
+    d_sin: f64,
+    d_cos: f64,
+}
+
+impl Destinations {
+    /// The point reached along compass bearing `bearing_deg`.
+    pub(crate) fn toward(&self, bearing_deg: f64) -> GeoPoint {
+        let (brg_sin, brg_cos) = bearing_deg.to_radians().sin_cos();
+        let lat2 = (self.lat1_sin * self.d_cos + self.lat1_cos * self.d_sin * brg_cos).asin();
+        let lon2 = self.lon1
+            + (brg_sin * self.d_sin * self.lat1_cos).atan2(self.d_cos - self.lat1_sin * lat2.sin());
         let lon_deg = lon2.to_degrees();
         // Re-wrap longitude into [-180, 180].
         let lon_deg = if lon_deg > 180.0 {

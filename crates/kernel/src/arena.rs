@@ -22,8 +22,10 @@
 //! Rows are write-once: replacing a feature appends a new row and
 //! repoints the handle, which is what makes lock-free snapshot reads
 //! safe without any `unsafe` code. The arena is always resident: a
-//! frozen chunk is a plain `Arc<[f32]>`, so a row is one index and one
-//! slice away from its floats.
+//! chunk's floats are written once, into a buffer allocated at its full
+//! size when its first row arrives, and frozen by moving that buffer
+//! into an `Arc<Vec<f32>>`, so no float is copied after its push and a
+//! row is one index and one slice away from its floats.
 
 use std::sync::{Arc, OnceLock};
 
@@ -54,8 +56,10 @@ pub struct FeatureSlab {
     dim: usize,
     /// Full chunks, each exactly `ROWS_PER_CHUNK * dim` floats, frozen
     /// (never written again) and shared with snapshots by `Arc`.
-    frozen: Vec<Arc<[f32]>>,
-    /// The chunk currently being filled (< `ROWS_PER_CHUNK` rows).
+    frozen: Vec<Arc<Vec<f32>>>,
+    /// The chunk currently being filled (< `ROWS_PER_CHUNK` rows), with
+    /// room for all of them from its first row on: it never regrows,
+    /// and the floats of rows not yet pushed are never touched.
     tail: Vec<f32>,
     len: usize,
 }
@@ -88,12 +92,17 @@ impl FeatureSlab {
     /// Panics when `v.len() != self.dim()`.
     pub fn push(&mut self, v: &[f32]) -> u32 {
         assert_eq!(v.len(), self.dim, "row dimension mismatch");
+        if self.tail.capacity() == 0 {
+            self.tail.reserve_exact(ROWS_PER_CHUNK * self.dim);
+        }
         self.tail.extend_from_slice(v);
         let row = self.len as u32;
         self.len += 1;
         if self.tail.len() == ROWS_PER_CHUNK * self.dim {
+            // Frozen by move: the chunk's floats stay where they were
+            // pushed.
             let full = std::mem::take(&mut self.tail);
-            self.frozen.push(Arc::from(full));
+            self.frozen.push(Arc::new(full));
         }
         row
     }
@@ -105,7 +114,7 @@ impl FeatureSlab {
     pub fn view(&self) -> SlabView {
         let mut chunks = self.frozen.clone();
         if !self.tail.is_empty() {
-            chunks.push(Arc::from(self.tail.clone()));
+            chunks.push(Arc::new(self.tail.clone()));
         }
         SlabView {
             dim: self.dim,
@@ -132,7 +141,7 @@ impl FeatureSlab {
         } else {
             let start = (r - self.frozen.len() * ROWS_PER_CHUNK) * self.dim;
             RowRef {
-                chunk: Arc::from(&self.tail[start..start + self.dim]),
+                chunk: Arc::new(self.tail[start..start + self.dim].to_vec()),
                 start: 0,
                 len: self.dim,
             }
@@ -170,7 +179,7 @@ pub struct SlabView {
     dim: usize,
     len: usize,
     /// Every chunk except the last holds exactly `ROWS_PER_CHUNK` rows.
-    chunks: Vec<Arc<[f32]>>,
+    chunks: Vec<Arc<Vec<f32>>>,
     /// One cell per full chunk (never the partial tail), filled with
     /// the chunk's scalar-quantized codes ([`crate::quant`]) the first
     /// time [`SlabView::quant_row`] asks for a row of it. A view nobody
@@ -243,7 +252,7 @@ impl RowSource for SlabView {
 /// An owned, clonable reference to a single arena row.
 #[derive(Debug, Clone)]
 pub struct RowRef {
-    chunk: Arc<[f32]>,
+    chunk: Arc<Vec<f32>>,
     start: usize,
     len: usize,
 }
@@ -253,7 +262,7 @@ impl RowRef {
     /// feature vectors, which have no slab).
     pub fn empty() -> Self {
         Self {
-            chunk: Arc::from(Vec::new()),
+            chunk: Arc::new(Vec::new()),
             start: 0,
             len: 0,
         }

@@ -14,9 +14,11 @@
 //!   rotated past it and crashed before publishing its base.
 //!
 //! [`DurableStore::open`] is open-or-recover, and one scanner
-//! ([`crate::wal::scan`]) feeding one validator
-//! ([`VisualStore::apply_batch`]) record by record: the base (if any),
-//! then every live segment in ascending epoch order. The base and the
+//! ([`crate::wal::scan`], which streams a segment through a bounded
+//! window and checks each record's checksum as it reaches it) feeding the
+//! store's one validator record by record, each record checked against
+//! the state the records before it left: the base (if any), then every
+//! live segment in ascending epoch order. The base and the
 //! sealed segments must be intact; only the highest journal segment —
 //! the one a crash could have torn mid-append — gets its torn tail
 //! truncated, or its header stamped if the crash came before even that.
@@ -44,6 +46,7 @@
 //! whose surviving segments replay to exactly the acknowledged state —
 //! ops are never replayed twice and never lost.
 
+use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -370,23 +373,27 @@ struct Replayed {
     ops: usize,
     /// Offset just past the last intact record.
     valid_len: usize,
+    /// Bytes of the file past `valid_len`.
+    torn: u64,
     /// Whether the last record was the marker table that ends a base.
     closed: bool,
 }
 
-/// Applies the records of one segment's `bytes` to `store`, one at a
-/// time and in order — the marker table evicts as it fills, so only the
-/// state *at* a record says whether its marker is still held — each
-/// through the store's validator. A refused record is a
-/// [`DurableError::Replay`] naming the segment and the record; so is a
-/// marker table outside a `base` segment, and anything after one.
+/// Applies the records of the segment at `path`, streamed from the
+/// file, to `store`, one at a time and in order — the marker table
+/// evicts as it fills, so only the state *at* a record says whether its
+/// marker is still held — each through the store's validator. A refused
+/// record is a [`DurableError::Replay`] naming the segment and the
+/// record; so is a marker table outside a `base` segment, and anything
+/// after one.
 fn replay_segment(
-    store: &VisualStore,
+    store: &mut VisualStore,
     path: &Path,
-    bytes: &[u8],
     base: bool,
 ) -> Result<Replayed, DurableError> {
-    let mut scan = wal::scan(path, bytes)?;
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut scan = wal::scan(path, file)?;
     let mut ops = 0usize;
     let mut closed = false;
     for op in &mut scan {
@@ -408,12 +415,9 @@ fn replay_segment(
             }
             closed = true;
         }
-        let replays = store
-            .apply_batch(vec![op])
-            .map_err(|e| refused(e.to_string()))?;
         // A replayed upload is never journaled, so a marker the store
         // still holds means the segment disagrees with itself.
-        if let Some((_, stored)) = replays.first() {
+        if let Some((_, stored)) = store.replay(op).map_err(|e| refused(e.to_string()))? {
             return Err(refused(format!(
                 "upload marker of {stored} journaled twice"
             )));
@@ -423,6 +427,7 @@ fn replay_segment(
     Ok(Replayed {
         ops,
         valid_len: scan.valid_len(),
+        torn: len.saturating_sub(scan.valid_len() as u64),
         closed,
     })
 }
@@ -433,17 +438,17 @@ fn replay_segment(
 /// header first, so a missing header, a torn tail or a base without its
 /// closing marker table is corruption, not an interrupted append, and
 /// is refused rather than repaired.
-fn replay_sealed(store: &VisualStore, path: &Path, base: bool) -> Result<usize, DurableError> {
-    let bytes = std::fs::read(path)?;
-    let replayed = replay_segment(store, path, &bytes, base)?;
+fn replay_sealed(store: &mut VisualStore, path: &Path, base: bool) -> Result<usize, DurableError> {
+    let replayed = replay_segment(store, path, base)?;
     if replayed.valid_len == 0 {
-        return Err(wal::unsupported(path, &bytes).into());
+        // The file is a strict prefix of the header: a few bytes.
+        return Err(wal::unsupported(path, &std::fs::read(path)?).into());
     }
-    let torn = bytes.len() - replayed.valid_len;
-    if torn > 0 {
+    if replayed.torn > 0 {
         return Err(DurableError::Replay(format!(
-            "sealed segment {} has {torn} torn byte(s)",
-            path.display()
+            "sealed segment {} has {} torn byte(s)",
+            path.display(),
+            replayed.torn
         )));
     }
     if base && !replayed.closed {
@@ -519,9 +524,9 @@ impl DurableStore {
 
         // The base first, and the sweep only once it has replayed whole:
         // a base that is refused leaves what it superseded in place.
-        let store = VisualStore::new();
+        let mut store = VisualStore::new();
         if let Some(epoch) = base_epoch {
-            replay_sealed(&store, &base_path(dir, epoch), true)?;
+            replay_sealed(&mut store, &base_path(dir, epoch), true)?;
         }
         let base_epoch = base_epoch.unwrap_or(0);
         debris.sort();
@@ -537,15 +542,14 @@ impl DurableStore {
         };
         let mut replayed_ops = 0usize;
         for &epoch in sealed {
-            replayed_ops += replay_sealed(&store, &wal_path(dir, epoch), false)?;
+            replayed_ops += replay_sealed(&mut store, &wal_path(dir, epoch), false)?;
         }
         let live_path = wal_path(dir, live_epoch);
         let mut torn_bytes = 0u64;
         let wal = if live_path.exists() {
-            let bytes = std::fs::read(&live_path)?;
-            let replayed = replay_segment(&store, &live_path, &bytes, false)?;
+            let replayed = replay_segment(&mut store, &live_path, false)?;
             replayed_ops += replayed.ops;
-            torn_bytes = (bytes.len() - replayed.valid_len) as u64;
+            torn_bytes = replayed.torn;
             Wal::resume(&live_path, replayed.valid_len as u64)?
         } else {
             Wal::create(&live_path)?
@@ -1037,6 +1041,63 @@ mod tests {
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops as u64, n + 1);
         assert!(ds2.store().snapshot() == live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn three_tables_of_keyed_uploads_replay_to_the_live_marker_table() {
+        use crate::store::UPLOAD_MARKER_CAPACITY;
+        use std::collections::BTreeMap;
+        let dir = temp_dir("marker-churn");
+        let (ds, _) = DurableStore::open(&dir).unwrap();
+        // The table as a scan would keep it: the lowest sequence goes.
+        let mut model: BTreeMap<String, (ImageId, u64)> = BTreeMap::new();
+        let mut seq = 0;
+        let uploads = 3 * UPLOAD_MARKER_CAPACITY;
+        // Keys come back after `capacity + 1024` others, their markers
+        // evicted before the batch that reuses them starts; every 100th
+        // upload retries the previous key, whose marker is held, and is
+        // skipped.
+        let key = |i: usize| format!("k{}", i % (UPLOAD_MARKER_CAPACITY + 1024));
+        for first in (0..uploads).step_by(512) {
+            let batch: Vec<WalOp> = (first..first + 512)
+                .map(|i| WalOp::IngestUpload {
+                    marker: Some(if i % 100 == 99 { key(i - 1) } else { key(i) }),
+                    id: ImageId(i as u64),
+                    meta: meta(),
+                    origin: ImageOrigin::Original,
+                    pixels: None,
+                    features: Vec::new(),
+                })
+                .collect();
+            let replays = ds.apply_batch(batch).unwrap();
+            let retried: Vec<u64> = replays.iter().map(|(id, _)| id.raw()).collect();
+            let expected: Vec<u64> = (first as u64..first as u64 + 512)
+                .filter(|i| i % 100 == 99)
+                .collect();
+            assert_eq!(retried, expected);
+            for i in (first..first + 512).filter(|i| i % 100 != 99) {
+                model.insert(key(i), (ImageId(i as u64), seq));
+                seq += 1;
+                if model.len() > UPLOAD_MARKER_CAPACITY {
+                    let oldest = model.iter().min_by_key(|(_, (_, s))| *s).unwrap();
+                    let oldest = oldest.0.clone();
+                    model.remove(&oldest);
+                }
+            }
+        }
+        let model: Vec<(String, ImageId, u64)> = model
+            .into_iter()
+            .map(|(key, (id, seq))| (key, id, seq))
+            .collect();
+        let live = ds.store().snapshot();
+        assert_eq!(live.markers, model);
+        drop(ds);
+        let (ds, report) = DurableStore::open(&dir).unwrap();
+        let retries = (0..uploads).filter(|i| i % 100 == 99).count();
+        assert_eq!(report.replayed_ops, uploads - retries);
+        assert_eq!(ds.store().snapshot().markers, model);
+        assert!(ds.store().snapshot() == live);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -289,8 +289,57 @@ struct Tables {
     /// Bounded upload idempotency table: marker key → (image the upload
     /// produced, insertion sequence for oldest-first eviction).
     upload_markers: BTreeMap<String, (ImageId, u64)>,
+    /// The same markers as `(sequence, key)`: the first is the one to
+    /// evict.
+    marker_order: BTreeSet<(u64, String)>,
     /// Sequence counter stamping marker insertion order.
     next_marker_seq: u64,
+}
+
+/// What the ops of a batch ahead of the one being checked add to the
+/// tables ([`Tables::check`] consults it beside them). An empty one, as
+/// a replayed op is checked with, allocates nothing.
+#[derive(Default)]
+struct Pending<'a> {
+    /// Images, with their pixel `(width, height)`.
+    images: BTreeMap<ImageId, (usize, usize)>,
+    /// Schemes, with their vocabulary size.
+    schemes: BTreeMap<ClassificationId, usize>,
+    scheme_names: BTreeSet<&'a str>,
+    annotations: BTreeSet<AnnotationId>,
+    markers: BTreeMap<&'a str, ImageId>,
+}
+
+impl<'a> Pending<'a> {
+    /// Adds what `op`, which [`Tables::check`] passed, adds.
+    fn note(&mut self, op: &'a WalOp) {
+        match op {
+            WalOp::AddImage { id, pixels, .. } => {
+                self.images.insert(*id, pixel_dims(pixels));
+            }
+            WalOp::PutFeature { .. } => {}
+            WalOp::RegisterScheme { id, name, labels } => {
+                self.schemes.insert(*id, labels.len());
+                self.scheme_names.insert(name);
+            }
+            WalOp::Annotate(a) => {
+                self.annotations.insert(a.id);
+            }
+            WalOp::IngestUpload {
+                marker, id, pixels, ..
+            } => {
+                self.images.insert(*id, pixel_dims(pixels));
+                if let Some(marker) = marker {
+                    self.markers.insert(marker, *id);
+                }
+            }
+            WalOp::UploadMarkers(markers) => {
+                for (key, id, _) in markers {
+                    self.markers.insert(key, *id);
+                }
+            }
+        }
+    }
 }
 
 impl Tables {
@@ -350,27 +399,47 @@ impl Tables {
     /// is already stored (or appeared earlier in the batch) are removed
     /// from `ops` and returned as [`Replays`].
     fn validate_batch(&self, ops: &mut Vec<WalOp>) -> Result<Replays, StorageError> {
-        // Images this batch adds, with their pixel `(width, height)`.
-        let mut new_images: BTreeMap<ImageId, (usize, usize)> = BTreeMap::new();
-        let mut new_schemes: BTreeMap<ClassificationId, usize> = BTreeMap::new();
-        let mut new_scheme_names: BTreeSet<&str> = BTreeSet::new();
-        let mut new_annotations: BTreeSet<AnnotationId> = BTreeSet::new();
-        let mut new_markers: BTreeMap<&str, ImageId> = BTreeMap::new();
+        let mut pending = Pending::default();
         let mut replays = Replays::new();
         let mut skipped: Vec<usize> = Vec::new();
-        let image_known = |new: &BTreeMap<ImageId, (usize, usize)>, id: ImageId| {
-            new.contains_key(&id) || self.row(id).is_some()
+        for (i, op) in ops.iter().enumerate() {
+            match self.check(&pending, op)? {
+                Some(replay) => {
+                    replays.push(replay);
+                    skipped.push(i);
+                }
+                None => pending.note(op),
+            }
+        }
+        for i in skipped.into_iter().rev() {
+            ops.remove(i);
+        }
+        Ok(replays)
+    }
+
+    /// The one validator: checks `op` against the tables plus what
+    /// `pending` adds ahead of it. `Some((carried, stored))` is an
+    /// upload whose marker is already held, which applies nothing.
+    fn check(
+        &self,
+        pending: &Pending<'_>,
+        op: &WalOp,
+    ) -> Result<Option<(ImageId, ImageId)>, StorageError> {
+        // The pixel `(width, height)` of a stored or pending image.
+        let image = |id: ImageId| {
+            pending
+                .images
+                .get(&id)
+                .copied()
+                .or_else(|| self.row(id).map(|r| (r.record.width, r.record.height)))
         };
-        let check_new_image = |new: &BTreeMap<ImageId, (usize, usize)>,
-                               id: ImageId,
-                               origin: &ImageOrigin,
-                               pixels: &Option<PixelBlob>| {
+        let check_new_image = |id: ImageId, origin: &ImageOrigin, pixels: &Option<PixelBlob>| {
             if let ImageOrigin::Augmented { parent, .. } = origin {
-                if !image_known(new, *parent) {
+                if image(*parent).is_none() {
                     return Err(StorageError::UnknownImage(*parent));
                 }
             }
-            if image_known(new, id) {
+            if image(id).is_some() {
                 return Err(StorageError::DuplicateId {
                     id: id.0,
                     table: "image",
@@ -388,125 +457,120 @@ impl Tables {
                 _ => Ok(()),
             }
         };
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                WalOp::AddImage {
-                    id, origin, pixels, ..
-                } => {
-                    check_new_image(&new_images, *id, origin, pixels)?;
-                    new_images.insert(*id, pixel_dims(pixels));
+        match op {
+            WalOp::AddImage {
+                id, origin, pixels, ..
+            } => check_new_image(*id, origin, pixels)?,
+            WalOp::PutFeature { image: id, .. } => {
+                if image(*id).is_none() {
+                    return Err(StorageError::UnknownImage(*id));
                 }
-                WalOp::PutFeature { image, .. } => {
-                    if !image_known(&new_images, *image) {
-                        return Err(StorageError::UnknownImage(*image));
-                    }
+            }
+            WalOp::RegisterScheme { id, name, labels } => {
+                if !vocabulary_ok(labels) {
+                    return Err(StorageError::BadVocabulary(name.clone()));
                 }
-                WalOp::RegisterScheme { id, name, labels } => {
-                    if !vocabulary_ok(labels) {
-                        return Err(StorageError::BadVocabulary(name.clone()));
-                    }
-                    if new_scheme_names.contains(name.as_str())
-                        || self.schemes.values().any(|s| s.name == *name)
-                    {
-                        return Err(StorageError::DuplicateScheme(name.clone()));
-                    }
-                    if new_schemes.contains_key(id) || self.schemes.contains_key(id) {
-                        return Err(StorageError::DuplicateId {
-                            id: id.0,
-                            table: "classification",
-                        });
-                    }
-                    new_schemes.insert(*id, labels.len());
-                    new_scheme_names.insert(name.as_str());
+                if pending.scheme_names.contains(name.as_str())
+                    || self.schemes.values().any(|s| s.name == *name)
+                {
+                    return Err(StorageError::DuplicateScheme(name.clone()));
                 }
-                WalOp::Annotate(a) => {
-                    if !confidence_ok(a.confidence) {
-                        return Err(StorageError::BadConfidence(a.confidence));
-                    }
-                    let Some((width, height)) = new_images
-                        .get(&a.image)
-                        .copied()
-                        .or_else(|| self.row(a.image).map(|r| (r.record.width, r.record.height)))
-                    else {
-                        return Err(StorageError::UnknownImage(a.image));
-                    };
-                    // An image stored without pixels (width 0) takes any
-                    // region.
-                    let within = |at: usize, len: usize, bound: usize| {
-                        at.checked_add(len).is_some_and(|end| end <= bound)
-                    };
-                    if let Some(region) = a.region.filter(|r| {
-                        width > 0 && !(within(r.x, r.width, width) && within(r.y, r.height, height))
-                    }) {
-                        return Err(StorageError::RegionOutOfBounds {
-                            image: a.image,
-                            region,
-                            width,
-                            height,
-                        });
-                    }
-                    let vocabulary = new_schemes
-                        .get(&a.classification)
-                        .copied()
-                        .or_else(|| self.schemes.get(&a.classification).map(|s| s.labels.len()))
-                        .ok_or(StorageError::UnknownClassification(a.classification))?;
-                    if a.label >= vocabulary {
-                        return Err(StorageError::LabelOutOfRange {
-                            classification: a.classification,
-                            label: a.label,
-                            vocabulary,
-                        });
-                    }
-                    if new_annotations.contains(&a.id) || self.annotations.contains_key(&a.id) {
-                        return Err(StorageError::DuplicateId {
-                            id: a.id.0,
-                            table: "annotation",
-                        });
-                    }
-                    new_annotations.insert(a.id);
-                }
-                WalOp::IngestUpload {
-                    marker,
-                    id,
-                    origin,
-                    pixels,
-                    ..
-                } => {
-                    let stored = marker.as_deref().and_then(|marker| {
-                        new_markers
-                            .get(marker)
-                            .copied()
-                            .or_else(|| self.upload_markers.get(marker).map(|(image, _)| *image))
+                if pending.schemes.contains_key(id) || self.schemes.contains_key(id) {
+                    return Err(StorageError::DuplicateId {
+                        id: id.0,
+                        table: "classification",
                     });
-                    if let Some(existing) = stored {
-                        replays.push((*id, existing));
-                        skipped.push(i);
-                        continue;
-                    }
-                    check_new_image(&new_images, *id, origin, pixels)?;
-                    new_images.insert(*id, pixel_dims(pixels));
-                    if let Some(marker) = marker {
-                        new_markers.insert(marker.as_str(), *id);
-                    }
                 }
-                WalOp::UploadMarkers(markers) => {
-                    for (key, image, _) in markers {
-                        if !image_known(&new_images, *image) {
-                            return Err(StorageError::UnknownImage(*image));
-                        }
-                        if self.upload_markers.contains_key(key)
-                            || new_markers.insert(key.as_str(), *image).is_some()
-                        {
-                            return Err(StorageError::DuplicateMarker(key.clone()));
-                        }
+            }
+            WalOp::Annotate(a) => {
+                if !confidence_ok(a.confidence) {
+                    return Err(StorageError::BadConfidence(a.confidence));
+                }
+                let Some((width, height)) = image(a.image) else {
+                    return Err(StorageError::UnknownImage(a.image));
+                };
+                // An image stored without pixels (width 0) takes any
+                // region.
+                let within = |at: usize, len: usize, bound: usize| {
+                    at.checked_add(len).is_some_and(|end| end <= bound)
+                };
+                if let Some(region) = a.region.filter(|r| {
+                    width > 0 && !(within(r.x, r.width, width) && within(r.y, r.height, height))
+                }) {
+                    return Err(StorageError::RegionOutOfBounds {
+                        image: a.image,
+                        region,
+                        width,
+                        height,
+                    });
+                }
+                let vocabulary = pending
+                    .schemes
+                    .get(&a.classification)
+                    .copied()
+                    .or_else(|| self.schemes.get(&a.classification).map(|s| s.labels.len()))
+                    .ok_or(StorageError::UnknownClassification(a.classification))?;
+                if a.label >= vocabulary {
+                    return Err(StorageError::LabelOutOfRange {
+                        classification: a.classification,
+                        label: a.label,
+                        vocabulary,
+                    });
+                }
+                if pending.annotations.contains(&a.id) || self.annotations.contains_key(&a.id) {
+                    return Err(StorageError::DuplicateId {
+                        id: a.id.0,
+                        table: "annotation",
+                    });
+                }
+            }
+            WalOp::IngestUpload {
+                marker,
+                id,
+                origin,
+                pixels,
+                ..
+            } => {
+                let stored = marker.as_deref().and_then(|marker| {
+                    pending
+                        .markers
+                        .get(marker)
+                        .copied()
+                        .or_else(|| self.upload_markers.get(marker).map(|(image, _)| *image))
+                });
+                if let Some(stored) = stored {
+                    return Ok(Some((*id, stored)));
+                }
+                check_new_image(*id, origin, pixels)?;
+            }
+            WalOp::UploadMarkers(markers) => {
+                let mut keys = BTreeSet::new();
+                for (key, id, _) in markers {
+                    if image(*id).is_none() {
+                        return Err(StorageError::UnknownImage(*id));
+                    }
+                    if pending.markers.contains_key(key.as_str())
+                        || self.upload_markers.contains_key(key)
+                        || !keys.insert(key)
+                    {
+                        return Err(StorageError::DuplicateMarker(key.clone()));
                     }
                 }
             }
         }
-        for i in skipped.into_iter().rev() {
-            ops.remove(i);
+        Ok(None)
+    }
+
+    /// Replays one journaled op: checks it against the tables as every
+    /// op before it left them, and applies it. No batch context, so a
+    /// key reused after its marker was evicted is a fresh upload, as it
+    /// was when it was journaled.
+    fn replay_op(&mut self, op: WalOp) -> Result<Option<(ImageId, ImageId)>, StorageError> {
+        let replay = self.check(&Pending::default(), &op)?;
+        if replay.is_none() {
+            self.apply_op(op);
         }
-        Ok(replays)
+        Ok(replay)
     }
 
     /// Applies one op [`Tables::validate_batch`] has passed, at exactly
@@ -566,18 +630,15 @@ impl Tables {
     }
 
     /// Records an upload's idempotency marker at `seq` (the counter
-    /// resumes past it), evicting the oldest one past
-    /// [`UPLOAD_MARKER_CAPACITY`].
+    /// resumes past it), evicting the oldest one — the lowest sequence,
+    /// then the lowest key — past [`UPLOAD_MARKER_CAPACITY`]. A validated
+    /// op never names a held key, so the marker is a new one.
     fn remember_marker(&mut self, marker: String, id: ImageId, seq: u64) {
         self.next_marker_seq = self.next_marker_seq.max(seq.saturating_add(1));
+        self.marker_order.insert((seq, marker.clone()));
         self.upload_markers.insert(marker, (id, seq));
         if self.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
-            let oldest = self
-                .upload_markers
-                .iter()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(k, _)| k.clone());
-            if let Some(key) = oldest {
+            if let Some((_, key)) = self.marker_order.pop_first() {
                 self.upload_markers.remove(&key);
             }
         }
@@ -696,6 +757,14 @@ impl VisualStore {
         for op in ops {
             t.apply_op(op);
         }
+    }
+
+    /// Journal replay into a store its opener owns alone: checks `op`
+    /// against the state every op before it left and applies it, taking
+    /// no lock. `Some((carried, stored))` is an upload whose marker the
+    /// store already holds; nothing is applied for it.
+    pub(crate) fn replay(&mut self, op: WalOp) -> Result<Option<(ImageId, ImageId)>, StorageError> {
+        self.inner.get_mut().replay_op(op)
     }
 
     /// Ingests an image row; `pixels` may be omitted for metadata-only

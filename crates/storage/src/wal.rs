@@ -41,7 +41,7 @@
 //! [`scan`]. It alone may carry [`WalOp::UploadMarkers`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -607,17 +607,30 @@ pub(crate) fn unsupported(path: &Path, bytes: &[u8]) -> WalError {
     }
 }
 
-/// The intact records of a segment's bytes, decoded one at a time: see
-/// [`scan`].
+/// Bytes [`scan`] reads a segment through at a time. A record longer
+/// than the window gets a window of its own length, once the segment
+/// has shown that it holds that many bytes.
+const SCAN_WINDOW_BYTES: usize = 1 << 20;
+
+/// The intact records of a segment, read through a bounded window and
+/// checked and decoded one at a time: see [`scan`].
 #[derive(Debug)]
-pub struct Scan<'a> {
-    /// Bytes not yet scanned; emptied at the first torn or corrupt record.
-    rest: &'a [u8],
+pub struct Scan<R> {
+    source: R,
+    /// The window. `window[at..]` holds the bytes read past the last
+    /// record yielded; the next record starts at `window[at]`.
+    window: Vec<u8>,
+    at: usize,
+    /// Whether `source` has reported its end.
+    eof: bool,
+    /// Whether the scan ended: at a torn or corrupt record, at the end
+    /// of the segment, or on a read error. Nothing more is read.
+    done: bool,
     valid_len: usize,
     records: usize,
 }
 
-impl Scan<'_> {
+impl<R> Scan<R> {
     /// Byte offset just past the last intact record yielded so far;
     /// once the scan is exhausted, everything after it is a torn tail.
     /// 0 when even the header is missing or cut short.
@@ -626,59 +639,133 @@ impl Scan<'_> {
     }
 }
 
-impl Iterator for Scan<'_> {
+impl<R: Read> Scan<R> {
+    /// Reads until the window holds `len` bytes or the source ends. The
+    /// window grows only with bytes that arrive, so a claimed length
+    /// past the end of the segment allocates nothing for itself.
+    fn read_to(&mut self, len: usize) -> Result<(), WalError> {
+        let want = len.saturating_sub(self.window.len());
+        if want > 0 && !self.eof {
+            let got = (&mut self.source)
+                .take(want as u64)
+                .read_to_end(&mut self.window)?;
+            self.eof = got < want;
+        }
+        Ok(())
+    }
+
+    /// Makes `window[at..]` hold `need` bytes, or all the segment has
+    /// left: drops the records already yielded, then reads on to a full
+    /// window, or further for a record longer than one.
+    fn fill(&mut self, need: usize) -> Result<(), WalError> {
+        self.window.drain(..self.at);
+        self.at = 0;
+        if self.window.capacity() < SCAN_WINDOW_BYTES {
+            self.window
+                .reserve_exact(SCAN_WINDOW_BYTES - self.window.len());
+        }
+        self.read_to(need.max(SCAN_WINDOW_BYTES))
+    }
+
+    /// The payload of the next intact record, as its range in `window`,
+    /// reading more of the segment when the window runs out. `None` at
+    /// the first torn record: a header cut short, a length of 0, above
+    /// [`MAX_RECORD_BYTES`] or past the segment's end, or a checksum
+    /// that does not match.
+    fn next_record(&mut self) -> Result<Option<std::ops::Range<usize>>, WalError> {
+        if self.window.len() - self.at < RECORD_HEADER_LEN {
+            self.fill(RECORD_HEADER_LEN)?;
+        }
+        let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], _)) =
+            self.window[self.at..].split_first_chunk::<RECORD_HEADER_LEN>()
+        else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        if len == 0 || len > MAX_RECORD_BYTES {
+            return Ok(None);
+        }
+        if self.window.len() - self.at < RECORD_HEADER_LEN + len {
+            self.fill(RECORD_HEADER_LEN + len)?;
+        }
+        let start = self.at + RECORD_HEADER_LEN;
+        let Some(payload) = self.window.get(start..start + len) else {
+            return Ok(None);
+        };
+        if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+            return Ok(None);
+        }
+        self.at = start + len;
+        Ok(Some(start..start + len))
+    }
+}
+
+impl<R: Read> Iterator for Scan<R> {
     type Item = Result<WalOp, WalError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (&[l0, l1, l2, l3, c0, c1, c2, c3], body) =
-            self.rest.split_first_chunk::<RECORD_HEADER_LEN>()?;
-        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
-        self.rest = &[];
-        if len == 0 || len > MAX_RECORD_BYTES {
+        if self.done {
             return None;
         }
-        let (payload, after) = body.split_at_checked(len)?;
-        if crc32(payload) != crc {
-            return None;
-        }
-        let record = self.records;
-        Some(match WalOp::decode(payload) {
+        let payload = match self.next_record() {
+            Ok(Some(payload)) => payload,
+            Ok(None) => {
+                self.done = true;
+                return None;
+            }
+            Err(e) => {
+                self.done = true;
+                return Some(Err(e));
+            }
+        };
+        let len = payload.len();
+        Some(match WalOp::decode(&self.window[payload]) {
             Ok(op) => {
-                self.rest = after;
                 self.valid_len += RECORD_HEADER_LEN + len;
                 self.records += 1;
                 Ok(op)
             }
-            Err(message) => Err(WalError::Corrupt { record, message }),
+            Err(message) => {
+                self.done = true;
+                Err(WalError::Corrupt {
+                    record: self.records,
+                    message,
+                })
+            }
         })
     }
 }
 
-/// Scans a segment's bytes, yielding its ops in order and stopping at
-/// the first torn record: one whose header is cut short, whose length is
-/// 0, above [`MAX_RECORD_BYTES`] or more than the bytes that follow, or
-/// whose checksum does not match. Nothing is allocated on a claimed
-/// length, and no more than one op is decoded at a time. A record whose
-/// checksum verifies but whose payload doesn't decode is a hard error
-/// (see [`WalError::Corrupt`]) that ends the scan, as are leading bytes
-/// that are not (a prefix of) the magic.
-pub fn scan<'a>(path: &Path, bytes: &'a [u8]) -> Result<Scan<'a>, WalError> {
-    match bytes.strip_prefix(&SEGMENT_MAGIC) {
-        Some(rest) => Ok(Scan {
-            rest,
-            valid_len: SEGMENT_MAGIC.len(),
-            records: 0,
-        }),
-        // A crash inside `Wal::create` leaves a strict prefix of the
-        // magic, possibly none of it.
-        None if SEGMENT_MAGIC.starts_with(bytes) => Ok(Scan {
-            rest: &[],
-            valid_len: 0,
-            records: 0,
-        }),
-        None => Err(unsupported(path, bytes)),
+/// Scans a segment read from `source` (a file, or bytes already in
+/// memory), yielding its ops in order and stopping at the first torn
+/// record: one whose header is cut short, whose length is 0, above
+/// [`MAX_RECORD_BYTES`] or more than the bytes that follow, or whose
+/// checksum does not match. The segment is read through a window of
+/// [`SCAN_WINDOW_BYTES`], nothing is allocated on a claimed length, and
+/// no more than one op is decoded at a time. A record whose checksum
+/// verifies but whose payload doesn't decode is a hard error (see
+/// [`WalError::Corrupt`]) that ends the scan, as are leading bytes that
+/// are not (a prefix of) the magic.
+pub fn scan<R: Read>(path: &Path, mut source: R) -> Result<Scan<R>, WalError> {
+    let mut head = Vec::with_capacity(SEGMENT_MAGIC.len());
+    (&mut source)
+        .take(SEGMENT_MAGIC.len() as u64)
+        .read_to_end(&mut head)?;
+    // A crash inside `Wal::create` leaves a strict prefix of the magic,
+    // possibly none of it: a segment with no record.
+    let whole = head == SEGMENT_MAGIC;
+    if !whole && !SEGMENT_MAGIC.starts_with(&head) {
+        return Err(unsupported(path, &head));
     }
+    Ok(Scan {
+        source,
+        window: Vec::new(),
+        at: 0,
+        eof: false,
+        done: !whole,
+        valid_len: if whole { SEGMENT_MAGIC.len() } else { 0 },
+        records: 0,
+    })
 }
 
 /// An open write-ahead log. Appends go straight to disk and are
@@ -1497,6 +1584,152 @@ mod tests {
                     Err(WalError::Corrupt { record: 0, .. })
                 ));
             }
+        }
+    }
+
+    /// The scanner as it was before it read through a window: one
+    /// record at a time over bytes already in memory.
+    fn scan_serial(bytes: &[u8]) -> Result<Scanned, WalError> {
+        let Some(mut rest) = bytes.strip_prefix(&SEGMENT_MAGIC) else {
+            assert!(SEGMENT_MAGIC.starts_with(bytes), "not a segment");
+            return Ok(Scanned {
+                ops: Vec::new(),
+                valid_len: 0,
+            });
+        };
+        let mut scanned = Scanned {
+            ops: Vec::new(),
+            valid_len: SEGMENT_MAGIC.len(),
+        };
+        while let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], body)) =
+            rest.split_first_chunk::<RECORD_HEADER_LEN>()
+        {
+            let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+            if len == 0 || len > MAX_RECORD_BYTES {
+                break;
+            }
+            let Some((payload, after)) = body.split_at_checked(len) else {
+                break;
+            };
+            if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+                break;
+            }
+            scanned
+                .ops
+                .push(WalOp::decode(payload).map_err(|message| WalError::Corrupt {
+                    record: scanned.ops.len(),
+                    message,
+                })?);
+            scanned.valid_len += RECORD_HEADER_LEN + len;
+            rest = after;
+        }
+        Ok(scanned)
+    }
+
+    /// Scans `bytes` through the window and checks that it ends exactly
+    /// where the serial scanner does: the same ops and the same
+    /// `valid_len`.
+    fn scan_matches_serial(bytes: &[u8], what: &str) -> Scanned {
+        let serial = scan_serial(bytes).unwrap();
+        let windowed = scan_bytes(bytes).unwrap();
+        assert_eq!(windowed.valid_len, serial.valid_len, "{what}");
+        assert!(windowed.ops == serial.ops, "{what}: the ops differ");
+        windowed
+    }
+
+    /// An op whose record payload is exactly `len` bytes (at least 17):
+    /// a scheme with no labels and a name of the right length.
+    fn op_of_len(len: usize) -> WalOp {
+        WalOp::RegisterScheme {
+            id: ClassificationId(len as u64),
+            name: "n".repeat(len - 17),
+            labels: Vec::new(),
+        }
+    }
+
+    /// The segment offset at which the first window ends.
+    const WINDOW_END: usize = SEGMENT_MAGIC.len() + SCAN_WINDOW_BYTES;
+
+    #[test]
+    fn a_record_straddling_the_window_recovers_as_the_serial_scan_does() {
+        // The first record ends 0, 3 (inside the next header) and 100
+        // (inside the next payload) bytes before the window does.
+        for short in [0, 3, 100] {
+            let first = SCAN_WINDOW_BYTES - RECORD_HEADER_LEN - short;
+            let ops = vec![op_of_len(first), op_of_len(500), op_of_len(40)];
+            let (full, ends) = segment(&ops);
+            assert_eq!(ends[1], WINDOW_END - short);
+            let scanned = scan_matches_serial(&full, &format!("{short} short"));
+            assert_eq!(scanned.ops.len(), 3);
+            // Cut anywhere around the window's end, and inside the
+            // straddling record: exactly the records that fit.
+            for cut in (WINDOW_END - 120..WINDOW_END + 40).chain([full.len() - 1]) {
+                let scanned =
+                    scan_matches_serial(&full[..cut], &format!("{short} short, cut {cut}"));
+                let intact = ends.iter().filter(|&&e| e <= cut).count() - 1;
+                assert_eq!(scanned.ops.len(), intact, "{short} short, cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_longer_than_the_window_gets_a_window_of_its_length() {
+        let big = SCAN_WINDOW_BYTES * 5 / 2;
+        let ops = vec![op_of_len(40), op_of_len(big), op_of_len(40)];
+        let (full, ends) = segment(&ops);
+        let mut scan = scan(Path::new("test.log"), &full[..]).unwrap();
+        assert_eq!(scan.by_ref().map(Result::unwrap).count(), 3);
+        assert_eq!(scan.valid_len(), full.len());
+        assert!(scan.window.capacity() >= RECORD_HEADER_LEN + big);
+        scan_matches_serial(&full, "whole");
+        for cut in [ends[1] + 1, ends[2] - 1, ends[2], full.len() - 1] {
+            scan_matches_serial(&full[..cut], &format!("cut {cut}"));
+        }
+    }
+
+    #[test]
+    fn a_claimed_length_past_the_end_is_torn_and_gets_no_allocation() {
+        let claim = (MAX_RECORD_BYTES / 2) as u32;
+        // The lying header opens a window, once after a window's worth
+        // of records and once first in the segment.
+        for before in [
+            vec![op_of_len(SCAN_WINDOW_BYTES - RECORD_HEADER_LEN)],
+            vec![],
+        ] {
+            let (mut bytes, ends) = segment(&before);
+            bytes.extend_from_slice(&claim.to_le_bytes());
+            bytes.extend_from_slice(&[0xA5; 4]);
+            bytes.extend(std::iter::repeat_n(7u8, SCAN_WINDOW_BYTES * 3 / 2));
+            let mut scan = scan(Path::new("test.log"), &bytes[..]).unwrap();
+            assert_eq!(scan.by_ref().map(Result::unwrap).count(), before.len());
+            assert_eq!(scan.valid_len(), ends[before.len()]);
+            // The window grew with the bytes the segment holds, never
+            // toward the claim.
+            assert!(scan.window.capacity() < 4 * SCAN_WINDOW_BYTES);
+            scan_matches_serial(&bytes, "length past the end");
+        }
+    }
+
+    #[test]
+    fn a_checksum_failure_in_a_later_window_ends_the_scan_at_that_record() {
+        // Records 0-14 (64 KiB each) fit the first window, record 15
+        // straddles its end and records 16-19 lie in the second.
+        let ops: Vec<WalOp> = (0..20).map(|_| op_of_len(64 << 10)).collect();
+        let (full, ends) = segment(&ops);
+        assert!(ends[15] < WINDOW_END && WINDOW_END < ends[16]);
+        scan_matches_serial(&full, "intact");
+        // Damage a record in the first window, the straddling one, one in
+        // the second window, and two at once: the earliest damaged record
+        // is where the scan ends.
+        for damaged in [vec![6], vec![15], vec![17], vec![6, 17], vec![2, 6]] {
+            let mut bytes = full.clone();
+            for &record in &damaged {
+                bytes[ends[record] + RECORD_HEADER_LEN + 99] ^= 0x10;
+            }
+            let first = damaged[0];
+            let scanned = scan_matches_serial(&bytes, &format!("{damaged:?}"));
+            assert_eq!(scanned.ops.len(), first, "{damaged:?}");
+            assert_eq!(scanned.valid_len, ends[first], "{damaged:?}");
         }
     }
 

@@ -351,3 +351,54 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
         std::fs::remove_dir_all(&dir).ok();
     });
 }
+
+/// Replay applies a journal one record at a time, each checked against
+/// the state the records before it left. A directory therefore reopens
+/// to the store its writer built through group commits — however they
+/// were cut, and wherever a compaction cut the journal — and that store
+/// is what the journaled ops build as batches of one.
+#[test]
+fn a_journal_reopens_to_the_store_its_ops_build_one_at_a_time() {
+    for_each_case(4, |case, rng| {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("tvdp-prop-replay-{}-{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (durable, _) = DurableStore::open(&dir).unwrap();
+        let one_at_a_time = VisualStore::new();
+        let history = arb_history(rng);
+        let fold_after = rng.gen_range(0..history.len() + 1);
+        let mut journaled = 0;
+        for (i, batch) in history.into_iter().enumerate() {
+            let replays = durable.apply_batch(batch.clone()).unwrap();
+            // Ids are never reused, so a skipped upload is named by its id.
+            let skipped: Vec<ImageId> = replays.iter().map(|(carried, _)| *carried).collect();
+            for op in batch {
+                if matches!(&op, WalOp::IngestUpload { id, .. } if skipped.contains(id)) {
+                    continue;
+                }
+                let replays = one_at_a_time.apply_batch(vec![op]).unwrap();
+                assert!(
+                    replays.is_empty(),
+                    "case {case}: a journaled upload is fresh"
+                );
+                journaled += 1;
+            }
+            if i == fold_after {
+                durable.compact().unwrap();
+                journaled = 0;
+            }
+        }
+        let live = durable.store().snapshot();
+        assert!(one_at_a_time.snapshot() == live, "case {case}");
+        drop(durable);
+        let (reopened, report) = DurableStore::open(&dir).unwrap();
+        assert_eq!(report.replayed_ops, journaled, "case {case}");
+        assert!(reopened.store().snapshot() == live, "case {case}");
+        assert_eq!(
+            reopened.store().peek_next_image_id(),
+            one_at_a_time.peek_next_image_id()
+        );
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
