@@ -97,9 +97,13 @@ impl Fov {
                 mbr.expand_to(arc.toward(cardinal));
             }
         }
-        // Interior samples guard against projection curvature on wide sectors.
+        // Interior samples guard against projection curvature on wide
+        // sectors. Sample 0 is the first endpoint to the bit (`heading -
+        // half` is never -0.0, so adding 0.0 leaves it), so it is skipped;
+        // the last sample can round apart from the second endpoint, so it
+        // stays.
         let steps = (self.angle_deg / 15.0).ceil() as usize;
-        for i in 0..=steps {
+        for i in 1..=steps {
             let brg = self.heading_deg - half + self.angle_deg * i as f64 / steps.max(1) as f64;
             mbr.expand_to(arc.toward(brg));
         }

@@ -33,11 +33,17 @@
 //!   poison-recovering lock methods: the only locks the workspace uses.
 //! * [`rng`] — the one seeded PRNG (SplitMix64) behind every synthetic
 //!   corpus, model initialisation, fault schedule and property test.
+//! * [`crc32`] — the IEEE CRC-32 that frames every journal and
+//!   base-segment record: folded by carry-less multiply (PCLMULQDQ) on
+//!   an x86-64 CPU that reports it, slicing-by-8 everywhere else. The
+//!   crate's only `unsafe` is the call into that path and its 16-byte
+//!   loads.
 //!
 //! The determinism contract all pieces uphold: **thread count and pool
 //! choice never change any computed value** — only wall-clock time.
 
 pub mod arena;
+mod crc;
 pub mod gencell;
 pub mod pool;
 pub mod quant;
@@ -46,6 +52,7 @@ pub mod sync;
 pub mod topk;
 
 pub use arena::{FeatureSlab, RowRef, RowSource, SlabView, ROWS_PER_CHUNK};
+pub use crc::crc32;
 pub use gencell::GenCell;
 pub use pool::Pool;
 pub use quant::{l2_sq_asym, QuantChunk, QuantParams};

@@ -343,10 +343,22 @@ impl<'a> Pending<'a> {
 }
 
 impl Tables {
+    /// Where image `id`'s row is (`Ok`) or would go (`Err`) in `rows`.
+    /// Replay and live uploads name the last row or one past it, so the
+    /// last row is checked before any binary search.
+    fn row_index(&self, id: ImageId) -> Result<usize, usize> {
+        match self.rows.last() {
+            Some(last) if last.record.id == id => Ok(self.rows.len() - 1),
+            Some(last) if last.record.id > id => {
+                self.rows.binary_search_by_key(&id, |r| r.record.id)
+            }
+            _ => Err(self.rows.len()),
+        }
+    }
+
     /// The row of image `id`, if stored.
     fn row(&self, id: ImageId) -> Option<&Row> {
-        let at = self.rows.binary_search_by_key(&id, |r| r.record.id).ok()?;
-        Some(&self.rows[at])
+        Some(&self.rows[self.row_index(id).ok()?])
     }
 
     /// The handle of `image`'s feature of `kind`, if stored.
@@ -376,7 +388,7 @@ impl Tables {
             let row = slab.push(vector);
             FeatureHandle { kind, dim, row }
         };
-        if let Ok(at) = self.rows.binary_search_by_key(&image, |r| r.record.id) {
+        if let Ok(at) = self.row_index(image) {
             self.rows[at].features[slot(kind)] = Some(handle);
         }
     }
@@ -658,7 +670,7 @@ impl Tables {
             features: [None; 3],
         };
         // At the end, unless an explicit id lands below the last one.
-        let at = self.rows.partition_point(|r| r.record.id < id);
+        let (Ok(at) | Err(at)) = self.row_index(id);
         self.rows.insert(at, row);
         if let Some((w, h, raw)) = pixels {
             self.blobs.insert(id, Image::from_raw(w, h, raw));

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! where `len` is the payload's byte length (at least 1: the tag) and
-//! `crc32` is the IEEE CRC-32 of the payload bytes. Inside a payload,
+//! `crc32` is the IEEE CRC-32 of the payload bytes
+//! ([`tvdp_kernel::crc32`]). Inside a payload,
 //! ids and timestamps are fixed-width little-endian integers, GPS/FOV
 //! numbers are `f64` bits, a feature vector is a `u32` count and the raw
 //! `f32` bits, pixels are raw bytes, and strings are length-prefixed
@@ -46,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tvdp_geo::{Fov, GeoPoint};
+use tvdp_kernel::crc32;
 use tvdp_vision::{FeatureKind, Image};
 
 use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
@@ -498,65 +500,6 @@ fn read_feature(r: &mut Reader<'_>) -> Result<(FeatureKind, Vec<f32>), DecodeErr
     Ok((kind, r.f32_vec()?))
 }
 
-/// IEEE CRC-32 (the polynomial used by zip/gzip/PNG), slicing-by-8:
-/// eight table lookups fold eight input bytes per step.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = !0u32;
-    let mut octets = bytes.chunks_exact(8);
-    for o in &mut octets {
-        let lo = c ^ u32::from_le_bytes([o[0], o[1], o[2], o[3]]);
-        let hi = u32::from_le_bytes([o[4], o[5], o[6], o[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in octets.remainder() {
-        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-/// `CRC32_TABLES[0]` is the classic byte-at-a-time table;
-/// `CRC32_TABLES[k][b]` is the CRC state after byte `b` and then `k`
-/// zero bytes.
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
 /// Appends one framed record to `buf` — the header, then whatever
 /// `write_payload` appends, then the header patched with that payload's
 /// length and checksum — and returns the payload's length.
@@ -907,7 +850,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvdp_kernel::rng::for_each_case;
 
     fn meta(uploader: u64, keywords: &[&str]) -> ImageMeta {
         ImageMeta {
@@ -1047,34 +989,6 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("tvdp-wal-{name}-{}", std::process::id()));
         p
-    }
-
-    /// The byte-at-a-time table loop `crc32` replaced, kept as its
-    /// reference.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in bytes {
-            c = CRC32_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-        }
-        !c
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn sliced_crc32_matches_the_bytewise_reference() {
-        for_each_case(8, |_, rng| {
-            for len in (0..=64).chain([255, 4096, 65_537]) {
-                let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-                assert_eq!(crc32(&buf), crc32_bytewise(&buf), "{len} byte(s)");
-            }
-        });
     }
 
     #[test]

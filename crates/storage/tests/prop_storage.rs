@@ -2,6 +2,7 @@
 //! persistence round trips — a rendered base segment, a compacted
 //! directory — intact.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tvdp_geo::GeoPoint;
@@ -9,7 +10,7 @@ use tvdp_kernel::rng::{for_each_case, Rng};
 use tvdp_storage::wal::{frame, SEGMENT_MAGIC};
 use tvdp_storage::{
     Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableStore, ImageId, ImageMeta,
-    ImageOrigin, UserId, VisualStore, WalOp, UPLOAD_MARKER_CAPACITY,
+    ImageOrigin, ImageRecord, UserId, VisualStore, WalOp, UPLOAD_MARKER_CAPACITY,
 };
 use tvdp_vision::{FeatureKind, Image};
 
@@ -350,6 +351,163 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     });
+}
+
+/// The image table finds a row by checking the last one before any
+/// search. Explicit ids arriving in any order — one past the last, far
+/// above it, below it, between two rows — and features put and replaced
+/// on any row must answer exactly as a sorted map does, live and after
+/// the journal is reopened.
+#[test]
+fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
+    const KINDS: [FeatureKind; 3] = [
+        FeatureKind::ColorHistogram,
+        FeatureKind::SiftBow,
+        FeatureKind::Cnn,
+    ];
+    for_each_case(6, |case, rng| {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("tvdp-prop-order-{}-{case}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (durable, _) = DurableStore::open(&dir).unwrap();
+        let mut model: BTreeMap<ImageId, (ImageRecord, BTreeMap<FeatureKind, Vec<f32>>)> =
+            BTreeMap::new();
+        for step in 0..120 {
+            let last = model.keys().next_back().map_or(0, |id| id.0);
+            let held = |rng: &mut Rng| {
+                let ids: Vec<ImageId> = model.keys().copied().collect();
+                (!ids.is_empty()).then(|| ids[rng.gen_range(0..ids.len())])
+            };
+            let op = match rng.gen_range(0..10) {
+                // A new image: mostly the next id, as uploads and replay
+                // name it; else far above the last, or anywhere below it.
+                0..=4 => {
+                    let id = ImageId(match rng.gen_range(0..4) {
+                        0 | 1 => last + 1,
+                        2 => last + rng.gen_range(2..50),
+                        _ => rng.gen_range(0..last + 1),
+                    });
+                    let mut features = Vec::new();
+                    for kind in KINDS {
+                        if rng.gen_bool(0.4) {
+                            features.push((kind, arb_vector(rng)));
+                        }
+                    }
+                    WalOp::IngestUpload {
+                        marker: None,
+                        id,
+                        meta: arb_meta(rng),
+                        origin: ImageOrigin::Original,
+                        pixels: None,
+                        features,
+                    }
+                }
+                // A feature put, or replaced, on a held row; now and then
+                // on an absent id, which is refused.
+                5..=8 => WalOp::PutFeature {
+                    image: match held(rng) {
+                        Some(id) if rng.gen_bool(0.9) => id,
+                        _ => ImageId(rng.gen_range(0..last + 60)),
+                    },
+                    kind: KINDS[rng.gen_range(0..3)],
+                    vector: arb_vector(rng),
+                },
+                // A held id again, which is refused.
+                _ => WalOp::AddImage {
+                    id: held(rng).unwrap_or(ImageId(0)),
+                    meta: arb_meta(rng),
+                    origin: ImageOrigin::Original,
+                    pixels: None,
+                },
+            };
+            let accepted = match &op {
+                WalOp::IngestUpload { id, .. } | WalOp::AddImage { id, .. } => {
+                    !model.contains_key(id)
+                }
+                WalOp::PutFeature { image, .. } => model.contains_key(image),
+                _ => unreachable!(),
+            };
+            let applied = durable.apply_batch(vec![op.clone()]);
+            assert_eq!(applied.is_ok(), accepted, "case {case} step {step}: {op:?}");
+            match op {
+                WalOp::IngestUpload {
+                    id,
+                    meta,
+                    origin,
+                    features,
+                    ..
+                } if accepted => {
+                    let record = ImageRecord::new(id, meta, origin, 0, 0);
+                    model.insert(id, (record, features.into_iter().collect()));
+                }
+                WalOp::PutFeature {
+                    image,
+                    kind,
+                    vector,
+                } if accepted => {
+                    model.get_mut(&image).unwrap().1.insert(kind, vector);
+                }
+                _ => {}
+            }
+
+            // Every held id, the ids around and between them, and ids
+            // past the last, asked one at a time and as one list.
+            let store = durable.store();
+            let top = model.keys().next_back().map_or(0, |id| id.0);
+            let mut probes: Vec<ImageId> = (0..top + 3).map(ImageId).collect();
+            rng.shuffle(&mut probes);
+            for &id in &probes {
+                let want = model.get(&id);
+                assert_eq!(store.image(id).as_ref(), want.map(|(r, _)| r), "{id}");
+                for kind in KINDS {
+                    let want = want.and_then(|(_, f)| f.get(&kind));
+                    let handle = store.feature_handle(id, kind);
+                    assert_eq!(
+                        handle.map(|h| (h.kind, h.dim as usize)),
+                        want.map(|v| (kind, v.len())),
+                        "{id} {kind:?}"
+                    );
+                    assert_eq!(store.feature(id, kind).as_ref(), want, "{id} {kind:?}");
+                }
+            }
+            let mut listed = Vec::new();
+            store.with_images(&probes, |r| listed.push(r.id));
+            let held: Vec<ImageId> = probes
+                .iter()
+                .copied()
+                .filter(|id| model.contains_key(id))
+                .collect();
+            assert_eq!(listed, held, "case {case} step {step}");
+        }
+
+        // The dump is the model rendered by id, features in kind order.
+        let mut want: Vec<WalOp> = model
+            .iter()
+            .map(|(id, (record, features))| WalOp::IngestUpload {
+                marker: None,
+                id: *id,
+                meta: record.meta.clone(),
+                origin: record.origin.clone(),
+                pixels: None,
+                features: features.clone().into_iter().collect(),
+            })
+            .collect();
+        want.push(WalOp::UploadMarkers(Vec::new()));
+        let live = durable.store().snapshot();
+        assert_eq!(live.clone().into_ops(), want, "case {case}");
+        drop(durable);
+        let (reopened, _) = DurableStore::open(&dir).unwrap();
+        assert!(reopened.store().snapshot() == live, "case {case}");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// Zero to five floats: an empty vector is a row of its own.
+fn arb_vector(rng: &mut Rng) -> Vec<f32> {
+    (0..rng.gen_range(0..6))
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect()
 }
 
 /// Replay applies a journal one record at a time, each checked against
