@@ -542,8 +542,8 @@ impl ApiServer {
 
     /// `data/add_batch`: bulk upload. Body: `{"uploads": [<data/add
     /// body>...]}`, where each element may carry its own
-    /// `"idempotency_key"`. Each shard's share of the batch rides one
-    /// WAL fsync instead of one per op.
+    /// `"idempotency_key"`. The whole batch rides one WAL fsync instead
+    /// of one per op.
     fn add_data_batch(&self, user: UserId, body: &Value, now_ms: i64) -> ApiResponse {
         let items = match codec::arr_field(body, "uploads") {
             Ok(items) => items,
@@ -923,7 +923,6 @@ impl ApiServer {
         let mut fields = vec![
             ("state", Value::str(h.state.as_str())),
             ("durable", Value::Bool(h.durable)),
-            ("shards", Value::num(h.shards)),
             ("write_faults", Value::num(h.write_faults)),
             (
                 "last_error",

@@ -130,7 +130,7 @@ fn malformed_hybrid_query_is_a_structured_400_not_a_panic() {
 }
 
 /// The wrong-length example is a 400 naming the dimension whether the
-/// rows it would have been compared with sit in a shard's tail (linear
+/// rows it would have been compared with sit in the engine's tail (linear
 /// scan) or in sealed segments (hybrid tree), alone or inside a hybrid
 /// tree, and the server keeps answering afterwards.
 #[test]
@@ -150,10 +150,9 @@ fn wrong_dimension_example_is_a_400_over_tail_rows_and_sealed_segments() {
             let r = call_at(&server, &key, "data/add", &add_body(seed), 0);
             assert!(r.is_ok(), "{r:?}");
         }
-        let dim = platform
-            .stores()
-            .iter()
-            .find_map(|s| s.feature(*s.image_ids().first()?, FeatureKind::Cnn))
+        let store = platform.store();
+        let dim = store
+            .feature(store.image_ids()[0], FeatureKind::Cnn)
             .expect("an extracted CNN row")
             .len();
         for body in [BAD_VISUAL, BAD_HYBRID] {

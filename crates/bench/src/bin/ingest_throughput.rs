@@ -18,8 +18,8 @@
 //!   drops.
 //!
 //! Shards scale the writer side: `S` independent `DurableStore`
-//! directories, one writer thread per shard on a `tvdp-kernel` pool,
-//! mirroring the platform's geo-grid sharding. Within a shard the op
+//! directories, one writer thread per shard on a `tvdp-kernel` pool.
+//! Within a shard the op
 //! stream is scripted, so the journal bytes are a pure function of the
 //! script — thread count and batch size change wall-clock only, never
 //! bytes (held by `crates/core` determinism tests).
@@ -46,7 +46,7 @@ use tvdp_vision::FeatureKind;
 /// three ops).
 const INGESTS_PER_SHARD: usize = 384;
 /// Ops coalesced per group commit (the platform batches a whole API
-/// `data/add_batch` shard group; 64 uploads is its order of magnitude).
+/// `data/add_batch` call; 64 uploads is its order of magnitude).
 const GROUP_INGESTS: usize = 64;
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 /// WAL lengths (in ops) for the recovery-time section.

@@ -1,5 +1,7 @@
 //! Platform-level errors.
 
+use std::path::PathBuf;
+
 use tvdp_query::QueryError;
 use tvdp_storage::{ClassificationId, DurableError, ImageId, ModelId, StorageError, UserId};
 use tvdp_vision::FeatureKind;
@@ -50,6 +52,10 @@ pub enum PlatformError {
     Durable(DurableError),
     /// A durability-only operation was invoked on an in-memory platform.
     NotDurable,
+    /// The directory given to `Tvdp::open` holds this `shard-<i>/`
+    /// subdirectory: geo-sharded builds laid a multi-shard platform
+    /// out that way, one store per shard. Nothing was touched.
+    ShardedLayout(PathBuf),
     /// The admission controller shed the request: accepting it would
     /// push its class's modeled queueing delay past the configured
     /// bound. Cheap to retry — the payload says when.
@@ -98,6 +104,13 @@ impl std::fmt::Display for PlatformError {
                     "platform is in-memory; open it with Tvdp::open for durability"
                 )
             }
+            PlatformError::ShardedLayout(shard) => write!(
+                f,
+                "{} is one shard of a geo-sharded platform directory, a layout this build does \
+                 not open (one store per directory); the directory is left as found. Commit \
+                 f830219 is the last build that opens it",
+                shard.display()
+            ),
             PlatformError::Overloaded { retry_after_ms } => {
                 write!(f, "overloaded: shed, retry after {retry_after_ms} ms")
             }

@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 
-use tvdp_kernel::sync::Mutex;
 use tvdp_kernel::Pool;
 use tvdp_storage::wal::pixel_blob;
 use tvdp_storage::{ImageId, ImageMeta, ImageOrigin, Replays, UserId, WalOp};
@@ -65,14 +64,14 @@ pub(crate) fn upload_op(
 impl Tvdp {
     /// The one write seam, and the only place that knows a durable
     /// platform from an in-memory one. Either way `ops` are validated
-    /// whole against the shard's store and each other, then applied in
-    /// order, all or none; a durable shard journals them in between as
-    /// one framed write + one fsync. Uploads whose marker the shard
-    /// already holds are skipped and returned.
-    pub(crate) fn commit(&self, shard: usize, ops: Vec<WalOp>) -> Result<Replays, PlatformError> {
-        Ok(match self.durables.get(shard) {
+    /// whole against the store and each other, then applied in order,
+    /// all or none; a durable platform journals them in between as one
+    /// framed write + one fsync. Uploads whose marker the store already
+    /// holds are skipped and returned.
+    pub(crate) fn commit(&self, ops: Vec<WalOp>) -> Result<Replays, PlatformError> {
+        Ok(match &self.durable {
             Some(durable) => durable.apply_batch(ops)?,
-            None => self.stores[shard].apply_batch(ops)?,
+            None => self.store.apply_batch(ops)?,
         })
     }
 
@@ -81,15 +80,12 @@ impl Tvdp {
     ///
     /// 1. Serially, in input order: an upload whose key was seen earlier
     ///    in the batch or is already stored replays that image; every
-    ///    other upload is given the next platform-wide id and routed to
-    ///    the shard owning its location. (A retry carries the same GPS,
-    ///    so the router sends it to the shard that holds its marker.)
+    ///    other upload is given the next id.
     /// 2. Feature extraction, which dominates ingest cost, fans out over
     ///    `pool`.
-    /// 3. Each shard's uploads become one commit — on a durable
-    ///    platform one framed write and one fsync however many uploads —
-    ///    and are then indexed; shards share no locks, so they commit
-    ///    concurrently on `pool`.
+    /// 3. The uploads become one commit — on a durable platform one
+    ///    framed write and one fsync however many uploads — and are then
+    ///    indexed.
     ///
     /// Ids, stored rows and journal bytes do not depend on the pool
     /// width or on how the same uploads are cut into calls.
@@ -109,7 +105,7 @@ impl Tvdp {
             let marker = upload.key.map(|key| format!("u{}:{key}", user.0));
             if let Some(marker) = &marker {
                 let stored = batch_markers.get(marker).copied();
-                if let Some(prior) = stored.or_else(|| self.find_marker(marker)) {
+                if let Some(prior) = stored.or_else(|| self.store.upload_marker(marker)) {
                     outcomes.push((prior, true));
                     continue;
                 }
@@ -123,44 +119,34 @@ impl Tvdp {
                 uploaded_at: request.uploaded_at,
                 keywords: request.keywords,
             };
-            let shard = self.router.shard(&meta.gps);
             let id = self.alloc_image_id();
             if let Some(marker) = &marker {
                 batch_markers.insert(marker.clone(), id);
             }
-            fresh.push((shard, id, meta, upload.image, marker));
+            fresh.push((id, meta, upload.image, marker));
             outcomes.push((id, false));
         }
 
-        let features = pool.map(&fresh, |_, (.., image, _)| self.extract_features(image));
+        let features = pool.map(&fresh, |_, (_, _, image, _)| self.extract_features(image));
 
-        type Group = (Vec<WalOp>, Vec<ImageId>);
-        let mut groups: Vec<Group> = vec![Group::default(); self.stores.len()];
-        for ((shard, id, meta, image, marker), features) in fresh.into_iter().zip(features) {
-            let op = upload_op(id, meta, ImageOrigin::Original, image, features, marker);
-            groups[shard].0.push(op);
-            groups[shard].1.push(id);
-        }
-        // Workers own disjoint shards, so each group is moved out through
-        // a mutex its worker locks exactly once.
-        let groups: Vec<Mutex<Group>> = groups.into_iter().map(Mutex::new).collect();
-        let committed = pool.map(&groups, |shard, group| {
-            let (ops, ids) = std::mem::take(&mut *group.lock());
-            let replays = self.commit(shard, ops)?;
-            for id in ids {
-                if !replays.iter().any(|&(skipped, _)| skipped == id) {
-                    self.engine.index_image(shard, id);
-                }
+        let ops = fresh
+            .into_iter()
+            .zip(features)
+            .map(|((id, meta, image, marker), features)| {
+                upload_op(id, meta, ImageOrigin::Original, image, features, marker)
+            })
+            .collect();
+        let replays = self.commit(ops)?;
+        for &(id, _) in outcomes.iter().filter(|(_, replayed)| !replayed) {
+            if !replays.iter().any(|&(skipped, _)| skipped == id) {
+                self.engine.index_image(0, id);
             }
-            Ok::<_, PlatformError>(replays)
-        });
-        for replays in committed {
-            // The shard re-checked each marker under the lock it inserts
-            // under: a concurrent request that stored the key first wins.
-            for (skipped, stored) in replays? {
-                for outcome in outcomes.iter_mut().filter(|o| o.0 == skipped) {
-                    *outcome = (stored, true);
-                }
+        }
+        // The store re-checked each marker under the lock it inserts
+        // under: a concurrent request that stored the key first wins.
+        for (skipped, stored) in replays {
+            for outcome in outcomes.iter_mut().filter(|o| o.0 == skipped) {
+                *outcome = (stored, true);
             }
         }
         Ok(outcomes)

@@ -25,7 +25,6 @@ pub mod error;
 pub mod ingest;
 pub mod models;
 pub mod platform;
-pub mod router;
 pub mod translational;
 pub mod users;
 pub mod video;
@@ -37,7 +36,6 @@ pub use error::PlatformError;
 pub use ingest::Upload;
 pub use models::{ModelEntry, ModelInterface, ModelRegistry};
 pub use platform::{HealthReport, IngestRequest, PlatformConfig, Tvdp};
-pub use router::GeoShardRouter;
 pub use translational::{count_by_cell, hotspots, CellCount};
 pub use users::{Role, User, UserRegistry};
 pub use video::{select_keyframes, KeyframePolicy, VideoFrame, VideoIngestReport};

@@ -1,6 +1,6 @@
 //! The platform facade.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tvdp_kernel::sync::Mutex;
@@ -32,7 +32,6 @@ use tvdp_vision::{
 use crate::error::PlatformError;
 use crate::ingest::{upload_op, Upload};
 use crate::models::{ModelInterface, ModelRegistry};
-use crate::router::GeoShardRouter;
 use crate::users::{Role, UserRegistry};
 
 /// Training algorithms a participant can pick when devising a model.
@@ -95,16 +94,7 @@ pub struct PlatformConfig {
     pub min_training_samples: usize,
     /// Seed for stochastic training algorithms.
     pub seed: u64,
-    /// Spatial shards the platform core is partitioned into. Each
-    /// shard owns its own store, indexes, and (for durable platforms)
-    /// WAL epoch; queries scatter across all of them. `1` (the
-    /// default) reproduces the unsharded platform exactly.
-    pub shards: usize,
-    /// Geo-grid pitch, in degrees, of the shard router
-    /// ([`GeoShardRouter`]). Must stay stable across reopens of a
-    /// durable directory.
-    pub shard_cell_deg: f64,
-    /// Pending images a shard accumulates before sealing them into an
+    /// Pending images the engine accumulates before sealing them into an
     /// immutable indexed segment (see
     /// [`tvdp_query::DEFAULT_SEAL_CAP`]). Validated to at least 1 at
     /// platform construction; query results are independent of the
@@ -119,8 +109,6 @@ impl Default for PlatformConfig {
             cnn: CnnConfig::default(),
             min_training_samples: 10,
             seed: 0x7D_1D,
-            shards: 1,
-            shard_cell_deg: GeoShardRouter::DEFAULT_CELL_DEG,
             seal_cap: DEFAULT_SEAL_CAP,
         }
     }
@@ -168,30 +156,25 @@ pub struct PlatformStats {
     pub users: usize,
 }
 
-/// Aggregated serving-health report ([`Tvdp::health`]): the worst
-/// [`HealthState`] across durable shards plus fault accounting. The
-/// state machine is the storage layer's — `Ok` → `ReadOnly` on a
-/// journal write fault, `ReadOnly` → `Degraded` on the first repaired
-/// write, `Degraded` → `Ok` on the next — and the platform reports the
-/// most degraded shard so one wedged volume is never masked by healthy
-/// neighbors.
+/// Serving-health report ([`Tvdp::health`]): the durable store's
+/// [`HealthState`] plus fault accounting. The state machine is the
+/// storage layer's — `Ok` → `ReadOnly` on a journal write fault,
+/// `ReadOnly` → `Degraded` on the first repaired write, `Degraded` →
+/// `Ok` on the next.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
-    /// Worst shard state; `Ok` for an in-memory platform.
+    /// The store's write-path state; `Ok` for an in-memory platform.
     pub state: HealthState,
-    /// Total journal write faults observed across shards.
+    /// Journal write faults observed since open.
     pub write_faults: u64,
-    /// First shard error message still standing, if any.
+    /// The most recent write fault's message, until fully recovered.
     pub last_error: Option<String>,
     /// Whether the platform journals to disk at all.
     pub durable: bool,
-    /// Shard count (reported so operators can size the blast radius).
-    pub shards: usize,
 }
 
-/// Platform-wide id counters. Ids are allocated here, ahead of the
-/// shard-local insert, so every image/annotation/scheme id is unique
-/// across shards and dense in allocation order.
+/// Platform id counters. Ids are allocated here, ahead of the insert
+/// that takes them, so they are dense in allocation order.
 struct NextIds {
     image: u64,
     annotation: u64,
@@ -200,20 +183,17 @@ struct NextIds {
 
 /// The Translational Visual Data Platform.
 ///
-/// The core is partitioned by capture location into
-/// [`PlatformConfig::shards`] independent shards: a deterministic
-/// geo-grid router ([`GeoShardRouter`]) assigns every upload to one
-/// shard, and each shard owns its own store, indexes, and (for durable
-/// platforms) write-ahead-log epoch. Queries never block on ingest:
-/// each shard publishes immutable index generations that readers pick
-/// up atomically, and a query scatters across the shards' latest
-/// generations and gathers a deterministic merge.
+/// One store holds every row, and (for a durable platform) one
+/// write-ahead log journals every mutation. Queries never block on
+/// ingest: the engine publishes immutable index generations that
+/// readers pick up atomically, and a query scatters across the
+/// generation's sealed segments and tail and gathers a deterministic
+/// merge.
 pub struct Tvdp {
     config: PlatformConfig,
-    pub(crate) stores: Vec<Arc<VisualStore>>,
-    pub(crate) durables: Vec<DurableStore>,
+    pub(crate) store: Arc<VisualStore>,
+    pub(crate) durable: Option<DurableStore>,
     pub(crate) engine: ShardedEngine,
-    pub(crate) router: GeoShardRouter,
     ids: Mutex<NextIds>,
     users: UserRegistry,
     models: ModelRegistry,
@@ -222,54 +202,33 @@ pub struct Tvdp {
 }
 
 impl Tvdp {
-    /// Creates an empty in-memory platform (no persistence) with
-    /// [`PlatformConfig::shards`] spatial shards.
+    /// Creates an empty in-memory platform (no persistence).
     pub fn new(config: PlatformConfig) -> Self {
-        let shards = config.shards.max(1);
-        let stores = (0..shards).map(|_| Arc::new(VisualStore::new())).collect();
-        Self::from_stores(stores, config)
+        Self::with_store(Arc::new(VisualStore::new()), config)
     }
 
-    /// Wraps an existing store (e.g. one reloaded from disk) as a
-    /// single-shard platform, rebuilding every index over its current
-    /// contents ([`PlatformConfig::shards`] is ignored: the rows are
-    /// already in one store). Users and models are runtime state and
-    /// start empty.
+    /// Wraps an existing store (e.g. one reloaded from disk), rebuilding
+    /// every index over its current contents. Users and models are
+    /// runtime state and start empty.
     pub fn with_store(store: Arc<VisualStore>, config: PlatformConfig) -> Self {
-        Self::from_stores(vec![store], config)
-    }
-
-    fn from_stores(stores: Vec<Arc<VisualStore>>, config: PlatformConfig) -> Self {
-        let router = GeoShardRouter::new(stores.len() as u32, config.shard_cell_deg);
+        // The engine's partitions are a query-layer seam; the platform
+        // hands it its one store as partition 0.
         let engine = ShardedEngine::with_seal_cap(
-            stores.clone(),
+            vec![Arc::clone(&store)],
             config.engine.clone(),
             config.seal_cap.max(1),
         );
         let ids = NextIds {
-            image: stores
-                .iter()
-                .map(|s| s.peek_next_image_id().0)
-                .max()
-                .unwrap_or(0),
-            annotation: stores
-                .iter()
-                .map(|s| s.peek_next_annotation_id().0)
-                .max()
-                .unwrap_or(0),
-            classification: stores
-                .iter()
-                .map(|s| s.peek_next_classification_id().0)
-                .max()
-                .unwrap_or(0),
+            image: store.peek_next_image_id().0,
+            annotation: store.peek_next_annotation_id().0,
+            classification: store.peek_next_classification_id().0,
         };
         let cnn = CnnExtractor::with_config(config.cnn.clone());
         Self {
             config,
-            stores,
-            durables: Vec::new(),
+            store,
+            durable: None,
             engine,
-            router,
             ids: Mutex::new(ids),
             users: UserRegistry::new(),
             models: ModelRegistry::new(),
@@ -286,74 +245,47 @@ impl Tvdp {
     /// All subsequent mutations are journaled to disk before they are
     /// applied. Users and models are runtime state and start empty.
     ///
-    /// A single-shard platform persists directly under `dir`
-    /// (compatible with directories written before sharding); a
-    /// platform with N > 1 shards keeps one durable store — snapshot
-    /// plus WAL epoch — per shard under `dir/shard-<i>/`, and recovery
-    /// replays each shard's log independently. The shard count and
-    /// grid pitch of a durable directory must not change across
-    /// reopens.
+    /// The store persists directly under `dir`. A directory holding a
+    /// `shard-<i>/` subdirectory was laid out by a geo-sharded build;
+    /// it is refused with [`PlatformError::ShardedLayout`] before
+    /// anything in it is touched.
     pub fn open(
         dir: &Path,
         config: PlatformConfig,
     ) -> Result<(Self, RecoveryReport), PlatformError> {
-        let shards = config.shards.max(1);
-        let mut durables = Vec::with_capacity(shards);
-        let mut report = RecoveryReport::default();
-        for i in 0..shards {
-            let shard_dir = if shards == 1 {
-                dir.to_path_buf()
-            } else {
-                dir.join(format!("shard-{i}"))
-            };
-            let (d, r) = DurableStore::open(&shard_dir)?;
-            durables.push(d);
-            report = report.merge(r);
+        if let Some(shard) = shard_subdirectory(dir) {
+            return Err(PlatformError::ShardedLayout(shard));
         }
-        let stores = durables.iter().map(|d| d.store_arc()).collect();
-        let mut platform = Self::from_stores(stores, config);
-        platform.durables = durables;
+        let (durable, report) = DurableStore::open(dir)?;
+        let mut platform = Self::with_store(durable.store_arc(), config);
+        platform.durable = Some(durable);
         Ok((platform, report))
     }
 
-    /// Whether mutations are journaled to disk ([`Tvdp::open`]) rather
-    /// than held only in memory ([`Tvdp::new`]).
-    pub fn is_durable(&self) -> bool {
-        !self.durables.is_empty()
-    }
-
-    /// Folds every shard's journal into a fresh snapshot — a base
-    /// segment in the journal's own record format — and rotates its
-    /// write-ahead log (durable platforms only). Call periodically
-    /// to bound the logs and keep reopen cost proportional to store
-    /// size, not mutation history. The report aggregates all shards
-    /// (max epoch, summed byte/op counts).
+    /// Folds the journal into a fresh snapshot — a base segment in the
+    /// journal's own record format — and rotates the write-ahead log
+    /// (durable platforms only). Call periodically to bound the log and
+    /// keep reopen cost proportional to store size, not mutation
+    /// history.
     ///
-    /// **Wait-for-quiesce semantics:** per shard, `flush` waits only
-    /// for in-flight writers to quiesce at the shard's journal lock —
-    /// the snapshot cut and segment rotation happen atomically inside
-    /// that critical section, so an op either lands wholly before the
-    /// cut (folded into the snapshot) or wholly after (journaled in the
-    /// new live segment). Writers are *not* blocked for the fold
-    /// itself: [`tvdp_storage::DurableStore::compact`] writes and
-    /// publishes the base outside the lock, concurrent with new writes,
-    /// and `flush` returns once every shard's fold has published. Ops
-    /// acknowledged after `flush` was called may therefore be in the
-    /// new live segment rather than the snapshot — durable either way.
+    /// **Wait-for-quiesce semantics:** `flush` waits only for in-flight
+    /// writers to quiesce at the journal lock — the snapshot cut and
+    /// segment rotation happen atomically inside that critical section,
+    /// so an op either lands wholly before the cut (folded into the
+    /// snapshot) or wholly after (journaled in the new live segment).
+    /// Writers are *not* blocked for the fold itself:
+    /// [`tvdp_storage::DurableStore::compact`] writes and publishes the
+    /// base outside the lock, concurrent with new writes, and `flush`
+    /// returns once it has published. Ops acknowledged after `flush`
+    /// was called may therefore be in the new live segment rather than
+    /// the snapshot — durable either way.
     pub fn flush(&self) -> Result<CompactionReport, PlatformError> {
-        if self.durables.is_empty() {
-            return Err(PlatformError::NotDurable);
-        }
-        let mut report = CompactionReport::default();
-        for d in &self.durables {
-            report = report.merge(d.compact()?);
-        }
-        Ok(report)
+        let durable = self.durable.as_ref().ok_or(PlatformError::NotDurable)?;
+        Ok(durable.compact()?)
     }
 
-    // Platform-wide id allocation. A shard insert happens *at* the
-    // allocated id, so ids are unique across shards and the allocation
-    // order (= upload order) is recoverable from ids alone.
+    // Id allocation. The insert happens *at* the allocated id, so the
+    // allocation order (= upload order) is recoverable from ids alone.
 
     pub(crate) fn alloc_image_id(&self) -> ImageId {
         let mut ids = self.ids.lock();
@@ -376,35 +308,9 @@ impl Tvdp {
         id
     }
 
-    /// The shard whose store holds `image`, if any.
-    pub fn shard_of(&self, image: ImageId) -> Option<usize> {
-        self.stores.iter().position(|s| s.image(image).is_some())
-    }
-
-    fn image_record(&self, image: ImageId) -> Option<tvdp_storage::ImageRecord> {
-        self.stores.iter().find_map(|s| s.image(image))
-    }
-
-    pub(crate) fn find_marker(&self, marker: &str) -> Option<ImageId> {
-        self.stores.iter().find_map(|s| s.upload_marker(marker))
-    }
-
-    /// Shard 0's store (read access for analysis pipelines). On a
-    /// single-shard platform — the default — this is *the* store; on a
-    /// sharded platform use [`Tvdp::stores`] or [`Tvdp::shard_of`] to
-    /// reach the others.
+    /// The store (read access for analysis pipelines).
     pub fn store(&self) -> &Arc<VisualStore> {
-        &self.stores[0]
-    }
-
-    /// Every shard's store, indexed by shard number.
-    pub fn stores(&self) -> &[Arc<VisualStore>] {
-        &self.stores
-    }
-
-    /// Number of spatial shards the platform is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.stores.len()
+        &self.store
     }
 
     /// The configuration this platform was constructed with.
@@ -427,9 +333,7 @@ impl Tvdp {
         self.users.register(name, role)
     }
 
-    /// Registers a classification scheme (a labelling task). A scheme
-    /// is platform-wide: it is broadcast to every shard under one global
-    /// id so any shard can validate and serve annotations against it.
+    /// Registers a classification scheme (a labelling task).
     pub fn register_scheme(
         &self,
         name: impl Into<String>,
@@ -441,9 +345,7 @@ impl Tvdp {
             name: name.into(),
             labels,
         };
-        for shard in 0..self.stores.len() {
-            self.commit(shard, vec![op.clone()])?;
-        }
+        self.commit(vec![op])?;
         Ok(id)
     }
 
@@ -506,7 +408,7 @@ impl Tvdp {
             mode: VisualMode::Threshold(max_feature_dist),
         })?;
         for candidate in candidates {
-            let Some(existing) = self.image_record(candidate.image) else {
+            let Some(existing) = self.store.image(candidate.image) else {
                 continue;
             };
             if existing.meta.gps.fast_distance_m(&request.gps) <= max_camera_distance_m {
@@ -566,16 +468,12 @@ impl Tvdp {
         op: Augmentation,
     ) -> Result<ImageId, PlatformError> {
         self.require_user(user)?;
-        // The child inherits the parent's metadata (same GPS), so it
-        // lands on the parent's shard, where the lineage check can see
-        // the parent row.
-        let shard = self
-            .shard_of(parent)
-            .ok_or(PlatformError::UnknownImage(parent))?;
-        let record = self.stores[shard]
+        let record = self
+            .store
             .image(parent)
             .ok_or(PlatformError::UnknownImage(parent))?;
-        let pixels = self.stores[shard]
+        let pixels = self
+            .store
             .pixels(parent)
             .ok_or(PlatformError::MissingPixels(parent))?;
         let augmented = op.apply(&pixels);
@@ -586,8 +484,8 @@ impl Tvdp {
         };
         let id = self.alloc_image_id();
         let op = upload_op(id, record.meta, origin, augmented, features, None);
-        self.commit(shard, vec![op])?;
-        self.engine.index_image(shard, id);
+        self.commit(vec![op])?;
+        self.engine.index_image(0, id);
         Ok(id)
     }
 
@@ -622,9 +520,8 @@ impl Tvdp {
         Ok((report, stored.into_iter().map(|(id, _)| id).collect()))
     }
 
-    /// **Access**: executes a query, scattering it across the shards'
-    /// published index generations and gathering a deterministic
-    /// merge. Reads never block on ingest. Malformed queries (e.g. a
+    /// **Access**: executes a query, scattering it across the published
+    /// index generation's segments and gathering a deterministic merge. Reads never block on ingest. Malformed queries (e.g. a
     /// visual example of the wrong dimension) surface as
     /// [`PlatformError::Query`] instead of panicking.
     pub fn search(&self, query: &Query) -> Result<Vec<QueryResult>, PlatformError> {
@@ -668,31 +565,30 @@ impl Tvdp {
         self.engine.estimate_query_units(query)
     }
 
-    /// Aggregated platform health: the worst durable shard state (an
-    /// in-memory platform is always `Ok`), total injected/observed
-    /// write faults, and the first recorded error. Drives the API
-    /// health endpoint and the degraded-mode behavior of callers.
+    /// Platform health: the durable store's state (an in-memory
+    /// platform is always `Ok`), observed write faults, and the last
+    /// recorded error. Drives the API health endpoint and the
+    /// degraded-mode behavior of callers.
     pub fn health(&self) -> HealthReport {
-        let mut report = HealthReport {
-            state: HealthState::Ok,
-            write_faults: 0,
-            last_error: None,
-            durable: self.is_durable(),
-            shards: self.shard_count(),
+        let Some(durable) = &self.durable else {
+            return HealthReport {
+                state: HealthState::Ok,
+                write_faults: 0,
+                last_error: None,
+                durable: false,
+            };
         };
-        for durable in &self.durables {
-            let h = durable.health();
-            report.state = report.state.max(h.state);
-            report.write_faults += h.write_faults;
-            if report.last_error.is_none() {
-                report.last_error = h.last_error;
-            }
+        let h = durable.health();
+        HealthReport {
+            state: h.state,
+            write_faults: h.write_faults,
+            last_error: h.last_error,
+            durable: true,
         }
-        report
     }
 
-    /// Installs (or, with `None`, removes) a shared write-fault plan on
-    /// every durable shard's WAL — chaos instrumentation for exercising
+    /// Installs (or, with `None`, removes) a write-fault plan on the
+    /// durable store's WAL — chaos instrumentation for exercising
     /// the degraded-mode state machine against live traffic. Durable
     /// platforms only.
     // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-api's resilience tests inject write faults through it")
@@ -700,12 +596,8 @@ impl Tvdp {
         &self,
         plan: Option<std::sync::Arc<tvdp_storage::WriteFaultPlan>>,
     ) -> Result<(), PlatformError> {
-        if self.durables.is_empty() {
-            return Err(PlatformError::NotDurable);
-        }
-        for durable in &self.durables {
-            durable.set_write_fault_plan(plan.clone());
-        }
+        let durable = self.durable.as_ref().ok_or(PlatformError::NotDurable)?;
+        durable.set_write_fault_plan(plan);
         Ok(())
     }
 
@@ -742,9 +634,9 @@ impl Tvdp {
         region: Option<RegionOfInterest>,
     ) -> Result<AnnotationId, PlatformError> {
         self.require_user(user)?;
-        let shard = self
-            .shard_of(image)
-            .ok_or(PlatformError::UnknownImage(image))?;
+        if self.store.image(image).is_none() {
+            return Err(PlatformError::UnknownImage(image));
+        }
         let id = self.alloc_annotation_id();
         let op = WalOp::Annotate(Annotation {
             id,
@@ -755,7 +647,7 @@ impl Tvdp {
             source: AnnotationSource::Human(user),
             region,
         });
-        self.commit(shard, vec![op])?;
+        self.commit(vec![op])?;
         Ok(id)
     }
 
@@ -771,24 +663,16 @@ impl Tvdp {
         algorithm: Algorithm,
     ) -> Result<ModelId, PlatformError> {
         self.require_user(user)?;
-        let scheme_row = self.stores[0]
+        let store = &self.store;
+        let scheme_row = store
             .scheme(scheme)
             .ok_or(PlatformError::UnknownScheme(scheme))?;
         let n_classes = scheme_row.labels.len();
-        // Gather candidates from every shard, then sort by global id so
-        // the training set order — and with it every seeded algorithm's
-        // output — is independent of the shard count.
-        let mut candidates: Vec<(ImageId, usize)> = Vec::new();
-        for (shard, store) in self.stores.iter().enumerate() {
-            for image in store.images_with_feature(feature_kind) {
-                candidates.push((image, shard));
-            }
-        }
-        candidates.sort_unstable_by_key(|&(image, _)| image);
+        // In ascending id order, so the training set order — and with it
+        // every seeded algorithm's output — is the upload order.
         let mut features = Vec::new();
         let mut labels = Vec::new();
-        for (image, shard) in candidates {
-            let store = &self.stores[shard];
+        for image in store.images_with_feature(feature_kind) {
             let anns = store.annotations_of(image);
             // Prefer human labels; fall back to the most confident
             // machine label for the scheme.
@@ -842,7 +726,7 @@ impl Tvdp {
         model: SerializableModel,
     ) -> Result<ModelId, PlatformError> {
         self.require_user(user)?;
-        if self.stores[0].scheme(interface.scheme).is_none() {
+        if self.store.scheme(interface.scheme).is_none() {
             return Err(PlatformError::UnknownScheme(interface.scheme));
         }
         Ok(self.models.register_portable(name, user, interface, model))
@@ -864,15 +748,13 @@ impl Tvdp {
             .interface(model)
             .ok_or(PlatformError::UnknownModel(model))?;
         let mut out = Vec::with_capacity(images.len());
-        let mut groups: Vec<Vec<WalOp>> = vec![Vec::new(); self.stores.len()];
+        let mut ops = Vec::with_capacity(images.len());
         for &image in images {
-            // Borrow the feature row from the owning shard's arena; no
-            // per-image clone.
-            let (shard, feature) = self
-                .stores
-                .iter()
-                .enumerate()
-                .find_map(|(i, s)| Some((i, s.feature_ref(image, interface.feature_kind)?)))
+            // Borrow the feature row from the store's arena; no per-image
+            // clone.
+            let feature = self
+                .store
+                .feature_ref(image, interface.feature_kind)
                 .ok_or(PlatformError::MissingFeature(image, interface.feature_kind))?;
             if feature.len() != interface.input_dim {
                 return Err(PlatformError::FeatureWidth {
@@ -886,7 +768,7 @@ impl Tvdp {
                 .models
                 .predict(model, &feature)
                 .ok_or(PlatformError::UnknownModel(model))?;
-            groups[shard].push(WalOp::Annotate(Annotation {
+            ops.push(WalOp::Annotate(Annotation {
                 id: self.alloc_annotation_id(),
                 image,
                 classification: interface.scheme,
@@ -897,11 +779,9 @@ impl Tvdp {
             }));
             out.push((image, label, confidence));
         }
-        // One commit per shard: every prediction is made before the first
-        // is stored, and a shard's annotations land together or not at all.
-        for (shard, ops) in groups.into_iter().enumerate() {
-            self.commit(shard, ops)?;
-        }
+        // One commit: every prediction is made before the first is
+        // stored, and the annotations land together or not at all.
+        self.commit(ops)?;
         Ok(out)
     }
 
@@ -938,15 +818,33 @@ impl Tvdp {
         }
     }
 
-    /// Aggregate statistics, summed across shards.
+    /// Aggregate statistics.
     pub fn stats(&self) -> PlatformStats {
         PlatformStats {
-            images: self.stores.iter().map(|s| s.len()).sum(),
-            annotations: self.stores.iter().map(|s| s.annotation_count()).sum(),
+            images: self.store.len(),
+            annotations: self.store.annotation_count(),
             models: self.models.ids().len(),
             users: self.users.all().len(),
         }
     }
+}
+
+/// The first `shard-<i>` subdirectory of `dir`, the layout geo-sharded
+/// builds wrote a multi-shard platform in. A directory that cannot be
+/// listed has none; the store's own open reports why.
+fn shard_subdirectory(dir: &Path) -> Option<PathBuf> {
+    std::fs::read_dir(dir)
+        .ok()?
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| {
+            let digits = path
+                .file_name()
+                .and_then(|name| name.to_str()?.strip_prefix("shard-"));
+            digits.is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+                && path.is_dir()
+        })
+        .min()
 }
 
 #[cfg(test)]
@@ -1413,7 +1311,7 @@ mod durability_tests {
         let (id, scheme, ann);
         {
             let (tvdp, report) = Tvdp::open(&dir, fast_config()).unwrap();
-            assert!(tvdp.is_durable());
+            assert!(tvdp.health().durable);
             assert!(!report.snapshot_found);
             let user = tvdp.register_user("LASAN", Role::Government);
             scheme = tvdp
@@ -1467,63 +1365,62 @@ mod durability_tests {
     #[test]
     fn in_memory_platform_rejects_flush() {
         let tvdp = Tvdp::new(fast_config());
-        assert!(!tvdp.is_durable());
+        assert!(!tvdp.health().durable);
         assert!(matches!(tvdp.flush(), Err(PlatformError::NotDurable)));
     }
 
-    #[test]
-    fn sharded_durable_platform_survives_reopen() {
-        let dir = temp_dir("sharded-reopen");
-        let config = PlatformConfig {
-            shards: 3,
-            ..fast_config()
-        };
-        let mut ids = Vec::new();
-        {
-            let (tvdp, _) = Tvdp::open(&dir, config.clone()).unwrap();
-            let user = tvdp.register_user("LASAN", Role::Government);
-            let scheme = tvdp
-                .register_scheme("binary", vec!["red".into(), "blue".into()])
-                .unwrap();
-            // Spread uploads across the city so several shards own rows.
-            for i in 0..9 {
-                let mut rq = request(i);
-                rq.gps = GeoPoint::new(34.0 + 0.03 * i as f64, -118.25 - 0.02 * i as f64);
-                let id = tvdp.ingest(user, scene(0, i as usize), rq).unwrap();
-                tvdp.annotate_human(user, id, scheme, 0).unwrap();
-                ids.push(id);
+    /// A listing of everything under `dir`: each path relative to it,
+    /// with a file's bytes (a directory has none).
+    fn tree(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+        let mut out = Vec::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(at) = pending.pop() {
+            for entry in std::fs::read_dir(&at).unwrap() {
+                let path = entry.unwrap().path();
+                let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+                if path.is_dir() {
+                    out.push((rel, None));
+                    pending.push(path);
+                } else {
+                    out.push((rel, Some(std::fs::read(&path).unwrap())));
+                }
             }
-            assert!(dir.join("shard-0").exists());
-            // No flush: everything must come back from per-shard WALs.
         }
-        let (tvdp, report) = Tvdp::open(&dir, config).unwrap();
-        // 3x scheme broadcast + 9 x (upload + annotation).
-        assert_eq!(report.replayed_ops, 3 + 9 * 2);
-        assert_eq!(tvdp.stats().images, 9);
-        for &id in &ids {
-            assert!(tvdp.shard_of(id).is_some());
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn a_sharded_directory_is_refused_untouched() {
+        let dir = temp_dir("sharded-layout");
+        {
+            let (store, _) = DurableStore::open(&dir.join("shard-0")).unwrap();
+            store
+                .apply_batch(vec![WalOp::RegisterScheme {
+                    id: ClassificationId(0),
+                    name: "binary".into(),
+                    labels: vec!["red".into(), "blue".into()],
+                }])
+                .unwrap();
         }
-        let hits = tvdp
-            .search(&Query::Textual {
-                text: "street".into(),
-                mode: TextualMode::All,
-            })
-            .unwrap();
-        assert_eq!(hits.len(), 9);
-        // Ids keep advancing past everything in any shard's journal.
-        let user = tvdp.register_user("LASAN", Role::Government);
-        let next = tvdp.ingest(user, scene(1, 1), request(1)).unwrap();
-        assert!(next.0 > ids.iter().map(|i| i.0).max().unwrap());
+        let before = tree(&dir);
+        assert_eq!(before.len(), 2, "{before:?}");
+        let Err(refusal) = Tvdp::open(&dir, fast_config()) else {
+            panic!("a sharded directory opened");
+        };
+        assert!(
+            matches!(&refusal, PlatformError::ShardedLayout(shard) if *shard == dir.join("shard-0")),
+            "{refusal:?}"
+        );
+        assert!(refusal.to_string().contains("shard-0"), "{refusal}");
+        assert_eq!(tree(&dir), before, "nothing created, swept or rewritten");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn batched_ingest_group_commits_and_survives_reopen() {
         let dir = temp_dir("batch-reopen");
-        let config = PlatformConfig {
-            shards: 3,
-            ..fast_config()
-        };
+        let config = fast_config();
         let ids;
         let live;
         {
@@ -1537,35 +1434,29 @@ mod durability_tests {
                 })
                 .collect();
             ids = tvdp.ingest_batch(user, batch, 4).unwrap();
-            live = tvdp
-                .stores()
-                .iter()
-                .map(|s| s.snapshot())
-                .collect::<Vec<_>>();
+            live = tvdp.store().snapshot();
             // No flush: the batch must come back from the group-committed
             // WAL frames alone.
         }
         let (tvdp, report) = Tvdp::open(&dir, config).unwrap();
-        // 9 uploads, journaled as one run of records per shard.
+        // 9 uploads, journaled as one run of records.
         assert_eq!(report.replayed_ops, 9);
         assert_eq!(tvdp.stats().images, 9);
-        for (shard, snap) in live.iter().enumerate() {
-            assert_eq!(tvdp.stores()[shard].snapshot(), *snap, "shard {shard}");
-        }
+        assert_eq!(tvdp.store().snapshot(), live);
         for &id in &ids {
-            assert!(tvdp.shard_of(id).is_some());
+            assert!(tvdp.store().image(id).is_some());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[cfg(test)]
-mod shard_tests {
+mod search_tests {
     use super::*;
     use tvdp_geo::GeoPoint;
     use tvdp_query::{SpatialQuery, TemporalField, TextualMode, VisualMode};
 
-    fn cfg(shards: usize) -> PlatformConfig {
+    fn cfg() -> PlatformConfig {
         PlatformConfig {
             cnn: CnnConfig {
                 input_size: 16,
@@ -1573,7 +1464,6 @@ mod shard_tests {
                 pool_grid: 2,
                 seed: 1,
             },
-            shards,
             ..Default::default()
         }
     }
@@ -1584,18 +1474,13 @@ mod shard_tests {
 
     fn req(i: i64) -> IngestRequest {
         IngestRequest {
-            // Spread far enough that uploads land in many grid cells.
+            // Spread across the city, a few kilometres apart.
             gps: GeoPoint::new(34.0 + 0.025 * i as f64, -118.25 - 0.015 * i as f64),
             fov: None,
             captured_at: 1000 + i,
             uploaded_at: 1100 + i,
             keywords: vec!["street".into(), format!("kw{i}")],
         }
-    }
-
-    /// One platform per shard count, identically populated.
-    fn populated(shards: usize) -> Tvdp {
-        populated_with(cfg(shards))
     }
 
     fn populated_with(config: PlatformConfig) -> Tvdp {
@@ -1612,81 +1497,16 @@ mod shard_tests {
     }
 
     #[test]
-    fn shard_counts_agree_on_every_query_family() {
-        let single = populated(1);
-        let sharded = populated(4);
-        assert_eq!(single.stats().images, 24);
-        assert_eq!(sharded.stats().images, 24);
-        assert!(sharded.shard_count() == 4);
-        // Rows actually spread over shards.
-        let occupied = sharded.stores().iter().filter(|s| !s.is_empty()).count();
-        assert!(occupied > 1, "routing sent everything to one shard");
-
-        let example = single
-            .store()
-            .feature(ImageId(0), FeatureKind::Cnn)
-            .unwrap();
-        let queries = vec![
-            Query::Textual {
-                text: "street".into(),
-                mode: TextualMode::All,
-            },
-            Query::Textual {
-                text: "street kw3 kw17".into(),
-                mode: TextualMode::Ranked(7),
-            },
-            Query::Temporal {
-                field: TemporalField::Captured,
-                from: 1003,
-                to: 1015,
-            },
-            Query::Spatial(SpatialQuery::Nearest {
-                point: GeoPoint::new(34.2, -118.4),
-                k: 5,
-            }),
-            Query::Visual {
-                example: example.clone(),
-                kind: FeatureKind::Cnn,
-                mode: VisualMode::TopK(6),
-            },
-            Query::Categorical {
-                scheme: ClassificationId(0),
-                label: 1,
-                min_confidence: 0.5,
-            },
-            Query::And(vec![
-                Query::Spatial(SpatialQuery::Range(tvdp_geo::BBox::new(
-                    33.9, -118.6, 34.4, -118.2,
-                ))),
-                Query::Visual {
-                    example,
-                    kind: FeatureKind::Cnn,
-                    mode: VisualMode::TopK(4),
-                },
-            ]),
-        ];
-        for q in &queries {
-            let a = single.search(q).unwrap();
-            let b = sharded.search(q).unwrap();
-            assert_eq!(a, b, "shard counts diverged on {q:?}");
-        }
-        let a = single.search_batch(&queries).unwrap();
-        let b = sharded.search_batch(&queries).unwrap();
-        assert_eq!(a, b, "batched execution diverged across shard counts");
-    }
-
-    #[test]
     fn seal_cap_choices_agree_on_every_query_family() {
-        // The seal cap only moves the sealed-segment/tail-scan balance
-        // inside each shard; results must be bit-identical whether every
-        // row seals immediately (cap 1), pairs seal (cap 2), or nothing
-        // seals in a 24-row run (default cap 128).
-        let reference = populated_with(cfg(4));
+        // The seal cap only moves the sealed-segment/tail-scan balance;
+        // results must be bit-identical whether every row seals
+        // immediately (cap 1), pairs seal (cap 2), or nothing seals in a
+        // 24-row run (default cap 128).
+        let reference = populated_with(cfg());
         assert_eq!(reference.config().seal_cap, tvdp_query::DEFAULT_SEAL_CAP);
         let example = reference
-            .stores()
-            .iter()
-            .find_map(|s| s.feature(ImageId(0), FeatureKind::Cnn))
+            .store()
+            .feature(ImageId(0), FeatureKind::Cnn)
             .unwrap();
         let queries = vec![
             Query::Textual {
@@ -1730,7 +1550,7 @@ mod shard_tests {
         for cap in [0usize, 1, 2] {
             let tvdp = populated_with(PlatformConfig {
                 seal_cap: cap,
-                ..cfg(4)
+                ..cfg()
             });
             assert_eq!(tvdp.stats().images, 24);
             for q in &queries {
@@ -1744,38 +1564,8 @@ mod shard_tests {
     }
 
     #[test]
-    fn sharded_batch_ingest_matches_sequential() {
-        let seq = populated(4);
-        let par = Tvdp::new(cfg(4));
-        let user = par.register_user("LASAN", Role::Government);
-        let scheme = par
-            .register_scheme("binary", vec!["red".into(), "blue".into()])
-            .unwrap();
-        let batch: Vec<(Image, IngestRequest)> = (0..24).map(|i| (img(i), req(i as i64))).collect();
-        let ids = par.ingest_batch(user, batch, 4).unwrap();
-        for (i, &id) in ids.iter().enumerate() {
-            par.annotate_human(user, id, scheme, i % 2).unwrap();
-        }
-        // Same ids in input order, same rows on the same shards.
-        assert_eq!(ids, (0..24).map(ImageId).collect::<Vec<_>>());
-        for &id in &ids {
-            assert_eq!(seq.shard_of(id), par.shard_of(id));
-            let shard = par.shard_of(id).unwrap();
-            assert_eq!(
-                seq.stores()[shard].feature(id, FeatureKind::Cnn),
-                par.stores()[shard].feature(id, FeatureKind::Cnn),
-            );
-        }
-        let q = Query::Textual {
-            text: "street".into(),
-            mode: TextualMode::Ranked(10),
-        };
-        assert_eq!(seq.search(&q).unwrap(), par.search(&q).unwrap());
-    }
-
-    #[test]
     fn search_surfaces_kind_mismatch_instead_of_panicking() {
-        let tvdp = populated(2);
+        let tvdp = populated_with(cfg());
         let err = tvdp
             .search(&Query::Visual {
                 example: vec![0.5; 4],

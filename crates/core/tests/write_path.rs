@@ -16,7 +16,7 @@ use tvdp_storage::wal::SEGMENT_MAGIC;
 use tvdp_storage::{ImageId, RegionOfInterest, Snapshot};
 use tvdp_vision::{Augmentation, CnnConfig, FeatureKind, Image};
 
-fn config(shards: usize) -> PlatformConfig {
+fn config() -> PlatformConfig {
     PlatformConfig {
         cnn: CnnConfig {
             input_size: 16,
@@ -25,7 +25,6 @@ fn config(shards: usize) -> PlatformConfig {
             seed: 1,
         },
         min_training_samples: 6,
-        shards,
         ..Default::default()
     }
 }
@@ -42,7 +41,7 @@ fn scene(i: usize) -> Image {
     })
 }
 
-/// Spread far enough that uploads land in many grid cells.
+/// Spread across the city, several hundred metres apart.
 fn request(i: usize) -> IngestRequest {
     IngestRequest {
         gps: GeoPoint::new(34.0 + 0.03 * i as f64, -118.25 - 0.02 * i as f64),
@@ -66,10 +65,6 @@ fn temp_dir(name: &str) -> PathBuf {
     p.push(format!("tvdp-write-path-{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&p).ok();
     p
-}
-
-fn snapshots(tvdp: &Tvdp) -> Vec<Snapshot> {
-    tvdp.stores().iter().map(|s| s.snapshot()).collect()
 }
 
 /// One pass over every mutating entry point of the facade.
@@ -153,94 +148,62 @@ fn script(tvdp: &Tvdp) {
 
 #[test]
 fn one_script_ends_in_one_state_on_every_platform_kind() {
-    for shards in [1, 4] {
-        let memory = Tvdp::new(config(shards));
-        script(&memory);
-        let expected = snapshots(&memory);
-        if shards > 1 {
-            let occupied = expected
-                .iter()
-                .filter(|s| **s != Snapshot::default())
-                .count();
-            assert!(occupied > 1, "routing sent everything to one shard");
-        }
+    let memory = Tvdp::new(config());
+    script(&memory);
+    let expected = memory.store().snapshot();
+    assert_ne!(expected, Snapshot::default());
 
-        let dir = temp_dir(&format!("parity-{shards}"));
-        let (durable, _) = Tvdp::open(&dir, config(shards)).unwrap();
-        script(&durable);
-        assert_eq!(
-            snapshots(&durable),
-            expected,
-            "journaled, {shards} shard(s)"
-        );
-        drop(durable);
+    let dir = temp_dir("parity");
+    let (durable, _) = Tvdp::open(&dir, config()).unwrap();
+    script(&durable);
+    assert_eq!(durable.store().snapshot(), expected, "journaled");
+    drop(durable);
 
-        let (reopened, _) = Tvdp::open(&dir, config(shards)).unwrap();
-        assert_eq!(
-            snapshots(&reopened),
-            expected,
-            "replayed, {shards} shard(s)"
-        );
-        // The retry still deduplicates after the restart.
-        let user = reopened.register_user("LASAN", Role::Government);
-        let retry = reopened
-            .ingest_uploads(user, vec![upload(3, Some("k3"))], &Pool::serial())
-            .unwrap();
-        assert!(retry[0].1);
-        assert_eq!(snapshots(&reopened), expected);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let (reopened, _) = Tvdp::open(&dir, config()).unwrap();
+    assert_eq!(reopened.store().snapshot(), expected, "replayed");
+    // The retry still deduplicates after the restart.
+    let user = reopened.register_user("LASAN", Role::Government);
+    let retry = reopened
+        .ingest_uploads(user, vec![upload(3, Some("k3"))], &Pool::serial())
+        .unwrap();
+    assert!(retry[0].1);
+    assert_eq!(reopened.store().snapshot(), expected);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn the_same_uploads_journal_identical_bytes_however_they_are_cut() {
     const N: usize = 9;
-    const SHARDS: usize = 3;
-    let wal = |dir: &PathBuf, shard: usize| {
-        std::fs::read(dir.join(format!("shard-{shard}/wal-0.log"))).unwrap()
-    };
+    let wal = |dir: &PathBuf| std::fs::read(dir.join("wal-0.log")).unwrap();
     let one_by_one = temp_dir("bytes-single");
     {
-        let (tvdp, _) = Tvdp::open(&one_by_one, config(SHARDS)).unwrap();
+        let (tvdp, _) = Tvdp::open(&one_by_one, config()).unwrap();
         let user = tvdp.register_user("LASAN", Role::Government);
         for i in 0..N {
             tvdp.ingest(user, scene(i), request(i)).unwrap();
         }
     }
-    // More than one shard's segment holds records after its header.
+    let expected = wal(&one_by_one);
     assert!(
-        (0..SHARDS)
-            .filter(|&s| wal(&one_by_one, s).len() > SEGMENT_MAGIC.len())
-            .count()
-            > 1
+        expected.len() > SEGMENT_MAGIC.len(),
+        "records after the header"
     );
     for threads in [1, 8] {
         let batched = temp_dir(&format!("bytes-batch-{threads}"));
         let piped = temp_dir(&format!("bytes-uploads-{threads}"));
         {
-            let (tvdp, _) = Tvdp::open(&batched, config(SHARDS)).unwrap();
+            let (tvdp, _) = Tvdp::open(&batched, config()).unwrap();
             let user = tvdp.register_user("LASAN", Role::Government);
             let batch = (0..N).map(|i| (scene(i), request(i))).collect();
             tvdp.ingest_batch(user, batch, threads).unwrap();
-            let (tvdp, _) = Tvdp::open(&piped, config(SHARDS)).unwrap();
+            let (tvdp, _) = Tvdp::open(&piped, config()).unwrap();
             let user = tvdp.register_user("LASAN", Role::Government);
             let uploads = (0..N).map(|i| upload(i, None)).collect();
             tvdp.ingest_uploads(user, uploads, &Pool::new(threads))
                 .unwrap();
         }
-        for shard in 0..SHARDS {
-            let expected = wal(&one_by_one, shard);
-            assert_eq!(
-                wal(&batched, shard),
-                expected,
-                "ingest_batch, {threads} thread(s)"
-            );
-            assert_eq!(
-                wal(&piped, shard),
-                expected,
-                "ingest_uploads, {threads} thread(s)"
-            );
-        }
+        assert_eq!(wal(&batched), expected, "ingest_batch, {threads} thread(s)");
+        assert_eq!(wal(&piped), expected, "ingest_uploads, {threads} thread(s)");
         std::fs::remove_dir_all(&batched).ok();
         std::fs::remove_dir_all(&piped).ok();
     }
@@ -251,12 +214,12 @@ fn the_same_uploads_journal_identical_bytes_however_they_are_cut() {
 fn two_requests_racing_on_one_key_store_one_row() {
     const ROUNDS: usize = 200;
     let dir = temp_dir("race");
-    let platforms = [Tvdp::new(config(1)), Tvdp::open(&dir, config(1)).unwrap().0];
+    let platforms = [Tvdp::new(config()), Tvdp::open(&dir, config()).unwrap().0];
     for tvdp in &platforms {
         let user = tvdp.register_user("edge", Role::CommunityPartner);
         for round in 0..ROUNDS {
             // Both requests pass the cheap marker pre-check before either
-            // commits; the shard's own check under its write (or journal)
+            // commits; the store's own check under its write (or journal)
             // lock picks the winner.
             let start = Barrier::new(2);
             let submit = || {

@@ -306,11 +306,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total indexed images across all published generations.
     pub fn len(&self) -> usize {
         self.shards

@@ -177,8 +177,10 @@ fn rebuilt_engine_reproduces_identical_bytes() {
 // Shard axis: partitioning the corpus must not change a single byte.
 // ---------------------------------------------------------------------
 
-/// Test-local geo-grid router (FNV-1a over 0.01°-pitch cells) — the
-/// query crate cannot depend on the platform's `GeoShardRouter`.
+/// Deals rows to partitions by geo-grid cell (FNV-1a over 0.01°-pitch
+/// cells), so each partition holds whole spatial clusters: any rule
+/// that partitions the rows would do, since the engine's answers must
+/// not depend on how its stores are cut.
 fn shard_for(gps: &GeoPoint, shards: usize) -> usize {
     if shards <= 1 {
         return 0;

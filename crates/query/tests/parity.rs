@@ -338,9 +338,9 @@ fn two_same_kind_visual_leaves_take_general_plan_and_agree() {
 // indistinguishable from the single-store reference.
 // ---------------------------------------------------------------------
 
-/// Deterministic geo-grid shard routing for the shard-axis tests — a
-/// test-local stand-in for the platform's router (this crate cannot
-/// depend on `tvdp-core`): FNV-1a over the 0.01°-pitch cell coordinates.
+/// Deterministic geo-grid partitioning for the shard-axis tests: FNV-1a
+/// over the 0.01°-pitch cell coordinates, so each partition holds whole
+/// spatial clusters.
 fn shard_for(gps: &GeoPoint, shards: usize) -> usize {
     if shards <= 1 {
         return 0;

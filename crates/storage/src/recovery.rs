@@ -137,20 +137,6 @@ pub struct RecoveryReport {
     pub debris_removed: usize,
 }
 
-impl RecoveryReport {
-    /// The report of two stores opened side by side (a sharded
-    /// platform's): the higher epoch, and every count summed.
-    pub fn merge(self, other: RecoveryReport) -> RecoveryReport {
-        RecoveryReport {
-            epoch: self.epoch.max(other.epoch),
-            snapshot_found: self.snapshot_found || other.snapshot_found,
-            replayed_ops: self.replayed_ops + other.replayed_ops,
-            torn_bytes: self.torn_bytes + other.torn_bytes,
-            debris_removed: self.debris_removed + other.debris_removed,
-        }
-    }
-}
-
 impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -178,20 +164,6 @@ pub struct CompactionReport {
     pub snapshot_bytes: u64,
     /// Journal segments folded into the base.
     pub tiers_merged: usize,
-}
-
-impl CompactionReport {
-    /// The report of two stores compacted side by side (a sharded
-    /// platform's): the higher epoch, and every count summed.
-    pub fn merge(self, other: CompactionReport) -> CompactionReport {
-        CompactionReport {
-            epoch: self.epoch.max(other.epoch),
-            ops_compacted: self.ops_compacted + other.ops_compacted,
-            wal_bytes_before: self.wal_bytes_before + other.wal_bytes_before,
-            snapshot_bytes: self.snapshot_bytes + other.snapshot_bytes,
-            tiers_merged: self.tiers_merged + other.tiers_merged,
-        }
-    }
 }
 
 impl std::fmt::Display for CompactionReport {
