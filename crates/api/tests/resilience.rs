@@ -131,8 +131,8 @@ fn malformed_hybrid_query_is_a_structured_400_not_a_panic() {
 
 /// The wrong-length example is a 400 naming the dimension whether the
 /// rows it would have been compared with sit in the engine's tail (linear
-/// scan) or in sealed segments (hybrid tree), alone or inside a hybrid
-/// tree, and the server keeps answering afterwards.
+/// scan) or in sealed segments (bounded segment scan), alone or inside
+/// a hybrid tree, and the server keeps answering afterwards.
 #[test]
 fn wrong_dimension_example_is_a_400_over_tail_rows_and_sealed_segments() {
     const BAD_VISUAL: &str =

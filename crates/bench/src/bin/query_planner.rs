@@ -8,8 +8,9 @@
 //!   unioned through a `BTreeMap` (reconstructed here from the old
 //!   `execute_and`/`execute_or`, using the same leaf executors).
 //! * `linear` — the linear-scan reference executor, for the top-k
-//!   visual workload (reported, not gated: on these 16-float rows an
-//!   in-place scan is within 2x of the tree).
+//!   visual workload (reported, not gated: both sides read every row
+//!   in place, and the engine abandons a row once it cannot make the
+//!   cut).
 //!
 //! Every timed pair is first checked for result parity, so the numbers
 //! compare equal answers; a mismatch exits 1, and that is the gate. The
@@ -412,7 +413,7 @@ fn main() {
     // ratios are wall-clock and reported, not held to a floor.
     println!("  \"reported\": {{");
     println!("    \"hybrid_speedup_min\": {min_hybrid:.2},");
-    println!("    \"zero_copy\": \"visual path allocates no per-query feature copies: the hybrid tree's pruning and scoring call tvdp_kernel::l2_sq on arena rows borrowed from the shared FeatureSlab view\"");
+    println!("    \"zero_copy\": \"visual path allocates no per-query feature copies: the engine scores its candidates with tvdp_kernel::l2_sq_within on arena rows borrowed from the shared FeatureSlab view\"");
     println!("  }}");
     println!("}}");
 }

@@ -1,26 +1,28 @@
 //! Visual R*-tree: the hybrid spatial-visual index (paper ref [28]).
 //!
-//! Hybrid spatial-visual queries ("images near this corner that look like
-//! this example") are served poorly by chaining single-modal indexes: a
-//! spatial-first plan post-filters many features, a visual-first plan
-//! post-filters many locations. The Visual R*-tree augments every R-tree
-//! node with a *feature-space bounding ball* — the centroid of all feature
-//! vectors beneath it and a radius covering them — so a single traversal
-//! prunes in both spaces: a subtree is skipped when its MBR misses the
-//! query region **or** when `‖q − centroid‖ − radius` exceeds the
-//! similarity threshold. The tree itself is [`crate::rtree`]'s shared
-//! body; this file is the entry, the ball and the two prune tests.
+//! The tree augments every R-tree node with a *feature-space bounding
+//! ball* — the centroid of all feature vectors beneath it and a radius
+//! covering them — so one best-first traversal ranks in both spaces: a
+//! subtree is skipped when its MBR misses the query region, and visited
+//! in order of `‖q − centroid‖ − radius`. The tree itself is
+//! [`crate::rtree`]'s shared body; this file is the entry, the ball and
+//! the top-k search.
+//!
+//! No engine path uses it. On 480-float CNN rows the balls never cut a
+//! top-k search, so a sealed query segment finds its candidates in its
+//! scene R-tree and scores them with the bounded exact kernel
+//! [`tvdp_kernel::l2_sq_within`] instead (DESIGN §7). What is left is
+//! what the end-to-end benchmark's `index.hybrid_knn_us` probe builds
+//! and searches.
 //!
 //! The tree does not own feature bytes: entries carry `u32` row handles
 //! into a shared [feature arena](tvdp_kernel::arena), and every
-//! operation that touches feature values takes a
-//! [`RowSource`] (the live [`tvdp_kernel::FeatureSlab`] at insert time,
-//! an `Arc`-shared [`tvdp_kernel::SlabView`] snapshot at query time).
-//! Only the per-node ball centroids are owned — they are derived
+//! operation that touches feature values takes a [`RowSource`]. Only
+//! the per-node ball centroids are owned — they are derived
 //! aggregates, not copies of any row.
 
 use tvdp_geo::BBox;
-use tvdp_kernel::{l2, l2_sq, RowSource, TotalF32};
+use tvdp_kernel::{l2, RowSource, TotalF32};
 
 use crate::rtree::{HasBBox, Node, Tree};
 
@@ -130,27 +132,11 @@ impl<T> VisualRTree<T> {
         }
     }
 
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Inserts an object with spatial extent `bbox` whose feature
     /// vector is arena row `row` of `rows`. The source must resolve
     /// every previously inserted row too (ball maintenance re-reads
     /// sibling features on splits). Every node on the insert path has
-    /// its ball recomputed; a caller that has all its entries up front
-    /// uses [`VisualRTree::build`] and pays for each ball once.
+    /// its ball recomputed.
     ///
     /// # Panics
     ///
@@ -159,60 +145,6 @@ impl<T> VisualRTree<T> {
         assert_eq!(rows.dim(), self.dim, "feature dimension mismatch");
         self.tree
             .insert(Entry { bbox, row, value }, &|node| Ball::of(node, rows));
-    }
-
-    /// The tree over `entries` (`(bbox, arena row, payload)`), packed as
-    /// [`crate::RTree::build`] packs, with each ball computed once from
-    /// a finished node.
-    pub fn build(rows: &impl RowSource, entries: impl IntoIterator<Item = (BBox, u32, T)>) -> Self {
-        assert!(rows.dim() > 0, "zero-dimensional features");
-        let entries = entries
-            .into_iter()
-            .map(|(bbox, row, value)| Entry { bbox, row, value });
-        Self {
-            tree: Tree::build(entries, &|node| Ball::of(node, rows)),
-            dim: rows.dim(),
-        }
-    }
-
-    /// Spatial-visual range query: entries intersecting `region` whose
-    /// feature distance to `query` is at most `max_dist`. Returns
-    /// `(distance, payload)` sorted by distance. Candidates are compared
-    /// in squared-distance space; the root is taken only of the hits.
-    pub fn range_visual(
-        &self,
-        rows: &impl RowSource,
-        region: &BBox,
-        query: &[f32],
-        max_dist: f32,
-    ) -> Vec<(f32, &T)> {
-        assert_eq!(query.len(), self.dim, "feature dimension mismatch");
-        let max_dist_sq = max_dist * max_dist;
-        let mut out = Vec::new();
-        self.tree.visit(
-            // Ball pruning needs the true centroid distance (the lower
-            // bound subtracts a radius), but it runs once per child
-            // node, not once per candidate entry.
-            &|bbox, ball| {
-                bbox.intersects(region) && {
-                    let feat_lb = ball.lower_bound(query);
-                    feat_lb * feat_lb <= max_dist_sq
-                }
-            },
-            &mut |e| {
-                if e.bbox.intersects(region) {
-                    let d_sq = l2_sq(rows.row(e.row), query);
-                    if d_sq <= max_dist_sq {
-                        out.push((d_sq, &e.value));
-                    }
-                }
-            },
-        );
-        out.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for hit in &mut out {
-            hit.0 = hit.0.sqrt();
-        }
-        out
     }
 
     /// Spatial-visual top-k: the `k` entries intersecting `region` most
@@ -297,39 +229,15 @@ mod tests {
     }
 
     #[test]
-    fn range_visual_matches_linear_scan() {
-        let (tree, slab, raw) = build(200);
-        tree.check_invariants(&slab);
-        let region = BBox::new(34.0, -118.3, 34.01, -118.292);
-        let query = {
-            let mut f = vec![0.1f32; 4];
-            f[2] = 1.0;
-            f
-        };
-        let got: Vec<usize> = tree
-            .range_visual(&slab, &region, &query, 0.3)
-            .into_iter()
-            .map(|(_, id)| *id)
-            .collect();
-        let mut expected: Vec<(f32, usize)> = raw
-            .iter()
-            .filter(|(b, f, _)| b.intersects(&region) && l2(f, &query) <= 0.3)
-            .map(|(_, f, id)| (l2(f, &query), *id))
-            .collect();
-        expected.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let expected_ids: Vec<usize> = expected.into_iter().map(|(_, id)| id).collect();
-        assert_eq!(got, expected_ids);
-        assert!(!got.is_empty());
-    }
-
-    #[test]
-    fn range_visual_works_through_a_detached_view() {
+    fn knn_visual_works_through_a_detached_view() {
         let (tree, slab, _) = build(150);
+        tree.check_invariants(&slab);
         let view = slab.view();
         let region = BBox::new(33.9, -118.4, 34.1, -118.2);
         let query = vec![0.1f32, 0.1, 1.0, 0.1];
-        let direct = tree.range_visual(&slab, &region, &query, 0.7);
-        let snapped = tree.range_visual(&view, &region, &query, 0.7);
+        let direct = tree.knn_visual(&slab, &region, &query, 12);
+        let snapped = tree.knn_visual(&view, &region, &query, 12);
+        assert_eq!(direct.len(), 12);
         assert_eq!(direct.len(), snapped.len());
         for ((da, ia), (db, ib)) in direct.iter().zip(&snapped) {
             assert_eq!(da.to_bits(), db.to_bits());
@@ -397,30 +305,15 @@ mod tests {
         // Region far away from all data.
         let empty_region = BBox::new(35.0, -117.0, 35.1, -116.9);
         let query = vec![1.0, 0.1, 0.1, 0.1];
-        assert!(tree
-            .range_visual(&slab, &empty_region, &query, 100.0)
-            .is_empty());
         assert!(tree.knn_visual(&slab, &empty_region, &query, 5).is_empty());
     }
 
     #[test]
-    fn visual_threshold_respected() {
-        let (tree, slab, _) = build(100);
-        let region = BBox::new(33.9, -118.4, 34.1, -118.2);
-        let query = vec![0.0; 4];
-        for (d, _) in tree.range_visual(&slab, &region, &query, 0.9) {
-            assert!(d <= 0.9);
-        }
-    }
-
-    #[test]
-    fn empty_tree_and_dim_checks() {
+    fn empty_tree_finds_nothing() {
         let tree: VisualRTree<u8> = VisualRTree::new(3);
-        assert!(tree.is_empty());
-        assert_eq!(tree.dim(), 3);
         let slab = FeatureSlab::new(3);
         let region = BBox::new(0.0, 0.0, 1.0, 1.0);
-        assert!(tree.range_visual(&slab, &region, &[0.0; 3], 1.0).is_empty());
+        assert!(tree.knn_visual(&slab, &region, &[0.0; 3], 4).is_empty());
     }
 
     #[test]

@@ -16,13 +16,17 @@
 //!   ref \[27\]) for textual keyword queries,
 //! * [`hybrid::VisualRTree`] — the hybrid spatial-visual index of
 //!   Alfarrarjeh et al. (ACM MM Workshops 2017, ref \[28\]): an R-tree whose
-//!   nodes carry feature-space summaries so one traversal prunes in both
-//!   spaces at once.
+//!   nodes carry feature-space balls, searched best-first in both
+//!   spaces at once. No query engine path uses it: on 480-float CNN
+//!   rows the balls never cut a top-k search, so a query segment takes
+//!   its scene [`RTree`]'s hits and scores them with the bounded exact
+//!   kernel `tvdp_kernel::l2_sq_within`. It is grown row by row only.
 //!
 //! The three trees are one R*-tree body ([`rtree`]'s crate-private
 //! `Tree`) under three per-node summaries: none, viewing arcs, feature
-//! balls. A tree whose entries are known up front is packed
-//! Sort-Tile-Recursive (`build`); `insert` grows one row at a time.
+//! balls. A spatial or oriented tree whose entries are known up front
+//! is packed Sort-Tile-Recursive (`build`); `insert` grows one row at a
+//! time.
 //! Temporal filters need no index here: the query engine keeps each
 //! timestamp column with a permutation of its rows in time order.
 

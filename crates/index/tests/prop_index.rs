@@ -152,14 +152,14 @@ fn oriented_rtree_equals_linear_scan() {
 }
 
 #[test]
-fn visual_rtree_range_equals_linear_scan() {
+fn visual_rtree_knn_equals_linear_scan() {
     for_each_case(CASES, |_, rng| {
         let entries: Vec<(GeoPoint, Vec<f32>)> = (0..rng.gen_range(1..300))
             .map(|_| (la_point(rng), floats(rng, 4, 1.0)))
             .collect();
         let query_region = la_bbox(rng);
         let query_feat = floats(rng, 4, 1.0);
-        let threshold = rng.gen_range(0.1f32..2.0);
+        let k = rng.gen_range(1..20usize);
         let mut tree = VisualRTree::new(4);
         let mut slab = tvdp_kernel::FeatureSlab::new(4);
         for (i, (p, f)) in entries.iter().enumerate() {
@@ -167,35 +167,25 @@ fn visual_rtree_range_equals_linear_scan() {
             tree.insert(&slab, BBox::from_point(*p), row, i);
         }
         tree.check_invariants(&slab);
-        // Rows were pushed in entry order, so entry `i` is arena row `i`.
-        let built = VisualRTree::build(
-            &slab,
-            (entries.iter().enumerate()).map(|(i, (p, _))| (BBox::from_point(*p), i as u32, i)),
-        );
-        built.check_invariants(&slab);
-        let l2 = |a: &[f32], b: &[f32]| -> f32 {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f32>()
-                .sqrt()
-        };
-        // Rows tying on distance come out in tree order: compare sets.
-        let ids = |tree: &VisualRTree<usize>| -> Vec<usize> {
-            let hits = tree.range_visual(&slab, &query_region, &query_feat, threshold);
-            let mut ids: Vec<usize> = hits.into_iter().map(|(_, i)| *i).collect();
-            ids.sort_unstable();
-            ids
-        };
-        let got = ids(&tree);
-        assert_eq!(got, ids(&built), "a built tree answers another set");
-        let mut expected: Vec<usize> = entries
+        let got: Vec<(u32, usize)> = tree
+            .knn_visual(&slab, &query_region, &query_feat, k)
+            .into_iter()
+            .map(|(d, i)| (d.to_bits(), *i))
+            .collect();
+        // The k lowest `(distance, payload)` pairs of a scan, distances
+        // from the same kernel the tree scores with.
+        let mut expected: Vec<(f32, usize)> = entries
             .iter()
             .enumerate()
-            .filter(|(_, (p, f))| query_region.contains(p) && l2(f, &query_feat) <= threshold)
-            .map(|(i, _)| i)
+            .filter(|(_, (p, _))| query_region.contains(p))
+            .map(|(i, (_, f))| (tvdp_kernel::l2(f, &query_feat), i))
             .collect();
-        expected.sort_unstable();
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        expected.truncate(k);
+        let expected: Vec<(u32, usize)> = expected
+            .into_iter()
+            .map(|(d, i)| (d.to_bits(), i))
+            .collect();
         assert_eq!(got, expected);
     });
 }

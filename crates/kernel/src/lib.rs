@@ -1,15 +1,16 @@
 //! Shared compute substrate for the Translational Visual Data Platform.
 //!
 //! Every latency-critical service in TVDP — LSH candidate re-ranking,
-//! Visual R*-tree traversal, k-means dictionary building, kNN scoring —
-//! bottoms out in dense `f32` distance evaluations. This crate is the one
-//! place those primitives live:
+//! a sealed segment's exact visual scan, k-means dictionary building,
+//! kNN scoring — bottoms out in dense `f32` distance evaluations. This
+//! crate is the one place those primitives live:
 //!
 //! * [`dot`], [`l2_sq`], [`l2`], [`normalize`] — chunked, multi-accumulator
 //!   loops the compiler auto-vectorizes. Strict IEEE semantics (no
 //!   fast-math): results are bit-deterministic for a given input, just
 //!   accumulated in a fixed lane-then-tree order instead of strictly
-//!   left-to-right.
+//!   left-to-right. [`l2_sq_within`] is [`l2_sq`] abandoned once a row
+//!   cannot come within a limit, and otherwise the same bits.
 //! * [`Pool`] — a scoped work pool (std scoped threads, num-CPU default)
 //!   with a deterministic chunk→slot mapping, so parallel maps return
 //!   results in input order and per-item values never depend on the
@@ -111,8 +112,16 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "length mismatch");
     let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
     let mut acc = [0.0f32; LANES];
+    let tail = l2_sq_lanes(&mut acc, &a[..n], &b[..n]);
+    reduce(acc, tail)
+}
+
+/// [`l2_sq`]'s loop: adds `(a[j] - b[j])²` of every whole
+/// [`LANES`]-float chunk into lane `j % LANES` of `acc`, in order, and
+/// returns the squared distance over the leftover tail.
+#[inline(always)]
+fn l2_sq_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32]) -> f32 {
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
     for (xs, ys) in ca.by_ref().zip(cb.by_ref()) {
@@ -126,7 +135,45 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         let d = x - y;
         tail += d * d;
     }
-    reduce(acc, tail)
+    tail
+}
+
+/// Floats between two looks at [`l2_sq_within`]'s partial sum.
+const WITHIN_BLOCK: usize = 4 * LANES;
+
+/// [`l2_sq`], abandoned once the distance is known to exceed `limit`.
+///
+/// Runs [`l2_sq`]'s lanes in [`l2_sq`]'s order and, every 64 floats,
+/// reduces them as [`l2_sq`] reduces its last: a lane only grows and
+/// rounding is monotone, so once that partial sum's root is above
+/// `limit` the full root is too, and the call returns `None`. It
+/// abandons only when the partial sum is above `limit * limit` as
+/// well, so a caller comparing squared against `limit * limit` never
+/// loses a row it would keep either. Otherwise it returns `Some` of
+/// exactly [`l2_sq`]'s bits.
+///
+/// # Panics
+///
+/// Panics in debug builds when the lengths differ.
+#[inline]
+pub fn l2_sq_within(a: &[f32], b: &[f32], limit: f32) -> Option<f32> {
+    debug_assert_eq!(a.len(), b.len(), "length mismatch");
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let limit_sq = limit * limit;
+    let mut acc = [0.0f32; LANES];
+    let mut ca = a.chunks_exact(WITHIN_BLOCK);
+    let mut cb = b.chunks_exact(WITHIN_BLOCK);
+    for (xs, ys) in ca.by_ref().zip(cb.by_ref()) {
+        // A block is whole chunks, so it leaves no tail.
+        l2_sq_lanes(&mut acc, xs, ys);
+        let partial = reduce(acc, 0.0);
+        if partial > limit_sq && partial.sqrt() > limit {
+            return None;
+        }
+    }
+    let tail = l2_sq_lanes(&mut acc, ca.remainder(), cb.remainder());
+    Some(reduce(acc, tail))
 }
 
 /// Euclidean distance between equal-length vectors.
@@ -220,6 +267,65 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(l2_sq(&a, &b).to_bits(), x.to_bits());
         }
+    }
+
+    /// `Some` is `l2_sq`'s bits and `None` only a row beyond the limit,
+    /// at widths with and without a whole block, a tail, or both: for
+    /// identical rows, zero rows, a limit exactly at the row's root or
+    /// at a block's partial root, one float either side of the root,
+    /// and random limits.
+    #[test]
+    fn l2_sq_within_is_l2_sq_or_beyond_the_limit() {
+        let mut abandoned = 0;
+        crate::rng::for_each_case(64, |case, rng| {
+            for dim in [3, 16, 50, 480] {
+                let mut a: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let mut b: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                match case % 4 {
+                    0 => b.clone_from(&a),
+                    1 => {
+                        a.fill(0.0);
+                        b.fill(0.0);
+                    }
+                    // Only the first block differs: its partial sum is
+                    // the whole distance.
+                    2 => b[WITHIN_BLOCK.min(dim)..].copy_from_slice(&a[WITHIN_BLOCK.min(dim)..]),
+                    _ => {}
+                }
+                let full = l2_sq(&a, &b);
+                let root = full.sqrt();
+                let block = WITHIN_BLOCK.min(dim);
+                let mut limits = vec![
+                    root,
+                    f32::from_bits(root.to_bits().saturating_sub(1)),
+                    f32::from_bits(root.to_bits() + 1),
+                    l2(&a[..block], &b[..block]),
+                    0.0,
+                    f32::INFINITY,
+                    -1.0,
+                ];
+                limits.extend((0..4).map(|_| root * rng.gen_range(0.0f32..1.5)));
+                for limit in limits {
+                    match l2_sq_within(&a, &b, limit) {
+                        Some(d) => assert_eq!(
+                            d.to_bits(),
+                            full.to_bits(),
+                            "case {case}, dim {dim}, limit {limit}"
+                        ),
+                        None => {
+                            assert!(
+                                root > limit && full > limit * limit,
+                                "case {case}, dim {dim}: {root} abandoned at {limit}"
+                            );
+                            abandoned += 1;
+                        }
+                    }
+                }
+                // A limit exactly at the root keeps the row.
+                assert_eq!(l2_sq_within(&a, &b, root), Some(full));
+            }
+        });
+        assert!(abandoned > 0, "no row was ever abandoned");
     }
 
     #[test]

@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tvdp_geo::{BBox, Fov, GeoPolygon};
-use tvdp_index::{inverted::tokenize, InvertedIndex, OrientedRTree, RTree, VisualRTree};
-use tvdp_kernel::{l2_sq, RowSource, SlabView};
+use tvdp_index::{inverted::tokenize, InvertedIndex, OrientedRTree, RTree};
+use tvdp_kernel::{l2_sq_within, RowSource, SlabView, TopK, TotalF32};
 use tvdp_storage::{ClassificationId, FeatureHandle, ImageId, ImageRecord, VisualStore};
 use tvdp_vision::FeatureKind;
 
@@ -79,10 +79,13 @@ fn time_order(stamps: &[i64]) -> Vec<u32> {
     order
 }
 
-/// The whole-planet region used when a visual query has no spatial
-/// constraint.
-fn world() -> BBox {
-    BBox::new(-90.0, -180.0, 90.0, 180.0)
+/// The distance of `row` from `example` when it is within `max_dist`:
+/// compared squared, as the linear scan compares, the root taken only
+/// of a hit. Every threshold the engine evaluates goes through here.
+fn within(row: &[f32], example: &[f32], max_dist: f32) -> Option<f32> {
+    l2_sq_within(row, example, max_dist)
+        .filter(|&d_sq| d_sq <= max_dist * max_dist)
+        .map(f32::sqrt)
 }
 
 /// A conjunction leaf evaluated per candidate image (an exact
@@ -121,7 +124,6 @@ pub struct QueryEngine {
     config: EngineConfig,
     scene_tree: RTree<ImageId>,
     fov_tree: OrientedRTree<ImageId>,
-    hybrid: Option<VisualRTree<ImageId>>,
     text: InvertedIndex,
     /// Dense doc handle -> image id, ascending: the indexed set, and
     /// (by binary search) image id -> doc handle.
@@ -138,8 +140,11 @@ pub struct QueryEngine {
     /// The docs in `(captured_at, doc)` and `(uploaded_at, doc)` order.
     captured_order: Vec<u32>,
     uploaded_order: Vec<u32>,
-    /// One past the highest arena row the visual indexes reference;
-    /// the view a query resolves rows through must cover this many.
+    /// Length of the indexed feature rows (fixed by the first one);
+    /// `None` until a visual row is indexed.
+    visual_dim: Option<usize>,
+    /// One past the highest arena row `rows` references; the view a
+    /// query resolves rows through must cover this many.
     rows_hi: u32,
     /// Union of all indexed scene boxes (spatial selectivity model).
     extent: Option<BBox>,
@@ -160,10 +165,10 @@ impl QueryEngine {
     ///
     /// Answers as [`QueryEngine::index_image`] over the same ids in
     /// ascending order would, but the id list is final, so it is built
-    /// write-once: the three trees are packed from their entry lists
-    /// (each node summary computed once, the hybrid tree's from the
-    /// arena view queries will read, with no store lock held for the
-    /// pass) and each time order is one sort.
+    /// write-once: the two trees are packed from their entry lists
+    /// (each node summary computed once) and each time order is one
+    /// sort. No feature value is read: a visual leaf scans the `rows`
+    /// column.
     pub fn build_over(store: Arc<VisualStore>, config: EngineConfig, ids: &[ImageId]) -> Self {
         let mut ids = ids.to_vec();
         ids.sort_unstable();
@@ -171,33 +176,17 @@ impl QueryEngine {
         let mut engine = Self::build_empty(Arc::clone(&store), config);
         let mut scenes: Vec<(BBox, ImageId)> = Vec::new();
         let mut fovs: Vec<(BBox, Fov, ImageId)> = Vec::new();
-        let mut visual: Vec<(BBox, u32, ImageId)> = Vec::new();
-        let mut dim = None;
         for &id in &ids {
-            store.with_image_row(id, engine.config.visual_kind, |record, row| {
-                let handle = row.map(|(handle, _)| handle);
+            store.with_image_row(id, engine.config.visual_kind, |record, handle| {
                 let (scene, fov) = engine.index_row(id, record, handle);
                 scenes.push((scene, id));
                 fovs.extend(fov.map(|fov| (scene, fov, id)));
-                if let Some(handle) = handle {
-                    let first = *dim.get_or_insert(handle.dim);
-                    assert_eq!(handle.dim, first, "feature dimension mismatch");
-                    visual.push((scene, handle.row, id));
-                }
             });
         }
         engine.captured_order = time_order(&engine.captured_at);
         engine.uploaded_order = time_order(&engine.uploaded_at);
         engine.scene_tree = RTree::build(scenes);
         engine.fov_tree = OrientedRTree::build(fovs);
-        if let Some(dim) = dim {
-            let view = store.slab_view(
-                engine.config.visual_kind,
-                dim as usize,
-                engine.rows_hi as usize,
-            );
-            engine.hybrid = Some(VisualRTree::build(&*view, visual));
-        }
         engine
     }
 
@@ -207,7 +196,6 @@ impl QueryEngine {
             config,
             scene_tree: RTree::new(),
             fov_tree: OrientedRTree::new(),
-            hybrid: None,
             text: InvertedIndex::new(),
             docs: Vec::new(),
             captured_at: Vec::new(),
@@ -217,6 +205,7 @@ impl QueryEngine {
             rows: Vec::new(),
             captured_order: Vec::new(),
             uploaded_order: Vec::new(),
+            visual_dim: None,
             rows_hi: 0,
             extent: None,
         }
@@ -247,9 +236,7 @@ impl QueryEngine {
     /// ignored. An id at or below the highest is a no-op when already
     /// indexed and refused with [`OutOfOrder`], the engine unchanged,
     /// when not. One read-lock acquisition per row: the record is read
-    /// in place, and the hybrid tree reads the feature row (on a split,
-    /// its siblings' rows too) straight out of the live slab, keeping
-    /// only its `u32` handle.
+    /// in place, and of its feature row only the `u32` handle is kept.
     pub fn index_image(&mut self, id: ImageId) -> Result<(), OutOfOrder> {
         if let Some(&highest) = self.docs.last() {
             if id <= highest {
@@ -260,8 +247,7 @@ impl QueryEngine {
             }
         }
         let store = Arc::clone(&self.store);
-        store.with_image_row(id, self.config.visual_kind, |record, row| {
-            let handle = row.map(|(handle, _)| handle);
+        store.with_image_row(id, self.config.visual_kind, |record, handle| {
             let (scene, fov) = self.index_row(id, record, handle);
             // The new doc is the highest, so it goes after every doc
             // sharing its timestamp.
@@ -278,11 +264,6 @@ impl QueryEngine {
             if let Some(fov) = fov {
                 self.fov_tree.insert(scene, fov, id);
             }
-            if let Some((handle, slab)) = row {
-                self.hybrid
-                    .get_or_insert_with(|| VisualRTree::new(handle.dim as usize))
-                    .insert(slab, scene, handle.row, id);
-            }
         });
         Ok(())
     }
@@ -291,6 +272,11 @@ impl QueryEngine {
     /// read from its store `record` and the arena `handle` of its row of
     /// the indexed family (if it holds one), and returns what the trees
     /// key it by: its scene box and its FOV.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the row's length differs from the first indexed
+    /// row's.
     fn index_row(
         &mut self,
         id: ImageId,
@@ -298,6 +284,10 @@ impl QueryEngine {
         handle: Option<FeatureHandle>,
     ) -> (BBox, Option<Fov>) {
         debug_assert!(self.docs.last().is_none_or(|&last| last < id));
+        if let Some(handle) = handle {
+            let dim = *self.visual_dim.get_or_insert(handle.dim as usize);
+            assert_eq!(handle.dim as usize, dim, "feature dimension mismatch");
+        }
         let scene = record.scene_location;
         let doc = self.docs.len();
         self.docs.push(id);
@@ -353,7 +343,7 @@ impl QueryEngine {
     /// Dimensionality of the indexed feature rows (fixed by the first
     /// one); `None` until a visual row is indexed.
     pub(crate) fn visual_dim(&self) -> Option<usize> {
-        self.hybrid.as_ref().map(VisualRTree::dim)
+        self.visual_dim
     }
 
     /// Executes a query, rejecting invalid ones with a typed error (see
@@ -474,36 +464,73 @@ impl QueryEngine {
 
     /// Visual query, optionally restricted to a spatial region (the
     /// hybrid spatial-visual plan, which the sharded executor scatters
-    /// as one index traversal per segment). Feature rows are read from
-    /// the shared arena snapshot; nothing is cloned per query.
+    /// as one leaf per segment): the candidates are every doc, or the
+    /// scene tree's hits for `region`, and each candidate's row is read
+    /// in place from the shared arena snapshot and scored by
+    /// [`l2_sq_within`]. A threshold is the limit of every row; a top-k
+    /// row is limited by this segment's current `k`-th root, so only a
+    /// row strictly worse than it is abandoned and a tie at the cut is
+    /// still ranked by id. Nothing is cloned per query, and nothing is
+    /// shared with other segments: the work depends only on this
+    /// segment and the query.
     pub(crate) fn execute_visual(
         &self,
         example: &[f32],
         mode: VisualMode,
         region: Option<&BBox>,
     ) -> Vec<QueryResult> {
-        let Some(hybrid) = &self.hybrid else {
+        if self.visual_dim.is_none() {
             return Vec::new();
-        };
-        let view = self.visual_view();
-        let region = region.copied().unwrap_or_else(world);
-        let mut out: Vec<QueryResult> = match mode {
-            VisualMode::Threshold(max_dist) => hybrid
-                .range_visual(&*view, &region, example, max_dist)
-                .into_iter()
-                .map(|(d, id)| QueryResult::new(*id, f64::from(d)))
-                .collect(),
-            VisualMode::TopK(k) => hybrid
-                .knn_visual(&*view, &region, example, k)
-                .into_iter()
-                .map(|(d, id)| QueryResult::new(*id, f64::from(d)))
-                .collect(),
-        };
-        // Every path above ranks on squared distances; two of those can
-        // round to one reported root, and rows that tie on the reported
-        // score are ordered by id like everywhere else.
+        }
+        let mut out = Vec::new();
+        match mode {
+            VisualMode::Threshold(max_dist) => {
+                self.visual_rows(region, |id, row| {
+                    if let Some(d) = within(row, example, max_dist) {
+                        out.push(QueryResult::new(id, f64::from(d)));
+                    }
+                });
+            }
+            VisualMode::TopK(k) => {
+                let mut top = TopK::new(k);
+                self.visual_rows(region, |id, row| {
+                    let limit = top.threshold().map_or(f32::INFINITY, |&(TotalF32(d), _)| d);
+                    if let Some(d_sq) = l2_sq_within(row, example, limit) {
+                        top.push((TotalF32(d_sq.sqrt()), id));
+                    }
+                });
+                let kept = top.into_sorted_vec().into_iter();
+                out.extend(kept.map(|(TotalF32(d), id)| QueryResult::new(id, f64::from(d))));
+            }
+        }
+        // A threshold's hits come in candidate order, and two squared
+        // distances can round to one reported root: rows are ordered by
+        // `(score, id)` like everywhere else.
         sort_ranked(&mut out);
         out
+    }
+
+    /// Calls `f` with the id and feature row of every doc holding a
+    /// row of the indexed family, or with `region`, of every scene tree
+    /// hit holding one; rows are read from the shared arena snapshot.
+    fn visual_rows(&self, region: Option<&BBox>, mut f: impl FnMut(ImageId, &[f32])) {
+        let view = self.visual_view();
+        let mut visit = |doc: usize| {
+            let row = self.rows[doc];
+            if row != NO_ROW {
+                f(self.docs[doc], view.row(row));
+            }
+        };
+        match region {
+            None => (0..self.docs.len()).for_each(&mut visit),
+            Some(region) => {
+                for id in self.scene_tree.range(region) {
+                    if let Some(doc) = self.doc_of(*id) {
+                        visit(doc);
+                    }
+                }
+            }
+        }
     }
 
     fn execute_textual(&self, text: &str, mode: TextualMode) -> Vec<QueryResult> {
@@ -580,7 +607,7 @@ impl QueryEngine {
                 example,
                 mode: VisualMode::Threshold(t),
                 ..
-            } if self.hybrid.is_some() => Some((
+            } if self.visual_dim.is_some() => Some((
                 Filter::VisualThreshold {
                     example,
                     max_dist: *t,
@@ -594,8 +621,8 @@ impl QueryEngine {
     /// Whether candidate `id` satisfies a pushed-down predicate.
     /// Exactly the membership test of the corresponding materialized
     /// leaf: doc-side lookups use the values recorded at index time,
-    /// and the visual threshold reruns the same `l2_sq` kernel on the
-    /// same arena row the hybrid tree would visit.
+    /// and the visual threshold is [`within`] on the same arena row
+    /// the materialized leaf would score.
     fn filter_matches(&self, f: &Filter, id: ImageId, view: Option<&SlabView>) -> bool {
         match f {
             Filter::Temporal { field, from, to } => self.doc_of(id).is_some_and(|doc| {
@@ -626,7 +653,7 @@ impl QueryEngine {
             Filter::VisualThreshold { example, max_dist } => self
                 .row_of(id)
                 .zip(view)
-                .is_some_and(|(row, v)| l2_sq(v.row(row), example) <= max_dist * max_dist),
+                .is_some_and(|(row, v)| within(v.row(row), example, *max_dist).is_some()),
         }
     }
 
@@ -635,10 +662,11 @@ impl QueryEngine {
     /// for a visual threshold.
     fn filter_score(&self, f: &Filter, id: ImageId, view: Option<&SlabView>) -> f64 {
         match f {
-            Filter::VisualThreshold { example, .. } => self
+            Filter::VisualThreshold { example, max_dist } => self
                 .row_of(id)
                 .zip(view)
-                .map_or(0.0, |(row, v)| f64::from(l2_sq(v.row(row), example).sqrt())),
+                .and_then(|(row, v)| within(v.row(row), example, *max_dist))
+                .map_or(0.0, f64::from),
             _ => 0.0,
         }
     }
@@ -733,9 +761,9 @@ impl QueryEngine {
 
     /// Conjunction planner.
     ///
-    /// The spatial-range + visual pattern runs on the hybrid index in
-    /// one traversal, with every remaining leaf applied to the (small)
-    /// visual candidate list — predicates per candidate, anything
+    /// The spatial-range + visual pattern runs as one visual leaf over
+    /// the scene tree's hits for the region, with every remaining leaf
+    /// applied to the (small) visual candidate list — predicates per candidate, anything
     /// top-k-like via one sorted-id intersection.
     ///
     /// The general plan materializes only what it must: leaves with

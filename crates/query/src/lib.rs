@@ -10,9 +10,10 @@
 //! * **Categorical** — annotation-label filters,
 //! * **Textual** — keyword search over manual keywords,
 //! * **Temporal** — capture/upload time ranges,
-//! * **Hybrid** — conjunctions, with a planner that routes
-//!   spatial+visual conjunctions to the hybrid Visual R*-tree instead of
-//!   chaining single-modal indexes.
+//! * **Hybrid** — conjunctions, with a planner that answers a
+//!   spatial+visual conjunction as one visual leaf per segment over the
+//!   scene R-tree's hits for the region, instead of chaining
+//!   single-modal indexes.
 //!
 //! [`QueryEngine`] serves queries from the indexing substrate;
 //! [`ShardedEngine`] scatters them over sealed `QueryEngine` segments

@@ -32,8 +32,8 @@
 //!   function of those numbers, so the floats are bit-identical to one
 //!   big index),
 //! * conjunctions keep the planner's hybrid fast path — one spatial
-//!   range plus one visual leaf scatters as a single restricted index
-//!   traversal per segment; that split, `Or`, `Categorical` and the
+//!   range plus one visual leaf scatters as one region-restricted
+//!   visual leaf per segment; that split, `Or`, `Categorical` and the
 //!   general conjunction are [`crate::plan`]'s, shared with the other
 //!   executors.
 //!
@@ -644,8 +644,8 @@ impl ShardedEngine {
     }
 
     /// Conjunction. The hybrid fast path — exactly one spatial range
-    /// plus one visual leaf — scatters as a single region-restricted
-    /// visual traversal per segment (with any extra legs intersected
+    /// plus one visual leaf — scatters as one region-restricted
+    /// visual leaf per segment (with any extra legs intersected
     /// afterwards); everything else materializes each leg globally and
     /// intersects, scoring survivors from the first leg.
     fn and_on(

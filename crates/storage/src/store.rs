@@ -977,24 +977,21 @@ impl VisualStore {
     }
 
     /// Runs `f` over one image's record and, when the image holds a
-    /// non-empty feature of `kind`, that feature's arena handle with the
-    /// live slab it points into: everything an index reads to insert the
-    /// row, zero-copy, under a single read-lock acquisition. Keep `f`
-    /// cheap (it blocks writers); the no-reentrancy rule of
-    /// [`VisualStore::with_images`] applies. `None` when the image is
-    /// absent.
+    /// non-empty feature of `kind`, that feature's arena handle:
+    /// everything an index reads to insert the row, zero-copy, under a
+    /// single read-lock acquisition. Keep `f` cheap (it blocks
+    /// writers); the no-reentrancy rule of [`VisualStore::with_images`]
+    /// applies. `None` when the image is absent.
     pub fn with_image_row<R>(
         &self,
         id: ImageId,
         kind: FeatureKind,
-        f: impl FnOnce(&ImageRecord, Option<(FeatureHandle, &FeatureSlab)>) -> R,
+        f: impl FnOnce(&ImageRecord, Option<FeatureHandle>) -> R,
     ) -> Option<R> {
         let t = self.inner.read();
         let row = t.row(id)?;
-        let feature = row.features[slot(kind)]
-            .filter(|h| h.dim > 0)
-            .map(|h| (h, &t.slabs[&(h.kind, h.dim)]));
-        Some(f(&row.record, feature))
+        let handle = row.features[slot(kind)].filter(|h| h.dim > 0);
+        Some(f(&row.record, handle))
     }
 
     /// Images that have a stored feature of `kind`.
@@ -1334,12 +1331,16 @@ mod tests {
             1
         );
         let sift_row = |id| {
-            store.with_image_row(id, FeatureKind::SiftBow, |record, row| {
+            store.with_image_row(id, FeatureKind::SiftBow, |record, handle| {
                 assert_eq!(record.id, id);
-                row.map(|(handle, slab)| slab.row(handle.row).to_vec())
+                handle.map(|h| (h.dim, h.row))
             })
         };
-        assert_eq!(sift_row(b), Some(Some(vec![7.0; 5])));
+        assert_eq!(sift_row(b), Some(Some((5, 0))));
+        assert_eq!(
+            store.feature(b, FeatureKind::SiftBow).unwrap(),
+            vec![7.0; 5]
+        );
         assert_eq!(sift_row(a), Some(None), "no feature of that kind");
         assert_eq!(sift_row(ImageId(999)), None, "no such image");
 
