@@ -1,12 +1,13 @@
-//! Before/after benchmark for the selectivity-ordered query planner.
+//! Benchmark of the platform's query planner over one segment.
 //!
-//! Builds a 24K-image store and times the rewritten [`QueryEngine`]
-//! against two baselines on identical workloads:
+//! Builds a 24K-image store and times [`QueryEngine::try_execute`] —
+//! the scatter/gather planner every platform search runs, here over
+//! the engine as its one segment with no tail — against two baselines
+//! on identical workloads:
 //!
-//! * `materialized` — the pre-rewrite conjunction/disjunction plan:
-//!   every leaf executed to a full result set, then intersected /
-//!   unioned through a `BTreeMap` (reconstructed here from the old
-//!   `execute_and`/`execute_or`, using the same leaf executors).
+//! * `materialized` — a materialize-every-leaf plan: every leaf
+//!   executed to a full result set, then intersected / unioned through
+//!   a `BTreeMap`, using the same leaf executors.
 //! * `linear` — the linear-scan reference executor, for the top-k
 //!   visual workload (reported, not gated: both sides read every row
 //!   in place, and the engine abandons a row once it cannot make the
@@ -190,7 +191,7 @@ fn topk_visual(rng: &mut Rng) -> Query {
     }
 }
 
-/// The pre-rewrite conjunction plan: materialize every leg through the
+/// The materialized conjunction plan: materialize every leg through the
 /// engine's leaf executors, intersect through a `BTreeMap`, keep the
 /// first leg's score.
 fn materialized_and(engine: &QueryEngine, subs: &[Query]) -> Vec<QueryResult> {
@@ -217,7 +218,7 @@ fn materialized_and(engine: &QueryEngine, subs: &[Query]) -> Vec<QueryResult> {
     out
 }
 
-/// The pre-rewrite disjunction plan: union through a `BTreeMap`,
+/// The materialized disjunction plan: union through a `BTreeMap`,
 /// keeping each image's best (lowest) score.
 fn materialized_or(engine: &QueryEngine, subs: &[Query]) -> Vec<QueryResult> {
     let mut acc: BTreeMap<_, f64> = BTreeMap::new();
@@ -247,8 +248,8 @@ fn run(engine: &QueryEngine, q: &Query) -> Vec<QueryResult> {
     }
 }
 
-/// Executes one leg the way the old plan did: leaves through the
-/// engine's leaf executors, nested booleans recursively materialized.
+/// Executes one leg the materialized way: leaves through the engine's
+/// leaf executors, nested booleans recursively materialized.
 fn materialized(engine: &QueryEngine, q: &Query) -> Vec<QueryResult> {
     match q {
         Query::And(subs) => materialized_and(engine, subs),
@@ -354,7 +355,7 @@ fn main() {
         let (engine_ms, rows) = time_batch(qs, |q| run(&engine, q));
         workloads.push(Workload {
             name,
-            baseline_name: "materialized conjunction (pre-rewrite plan)",
+            baseline_name: "materialized conjunction (BTreeMap intersection)",
             baseline_ms,
             engine_ms,
             result_rows: rows,
@@ -365,7 +366,7 @@ fn main() {
         let (engine_ms, rows) = time_batch(&or_qs, |q| run(&engine, q));
         workloads.push(Workload {
             name: "or_mixed",
-            baseline_name: "BTreeMap union (pre-rewrite plan)",
+            baseline_name: "materialized disjunction (BTreeMap union)",
             baseline_ms,
             engine_ms,
             result_rows: rows,
@@ -395,7 +396,7 @@ fn main() {
     let body: Vec<String> = workloads.iter().map(Workload::json).collect();
     println!("{{");
     println!(
-        "  \"description\": \"Selectivity-ordered streaming planner vs the pre-rewrite materialize-every-leaf plan (reconstructed from the old execute_and/execute_or over the same leaf executors) and the linear-scan reference, on a {N_IMAGES}-image corpus (dim {DIM}). Result parity is asserted before timing. Best of {ROUNDS} rounds, {QUERIES} queries per workload.\","
+        "  \"description\": \"The platform's scatter/gather planner over one segment (QueryEngine::try_execute) vs a materialize-every-leaf plan through BTreeMaps over the same leaf executors, and vs the linear-scan reference, on a {N_IMAGES}-image corpus (dim {DIM}). Result parity is asserted before timing. Best of {ROUNDS} rounds, {QUERIES} queries per workload.\","
     );
     println!("  \"regenerate\": \"cargo run --release -p tvdp-bench --bin query_planner > BENCH_query.json\",");
     println!(

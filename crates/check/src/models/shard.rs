@@ -1,10 +1,11 @@
-//! Shard writer append+seal vs concurrent scatter/gather readers.
+//! The engine's one writer append+seal vs concurrent scatter/gather
+//! readers.
 //!
-//! The production `ShardedEngine` appends rows into a per-shard
-//! `pending` buffer under the shard's writer mutex, seals `pending`
-//! into an immutable segment when it reaches `seal_cap`, and publishes
-//! the `{segments, tail}` snapshot — *while still holding the lock* —
-//! through the shard's `GenCell`. Readers never touch the writer
+//! The production `ShardedEngine` indexes one store with one writer: it
+//! appends rows into a `pending` buffer under the writer mutex, seals
+//! `pending` into an immutable segment when it reaches `seal_cap`, and
+//! publishes the `{segments, tail}` snapshot — *while still holding the
+//! lock* — through its one `GenCell`. Readers never touch the writer
 //! state; they only load published snapshots.
 //!
 //! The linearizability obligations modeled here:
@@ -25,7 +26,7 @@
 use crate::shim;
 use crate::{finally, spawn};
 
-/// Writer state behind the shard mutex: the mutable tail plus sealed
+/// Writer state behind the writer mutex: the mutable tail plus sealed
 /// segments.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 struct Writer {

@@ -2,7 +2,7 @@
 //!
 //! The controller models the platform as a single virtual-time server
 //! with a configurable capacity in *work units* per second. Every
-//! request is priced in units before it runs (planner cardinality for
+//! request is priced in units before it runs (segment cardinality for
 //! queries, batch size for ingest, a flat charge for dispatch) and
 //! admission is a pure function of `(backlog, class, cost, now)`:
 //!

@@ -211,8 +211,8 @@ impl Tvdp {
     /// every index over its current contents. Users and models are
     /// runtime state and start empty.
     pub fn with_store(store: Arc<VisualStore>, config: PlatformConfig) -> Self {
-        // The engine's partitions are a query-layer seam; the platform
-        // hands it its one store as partition 0.
+        // The engine indexes exactly one store, given as a one-element
+        // vector.
         let engine = ShardedEngine::with_seal_cap(
             vec![Arc::clone(&store)],
             config.engine.clone(),
@@ -556,9 +556,9 @@ impl Tvdp {
             .try_execute_with_deadline(query, Pool::global(), now_ms, deadline_ms)?)
     }
 
-    /// Prices `query` in admission work units from the planner's
+    /// Prices `query` in admission work units from each segment's
     /// cardinality statistics over the current published index
-    /// generations. Read-only and deterministic; the admission
+    /// generation. Read-only and deterministic; the admission
     /// controller charges this against its capacity budget before the
     /// query runs.
     pub fn estimate_query_cost(&self, query: &Query) -> u64 {

@@ -193,34 +193,10 @@ impl InvertedIndex {
             .collect()
     }
 
-    /// Document frequency of a term (diagnostics and planner
-    /// selectivity estimates).
+    /// Document frequency of a term (diagnostics, admission estimates
+    /// and the global statistics of two-phase ranked retrieval).
     pub fn doc_frequency(&self, term: &str) -> usize {
         self.postings.get(&term.to_lowercase()).map_or(0, Vec::len)
-    }
-
-    /// Whether `doc` contains *every* term of `terms` (pre-tokenized,
-    /// as from [`tokenize`]). Exactly the membership predicate of
-    /// [`InvertedIndex::search_and`]: empty `terms` matches nothing.
-    /// O(terms · log postings) — the planner uses it to post-filter a
-    /// small candidate set instead of materializing the full AND.
-    pub fn doc_matches_all(&self, doc: usize, terms: &[String]) -> bool {
-        !terms.is_empty()
-            && terms.iter().all(|t| {
-                self.postings
-                    .get(t)
-                    .is_some_and(|list| list.binary_search_by_key(&doc, |&(d, _)| d).is_ok())
-            })
-    }
-
-    /// Whether `doc` contains *any* term of `terms` (pre-tokenized) —
-    /// the membership predicate of [`InvertedIndex::search_or`].
-    pub fn doc_matches_any(&self, doc: usize, terms: &[String]) -> bool {
-        terms.iter().any(|t| {
-            self.postings
-                .get(t)
-                .is_some_and(|list| list.binary_search_by_key(&doc, |&(d, _)| d).is_ok())
-        })
     }
 }
 
@@ -302,28 +278,6 @@ mod tests {
         assert_eq!(idx.doc_frequency("nothing"), 0);
         assert_eq!(idx.len(), 5);
         assert!(idx.vocabulary_size() > 10);
-    }
-
-    #[test]
-    fn doc_matches_mirrors_search_membership() {
-        let idx = sample_index();
-        for query in ["overpass dumping", "street", "overpass missingterm", ""] {
-            let terms = tokenize(query);
-            let and_hits = idx.search_and(query);
-            let or_hits = idx.search_or(query);
-            for doc in 0..5 {
-                assert_eq!(
-                    idx.doc_matches_all(doc, &terms),
-                    and_hits.contains(&doc),
-                    "AND membership mismatch for {query:?} doc {doc}"
-                );
-                assert_eq!(
-                    idx.doc_matches_any(doc, &terms),
-                    or_hits.contains(&doc),
-                    "OR membership mismatch for {query:?} doc {doc}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl LshIndex {
         id
     }
 
-    /// The arena row a handle points at.
-    pub fn row_of(&self, id: usize) -> u32 {
-        self.rows[id]
-    }
-
     /// Candidate handles colliding with `q` in at least one table
     /// (deduplicated, unordered).
     pub fn candidates(&self, q: &[f32]) -> Vec<usize> {

@@ -83,10 +83,10 @@ impl<T> OrientedRTree<T> {
         self.len() == 0
     }
 
-    /// Inserts an FOV with payload. The spatial key `bbox` is the FOV's
-    /// scene location ([`Fov::scene_location`]), which a caller holding
-    /// an image record already has; the tree does not derive it again.
-    pub fn insert(&mut self, bbox: BBox, fov: Fov, value: T) {
+    /// Inserts an FOV with payload under its scene location `bbox`: the
+    /// grown reference the packed tree is tested against.
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, bbox: BBox, fov: Fov, value: T) {
         self.tree.insert(Entry { bbox, fov, value }, &dirs_of);
     }
 

@@ -325,9 +325,10 @@ impl<E, S> Tree<E, S> {
 /// use tvdp_index::RTree;
 /// use tvdp_geo::{BBox, GeoPoint};
 ///
-/// let mut tree = RTree::new();
-/// tree.insert(BBox::from_point(GeoPoint::new(34.05, -118.25)), "city hall");
-/// tree.insert(BBox::from_point(GeoPoint::new(34.02, -118.29)), "campus");
+/// let tree = RTree::build([
+///     (BBox::from_point(GeoPoint::new(34.05, -118.25)), "city hall"),
+///     (BBox::from_point(GeoPoint::new(34.02, -118.29)), "campus"),
+/// ]);
 /// let downtown = BBox::new(34.04, -118.26, 34.06, -118.24);
 /// assert_eq!(tree.range(&downtown), vec![&"city hall"]);
 /// let nearest = tree.knn(&GeoPoint::new(34.021, -118.288), 1);
@@ -353,7 +354,7 @@ impl<T> RTree<T> {
     /// The tree over `items`, packed Sort-Tile-Recursive: full leaves
     /// of nearby boxes, each level above tiled the same way, every node
     /// allocated at its size. Shallower and tighter than a tree grown by
-    /// [`RTree::insert`], and much faster to construct.
+    /// insertion, and much faster to construct.
     pub fn build(items: impl IntoIterator<Item = (BBox, T)>) -> Self {
         Self {
             tree: Tree::build(items, &|_| ()),
@@ -375,8 +376,10 @@ impl<T> RTree<T> {
         self.len() == 0
     }
 
-    /// Inserts a rectangle with payload.
-    pub fn insert(&mut self, bbox: BBox, value: T) {
+    /// Inserts a rectangle with payload: the grown reference the
+    /// packed tree is tested against.
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, bbox: BBox, value: T) {
         self.tree.insert((bbox, value), &|_| ());
     }
 

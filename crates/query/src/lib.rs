@@ -15,14 +15,18 @@
 //!   scene R-tree's hits for the region, instead of chaining
 //!   single-modal indexes.
 //!
-//! [`QueryEngine`] serves queries from the indexing substrate;
-//! [`ShardedEngine`] scatters them over sealed `QueryEngine` segments
-//! and each shard's unsealed tail. [`linear`] is the scan: a linear
-//! segment answers the leaves over an id list in place, and is both a
-//! shard's tail and, over the whole store, [`linear::LinearExecutor`],
-//! the brute-force reference the tests and benchmarks compare against.
-//! What every executor does alike (`Categorical`, `Or`, the hybrid-pair
-//! split, the general conjunction) is written once in [`plan`].
+//! One planner ([`plan`]) walks a query tree for indexed execution: it
+//! scatters each single-modal leaf over sealed [`QueryEngine`]
+//! segments and a pending tail, and gathers deterministically.
+//! [`ShardedEngine`] is the platform's engine: one store, its sealed
+//! segments and tail republished as lock-free generations. A standalone
+//! [`QueryEngine`] runs the same planner over itself as the one
+//! segment. [`linear`] is the scan: a linear segment answers the leaves
+//! over an id list in place, and is both the tail and, over the whole
+//! store, [`linear::LinearExecutor`], the brute-force reference the
+//! tests and benchmarks compare against; the combinators it shares with
+//! the planner (`Categorical`, `Or`, the hybrid-pair split, the general
+//! conjunction) are written once in [`plan`].
 
 pub mod engine;
 pub mod linear;
@@ -31,7 +35,7 @@ pub mod plan;
 pub mod sharded;
 pub mod types;
 
-pub use engine::{EngineConfig, OutOfOrder, QueryEngine};
+pub use engine::{EngineConfig, QueryEngine};
 pub use linear::LinearExecutor;
 pub use localize::{localize, LocalizationEstimate};
 pub use sharded::{ShardedEngine, DEFAULT_SEAL_CAP};

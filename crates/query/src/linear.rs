@@ -3,8 +3,8 @@
 //! A `LinearSegment` answers the single-modal leaves of the [`Query`]
 //! language by scanning an id list of one store in place: records and
 //! feature rows are visited by reference under one store read-lock
-//! acquisition per pass, never cloned. It is what a shard's pending tail
-//! is ([`crate::ShardedEngine`], ids = the rows not yet sealed) and what
+//! acquisition per pass, never cloned. It is what the planner's pending
+//! tail is (`plan::View`, ids = the rows not yet sealed) and what
 //! [`LinearExecutor`] runs over the whole store — the reference the
 //! index-backed engines are verified against and the baseline in the
 //! index benchmarks. The indexes it is compared with share no predicate
@@ -246,7 +246,7 @@ impl LinearExecutor {
                 scheme,
                 label,
                 min_confidence,
-            } => plan::categorical([&*self.store], *scheme, *label, *min_confidence),
+            } => plan::categorical(&self.store, *scheme, *label, *min_confidence),
             Query::Textual {
                 text,
                 mode: TextualMode::Ranked(k),

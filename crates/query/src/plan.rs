@@ -1,36 +1,68 @@
-//! What every executor does the same way, written once: the
-//! `Categorical` leaf, the `Or` min-fold, the hybrid-pair split of a
-//! conjunction, the materialise-and-intersect conjunction, and the
-//! sorted-id set primitives under them.
+//! The planner: the one code that walks a query tree for indexed
+//! execution, and the combinators it shares with the reference scan.
 //!
-//! Conjunction candidates travel as one sorted `Vec<ImageId>` narrowed
-//! in place. Intersection with another sorted id list uses *galloping*
-//! (exponential probe + binary search), so the cost is
-//! `O(|small| · log |large|)` rather than the `O(|a| + |b|)` of a merge
-//! or the allocation churn of `BTreeSet` intersection — the regime
-//! hybrid queries live in, where a selective leaf yields few candidates
-//! and the other legs are broad.
+//! A `View` is one consistent corpus, borrowed for one request: a
+//! store, the sealed segments built over it and its pending tail. A
+//! query tree runs against it by **scatter** and **gather**: every
+//! single-modal leaf is answered by each segment ([`QueryEngine`]) and
+//! by the tail (a `LinearSegment`, the reference executor's own scan
+//! over that id list) — fanned out on a [`Pool`] — then merged by a
+//! deterministic rule:
+//!
+//! * score-0 filter leaves concatenate and sort by image id (segments
+//!   and tail hold disjoint ids of one store, so no dedup is needed),
+//! * top-k leaves (visual top-k, spatial nearest): every unit reports
+//!   its own `k` lowest rows under the reported `(score, id)` order,
+//!   whichever rows tie, and the gather's sort-and-truncate under that
+//!   order is the one place a global cut is made,
+//! * ranked text runs in two phases: gather corpus-global document
+//!   frequencies first, then score each segment against the global
+//!   statistics ([`tvdp_index::inverted::ranked_term_contribution`] is a pure
+//!   function of those numbers, so the floats are bit-identical to one
+//!   big index),
+//! * a conjunction of one spatial range and one visual leaf scatters as
+//!   one region-restricted visual leaf per unit; any other conjunction
+//!   materialises each leg and intersects, `Or` min-folds, and
+//!   `Categorical` reads the store's annotations.
+//!
+//! Merge order never depends on how the corpus is cut into segments or
+//! on the pool width: any seal cap, on 1 thread or M, yields
+//! byte-identical results. A [`crate::ShardedEngine`] runs every request
+//! over a view of its published generation, and a standalone
+//! [`QueryEngine::try_execute`] over itself as the one segment with no
+//! tail. [`crate::LinearExecutor`], the oracle, walks trees on its own
+//! with the same combinators.
+
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use tvdp_geo::BBox;
+use tvdp_index::inverted::{ranked_term_contribution, tokenize};
+use tvdp_kernel::{Pool, TopK, TotalF64};
 use tvdp_storage::{ClassificationId, ImageId, VisualStore};
 use tvdp_vision::FeatureKind;
 
-use crate::types::{sort_ranked, Query, QueryResult, SpatialQuery, VisualMode};
+use crate::engine::QueryEngine;
+use crate::linear::{LinearSegment, RowTerms};
+use crate::types::{
+    sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TextualMode, VisualMode,
+};
 
 /// The `Categorical` leaf: images annotated `label` of `scheme` at or
 /// above `min_confidence`, ascending by id. Annotations are store-level
-/// state, not index state, so every executor answers this leaf from its
-/// stores (a sealed segment must never see it: each would report its
-/// whole shard).
-pub(crate) fn categorical<'a>(
-    stores: impl IntoIterator<Item = &'a VisualStore>,
+/// state, not index state, so every executor answers this leaf from the
+/// store (a sealed segment never sees it: each would report the whole
+/// store).
+pub(crate) fn categorical(
+    store: &VisualStore,
     scheme: ClassificationId,
     label: usize,
     min_confidence: f32,
 ) -> Vec<QueryResult> {
-    let mut ids: Vec<ImageId> = stores
+    let mut ids: Vec<ImageId> = store
+        .annotations_with_label(scheme, label)
         .into_iter()
-        .flat_map(|store| store.annotations_with_label(scheme, label))
         .filter(|a| a.confidence >= min_confidence)
         .map(|a| a.image)
         .collect();
@@ -114,126 +146,327 @@ pub(crate) fn intersect_legs(legs: Vec<Vec<QueryResult>>) -> Vec<QueryResult> {
 }
 
 /// Keeps the rows of `results` whose image `leg` also holds, in order.
+/// Result rows never repeat an image (every executor dedups per leaf),
+/// so `leg`'s ids need a sort and no dedup.
 pub(crate) fn retain_in(results: &mut Vec<QueryResult>, leg: &[QueryResult]) {
-    let ids = sorted_ids(leg);
-    results.retain(|r| contains_sorted(&ids, r.image));
-}
-
-/// The ids of `results`, sorted ascending. Result rows never repeat an
-/// image (every executor dedups per leaf), so no `dedup` pass is
-/// needed.
-pub(crate) fn sorted_ids(results: &[QueryResult]) -> Vec<ImageId> {
-    let mut ids: Vec<ImageId> = results.iter().map(|r| r.image).collect();
+    let mut ids: Vec<ImageId> = leg.iter().map(|r| r.image).collect();
     ids.sort_unstable();
-    ids
+    results.retain(|r| ids.binary_search(&r.image).is_ok());
 }
 
-/// Narrows sorted `cands` to the elements also present in sorted
-/// `other`, galloping through `other` with a cursor that only moves
-/// forward.
-pub(crate) fn intersect_sorted(cands: &mut Vec<ImageId>, other: &[ImageId]) {
-    let mut cursor = 0usize;
-    cands.retain(|&id| {
-        if cursor >= other.len() {
-            return false;
+/// One consistent corpus a query tree runs against, borrowed for one
+/// request: a store, the sealed segments built over it, and the pending
+/// tail — the store's ids no segment holds yet, ascending.
+pub(crate) struct View<'a> {
+    pub store: &'a VisualStore,
+    pub segments: Vec<&'a QueryEngine>,
+    pub tail: &'a [ImageId],
+}
+
+/// A unit of scatter work: one sealed segment, or the tail.
+enum Unit<'a> {
+    Seg(&'a QueryEngine),
+    Tail(LinearSegment<'a>),
+}
+
+impl Unit<'_> {
+    /// Rows a scan of this unit touches — the input to the modeled
+    /// per-unit cost.
+    fn rows(&self) -> usize {
+        match self {
+            Unit::Seg(engine) => engine.len(),
+            Unit::Tail(tail) => tail.ids.len(),
         }
-        if other[cursor] < id {
-            // Exponential probe: double the step until we overshoot,
-            // then binary-search the last uncovered window.
-            // Invariant: other[lo] < id.
-            let mut step = 1usize;
-            let mut lo = cursor;
-            loop {
-                let probe = lo.saturating_add(step).min(other.len());
-                if probe == other.len() || other[probe - 1] >= id {
-                    // First element >= id (if any) lies in (lo, probe).
-                    cursor = lo + 1 + other[lo + 1..probe].partition_point(|&x| x < id);
-                    break;
+    }
+}
+
+/// Modeled virtual cost of scanning one scatter unit, in
+/// virtual-clock milliseconds: a fixed dispatch charge plus a
+/// per-row term. The constants only shape *when* a deadline trips,
+/// never result bytes, but they must stay a pure function of the
+/// unit so expiry decisions are identical across pool widths.
+fn unit_cost_ms(rows: usize) -> i64 {
+    1 + (rows as i64) / 4096
+}
+
+/// Virtual-clock deadline accounting for one query execution.
+///
+/// All charging happens on the coordinating thread, in the
+/// deterministic unit order of [`View::units`], *before* any real pool
+/// work is dispatched — so whether a query trips its deadline is a
+/// pure function of `(view, query, now, deadline)`, byte-identical
+/// across pool widths.
+pub(crate) struct DeadlineCtx {
+    deadline_ms: i64,
+    clock_ms: Cell<i64>,
+}
+
+impl DeadlineCtx {
+    /// A modeled clock at `now_ms` that trips past `deadline_ms`.
+    pub(crate) fn new(now_ms: i64, deadline_ms: i64) -> Self {
+        Self {
+            deadline_ms,
+            clock_ms: Cell::new(now_ms),
+        }
+    }
+
+    fn charge(&self, cost_ms: i64) {
+        self.clock_ms.set(self.clock_ms.get() + cost_ms);
+    }
+
+    /// Errors once the modeled clock has passed the deadline.
+    fn check(&self) -> Result<(), QueryError> {
+        if self.clock_ms.get() > self.deadline_ms {
+            Err(QueryError::DeadlineExceeded {
+                deadline_ms: self.deadline_ms,
+                now_ms: self.clock_ms.get(),
+            })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Charges every unit of an upcoming scatter, checking at each
+    /// segment-scan boundary, so an over-deadline scatter aborts
+    /// before any pool time is burned.
+    fn walk_units(&self, units: &[Unit<'_>]) -> Result<(), QueryError> {
+        for unit in units {
+            self.charge(unit_cost_ms(unit.rows()));
+            self.check()?;
+        }
+        Ok(())
+    }
+}
+
+impl<'a> View<'a> {
+    /// The pending tail as the linear segment it is.
+    fn tail(&self) -> LinearSegment<'a> {
+        LinearSegment {
+            store: self.store,
+            ids: self.tail,
+        }
+    }
+
+    /// Length of the indexed family's feature rows: what any sealed
+    /// segment recorded, else — while every row is still in the tail —
+    /// what the store holds for a tail row. `None` when no visual row
+    /// exists yet.
+    pub(crate) fn visual_dim(&self, kind: FeatureKind) -> Option<usize> {
+        let sealed = self.segments.iter().find_map(|seg| seg.visual_dim());
+        sealed.or_else(|| {
+            self.tail.iter().find_map(|&id| {
+                self.store
+                    .feature_handle(id, kind)
+                    .filter(|h| h.dim > 0)
+                    .map(|h| h.dim as usize)
+            })
+        })
+    }
+
+    /// The scatter units in deterministic order: every segment, then
+    /// the tail unless it is empty.
+    fn units(&self) -> Vec<Unit<'a>> {
+        let mut units: Vec<Unit<'a>> = self.segments.iter().map(|&seg| Unit::Seg(seg)).collect();
+        if !self.tail.is_empty() {
+            units.push(Unit::Tail(self.tail()));
+        }
+        units
+    }
+
+    /// Runs a validated query tree ([`Query::validate`]). `dl` carries
+    /// the optional deadline accounting; `None` never errors.
+    pub(crate) fn run(
+        &self,
+        query: &Query,
+        pool: &Pool,
+        dl: Option<&DeadlineCtx>,
+    ) -> Result<Vec<QueryResult>, QueryError> {
+        if let Some(dl) = dl {
+            dl.check()?;
+        }
+        match query {
+            Query::And(subs) => self.and(subs, pool, dl),
+            Query::Or(subs) => {
+                let mut rows = Vec::new();
+                for q in subs {
+                    rows.extend(self.run(q, pool, dl)?);
                 }
-                lo = probe - 1;
-                step <<= 1;
+                Ok(or_fold(rows))
+            }
+            Query::Categorical {
+                scheme,
+                label,
+                min_confidence,
+            } => {
+                if let Some(dl) = dl {
+                    // One dispatch charge for the store scan.
+                    dl.charge(1);
+                    dl.check()?;
+                }
+                Ok(categorical(self.store, *scheme, *label, *min_confidence))
+            }
+            Query::Textual {
+                text,
+                mode: TextualMode::Ranked(k),
+            } => self.ranked(text, *k, pool, dl),
+            leaf => self.scatter_leaf(leaf, pool, dl),
+        }
+    }
+
+    /// Scatters a single-modal leaf over every segment and the tail,
+    /// then merges with the leaf's deterministic gather rule.
+    fn scatter_leaf(
+        &self,
+        leaf: &Query,
+        pool: &Pool,
+        dl: Option<&DeadlineCtx>,
+    ) -> Result<Vec<QueryResult>, QueryError> {
+        let units = self.units();
+        if let Some(dl) = dl {
+            dl.walk_units(&units)?;
+        }
+        let partials = pool.map(&units, |_, unit| match unit {
+            Unit::Seg(engine) => engine.run(leaf),
+            Unit::Tail(tail) => tail.leaf(leaf),
+        });
+        Ok(match leaf {
+            Query::Spatial(SpatialQuery::Nearest { k, .. }) => gather_ranked(partials, Some(*k)),
+            Query::Visual { mode, .. } => gather_ranked(partials, top_k(*mode)),
+            // Score-0 filters: units are disjoint, so the union is just
+            // a sort by id.
+            _ => {
+                let mut all: Vec<QueryResult> = partials.into_iter().flatten().collect();
+                all.sort_by_key(|r| r.image);
+                all
+            }
+        })
+    }
+
+    /// Two-phase distributed tf-idf. Phase 1 gathers corpus-global
+    /// statistics (total document count, per-term document
+    /// frequencies); phase 2 scores every unit against those numbers,
+    /// so each document's score is bit-identical to a single index over
+    /// the whole corpus. Gather re-ranks by `(descending score,
+    /// ascending id)` and truncates to `k`.
+    fn ranked(
+        &self,
+        text: &str,
+        k: usize,
+        pool: &Pool,
+        dl: Option<&DeadlineCtx>,
+    ) -> Result<Vec<QueryResult>, QueryError> {
+        if let Some(dl) = dl {
+            // Both phases walk every unit; charge the full scatter up
+            // front so an over-deadline ranked query aborts before the
+            // statistics gather starts.
+            dl.walk_units(&self.units())?;
+        }
+        let terms = tokenize(text);
+        let tail_docs: Vec<RowTerms> = self.tail().term_stats(&terms);
+        let n_total = self.segments.iter().map(|seg| seg.len()).sum::<usize>() + tail_docs.len();
+        let mut df: BTreeMap<String, usize> = BTreeMap::new();
+        for (i, term) in terms.iter().enumerate() {
+            if df.contains_key(term) {
+                continue;
+            }
+            let sealed: usize = self.segments.iter().map(|seg| seg.term_df(term)).sum();
+            let pending = tail_docs.iter().filter(|d| d.tf[i] > 0).count();
+            df.insert(term.clone(), sealed + pending);
+        }
+        if let Some(dl) = dl {
+            // Gather boundary between the statistics and scoring phases.
+            dl.check()?;
+        }
+
+        let mut candidates: Vec<(f64, ImageId)> = pool
+            .map(&self.segments, |_, seg| {
+                seg.ranked_with_stats(text, k, n_total, &df)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        for doc in &tail_docs {
+            let mut score = 0.0f64;
+            let mut matched = false;
+            // Accumulate in query-term order (duplicates included),
+            // matching the reference index's float summation order.
+            for (i, term) in terms.iter().enumerate() {
+                let tf = doc.tf[i];
+                if tf == 0 {
+                    continue;
+                }
+                matched = true;
+                // tvdp-lint: allow(float_reduction, reason = "in-order loop accumulation over a fixed traversal; single-threaded, bit-stable across runs and thread counts")
+                score += ranked_term_contribution(tf, doc.len, n_total, df[term]);
+            }
+            if matched {
+                candidates.push((score, doc.id));
             }
         }
-        cursor < other.len() && other[cursor] == id
-    });
-}
 
-/// Binary membership test in a sorted id list (for candidate streams
-/// that must keep a non-id order, e.g. distance-ranked visual results).
-fn contains_sorted(sorted: &[ImageId], id: ImageId) -> bool {
-    sorted.binary_search(&id).is_ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ids(raw: &[u64]) -> Vec<ImageId> {
-        raw.iter().map(|&v| ImageId(v)).collect()
+        let mut top = TopK::new(k);
+        top.extend(
+            candidates
+                .into_iter()
+                .map(|(s, id)| (Reverse(TotalF64(s)), id)),
+        );
+        Ok(top
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(Reverse(TotalF64(s)), id)| QueryResult::new(id, s))
+            .collect())
     }
 
-    #[test]
-    fn intersect_matches_naive_on_random_sets() {
-        // Deterministic LCG-driven random sorted sets of varied shapes.
-        let mut state = 0x9e37_79b9u64;
-        let mut next = |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
+    /// Conjunction. The hybrid fast path — exactly one spatial range
+    /// plus one visual leaf — scatters as one region-restricted visual
+    /// leaf per unit (with any extra legs intersected afterwards);
+    /// everything else materializes each leg and intersects, scoring
+    /// survivors from the first leg.
+    fn and(
+        &self,
+        subs: &[Query],
+        pool: &Pool,
+        dl: Option<&DeadlineCtx>,
+    ) -> Result<Vec<QueryResult>, QueryError> {
+        let Some(pair) = hybrid_pair(subs) else {
+            let legs: Result<Vec<_>, _> = subs.iter().map(|q| self.run(q, pool, dl)).collect();
+            return Ok(intersect_legs(legs?));
         };
-        for trial in 0..200 {
-            let na = (next(60) + 1) as usize;
-            let nb = (next(600) + 1) as usize;
-            let mut a: Vec<u64> = (0..na).map(|_| next(500)).collect();
-            let mut b: Vec<u64> = (0..nb).map(|_| next(500)).collect();
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
-            let expected: Vec<ImageId> = a
-                .iter()
-                .filter(|x| b.binary_search(x).is_ok())
-                .map(|&v| ImageId(v))
-                .collect();
-            let mut got = ids(&a);
-            intersect_sorted(&mut got, &ids(&b));
-            assert_eq!(got, expected, "trial {trial} a={a:?} b={b:?}");
+        let units = self.units();
+        if let Some(dl) = dl {
+            dl.walk_units(&units)?;
         }
+        let partials = pool.map(&units, |_, unit| match unit {
+            Unit::Seg(engine) => engine.execute_visual(pair.example, pair.mode, Some(pair.region)),
+            Unit::Tail(tail) => tail.visual(pair.example, pair.kind, pair.mode, Some(pair.region)),
+        });
+        let mut results = gather_ranked(partials, top_k(pair.mode));
+        for q in pair.rest {
+            if results.is_empty() {
+                break;
+            }
+            retain_in(&mut results, &self.run(q, pool, dl)?);
+        }
+        Ok(results)
     }
+}
 
-    #[test]
-    fn intersect_edge_cases() {
-        let mut empty = ids(&[]);
-        intersect_sorted(&mut empty, &ids(&[1, 2, 3]));
-        assert!(empty.is_empty());
-
-        let mut full = ids(&[1, 2, 3]);
-        intersect_sorted(&mut full, &ids(&[]));
-        assert!(full.is_empty());
-
-        let mut same = ids(&[1, 5, 9]);
-        intersect_sorted(&mut same, &ids(&[1, 5, 9]));
-        assert_eq!(same, ids(&[1, 5, 9]));
-
-        // `other` far larger than the candidate list: galloping must
-        // skip across the gaps.
-        let big: Vec<u64> = (0..10_000).map(|i| i * 2).collect();
-        let mut cands = ids(&[0, 3, 4444, 19_998, 20_001]);
-        intersect_sorted(&mut cands, &ids(&big));
-        assert_eq!(cands, ids(&[0, 4444, 19_998]));
-
-        // Candidate beyond the end of `other`.
-        let mut tail = ids(&[7, 50]);
-        intersect_sorted(&mut tail, &ids(&[1, 7]));
-        assert_eq!(tail, ids(&[7]));
+/// The gather of a ranked scatter: every unit reports its rows in
+/// `(score, id)` order (a top-k leaf its own `k` lowest), so the global
+/// answer is their merge under the same order, and this truncation is
+/// the one place a global top-k cut is made.
+fn gather_ranked(partials: Vec<Vec<QueryResult>>, k: Option<usize>) -> Vec<QueryResult> {
+    let mut all: Vec<QueryResult> = partials.into_iter().flatten().collect();
+    sort_ranked(&mut all);
+    if let Some(k) = k {
+        all.truncate(k);
     }
+    all
+}
 
-    #[test]
-    fn contains_sorted_is_membership() {
-        let set = ids(&[2, 4, 8]);
-        assert!(contains_sorted(&set, ImageId(4)));
-        assert!(!contains_sorted(&set, ImageId(5)));
-        assert!(!contains_sorted(&set, ImageId(9)));
+fn top_k(mode: VisualMode) -> Option<usize> {
+    match mode {
+        VisualMode::TopK(k) => Some(k),
+        VisualMode::Threshold(_) => None,
     }
 }

@@ -232,8 +232,8 @@ impl QueryResult {
 }
 
 /// The one total order of scored rows — ascending score, then ascending
-/// image id — that every executor reports in (the linear scan, the
-/// engine, and the sharded gather). Applied to *reported* scores: rows
+/// image id — that every executor reports in (the linear scan, each
+/// segment, and the planner's gather). Applied to *reported* scores: rows
 /// ranked on a finer internal key (squared distance) are re-ordered by
 /// it once the reported score is computed.
 pub(crate) fn sort_ranked(results: &mut [QueryResult]) {

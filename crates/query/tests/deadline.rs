@@ -1,4 +1,4 @@
-//! Deadline propagation through the sharded engine: a query that fits
+//! Deadline propagation through the platform's engine: a query that fits
 //! its virtual-clock budget returns byte-identical results to the
 //! undeadlined path, one that does not trips a typed
 //! [`QueryError::DeadlineExceeded`] — and whether it trips is a pure
@@ -44,14 +44,15 @@ fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     Arc::new(store)
 }
 
-fn engine(shards: usize, per_shard: usize) -> ShardedEngine {
-    let stores = (0..shards)
-        .map(|s| build_store(per_shard, 42 + s as u64))
-        .collect();
-    // A small seal cap forces multiple segments per shard, so the
-    // deadline walk crosses real segment-scan boundaries.
-    ShardedEngine::with_seal_cap(stores, EngineConfig::default(), 32)
+/// An engine over `rows` rows sealed `cap` at a time. A small cap
+/// forces many segments, so the deadline walk crosses real segment-scan
+/// boundaries; a cap above `rows` leaves every row in the tail.
+fn engine(rows: usize, cap: usize) -> ShardedEngine {
+    ShardedEngine::with_seal_cap(vec![build_store(rows, 42)], EngineConfig::default(), cap)
 }
+
+/// Seal caps from one row per segment to every row in the tail.
+const SEAL_CAPS: [usize; 5] = [1, 7, 32, 128, 1000];
 
 fn workload() -> Vec<Query> {
     let example: Vec<f32> = (0..DIM).map(|d| d as f32 * 0.1).collect();
@@ -83,20 +84,27 @@ fn workload() -> Vec<Query> {
 
 #[test]
 fn generous_deadline_matches_undeadlined_results_exactly() {
-    let eng = engine(3, 100);
-    let pool = Pool::new(4);
-    for q in workload() {
-        let plain = eng.try_execute_with_pool(&q, &pool).unwrap();
-        let deadlined = eng
-            .try_execute_with_deadline(&q, &pool, 1_000, i64::MAX)
-            .unwrap();
-        assert_eq!(plain, deadlined, "query {q:?}");
+    for cap in SEAL_CAPS {
+        let eng = engine(300, cap);
+        for threads in [1, 8] {
+            let pool = Pool::new(threads);
+            for q in workload() {
+                let plain = eng.try_execute_with_pool(&q, &pool).unwrap();
+                let deadlined = eng
+                    .try_execute_with_deadline(&q, &pool, 1_000, i64::MAX)
+                    .unwrap();
+                assert_eq!(
+                    plain, deadlined,
+                    "seal cap {cap} x {threads} threads: {q:?}"
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn already_expired_deadline_fails_before_any_scatter() {
-    let eng = engine(2, 50);
+    let eng = engine(100, 32);
     let pool = Pool::serial();
     for q in workload() {
         let err = eng
@@ -117,29 +125,31 @@ fn already_expired_deadline_fails_before_any_scatter() {
 
 #[test]
 fn deadline_trip_is_identical_across_pool_widths() {
-    let eng = engine(3, 200);
     let serial = Pool::serial();
     let wide = Pool::new(8);
-    // Sweep budgets from "nothing fits" to "everything fits"; at every
-    // budget the serial and 8-wide pools must agree exactly — same
-    // trip/no-trip decision, same error payload, same result bytes.
-    for budget in 0..40 {
-        let deadline = 1_000 + budget;
-        for q in workload() {
-            let a = eng.try_execute_with_deadline(&q, &serial, 1_000, deadline);
-            let b = eng.try_execute_with_deadline(&q, &wide, 1_000, deadline);
-            assert_eq!(a, b, "budget {budget} ms, query {q:?}");
+    for cap in SEAL_CAPS {
+        let eng = engine(600, cap);
+        // Sweep budgets from "nothing fits" to "everything fits"; at
+        // every budget the serial and 8-wide pools must agree exactly —
+        // same trip/no-trip decision, same error payload, same result
+        // bytes.
+        for budget in 0..40 {
+            let deadline = 1_000 + budget;
+            for q in workload() {
+                let a = eng.try_execute_with_deadline(&q, &serial, 1_000, deadline);
+                let b = eng.try_execute_with_deadline(&q, &wide, 1_000, deadline);
+                assert_eq!(a, b, "seal cap {cap}, budget {budget} ms, query {q:?}");
+            }
         }
     }
 }
 
 #[test]
 fn tight_budget_trips_and_reports_the_modeled_clock() {
-    let eng = engine(4, 150);
+    let eng = engine(600, 32);
     let pool = Pool::serial();
-    // Each scatter unit charges at least 1 virtual ms; 4 shards of 150
-    // rows sealed at 32 give ~20 units, so a 2 ms budget cannot fit a
-    // full scatter.
+    // Each scatter unit charges at least 1 virtual ms; 600 rows sealed
+    // at 32 give 19 units, so a 2 ms budget cannot fit a full scatter.
     let err = eng
         .try_execute_with_deadline(&workload()[0], &pool, 0, 2)
         .unwrap_err();
@@ -157,8 +167,8 @@ fn tight_budget_trips_and_reports_the_modeled_clock() {
 
 #[test]
 fn estimate_units_is_deterministic_and_scales_with_corpus() {
-    let small = engine(1, 40);
-    let big = engine(4, 200);
+    let small = engine(40, 32);
+    let big = engine(800, 32);
     for q in workload() {
         let a = small.estimate_query_units(&q);
         let b = small.estimate_query_units(&q);
@@ -209,7 +219,7 @@ fn temporal_estimate_survives_a_span_wider_than_i64() {
     let sharded = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), 2);
     assert_eq!(sharded.estimate_query_units(&narrow), 2);
     assert_eq!(sharded.estimate_query_units(&whole), 4);
-    // The conjunction planner prices the same leaf to pick its driver.
+    // The conjunction runs both legs over the same span.
     let both = Query::And(vec![narrow, whole]);
     assert!(sharded.try_execute(&both).unwrap().is_empty());
 }

@@ -174,92 +174,51 @@ fn rebuilt_engine_reproduces_identical_bytes() {
 }
 
 // ---------------------------------------------------------------------
-// Shard axis: partitioning the corpus must not change a single byte.
+// Partition axis: cutting the corpus into segments must not change a
+// single byte.
 // ---------------------------------------------------------------------
 
-/// Deals rows to partitions by geo-grid cell (FNV-1a over 0.01°-pitch
-/// cells), so each partition holds whole spatial clusters: any rule
-/// that partitions the rows would do, since the engine's answers must
-/// not depend on how its stores are cut.
-fn shard_for(gps: &GeoPoint, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let cx = (gps.lat / 0.01).floor() as i64;
-    let cy = (gps.lon / 0.01).floor() as i64;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in cx.to_le_bytes().into_iter().chain(cy.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
-}
-
-/// `shards` fresh stores carrying `source`'s classification scheme.
-fn empty_shards(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
+/// A fresh store carrying `source`'s classification scheme.
+fn empty_like(source: &VisualStore) -> Arc<VisualStore> {
     let scheme = source
         .scheme_by_name("cleanliness")
         .expect("reference scheme");
-    (0..shards)
-        .map(|_| {
-            let store = VisualStore::new();
-            store
-                .apply_batch(vec![WalOp::RegisterScheme {
-                    id: scheme.id,
-                    name: scheme.name.clone(),
-                    labels: scheme.labels.clone(),
-                }])
-                .unwrap();
-            Arc::new(store)
-        })
-        .collect()
+    let store = VisualStore::new();
+    store
+        .apply_batch(vec![WalOp::RegisterScheme {
+            id: scheme.id,
+            name: scheme.name.clone(),
+            labels: scheme.labels.clone(),
+        }])
+        .unwrap();
+    Arc::new(store)
 }
 
-/// Copies the rows `ids` of `source` into `stores` by geo-grid routing,
-/// preserving global ids so the sharded corpus is the same logical
-/// corpus. Returns where each row went.
-fn copy_rows(
-    source: &VisualStore,
-    ids: &[ImageId],
-    stores: &[Arc<VisualStore>],
-) -> Vec<(usize, ImageId)> {
-    ids.iter()
-        .map(|&id| {
-            let rec = source.image(id).expect("listed id");
-            let mut ops = vec![
-                WalOp::AddImage {
-                    id,
-                    meta: rec.meta.clone(),
-                    origin: rec.origin.clone(),
-                    pixels: None,
-                },
-                WalOp::PutFeature {
-                    image: id,
-                    kind: FeatureKind::Cnn,
-                    vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
-                },
-            ];
-            ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
-            let shard = shard_for(&rec.meta.gps, stores.len());
-            stores[shard].apply_batch(ops).unwrap();
-            (shard, id)
-        })
-        .collect()
+/// Copies the rows `ids` of `source` into `store`, preserving their ids.
+fn copy_rows(source: &VisualStore, ids: &[ImageId], store: &VisualStore) {
+    for &id in ids {
+        let rec = source.image(id).expect("listed id");
+        let mut ops = vec![
+            WalOp::AddImage {
+                id,
+                meta: rec.meta.clone(),
+                origin: rec.origin.clone(),
+                pixels: None,
+            },
+            WalOp::PutFeature {
+                image: id,
+                kind: FeatureKind::Cnn,
+                vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
+            },
+        ];
+        ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
+        store.apply_batch(ops).unwrap();
+    }
 }
 
-/// Splits `source` across `shards` fresh stores.
-fn shard_stores(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
-    let stores = empty_shards(source, shards);
-    copy_rows(source, &source.image_ids(), &stores);
-    stores
-}
-
-fn run_sharded(shards: usize, threads: usize) -> Vec<u8> {
+fn run_sharded(cap: usize, threads: usize) -> Vec<u8> {
     let store = build_store(300, 42);
-    // A small seal cap forces multiple sealed segments plus a live tail
-    // in every shard, exercising both scatter paths.
-    let engine =
-        ShardedEngine::with_seal_cap(shard_stores(&store, shards), EngineConfig::default(), 32);
+    let engine = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), cap);
     let pool = Pool::new(threads);
     let results = engine
         .try_execute_batch_with_pool(&workload(), &pool)
@@ -269,14 +228,17 @@ fn run_sharded(shards: usize, threads: usize) -> Vec<u8> {
 
 #[test]
 fn sharded_engine_is_shard_and_thread_count_invariant() {
+    // Seal caps from one row per segment to all 300 rows in the tail.
     let reference = run_sharded(1, 1);
     assert!(!reference.is_empty());
-    for (shards, threads) in [(1, 8), (3, 1), (3, 8), (8, 1), (8, 8)] {
-        assert_eq!(
-            run_sharded(shards, threads),
-            reference,
-            "{shards} shards x {threads} threads diverged from 1 shard x 1 thread"
-        );
+    for cap in [1, 7, 32, 128, 1000] {
+        for threads in [1, 8] {
+            assert_eq!(
+                run_sharded(cap, threads),
+                reference,
+                "seal cap {cap} x {threads} threads diverged from seal cap 1 x 1 thread"
+            );
+        }
     }
 }
 
@@ -285,7 +247,7 @@ fn sharded_engine_is_shard_and_thread_count_invariant() {
 // indistinguishable from having indexed the same rows one at a time.
 // ---------------------------------------------------------------------
 
-/// What a sharded engine answers and how it prices the workload: the
+/// What an engine answers and how it prices the workload: the
 /// result bytes plus each query's admission units, which count one per
 /// segment and one per tail row and so pin the segment boundaries too.
 fn witness(engine: &ShardedEngine, pool: &Pool) -> Vec<u8> {
@@ -310,53 +272,51 @@ fn bulk_rebuild_is_indistinguishable_from_incremental_indexing() {
     let ids = source.image_ids();
     for (cap, k) in CASES {
         for rows in [k * cap, k * cap - 1, 0] {
-            for shards in [1usize, 4] {
-                for width in [1usize, 2, 8] {
-                    let pool = Pool::new(width);
-                    let case = format!("cap {cap} rows {rows} shards {shards} width {width}");
-                    let stores = empty_shards(&source, shards);
-                    let incremental = ShardedEngine::with_seal_cap_with_pool(
-                        stores.clone(),
-                        EngineConfig::default(),
-                        cap,
-                        &pool,
-                    );
-                    for (shard, id) in copy_rows(&source, &ids[..rows], &stores) {
-                        incremental.index_image(shard, id);
-                    }
-                    let bulk = ShardedEngine::with_seal_cap_with_pool(
-                        stores.clone(),
-                        EngineConfig::default(),
-                        cap,
-                        &pool,
-                    );
-                    assert_eq!(bulk.len(), rows, "{case}");
-                    assert_eq!(
-                        witness(&bulk, &pool),
-                        witness(&incremental, &pool),
-                        "{case}: bulk rebuild diverged from incremental indexing"
-                    );
-
-                    // Both keep ingesting from the state they were left
-                    // in: the bulk path seeded its pending tail and its
-                    // idempotency set like the incremental one.
-                    let more = copy_rows(&source, &ids[rows..rows + 2 * cap], &stores);
-                    for &(shard, id) in &more {
-                        incremental.index_image(shard, id);
-                        bulk.index_image(shard, id);
-                    }
-                    for (shard, store) in stores.iter().enumerate() {
-                        for id in store.image_ids() {
-                            bulk.index_image(shard, id);
-                        }
-                    }
-                    assert_eq!(bulk.len(), rows + 2 * cap, "{case}: re-indexed a row");
-                    assert_eq!(
-                        witness(&bulk, &pool),
-                        witness(&incremental, &pool),
-                        "{case}: engines diverged after further ingest"
-                    );
+            for width in [1usize, 2, 8] {
+                let pool = Pool::new(width);
+                let case = format!("cap {cap} rows {rows} width {width}");
+                let store = empty_like(&source);
+                let incremental = ShardedEngine::with_seal_cap_with_pool(
+                    vec![Arc::clone(&store)],
+                    EngineConfig::default(),
+                    cap,
+                    &pool,
+                );
+                copy_rows(&source, &ids[..rows], &store);
+                for &id in &ids[..rows] {
+                    incremental.index_image(0, id);
                 }
+                let bulk = ShardedEngine::with_seal_cap_with_pool(
+                    vec![Arc::clone(&store)],
+                    EngineConfig::default(),
+                    cap,
+                    &pool,
+                );
+                assert_eq!(bulk.len(), rows, "{case}");
+                assert_eq!(
+                    witness(&bulk, &pool),
+                    witness(&incremental, &pool),
+                    "{case}: bulk rebuild diverged from incremental indexing"
+                );
+
+                // Both keep ingesting from the state they were left in:
+                // the bulk path seeded its pending tail and its
+                // idempotency set like the incremental one.
+                let more = &ids[rows..rows + 2 * cap];
+                copy_rows(&source, more, &store);
+                for &id in more {
+                    incremental.index_image(0, id);
+                    bulk.index_image(0, id);
+                }
+                for id in store.image_ids() {
+                    bulk.index_image(0, id);
+                }
+                assert_eq!(bulk.len(), rows + 2 * cap, "{case}: re-indexed a row");
+                assert_eq!(
+                    witness(&bulk, &pool),
+                    witness(&incremental, &pool),
+                    "{case}: engines diverged after further ingest"
+                );
             }
         }
     }

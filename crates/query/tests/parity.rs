@@ -1,4 +1,4 @@
-//! Randomized parity suite for the selectivity-ordered planner.
+//! Randomized parity suite for the query planner.
 //!
 //! Two guarantees are exercised here, both stronger than the per-family
 //! agreement checks in `engine_vs_linear.rs`:
@@ -10,10 +10,10 @@
 //!    the same ids.
 //! 2. **Pool-width determinism.** Batch execution must produce
 //!    byte-identical output under a 1-thread and an 8-thread pool.
-//! 3. **Shard-count invariance.** The same corpus split across 1, 3,
-//!    or 8 [`ShardedEngine`] shards by geo-grid routing must match the
-//!    single-store linear reference score-for-score, and batch output
-//!    must be byte-identical across every (shard count, pool width)
+//! 3. **Partition invariance.** The same corpus cut into segments at
+//!    every seal cap from one row per segment to all rows in the tail
+//!    must match the linear reference score-for-score, and batch output
+//!    must be byte-identical across every (seal cap, pool width)
 //!    combination.
 //!
 //! Plus regression tests for the conjunction fast path that used to
@@ -30,7 +30,7 @@ use tvdp_query::{
     SpatialQuery, TemporalField, TextualMode, VisualMode,
 };
 use tvdp_storage::{
-    AnnotationSource, ClassificationId, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp,
+    AnnotationSource, ClassificationId, ImageMeta, ImageOrigin, UserId, VisualStore,
 };
 use tvdp_vision::FeatureKind;
 
@@ -334,99 +334,43 @@ fn two_same_kind_visual_leaves_take_general_plan_and_agree() {
 }
 
 // ---------------------------------------------------------------------
-// Shard axis: the same corpus partitioned 1 / 3 / 8 ways must be
-// indistinguishable from the single-store reference.
+// Partition axis: the same corpus cut into segments and a tail at every
+// seal cap, scattered on 1 or 8 threads, must be indistinguishable from
+// the reference.
 // ---------------------------------------------------------------------
 
-/// Deterministic geo-grid partitioning for the shard-axis tests: FNV-1a
-/// over the 0.01°-pitch cell coordinates, so each partition holds whole
-/// spatial clusters.
-fn shard_for(gps: &GeoPoint, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let cx = (gps.lat / 0.01).floor() as i64;
-    let cy = (gps.lon / 0.01).floor() as i64;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in cx.to_le_bytes().into_iter().chain(cy.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % shards as u64) as usize
-}
+/// Seal caps from one row per segment to every row in the tail.
+const SEAL_CAPS: [usize; 5] = [1, 7, 32, 128, 1000];
 
-/// The ops that re-create row `id` of `source` (image and CNN feature)
-/// under the same id in another store, with the row's capture point.
-fn row_ops(source: &VisualStore, id: ImageId) -> (GeoPoint, Vec<WalOp>) {
-    let rec = source.image(id).expect("listed id");
-    let ops = vec![
-        WalOp::AddImage {
-            id,
-            meta: rec.meta.clone(),
-            origin: rec.origin,
-            pixels: None,
-        },
-        WalOp::PutFeature {
-            image: id,
-            kind: FeatureKind::Cnn,
-            vector: source.feature(id, FeatureKind::Cnn).expect("cnn feature"),
-        },
-    ];
-    (rec.meta.gps, ops)
-}
-
-/// Splits `source` into `shards` fresh stores by geo-grid routing,
-/// preserving every global id (ops carry their ids through
-/// `VisualStore::apply_batch`), so the sharded stores hold exactly the
-/// same logical corpus as the single reference store.
-fn shard_stores(
-    source: &VisualStore,
-    cls: ClassificationId,
-    shards: usize,
-) -> Vec<Arc<VisualStore>> {
-    let stores: Vec<VisualStore> = (0..shards).map(|_| VisualStore::new()).collect();
-    let scheme = source.scheme(cls).expect("reference scheme");
-    for s in &stores {
-        s.apply_batch(vec![WalOp::RegisterScheme {
-            id: scheme.id,
-            name: scheme.name.clone(),
-            labels: scheme.labels.clone(),
-        }])
-        .unwrap();
-    }
-    for id in source.image_ids() {
-        let (gps, mut ops) = row_ops(source, id);
-        ops.extend(source.annotations_of(id).into_iter().map(WalOp::Annotate));
-        stores[shard_for(&gps, shards)].apply_batch(ops).unwrap();
-    }
-    stores.into_iter().map(Arc::new).collect()
-}
-
-/// Seal cap small enough that every shard carries several sealed
-/// segments *and* a live tail, so both scatter paths are exercised.
-const TEST_SEAL_CAP: usize = 16;
+/// Pool widths a scatter runs on.
+const POOLS: [usize; 2] = [1, 8];
 
 #[test]
 fn sharded_engine_matches_linear_scan_across_shard_counts() {
     for store_seed in 0..6u64 {
         let (store, cls) = build_store(140, 3_000 + store_seed);
         let linear = LinearExecutor::new(Arc::clone(&store));
-        for shards in [1usize, 3, 8] {
+        for cap in SEAL_CAPS {
             let engine = ShardedEngine::with_seal_cap(
-                shard_stores(&store, cls, shards),
+                vec![Arc::clone(&store)],
                 EngineConfig::default(),
-                TEST_SEAL_CAP,
+                cap,
             );
-            let mut rng = Rng::seed_from_u64(store_seed * 11 + 5);
-            for _ in 0..6 {
-                let q = random_query(&mut rng, 2, cls);
-                let sharded = engine.try_execute(&q).expect("cnn-only tree");
-                let reference = linear.execute(&q);
-                assert_eq!(
-                    canonical(&sharded),
-                    canonical(&reference),
-                    "{shards}-shard engine diverged from linear scan on {q:?}"
-                );
+            for threads in POOLS {
+                let pool = Pool::new(threads);
+                let mut rng = Rng::seed_from_u64(store_seed * 11 + 5);
+                for _ in 0..6 {
+                    let q = random_query(&mut rng, 2, cls);
+                    let sharded = engine
+                        .try_execute_with_pool(&q, &pool)
+                        .expect("cnn-only tree");
+                    let reference = linear.execute(&q);
+                    assert_eq!(
+                        canonical(&sharded),
+                        canonical(&reference),
+                        "seal cap {cap} x {threads} threads diverged from linear scan on {q:?}"
+                    );
+                }
             }
         }
     }
@@ -438,13 +382,10 @@ fn sharded_batch_bytes_identical_across_shard_counts_and_pool_widths() {
     let mut rng = Rng::seed_from_u64(4_243);
     let queries: Vec<Query> = (0..24).map(|_| random_query(&mut rng, 2, cls)).collect();
     let mut reference: Option<String> = None;
-    for shards in [1usize, 3, 8] {
-        let engine = ShardedEngine::with_seal_cap(
-            shard_stores(&store, cls, shards),
-            EngineConfig::default(),
-            TEST_SEAL_CAP,
-        );
-        for threads in [1usize, 8] {
+    for cap in SEAL_CAPS {
+        let engine =
+            ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], EngineConfig::default(), cap);
+        for threads in POOLS {
             let out = engine
                 .try_execute_batch_with_pool(&queries, &Pool::new(threads))
                 .expect("cnn-only trees");
@@ -453,7 +394,7 @@ fn sharded_batch_bytes_identical_across_shard_counts_and_pool_widths() {
                 None => reference = Some(bytes),
                 Some(want) => assert_eq!(
                     &bytes, want,
-                    "{shards} shards x {threads} threads diverged from 1 shard x 1 thread"
+                    "seal cap {cap} x {threads} threads diverged from seal cap 1 x 1 thread"
                 ),
             }
         }
@@ -463,7 +404,7 @@ fn sharded_batch_bytes_identical_across_shard_counts_and_pool_widths() {
 // ---------------------------------------------------------------------
 // Multi-chunk axis: the exact top-k over a corpus whose arena has frozen
 // several chunks must equal the linear scan row for row, and serialise
-// to the same bytes however the corpus is sharded and scattered.
+// to the same bytes however the corpus is cut and scattered.
 // ---------------------------------------------------------------------
 
 /// A corpus large enough that the feature arena freezes multiple chunks
@@ -502,7 +443,7 @@ fn topk_workload(rng: &mut Rng) -> Vec<Query> {
 
 #[test]
 fn exact_topk_equals_linear_scan_across_shard_counts_and_pool_widths() {
-    let (store, cls) = build_store(MULTI_CHUNK_CORPUS, 77);
+    let (store, _) = build_store(MULTI_CHUNK_CORPUS, 77);
     let mut rng = Rng::seed_from_u64(909);
     let queries = topk_workload(&mut rng);
     let linear = LinearExecutor::new(Arc::clone(&store));
@@ -519,36 +460,20 @@ fn exact_topk_equals_linear_scan_across_shard_counts_and_pool_widths() {
         .collect();
     assert_eq!(format!("{single:?}"), want, "single engine diverged");
 
-    // Seal cap large enough that shard stores still freeze arena chunks
-    // per segment batch yet every shard carries several sealed segments.
-    for shards in [1usize, 2] {
-        let sharded = ShardedEngine::with_seal_cap(
-            shard_stores(&store, cls, shards),
-            EngineConfig::default(),
-            512,
-        );
-        for threads in [1usize, 8] {
+    for cap in SEAL_CAPS {
+        let sharded =
+            ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], EngineConfig::default(), cap);
+        for threads in POOLS {
             let out = sharded
                 .try_execute_batch_with_pool(&queries, &Pool::new(threads))
                 .expect("cnn-only trees");
             assert_eq!(
                 format!("{out:?}"),
                 want,
-                "{shards} shards x {threads} threads diverged"
+                "seal cap {cap} x {threads} threads diverged"
             );
         }
     }
-}
-
-/// `source` dealt round-robin by id into `shards` stores: unlike the
-/// geo-grid routing, rows at one point land in every shard.
-fn deal_stores(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
-    let stores: Vec<VisualStore> = (0..shards).map(|_| VisualStore::new()).collect();
-    for id in source.image_ids() {
-        let (_, ops) = row_ops(source, id);
-        stores[id.raw() as usize % shards].apply_batch(ops).unwrap();
-    }
-    stores.into_iter().map(Arc::new).collect()
 }
 
 /// The top-k cut inside a tie. 200 rows at one point draw their
@@ -556,7 +481,7 @@ fn deal_stores(source: &VisualStore, shards: usize) -> Vec<Arc<VisualStore>> {
 /// rows and every `Nearest` distance by all 200. A `k` that falls inside
 /// such a run has one right answer, the `k` lowest rows under the
 /// reported `(score, id)` order, and it may not depend on how the rows
-/// are cut into segments, tails and shards: each partition has to keep
+/// are cut into segments and a tail: each partition has to keep
 /// *its* `k` lowest under that order (a tree whose heap breaks distance
 /// ties by shape, or a scan cut on a finer key, keeps others).
 #[test]
@@ -616,22 +541,17 @@ fn a_topk_cut_inside_a_tie_is_the_same_cut_for_every_partitioning() {
     for (q, want) in queries.iter().zip(&want) {
         assert_eq!(&canonical(&engine.try_execute(q).unwrap()), want, "{q:?}");
     }
-    for shards in [1usize, 3] {
-        for cap in [1usize, 7, 16, 64, 128, 1000] {
-            let sharded = ShardedEngine::with_seal_cap(
-                deal_stores(&store, shards),
-                EngineConfig::default(),
-                cap,
-            );
-            for threads in [1usize, 8] {
-                let pool = Pool::new(threads);
-                for (q, want) in queries.iter().zip(&want) {
-                    assert_eq!(
-                        &canonical(&sharded.try_execute_with_pool(q, &pool).unwrap()),
-                        want,
-                        "{shards} shards, seal cap {cap}, {threads} threads: {q:?}"
-                    );
-                }
+    for cap in [1usize, 7, 16, 32, 64, 128, 1000] {
+        let sharded =
+            ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], EngineConfig::default(), cap);
+        for threads in POOLS {
+            let pool = Pool::new(threads);
+            for (q, want) in queries.iter().zip(&want) {
+                assert_eq!(
+                    &canonical(&sharded.try_execute_with_pool(q, &pool).unwrap()),
+                    want,
+                    "seal cap {cap}, {threads} threads: {q:?}"
+                );
             }
         }
     }
@@ -737,12 +657,8 @@ fn engine_rejects_antimeridian_wrapping_region() {
 
 #[test]
 fn sharded_engine_rejects_antimeridian_wrapping_region() {
-    let (store, cls) = build_store(40, 6_061);
-    let engine = ShardedEngine::with_seal_cap(
-        shard_stores(&store, cls, 2),
-        EngineConfig::default(),
-        TEST_SEAL_CAP,
-    );
+    let (store, _) = build_store(40, 6_061);
+    let engine = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), 16);
     let q = Query::Spatial(SpatialQuery::Directed {
         region: wrapped_bbox(),
         directions: AngularRange::centered(90.0, 45.0),
@@ -758,12 +674,8 @@ fn sharded_engine_rejects_antimeridian_wrapping_region() {
 
 #[test]
 fn sharded_engine_rejects_wrong_kind_visual() {
-    let (store, cls) = build_store(40, 5_050);
-    let engine = ShardedEngine::with_seal_cap(
-        shard_stores(&store, cls, 3),
-        EngineConfig::default(),
-        TEST_SEAL_CAP,
-    );
+    let (store, _) = build_store(40, 5_050);
+    let engine = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), 16);
     let q = Query::Visual {
         example: vec![0.0; DIM],
         kind: FeatureKind::ColorHistogram,
@@ -776,4 +688,14 @@ fn sharded_engine_rejects_wrong_kind_visual() {
             queried: FeatureKind::ColorHistogram,
         })
     );
+}
+
+/// The engine indexes one store: a second one is refused at
+/// construction rather than scattered over with overlapping ids.
+#[test]
+#[should_panic(expected = "indexes exactly one store")]
+fn sharded_engine_refuses_a_second_store() {
+    let (a, _) = build_store(10, 7_070);
+    let (b, _) = build_store(10, 7_071);
+    ShardedEngine::with_seal_cap(vec![a, b], EngineConfig::default(), 16);
 }

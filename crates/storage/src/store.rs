@@ -284,7 +284,7 @@ struct Tables {
     annotations: BTreeMap<AnnotationId, Annotation>,
     annotations_by_image: BTreeMap<ImageId, Vec<AnnotationId>>,
     /// Incremental count of annotations per (scheme, label), serving
-    /// the planner's selectivity estimates in O(log n).
+    /// the query layer's admission estimates in O(log n).
     label_counts: BTreeMap<(ClassificationId, usize), usize>,
     /// Bounded upload idempotency table: marker key → (image the upload
     /// produced, insertion sequence for oldest-first eviction).
@@ -1071,8 +1071,8 @@ impl VisualStore {
     }
 
     /// Number of annotations carrying a given (scheme, label) pair —
-    /// maintained incrementally so the query planner can estimate
-    /// categorical selectivity without scanning the annotation table.
+    /// maintained incrementally so the query layer can estimate
+    /// categorical cardinality without scanning the annotation table.
     pub fn label_count(&self, classification: ClassificationId, label: usize) -> usize {
         self.inner
             .read()
@@ -1110,31 +1110,6 @@ impl VisualStore {
             .filter(|a| a.classification == classification && a.label == label)
             .cloned()
             .collect()
-    }
-
-    /// Whether `image` carries at least one annotation with the given
-    /// (scheme, label) pair at or above `min_confidence` — exactly the
-    /// membership predicate behind a categorical query, evaluated for
-    /// one image without cloning any annotation. The query planner uses
-    /// it to post-filter a small candidate set instead of materializing
-    /// the full label posting.
-    pub fn has_annotation(
-        &self,
-        image: ImageId,
-        classification: ClassificationId,
-        label: usize,
-        min_confidence: f32,
-    ) -> bool {
-        let t = self.inner.read();
-        t.annotations_by_image.get(&image).is_some_and(|ids| {
-            ids.iter().any(|id| {
-                t.annotations.get(id).is_some_and(|a| {
-                    a.classification == classification
-                        && a.label == label
-                        && a.confidence >= min_confidence
-                })
-            })
-        })
     }
 
     /// Total number of annotations.
