@@ -19,7 +19,7 @@ use tvdp_core::platform::Algorithm;
 use tvdp_core::{
     AdmissionConfig, AdmissionController, IngestRequest, PlatformError, RequestClass, Tvdp, Upload,
 };
-use tvdp_edge::{DeviceClass, DispatchConstraints};
+use tvdp_edge::{DeviceClass, DispatchConstraints, DispatchDecision, LinkConditions};
 use tvdp_geo::{AngularRange, Fov, GeoPoint, GeoPolygon};
 use tvdp_kernel::Pool;
 use tvdp_ml::SerializableModel;
@@ -184,12 +184,13 @@ fn decode_ids(items: &[Value], what: &str) -> Result<Vec<u64>, ParseError> {
 }
 
 fn decode_fov_body(v: &Value, gps: GeoPoint) -> Result<Fov, ParseError> {
-    Ok(Fov::new(
+    Fov::try_new(
         gps,
         codec::num_field(v, "heading_deg")?,
         codec::num_field(v, "angle_deg")?,
         codec::num_field(v, "radius_m")?,
-    ))
+    )
+    .ok_or_else(|| "fov: heading must be finite, angle in (0, 360], radius positive".into())
 }
 
 /// Decodes one upload object (the `data/add` body shape) into the
@@ -222,16 +223,15 @@ fn decode_upload(body: &Value) -> Result<Upload, String> {
     })();
     let (width, height, pixels, lat, lon, captured_at, uploaded_at, keywords) =
         parsed.map_err(|e| format!("bad request body: {e}"))?;
-    if pixels.len() != width * height * 3 {
-        return Err("pixel buffer size mismatch".into());
-    }
+    let image = Image::try_from_raw(width, height, pixels)
+        .ok_or_else(|| "pixel buffer size mismatch".to_string())?;
     let gps = GeoPoint::try_new(lat, lon).ok_or_else(|| "invalid coordinates".to_string())?;
     let fov = match opt_field(body, "fov") {
         Some(f) => Some(decode_fov_body(f, gps).map_err(|e| format!("bad request body: {e}"))?),
         None => None,
     };
     Ok(Upload {
-        image: Image::from_raw(width, height, pixels),
+        image,
         request: IngestRequest {
             gps,
             fov,
@@ -678,10 +678,9 @@ impl ApiServer {
             Ok(p) => p,
             Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
         };
-        if pixels.len() != width * height * 3 {
+        let Some(image) = Image::try_from_raw(width, height, pixels) else {
             return ApiResponse::err(400, "pixel buffer size mismatch");
-        }
-        let image = Image::from_raw(width, height, pixels);
+        };
         let features = self.platform.extract_features(&image);
         let rows: Vec<Value> = features
             .into_iter()
@@ -900,17 +899,24 @@ impl ApiServer {
             min_accuracy,
             min_inferences_per_charge,
         };
-        match self
-            .platform
-            .dispatch_to_device(&device.profile(), &constraints)
-        {
-            Some(model) => ApiResponse::ok(obj(vec![
-                ("model", Value::str(model.name)),
-                ("mflops", Value::num(model.mflops)),
-                ("download_bytes", Value::num(model.download_bytes())),
-                ("accuracy", Value::num(model.accuracy)),
-            ])),
-            None => ApiResponse::err(409, "no model satisfies the constraints"),
+        // The route reports no link state, so it dispatches over a nominal
+        // link: a deploy, or nothing qualifies.
+        match self.platform.dispatch_to_device(
+            &device.profile(),
+            &constraints,
+            &LinkConditions::nominal(),
+        ) {
+            DispatchDecision::Deploy(model) | DispatchDecision::Degraded { chosen: model, .. } => {
+                ApiResponse::ok(obj(vec![
+                    ("model", Value::str(model.name)),
+                    ("mflops", Value::num(model.mflops)),
+                    ("download_bytes", Value::num(model.download_bytes())),
+                    ("accuracy", Value::num(model.accuracy)),
+                ]))
+            }
+            DispatchDecision::ServerSide { .. } => {
+                ApiResponse::err(409, "no model satisfies the constraints")
+            }
         }
     }
 

@@ -820,3 +820,183 @@ fn batched_uploads_through_the_api() {
         .collect();
     assert!(hits.contains(&first), "batched upload missing from search");
 }
+
+/// What a hostile client can put in a numeric field of an upload body.
+const HOSTILE_NUMBERS: [&str; 14] = [
+    "0",
+    "-1",
+    "1e308",
+    "-1e308",
+    "NaN",
+    "1e999",
+    "-1e999",
+    "Infinity",
+    "4294967296",
+    "-9223372036854775808",
+    "9223372036854775807",
+    "18446744073709551615",
+    "6148914691236517206",
+    "-0",
+];
+
+/// One route's valid body, as a template whose `#` marks are slots, and
+/// the values that make it valid.
+struct HostileBody {
+    route: &'static str,
+    parts: Vec<&'static str>,
+    valid: Vec<String>,
+}
+
+impl HostileBody {
+    fn new(route: &'static str, template: &'static str, valid: Vec<String>) -> Self {
+        let parts: Vec<&str> = template.split('#').collect();
+        assert_eq!(parts.len(), valid.len() + 1, "{route}: one value per slot");
+        HostileBody {
+            route,
+            parts,
+            valid,
+        }
+    }
+
+    /// The JSON field a slot fills: the key just before its mark.
+    fn field(&self, slot: usize) -> &str {
+        self.parts[slot].rsplit('"').nth(1).unwrap_or("?")
+    }
+
+    /// Slots holding numbers (every slot but the hex pixels).
+    fn numeric_slots(&self) -> Vec<usize> {
+        (0..self.valid.len())
+            .filter(|&s| self.field(s) != ":")
+            .collect()
+    }
+
+    fn render(&self, values: &[String]) -> String {
+        let mut out = String::from(self.parts[0]);
+        for (value, part) in values.iter().zip(&self.parts[1..]) {
+            out.push_str(value);
+            out.push_str(part);
+        }
+        out
+    }
+}
+
+/// Numbers a client chooses reach `Image` and `Fov` constructors that
+/// assert: every substitution, alone and in seeded pairs, is answered
+/// with 200 or 4xx, and `stats` counts exactly the images the 200s
+/// stored. The width/height/pixel shapes at the end are the ones whose
+/// product is zero or wraps to the buffer length.
+#[test]
+fn hostile_numbers_in_upload_bodies_are_answered_not_panicked() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tvdp_kernel::rng::for_each_case;
+
+    let platform = fast_platform();
+    let gov = platform.register_user("LASAN", Role::Government);
+    let server = ApiServer::with_rate_limit(
+        Arc::clone(&platform),
+        RateLimitConfig {
+            burst: 100_000,
+            per_second: 100_000.0,
+            ..Default::default()
+        },
+    );
+    let key = server.issue_key(gov);
+
+    const UPLOAD: &str = concat!(
+        r##"{"width":#,"height":#,"pixels":"#","lat":#,"lon":#,"##,
+        r##""fov":{"heading_deg":#,"angle_deg":#,"radius_m":#},"##,
+        r##""captured_at":#,"uploaded_at":#,"keywords":["street"]}"##
+    );
+    let img = scene(0, 1);
+    let pixels = codec::hex_encode(img.raw());
+    let upload: Vec<String> = [
+        "24", "24", &pixels, "34.0", "-118.25", "90.0", "60.0", "80.0", "1000", "1100",
+    ]
+    .iter()
+    .map(|v| v.to_string())
+    .collect();
+    let bodies = [
+        HostileBody::new("data/add", UPLOAD, upload.clone()),
+        HostileBody::new(
+            "data/add_batch",
+            // Two copies of the upload template.
+            concat!(
+                r##"{"uploads":[{"width":#,"height":#,"pixels":"#","lat":#,"lon":#,"##,
+                r##""fov":{"heading_deg":#,"angle_deg":#,"radius_m":#},"##,
+                r##""captured_at":#,"uploaded_at":#,"keywords":["street"]},"##,
+                r##"{"width":#,"height":#,"pixels":"#","lat":#,"lon":#,"##,
+                r##""fov":{"heading_deg":#,"angle_deg":#,"radius_m":#},"##,
+                r##""captured_at":#,"uploaded_at":#,"keywords":["street"]}]}"##
+            ),
+            [upload.clone(), upload.clone()].concat(),
+        ),
+        HostileBody::new(
+            "features/extract",
+            r##"{"width":#,"height":#,"pixels":"#"}"##,
+            upload[..3].to_vec(),
+        ),
+    ];
+    // (width, height, pixels) whose product is zero, or wraps past
+    // `usize` onto the buffer's length in a release build.
+    let shapes = [
+        ("0", "0", ""),
+        ("0", "5", ""),
+        ("6148914691236517206", "1", "0102"),
+        ("1", "6148914691236517206", "0102"),
+        ("18446744073709551615", "18446744073709551615", "0a0b0c"),
+    ];
+
+    let mut stored = 0u64;
+    let mut send = |body: &HostileBody, values: &[String], what: &str| {
+        let text = body.render(values);
+        let r = catch_unwind(AssertUnwindSafe(|| call(&server, &key, body.route, &text)))
+            .unwrap_or_else(|_| panic!("{} panicked on {what}", body.route));
+        assert!(
+            r.status == 200 || (400..500).contains(&r.status),
+            "{} answered {} on {what}: {r:?}",
+            body.route,
+            r.status
+        );
+        if r.status == 200 {
+            stored += match body.route {
+                "data/add" => 1,
+                "data/add_batch" => r.body["count"].as_u64().unwrap(),
+                _ => 0,
+            };
+        }
+        let images = call(&server, &key, "stats", "{}").body["images"].as_u64();
+        assert_eq!(images, Some(stored), "{} on {what}", body.route);
+    };
+
+    for body in &bodies {
+        let numeric = body.numeric_slots();
+        send(body, &body.valid, "the valid body");
+        for &slot in &numeric {
+            for hostile in HOSTILE_NUMBERS {
+                let mut values = body.valid.clone();
+                values[slot] = hostile.to_string();
+                send(body, &values, &format!("{} = {hostile}", body.field(slot)));
+            }
+        }
+        for_each_case(48, |_, rng| {
+            let a = numeric[rng.gen_range(0..numeric.len())];
+            let b = numeric[rng.gen_range(0..numeric.len())];
+            let (x, y) = (
+                HOSTILE_NUMBERS[rng.gen_range(0..HOSTILE_NUMBERS.len())],
+                HOSTILE_NUMBERS[rng.gen_range(0..HOSTILE_NUMBERS.len())],
+            );
+            let mut values = body.valid.clone();
+            values[a] = x.to_string();
+            values[b] = y.to_string();
+            let what = format!("{} = {x}, {} = {y}", body.field(a), body.field(b));
+            send(body, &values, &what);
+        });
+        for (width, height, pixels) in shapes {
+            let mut values = body.valid.clone();
+            values[..3].clone_from_slice(&[width.into(), height.into(), pixels.into()]);
+            let what = format!("{width} x {height} over {} pixel bytes", pixels.len() / 2);
+            send(body, &values, &what);
+        }
+    }
+    assert!(stored > 0, "the valid bodies were stored");
+}

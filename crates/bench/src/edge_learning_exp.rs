@@ -3,7 +3,9 @@
 //! upload saving.
 
 use tvdp_datagen::{generate, DatasetConfig};
-use tvdp_edge::{learning::run_crowd_learning, CrowdLearningConfig, EdgeNode, SelectionStrategy};
+use tvdp_edge::{
+    learning::run_crowd_learning, CrowdLearningConfig, EdgeNode, SelectionStrategy, UplinkConfig,
+};
 use tvdp_ml::data::stratified_split;
 use tvdp_ml::{Dataset, LinearSvm, StandardScaler};
 use tvdp_vision::{CnnExtractor, FeatureExtractor};
@@ -135,6 +137,7 @@ pub fn run_edge_learning(config: &EdgeLearningConfig) -> EdgeLearningResult {
                     strategy,
                     seed: config.seed,
                 },
+                &UplinkConfig::reliable(config.seed),
                 LinearSvm::new,
             );
             EdgeLearningOutcome {

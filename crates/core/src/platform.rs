@@ -8,7 +8,7 @@ use tvdp_kernel::sync::Mutex;
 use tvdp_crowd::{simulate_campaign, Campaign, SimulationConfig};
 use tvdp_edge::{
     DeviceProfile, DispatchConstraints, DispatchDecision, LinkConditions, ModelDispatcher,
-    ModelSpec, MODEL_ZOO,
+    MODEL_ZOO,
 };
 use tvdp_geo::Fov;
 use tvdp_kernel::Pool;
@@ -785,33 +785,21 @@ impl Tvdp {
         Ok(out)
     }
 
-    /// **Action**: chooses the zoo model to deploy on a device.
+    /// **Action**: chooses what to deploy on a device given observed
+    /// link health. Falls back to a smaller zoo model when the preferred
+    /// one cannot download within the link budget, and to server-side
+    /// inference when nothing qualifies, the device's breaker is open or
+    /// its bandwidth has collapsed.
     pub fn dispatch_to_device(
-        &self,
-        device: &DeviceProfile,
-        constraints: &DispatchConstraints,
-    ) -> Option<ModelSpec> {
-        // MODEL_ZOO is non-empty, so construction cannot fail; an empty
-        // zoo simply yields no dispatch rather than an error here.
-        ModelDispatcher::new(MODEL_ZOO.to_vec())
-            .ok()?
-            .dispatch(device, constraints)
-    }
-
-    /// **Action**: chooses what to deploy given observed link health —
-    /// the graceful-degradation path. Falls back to a smaller zoo model
-    /// when the preferred one cannot download within the link budget,
-    /// and to server-side inference when the device's breaker is open
-    /// or its bandwidth has collapsed.
-    // tvdp-lint: allow(dead_api, reason = "(c) paper capability: link-aware dispatch (Action), awaiting a route (ROADMAP item 11)")
-    pub fn dispatch_to_device_degraded(
         &self,
         device: &DeviceProfile,
         constraints: &DispatchConstraints,
         link: &LinkConditions,
     ) -> DispatchDecision {
+        // MODEL_ZOO is non-empty, so construction cannot fail; an empty
+        // zoo would simply leave inference on the server.
         match ModelDispatcher::new(MODEL_ZOO.to_vec()) {
-            Ok(d) => d.dispatch_degraded(device, constraints, link),
+            Ok(d) => d.dispatch(device, constraints, link),
             Err(_) => DispatchDecision::ServerSide {
                 reason: tvdp_edge::DegradeReason::NoQualifyingModel,
             },
@@ -1147,29 +1135,22 @@ mod tests {
     #[test]
     fn dispatch_respects_device_tier() {
         let tvdp = Tvdp::new(fast_config());
-        let pick = tvdp
-            .dispatch_to_device(
-                &tvdp_edge::DeviceClass::Desktop.profile(),
-                &DispatchConstraints::default(),
-            )
-            .unwrap();
-        assert_eq!(pick.name, "InceptionV3");
+        let pick = tvdp.dispatch_to_device(
+            &tvdp_edge::DeviceClass::Desktop.profile(),
+            &DispatchConstraints::default(),
+            &LinkConditions::nominal(),
+        );
+        assert!(
+            matches!(pick, DispatchDecision::Deploy(m) if m.name == "InceptionV3"),
+            "nominal link deploys the preferred model"
+        );
     }
 
     #[test]
     fn degraded_dispatch_reaches_the_platform_facade() {
         let tvdp = Tvdp::new(fast_config());
         let device = tvdp_edge::DeviceClass::Desktop.profile();
-        let healthy = tvdp.dispatch_to_device_degraded(
-            &device,
-            &DispatchConstraints::default(),
-            &LinkConditions::nominal(),
-        );
-        assert!(
-            matches!(healthy, DispatchDecision::Deploy(m) if m.name == "InceptionV3"),
-            "nominal link deploys the preferred model"
-        );
-        let broken = tvdp.dispatch_to_device_degraded(
+        let broken = tvdp.dispatch_to_device(
             &device,
             &DispatchConstraints::default(),
             &LinkConditions {

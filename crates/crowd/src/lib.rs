@@ -25,6 +25,6 @@ pub mod worker;
 
 pub use assign::{assign_greedy, assign_matching, Assignment};
 pub use campaign::{Campaign, CampaignRound};
-pub use simulate::{simulate_campaign, CampaignReport, SimulationConfig, UplinkModel};
+pub use simulate::{simulate_campaign, CampaignReport, SimulationConfig};
 pub use task::{SpatialTask, TaskId};
 pub use worker::{Worker, WorkerId};

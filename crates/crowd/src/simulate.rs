@@ -22,44 +22,6 @@ pub enum AssignStrategy {
     Matching,
 }
 
-/// The uplink between a worker's capture and the platform. Captured
-/// photos must still be *delivered*; city links drop some of them.
-#[derive(Debug, Clone, Copy)]
-pub struct UplinkModel {
-    /// Probability one transmission of a captured photo is delivered.
-    pub delivery_rate: f64,
-    /// Retransmissions attempted after a failed delivery before the
-    /// capture is counted as lost.
-    pub max_retransmits: u32,
-}
-
-impl Default for UplinkModel {
-    fn default() -> Self {
-        Self {
-            delivery_rate: 1.0,
-            max_retransmits: 2,
-        }
-    }
-}
-
-impl UplinkModel {
-    /// Attempts delivery, returning whether the photo landed and how
-    /// many retransmissions it took. A perfect uplink short-circuits
-    /// without touching the RNG, so the default configuration replays
-    /// the exact capture sequence of earlier releases.
-    fn deliver(&self, rng: &mut Rng) -> (bool, u32) {
-        if self.delivery_rate >= 1.0 {
-            return (true, 0);
-        }
-        for retransmit in 0..=self.max_retransmits {
-            if rng.gen_bool(self.delivery_rate.max(0.0)) {
-                return (true, retransmit);
-            }
-        }
-        (false, self.max_retransmits)
-    }
-}
-
 /// Simulation knobs.
 #[derive(Debug, Clone)]
 pub struct SimulationConfig {
@@ -77,8 +39,6 @@ pub struct SimulationConfig {
     pub max_rounds: usize,
     /// Assignment algorithm.
     pub strategy: AssignStrategy,
-    /// Uplink loss model applied to every captured photo.
-    pub uplink: UplinkModel,
     /// RNG seed.
     pub seed: u64,
 }
@@ -93,7 +53,6 @@ impl Default for SimulationConfig {
             round_budget: 200,
             max_rounds: 12,
             strategy: AssignStrategy::Matching,
-            uplink: UplinkModel::default(),
             seed: 0xCA4D,
         }
     }
@@ -106,12 +65,8 @@ pub struct CampaignReport {
     pub rounds: Vec<CoverageReport>,
     /// Total tasks issued.
     pub tasks_issued: usize,
-    /// Total tasks completed (photos captured *and* delivered).
+    /// Total tasks completed (photos captured).
     pub tasks_completed: usize,
-    /// Captured photos the uplink lost even after retransmissions.
-    pub uploads_lost: usize,
-    /// Retransmissions the uplink needed across all deliveries.
-    pub retransmits: usize,
     /// Whether the campaign goal was met.
     pub satisfied: bool,
 }
@@ -144,8 +99,6 @@ pub fn simulate_campaign(
         rounds: Vec::new(),
         tasks_issued: 0,
         tasks_completed: 0,
-        uploads_lost: 0,
-        retransmits: 0,
         satisfied: false,
     };
     let mut next_task_id = 0u64;
@@ -183,14 +136,6 @@ pub fn simulate_campaign(
                 rng.gen_range(50.0..70.0),
                 rng.gen_range(60.0..120.0),
             );
-            let (delivered, retransmits) = config.uplink.deliver(&mut rng);
-            report.retransmits += retransmits as usize;
-            if !delivered {
-                // The photo was taken but never reached the platform;
-                // the coverage gap stays open for a later round.
-                report.uploads_lost += 1;
-                continue;
-            }
             grid.add_fov(&fov);
             captured.push(fov);
             report.tasks_completed += 1;
@@ -260,67 +205,6 @@ mod tests {
         assert_eq!(r1.tasks_completed, r2.tasks_completed);
         assert_eq!(f1.len(), f2.len());
         assert_eq!(r1.rounds.len(), r2.rounds.len());
-    }
-
-    #[test]
-    fn lossy_uplink_loses_captures_and_retransmits_recover_some() {
-        let lossless = SimulationConfig {
-            max_rounds: 4,
-            ..Default::default()
-        };
-        let no_retry = SimulationConfig {
-            uplink: UplinkModel {
-                delivery_rate: 0.5,
-                max_retransmits: 0,
-            },
-            ..lossless.clone()
-        };
-        let with_retry = SimulationConfig {
-            uplink: UplinkModel {
-                delivery_rate: 0.5,
-                max_retransmits: 3,
-            },
-            ..lossless.clone()
-        };
-        let (r0, _) = simulate_campaign(&campaign(4), &lossless);
-        let (r1, f1) = simulate_campaign(&campaign(4), &no_retry);
-        let (r2, _) = simulate_campaign(&campaign(4), &with_retry);
-        assert_eq!(r0.uploads_lost, 0, "perfect uplink loses nothing");
-        assert!(
-            r1.uploads_lost > 0,
-            "a 50% link with no retries loses photos"
-        );
-        assert_eq!(r1.tasks_completed, f1.len(), "lost photos are not counted");
-        // Retransmission converts most losses into deliveries.
-        let loss_rate = |r: &CampaignReport| {
-            r.uploads_lost as f64 / (r.tasks_completed + r.uploads_lost).max(1) as f64
-        };
-        assert!(
-            loss_rate(&r2) < loss_rate(&r1),
-            "retries should cut the loss rate: {} vs {}",
-            loss_rate(&r2),
-            loss_rate(&r1)
-        );
-        assert!(r2.retransmits > 0);
-    }
-
-    #[test]
-    fn perfect_uplink_replays_the_historical_capture_sequence() {
-        // delivery_rate = 1.0 must not consume RNG draws, so the default
-        // config and an explicit perfect uplink are bit-identical.
-        let default_cfg = SimulationConfig::default();
-        let explicit = SimulationConfig {
-            uplink: UplinkModel {
-                delivery_rate: 1.0,
-                max_retransmits: 9,
-            },
-            ..SimulationConfig::default()
-        };
-        let (r1, f1) = simulate_campaign(&campaign(2), &default_cfg);
-        let (r2, f2) = simulate_campaign(&campaign(2), &explicit);
-        assert_eq!(r1.tasks_completed, r2.tasks_completed);
-        assert_eq!(f1.len(), f2.len());
-        assert_eq!(r1.retransmits, 0);
     }
 
     #[test]

@@ -118,15 +118,19 @@ pub enum DispatchDecision {
 /// Chooses models from a zoo for heterogeneous devices.
 ///
 /// ```
-/// use tvdp_edge::{DeviceClass, DispatchConstraints, ModelDispatcher, MODEL_ZOO};
+/// use tvdp_edge::{
+///     DeviceClass, DispatchConstraints, DispatchDecision, LinkConditions, ModelDispatcher,
+///     MODEL_ZOO,
+/// };
 ///
 /// let dispatcher = ModelDispatcher::new(MODEL_ZOO.to_vec()).unwrap();
 /// let constraints = DispatchConstraints { max_latency_ms: 700.0, ..Default::default() };
+/// let link = LinkConditions::nominal();
 /// // A desktop affords InceptionV3 within 700 ms; a Raspberry Pi cannot.
-/// let desktop = dispatcher.dispatch(&DeviceClass::Desktop.profile(), &constraints).unwrap();
-/// let rpi = dispatcher.dispatch(&DeviceClass::RaspberryPi.profile(), &constraints).unwrap();
-/// assert_eq!(desktop.name, "InceptionV3");
-/// assert!(rpi.name.starts_with("MobileNet"));
+/// let desktop = dispatcher.dispatch(&DeviceClass::Desktop.profile(), &constraints, &link);
+/// let rpi = dispatcher.dispatch(&DeviceClass::RaspberryPi.profile(), &constraints, &link);
+/// assert!(matches!(desktop, DispatchDecision::Deploy(m) if m.name == "InceptionV3"));
+/// assert!(matches!(rpi, DispatchDecision::Deploy(m) if m.name.starts_with("MobileNet")));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModelDispatcher {
@@ -177,23 +181,16 @@ impl ModelDispatcher {
         out
     }
 
-    /// The most accurate model that fits `device` under `constraints`;
-    /// `None` when nothing qualifies (caller should fall back to server-
-    /// side inference).
+    /// Capability dispatch under observed link conditions: picks the
+    /// most accurate model that fits `device` under `constraints`,
+    /// degrades to the next-smaller qualifying model when the preferred
+    /// weights cannot be downloaded within the budget, and falls back to
+    /// server-side inference when nothing fits, the breaker is open or
+    /// bandwidth has collapsed. Over [`LinkConditions::nominal`] the
+    /// answer is [`DispatchDecision::Deploy`] or
+    /// [`DegradeReason::NoQualifyingModel`] for every device whose
+    /// profile bandwidth clears [`LinkConditions::MIN_USABLE_MBPS`].
     pub fn dispatch(
-        &self,
-        device: &DeviceProfile,
-        constraints: &DispatchConstraints,
-    ) -> Option<ModelSpec> {
-        self.qualifying(device, constraints).first().copied()
-    }
-
-    /// Capability dispatch under observed link conditions: prefers the
-    /// [`ModelDispatcher::dispatch`] pick, degrades to the next-smaller
-    /// qualifying model when the preferred weights cannot be downloaded
-    /// within the budget, and falls back to server-side inference when
-    /// the breaker is open, bandwidth has collapsed, or nothing fits.
-    pub fn dispatch_degraded(
         &self,
         device: &DeviceProfile,
         constraints: &DispatchConstraints,
@@ -247,6 +244,20 @@ mod tests {
         ModelDispatcher::new(MODEL_ZOO.to_vec()).unwrap()
     }
 
+    /// The model a nominal link deploys; `None` when nothing qualifies.
+    pub(super) fn pick(
+        device: &DeviceProfile,
+        constraints: &DispatchConstraints,
+    ) -> Option<ModelSpec> {
+        match dispatcher().dispatch(device, constraints, &LinkConditions::nominal()) {
+            DispatchDecision::Deploy(m) => Some(m),
+            DispatchDecision::ServerSide {
+                reason: DegradeReason::NoQualifyingModel,
+            } => None,
+            other => panic!("a nominal link never degrades: {other:?}"),
+        }
+    }
+
     #[test]
     fn empty_zoo_is_a_typed_error() {
         assert_eq!(
@@ -257,12 +268,11 @@ mod tests {
 
     #[test]
     fn desktop_gets_the_big_model() {
-        let m = dispatcher()
-            .dispatch(
-                &DeviceClass::Desktop.profile(),
-                &DispatchConstraints::default(),
-            )
-            .unwrap();
+        let m = pick(
+            &DeviceClass::Desktop.profile(),
+            &DispatchConstraints::default(),
+        )
+        .unwrap();
         assert_eq!(m.name, "InceptionV3");
     }
 
@@ -273,9 +283,7 @@ mod tests {
             min_accuracy: None,
             ..Default::default()
         };
-        let m = dispatcher()
-            .dispatch(&DeviceClass::RaspberryPi.profile(), &constraints)
-            .unwrap();
+        let m = pick(&DeviceClass::RaspberryPi.profile(), &constraints).unwrap();
         assert!(m.name.starts_with("MobileNet"), "got {}", m.name);
     }
 
@@ -286,18 +294,14 @@ mod tests {
             min_accuracy: None,
             ..Default::default()
         };
-        assert!(dispatcher()
-            .dispatch(&DeviceClass::RaspberryPi.profile(), &constraints)
-            .is_none());
+        assert!(pick(&DeviceClass::RaspberryPi.profile(), &constraints).is_none());
         // Accuracy floor nothing meets.
         let constraints = DispatchConstraints {
             max_latency_ms: 1e9,
             min_accuracy: Some(0.99),
             ..Default::default()
         };
-        assert!(dispatcher()
-            .dispatch(&DeviceClass::Desktop.profile(), &constraints)
-            .is_none());
+        assert!(pick(&DeviceClass::Desktop.profile(), &constraints).is_none());
     }
 
     #[test]
@@ -307,9 +311,7 @@ mod tests {
             min_accuracy: Some(0.75),
             ..Default::default()
         };
-        let m = dispatcher()
-            .dispatch(&DeviceClass::RaspberryPi.profile(), &constraints)
-            .unwrap();
+        let m = pick(&DeviceClass::RaspberryPi.profile(), &constraints).unwrap();
         assert_eq!(m.name, "InceptionV3", "only Inception meets 0.75");
     }
 
@@ -321,10 +323,7 @@ mod tests {
             min_accuracy: None,
             ..Default::default()
         };
-        let picks: Vec<_> = devices
-            .iter()
-            .map(|d| dispatcher().dispatch(d, &constraints))
-            .collect();
+        let picks: Vec<_> = devices.iter().map(|d| pick(d, &constraints)).collect();
         // Desktop can afford Inception within 200 ms; RPi cannot.
         assert_eq!(picks[0].unwrap().name, "InceptionV3");
         assert!(picks[2].is_none_or(|m| m.name != "InceptionV3"));
@@ -336,7 +335,7 @@ mod tests {
         let constraints = DispatchConstraints::default();
         // Nominal link: the preferred (biggest) model deploys.
         assert_eq!(
-            dispatcher().dispatch_degraded(&desktop, &constraints, &LinkConditions::nominal()),
+            dispatcher().dispatch(&desktop, &constraints, &LinkConditions::nominal()),
             DispatchDecision::Deploy(MODEL_ZOO[2])
         );
         // Budget only a MobileNet download fits: Inception is 95.2 MB,
@@ -346,7 +345,7 @@ mod tests {
             download_budget_s: 20.0,
             breaker_open: false,
         };
-        match dispatcher().dispatch_degraded(&desktop, &constraints, &tight) {
+        match dispatcher().dispatch(&desktop, &constraints, &tight) {
             DispatchDecision::Degraded {
                 chosen,
                 preferred,
@@ -369,7 +368,7 @@ mod tests {
             ..LinkConditions::nominal()
         };
         assert_eq!(
-            dispatcher().dispatch_degraded(&phone, &constraints, &open),
+            dispatcher().dispatch(&phone, &constraints, &open),
             DispatchDecision::ServerSide {
                 reason: DegradeReason::BreakerOpen
             }
@@ -380,7 +379,7 @@ mod tests {
             breaker_open: false,
         };
         assert_eq!(
-            dispatcher().dispatch_degraded(&phone, &constraints, &collapsed),
+            dispatcher().dispatch(&phone, &constraints, &collapsed),
             DispatchDecision::ServerSide {
                 reason: DegradeReason::BandwidthCollapsed
             }
@@ -392,7 +391,7 @@ mod tests {
             breaker_open: false,
         };
         assert_eq!(
-            dispatcher().dispatch_degraded(&phone, &constraints, &hopeless),
+            dispatcher().dispatch(&phone, &constraints, &hopeless),
             DispatchDecision::ServerSide {
                 reason: DegradeReason::DownloadBudgetExceeded
             }
@@ -418,10 +417,7 @@ mod energy_dispatch_tests {
             min_accuracy: None,
             min_inferences_per_charge: Some(inception + 1),
         };
-        let pick = ModelDispatcher::new(MODEL_ZOO.to_vec())
-            .unwrap()
-            .dispatch(&phone, &constraints)
-            .expect("a mobile net qualifies");
+        let pick = super::tests::pick(&phone, &constraints).expect("a mobile net qualifies");
         assert!(pick.name.starts_with("MobileNet"), "got {}", pick.name);
     }
 
@@ -433,10 +429,8 @@ mod energy_dispatch_tests {
             min_accuracy: None,
             min_inferences_per_charge: Some(u64::MAX),
         };
-        let pick = ModelDispatcher::new(MODEL_ZOO.to_vec())
-            .unwrap()
-            .dispatch(&desktop, &constraints)
-            .expect("desktop unconstrained by battery");
+        let pick =
+            super::tests::pick(&desktop, &constraints).expect("desktop unconstrained by battery");
         assert_eq!(pick.name, "InceptionV3");
     }
 }

@@ -11,22 +11,25 @@
 //!    substrate behind the paper's Fig. 8 (desktop vs Raspberry Pi vs
 //!    smartphone),
 //! 4. improves the server model from edge-collected data under a
-//!    bandwidth budget ([`learning`]): each edge ranks its samples by
-//!    prediction margin, extracts features locally, and uploads only the
-//!    most informative ones — the distributed selection algorithm of the
-//!    paper's ref \[34\].
+//!    bandwidth budget ([`learning::run_crowd_learning`]): each edge
+//!    ranks its samples by prediction margin, extracts features locally,
+//!    and uploads only the most informative ones — the distributed
+//!    selection algorithm of the paper's ref \[34\].
 //!
 //! Physical devices are not available in this environment, so latency is
 //! an analytical cost model (FLOPs / effective throughput + overhead,
 //! with seeded jitter); see DESIGN.md for the substitution argument.
 //!
-//! The acquisition path is resilient by construction: uploads travel
-//! through a deterministic fault-injected [`transport`] (drops,
-//! corruption, stalls, partitions on a virtual clock) with seeded-jitter
-//! exponential backoff, per-device circuit [`breaker`]s feed a fleet
-//! health view, and [`uplink::run_crowd_learning_resilient`] replays the
-//! learning loop over that lossy link with idempotency-keyed,
-//! exactly-once sample ingest.
+//! The learning loop has one uplink, and it is resilient by construction:
+//! uploads travel through a deterministic fault-injected [`transport`]
+//! (drops, corruption, stalls, partitions on a virtual clock) with
+//! seeded-jitter exponential backoff, per-device circuit [`breaker`]s
+//! feed a fleet health view, and every sample is ingested exactly once
+//! through its idempotency key. [`learning::UplinkConfig::reliable`] is
+//! the fault-free link the paper's experiment runs over. Dispatch reads
+//! the same link: [`dispatch::ModelDispatcher::dispatch`] takes
+//! [`dispatch::LinkConditions`] and degrades to a smaller model or to
+//! server-side inference when the link cannot carry the preferred one.
 
 pub mod breaker;
 pub mod device;
@@ -37,7 +40,6 @@ pub mod latency;
 pub mod learning;
 pub mod model;
 pub mod transport;
-pub mod uplink;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, DeviceHealth, FleetHealth};
 pub use device::{DeviceClass, DeviceProfile};
@@ -48,9 +50,10 @@ pub use dispatch::{
 pub use energy::{energy_per_inference_j, inferences_per_charge, PowerProfile};
 pub use fault::{Fault, FaultPlan, FaultRates, Partition};
 pub use latency::{nominal_latency_ms, simulate_inference, LatencyStats};
-pub use learning::{CrowdLearningConfig, CrowdLearningReport, EdgeNode, SelectionStrategy};
+pub use learning::{
+    CrowdLearningConfig, CrowdLearningReport, EdgeNode, SelectionStrategy, UplinkConfig,
+};
 pub use model::{ModelSpec, MODEL_ZOO};
 pub use transport::{
     ChannelReply, EdgeTransport, RetryPolicy, SendOutcome, SendReport, UploadPacket, VirtualClock,
 };
-pub use uplink::{run_crowd_learning_resilient, ResilientLearningReport, UplinkConfig};

@@ -16,7 +16,7 @@
 //! * **Breaker lifecycle** — a link partition opens the breaker, open
 //!   breakers shed, and half-open probes close it once the link heals,
 //!   after which every shed upload lands exactly once.
-//! * **Pool independence** — resilient crowd-learning telemetry is
+//! * **Pool independence** — crowd-learning telemetry over a lossy uplink is
 //!   byte-identical between 1- and 8-thread worker pools.
 
 use std::sync::Arc;
@@ -25,11 +25,12 @@ use tvdp_api::{ApiRequest, ApiResponse, ApiServer, RateLimitConfig};
 use tvdp_core::{PlatformConfig, Role, Tvdp};
 use tvdp_edge::breaker::{BreakerConfig, BreakerState, CircuitBreaker, FleetHealth};
 use tvdp_edge::fault::{Fault, FaultPlan, FaultRates, Partition};
-use tvdp_edge::learning::{CrowdLearningConfig, EdgeNode, SelectionStrategy};
+use tvdp_edge::learning::{
+    run_crowd_learning, CrowdLearningConfig, EdgeNode, SelectionStrategy, UplinkConfig,
+};
 use tvdp_edge::transport::{
     ChannelReply, EdgeTransport, RetryPolicy, SendOutcome, UploadPacket, STATUS_BAD_CHECKSUM,
 };
-use tvdp_edge::uplink::{run_crowd_learning_resilient, UplinkConfig};
 use tvdp_ml::{Dataset, RandomForest};
 use tvdp_storage::codec;
 use tvdp_vision::{CnnConfig, Image};
@@ -400,7 +401,7 @@ fn fleet_heal_probe_rate_is_bounded_per_device() {
     assert_eq!(open_count(&fleet), 0);
 }
 
-// --- resilient crowd learning under seeded chaos -----------------------
+// --- crowd learning under seeded chaos ------------------------------
 
 fn crowd_setup(seed: u64) -> (Dataset, Dataset, Vec<EdgeNode>) {
     use tvdp_kernel::rng::Rng;
@@ -448,7 +449,7 @@ fn crowd_config() -> CrowdLearningConfig {
 fn round_telemetry_is_byte_identical_across_pool_sizes() {
     let run = |threads: usize| {
         let (train, test, mut edges) = crowd_setup(4);
-        let report = run_crowd_learning_resilient(
+        let report = run_crowd_learning(
             &train,
             &test,
             &mut edges,
@@ -480,12 +481,11 @@ fn lost_acks_in_the_crowd_loop_are_deduplicated_not_double_ingested() {
         },
         ..UplinkConfig::reliable(31)
     };
-    let report =
-        run_crowd_learning_resilient(&train, &test, &mut edges, &crowd_config(), &uplink, || {
-            RandomForest::new(4, 7).with_pool_threads(2)
-        });
+    let report = run_crowd_learning(&train, &test, &mut edges, &crowd_config(), &uplink, || {
+        RandomForest::new(4, 7).with_pool_threads(2)
+    });
     let after: usize = edges.iter().map(|e| e.pool.len()).sum();
-    let uploaded: usize = report.learning.rounds.iter().map(|r| r.uploaded).sum();
+    let uploaded: usize = report.rounds.iter().map(|r| r.uploaded).sum();
     let suppressed: usize = report.uplink.iter().map(|u| u.duplicates_suppressed).sum();
     assert_eq!(before - after, uploaded, "no loss, no double-count");
     assert!(suppressed > 0, "a 35% ack-loss rate must force replays");

@@ -2,8 +2,8 @@
 //! violates its constraints and never leaves a better model on the table.
 
 use tvdp_edge::{
-    inferences_per_charge, nominal_latency_ms, DeviceClass, DispatchConstraints, ModelDispatcher,
-    ModelSpec, PowerProfile,
+    inferences_per_charge, nominal_latency_ms, DegradeReason, DeviceClass, DispatchConstraints,
+    DispatchDecision, LinkConditions, ModelDispatcher, ModelSpec, PowerProfile,
 };
 use tvdp_kernel::rng::{for_each_case, Rng};
 
@@ -53,8 +53,8 @@ fn dispatch_honours_every_constraint() {
             min_inferences_per_charge: min_charge,
         };
         let dispatcher = ModelDispatcher::new(zoo.clone()).expect("non-empty zoo");
-        match dispatcher.dispatch(&device, &constraints) {
-            Some(picked) => {
+        match dispatcher.dispatch(&device, &constraints, &LinkConditions::nominal()) {
+            DispatchDecision::Deploy(picked) => {
                 assert!(nominal_latency_ms(&picked, &device) <= max_latency);
                 if let Some(floor) = min_accuracy {
                     assert!(picked.accuracy >= floor);
@@ -86,7 +86,9 @@ fn dispatch_honours_every_constraint() {
                     }
                 }
             }
-            None => {
+            DispatchDecision::ServerSide {
+                reason: DegradeReason::NoQualifyingModel,
+            } => {
                 // Nothing in the zoo qualifies.
                 for m in &zoo {
                     let qualifies = m.memory_mb() <= device.memory_mb
@@ -98,11 +100,12 @@ fn dispatch_honours_every_constraint() {
                         };
                     assert!(
                         !qualifies,
-                        "{} qualifies but dispatch returned None",
+                        "{} qualifies but dispatch kept inference server-side",
                         m.name
                     );
                 }
             }
+            other => panic!("a nominal link never degrades: {other:?}"),
         }
     });
 }

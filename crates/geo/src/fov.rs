@@ -62,6 +62,22 @@ impl Fov {
         }
     }
 
+    /// Fallible constructor for untrusted input: `None` where
+    /// [`Fov::new`] would panic, and for a non-finite heading.
+    pub fn try_new(
+        camera: GeoPoint,
+        heading_deg: f64,
+        angle_deg: f64,
+        radius_m: f64,
+    ) -> Option<Self> {
+        let valid = heading_deg.is_finite()
+            && angle_deg > 0.0
+            && angle_deg <= 360.0
+            && radius_m.is_finite()
+            && radius_m > 0.0;
+        valid.then(|| Self::new(camera, heading_deg, angle_deg, radius_m))
+    }
+
     /// The arc of compass directions this FOV looks toward.
     pub fn direction_range(&self) -> AngularRange {
         AngularRange::centered(self.heading_deg, self.angle_deg)
@@ -418,6 +434,28 @@ mod tests {
         let narrow = Fov::new(GeoPoint::new(34.0, -118.0), 0.0, 30.0, 100.0);
         let wide = Fov::new(GeoPoint::new(34.0, -118.0), 0.0, 60.0, 100.0);
         assert!((wide.area_m2() / narrow.area_m2() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn try_new_refuses_what_new_would_panic_on() {
+        let cam = GeoPoint::new(34.0, -118.0);
+        assert_eq!(
+            Fov::try_new(cam, 370.0, 60.0, 100.0),
+            Some(Fov::new(cam, 370.0, 60.0, 100.0))
+        );
+        assert!(Fov::try_new(cam, 0.0, 360.0, 1e308).is_some());
+        for angle in [0.0, -1.0, 360.5, f64::NAN, f64::INFINITY] {
+            assert!(Fov::try_new(cam, 0.0, angle, 100.0).is_none(), "{angle}");
+        }
+        for radius in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(Fov::try_new(cam, 0.0, 60.0, radius).is_none(), "{radius}");
+        }
+        for heading in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                Fov::try_new(cam, heading, 60.0, 100.0).is_none(),
+                "{heading}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,12 @@ pub struct Image {
     data: Vec<u8>,
 }
 
+/// Bytes of a `width` x `height` RGB raster; `None` when it is empty or
+/// its size overflows `usize`.
+fn raw_len(width: usize, height: usize) -> Option<usize> {
+    width.checked_mul(height)?.checked_mul(3).filter(|&n| n > 0)
+}
+
 impl Image {
     /// A black image of the given size.
     ///
@@ -42,15 +48,31 @@ impl Image {
     ///
     /// # Panics
     ///
-    /// Panics when `data.len() != width * height * 3`.
+    /// Panics on zero width or height, or when `data.len() != width *
+    /// height * 3`.
     pub fn from_raw(width: usize, height: usize, data: Vec<u8>) -> Self {
         assert!(width > 0 && height > 0, "degenerate image {width}x{height}");
-        assert_eq!(data.len(), width * height * 3, "raw buffer size mismatch");
+        assert_eq!(
+            Some(data.len()),
+            raw_len(width, height),
+            "raw buffer size mismatch"
+        );
         Self {
             width,
             height,
             data,
         }
+    }
+
+    /// [`Image::from_raw`] for untrusted shapes: `None` on zero width or
+    /// height, or when `data` is not exactly `width * height * 3` bytes,
+    /// an overflowing product included.
+    pub fn try_from_raw(width: usize, height: usize, data: Vec<u8>) -> Option<Self> {
+        (Some(data.len()) == raw_len(width, height)).then_some(Self {
+            width,
+            height,
+            data,
+        })
     }
 
     /// Image width in pixels.
@@ -242,6 +264,17 @@ mod tests {
         let c = img.crop(2, 3, 2, 2);
         assert_eq!(c.get(0, 0)[0], (2 + 30) as u8);
         assert_eq!(c.get(1, 1)[0], (3 + 40) as u8);
+    }
+
+    #[test]
+    fn try_from_raw_refuses_what_from_raw_would_panic_on() {
+        assert!(Image::try_from_raw(2, 1, vec![7; 6]).is_some());
+        assert!(Image::try_from_raw(0, 0, Vec::new()).is_none());
+        assert!(Image::try_from_raw(0, 5, Vec::new()).is_none());
+        assert!(Image::try_from_raw(2, 1, vec![7; 5]).is_none());
+        // The product wraps to 2 in release; checked, it is a refusal.
+        assert!(Image::try_from_raw(6_148_914_691_236_517_206, 1, vec![7; 2]).is_none());
+        assert!(Image::try_from_raw(usize::MAX, usize::MAX, vec![7; 3]).is_none());
     }
 
     #[test]

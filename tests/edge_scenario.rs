@@ -5,8 +5,8 @@
 use tvdp::edge::learning::run_crowd_learning;
 use tvdp::edge::{
     energy_per_inference_j, inferences_per_charge, simulate_inference, CrowdLearningConfig,
-    DeviceClass, DispatchConstraints, EdgeNode, ModelDispatcher, PowerProfile, SelectionStrategy,
-    MODEL_ZOO,
+    DeviceClass, DispatchConstraints, DispatchDecision, EdgeNode, LinkConditions, ModelDispatcher,
+    PowerProfile, SelectionStrategy, UplinkConfig, MODEL_ZOO,
 };
 use tvdp::ml::{Dataset, LinearSvm};
 
@@ -21,7 +21,9 @@ fn fleet_dispatch_energy_and_latency_are_consistent() {
             min_accuracy: None,
             min_inferences_per_charge: Some(5_000),
         };
-        let Some(model) = dispatcher.dispatch(&device, &constraints) else {
+        let DispatchDecision::Deploy(model) =
+            dispatcher.dispatch(&device, &constraints, &LinkConditions::nominal())
+        else {
             panic!("{class:?} got no model under a generous budget");
         };
         // The dispatched model honours the latency constraint when
@@ -95,6 +97,7 @@ fn learning_loop_runs_on_dispatched_fleet() {
             strategy: SelectionStrategy::Margin,
             seed: 7,
         },
+        &UplinkConfig::reliable(7),
         LinearSvm::new,
     );
     let (initial, last) = (&report.rounds[0], &report.rounds[report.rounds.len() - 1]);
