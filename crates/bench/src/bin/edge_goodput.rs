@@ -23,6 +23,7 @@
 
 use std::collections::BTreeSet;
 
+use tvdp_bench::report::{self, Acceptance, Header, Kind, Report};
 use tvdp_edge::breaker::{BreakerConfig, CircuitBreaker};
 use tvdp_edge::fault::{FaultPlan, FaultRates, Partition};
 use tvdp_edge::transport::{
@@ -199,55 +200,68 @@ fn main() {
         ("retry_backoff", &retry),
         ("retry_backoff_breaker", &guarded),
     ] {
-        if o.unique_ingests < o.delivered {
-            eprintln!(
+        report::ensure(
+            o.unique_ingests >= o.delivered,
+            format_args!(
                 "exactly-once violated in {name}: {} acked, {} ingested",
                 o.delivered, o.unique_ingests
-            );
-            std::process::exit(1);
-        }
+            ),
+        );
     }
-    if retry.delivered <= single.delivered {
-        eprintln!(
+    report::ensure(
+        retry.delivered > single.delivered,
+        format_args!(
             "retry did not improve delivery: {} vs {}",
             retry.delivered, single.delivered
-        );
-        std::process::exit(1);
-    }
+        ),
+    );
 
-    println!("{{");
-    println!(
-        "  \"description\": \"Edge-upload goodput over a seeded lossy uplink (FaultRates::lossy: 15% request drop, 5% ack drop, 5% corruption, 10% 900ms stalls) with two 10s partitions, {UPLOADS} uploads of {PAYLOAD_BYTES} bytes at a {SEND_GAP_MS}ms cadence, all on the transport's virtual clock. The server is a checksum-verifying idempotency-dedup sink; exactly-once (unique ingests == acked sends) is asserted before reporting.\","
+    let description = format!(
+        "Edge-upload goodput over a seeded lossy uplink (FaultRates::lossy: 15% request drop, 5% ack drop, 5% corruption, 10% 900ms stalls) with two 10s partitions, {UPLOADS} uploads of {PAYLOAD_BYTES} bytes at a {SEND_GAP_MS}ms cadence, against three transport configurations: one attempt, the default retry policy, and that policy behind the default circuit breaker."
     );
-    println!(
-        "  \"regenerate\": \"cargo run --release -p tvdp-bench --bin edge_goodput > BENCH_edge.json\","
+    let mut out = Report::new(Header {
+        description: &description,
+        methodology: "Every configuration replays the same seeded fault schedule on the transport's virtual clock, so each number is a deterministic function of the seeds. The server is a checksum-verifying idempotency-dedup sink; exactly-once (unique ingests == acked sends) is asserted before reporting. Goodput is delivered payload bytes per virtual second; wasted bytes are bytes sent minus bytes delivered.",
+        regenerate: "cargo run --release -p tvdp-bench --bin edge_goodput > BENCH_edge.json",
+        kind: Kind::Modelled,
+    });
+    out.field(
+        "configurations",
+        format!(
+            "{{\n{},\n{},\n{}\n  }}",
+            render("fire_and_forget", &single),
+            render("retry_backoff", &retry),
+            render("retry_backoff_breaker", &guarded)
+        ),
     );
-    println!("  \"configurations\": {{");
-    println!(
-        "{},\n{},\n{}",
-        render("fire_and_forget", &single),
-        render("retry_backoff", &retry),
-        render("retry_backoff_breaker", &guarded)
+    let mut acceptance = Acceptance::default();
+    acceptance.note(
+        "exactly_once",
+        format_args!(
+            "all configurations: unique server ingests ({}, {}, {}) match acked sends with {} replays suppressed by idempotency keys",
+            single.unique_ingests,
+            retry.unique_ingests,
+            guarded.unique_ingests,
+            single.duplicates_suppressed
+                + retry.duplicates_suppressed
+                + guarded.duplicates_suppressed,
+        ),
     );
-    println!("  }},");
-    println!("  \"acceptance\": {{");
-    println!(
-        "    \"exactly_once\": \"all configurations: unique server ingests ({}, {}, {}) match acked sends with {} replays suppressed by idempotency keys\",",
-        single.unique_ingests,
-        retry.unique_ingests,
-        guarded.unique_ingests,
-        single.duplicates_suppressed + retry.duplicates_suppressed + guarded.duplicates_suppressed,
+    acceptance.note(
+        "retry_wins",
+        format_args!(
+            "backoff+retry delivers {} of {UPLOADS} uploads vs {} fire-and-forget",
+            retry.delivered, single.delivered
+        ),
     );
-    println!(
-        "    \"retry_wins\": \"backoff+retry delivers {} of {} uploads vs {} fire-and-forget\",",
-        retry.delivered, UPLOADS, single.delivered
+    acceptance.note(
+        "breaker_saves_bytes",
+        format_args!(
+            "during partitions the breaker sheds {} sends locally, cutting wasted bytes from {} to {}",
+            guarded.shed,
+            retry.wasted_bytes(),
+            guarded.wasted_bytes()
+        ),
     );
-    println!(
-        "    \"breaker_saves_bytes\": \"during partitions the breaker sheds {} sends locally, cutting wasted bytes from {} to {}\"",
-        guarded.shed,
-        retry.wasted_bytes(),
-        guarded.wasted_bytes()
-    );
-    println!("  }}");
-    println!("}}");
+    out.field("acceptance", acceptance).print();
 }

@@ -17,12 +17,11 @@
 //!   so crash recovery semantics are unchanged — only the sync count
 //!   drops.
 //!
-//! Shards scale the writer side: `S` independent `DurableStore`
-//! directories, one writer thread per shard on a `tvdp-kernel` pool.
-//! Within a shard the op
-//! stream is scripted, so the journal bytes are a pure function of the
-//! script — thread count and batch size change wall-clock only, never
-//! bytes (held by `crates/core` determinism tests).
+//! Both modes write one `DurableStore`, the platform's one store and
+//! one journal, from one writer. The op stream is scripted, so the
+//! journal bytes are a pure function of the script — batch size
+//! changes wall-clock only, never bytes (held by `crates/core`
+//! determinism tests).
 //!
 //! A second section measures recovery: time to reopen a store whose
 //! WAL holds N ops, for N up to 100 000 — and proves the replayed
@@ -37,33 +36,22 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use tvdp_bench::report::{ok, percentile, Acceptance, Header, Kind, Report};
 use tvdp_geo::GeoPoint;
-use tvdp_kernel::Pool;
 use tvdp_storage::{DurableStore, ImageId, ImageMeta, ImageOrigin, UserId, WalOp};
 use tvdp_vision::FeatureKind;
 
-/// Acked uploads per shard per mode (each scripted upload journals
-/// three ops).
-const INGESTS_PER_SHARD: usize = 384;
+/// Acked uploads per mode (each scripted upload journals three ops):
+/// enough for the group-commit leg to run long enough to time.
+const INGESTS: usize = 3_072;
 /// Ops coalesced per group commit (the platform batches a whole API
 /// `data/add_batch` call; 64 uploads is its order of magnitude).
 const GROUP_INGESTS: usize = 64;
-const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 /// WAL lengths (in ops) for the recovery-time section.
 const RECOVERY_WAL_OPS: [usize; 3] = [1_000, 10_000, 100_000];
 /// Group size used to lay the recovery WALs down quickly.
 const RECOVERY_BATCH: usize = 512;
 const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alley"];
-
-fn ok<T, E: std::fmt::Debug>(r: Result<T, E>, what: &str) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("ingest_throughput: {what} failed: {e:?}");
-            std::process::exit(1);
-        }
-    }
-}
 
 fn bench_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -74,12 +62,12 @@ fn bench_dir(name: &str) -> PathBuf {
 }
 
 /// Deterministic upload metadata — no RNG so the journal bytes are a
-/// pure function of `(shard, seq)`.
-fn upload_meta(shard: usize, seq: usize) -> ImageMeta {
+/// pure function of `seq`.
+fn upload_meta(seq: usize) -> ImageMeta {
     ImageMeta {
         uploader: UserId((seq % 20) as u64),
         gps: GeoPoint::new(
-            34.0 + shard as f64 * 0.01 + (seq % 50) as f64 * 1e-4,
+            34.0 + (seq % 50) as f64 * 1e-4,
             -118.3 + (seq % 70) as f64 * 1e-4,
         ),
         fov: None,
@@ -91,8 +79,8 @@ fn upload_meta(shard: usize, seq: usize) -> ImageMeta {
 
 /// The three ops one scripted ingest journals: image row, color
 /// histogram, CNN feature.
-fn upload_ops(shard: usize, seq: usize, id: u64) -> [WalOp; 3] {
-    let id = ImageId(id);
+fn upload_ops(seq: usize) -> [WalOp; 3] {
+    let id = ImageId(seq as u64);
     let color: Vec<f32> = (0..4).map(|k| ((seq + k) % 7) as f32 * 0.125).collect();
     let cnn: Vec<f32> = (0..8)
         .map(|k| ((seq * 3 + k) % 11) as f32 * 0.25 - 1.0)
@@ -100,7 +88,7 @@ fn upload_ops(shard: usize, seq: usize, id: u64) -> [WalOp; 3] {
     [
         WalOp::AddImage {
             id,
-            meta: upload_meta(shard, seq),
+            meta: upload_meta(seq),
             origin: ImageOrigin::Original,
             pixels: None,
         },
@@ -115,15 +103,6 @@ fn upload_ops(shard: usize, seq: usize, id: u64) -> [WalOp; 3] {
             vector: cnn,
         },
     ]
-}
-
-fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut v = values.to_vec();
-    v.sort_unstable_by(|a, b| a.total_cmp(b));
-    v[((v.len() - 1) as f64 * p) as usize]
 }
 
 /// Average `fdatasync` latency on the bench volume — the physical
@@ -145,114 +124,74 @@ fn fsync_probe_us() -> f64 {
 }
 
 struct IngestRun {
-    shards: usize,
     mode: &'static str,
-    ingests: usize,
-    wal_ops: usize,
     fsyncs: usize,
     elapsed_s: f64,
-    /// Per-upload ack latencies (µs): time from the upload reaching
-    /// the journal head to its (group's) sync returning.
+    /// Per-upload ack latencies (µs), sorted: time from the upload
+    /// reaching the journal head to its (group's) sync returning.
     ack_us: Vec<f64>,
 }
 
 impl IngestRun {
     fn ingests_per_s(&self) -> f64 {
-        self.ingests as f64 / self.elapsed_s
+        INGESTS as f64 / self.elapsed_s
     }
     fn json(&self) -> String {
         format!(
-            "    {{ \"shards\": {}, \"mode\": \"{}\", \"ingests\": {}, \"wal_ops\": {}, \"fsyncs\": {}, \"elapsed_s\": {:.3}, \"ingests_per_s\": {:.0}, \"ack_p50_us\": {:.0}, \"ack_p99_us\": {:.0} }}",
-            self.shards,
+            "    {{ \"mode\": \"{}\", \"ingests\": {INGESTS}, \"wal_ops\": {}, \"fsyncs\": {}, \"elapsed_s\": {:.3}, \"ingests_per_s\": {:.0}, \"ack_p50_us\": {:.0}, \"ack_p99_us\": {:.0} }}",
             self.mode,
-            self.ingests,
-            self.wal_ops,
+            INGESTS * 3,
             self.fsyncs,
             self.elapsed_s,
             self.ingests_per_s(),
-            percentile(&self.ack_us, 0.50),
-            percentile(&self.ack_us, 0.99),
+            percentile(&self.ack_us, 50),
+            percentile(&self.ack_us, 99),
         )
     }
 }
 
-/// Runs `INGESTS_PER_SHARD` scripted uploads on each of `shards`
-/// durable stores, one writer thread per shard. `group` picks the
-/// commit discipline: `apply_batch` per upload (three ops, three
-/// syncs) or per `GROUP_INGESTS`-upload group (one sync).
-fn run_ingest(shards: usize, group: bool) -> IngestRun {
+/// Runs `INGESTS` scripted uploads on one durable store. `group` picks
+/// the commit discipline: `apply_batch` per op (three syncs per upload)
+/// or per `GROUP_INGESTS`-upload group (one sync).
+fn run_ingest(group: bool) -> IngestRun {
     let mode = if group {
         "group_commit"
     } else {
         "per_op_fsync"
     };
-    let dirs: Vec<PathBuf> = (0..shards)
-        .map(|s| bench_dir(&format!("{mode}-{shards}-{s}")))
-        .collect();
-    let stores: Vec<DurableStore> = dirs
-        .iter()
-        .map(|d| ok(DurableStore::open(d), "open").0)
-        .collect();
-    let pool = Pool::new(shards);
+    let dir = bench_dir(mode);
+    let (ds, _) = ok(DurableStore::open(&dir), "open");
+    let mut ack_us = Vec::with_capacity(INGESTS);
+    let mut fsyncs = 0usize;
     let t0 = Instant::now();
-    let per_shard: Vec<(Vec<f64>, usize)> = pool.scope(|scope| {
-        let handles: Vec<_> = stores
-            .iter()
-            .enumerate()
-            .map(|(s, ds)| {
-                scope.spawn(move || {
-                    let mut acks = Vec::with_capacity(INGESTS_PER_SHARD);
-                    let mut fsyncs = 0usize;
-                    if group {
-                        for chunk in 0..INGESTS_PER_SHARD.div_ceil(GROUP_INGESTS) {
-                            let lo = chunk * GROUP_INGESTS;
-                            let hi = (lo + GROUP_INGESTS).min(INGESTS_PER_SHARD);
-                            let mut ops = Vec::with_capacity((hi - lo) * 3);
-                            for seq in lo..hi {
-                                ops.extend(upload_ops(s, seq, (s * 1_000_000 + seq) as u64));
-                            }
-                            let b0 = Instant::now();
-                            ok(ds.apply_batch(ops), "apply_batch");
-                            fsyncs += 1;
-                            let us = b0.elapsed().as_secs_f64() * 1e6;
-                            // Every upload in the group acks when its
-                            // group's single sync returns.
-                            acks.extend(std::iter::repeat_n(us, hi - lo));
-                        }
-                    } else {
-                        for seq in 0..INGESTS_PER_SHARD {
-                            let b0 = Instant::now();
-                            for op in upload_ops(s, seq, (s * 1_000_000 + seq) as u64) {
-                                ok(ds.apply_batch(vec![op]), "apply per-op");
-                                fsyncs += 1;
-                            }
-                            acks.push(b0.elapsed().as_secs_f64() * 1e6);
-                        }
-                    }
-                    (acks, fsyncs)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| ok(h.join().map_err(|_| "writer panicked"), "join"))
-            .collect()
-    });
+    if group {
+        for lo in (0..INGESTS).step_by(GROUP_INGESTS) {
+            let hi = (lo + GROUP_INGESTS).min(INGESTS);
+            let ops: Vec<WalOp> = (lo..hi).flat_map(upload_ops).collect();
+            let b0 = Instant::now();
+            ok(ds.apply_batch(ops), "apply_batch");
+            fsyncs += 1;
+            let us = b0.elapsed().as_secs_f64() * 1e6;
+            // Every upload in the group acks when its group's single
+            // sync returns.
+            ack_us.extend(std::iter::repeat_n(us, hi - lo));
+        }
+    } else {
+        for seq in 0..INGESTS {
+            let b0 = Instant::now();
+            for op in upload_ops(seq) {
+                ok(ds.apply_batch(vec![op]), "apply per-op");
+                fsyncs += 1;
+            }
+            ack_us.push(b0.elapsed().as_secs_f64() * 1e6);
+        }
+    }
     let elapsed_s = t0.elapsed().as_secs_f64();
-    for d in &dirs {
-        std::fs::remove_dir_all(d).ok();
-    }
-    let mut ack_us = Vec::new();
-    let mut fsyncs = 0;
-    for (acks, f) in per_shard {
-        ack_us.extend(acks);
-        fsyncs += f;
-    }
+    drop(ds);
+    std::fs::remove_dir_all(&dir).ok();
+    ack_us.sort_unstable_by(f64::total_cmp);
     IngestRun {
-        shards,
         mode,
-        ingests: shards * INGESTS_PER_SHARD,
-        wal_ops: shards * INGESTS_PER_SHARD * 3,
         fsyncs,
         elapsed_s,
         ack_us,
@@ -291,7 +230,7 @@ fn lay_wal(dir: &Path, n: usize) -> u64 {
         let ops: Vec<WalOp> = (seq..hi)
             .map(|i| WalOp::AddImage {
                 id: ImageId(i as u64),
-                meta: upload_meta(0, i),
+                meta: upload_meta(i),
                 origin: ImageOrigin::Original,
                 pixels: None,
             })
@@ -342,24 +281,24 @@ fn run_recovery(n: usize) -> RecoveryRun {
 fn main() {
     let fsync_us = fsync_probe_us();
     eprintln!(
-        "ingest_throughput: {INGESTS_PER_SHARD} uploads/shard (3 ops each), group {GROUP_INGESTS}, fdatasync ~{fsync_us:.0} us"
+        "ingest_throughput: {INGESTS} uploads (3 ops each) on one store, group {GROUP_INGESTS}, fdatasync ~{fsync_us:.0} us"
     );
 
-    let mut runs = Vec::new();
-    for shards in SHARD_COUNTS {
-        for group in [false, true] {
-            let run = run_ingest(shards, group);
+    let runs: Vec<IngestRun> = [false, true]
+        .into_iter()
+        .map(|group| {
+            let run = run_ingest(group);
             eprintln!(
-                "  {:<13} x{} shard(s): {:>7.0} ingests/s  ({} fsyncs, ack p99 {:>6.0} us)",
+                "  {:<13}: {:>7.0} ingests/s  ({} fsyncs, ack p99 {:>6.0} us)",
                 run.mode,
-                run.shards,
                 run.ingests_per_s(),
                 run.fsyncs,
-                percentile(&run.ack_us, 0.99),
+                percentile(&run.ack_us, 99),
             );
-            runs.push(run);
-        }
-    }
+            run
+        })
+        .collect();
+    let speedup = runs[1].ingests_per_s() / runs[0].ingests_per_s();
 
     let recoveries: Vec<RecoveryRun> = RECOVERY_WAL_OPS
         .iter()
@@ -372,78 +311,57 @@ fn main() {
             r
         })
         .collect();
-
-    let speedup_at = |shards: usize| {
-        let per_op = runs
-            .iter()
-            .find(|r| r.shards == shards && r.mode == "per_op_fsync");
-        let grouped = runs
-            .iter()
-            .find(|r| r.shards == shards && r.mode == "group_commit");
-        match (per_op, grouped) {
-            (Some(p), Some(g)) => g.ingests_per_s() / p.ingests_per_s(),
-            _ => 0.0,
-        }
-    };
-    let speedup8 = speedup_at(8);
-    let big = match recoveries.iter().find(|r| r.wal_ops == 100_000) {
-        Some(r) => r,
-        None => {
-            eprintln!("ingest_throughput: missing 100k recovery run");
-            std::process::exit(1);
-        }
-    };
-
-    println!("{{");
-    println!(
-        "  \"description\": \"Sustained durable ingest: {INGESTS_PER_SHARD} scripted uploads per shard (the script journals each as 3 WAL ops, image + 2 feature vectors; the platform itself journals an upload as one composite IngestUpload record), one writer thread per shard over 1/4/8 independent DurableStore shards. per_op_fsync = one framed write + fdatasync per op (3 syncs per acked upload, the pre-group-commit design); group_commit = DurableStore::apply_batch coalescing {GROUP_INGESTS} uploads into one framed write + one sync. On-disk WAL bytes (binary records, format v3) are identical across modes and thread counts (torture- and determinism-verified), so the comparison isolates sync amortization.\","
-    );
-    println!(
-        "  \"methodology\": \"All runs on this host's filesystem (fdatasync probe below); ack latency is the time from an upload reaching the journal head to its group's sync returning — under group commit every upload in a group acks at the group's single sync. Recovery lays an n-op WAL (group commits of {RECOVERY_BATCH}), drops the store without compacting (the crash), then times a cold DurableStore::open; byte_identical_to_no_crash compacts the recovered store and a never-crashed control fed the same script and compares the bytes of the base segment (base-<epoch>.seg, the journal's record format) each publishes.\","
-    );
-    println!("  \"regenerate\": \"cargo run --release -p tvdp-bench --bin ingest_throughput > BENCH_ingest.json\",");
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    println!(
-        "  \"host\": {{ \"fdatasync_us\": {fsync_us:.0}, \"cores\": {cores}, \"commit\": \"{}\" }},",
-        tvdp_bench::git_commit()
-    );
-    println!("  \"sustained_ingest\": [");
-    println!(
-        "{}",
-        runs.iter()
-            .map(IngestRun::json)
-            .collect::<Vec<_>>()
-            .join(",\n")
-    );
-    println!("  ],");
-    println!("  \"recovery\": [");
-    println!(
-        "{}",
+    let big = ok(
         recoveries
             .iter()
-            .map(RecoveryRun::json)
-            .collect::<Vec<_>>()
-            .join(",\n")
+            .find(|r| r.wal_ops == 100_000)
+            .ok_or("no run"),
+        "100k recovery run",
     );
-    println!("  ],");
-    println!("  \"acceptance\": {{");
-    println!(
-        "    \"group_commit_5x_at_8_shards\": \"{}: {speedup8:.1}x sustained durable ingests/s over per-op fsync at 8 shards (1 shard: {:.1}x, 4 shards: {:.1}x)\",",
-        if speedup8 >= 5.0 { "met" } else { "NOT met" },
-        speedup_at(1),
-        speedup_at(4),
+
+    let description = format!(
+        "Sustained durable ingest: {INGESTS} scripted uploads from one writer onto one DurableStore, the platform's one store and journal (the script journals each upload as 3 WAL ops, image + 2 feature vectors; the platform itself journals an upload as one composite IngestUpload record). per_op_fsync = one framed write + fdatasync per op (3 syncs per acked upload, the pre-group-commit design); group_commit = DurableStore::apply_batch coalescing {GROUP_INGESTS} uploads into one framed write + one sync. On-disk WAL bytes (binary records, format v3) are identical across modes (torture- and determinism-verified), so the comparison isolates sync amortization."
     );
-    println!(
-        "    \"recovery_100k_byte_identical\": \"{}: a 100000-op WAL replays in {:.3}s and the recovered store's compacted base segment is byte-identical to the no-crash control\",",
-        if big.replayed_ops == 100_000 && big.byte_identical {
-            "met"
-        } else {
-            "NOT met"
+    let methodology = format!(
+        "All runs on this host's filesystem (fdatasync probe in host); ack latency is the time from an upload reaching the journal head to its group's sync returning — under group commit every upload in a group acks at the group's single sync. Recovery lays an n-op WAL (group commits of {RECOVERY_BATCH}), drops the store without compacting (the crash), then times a cold DurableStore::open; byte_identical_to_no_crash compacts the recovered store and a never-crashed control fed the same script and compares the bytes of the base segment (base-<epoch>.seg, the journal's record format) each publishes."
+    );
+    let mut out = Report::new(Header {
+        description: &description,
+        methodology: &methodology,
+        regenerate: "cargo run --release -p tvdp-bench --bin ingest_throughput > BENCH_ingest.json",
+        kind: Kind::Measured {
+            probes: vec![("fdatasync_us", format!("{fsync_us:.0}"))],
         },
-        big.recover_s,
+    });
+    let rows = |rows: Vec<String>| format!("[\n{}\n  ]", rows.join(",\n"));
+    out.field(
+        "sustained_ingest",
+        rows(runs.iter().map(IngestRun::json).collect()),
+    )
+    .field(
+        "recovery",
+        rows(recoveries.iter().map(RecoveryRun::json).collect()),
     );
-    println!(
-        "    \"determinism\": \"journal bytes are invariant under thread count and pool width — held by crates/core test the_same_uploads_journal_identical_bytes_however_they_are_cut (tests/write_path.rs) and crates/storage torture suite group_commit_batch_killed_at_every_offset_is_all_or_prefix; a base segment's bytes are a function of the store alone (compaction takes no pool), which byte_identical_to_no_crash above checks\"");
-    println!("  }}");
-    println!("}}");
+
+    let mut acceptance = Acceptance::default();
+    acceptance.gate(
+        "group_commit_5x",
+        speedup >= 5.0,
+        format_args!(
+            "{speedup:.1}x sustained durable ingests/s over per-op fsync on the one store"
+        ),
+    );
+    acceptance.gate(
+        "recovery_100k_byte_identical",
+        big.replayed_ops == 100_000 && big.byte_identical,
+        format_args!(
+            "a 100000-op WAL replays in {:.3}s and the recovered store's compacted base segment is byte-identical to the no-crash control",
+            big.recover_s
+        ),
+    );
+    acceptance.note(
+        "determinism",
+        "journal bytes are invariant under how the uploads are cut into commits — held by crates/core test the_same_uploads_journal_identical_bytes_however_they_are_cut (tests/write_path.rs) and crates/storage torture suite group_commit_batch_killed_at_every_offset_is_all_or_prefix; a base segment's bytes are a function of the store alone (compaction takes no pool), which byte_identical_to_no_crash above checks",
+    );
+    out.field("acceptance", acceptance).print();
 }

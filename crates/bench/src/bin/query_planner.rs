@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use tvdp_kernel::rng::Rng;
 
+use tvdp_bench::report::{self, ok, Header, Kind, Report};
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_query::{
     LinearExecutor, Query, QueryEngine, QueryResult, TemporalField, TextualMode, VisualMode,
@@ -42,16 +43,13 @@ const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alle
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
     let store = VisualStore::new();
     let mut rng = Rng::seed_from_u64(seed);
-    let cls = match store.register_scheme(
-        "cleanliness",
-        vec!["clean".into(), "dirty".into(), "encampment".into()],
-    ) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("scheme registration failed: {e:?}");
-            std::process::exit(1);
-        }
-    };
+    let cls = ok(
+        store.register_scheme(
+            "cleanliness",
+            vec!["clean".into(), "dirty".into(), "encampment".into()],
+        ),
+        "register_scheme",
+    );
     for i in 0..n {
         let lat = 34.0 + rng.gen_range(0.0..0.08);
         let lon = -118.3 + rng.gen_range(0.0..0.08);
@@ -75,25 +73,28 @@ fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
             uploaded_at: captured + rng.gen_range(1..500),
             keywords,
         };
-        let id = match store.add_image(meta, ImageOrigin::Original, None) {
-            Ok(id) => id,
-            Err(e) => {
-                eprintln!("add_image failed: {e:?}");
-                std::process::exit(1);
-            }
-        };
+        let id = ok(
+            store.add_image(meta, ImageOrigin::Original, None),
+            "add_image",
+        );
         let class = i % 3;
         let feature: Vec<f32> = (0..DIM)
             .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
             .collect();
-        let _ = store.put_feature(id, FeatureKind::Cnn, feature);
-        let _ = store.annotate(
-            id,
-            cls,
-            class,
-            rng.gen_range(0.5..1.0),
-            AnnotationSource::Human(UserId(0)),
-            None,
+        ok(
+            store.put_feature(id, FeatureKind::Cnn, feature),
+            "put_feature",
+        );
+        ok(
+            store.annotate(
+                id,
+                cls,
+                class,
+                rng.gen_range(0.5..1.0),
+                AnnotationSource::Human(UserId(0)),
+                None,
+            ),
+            "annotate",
         );
     }
     Arc::new(store)
@@ -239,13 +240,7 @@ fn materialized_or(engine: &QueryEngine, subs: &[Query]) -> Vec<QueryResult> {
 
 /// Runs a query this benchmark built for the engine's own corpus.
 fn run(engine: &QueryEngine, q: &Query) -> Vec<QueryResult> {
-    match engine.try_execute(q) {
-        Ok(results) => results,
-        Err(e) => {
-            eprintln!("query rejected: {e}");
-            std::process::exit(1);
-        }
-    }
+    ok(engine.try_execute(q), "query rejected")
 }
 
 /// Executes one leg the materialized way: leaves through the engine's
@@ -334,18 +329,12 @@ fn main() {
     for q in and_qs.iter().chain(&and_or_qs).chain(&or_qs) {
         let e = canonical(&run(&engine, q));
         let b = canonical(&materialized(&engine, q));
-        if e != b {
-            eprintln!("parity failure on {q:?}");
-            std::process::exit(1);
-        }
+        report::ensure(e == b, format_args!("parity failure on {q:?}"));
     }
     for q in &topk_qs {
         let e = canonical(&run(&engine, q));
         let l = canonical(&linear.execute(q));
-        if e != l {
-            eprintln!("parity failure on {q:?}");
-            std::process::exit(1);
-        }
+        report::ensure(e == l, format_args!("parity failure on {q:?}"));
     }
     eprintln!("query_planner: parity checks passed");
 
@@ -394,17 +383,16 @@ fn main() {
     }
 
     let body: Vec<String> = workloads.iter().map(Workload::json).collect();
-    println!("{{");
-    println!(
-        "  \"description\": \"The platform's scatter/gather planner over one segment (QueryEngine::try_execute) vs a materialize-every-leaf plan through BTreeMaps over the same leaf executors, and vs the linear-scan reference, on a {N_IMAGES}-image corpus (dim {DIM}). Result parity is asserted before timing. Best of {ROUNDS} rounds, {QUERIES} queries per workload.\","
+    let description = format!(
+        "The platform's scatter/gather planner over one segment (QueryEngine::try_execute) vs a materialize-every-leaf plan through BTreeMaps over the same leaf executors, and vs the linear-scan reference, on a {N_IMAGES}-image corpus (dim {DIM}). Result parity is asserted before timing. Best of {ROUNDS} rounds, {QUERIES} queries per workload."
     );
-    println!("  \"regenerate\": \"cargo run --release -p tvdp-bench --bin query_planner > BENCH_query.json\",");
-    println!(
-        "  \"host\": {{ \"cores\": {}, \"commit\": \"{}\" }},",
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
-        tvdp_bench::git_commit()
-    );
-    println!("  \"workloads\": {{\n{}\n  }},", body.join(",\n"));
+    let mut out = Report::new(Header {
+        description: &description,
+        methodology: "Wall-clock on this host, single-threaded. Each workload's queries run back to back; a time is the best total of the rounds and a qps is queries over that time. Every planned answer is first compared, row ids and score bits, with its baseline's; a mismatch exits 1 before anything is timed, and that parity is the gate. Speedups are reported, not held to a floor.",
+        regenerate: "cargo run --release -p tvdp-bench --bin query_planner > BENCH_query.json",
+        kind: Kind::Measured { probes: Vec::new() },
+    });
+    out.field("workloads", format!("{{\n{}\n  }}", body.join(",\n")));
     let min_hybrid = workloads
         .iter()
         .filter(|w| w.name.starts_with("and"))
@@ -412,9 +400,11 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     // The gate is the parity check above (a mismatch exits 1); the
     // ratios are wall-clock and reported, not held to a floor.
-    println!("  \"reported\": {{");
-    println!("    \"hybrid_speedup_min\": {min_hybrid:.2},");
-    println!("    \"zero_copy\": \"visual path allocates no per-query feature copies: the engine scores its candidates with tvdp_kernel::l2_sq_within on arena rows borrowed from the shared FeatureSlab view\"");
-    println!("  }}");
-    println!("}}");
+    out.field(
+        "reported",
+        format!(
+            "{{\n    \"hybrid_speedup_min\": {min_hybrid:.2},\n    \"zero_copy\": \"visual path allocates no per-query feature copies: the engine scores its candidates with tvdp_kernel::l2_sq_within on arena rows borrowed from the shared FeatureSlab view\"\n  }}"
+        ),
+    )
+    .print();
 }

@@ -13,12 +13,14 @@
 //! | §III — iterative coverage campaign | [`coverage_exp`] | `coverage_campaign` |
 //! | §VI — crowd-based learning ablation | [`edge_learning_exp`] | `edge_learning` |
 //! | ref [23] — scene localization | [`localization_exp`] | `localization` |
+//! | `BENCH_*.json` harness: exit-on-failure, percentile, header, acceptance | [`report`] | `load_harness`, `ingest_throughput`, `query_planner`, `edge_goodput` |
 
 pub mod classification;
 pub mod coverage_exp;
 pub mod edge_inference;
 pub mod edge_learning_exp;
 pub mod localization_exp;
+pub mod report;
 pub mod translational_exp;
 
 pub use classification::{run_fig6, run_fig7, ClassificationConfig, Fig6Result, Fig7Result};
@@ -27,23 +29,3 @@ pub use edge_inference::{run_fig8, Fig8Config, Fig8Result};
 pub use edge_learning_exp::{run_edge_learning, EdgeLearningConfig, EdgeLearningResult};
 pub use localization_exp::{run_localization, LocalizationConfig, LocalizationResult};
 pub use translational_exp::{run_fig9, Fig9Config, Fig9Result};
-
-/// The checkout this binary was run from: `git rev-parse --short HEAD`,
-/// with `-dirty` when the tree has uncommitted changes.
-pub fn git_commit() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-    };
-    match git(&["rev-parse", "--short", "HEAD"]) {
-        Some(head) => match git(&["status", "--porcelain"]) {
-            Some(changes) if !changes.is_empty() => format!("{head}-dirty"),
-            _ => head,
-        },
-        None => "unknown".into(),
-    }
-}

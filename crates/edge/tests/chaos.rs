@@ -304,7 +304,8 @@ fn partition_opens_the_breaker_and_healing_closes_it() {
                 shed += 1;
                 pending.push(packet.clone());
             }
-            _ => {
+            SendOutcome::Rejected => panic!("a well-formed packet was rejected: {report:?}"),
+            SendOutcome::ExhaustedAttempts | SendOutcome::BudgetExhausted => {
                 failed += 1;
                 pending.push(packet.clone());
             }

@@ -133,13 +133,28 @@ fn deadline_trip_is_identical_across_pool_widths() {
         // every budget the serial and 8-wide pools must agree exactly —
         // same trip/no-trip decision, same error payload, same result
         // bytes.
+        let mut executions = 0usize;
+        let mut trips = 0usize;
         for budget in 0..40 {
             let deadline = 1_000 + budget;
             for q in workload() {
                 let a = eng.try_execute_with_deadline(&q, &serial, 1_000, deadline);
                 let b = eng.try_execute_with_deadline(&q, &wide, 1_000, deadline);
                 assert_eq!(a, b, "seal cap {cap}, budget {budget} ms, query {q:?}");
+                executions += 2;
+                trips += usize::from(a.is_err());
             }
+        }
+        // Some budget trips at every cap. From a cap of 32 up the sweep
+        // also reaches budgets that fit, so fewer than every (budget,
+        // query) pair trips; below it 600 rows make more scatter units
+        // than the widest 39 ms budget can charge, and every pair trips.
+        assert!(trips > 0, "seal cap {cap}: the sweep never tripped");
+        if cap >= 32 {
+            assert!(
+                trips < executions / 2,
+                "seal cap {cap}: {trips} trips over {executions} executions"
+            );
         }
     }
 }
