@@ -62,12 +62,6 @@ impl RateLimiter {
         }
     }
 
-    /// Attempts to take one token for `key` at time `now_ms`; `true`
-    /// means the request may proceed.
-    pub fn allow(&self, key: &str, now_ms: i64) -> bool {
-        self.check(key, now_ms).is_ok()
-    }
-
     /// Attempts to take one token for `key` at time `now_ms`. On denial
     /// returns the number of milliseconds until the bucket will have
     /// refilled a whole token — the `retry_after_ms` hint a 429 response
@@ -120,6 +114,13 @@ impl RateLimiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RateLimiter {
+        /// `check` as a yes/no: `true` means the request may proceed.
+        fn allow(&self, key: &str, now_ms: i64) -> bool {
+            self.check(key, now_ms).is_ok()
+        }
+    }
 
     #[test]
     fn burst_then_throttle() {

@@ -158,14 +158,11 @@ fn opt_field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
     v.get(name).filter(|f| !f.is_null())
 }
 
-/// Pixel payloads arrive either as a JSON byte array (legacy clients)
-/// or as a lowercase hex string (half the size; what the edge transport
-/// sends).
+/// Pixel payloads arrive as a lowercase hex string.
 fn decode_pixels(v: &Value) -> Result<Vec<u8>, ParseError> {
     match v {
         Value::Str(hex) => codec::hex_decode(hex),
-        Value::Arr(items) => items.iter().map(|b| codec::num(b, "pixels")).collect(),
-        _ => Err("pixels: expected a hex string or a byte array".into()),
+        _ => Err("pixels: expected a hex string".into()),
     }
 }
 
@@ -389,12 +386,6 @@ pub struct ApiServer {
 }
 
 impl ApiServer {
-    /// Wraps a platform with the default rate limit and no admission
-    /// control.
-    pub fn new(platform: Arc<Tvdp>) -> Self {
-        Self::with_rate_limit(platform, RateLimitConfig::default())
-    }
-
     /// Wraps a platform with an explicit rate limit and no admission
     /// control.
     pub fn with_rate_limit(platform: Arc<Tvdp>, limit: RateLimitConfig) -> Self {
@@ -420,11 +411,6 @@ impl ApiServer {
             limiter: RateLimiter::new(limit),
             admission: Some(AdmissionController::new(admission)),
         }
-    }
-
-    /// The admission controller, when configured.
-    pub fn admission(&self) -> Option<&AdmissionController> {
-        self.admission.as_ref()
     }
 
     /// Asks the admission controller (when configured) to price and
@@ -754,15 +740,10 @@ impl ApiServer {
             ),
         ];
         if include_weights {
-            match self.platform.models().export(id) {
-                Some(model) => fields.push(("weights", model.to_value())),
-                None => {
-                    return ApiResponse::err(
-                        409,
-                        "model is a custom in-process classifier and cannot be downloaded",
-                    )
-                }
-            }
+            let Some(weights) = self.platform.models().export(id) else {
+                return ApiResponse::err(404, format!("unknown model model-{model}"));
+            };
+            fields.push(("weights", weights.to_value()));
         }
         ApiResponse::ok(obj(fields))
     }

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use tvdp_api::{ApiRequest, ApiServer, RateLimitConfig};
 use tvdp_core::{PlatformConfig, Role, Tvdp};
+use tvdp_kernel::rng::for_each_case;
 use tvdp_storage::codec;
 use tvdp_vision::{CnnConfig, Image};
 
@@ -324,7 +325,7 @@ fn error_paths_return_proper_statuses() {
 
 fn error_paths_on(platform: Arc<Tvdp>) {
     let user = platform.register_user("u", Role::Researcher);
-    let server = ApiServer::new(Arc::clone(&platform));
+    let server = ApiServer::with_rate_limit(Arc::clone(&platform), RateLimitConfig::default());
     let key = server.issue_key(user);
 
     // Unknown endpoint.
@@ -336,17 +337,21 @@ fn error_paths_on(platform: Arc<Tvdp>) {
         call(&server, &key, "data/add", r#"{"width":4}"#).status,
         400
     );
-    // Pixel size mismatch.
+    // Pixel size mismatch: two bytes for a 4x4 image.
     let r = call(
         &server,
         &key,
         "data/add",
         concat!(
-            r#"{"width":4,"height":4,"pixels":[0,0],"lat":34.0,"lon":-118.0,"#,
+            r#"{"width":4,"height":4,"pixels":"0000","lat":34.0,"lon":-118.0,"#,
             r#""captured_at":0,"uploaded_at":1}"#
         ),
     );
     assert_eq!(r.status, 400);
+    assert!(r.body["error"]
+        .as_str()
+        .unwrap()
+        .contains("pixel buffer size mismatch"));
     // Bad coordinates.
     let img = scene(0, 0);
     let r = call(
@@ -843,13 +848,13 @@ const HOSTILE_NUMBERS: [&str; 14] = [
 /// the values that make it valid.
 struct HostileBody {
     route: &'static str,
-    parts: Vec<&'static str>,
+    parts: Vec<String>,
     valid: Vec<String>,
 }
 
 impl HostileBody {
-    fn new(route: &'static str, template: &'static str, valid: Vec<String>) -> Self {
-        let parts: Vec<&str> = template.split('#').collect();
+    fn new(route: &'static str, template: &str, valid: Vec<String>) -> Self {
+        let parts: Vec<String> = template.split('#').map(String::from).collect();
         assert_eq!(parts.len(), valid.len() + 1, "{route}: one value per slot");
         HostileBody {
             route,
@@ -870,8 +875,37 @@ impl HostileBody {
             .collect()
     }
 
+    /// Calls `each` with every numeric slot replaced by each hostile
+    /// number in turn, then with `pairs` seeded pairs of replacements,
+    /// each time with a note of what was replaced.
+    fn substitutions(&self, pairs: u64, mut each: impl FnMut(&[String], &str)) {
+        let numeric = self.numeric_slots();
+        for &slot in &numeric {
+            for hostile in HOSTILE_NUMBERS {
+                let mut values = self.valid.clone();
+                values[slot] = hostile.to_string();
+                each(&values, &format!("{} = {hostile}", self.field(slot)));
+            }
+        }
+        for_each_case(pairs, |_, rng| {
+            let a = numeric[rng.gen_range(0..numeric.len())];
+            let b = numeric[rng.gen_range(0..numeric.len())];
+            let (x, y) = (
+                HOSTILE_NUMBERS[rng.gen_range(0..HOSTILE_NUMBERS.len())],
+                HOSTILE_NUMBERS[rng.gen_range(0..HOSTILE_NUMBERS.len())],
+            );
+            let mut values = self.valid.clone();
+            values[a] = x.to_string();
+            values[b] = y.to_string();
+            each(
+                &values,
+                &format!("{} = {x}, {} = {y}", self.field(a), self.field(b)),
+            );
+        });
+    }
+
     fn render(&self, values: &[String]) -> String {
-        let mut out = String::from(self.parts[0]);
+        let mut out = self.parts[0].clone();
         for (value, part) in values.iter().zip(&self.parts[1..]) {
             out.push_str(value);
             out.push_str(part);
@@ -888,7 +922,6 @@ impl HostileBody {
 #[test]
 fn hostile_numbers_in_upload_bodies_are_answered_not_panicked() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use tvdp_kernel::rng::for_each_case;
 
     let platform = fast_platform();
     let gov = platform.register_user("LASAN", Role::Government);
@@ -969,28 +1002,8 @@ fn hostile_numbers_in_upload_bodies_are_answered_not_panicked() {
     };
 
     for body in &bodies {
-        let numeric = body.numeric_slots();
         send(body, &body.valid, "the valid body");
-        for &slot in &numeric {
-            for hostile in HOSTILE_NUMBERS {
-                let mut values = body.valid.clone();
-                values[slot] = hostile.to_string();
-                send(body, &values, &format!("{} = {hostile}", body.field(slot)));
-            }
-        }
-        for_each_case(48, |_, rng| {
-            let a = numeric[rng.gen_range(0..numeric.len())];
-            let b = numeric[rng.gen_range(0..numeric.len())];
-            let (x, y) = (
-                HOSTILE_NUMBERS[rng.gen_range(0..HOSTILE_NUMBERS.len())],
-                HOSTILE_NUMBERS[rng.gen_range(0..HOSTILE_NUMBERS.len())],
-            );
-            let mut values = body.valid.clone();
-            values[a] = x.to_string();
-            values[b] = y.to_string();
-            let what = format!("{} = {x}, {} = {y}", body.field(a), body.field(b));
-            send(body, &values, &what);
-        });
+        body.substitutions(48, |values, what| send(body, values, what));
         for (width, height, pixels) in shapes {
             let mut values = body.valid.clone();
             values[..3].clone_from_slice(&[width.into(), height.into(), pixels.into()]);
@@ -999,4 +1012,156 @@ fn hostile_numbers_in_upload_bodies_are_answered_not_panicked() {
         }
     }
     assert!(stored > 0, "the valid bodies were stored");
+}
+
+/// Numbers a client chooses reach the query layer's trees, heaps and
+/// geometry: on a platform with sealed segments, every substitution
+/// into every numeric field of every query family, `And` and `Or`
+/// included, alone and in seeded pairs, is answered with 200 or 4xx.
+#[test]
+fn hostile_numbers_in_search_bodies_are_answered_not_panicked() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    // Seal cap 2: the uploads below leave sealed segments behind, so
+    // the segment trees answer the spatial and visual leaves.
+    let platform = Arc::new(Tvdp::new(PlatformConfig {
+        seal_cap: 2,
+        ..fast_config()
+    }));
+    let gov = platform.register_user("LASAN", Role::Government);
+    let server = ApiServer::with_rate_limit(
+        Arc::clone(&platform),
+        RateLimitConfig {
+            burst: 100_000,
+            per_second: 100_000.0,
+            ..Default::default()
+        },
+    );
+    let key = server.issue_key(gov);
+    for i in 0..7 {
+        let r = call(
+            &server,
+            &key,
+            "data/add",
+            &add_body(i % 2, i, 34.0 + i as f64 * 1e-4),
+        );
+        assert!(r.is_ok(), "{r:?}");
+    }
+    let r = call(
+        &server,
+        &key,
+        "schemes/register",
+        r#"{"name":"s","labels":["a","b"]}"#,
+    );
+    assert!(r.is_ok(), "{r:?}");
+
+    // A visual example as wide as the indexed CNN rows; its first
+    // element is a slot.
+    let img = scene(0, 3);
+    let r = call(
+        &server,
+        &key,
+        "features/extract",
+        &format!(
+            r#"{{"width":24,"height":24,"pixels":"{}"}}"#,
+            codec::hex_encode(img.raw())
+        ),
+    );
+    let cnn = (0..2)
+        .map(|i| &r.body["features"][i])
+        .find(|f| f["kind"].as_str() == Some("Cnn"))
+        .unwrap();
+    let example: Vec<String> = cnn["vector"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|v| v.as_f64().unwrap().to_string())
+        .collect();
+    let (first, rest) = (example[0].clone(), example[1..].join(","));
+
+    let leaves: Vec<(String, Vec<&str>)> = vec![
+        (
+            r#"{"Spatial":{"Range":{"min_lat":#,"min_lon":#,"max_lat":#,"max_lon":#}}}"#.into(),
+            vec!["33.9", "-118.3", "34.1", "-118.2"],
+        ),
+        (
+            r#"{"Spatial":{"Nearest":{"point":{"lat":#,"lon":#},"k":#}}}"#.into(),
+            vec!["34.0", "-118.25", "3"],
+        ),
+        (
+            r#"{"Spatial":{"Covering":{"lat":#,"lon":#}}}"#.into(),
+            vec!["34.0", "-118.2495"],
+        ),
+        (
+            concat!(
+                r#"{"Spatial":{"Within":{"vertices":[{"lat":#,"lon":#},"#,
+                r#"{"lat":#,"lon":#},{"lat":#,"lon":#}]}}}"#
+            )
+            .into(),
+            vec!["33.9", "-118.3", "34.1", "-118.3", "34.0", "-118.2"],
+        ),
+        (
+            concat!(
+                r#"{"Spatial":{"Directed":{"region":{"min_lat":#,"min_lon":#,"max_lat":#,"#,
+                r#""max_lon":#},"directions":{"start":#,"width":#}}}}"#
+            )
+            .into(),
+            vec!["33.9", "-118.3", "34.1", "-118.2", "60.0", "60.0"],
+        ),
+        (
+            format!(r#"{{"Visual":{{"example":[#,{rest}],"kind":"Cnn","mode":{{"TopK":#}}}}}}"#),
+            vec![&first, "3"],
+        ),
+        (
+            format!(
+                r#"{{"Visual":{{"example":[#,{rest}],"kind":"Cnn","mode":{{"Threshold":#}}}}}}"#
+            ),
+            vec![&first, "5.0"],
+        ),
+        (
+            r#"{"Categorical":{"scheme":#,"label":#,"min_confidence":#}}"#.into(),
+            vec!["0", "1", "0.5"],
+        ),
+        (
+            r#"{"Textual":{"text":"street","mode":{"Ranked":#}}}"#.into(),
+            vec!["3"],
+        ),
+        (
+            r#"{"Temporal":{"field":"Captured","from":#,"to":#}}"#.into(),
+            vec!["1000", "1005"],
+        ),
+    ];
+    let body = |query: &str, valid: &[&str]| {
+        HostileBody::new(
+            "data/search",
+            &format!(r#"{{"query":{query}}}"#),
+            valid.iter().map(|v| v.to_string()).collect(),
+        )
+    };
+    let mut bodies: Vec<HostileBody> = leaves.iter().map(|(q, v)| body(q, v)).collect();
+    // The hybrid pair and a disjunction over the other families: the
+    // planner splits the first and gathers the second.
+    for (op, picks) in [("And", [1, 6, 9]), ("Or", [3, 7, 8])] {
+        let subs: Vec<&str> = picks.iter().map(|&i| leaves[i].0.as_str()).collect();
+        let valid: Vec<&str> = picks.iter().flat_map(|&i| leaves[i].1.clone()).collect();
+        bodies.push(body(&format!(r#"{{"{op}":[{}]}}"#, subs.join(",")), &valid));
+    }
+
+    let send = |body: &HostileBody, values: &[String], what: &str| {
+        let text = body.render(values);
+        let r = catch_unwind(AssertUnwindSafe(|| call(&server, &key, body.route, &text)))
+            .unwrap_or_else(|_| panic!("search panicked on {what}: {text}"));
+        assert!(
+            r.status == 200 || (400..500).contains(&r.status),
+            "search answered {} on {what}: {r:?}",
+            r.status
+        );
+        r.status
+    };
+    for body in &bodies {
+        assert_eq!(send(body, &body.valid, "the valid body"), 200);
+        body.substitutions(24, |values, what| {
+            send(body, values, what);
+        });
+    }
 }

@@ -208,10 +208,11 @@ fn overload_sheds_503_with_honest_retry_hint() {
     let retry_after = shed.body["retry_after_ms"].as_i64().unwrap();
     assert!(retry_after > 0);
 
-    let stats = server.admission().unwrap().stats();
-    assert_eq!(stats.total.admitted, 6);
-    assert_eq!(stats.total.shed, 1);
-    assert_eq!(stats.class(tvdp_core::RequestClass::Ingest).shed, 1);
+    let adm = call_at(&server, &key, "health", "", 0).body["admission"].clone();
+    assert_eq!(adm["admitted"].as_u64().unwrap(), 6);
+    assert_eq!(adm["shed"].as_u64().unwrap(), 1);
+    assert_eq!(adm["per_class"][2]["class"].as_str().unwrap(), "ingest");
+    assert_eq!(adm["per_class"][2]["shed"].as_u64().unwrap(), 1);
 
     // The retry hint is honest: replaying the shed upload exactly
     // retry_after_ms later is admitted.
@@ -222,7 +223,8 @@ fn overload_sheds_503_with_honest_retry_hint() {
     // is inside the query bound (20 ms) but past the dispatch bound
     // (4 ms) — the interactive query is served while the cheap-to-retry
     // dispatch is shed.
-    let backlog = server.admission().unwrap().backlog_ms(0);
+    let health = call_at(&server, &key, "health", "", 0);
+    let backlog = health.body["admission"]["backlog_ms"].as_i64().unwrap();
     let probe_at = backlog - 10;
     let q = call_at(
         &server,

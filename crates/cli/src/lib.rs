@@ -453,7 +453,7 @@ fn train(path: &str, rest: &[String]) -> Result<String, CliError> {
     let portable = platform
         .models()
         .export(model)
-        .ok_or_else(|| err("trained model is not exportable"))?;
+        .ok_or_else(|| err("trained model vanished from the registry"))?;
     let interface = platform
         .models()
         .interface(model)

@@ -175,11 +175,6 @@ impl AdmissionController {
         }
     }
 
-    /// The configured budget.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     /// Prices `cost_units` of `class` work at virtual time `now_ms`.
     /// Admits (advancing the backlog) or sheds with
     /// [`PlatformError::Overloaded`]; either way the decision and the

@@ -27,24 +27,6 @@ pub struct ModelInterface {
     pub scheme: ClassificationId,
 }
 
-/// A registered model's implementation: portable built-in, or an opaque
-/// user-provided classifier (usable but not downloadable).
-pub enum ModelImpl {
-    /// One of the platform's algorithms — serializable for download.
-    Builtin(SerializableModel),
-    /// An arbitrary classifier registered in-process.
-    Custom(Box<dyn Classifier + Send + Sync>),
-}
-
-impl ModelImpl {
-    fn classifier(&self) -> &dyn Classifier {
-        match self {
-            ModelImpl::Builtin(m) => m,
-            ModelImpl::Custom(b) => b.as_ref(),
-        }
-    }
-}
-
 /// A registered model: metadata plus the trained classifier.
 pub struct ModelEntry {
     /// Identifier.
@@ -55,8 +37,8 @@ pub struct ModelEntry {
     pub owner: UserId,
     /// Declared contract.
     pub interface: ModelInterface,
-    /// The trained classifier.
-    pub implementation: ModelImpl,
+    /// The trained model.
+    pub model: SerializableModel,
 }
 
 impl std::fmt::Debug for ModelEntry {
@@ -66,7 +48,7 @@ impl std::fmt::Debug for ModelEntry {
             .field("name", &self.name)
             .field("owner", &self.owner)
             .field("interface", &self.interface)
-            .field("algorithm", &self.implementation.classifier().name())
+            .field("algorithm", &self.model.name())
             .finish()
     }
 }
@@ -97,12 +79,13 @@ impl ModelRegistry {
         Self::default()
     }
 
-    fn insert(
+    /// Registers a trained model (downloadable).
+    pub fn register_portable(
         &self,
-        name: String,
+        name: impl Into<String>,
         owner: UserId,
         interface: ModelInterface,
-        implementation: ModelImpl,
+        model: SerializableModel,
     ) -> ModelId {
         let mut inner = self.inner.write();
         let id = ModelId(inner.next);
@@ -111,41 +94,13 @@ impl ModelRegistry {
             id,
             ModelEntry {
                 id,
-                name,
+                name: name.into(),
                 owner,
                 interface,
-                implementation,
+                model,
             },
         );
         id
-    }
-
-    /// Registers a trained built-in model (downloadable).
-    pub fn register_portable(
-        &self,
-        name: impl Into<String>,
-        owner: UserId,
-        interface: ModelInterface,
-        model: SerializableModel,
-    ) -> ModelId {
-        self.insert(name.into(), owner, interface, ModelImpl::Builtin(model))
-    }
-
-    /// Registers an arbitrary trained classifier (usable in-process, not
-    /// downloadable).
-    pub fn register(
-        &self,
-        name: impl Into<String>,
-        owner: UserId,
-        interface: ModelInterface,
-        classifier: Box<dyn Classifier + Send + Sync>,
-    ) -> ModelId {
-        self.insert(name.into(), owner, interface, ModelImpl::Custom(classifier))
-    }
-
-    /// Whether the model exists.
-    pub fn exists(&self, id: ModelId) -> bool {
-        self.inner.read().models.contains_key(&id)
     }
 
     /// The model's declared interface.
@@ -159,22 +114,16 @@ impl ModelRegistry {
 
     /// Model metadata: `(name, owner, algorithm)`.
     pub fn describe(&self, id: ModelId) -> Option<(String, UserId, &'static str)> {
-        self.inner.read().models.get(&id).map(|m| {
-            (
-                m.name.clone(),
-                m.owner,
-                m.implementation.classifier().name(),
-            )
-        })
+        self.inner
+            .read()
+            .models
+            .get(&id)
+            .map(|m| (m.name.clone(), m.owner, m.model.name()))
     }
 
-    /// A portable copy of the trained model, when it is a built-in
-    /// (`None` for custom in-process models — they cannot leave).
+    /// A portable copy of the trained model.
     pub fn export(&self, id: ModelId) -> Option<SerializableModel> {
-        match &self.inner.read().models.get(&id)?.implementation {
-            ModelImpl::Builtin(m) => Some(m.clone()),
-            ModelImpl::Custom(_) => None,
-        }
+        Some(self.inner.read().models.get(&id)?.model.clone())
     }
 
     /// All registered model ids.
@@ -188,7 +137,7 @@ impl ModelRegistry {
     pub fn score(&self, id: ModelId, features: &[f32]) -> Option<Vec<f32>> {
         let inner = self.inner.read();
         let entry = inner.models.get(&id)?;
-        Some(entry.implementation.classifier().decision_scores(features))
+        Some(entry.model.decision_scores(features))
     }
 
     /// Runs the model on one feature vector, returning `(label index,
@@ -208,13 +157,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvdp_ml::{KnnClassifier, LinearSvm, ScaledClassifier};
-
-    fn trained_knn() -> Box<dyn Classifier + Send + Sync> {
-        let mut knn = KnnClassifier::new(1);
-        knn.fit(&[vec![0.0, 0.0], vec![5.0, 5.0]], &[0, 1], 2);
-        Box::new(knn)
-    }
+    use tvdp_ml::{LinearSvm, ScaledClassifier};
 
     fn trained_svm_portable() -> SerializableModel {
         let mut m = SerializableModel::Svm(ScaledClassifier::new(LinearSvm::new()));
@@ -239,26 +182,20 @@ mod tests {
     #[test]
     fn register_describe_predict() {
         let reg = ModelRegistry::new();
-        let id = reg.register("cleanliness-knn", UserId(1), interface(), trained_knn());
-        assert!(reg.exists(id));
+        let id = reg.register_portable(
+            "cleanliness-svm",
+            UserId(1),
+            interface(),
+            trained_svm_portable(),
+        );
         let (name, owner, algo) = reg.describe(id).unwrap();
-        assert_eq!(name, "cleanliness-knn");
+        assert_eq!(name, "cleanliness-svm");
         assert_eq!(owner, UserId(1));
-        assert_eq!(algo, "kNN");
+        assert_eq!(algo, trained_svm_portable().name());
         let (label, conf) = reg.predict(id, &[4.8, 5.1]).unwrap();
         assert_eq!(label, 1);
         assert!((0.0..=1.0).contains(&conf));
         assert_eq!(reg.ids(), vec![id]);
-    }
-
-    #[test]
-    fn portable_models_export_custom_models_do_not() {
-        let reg = ModelRegistry::new();
-        let portable = reg.register_portable("svm", UserId(1), interface(), trained_svm_portable());
-        let custom = reg.register("knn", UserId(1), interface(), trained_knn());
-        assert!(reg.export(portable).is_some());
-        assert!(reg.export(custom).is_none());
-        assert!(reg.export(ModelId(99)).is_none());
     }
 
     #[test]
@@ -280,5 +217,6 @@ mod tests {
         let reg = ModelRegistry::new();
         assert!(reg.predict(ModelId(9), &[0.0, 0.0]).is_none());
         assert!(reg.interface(ModelId(9)).is_none());
+        assert!(reg.export(ModelId(9)).is_none());
     }
 }

@@ -86,8 +86,6 @@ impl Algorithm {
 /// Platform construction options.
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
-    /// Query-engine options (visual index feature family etc.).
-    pub engine: EngineConfig,
     /// CNN extractor architecture.
     pub cnn: CnnConfig,
     /// Minimum labelled samples before a model may be trained.
@@ -105,7 +103,6 @@ pub struct PlatformConfig {
 impl Default for PlatformConfig {
     fn default() -> Self {
         Self {
-            engine: EngineConfig::default(),
             cnn: CnnConfig::default(),
             min_training_samples: 10,
             seed: 0x7D_1D,
@@ -215,7 +212,7 @@ impl Tvdp {
         // vector.
         let engine = ShardedEngine::with_seal_cap(
             vec![Arc::clone(&store)],
-            config.engine.clone(),
+            EngineConfig::default(),
             config.seal_cap.max(1),
         );
         let ids = NextIds {
@@ -311,16 +308,6 @@ impl Tvdp {
     /// The store (read access for analysis pipelines).
     pub fn store(&self) -> &Arc<VisualStore> {
         &self.store
-    }
-
-    /// The configuration this platform was constructed with.
-    pub fn config(&self) -> &PlatformConfig {
-        &self.config
-    }
-
-    /// The user registry.
-    pub fn users(&self) -> &UserRegistry {
-        &self.users
     }
 
     /// The model registry.
@@ -1058,33 +1045,6 @@ mod tests {
         ));
     }
 
-    /// Dedup compares CNN rows. A platform whose engine indexes another
-    /// family has none to compare against, and says so with the typed
-    /// error every visual request gets (the 480-float example used to
-    /// reach the 50-float tree and die on its length assertion).
-    #[test]
-    fn dedup_on_a_platform_indexing_another_family_is_a_typed_refusal() {
-        let mut config = fast_config();
-        config.engine.visual_kind = FeatureKind::ColorHistogram;
-        let tvdp = Tvdp::new(config);
-        let user = tvdp.register_user("u", Role::CommunityPartner);
-        tvdp.ingest(user, scene(0, 1), request(1)).unwrap();
-        let err = tvdp
-            .ingest_dedup(user, scene(0, 1), request(1), 0.05, 50.0)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PlatformError::Query(tvdp_query::QueryError::KindMismatch {
-                    indexed: FeatureKind::ColorHistogram,
-                    queried: FeatureKind::Cnn,
-                })
-            ),
-            "{err:?}"
-        );
-        assert_eq!(tvdp.stats().images, 1, "nothing was stored");
-    }
-
     #[test]
     fn video_ingest_keeps_only_keyframes() {
         use crate::video::{KeyframePolicy, VideoFrame};
@@ -1484,7 +1444,7 @@ mod search_tests {
         // immediately (cap 1), pairs seal (cap 2), or nothing seals in a
         // 24-row run (default cap 128).
         let reference = populated_with(cfg());
-        assert_eq!(reference.config().seal_cap, tvdp_query::DEFAULT_SEAL_CAP);
+        assert_eq!(reference.config.seal_cap, tvdp_query::DEFAULT_SEAL_CAP);
         let example = reference
             .store()
             .feature(ImageId(0), FeatureKind::Cnn)

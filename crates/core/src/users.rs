@@ -68,11 +68,6 @@ impl UserRegistry {
         id
     }
 
-    /// Looks a user up.
-    pub fn get(&self, id: UserId) -> Option<User> {
-        self.inner.read().users.get(&id).cloned()
-    }
-
     /// Whether the id is registered.
     pub fn exists(&self, id: UserId) -> bool {
         self.inner.read().users.contains_key(&id)
@@ -94,9 +89,10 @@ mod tests {
         let lasan = reg.register("LASAN", Role::Government);
         let usc = reg.register("USC IMSC", Role::Researcher);
         assert_ne!(lasan, usc);
-        assert_eq!(reg.get(lasan).unwrap().name, "LASAN");
         assert!(reg.exists(usc));
         assert!(!reg.exists(UserId(99)));
-        assert_eq!(reg.all().len(), 2);
+        let all = reg.all();
+        assert_eq!(all.len(), 2);
+        assert_eq!((all[0].id, all[0].name.as_str()), (lasan, "LASAN"));
     }
 }

@@ -215,18 +215,6 @@ pub struct SendReport {
     pub reply: Option<ChannelReply>,
 }
 
-impl SendReport {
-    /// Whether the upload was acknowledged.
-    pub fn acked(&self) -> bool {
-        self.outcome == SendOutcome::Acked
-    }
-
-    /// Virtual milliseconds the send occupied.
-    pub fn elapsed_ms(&self) -> u64 {
-        (self.finished_ms - self.started_ms).max(0) as u64
-    }
-}
-
 /// What the client observed for one attempt.
 enum Observed {
     Reply(ChannelReply),
@@ -273,11 +261,6 @@ impl EdgeTransport {
     /// Advances virtual time (e.g. between simulation rounds).
     pub fn advance(&mut self, ms: u64) {
         self.clock.advance(ms);
-    }
-
-    /// The configured retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Sends one packet, retrying per policy until acked, rejected, or
@@ -488,6 +471,13 @@ fn retryable(status: u16) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SendReport {
+        /// Virtual milliseconds the send occupied.
+        fn elapsed_ms(&self) -> u64 {
+            (self.finished_ms - self.started_ms).max(0) as u64
+        }
+    }
     use crate::fault::{FaultRates, Partition};
 
     /// A server accepting everything, verifying checksums, and counting
@@ -521,7 +511,7 @@ mod tests {
         let mut t = EdgeTransport::new(RetryPolicy::default(), FaultPlan::reliable(), 1);
         let mut srv = CountingServer::new();
         let r = t.send(&packet("a"), &mut |p, _| srv.handle(p));
-        assert!(r.acked());
+        assert_eq!(r.outcome, SendOutcome::Acked);
         assert_eq!(r.attempts, 1);
         assert_eq!(srv.seen["a"], 1);
     }
@@ -532,7 +522,7 @@ mod tests {
         let mut t = EdgeTransport::new(RetryPolicy::default(), plan, 2);
         let mut srv = CountingServer::new();
         let r = t.send(&packet("a"), &mut |p, _| srv.handle(p));
-        assert!(r.acked());
+        assert_eq!(r.outcome, SendOutcome::Acked);
         assert_eq!(r.attempts, 3);
         assert_eq!(srv.seen["a"], 1);
     }
@@ -546,7 +536,7 @@ mod tests {
         let mut t = EdgeTransport::new(RetryPolicy::default(), plan, 3);
         let mut srv = CountingServer::new();
         let r = t.send(&packet("a"), &mut |p, _| srv.handle(p));
-        assert!(r.acked());
+        assert_eq!(r.outcome, SendOutcome::Acked);
         assert_eq!(r.attempts, 2);
         assert_eq!(srv.seen["a"], 2);
     }
@@ -557,7 +547,7 @@ mod tests {
         let mut t = EdgeTransport::new(RetryPolicy::default(), plan, 4);
         let mut srv = CountingServer::new();
         let r = t.send(&packet("a"), &mut |p, _| srv.handle(p));
-        assert!(r.acked());
+        assert_eq!(r.outcome, SendOutcome::Acked);
         assert_eq!(r.attempts, 2);
         // The corrupted copy was rejected before counting.
         assert_eq!(srv.seen["a"], 1);
@@ -573,7 +563,7 @@ mod tests {
         let mut t = EdgeTransport::new(policy, plan, 5);
         let mut srv = CountingServer::new();
         let r = t.send(&packet("a"), &mut |p, _| srv.handle(p));
-        assert!(r.acked());
+        assert_eq!(r.outcome, SendOutcome::Acked);
         assert_eq!(r.attempts, 2);
         assert_eq!(srv.seen["a"], 2, "the stalled attempt was processed");
     }
@@ -602,7 +592,11 @@ mod tests {
         let mut t = EdgeTransport::new(RetryPolicy::default(), plan, 7);
         let mut srv = CountingServer::new();
         let r = t.send(&packet("a"), &mut |p, _| srv.handle(p));
-        assert!(r.acked(), "send should survive the outage: {r:?}");
+        assert_eq!(
+            r.outcome,
+            SendOutcome::Acked,
+            "send should survive the outage: {r:?}"
+        );
         assert!(r.attempts > 1);
         assert!(
             r.finished_ms >= 500,
@@ -627,7 +621,7 @@ mod tests {
                 }
             }
         });
-        assert!(r.acked());
+        assert_eq!(r.outcome, SendOutcome::Acked);
         // The wait was driven by the 5 s hint, not the ~50 ms backoff.
         assert!(r.elapsed_ms() >= 5_000, "elapsed {} ms", r.elapsed_ms());
     }

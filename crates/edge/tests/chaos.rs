@@ -158,7 +158,7 @@ fn every_fault_at_every_position_still_ingests_exactly_once() {
                 let packet = UploadPacket::new(format!("cam0-s{seq}"), add_body(seq).into_bytes());
                 let report = transport.send(&packet, &mut |p, now| serve(&server, &key, p, now));
                 assert!(
-                    report.acked(),
+                    report.outcome == SendOutcome::Acked,
                     "{fault:?} at attempt {position}, upload {seq}: {report:?}"
                 );
             }
@@ -201,9 +201,9 @@ fn acked_uploads_survive_a_crash_and_unacked_ones_stay_invisible() {
             &UploadPacket::new("cam1-s0", add_body(0).into_bytes()),
             &mut |p, now| serve(&server, &key, p, now),
         );
-        assert!(clean.acked());
+        assert_eq!(clean.outcome, SendOutcome::Acked);
         let retried = transport.send(&lost_ack_packet, &mut |p, now| serve(&server, &key, p, now));
-        assert!(retried.acked());
+        assert_eq!(retried.outcome, SendOutcome::Acked);
         assert_eq!(retried.attempts, 2, "first ack was dropped");
         lost_ack_id = acked_image_id(&retried.reply.expect("acked").body);
 
@@ -240,7 +240,7 @@ fn acked_uploads_survive_a_crash_and_unacked_ones_stay_invisible() {
     let key = server.issue_key(gateway);
     let mut transport = EdgeTransport::new(RetryPolicy::default(), FaultPlan::reliable(), 9);
     let replay = transport.send(&lost_ack_packet, &mut |p, now| serve(&server, &key, p, now));
-    assert!(replay.acked());
+    assert_eq!(replay.outcome, SendOutcome::Acked);
     assert_eq!(
         acked_image_id(&replay.reply.expect("acked").body),
         lost_ack_id,
@@ -252,7 +252,7 @@ fn acked_uploads_survive_a_crash_and_unacked_ones_stay_invisible() {
     let landed = transport.send(&abandoned_packet, &mut |p, now| {
         serve(&server, &key, p, now)
     });
-    assert!(landed.acked());
+    assert_eq!(landed.outcome, SendOutcome::Acked);
     assert_eq!(platform.stats().images, 3);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -328,7 +328,11 @@ fn partition_opens_the_breaker_and_healing_closes_it() {
         let report = transport.send_guarded(&mut breaker, packet, &mut |p, now| {
             serve(&server, &key, p, now)
         });
-        assert!(report.acked(), "post-heal send failed: {report:?}");
+        assert_eq!(
+            report.outcome,
+            SendOutcome::Acked,
+            "post-heal send failed: {report:?}"
+        );
     }
     assert_eq!(breaker.state(), tvdp_edge::breaker::BreakerState::Closed);
     assert_eq!(

@@ -66,11 +66,6 @@ impl AngularRange {
         self.width
     }
 
-    /// Central direction of the arc.
-    pub fn center(&self) -> f64 {
-        normalize_deg(self.start + self.width / 2.0)
-    }
-
     /// Whether the arc covers the whole circle.
     pub fn is_full(&self) -> bool {
         self.width >= 360.0
@@ -168,7 +163,7 @@ mod tests {
         assert!(r.contains(0.0));
         assert!(r.contains(30.0));
         assert!(!r.contains(31.0));
-        assert_eq!(r.center(), 0.0);
+        assert_eq!(r.start(), 330.0);
     }
 
     #[test]

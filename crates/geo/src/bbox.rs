@@ -45,32 +45,6 @@ impl BBox {
         }
     }
 
-    /// Creates a box from edges, rejecting wrapped or out-of-range input
-    /// with a typed error instead of panicking.
-    ///
-    /// This is the constructor for externally supplied rectangles (API
-    /// queries, deserialized payloads): a rect spanning the antimeridian
-    /// arrives either as `min_lon > max_lon` (wrapped) or with an edge
-    /// beyond ±180° (unwrapped), and both decode to a near-empty box under
-    /// [`BBox::intersects`]/[`BBox::contains`] if accepted. Returns
-    /// [`GeoError::AntimeridianSpan`] so callers can split at ±180° and
-    /// retry rather than silently dropping matches.
-    pub fn try_new(
-        min_lat: f64,
-        min_lon: f64,
-        max_lat: f64,
-        max_lon: f64,
-    ) -> Result<Self, GeoError> {
-        let b = Self {
-            min_lat,
-            min_lon,
-            max_lat,
-            max_lon,
-        };
-        b.validate()?;
-        Ok(b)
-    }
-
     /// Checks the invariants documented on [`BBox`]: finite edges,
     /// `min <= max` per axis, latitudes within ±90°, longitudes within
     /// ±180° (no antimeridian wrap).
@@ -216,6 +190,25 @@ impl BBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BBox {
+        /// A box from raw edges, as a decoder fills one, then validated.
+        fn try_new(
+            min_lat: f64,
+            min_lon: f64,
+            max_lat: f64,
+            max_lon: f64,
+        ) -> Result<Self, GeoError> {
+            let b = Self {
+                min_lat,
+                min_lon,
+                max_lat,
+                max_lon,
+            };
+            b.validate()?;
+            Ok(b)
+        }
+    }
 
     fn unit() -> BBox {
         BBox::new(0.0, 0.0, 1.0, 1.0)

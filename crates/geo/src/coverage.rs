@@ -95,11 +95,6 @@ impl CoverageGrid {
         }
     }
 
-    /// The spec this grid was built from.
-    pub fn spec(&self) -> &CoverageSpec {
-        &self.spec
-    }
-
     /// Geographic rectangle of a cell.
     pub fn cell_bbox(&self, cell: CellId) -> BBox {
         let r = &self.spec.region;
@@ -247,7 +242,7 @@ mod tests {
     #[test]
     fn one_fov_covers_some_cells_one_direction_band() {
         let mut g = grid();
-        let cam = g.spec().region.center();
+        let cam = g.spec.region.center();
         g.add_fov(&Fov::new(cam, 0.0, 60.0, 150.0));
         let r = g.report();
         assert!(r.covered_cells >= 1);
@@ -260,7 +255,7 @@ mod tests {
     #[test]
     fn camera_cell_is_covered() {
         let mut g = grid();
-        let cam = g.spec().region.center();
+        let cam = g.spec.region.center();
         g.add_fov(&Fov::new(cam, 90.0, 60.0, 120.0));
         let cell = g.cell_of(&cam).unwrap();
         assert_ne!(g.cell_mask(cell), 0);
@@ -269,7 +264,7 @@ mod tests {
     #[test]
     fn eight_directions_fill_direction_coverage_of_camera_cell() {
         let mut g = grid();
-        let cam = g.spec().region.center();
+        let cam = g.spec.region.center();
         for s in 0..8 {
             g.add_fov(&Fov::new(cam, g.sector_heading(s), 46.0, 120.0));
         }
@@ -280,7 +275,7 @@ mod tests {
     #[test]
     fn undercovered_lists_missing_sectors() {
         let mut g = grid();
-        let cam = g.spec().region.center();
+        let cam = g.spec.region.center();
         g.add_fov(&Fov::new(cam, 0.0, 46.0, 120.0));
         let cell = g.cell_of(&cam).unwrap();
         let under = g.undercovered(8);
@@ -322,7 +317,7 @@ mod tests {
     #[test]
     fn coverage_monotone_in_fovs() {
         let mut g = grid();
-        let cam = g.spec().region.center();
+        let cam = g.spec.region.center();
         let mut last = 0.0;
         for s in 0..8 {
             g.add_fov(&Fov::new(cam, g.sector_heading(s), 60.0, 200.0));

@@ -196,36 +196,6 @@ impl Fov {
         }
         false
     }
-
-    /// Whether two FOVs view overlapping regions (sector/sector overlap,
-    /// via mutual polygon containment and edge crossings).
-    pub fn overlaps(&self, other: &Fov) -> bool {
-        // Cheap circle test first.
-        let d = self.camera.fast_distance_m(&other.camera);
-        if d > self.radius_m + other.radius_m {
-            return false;
-        }
-        let proj = LocalProjection::new(self.camera);
-        let a = self.polygon_xy(&proj);
-        let b = other.polygon_xy(&proj);
-        if a.iter().any(|p| point_in_polygon(*p, &b)) || b.iter().any(|p| point_in_polygon(*p, &a))
-        {
-            return true;
-        }
-        for i in 0..a.len() {
-            for j in 0..b.len() {
-                if segments_intersect(a[i], a[(i + 1) % a.len()], b[j], b[(j + 1) % b.len()]) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// The approximate physical area covered by the sector, in m².
-    pub fn area_m2(&self) -> f64 {
-        std::f64::consts::PI * self.radius_m * self.radius_m * (self.angle_deg / 360.0)
-    }
 }
 
 #[cfg(test)]
@@ -412,28 +382,6 @@ mod tests {
             f.camera.lon + 1e-5,
         );
         assert!(f.intersects_bbox(&at_cam));
-    }
-
-    #[test]
-    fn overlap_between_fovs() {
-        let a = north_fov();
-        // Camera 50 m north of `a`, also looking north: overlapping wedges.
-        let b = Fov::new(a.camera.destination(0.0, 50.0), 0.0, 60.0, 100.0);
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        // Camera 500 m away: disjoint.
-        let c = Fov::new(a.camera.destination(90.0, 500.0), 0.0, 60.0, 100.0);
-        assert!(!a.overlaps(&c));
-        // Facing away from each other from the same spot still overlap at apex.
-        let d = Fov::new(a.camera, 180.0, 60.0, 100.0);
-        assert!(a.overlaps(&d));
-    }
-
-    #[test]
-    fn area_scales_with_angle() {
-        let narrow = Fov::new(GeoPoint::new(34.0, -118.0), 0.0, 30.0, 100.0);
-        let wide = Fov::new(GeoPoint::new(34.0, -118.0), 0.0, 60.0, 100.0);
-        assert!((wide.area_m2() / narrow.area_m2() - 2.0).abs() < 1e-9);
     }
 
     #[test]

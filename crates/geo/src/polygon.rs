@@ -26,11 +26,6 @@ impl GeoPolygon {
         Self { vertices }
     }
 
-    /// The vertices, in input order.
-    pub fn vertices(&self) -> &[GeoPoint] {
-        &self.vertices
-    }
-
     /// Axis-aligned bounding box (cheap pre-filter for indexes).
     pub fn bbox(&self) -> BBox {
         // tvdp-lint: allow(no_panic, reason = "GeoPolygon::new asserts at least three vertices")
@@ -41,16 +36,6 @@ impl GeoPolygon {
         let proj = LocalProjection::new(self.vertices[0]);
         let poly = self.vertices.iter().map(|v| proj.to_xy(v)).collect();
         (proj, poly)
-    }
-
-    /// Whether `p` lies inside the polygon (boundary points may resolve
-    /// either way, as with any ray-cast test).
-    pub fn contains(&self, p: &GeoPoint) -> bool {
-        if !self.bbox().contains(p) {
-            return false;
-        }
-        let (proj, poly) = self.projected();
-        point_in_polygon(proj.to_xy(p), &poly)
     }
 
     /// Whether the polygon and the rectangle share any area.
@@ -97,19 +82,6 @@ impl GeoPolygon {
         }
         false
     }
-
-    /// Physical area in m² (shoelace formula on the local plane).
-    pub fn area_m2(&self) -> f64 {
-        let (_, poly) = self.projected();
-        let mut acc = 0.0;
-        for i in 0..poly.len() {
-            let a = poly[i];
-            let b = poly[(i + 1) % poly.len()];
-            // tvdp-lint: allow(float_reduction, reason = "in-order loop accumulation over a fixed traversal; single-threaded, bit-stable across runs and thread counts")
-            acc += a.x * b.y - b.x * a.y;
-        }
-        (acc / 2.0).abs()
-    }
 }
 
 #[cfg(test)]
@@ -125,30 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_interior_not_exterior() {
-        let t = triangle();
-        let a = t.vertices()[0];
-        let inside = a.destination(45.0, 300.0);
-        let outside = a.destination(45.0, 1200.0);
-        let behind = a.destination(225.0, 100.0);
-        assert!(t.contains(&inside));
-        assert!(!t.contains(&outside));
-        assert!(!t.contains(&behind));
-    }
-
-    #[test]
-    fn area_of_right_triangle() {
-        let t = triangle();
-        // 1 km x 1 km / 2 = 500_000 m^2.
-        let area = t.area_m2();
-        assert!((area - 500_000.0).abs() < 5_000.0, "area {area}");
-    }
-
-    #[test]
     fn bbox_covers_vertices() {
         let t = triangle();
         let b = t.bbox();
-        for v in t.vertices() {
+        for v in &t.vertices {
             assert!(b.contains(v));
         }
     }
@@ -156,7 +108,7 @@ mod tests {
     #[test]
     fn intersects_bbox_cases() {
         let t = triangle();
-        let a = t.vertices()[0];
+        let a = t.vertices[0];
         // Rect fully inside the triangle.
         let c = a.destination(45.0, 250.0);
         let small = BBox::new(c.lat - 1e-4, c.lon - 1e-4, c.lat + 1e-4, c.lon + 1e-4);

@@ -18,13 +18,6 @@ pub struct XY {
     pub y: f64,
 }
 
-impl XY {
-    /// Euclidean distance to another local point.
-    pub fn dist(&self, other: &XY) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
-}
-
 /// Equirectangular projection anchored at a reference point.
 #[derive(Debug, Clone, Copy)]
 pub struct LocalProjection {
@@ -39,11 +32,6 @@ impl LocalProjection {
             anchor,
             meters_per_deg_lon: METERS_PER_DEG_LAT * anchor.lat.to_radians().cos(),
         }
-    }
-
-    /// The anchor point (projects to the origin).
-    pub fn anchor(&self) -> GeoPoint {
-        self.anchor
     }
 
     /// Projects a geographic point into local metres.
@@ -109,6 +97,13 @@ pub fn point_in_polygon(p: XY, poly: &[XY]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl XY {
+        /// Euclidean distance to another local point.
+        fn dist(&self, other: &XY) -> f64 {
+            ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
+        }
+    }
 
     #[test]
     fn round_trip_projection() {

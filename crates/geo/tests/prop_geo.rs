@@ -149,23 +149,6 @@ fn far_bbox_never_intersects() {
 }
 
 #[test]
-fn fov_overlap_is_symmetric() {
-    for_each_case(CASES, |_, rng| {
-        let f1 = fov(rng);
-        let f2 = fov(rng);
-        assert_eq!(f1.overlaps(&f2), f2.overlaps(&f1));
-    });
-}
-
-#[test]
-fn fov_overlaps_itself() {
-    for_each_case(CASES, |_, rng| {
-        let f = fov(rng);
-        assert!(f.overlaps(&f));
-    });
-}
-
-#[test]
 fn angular_range_union_contains_members() {
     for_each_case(CASES, |_, rng| {
         let s1 = rng.gen_range(0.0f64..360.0);
@@ -193,7 +176,7 @@ fn angular_range_overlap_consistent_with_contains() {
         let a = AngularRange::new(s1, w1);
         let b = AngularRange::new(s2, w2);
         // If a contains b's centre they must overlap.
-        if a.contains(b.center()) {
+        if a.contains(normalize_deg(s2 + w2 / 2.0)) {
             assert!(a.overlaps(&b));
         }
     });

@@ -64,21 +64,6 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Number of indexed documents.
-    pub fn len(&self) -> usize {
-        self.n_docs
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n_docs == 0
-    }
-
-    /// Number of distinct terms.
-    pub fn vocabulary_size(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Indexes a document's text under handle `doc`.
     ///
     /// # Panics
@@ -276,8 +261,8 @@ mod tests {
         assert_eq!(idx.doc_frequency("overpass"), 3);
         assert_eq!(idx.doc_frequency("OVERPASS"), 3);
         assert_eq!(idx.doc_frequency("nothing"), 0);
-        assert_eq!(idx.len(), 5);
-        assert!(idx.vocabulary_size() > 10);
+        assert_eq!(idx.n_docs, 5);
+        assert!(idx.postings.len() > 10);
     }
 
     #[test]

@@ -96,7 +96,6 @@ impl HashFamily {
 #[derive(Debug, Clone)]
 // tvdp-lint: allow(dead_api, reason = "(c) the paper's LSH; ROADMAP item 10's bake-off against the exact visual path decides it")
 pub struct LshIndex {
-    config: LshConfig,
     dim: usize,
     families: Vec<HashFamily>,
     /// One bucket map per hash table. Ordered maps (lint rule L2) so
@@ -122,27 +121,11 @@ impl LshIndex {
             .collect();
         let tables = vec![BTreeMap::new(); config.tables];
         Self {
-            config,
             dim,
             families,
             tables,
             rows: Vec::new(),
         }
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LshConfig {
-        &self.config
     }
 
     /// Indexes arena row `row` whose values are `v`, returning its

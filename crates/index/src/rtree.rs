@@ -242,7 +242,8 @@ impl<E: HasBBox, S> Tree<E, S> {
             })),
         };
         expand(&self.root, &mut heap);
-        let mut out = Vec::with_capacity(k);
+        // Sized by what the tree holds: `k` is the caller's claim.
+        let mut out = Vec::with_capacity(k.min(self.len()));
         while out.len() < k {
             match heap.pop() {
                 Some(Reverse(Frontier::Entry(d, v))) => out.push((d, v)),

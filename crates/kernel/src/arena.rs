@@ -80,11 +80,6 @@ impl FeatureSlab {
         }
     }
 
-    /// Whether the slab holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends a row, returning its stable handle.
     ///
     /// # Panics
@@ -196,11 +191,6 @@ impl SlabView {
             chunks: Vec::new(),
             quant: Vec::new(),
         }
-    }
-
-    /// Whether the view holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Number of rows [`SlabView::quant_row`] can resolve: the rows in
@@ -408,11 +398,11 @@ mod tests {
     #[test]
     fn empty_view_and_slab() {
         let slab = FeatureSlab::new(8);
-        assert!(slab.is_empty());
+        assert_eq!(slab.rows(), 0);
         let view = slab.view();
-        assert!(view.is_empty());
+        assert_eq!(view.rows(), 0);
         assert_eq!(view.dim(), 8);
-        assert!(SlabView::empty(4).is_empty());
+        assert_eq!(SlabView::empty(4).rows(), 0);
     }
 
     #[test]

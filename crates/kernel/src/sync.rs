@@ -21,11 +21,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Self(sync::Mutex::new(value))
     }
-
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -33,28 +28,11 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Direct access through exclusive ownership.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// Readers-writer lock without poisoning.
 #[derive(Debug, Default)]
 pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Wraps `value`.
-    pub const fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
 
 impl<T: ?Sized> RwLock<T> {
     /// Shared access.
@@ -81,7 +59,7 @@ mod tests {
     #[test]
     fn a_panic_while_holding_does_not_poison_the_next_holder() {
         let m = Arc::new(Mutex::new(1u32));
-        let rw = Arc::new(RwLock::new(1u32));
+        let rw: Arc<RwLock<u32>> = Arc::default();
         let (m2, rw2) = (Arc::clone(&m), Arc::clone(&rw));
         let died = std::thread::spawn(move || {
             let mut g = m2.lock();
@@ -96,9 +74,7 @@ mod tests {
         assert_eq!(*rw.read(), 2);
         *rw.write() = 3;
         assert_eq!(*rw.read(), 3);
-        let mut m = Arc::into_inner(m).expect("sole owner");
-        assert_eq!(*m.get_mut(), 2);
-        assert_eq!(m.into_inner(), 2);
-        assert_eq!(Arc::into_inner(rw).expect("sole owner").into_inner(), 3);
+        let mut rw = Arc::into_inner(rw).expect("sole owner");
+        assert_eq!(*rw.get_mut(), 3);
     }
 }

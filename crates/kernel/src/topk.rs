@@ -71,16 +71,6 @@ impl<T: Ord> TopK<T> {
         }
     }
 
-    /// Number of items currently retained (`<= k`).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no items are retained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// The current k-th (worst retained) item, once `k` items have been
     /// seen. Callers can use it to skip work for candidates that cannot
     /// make the cut.
@@ -166,13 +156,11 @@ mod tests {
     fn fewer_items_than_k_and_zero_k() {
         let mut t = TopK::new(10);
         t.extend([3_i32, 1, 2]);
-        assert_eq!(t.len(), 3);
         assert!(t.threshold().is_none());
         assert_eq!(t.into_sorted_vec(), vec![1, 2, 3]);
 
         let mut z = TopK::new(0);
         z.push(1_i32);
-        assert!(z.is_empty());
         assert!(z.into_sorted_vec().is_empty());
     }
 

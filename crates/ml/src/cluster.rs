@@ -18,8 +18,6 @@ const PARALLEL_ASSIGN_FLOPS: usize = 1 << 15;
 #[derive(Debug, Clone)]
 pub struct KMeans {
     centroids: Vec<Vec<f32>>,
-    inertia: f64,
-    iterations: usize,
 }
 
 impl KMeans {
@@ -55,10 +53,8 @@ impl KMeans {
         let mut centroids = Self::kmeanspp_init(data, k, &mut rng);
         let mut assignment = vec![0usize; data.len()];
         let mut inertia = f64::INFINITY;
-        let mut iterations = 0;
 
-        for it in 0..max_iter {
-            iterations = it + 1;
+        for _ in 0..max_iter {
             // Assign: each row's nearest centroid is an independent pure
             // computation; the f64 inertia accumulation stays in row order.
             let nearest: Vec<(usize, f32)> = if parallel {
@@ -99,11 +95,7 @@ impl KMeans {
                 break;
             }
         }
-        Self {
-            centroids,
-            inertia,
-            iterations,
-        }
+        Self { centroids }
     }
 
     fn kmeanspp_init(data: &[Vec<f32>], k: usize, rng: &mut Rng) -> Vec<Vec<f32>> {
@@ -149,24 +141,9 @@ impl KMeans {
         (best, best_d)
     }
 
-    /// Cluster centres.
-    pub fn centroids(&self) -> &[Vec<f32>] {
-        &self.centroids
-    }
-
     /// Number of clusters.
     pub fn k(&self) -> usize {
         self.centroids.len()
-    }
-
-    /// Sum of squared distances to assigned centroids at convergence.
-    pub fn inertia(&self) -> f64 {
-        self.inertia
-    }
-
-    /// Lloyd iterations performed.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 
     /// Index of the nearest centroid for `row` (BoW quantization).
@@ -178,6 +155,15 @@ impl KMeans {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sum of squared distances from each row to its nearest centroid.
+    fn inertia(km: &KMeans, data: &[Vec<f32>]) -> f64 {
+        let mut sum = 0.0;
+        for row in data {
+            sum += f64::from(KMeans::nearest(&km.centroids, row).1);
+        }
+        sum
+    }
 
     fn three_blobs() -> Vec<Vec<f32>> {
         let mut data = Vec::new();
@@ -195,7 +181,7 @@ mod tests {
         let data = three_blobs();
         let km = KMeans::fit(&data, 3, 50, 7);
         let mut found = [false; 3];
-        for c in km.centroids() {
+        for c in &km.centroids {
             if sq_l2(c, &[0.0, 0.0]) < 1.0 {
                 found[0] = true;
             }
@@ -206,7 +192,7 @@ mod tests {
                 found[2] = true;
             }
         }
-        assert!(found.iter().all(|&f| f), "centroids {:?}", km.centroids());
+        assert!(found.iter().all(|&f| f), "centroids {:?}", km.centroids);
     }
 
     #[test]
@@ -226,7 +212,7 @@ mod tests {
         let data = three_blobs();
         let k1 = KMeans::fit(&data, 1, 50, 3);
         let k3 = KMeans::fit(&data, 3, 50, 3);
-        assert!(k3.inertia() < k1.inertia());
+        assert!(inertia(&k3, &data) < inertia(&k1, &data));
     }
 
     #[test]
@@ -234,14 +220,14 @@ mod tests {
         let data = three_blobs();
         let a = KMeans::fit(&data, 3, 50, 11);
         let b = KMeans::fit(&data, 3, 50, 11);
-        assert_eq!(a.centroids(), b.centroids());
+        assert_eq!(a.centroids, b.centroids);
     }
 
     #[test]
     fn k_equals_n_gives_zero_inertia() {
         let data = vec![vec![0.0], vec![1.0], vec![2.0]];
         let km = KMeans::fit(&data, 3, 20, 0);
-        assert!(km.inertia() < 1e-9);
+        assert!(inertia(&km, &data) < 1e-9);
     }
 
     #[test]

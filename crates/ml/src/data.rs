@@ -46,11 +46,6 @@ impl Dataset {
         self.features.is_empty()
     }
 
-    /// Feature dimensionality (0 when empty).
-    pub fn dim(&self) -> usize {
-        self.features.first().map_or(0, Vec::len)
-    }
-
     /// Selects the subset at `indices` (cloning rows).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         Dataset {
@@ -58,16 +53,6 @@ impl Dataset {
             labels: indices.iter().map(|&i| self.labels[i]).collect(),
             n_classes: self.n_classes,
         }
-    }
-
-    /// Appends another dataset with the same schema.
-    pub fn extend(&mut self, other: &Dataset) {
-        assert_eq!(self.n_classes, other.n_classes, "class-count mismatch");
-        if !self.is_empty() && !other.is_empty() {
-            assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        }
-        self.features.extend(other.features.iter().cloned());
-        self.labels.extend_from_slice(&other.labels);
     }
 }
 
@@ -145,7 +130,7 @@ mod tests {
     fn dataset_accessors() {
         let d = toy();
         assert_eq!(d.len(), 4);
-        assert_eq!(d.dim(), 2);
+        assert_eq!(d.features[0].len(), 2);
         assert!(!d.is_empty());
     }
 
@@ -156,14 +141,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.labels, vec![0, 1]);
         assert_eq!(s.features[1], vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn extend_appends() {
-        let mut d = toy();
-        let e = toy();
-        d.extend(&e);
-        assert_eq!(d.len(), 8);
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl ConfusionMatrix {
         self.counts[truth * self.n_classes + predicted]
     }
 
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -102,13 +97,6 @@ impl ConfusionMatrix {
     pub fn macro_f1(&self) -> f64 {
         // tvdp-lint: allow(float_reduction, reason = "sequential iterator reduction in fixed index order; single-threaded, bit-stable across runs and thread counts")
         (0..self.n_classes).map(|c| self.f1(c)).sum::<f64>() / self.n_classes as f64
-    }
-
-    /// Per-class (precision, recall, f1) rows, for experiment reports.
-    pub fn per_class(&self) -> Vec<(f64, f64, f64)> {
-        (0..self.n_classes)
-            .map(|c| (self.precision(c), self.recall(c), self.f1(c)))
-            .collect()
     }
 }
 

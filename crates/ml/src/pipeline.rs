@@ -23,11 +23,6 @@ impl<C: Classifier> ScaledClassifier<C> {
             scaler: None,
         }
     }
-
-    /// The wrapped classifier.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
 }
 
 impl<C: Classifier> Classifier for ScaledClassifier<C> {

@@ -81,19 +81,10 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Builds the engine over `stores`, which holds the one store it
-    /// indexes, indexing every image currently present, with the default
-    /// segment seal threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `stores` holds exactly one store.
-    pub fn build(stores: Vec<Arc<VisualStore>>, config: EngineConfig) -> Self {
-        Self::with_seal_cap(stores, config, DEFAULT_SEAL_CAP)
-    }
-
-    /// [`ShardedEngine::build`] with an explicit seal threshold
-    /// (clamped to at least 1). Small caps seal aggressively — useful
-    /// in tests to force many segments.
+    /// indexes, indexing every image currently present, with segment
+    /// seal threshold `seal_cap` (clamped to at least 1; the platform
+    /// default is [`DEFAULT_SEAL_CAP`]). Small caps seal aggressively —
+    /// useful in tests to force many segments.
     ///
     /// # Panics
     ///

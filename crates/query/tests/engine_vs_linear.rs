@@ -8,7 +8,7 @@ use tvdp_kernel::rng::{for_each_case, Rng};
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
 use tvdp_query::{
     LinearExecutor, Query, QueryEngine, QueryError, QueryResult, ShardedEngine, SpatialQuery,
-    TemporalField, TextualMode, VisualMode,
+    TemporalField, TextualMode, VisualMode, DEFAULT_SEAL_CAP,
 };
 use tvdp_storage::{AnnotationSource, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore};
 use tvdp_vision::FeatureKind;
@@ -562,7 +562,11 @@ fn rows_tying_on_the_reported_score_come_out_in_id_order_everywhere() {
     // Seal cap 1: each row is its own sealed segment; the default cap
     // leaves all three in the linear-scanned tail.
     let sealed = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 1);
-    let tail = ShardedEngine::build(vec![Arc::clone(&store)], Default::default());
+    let tail = ShardedEngine::with_seal_cap(
+        vec![Arc::clone(&store)],
+        Default::default(),
+        DEFAULT_SEAL_CAP,
+    );
     let visual = |mode| Query::Visual {
         example: example.clone(),
         kind: FeatureKind::Cnn,
@@ -598,7 +602,11 @@ fn wrong_length_example_is_rejected_wherever_the_leaf_sits() {
     // Seal cap 1: every row sealed; the default cap leaves all 40 in the
     // tail, so the dimension has to come from the store.
     let sealed = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 1);
-    let tail = ShardedEngine::build(vec![Arc::clone(&store)], Default::default());
+    let tail = ShardedEngine::with_seal_cap(
+        vec![Arc::clone(&store)],
+        Default::default(),
+        DEFAULT_SEAL_CAP,
+    );
     let err = QueryError::DimMismatch {
         indexed: DIM,
         queried: 2,
@@ -638,7 +646,8 @@ fn wrong_length_example_is_rejected_wherever_the_leaf_sits() {
         let empty = Arc::new(VisualStore::new());
         let nothing_indexed = QueryEngine::build(Arc::clone(&empty), Default::default());
         assert_eq!(nothing_indexed.try_execute(&visual(2)), Ok(Vec::new()));
-        let nothing_sharded = ShardedEngine::build(vec![empty], Default::default());
+        let nothing_sharded =
+            ShardedEngine::with_seal_cap(vec![empty], Default::default(), DEFAULT_SEAL_CAP);
         assert_eq!(nothing_sharded.try_execute(&visual(2)), Ok(Vec::new()));
     }
 }

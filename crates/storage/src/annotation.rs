@@ -22,20 +22,6 @@ pub struct ClassificationScheme {
 }
 
 impl ClassificationScheme {
-    /// Creates a scheme; the vocabulary must be non-empty and unique.
-    pub fn new(id: ClassificationId, name: impl Into<String>, labels: Vec<String>) -> Self {
-        assert!(!labels.is_empty(), "empty label vocabulary");
-        let mut dedup = labels.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), labels.len(), "duplicate labels");
-        Self {
-            id,
-            name: name.into(),
-            labels,
-        }
-    }
-
     /// Index of a label by name.
     pub fn label_index(&self, label: &str) -> Option<usize> {
         self.labels.iter().position(|l| l == label)
@@ -84,32 +70,6 @@ pub struct Annotation {
 }
 
 impl Annotation {
-    /// Creates an annotation, validating the confidence range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: AnnotationId,
-        image: ImageId,
-        classification: ClassificationId,
-        label: usize,
-        confidence: f32,
-        source: AnnotationSource,
-        region: Option<RegionOfInterest>,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&confidence),
-            "confidence out of range: {confidence}"
-        );
-        Self {
-            id,
-            image,
-            classification,
-            label,
-            confidence,
-            source,
-            region,
-        }
-    }
-
     /// Whether a human produced this annotation.
     pub fn is_human(&self) -> bool {
         matches!(self.source, AnnotationSource::Human(_))
@@ -122,66 +82,43 @@ mod tests {
 
     #[test]
     fn scheme_label_lookup() {
-        let s = ClassificationScheme::new(
-            ClassificationId(1),
-            "street-cleanliness",
-            vec![
+        let s = ClassificationScheme {
+            id: ClassificationId(1),
+            name: "street-cleanliness".into(),
+            labels: vec![
                 "bulky item".into(),
                 "illegal dumping".into(),
                 "clean".into(),
             ],
-        );
+        };
         assert_eq!(s.label_index("illegal dumping"), Some(1));
         assert_eq!(s.label_index("graffiti"), None);
     }
 
     #[test]
-    #[should_panic(expected = "duplicate labels")]
-    fn duplicate_labels_rejected() {
-        let _ = ClassificationScheme::new(ClassificationId(1), "x", vec!["a".into(), "a".into()]);
-    }
-
-    #[test]
     fn annotation_source_kinds() {
-        let human = Annotation::new(
-            AnnotationId(1),
-            ImageId(1),
-            ClassificationId(1),
-            0,
-            1.0,
-            AnnotationSource::Human(UserId(3)),
-            None,
-        );
-        let machine = Annotation::new(
-            AnnotationId(2),
-            ImageId(1),
-            ClassificationId(1),
-            2,
-            0.83,
-            AnnotationSource::Machine(ModelId(5)),
-            Some(RegionOfInterest {
+        let human = Annotation {
+            id: AnnotationId(1),
+            image: ImageId(1),
+            classification: ClassificationId(1),
+            label: 0,
+            confidence: 1.0,
+            source: AnnotationSource::Human(UserId(3)),
+            region: None,
+        };
+        let machine = Annotation {
+            id: AnnotationId(2),
+            source: AnnotationSource::Machine(ModelId(5)),
+            region: Some(RegionOfInterest {
                 x: 0,
                 y: 0,
                 width: 10,
                 height: 10,
             }),
-        );
+            ..human.clone()
+        };
         assert!(human.is_human());
         assert!(!machine.is_human());
         assert_eq!(machine.region.unwrap().width, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence out of range")]
-    fn bad_confidence_rejected() {
-        let _ = Annotation::new(
-            AnnotationId(1),
-            ImageId(1),
-            ClassificationId(1),
-            0,
-            1.5,
-            AnnotationSource::Human(UserId(1)),
-            None,
-        );
     }
 }

@@ -39,12 +39,11 @@ pub fn encode_point(p: &GeoPoint) -> Value {
     obj(vec![("lat", Value::num(p.lat)), ("lon", Value::num(p.lon))])
 }
 
-/// Decodes a geographic point.
+/// Decodes a geographic point, refusing a non-finite or out-of-range
+/// coordinate as [`GeoPoint::try_new`] does.
 pub fn decode_point(v: &Value) -> Result<GeoPoint, DecodeError> {
-    Ok(GeoPoint {
-        lat: num_field(v, "lat")?,
-        lon: num_field(v, "lon")?,
-    })
+    let (lat, lon) = (num_field(v, "lat")?, num_field(v, "lon")?);
+    GeoPoint::try_new(lat, lon).ok_or_else(|| format!("point: invalid coordinates ({lat}, {lon})"))
 }
 
 /// Encodes a bounding box.

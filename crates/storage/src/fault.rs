@@ -56,7 +56,7 @@ impl FaultKind {
 /// let mut w = FailingWriter::new(5);
 /// assert_eq!(w.write(b"hello world").unwrap(), 5); // partial write
 /// assert!(w.write(b"!").is_err()); // budget exhausted
-/// assert_eq!(w.written(), b"hello");
+/// assert_eq!(w.into_written(), b"hello");
 /// ```
 #[derive(Debug)]
 // tvdp-lint: allow(dead_api, reason = "(a) test support: the durability suite cuts journal writes at every byte with it")
@@ -80,11 +80,6 @@ impl FailingWriter {
             budget,
             kind,
         }
-    }
-
-    /// The bytes accepted so far — the simulated on-disk prefix.
-    pub fn written(&self) -> &[u8] {
-        &self.written
     }
 
     /// Consumes the writer, yielding the simulated on-disk prefix.
@@ -127,7 +122,6 @@ struct PlanState {
     /// Once a fault has fired the disk "stays full": every later write
     /// fails outright (zero-byte prefix) until [`WriteFaultPlan::clear`].
     tripped: Option<FaultKind>,
-    faults_injected: u64,
 }
 
 /// A deterministic, shareable write-fault script for a live WAL.
@@ -175,11 +169,6 @@ impl WriteFaultPlan {
         *self.state.lock() = PlanState::default();
     }
 
-    /// How many writes have been failed so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.state.lock().faults_injected
-    }
-
     /// Consulted by the WAL before a physical write of `len` bytes.
     /// `None` means the write proceeds normally; `Some((prefix, e))`
     /// means at most `prefix` bytes may reach the file and the append
@@ -187,12 +176,10 @@ impl WriteFaultPlan {
     pub(crate) fn intercept(&self, len: usize) -> Option<(usize, Error)> {
         let mut s = self.state.lock();
         if let Some(kind) = s.tripped {
-            s.faults_injected += 1;
             return Some((0, kind.to_error()));
         }
         let armed = s.armed.take()?;
         s.tripped = Some(armed.kind);
-        s.faults_injected += 1;
         Some((armed.budget.min(len), armed.kind.to_error()))
     }
 }
@@ -212,7 +199,7 @@ mod tests {
             } else {
                 assert!(result.is_err());
             }
-            assert_eq!(w.written(), &payload[..budget.min(payload.len())]);
+            assert_eq!(w.into_written(), &payload[..budget.min(payload.len())]);
         }
     }
 
@@ -244,7 +231,6 @@ mod tests {
         // The disk stays full: later writes fail with no prefix.
         let (prefix, _) = plan.intercept(50).unwrap();
         assert_eq!(prefix, 0);
-        assert_eq!(plan.faults_injected(), 2);
 
         plan.clear();
         assert!(plan.intercept(10).is_none(), "cleared fault lifts");

@@ -303,7 +303,7 @@ impl Journal {
 /// The wrapper must be the directory's sole mutator: mutations
 /// serialize on an internal lock so the id journaled for an op is
 /// exactly the id the store assigns. Reads go straight to the shared
-/// store ([`DurableStore::store`]) without touching the journal.
+/// store ([`DurableStore::store_arc`]) without touching the journal.
 pub struct DurableStore {
     dir: PathBuf,
     store: Arc<VisualStore>,
@@ -554,31 +554,10 @@ impl DurableStore {
         ))
     }
 
-    /// The underlying store, for reads. Mutating it directly bypasses
-    /// the journal and forfeits durability for those writes.
-    pub fn store(&self) -> &VisualStore {
-        &self.store
-    }
-
     /// A shared handle to the underlying store (e.g. to hand to query
     /// engines, which only read).
     pub fn store_arc(&self) -> Arc<VisualStore> {
         Arc::clone(&self.store)
-    }
-
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The current WAL epoch.
-    pub fn epoch(&self) -> u64 {
-        self.journal.lock().epoch
-    }
-
-    /// Current WAL size in bytes.
-    pub fn wal_bytes(&self) -> Result<u64, DurableError> {
-        Ok(self.journal.lock().wal.len_bytes()?)
     }
 
     /// The one durable write path, and group commit —
@@ -725,6 +704,14 @@ mod tests {
     use tvdp_geo::GeoPoint;
     use tvdp_vision::{FeatureKind, Image};
 
+    impl DurableStore {
+        /// Current WAL size in bytes, header included.
+        fn wal_bytes(&self) -> std::io::Result<u64> {
+            let epoch = self.journal.lock().epoch;
+            Ok(std::fs::metadata(wal_path(&self.dir, epoch))?.len())
+        }
+    }
+
     /// Size of a segment holding no record: its header.
     const EMPTY_WAL: u64 = crate::wal::SEGMENT_MAGIC.len() as u64;
 
@@ -752,7 +739,7 @@ mod tests {
         origin: ImageOrigin,
         pixels: Option<Image>,
     ) -> Result<ImageId, DurableError> {
-        let id = ds.store().peek_next_image_id();
+        let id = ds.store.peek_next_image_id();
         ds.apply_batch(vec![WalOp::AddImage {
             id,
             meta: meta(),
@@ -771,7 +758,7 @@ mod tests {
         confidence: f32,
     ) -> Result<Replays, DurableError> {
         ds.apply_batch(vec![WalOp::Annotate(Annotation {
-            id: ds.store().peek_next_annotation_id(),
+            id: ds.store.peek_next_annotation_id(),
             image,
             classification,
             label,
@@ -788,7 +775,7 @@ mod tests {
         marker: &str,
         features: Vec<(FeatureKind, Vec<f32>)>,
     ) -> (ImageId, bool) {
-        let id = ds.store().peek_next_image_id();
+        let id = ds.store.peek_next_image_id();
         let replays = ds
             .apply_batch(vec![WalOp::IngestUpload {
                 marker: Some(marker.into()),
@@ -827,7 +814,7 @@ mod tests {
             Some(Image::from_fn(2, 2, |x, y| [x as u8, y as u8, 3])),
         )
         .unwrap();
-        let cls = ds.store().peek_next_classification_id();
+        let cls = ds.store.peek_next_classification_id();
         ds.apply_batch(vec![scheme(cls.raw(), "cleanliness", &["clean", "dirty"])])
             .unwrap();
         ds.apply_batch(vec![feature(img, FeatureKind::Cnn, vec![0.5, 0.25])])
@@ -842,15 +829,15 @@ mod tests {
         let (ds, report) = DurableStore::open(&dir).unwrap();
         assert!(!report.snapshot_found);
         let (img, cls) = populate(&ds);
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 4);
         assert_eq!(report.torn_bytes, 0);
-        assert_eq!(ds2.store().snapshot(), live);
-        assert_eq!(ds2.store().annotations_of(img).len(), 1);
-        assert!(ds2.store().scheme(cls).is_some());
+        assert_eq!(ds2.store.snapshot(), live);
+        assert_eq!(ds2.store.annotations_of(img).len(), 1);
+        assert!(ds2.store.scheme(cls).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -873,7 +860,7 @@ mod tests {
             })
             .collect();
         ds.apply_batch(ops).unwrap();
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
         let before = ds.wal_bytes().unwrap();
         assert!(before > EMPTY_WAL);
         let report = ds.compact().unwrap();
@@ -881,7 +868,7 @@ mod tests {
         assert_eq!(report.ops_compacted, 4 + rows);
         assert_eq!(report.wal_bytes_before, before);
         assert_eq!(ds.wal_bytes().unwrap(), EMPTY_WAL);
-        assert_eq!(ds.store().snapshot(), live);
+        assert_eq!(ds.store.snapshot(), live);
         // The journal is the only format a compaction writes: no
         // `spill-*` file beside the base.
         let mut files: Vec<String> = std::fs::read_dir(&dir)
@@ -902,7 +889,7 @@ mod tests {
         assert!(report.snapshot_found);
         assert_eq!(report.epoch, 1);
         assert_eq!(report.replayed_ops, 0);
-        assert_eq!(ds2.store().snapshot(), live);
+        assert_eq!(ds2.store.snapshot(), live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -913,11 +900,11 @@ mod tests {
         let (img, cls) = populate(&ds);
         ds.compact().unwrap();
         annotate(&ds, img, cls, 0, 0.4).unwrap();
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 1);
-        assert_eq!(ds2.store().snapshot(), live);
+        assert_eq!(ds2.store.snapshot(), live);
         // The base's own records were not replayed ops, so the next fold
         // counts only what the journal held.
         assert_eq!(ds2.compact().unwrap().ops_compacted, 1);
@@ -971,9 +958,9 @@ mod tests {
         let (after, replayed) = upload(&ds2, "edge0-s7", vec![]);
         assert!(replayed);
         assert_eq!(after, id);
-        assert_eq!(ds2.store().len(), 1);
+        assert_eq!(ds2.store.len(), 1);
         assert_eq!(
-            ds2.store().feature(id, FeatureKind::Cnn).unwrap(),
+            ds2.store.feature(id, FeatureKind::Cnn).unwrap(),
             vec![1.0, -2.0]
         );
 
@@ -985,7 +972,7 @@ mod tests {
         let (after, replayed) = upload(&ds3, "edge0-s7", vec![]);
         assert!(replayed);
         assert_eq!(after, id);
-        assert_eq!(ds3.store().len(), 1);
+        assert_eq!(ds3.store.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1008,11 +995,11 @@ mod tests {
         // "m0" was evicted, so the same key is a fresh upload again and
         // the journal now names that marker twice — legitimately.
         assert!(ds.apply_batch(vec![upload(n, "m0")]).unwrap().is_empty());
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops as u64, n + 1);
-        assert!(ds2.store().snapshot() == live);
+        assert!(ds2.store.snapshot() == live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1062,14 +1049,14 @@ mod tests {
             .into_iter()
             .map(|(key, (id, seq))| (key, id, seq))
             .collect();
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
         assert_eq!(live.markers, model);
         drop(ds);
         let (ds, report) = DurableStore::open(&dir).unwrap();
         let retries = (0..uploads).filter(|i| i % 100 == 99).count();
         assert_eq!(report.replayed_ops, uploads - retries);
-        assert_eq!(ds.store().snapshot().markers, model);
-        assert!(ds.store().snapshot() == live);
+        assert_eq!(ds.store.snapshot().markers, model);
+        assert!(ds.store.snapshot() == live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1078,7 +1065,7 @@ mod tests {
         use crate::wal::{frame, SEGMENT_MAGIC};
         let dir = temp_dir("torn-upload");
         let (ds, _) = DurableStore::open(&dir).unwrap();
-        let id = ds.store().peek_next_image_id();
+        let id = ds.store.peek_next_image_id();
         drop(ds);
         // Keyed or not, an upload is one record.
         for marker in [Some("edge1-s42"), None] {
@@ -1102,17 +1089,17 @@ mod tests {
                 let (ds, report) = DurableStore::open(&dir).unwrap();
                 if cut == segment.len() {
                     assert_eq!(report.replayed_ops, 1);
-                    assert_eq!(ds.store().len(), 1);
-                    assert_eq!(ds.store().upload_marker("edge1-s42"), marker.map(|_| id));
+                    assert_eq!(ds.store.len(), 1);
+                    assert_eq!(ds.store.upload_marker("edge1-s42"), marker.map(|_| id));
                     assert_eq!(
-                        ds.store().feature(id, FeatureKind::Cnn).unwrap(),
+                        ds.store.feature(id, FeatureKind::Cnn).unwrap(),
                         vec![0.5, 0.25]
                     );
                 } else {
                     assert_eq!(report.replayed_ops, 0, "cut at byte {cut}");
-                    assert_eq!(ds.store().len(), 0, "cut at byte {cut}");
+                    assert_eq!(ds.store.len(), 0, "cut at byte {cut}");
                     assert!(
-                        ds.store().upload_marker("edge1-s42").is_none(),
+                        ds.store.upload_marker("edge1-s42").is_none(),
                         "cut at byte {cut}"
                     );
                 }
@@ -1145,7 +1132,7 @@ mod tests {
         assert!(dir.join("base-1.seg").exists());
         assert!(!dir.join("wal-0.log").exists());
         assert!(!dir.join("spill-cnn-2-0.bin").exists());
-        assert_eq!(ds2.store().len(), 1);
+        assert_eq!(ds2.store.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1171,13 +1158,13 @@ mod tests {
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let hist = feature(img, FeatureKind::ColorHistogram, vec![0.1, 0.2]);
         ds.apply_batch(vec![hist]).unwrap(); // 1 op in segment 2
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.epoch, 2);
         assert_eq!(report.replayed_ops, 6);
-        assert_eq!(ds2.store().snapshot(), live);
+        assert_eq!(ds2.store.snapshot(), live);
         // The next fold takes every segment at once.
         let folded = ds2.compact().unwrap();
         assert_eq!((folded.epoch, folded.ops_compacted), (3, 6));
@@ -1208,9 +1195,9 @@ mod tests {
     fn apply_batch_is_atomic_durable_and_validated() {
         let dir = temp_dir("batch");
         let (ds, _) = DurableStore::open(&dir).unwrap();
-        let img = ds.store().peek_next_image_id();
-        let cls = ds.store().peek_next_classification_id();
-        let ann = ds.store().peek_next_annotation_id();
+        let img = ds.store.peek_next_image_id();
+        let cls = ds.store.peek_next_classification_id();
+        let ann = ds.store.peek_next_annotation_id();
         let ops = vec![
             WalOp::AddImage {
                 id: img,
@@ -1239,21 +1226,21 @@ mod tests {
             }),
         ];
         ds.apply_batch(ops).unwrap();
-        assert_eq!(ds.store().len(), 1);
-        assert_eq!(ds.store().annotations_of(img).len(), 1);
-        let live = ds.store().snapshot();
+        assert_eq!(ds.store.len(), 1);
+        assert_eq!(ds.store.annotations_of(img).len(), 1);
+        let live = ds.store.snapshot();
 
         // A batch with a bad op anywhere journals and applies nothing.
         let wal_before = ds.wal_bytes().unwrap();
         let bad = vec![
             WalOp::AddImage {
-                id: ds.store().peek_next_image_id(),
+                id: ds.store.peek_next_image_id(),
                 meta: meta(),
                 origin: ImageOrigin::Original,
                 pixels: None,
             },
             WalOp::Annotate(Annotation {
-                id: ds.store().peek_next_annotation_id(),
+                id: ds.store.peek_next_annotation_id(),
                 image: ImageId(999),
                 classification: cls,
                 label: 0,
@@ -1269,12 +1256,12 @@ mod tests {
             ))))
         ));
         assert_eq!(ds.wal_bytes().unwrap(), wal_before);
-        assert_eq!(ds.store().snapshot(), live);
+        assert_eq!(ds.store.snapshot(), live);
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 4);
-        assert_eq!(ds2.store().snapshot(), live);
+        assert_eq!(ds2.store.snapshot(), live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1282,10 +1269,10 @@ mod tests {
     fn a_region_past_its_image_is_refused_before_the_journal() {
         let dir = temp_dir("region-bounds");
         let (ds, _) = DurableStore::open(&dir).unwrap();
-        let cls = ds.store().peek_next_classification_id();
+        let cls = ds.store.peek_next_classification_id();
         let label = |image, region| {
             WalOp::Annotate(Annotation {
-                id: ds.store().peek_next_annotation_id(),
+                id: ds.store.peek_next_annotation_id(),
                 image,
                 classification: cls,
                 label: 0,
@@ -1307,7 +1294,7 @@ mod tests {
             height,
         };
         // A region flush with the edges of an image the same batch adds.
-        let img = ds.store().peek_next_image_id();
+        let img = ds.store.peek_next_image_id();
         ds.apply_batch(vec![
             add_4x3(img),
             WalOp::RegisterScheme {
@@ -1320,8 +1307,8 @@ mod tests {
         .unwrap();
 
         let wal_before = ds.wal_bytes().unwrap();
-        let live = ds.store().snapshot();
-        let next = ds.store().peek_next_image_id();
+        let live = ds.store.snapshot();
+        let next = ds.store.peek_next_image_id();
         for bad in [
             vec![label(img, region(usize::MAX, 0, 1, 1))],
             vec![label(img, region(0, usize::MAX, 1, 1))],
@@ -1343,7 +1330,7 @@ mod tests {
             }
         }
         assert_eq!(ds.wal_bytes().unwrap(), wal_before, "nothing journaled");
-        assert_eq!(ds.store().snapshot(), live);
+        assert_eq!(ds.store.snapshot(), live);
 
         // A row stored without pixels has no bounds to check against.
         let bare = add_image(&ds, ImageOrigin::Original, None).unwrap();
@@ -1356,7 +1343,7 @@ mod tests {
     fn batch_validation_sees_earlier_ops_in_the_same_batch() {
         let dir = temp_dir("batch-intra");
         let (ds, _) = DurableStore::open(&dir).unwrap();
-        let img = ds.store().peek_next_image_id();
+        let img = ds.store.peek_next_image_id();
         // PutFeature for an image added earlier in the same batch.
         ds.apply_batch(vec![
             WalOp::AddImage {
@@ -1373,7 +1360,7 @@ mod tests {
         ])
         .unwrap();
         // A duplicate id *within* one batch is rejected.
-        let next = ds.store().peek_next_image_id();
+        let next = ds.store.peek_next_image_id();
         let dup = |id| WalOp::AddImage {
             id,
             meta: meta(),
@@ -1384,7 +1371,7 @@ mod tests {
             ds.apply_batch(vec![dup(next), dup(next)]),
             Err(DurableError::Storage(StorageError::DuplicateId { .. }))
         ));
-        assert_eq!(ds.store().len(), 1);
+        assert_eq!(ds.store.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1420,7 +1407,7 @@ mod tests {
             ["base-2.seg", "wal-0.log", "wal-1.log", "wal-2.log"]
         );
         std::fs::remove_dir(&blocker).unwrap();
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
 
         // A crash here replays every segment to the live state.
         let frozen = temp_dir("failed-fold-frozen");
@@ -1430,7 +1417,7 @@ mod tests {
         }
         let (reopened, report) = DurableStore::open(&frozen).unwrap();
         assert_eq!((report.replayed_ops, report.epoch), (5, 2));
-        assert_eq!(reopened.store().snapshot(), live);
+        assert_eq!(reopened.store.snapshot(), live);
         drop(reopened);
         std::fs::remove_dir_all(&frozen).ok();
 
@@ -1443,7 +1430,7 @@ mod tests {
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!((report.replayed_ops, report.debris_removed), (0, 0));
-        assert_eq!(ds2.store().snapshot(), live);
+        assert_eq!(ds2.store.snapshot(), live);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1468,7 +1455,7 @@ mod tests {
         *ds.fold_active.lock() = true;
         assert!(matches!(ds.compact(), Err(DurableError::Rejected(_))));
         assert_eq!(listing(), before);
-        assert_eq!(ds.epoch(), 0);
+        assert_eq!(ds.journal.lock().epoch, 0);
         // Once the fold in flight is done, the next one runs.
         *ds.fold_active.lock() = false;
         let report = ds.compact().unwrap();
@@ -1538,7 +1525,7 @@ mod tests {
         let (ds, report) = DurableStore::open(&dir).unwrap();
         assert!(report.snapshot_found);
         assert_eq!((report.replayed_ops, report.torn_bytes), (0, 0));
-        let loaded = ds.store();
+        let loaded = &ds.store;
         assert_eq!(loaded.len(), 3);
         assert_eq!(loaded.annotation_count(), 1);
         let ids = loaded.image_ids();
@@ -1745,7 +1732,7 @@ mod tests {
         ));
         assert_eq!(ds.wal_bytes().unwrap(), wal_before);
         assert_eq!(ds.health().state, HealthState::Ok);
-        assert!(ds.store().upload_marker("k").is_none());
+        assert!(ds.store.upload_marker("k").is_none());
         drop(ds);
         crash_after_rotation(&dir, 1);
         // Forged into a journal segment, live or sealed: the open fails.
@@ -1773,7 +1760,7 @@ mod tests {
         populate(&ds);
         upload(&ds, "edge0-s7", vec![]);
         ds.compact().unwrap();
-        let live = ds.store().snapshot();
+        let live = ds.store.snapshot();
         drop(ds);
         let base = dir.join("base-1.seg");
         let whole = std::fs::read(&base).unwrap();
@@ -1828,7 +1815,7 @@ mod tests {
         assert_eq!((report.replayed_ops, report.torn_bytes), (0, 0));
         assert_eq!(report.debris_removed, 1);
         assert!(!superseded.exists());
-        assert_eq!(ds.store().snapshot(), live);
+        assert_eq!(ds.store.snapshot(), live);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1082,11 +1082,6 @@ impl VisualStore {
             .unwrap_or(0)
     }
 
-    /// Looks up a single annotation by id.
-    pub fn annotation(&self, id: AnnotationId) -> Option<Annotation> {
-        self.inner.read().annotations.get(&id).cloned()
-    }
-
     /// All annotations on one image.
     pub fn annotations_of(&self, image: ImageId) -> Vec<Annotation> {
         let t = self.inner.read();
@@ -1388,7 +1383,7 @@ mod tests {
         ));
         for rows in [0, 4] {
             let unknown = store.slab_view(FeatureKind::SiftBow, 9, rows);
-            assert!(unknown.is_empty());
+            assert_eq!(unknown.rows(), 0);
             assert_eq!(unknown.dim(), 9);
         }
     }

@@ -717,7 +717,6 @@ pub fn scan<R: Read>(path: &Path, mut source: R) -> Result<Scan<R>, WalError> {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     /// Bytes known to hold only the header and intact, fsynced records.
     /// A failed append may leave torn bytes past this mark;
     /// [`Wal::repair_tail`] truncates back to it.
@@ -737,7 +736,6 @@ impl Wal {
         crate::persist::fsync_parent(path)?;
         Ok(Wal {
             file,
-            path: path.to_path_buf(),
             valid_len: SEGMENT_MAGIC.len() as u64,
             fault: None,
         })
@@ -758,7 +756,6 @@ impl Wal {
         }
         Ok(Wal {
             file,
-            path: path.to_path_buf(),
             valid_len,
             fault: None,
         })
@@ -834,16 +831,6 @@ impl Wal {
         let mut buf = Vec::new();
         push_records(&mut buf, ops)?;
         self.guarded_write(&buf)
-    }
-
-    /// Current size of the log in bytes, header included.
-    pub fn len_bytes(&self) -> Result<u64, WalError> {
-        Ok(self.file.metadata()?.len())
-    }
-
-    /// The path this log lives at.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

@@ -42,7 +42,7 @@ fn add_image(
     origin: ImageOrigin,
     pixels: Option<Image>,
 ) -> Result<ImageId, DurableError> {
-    let id = ds.store().peek_next_image_id();
+    let id = ds.store_arc().peek_next_image_id();
     ds.apply_batch(vec![WalOp::AddImage {
         id,
         meta,
@@ -71,7 +71,7 @@ fn register_scheme(
     name: &str,
     labels: Vec<String>,
 ) -> Result<ClassificationId, DurableError> {
-    let id = ds.store().peek_next_classification_id();
+    let id = ds.store_arc().peek_next_classification_id();
     ds.apply_batch(vec![WalOp::RegisterScheme {
         id,
         name: name.into(),
@@ -89,7 +89,7 @@ fn annotate(
     source: AnnotationSource,
 ) -> Result<(), DurableError> {
     ds.apply_batch(vec![WalOp::Annotate(Annotation {
-        id: ds.store().peek_next_annotation_id(),
+        id: ds.store_arc().peek_next_annotation_id(),
         image,
         classification,
         label,
@@ -178,7 +178,7 @@ fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Snapshot>) {
     let base = base_store().snapshot();
     write_dir(scratch, Some(&render_base(&base)), 0, b"");
     let (ds, _) = DurableStore::open(scratch).unwrap();
-    let mut states = vec![ds.store().snapshot()];
+    let mut states = vec![ds.store_arc().snapshot()];
     assert_eq!(states[0], base);
 
     let img = add_image(
@@ -188,13 +188,13 @@ fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Snapshot>) {
         Some(Image::from_fn(1, 1, |_, _| [1, 2, 3])),
     )
     .unwrap();
-    states.push(ds.store().snapshot());
+    states.push(ds.store_arc().snapshot());
     put_feature(&ds, img, FeatureKind::Cnn, vec![0.1, -2.5]).unwrap();
-    states.push(ds.store().snapshot());
+    states.push(ds.store_arc().snapshot());
     let cls = register_scheme(&ds, "graffiti", vec!["none".into(), "tagged".into()]).unwrap();
-    states.push(ds.store().snapshot());
+    states.push(ds.store_arc().snapshot());
     annotate(&ds, img, cls, 1, 0.7, AnnotationSource::Human(UserId(2))).unwrap();
-    states.push(ds.store().snapshot());
+    states.push(ds.store_arc().snapshot());
 
     let wal_bytes = std::fs::read(scratch.join("wal-0.log")).unwrap();
     (wal_bytes, states)
@@ -224,14 +224,14 @@ fn save_killed_at_every_offset_preserves_the_old_snapshot() {
         )
         .unwrap();
         let (ds, report) = DurableStore::open(&dir).unwrap();
-        assert_eq!(ds.store().snapshot(), old, "staging cut at byte {cut}");
+        assert_eq!(ds.store_arc().snapshot(), old, "staging cut at byte {cut}");
         assert!(report.debris_removed >= 1);
     }
 
     // Crash after the rename committed: the new snapshot is complete.
     write_dir(&dir, Some(&new_bytes), 0, b"");
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store().snapshot(), new);
+    assert_eq!(ds.store_arc().snapshot(), new);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -252,7 +252,7 @@ fn wal_append_killed_at_every_offset_is_pre_or_post_never_torn() {
         // record fully made it to disk — nothing in between.
         let intact = bounds.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
-            ds.store().snapshot(),
+            ds.store_arc().snapshot(),
             states[intact],
             "wal cut at byte {cut}: expected state after {intact} op(s)"
         );
@@ -279,18 +279,18 @@ fn journaled_mutation_that_returned_ok_survives_reopen() {
         Some(Image::from_fn(1, 1, |_, _| [9, 9, 9])),
     )
     .unwrap();
-    let after_add = ds.store().snapshot();
+    let after_add = ds.store_arc().snapshot();
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store().snapshot(), after_add);
+    assert_eq!(ds.store_arc().snapshot(), after_add);
 
     let cls = register_scheme(&ds, "acked-scheme", vec!["yes".into(), "no".into()]).unwrap();
     put_feature(&ds, img, FeatureKind::SiftBow, vec![1.0; 8]).unwrap();
     annotate(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(3))).unwrap();
-    let after_all = ds.store().snapshot();
+    let after_all = ds.store_arc().snapshot();
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store().snapshot(), after_all);
+    assert_eq!(ds.store_arc().snapshot(), after_all);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -320,12 +320,12 @@ fn snapshot_plus_wal_replay_equals_live_store() {
     .unwrap();
     put_feature(&ds, child, FeatureKind::Cnn, vec![0.25; 4]).unwrap();
     annotate(&ds, child, cls, 1, 0.6, AnnotationSource::Human(UserId(1))).unwrap();
-    let live = ds.store().snapshot();
+    let live = ds.store_arc().snapshot();
     drop(ds);
 
     let (reopened, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(report.replayed_ops, 3);
-    assert_eq!(reopened.store().snapshot(), live);
+    assert_eq!(reopened.store_arc().snapshot(), live);
     // Ids keep advancing from where the live store left off.
     let next = add_image(&reopened, meta("next"), ImageOrigin::Original, None).unwrap();
     assert!(next.raw() > child.raw());
@@ -346,20 +346,25 @@ fn compaction_preserves_state_and_shrinks_the_log() {
         .unwrap();
         put_feature(&ds, img, FeatureKind::Cnn, vec![f32::from(i); 16]).unwrap();
     }
-    let live = ds.store().snapshot();
-    let wal_before = ds.wal_bytes().unwrap();
+    let live = ds.store_arc().snapshot();
+    let wal_bytes = |epoch: u64| {
+        std::fs::metadata(dir.join(format!("wal-{epoch}.log")))
+            .unwrap()
+            .len()
+    };
+    let wal_before = wal_bytes(0);
     let report = ds.compact().unwrap();
     assert_eq!(report.wal_bytes_before, wal_before);
     // A segment with no record in it is its header.
     let empty = SEGMENT_MAGIC.len() as u64;
     assert!(wal_before > empty);
-    assert_eq!(ds.wal_bytes().unwrap(), empty);
-    assert_eq!(ds.store().snapshot(), live);
+    assert_eq!(wal_bytes(1), empty);
+    assert_eq!(ds.store_arc().snapshot(), live);
     drop(ds);
     let (reopened, recovery) = DurableStore::open(&dir).unwrap();
     assert_eq!(recovery.epoch, 1);
     assert_eq!(recovery.replayed_ops, 0);
-    assert_eq!(reopened.store().snapshot(), live);
+    assert_eq!(reopened.store_arc().snapshot(), live);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -385,7 +390,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     write_dir(&dir, Some(&base_bytes), 0, &wal_bytes);
     std::fs::write(dir.join("wal-1.log"), b"").unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store().snapshot(), *live);
+    assert_eq!(ds.store_arc().snapshot(), *live);
     assert_eq!(report.epoch, 1);
     assert_eq!(report.replayed_ops, states.len() - 1);
     assert_eq!(report.debris_removed, 0);
@@ -397,7 +402,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     write_dir(&dir, Some(&live_bytes_epoch1), 1, b"");
     std::fs::write(dir.join("wal-0.log"), &wal_bytes).unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store().snapshot(), *live);
+    assert_eq!(ds.store_arc().snapshot(), *live);
     assert_eq!(report.epoch, 1);
     assert_eq!(report.replayed_ops, 0);
     assert_eq!(report.debris_removed, 1); // the superseded wal-0.log
@@ -408,7 +413,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     std::fs::write(dir.join("wal-0.log"), &wal_bytes).unwrap();
     std::fs::write(dir.join("base-0.seg"), &base_bytes).unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store().snapshot(), *live);
+    assert_eq!(ds.store_arc().snapshot(), *live);
     assert_eq!((report.epoch, report.replayed_ops), (1, 0));
     assert_eq!(report.debris_removed, 2);
     assert!(!dir.join("base-0.seg").exists());
@@ -424,7 +429,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     .unwrap();
     std::fs::write(dir.join("wal-1.log"), b"").unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store().snapshot(), *live);
+    assert_eq!(ds.store_arc().snapshot(), *live);
     assert_eq!(report.epoch, 1);
     assert_eq!(report.replayed_ops, states.len() - 1);
     assert_eq!(report.debris_removed, 1); // the torn staging file
@@ -542,9 +547,9 @@ fn a_json_snapshot_from_an_older_build_is_refused_untouched() {
 /// The scripted ops of [`scripted_mutations`] as explicit-id
 /// [`WalOp`]s, for journaling through the group-commit path.
 fn scripted_batch(ds: &DurableStore) -> Vec<WalOp> {
-    let img = ds.store().peek_next_image_id();
-    let cls = ds.store().peek_next_classification_id();
-    let ann = ds.store().peek_next_annotation_id();
+    let img = ds.store_arc().peek_next_image_id();
+    let cls = ds.store_arc().peek_next_classification_id();
+    let ann = ds.store_arc().peek_next_annotation_id();
     vec![
         WalOp::AddImage {
             id: img,
@@ -589,7 +594,7 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
     write_dir(&scratch2, Some(&base_bytes), 0, b"");
     let (ds, _) = DurableStore::open(&scratch2).unwrap();
     ds.apply_batch(scripted_batch(&ds)).unwrap();
-    assert_eq!(ds.store().snapshot(), *states.last().unwrap());
+    assert_eq!(ds.store_arc().snapshot(), *states.last().unwrap());
     drop(ds);
     let batch_bytes = std::fs::read(scratch2.join("wal-0.log")).unwrap();
     std::fs::remove_dir_all(&scratch2).ok();
@@ -605,7 +610,7 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
         let (ds, report) = DurableStore::open(&dir).unwrap();
         let intact = bounds.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
-            ds.store().snapshot(),
+            ds.store_arc().snapshot(),
             states[intact],
             "batch cut at byte {cut}: expected the first {intact} op(s)"
         );
@@ -619,11 +624,11 @@ fn acked_group_commit_batch_survives_reopen() {
     let dir = temp_dir("batch-acked");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     ds.apply_batch(scripted_batch(&ds)).unwrap();
-    let live = ds.store().snapshot();
+    let live = ds.store_arc().snapshot();
     drop(ds); // crash without flush or compaction
     let (ds, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(report.replayed_ops, 4);
-    assert_eq!(ds.store().snapshot(), live);
+    assert_eq!(ds.store_arc().snapshot(), live);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -656,7 +661,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
             "fault at byte {cut} must surface ENOSPC, got: {msg}"
         );
         // Read-consistent: the shed batch left no partial application.
-        assert_eq!(ds.store().snapshot(), states[0], "cut at byte {cut}");
+        assert_eq!(ds.store_arc().snapshot(), states[0], "cut at byte {cut}");
         let health = ds.health();
         assert_eq!(health.state, HealthState::ReadOnly, "cut at byte {cut}");
         assert_eq!(health.write_faults, 1);
@@ -669,7 +674,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
             shed.to_string().contains("read-only"),
             "expected typed read-only shed, got: {shed}"
         );
-        assert_eq!(ds.store().snapshot(), states[0]);
+        assert_eq!(ds.store_arc().snapshot(), states[0]);
         drop(ds);
 
         // Crash while full: the shed mutation's repair probe already
@@ -678,7 +683,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
         // never resurrects ops the caller was told had failed.
         let (reopened, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(
-            reopened.store().snapshot(),
+            reopened.store_arc().snapshot(),
             states[0],
             "reopen after cut at byte {cut}"
         );
@@ -701,7 +706,7 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     let dir = temp_dir("fault-cycle");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     let img = add_image(&ds, meta("acked"), ImageOrigin::Original, None).unwrap();
-    let acked = ds.store().snapshot();
+    let acked = ds.store_arc().snapshot();
     assert_eq!(ds.health().state, HealthState::Ok);
 
     let plan = WriteFaultPlan::new();
@@ -710,7 +715,7 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
 
     put_feature(&ds, img, FeatureKind::Cnn, vec![1.0; 4]).unwrap_err();
     assert_eq!(ds.health().state, HealthState::ReadOnly);
-    assert_eq!(ds.store().snapshot(), acked, "reads keep working");
+    assert_eq!(ds.store_arc().snapshot(), acked, "reads keep working");
 
     // Still full: mutations shed, fault counter climbs deterministically.
     register_scheme(&ds, "shed", vec!["a".into()]).unwrap_err();
@@ -728,10 +733,10 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     annotate(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(1))).unwrap();
 
     // Everything acked across the cycle survives a crash/reopen.
-    let live = ds.store().snapshot();
+    let live = ds.store_arc().snapshot();
     drop(ds);
     let (reopened, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(reopened.store().snapshot(), live);
+    assert_eq!(reopened.store_arc().snapshot(), live);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -763,14 +768,14 @@ fn writers_keep_journaling_while_compactions_fold() {
         writer.join().unwrap();
         folded
     });
-    let live = ds.store().snapshot();
-    assert_eq!(ds.store().len(), ROUNDS * IMAGES_PER_ROUND);
+    let live = ds.store_arc().snapshot();
+    assert_eq!(ds.store_arc().len(), ROUNDS * IMAGES_PER_ROUND);
     drop(ds);
 
     // Every journaled op was folded exactly once or is still in the
     // journal, and the directory reopens to the live store.
     let (reopened, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(reopened.store().snapshot(), live);
+    assert_eq!(reopened.store_arc().snapshot(), live);
     assert_eq!(folded + report.replayed_ops, 2 * ROUNDS * IMAGES_PER_ROUND);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -326,7 +326,7 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
                 live.peek_next_classification_id()
             );
         };
-        same("reopened directory", reopened.store());
+        same("reopened directory", &reopened.store_arc());
         let loaded = reopened_from_its_base(&live, 300 + case);
         same("reopened base", &loaded);
 
@@ -346,7 +346,10 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
         live.apply_batch(one_more(id)).unwrap();
         reopened.apply_batch(one_more(id)).unwrap();
         loaded.apply_batch(one_more(id)).unwrap();
-        same("reopened directory after an eviction", reopened.store());
+        same(
+            "reopened directory after an eviction",
+            &reopened.store_arc(),
+        );
         same("reopened base after an eviction", &loaded);
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
@@ -452,7 +455,7 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
 
             // Every held id, the ids around and between them, and ids
             // past the last, asked one at a time and as one list.
-            let store = durable.store();
+            let store = durable.store_arc();
             let top = model.keys().next_back().map_or(0, |id| id.0);
             let mut probes: Vec<ImageId> = (0..top + 3).map(ImageId).collect();
             rng.shuffle(&mut probes);
@@ -493,11 +496,11 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
             })
             .collect();
         want.push(WalOp::UploadMarkers(Vec::new()));
-        let live = durable.store().snapshot();
+        let live = durable.store_arc().snapshot();
         assert_eq!(live.clone().into_ops(), want, "case {case}");
         drop(durable);
         let (reopened, _) = DurableStore::open(&dir).unwrap();
-        assert!(reopened.store().snapshot() == live, "case {case}");
+        assert!(reopened.store_arc().snapshot() == live, "case {case}");
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     });
@@ -546,14 +549,14 @@ fn a_journal_reopens_to_the_store_its_ops_build_one_at_a_time() {
                 journaled = 0;
             }
         }
-        let live = durable.store().snapshot();
+        let live = durable.store_arc().snapshot();
         assert!(one_at_a_time.snapshot() == live, "case {case}");
         drop(durable);
         let (reopened, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, journaled, "case {case}");
-        assert!(reopened.store().snapshot() == live, "case {case}");
+        assert!(reopened.store_arc().snapshot() == live, "case {case}");
         assert_eq!(
-            reopened.store().peek_next_image_id(),
+            reopened.store_arc().peek_next_image_id(),
             one_at_a_time.peek_next_image_id()
         );
         drop(reopened);

@@ -46,11 +46,6 @@ impl BowEncoder {
         let dictionary = KMeans::fit(&descriptors, vocabulary_size, 25, seed);
         Self { dictionary, sift }
     }
-
-    /// Vocabulary size.
-    pub fn vocabulary_size(&self) -> usize {
-        self.dictionary.k()
-    }
 }
 
 impl FeatureExtractor for BowEncoder {
@@ -109,7 +104,7 @@ mod tests {
     #[test]
     fn encoding_is_normalized_histogram() {
         let enc = trained_encoder();
-        assert_eq!(enc.vocabulary_size(), 8);
+        assert_eq!(enc.dim(), 8);
         let h = enc.extract(&textured(3));
         assert_eq!(h.len(), 8);
         let sum: f32 = h.iter().sum();

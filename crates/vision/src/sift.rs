@@ -65,13 +65,6 @@ impl SiftExtractor {
         }
     }
 
-    /// Extractor with explicit configuration.
-    pub fn with_config(config: SiftConfig) -> Self {
-        assert!(config.levels >= 3, "need at least 3 levels for DoG extrema");
-        assert!(config.sigma_step > 1.0, "sigma step must exceed 1");
-        Self { config }
-    }
-
     /// Detects keypoints and computes their 128-d descriptors.
     pub fn detect_and_describe(&self, image: &Image) -> Vec<(Keypoint, Vec<f32>)> {
         let gray = GrayImage::new(image.width(), image.height(), image.to_gray());
@@ -304,7 +297,7 @@ mod tests {
             max_keypoints: 5,
             ..Default::default()
         };
-        let kps = SiftExtractor::with_config(config).detect(&blob_image());
+        let kps = SiftExtractor { config }.detect(&blob_image());
         assert!(kps.len() <= 5);
         for w in kps.windows(2) {
             assert!(w[0].response >= w[1].response);
@@ -314,16 +307,20 @@ mod tests {
     #[test]
     fn higher_threshold_fewer_keypoints() {
         let img = blob_image();
-        let loose = SiftExtractor::with_config(SiftConfig {
-            contrast_threshold: 0.005,
-            ..Default::default()
-        })
+        let loose = SiftExtractor {
+            config: SiftConfig {
+                contrast_threshold: 0.005,
+                ..Default::default()
+            },
+        }
         .detect(&img)
         .len();
-        let strict = SiftExtractor::with_config(SiftConfig {
-            contrast_threshold: 0.08,
-            ..Default::default()
-        })
+        let strict = SiftExtractor {
+            config: SiftConfig {
+                contrast_threshold: 0.08,
+                ..Default::default()
+            },
+        }
         .detect(&img)
         .len();
         assert!(strict <= loose, "strict {strict} > loose {loose}");

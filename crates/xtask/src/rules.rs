@@ -18,7 +18,7 @@
 //! fires on the annotated line, is an L0 `bad_allow` finding — stale
 //! suppressions must be deleted, not accumulated.
 
-use crate::source::SourceModel;
+use crate::source::{is_ident_byte, word_occurrences, SourceModel};
 
 /// A rule identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -123,29 +123,6 @@ impl Policy {
             check_float_reduction: true,
         }
     }
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Byte offsets of `needle` in `hay` occurring as a whole word
-/// (not embedded in a larger identifier).
-fn word_occurrences(hay: &str, needle: &str) -> Vec<usize> {
-    let bytes = hay.as_bytes();
-    let mut out = Vec::new();
-    let mut at = 0;
-    while let Some(rel) = hay[at..].find(needle) {
-        let s = at + rel;
-        let before_ok = s == 0 || !is_ident_byte(bytes[s - 1]);
-        let after = s + needle.len();
-        let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
-        if before_ok && after_ok {
-            out.push(s);
-        }
-        at = s + needle.len().max(1);
-    }
-    out
 }
 
 fn next_non_ws(bytes: &[u8], mut i: usize) -> Option<u8> {

@@ -48,8 +48,28 @@ pub struct SourceModel {
     pub bad_allows: Vec<BadAllow>,
 }
 
-fn is_ident_byte(b: u8) -> bool {
+/// Whether `b` can be part of an identifier.
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Byte offsets of `needle` in `hay` occurring as a whole word
+/// (not embedded in a larger identifier).
+pub(crate) fn word_occurrences(hay: &str, needle: &str) -> Vec<usize> {
+    let bytes = hay.as_bytes();
+    let mut out = Vec::new();
+    let mut at = 0;
+    while let Some(rel) = hay[at..].find(needle) {
+        let s = at + rel;
+        let before_ok = s == 0 || !is_ident_byte(bytes[s - 1]);
+        let after = s + needle.len();
+        let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
+        if before_ok && after_ok {
+            out.push(s);
+        }
+        at = s + needle.len().max(1);
+    }
+    out
 }
 
 /// Length in bytes of the UTF-8 character starting at `bytes[i]`.
@@ -406,19 +426,7 @@ fn attr_is_test_cfg(body: &str) -> bool {
     }
     // `test` must appear as a standalone word inside the cfg predicate.
     let inner = &args[1..args.rfind(')').unwrap_or(args.len())];
-    let b = inner.as_bytes();
-    let mut at = 0;
-    while let Some(rel) = inner[at..].find("test") {
-        let s = at + rel;
-        let before_ok = s == 0 || !is_ident_byte(b[s - 1]);
-        let after = s + 4;
-        let after_ok = after >= b.len() || !is_ident_byte(b[after]);
-        if before_ok && after_ok {
-            return true;
-        }
-        at = s + 4;
-    }
-    false
+    !word_occurrences(inner, "test").is_empty()
 }
 
 /// Byte offset one past the end of the item that starts after offset
