@@ -1504,6 +1504,72 @@ mod search_tests {
         }
     }
 
+    /// Only a visual top-k reads projected bounds. The shapes the
+    /// selective mixes send — spatial, temporal and keyword filters, a
+    /// nearest-k, and a visual threshold alone or inside a region — run
+    /// over a store past two arena chunks and leave the projection
+    /// unfitted and every column underived; the first top-k derives
+    /// them.
+    #[test]
+    fn only_a_visual_top_k_derives_the_projected_column() {
+        const DIM: usize = 8;
+        let store = Arc::new(VisualStore::new());
+        for i in 0..2_100 {
+            let meta = tvdp_storage::ImageMeta {
+                uploader: UserId(1),
+                gps: GeoPoint::new(34.0 + 1e-5 * i as f64, -118.25),
+                fov: None,
+                captured_at: 1_000 + i as i64,
+                uploaded_at: 2_000,
+                keywords: vec!["street".into()],
+            };
+            let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+            let feature = (0..DIM).map(|d| ((i * 7 + d * 13) % 17) as f32).collect();
+            store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
+        }
+        let tvdp = Tvdp::with_store(Arc::clone(&store), PlatformConfig::default());
+        let derived = || store.slab_view(FeatureKind::Cnn, DIM, 0).projected_bytes();
+        let region = Query::Spatial(SpatialQuery::Range(tvdp_geo::BBox::new(
+            34.0, -118.26, 34.01, -118.24,
+        )));
+        let threshold = Query::Visual {
+            example: vec![3.0; DIM],
+            kind: FeatureKind::Cnn,
+            mode: VisualMode::Threshold(20.0),
+        };
+        let selective = [
+            region.clone(),
+            Query::Spatial(SpatialQuery::Nearest {
+                point: GeoPoint::new(34.001, -118.25),
+                k: 10,
+            }),
+            Query::And(vec![region.clone(), threshold.clone()]),
+            Query::And(vec![
+                Query::Temporal {
+                    field: TemporalField::Captured,
+                    from: 1_100,
+                    to: 1_200,
+                },
+                Query::Textual {
+                    text: "street".into(),
+                    mode: TextualMode::Any,
+                },
+            ]),
+            threshold,
+        ];
+        for q in &selective {
+            assert!(!tvdp.search(q).unwrap().is_empty(), "{q:?}");
+        }
+        assert_eq!(derived(), 0, "a selective shape fitted or projected");
+        let top = Query::Visual {
+            example: vec![3.0; DIM],
+            kind: FeatureKind::Cnn,
+            mode: VisualMode::TopK(5),
+        };
+        assert_eq!(tvdp.search(&top).unwrap().len(), 5);
+        assert!(derived() > 0, "a top-k derived nothing");
+    }
+
     #[test]
     fn search_surfaces_kind_mismatch_instead_of_panicking() {
         let tvdp = populated_with(cfg());

@@ -9,9 +9,6 @@
 //! * [`oriented::OrientedRTree`] — the direction-augmented R-tree of
 //!   Lu et al. (GeoInformatica 2016, paper ref \[25\]) for FOV queries with
 //!   viewing-direction constraints,
-//! * [`lsh::LshIndex`] — locality-sensitive hashing with p-stable
-//!   projections (Datar et al., SoCG 2004, ref \[26\]) for high-dimensional
-//!   visual-feature similarity search,
 //! * [`inverted::InvertedIndex`] — a tf-idf inverted file (Zobel & Moffat,
 //!   ref \[27\]) for textual keyword queries,
 //! * [`hybrid::VisualRTree`] — the hybrid spatial-visual index of
@@ -28,16 +25,17 @@
 //! is packed Sort-Tile-Recursive (`build`); `insert` grows one row at a
 //! time.
 //! Temporal filters need no index here: the query engine keeps each
-//! timestamp column with a permutation of its rows in time order.
+//! timestamp column with a permutation of its rows in time order, and
+//! visual similarity search (the paper's LSH, ref \[26\]) is answered
+//! exactly by the arena's projected lower bounds (`tvdp_kernel`) and
+//! the query planner's two-phase top-k.
 
 pub mod hybrid;
 pub mod inverted;
-pub mod lsh;
 pub mod oriented;
 pub mod rtree;
 
 pub use hybrid::VisualRTree;
 pub use inverted::InvertedIndex;
-pub use lsh::{LshConfig, LshIndex};
 pub use oriented::OrientedRTree;
 pub use rtree::RTree;

@@ -24,11 +24,20 @@
 //! safe without any `unsafe` code. The arena is always resident: a
 //! chunk's floats are written once, into a buffer allocated at its full
 //! size when its first row arrives, and frozen by moving that buffer
-//! into an `Arc<Vec<f32>>`, so no float is copied after its push and a
-//! row is one index and one slice away from its floats.
+//! into an `Arc`-shared chunk, so no float is copied after its push and
+//! a row is one index and one slice away from its floats.
+//!
+//! A frozen chunk also owns what is derived from its floats on first
+//! read, in cells every view of the slab shares: its quantized codes
+//! ([`SlabView::quant_row`]), its projected column
+//! ([`SlabView::lower_bound`]) and, for chunk 0 only, the projection
+//! the slab's columns are taken with ([`crate::proj`]). A reopen
+//! replays the same rows into the same chunks, so nothing derived is
+//! ever persisted.
 
 use std::sync::{Arc, OnceLock};
 
+use crate::proj::{Column, ProjectedQuery, Projection};
 use crate::quant::{QuantChunk, QuantParams};
 
 /// Rows per storage chunk. Chunks except the last are always exactly
@@ -50,13 +59,35 @@ pub trait RowSource {
     fn row(&self, row: u32) -> &[f32];
 }
 
+/// One chunk of rows and, once it is full, what is derived from them.
+#[derive(Debug, Default)]
+struct Chunk {
+    floats: Vec<f32>,
+    /// The chunk's scalar-quantized codes ([`crate::quant`]).
+    quant: OnceLock<QuantChunk>,
+    /// Every row projected by the slab's projection.
+    column: OnceLock<Column>,
+    /// Chunk 0's cell alone is ever filled: the projection fitted to
+    /// its rows, which every column of the slab is taken with.
+    fit: OnceLock<Projection>,
+}
+
+impl Chunk {
+    fn new(floats: Vec<f32>) -> Arc<Self> {
+        Arc::new(Self {
+            floats,
+            ..Self::default()
+        })
+    }
+}
+
 /// An append-only slab of fixed-dimension `f32` rows.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureSlab {
     dim: usize,
     /// Full chunks, each exactly `ROWS_PER_CHUNK * dim` floats, frozen
     /// (never written again) and shared with snapshots by `Arc`.
-    frozen: Vec<Arc<Vec<f32>>>,
+    frozen: Vec<Arc<Chunk>>,
     /// The chunk currently being filled (< `ROWS_PER_CHUNK` rows), with
     /// room for all of them from its first row on: it never regrows,
     /// and the floats of rows not yet pushed are never touched.
@@ -97,7 +128,7 @@ impl FeatureSlab {
             // Frozen by move: the chunk's floats stay where they were
             // pushed.
             let full = std::mem::take(&mut self.tail);
-            self.frozen.push(Arc::new(full));
+            self.frozen.push(Chunk::new(full));
         }
         row
     }
@@ -109,13 +140,12 @@ impl FeatureSlab {
     pub fn view(&self) -> SlabView {
         let mut chunks = self.frozen.clone();
         if !self.tail.is_empty() {
-            chunks.push(Arc::new(self.tail.clone()));
+            chunks.push(Chunk::new(self.tail.clone()));
         }
         SlabView {
             dim: self.dim,
             len: self.len,
             chunks,
-            quant: self.frozen.iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -136,7 +166,7 @@ impl FeatureSlab {
         } else {
             let start = (r - self.frozen.len() * ROWS_PER_CHUNK) * self.dim;
             RowRef {
-                chunk: Arc::new(self.tail[start..start + self.dim].to_vec()),
+                chunk: Chunk::new(self.tail[start..start + self.dim].to_vec()),
                 start: 0,
                 len: self.dim,
             }
@@ -158,7 +188,7 @@ impl RowSource for FeatureSlab {
         let chunk = r / ROWS_PER_CHUNK;
         if chunk < self.frozen.len() {
             let start = (r % ROWS_PER_CHUNK) * self.dim;
-            &self.frozen[chunk][start..start + self.dim]
+            &self.frozen[chunk].floats[start..start + self.dim]
         } else {
             let start = (r - self.frozen.len() * ROWS_PER_CHUNK) * self.dim;
             &self.tail[start..start + self.dim]
@@ -174,12 +204,9 @@ pub struct SlabView {
     dim: usize,
     len: usize,
     /// Every chunk except the last holds exactly `ROWS_PER_CHUNK` rows.
-    chunks: Vec<Arc<Vec<f32>>>,
-    /// One cell per full chunk (never the partial tail), filled with
-    /// the chunk's scalar-quantized codes ([`crate::quant`]) the first
-    /// time [`SlabView::quant_row`] asks for a row of it. A view nobody
-    /// asks holds no codes.
-    quant: Vec<OnceLock<QuantChunk>>,
+    /// The full ones are the slab's frozen chunks themselves, so what
+    /// one view derives from them every other view reads.
+    chunks: Vec<Arc<Chunk>>,
 }
 
 impl SlabView {
@@ -189,36 +216,91 @@ impl SlabView {
             dim,
             len: 0,
             chunks: Vec::new(),
-            quant: Vec::new(),
         }
+    }
+
+    /// The frozen chunks of the view: every chunk but a partial tail.
+    fn full(&self) -> &[Arc<Chunk>] {
+        &self.chunks[..self.len / ROWS_PER_CHUNK]
     }
 
     /// Number of rows [`SlabView::quant_row`] can resolve: the rows in
     /// full chunks (a prefix of the view; the partial tail has none).
     pub fn quant_rows(&self) -> usize {
-        self.quant.len() * ROWS_PER_CHUNK
+        self.full().len() * ROWS_PER_CHUNK
     }
 
     /// The quantized codes and decode parameters of `row`, or `None`
     /// when the row lives in the partial tail. Codes are derived on
     /// first read: the first call for any row of a chunk encodes the
-    /// whole chunk from its floats and every later call on this view
+    /// whole chunk from its floats and every later call, on any view,
     /// reuses the result.
     #[inline]
     pub fn quant_row(&self, row: u32) -> Option<(&[u8], &QuantParams)> {
         let r = row as usize;
-        let c = r / ROWS_PER_CHUNK;
-        let chunk = self
+        let chunk = self.full().get(r / ROWS_PER_CHUNK)?;
+        let codes = chunk
             .quant
-            .get(c)?
-            .get_or_init(|| QuantChunk::encode(&self.chunks[c], self.dim));
-        Some((chunk.row_codes(r % ROWS_PER_CHUNK), chunk.params()))
+            .get_or_init(|| QuantChunk::encode(&chunk.floats, self.dim));
+        Some((codes.row_codes(r % ROWS_PER_CHUNK), codes.params()))
+    }
+
+    /// `example` projected by the slab's projection, or `None` while the
+    /// view holds no full chunk. The projection is fitted to chunk 0's
+    /// rows on the first call on any view of the slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `example` is not [`RowSource::dim`] floats long.
+    pub fn projected(&self, example: &[f32]) -> Option<ProjectedQuery> {
+        Some(self.projection()?.query(example))
+    }
+
+    fn projection(&self) -> Option<&Projection> {
+        let first = self.full().first()?;
+        Some(
+            first
+                .fit
+                .get_or_init(|| Projection::fit(&first.floats, self.dim)),
+        )
+    }
+
+    /// A lower bound on [`crate::l2`] of `q`'s example and `row`, read
+    /// from the row's chunk's projected column, or `None` when the row
+    /// lives in the partial tail (which has no column). A chunk's column
+    /// is derived on first read and shared by every view of the slab.
+    #[inline]
+    pub fn lower_bound(&self, q: &ProjectedQuery, row: u32) -> Option<f32> {
+        let r = row as usize;
+        let chunk = self.full().get(r / ROWS_PER_CHUNK)?;
+        let column = match chunk.column.get() {
+            Some(column) => column,
+            None => {
+                let projection = self.projection()?;
+                chunk
+                    .column
+                    .get_or_init(|| projection.column(&chunk.floats))
+            }
+        };
+        Some(q.lower_bound(column, r % ROWS_PER_CHUNK))
+    }
+
+    /// Bytes the view's chunks hold for projected bounds: the slab's
+    /// projection and every projected column derived so far. 0 until
+    /// the first [`SlabView::projected`] on any view of the slab.
+    pub fn projected_bytes(&self) -> usize {
+        let fit = self.full().first().and_then(|c| c.fit.get());
+        let columns = self.full().iter().filter_map(|chunk| chunk.column.get());
+        fit.map_or(0, Projection::bytes) + columns.map(Column::bytes).sum::<usize>()
     }
 
     /// How many chunks have had their codes derived.
     #[cfg(test)]
     fn derived_chunks(&self) -> usize {
-        self.quant.iter().filter(|q| q.get().is_some()).count()
+        self.full()
+            .iter()
+            .filter(|c| c.quant.get().is_some())
+            .count()
     }
 }
 
@@ -235,14 +317,14 @@ impl RowSource for SlabView {
     fn row(&self, row: u32) -> &[f32] {
         let r = row as usize;
         let start = (r % ROWS_PER_CHUNK) * self.dim;
-        &self.chunks[r / ROWS_PER_CHUNK][start..start + self.dim]
+        &self.chunks[r / ROWS_PER_CHUNK].floats[start..start + self.dim]
     }
 }
 
 /// An owned, clonable reference to a single arena row.
 #[derive(Debug, Clone)]
 pub struct RowRef {
-    chunk: Arc<Vec<f32>>,
+    chunk: Arc<Chunk>,
     start: usize,
     len: usize,
 }
@@ -252,7 +334,7 @@ impl RowRef {
     /// feature vectors, which have no slab).
     pub fn empty() -> Self {
         Self {
-            chunk: Arc::new(Vec::new()),
+            chunk: Chunk::new(Vec::new()),
             start: 0,
             len: 0,
         }
@@ -264,7 +346,7 @@ impl std::ops::Deref for RowRef {
 
     #[inline]
     fn deref(&self) -> &[f32] {
-        &self.chunk[self.start..self.start + self.len]
+        &self.chunk.floats[self.start..self.start + self.len]
     }
 }
 
@@ -355,7 +437,7 @@ mod tests {
         assert_eq!(view.quant_rows(), ROWS_PER_CHUNK * 2);
         assert_eq!(view.derived_chunks(), 0);
         // What comes out is `QuantChunk::encode` of the chunk's floats.
-        let want = QuantChunk::encode(&slab.frozen[1], dim);
+        let want = QuantChunk::encode(&slab.frozen[1].floats, dim);
         for r in [0, 17, ROWS_PER_CHUNK - 1] {
             let (codes, params) = view.quant_row((ROWS_PER_CHUNK + r) as u32).unwrap();
             assert_eq!(codes, want.row_codes(r));
@@ -393,6 +475,60 @@ mod tests {
         }
         assert_eq!(view.quant_rows(), 4 * ROWS_PER_CHUNK);
         assert_eq!(view.derived_chunks(), 0);
+    }
+
+    /// A chunk's column and the slab's projection are derived once, by
+    /// whichever view reads a bound first, and every view of the slab
+    /// shares them: the store replaces its view whenever a reader needs
+    /// rows past it, and the new view must not derive them again.
+    #[test]
+    fn every_view_of_a_slab_shares_chunk_columns() {
+        let dim = 20;
+        let mut slab = FeatureSlab::new(dim);
+        let row =
+            |i: usize| -> Vec<f32> { (0..dim).map(|d| ((i * 7 + d * 3) % 11) as f32).collect() };
+        for i in 0..2 * ROWS_PER_CHUNK + 5 {
+            slab.push(&row(i));
+        }
+        let first = slab.view();
+        assert_eq!(
+            first.projected_bytes(),
+            0,
+            "nothing is derived before a read"
+        );
+        let q = first.projected(&row(3)).unwrap();
+        assert!(first.lower_bound(&q, 10).is_some());
+        let column = ROWS_PER_CHUNK * 64 + std::mem::size_of::<Column>();
+        let one = first.projected_bytes();
+        assert!(
+            one >= column + dim * 64,
+            "the projection and chunk 0's column"
+        );
+        // Rows in the partial tail have no column.
+        assert_eq!(first.lower_bound(&q, (2 * ROWS_PER_CHUNK) as u32), None);
+
+        slab.push(&row(99));
+        let second = slab.view();
+        assert!(Arc::ptr_eq(&first.chunks[0], &second.chunks[0]));
+        assert_eq!(
+            second.projected_bytes(),
+            one,
+            "the second view reads what the first derived"
+        );
+        let (a, b) = (first.chunks[0].column.get(), second.chunks[0].column.get());
+        assert!(std::ptr::eq(a.unwrap(), b.unwrap()));
+        assert!(std::ptr::eq(
+            first.projection().unwrap(),
+            second.projection().unwrap()
+        ));
+        // A bound is a lower bound whichever view reads it.
+        for r in [0u32, 10, 1500] {
+            let d = crate::l2(&row(3), second.row(r));
+            assert!(second.lower_bound(&q, r).unwrap() <= d);
+        }
+        assert_eq!(second.projected_bytes(), one + column);
+        assert_eq!(first.projected_bytes(), one + column);
+        assert!(SlabView::empty(dim).projected(&row(0)).is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared compute substrate for the Translational Visual Data Platform.
 //!
-//! Every latency-critical service in TVDP — LSH candidate re-ranking,
-//! a sealed segment's exact visual scan, k-means dictionary building,
+//! Every latency-critical service in TVDP — a sealed segment's exact
+//! visual scan and its projected filter, k-means dictionary building,
 //! kNN scoring — bottoms out in dense `f32` distance evaluations. This
 //! crate is the one place those primitives live:
 //!
@@ -34,11 +34,18 @@
 //!   poison-recovering lock methods: the only locks the workspace uses.
 //! * [`rng`] — the one seeded PRNG (SplitMix64) behind every synthetic
 //!   corpus, model initialisation, fault schedule and property test.
+//! * [`ProjectedQuery`] — the exact projected filter of a visual top-k:
+//!   every frozen arena chunk derives, on first read, 16 floats per row
+//!   (its rows times the top principal axes of chunk 0), and
+//!   [`SlabView::lower_bound`] reads from them a lower bound on a row's
+//!   distance, shaded for `f32` rounding, after 64 bytes of it.
 //! * [`crc32`] — the IEEE CRC-32 that frames every journal and
 //!   base-segment record: folded by carry-less multiply (PCLMULQDQ) on
-//!   an x86-64 CPU that reports it, slicing-by-8 everywhere else. The
-//!   crate's only `unsafe` is the call into that path and its 16-byte
-//!   loads.
+//!   an x86-64 CPU that reports it, slicing-by-8 everywhere else.
+//!
+//! The crate's only `unsafe` is the call into code compiled for CPU
+//! features the CPU reports at run time: the carry-less fold (and its
+//! 16-byte loads), and the AVX2/FMA build of the projection's loops.
 //!
 //! The determinism contract all pieces uphold: **thread count and pool
 //! choice never change any computed value** — only wall-clock time.
@@ -47,6 +54,7 @@ pub mod arena;
 mod crc;
 pub mod gencell;
 pub mod pool;
+mod proj;
 pub mod quant;
 pub mod rng;
 pub mod sync;
@@ -56,6 +64,7 @@ pub use arena::{FeatureSlab, RowRef, RowSource, SlabView, ROWS_PER_CHUNK};
 pub use crc::crc32;
 pub use gencell::GenCell;
 pub use pool::Pool;
+pub use proj::ProjectedQuery;
 pub use quant::{l2_sq_asym, QuantChunk, QuantParams};
 pub use topk::{TopK, TotalF32, TotalF64};
 

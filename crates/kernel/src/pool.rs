@@ -2,7 +2,7 @@
 //!
 //! TVDP parallelizes *data-parallel* hot paths: batch feature extraction,
 //! k-means assignment, per-tree forest training, cross-validation folds,
-//! LSH candidate re-ranking, and batch query execution. All of them share
+//! and batch query execution. All of them share
 //! one need — fan a pure per-item function out over worker threads and get
 //! the results back **in input order, with values independent of the
 //! thread count**. [`Pool::map`] and [`Pool::map_index`] provide exactly

@@ -4,8 +4,7 @@ use crate::{sq_l2, validate_fit_input, Classifier};
 
 /// k-NN with Euclidean distance and distance-weighted voting.
 ///
-/// Stores the training set; prediction scans all samples (the indexing
-/// crate's LSH provides a sub-linear alternative for retrieval workloads).
+/// Stores the training set; prediction scans all samples.
 #[derive(Debug, Clone)]
 pub struct KnnClassifier {
     pub(crate) k: usize,

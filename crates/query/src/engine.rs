@@ -20,11 +20,11 @@ use std::sync::Arc;
 
 use tvdp_geo::{BBox, Fov};
 use tvdp_index::{inverted::tokenize, InvertedIndex, OrientedRTree, RTree};
-use tvdp_kernel::{l2_sq_within, Pool, RowSource, SlabView, TopK, TotalF32};
+use tvdp_kernel::{l2_sq_within, Pool, ProjectedQuery, RowSource, SlabView, TopK, TotalF32};
 use tvdp_storage::{FeatureHandle, ImageId, ImageRecord, VisualStore};
 use tvdp_vision::FeatureKind;
 
-use crate::plan::View;
+use crate::plan::{Cut, View};
 use crate::types::{
     sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode,
     VisualMode,
@@ -261,7 +261,9 @@ impl QueryEngine {
 
     /// Answers a single-modal leaf from this segment's indexes. `And`,
     /// `Or`, `Categorical` and ranked text are answered above the
-    /// segment, by the planner, and match nothing here.
+    /// segment, by the planner, and match nothing here; so do visual
+    /// leaves, which the planner sends to
+    /// [`QueryEngine::execute_visual`] with its cut.
     pub(crate) fn run(&self, leaf: &Query) -> Vec<QueryResult> {
         let docs = |docs: Vec<usize>| -> Vec<QueryResult> {
             docs.into_iter()
@@ -270,7 +272,6 @@ impl QueryEngine {
         };
         match leaf {
             Query::Spatial(sq) => self.execute_spatial(sq),
-            Query::Visual { example, mode, .. } => self.execute_visual(example, *mode, None),
             Query::Textual {
                 text,
                 mode: TextualMode::All,
@@ -376,35 +377,44 @@ impl QueryEngine {
     /// leaf per segment): the candidates are every doc, or the
     /// scene tree's hits for `region`, and each candidate's row is read
     /// in place from the shared arena snapshot and scored by
-    /// [`l2_sq_within`]. A threshold is the limit of every row; a top-k
-    /// row is limited by this segment's current `k`-th root, so only a
-    /// row strictly worse than it is abandoned and a tie at the cut is
-    /// still ranked by id. Nothing is cloned per query, and nothing is
-    /// shared with other segments: the work depends only on this
-    /// segment and the query.
+    /// [`l2_sq_within`]. A threshold is the limit of every row. A top-k
+    /// row is limited by the smaller of this segment's current `k`-th
+    /// root and the planner's global `cut`, and a row whose projected
+    /// bound is above the cut is rejected before its full width is
+    /// read; only a row strictly worse than either is dropped, so a tie
+    /// at the cut is still ranked by id. Nothing is cloned per query.
     pub(crate) fn execute_visual(
         &self,
         example: &[f32],
         mode: VisualMode,
         region: Option<&BBox>,
+        cut: Option<&Cut>,
     ) -> Vec<QueryResult> {
         if self.visual_dim.is_none() {
             return Vec::new();
         }
+        let view = self.visual_view();
         let mut out = Vec::new();
         match mode {
             VisualMode::Threshold(max_dist) => {
                 self.visual_rows(region, |id, row| {
-                    if let Some(d) = within(row, example, max_dist) {
+                    if let Some(d) = within(view.row(row), example, max_dist) {
                         out.push(QueryResult::new(id, f64::from(d)));
                     }
                 });
             }
             VisualMode::TopK(k) => {
                 let mut top = TopK::new(k);
+                let at = cut.map_or(f32::INFINITY, |cut| cut.at);
                 self.visual_rows(region, |id, row| {
-                    let limit = top.threshold().map_or(f32::INFINITY, |&(TotalF32(d), _)| d);
-                    if let Some(d_sq) = l2_sq_within(row, example, limit) {
+                    if let Some(cut) = cut {
+                        let bound = view.lower_bound(&cut.projected, row);
+                        if bound.is_some_and(|b| b > cut.at) {
+                            return;
+                        }
+                    }
+                    let limit = top.threshold().map_or(at, |&(TotalF32(d), _)| d.min(at));
+                    if let Some(d_sq) = l2_sq_within(view.row(row), example, limit) {
                         top.push((TotalF32(d_sq.sqrt()), id));
                     }
                 });
@@ -419,15 +429,37 @@ impl QueryEngine {
         out
     }
 
-    /// Calls `f` with the id and feature row of every doc holding a
-    /// row of the indexed family, or with `region`, of every scene tree
-    /// hit holding one; rows are read from the shared arena snapshot.
-    fn visual_rows(&self, region: Option<&BBox>, mut f: impl FnMut(ImageId, &[f32])) {
+    /// Phase 1 of a planned top-k: this segment's `k` candidates
+    /// with the lowest projected bounds, as `(bound, id)` in ascending
+    /// order. Rows without a projected column (in the arena's partial
+    /// chunk) have no bound to rank by and are left out.
+    pub(crate) fn visual_bounds(
+        &self,
+        projected: &ProjectedQuery,
+        k: usize,
+        region: Option<&BBox>,
+    ) -> Vec<(TotalF32, ImageId)> {
+        if self.visual_dim.is_none() {
+            return Vec::new();
+        }
         let view = self.visual_view();
+        let mut top = TopK::new(k);
+        self.visual_rows(region, |id, row| {
+            if let Some(bound) = view.lower_bound(projected, row) {
+                top.push((TotalF32(bound), id));
+            }
+        });
+        top.into_sorted_vec()
+    }
+
+    /// Calls `f` with the id and arena row handle of every doc holding
+    /// a row of the indexed family, or with `region`, of every scene
+    /// tree hit holding one.
+    fn visual_rows(&self, region: Option<&BBox>, mut f: impl FnMut(ImageId, u32)) {
         let mut visit = |doc: usize| {
             let row = self.rows[doc];
             if row != NO_ROW {
-                f(self.docs[doc], view.row(row));
+                f(self.docs[doc], row);
             }
         };
         match region {

@@ -14,7 +14,13 @@
 //! * top-k leaves (visual top-k, spatial nearest): every unit reports
 //!   its own `k` lowest rows under the reported `(score, id)` order,
 //!   whichever rows tie, and the gather's sort-and-truncate under that
-//!   order is the one place a global cut is made,
+//!   order is the one place the answer is cut,
+//! * a visual top-k runs in two phases: every segment first reports
+//!   its `k` lowest projected bounds ([`tvdp_kernel::ProjectedQuery`]), the
+//!   coordinator scores the `k` lowest of those at full width, and the
+//!   largest of their distances is a global cut `U` no answer exceeds;
+//!   then every unit scores only the candidates whose bound is at most
+//!   `U`, so no segment pays for rows the corpus has already beaten,
 //! * ranked text runs in two phases: gather corpus-global document
 //!   frequencies first, then score each segment against the global
 //!   statistics ([`tvdp_index::inverted::ranked_term_contribution`] is a pure
@@ -39,7 +45,7 @@ use std::collections::BTreeMap;
 
 use tvdp_geo::BBox;
 use tvdp_index::inverted::{ranked_term_contribution, tokenize};
-use tvdp_kernel::{Pool, TopK, TotalF64};
+use tvdp_kernel::{Pool, ProjectedQuery, TopK, TotalF64};
 use tvdp_storage::{ClassificationId, ImageId, VisualStore};
 use tvdp_vision::FeatureKind;
 
@@ -152,6 +158,15 @@ pub(crate) fn retain_in(results: &mut Vec<QueryResult>, leg: &[QueryResult]) {
     let mut ids: Vec<ImageId> = leg.iter().map(|r| r.image).collect();
     ids.sort_unstable();
     results.retain(|r| ids.binary_search(&r.image).is_ok());
+}
+
+/// A visual top-k's global cut: the example projected, and a distance
+/// the `k`-th answer is known not to exceed (the largest distance of
+/// `k` real candidates). A row whose projected bound is above `at` is
+/// strictly worse than `k` rows, so it is not an answer.
+pub(crate) struct Cut {
+    pub projected: ProjectedQuery,
+    pub at: f32,
 }
 
 /// One consistent corpus a query tree runs against, borrowed for one
@@ -321,6 +336,14 @@ impl<'a> View<'a> {
         pool: &Pool,
         dl: Option<&DeadlineCtx>,
     ) -> Result<Vec<QueryResult>, QueryError> {
+        if let Query::Visual {
+            example,
+            kind,
+            mode,
+        } = leaf
+        {
+            return self.visual(example, *kind, *mode, None, pool, dl);
+        }
         let units = self.units();
         if let Some(dl) = dl {
             dl.walk_units(&units)?;
@@ -331,7 +354,6 @@ impl<'a> View<'a> {
         });
         Ok(match leaf {
             Query::Spatial(SpatialQuery::Nearest { k, .. }) => gather_ranked(partials, Some(*k)),
-            Query::Visual { mode, .. } => gather_ranked(partials, top_k(*mode)),
             // Score-0 filters: units are disjoint, so the union is just
             // a sort by id.
             _ => {
@@ -417,6 +439,79 @@ impl<'a> View<'a> {
             .collect())
     }
 
+    /// A visual leaf, optionally restricted to `region`, scattered over
+    /// every unit. A threshold is one phase: each unit reports its rows
+    /// within it. A top-k is two ([`View::cut`], then every unit scores
+    /// against the cut); both phases are pure functions of the view and
+    /// the query, so the work is the same at any pool width, and the
+    /// deadline is charged once, up front, for the whole scatter.
+    fn visual(
+        &self,
+        example: &[f32],
+        kind: FeatureKind,
+        mode: VisualMode,
+        region: Option<&BBox>,
+        pool: &Pool,
+        dl: Option<&DeadlineCtx>,
+    ) -> Result<Vec<QueryResult>, QueryError> {
+        let units = self.units();
+        if let Some(dl) = dl {
+            dl.walk_units(&units)?;
+        }
+        let cut = match mode {
+            VisualMode::TopK(k) => self.cut(example, kind, k, region, pool),
+            VisualMode::Threshold(_) => None,
+        };
+        let partials = pool.map(&units, |_, unit| match unit {
+            Unit::Seg(engine) => engine.execute_visual(example, mode, region, cut.as_ref()),
+            Unit::Tail(tail) => tail.visual(example, kind, mode, region),
+        });
+        Ok(gather_ranked(partials, top_k(mode)))
+    }
+
+    /// Phase 1 of a visual top-k: the `k` candidates with the lowest
+    /// projected bounds over every segment, scored at full width; the
+    /// largest of their distances is the cut. `None` (no cut) while
+    /// the arena has no projected column or fewer than `k` candidates
+    /// have one. Tail rows and the arena's partial chunk have no
+    /// column: they take no part here and are always scored.
+    fn cut(
+        &self,
+        example: &[f32],
+        kind: FeatureKind,
+        k: usize,
+        region: Option<&BBox>,
+        pool: &Pool,
+    ) -> Option<Cut> {
+        let indexed = self
+            .segments
+            .iter()
+            .find(|seg| seg.visual_dim().is_some())?;
+        let projected = indexed.visual_view().projected(example)?;
+        let mut lowest = TopK::new(k);
+        for bounds in pool.map(&self.segments, |_, seg| {
+            seg.visual_bounds(&projected, k, region)
+        }) {
+            lowest.extend(bounds);
+        }
+        let mut ids: Vec<ImageId> = lowest
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(_, id)| id)
+            .collect();
+        if ids.len() < k {
+            return None;
+        }
+        ids.sort_unstable();
+        let scored = LinearSegment {
+            store: self.store,
+            ids: &ids,
+        }
+        .visual(example, kind, VisualMode::TopK(k), None);
+        let at = scored.last()?.score as f32;
+        Some(Cut { projected, at })
+    }
+
     /// Conjunction. The hybrid fast path — exactly one spatial range
     /// plus one visual leaf — scatters as one region-restricted visual
     /// leaf per unit (with any extra legs intersected afterwards);
@@ -432,15 +527,8 @@ impl<'a> View<'a> {
             let legs: Result<Vec<_>, _> = subs.iter().map(|q| self.run(q, pool, dl)).collect();
             return Ok(intersect_legs(legs?));
         };
-        let units = self.units();
-        if let Some(dl) = dl {
-            dl.walk_units(&units)?;
-        }
-        let partials = pool.map(&units, |_, unit| match unit {
-            Unit::Seg(engine) => engine.execute_visual(pair.example, pair.mode, Some(pair.region)),
-            Unit::Tail(tail) => tail.visual(pair.example, pair.kind, pair.mode, Some(pair.region)),
-        });
-        let mut results = gather_ranked(partials, top_k(pair.mode));
+        let region = Some(pair.region);
+        let mut results = self.visual(pair.example, pair.kind, pair.mode, region, pool, dl)?;
         for q in pair.rest {
             if results.is_empty() {
                 break;

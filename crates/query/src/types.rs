@@ -110,7 +110,9 @@ impl Query {
     /// point runs first. `indexed_kind` is the feature family the visual
     /// indexes cover and `indexed_dim` the length of its rows (`None`
     /// while no visual row exists: nothing can be compared, so any
-    /// example length is accepted and matches nothing).
+    /// example length is accepted and matches nothing). A visual
+    /// example must be finite and a threshold a number: a distance to a
+    /// NaN or an infinity ranks nothing, and no bound holds for it.
     pub fn validate(
         &self,
         indexed_kind: FeatureKind,
@@ -121,12 +123,18 @@ impl Query {
                 indexed: indexed_kind,
                 queried: *kind,
             }),
-            Query::Visual { example, .. } => match indexed_dim {
+            Query::Visual { example, mode, .. } => match indexed_dim {
                 Some(indexed) if indexed != example.len() => Err(QueryError::DimMismatch {
                     indexed,
                     queried: example.len(),
                 }),
-                _ => Ok(()),
+                _ => match example.iter().position(|x| !x.is_finite()) {
+                    Some(index) => Err(QueryError::NonFiniteExample { index }),
+                    None if matches!(mode, VisualMode::Threshold(t) if t.is_nan()) => {
+                        Err(QueryError::NanThreshold)
+                    }
+                    None => Ok(()),
+                },
             },
             Query::Spatial(SpatialQuery::Range(region))
             | Query::Spatial(SpatialQuery::Directed { region, .. }) => {
@@ -163,6 +171,13 @@ pub enum QueryError {
         /// The length of the query's example.
         queried: usize,
     },
+    /// A visual leaf's example holds a NaN or an infinity at `index`.
+    NonFiniteExample {
+        /// The first non-finite element.
+        index: usize,
+    },
+    /// A visual threshold is NaN, which no distance is within.
+    NanThreshold,
     /// A spatial leaf carried a malformed region — most importantly a
     /// rectangle wrapping the antimeridian, which the planner would
     /// otherwise treat as a near-empty box and silently drop matches
@@ -192,6 +207,11 @@ impl std::fmt::Display for QueryError {
                 f,
                 "visual dimension mismatch: indexed features have {indexed} dimensions, query example has {queried}"
             ),
+            QueryError::NonFiniteExample { index } => write!(
+                f,
+                "visual example element {index} is not a finite number"
+            ),
+            QueryError::NanThreshold => write!(f, "visual threshold is NaN"),
             QueryError::Geo(e) => write!(f, "invalid spatial region: {e}"),
             QueryError::DeadlineExceeded {
                 deadline_ms,

@@ -1,4 +1,4 @@
-//! Lint rule L2 end-to-end: a mixed hybrid + LSH + inverted-index
+//! Lint rule L2 end-to-end: a mixed hybrid + visual + inverted-index
 //! workload must produce byte-identical serialized results no matter how
 //! many pool threads execute it.
 //!

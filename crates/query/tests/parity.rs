@@ -476,21 +476,23 @@ fn exact_topk_equals_linear_scan_across_shard_counts_and_pool_widths() {
     }
 }
 
-/// The top-k cut inside a tie. 200 rows at one point draw their
-/// features from five vectors, so every visual distance is shared by 40
-/// rows and every `Nearest` distance by all 200. A `k` that falls inside
-/// such a run has one right answer, the `k` lowest rows under the
-/// reported `(score, id)` order, and it may not depend on how the rows
-/// are cut into segments and a tail: each partition has to keep
-/// *its* `k` lowest under that order (a tree whose heap breaks distance
-/// ties by shape, or a scan cut on a finer key, keeps others).
+/// The top-k cut inside a tie. 2,300 rows at one point draw their
+/// features from five vectors, so every visual distance is shared by
+/// 460 rows and every `Nearest` distance by all of them. The rows fill
+/// two arena chunks, whose projected columns (fitted to five distinct
+/// rows) bound every tied row alike, and part of a third. A `k` that
+/// falls inside such a run has one right answer, the `k` lowest rows
+/// under the reported `(score, id)` order, and it may not depend on how
+/// the rows are cut into segments and a tail: each partition has to
+/// keep *its* `k` lowest under that order (a tree whose heap breaks
+/// distance ties by shape, or a scan cut on a finer key, keeps others).
 #[test]
 fn a_topk_cut_inside_a_tie_is_the_same_cut_for_every_partitioning() {
     let mut rng = Rng::seed_from_u64(2_200);
     let pool: Vec<Vec<f32>> = (0..5).map(|_| random_example(&mut rng)).collect();
     let here = GeoPoint::new(34.02, -118.28);
     let store = Arc::new(VisualStore::new());
-    for i in 0..200 {
+    for i in 0..2_300 {
         let meta = ImageMeta {
             uploader: UserId(1),
             gps: here,
@@ -688,6 +690,66 @@ fn sharded_engine_rejects_wrong_kind_visual() {
             queried: FeatureKind::ColorHistogram,
         })
     );
+}
+
+/// A visual leaf holding a NaN or an infinity, or a NaN threshold, is
+/// refused with a typed error before anything runs, alone or inside a
+/// tree, by both engines: a distance to it ranks nothing and no bound
+/// holds for it.
+#[test]
+fn non_finite_visual_numbers_are_refused() {
+    let (store, _) = build_store(40, 5_051);
+    let sharded =
+        ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], EngineConfig::default(), 16);
+    let single = QueryEngine::build(store, EngineConfig::default());
+    let visual = |example: Vec<f32>, mode| Query::Visual {
+        example,
+        kind: FeatureKind::Cnn,
+        mode,
+    };
+    let mut nan = vec![0.5; DIM];
+    nan[3] = f32::NAN;
+    let mut inf = vec![0.5; DIM];
+    inf[DIM - 1] = f32::NEG_INFINITY;
+    let cases = [
+        (
+            visual(nan.clone(), VisualMode::TopK(5)),
+            QueryError::NonFiniteExample { index: 3 },
+        ),
+        (
+            visual(inf.clone(), VisualMode::TopK(5)),
+            QueryError::NonFiniteExample { index: DIM - 1 },
+        ),
+        (
+            visual(inf, VisualMode::Threshold(1.0)),
+            QueryError::NonFiniteExample { index: DIM - 1 },
+        ),
+        (
+            visual(vec![0.5; DIM], VisualMode::Threshold(f32::NAN)),
+            QueryError::NanThreshold,
+        ),
+        (
+            Query::Or(vec![
+                Query::Temporal {
+                    field: TemporalField::Captured,
+                    from: 0,
+                    to: 1,
+                },
+                Query::And(vec![
+                    Query::Spatial(SpatialQuery::Range(BBox::new(34.0, -118.3, 34.1, -118.2))),
+                    visual(nan, VisualMode::TopK(5)),
+                ]),
+            ]),
+            QueryError::NonFiniteExample { index: 3 },
+        ),
+    ];
+    for (q, err) in &cases {
+        assert_eq!(sharded.try_execute(q), Err(*err), "{q:?}");
+        assert_eq!(single.try_execute(q), Err(*err), "{q:?}");
+    }
+    // An infinite threshold is a number: it matches every row.
+    let all = visual(vec![0.5; DIM], VisualMode::Threshold(f32::INFINITY));
+    assert_eq!(sharded.try_execute(&all).unwrap().len(), 40);
 }
 
 /// The engine indexes one store: a second one is refused at

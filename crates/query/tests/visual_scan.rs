@@ -1,12 +1,18 @@
 //! A sealed segment's visual leaf is a bounded exact scan: candidates
 //! from the scene R-tree when a region restricts them, each row scored
 //! by `l2_sq_within` against the segment's current `k`-th root (top-k)
-//! or the threshold. Abandoning a row early must never change an
-//! answer, so every answer here is held bit for bit against
-//! [`LinearExecutor`], which scores every row in full: for the single
-//! engine and for sealed segments of 1, 7 and 128 rows, at widths
-//! below one 64-float block, between blocks, and at the benchmark's
-//! 480.
+//! or the threshold. A top-k also runs against the planner's global cut
+//! and skips a row whose projected lower bound is above it. Neither may
+//! ever change an answer, so every answer here is held bit for bit
+//! against [`LinearExecutor`], which scores every row in full: for the
+//! single engine and for sealed segments of 1, 7 and 128 rows on pools
+//! of 1 and 4 threads, at widths below one 64-float block, between
+//! blocks, and at the benchmark's 480.
+//!
+//! The corpus holds more rows than two arena chunks: the rows of the
+//! two full chunks carry a projected column, the rest sit in the
+//! partial chunk and are always scored, and every seal cap but 1 leaves
+//! a tail.
 //!
 //! The corpus puts a top-k cut inside a tie: `K + 3` identical rows sit
 //! at the `K`-th distance behind `K - 2` nearer ones, so the rows kept
@@ -19,7 +25,7 @@ use std::sync::Arc;
 
 use tvdp_geo::{BBox, GeoPoint};
 use tvdp_kernel::rng::Rng;
-use tvdp_kernel::{l2, l2_sq, l2_sq_within};
+use tvdp_kernel::{l2, l2_sq, l2_sq_within, Pool, ROWS_PER_CHUNK};
 use tvdp_query::{
     EngineConfig, LinearExecutor, Query, QueryEngine, QueryResult, ShardedEngine, SpatialQuery,
     TemporalField, VisualMode,
@@ -60,7 +66,7 @@ fn corpus(dim: usize, seed: u64) -> Corpus {
 
     let mut kinds = vec![Row::Near; K - 2];
     kinds.extend([Row::Tied; K + 3]);
-    kinds.extend([Row::Far; 150]);
+    kinds.extend([Row::Far; 2 * ROWS_PER_CHUNK + 100]);
     kinds.extend([Row::FarLate; 10]);
     kinds.extend([Row::Bare; 6]);
     // Shuffle so the tie and the near rows spread over ids and
@@ -209,12 +215,15 @@ fn a_bounded_segment_scan_answers_as_the_full_linear_scan() {
                 EngineConfig::default(),
                 cap,
             );
-            for ((name, q), want) in queries.iter().zip(&want) {
-                assert_eq!(
-                    &bits(&sealed.try_execute(q).unwrap()),
-                    want,
-                    "dim {dim}, seal cap {cap}: {name}"
-                );
+            for threads in [1, 4] {
+                let pool = Pool::new(threads);
+                for ((name, q), want) in queries.iter().zip(&want) {
+                    assert_eq!(
+                        &bits(&sealed.try_execute_with_pool(q, &pool).unwrap()),
+                        want,
+                        "dim {dim}, seal cap {cap}, {threads} threads: {name}"
+                    );
+                }
             }
         }
     }

@@ -38,7 +38,8 @@
 //! Run it again over `pub struct|enum|trait|type|const|static`, ignoring
 //! uses inside the type's own `impl` blocks. After the cleanup it
 //! prompted, the probe lists only items kept on purpose: the allowed
-//! ones (and `LshIndex`'s methods, under the type's allow), an
+//! ones (and, until it was deleted, `LshIndex`'s methods under the
+//! type's allow), an
 //! `is_empty` that clippy's `len_without_is_empty` pairs with a live
 //! `pub fn len`, and test support other crates' or integration tests
 //! drive shipped code through (fault injection, the chaos-plan
