@@ -31,9 +31,8 @@
 //! read, in cells every view of the slab shares: its quantized codes
 //! ([`SlabView::quant_row`]), its projected column
 //! ([`SlabView::lower_bound`]) and, for chunk 0 only, the projection
-//! the slab's columns are taken with ([`crate::proj`]). A reopen
-//! replays the same rows into the same chunks, so nothing derived is
-//! ever persisted.
+//! the slab's columns are taken with. A reopen replays the same rows
+//! into the same chunks, so nothing derived is ever persisted.
 
 use std::sync::{Arc, OnceLock};
 
