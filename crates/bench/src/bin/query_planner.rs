@@ -9,11 +9,9 @@
 //!   executed to a full result set, then intersected / unioned through
 //!   a `BTreeMap`, using the same leaf executors.
 //! * `linear` — the linear-scan reference executor, for the top-k
-//!   visual workload (reported, not gated: the reference reads every
-//!   row in place, the engine reads a row at full width only when its
-//!   projected lower bound does not rule it out, and abandons it once
-//!   it cannot make the cut). The bytes the projected bounds hold are
-//!   reported as `projected_bytes`.
+//!   visual workload (reported, not gated: both sides read every row
+//!   in place, and the engine abandons a row once it cannot make the
+//!   cut).
 //!
 //! Every timed pair is first checked for result parity, so the numbers
 //! compare equal answers; a mismatch exits 1, and that is the gate. The
@@ -395,7 +393,6 @@ fn main() {
         kind: Kind::Measured { probes: Vec::new() },
     });
     out.field("workloads", format!("{{\n{}\n  }}", body.join(",\n")));
-    let projected_bytes = store.slab_view(FeatureKind::Cnn, DIM, 0).projected_bytes();
     let min_hybrid = workloads
         .iter()
         .filter(|w| w.name.starts_with("and"))
@@ -406,7 +403,7 @@ fn main() {
     out.field(
         "reported",
         format!(
-            "{{\n    \"hybrid_speedup_min\": {min_hybrid:.2},\n    \"projected_bytes\": {projected_bytes},\n    \"zero_copy\": \"visual path allocates no per-query feature copies: the engine bounds its candidates from the arena's projected columns and scores the rest with tvdp_kernel::l2_sq_within on arena rows borrowed from the shared FeatureSlab view\"\n  }}"
+            "{{\n    \"hybrid_speedup_min\": {min_hybrid:.2},\n    \"zero_copy\": \"visual path allocates no per-query feature copies: the engine scores its candidates with tvdp_kernel::l2_sq_within on arena rows borrowed from the shared FeatureSlab view\"\n  }}"
         ),
     )
     .print();

@@ -43,9 +43,9 @@
 //!   base-segment record: folded by carry-less multiply (PCLMULQDQ) on
 //!   an x86-64 CPU that reports it, slicing-by-8 everywhere else.
 //!
-//! The crate's only `unsafe` is the call into code compiled for CPU
+//! The crate's only `unsafe` is the calls into code compiled for CPU
 //! features the CPU reports at run time: the carry-less fold (and its
-//! 16-byte loads), and the AVX2/FMA build of the projection's loops.
+//! 16-byte loads), and the AVX2/FMA build of the projection's product.
 //!
 //! The determinism contract all pieces uphold: **thread count and pool
 //! choice never change any computed value** — only wall-clock time.

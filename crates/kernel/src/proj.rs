@@ -31,8 +31,10 @@
 //! Projecting rows is a register-blocked product, four rows at a time.
 //! On an x86-64 CPU that reports AVX2 and FMA it runs compiled for those
 //! features, with fused multiply-adds; elsewhere the same loop runs
-//! unfused. The two differ in rounding only, which the shading covers:
-//! projected floats feed the bound, never a reported distance.
+//! unfused, about half as fast on an AVX2 host (23 chunks of 480-float
+//! rows: a median 27 ms against 14). The two differ in rounding only,
+//! which the shading covers: projected floats feed the bound, never a
+//! reported distance.
 
 use crate::{dot, reduce, rng::Rng};
 
@@ -430,18 +432,7 @@ fn project<const N: usize>(m: &[f32], rows: &[&[f32]], out: &mut [f32]) {
         // `fused::project` is compiled for.
         return unsafe { fused::project::<N>(m, rows, out) };
     }
-    project_rows::<N, false>(m, rows, out, |_| {});
-}
-
-/// `w[j][c] += Σ_r x[r][j] · y[r][c]`: `Xᵀ Y` for the rows `x` and the
-/// [`BLOCK`]-float rows of `y`.
-fn accumulate(x: &[&[f32]], y: &[f32], w: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if fused::detected() {
-        // SAFETY: as in `project`.
-        return unsafe { fused::accumulate(x, y, w) };
-    }
-    accumulate_rows::<false>(x, y, w);
+    project_rows::<N, false>(m, rows, out);
 }
 
 #[inline(always)]
@@ -453,36 +444,20 @@ fn madd<const FUSED: bool>(a: f32, b: f32, acc: f32) -> f32 {
     }
 }
 
-/// Rows [`project_rows`] and [`accumulate_rows`] take per pass.
+/// Rows [`project_rows`] and [`accumulate`] take per pass.
 const ROWS: usize = 4;
 
-/// [`project`]'s loop. `prefetch` is handed, one cache line (16
-/// floats) of each row at a time, the rows of the next pass while this
-/// pass computes, so that where it hints them into cache the pass's
-/// arithmetic and the next pass's memory traffic overlap.
+/// [`project`]'s loop.
 #[inline(always)]
-fn project_rows<const N: usize, const FUSED: bool>(
-    m: &[f32],
-    rows: &[&[f32]],
-    out: &mut [f32],
-    prefetch: impl Fn(&[f32]),
-) {
+fn project_rows<const N: usize, const FUSED: bool>(m: &[f32], rows: &[&[f32]], out: &mut [f32]) {
     let m: &[[f32; N]] = as_runs(m);
     let dim = m.len();
     let mut passes = rows.chunks_exact(ROWS);
     let mut ys = out.chunks_exact_mut(ROWS * N);
-    for (pass, (x, y)) in passes.by_ref().zip(ys.by_ref()).enumerate() {
-        let ahead = rows
-            .get((pass + 1) * ROWS..(pass + 2) * ROWS)
-            .unwrap_or_default();
+    for (x, y) in passes.by_ref().zip(ys.by_ref()) {
         let x: [&[f32]; ROWS] = std::array::from_fn(|r| &x[r][..dim]);
         let mut acc = [[0.0f32; N]; ROWS];
         for (j, mj) in m.iter().enumerate() {
-            if j % 16 == 0 {
-                for row in ahead {
-                    prefetch(&row[j..]);
-                }
-            }
             for r in 0..ROWS {
                 let xj = x[r][j];
                 for a in 0..N {
@@ -509,8 +484,10 @@ fn project_rows<const N: usize, const FUSED: bool>(
     }
 }
 
-#[inline(always)]
-fn accumulate_rows<const FUSED: bool>(x: &[&[f32]], y: &[f32], w: &mut [f32]) {
+/// `w[j][c] += Σ_r x[r][j] · y[r][c]`: `Xᵀ Y` for the rows `x` and the
+/// [`BLOCK`]-float rows of `y`. It runs only in a fit, over a sample of
+/// one chunk, so it has no fused build.
+fn accumulate(x: &[&[f32]], y: &[f32], w: &mut [f32]) {
     let y: &[[f32; BLOCK]] = as_runs(y);
     let w: &mut [[f32; BLOCK]] = as_runs_mut(w);
     let dim = w.len();
@@ -522,7 +499,7 @@ fn accumulate_rows<const FUSED: bool>(x: &[&[f32]], y: &[f32], w: &mut [f32]) {
             for r in 0..ROWS {
                 let xj = x[r][j];
                 for c in 0..BLOCK {
-                    wj[c] = madd::<FUSED>(xj, y[r][c], wj[c]);
+                    wj[c] += xj * y[r][c];
                 }
             }
         }
@@ -530,7 +507,7 @@ fn accumulate_rows<const FUSED: bool>(x: &[&[f32]], y: &[f32], w: &mut [f32]) {
     for (x, yr) in passes.remainder().iter().zip(ys.remainder()) {
         for (&xj, wj) in x.iter().zip(w.iter_mut()) {
             for c in 0..BLOCK {
-                wj[c] = madd::<FUSED>(xj, yr[c], wj[c]);
+                wj[c] += xj * yr[c];
             }
         }
     }
@@ -547,20 +524,17 @@ fn as_runs_mut<const N: usize>(v: &mut [f32]) -> &mut [[f32; N]] {
     runs
 }
 
-/// The blocked loops compiled for AVX2 and FMA.
+/// The blocked product compiled for AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 mod fused {
-    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-
-    use super::{accumulate_rows, project_rows};
+    use super::project_rows;
 
     /// Whether this CPU has what the functions below are compiled for.
     pub(super) fn detected() -> bool {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
 
-    /// [`project_rows`] with fused multiply-adds, and the next pass's
-    /// rows prefetched.
+    /// [`project_rows`] with fused multiply-adds.
     ///
     /// # Safety
     ///
@@ -568,19 +542,7 @@ mod fused {
     /// the caller must know that the CPU has AVX2 and FMA ([`detected`]).
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn project<const N: usize>(m: &[f32], rows: &[&[f32]], out: &mut [f32]) {
-        project_rows::<N, true>(m, rows, out, |ahead| {
-            _mm_prefetch::<_MM_HINT_T0>(ahead.as_ptr().cast());
-        });
-    }
-
-    /// [`accumulate_rows`] with fused multiply-adds.
-    ///
-    /// # Safety
-    ///
-    /// As for [`project`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn accumulate(x: &[&[f32]], y: &[f32], w: &mut [f32]) {
-        accumulate_rows::<true>(x, y, w);
+        project_rows::<N, true>(m, rows, out);
     }
 }
 
@@ -725,24 +687,30 @@ mod tests {
         }
     }
 
-    /// Both paths of the blocked product agree with a plain dot per
-    /// axis, blocks of four rows and the rows after them alike.
+    /// The blocked product agrees with a plain dot per axis, fused and
+    /// plain, blocks of four rows and the rows after them alike. And
+    /// [`project`] takes the fused build exactly when the CPU reports
+    /// AVX2 and FMA: the two builds round differently on these rows, so
+    /// its bits tell which one ran.
     #[test]
-    fn the_blocked_product_is_a_dot_per_axis() {
+    fn the_blocked_product_is_a_dot_per_axis_fused_where_the_cpu_allows() {
         let mut rng = Rng::seed_from_u64(3);
         let dim = 50;
         let m = random_rows(&mut rng, dim, AXES, 1.0);
         let flat = random_rows(&mut rng, 7, dim, 1.0);
         let rows: Vec<&[f32]> = flat.chunks_exact(dim).collect();
-        let mut fast = vec![0.0f32; 7 * AXES];
-        project::<AXES>(&m, &rows, &mut fast);
-        let mut plain = vec![0.0f32; 7 * AXES];
-        project_rows::<AXES, false>(&m, &rows, &mut plain, |_| {});
+        let run = |f: fn(&[f32], &[&[f32]], &mut [f32])| {
+            let mut out = vec![0.0f32; rows.len() * AXES];
+            f(&m, &rows, &mut out);
+            out
+        };
+        let with_fma = run(project_rows::<AXES, true>);
+        let without = run(project_rows::<AXES, false>);
         for (r, row) in rows.iter().enumerate() {
             for a in 0..AXES {
                 let column: Vec<f32> = (0..dim).map(|j| m[j * AXES + a]).collect();
                 let want = dot(row, &column);
-                for got in [fast[r * AXES + a], plain[r * AXES + a]] {
+                for got in [with_fma[r * AXES + a], without[r * AXES + a]] {
                     assert!(
                         (got - want).abs() < 1e-4,
                         "row {r}, axis {a}: {got} vs {want}"
@@ -750,5 +718,13 @@ mod tests {
                 }
             }
         }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_ne!(bits(&with_fma), bits(&without), "the builds round alike");
+        #[cfg(target_arch = "x86_64")]
+        let host_fuses = fused::detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let host_fuses = false;
+        let want = if host_fuses { with_fma } else { without };
+        assert_eq!(bits(&run(project::<AXES>)), bits(&want));
     }
 }
