@@ -19,13 +19,15 @@ use tvdp_core::platform::Algorithm;
 use tvdp_core::{
     AdmissionConfig, AdmissionController, IngestRequest, PlatformError, RequestClass, Tvdp, Upload,
 };
-use tvdp_edge::{DeviceClass, DispatchConstraints, DispatchDecision, LinkConditions};
+use tvdp_edge::{
+    DeviceClass, DispatchConstraints, DispatchDecision, LinkConditions, ModelDispatcher, MODEL_ZOO,
+};
 use tvdp_geo::{AngularRange, Fov, GeoPoint, GeoPolygon};
 use tvdp_kernel::Pool;
 use tvdp_ml::SerializableModel;
 use tvdp_query::{Query, QueryError, SpatialQuery, TemporalField, TextualMode, VisualMode};
 use tvdp_storage::codec::{self, obj, Value};
-use tvdp_storage::{ClassificationId, ImageId, ModelId, UserId};
+use tvdp_storage::{ClassificationId, HealthState, ImageId, ModelId, UserId};
 use tvdp_vision::Image;
 
 use crate::keys::ApiKeyRegistry;
@@ -130,18 +132,23 @@ fn status_for(e: &PlatformError) -> u16 {
     }
 }
 
-/// Renders a platform error as the response body, attaching the
+/// A handler's outcome: the 200 body, or the finished refusal.
+type Handled = Result<Value, ApiResponse>;
+
+/// A platform error as the response body, attaching the
 /// machine-readable retry hint for shed requests so clients back off by
 /// exactly the modeled backlog instead of guessing.
-fn error_response(e: &PlatformError) -> ApiResponse {
-    let status = status_for(e);
-    let mut fields = vec![("error", Value::str(e.to_string()))];
-    if let PlatformError::Overloaded { retry_after_ms } = e {
-        fields.push(("retry_after_ms", Value::num(*retry_after_ms)));
-    }
-    ApiResponse {
-        status,
-        body: obj(fields),
+impl From<PlatformError> for ApiResponse {
+    fn from(e: PlatformError) -> Self {
+        let status = status_for(&e);
+        let mut fields = vec![("error", Value::str(e.to_string()))];
+        if let PlatformError::Overloaded { retry_after_ms } = e {
+            fields.push(("retry_after_ms", Value::num(retry_after_ms)));
+        }
+        ApiResponse {
+            status,
+            body: obj(fields),
+        }
     }
 }
 
@@ -152,6 +159,17 @@ fn error_response(e: &PlatformError) -> ApiResponse {
 // ---------------------------------------------------------------------
 
 type ParseError = String;
+
+/// A body that does not decode is a 400 naming the decoder's complaint.
+impl From<ParseError> for ApiResponse {
+    fn from(e: ParseError) -> Self {
+        ApiResponse::err(400, bad_body(e))
+    }
+}
+
+fn bad_body(e: ParseError) -> String {
+    format!("bad request body: {e}")
+}
 
 /// An optional object field: absent or `null` both mean `None`.
 fn opt_field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
@@ -192,41 +210,28 @@ fn decode_fov_body(v: &Value, gps: GeoPoint) -> Result<Fov, ParseError> {
 
 /// Decodes one upload object (the `data/add` body shape) into the
 /// un-keyed [`Upload`] it describes. Shared by `data/add` and every
-/// element of `data/add_batch`.
+/// element of `data/add_batch`, which prefixes the message with the
+/// element's index.
 fn decode_upload(body: &Value) -> Result<Upload, String> {
-    let parsed = (|| -> Result<_, ParseError> {
-        let width: usize = codec::num_field(body, "width")?;
-        let height: usize = codec::num_field(body, "height")?;
-        let pixels = decode_pixels(codec::field(body, "pixels")?)?;
-        let lat: f64 = codec::num_field(body, "lat")?;
-        let lon: f64 = codec::num_field(body, "lon")?;
-        let captured_at: i64 = codec::num_field(body, "captured_at")?;
-        let uploaded_at: i64 = codec::num_field(body, "uploaded_at")?;
-        let keywords = match opt_field(body, "keywords") {
-            Some(Value::Arr(items)) => decode_strings(items, "keywords")?,
-            Some(_) => return Err("keywords: expected an array".into()),
-            None => Vec::new(),
-        };
-        Ok((
-            width,
-            height,
-            pixels,
-            lat,
-            lon,
-            captured_at,
-            uploaded_at,
-            keywords,
-        ))
-    })();
-    let (width, height, pixels, lat, lon, captured_at, uploaded_at, keywords) =
-        parsed.map_err(|e| format!("bad request body: {e}"))?;
-    let image = Image::try_from_raw(width, height, pixels)
-        .ok_or_else(|| "pixel buffer size mismatch".to_string())?;
-    let gps = GeoPoint::try_new(lat, lon).ok_or_else(|| "invalid coordinates".to_string())?;
-    let fov = match opt_field(body, "fov") {
-        Some(f) => Some(decode_fov_body(f, gps).map_err(|e| format!("bad request body: {e}"))?),
-        None => None,
+    let width: usize = codec::num_field(body, "width").map_err(bad_body)?;
+    let height: usize = codec::num_field(body, "height").map_err(bad_body)?;
+    let pixels = codec::field(body, "pixels")
+        .and_then(decode_pixels)
+        .map_err(bad_body)?;
+    let lat: f64 = codec::num_field(body, "lat").map_err(bad_body)?;
+    let lon: f64 = codec::num_field(body, "lon").map_err(bad_body)?;
+    let captured_at: i64 = codec::num_field(body, "captured_at").map_err(bad_body)?;
+    let uploaded_at: i64 = codec::num_field(body, "uploaded_at").map_err(bad_body)?;
+    let keywords = match opt_field(body, "keywords") {
+        Some(Value::Arr(items)) => decode_strings(items, "keywords").map_err(bad_body)?,
+        Some(_) => return Err(bad_body("keywords: expected an array".into())),
+        None => Vec::new(),
     };
+    let image = Image::try_from_raw(width, height, pixels).ok_or("pixel buffer size mismatch")?;
+    let gps = GeoPoint::try_new(lat, lon).ok_or("invalid coordinates")?;
+    let fov = opt_field(body, "fov")
+        .map(|f| decode_fov_body(f, gps).map_err(bad_body))
+        .transpose()?;
     Ok(Upload {
         image,
         request: IngestRequest {
@@ -383,18 +388,16 @@ pub struct ApiServer {
     keys: ApiKeyRegistry,
     limiter: RateLimiter,
     admission: Option<AdmissionController>,
+    /// The Action service: model dispatch over the zoo, which keeps no
+    /// platform state.
+    dispatcher: ModelDispatcher,
 }
 
 impl ApiServer {
     /// Wraps a platform with an explicit rate limit and no admission
     /// control.
     pub fn with_rate_limit(platform: Arc<Tvdp>, limit: RateLimitConfig) -> Self {
-        Self {
-            platform,
-            keys: ApiKeyRegistry::new(),
-            limiter: RateLimiter::new(limit),
-            admission: None,
-        }
+        Self::serving(platform, limit, None)
     }
 
     /// Wraps a platform with admission control: every priced endpoint
@@ -405,11 +408,21 @@ impl ApiServer {
         limit: RateLimitConfig,
         admission: AdmissionConfig,
     ) -> Self {
+        Self::serving(platform, limit, Some(AdmissionController::new(admission)))
+    }
+
+    fn serving(
+        platform: Arc<Tvdp>,
+        limit: RateLimitConfig,
+        admission: Option<AdmissionController>,
+    ) -> Self {
         Self {
             platform,
             keys: ApiKeyRegistry::new(),
             limiter: RateLimiter::new(limit),
-            admission: Some(AdmissionController::new(admission)),
+            admission,
+            // tvdp-lint: allow(no_panic, reason = "MODEL_ZOO is a non-empty constant, the one zoo the dispatcher refuses is the empty one")
+            dispatcher: ModelDispatcher::new(MODEL_ZOO.to_vec()).expect("MODEL_ZOO is non-empty"),
         }
     }
 
@@ -417,12 +430,12 @@ impl ApiServer {
     /// admit `cost_units` of `class` work. `Err` carries the finished
     /// 503 response.
     fn admit(&self, class: RequestClass, cost_units: u64, now_ms: i64) -> Result<(), ApiResponse> {
-        let Some(ctl) = &self.admission else {
-            return Ok(());
-        };
-        match ctl.admit(class, cost_units, now_ms) {
-            Ok(_ticket) => Ok(()),
-            Err(e) => Err(error_response(&e)),
+        match &self.admission {
+            Some(ctl) => ctl
+                .admit(class, cost_units, now_ms)
+                .map(drop)
+                .map_err(Into::into),
+            None => Ok(()),
         }
     }
 
@@ -462,13 +475,18 @@ impl ApiServer {
                 ]),
             };
         }
+        match self.route(user, request, now_ms) {
+            Ok(body) => ApiResponse::ok(body),
+            Err(refusal) => refusal,
+        }
+    }
+
+    /// Decodes the body and runs the endpoint's handler.
+    fn route(&self, user: UserId, request: &ApiRequest, now_ms: i64) -> Handled {
         let body = if request.body.trim().is_empty() {
             Value::Obj(Vec::new())
         } else {
-            match codec::parse(&request.body) {
-                Ok(v) => v,
-                Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-            }
+            codec::parse(&request.body)?
         };
         match request.endpoint.as_str() {
             "data/add" => self.add_data(user, &body, request.idempotency_key.as_deref(), now_ms),
@@ -483,17 +501,17 @@ impl ApiServer {
             "schemes/register" => self.register_scheme(&body),
             "annotations/add" => self.annotate(user, &body),
             "edge/dispatch" => self.dispatch(&body, now_ms),
-            "health" => self.health(now_ms),
+            "health" => Ok(self.health(now_ms)),
             "stats" => {
                 let s = self.platform.stats();
-                ApiResponse::ok(obj(vec![
+                Ok(obj(vec![
                     ("images", Value::num(s.images)),
                     ("annotations", Value::num(s.annotations)),
                     ("models", Value::num(s.models)),
                     ("users", Value::num(s.users)),
                 ]))
             }
-            other => ApiResponse::err(404, format!("unknown endpoint {other}")),
+            other => Err(ApiResponse::err(404, format!("unknown endpoint {other}"))),
         }
     }
 
@@ -508,91 +526,60 @@ impl ApiServer {
         body: &Value,
         idempotency_key: Option<&str>,
         now_ms: i64,
-    ) -> ApiResponse {
-        let mut upload = match decode_upload(body) {
-            Ok(u) => u,
-            Err(e) => return ApiResponse::err(400, e),
-        };
+    ) -> Handled {
+        let mut upload = decode_upload(body).map_err(|e| ApiResponse::err(400, e))?;
         upload.key = idempotency_key.map(str::to_string);
-        if let Err(shed) = self.admit(RequestClass::Ingest, Self::INGEST_UNITS_PER_IMAGE, now_ms) {
-            return shed;
-        }
-        match self
+        self.admit(RequestClass::Ingest, Self::INGEST_UNITS_PER_IMAGE, now_ms)?;
+        let stored = self
             .platform
-            .ingest_uploads(user, vec![upload], &Pool::serial())
-        {
-            Ok(stored) => ApiResponse::ok(obj(vec![("image", Value::num(stored[0].0.raw()))])),
-            Err(e) => error_response(&e),
-        }
+            .ingest_uploads(user, vec![upload], &Pool::serial())?;
+        Ok(obj(vec![("image", Value::num(stored[0].0.raw()))]))
     }
 
     /// `data/add_batch`: bulk upload. Body: `{"uploads": [<data/add
     /// body>...]}`, where each element may carry its own
     /// `"idempotency_key"`. The whole batch rides one WAL fsync instead
     /// of one per op.
-    fn add_data_batch(&self, user: UserId, body: &Value, now_ms: i64) -> ApiResponse {
-        let items = match codec::arr_field(body, "uploads") {
-            Ok(items) => items,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
+    fn add_data_batch(&self, user: UserId, body: &Value, now_ms: i64) -> Handled {
+        let items = codec::arr_field(body, "uploads")?;
         let mut uploads = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
-            let mut upload = match decode_upload(item) {
-                Ok(u) => u,
-                Err(e) => return ApiResponse::err(400, format!("uploads[{i}]: {e}")),
-            };
+            let refuse = |e: String| ApiResponse::err(400, format!("uploads[{i}]: {e}"));
+            let mut upload = decode_upload(item).map_err(refuse)?;
             upload.key = match opt_field(item, "idempotency_key") {
                 Some(Value::Str(k)) => Some(k.clone()),
-                Some(_) => {
-                    return ApiResponse::err(
-                        400,
-                        format!("uploads[{i}]: idempotency_key: expected a string"),
-                    )
-                }
+                Some(_) => return Err(refuse("idempotency_key: expected a string".into())),
                 None => None,
             };
             uploads.push(upload);
         }
         let batch_units = Self::INGEST_UNITS_PER_IMAGE * uploads.len().max(1) as u64;
-        if let Err(shed) = self.admit(RequestClass::Ingest, batch_units, now_ms) {
-            return shed;
-        }
+        self.admit(RequestClass::Ingest, batch_units, now_ms)?;
         let pool = Pool::new(uploads.len().clamp(1, 8));
-        match self.platform.ingest_uploads(user, uploads, &pool) {
-            Ok(rows) => ApiResponse::ok(obj(vec![
-                ("count", Value::num(rows.len())),
-                (
-                    "images",
-                    Value::Arr(rows.iter().map(|(id, _)| Value::num(id.raw())).collect()),
-                ),
-                (
-                    "replayed",
-                    Value::Arr(rows.iter().map(|&(_, r)| Value::Bool(r)).collect()),
-                ),
-            ])),
-            Err(e) => error_response(&e),
-        }
+        let rows = self.platform.ingest_uploads(user, uploads, &pool)?;
+        Ok(obj(vec![
+            ("count", Value::num(rows.len())),
+            (
+                "images",
+                Value::Arr(rows.iter().map(|(id, _)| Value::num(id.raw())).collect()),
+            ),
+            (
+                "replayed",
+                Value::Arr(rows.iter().map(|&(_, r)| Value::Bool(r)).collect()),
+            ),
+        ]))
     }
 
-    fn search(&self, body: &Value, now_ms: i64, deadline_ms: Option<i64>) -> ApiResponse {
-        let query = match codec::field(body, "query").and_then(decode_query) {
-            Ok(q) => q,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
+    fn search(&self, body: &Value, now_ms: i64, deadline_ms: Option<i64>) -> Handled {
+        let query = decode_query(codec::field(body, "query")?)?;
         // Priced from the planner's cardinality estimates: an expensive
         // query costs more admission budget than a point lookup.
         let cost = self.platform.estimate_query_cost(&query);
-        if let Err(shed) = self.admit(RequestClass::Query, cost, now_ms) {
-            return shed;
-        }
-        let outcome = match deadline_ms {
-            Some(dl) => self.platform.search_with_deadline(&query, now_ms, dl),
-            None => self.platform.search(&query),
-        };
-        let results = match outcome {
-            Ok(r) => r,
-            Err(e) => return error_response(&e),
-        };
+        self.admit(RequestClass::Query, cost, now_ms)?;
+        // A request without a deadline runs under one that never trips.
+        let results =
+            self.platform
+                .search_with_deadline(&query, now_ms, deadline_ms.unwrap_or(i64::MAX))?;
         let rows: Vec<Value> = results
             .iter()
             .map(|r| {
@@ -602,17 +589,14 @@ impl ApiServer {
                 ])
             })
             .collect();
-        ApiResponse::ok(obj(vec![
+        Ok(obj(vec![
             ("count", Value::num(rows.len())),
             ("results", Value::Arr(rows)),
         ]))
     }
 
-    fn download(&self, body: &Value) -> ApiResponse {
-        let ids = match codec::arr_field(body, "ids").and_then(|items| decode_ids(items, "ids")) {
-            Ok(ids) => ids,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
+    fn download(&self, body: &Value) -> Handled {
+        let ids = decode_ids(codec::arr_field(body, "ids")?, "ids")?;
         let include_pixels = opt_field(body, "include_pixels")
             .and_then(Value::as_bool)
             .unwrap_or(false);
@@ -620,7 +604,7 @@ impl ApiServer {
         for raw in ids {
             let id = ImageId(raw);
             let Some(record) = self.platform.store().image(id) else {
-                return ApiResponse::err(404, format!("unknown image img-{raw}"));
+                return Err(ApiResponse::err(404, format!("unknown image img-{raw}")));
             };
             let mut fields = vec![
                 ("image", Value::num(raw)),
@@ -650,22 +634,15 @@ impl ApiServer {
             }
             rows.push(obj(fields));
         }
-        ApiResponse::ok(obj(vec![("items", Value::Arr(rows))]))
+        Ok(obj(vec![("items", Value::Arr(rows))]))
     }
 
-    fn extract(&self, body: &Value) -> ApiResponse {
-        let parsed = (|| -> Result<_, ParseError> {
-            let width: usize = codec::num_field(body, "width")?;
-            let height: usize = codec::num_field(body, "height")?;
-            let pixels = decode_pixels(codec::field(body, "pixels")?)?;
-            Ok((width, height, pixels))
-        })();
-        let (width, height, pixels) = match parsed {
-            Ok(p) => p,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
+    fn extract(&self, body: &Value) -> Handled {
+        let width: usize = codec::num_field(body, "width")?;
+        let height: usize = codec::num_field(body, "height")?;
+        let pixels = decode_pixels(codec::field(body, "pixels")?)?;
         let Some(image) = Image::try_from_raw(width, height, pixels) else {
-            return ApiResponse::err(400, "pixel buffer size mismatch");
+            return Err(ApiResponse::err(400, "pixel buffer size mismatch"));
         };
         let features = self.platform.extract_features(&image);
         let rows: Vec<Value> = features
@@ -678,53 +655,37 @@ impl ApiServer {
                 ])
             })
             .collect();
-        ApiResponse::ok(obj(vec![("features", Value::Arr(rows))]))
+        Ok(obj(vec![("features", Value::Arr(rows))]))
     }
 
-    fn apply_model(&self, body: &Value) -> ApiResponse {
-        let parsed = (|| -> Result<_, ParseError> {
-            let model: u64 = codec::num_field(body, "model")?;
-            let images = decode_ids(codec::arr_field(body, "images")?, "images")?;
-            Ok((model, images))
-        })();
-        let (model, images) = match parsed {
-            Ok(p) => p,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
+    fn apply_model(&self, body: &Value) -> Handled {
+        let model: u64 = codec::num_field(body, "model")?;
+        let images = decode_ids(codec::arr_field(body, "images")?, "images")?;
         let images: Vec<ImageId> = images.into_iter().map(ImageId).collect();
-        match self.platform.apply_model(ModelId(model), &images) {
-            Ok(results) => {
-                let rows: Vec<Value> = results
-                    .into_iter()
-                    .map(|(img, label, conf)| {
-                        obj(vec![
-                            ("image", Value::num(img.raw())),
-                            ("label", Value::num(label)),
-                            ("confidence", Value::num(conf)),
-                        ])
-                    })
-                    .collect();
-                ApiResponse::ok(obj(vec![("predictions", Value::Arr(rows))]))
-            }
-            Err(e) => error_response(&e),
-        }
+        let results = self.platform.apply_model(ModelId(model), &images)?;
+        let rows: Vec<Value> = results
+            .into_iter()
+            .map(|(img, label, conf)| {
+                obj(vec![
+                    ("image", Value::num(img.raw())),
+                    ("label", Value::num(label)),
+                    ("confidence", Value::num(conf)),
+                ])
+            })
+            .collect();
+        Ok(obj(vec![("predictions", Value::Arr(rows))]))
     }
 
-    fn download_model(&self, body: &Value) -> ApiResponse {
-        let model: u64 = match codec::num_field(body, "model") {
-            Ok(m) => m,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
+    fn download_model(&self, body: &Value) -> Handled {
+        let model: u64 = codec::num_field(body, "model")?;
         let include_weights = opt_field(body, "include_weights")
             .and_then(Value::as_bool)
             .unwrap_or(false);
         let id = ModelId(model);
-        let Some(interface) = self.platform.models().interface(id) else {
-            return ApiResponse::err(404, format!("unknown model model-{model}"));
-        };
-        let Some((name, owner, algorithm)) = self.platform.models().describe(id) else {
-            return ApiResponse::err(404, format!("unknown model model-{model}"));
-        };
+        let unknown = || ApiResponse::err(404, format!("unknown model model-{model}"));
+        let models = self.platform.models();
+        let interface = models.interface(id).ok_or_else(unknown)?;
+        let (name, owner, algorithm) = models.describe(id).ok_or_else(unknown)?;
         let mut fields = vec![
             ("model", Value::num(model)),
             ("name", Value::str(name)),
@@ -740,141 +701,85 @@ impl ApiServer {
             ),
         ];
         if include_weights {
-            let Some(weights) = self.platform.models().export(id) else {
-                return ApiResponse::err(404, format!("unknown model model-{model}"));
-            };
+            let weights = models.export(id).ok_or_else(unknown)?;
             fields.push(("weights", weights.to_value()));
         }
-        ApiResponse::ok(obj(fields))
+        Ok(obj(fields))
     }
 
-    fn upload_model(&self, user: UserId, body: &Value) -> ApiResponse {
-        let parsed = (|| -> Result<_, ParseError> {
-            let name = codec::str_field(body, "name")?.to_string();
-            let scheme: u64 = codec::num_field(body, "scheme")?;
-            let feature_kind = codec::decode_kind(codec::field(body, "feature_kind")?)?;
-            let input_dim: usize = codec::num_field(body, "input_dim")?;
-            let weights = codec::field(body, "weights")?;
-            let model = SerializableModel::from_value(weights, input_dim)
-                .map_err(|e| format!("bad model weights: {e}"))?;
-            Ok((name, scheme, feature_kind, input_dim, model))
-        })();
-        let (name, scheme, feature_kind, input_dim, model) = match parsed {
-            Ok(p) => p,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
+    fn upload_model(&self, user: UserId, body: &Value) -> Handled {
+        let name = codec::str_field(body, "name")?.to_string();
+        let scheme: u64 = codec::num_field(body, "scheme")?;
+        let feature_kind = codec::decode_kind(codec::field(body, "feature_kind")?)?;
+        let input_dim: usize = codec::num_field(body, "input_dim")?;
+        let weights = codec::field(body, "weights")?;
+        let model = SerializableModel::from_value(weights, input_dim)
+            .map_err(|e| format!("bad model weights: {e}"))?;
         let interface = ModelInterface {
             feature_kind,
             input_dim,
             scheme: ClassificationId(scheme),
         };
-        match self.platform.upload_model(user, name, interface, model) {
-            Ok(id) => ApiResponse::ok(obj(vec![("model", Value::num(id.raw()))])),
-            Err(e) => error_response(&e),
-        }
+        let id = self.platform.upload_model(user, name, interface, model)?;
+        Ok(obj(vec![("model", Value::num(id.raw()))]))
     }
 
-    fn devise_model(&self, user: UserId, body: &Value) -> ApiResponse {
-        let parsed = (|| -> Result<_, ParseError> {
-            let name = codec::str_field(body, "name")?.to_string();
-            let scheme: u64 = codec::num_field(body, "scheme")?;
-            let feature_kind = codec::decode_kind(codec::field(body, "feature_kind")?)?;
-            let algorithm = decode_algorithm(codec::field(body, "algorithm")?)?;
-            Ok((name, scheme, feature_kind, algorithm))
-        })();
-        let (name, scheme, feature_kind, algorithm) = match parsed {
-            Ok(p) => p,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
+    fn devise_model(&self, user: UserId, body: &Value) -> Handled {
+        let name = codec::str_field(body, "name")?.to_string();
+        let scheme: u64 = codec::num_field(body, "scheme")?;
+        let feature_kind = codec::decode_kind(codec::field(body, "feature_kind")?)?;
+        let algorithm = decode_algorithm(codec::field(body, "algorithm")?)?;
+        let scheme = ClassificationId(scheme);
+        let id = self
+            .platform
+            .train_model(user, name, scheme, feature_kind, algorithm)?;
+        Ok(obj(vec![("model", Value::num(id.raw()))]))
+    }
+
+    fn register_scheme(&self, body: &Value) -> Handled {
+        let name = codec::str_field(body, "name")?.to_string();
+        let labels = decode_strings(codec::arr_field(body, "labels")?, "labels")?;
+        let id = self.platform.register_scheme(name, labels)?;
+        Ok(obj(vec![("scheme", Value::num(id.raw()))]))
+    }
+
+    fn annotate(&self, user: UserId, body: &Value) -> Handled {
+        let image: u64 = codec::num_field(body, "image")?;
+        let scheme: u64 = codec::num_field(body, "scheme")?;
+        let label: usize = codec::num_field(body, "label")?;
+        // The annotator's own confidence; a plain label is certain.
+        let confidence: f32 = match opt_field(body, "confidence") {
+            Some(c) => codec::num(c, "confidence")?,
+            None => 1.0,
         };
-        match self.platform.train_model(
-            user,
-            name,
-            ClassificationId(scheme),
-            feature_kind,
-            algorithm,
-        ) {
-            Ok(id) => ApiResponse::ok(obj(vec![("model", Value::num(id.raw()))])),
-            Err(e) => error_response(&e),
-        }
+        let (image, scheme) = (ImageId(image), ClassificationId(scheme));
+        let id = self
+            .platform
+            .annotate(user, image, scheme, label, confidence, None)?;
+        Ok(obj(vec![("annotation", Value::num(id.raw()))]))
     }
 
-    fn register_scheme(&self, body: &Value) -> ApiResponse {
-        let parsed = (|| -> Result<_, ParseError> {
-            let name = codec::str_field(body, "name")?.to_string();
-            let labels = decode_strings(codec::arr_field(body, "labels")?, "labels")?;
-            Ok((name, labels))
-        })();
-        let (name, labels) = match parsed {
-            Ok(p) => p,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
+    /// `edge/dispatch`, the Action service: the body is decoded and the
+    /// device named before admission, as every priced route decodes
+    /// first, so a malformed body is refused without being admitted.
+    fn dispatch(&self, body: &Value, now_ms: i64) -> Handled {
+        let device = codec::str_field(body, "device")?.to_string();
+        let max_latency_ms: f64 = codec::num_field(body, "max_latency_ms")?;
+        let min_accuracy = match opt_field(body, "min_accuracy") {
+            Some(v) => Some(codec::num(v, "min_accuracy")?),
+            None => None,
         };
-        match self.platform.register_scheme(name, labels) {
-            Ok(id) => ApiResponse::ok(obj(vec![("scheme", Value::num(id.raw()))])),
-            Err(e) => error_response(&e),
-        }
-    }
-
-    fn annotate(&self, user: UserId, body: &Value) -> ApiResponse {
-        let parsed = (|| -> Result<_, ParseError> {
-            let image: u64 = codec::num_field(body, "image")?;
-            let scheme: u64 = codec::num_field(body, "scheme")?;
-            let label: usize = codec::num_field(body, "label")?;
-            // The annotator's own confidence; a plain label is certain.
-            let confidence: f32 = match opt_field(body, "confidence") {
-                Some(c) => codec::num(c, "confidence")?,
-                None => 1.0,
-            };
-            Ok((image, scheme, label, confidence))
-        })();
-        let (image, scheme, label, confidence) = match parsed {
-            Ok(p) => p,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
-        };
-        match self.platform.annotate(
-            user,
-            ImageId(image),
-            ClassificationId(scheme),
-            label,
-            confidence,
-            None,
-        ) {
-            Ok(id) => ApiResponse::ok(obj(vec![("annotation", Value::num(id.raw()))])),
-            Err(e) => error_response(&e),
-        }
-    }
-
-    fn dispatch(&self, body: &Value, now_ms: i64) -> ApiResponse {
-        if let Err(shed) = self.admit(RequestClass::Dispatch, 1, now_ms) {
-            return shed;
-        }
-        let parsed = (|| -> Result<_, ParseError> {
-            let device = codec::str_field(body, "device")?.to_string();
-            let max_latency_ms: f64 = codec::num_field(body, "max_latency_ms")?;
-            let min_accuracy = match opt_field(body, "min_accuracy") {
-                Some(v) => Some(codec::num(v, "min_accuracy")?),
-                None => None,
-            };
-            let min_inferences_per_charge = match opt_field(body, "min_inferences_per_charge") {
-                Some(v) => Some(codec::num(v, "min_inferences_per_charge")?),
-                None => None,
-            };
-            Ok((
-                device,
-                max_latency_ms,
-                min_accuracy,
-                min_inferences_per_charge,
-            ))
-        })();
-        let (device, max_latency_ms, min_accuracy, min_inferences_per_charge) = match parsed {
-            Ok(p) => p,
-            Err(e) => return ApiResponse::err(400, format!("bad request body: {e}")),
+        let min_inferences_per_charge = match opt_field(body, "min_inferences_per_charge") {
+            Some(v) => Some(codec::num(v, "min_inferences_per_charge")?),
+            None => None,
         };
         let device = match device.to_lowercase().as_str() {
             "desktop" => DeviceClass::Desktop,
             "smartphone" | "phone" => DeviceClass::Smartphone,
             "rpi" | "raspberrypi" | "raspberry_pi" => DeviceClass::RaspberryPi,
-            other => return ApiResponse::err(400, format!("unknown device {other}")),
+            other => return Err(ApiResponse::err(400, format!("unknown device {other}"))),
         };
+        self.admit(RequestClass::Dispatch, 1, now_ms)?;
         let constraints = DispatchConstraints {
             max_latency_ms,
             min_accuracy,
@@ -882,13 +787,13 @@ impl ApiServer {
         };
         // The route reports no link state, so it dispatches over a nominal
         // link: a deploy, or nothing qualifies.
-        match self.platform.dispatch_to_device(
-            &device.profile(),
-            &constraints,
-            &LinkConditions::nominal(),
-        ) {
+        let link = LinkConditions::nominal();
+        match self
+            .dispatcher
+            .dispatch(&device.profile(), &constraints, &link)
+        {
             DispatchDecision::Deploy(model) | DispatchDecision::Degraded { chosen: model, .. } => {
-                ApiResponse::ok(obj(vec![
+                Ok(obj(vec![
                     ("model", Value::str(model.name)),
                     ("mflops", Value::num(model.mflops)),
                     ("download_bytes", Value::num(model.download_bytes())),
@@ -896,7 +801,7 @@ impl ApiServer {
                 ]))
             }
             DispatchDecision::ServerSide { .. } => {
-                ApiResponse::err(409, "no model satisfies the constraints")
+                Err(ApiResponse::err(409, "no model satisfies the constraints"))
             }
         }
     }
@@ -904,19 +809,23 @@ impl ApiServer {
     /// `health`: the platform's durability state machine plus (when
     /// admission control is configured) the shed counters and modeled
     /// backlog. Always status 200 — a degraded platform still answers
-    /// health probes; the body says how bad it is.
-    fn health(&self, now_ms: i64) -> ApiResponse {
+    /// health probes; the body says how bad it is. An in-memory
+    /// platform has no journal and is always `ok`.
+    fn health(&self, now_ms: i64) -> Value {
         let h = self.platform.health();
         let mut fields = vec![
-            ("state", Value::str(h.state.as_str())),
-            ("durable", Value::Bool(h.durable)),
-            ("write_faults", Value::num(h.write_faults)),
+            (
+                "state",
+                Value::str(h.as_ref().map_or(HealthState::Ok, |h| h.state).as_str()),
+            ),
+            ("durable", Value::Bool(h.is_some())),
+            (
+                "write_faults",
+                Value::num(h.as_ref().map_or(0, |h| h.write_faults)),
+            ),
             (
                 "last_error",
-                match h.last_error {
-                    Some(e) => Value::str(e),
-                    None => Value::Null,
-                },
+                h.and_then(|h| h.last_error).map_or(Value::Null, Value::str),
             ),
         ];
         if let Some(ctl) = &self.admission {
@@ -943,6 +852,6 @@ impl ApiServer {
                 ]),
             ));
         }
-        ApiResponse::ok(obj(fields))
+        obj(fields)
     }
 }

@@ -274,6 +274,54 @@ fn health_endpoint_reports_state_and_admission_counters() {
     assert_eq!(classes, ["dispatch", "query", "ingest"]);
 }
 
+/// `edge/dispatch` decodes its body before it asks for admission, as
+/// every other priced route does: a malformed body is a 400 that neither
+/// counts as admitted nor advances the modeled backlog.
+#[test]
+fn a_malformed_dispatch_body_is_refused_before_admission() {
+    let platform = Arc::new(Tvdp::new(fast_config()));
+    let user = platform.register_user("ops", Role::Government);
+    let server = ApiServer::with_admission(
+        Arc::clone(&platform),
+        open_limit(),
+        AdmissionConfig {
+            capacity_units_per_sec: 1_000,
+            ..AdmissionConfig::default()
+        },
+    );
+    let key = server.issue_key(user);
+    let r = call_at(&server, &key, "data/add", &add_body(0), 0);
+    assert!(r.is_ok(), "{r:?}");
+    let admission = || call_at(&server, &key, "health", "", 0).body["admission"].clone();
+    let before = admission();
+    assert!(before["backlog_ms"].as_i64().unwrap() > 0, "{before:?}");
+
+    for body in [
+        r#"{"max_latency_ms":1000.0}"#,
+        r#"{"device":"desktop"}"#,
+        r#"{"device":7,"max_latency_ms":1000.0}"#,
+        r#"{"device":"desktop","max_latency_ms":1000.0,"min_accuracy":"high"}"#,
+        r#"{"device":"toaster","max_latency_ms":1000.0}"#,
+    ] {
+        let r = call_at(&server, &key, "edge/dispatch", body, 0);
+        assert_eq!(r.status, 400, "{body} -> {r:?}");
+        assert_eq!(admission(), before, "{body} moved the admission counters");
+    }
+
+    // A well-formed dispatch is admitted and charged.
+    let r = call_at(
+        &server,
+        &key,
+        "edge/dispatch",
+        r#"{"device":"desktop","max_latency_ms":1000.0}"#,
+        0,
+    );
+    assert!(r.is_ok(), "{r:?}");
+    let after = admission();
+    assert_eq!(after["per_class"][0]["admitted"].as_u64(), Some(1));
+    assert!(after["backlog_ms"].as_i64() > before["backlog_ms"].as_i64());
+}
+
 // ---------------------------------------------------------------------
 // Degraded mode: WAL fault under live traffic, observed via the API.
 // ---------------------------------------------------------------------

@@ -123,7 +123,7 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
     let cut = ((data.len() as f64) * config.labelled_fraction) as usize;
     for (d, &id) in data[..cut].iter().zip(&ids[..cut]) {
         platform
-            .annotate_human(lasan, id, cleanliness, d.cleanliness.index())
+            .annotate(lasan, id, cleanliness, d.cleanliness.index(), 1.0, None)
             // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
             .expect("annotate succeeds");
     }
@@ -182,7 +182,7 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
     //    with graffiti ground truth, train, apply — zero new collection.
     for (d, &id) in data[..cut].iter().zip(&ids[..cut]) {
         platform
-            .annotate_human(lasan, id, graffiti, usize::from(d.graffiti))
+            .annotate(lasan, id, graffiti, usize::from(d.graffiti), 1.0, None)
             // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
             .expect("annotate succeeds");
     }

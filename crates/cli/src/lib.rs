@@ -236,7 +236,7 @@ fn demo_data(path: &str, rest: &[String]) -> Result<String, CliError> {
     let n_labelled = ((count as f64) * labelled) as usize;
     for (d, &id) in data[..n_labelled].iter().zip(&ids[..n_labelled]) {
         platform
-            .annotate_human(operator, id, scheme, d.cleanliness.index())
+            .annotate(operator, id, scheme, d.cleanliness.index(), 1.0, None)
             .map_err(|e| err(e.to_string()))?;
     }
     Ok(format!(

@@ -127,7 +127,7 @@ fn script(tvdp: &Tvdp) {
         .register_scheme("binary", vec!["red".into(), "blue".into()])
         .unwrap();
     for (n, &id) in ids.iter().enumerate() {
-        tvdp.annotate_human(user, id, scheme, n % 2).unwrap();
+        tvdp.annotate(user, id, scheme, n % 2, 1.0, None).unwrap();
     }
     let region = RegionOfInterest {
         x: 2,

@@ -24,7 +24,7 @@ use tvdp_kernel::{l2_sq_within, Pool, ProjectedQuery, RowSource, SlabView, TopK,
 use tvdp_storage::{FeatureHandle, ImageId, ImageRecord, VisualStore};
 use tvdp_vision::FeatureKind;
 
-use crate::plan::{Cut, View};
+use crate::plan::{Cut, DeadlineCtx, View};
 use crate::types::{
     sort_ranked, Query, QueryError, QueryResult, SpatialQuery, TemporalField, TextualMode,
     VisualMode,
@@ -248,7 +248,8 @@ impl QueryEngine {
     /// instead of silently wrong (or silently dropped) results.
     ///
     /// The tree runs through the platform's planner with this engine as
-    /// its one segment, no tail, a serial pool and no deadline.
+    /// its one segment, no tail, a serial pool and a deadline at
+    /// `i64::MAX`, which never trips.
     pub fn try_execute(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
         query.validate(self.config.visual_kind, self.visual_dim())?;
         let view = View {
@@ -256,7 +257,7 @@ impl QueryEngine {
             segments: vec![self],
             tail: &[],
         };
-        view.run(query, &Pool::serial(), None)
+        view.run(query, &Pool::serial(), &DeadlineCtx::new(0, i64::MAX))
     }
 
     /// Answers a single-modal leaf from this segment's indexes. `And`,

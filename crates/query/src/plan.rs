@@ -288,17 +288,16 @@ impl<'a> View<'a> {
         units
     }
 
-    /// Runs a validated query tree ([`Query::validate`]). `dl` carries
-    /// the optional deadline accounting; `None` never errors.
+    /// Runs a validated query tree ([`Query::validate`]) under the
+    /// deadline accounting `dl` (a request without a deadline carries
+    /// one at `i64::MAX`, which never trips).
     pub(crate) fn run(
         &self,
         query: &Query,
         pool: &Pool,
-        dl: Option<&DeadlineCtx>,
+        dl: &DeadlineCtx,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        if let Some(dl) = dl {
-            dl.check()?;
-        }
+        dl.check()?;
         match query {
             Query::And(subs) => self.and(subs, pool, dl),
             Query::Or(subs) => {
@@ -313,11 +312,9 @@ impl<'a> View<'a> {
                 label,
                 min_confidence,
             } => {
-                if let Some(dl) = dl {
-                    // One dispatch charge for the store scan.
-                    dl.charge(1);
-                    dl.check()?;
-                }
+                // One dispatch charge for the store scan.
+                dl.charge(1);
+                dl.check()?;
                 Ok(categorical(self.store, *scheme, *label, *min_confidence))
             }
             Query::Textual {
@@ -334,7 +331,7 @@ impl<'a> View<'a> {
         &self,
         leaf: &Query,
         pool: &Pool,
-        dl: Option<&DeadlineCtx>,
+        dl: &DeadlineCtx,
     ) -> Result<Vec<QueryResult>, QueryError> {
         if let Query::Visual {
             example,
@@ -345,9 +342,7 @@ impl<'a> View<'a> {
             return self.visual(example, *kind, *mode, None, pool, dl);
         }
         let units = self.units();
-        if let Some(dl) = dl {
-            dl.walk_units(&units)?;
-        }
+        dl.walk_units(&units)?;
         let partials = pool.map(&units, |_, unit| match unit {
             Unit::Seg(engine) => engine.run(leaf),
             Unit::Tail(tail) => tail.leaf(leaf),
@@ -375,14 +370,12 @@ impl<'a> View<'a> {
         text: &str,
         k: usize,
         pool: &Pool,
-        dl: Option<&DeadlineCtx>,
+        dl: &DeadlineCtx,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        if let Some(dl) = dl {
-            // Both phases walk every unit; charge the full scatter up
-            // front so an over-deadline ranked query aborts before the
-            // statistics gather starts.
-            dl.walk_units(&self.units())?;
-        }
+        // Both phases walk every unit; charge the full scatter up front
+        // so an over-deadline ranked query aborts before the statistics
+        // gather starts.
+        dl.walk_units(&self.units())?;
         let terms = tokenize(text);
         let tail_docs: Vec<RowTerms> = self.tail().term_stats(&terms);
         let n_total = self.segments.iter().map(|seg| seg.len()).sum::<usize>() + tail_docs.len();
@@ -395,10 +388,8 @@ impl<'a> View<'a> {
             let pending = tail_docs.iter().filter(|d| d.tf[i] > 0).count();
             df.insert(term.clone(), sealed + pending);
         }
-        if let Some(dl) = dl {
-            // Gather boundary between the statistics and scoring phases.
-            dl.check()?;
-        }
+        // Gather boundary between the statistics and scoring phases.
+        dl.check()?;
 
         let mut candidates: Vec<(f64, ImageId)> = pool
             .map(&self.segments, |_, seg| {
@@ -452,12 +443,10 @@ impl<'a> View<'a> {
         mode: VisualMode,
         region: Option<&BBox>,
         pool: &Pool,
-        dl: Option<&DeadlineCtx>,
+        dl: &DeadlineCtx,
     ) -> Result<Vec<QueryResult>, QueryError> {
         let units = self.units();
-        if let Some(dl) = dl {
-            dl.walk_units(&units)?;
-        }
+        dl.walk_units(&units)?;
         let cut = match mode {
             VisualMode::TopK(k) => self.cut(example, kind, k, region, pool),
             VisualMode::Threshold(_) => None,
@@ -521,7 +510,7 @@ impl<'a> View<'a> {
         &self,
         subs: &[Query],
         pool: &Pool,
-        dl: Option<&DeadlineCtx>,
+        dl: &DeadlineCtx,
     ) -> Result<Vec<QueryResult>, QueryError> {
         let Some(pair) = hybrid_pair(subs) else {
             let legs: Result<Vec<_>, _> = subs.iter().map(|q| self.run(q, pool, dl)).collect();

@@ -229,8 +229,7 @@ impl ShardedEngine {
         query: &Query,
         pool: &Pool,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        let gen = self.published.load();
-        self.admit(&gen, [query])?.run(query, pool, None)
+        self.try_execute_with_deadline(query, pool, 0, i64::MAX)
     }
 
     /// [`ShardedEngine::try_execute_with_pool`] under a virtual-clock
@@ -239,8 +238,8 @@ impl ShardedEngine {
     /// boundaries, and aborted with [`QueryError::DeadlineExceeded`]
     /// once the clock passes `deadline_ms`. The trip decision is a pure
     /// function of the snapshot and the query — identical across pool
-    /// widths — and a query that completes returns exactly the bytes
-    /// the undeadlined path would.
+    /// widths — and a query that completes returns the same bytes
+    /// whatever its deadline; one at `i64::MAX` never trips.
     pub fn try_execute_with_deadline(
         &self,
         query: &Query,
@@ -248,9 +247,8 @@ impl ShardedEngine {
         now_ms: i64,
         deadline_ms: i64,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        let gen = self.published.load();
-        let dl = DeadlineCtx::new(now_ms, deadline_ms);
-        self.admit(&gen, [query])?.run(query, pool, Some(&dl))
+        let mut answers = self.execute(std::slice::from_ref(query), pool, now_ms, deadline_ms)?;
+        Ok(answers.remove(0))
     }
 
     /// Prices `query` in admission work units against the published
@@ -280,11 +278,32 @@ impl ShardedEngine {
         queries: &[Query],
         pool: &Pool,
     ) -> Result<Vec<Vec<QueryResult>>, QueryError> {
+        self.execute(queries, pool, 0, i64::MAX)
+    }
+
+    /// The one body of every entry point: validates `queries` against
+    /// one snapshot, then runs each under its own deadline clock from
+    /// `now_ms` to `deadline_ms`. One query scatters over `pool`; a
+    /// batch fans its queries out over it and each scatters serially.
+    fn execute(
+        &self,
+        queries: &[Query],
+        pool: &Pool,
+        now_ms: i64,
+        deadline_ms: i64,
+    ) -> Result<Vec<Vec<QueryResult>>, QueryError> {
         let gen = self.published.load();
         let view = self.admit(&gen, queries)?;
-        pool.map(queries, |_, q| view.run(q, &Pool::serial(), None))
-            .into_iter()
-            .collect()
+        let run = |query: &Query, pool: &Pool| {
+            view.run(query, pool, &DeadlineCtx::new(now_ms, deadline_ms))
+        };
+        match queries {
+            [query] => Ok(vec![run(query, pool)?]),
+            _ => pool
+                .map(queries, |_, query| run(query, &Pool::serial()))
+                .into_iter()
+                .collect(),
+        }
     }
 }
 

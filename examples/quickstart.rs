@@ -107,7 +107,7 @@ fn main() {
     //    classify the rest.
     let labelled = 240;
     for (d, &id) in data[..labelled].iter().zip(&ids[..labelled]) {
-        tvdp.annotate_human(city, id, scheme, d.cleanliness.index())
+        tvdp.annotate(city, id, scheme, d.cleanliness.index(), 1.0, None)
             .expect("annotate");
     }
     let model = tvdp

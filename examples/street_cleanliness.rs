@@ -55,7 +55,7 @@ fn main() {
     // 2. LASAN labels a training portion with its cleanliness levels.
     let labelled = 500;
     for (d, &id) in data[..labelled].iter().zip(&ids[..labelled]) {
-        tvdp.annotate_human(lasan, id, cleanliness, d.cleanliness.index())
+        tvdp.annotate(lasan, id, cleanliness, d.cleanliness.index(), 1.0, None)
             .expect("annotate");
     }
     println!("LASAN hand-labelled {labelled} of them");

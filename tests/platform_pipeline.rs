@@ -67,7 +67,7 @@ fn ingest_train_apply_translate() {
     }
     // Label 90, machine-annotate 30.
     for (d, &id) in data[..90].iter().zip(&ids[..90]) {
-        tvdp.annotate_human(gov, id, scheme, d.cleanliness.index())
+        tvdp.annotate(gov, id, scheme, d.cleanliness.index(), 1.0, None)
             .unwrap();
     }
     let model = tvdp
