@@ -25,7 +25,7 @@ use tvdp_edge::{
 use tvdp_geo::{AngularRange, Fov, GeoPoint, GeoPolygon};
 use tvdp_kernel::Pool;
 use tvdp_ml::SerializableModel;
-use tvdp_query::{Query, QueryError, SpatialQuery, TemporalField, TextualMode, VisualMode};
+use tvdp_query::{Query, QueryError, SpatialQuery, TemporalField, TextualMode, Trace, VisualMode};
 use tvdp_storage::codec::{self, obj, Value};
 use tvdp_storage::{ClassificationId, HealthState, ImageId, ModelId, UserId};
 use tvdp_vision::Image;
@@ -313,6 +313,31 @@ fn decode_spatial(v: &Value) -> Result<SpatialQuery, ParseError> {
     }
 }
 
+/// A query's EXPLAIN as `data/search` renders it: the planner's counts,
+/// then one object per leaf it answered.
+fn explain_json(trace: &Trace) -> Value {
+    let leaves = trace.leaves.iter().map(|leaf| {
+        obj(vec![
+            ("kind", Value::str(leaf.kind)),
+            (
+                "path",
+                Value::Arr(leaf.path.iter().map(|&i| Value::num(i)).collect()),
+            ),
+            ("drove", Value::Bool(leaf.drove)),
+            ("estimate", Value::num(leaf.estimate)),
+            ("actual", Value::num(leaf.actual)),
+        ])
+    });
+    obj(vec![
+        ("segments_visited", Value::num(trace.segments_visited)),
+        ("units_dispatched", Value::num(trace.units_dispatched)),
+        ("rows_bounded", Value::num(trace.rows_bounded)),
+        ("rows_scored", Value::num(trace.rows_scored)),
+        ("nodes_touched", Value::num(trace.nodes_touched)),
+        ("leaves", Value::Arr(leaves.collect())),
+    ])
+}
+
 fn decode_query(v: &Value) -> Result<Query, ParseError> {
     if let Some(s) = v.get("Spatial") {
         Ok(Query::Spatial(decode_spatial(s)?))
@@ -577,9 +602,21 @@ impl ApiServer {
         let cost = self.platform.estimate_query_cost(&query);
         self.admit(RequestClass::Query, cost, now_ms)?;
         // A request without a deadline runs under one that never trips.
-        let results =
-            self.platform
-                .search_with_deadline(&query, now_ms, deadline_ms.unwrap_or(i64::MAX))?;
+        let deadline_ms = deadline_ms.unwrap_or(i64::MAX);
+        let explain = opt_field(body, "explain")
+            .and_then(Value::as_bool)
+            .unwrap_or(false);
+        let (results, trace) = if explain {
+            let (results, trace) =
+                self.platform
+                    .explain_with_deadline(&query, now_ms, deadline_ms)?;
+            (results, Some(trace))
+        } else {
+            let results = self
+                .platform
+                .search_with_deadline(&query, now_ms, deadline_ms)?;
+            (results, None)
+        };
         let rows: Vec<Value> = results
             .iter()
             .map(|r| {
@@ -589,10 +626,12 @@ impl ApiServer {
                 ])
             })
             .collect();
-        Ok(obj(vec![
+        let mut fields = vec![
             ("count", Value::num(rows.len())),
             ("results", Value::Arr(rows)),
-        ]))
+        ];
+        fields.extend(trace.map(|trace| ("explain", explain_json(&trace))));
+        Ok(obj(fields))
     }
 
     fn download(&self, body: &Value) -> Handled {

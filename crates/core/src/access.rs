@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use tvdp_kernel::Pool;
 use tvdp_query::engine::EngineConfig;
-use tvdp_query::{Query, QueryResult, ShardedEngine};
+use tvdp_query::{Query, QueryResult, ShardedEngine, Trace};
 use tvdp_storage::{ImageId, VisualStore};
 
 use crate::error::PlatformError;
@@ -67,6 +67,22 @@ impl Tvdp {
             now_ms,
             deadline_ms,
         )?)
+    }
+
+    /// **Access**: [`Tvdp::search_with_deadline`] with the planner's
+    /// EXPLAIN: the same rows and a [`Trace`] of the work done for them
+    /// (segments visited, scatter units, rows bounded and scored, tree
+    /// nodes, one record per leaf), identical at any pool width.
+    pub fn explain_with_deadline(
+        &self,
+        query: &Query,
+        now_ms: i64,
+        deadline_ms: i64,
+    ) -> Result<(Vec<QueryResult>, Trace), PlatformError> {
+        Ok(self
+            .access
+            .engine
+            .try_explain(query, Pool::global(), now_ms, deadline_ms)?)
     }
 
     /// **Access**: executes independent queries concurrently on the global

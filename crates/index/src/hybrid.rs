@@ -174,6 +174,7 @@ impl<T> VisualRTree<T> {
                         .intersects(region)
                         .then(|| (TotalF32(l2(rows.row(e.row), query)), &e.value))
                 },
+                &mut 0,
             )
             .into_iter()
             .map(|(TotalF32(d), value)| (d, value))
@@ -186,15 +187,19 @@ impl<T> VisualRTree<T> {
     pub fn check_invariants(&self, rows: &impl RowSource) {
         self.tree.check_invariants(&|slot| {
             let mut below = 0;
-            slot.node.visit(&|_, _| true, &mut |e| {
-                below += 1;
-                let d = l2(rows.row(e.row), &slot.summary.centroid);
-                assert!(
-                    d <= slot.summary.radius + 1e-4,
-                    "feature escapes ball: {d} > {}",
-                    slot.summary.radius
-                );
-            });
+            slot.node.visit(
+                &|_, _| true,
+                &mut |e| {
+                    below += 1;
+                    let d = l2(rows.row(e.row), &slot.summary.centroid);
+                    assert!(
+                        d <= slot.summary.radius + 1e-4,
+                        "feature escapes ball: {d} > {}",
+                        slot.summary.radius
+                    );
+                },
+                &mut 0,
+            );
             assert_eq!(below, slot.summary.count, "count mismatch");
         });
     }

@@ -92,29 +92,41 @@ impl<T> OrientedRTree<T> {
 
     /// FOVs whose scene location intersects `region` and whose viewing
     /// direction overlaps `directions`. Pass [`AngularRange::FULL`] for a
-    /// purely spatial query.
-    pub fn range_directed(&self, region: &BBox, directions: &AngularRange) -> Vec<(&Fov, &T)> {
+    /// purely spatial query. Every node the descent enters is added to
+    /// `nodes`.
+    pub fn range_directed(
+        &self,
+        region: &BBox,
+        directions: &AngularRange,
+        nodes: &mut u64,
+    ) -> Vec<(&Fov, &T)> {
         let admits =
             |bbox: &BBox, dirs: &AngularRange| bbox.intersects(region) && dirs.overlaps(directions);
         let mut out = Vec::new();
-        self.tree.visit(&admits, &mut |e| {
-            if admits(&e.bbox, &e.fov.direction_range()) {
-                out.push((&e.fov, &e.value));
-            }
-        });
+        self.tree.visit(
+            &admits,
+            &mut |e| {
+                if admits(&e.bbox, &e.fov.direction_range()) {
+                    out.push((&e.fov, &e.value));
+                }
+            },
+            nodes,
+        );
         out
     }
 
     /// FOVs that actually *see* point `p` (exact sector test after index
-    /// pruning), optionally restricted to a viewing-direction arc.
+    /// pruning), optionally restricted to a viewing-direction arc. Every
+    /// node the descent enters is added to `nodes`.
     pub fn covering_point(
         &self,
         p: &GeoPoint,
         directions: Option<&AngularRange>,
+        nodes: &mut u64,
     ) -> Vec<(&Fov, &T)> {
         let region = BBox::from_point(*p);
         let dirs = directions.copied().unwrap_or(AngularRange::FULL);
-        self.range_directed(&region, &dirs)
+        self.range_directed(&region, &dirs, nodes)
             .into_iter()
             .filter(|(fov, _)| fov.contains(p))
             .collect()
@@ -164,7 +176,7 @@ mod tests {
         let region = BBox::new(34.002, -118.297, 34.008, -118.291);
         let dirs = AngularRange::centered(0.0, 90.0);
         let mut got: Vec<usize> = tree
-            .range_directed(&region, &dirs)
+            .range_directed(&region, &dirs, &mut 0)
             .into_iter()
             .map(|(_, id)| *id)
             .collect();
@@ -189,9 +201,11 @@ mod tests {
             tree.insert(f.scene_location(), *f, *id);
         }
         let region = BBox::new(33.99, -118.31, 34.03, -118.27);
-        let all = tree.range_directed(&region, &AngularRange::FULL).len();
+        let all = tree
+            .range_directed(&region, &AngularRange::FULL, &mut 0)
+            .len();
         let north_only = tree
-            .range_directed(&region, &AngularRange::centered(0.0, 30.0))
+            .range_directed(&region, &AngularRange::centered(0.0, 30.0), &mut 0)
             .len();
         assert!(
             north_only < all,
@@ -209,20 +223,22 @@ mod tests {
         let south = Fov::new(cam, 180.0, 60.0, 100.0);
         tree.insert(south.scene_location(), south, "south");
         let ahead = cam.destination(0.0, 50.0);
-        let hits = tree.covering_point(&ahead, None);
+        let hits = tree.covering_point(&ahead, None, &mut 0);
         assert_eq!(hits.len(), 1);
         assert_eq!(*hits[0].1, "north");
         // Direction-constrained: ask for south-facing cameras seeing the
         // north point — none.
         let south_dirs = AngularRange::centered(180.0, 40.0);
-        assert!(tree.covering_point(&ahead, Some(&south_dirs)).is_empty());
+        assert!(tree
+            .covering_point(&ahead, Some(&south_dirs), &mut 0)
+            .is_empty());
     }
 
     #[test]
     fn empty_tree_queries() {
         let tree: OrientedRTree<u8> = OrientedRTree::new();
         assert!(tree
-            .range_directed(&BBox::new(0.0, 0.0, 1.0, 1.0), &AngularRange::FULL)
+            .range_directed(&BBox::new(0.0, 0.0, 1.0, 1.0), &AngularRange::FULL, &mut 0)
             .is_empty());
         assert!(tree.is_empty());
     }
@@ -238,6 +254,10 @@ mod tests {
         tree.check_invariants();
         // Full-region, full-direction query returns everything.
         let region = BBox::new(33.9, -118.4, 34.1, -118.2);
-        assert_eq!(tree.range_directed(&region, &AngularRange::FULL).len(), 300);
+        assert_eq!(
+            tree.range_directed(&region, &AngularRange::FULL, &mut 0)
+                .len(),
+            300
+        );
     }
 }

@@ -120,18 +120,21 @@ impl<E: HasBBox, S> Node<E, S> {
     }
 
     /// The pruned descent: hands `found` every entry beneath the child
-    /// slots `descend` admits, in tree order.
+    /// slots `descend` admits, in tree order, and adds every node it
+    /// enters, this one included, to `nodes`.
     pub(crate) fn visit<'a>(
         &'a self,
         descend: &impl Fn(&BBox, &S) -> bool,
         found: &mut impl FnMut(&'a E),
+        nodes: &mut u64,
     ) {
+        *nodes += 1;
         match self {
             Node::Leaf(entries) => entries.iter().for_each(found),
             Node::Internal(children) => {
                 for c in children {
                     if descend(&c.bbox, &c.summary) {
-                        c.node.visit(descend, found);
+                        c.node.visit(descend, found, nodes);
                     }
                 }
             }
@@ -168,8 +171,9 @@ impl<E: HasBBox, S> Tree<E, S> {
         &'a self,
         descend: &impl Fn(&BBox, &S) -> bool,
         found: &mut impl FnMut(&'a E),
+        nodes: &mut u64,
     ) {
-        self.root.visit(descend, found);
+        self.root.visit(descend, found, nodes);
     }
 
     /// Inserts one entry; every slot on the insert path is re-summarised
@@ -219,12 +223,14 @@ impl<E: HasBBox, S> Tree<E, S> {
     /// `(rank, payload)` order whatever the tree's shape (the order of
     /// [`Frontier`]). `bound` is a lower bound on the rank of anything
     /// beneath a child slot and `rank` an entry's own rank and payload;
-    /// either returns `None` for what the search must skip.
+    /// either returns `None` for what the search must skip. Every node
+    /// the search expands is added to `nodes`.
     pub(crate) fn nearest<'a, D: Ord, T: Ord>(
         &'a self,
         k: usize,
         bound: impl Fn(&BBox, &S) -> Option<D>,
         rank: impl Fn(&'a E) -> Option<(D, &'a T)>,
+        nodes: &mut u64,
     ) -> Vec<(D, &'a T)> {
         let mut heap = BinaryHeap::new();
         let expand = |node: &'a Node<E, S>, heap: &mut BinaryHeap<_>| match node {
@@ -241,13 +247,17 @@ impl<E: HasBBox, S> Tree<E, S> {
                 )))
             })),
         };
+        *nodes += 1;
         expand(&self.root, &mut heap);
         // Sized by what the tree holds: `k` is the caller's claim.
         let mut out = Vec::with_capacity(k.min(self.len()));
         while out.len() < k {
             match heap.pop() {
                 Some(Reverse(Frontier::Entry(d, v))) => out.push((d, v)),
-                Some(Reverse(Frontier::Node(_, node))) => expand(node, &mut heap),
+                Some(Reverse(Frontier::Node(_, node))) => {
+                    *nodes += 1;
+                    expand(node, &mut heap);
+                }
                 None => break,
             }
         }
@@ -332,7 +342,7 @@ impl<E, S> Tree<E, S> {
 /// ]);
 /// let downtown = BBox::new(34.04, -118.26, 34.06, -118.24);
 /// assert_eq!(tree.range(&downtown), vec![&"city hall"]);
-/// let nearest = tree.knn(&GeoPoint::new(34.021, -118.288), 1);
+/// let nearest = tree.knn(&GeoPoint::new(34.021, -118.288), 1, &mut 0);
 /// assert_eq!(*nearest[0].1, "campus");
 /// ```
 #[derive(Debug, Clone)]
@@ -387,24 +397,30 @@ impl<T> RTree<T> {
     /// All payloads whose rectangle intersects `query`.
     pub fn range(&self, query: &BBox) -> Vec<&T> {
         let mut out = Vec::new();
-        self.tree
-            .visit(&|bbox, ()| bbox.intersects(query), &mut |(bbox, value)| {
-                if bbox.intersects(query) {
-                    out.push(value);
-                }
-            });
+        self.visit_range(query, &mut 0, |value| out.push(value));
         out
     }
 
-    /// All payloads whose rectangle contains the point `p`.
-    pub fn containing(&self, p: &GeoPoint) -> Vec<&T> {
-        self.range(&BBox::from_point(*p))
+    /// Hands `found` every payload whose rectangle intersects `query`,
+    /// in tree order, without collecting them, and adds every node the
+    /// descent enters to `nodes`.
+    pub fn visit_range<'a>(&'a self, query: &BBox, nodes: &mut u64, mut found: impl FnMut(&'a T)) {
+        self.tree.visit(
+            &|bbox, ()| bbox.intersects(query),
+            &mut |(bbox, value)| {
+                if bbox.intersects(query) {
+                    found(value);
+                }
+            },
+            nodes,
+        );
     }
 
     /// The `k` entries nearest to `p` by box min-distance, closest first
     /// and by payload among entries at one distance, whatever the
-    /// tree's shape. Returns `(distance_m, payload)` pairs.
-    pub fn knn(&self, p: &GeoPoint, k: usize) -> Vec<(f64, &T)>
+    /// tree's shape. Returns `(distance_m, payload)` pairs, and adds
+    /// every node the search expands to `nodes`.
+    pub fn knn(&self, p: &GeoPoint, k: usize, nodes: &mut u64) -> Vec<(f64, &T)>
     where
         T: Ord,
     {
@@ -414,6 +430,7 @@ impl<T> RTree<T> {
                 k,
                 |bbox, ()| Some(distance(bbox)),
                 |(bbox, value)| Some((distance(bbox), value)),
+                nodes,
             )
             .into_iter()
             .map(|(TotalF64(d), value)| (d, value))
@@ -626,7 +643,7 @@ mod tests {
         let pts = grid_points(10);
         let tree = RTree::build(pts.iter().map(|(p, id)| (BBox::from_point(*p), *id)));
         let q = GeoPoint::new(34.0045, -118.2955);
-        let knn = tree.knn(&q, 5);
+        let knn = tree.knn(&q, 5, &mut 0);
         assert_eq!(knn.len(), 5);
         for w in knn.windows(2) {
             assert!(w[0].0 <= w[1].0, "knn not sorted");
@@ -647,7 +664,7 @@ mod tests {
         let mut tree = RTree::new();
         tree.insert(BBox::from_point(GeoPoint::new(34.0, -118.0)), 1u32);
         tree.insert(BBox::from_point(GeoPoint::new(34.1, -118.1)), 2u32);
-        let knn = tree.knn(&GeoPoint::new(34.0, -118.0), 10);
+        let knn = tree.knn(&GeoPoint::new(34.0, -118.0), 10, &mut 0);
         assert_eq!(knn.len(), 2);
     }
 
@@ -662,10 +679,10 @@ mod tests {
             tree.insert(BBox::from_point(here), (i * 77) % 200);
         }
         tree.insert(BBox::from_point(GeoPoint::new(35.0, -117.0)), 999);
-        let knn = tree.knn(&GeoPoint::new(34.1, -118.1), 7);
+        let knn = tree.knn(&GeoPoint::new(34.1, -118.1), 7, &mut 0);
         let got: Vec<u32> = knn.iter().map(|(_, id)| **id).collect();
         assert_eq!(got, (0..7).collect::<Vec<u32>>());
-        assert!(tree.knn(&here, 0).is_empty());
+        assert!(tree.knn(&here, 0, &mut 0).is_empty());
     }
 
     #[test]
@@ -678,7 +695,7 @@ mod tests {
         let mut hits: Vec<&str> = tree.range(&q).into_iter().copied().collect();
         hits.sort_unstable();
         assert_eq!(hits, vec!["a", "b"]);
-        let contains = tree.containing(&GeoPoint::new(35.05, -116.95));
+        let contains = tree.range(&BBox::from_point(GeoPoint::new(35.05, -116.95)));
         assert_eq!(contains, vec![&"c"]);
     }
 
@@ -818,8 +835,8 @@ mod tests {
                         .into_iter()
                         .map(|(d, id)| (d.to_bits(), id))
                         .collect();
-                    assert_eq!(bits(packed.knn(p, k)), want, "n = {n}, k = {k}");
-                    assert_eq!(bits(grown.knn(p, k)), want, "n = {n}, k = {k}");
+                    assert_eq!(bits(packed.knn(p, k, &mut 0)), want, "n = {n}, k = {k}");
+                    assert_eq!(bits(grown.knn(p, k, &mut 0)), want, "n = {n}, k = {k}");
                 }
             }
 
@@ -843,8 +860,8 @@ mod tests {
                             && fov.direction_range().overlaps(&dirs)
                     });
                     let want = sorted(scan.map(|(_, _, id)| id));
-                    assert_eq!(ids(packed.range_directed(region, &dirs)), want);
-                    assert_eq!(ids(grown.range_directed(region, &dirs)), want);
+                    assert_eq!(ids(packed.range_directed(region, &dirs, &mut 0)), want);
+                    assert_eq!(ids(grown.range_directed(region, &dirs, &mut 0)), want);
                 }
             }
 
@@ -884,7 +901,7 @@ mod tests {
         for i in 0..30u32 {
             tree.insert(BBox::from_point(p), i);
         }
-        let hits = tree.containing(&p);
+        let hits = tree.range(&BBox::from_point(p));
         assert_eq!(hits.len(), 30);
     }
 }

@@ -58,7 +58,7 @@ fn rtree_knn_equals_linear_scan() {
         let q = la_point(rng);
         let k = rng.gen_range(1usize..10);
         let tree = RTree::build(points.iter().map(|p| BBox::from_point(*p)).zip(0..));
-        let got: Vec<f64> = tree.knn(&q, k).iter().map(|(d, _)| *d).collect();
+        let got: Vec<f64> = tree.knn(&q, k, &mut 0).iter().map(|(d, _)| *d).collect();
         let mut lin: Vec<f64> = points.iter().map(|p| q.fast_distance_m(p)).collect();
         lin.sort_by(f64::total_cmp);
         lin.truncate(k);
@@ -120,7 +120,7 @@ fn oriented_rtree_equals_linear_scan() {
         let dirs = AngularRange::new(dir_start, dir_width);
         // Tree order is unspecified: compare sets.
         let mut got: Vec<usize> = tree
-            .range_directed(&query, &dirs)
+            .range_directed(&query, &dirs, &mut 0)
             .into_iter()
             .map(|(_, i)| *i)
             .collect();
