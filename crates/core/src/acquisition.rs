@@ -20,7 +20,7 @@ use tvdp_vision::{
     Image,
 };
 
-use crate::error::PlatformError;
+use crate::error::{PlatformError, WidthSetBy};
 use crate::platform::{take_id, Tvdp};
 use crate::video::{select_keyframes, KeyframePolicy, VideoFrame, VideoIngestReport};
 
@@ -205,6 +205,9 @@ impl Tvdp {
         }
 
         let features = pool.map(&fresh, |_, (_, _, image, _)| self.extract_features(image));
+        for ((id, ..), features) in fresh.iter().zip(&features) {
+            self.check_widths(*id, features)?;
+        }
 
         let ops = fresh
             .into_iter()
@@ -227,6 +230,31 @@ impl Tvdp {
             }
         }
         Ok(outcomes)
+    }
+
+    /// Refuses `features`, extracted for the image to be stored as `id`,
+    /// when one of them is not as wide as the rows of its family the
+    /// store already holds: a platform reopened under another extractor
+    /// configuration would otherwise store rows the index cannot mix.
+    /// Nothing has been journaled when this fails.
+    fn check_widths(
+        &self,
+        id: ImageId,
+        features: &[(FeatureKind, Vec<f32>)],
+    ) -> Result<(), PlatformError> {
+        for (kind, vector) in features.iter().filter(|(_, v)| !v.is_empty()) {
+            let widths = self.store.feature_widths(*kind);
+            if !widths.is_empty() && !widths.contains(&vector.len()) {
+                return Err(PlatformError::FeatureWidth {
+                    image: id,
+                    kind: *kind,
+                    expected: widths[0],
+                    found: vector.len(),
+                    set_by: WidthSetBy::Store,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// **Acquisition**: uploads an image with near-duplicate detection
@@ -328,6 +356,7 @@ impl Tvdp {
             op: op.tag(),
         };
         let id = self.acquisition.alloc_image_id();
+        self.check_widths(id, &features)?;
         let op = upload_op(id, record.meta, origin, augmented, features, None);
         self.commit(vec![op])?;
         self.access.index(id);

@@ -18,7 +18,7 @@ use tvdp_storage::{
 };
 use tvdp_vision::FeatureKind;
 
-use crate::error::PlatformError;
+use crate::error::{PlatformError, WidthSetBy};
 use crate::models::{ModelInterface, ModelRegistry};
 use crate::platform::{take_id, Tvdp};
 
@@ -195,6 +195,7 @@ impl Tvdp {
                         kind: feature_kind,
                         expected: first.len(),
                         found: feature.len(),
+                        set_by: WidthSetBy::Model,
                     });
                 }
                 features.push(feature);
@@ -273,6 +274,7 @@ impl Tvdp {
                     kind: interface.feature_kind,
                     expected: interface.input_dim,
                     found: feature.len(),
+                    set_by: WidthSetBy::Model,
                 });
             }
             let (label, confidence) = models
@@ -397,63 +399,74 @@ mod tests {
         ));
     }
 
-    /// A store holding CNN rows of two widths — the platform reopened
-    /// under another extractor configuration — is refused before
-    /// fitting, as `apply_model` refuses a row of the wrong width.
+    /// A store holding CNN rows of two widths is refused before
+    /// fitting, as `apply_model` refuses a row of the wrong width. The
+    /// platform refuses such an upload and such a directory at open, so
+    /// the wider rows are written to the store directly, as a build
+    /// without those checks journaled them.
     #[test]
     fn training_over_two_feature_widths_is_a_typed_refusal() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("tvdp-analysis-widths-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let wide = PlatformConfig {
-            cnn: CnnConfig {
-                stage_channels: vec![4, 16],
-                ..fast_config().cnn
-            },
-            ..fast_config()
-        };
-        let mut first_wide = None;
-        for (pass, config) in [fast_config(), wide].into_iter().enumerate() {
-            let (tvdp, _) = Tvdp::open(&dir, config).unwrap();
-            let user = tvdp.register_user("LASAN", Role::Government);
-            let scheme = match tvdp.store().scheme(ClassificationId(0)) {
-                Some(_) => ClassificationId(0),
-                None => tvdp
-                    .register_scheme("binary", vec!["red".into(), "blue".into()])
-                    .unwrap(),
-            };
-            for i in 0..6 {
-                let seed = pass * 6 + i;
-                let id = tvdp
-                    .ingest(user, scene(i % 2, seed), request(seed as i64))
-                    .unwrap();
-                first_wide = first_wide.or((pass == 1).then_some(id));
-                tvdp.annotate(user, id, scheme, i % 2, 1.0, None).unwrap();
-            }
-            if pass == 0 {
-                continue;
-            }
-            let err = tvdp
-                .train_model(user, "svm", scheme, FeatureKind::Cnn, Algorithm::Svm)
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    PlatformError::FeatureWidth {
-                        image,
-                        kind: FeatureKind::Cnn,
-                        expected: 40,
-                        found: 80,
-                    } if Some(image) == first_wide
-                ),
-                "{err:?}"
-            );
-            assert!(err
-                .to_string()
-                .contains("different extractor configuration"));
-            assert!(tvdp.models().ids().is_empty());
+        let tvdp = Tvdp::new(fast_config());
+        let user = tvdp.register_user("LASAN", Role::Government);
+        let scheme = tvdp
+            .register_scheme("binary", vec!["red".into(), "blue".into()])
+            .unwrap();
+        for i in 0..6 {
+            let id = tvdp
+                .ingest(user, scene(i % 2, i), request(i as i64))
+                .unwrap();
+            tvdp.annotate(user, id, scheme, i % 2, 1.0, None).unwrap();
         }
-        std::fs::remove_dir_all(&dir).ok();
+        let first_wide = ImageId(1_000);
+        for i in 0..6u64 {
+            let id = ImageId(first_wide.0 + i);
+            let rec = request(6 + i as i64);
+            let meta = tvdp_storage::ImageMeta {
+                uploader: user,
+                gps: rec.gps,
+                fov: rec.fov,
+                captured_at: rec.captured_at,
+                uploaded_at: rec.uploaded_at,
+                keywords: rec.keywords,
+            };
+            tvdp.store()
+                .apply_batch(vec![
+                    WalOp::AddImage {
+                        id,
+                        meta,
+                        origin: tvdp_storage::ImageOrigin::Original,
+                        pixels: None,
+                    },
+                    WalOp::PutFeature {
+                        image: id,
+                        kind: FeatureKind::Cnn,
+                        vector: vec![i as f32; 80],
+                    },
+                ])
+                .unwrap();
+            tvdp.annotate(user, id, scheme, (i % 2) as usize, 1.0, None)
+                .unwrap();
+        }
+        let err = tvdp
+            .train_model(user, "svm", scheme, FeatureKind::Cnn, Algorithm::Svm)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PlatformError::FeatureWidth {
+                    image,
+                    kind: FeatureKind::Cnn,
+                    expected: 40,
+                    found: 80,
+                    set_by: WidthSetBy::Model,
+                } if image == first_wide
+            ),
+            "{err:?}"
+        );
+        assert!(err
+            .to_string()
+            .contains("different extractor configuration"));
+        assert!(tvdp.models().ids().is_empty());
     }
 }
 

@@ -6,6 +6,17 @@ use tvdp_query::QueryError;
 use tvdp_storage::{ClassificationId, DurableError, ImageId, ModelId, StorageError, UserId};
 use tvdp_vision::FeatureKind;
 
+/// What fixes the width a [`PlatformError::FeatureWidth`] feature
+/// must match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WidthSetBy {
+    /// A model's declared `input_dim`, or the first feature of a
+    /// training set.
+    Model,
+    /// The rows of the family the store already holds.
+    Store,
+}
+
 /// Errors surfaced by platform operations.
 #[derive(Debug)]
 pub enum PlatformError {
@@ -30,18 +41,22 @@ pub enum PlatformError {
     },
     /// The image lacks the stored feature a model needs.
     MissingFeature(ImageId, FeatureKind),
-    /// The image's stored feature is not as wide as the model's
+    /// A feature is not as wide as what it must match: a model's
     /// declared input (a model uploaded for another extractor
-    /// configuration).
+    /// configuration), or the rows of its family the store already
+    /// holds (a store written under another extractor configuration).
     FeatureWidth {
-        /// The image whose feature was read.
+        /// The image whose feature was read, or the id an upload would
+        /// have been stored under.
         image: ImageId,
-        /// The feature family the model consumes.
+        /// The feature family.
         kind: FeatureKind,
-        /// The model's declared `input_dim`.
+        /// The width it must match.
         expected: usize,
-        /// The stored feature's width.
+        /// The feature's width.
         found: usize,
+        /// What fixed `expected`.
+        set_by: WidthSetBy,
     },
     /// No pixels stored for an image that needs processing.
     MissingPixels(ImageId),
@@ -90,10 +105,23 @@ impl std::fmt::Display for PlatformError {
                 kind,
                 expected,
                 found,
+                set_by: WidthSetBy::Model,
             } => write!(
                 f,
                 "model expects {expected}-dim {kind:?} features but image {image} holds a \
                  {found}-dim one (different extractor configuration?)"
+            ),
+            PlatformError::FeatureWidth {
+                image,
+                kind,
+                expected,
+                found,
+                set_by: WidthSetBy::Store,
+            } => write!(
+                f,
+                "image {image} has a {found}-dim {kind:?} feature but the store holds \
+                 {expected}-dim {kind:?} rows (written under another extractor \
+                 configuration?); nothing was stored"
             ),
             PlatformError::MissingPixels(id) => write!(f, "image {id} has no stored pixels"),
             PlatformError::Query(e) => write!(f, "query: {e}"),

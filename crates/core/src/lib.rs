@@ -38,7 +38,7 @@ pub use acquisition::Upload;
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, AdmissionTicket, ClassStats, RequestClass,
 };
-pub use error::PlatformError;
+pub use error::{PlatformError, WidthSetBy};
 pub use models::{ModelEntry, ModelInterface, ModelRegistry};
 pub use platform::{IngestRequest, PlatformConfig, Tvdp};
 pub use translational::{count_by_cell, hotspots, CellCount};

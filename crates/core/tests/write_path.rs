@@ -8,7 +8,10 @@ use std::path::PathBuf;
 use std::sync::Barrier;
 
 use tvdp_core::platform::Algorithm;
-use tvdp_core::{IngestRequest, KeyframePolicy, PlatformConfig, Role, Tvdp, Upload, VideoFrame};
+use tvdp_core::{
+    IngestRequest, KeyframePolicy, PlatformConfig, PlatformError, Role, Tvdp, Upload, VideoFrame,
+    WidthSetBy,
+};
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_kernel::Pool;
 use tvdp_query::{Query, TemporalField};
@@ -246,6 +249,145 @@ fn two_requests_racing_on_one_key_store_one_row() {
             to: i64::MAX,
         };
         assert_eq!(tvdp.search(&everything).unwrap().len(), ROUNDS);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// [`config`] with a CNN whose last stage is half as wide: its
+/// features are narrower than the ones [`config`] writes.
+fn narrower_cnn(seal_cap: usize) -> PlatformConfig {
+    let mut narrower = config();
+    narrower.cnn.stage_channels = vec![4, 4];
+    narrower.seal_cap = seal_cap;
+    narrower
+}
+
+/// The bytes of every journal and base segment in `dir`, by name.
+fn segments(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| {
+            (
+                p.file_name().unwrap().to_string_lossy().into_owned(),
+                std::fs::read(&p).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A directory reopened under another CNN configuration refuses an
+/// upload whose features are not as wide as the stored rows, before
+/// anything is journaled; the seal that upload would have made (seal
+/// cap 4, three rows stored) used to mix the two widths and panic.
+#[test]
+fn an_upload_of_another_feature_width_is_refused_before_it_is_journaled() {
+    let dir = temp_dir("width-upload");
+    let wide = PlatformConfig {
+        seal_cap: 4,
+        ..config()
+    };
+    let (tvdp, _) = Tvdp::open(&dir, wide.clone()).unwrap();
+    let user = tvdp.register_user("LASAN", Role::Government);
+    for i in 0..3 {
+        tvdp.ingest(user, scene(i), request(i)).unwrap();
+    }
+    let stored = tvdp.store().feature_widths(FeatureKind::Cnn);
+    drop(tvdp);
+
+    let (tvdp, _) = Tvdp::open(&dir, narrower_cnn(4)).unwrap();
+    let user = tvdp.register_user("LASAN", Role::Government);
+    let before = segments(&dir);
+    for i in 3..5 {
+        let err = tvdp.ingest(user, scene(i), request(i)).unwrap_err();
+        match err {
+            PlatformError::FeatureWidth {
+                kind: FeatureKind::Cnn,
+                expected,
+                found,
+                set_by: WidthSetBy::Store,
+                ..
+            } => assert!(expected == stored[0] && found < expected, "{err}"),
+            other => panic!("upload {i}: {other:?}"),
+        }
+        let batch = vec![(scene(i), request(i)), (scene(i + 1), request(i + 1))];
+        assert!(matches!(
+            tvdp.ingest_batch(user, batch, 2),
+            Err(PlatformError::FeatureWidth { .. })
+        ));
+    }
+    assert_eq!(segments(&dir), before, "a refused upload was journaled");
+    assert_eq!(tvdp.store().len(), 3);
+    let all = Query::Temporal {
+        field: TemporalField::Captured,
+        from: 0,
+        to: i64::MAX,
+    };
+    assert_eq!(tvdp.search(&all).unwrap().len(), 3);
+    drop(tvdp);
+
+    // The configuration the rows were written under still takes more.
+    let (tvdp, _) = Tvdp::open(&dir, wide).unwrap();
+    let user = tvdp.register_user("LASAN", Role::Government);
+    for i in 3..6 {
+        tvdp.ingest(user, scene(i), request(i)).unwrap();
+    }
+    assert_eq!(tvdp.search(&all).unwrap().len(), 6);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal already holding CNN rows of two widths (written by a
+/// build without the upload check) is refused at open with the first
+/// image of the second width named, where the bulk index build used to
+/// panic on the run that mixed them.
+#[test]
+fn opening_a_store_of_two_feature_widths_is_an_error_not_a_panic() {
+    let dir = temp_dir("width-open");
+    let (durable, _) = tvdp_storage::DurableStore::open(&dir).unwrap();
+    let mut first_narrow = None;
+    for (i, width) in [8usize, 8, 8, 4, 8].into_iter().enumerate() {
+        let id = ImageId(i as u64 + 1);
+        let rec = request(i);
+        let meta = tvdp_storage::ImageMeta {
+            uploader: tvdp_storage::UserId(1),
+            gps: rec.gps,
+            fov: rec.fov,
+            captured_at: rec.captured_at,
+            uploaded_at: rec.uploaded_at,
+            keywords: rec.keywords,
+        };
+        durable
+            .apply_batch(vec![
+                tvdp_storage::WalOp::AddImage {
+                    id,
+                    meta,
+                    origin: tvdp_storage::ImageOrigin::Original,
+                    pixels: None,
+                },
+                tvdp_storage::WalOp::PutFeature {
+                    image: id,
+                    kind: FeatureKind::Cnn,
+                    vector: vec![i as f32; width],
+                },
+            ])
+            .unwrap();
+        if width == 4 {
+            first_narrow.get_or_insert(id);
+        }
+    }
+    drop(durable);
+    let err = Tvdp::open(&dir, config()).map(|_| ()).unwrap_err();
+    match err {
+        PlatformError::FeatureWidth {
+            image,
+            kind: FeatureKind::Cnn,
+            expected: 8,
+            found: 4,
+            set_by: WidthSetBy::Store,
+        } => assert_eq!(Some(image), first_narrow),
+        other => panic!("{other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }
