@@ -145,12 +145,17 @@ fn deadline_trip_is_identical_across_pool_widths() {
                 trips += usize::from(a.is_err());
             }
         }
-        // Some budget trips at every cap. From a cap of 32 up the sweep
-        // also reaches budgets that fit, so fewer than every (budget,
-        // query) pair trips; below it 600 rows make more scatter units
-        // than the widest 39 ms budget can charge, and every pair trips.
+        // Some budget trips at every cap. From a cap of 7 up the sweep
+        // also reaches budgets that fit (600 rows are 16 scatter units
+        // at cap 7: ten folded segments of 56, five small of 7 and a
+        // tail; 5 at caps 32 and 128; 1 at 1000), so fewer than every
+        // (budget, query) pair trips. At cap 1 they fold into 75
+        // segments of 8, more units than the widest 39 ms budget can
+        // charge, and every pair trips.
         assert!(trips > 0, "seal cap {cap}: the sweep never tripped");
-        if cap >= 32 {
+        if cap == 1 {
+            assert_eq!(trips, executions / 2, "seal cap 1");
+        } else {
             assert!(
                 trips < executions / 2,
                 "seal cap {cap}: {trips} trips over {executions} executions"
@@ -164,7 +169,8 @@ fn tight_budget_trips_and_reports_the_modeled_clock() {
     let eng = engine(600, 32);
     let pool = Pool::serial();
     // Each scatter unit charges at least 1 virtual ms; 600 rows sealed
-    // at 32 give 19 units, so a 2 ms budget cannot fit a full scatter.
+    // at 32 give 5 units (two folded segments of 256, two small of 32
+    // and a 24-row tail), so a 2 ms budget cannot fit a full scatter.
     let err = eng
         .try_execute_with_deadline(&workload()[0], &pool, 0, 2)
         .unwrap_err();

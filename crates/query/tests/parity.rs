@@ -12,9 +12,10 @@
 //!    byte-identical output under a 1-thread and an 8-thread pool.
 //! 3. **Partition invariance.** The same corpus cut into segments at
 //!    every seal cap from one row per segment to all rows in the tail
-//!    must match the linear reference score-for-score, and batch output
-//!    must be byte-identical across every (seal cap, pool width)
-//!    combination.
+//!    (small segments folded into larger ones wherever the corpus holds
+//!    `FOLD` of them) must match the linear reference score-for-score,
+//!    and batch output must be byte-identical across every (seal cap,
+//!    pool width) combination.
 //!
 //! Plus regression tests for the conjunction fast path that used to
 //! silently drop a second visual leaf of a different [`FeatureKind`].
@@ -27,7 +28,7 @@ use tvdp_geo::{AngularRange, BBox, Fov, GeoError, GeoPoint, GeoPolygon};
 use tvdp_kernel::Pool;
 use tvdp_query::{
     EngineConfig, LinearExecutor, Query, QueryEngine, QueryError, QueryResult, ShardedEngine,
-    SpatialQuery, TemporalField, TextualMode, VisualMode,
+    SpatialQuery, TemporalField, TextualMode, VisualMode, FOLD,
 };
 use tvdp_storage::{
     AnnotationSource, ClassificationId, ImageMeta, ImageOrigin, UserId, VisualStore,
@@ -348,7 +349,14 @@ const POOLS: [usize; 2] = [1, 8];
 #[test]
 fn sharded_engine_matches_linear_scan_across_shard_counts() {
     for store_seed in 0..6u64 {
-        let (store, cls) = build_store(140, 3_000 + store_seed);
+        // 140 rows fold at caps 1 and 7 (segments of 8 and 56 rows); the
+        // first corpus also folds at caps 32 and 128 (256 and 1,024).
+        let rows = if store_seed == 0 {
+            FOLD * 128 + 77
+        } else {
+            140
+        };
+        let (store, cls) = build_store(rows, 3_000 + store_seed);
         let linear = LinearExecutor::new(Arc::clone(&store));
         for cap in SEAL_CAPS {
             let engine = ShardedEngine::with_seal_cap(

@@ -11,8 +11,10 @@
 //!
 //! The corpus holds more rows than two arena chunks: the rows of the
 //! two full chunks carry a projected column, the rest sit in the
-//! partial chunk and are always scored, and every seal cap but 1 leaves
-//! a tail.
+//! partial chunk and are always scored, every seal cap folds small
+//! segments into larger ones (two of 1,024 rows at cap 128), and every
+//! seal cap but 1 leaves a tail. The planner's trace of each query is
+//! the same on every pool.
 //!
 //! The corpus puts a top-k cut inside a tie: `K + 3` identical rows sit
 //! at the `K`-th distance behind `K - 2` nearer ones, so the rows kept
@@ -215,12 +217,25 @@ fn a_bounded_segment_scan_answers_as_the_full_linear_scan() {
                 EngineConfig::default(),
                 cap,
             );
+            let explain =
+                |q: &Query, pool: &Pool| sealed.try_explain(q, pool, 0, i64::MAX).unwrap();
+            let traces: Vec<_> = (queries.iter())
+                .map(|(_, q)| explain(q, &Pool::serial()).1)
+                .collect();
+            // Every cap folds: 2,175 rows hold two folded segments of
+            // 1,024 at cap 128, and bound rows in their frozen chunks.
+            assert!(traces[3].rows_bounded > 0, "dim {dim}, seal cap {cap}");
             for threads in [1, 4] {
                 let pool = Pool::new(threads);
-                for ((name, q), want) in queries.iter().zip(&want) {
+                for (((name, q), want), trace) in queries.iter().zip(&want).zip(&traces) {
                     assert_eq!(
                         &bits(&sealed.try_execute_with_pool(q, &pool).unwrap()),
                         want,
+                        "dim {dim}, seal cap {cap}, {threads} threads: {name}"
+                    );
+                    assert_eq!(
+                        &explain(q, &pool).1,
+                        trace,
                         "dim {dim}, seal cap {cap}, {threads} threads: {name}"
                     );
                 }
