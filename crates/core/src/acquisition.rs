@@ -13,7 +13,7 @@ use tvdp_geo::{Fov, GeoPoint};
 use tvdp_kernel::sync::Mutex;
 use tvdp_kernel::Pool;
 use tvdp_query::{Query, VisualMode};
-use tvdp_storage::wal::pixel_blob;
+use tvdp_storage::wal::{pixel_blob, PixelBlob};
 use tvdp_storage::{ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
 use tvdp_vision::{
     Augmentation, CnnConfig, CnnExtractor, ColorHistogramExtractor, FeatureExtractor, FeatureKind,
@@ -82,12 +82,13 @@ impl From<(Image, IngestRequest)> for Upload {
 /// composite record: the row and its features land or tear together,
 /// and so does the dedup marker when there is one, which is what makes
 /// an upload that was acked once ingested exactly once even across
-/// crashes.
+/// crashes. `pixels` is the image's code ([`pixel_blob`]), made where
+/// its features are extracted.
 fn upload_op(
     id: ImageId,
     meta: ImageMeta,
     origin: ImageOrigin,
-    image: Image,
+    pixels: PixelBlob,
     features: Vec<(FeatureKind, Vec<f32>)>,
     marker: Option<String>,
 ) -> WalOp {
@@ -96,7 +97,7 @@ fn upload_op(
         id,
         meta,
         origin,
-        pixels: Some(pixel_blob(image)),
+        pixels: Some(pixels),
         features,
     }
 }
@@ -158,8 +159,8 @@ impl Tvdp {
     /// 1. Serially, in input order: an upload whose key was seen earlier
     ///    in the batch or is already stored replays that image; every
     ///    other upload is given the next id.
-    /// 2. Feature extraction, which dominates ingest cost, fans out over
-    ///    `pool`.
+    /// 2. Feature extraction, which dominates ingest cost, and the
+    ///    pixels' code fan out over `pool`.
     /// 3. The uploads become one commit — on a durable platform one
     ///    framed write and one fsync however many uploads — and are then
     ///    indexed.
@@ -204,16 +205,18 @@ impl Tvdp {
             outcomes.push((id, false));
         }
 
-        let features = pool.map(&fresh, |_, (_, _, image, _)| self.extract_features(image));
-        for ((id, ..), features) in fresh.iter().zip(&features) {
+        let coded = pool.map(&fresh, |_, (_, _, image, _)| {
+            (self.extract_features(image), pixel_blob(image))
+        });
+        for ((id, ..), (features, _)) in fresh.iter().zip(&coded) {
             self.check_widths(*id, features)?;
         }
 
         let ops = fresh
             .into_iter()
-            .zip(features)
-            .map(|((id, meta, image, marker), features)| {
-                upload_op(id, meta, ImageOrigin::Original, image, features, marker)
+            .zip(coded)
+            .map(|((id, meta, _, marker), (features, pixels))| {
+                upload_op(id, meta, ImageOrigin::Original, pixels, features, marker)
             })
             .collect();
         let replays = self.commit(ops)?;
@@ -357,7 +360,14 @@ impl Tvdp {
         };
         let id = self.acquisition.alloc_image_id();
         self.check_widths(id, &features)?;
-        let op = upload_op(id, record.meta, origin, augmented, features, None);
+        let op = upload_op(
+            id,
+            record.meta,
+            origin,
+            pixel_blob(&augmented),
+            features,
+            None,
+        );
         self.commit(vec![op])?;
         self.access.index(id);
         Ok(id)

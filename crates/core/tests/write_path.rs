@@ -15,8 +15,9 @@ use tvdp_core::{
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_kernel::Pool;
 use tvdp_query::{Query, TemporalField};
-use tvdp_storage::wal::SEGMENT_MAGIC;
-use tvdp_storage::{ImageId, RegionOfInterest, Snapshot};
+use tvdp_storage::wal::{self, frame, SEGMENT_MAGIC};
+use tvdp_storage::{le, pixels};
+use tvdp_storage::{ImageId, RegionOfInterest, Snapshot, WalOp};
 use tvdp_vision::{Augmentation, CnnConfig, FeatureKind, Image};
 
 fn config() -> PlatformConfig {
@@ -211,6 +212,87 @@ fn the_same_uploads_journal_identical_bytes_however_they_are_cut() {
         std::fs::remove_dir_all(&piped).ok();
     }
     std::fs::remove_dir_all(&one_by_one).ok();
+}
+
+/// The ops of the segment at `path`.
+fn ops_of(path: &std::path::Path) -> Vec<WalOp> {
+    let bytes = std::fs::read(path).unwrap();
+    let scan = wal::scan(path, &bytes[..]).unwrap();
+    scan.collect::<Result<_, _>>().unwrap()
+}
+
+/// The record a build before the pixel code wrote for `op`: this
+/// build's record with the coded pixel field (tag 2) swapped for the
+/// raw one (tag 1) of the same image.
+fn with_raw_pixels(op: &WalOp) -> Vec<u8> {
+    let record = op.encode();
+    let WalOp::IngestUpload {
+        pixels: Some((width, height, code)),
+        ..
+    } = op
+    else {
+        return record;
+    };
+    let field = |tag: u8, bytes: &[u8]| {
+        let mut field = vec![tag];
+        le::put_u64(&mut field, *width as u64);
+        le::put_u64(&mut field, *height as u64);
+        le::put_bytes(&mut field, bytes);
+        field
+    };
+    let coded = field(2, code);
+    let image = pixels::decode(*width, *height, code).unwrap();
+    let at = record
+        .windows(coded.len())
+        .position(|w| w == coded)
+        .unwrap();
+    [
+        &record[..at],
+        &field(1, image.raw())[..],
+        &record[at + coded.len()..],
+    ]
+    .concat()
+}
+
+#[test]
+fn a_journal_of_raw_pixels_reopens_and_flushes_into_codes() {
+    const N: usize = 5;
+    let dir = temp_dir("raw-pixels");
+    let expected = {
+        let (tvdp, _) = Tvdp::open(&dir, config()).unwrap();
+        let user = tvdp.register_user("LASAN", Role::Government);
+        let uploads = (0..N).map(|i| upload(i, Some(&format!("k{i}")))).collect();
+        tvdp.ingest_uploads(user, uploads, &Pool::serial()).unwrap();
+        tvdp.store().snapshot()
+    };
+    // The same journal as an older build wrote it: every pixel raw.
+    let journal = dir.join("wal-0.log");
+    let mut legacy = SEGMENT_MAGIC.to_vec();
+    for op in ops_of(&journal) {
+        legacy.extend_from_slice(&frame(&with_raw_pixels(&op)));
+    }
+    assert_ne!(legacy, std::fs::read(&journal).unwrap());
+    std::fs::write(&journal, legacy).unwrap();
+
+    let (tvdp, report) = Tvdp::open(&dir, config()).unwrap();
+    assert_eq!(report.replayed_ops, N);
+    assert_eq!(tvdp.store().snapshot(), expected);
+    for i in 0..N {
+        let id = ImageId(i as u64);
+        assert_eq!(tvdp.store().pixels(id), Some(scene(i)), "image {i}");
+    }
+    // The fold writes this build's records: codes, and no raw field.
+    tvdp.flush().unwrap();
+    drop(tvdp);
+    let base = dir.join("base-1.seg");
+    let mut rewritten = SEGMENT_MAGIC.to_vec();
+    for op in ops_of(&base) {
+        rewritten.extend_from_slice(&frame(&op.encode()));
+    }
+    assert!(rewritten == std::fs::read(&base).unwrap());
+    let (reopened, _) = Tvdp::open(&dir, config()).unwrap();
+    assert_eq!(reopened.store().snapshot(), expected);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

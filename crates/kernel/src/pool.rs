@@ -6,13 +6,17 @@
 //! one need — fan a pure per-item function out over worker threads and get
 //! the results back **in input order, with values independent of the
 //! thread count**. [`Pool::map`] and [`Pool::map_index`] provide exactly
-//! that: items are split into contiguous chunks, each worker writes into
-//! its own disjoint slice of the pre-sized output, and the per-item
-//! closure sees only the item and its index. Because the closure never
-//! observes which worker ran it, a 1-thread pool and a 64-thread pool
-//! produce bit-identical outputs.
+//! that: the caller and `threads - 1` spawned workers claim indices one
+//! at a time from a shared cursor, so a worker that drew cheap items
+//! takes more of them instead of idling beside one that drew dear ones;
+//! each result is placed at its own index, and the per-item closure
+//! sees only the item and its index. Because the closure never observes
+//! which worker ran it, a 1-thread pool and a 64-thread pool produce
+//! bit-identical outputs.
 
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Upper bound on worker threads (a safety clamp, not a tuning knob).
@@ -20,9 +24,10 @@ const MAX_THREADS: usize = 64;
 
 /// A fixed-width scoped work pool.
 ///
-/// Threads are scoped (std scoped threads): workers are spawned per call
-/// and joined before the call returns, so borrowed data flows in freely
-/// and panics propagate to the caller.
+/// Threads are scoped (std scoped threads): workers are spawned per call,
+/// the caller works beside them, and they are joined before the call
+/// returns, so borrowed data flows in freely and panics propagate to the
+/// caller.
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
@@ -67,42 +72,57 @@ impl Pool {
 
     /// Applies `f` to `0..n`, returning results in index order.
     ///
-    /// The index range is split into `threads` contiguous chunks; chunk
-    /// `c` covers `c*len..(c+1)*len` and writes slots `c*len..` of the
-    /// output (the deterministic chunk→slot mapping). `f` must be pure in
-    /// its index for outputs to be thread-count independent — every
+    /// The caller and `threads - 1` spawned workers (fewer for a short
+    /// range) claim indices in turn from one atomic cursor until the
+    /// range is exhausted, and each result lands at its index. Which
+    /// worker runs an index is up to the scheduler, so `f` must be pure
+    /// in its index for outputs to be thread-count independent — every
     /// caller in this workspace passes seeded, side-effect-free closures.
     ///
-    /// Panics in a worker propagate to the caller after all workers stop.
+    /// A panic in any worker, the caller's share included, stops that
+    /// worker; the others finish the range, and the call then panics
+    /// with "a scoped thread panicked", as `std::thread::scope` does.
     pub fn map_index<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
         let threads = self.threads.min(n);
-        if threads == 1 {
+        if threads <= 1 {
             return (0..n).map(f).collect();
         }
-        let chunk = n.div_ceil(threads);
+        let cursor = AtomicUsize::new(0);
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                // tvdp-lint: allow(atomic_ordering, reason = "the cursor only hands out distinct indices, which the read-modify-write guarantees at any ordering; results reach the caller through join, which synchronizes")
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return done;
+                }
+                done.push((i, f(i)));
+            }
+        };
+        let shares = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+            let mine = catch_unwind(AssertUnwindSafe(claim));
+            let theirs = workers.into_iter().map(|w| w.join());
+            std::iter::once(mine).chain(theirs).collect::<Vec<_>>()
+        });
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        let f = &f;
-        std::thread::scope(|scope| {
-            for (c, slots) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let base = c * chunk;
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(base + j));
-                    }
-                });
+        for share in shares {
+            let Ok(share) = share else {
+                // tvdp-lint: allow(no_panic, reason = "re-raises a worker's panic, as std::thread::scope does")
+                panic!("a scoped thread panicked");
+            };
+            for (i, r) in share {
+                out[i] = Some(r);
             }
-        });
+        }
         out.into_iter()
-            // tvdp-lint: allow(no_panic, reason = "pool invariant: every slot is written exactly once by its owning worker before join")
-            .map(|r| r.expect("worker filled every slot"))
+            // tvdp-lint: allow(no_panic, reason = "pool invariant: the cursor hands every index to exactly one worker, and every worker returned")
+            .map(|r| r.expect("a worker claimed every index"))
             .collect()
     }
 
@@ -138,7 +158,8 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn map_preserves_input_order() {
@@ -205,6 +226,54 @@ mod tests {
         let lens = Pool::new(2).map(&data, |_, s| s.len());
         assert_eq!(lens, vec![1, 2, 3]);
         drop(data);
+    }
+
+    /// Spins until `flag` is set or ten seconds pass; `false` on the
+    /// timeout.
+    fn wait_for(flag: &AtomicBool) -> bool {
+        let start = Instant::now();
+        while !flag.load(Ordering::Acquire) {
+            if start.elapsed() > Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn workers_claim_items_instead_of_splitting_the_range() {
+        // Cut into contiguous halves, items 0 and 1 would both be the
+        // first worker's, and item 0 would wait on an item queued behind
+        // it on its own worker.
+        let ran = AtomicBool::new(false);
+        let out = Pool::new(2).map_index(4, |i| {
+            if i == 0 {
+                assert!(wait_for(&ran), "item 1 never ran beside item 0");
+            }
+            if i == 1 {
+                ran.store(true, Ordering::Release);
+            }
+            i
+        });
+        assert_eq!(out, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scoped thread panicked")]
+    fn a_panic_in_the_callers_share_propagates_as_a_workers_does() {
+        let caller = std::thread::current().id();
+        let caller_ran = AtomicBool::new(false);
+        let _ = Pool::new(2).map_index(8, |i| {
+            if std::thread::current().id() == caller {
+                caller_ran.store(true, Ordering::Release);
+                panic!("boom in the caller's share");
+            }
+            // The worker holds its first item until the caller has
+            // claimed one, so the caller's share is never empty.
+            wait_for(&caller_ran);
+            i
+        });
     }
 
     #[test]

@@ -529,9 +529,14 @@ impl QueryEngine {
                     TextualMode::Ranked(k) => (*k as f64).min(n),
                 }
             }
-            Query::Categorical { scheme, label, .. } => {
-                self.store.label_count(*scheme, *label) as f64
-            }
+            // The store counts a label over all its rows, and a segment
+            // holds only some of them: each segment takes its share by
+            // size, so the segments of a store together price the count
+            // once, not once each.
+            Query::Categorical { scheme, label, .. } => match self.store.len() {
+                0 => 0.0,
+                rows => self.store.label_count(*scheme, *label) as f64 * n / rows as f64,
+            },
             Query::Spatial(SpatialQuery::Range(b)) => self.spatial_fraction(b) * n,
             Query::Spatial(SpatialQuery::Within(p)) => self.spatial_fraction(&p.bbox()) * n,
             Query::Spatial(SpatialQuery::Nearest { k, .. }) => (*k as f64).min(n),

@@ -14,7 +14,7 @@ use tvdp_query::{
     EngineConfig, Query, QueryEngine, QueryError, ShardedEngine, SpatialQuery, TemporalField,
     TextualMode, VisualMode,
 };
-use tvdp_storage::{ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
 use tvdp_vision::FeatureKind;
 
 const DIM: usize = 8;
@@ -200,6 +200,38 @@ fn estimate_units_is_deterministic_and_scales_with_corpus() {
             "a 20x corpus must price higher: {q:?}"
         );
     }
+}
+
+/// A label's count is the store's, so the segments price their shares
+/// of it: 200 labelled rows of 2,000 at seal cap 128 sit in a folded
+/// segment of 1,024 rows (102.4 of them), seven of 128 (12.8 each) and
+/// an 80-row tail a scan reads whole: 102 + 7 * 12 + 80 = 266 rows, not
+/// the count again in every segment (200 + 7 * 128 + 80 = 1,176).
+#[test]
+fn a_categorical_leaf_is_priced_at_its_label_count_once() {
+    let store = build_store(2_000, 42);
+    let scheme = store
+        .register_scheme("tents", vec!["none".into(), "tent".into()])
+        .unwrap();
+    for id in store.image_ids().into_iter().step_by(10) {
+        store
+            .annotate(id, scheme, 1, 0.9, AnnotationSource::Human(UserId(0)), None)
+            .unwrap();
+    }
+    let engine = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), 128);
+    let tents = Query::Categorical {
+        scheme,
+        label: 1,
+        min_confidence: 0.5,
+    };
+    let (rows, trace) = engine
+        .try_explain(&tents, &Pool::serial(), 0, i64::MAX)
+        .unwrap();
+    assert_eq!(rows.len(), 200);
+    assert_eq!(trace.leaves.len(), 1);
+    assert_eq!(trace.leaves[0].estimate, 266);
+    // Admission adds a unit for the query and one per segment.
+    assert_eq!(engine.estimate_query_units(&tents), 1 + 8 + 266);
 }
 
 /// `data/add` accepts any `i64` capture time, so a segment's temporal

@@ -26,6 +26,7 @@ pub mod fault;
 pub mod ids;
 pub mod le;
 pub mod persist;
+pub mod pixels;
 pub mod record;
 pub mod recovery;
 pub mod store;

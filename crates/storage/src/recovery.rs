@@ -744,7 +744,7 @@ mod tests {
             id,
             meta: meta(),
             origin,
-            pixels: pixels.map(pixel_blob),
+            pixels: pixels.as_ref().map(pixel_blob),
         }])?;
         Ok(id)
     }
@@ -1074,7 +1074,7 @@ mod tests {
                 id,
                 meta: meta(),
                 origin: ImageOrigin::Original,
-                pixels: Some((2, 2, vec![9u8; 12])),
+                pixels: Some(pixel_blob(&Image::from_raw(2, 2, vec![9u8; 12]))),
                 features: vec![(FeatureKind::Cnn, vec![0.5, 0.25])],
             };
             let mut segment = SEGMENT_MAGIC.to_vec();
@@ -1285,7 +1285,7 @@ mod tests {
             id,
             meta: meta(),
             origin: ImageOrigin::Original,
-            pixels: Some(pixel_blob(Image::from_fn(4, 3, |_, _| [9, 9, 9]))),
+            pixels: Some(pixel_blob(&Image::from_fn(4, 3, |_, _| [9, 9, 9]))),
         };
         let region = |x, y, width, height| RegionOfInterest {
             x,
@@ -1660,15 +1660,21 @@ mod tests {
                 "duplicate scheme",
             ),
             ("repeated label", scheme(1, "d", &["a", "a"]), "vocabulary"),
+            // 2x2 codes take 2 to 13 bytes.
             (
-                "short blob",
-                image(1, Some((2, 2, vec![0; 11]))),
-                "does not match",
+                "short code",
+                image(1, Some((2, 2, vec![0; 1]))),
+                "is impossible",
             ),
             (
-                "zero-width blob",
+                "long code",
+                image(1, Some((2, 2, vec![0; 14]))),
+                "is impossible",
+            ),
+            (
+                "zero-width code",
                 image(1, Some((0, 2, vec![]))),
-                "does not match",
+                "is impossible",
             ),
             ("bad confidence", annotation(0, 0, 0, 0, 1.5), "confidence"),
             (

@@ -9,6 +9,7 @@ use tvdp_vision::{FeatureKind, Image};
 
 use crate::annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
 use crate::ids::{AnnotationId, ClassificationId, ImageId};
+use crate::pixels;
 use crate::record::{ImageMeta, ImageOrigin, ImageRecord};
 use crate::wal::{pixel_blob, PixelBlob, WalOp};
 
@@ -53,16 +54,17 @@ pub enum StorageError {
     BadVocabulary(String),
     /// An annotation's confidence is outside `[0, 1]` or not a number.
     BadConfidence(f32),
-    /// A pixel blob's byte count disagrees with `width * height * 3`,
-    /// or a dimension is zero.
+    /// A pixel code's byte count is one no code of a `width` x `height`
+    /// image has ([`crate::pixels::coded_len_ok`]), or a dimension is
+    /// zero.
     BlobShape {
-        /// Image the blob belongs to.
+        /// Image the code belongs to.
         image: ImageId,
         /// Declared width in pixels.
         width: usize,
         /// Declared height in pixels.
         height: usize,
-        /// Actual byte count of the raw payload.
+        /// Byte count of the code.
         len: usize,
     },
     /// An upload-marker table ([`WalOp::UploadMarkers`]) names an
@@ -110,7 +112,7 @@ impl std::fmt::Display for StorageError {
                 len,
             } => write!(
                 f,
-                "blob for {image}: {len} bytes does not match {width}x{height}x3"
+                "pixel code for {image}: {len} bytes is impossible for {width}x{height}"
             ),
             StorageError::DuplicateMarker(key) => write!(f, "duplicate upload marker `{key}`"),
             StorageError::RegionOutOfBounds {
@@ -141,10 +143,6 @@ fn pixel_dims(pixels: &Option<PixelBlob>) -> (usize, usize) {
     pixels.as_ref().map_or((0, 0), |(w, h, _)| (*w, *h))
 }
 
-fn blob_shape_ok(width: usize, height: usize, len: usize) -> bool {
-    width > 0 && height > 0 && len == width.saturating_mul(height).saturating_mul(3)
-}
-
 fn vocabulary_ok(labels: &[String]) -> bool {
     let mut seen = BTreeSet::new();
     !labels.is_empty() && labels.iter().all(|l| seen.insert(l.as_str()))
@@ -164,6 +162,7 @@ fn confidence_ok(confidence: f32) -> bool {
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Snapshot {
     pub(crate) images: Vec<ImageRecord>,
+    /// Pixels as `(image, width, height, code)`.
     pub(crate) blobs: Vec<(ImageId, usize, usize, Vec<u8>)>,
     pub(crate) features: Vec<(ImageId, FeatureKind, Vec<f32>)>,
     pub(crate) schemes: Vec<ClassificationScheme>,
@@ -277,7 +276,8 @@ struct Tables {
     /// handed out ascending, so a row is appended; an explicit id below
     /// the last one is inserted in place.
     rows: Vec<Row>,
-    blobs: BTreeMap<ImageId, Image>,
+    /// Each image's pixels, kept as the op carried them: coded.
+    blobs: BTreeMap<ImageId, PixelBlob>,
     /// The feature arena: one append-only slab per `(kind, dim)` family.
     slabs: BTreeMap<(FeatureKind, u32), FeatureSlab>,
     schemes: BTreeMap<ClassificationId, ClassificationScheme>,
@@ -458,12 +458,14 @@ impl Tables {
                 });
             }
             match pixels {
-                Some((width, height, raw)) if !blob_shape_ok(*width, *height, raw.len()) => {
+                Some((width, height, code))
+                    if pixels::coded_len_ok(*width, *height, code.len()).is_none() =>
+                {
                     Err(StorageError::BlobShape {
                         image: id,
                         width: *width,
                         height: *height,
-                        len: raw.len(),
+                        len: code.len(),
                     })
                 }
                 _ => Ok(()),
@@ -672,8 +674,8 @@ impl Tables {
         // At the end, unless an explicit id lands below the last one.
         let (Ok(at) | Err(at)) = self.row_index(id);
         self.rows.insert(at, row);
-        if let Some((w, h, raw)) = pixels {
-            self.blobs.insert(id, Image::from_raw(w, h, raw));
+        if let Some(blob) = pixels {
+            self.blobs.insert(id, blob);
         }
     }
 }
@@ -797,7 +799,7 @@ impl VisualStore {
                 id,
                 meta,
                 origin,
-                pixels: pixels.map(pixel_blob),
+                pixels: pixels.as_ref().map(pixel_blob),
             }]
         })?;
         Ok(id)
@@ -828,7 +830,7 @@ impl VisualStore {
                 id,
                 meta,
                 origin,
-                pixels: pixels.map(pixel_blob),
+                pixels: pixels.as_ref().map(pixel_blob),
                 features: features.to_vec(),
             }]
         })?;
@@ -848,9 +850,14 @@ impl VisualStore {
         self.inner.read().row(id).map(|r| r.record.clone())
     }
 
-    /// The pixel data, if stored.
+    /// The pixel data, if stored, decoded from its code outside the
+    /// lock. `None` also when the code does not decode, which only a
+    /// hand-built op's bytes can cause: every code the store holds
+    /// passed [`crate::pixels::coded_len_ok`], and every one
+    /// [`crate::wal::pixel_blob`] made decodes.
     pub fn pixels(&self, id: ImageId) -> Option<Image> {
-        self.inner.read().blobs.get(&id).cloned()
+        let (width, height, code) = self.inner.read().blobs.get(&id).cloned()?;
+        pixels::decode(width, height, &code).ok()
     }
 
     /// All image ids, ascending.
@@ -1142,7 +1149,7 @@ impl VisualStore {
             blobs: t
                 .blobs
                 .iter()
-                .map(|(id, img)| (*id, img.width(), img.height(), img.raw().to_vec()))
+                .map(|(id, (width, height, code))| (*id, *width, *height, code.clone()))
                 .collect(),
             // By id, then in `FeatureKind` order.
             features: t

@@ -18,9 +18,17 @@
 //! ([`tvdp_kernel::crc32`]). Inside a payload,
 //! ids and timestamps are fixed-width little-endian integers, GPS/FOV
 //! numbers are `f64` bits, a feature vector is a `u32` count and the raw
-//! `f32` bits, pixels are raw bytes, and strings are length-prefixed
-//! UTF-8 ([`crate::le`]). Floats therefore round-trip bit-exactly, and
-//! neither writing nor replaying a record goes through JSON.
+//! `f32` bits, pixels are their lossless code ([`crate::pixels`]) as
+//! length-prefixed bytes, and strings are length-prefixed UTF-8
+//! ([`crate::le`]). Floats and pixels therefore round-trip bit-exactly,
+//! and neither writing nor replaying a record goes through JSON.
+//!
+//! A pixel field starts with a tag: 0 for none, 2 for a code. Tag 1,
+//! raw RGB bytes, is what builds before the code wrote; such a record
+//! still replays, its pixels coded as it is read, so a directory they
+//! wrote reopens unchanged and its next fold writes codes. No build
+//! writes tag 1, and a build older than the code refuses tag 2 as a
+//! corrupt record.
 //!
 //! The framing makes a torn tail detectable without trusting the
 //! payload: a crash mid-append leaves a record whose length or checksum
@@ -53,6 +61,7 @@ use tvdp_vision::{FeatureKind, Image};
 use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
 use crate::ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
 use crate::le::{self, DecodeError, Reader};
+use crate::pixels;
 use crate::record::{ImageMeta, ImageOrigin};
 
 /// First bytes of every segment: `TVDPWAL` and the format version.
@@ -119,12 +128,15 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// A pixel payload as an op carries it: `(width, height, raw RGB bytes)`.
+/// A pixel payload as an op carries it: `(width, height, code)`, the
+/// code being [`crate::pixels::encode`]'s bytes. It is the one form
+/// pixels take in an op, in the journal, in a base segment and in the
+/// store; [`crate::VisualStore::pixels`] decodes it.
 pub type PixelBlob = (usize, usize, Vec<u8>);
 
-/// Moves an image's pixels into the shape an op carries.
-pub fn pixel_blob(image: Image) -> PixelBlob {
-    (image.width(), image.height(), image.into_raw())
+/// Codes an image into the shape an op carries.
+pub fn pixel_blob(image: &Image) -> PixelBlob {
+    (image.width(), image.height(), pixels::encode(image))
 }
 
 /// One store mutation — the unit every write path hands to
@@ -468,16 +480,43 @@ fn read_origin(r: &mut Reader<'_>) -> Result<ImageOrigin, DecodeError> {
     }
 }
 
+// Pixel field tags. Builds before the pixel code wrote `PIXELS_RAW`.
+const PIXELS_NONE: u8 = 0;
+const PIXELS_RAW: u8 = 1;
+const PIXELS_CODED: u8 = 2;
+
 fn put_pixels(out: &mut Vec<u8>, pixels: &Option<PixelBlob>) {
-    put_option(out, pixels, |out, (width, height, raw)| {
-        le::put_u64(out, *width as u64);
-        le::put_u64(out, *height as u64);
-        le::put_bytes(out, raw);
-    });
+    match pixels {
+        None => out.push(PIXELS_NONE),
+        Some((width, height, code)) => {
+            out.push(PIXELS_CODED);
+            le::put_u64(out, *width as u64);
+            le::put_u64(out, *height as u64);
+            le::put_bytes(out, code);
+        }
+    }
 }
 
+/// A pixel field: none, a code, or raw bytes from an older build, coded
+/// here. Raw bytes that are not exactly `width * height * 3` are
+/// refused.
 fn read_pixels(r: &mut Reader<'_>) -> Result<Option<PixelBlob>, DecodeError> {
-    read_option(r, |r| Ok((r.usize()?, r.usize()?, r.bytes()?.to_vec())))
+    let tag = r.u8()?;
+    if tag == PIXELS_NONE {
+        return Ok(None);
+    }
+    let (width, height, bytes) = (r.usize()?, r.usize()?, r.bytes()?);
+    match tag {
+        PIXELS_CODED => Ok(Some((width, height, bytes.to_vec()))),
+        PIXELS_RAW => match Image::try_from_raw(width, height, bytes.to_vec()) {
+            Some(image) => Ok(Some(pixel_blob(&image))),
+            None => Err(format!(
+                "{} raw pixel byte(s) do not match {width}x{height}x3",
+                bytes.len()
+            )),
+        },
+        other => Err(format!("unknown pixel tag {other}")),
+    }
 }
 
 fn put_feature(out: &mut Vec<u8>, kind: FeatureKind, vector: &[f32]) {
@@ -855,7 +894,7 @@ mod tests {
                 id: ImageId(0),
                 meta: meta(1, &["wal \"quoted\""]),
                 origin: ImageOrigin::Original,
-                pixels: Some((1, 1, vec![7, 8, 9])),
+                pixels: Some(pixel_blob(&Image::from_raw(1, 1, vec![7, 8, 9]))),
             },
             WalOp::RegisterScheme {
                 id: ClassificationId(0),
@@ -881,7 +920,7 @@ mod tests {
                 id: ImageId(1),
                 meta: meta(2, &[]),
                 origin: ImageOrigin::Original,
-                pixels: Some((1, 2, vec![1, 2, 3, 4, 5, 6])),
+                pixels: Some(pixel_blob(&Image::from_raw(1, 2, vec![1, 2, 3, 4, 5, 6]))),
                 features: vec![
                     (FeatureKind::Cnn, vec![0.5, -1.5]),
                     (FeatureKind::ColorHistogram, vec![]),
@@ -1035,7 +1074,7 @@ mod tests {
                     id: ImageId(1),
                     meta: small_meta.clone(),
                     origin: ImageOrigin::Original,
-                    pixels: Some((1, 1, vec![7, 8, 9])),
+                    pixels: Some(pixel_blob(&Image::from_raw(1, 1, vec![7, 8, 9]))),
                 },
                 concat!(
                     "01",               // tag
@@ -1050,11 +1089,11 @@ mod tests {
                     "01000000",         // of one byte
                     "6b",               // "k"
                     "00",               // original
-                    "01",               // pixels present
+                    "02",               // coded pixels
                     "0100000000000000", // width
                     "0100000000000000", // height
-                    "03000000",         // three raw bytes
-                    "070809",
+                    "03000000",         // a three byte code
+                    "6e20a0",           // of 7, 8, 9 (`pixels::tests`)
                 ),
             ),
             (
@@ -1183,6 +1222,31 @@ mod tests {
         for (op, expected) in &golden {
             assert_eq!(hex(&op.encode()), *expected, "{op:?}");
         }
+        // What builds before the pixel code wrote for the first op: the
+        // same fields, the pixels raw under tag 1. It reads as the op.
+        let (coded_op, coded) = &golden[0];
+        let legacy = coded.replace(
+            concat!(
+                "02",
+                "0100000000000000",
+                "0100000000000000",
+                "03000000",
+                "6e20a0"
+            ),
+            concat!(
+                "01",
+                "0100000000000000",
+                "0100000000000000",
+                "03000000",
+                "070809"
+            ),
+        );
+        assert_ne!(&legacy, coded);
+        let bytes: Vec<u8> = (0..legacy.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&legacy[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(WalOp::decode(&bytes).unwrap(), *coded_op);
         // The frame around a payload: its length, its CRC, then itself.
         assert_eq!(
             hex(&frame(b"123456789")),
@@ -1432,8 +1496,9 @@ mod tests {
         le::put_bytes(&mut p, b"s");
         p.extend_from_slice(&bomb);
         payloads.push(p);
-        // AddImage: keyword count, then pixel byte count.
-        let add_image = |keywords: &[u8], pixel_len: &[u8]| {
+        // AddImage: keyword count, then the byte count of a code or of
+        // an older build's raw pixels.
+        let add_image = |keywords: &[u8], pixels: Option<(u8, &[u8])>| {
             let mut p = vec![TAG_ADD_IMAGE];
             le::put_u64(&mut p, 1);
             le::put_u64(&mut p, 1);
@@ -1441,16 +1506,17 @@ mod tests {
             p.push(0); // no fov
             p.extend_from_slice(&[0; 16]); // timestamps
             p.extend_from_slice(keywords);
-            if !pixel_len.is_empty() {
+            if let Some((tag, len)) = pixels {
                 p.push(0); // original
-                p.push(1); // pixels present
+                p.push(tag);
                 p.extend_from_slice(&[1; 16]); // width, height
-                p.extend_from_slice(pixel_len);
+                p.extend_from_slice(len);
             }
             p
         };
-        payloads.push(add_image(&bomb, &[]));
-        payloads.push(add_image(&[0; 4], &bomb));
+        payloads.push(add_image(&bomb, None));
+        payloads.push(add_image(&[0; 4], Some((PIXELS_CODED, &bomb))));
+        payloads.push(add_image(&[0; 4], Some((PIXELS_RAW, &bomb))));
         // IngestUpload: feature count.
         let mut p = vec![TAG_INGEST_UPLOAD, 0];
         le::put_u64(&mut p, 1);

@@ -47,7 +47,7 @@ fn add_image(
         id,
         meta,
         origin,
-        pixels: pixels.map(pixel_blob),
+        pixels: pixels.as_ref().map(pixel_blob),
     }])?;
     Ok(id)
 }
@@ -555,7 +555,7 @@ fn scripted_batch(ds: &DurableStore) -> Vec<WalOp> {
             id: img,
             meta: meta("wal-born"),
             origin: ImageOrigin::Original,
-            pixels: Some((1, 1, vec![1, 2, 3])),
+            pixels: Some(pixel_blob(&Image::from_raw(1, 1, vec![1, 2, 3]))),
         },
         WalOp::PutFeature {
             image: img,

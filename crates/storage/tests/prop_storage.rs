@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use tvdp_geo::GeoPoint;
 use tvdp_kernel::rng::{for_each_case, Rng};
-use tvdp_storage::wal::{frame, SEGMENT_MAGIC};
+use tvdp_storage::wal::{frame, pixel_blob, SEGMENT_MAGIC};
 use tvdp_storage::{
     Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableStore, ImageId, ImageMeta,
     ImageOrigin, ImageRecord, UserId, VisualStore, WalOp, UPLOAD_MARKER_CAPACITY,
@@ -219,7 +219,10 @@ fn arb_history(rng: &mut Rng) -> Vec<Vec<WalOp>> {
             id,
             meta: arb_meta(rng),
             origin: ImageOrigin::Original,
-            pixels: rich.then(|| (2, 1, (0..6).map(|_| rng.gen_range(0..=255)).collect())),
+            pixels: rich.then(|| {
+                let raw = (0..6).map(|_| rng.gen_range(0..=255)).collect();
+                pixel_blob(&Image::from_raw(2, 1, raw))
+            }),
             features: if rich {
                 vec![
                     (

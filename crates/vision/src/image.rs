@@ -90,11 +90,6 @@ impl Image {
         &self.data
     }
 
-    /// Consumes the image, returning its raw bytes.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
-    }
-
     #[inline]
     fn idx(&self, x: usize, y: usize) -> usize {
         debug_assert!(x < self.width && y < self.height);
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn raw_roundtrip() {
         let img = Image::from_fn(2, 2, |x, y| [(x * 50) as u8, (y * 50) as u8, 7]);
-        let raw = img.clone().into_raw();
+        let raw = img.raw().to_vec();
         let back = Image::from_raw(2, 2, raw);
         assert_eq!(back, img);
     }
