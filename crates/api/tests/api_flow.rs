@@ -142,6 +142,32 @@ fn full_workflow_through_the_api() {
     let pixels = codec::hex_decode(item["pixels"].as_str().unwrap()).unwrap();
     assert_eq!(pixels.len(), 24 * 24 * 3);
     assert_eq!(item["keywords"][0].as_str().unwrap(), "street");
+    // Many rows, asked for last to first: they decode on the pool, and
+    // each item is what a download of its row alone answers, in the
+    // order asked.
+    let backwards: Vec<String> = ids.iter().rev().map(|id| id.to_string()).collect();
+    let r = call(
+        &server,
+        &key,
+        "data/download",
+        &format!(
+            r#"{{"ids":[{}],"include_pixels":true}}"#,
+            backwards.join(",")
+        ),
+    );
+    assert!(r.is_ok());
+    for (i, id) in ids.iter().rev().enumerate() {
+        let one = call(
+            &server,
+            &key,
+            "data/download",
+            &format!(r#"{{"ids":[{id}],"include_pixels":true}}"#),
+        );
+        assert_eq!(r.body["items"][i], one.body["items"][0], "item {i}");
+        let seed = ids.len() - 1 - i;
+        let pixels = codec::hex_decode(r.body["items"][i]["pixels"].as_str().unwrap()).unwrap();
+        assert_eq!(pixels, scene(seed % 2, seed).raw(), "item {i}");
+    }
 
     // (4) Get visual features for a new image without storing it.
     let img = scene(0, 99);

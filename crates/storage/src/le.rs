@@ -66,6 +66,11 @@ impl<'a> Reader<'a> {
         self.rest.len()
     }
 
+    /// Every byte not yet consumed, without consuming them.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
     /// The next `n` bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if n > self.rest.len() {
