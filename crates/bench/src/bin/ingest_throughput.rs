@@ -32,6 +32,12 @@
 //! snapshot with
 //! `cargo run --release -p tvdp-bench --bin ingest_throughput > BENCH_ingest.json`.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "L4-exempt: a benchmark driver measures wall-clock time"
+)]
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;

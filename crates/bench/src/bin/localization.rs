@@ -1,6 +1,12 @@
 //! Scene-localization experiment (paper ref [23]): localize GPS-less
 //! uploads from visually similar geo-tagged corpus images.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "L4-exempt: a benchmark driver measures wall-clock time"
+)]
+
 use tvdp_bench::{run_localization, LocalizationConfig};
 
 fn main() {

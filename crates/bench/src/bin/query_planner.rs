@@ -20,6 +20,12 @@
 //! the checked-in snapshot with
 //! `cargo run --release -p tvdp-bench --bin query_planner > BENCH_query.json`.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "L4-exempt: a benchmark driver measures wall-clock time"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;

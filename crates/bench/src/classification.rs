@@ -82,11 +82,14 @@ impl Fig6Result {
     }
 
     /// The best cell overall.
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment driver: aborting on a malformed setup is intended"
+    )]
     pub fn best(&self) -> &Fig6Cell {
         self.cells
             .iter()
             .max_by(|a, b| a.f1.total_cmp(&b.f1))
-            // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
             .expect("non-empty result")
     }
 
@@ -270,10 +273,13 @@ pub fn run_fig6(config: &ClassificationConfig) -> Fig6Result {
 /// Runs the Fig. 7 experiment: per-category F1 of SVM + CNN.
 pub fn run_fig7(config: &ClassificationConfig) -> Fig7Result {
     let (splits, train_y, test_y) = prepare(config);
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment driver: aborting on a malformed setup is intended"
+    )]
     let cnn = splits
         .iter()
         .find(|s| s.kind == FeatureKind::Cnn)
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("CNN split present");
     let scaler = StandardScaler::fit(&cnn.train_x);
     let train_x = scaler.transform(&cnn.train_x);

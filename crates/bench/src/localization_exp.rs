@@ -61,6 +61,10 @@ pub struct LocalizationResult {
 }
 
 /// Runs the experiment.
+#[expect(
+    clippy::expect_used,
+    reason = "experiment driver: aborting on a malformed setup is intended"
+)]
 pub fn run_localization(config: &LocalizationConfig) -> LocalizationResult {
     let data = generate(&DatasetConfig {
         n_images: config.corpus_size + config.test_size,
@@ -89,11 +93,9 @@ pub fn run_localization(config: &LocalizationConfig) -> LocalizationResult {
                 ImageOrigin::Original,
                 None,
             )
-            // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
             .expect("corpus ingest");
         store
             .put_feature(id, FeatureKind::ColorHistogram, extractor.extract(&d.image))
-            // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
             .expect("store feature");
     }
     let engine = QueryEngine::build(

@@ -71,6 +71,10 @@ pub struct Fig9Result {
 }
 
 /// Runs the scenario.
+#[expect(
+    clippy::expect_used,
+    reason = "experiment driver: aborting on a malformed setup is intended"
+)]
 pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
     let platform = Tvdp::new(PlatformConfig::default());
     let lasan = platform.register_user("LASAN", Role::Government);
@@ -85,11 +89,9 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
                 .map(|c| c.label().to_string())
                 .collect(),
         )
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("fresh scheme");
     let graffiti = platform
         .register_scheme("graffiti", vec!["absent".into(), "present".into()])
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("fresh scheme");
 
     // 1. LASAN's trucks collect and upload.
@@ -116,7 +118,6 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
         .collect();
     let ids: Vec<ImageId> = platform
         .ingest_batch(lasan, batch, 8)
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("ingest succeeds");
 
     // 2. LASAN labels the first portion; USC trains and applies.
@@ -124,7 +125,6 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
     for (d, &id) in data[..cut].iter().zip(&ids[..cut]) {
         platform
             .annotate(lasan, id, cleanliness, d.cleanliness.index(), 1.0, None)
-            // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
             .expect("annotate succeeds");
     }
     let model = platform
@@ -135,11 +135,9 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
             FeatureKind::Cnn,
             Algorithm::Mlp,
         )
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("training succeeds");
     let predictions = platform
         .apply_model(model, &ids[cut..])
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("apply succeeds");
 
     // Quality of the machine annotations against hidden ground truth.
@@ -183,7 +181,6 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
     for (d, &id) in data[..cut].iter().zip(&ids[..cut]) {
         platform
             .annotate(lasan, id, graffiti, usize::from(d.graffiti), 1.0, None)
-            // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
             .expect("annotate succeeds");
     }
     let graffiti_model = platform
@@ -194,11 +191,9 @@ pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
             FeatureKind::Cnn,
             Algorithm::Mlp,
         )
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("training succeeds");
     let gpred = platform
         .apply_model(graffiti_model, &ids[cut..])
-        // tvdp-lint: allow(no_panic, reason = "experiment driver: aborting on a malformed setup is intended")
         .expect("apply succeeds");
     let gtruth: Vec<usize> = data[cut..]
         .iter()

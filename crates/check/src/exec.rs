@@ -30,6 +30,12 @@
 //! and is reported with the full per-step trace of its schedule — the
 //! counterexample.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "L3 owner: model threads are real OS threads, parked on a `std::sync` condvar until the scheduler grants them the baton"
+)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
@@ -275,8 +281,11 @@ fn current() -> Option<Ctx> {
 ///
 /// Panics when called outside a checker setup closure.
 pub fn spawn<F: FnOnce() + Send + 'static>(body: F) {
+    #[expect(
+        clippy::panic,
+        reason = "documented API misuse panic: spawn outside setup is a programmer error"
+    )]
     let Some(ctx) = current() else {
-        // tvdp-lint: allow(no_panic, reason = "documented API misuse panic: spawn outside setup is a programmer error")
         panic!("tvdp_check::spawn used outside Checker::check setup");
     };
     let mut s = ctx.inner.lock();
@@ -295,8 +304,11 @@ pub fn spawn<F: FnOnce() + Send + 'static>(body: F) {
 ///
 /// Panics when called outside a checker setup closure.
 pub fn finally<F: FnOnce() + Send + 'static>(check: F) {
+    #[expect(
+        clippy::panic,
+        reason = "documented API misuse panic: finally outside setup is a programmer error"
+    )]
     let Some(ctx) = current() else {
-        // tvdp-lint: allow(no_panic, reason = "documented API misuse panic: finally outside setup is a programmer error")
         panic!("tvdp_check::finally used outside Checker::check setup");
     };
     let mut s = ctx.inner.lock();
@@ -366,6 +378,10 @@ impl Hooks {
         let mut s = inner.lock();
         if s.abort {
             drop(s);
+            #[expect(
+                clippy::panic,
+                reason = "unwinds a model thread out of an aborted execution; `worker_main` catches the `AbortExecution` payload"
+            )]
             panic::panic_any(AbortExecution);
         }
         s.threads[tid].status = ThreadStatus::Waiting;
@@ -374,6 +390,10 @@ impl Hooks {
         while s.grant != Some(tid) {
             if s.abort {
                 drop(s);
+                #[expect(
+                    clippy::panic,
+                    reason = "unwinds a model thread out of an aborted execution; `worker_main` catches the `AbortExecution` payload"
+                )]
                 panic::panic_any(AbortExecution);
             }
             s = inner.wait(s);

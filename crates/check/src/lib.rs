@@ -10,9 +10,10 @@
 //! (optionally bounded by preemption count), pruning revisited states
 //! by hash, and reports either exhaustion or a counterexample trace.
 //!
-//! The four protocol models under [`models`] are the reason this crate
+//! The five protocol models under [`models`] are the reason this crate
 //! exists: GenCell publish/read, shard append/seal vs scatter/gather
-//! readers, WAL journal-before-apply, and the edge circuit breaker.
+//! readers, WAL journal-before-apply, the edge circuit breaker, and
+//! admission control.
 //! Each ships with deliberately broken mutant variants proving the
 //! checker actually distinguishes correct protocols from subtly wrong
 //! ones — see `tests/protocols.rs`.

@@ -1,4 +1,4 @@
-//! Model-checked specifications of TVDP's six load-bearing
+//! Model-checked specifications of TVDP's five load-bearing
 //! concurrency protocols.
 //!
 //! Each submodule exposes a `correct()` model — a faithful,
@@ -17,6 +17,5 @@
 pub mod admission;
 pub mod breaker;
 pub mod gencell;
-pub mod group_commit;
 pub mod shard;
 pub mod wal;

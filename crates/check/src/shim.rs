@@ -19,6 +19,11 @@
 //! every operation degrades to a direct, unscheduled access, so model
 //! fixtures stay debuggable with ordinary `cargo test` tooling.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "L3 owner: a shim's value lives in a `std::sync::Mutex` so data access stays race-free while the scheduler orders it"
+)]
+
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::ops::{Deref, DerefMut};
@@ -177,15 +182,21 @@ pub struct MutexGuard<'a, T: Value> {
 
 impl<T: Value> Deref for MutexGuard<'_, T> {
     type Target = T;
+    #[expect(
+        clippy::expect_used,
+        reason = "local is Some from lock() until drop(); Deref after drop is unreachable"
+    )]
     fn deref(&self) -> &T {
-        // tvdp-lint: allow(no_panic, reason = "local is Some from lock() until drop(); Deref after drop is unreachable")
         self.local.as_ref().expect("guard value present until drop")
     }
 }
 
 impl<T: Value> DerefMut for MutexGuard<'_, T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "local is Some from lock() until drop(); Deref after drop is unreachable"
+    )]
     fn deref_mut(&mut self) -> &mut T {
-        // tvdp-lint: allow(no_panic, reason = "local is Some from lock() until drop(); Deref after drop is unreachable")
         self.local.as_mut().expect("guard value present until drop")
     }
 }
@@ -286,15 +297,21 @@ pub struct RwWriteGuard<'a, T: Value> {
 
 impl<T: Value> Deref for RwWriteGuard<'_, T> {
     type Target = T;
+    #[expect(
+        clippy::expect_used,
+        reason = "local is Some from write() until drop(); Deref after drop is unreachable"
+    )]
     fn deref(&self) -> &T {
-        // tvdp-lint: allow(no_panic, reason = "local is Some from write() until drop(); Deref after drop is unreachable")
         self.local.as_ref().expect("guard value present until drop")
     }
 }
 
 impl<T: Value> DerefMut for RwWriteGuard<'_, T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "local is Some from write() until drop(); Deref after drop is unreachable"
+    )]
     fn deref_mut(&mut self) -> &mut T {
-        // tvdp-lint: allow(no_panic, reason = "local is Some from write() until drop(); Deref after drop is unreachable")
         self.local.as_mut().expect("guard value present until drop")
     }
 }

@@ -1,4 +1,4 @@
-//! Model-check TVDP's six load-bearing concurrency protocols, and
+//! Model-check TVDP's five load-bearing concurrency protocols, and
 //! prove the checker has teeth by asserting it catches a deliberately
 //! broken mutant of each.
 //!
@@ -114,25 +114,7 @@ fn wal_mutant_apply_before_journal_is_caught() {
     );
 }
 
-// --- Protocol 4: group commit (enqueue -> single fsync -> ack) ------
-
-#[test]
-fn group_commit_acks_only_after_the_group_fsync() {
-    let report = explore(models::group_commit::correct, None);
-    assert_exhaustively_correct(&report, "group-commit correct (unbounded)");
-}
-
-#[test]
-fn group_commit_mutant_ack_before_fsync_is_caught() {
-    let report = explore(models::group_commit::mutant_ack_before_fsync, None);
-    assert_mutant_caught(
-        &report,
-        "group-commit ack-before-fsync mutant",
-        "acked before its group fsync",
-    );
-}
-
-// --- Protocol 5: circuit-breaker transitions ------------------------
+// --- Protocol 4: circuit-breaker transitions ------------------------
 
 #[test]
 fn breaker_loses_no_transitions_under_concurrent_probes() {
@@ -152,7 +134,7 @@ fn breaker_mutant_racy_read_modify_write_is_caught() {
     assert_mutant_caught(&report, "breaker racy-rmw mutant", "a transition was lost");
 }
 
-// --- Protocol 6: admission control (no ack after shed) --------------
+// --- Protocol 5: admission control (no ack after shed) --------------
 
 #[test]
 fn admission_never_acks_a_shed_request() {
@@ -197,11 +179,6 @@ fn bounded_preemption_still_catches_every_mutant() {
         &explore(models::breaker::mutant_racy_read_modify_write, bound),
         "breaker mutant at bound 2",
         "a transition was lost",
-    );
-    assert_mutant_caught(
-        &explore(models::group_commit::mutant_ack_before_fsync, bound),
-        "group-commit mutant at bound 2",
-        "acked before its group fsync",
     );
     assert_mutant_caught(
         &explore(models::admission::mutant_ack_after_shed, bound),

@@ -296,6 +296,10 @@ fn a_journal_of_raw_pixels_reopens_and_flushes_into_codes() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "two requests must race on real OS threads to exercise the store's own check"
+)]
 fn two_requests_racing_on_one_key_store_one_row() {
     const ROUNDS: usize = 200;
     let dir = temp_dir("race");

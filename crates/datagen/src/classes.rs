@@ -26,11 +26,14 @@ impl CleanlinessClass {
     ];
 
     /// Canonical label index (matches [`Self::ALL`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "ALL enumerates every variant; the index round-trip is covered by tests"
+    )]
     pub fn index(self) -> usize {
         Self::ALL
             .iter()
             .position(|&c| c == self)
-            // tvdp-lint: allow(no_panic, reason = "ALL enumerates every variant; the index round-trip is covered by tests")
             .expect("class in ALL")
     }
 

@@ -27,8 +27,11 @@ impl GeoPolygon {
     }
 
     /// Axis-aligned bounding box (cheap pre-filter for indexes).
+    #[expect(
+        clippy::expect_used,
+        reason = "GeoPolygon::new asserts at least three vertices"
+    )]
     pub fn bbox(&self) -> BBox {
-        // tvdp-lint: allow(no_panic, reason = "GeoPolygon::new asserts at least three vertices")
         BBox::from_points(&self.vertices).expect("non-empty vertex set")
     }
 

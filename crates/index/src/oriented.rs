@@ -28,9 +28,12 @@ impl<T> HasBBox for Entry<T> {
 }
 
 /// The smallest arc covering a non-empty run of arcs, folded in order.
+#[expect(
+    clippy::expect_used,
+    reason = "OR-tree structural invariant: the node touched here is non-empty by construction"
+)]
 fn union_of(arcs: impl Iterator<Item = AngularRange>) -> AngularRange {
     let union = arcs.reduce(|all, arc| all.union(&arc));
-    // tvdp-lint: allow(no_panic, reason = "OR-tree structural invariant: the node touched here is non-empty by construction")
     union.expect("non-empty node")
 }
 

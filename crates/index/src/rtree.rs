@@ -467,7 +467,10 @@ fn choose_subtree<E: HasBBox>(children: &[E], bbox: &BBox) -> usize {
 /// The box around a non-empty run of entries.
 fn mbr_of<E: HasBBox>(slice: &[E]) -> BBox {
     let mut it = slice.iter().map(|e| e.bbox());
-    // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
+    #[expect(
+        clippy::expect_used,
+        reason = "R-tree structural invariant: the node touched here is non-empty by construction"
+    )]
     let first = it.next().expect("non-empty slice");
     it.fold(first, |acc, b| acc.union(&b))
 }
@@ -508,7 +511,10 @@ fn split_entries<E: HasBBox>(mut entries: Vec<E>) -> (Vec<E>, Vec<E>) {
             }
         }
     }
-    // tvdp-lint: allow(no_panic, reason = "R-tree structural invariant: the node touched here is non-empty by construction")
+    #[expect(
+        clippy::expect_used,
+        reason = "R-tree structural invariant: the node touched here is non-empty by construction"
+    )]
     let (axis, at, _, _) = best.expect("at least one candidate split");
     // Re-sort on the winning axis (entries may be sorted on the other).
     sort_along(&mut entries, axis);

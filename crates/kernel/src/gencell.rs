@@ -10,13 +10,18 @@
 //! the moment it is published.
 //!
 //! This is the **only** sanctioned publication primitive for shared
-//! mutable-by-replacement state outside the pool (`cargo xtask lint`
-//! rule L3 flags raw atomics and hand-rolled swap schemes). Internally
+//! mutable-by-replacement state outside the pool (rule L3, the root
+//! `clippy.toml`, flags ad-hoc `std::sync` locks). Internally
 //! it is a lock held only for the duration of an `Arc` clone or
 //! pointer store — nanoseconds, never across user code — so the
 //! determinism contract holds trivially: a `load` returns whichever
 //! generation was most recently published, and computed values depend
 //! only on that generation's contents.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "L3 owner: the publication primitive is built on a `std::sync::RwLock` here, once"
+)]
 
 use std::sync::{Arc, RwLock};
 

@@ -14,6 +14,11 @@
 //! which worker ran it, a 1-thread pool and a 64-thread pool produce
 //! bit-identical outputs.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "L3 owner: the pool is the one place that spawns scoped threads"
+)]
+
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,6 +87,10 @@ impl Pool {
     /// A panic in any worker, the caller's share included, stops that
     /// worker; the others finish the range, and the call then panics
     /// with "a scoped thread panicked", as `std::thread::scope` does.
+    #[expect(
+        clippy::expect_used,
+        reason = "pool invariant: the cursor hands every index to exactly one worker, and every worker returned"
+    )]
     pub fn map_index<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -111,9 +120,12 @@ impl Pool {
         });
         let mut out: Vec<Option<R>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
+        #[expect(
+            clippy::panic,
+            reason = "re-raises a worker's panic, as std::thread::scope does"
+        )]
         for share in shares {
             let Ok(share) = share else {
-                // tvdp-lint: allow(no_panic, reason = "re-raises a worker's panic, as std::thread::scope does")
                 panic!("a scoped thread panicked");
             };
             for (i, r) in share {
@@ -121,7 +133,6 @@ impl Pool {
             }
         }
         out.into_iter()
-            // tvdp-lint: allow(no_panic, reason = "pool invariant: the cursor hands every index to exactly one worker, and every worker returned")
             .map(|r| r.expect("a worker claimed every index"))
             .collect()
     }
@@ -156,6 +167,10 @@ impl Default for Pool {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test's bounded wait reads the host clock; no result depends on it"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;

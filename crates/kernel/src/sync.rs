@@ -4,9 +4,14 @@
 //! A lock whose holder panicked is recovered, not propagated: every
 //! critical section in the workspace leaves its data valid at each step
 //! (single-field updates, or a batch applied after validation), so the
-//! next holder sees a consistent value. `cargo xtask lint` (L3) keeps
+//! next holder sees a consistent value. The root `clippy.toml` (L3) keeps
 //! `std::sync` locks out of every other crate, so this is the only place
 //! the poisoning decision is made.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "L3 owner: the workspace's one wrapper over `std::sync` locks"
+)]
 
 use std::sync::{self, PoisonError};
 
@@ -57,6 +62,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the holder must die on a thread of its own to poison the std lock"
+    )]
     fn a_panic_while_holding_does_not_poison_the_next_holder() {
         let m = Arc::new(Mutex::new(1u32));
         let rw: Arc<RwLock<u32>> = Arc::default();

@@ -34,7 +34,10 @@ impl<C: Classifier> Classifier for ScaledClassifier<C> {
     }
 
     fn decision_scores(&self, x: &[f32]) -> Vec<f32> {
-        // tvdp-lint: allow(no_panic, reason = "Classifier contract: fit() precedes decision_scores(); documented on the trait")
+        #[expect(
+            clippy::expect_used,
+            reason = "Classifier contract: fit() precedes decision_scores(); documented on the trait"
+        )]
         let scaler = self.scaler.as_ref().expect("classifier not fitted");
         let mut row = x.to_vec();
         scaler.transform_row(&mut row);

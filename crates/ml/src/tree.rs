@@ -216,7 +216,10 @@ impl Classifier for DecisionTree {
     }
 
     fn decision_scores(&self, x: &[f32]) -> Vec<f32> {
-        // tvdp-lint: allow(no_panic, reason = "Classifier contract: fit() precedes decision_scores(); documented on the trait")
+        #[expect(
+            clippy::expect_used,
+            reason = "Classifier contract: fit() precedes decision_scores(); documented on the trait"
+        )]
         let mut node = self.root.as_ref().expect("classifier not fitted");
         loop {
             match node {

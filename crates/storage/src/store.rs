@@ -1901,6 +1901,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test races real OS threads against the store's own locking"
+    )]
     fn concurrent_ingest_is_safe() {
         let store = Arc::new(VisualStore::new());
         let mut handles = Vec::new();

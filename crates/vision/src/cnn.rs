@@ -210,7 +210,10 @@ impl Default for CnnExtractor {
 impl FeatureExtractor for CnnExtractor {
     fn dim(&self) -> usize {
         // Per channel: one average per grid cell plus one global max.
-        // tvdp-lint: allow(no_panic, reason = "constructor asserts stage_channels is non-empty")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor asserts stage_channels is non-empty"
+        )]
         let last = *self.config.stage_channels.last().expect("non-empty stages");
         last * (self.config.pool_grid * self.config.pool_grid + 1)
     }

@@ -1,9 +1,8 @@
 //! Fixture: the conforming counterpart of `l4_transport_wall_clock.rs`
-//! — a miniature retry loop on a caller-advanced virtual clock with a
-//! seeded RNG, the shape `tvdp_edge::transport` actually uses. The
-//! linter must pass it with no findings.
-
-use tvdp_kernel::rng::Rng;
+//! — a miniature retry loop on a caller-advanced virtual clock, the
+//! shape `tvdp_edge::transport` actually uses. Both clippy under the
+//! root `clippy.toml` and `cargo xtask lint` must pass it with no
+//! findings.
 
 /// Virtual milliseconds; advanced explicitly, never read from the host.
 #[derive(Debug, Clone, Copy)]
@@ -28,18 +27,15 @@ impl VirtualClock {
     }
 }
 
-/// Seeded-jitter exponential backoff: replayable for a given seed.
-pub fn backoff_ms(retry: u32, base_ms: u64, seed: u64) -> u64 {
-    let mut rng = Rng::seed_from_u64(seed ^ retry as u64);
-    let raw = base_ms.saturating_mul(1u64 << retry.min(16));
-    let factor: f64 = rng.gen_range(0.8..1.2);
-    (raw as f64 * factor) as u64
+/// Exponential backoff: a pure function of the attempt number.
+pub fn backoff_ms(retry: u32, base_ms: u64) -> u64 {
+    base_ms.saturating_mul(1u64 << retry.min(16))
 }
 
 /// A retry loop that only ever advances the virtual clock.
-pub fn drain_retries(clock: &mut VirtualClock, attempts: u32, base_ms: u64, seed: u64) -> i64 {
+pub fn drain_retries(clock: &mut VirtualClock, attempts: u32, base_ms: u64) -> i64 {
     for retry in 0..attempts {
-        clock.advance(backoff_ms(retry, base_ms, seed));
+        clock.advance(backoff_ms(retry, base_ms));
     }
     clock.now_ms()
 }

@@ -16,9 +16,8 @@ pub fn sum(values: &HashMap<u64, f64>) -> f64 {
     values.values().sum()
 }
 
-/// A documented invariant justifies an unwrap.
-pub fn head(xs: &[u64]) -> u64 {
-    let first = xs.first();
-    // tvdp-lint: allow(no_panic, reason = "callers guarantee non-empty input; fixture exercises the escape hatch")
-    *first.unwrap()
+/// A documented traversal order justifies a float sum.
+pub fn total(xs: &[f64]) -> f64 {
+    // tvdp-lint: allow(float_reduction, reason = "callers pass rows in id order; fixture exercises the escape hatch")
+    xs.iter().sum()
 }

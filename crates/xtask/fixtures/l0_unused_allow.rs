@@ -4,6 +4,6 @@
 
 /// The code below the allow is clean; the suppression is dead weight.
 pub fn add_one(x: u64) -> u64 {
-    // tvdp-lint: allow(no_panic, reason = "left behind after the unwrap was refactored away")
+    // tvdp-lint: allow(float_reduction, reason = "left behind after the float sum was refactored away")
     x + 1
 }

@@ -1,5 +1,5 @@
-//! Fixture: L1 no-panic violations. `cargo xtask lint` must exit
-//! nonzero on this file.
+//! Fixture: L1 no-panic violations. Clippy with the `cargo no-panic`
+//! lints must exit nonzero on this file, three times over.
 
 /// Panics when the option is empty — forbidden in library code.
 pub fn take(x: Option<u32>) -> u32 {

@@ -1,5 +1,6 @@
 //! Fixture: L3 pool-only-threading violation — spawning threads
-//! outside `tvdp-kernel` bypasses the deterministic work pool.
+//! outside `tvdp-kernel` bypasses the deterministic work pool. Clippy
+//! under the root `clippy.toml` must reject it.
 
 /// Ad-hoc threads make output placement depend on the scheduler.
 pub fn fan_out(items: Vec<u64>) -> Vec<u64> {

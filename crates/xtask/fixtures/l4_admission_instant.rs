@@ -2,7 +2,8 @@
 //! in sight. An admission ticket that stores an `Instant`, or a
 //! deadline threaded through as `SystemTime`, smuggles host time into
 //! the decision path just as surely as calling the clock inline; the
-//! decisions stop replaying.
+//! decisions stop replaying. Clippy under the root `clippy.toml` must
+//! reject it.
 
 use std::time::{Duration, SystemTime};
 

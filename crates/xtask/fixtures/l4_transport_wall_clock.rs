@@ -1,7 +1,7 @@
 //! Fixture: L4 violations in transport-shaped code — the exact
 //! mistakes the resilience layer must not make. Retry timing read from
-//! the host clock and jitter from an unseeded RNG would make a chaos
-//! schedule unreplayable.
+//! the host clock would make a chaos schedule unreplayable. Clippy
+//! under the root `clippy.toml` must reject it.
 
 use std::time::{Instant, SystemTime};
 
@@ -17,11 +17,4 @@ pub fn stamp_upload() -> u64 {
         Ok(d) => d.as_millis() as u64,
         Err(_) => 0,
     }
-}
-
-/// Jitter from an unseeded RNG differs per process; the workspace PRNG
-/// (`tvdp_kernel::rng::Rng`) is always seeded.
-pub fn backoff_jitter(base_ms: u64) -> u64 {
-    let mut rng = thread_rng();
-    base_ms + rng.gen_range(0..base_ms.max(1))
 }

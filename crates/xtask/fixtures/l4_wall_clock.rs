@@ -1,5 +1,6 @@
-//! Fixture: L4 violations — ambient wall-clock time and randomness in
-//! a result path make answers irreproducible.
+//! Fixture: L4 violations — ambient wall-clock time in a result path
+//! makes answers irreproducible. Clippy under the root `clippy.toml`
+//! must reject it.
 
 use std::time::Instant;
 
@@ -7,11 +8,4 @@ use std::time::Instant;
 pub fn elapsed_score(base: f64) -> f64 {
     let t = Instant::now();
     base + t.elapsed().as_secs_f64()
-}
-
-/// Unseeded randomness differs per process; the workspace PRNG
-/// (`tvdp_kernel::rng::Rng`) is always seeded.
-pub fn jitter() -> f64 {
-    let mut rng = thread_rng();
-    rng.gen_range(0.0..1.0)
 }

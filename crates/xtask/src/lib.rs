@@ -2,12 +2,14 @@
 //!
 //! The only subcommand today is `lint`, a registry-free static
 //! analysis pass enforcing the platform's reproducibility invariants
-//! (see [`rules`]): city-scale query serving needs answers that are
-//! crash-free (L1), bit-reproducible across runs and thread counts
-//! (L2, L3, L5, L7), and independent of ambient time/randomness (L4),
-//! with every explicit atomic ordering carrying a reviewed
-//! justification (L6) — and buildable offline from a bare checkout:
-//! every manifest may depend on workspace path crates only (L0). In
+//! that clippy has no lint for (see [`rules`]): city-scale query
+//! serving needs answers that are bit-reproducible across runs and
+//! thread counts (L2, L5, L7), with every explicit atomic ordering
+//! carrying a reviewed justification (L6) — and buildable offline from
+//! a bare checkout: every manifest may depend on workspace path crates
+//! only (L0). Crash-freedom (L1), pool-only threading (L3) and no
+//! ambient time (L4) are clippy's, through the `cargo no-panic` alias
+//! and the root `clippy.toml`. In
 //! workspace mode a public item that no shipped code names is a finding
 //! too (L8, [`dead_api`]); the `allow(dead_api, ..)` comments are the
 //! inventory of those kept on purpose.
@@ -129,20 +131,20 @@ mod tests {
     fn json_report_shape_is_stable() {
         let findings = vec![FileFinding {
             path: "crates/x/src/lib.rs".into(),
-            snippet: "let t = x.unwrap();".into(),
+            snippet: "let t = xs.iter().sum();".into(),
             finding: Finding {
-                rule: Rule::NoPanic,
+                rule: Rule::FloatReduction,
                 line: 3,
-                col: 11,
-                message: "`.unwrap()` can panic".into(),
+                col: 19,
+                message: "float `.sum(..)` reduction".into(),
             },
         }];
         let json = findings_to_json(&findings);
         assert_eq!(
             json,
-            "{\"findings\":[{\"file\":\"crates/x/src/lib.rs\",\"line\":3,\"col\":11,\
-             \"rule\":\"L1\",\"name\":\"no_panic\",\"message\":\"`.unwrap()` can panic\",\
-             \"snippet\":\"let t = x.unwrap();\"}],\"count\":1}"
+            "{\"findings\":[{\"file\":\"crates/x/src/lib.rs\",\"line\":3,\"col\":19,\
+             \"rule\":\"L7\",\"name\":\"float_reduction\",\"message\":\"float `.sum(..)` reduction\",\
+             \"snippet\":\"let t = xs.iter().sum();\"}],\"count\":1}"
         );
     }
 

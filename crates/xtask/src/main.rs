@@ -12,12 +12,11 @@ fn usage() -> ExitCode {
         "usage: cargo xtask lint [--format text|json] [FILE...]\n\
          \n\
          Enforces the TVDP invariants over crates/*/src and every\n\
-         manifest (no args) or the given files: L1 no-panic, L2\n\
-         determinism, L3 pool-only threading, L4 no ambient\n\
-         time/randomness, L5 lock discipline, L6 reviewed atomic\n\
-         orderings, L7 canonical float reductions, (no args) L8 no\n\
-         public item that shipped code never names, and (Cargo.toml)\n\
-         L0 path-crate dependencies only."
+         manifest (no args) or the given files: L2 determinism, L5\n\
+         lock discipline, L6 reviewed atomic orderings, L7 canonical\n\
+         float reductions, (no args) L8 no public item that shipped\n\
+         code never names, and (Cargo.toml) L0 path-crate dependencies\n\
+         only. L1, L3 and L4 are clippy's (`cargo no-panic`, clippy.toml)."
     );
     ExitCode::from(2)
 }

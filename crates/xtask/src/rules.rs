@@ -1,16 +1,19 @@
-//! The TVDP invariant rules, plus the manifest check.
+//! The TVDP invariant rules that clippy has no lint for, plus the
+//! manifest check.
 //!
 //! | id  | rule                  | what it forbids (outside `#[cfg(test)]`)        |
 //! |-----|-----------------------|--------------------------------------------------|
-//! | L1  | `no_panic`            | `.unwrap()` / `.expect(..)` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` |
 //! | L2  | `determinism`         | iterating a `HashMap`/`HashSet` (order leaks)    |
-//! | L3  | `pool_only_threading` | `std::thread::{spawn,scope,Builder}` and ad-hoc `std::sync` locks outside `tvdp-kernel` |
-//! | L4  | `no_wall_clock`       | `Instant::now` / `SystemTime` / raw `std::time::Instant`/`SystemTime` types / `thread_rng` / entropy RNGs outside allowlisted modules |
 //! | L5  | `lock_discipline`     | lock guards held across a pool dispatch, and nested lock acquisition while a guard is live |
 //! | L6  | `atomic_ordering`     | any explicit `Ordering::{Relaxed,..,SeqCst}` without a reviewed allow annotation |
 //! | L7  | `float_reduction`     | ad-hoc `f32`/`f64` `sum`/`fold`/`+=` reductions outside the kernel's canonical reduce paths |
 //! | L8  | `dead_api`            | (workspace mode, [`crate::dead_api`]) a `pub` item in `crates/*/src` that no shipped code names |
 //! | L0  | `registry_dependency` | (manifests) any dependency that is not a `tvdp-*`/`xtask` path crate |
+//!
+//! L1 (`no_panic`), L3 (`pool_only_threading`) and L4 (`no_wall_clock`)
+//! are clippy's: the `cargo no-panic` alias and the root `clippy.toml`
+//! (DESIGN.md §8). Clippy resolves paths, so an alias or a re-export
+//! cannot get past it as it got past matching spellings here.
 //!
 //! Every rule is suppressible per line with
 //! `// tvdp-lint: allow(<rule>, reason = "...")`. The escape hatch is
@@ -23,14 +26,8 @@ use crate::source::{is_ident_byte, word_occurrences, SourceModel};
 /// A rule identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// L1: panicking calls in library code.
-    NoPanic,
     /// L2: hash-order iteration that can leak into results.
     Determinism,
-    /// L3: ad-hoc threads outside the kernel pool.
-    PoolOnlyThreading,
-    /// L4: ambient wall-clock time or randomness.
-    NoWallClock,
     /// L5: lock guards held across pool dispatch or nested acquisition.
     LockDiscipline,
     /// L6: explicit atomic memory orderings without a reviewed allow.
@@ -49,10 +46,7 @@ impl Rule {
     /// Short id shown in reports (`L0`..`L8`).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::NoPanic => "L1",
             Rule::Determinism => "L2",
-            Rule::PoolOnlyThreading => "L3",
-            Rule::NoWallClock => "L4",
             Rule::LockDiscipline => "L5",
             Rule::AtomicOrdering => "L6",
             Rule::FloatReduction => "L7",
@@ -64,10 +58,7 @@ impl Rule {
     /// Name used in `allow(...)` comments.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoPanic => "no_panic",
             Rule::Determinism => "determinism",
-            Rule::PoolOnlyThreading => "pool_only_threading",
-            Rule::NoWallClock => "no_wall_clock",
             Rule::LockDiscipline => "lock_discipline",
             Rule::AtomicOrdering => "atomic_ordering",
             Rule::FloatReduction => "float_reduction",
@@ -94,12 +85,6 @@ pub struct Finding {
 /// Which rules apply to a given file (derived from its crate/path).
 #[derive(Debug, Clone, Copy)]
 pub struct Policy {
-    /// Enforce L3 (`false` inside `tvdp-kernel`, the one crate allowed
-    /// to own threads).
-    pub check_threading: bool,
-    /// Enforce L4 (`false` for bench code and allowlisted modules such
-    /// as `api::limit`).
-    pub check_wall_clock: bool,
     /// Enforce L5 (`false` inside `tvdp-kernel`, which implements the
     /// dispatch primitives, and `tvdp-check`, which deliberately models
     /// broken locking).
@@ -116,8 +101,6 @@ impl Policy {
     /// All rules on — the default for library code.
     pub fn strict() -> Self {
         Policy {
-            check_threading: true,
-            check_wall_clock: true,
             check_lock_discipline: true,
             check_atomic_ordering: true,
             check_float_reduction: true,
@@ -159,14 +142,7 @@ fn prev_non_ws(bytes: &[u8], i: usize) -> Option<u8> {
 pub fn check(model: &SourceModel, policy: Policy, dead_api: Option<Vec<Finding>>) -> Vec<Finding> {
     let audit_dead_api = dead_api.is_some();
     let mut raw = dead_api.unwrap_or_default();
-    no_panic(model, &mut raw);
     determinism(model, &mut raw);
-    if policy.check_threading {
-        pool_only_threading(model, &mut raw);
-    }
-    if policy.check_wall_clock {
-        no_wall_clock(model, &mut raw);
-    }
     if policy.check_lock_discipline {
         lock_discipline(model, &mut raw);
     }
@@ -224,48 +200,6 @@ pub fn check(model: &SourceModel, policy: Policy, dead_api: Option<Vec<Finding>>
     }
     findings.sort_by_key(|f| (f.line, f.col));
     findings
-}
-
-/// L1: panicking method calls and macros.
-fn no_panic(model: &SourceModel, out: &mut Vec<Finding>) {
-    let hay = &model.masked;
-    let bytes = hay.as_bytes();
-    for method in ["unwrap", "expect"] {
-        for s in word_occurrences(hay, method) {
-            // Must be a method call: `.name(` (receiver on the left).
-            if prev_non_ws(bytes, s) != Some(b'.') {
-                continue;
-            }
-            if next_non_ws(bytes, s + method.len()) != Some(b'(') {
-                continue;
-            }
-            let (line, col) = model.line_col(s);
-            out.push(Finding {
-                rule: Rule::NoPanic,
-                line,
-                col,
-                message: format!(
-                    "`.{method}()` can panic in library code; return a typed error instead"
-                ),
-            });
-        }
-    }
-    for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-        for s in word_occurrences(hay, mac) {
-            if next_non_ws(bytes, s + mac.len()) != Some(b'!') {
-                continue;
-            }
-            // `core::panic!` still panics; a path prefix is fine to flag,
-            // but `std::panic::catch_unwind` has no `!` and is skipped.
-            let (line, col) = model.line_col(s);
-            out.push(Finding {
-                rule: Rule::NoPanic,
-                line,
-                col,
-                message: format!("`{mac}!` is forbidden in library code"),
-            });
-        }
-    }
 }
 
 /// L2: collect identifiers bound to `HashMap`/`HashSet`, then flag
@@ -409,146 +343,6 @@ pub fn check_manifest(text: &str) -> Vec<Finding> {
         }
     }
     out
-}
-
-/// L3: ad-hoc threads. Everything must go through `tvdp_kernel::Pool`.
-///
-/// Also covers ad-hoc `std::sync` locks: shared snapshots are published
-/// through `tvdp_kernel::GenCell` (writers Arc-swap a frozen generation,
-/// readers clone an `Arc` and never block — the sharded engine's read
-/// path), and writer-side mutexes use the workspace's `parking_lot`.
-/// A bare `std::sync::RwLock`/`Mutex` is how a blocking single-lock
-/// engine creeps back in, so it is flagged outside `tvdp-kernel` (the
-/// one crate allowed to build the publication primitive itself).
-fn pool_only_threading(model: &SourceModel, out: &mut Vec<Finding>) {
-    let hay = &model.masked;
-    for needle in ["thread::spawn", "thread::scope", "thread::Builder"] {
-        let mut at = 0;
-        while let Some(rel) = hay[at..].find(needle) {
-            let s = at + rel;
-            let (line, col) = model.line_col(s);
-            out.push(Finding {
-                rule: Rule::PoolOnlyThreading,
-                line,
-                col,
-                message: format!(
-                    "`{needle}` outside tvdp-kernel: use `tvdp_kernel::Pool` so thread \
-                     count stays deterministic and bounded"
-                ),
-            });
-            at = s + needle.len();
-        }
-    }
-    // `std::sync::RwLock` / `std::sync::Mutex`, whether named inline or
-    // pulled in through a (possibly grouped) `use std::sync::{..}` —
-    // either way the path and the lock name share a line.
-    let mut at = 0;
-    while let Some(rel) = hay[at..].find("std::sync::") {
-        let s = at + rel;
-        let line_end = hay[s..].find('\n').map_or(hay.len(), |p| s + p);
-        let rest = &hay[s..line_end];
-        for lock in ["RwLock", "Mutex"] {
-            if !word_occurrences(rest, lock).is_empty() {
-                let (line, col) = model.line_col(s);
-                out.push(Finding {
-                    rule: Rule::PoolOnlyThreading,
-                    line,
-                    col,
-                    message: format!(
-                        "`std::sync::{lock}` outside tvdp-kernel: publish read-path \
-                         snapshots through `tvdp_kernel::GenCell` generations (lock-free \
-                         Arc-swap reads) and guard writer state with `tvdp_kernel::sync`"
-                    ),
-                });
-            }
-        }
-        at = line_end.min(s + "std::sync::".len().max(1));
-    }
-}
-
-/// L4: ambient time and randomness.
-fn no_wall_clock(model: &SourceModel, out: &mut Vec<Finding>) {
-    let hay = &model.masked;
-    const NEEDLES: [(&str, &str); 6] = [
-        ("Instant::now", "wall-clock time in a result path"),
-        ("SystemTime::now", "wall-clock time in a result path"),
-        ("UNIX_EPOCH", "wall-clock time in a result path"),
-        ("thread_rng", "ambient randomness (unseeded RNG)"),
-        ("from_entropy", "ambient randomness (entropy-seeded RNG)"),
-        ("OsRng", "ambient randomness (OS RNG)"),
-    ];
-    for (needle, why) in NEEDLES {
-        for s in word_occurrences(hay, needle.split("::").next().unwrap_or(needle)) {
-            // Re-check the full dotted needle at this site.
-            if !hay[s..].starts_with(needle) {
-                continue;
-            }
-            let (line, col) = model.line_col(s);
-            out.push(Finding {
-                rule: Rule::NoWallClock,
-                line,
-                col,
-                message: format!(
-                    "`{needle}`: {why}; take time as an explicit parameter (see \
-                     api::limit), draw from a seeded `tvdp_kernel::rng::Rng`, or \
-                     allowlist the module"
-                ),
-            });
-        }
-    }
-    // Raw `std::time::Instant` / `std::time::SystemTime` *types* — a
-    // stored Instant field or a SystemTime threaded through a signature
-    // smuggles host time into a deterministic path just as surely as
-    // calling the clock inline. Sites immediately followed by `::now`
-    // are skipped: the dotted-needle pass above already reported them.
-    for ty in ["Instant", "SystemTime"] {
-        let path = format!("std::time::{ty}");
-        let mut at = 0;
-        while let Some(rel) = hay[at..].find(&path) {
-            let s = at + rel;
-            at = s + path.len();
-            if hay[at..].starts_with("::now") {
-                continue;
-            }
-            let (line, col) = model.line_col(s);
-            out.push(Finding {
-                rule: Rule::NoWallClock,
-                line,
-                col,
-                message: wall_clock_type_message(ty),
-            });
-        }
-    }
-    // The same types pulled in through a grouped `use std::time::{..}`
-    // import (`Duration` alone is legal — it is a span, not a clock).
-    let mut at = 0;
-    while let Some(rel) = hay[at..].find("std::time::{") {
-        let s = at + rel;
-        let open = s + "std::time::".len();
-        let group_end = hay[open..].find('}').map_or(hay.len(), |p| open + p);
-        let group = &hay[open..group_end];
-        for ty in ["Instant", "SystemTime"] {
-            for w in word_occurrences(group, ty) {
-                let (line, col) = model.line_col(open + w);
-                out.push(Finding {
-                    rule: Rule::NoWallClock,
-                    line,
-                    col,
-                    message: wall_clock_type_message(ty),
-                });
-            }
-        }
-        at = group_end.max(s + 1);
-    }
-}
-
-/// Finding text for a raw wall-clock type (L4).
-fn wall_clock_type_message(ty: &str) -> String {
-    format!(
-        "`std::time::{ty}`: wall-clock type in a deterministic path; model \
-         time as explicit virtual-clock `i64` milliseconds (see \
-         edge::transport::VirtualClock) or allowlist the module"
-    )
 }
 
 /// Matching close for the `(` at byte `open`, if parens balance.
@@ -970,29 +764,10 @@ mod tests {
     }
 
     #[test]
-    fn l1_flags_unwrap_and_macros() {
-        let f = findings("fn f(x: Option<u8>) -> u8 { x.unwrap() }\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::NoPanic);
-        let f = findings("fn f() { panic!(\"boom\"); }\n");
-        assert_eq!(f.len(), 1);
-        let f = findings("fn f() { todo!() }\n");
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn l1_skips_unwrap_or_and_should_panic() {
-        assert!(findings("fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n").is_empty());
-        assert!(findings("fn f(x: Option<u8>) -> u8 { x.unwrap_or_default() }\n").is_empty());
-        // `should_panic` is an attribute word, not a call.
-        assert!(findings("#[should_panic(expected = \"x\")]\nfn g() {}\n").is_empty());
-    }
-
-    #[test]
-    fn l1_skips_test_code_and_strings() {
-        let src = "#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}\n";
+    fn skips_test_code_and_strings() {
+        let src = "#[cfg(test)]\nmod tests {\n fn t(xs: &[f64]) -> f64 { xs.iter().sum() }\n}\n";
         assert!(findings(src).is_empty());
-        assert!(findings("const S: &str = \"call .unwrap() later\";\n").is_empty());
+        assert!(findings("const S: &str = \"let t: f64 = xs.iter().sum();\";\n").is_empty());
     }
 
     #[test]
@@ -1035,38 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn l3_flags_spawn_unless_kernel_policy() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        let f = findings(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::PoolOnlyThreading);
-        let kernel = Policy {
-            check_threading: false,
-            ..Policy::strict()
-        };
-        assert!(check(&SourceModel::parse(src), kernel, None).is_empty());
-    }
-
-    #[test]
-    fn l3_flags_std_sync_locks_outside_kernel() {
-        // Inline path.
-        let f = findings("fn f() { let l = std::sync::RwLock::new(0); }\n");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::PoolOnlyThreading);
-        // Grouped import.
-        let f = findings("use std::sync::{Arc, Mutex};\nfn f() {}\n");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::PoolOnlyThreading);
-        // The kernel crate may build the primitive itself.
-        let kernel = Policy {
-            check_threading: false,
-            ..Policy::strict()
-        };
-        let src = "use std::sync::{Arc, RwLock};\nfn f() { let l = RwLock::new(0); }\n";
-        assert!(check(&SourceModel::parse(src), kernel, None).is_empty());
-    }
-
-    #[test]
     fn l0_manifest_accepts_path_crates_only() {
         let clean = "[package]\nname = \"tvdp-x\"\nversion = \"1\"\n\n[dependencies]\n\
                      tvdp-kernel.workspace = true\ntvdp-geo = { path = \"../geo\" }\n\n\
@@ -1089,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn l3_allows_gencell_publication_and_kernel_sync() {
+    fn l5_allows_gencell_publication_and_kernel_sync() {
         // The blessed pattern: GenCell generation publication plus a
         // kernel-sync writer mutex. `std::sync::Arc` alone is fine.
         let src = "use std::sync::Arc;\nuse tvdp_kernel::sync::Mutex;\nuse tvdp_kernel::GenCell;\n\
@@ -1099,69 +842,48 @@ mod tests {
     }
 
     #[test]
-    fn l4_flags_instant_now_and_thread_rng() {
-        // One finding for the raw return type, one for the `::now` call.
-        let f = findings("fn f() -> std::time::Instant { std::time::Instant::now() }\n");
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|f| f.rule == Rule::NoWallClock));
-        let f = findings("fn f() { let mut r = thread_rng(); }\n");
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn l4_flags_wall_clock_types_without_a_now_call() {
-        // A stored Instant never calls `::now` in this file, but the
-        // host clock still leaks in through whoever constructs it.
-        let f = findings("pub struct T { pub at: std::time::Instant }\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::NoWallClock);
-        // Grouped import: SystemTime fires, Duration is a legal span.
-        let f = findings("use std::time::{Duration, SystemTime};\n");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("SystemTime"));
-        let f = findings("use std::time::Duration;\n");
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
     fn allow_comment_suppresses_with_reason() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n // tvdp-lint: allow(no_panic, reason = \"invariant: filled above\")\n x.unwrap()\n}\n";
+        let src = "fn f(xs: &[f64]) -> f64 {\n // tvdp-lint: allow(float_reduction, reason = \"fixed order\")\n xs.iter().sum()\n}\n";
         assert!(findings(src).is_empty());
     }
 
     #[test]
     fn allow_without_reason_becomes_finding() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n x.unwrap() // tvdp-lint: allow(no_panic)\n}\n";
+        let src =
+            "fn f(xs: &[f64]) -> f64 {\n xs.iter().sum() // tvdp-lint: allow(float_reduction)\n}\n";
         let f = findings(src);
         assert!(f.iter().any(|f| f.rule == Rule::BadAllow), "{f:?}");
-        assert!(f.iter().any(|f| f.rule == Rule::NoPanic), "{f:?}");
+        assert!(f.iter().any(|f| f.rule == Rule::FloatReduction), "{f:?}");
     }
 
     #[test]
     fn unused_allow_becomes_finding() {
-        // Well-formed allow, but nothing on the target line panics.
-        let src = "fn f(x: u8) -> u8 {\n \
-                   // tvdp-lint: allow(no_panic, reason = \"stale\")\n \
-                   x + 1\n}\n";
+        // Well-formed allow, but nothing on the target line reduces.
+        let src = "fn f(x: f64) -> f64 {\n \
+                   // tvdp-lint: allow(float_reduction, reason = \"stale\")\n \
+                   x + 1.0\n}\n";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, Rule::BadAllow);
         assert_eq!(f[0].line, 2, "reported at the comment line");
-        assert!(f[0].message.contains("unused allow(no_panic)"), "{f:?}");
+        assert!(
+            f[0].message.contains("unused allow(float_reduction)"),
+            "{f:?}"
+        );
     }
 
     #[test]
     fn used_allow_is_not_flagged_as_unused() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n \
-                   // tvdp-lint: allow(no_panic, reason = \"invariant: checked\")\n \
-                   x.unwrap()\n}\n";
+        let src = "fn f(xs: &[f64]) -> f64 {\n \
+                   // tvdp-lint: allow(float_reduction, reason = \"fixed order\")\n \
+                   xs.iter().sum()\n}\n";
         assert!(findings(src).is_empty());
     }
 
     #[test]
     fn unused_allow_in_test_code_is_ignored() {
         let src = "#[cfg(test)]\nmod tests {\n \
-                   // tvdp-lint: allow(no_panic, reason = \"test only\")\n \
+                   // tvdp-lint: allow(float_reduction, reason = \"test only\")\n \
                    fn t(x: u8) -> u8 { x }\n}\n";
         assert!(findings(src).is_empty());
     }

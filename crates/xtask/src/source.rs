@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 /// A parsed `tvdp-lint: allow(...)` comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
-    /// Rule name as written, e.g. `no_panic`.
+    /// Rule name as written, e.g. `float_reduction`.
     pub rule: String,
     /// The mandatory human-readable justification.
     pub reason: String,
@@ -537,9 +537,10 @@ mod tests {
 
     #[test]
     fn trailing_allow_targets_same_line() {
-        let src = "let x = y.unwrap(); // tvdp-lint: allow(no_panic, reason = \"startup only\")\n";
+        let src =
+            "let x = y.sum(); // tvdp-lint: allow(float_reduction, reason = \"fixed order\")\n";
         let m = SourceModel::parse(src);
-        assert!(m.is_allowed(1, "no_panic"));
+        assert!(m.is_allowed(1, "float_reduction"));
         assert!(!m.is_allowed(1, "determinism"));
     }
 
@@ -552,9 +553,9 @@ mod tests {
 
     #[test]
     fn allow_without_reason_is_reported() {
-        let src = "let x = y.unwrap(); // tvdp-lint: allow(no_panic)\n";
+        let src = "let x = y.sum(); // tvdp-lint: allow(float_reduction)\n";
         let m = SourceModel::parse(src);
-        assert!(!m.is_allowed(1, "no_panic"));
+        assert!(!m.is_allowed(1, "float_reduction"));
         assert_eq!(m.bad_allows.len(), 1);
         assert!(m.bad_allows[0].problem.contains("justification"));
     }

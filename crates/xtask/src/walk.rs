@@ -6,16 +6,17 @@
 //! L8 reads `examples/**` too, as callers only.
 //! Policy for sources is derived from the path:
 //!
-//! * `crates/kernel` — owns the thread pool, so L3 is off there; it is
-//!   also the home of the canonical fixed-order reductions (L7 off) and
-//!   implements the dispatch primitives L5 polices (L5 off);
-//! * `crates/check` — the model checker schedules real OS threads and
-//!   its shims are the reviewed home of explicit atomic orderings, so
-//!   L3/L5/L6 are off there (it deliberately models broken locking);
-//! * `crates/bench` — exists to measure wall-clock time and report
-//!   float means, so L4 and L7 are off;
-//! * `crates/api/src/limit.rs` — the rate limiter is the designated
-//!   place where wall-clock time would be fed in, so L4 is off.
+//! * `crates/kernel` — the home of the canonical fixed-order reductions
+//!   (L7 off), and implements the dispatch primitives L5 polices (L5
+//!   off);
+//! * `crates/check` — the model checker's shims are the reviewed home of
+//!   explicit atomic orderings, so L5/L6 are off there (it deliberately
+//!   models broken locking);
+//! * `crates/bench` — exists to report float means, so L7 is off.
+//!
+//! The owners of threads and clocks (L3, L4) opt out of clippy's
+//! `disallowed_*` lints in their own source instead, one `#![expect]`
+//! each.
 
 use std::fs;
 use std::io;
@@ -24,16 +25,6 @@ use std::path::{Path, PathBuf};
 use crate::dead_api::dead_api;
 use crate::rules::{check, check_manifest, Finding, Policy};
 use crate::source::SourceModel;
-
-/// Modules where ambient time/randomness is part of the job.
-const WALL_CLOCK_ALLOWLIST: [&str; 1] = ["crates/api/src/limit.rs"];
-
-/// Crates whose whole `src/` is exempt from L4 (benchmark drivers).
-const WALL_CLOCK_ALLOWLIST_CRATES: [&str; 1] = ["bench"];
-
-/// Crates allowed to create threads: the pool owner and the model
-/// checker (whose controlled scheduler *is* its subject matter).
-const THREADING_OWNERS: [&str; 2] = ["kernel", "check"];
 
 /// Crates exempt from lock-discipline L5: the kernel implements the
 /// dispatch primitives, and the checker deliberately models broken
@@ -57,9 +48,6 @@ pub fn policy_for(rel_path: &str) -> Policy {
         .and_then(|r| r.split('/').next())
         .unwrap_or("");
     Policy {
-        check_threading: !THREADING_OWNERS.contains(&crate_name),
-        check_wall_clock: !WALL_CLOCK_ALLOWLIST_CRATES.contains(&crate_name)
-            && !WALL_CLOCK_ALLOWLIST.iter().any(|m| rel.ends_with(m)),
         check_lock_discipline: !LOCK_DISCIPLINE_EXEMPT.contains(&crate_name),
         check_atomic_ordering: !ATOMIC_ORDERING_EXEMPT.contains(&crate_name),
         check_float_reduction: !FLOAT_REDUCTION_EXEMPT.contains(&crate_name),
@@ -213,15 +201,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_exempt_from_threading_rule() {
-        assert!(!policy_for("crates/kernel/src/pool.rs").check_threading);
-        assert!(policy_for("crates/storage/src/store.rs").check_threading);
-    }
-
-    #[test]
     fn checker_owns_its_scheduler_and_orderings() {
         let p = policy_for("crates/check/src/exec.rs");
-        assert!(!p.check_threading);
         assert!(!p.check_lock_discipline);
         assert!(!p.check_atomic_ordering);
         assert!(p.check_float_reduction, "no float math in the checker");
@@ -246,13 +227,5 @@ mod tests {
     fn bench_reports_may_sum_floats() {
         assert!(!policy_for("crates/bench/src/lib.rs").check_float_reduction);
         assert!(policy_for("crates/ml/src/eval.rs").check_float_reduction);
-    }
-
-    #[test]
-    fn bench_and_rate_limiter_exempt_from_wall_clock() {
-        assert!(!policy_for("crates/bench/src/bin/fig6.rs").check_wall_clock);
-        assert!(!policy_for("crates/api/src/limit.rs").check_wall_clock);
-        assert!(policy_for("crates/api/src/router.rs").check_wall_clock);
-        assert!(policy_for("crates/query/src/engine.rs").check_wall_clock);
     }
 }

@@ -1,5 +1,6 @@
 //! End-to-end tests: the `cargo xtask lint` binary must reject each
-//! committed violation fixture (nonzero exit) and pass the clean one.
+//! committed violation fixture of its rules (nonzero exit) and pass the
+//! clean ones. The L1, L3 and L4 fixtures are clippy's, checked in CI.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -54,60 +55,8 @@ fn l0_registry_dependency_fixture_rejected() {
 }
 
 #[test]
-fn l1_fixture_rejected() {
-    assert_fires("l1_no_panic.rs", "[L1/no_panic]");
-}
-
-#[test]
 fn l2_fixture_rejected() {
     assert_fires("l2_hash_iteration.rs", "[L2/determinism]");
-}
-
-#[test]
-fn l3_fixture_rejected() {
-    assert_fires("l3_adhoc_thread.rs", "[L3/pool_only_threading]");
-}
-
-#[test]
-fn l4_fixture_rejected() {
-    assert_fires("l4_wall_clock.rs", "[L4/no_wall_clock]");
-}
-
-#[test]
-fn l4_transport_fixture_rejected() {
-    assert_fires("l4_transport_wall_clock.rs", "[L4/no_wall_clock]");
-}
-
-#[test]
-fn l4_transport_fixture_flags_each_violation_once() {
-    let out = run_lint_on("l4_transport_wall_clock.rs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // Instant::now + SystemTime::now + thread_rng, plus the grouped
-    // `use std::time::{Instant, SystemTime}` import (one per type).
-    assert_eq!(
-        stdout.matches("[L4/no_wall_clock]").count(),
-        5,
-        "wrong violation count:\n{stdout}"
-    );
-}
-
-#[test]
-fn l4_admission_instant_fixture_rejected() {
-    assert_fires("l4_admission_instant.rs", "[L4/no_wall_clock]");
-}
-
-#[test]
-fn l4_admission_instant_fixture_flags_each_type_once() {
-    let out = run_lint_on("l4_admission_instant.rs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // The stored `std::time::Instant` field and the `SystemTime` in the
-    // grouped import; `Duration` in the same group stays legal.
-    assert_eq!(
-        stdout.matches("[L4/no_wall_clock]").count(),
-        2,
-        "wrong violation count:\n{stdout}"
-    );
-    assert!(stdout.contains("wall-clock type"), "{stdout}");
 }
 
 #[test]
@@ -163,7 +112,7 @@ fn l0_unused_allow_fixture_rejected() {
     assert_fires("l0_unused_allow.rs", "[L0/bad_allow]");
     let out = run_lint_on("l0_unused_allow.rs");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("unused allow(no_panic)"), "{stdout}");
+    assert!(stdout.contains("unused allow(float_reduction)"), "{stdout}");
 }
 
 #[test]
@@ -232,18 +181,6 @@ fn clean_fixture_passes() {
         "clean fixture must pass; stdout:\n{stdout}"
     );
     assert!(stdout.contains("clean"), "{stdout}");
-}
-
-#[test]
-fn l1_fixture_flags_each_violation_once() {
-    let out = run_lint_on("l1_no_panic.rs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // unwrap + expect + todo!, but not the unwrap inside #[cfg(test)].
-    assert_eq!(
-        stdout.matches("[L1/no_panic]").count(),
-        3,
-        "wrong violation count:\n{stdout}"
-    );
 }
 
 #[test]
