@@ -119,16 +119,6 @@ impl SourceModel {
             .get(&line)
             .is_some_and(|v| v.iter().any(|a| a.rule == rule))
     }
-
-    /// The raw text of a 1-based line, trimmed (for report snippets).
-    pub fn line_text(&self, line: usize) -> &str {
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map_or(self.raw.len(), |&e| e.saturating_sub(1));
-        self.raw[start..end.max(start)].trim()
-    }
 }
 
 /// One comment span in the original text (byte range, excludes markers'
