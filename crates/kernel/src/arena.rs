@@ -12,20 +12,20 @@
 //! * [`FeatureSlab::row`] — direct `&[f32]` while you hold the slab
 //!   (ingest paths, benches, anything under the owner's lock),
 //! * [`SlabView`] — an `Arc`-sharing snapshot detached from the slab;
-//!   chunk pointers are reference-counted, only the partial tail chunk
-//!   is copied once per refresh. Query execution resolves every row
-//!   through a view with pure pointer arithmetic: no locks, no
-//!   allocation, no copies on the hot path,
+//!   every chunk, the partial tail too, is shared by reference count.
+//!   Query execution resolves every row through a view with pure
+//!   pointer arithmetic: no locks, no allocation, no copies on the hot
+//!   path,
 //! * [`RowRef`] — an owned handle to a single row (`Deref<Target =
 //!   [f32]>`) for callers that outlive the slab borrow.
 //!
 //! Rows are write-once: replacing a feature appends a new row and
 //! repoints the handle, which is what makes lock-free snapshot reads
 //! safe without any `unsafe` code. The arena is always resident: a
-//! chunk's floats are written once, into a buffer allocated at its full
-//! size when its first row arrives, and frozen by moving that buffer
-//! into an `Arc`-shared chunk, so no float is copied after its push and
-//! a row is one index and one slice away from its floats.
+//! chunk's floats go into a buffer allocated at its full size on its
+//! first row, copied at most once (by a push while a view holds the
+//! partial chunk) and frozen by move, so a row is one index and one
+//! slice away from its floats.
 //!
 //! A frozen chunk also owns what is derived from its floats on first
 //! read, in cells every view of the slab shares: its quantized codes
@@ -42,7 +42,7 @@ use crate::quant::{QuantChunk, QuantParams};
 /// Rows per storage chunk. Chunks except the last are always exactly
 /// this full, so `row -> (chunk, offset)` is pure arithmetic. 1024 rows
 /// keeps a dim-512 chunk at 2 MiB (hugepage-friendly) and bounds the
-/// tail copy a snapshot refresh may perform.
+/// tail copy a push after a view may perform.
 pub const ROWS_PER_CHUNK: usize = 1024;
 
 /// Anything that can resolve a row handle to its `f32` slice: both
@@ -80,6 +80,19 @@ impl Chunk {
     }
 }
 
+/// A push's copy of a tail a view holds: the floats at full capacity;
+/// the cells stay empty, as on every chunk not yet full.
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        let mut floats = Vec::with_capacity(self.floats.capacity());
+        floats.extend_from_slice(&self.floats);
+        Self {
+            floats,
+            ..Self::default()
+        }
+    }
+}
+
 /// An append-only slab of fixed-dimension `f32` rows.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureSlab {
@@ -90,7 +103,7 @@ pub struct FeatureSlab {
     /// The chunk currently being filled (< `ROWS_PER_CHUNK` rows), with
     /// room for all of them from its first row on: it never regrows,
     /// and the floats of rows not yet pushed are never touched.
-    tail: Vec<f32>,
+    tail: Arc<Chunk>,
     len: usize,
 }
 
@@ -105,7 +118,7 @@ impl FeatureSlab {
         Self {
             dim,
             frozen: Vec::new(),
-            tail: Vec::new(),
+            tail: Arc::default(),
             len: 0,
         }
     }
@@ -117,29 +130,30 @@ impl FeatureSlab {
     /// Panics when `v.len() != self.dim()`.
     pub fn push(&mut self, v: &[f32]) -> u32 {
         assert_eq!(v.len(), self.dim, "row dimension mismatch");
-        if self.tail.capacity() == 0 {
-            self.tail.reserve_exact(ROWS_PER_CHUNK * self.dim);
-        }
-        self.tail.extend_from_slice(v);
         let row = self.len as u32;
         self.len += 1;
-        if self.tail.len() == ROWS_PER_CHUNK * self.dim {
+        // Appends in place unless a view holds the tail: then copies it.
+        let tail = &mut Arc::make_mut(&mut self.tail).floats;
+        if tail.capacity() == 0 {
+            tail.reserve_exact(ROWS_PER_CHUNK * self.dim);
+        }
+        tail.extend_from_slice(v);
+        if tail.len() == ROWS_PER_CHUNK * self.dim {
             // Frozen by move: the chunk's floats stay where they were
             // pushed.
-            let full = std::mem::take(&mut self.tail);
-            self.frozen.push(Chunk::new(full));
+            self.frozen.push(std::mem::take(&mut self.tail));
         }
         row
     }
 
-    /// An `Arc`-sharing snapshot of every row pushed so far. Frozen
-    /// chunks are shared by reference count; only the partial tail
-    /// chunk is copied. Snapshots never see rows pushed after they are
-    /// taken.
+    /// An `Arc`-sharing snapshot of every row pushed so far, the
+    /// partial tail chunk included: nothing is copied. Snapshots never
+    /// see rows pushed after they are taken ([`FeatureSlab::push`]
+    /// copies a tail a view holds).
     pub fn view(&self) -> SlabView {
         let mut chunks = self.frozen.clone();
-        if !self.tail.is_empty() {
-            chunks.push(Chunk::new(self.tail.clone()));
+        if !self.tail.floats.is_empty() {
+            chunks.push(Arc::clone(&self.tail));
         }
         SlabView {
             dim: self.dim,
@@ -149,9 +163,9 @@ impl FeatureSlab {
     }
 
     /// An owned reference to one row, valid independently of the slab
-    /// borrow. Zero-copy for rows in frozen chunks; rows still in the
-    /// tail are copied once (bounded by the most recent
-    /// [`ROWS_PER_CHUNK`] appends).
+    /// borrow. Zero-copy for rows in frozen chunks; a row still in the
+    /// tail is copied alone, since sharing the tail would pin it and
+    /// make the next push copy the whole chunk.
     pub fn row_ref(&self, row: u32) -> RowRef {
         let r = row as usize;
         let chunk = r / ROWS_PER_CHUNK;
@@ -165,7 +179,7 @@ impl FeatureSlab {
         } else {
             let start = (r - self.frozen.len() * ROWS_PER_CHUNK) * self.dim;
             RowRef {
-                chunk: Chunk::new(self.tail[start..start + self.dim].to_vec()),
+                chunk: Chunk::new(self.tail.floats[start..start + self.dim].to_vec()),
                 start: 0,
                 len: self.dim,
             }
@@ -190,7 +204,7 @@ impl RowSource for FeatureSlab {
             &self.frozen[chunk].floats[start..start + self.dim]
         } else {
             let start = (r - self.frozen.len() * ROWS_PER_CHUNK) * self.dim;
-            &self.tail[start..start + self.dim]
+            &self.tail.floats[start..start + self.dim]
         }
     }
 }
@@ -424,6 +438,122 @@ mod tests {
         drop(slab);
         assert_eq!(&*frozen, &row_of(7, dim)[..]);
         assert_eq!(&*tail, &row_of(ROWS_PER_CHUNK, dim)[..]);
+    }
+
+    fn bits(rows: &[f32]) -> Vec<u32> {
+        rows.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_view_keeps_its_tail_rows_and_its_chunk_is_never_written() {
+        let dim = 3;
+        let mut slab = FeatureSlab::new(dim);
+        for i in 0..ROWS_PER_CHUNK + 10 {
+            slab.push(&row_of(i, dim));
+        }
+        let view = slab.view();
+        let tail = Arc::clone(&view.chunks[1]);
+        assert!(Arc::ptr_eq(&tail, &slab.tail), "the view shares the tail");
+        let before = bits(&tail.floats);
+        for i in 0..ROWS_PER_CHUNK {
+            slab.push(&row_of(1_000_000 + i, dim));
+        }
+        assert_eq!(view.rows(), ROWS_PER_CHUNK + 10);
+        assert_eq!(bits(&tail.floats), before, "the shared chunk is untouched");
+        for i in ROWS_PER_CHUNK..ROWS_PER_CHUNK + 10 {
+            assert_eq!(bits(view.row(i as u32)), bits(&row_of(i, dim)));
+        }
+        // The slab copied the tail and went on in the copy.
+        assert!(!Arc::ptr_eq(&tail, &slab.frozen[1]));
+        assert_eq!(
+            bits(slab.row(ROWS_PER_CHUNK as u32 + 9)),
+            bits(&row_of(ROWS_PER_CHUNK + 9, dim))
+        );
+        assert_eq!(
+            bits(slab.row(ROWS_PER_CHUNK as u32 + 10)),
+            bits(&row_of(1_000_000, dim))
+        );
+    }
+
+    #[test]
+    fn pushes_with_no_view_append_in_place() {
+        let dim = 4;
+        let mut slab = FeatureSlab::new(dim);
+        slab.push(&row_of(0, dim));
+        let at = slab.tail.floats.as_ptr();
+        for i in 1..ROWS_PER_CHUNK - 1 {
+            slab.push(&row_of(i, dim));
+            assert_eq!(slab.tail.floats.as_ptr(), at, "push {i} moved the tail");
+        }
+        // A view that is dropped before the next push costs no copy.
+        drop(slab.view());
+        slab.push(&row_of(ROWS_PER_CHUNK - 1, dim));
+        assert_eq!(slab.frozen[0].floats.as_ptr(), at);
+    }
+
+    #[test]
+    fn the_first_push_after_a_view_copies_once() {
+        let dim = 2;
+        let mut slab = FeatureSlab::new(dim);
+        for i in 0..5 {
+            slab.push(&row_of(i, dim));
+        }
+        let shared = slab.tail.floats.as_ptr();
+        let view = slab.view();
+        slab.push(&row_of(5, dim));
+        let copy = slab.tail.floats.as_ptr();
+        assert_ne!(copy, shared, "the first push copies the held tail");
+        assert_eq!(
+            slab.tail.floats.capacity(),
+            ROWS_PER_CHUNK * dim,
+            "into a full-size chunk"
+        );
+        for i in 6..40 {
+            slab.push(&row_of(i, dim));
+            assert_eq!(slab.tail.floats.as_ptr(), copy, "push {i} copied again");
+        }
+        assert_eq!(view.chunks[0].floats.as_ptr(), shared);
+        assert_eq!(view.rows(), 5);
+    }
+
+    #[test]
+    fn a_full_tail_freezes_by_move() {
+        let dim = 3;
+        let mut slab = FeatureSlab::new(dim);
+        for i in 0..ROWS_PER_CHUNK - 1 {
+            slab.push(&row_of(i, dim));
+        }
+        let tail = Arc::as_ptr(&slab.tail);
+        slab.push(&row_of(ROWS_PER_CHUNK - 1, dim));
+        assert_eq!(Arc::as_ptr(&slab.frozen[0]), tail, "the tail itself froze");
+        assert!(slab.tail.floats.is_empty());
+        // A view held at the last push keeps its rows; the copy freezes.
+        for i in 0..ROWS_PER_CHUNK - 1 {
+            slab.push(&row_of(i, dim));
+        }
+        let view = slab.view();
+        slab.push(&row_of(7, dim));
+        assert!(!Arc::ptr_eq(&view.chunks[1], &slab.frozen[1]));
+        assert_eq!(view.rows(), 2 * ROWS_PER_CHUNK - 1);
+        assert_eq!(view.chunks[1].floats.len(), (ROWS_PER_CHUNK - 1) * dim);
+    }
+
+    /// A tail row's `RowRef` copies that row alone: sharing the tail
+    /// would pin it and force a whole-chunk copy at the next push.
+    #[test]
+    fn a_tail_row_ref_copies_only_its_row() {
+        let dim = 5;
+        let mut slab = FeatureSlab::new(dim);
+        for i in 0..ROWS_PER_CHUNK + 3 {
+            slab.push(&row_of(i, dim));
+        }
+        let at = slab.tail.floats.as_ptr();
+        let row = slab.row_ref(ROWS_PER_CHUNK as u32 + 1);
+        assert_eq!(row.chunk.floats.len(), dim);
+        assert_eq!(Arc::strong_count(&slab.tail), 1);
+        slab.push(&row_of(99, dim));
+        assert_eq!(slab.tail.floats.as_ptr(), at, "nothing pinned the tail");
+        assert_eq!(bits(&row), bits(&row_of(ROWS_PER_CHUNK + 1, dim)));
     }
 
     #[test]

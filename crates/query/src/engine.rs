@@ -193,7 +193,7 @@ impl QueryEngine {
             let dim = *self.visual_dim.get_or_insert(handle.dim as usize);
             assert_eq!(handle.dim as usize, dim, "feature dimension mismatch");
         }
-        let scene = record.scene_location;
+        let scene = record.scene_location();
         let doc = self.docs.len();
         self.docs.push(id);
         self.text.index_keywords(doc, &record.meta.keywords);

@@ -49,7 +49,7 @@ impl LinearSegment<'_> {
             Query::Spatial(SpatialQuery::Nearest { point, k }) => {
                 let mut top = TopK::new(*k);
                 self.store.with_images(self.ids, |r| {
-                    top.push((TotalF64(r.scene_location.min_distance_m(point)), r.id));
+                    top.push((TotalF64(r.scene_location().min_distance_m(point)), r.id));
                 });
                 top.into_sorted_vec()
                     .into_iter()
@@ -57,16 +57,16 @@ impl LinearSegment<'_> {
                     .collect()
             }
             Query::Spatial(sq) => self.filter(|r| match sq {
-                SpatialQuery::Range(bbox) => r.scene_location.intersects(bbox),
-                SpatialQuery::Within(polygon) => polygon.intersects_bbox(&r.scene_location),
+                SpatialQuery::Range(bbox) => r.scene_location().intersects(bbox),
+                SpatialQuery::Within(polygon) => polygon.intersects_bbox(&r.scene_location()),
                 SpatialQuery::Covering(p) => match &r.meta.fov {
                     Some(fov) => fov.contains(p),
-                    None => r.scene_location.contains(p),
+                    None => r.scene_location().contains(p),
                 },
                 // A record's scene box is its FOV's scene location.
                 SpatialQuery::Directed { region, directions } => {
                     r.meta.fov.as_ref().is_some_and(|fov| {
-                        r.scene_location.intersects(region)
+                        r.scene_location().intersects(region)
                             && fov.direction_range().overlaps(directions)
                     })
                 }
@@ -166,7 +166,7 @@ impl LinearSegment<'_> {
         mut f: impl FnMut(ImageId, &[f32]),
     ) {
         self.store.with_image_features(self.ids, kind, |r, row| {
-            if region.is_none_or(|b| r.scene_location.intersects(b)) {
+            if region.is_none_or(|b| r.scene_location().intersects(b)) {
                 f(r.id, row);
             }
         });

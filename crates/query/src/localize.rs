@@ -64,7 +64,7 @@ pub fn localize(
     let mut points = Vec::with_capacity(results.len());
     for r in &results {
         let record = store.image(r.image)?;
-        points.push(record.scene_location.center());
+        points.push(record.scene_location().center());
         weights.push(1.0 / (r.score + 1e-6));
         neighbours.push((r.image, r.score));
     }

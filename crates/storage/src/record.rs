@@ -37,15 +37,14 @@ pub struct ImageMeta {
 }
 
 /// A stored image row: metadata plus derived spatial descriptors.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ImageRecord {
     /// Row identifier.
     pub id: ImageId,
     /// Upload-time metadata.
     pub meta: ImageMeta,
-    /// Scene location (MBR of the FOV sector) when an FOV exists;
-    /// otherwise the degenerate box at the GPS point.
-    pub scene_location: BBox,
+    /// [`ImageRecord::scene_location`], once read.
+    scene: std::sync::OnceLock<BBox>,
     /// Original or augmented.
     pub origin: ImageOrigin,
     /// Pixel dimensions.
@@ -54,9 +53,16 @@ pub struct ImageRecord {
     pub height: usize,
 }
 
+/// Equal stored fields: the scene box is a function of `meta`.
+impl PartialEq for ImageRecord {
+    fn eq(&self, other: &Self) -> bool {
+        let key = |r: &Self| (r.id, r.width, r.height);
+        key(self) == key(other) && (&self.meta, &self.origin) == (&other.meta, &other.origin)
+    }
+}
+
 impl ImageRecord {
-    /// Builds a record, deriving the scene location from the FOV (or the
-    /// GPS point when no FOV is present).
+    /// Builds a record; its scene location is derived on first read.
     pub fn new(
         id: ImageId,
         meta: ImageMeta,
@@ -64,18 +70,23 @@ impl ImageRecord {
         width: usize,
         height: usize,
     ) -> Self {
-        let scene_location = match &meta.fov {
-            Some(fov) => fov.scene_location(),
-            None => BBox::from_point(meta.gps),
-        };
         Self {
             id,
             meta,
-            scene_location,
+            scene: std::sync::OnceLock::new(),
             origin,
             width,
             height,
         }
+    }
+
+    /// Scene location (MBR of the FOV sector), or the degenerate box at
+    /// the GPS point without an FOV: derived on first read, then cached.
+    pub fn scene_location(&self) -> BBox {
+        *self.scene.get_or_init(|| match &self.meta.fov {
+            Some(fov) => fov.scene_location(),
+            None => BBox::from_point(self.meta.gps),
+        })
     }
 
     /// Whether this row is an augmentation product.
@@ -109,7 +120,7 @@ mod tests {
             64,
             48,
         );
-        assert_eq!(rec.scene_location, fov.scene_location());
+        assert_eq!(rec.scene_location(), fov.scene_location());
         assert!(!rec.is_augmented());
     }
 
@@ -123,9 +134,44 @@ mod tests {
             48,
         );
         assert_eq!(
-            rec.scene_location,
+            rec.scene_location(),
             BBox::from_point(GeoPoint::new(34.0, -118.25))
         );
+    }
+
+    #[test]
+    fn the_box_is_derived_once_then_read_from_the_cell() {
+        let fov = Fov::new(GeoPoint::new(34.0, -118.25), 30.0, 60.0, 100.0);
+        let meta = meta_with_fov(Some(fov));
+        let rec = ImageRecord::new(ImageId(4), meta.clone(), ImageOrigin::Original, 8, 8);
+        assert!(rec.scene.get().is_none(), "nothing is derived at new");
+        assert_eq!(rec.scene_location(), fov.scene_location());
+        assert_eq!(rec.scene.get(), Some(&fov.scene_location()));
+        // A later read takes the cell, not the FOV.
+        let planted = ImageRecord::new(ImageId(4), meta, ImageOrigin::Original, 8, 8);
+        let marker = BBox::from_point(GeoPoint::new(1.0, 2.0));
+        planted.scene.set(marker).unwrap();
+        assert_eq!(planted.scene_location(), marker);
+    }
+
+    #[test]
+    fn a_derived_record_equals_its_clone_taken_before_derivation() {
+        let fov = Fov::new(GeoPoint::new(34.0, -118.25), 300.0, 90.0, 50.0);
+        let rec = ImageRecord::new(
+            ImageId(5),
+            meta_with_fov(Some(fov)),
+            ImageOrigin::Original,
+            8,
+            8,
+        );
+        let before = rec.clone();
+        rec.scene_location();
+        assert!(rec.scene.get().is_some() && before.scene.get().is_none());
+        assert_eq!(rec, before);
+        assert_eq!(before, rec);
+        let mut other = before.clone();
+        other.width += 1;
+        assert_ne!(rec, other);
     }
 
     #[test]

@@ -957,10 +957,11 @@ impl VisualStore {
     /// must all be below `rows`; handles resolve against the view
     /// without taking the store lock). The store keeps one view per
     /// slab: a call the cached view already covers returns that same
-    /// `Arc`, and only a call it does not cover replaces it — one copy
-    /// of the slab's partial tail chunk — so however many indexes sit
-    /// over the slab, at most one tail copy outlives the queries in
-    /// flight. An empty view when no feature of that shape is stored.
+    /// `Arc`, and only a call it does not cover replaces it. A view
+    /// shares the slab's partial tail chunk, so the first push after
+    /// it copies that chunk once ([`FeatureSlab::push`]) and a store
+    /// that only reads never does. An empty view when no feature of
+    /// that shape is stored.
     pub fn slab_view(&self, kind: FeatureKind, dim: usize, rows: usize) -> Arc<SlabView> {
         let key = (kind, dim as u32);
         if let Some(view) = self.views.load().get(&key) {
