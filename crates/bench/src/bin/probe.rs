@@ -21,7 +21,7 @@
 //!
 //! ```text
 //! cargo run --release -p tvdp-bench --bin probe -- replay \
-//!     [--rows 8000] [--opens 11] [--seed 1] [--one-process]
+//!     [--rows 8000] [--opens 11] [--one-process]
 //! ```
 //!
 //! `probe_pairs.sh` beside this crate's manifest runs it (or the e2e
@@ -53,13 +53,14 @@ const BASE_SCENES: usize = 480;
 const IMAGE_SIZE: usize = 48;
 /// Rows per journaled batch.
 const BATCH_ROWS: usize = 256;
+/// The datagen seed both inputs are laid down from.
+const SEED: u64 = 1;
 
-const USAGE: &str = "usage: probe replay [--rows N] [--opens N] [--seed S] [--one-process]";
+const USAGE: &str = "usage: probe replay [--rows N] [--opens N] [--one-process]";
 
 struct Args {
     rows: usize,
     opens: usize,
-    seed: u64,
     one_process: bool,
 }
 
@@ -67,11 +68,10 @@ fn parse(mut args: impl Iterator<Item = String>) -> Args {
     let mut parsed = Args {
         rows: 8_000,
         opens: 11,
-        seed: 1,
         one_process: false,
     };
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| -> u64 {
+        let mut value = |name: &str| -> usize {
             let v = args.next().and_then(|v| v.parse().ok());
             v.unwrap_or_else(|| {
                 ensure(false, format_args!("{name} takes a number; {USAGE}"));
@@ -79,9 +79,8 @@ fn parse(mut args: impl Iterator<Item = String>) -> Args {
             })
         };
         match flag.as_str() {
-            "--rows" => parsed.rows = value("--rows") as usize,
-            "--opens" => parsed.opens = value("--opens") as usize,
-            "--seed" => parsed.seed = value("--seed"),
+            "--rows" => parsed.rows = value("--rows"),
+            "--opens" => parsed.opens = value("--opens"),
             "--one-process" => parsed.one_process = true,
             other => ensure(false, format_args!("unknown argument {other:?}; {USAGE}")),
         }
@@ -134,8 +133,8 @@ fn replay(args: Args) {
         ("e2e_base", scratch.join("e2e_base")),
         ("real_extractor", scratch.join("real_extractor")),
     ];
-    e2e_base(&inputs[0].1, args.rows, args.seed);
-    real_extractor(&inputs[1].1, args.rows, args.seed);
+    e2e_base(&inputs[0].1, args.rows, SEED);
+    real_extractor(&inputs[1].1, args.rows, SEED);
 
     // Alternate the inputs so that drift on the host falls on both.
     let mut samples = [Vec::new(), Vec::new()];
@@ -157,13 +156,13 @@ fn replay(args: Args) {
     };
     let mut report = Report::new(Header {
         description: "Restart cost: Tvdp::open of an e2e-shaped durable base and of a journal of real extractor output, and the resident set after the open and after the first visual top-k",
-        methodology: "Each input is laid down once from tvdp-datagen at the given seed. Every open is timed from the call to its return (journal replay plus index build); VmRSS is read from /proc/self/status after the open and after one visual top-k of 10 over the first image's CNN row. Opens alternate between the inputs. Each figure is the median and the interquartile range (p75 - p25, integer percentile rule) of the samples.",
+        methodology: "Each input is laid down once from tvdp-datagen at seed 1. Every open is timed from the call to its return (journal replay plus index build); VmRSS is read from /proc/self/status after the open and after one visual top-k of 10 over the first image's CNN row. Opens alternate between the inputs. Each figure is the median and the interquartile range (p75 - p25, integer percentile rule) of the samples.",
         regenerate: "cargo run --release -p tvdp-bench --bin probe -- replay",
         kind: Kind::Measured { probes: Vec::new() },
     });
     report
         .field("rows", args.rows)
-        .field("seed", args.seed)
+        .field("seed", SEED)
         .field("opens", args.opens)
         .text("opens_ran", mode);
     for ((name, dir), samples) in inputs.iter().zip(&samples) {
