@@ -1,28 +1,23 @@
 #!/usr/bin/env bash
 # Before/after in alternating pairs over two revisions.
 #
-#   crates/bench/probe_pairs.sh [--pairs N] <rev-a> <rev-b> probe replay [probe args]
-#   crates/bench/probe_pairs.sh [--pairs N] <rev-a> <rev-b> e2e --workload <w> --seed <s>
+#   crates/bench/probe_pairs.sh <rev-a> <rev-b> probe replay [probe args]
+#   crates/bench/probe_pairs.sh <rev-a> <rev-b> e2e --workload <w> --seed <s>
 #
 # Extracts each revision with `git archive` into a scratch directory and
 # builds the command there: the `probe` bin (this checkout's
 # crates/bench/src/bin/probe.rs, copied into a revision that has none, so
 # it times that revision's library) or the e2e benchmark package with
-# BENCHMARK.json's flags. It then runs N pairs (default 10), a before b
-# in odd pairs and b before a in even ones, one run at a time. It prints
-# one tab-separated row per run and metric, then per metric both
-# medians, the quartiles of rev-a's runs and in how many pairs b read
-# lower. The e2e runs' `search_result_fnv` must agree across every run;
+# BENCHMARK.json's flags. It then runs ten pairs, a before b in odd
+# pairs and b before a in even ones, one run at a time. It prints one
+# tab-separated row per run and metric, then per metric both medians,
+# the quartiles of rev-a's runs and in how many pairs b read lower. The e2e runs' `search_result_fnv` must agree across every run;
 # the script exits 1 if it does not.
 #
 # Run it from inside the repository on an otherwise idle machine.
 set -euo pipefail
 
 pairs=10
-if [[ ${1:-} == --pairs ]]; then
-  pairs=$2
-  shift 2
-fi
 if (($# < 3)); then
   sed -n '2,5p' "$0" >&2
   exit 2

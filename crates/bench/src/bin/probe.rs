@@ -5,8 +5,10 @@
 //! and times `Tvdp::open` on each:
 //!
 //! * `e2e_base` — the shape of the e2e benchmark's durable base: rows
-//!   jittered from 480 rendered scenes (CNN-480 and colour-50 vectors
-//!   with no zeros), journaled three ops a row in 256-row batches;
+//!   jittered from 480 rendered scenes by the e2e corpus's rule
+//!   (CNN-480 and colour-50 vectors with no zeros), journaled three ops
+//!   a row in 256-row batches; the jitter is drawn from another RNG, so
+//!   these are not the e2e's own rows;
 //! * `real_extractor` — every row its own rendered scene, uploaded
 //!   through `Tvdp::ingest_batch`, so the journal holds the extractors'
 //!   real output (sparse CNN vectors) and the pixels' code.
@@ -39,7 +41,7 @@ use std::time::Instant;
 
 use tvdp_bench::report::{ensure, ok, percentile, Header, Kind, Report};
 use tvdp_core::{IngestRequest, PlatformConfig, Role, Tvdp};
-use tvdp_datagen::{generate, DatasetConfig, SyntheticImage};
+use tvdp_datagen::{generate, DatasetConfig, StreetGrid, SyntheticImage};
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_kernel::rng::Rng;
 use tvdp_query::{Query, VisualMode};
@@ -229,8 +231,12 @@ fn scenes(n: usize, seed: u64) -> Vec<SyntheticImage> {
 }
 
 /// Rows jittered from `BASE_SCENES` rendered scenes (fewer for fewer
-/// rows) as the e2e benchmark's corpus jitters them, journaled three
-/// ops a row.
+/// rows) by the e2e benchmark's rule (`jitter_row` in
+/// `examples/e2e/src/corpus.rs`: camera within ±0.0004° clamped to the
+/// street grid, heading ±10°, CNN ±0.01 renormalised, colour ×0.9–1.1
+/// renormalised unless it sums to zero), journaled three ops a row.
+/// The draws come from `tvdp_kernel::rng::Rng`, not the e2e's `StdRng`,
+/// so the rows have the e2e base's shape but are not its rows.
 fn e2e_base(dir: &Path, rows: usize, seed: u64) {
     let color = ColorHistogramExtractor::paper_default();
     let cnn = CnnExtractor::with_config(PlatformConfig::default().cnn);
@@ -242,12 +248,15 @@ fn e2e_base(dir: &Path, rows: usize, seed: u64) {
         })
         .collect();
     let config = DatasetConfig::default();
+    let region = *StreetGrid::downtown_la().region();
     let mut rng = Rng::seed_from_u64(seed ^ 0xC0_4B05);
     let mut jitter = |i: usize| -> [WalOp; 3] {
         let (base, base_color, base_cnn) = &bases[i % bases.len()];
         let gps = GeoPoint::new(
-            base.fov.camera.lat + rng.gen_range(-0.0004..0.0004),
-            base.fov.camera.lon + rng.gen_range(-0.0004..0.0004),
+            (base.fov.camera.lat + rng.gen_range(-0.0004..0.0004))
+                .clamp(region.min_lat, region.max_lat),
+            (base.fov.camera.lon + rng.gen_range(-0.0004..0.0004))
+                .clamp(region.min_lon, region.max_lon),
         );
         let heading = (base.fov.heading_deg + rng.gen_range(-10.0..10.0)).rem_euclid(360.0);
         let fov = Fov::new(gps, heading, base.fov.angle_deg, base.fov.radius_m);
@@ -262,9 +271,9 @@ fn e2e_base(dir: &Path, rows: usize, seed: u64) {
             .map(|&x| (x * rng.gen_range(0.9f32..1.1)).max(0.0))
             .collect();
         let total: f32 = color.iter().sum();
-        color
-            .iter_mut()
-            .for_each(|x| *x /= total.max(f32::MIN_POSITIVE));
+        if total > 0.0 {
+            color.iter_mut().for_each(|x| *x /= total);
+        }
         let id = ImageId(i as u64);
         let meta = ImageMeta {
             uploader: UserId(base.uploader),

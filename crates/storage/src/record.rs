@@ -37,14 +37,14 @@ pub struct ImageMeta {
 }
 
 /// A stored image row: metadata plus derived spatial descriptors.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageRecord {
     /// Row identifier.
     pub id: ImageId,
     /// Upload-time metadata.
     pub meta: ImageMeta,
     /// [`ImageRecord::scene_location`], once read.
-    scene: std::sync::OnceLock<BBox>,
+    scene: SceneCell,
     /// Original or augmented.
     pub origin: ImageOrigin,
     /// Pixel dimensions.
@@ -53,11 +53,14 @@ pub struct ImageRecord {
     pub height: usize,
 }
 
-/// Equal stored fields: the scene box is a function of `meta`.
-impl PartialEq for ImageRecord {
-    fn eq(&self, other: &Self) -> bool {
-        let key = |r: &Self| (r.id, r.width, r.height);
-        key(self) == key(other) && (&self.meta, &self.origin) == (&other.meta, &other.origin)
+/// The record's scene box cell. Any two are equal: the box is a
+/// function of `meta`, so records compare by their stored fields alone.
+#[derive(Debug, Clone, Default)]
+struct SceneCell(std::sync::OnceLock<BBox>);
+
+impl PartialEq for SceneCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 
@@ -73,7 +76,7 @@ impl ImageRecord {
         Self {
             id,
             meta,
-            scene: std::sync::OnceLock::new(),
+            scene: SceneCell::default(),
             origin,
             width,
             height,
@@ -83,7 +86,7 @@ impl ImageRecord {
     /// Scene location (MBR of the FOV sector), or the degenerate box at
     /// the GPS point without an FOV: derived on first read, then cached.
     pub fn scene_location(&self) -> BBox {
-        *self.scene.get_or_init(|| match &self.meta.fov {
+        *self.scene.0.get_or_init(|| match &self.meta.fov {
             Some(fov) => fov.scene_location(),
             None => BBox::from_point(self.meta.gps),
         })
@@ -144,13 +147,13 @@ mod tests {
         let fov = Fov::new(GeoPoint::new(34.0, -118.25), 30.0, 60.0, 100.0);
         let meta = meta_with_fov(Some(fov));
         let rec = ImageRecord::new(ImageId(4), meta.clone(), ImageOrigin::Original, 8, 8);
-        assert!(rec.scene.get().is_none(), "nothing is derived at new");
+        assert!(rec.scene.0.get().is_none(), "nothing is derived at new");
         assert_eq!(rec.scene_location(), fov.scene_location());
-        assert_eq!(rec.scene.get(), Some(&fov.scene_location()));
+        assert_eq!(rec.scene.0.get(), Some(&fov.scene_location()));
         // A later read takes the cell, not the FOV.
         let planted = ImageRecord::new(ImageId(4), meta, ImageOrigin::Original, 8, 8);
         let marker = BBox::from_point(GeoPoint::new(1.0, 2.0));
-        planted.scene.set(marker).unwrap();
+        planted.scene.0.set(marker).unwrap();
         assert_eq!(planted.scene_location(), marker);
     }
 
@@ -166,7 +169,7 @@ mod tests {
         );
         let before = rec.clone();
         rec.scene_location();
-        assert!(rec.scene.get().is_some() && before.scene.get().is_none());
+        assert!(rec.scene.0.get().is_some() && before.scene.0.get().is_none());
         assert_eq!(rec, before);
         assert_eq!(before, rec);
         let mut other = before.clone();

@@ -959,8 +959,8 @@ impl VisualStore {
     /// slab: a call the cached view already covers returns that same
     /// `Arc`, and only a call it does not cover replaces it. A view
     /// shares the slab's partial tail chunk, so the first push after
-    /// it copies that chunk once ([`FeatureSlab::push`]) and a store
-    /// that only reads never does. An empty view when no feature of
+    /// it copies that chunk once, under the write lock
+    /// ([`FeatureSlab::push`]), and a store that only reads never does. An empty view when no feature of
     /// that shape is stored.
     pub fn slab_view(&self, kind: FeatureKind, dim: usize, rows: usize) -> Arc<SlabView> {
         let key = (kind, dim as u32);
