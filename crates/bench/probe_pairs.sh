@@ -4,11 +4,12 @@
 #   crates/bench/probe_pairs.sh <rev-a> <rev-b> probe replay [probe args]
 #   crates/bench/probe_pairs.sh <rev-a> <rev-b> e2e --workload <w> --seed <s>
 #
-# Extracts each revision with `git archive` into a scratch directory and
-# builds the command there: the `probe` bin (this checkout's
-# crates/bench/src/bin/probe.rs, copied into a revision that has none, so
-# it times that revision's library) or the e2e benchmark package with
-# BENCHMARK.json's flags. It then runs ten pairs, a before b in odd
+# Checks each revision out as a detached worktree in a scratch directory
+# (removed again on exit) and builds the command there: the `probe` bin
+# (this checkout's crates/bench/src/bin/probe.rs, copied into a revision
+# that has none, so it times that revision's library) or the e2e
+# benchmark package with BENCHMARK.json's flags. A report a run writes
+# names its revision; one given the copied probe names it `-dirty`. It then runs ten pairs, a before b in odd
 # pairs and b before a in even ones, one run at a time. It prints one
 # tab-separated row per run and metric, then per metric both medians,
 # the quartiles of rev-a's runs and in how many pairs b read lower. The e2e runs' `search_result_fnv` must agree across every run;
@@ -28,11 +29,17 @@ case $mode in probe | e2e) ;; *) echo "mode is probe or e2e, not $mode" >&2; exi
 
 repo=$(git rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/probe-pairs.XXXXXX")
-trap 'rm -rf "$work"' EXIT
+cleanup() {
+  for side in a b; do
+    [[ -d $work/$side ]] && git -C "$repo" worktree remove --force "$work/$side"
+  done
+  rm -rf "$work"
+}
+trap cleanup EXIT
 
 for side in a b; do
   rev=rev_$side
-  git -C "$repo" archive "${!rev}" | (mkdir "$work/$side" && tar -x -C "$work/$side")
+  git -C "$repo" worktree add --quiet --detach "$work/$side" "${!rev}"
   echo "building ${!rev} ($side)" >&2
   if [[ $mode == probe ]]; then
     bin=$work/$side/crates/bench/src/bin/probe.rs

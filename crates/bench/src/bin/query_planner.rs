@@ -37,7 +37,10 @@ use tvdp_geo::{Fov, GeoPoint};
 use tvdp_query::{
     LinearExecutor, Query, QueryEngine, QueryResult, TemporalField, TextualMode, VisualMode,
 };
-use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, ImageId, ImageMeta, ImageOrigin,
+    UserId, VisualStore, WalOp,
+};
 use tvdp_vision::FeatureKind;
 
 const N_IMAGES: usize = 24_000;
@@ -47,15 +50,13 @@ const ROUNDS: usize = 3;
 const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alley"];
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
-    let store = VisualStore::new();
     let mut rng = Rng::seed_from_u64(seed);
-    let cls = ok(
-        store.register_scheme(
-            "cleanliness",
-            vec!["clean".into(), "dirty".into(), "encampment".into()],
-        ),
-        "register_scheme",
-    );
+    let cls = ClassificationId(0);
+    let mut ops = vec![WalOp::RegisterScheme {
+        id: cls,
+        name: "cleanliness".into(),
+        labels: vec!["clean".into(), "dirty".into(), "encampment".into()],
+    }];
     for i in 0..n {
         let lat = 34.0 + rng.gen_range(0.0..0.08);
         let lon = -118.3 + rng.gen_range(0.0..0.08);
@@ -79,30 +80,31 @@ fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
             uploaded_at: captured + rng.gen_range(1..500),
             keywords,
         };
-        let id = ok(
-            store.add_image(meta, ImageOrigin::Original, None),
-            "add_image",
-        );
+        let id = ImageId(i as u64);
         let class = i % 3;
         let feature: Vec<f32> = (0..DIM)
             .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
             .collect();
-        ok(
-            store.put_feature(id, FeatureKind::Cnn, feature),
-            "put_feature",
-        );
-        ok(
-            store.annotate(
-                id,
-                cls,
-                class,
-                rng.gen_range(0.5..1.0),
-                AnnotationSource::Human(UserId(0)),
-                None,
-            ),
-            "annotate",
-        );
+        ops.push(WalOp::IngestUpload {
+            marker: None,
+            id,
+            meta,
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: vec![(FeatureKind::Cnn, feature)],
+        });
+        ops.push(WalOp::Annotate(Annotation {
+            id: AnnotationId(i as u64),
+            image: id,
+            classification: cls,
+            label: class,
+            confidence: rng.gen_range(0.5..1.0),
+            source: AnnotationSource::Human(UserId(0)),
+            region: None,
+        }));
     }
+    let store = VisualStore::new();
+    ok(store.apply_batch(ops), "apply_batch");
     Arc::new(store)
 }
 

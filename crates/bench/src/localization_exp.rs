@@ -15,7 +15,7 @@ use tvdp_datagen::{generate, DatasetConfig};
 use tvdp_geo::GeoPoint;
 use tvdp_query::engine::EngineConfig;
 use tvdp_query::{localize, QueryEngine};
-use tvdp_storage::{ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
 use tvdp_vision::{ColorHistogramExtractor, FeatureExtractor, FeatureKind};
 
 /// Configuration for the localization experiment.
@@ -78,26 +78,24 @@ pub fn run_localization(config: &LocalizationConfig) -> LocalizationResult {
     let extractor = ColorHistogramExtractor::paper_default();
 
     // Corpus: geo-tagged store with stored CNN features.
+    let corpus = data[..config.corpus_size].iter().enumerate();
+    let rows = corpus.map(|(i, d)| WalOp::IngestUpload {
+        marker: None,
+        id: ImageId(i as u64),
+        meta: ImageMeta {
+            uploader: UserId(0),
+            gps: d.fov.camera,
+            fov: Some(d.fov),
+            captured_at: d.captured_at,
+            uploaded_at: d.uploaded_at,
+            keywords: vec![],
+        },
+        origin: ImageOrigin::Original,
+        pixels: None,
+        features: vec![(FeatureKind::ColorHistogram, extractor.extract(&d.image))],
+    });
     let store = Arc::new(VisualStore::new());
-    for d in &data[..config.corpus_size] {
-        let id = store
-            .add_image(
-                ImageMeta {
-                    uploader: UserId(0),
-                    gps: d.fov.camera,
-                    fov: Some(d.fov),
-                    captured_at: d.captured_at,
-                    uploaded_at: d.uploaded_at,
-                    keywords: vec![],
-                },
-                ImageOrigin::Original,
-                None,
-            )
-            .expect("corpus ingest");
-        store
-            .put_feature(id, FeatureKind::ColorHistogram, extractor.extract(&d.image))
-            .expect("store feature");
-    }
+    store.apply_batch(rows.collect()).expect("corpus ingest");
     let engine = QueryEngine::build(
         Arc::clone(&store),
         EngineConfig {

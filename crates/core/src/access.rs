@@ -85,17 +85,6 @@ impl Tvdp {
             .try_explain(query, Pool::global(), now_ms, deadline_ms)?)
     }
 
-    /// **Access**: executes independent queries concurrently on the global
-    /// worker pool. Results are in query order and identical to calling
-    /// [`Tvdp::search`] per query.
-    // tvdp-lint: allow(dead_api, reason = "(c) paper capability: batched search (Access), which no route exposes yet")
-    pub fn search_batch(&self, queries: &[Query]) -> Result<Vec<Vec<QueryResult>>, PlatformError> {
-        Ok(self
-            .access
-            .engine
-            .try_execute_batch_with_pool(queries, Pool::global())?)
-    }
-
     /// Prices `query` in admission work units from each segment's
     /// cardinality statistics over the current published index
     /// generation. Read-only and deterministic; the admission
@@ -113,7 +102,7 @@ mod search_tests {
     use crate::users::Role;
     use tvdp_geo::GeoPoint;
     use tvdp_query::{SpatialQuery, TemporalField, TextualMode, VisualMode};
-    use tvdp_storage::{ClassificationId, ImageOrigin, UserId};
+    use tvdp_storage::{ClassificationId, ImageOrigin, UserId, WalOp};
     use tvdp_vision::{CnnConfig, FeatureKind, Image};
 
     fn cfg() -> PlatformConfig {
@@ -242,9 +231,16 @@ mod search_tests {
                 uploaded_at: 2_000,
                 keywords: vec!["street".into()],
             };
-            let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
             let feature = (0..DIM).map(|d| ((i * 7 + d * 13) % 17) as f32).collect();
-            store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
+            let row = WalOp::IngestUpload {
+                marker: None,
+                id: ImageId(i as u64),
+                meta,
+                origin: ImageOrigin::Original,
+                pixels: None,
+                features: vec![(FeatureKind::Cnn, feature)],
+            };
+            store.apply_batch(vec![row]).unwrap();
         }
         let tvdp = Tvdp::with_store(Arc::clone(&store), PlatformConfig::default());
         let derived = || store.slab_view(FeatureKind::Cnn, DIM, 0).projected_bytes();
@@ -301,28 +297,12 @@ mod search_tests {
             .unwrap_err();
         assert!(matches!(err, PlatformError::Query(_)), "got {err:?}");
         let err = tvdp
-            .search_batch(&[Query::And(vec![Query::Visual {
+            .search(&Query::And(vec![Query::Visual {
                 example: vec![0.5; 4],
                 kind: FeatureKind::ColorHistogram,
                 mode: VisualMode::Threshold(0.1),
-            }])])
+            }]))
             .unwrap_err();
         assert!(matches!(err, PlatformError::Query(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn search_batch_matches_per_query_search() {
-        let tvdp = populated_with(cfg());
-        let queries: Vec<Query> = (0..12)
-            .map(|i| Query::Textual {
-                text: format!("kw{i}"),
-                mode: TextualMode::All,
-            })
-            .collect();
-        let batched = tvdp.search_batch(&queries).unwrap();
-        assert_eq!(batched.len(), queries.len());
-        for (q, results) in queries.iter().zip(&batched) {
-            assert_eq!(&tvdp.search(q).unwrap(), results, "diverged on {q:?}");
-        }
     }
 }

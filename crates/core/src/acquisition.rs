@@ -680,14 +680,12 @@ mod batch_tests {
             .collect();
         let par_ids = par.ingest_batch(user_p, batch, 4).unwrap();
         assert_eq!(seq_ids, par_ids, "ids in input order");
-        for (&a, &b) in seq_ids.iter().zip(&par_ids) {
-            assert_eq!(
-                seq.store().feature(a, FeatureKind::Cnn),
-                par.store().feature(b, FeatureKind::Cnn),
-                "parallel extraction must be bit-identical"
-            );
-            assert_eq!(seq.store().image(a), par.store().image(b));
-        }
+        let dump = |tvdp: &Tvdp| tvdp.store().snapshot().into_ops();
+        assert_eq!(
+            tvdp_storage::store::first_difference(&dump(&seq), &dump(&par)),
+            None,
+            "parallel extraction must be bit-identical"
+        );
         // Index sees everything.
         let hits = par
             .search(&Query::Textual {

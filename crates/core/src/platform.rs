@@ -454,7 +454,7 @@ mod durability_tests {
                 })
                 .collect();
             ids = tvdp.ingest_batch(user, batch, 4).unwrap();
-            live = tvdp.store().snapshot();
+            live = tvdp.store().digest();
             // No flush: the batch must come back from the group-committed
             // WAL frames alone.
         }
@@ -462,7 +462,7 @@ mod durability_tests {
         // 9 uploads, journaled as one run of records.
         assert_eq!(report.replayed_ops, 9);
         assert_eq!(tvdp.stats().images, 9);
-        assert_eq!(tvdp.store().snapshot(), live);
+        assert_eq!(tvdp.store().digest(), live);
         for &id in &ids {
             assert!(tvdp.store().image(id).is_some());
         }

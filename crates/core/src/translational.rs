@@ -94,44 +94,48 @@ pub fn hotspots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId};
+    use tvdp_storage::{
+        Annotation, AnnotationId, AnnotationSource, ImageId, ImageMeta, ImageOrigin, UserId, WalOp,
+    };
 
     fn region() -> BBox {
         BBox::new(34.0, -118.3, 34.02, -118.28)
     }
 
     fn store_with_clusters() -> (VisualStore, ClassificationId) {
-        let store = VisualStore::new();
-        let scheme = store
-            .register_scheme("cleanliness", vec!["clean".into(), "encampment".into()])
-            .unwrap();
+        let scheme = ClassificationId(0);
+        let mut ops = vec![WalOp::RegisterScheme {
+            id: scheme,
+            name: "cleanliness".into(),
+            labels: vec!["clean".into(), "encampment".into()],
+        }];
         // Dense cluster near the south-west corner, sparse singleton
         // north-east.
-        let add = |lat: f64, lon: f64, label: usize, confidence: f32| {
-            let id = store
-                .add_image(
-                    ImageMeta {
-                        uploader: UserId(0),
-                        gps: GeoPoint::new(lat, lon),
-                        fov: None,
-                        captured_at: 0,
-                        uploaded_at: 1,
-                        keywords: vec![],
-                    },
-                    ImageOrigin::Original,
-                    None,
-                )
-                .unwrap();
-            store
-                .annotate(
-                    id,
-                    scheme,
-                    label,
-                    confidence,
-                    AnnotationSource::Human(UserId(0)),
-                    None,
-                )
-                .unwrap();
+        let mut add = |lat: f64, lon: f64, label: usize, confidence: f32| {
+            let n = ops.len() as u64 / 2;
+            let id = ImageId(n);
+            ops.push(WalOp::AddImage {
+                id,
+                meta: ImageMeta {
+                    uploader: UserId(0),
+                    gps: GeoPoint::new(lat, lon),
+                    fov: None,
+                    captured_at: 0,
+                    uploaded_at: 1,
+                    keywords: vec![],
+                },
+                origin: ImageOrigin::Original,
+                pixels: None,
+            });
+            ops.push(WalOp::Annotate(Annotation {
+                id: AnnotationId(n),
+                image: id,
+                classification: scheme,
+                label,
+                confidence,
+                source: AnnotationSource::Human(UserId(0)),
+                region: None,
+            }));
         };
         for i in 0..5 {
             add(34.0005 + i as f64 * 1e-5, -118.2995, 1, 0.9);
@@ -142,6 +146,8 @@ mod tests {
         add(34.019, -118.281, 0, 1.0);
         // Low-confidence encampment filtered out at 0.5.
         add(34.010, -118.290, 1, 0.2);
+        let store = VisualStore::new();
+        store.apply_batch(ops).unwrap();
         (store, scheme)
     }
 

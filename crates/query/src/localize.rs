@@ -105,7 +105,7 @@ pub fn localize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvdp_storage::{ImageMeta, ImageOrigin, UserId};
+    use tvdp_storage::{ImageId, ImageMeta, ImageOrigin, UserId, WalOp};
 
     const DIM: usize = 4;
 
@@ -124,11 +124,18 @@ mod tests {
                 uploaded_at: i as i64 + 1,
                 keywords: vec![],
             };
-            let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
             let f: Vec<f32> = (0..DIM)
                 .map(|d| cluster as f32 * 3.0 + (d as f32) * 0.01 + (i as f32) * 1e-3)
                 .collect();
-            store.put_feature(id, FeatureKind::Cnn, f).unwrap();
+            let row = WalOp::IngestUpload {
+                marker: None,
+                id: ImageId(i as u64),
+                meta,
+                origin: ImageOrigin::Original,
+                pixels: None,
+                features: vec![(FeatureKind::Cnn, f)],
+            };
+            store.apply_batch(vec![row]).unwrap();
         }
         let engine = QueryEngine::build(Arc::clone(&store), Default::default());
         (store, engine)

@@ -219,24 +219,17 @@ impl ShardedEngine {
     }
 
     /// The view a request runs against over the generation `gen`,
-    /// having validated its queries ([`Query::validate`]) against the
+    /// having validated its query ([`Query::validate`]) against the
     /// configured feature family and the row length that generation
     /// indexes.
-    fn admit<'a, 'q>(
-        &'a self,
-        gen: &'a Generation,
-        queries: impl IntoIterator<Item = &'q Query>,
-    ) -> Result<View<'a>, QueryError> {
+    fn admit<'a>(&'a self, gen: &'a Generation, query: &Query) -> Result<View<'a>, QueryError> {
         let view = View {
             store: &self.store,
             segments: gen.segments.iter().map(|seg| &**seg).collect(),
             tail: &gen.tail,
         };
         let kind = self.config.visual_kind;
-        let dim = view.visual_dim(kind);
-        for q in queries {
-            q.validate(kind, dim)?;
-        }
+        query.validate(kind, view.visual_dim(kind))?;
         Ok(view)
     }
 
@@ -273,8 +266,10 @@ impl ShardedEngine {
         now_ms: i64,
         deadline_ms: i64,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        let mut answers = self.execute(std::slice::from_ref(query), pool, now_ms, deadline_ms)?;
-        Ok(answers.remove(0))
+        let gen = self.published.load();
+        let view = self.admit(&gen, query)?;
+        let dl = DeadlineCtx::new(now_ms, deadline_ms);
+        view.run(query, pool, &dl, &mut Trace::default())
     }
 
     /// [`ShardedEngine::try_execute_with_deadline`] with its EXPLAIN:
@@ -290,7 +285,7 @@ impl ShardedEngine {
         deadline_ms: i64,
     ) -> Result<(Vec<QueryResult>, Trace), QueryError> {
         let gen = self.published.load();
-        let view = self.admit(&gen, [query])?;
+        let view = self.admit(&gen, query)?;
         let mut trace = Trace::default();
         let rows = view.run(
             query,
@@ -318,44 +313,6 @@ impl ShardedEngine {
         };
         1 + gen.segments.len() as u64 + view.estimate_rows(query)
     }
-
-    /// Executes a batch of independent queries, fanning the *queries*
-    /// out across the pool (each query then scatters serially, bounding
-    /// total thread count). All queries see one snapshot; results are
-    /// in input order and identical to per-query execution.
-    pub fn try_execute_batch_with_pool(
-        &self,
-        queries: &[Query],
-        pool: &Pool,
-    ) -> Result<Vec<Vec<QueryResult>>, QueryError> {
-        self.execute(queries, pool, 0, i64::MAX)
-    }
-
-    /// The one body of every entry point: validates `queries` against
-    /// one snapshot, then runs each under its own deadline clock from
-    /// `now_ms` to `deadline_ms`. One query scatters over `pool`; a
-    /// batch fans its queries out over it and each scatters serially.
-    fn execute(
-        &self,
-        queries: &[Query],
-        pool: &Pool,
-        now_ms: i64,
-        deadline_ms: i64,
-    ) -> Result<Vec<Vec<QueryResult>>, QueryError> {
-        let gen = self.published.load();
-        let view = self.admit(&gen, queries)?;
-        let run = |query: &Query, pool: &Pool| {
-            let dl = DeadlineCtx::new(now_ms, deadline_ms);
-            view.run(query, pool, &dl, &mut Trace::default())
-        };
-        match queries {
-            [query] => Ok(vec![run(query, pool)?]),
-            _ => pool
-                .map(queries, |_, query| run(query, &Pool::serial()))
-                .into_iter()
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -363,8 +320,7 @@ mod tests {
     use super::*;
     use crate::types::VisualMode;
     use tvdp_geo::GeoPoint;
-    use tvdp_storage::ImageId;
-    use tvdp_storage::{ImageMeta, ImageOrigin, UserId};
+    use tvdp_storage::{ImageId, ImageMeta, ImageOrigin, UserId, WalOp};
     use tvdp_vision::FeatureKind;
 
     /// `n` featured rows in one store: far fewer than a chunk, so the
@@ -380,12 +336,24 @@ mod tests {
                 uploaded_at: 110,
                 keywords: vec!["row".into()],
             };
-            let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
-            store
-                .put_feature(id, FeatureKind::Cnn, vec![i as f32; 4])
-                .unwrap();
+            commit_row(&store, meta, i);
         }
         Arc::new(store)
+    }
+
+    /// Commits a row at the store's next id with a CNN feature of `i`s.
+    fn commit_row(store: &VisualStore, meta: ImageMeta, i: usize) -> ImageId {
+        let id = store.peek_next_image_id();
+        let row = WalOp::IngestUpload {
+            marker: None,
+            id,
+            meta,
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: vec![(FeatureKind::Cnn, vec![i as f32; 4])],
+        };
+        store.apply_batch(vec![row]).unwrap();
+        id
     }
 
     fn segments(engine: &ShardedEngine) -> Vec<Arc<QueryEngine>> {
@@ -402,11 +370,7 @@ mod tests {
             uploaded_at: 110,
             keywords: vec!["row".into(), format!("r{}", i % 3)],
         };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
-        store
-            .put_feature(id, FeatureKind::Cnn, vec![i as f32; 4])
-            .unwrap();
-        id
+        commit_row(store, meta, i)
     }
 
     /// Every query family over one generation, as result bytes.

@@ -14,14 +14,17 @@ use tvdp_query::{
     EngineConfig, Query, QueryEngine, QueryError, ShardedEngine, SpatialQuery, TemporalField,
     TextualMode, VisualMode,
 };
-use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, ImageId, ImageMeta, ImageOrigin,
+    UserId, VisualStore, WalOp,
+};
 use tvdp_vision::FeatureKind;
 
 const DIM: usize = 8;
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
-    let store = VisualStore::new();
     let mut rng = Rng::seed_from_u64(seed);
+    let mut ops = Vec::with_capacity(n);
     const WORDS: [&str; 4] = ["street", "tent", "trash", "corner"];
     for i in 0..n {
         let gps = GeoPoint::new(
@@ -37,10 +40,18 @@ fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
             uploaded_at: captured + 10,
             keywords: vec![WORDS[i % WORDS.len()].to_string()],
         };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
         let feature: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
+        ops.push(WalOp::IngestUpload {
+            marker: None,
+            id: ImageId(i as u64),
+            meta,
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: vec![(FeatureKind::Cnn, feature)],
+        });
     }
+    let store = VisualStore::new();
+    store.apply_batch(ops).unwrap();
     Arc::new(store)
 }
 
@@ -210,14 +221,25 @@ fn estimate_units_is_deterministic_and_scales_with_corpus() {
 #[test]
 fn a_categorical_leaf_is_priced_at_its_label_count_once() {
     let store = build_store(2_000, 42);
-    let scheme = store
-        .register_scheme("tents", vec!["none".into(), "tent".into()])
-        .unwrap();
-    for id in store.image_ids().into_iter().step_by(10) {
-        store
-            .annotate(id, scheme, 1, 0.9, AnnotationSource::Human(UserId(0)), None)
-            .unwrap();
-    }
+    let scheme = ClassificationId(0);
+    let mut ops = vec![WalOp::RegisterScheme {
+        id: scheme,
+        name: "tents".into(),
+        labels: vec!["none".into(), "tent".into()],
+    }];
+    let labelled = store.image_ids().into_iter().step_by(10);
+    ops.extend(labelled.enumerate().map(|(i, image)| {
+        WalOp::Annotate(Annotation {
+            id: AnnotationId(i as u64),
+            image,
+            classification: scheme,
+            label: 1,
+            confidence: 0.9,
+            source: AnnotationSource::Human(UserId(0)),
+            region: None,
+        })
+    }));
+    store.apply_batch(ops).unwrap();
     let engine = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), 128);
     let tents = Query::Categorical {
         scheme,
@@ -241,17 +263,21 @@ fn a_categorical_leaf_is_priced_at_its_label_count_once() {
 #[test]
 fn temporal_estimate_survives_a_span_wider_than_i64() {
     let store = VisualStore::new();
-    for captured_at in [i64::MIN, i64::MAX] {
-        let meta = ImageMeta {
+    let rows = [i64::MIN, i64::MAX].into_iter().enumerate();
+    let rows = rows.map(|(i, captured_at)| WalOp::AddImage {
+        id: ImageId(i as u64),
+        meta: ImageMeta {
             uploader: UserId(0),
             gps: GeoPoint::new(34.0, -118.3),
             fov: None,
             captured_at,
             uploaded_at: 0,
             keywords: Vec::new(),
-        };
-        store.add_image(meta, ImageOrigin::Original, None).unwrap();
-    }
+        },
+        origin: ImageOrigin::Original,
+        pixels: None,
+    });
+    store.apply_batch(rows.collect()).unwrap();
     let store = Arc::new(store);
     let captured = |from, to| Query::Temporal {
         field: TemporalField::Captured,

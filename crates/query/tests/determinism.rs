@@ -17,17 +17,22 @@ use tvdp_query::{
     EngineConfig, LinearExecutor, Query, QueryEngine, QueryResult, ShardedEngine, SpatialQuery,
     TemporalField, TextualMode, VisualMode, FOLD,
 };
-use tvdp_storage::{AnnotationSource, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
+use tvdp_storage::{
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, ImageId, ImageMeta, ImageOrigin,
+    UserId, VisualStore, WalOp,
+};
 use tvdp_vision::FeatureKind;
 
 const DIM: usize = 8;
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
-    let store = VisualStore::new();
     let mut rng = Rng::seed_from_u64(seed);
-    let cls = store
-        .register_scheme("cleanliness", vec!["clean".into(), "dirty".into()])
-        .unwrap();
+    let cls = ClassificationId(0);
+    let mut ops = vec![WalOp::RegisterScheme {
+        id: cls,
+        name: "cleanliness".into(),
+        labels: vec!["clean".into(), "dirty".into()],
+    }];
     const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alley"];
     for i in 0..n {
         let lat = 34.0 + rng.gen_range(0.0..0.05);
@@ -54,23 +59,31 @@ fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
             uploaded_at: captured + rng.gen_range(1..500),
             keywords,
         };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+        let id = ImageId(i as u64);
         let class = i % 2;
         let feature: Vec<f32> = (0..DIM)
             .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
             .collect();
-        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
-        store
-            .annotate(
-                id,
-                cls,
-                class,
-                rng.gen_range(0.5..1.0),
-                AnnotationSource::Human(UserId(0)),
-                None,
-            )
-            .unwrap();
+        ops.push(WalOp::IngestUpload {
+            marker: None,
+            id,
+            meta,
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: vec![(FeatureKind::Cnn, feature)],
+        });
+        ops.push(WalOp::Annotate(Annotation {
+            id: AnnotationId(i as u64),
+            image: id,
+            classification: cls,
+            label: class,
+            confidence: rng.gen_range(0.5..1.0),
+            source: AnnotationSource::Human(UserId(0)),
+            region: None,
+        }));
     }
+    let store = VisualStore::new();
+    store.apply_batch(ops).unwrap();
     Arc::new(store)
 }
 
@@ -219,11 +232,15 @@ fn copy_rows(source: &VisualStore, ids: &[ImageId], store: &VisualStore) {
 fn run_sharded(cap: usize, threads: usize) -> Vec<u8> {
     let store = build_store(300, 42);
     let engine = ShardedEngine::with_seal_cap(vec![store], EngineConfig::default(), cap);
-    let pool = Pool::new(threads);
-    let results = engine
-        .try_execute_batch_with_pool(&workload(), &pool)
-        .expect("cnn-only workload");
-    serialize(&results)
+    serialize(&answers(&engine, &workload(), &Pool::new(threads)))
+}
+
+/// Each query's rows, run one after another on `pool`.
+fn answers(engine: &ShardedEngine, queries: &[Query], pool: &Pool) -> Vec<Vec<QueryResult>> {
+    let rows = queries
+        .iter()
+        .map(|q| engine.try_execute_with_pool(q, pool));
+    rows.collect::<Result<_, _>>().expect("cnn-only workload")
 }
 
 #[test]
@@ -252,10 +269,7 @@ fn sharded_engine_is_shard_and_thread_count_invariant() {
 /// segment and one per tail row and so pin the segment boundaries too.
 fn witness(engine: &ShardedEngine, pool: &Pool) -> Vec<u8> {
     let queries = workload();
-    let results = engine
-        .try_execute_batch_with_pool(&queries, pool)
-        .expect("cnn-only workload");
-    let mut out = serialize(&results);
+    let mut out = serialize(&answers(engine, &queries, pool));
     out.extend_from_slice(format!("len {}\n", engine.len()).as_bytes());
     for q in &queries {
         out.extend_from_slice(format!("units {}\n", engine.estimate_query_units(q)).as_bytes());

@@ -10,20 +10,22 @@ use tvdp_query::{
     LinearExecutor, Query, QueryEngine, QueryError, QueryResult, ShardedEngine, SpatialQuery,
     TemporalField, TextualMode, VisualMode, DEFAULT_SEAL_CAP,
 };
-use tvdp_storage::{AnnotationSource, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, ImageId, ImageMeta, ImageOrigin,
+    UserId, VisualStore, WalOp,
+};
 use tvdp_vision::FeatureKind;
 
 const DIM: usize = 8;
 
 fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
-    let store = VisualStore::new();
     let mut rng = Rng::seed_from_u64(seed);
-    let cls = store
-        .register_scheme(
-            "cleanliness",
-            vec!["clean".into(), "dirty".into(), "encampment".into()],
-        )
-        .unwrap();
+    let cls = ClassificationId(0);
+    let mut ops = vec![WalOp::RegisterScheme {
+        id: cls,
+        name: "cleanliness".into(),
+        labels: vec!["clean".into(), "dirty".into(), "encampment".into()],
+    }];
     const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alley"];
     for i in 0..n {
         let lat = 34.0 + rng.gen_range(0.0..0.05);
@@ -52,25 +54,43 @@ fn build_store(n: usize, seed: u64) -> Arc<VisualStore> {
             uploaded_at: captured + rng.gen_range(1..500),
             keywords,
         };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+        let id = ImageId(i as u64);
         // Clustered features: class c centred at 2c.
         let class = i % 3;
         let feature: Vec<f32> = (0..DIM)
             .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
             .collect();
-        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
-        store
-            .annotate(
-                id,
-                cls,
-                class,
-                rng.gen_range(0.5..1.0),
-                AnnotationSource::Human(UserId(0)),
-                None,
-            )
-            .unwrap();
+        ops.push(upload(id, meta, feature));
+        ops.push(WalOp::Annotate(Annotation {
+            id: AnnotationId(i as u64),
+            image: id,
+            classification: cls,
+            label: class,
+            confidence: rng.gen_range(0.5..1.0),
+            source: AnnotationSource::Human(UserId(0)),
+            region: None,
+        }));
     }
+    let store = VisualStore::new();
+    store.apply_batch(ops).unwrap();
     Arc::new(store)
+}
+
+/// An image row at `id` with a CNN feature (none when `feature` is
+/// empty).
+fn upload(id: ImageId, meta: ImageMeta, feature: Vec<f32>) -> WalOp {
+    WalOp::IngestUpload {
+        marker: None,
+        id,
+        meta,
+        origin: ImageOrigin::Original,
+        pixels: None,
+        features: if feature.is_empty() {
+            Vec::new()
+        } else {
+            vec![(FeatureKind::Cnn, feature)]
+        },
+    }
 }
 
 fn sorted_ids(results: &[QueryResult]) -> Vec<u64> {
@@ -282,22 +302,17 @@ fn incremental_indexing_picks_up_new_images() {
     let engine = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 50);
     let before = engine.len();
     let gps = GeoPoint::new(34.02, -118.28);
-    let id = store
-        .add_image(
-            ImageMeta {
-                uploader: UserId(1),
-                gps,
-                fov: None,
-                captured_at: 5_000,
-                uploaded_at: 5_100,
-                keywords: vec!["uniquekeyword".into()],
-            },
-            ImageOrigin::Original,
-            None,
-        )
-        .unwrap();
+    let id = store.peek_next_image_id();
+    let meta = ImageMeta {
+        uploader: UserId(1),
+        gps,
+        fov: None,
+        captured_at: 5_000,
+        uploaded_at: 5_100,
+        keywords: vec!["uniquekeyword".into()],
+    };
     store
-        .put_feature(id, FeatureKind::Cnn, vec![9.0; DIM])
+        .apply_batch(vec![upload(id, meta, vec![9.0; DIM])])
         .unwrap();
     engine.index_image(0, id);
     assert_eq!(engine.len(), before + 1);
@@ -339,7 +354,10 @@ fn temporal_ranges_answer_the_stamps_in_range_in_id_order() {
                 uploaded_at,
                 keywords: vec![],
             };
-            let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+            let id = store.peek_next_image_id();
+            store
+                .apply_batch(vec![upload(id, meta, Vec::new())])
+                .unwrap();
             facts.push((id, captured_at, uploaded_at));
         }
         let built = QueryEngine::build(Arc::clone(&store), Default::default());
@@ -548,8 +566,8 @@ fn rows_tying_on_the_reported_score_come_out_in_id_order_everywhere() {
             uploaded_at: 5_100,
             keywords: vec!["tie".into()],
         };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
-        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
+        let id = store.peek_next_image_id();
+        store.apply_batch(vec![upload(id, meta, feature)]).unwrap();
         ids.push(id);
     }
     let want = [
@@ -628,11 +646,6 @@ fn wrong_length_example_is_rejected_wherever_the_leaf_sits() {
             assert_eq!(engine.try_execute(&q), Err(err), "engine on {q:?}");
             assert_eq!(sealed.try_execute(&q), Err(err), "segments on {q:?}");
             assert_eq!(tail.try_execute(&q), Err(err), "tail on {q:?}");
-            assert_eq!(
-                tail.try_execute_batch_with_pool(&[visual(DIM), q.clone()], pool),
-                Err(err),
-                "batch on {q:?}"
-            );
             assert_eq!(
                 sealed.try_execute_with_deadline(&q, pool, 0, i64::MAX),
                 Err(err),

@@ -31,7 +31,8 @@ use tvdp_query::{
     SpatialQuery, TemporalField, TextualMode, VisualMode, FOLD,
 };
 use tvdp_storage::{
-    AnnotationSource, ClassificationId, ImageMeta, ImageOrigin, UserId, VisualStore,
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, ImageId, ImageMeta, ImageOrigin,
+    UserId, VisualStore, WalOp,
 };
 use tvdp_vision::FeatureKind;
 
@@ -39,14 +40,13 @@ const DIM: usize = 8;
 const WORDS: [&str; 6] = ["street", "tent", "trash", "corner", "downtown", "alley"];
 
 fn build_store(n: usize, seed: u64) -> (Arc<VisualStore>, ClassificationId) {
-    let store = VisualStore::new();
     let mut rng = Rng::seed_from_u64(seed);
-    let cls = store
-        .register_scheme(
-            "cleanliness",
-            vec!["clean".into(), "dirty".into(), "encampment".into()],
-        )
-        .unwrap();
+    let cls = ClassificationId(0);
+    let mut ops = vec![WalOp::RegisterScheme {
+        id: cls,
+        name: "cleanliness".into(),
+        labels: vec!["clean".into(), "dirty".into(), "encampment".into()],
+    }];
     for i in 0..n {
         let lat = 34.0 + rng.gen_range(0.0..0.05);
         let lon = -118.3 + rng.gen_range(0.0..0.05);
@@ -74,26 +74,44 @@ fn build_store(n: usize, seed: u64) -> (Arc<VisualStore>, ClassificationId) {
             uploaded_at: captured + rng.gen_range(1..500),
             keywords,
         };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
+        let id = ImageId(i as u64);
         // Clustered features: class c centred at 2c, so random examples
         // drawn the same way produce well-separated distances (no ties).
         let class = i % 3;
         let feature: Vec<f32> = (0..DIM)
             .map(|_| class as f32 * 2.0 + rng.gen_range(-0.3..0.3))
             .collect();
-        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
-        store
-            .annotate(
-                id,
-                cls,
-                class,
-                rng.gen_range(0.5..1.0),
-                AnnotationSource::Human(UserId(0)),
-                None,
-            )
-            .unwrap();
+        ops.push(WalOp::IngestUpload {
+            marker: None,
+            id,
+            meta,
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: vec![(FeatureKind::Cnn, feature)],
+        });
+        ops.push(WalOp::Annotate(Annotation {
+            id: AnnotationId(i as u64),
+            image: id,
+            classification: cls,
+            label: class,
+            confidence: rng.gen_range(0.5..1.0),
+            source: AnnotationSource::Human(UserId(0)),
+            region: None,
+        }));
     }
+    let store = VisualStore::new();
+    store.apply_batch(ops).unwrap();
     (Arc::new(store), cls)
+}
+
+/// Each query's rows from `engine`, run one after another on a pool of
+/// `threads`.
+fn answers(engine: &ShardedEngine, queries: &[Query], threads: usize) -> Vec<Vec<QueryResult>> {
+    let pool = Pool::new(threads);
+    let rows = queries
+        .iter()
+        .map(|q| engine.try_execute_with_pool(q, &pool));
+    rows.collect::<Result<_, _>>().expect("cnn-only trees")
 }
 
 /// A query example drawn from the same clustered distribution as the
@@ -394,10 +412,7 @@ fn sharded_batch_bytes_identical_across_shard_counts_and_pool_widths() {
         let engine =
             ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], EngineConfig::default(), cap);
         for threads in POOLS {
-            let out = engine
-                .try_execute_batch_with_pool(&queries, &Pool::new(threads))
-                .expect("cnn-only trees");
-            let bytes = format!("{out:?}");
+            let bytes = format!("{:?}", answers(&engine, &queries, threads));
             match &reference {
                 None => reference = Some(bytes),
                 Some(want) => assert_eq!(
@@ -472,11 +487,8 @@ fn exact_topk_equals_linear_scan_across_shard_counts_and_pool_widths() {
         let sharded =
             ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], EngineConfig::default(), cap);
         for threads in POOLS {
-            let out = sharded
-                .try_execute_batch_with_pool(&queries, &Pool::new(threads))
-                .expect("cnn-only trees");
             assert_eq!(
-                format!("{out:?}"),
+                format!("{:?}", answers(&sharded, &queries, threads)),
                 want,
                 "seal cap {cap} x {threads} threads diverged"
             );
@@ -500,19 +512,22 @@ fn a_topk_cut_inside_a_tie_is_the_same_cut_for_every_partitioning() {
     let pool: Vec<Vec<f32>> = (0..5).map(|_| random_example(&mut rng)).collect();
     let here = GeoPoint::new(34.02, -118.28);
     let store = Arc::new(VisualStore::new());
-    for i in 0..2_300 {
-        let meta = ImageMeta {
+    let rows = (0..2_300).map(|i| WalOp::IngestUpload {
+        marker: None,
+        id: ImageId(i as u64),
+        meta: ImageMeta {
             uploader: UserId(1),
             gps: here,
             fov: None,
             captured_at: 5_000,
             uploaded_at: 5_100,
             keywords: vec!["tie".into()],
-        };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
-        let feature = pool[i % pool.len()].clone();
-        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
-    }
+        },
+        origin: ImageOrigin::Original,
+        pixels: None,
+        features: vec![(FeatureKind::Cnn, pool[i % pool.len()].clone())],
+    });
+    store.apply_batch(rows.collect()).unwrap();
 
     let around = BBox::new(34.0, -118.3, 34.05, -118.25);
     let mut queries = Vec::new();
@@ -581,17 +596,20 @@ fn non_ascii_keywords_match_the_same_in_segments_and_tail() {
         &["ΟΔΟΣ 7", "straße"],
     ];
     let store = Arc::new(VisualStore::new());
-    for i in 0..15 {
-        let meta = ImageMeta {
+    let rows = (0..15).map(|i| WalOp::AddImage {
+        id: ImageId(i as u64),
+        meta: ImageMeta {
             uploader: UserId(1),
             gps: GeoPoint::new(34.0 + i as f64 * 1e-3, -118.28),
             fov: None,
             captured_at: 5_000,
             uploaded_at: 5_100,
             keywords: KEYWORDS[i % 5].iter().map(|k| k.to_string()).collect(),
-        };
-        store.add_image(meta, ImageOrigin::Original, None).unwrap();
-    }
+        },
+        origin: ImageOrigin::Original,
+        pixels: None,
+    });
+    store.apply_batch(rows.collect()).unwrap();
     // Two sealed segments of six rows and a tail of three: every keyword
     // list sits in a segment and, for lists 2..5, in the tail as well.
     let sharded = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 6);

@@ -32,7 +32,7 @@ use tvdp_query::{
     EngineConfig, LinearExecutor, Query, QueryEngine, QueryResult, ShardedEngine, SpatialQuery,
     TemporalField, VisualMode,
 };
-use tvdp_storage::{ImageMeta, ImageOrigin, UserId, VisualStore};
+use tvdp_storage::{ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
 use tvdp_vision::FeatureKind;
 
 const K: usize = 5;
@@ -91,25 +91,36 @@ fn corpus(dim: usize, seed: u64) -> Corpus {
             uploaded_at: 2_000,
             keywords: vec!["scan".into()],
         };
-        let id = store.add_image(meta, ImageOrigin::Original, None).unwrap();
-        let feature: Vec<f32> = match kind {
-            Row::Near => (example.iter())
-                .map(|&x| x + rng.gen_range(-near_scale..near_scale))
-                .collect(),
-            Row::Tied => tied.clone(),
-            Row::Far => (example.iter())
-                .map(|&x| x + rng.gen_range(2.0f32..3.0))
-                .collect(),
+        let feature = match kind {
+            Row::Near => Some(
+                (example.iter())
+                    .map(|&x| x + rng.gen_range(-near_scale..near_scale))
+                    .collect(),
+            ),
+            Row::Tied => Some(tied.clone()),
+            Row::Far => Some(
+                (example.iter())
+                    .map(|&x| x + rng.gen_range(2.0f32..3.0))
+                    .collect(),
+            ),
             Row::FarLate => {
                 let mut row = example.clone();
                 for x in row.iter_mut().skip(64.min(dim - 1)) {
                     *x += rng.gen_range(2.0f32..3.0);
                 }
-                row
+                Some(row)
             }
-            Row::Bare => continue,
+            Row::Bare => None,
         };
-        store.put_feature(id, FeatureKind::Cnn, feature).unwrap();
+        let row = WalOp::IngestUpload {
+            marker: None,
+            id: ImageId(i as u64),
+            meta,
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: feature.map(|f| (FeatureKind::Cnn, f)).into_iter().collect(),
+        };
+        store.apply_batch(vec![row]).unwrap();
     }
     Corpus {
         store: Arc::new(store),

@@ -51,7 +51,7 @@ pub struct RegionOfInterest {
 }
 
 /// One annotation row (`Image_Content_Annotation`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Annotation {
     /// Row identifier.
     pub id: AnnotationId,

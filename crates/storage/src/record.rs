@@ -1,4 +1,6 @@
 //! Image records: the `Images` entity plus its spatial descriptors.
+use std::sync::OnceLock;
+
 use tvdp_geo::{BBox, Fov, GeoPoint};
 
 use crate::ids::{ImageId, UserId};
@@ -20,7 +22,7 @@ pub enum ImageOrigin {
 }
 
 /// Descriptive metadata supplied at upload time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ImageMeta {
     /// Uploading user.
     pub uploader: UserId,
@@ -37,31 +39,20 @@ pub struct ImageMeta {
 }
 
 /// A stored image row: metadata plus derived spatial descriptors.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ImageRecord {
     /// Row identifier.
     pub id: ImageId,
     /// Upload-time metadata.
     pub meta: ImageMeta,
     /// [`ImageRecord::scene_location`], once read.
-    scene: SceneCell,
+    scene: OnceLock<BBox>,
     /// Original or augmented.
     pub origin: ImageOrigin,
     /// Pixel dimensions.
     pub width: usize,
     /// Pixel dimensions.
     pub height: usize,
-}
-
-/// The record's scene box cell. Any two are equal: the box is a
-/// function of `meta`, so records compare by their stored fields alone.
-#[derive(Debug, Clone, Default)]
-struct SceneCell(std::sync::OnceLock<BBox>);
-
-impl PartialEq for SceneCell {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
 }
 
 impl ImageRecord {
@@ -76,7 +67,7 @@ impl ImageRecord {
         Self {
             id,
             meta,
-            scene: SceneCell::default(),
+            scene: OnceLock::new(),
             origin,
             width,
             height,
@@ -86,7 +77,7 @@ impl ImageRecord {
     /// Scene location (MBR of the FOV sector), or the degenerate box at
     /// the GPS point without an FOV: derived on first read, then cached.
     pub fn scene_location(&self) -> BBox {
-        *self.scene.0.get_or_init(|| match &self.meta.fov {
+        *self.scene.get_or_init(|| match &self.meta.fov {
             Some(fov) => fov.scene_location(),
             None => BBox::from_point(self.meta.gps),
         })
@@ -147,34 +138,45 @@ mod tests {
         let fov = Fov::new(GeoPoint::new(34.0, -118.25), 30.0, 60.0, 100.0);
         let meta = meta_with_fov(Some(fov));
         let rec = ImageRecord::new(ImageId(4), meta.clone(), ImageOrigin::Original, 8, 8);
-        assert!(rec.scene.0.get().is_none(), "nothing is derived at new");
+        assert!(rec.scene.get().is_none(), "nothing is derived at new");
         assert_eq!(rec.scene_location(), fov.scene_location());
-        assert_eq!(rec.scene.0.get(), Some(&fov.scene_location()));
+        assert_eq!(rec.scene.get(), Some(&fov.scene_location()));
         // A later read takes the cell, not the FOV.
         let planted = ImageRecord::new(ImageId(4), meta, ImageOrigin::Original, 8, 8);
         let marker = BBox::from_point(GeoPoint::new(1.0, 2.0));
-        planted.scene.0.set(marker).unwrap();
+        planted.scene.set(marker).unwrap();
         assert_eq!(planted.scene_location(), marker);
     }
 
+    /// A scene box is derived state: reading it changes no record's
+    /// bytes, so a store whose boxes were derived has the digest of one
+    /// whose boxes were not, and a different FOV is a different store.
     #[test]
-    fn a_derived_record_equals_its_clone_taken_before_derivation() {
-        let fov = Fov::new(GeoPoint::new(34.0, -118.25), 300.0, 90.0, 50.0);
-        let rec = ImageRecord::new(
-            ImageId(5),
-            meta_with_fov(Some(fov)),
-            ImageOrigin::Original,
-            8,
-            8,
-        );
-        let before = rec.clone();
-        rec.scene_location();
-        assert!(rec.scene.0.get().is_some() && before.scene.0.get().is_none());
-        assert_eq!(rec, before);
-        assert_eq!(before, rec);
-        let mut other = before.clone();
-        other.width += 1;
-        assert_ne!(rec, other);
+    fn a_store_whose_scene_boxes_were_derived_has_the_digest_of_one_whose_were_not() {
+        use crate::store::VisualStore;
+        use crate::wal::WalOp;
+        let store_of = |heading: f64| {
+            let fov = Fov::new(GeoPoint::new(34.0, -118.25), heading, 90.0, 50.0);
+            let store = VisualStore::new();
+            let rows = (0..3).map(|i| WalOp::AddImage {
+                id: ImageId(i),
+                meta: meta_with_fov(Some(fov)),
+                origin: ImageOrigin::Original,
+                pixels: None,
+            });
+            store.apply_batch(rows.collect()).unwrap();
+            store
+        };
+        let (derived, underived) = (store_of(300.0), store_of(300.0));
+        derived.for_each_image(|r| {
+            r.scene_location();
+        });
+        let mut boxes = 0;
+        derived.for_each_image(|r| boxes += usize::from(r.scene.get().is_some()));
+        underived.for_each_image(|r| assert!(r.scene.get().is_none()));
+        assert_eq!(boxes, 3);
+        assert_eq!(derived.digest(), underived.digest());
+        assert_ne!(derived.digest(), store_of(301.0).digest());
     }
 
     #[test]

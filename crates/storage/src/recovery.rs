@@ -700,9 +700,14 @@ mod tests {
     use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
     use crate::ids::{AnnotationId, ClassificationId, ImageId, UserId};
     use crate::record::{ImageMeta, ImageOrigin};
+    use crate::store::first_difference;
     use crate::wal::pixel_blob;
     use tvdp_geo::GeoPoint;
     use tvdp_vision::{FeatureKind, Image};
+
+    fn dump(store: &VisualStore) -> Vec<WalOp> {
+        store.snapshot().into_ops()
+    }
 
     impl DurableStore {
         /// Current WAL size in bytes, header included.
@@ -734,7 +739,7 @@ mod tests {
     }
 
     /// An image at the store's next id, journaled as a batch of one.
-    fn add_image(
+    fn journal_image(
         ds: &DurableStore,
         origin: ImageOrigin,
         pixels: Option<Image>,
@@ -808,7 +813,7 @@ mod tests {
     }
 
     fn populate(ds: &DurableStore) -> (ImageId, ClassificationId) {
-        let img = add_image(
+        let img = journal_image(
             ds,
             ImageOrigin::Original,
             Some(Image::from_fn(2, 2, |x, y| [x as u8, y as u8, 3])),
@@ -829,13 +834,13 @@ mod tests {
         let (ds, report) = DurableStore::open(&dir).unwrap();
         assert!(!report.snapshot_found);
         let (img, cls) = populate(&ds);
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 4);
         assert_eq!(report.torn_bytes, 0);
-        assert_eq!(ds2.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         assert_eq!(ds2.store.annotations_of(img).len(), 1);
         assert!(ds2.store.scheme(cls).is_some());
         std::fs::remove_dir_all(&dir).ok();
@@ -860,7 +865,7 @@ mod tests {
             })
             .collect();
         ds.apply_batch(ops).unwrap();
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
         let before = ds.wal_bytes().unwrap();
         assert!(before > EMPTY_WAL);
         let report = ds.compact().unwrap();
@@ -868,7 +873,7 @@ mod tests {
         assert_eq!(report.ops_compacted, 4 + rows);
         assert_eq!(report.wal_bytes_before, before);
         assert_eq!(ds.wal_bytes().unwrap(), EMPTY_WAL);
-        assert_eq!(ds.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds.store), &live), None);
         // The journal is the only format a compaction writes: no
         // `spill-*` file beside the base.
         let mut files: Vec<String> = std::fs::read_dir(&dir)
@@ -881,7 +886,7 @@ mod tests {
         // the writer encodes.
         assert_eq!(
             std::fs::read(dir.join("base-1.seg")).unwrap(),
-            render(&live.clone().into_ops())
+            render(&live)
         );
         drop(ds);
 
@@ -889,7 +894,7 @@ mod tests {
         assert!(report.snapshot_found);
         assert_eq!(report.epoch, 1);
         assert_eq!(report.replayed_ops, 0);
-        assert_eq!(ds2.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -900,11 +905,11 @@ mod tests {
         let (img, cls) = populate(&ds);
         ds.compact().unwrap();
         annotate(&ds, img, cls, 0, 0.4).unwrap();
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 1);
-        assert_eq!(ds2.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         // The base's own records were not replayed ops, so the next fold
         // counts only what the journal held.
         assert_eq!(ds2.compact().unwrap().ops_compacted, 1);
@@ -923,7 +928,7 @@ mod tests {
             parent: ImageId(9),
             op: "flip".into(),
         };
-        assert!(add_image(&ds, augmented, None).is_err());
+        assert!(journal_image(&ds, augmented, None).is_err());
         assert!(matches!(
             ds.apply_batch(vec![scheme(0, "bad", &[])]),
             Err(DurableError::Storage(StorageError::BadVocabulary(_)))
@@ -995,11 +1000,11 @@ mod tests {
         // "m0" was evicted, so the same key is a fresh upload again and
         // the journal now names that marker twice — legitimately.
         assert!(ds.apply_batch(vec![upload(n, "m0")]).unwrap().is_empty());
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops as u64, n + 1);
-        assert!(ds2.store.snapshot() == live);
+        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1049,14 +1054,14 @@ mod tests {
             .into_iter()
             .map(|(key, (id, seq))| (key, id, seq))
             .collect();
-        let live = ds.store.snapshot();
-        assert_eq!(live.markers, model);
+        assert_eq!(ds.store.snapshot().markers, model);
+        let live = dump(&ds.store);
         drop(ds);
         let (ds, report) = DurableStore::open(&dir).unwrap();
         let retries = (0..uploads).filter(|i| i % 100 == 99).count();
         assert_eq!(report.replayed_ops, uploads - retries);
         assert_eq!(ds.store.snapshot().markers, model);
-        assert!(ds.store.snapshot() == live);
+        assert_eq!(first_difference(&dump(&ds.store), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1158,13 +1163,13 @@ mod tests {
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let hist = feature(img, FeatureKind::ColorHistogram, vec![0.1, 0.2]);
         ds.apply_batch(vec![hist]).unwrap(); // 1 op in segment 2
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.epoch, 2);
         assert_eq!(report.replayed_ops, 6);
-        assert_eq!(ds2.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         // The next fold takes every segment at once.
         let folded = ds2.compact().unwrap();
         assert_eq!((folded.epoch, folded.ops_compacted), (3, 6));
@@ -1228,7 +1233,7 @@ mod tests {
         ds.apply_batch(ops).unwrap();
         assert_eq!(ds.store.len(), 1);
         assert_eq!(ds.store.annotations_of(img).len(), 1);
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
 
         // A batch with a bad op anywhere journals and applies nothing.
         let wal_before = ds.wal_bytes().unwrap();
@@ -1256,12 +1261,12 @@ mod tests {
             ))))
         ));
         assert_eq!(ds.wal_bytes().unwrap(), wal_before);
-        assert_eq!(ds.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds.store), &live), None);
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 4);
-        assert_eq!(ds2.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1307,7 +1312,7 @@ mod tests {
         .unwrap();
 
         let wal_before = ds.wal_bytes().unwrap();
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
         let next = ds.store.peek_next_image_id();
         for bad in [
             vec![label(img, region(usize::MAX, 0, 1, 1))],
@@ -1330,10 +1335,10 @@ mod tests {
             }
         }
         assert_eq!(ds.wal_bytes().unwrap(), wal_before, "nothing journaled");
-        assert_eq!(ds.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds.store), &live), None);
 
         // A row stored without pixels has no bounds to check against.
-        let bare = add_image(&ds, ImageOrigin::Original, None).unwrap();
+        let bare = journal_image(&ds, ImageOrigin::Original, None).unwrap();
         ds.apply_batch(vec![label(bare, region(usize::MAX, 7, 1, 1))])
             .unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -1407,7 +1412,7 @@ mod tests {
             ["base-2.seg", "wal-0.log", "wal-1.log", "wal-2.log"]
         );
         std::fs::remove_dir(&blocker).unwrap();
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
 
         // A crash here replays every segment to the live state.
         let frozen = temp_dir("failed-fold-frozen");
@@ -1417,7 +1422,7 @@ mod tests {
         }
         let (reopened, report) = DurableStore::open(&frozen).unwrap();
         assert_eq!((report.replayed_ops, report.epoch), (5, 2));
-        assert_eq!(reopened.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&reopened.store), &live), None);
         drop(reopened);
         std::fs::remove_dir_all(&frozen).ok();
 
@@ -1430,7 +1435,7 @@ mod tests {
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!((report.replayed_ops, report.debris_removed), (0, 0));
-        assert_eq!(ds2.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1486,33 +1491,51 @@ mod tests {
     /// and a keyed upload.
     fn populated_store() -> VisualStore {
         let store = VisualStore::new();
-        let img = store
-            .add_image(
-                meta(),
-                ImageOrigin::Original,
-                Some(Image::from_fn(4, 4, |x, y| [x as u8, y as u8, 9])),
-            )
-            .unwrap();
-        let cls = store
-            .register_scheme("cleanliness", vec!["clean".into(), "dirty".into()])
-            .unwrap();
+        let (img, cls) = (ImageId(0), ClassificationId(0));
         store
-            .put_feature(img, FeatureKind::Cnn, vec![0.1, 0.2, 0.3])
-            .unwrap();
-        store
-            .annotate(img, cls, 1, 0.7, AnnotationSource::Human(UserId(1)), None)
-            .unwrap();
-        store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        store
-            .ingest_upload(
-                "edge2-s9",
-                meta(),
-                ImageOrigin::Original,
-                None,
-                &[(FeatureKind::Cnn, vec![0.9])],
-            )
+            .apply_batch(vec![
+                WalOp::AddImage {
+                    id: img,
+                    meta: meta(),
+                    origin: ImageOrigin::Original,
+                    pixels: Some(pixel_blob(&Image::from_fn(4, 4, |x, y| {
+                        [x as u8, y as u8, 9]
+                    }))),
+                },
+                WalOp::RegisterScheme {
+                    id: cls,
+                    name: "cleanliness".into(),
+                    labels: vec!["clean".into(), "dirty".into()],
+                },
+                WalOp::PutFeature {
+                    image: img,
+                    kind: FeatureKind::Cnn,
+                    vector: vec![0.1, 0.2, 0.3],
+                },
+                WalOp::Annotate(Annotation {
+                    id: AnnotationId(0),
+                    image: img,
+                    classification: cls,
+                    label: 1,
+                    confidence: 0.7,
+                    source: AnnotationSource::Human(UserId(1)),
+                    region: None,
+                }),
+                WalOp::AddImage {
+                    id: ImageId(1),
+                    meta: meta(),
+                    origin: ImageOrigin::Original,
+                    pixels: None,
+                },
+                WalOp::IngestUpload {
+                    marker: Some("edge2-s9".into()),
+                    id: ImageId(2),
+                    meta: meta(),
+                    origin: ImageOrigin::Original,
+                    pixels: None,
+                    features: vec![(FeatureKind::Cnn, vec![0.9])],
+                },
+            ])
             .unwrap();
         store
     }
@@ -1536,7 +1559,7 @@ mod tests {
         assert_eq!(loaded.pixels(ids[0]).unwrap().get(1, 2), [1, 2, 9]);
         assert!(loaded.scheme_by_name("cleanliness").is_some());
         assert_eq!(loaded.upload_marker("edge2-s9"), Some(ids[2]));
-        assert_eq!(loaded.snapshot(), store.snapshot());
+        assert_eq!(first_difference(&dump(loaded), &dump(&store)), None);
         // What a compaction of that store publishes is the same bytes.
         let report = ds.compact().unwrap();
         assert_eq!(report.snapshot_bytes, rendered.len() as u64);
@@ -1766,7 +1789,7 @@ mod tests {
         populate(&ds);
         upload(&ds, "edge0-s7", vec![]);
         ds.compact().unwrap();
-        let live = ds.store.snapshot();
+        let live = dump(&ds.store);
         drop(ds);
         let base = dir.join("base-1.seg");
         let whole = std::fs::read(&base).unwrap();
@@ -1821,7 +1844,7 @@ mod tests {
         assert_eq!((report.replayed_ops, report.torn_bytes), (0, 0));
         assert_eq!(report.debris_removed, 1);
         assert!(!superseded.exists());
-        assert_eq!(ds.store.snapshot(), live);
+        assert_eq!(first_difference(&dump(&ds.store), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,11 +7,11 @@ use tvdp_kernel::sync::RwLock;
 use tvdp_kernel::{FeatureSlab, GenCell, RowRef, RowSource, SlabView};
 use tvdp_vision::{FeatureKind, Image};
 
-use crate::annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
+use crate::annotation::{Annotation, ClassificationScheme, RegionOfInterest};
 use crate::ids::{AnnotationId, ClassificationId, ImageId};
 use crate::pixels;
 use crate::record::{ImageMeta, ImageOrigin, ImageRecord};
-use crate::wal::{pixel_blob, PixelBlob, WalOp};
+use crate::wal::{self, pixel_blob, PixelBlob, WalOp, SEGMENT_MAGIC};
 
 /// Capacity of the upload idempotency table (the markers of
 /// [`WalOp::IngestUpload`]): at most this many marker keys are
@@ -156,10 +156,10 @@ fn confidence_ok(confidence: f32) -> bool {
 /// Dump of every table: what a base segment is rendered from
 /// ([`Snapshot::into_ops`]).
 ///
-/// Equality is structural over every table, which makes snapshots the
-/// ground truth for crash-recovery tests: two stores are "the same
-/// state" exactly when their snapshots compare equal.
-#[derive(Debug, Default, Clone, PartialEq)]
+/// A dump has no equality of its own: two stores are the same state
+/// exactly when their ops encode to the same records, which
+/// [`VisualStore::digest`] hashes and [`first_difference`] compares.
+#[derive(Debug, Default, Clone)]
 pub struct Snapshot {
     pub(crate) images: Vec<ImageRecord>,
     /// Pixels as `(image, width, height, code)`.
@@ -680,29 +680,90 @@ impl Tables {
     }
 }
 
+/// FNV-1a 64 of `bytes`, continuing from `hash`.
+fn fnv64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-64's offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-64 over `ops` as a base segment holds them: the segment magic,
+/// then each op's framed record ([`WalOp::encode_into`]).
+fn ops_digest(ops: &[WalOp]) -> u64 {
+    let mut record = Vec::new();
+    ops.iter()
+        .fold(fnv64(FNV_OFFSET, &SEGMENT_MAGIC), |hash, op| {
+            record.clear();
+            wal::push_record(&mut record, |out| op.encode_into(out));
+            fnv64(hash, &record)
+        })
+}
+
+/// `None` when `a` and `b` encode to the same records (one
+/// [`VisualStore::digest`]), else the first record where they differ,
+/// with the op each side holds there. How tests compare two store
+/// states: `a` and `b` are dumps ([`Snapshot::into_ops`]) or the ops a
+/// dump must equal.
+// tvdp-lint: allow(dead_api, reason = "(a) test support: every test that compares two store states")
+pub fn first_difference(a: &[WalOp], b: &[WalOp]) -> Option<String> {
+    if ops_digest(a) == ops_digest(b) {
+        return None;
+    }
+    let record = |op: Option<&WalOp>| op.map(WalOp::encode);
+    (0..a.len().max(b.len()))
+        .find(|&i| record(a.get(i)) != record(b.get(i)))
+        .map(|i| format!("record {i}: {:?} against {:?}", a.get(i), b.get(i)))
+}
+
 /// The TVDP visual data store: all Fig. 2 tables behind one
 /// readers-writer lock. Clone-out semantics: getters return owned copies
-/// so readers never hold the lock across user code.
+/// so readers never hold the lock across user code. Every write is a
+/// batch of [`WalOp`]s through [`VisualStore::apply_batch`], at the ids
+/// the ops carry.
 ///
 /// ```
-/// use tvdp_storage::{AnnotationSource, ImageMeta, ImageOrigin, UserId, VisualStore};
 /// use tvdp_geo::GeoPoint;
+/// use tvdp_storage::{
+///     Annotation, AnnotationId, AnnotationSource, ClassificationId, ImageId, ImageMeta,
+///     ImageOrigin, UserId, VisualStore, WalOp,
+/// };
 ///
 /// let store = VisualStore::new();
-/// let scheme = store.register_scheme("cleanliness", vec!["clean".into(), "dirty".into()])?;
-/// let id = store.add_image(
-///     ImageMeta {
-///         uploader: UserId(1),
-///         gps: GeoPoint::new(34.05, -118.25),
-///         fov: None,
-///         captured_at: 1_546_300_800,
-///         uploaded_at: 1_546_300_900,
-///         keywords: vec!["corner".into()],
+/// let (scheme, image) = (ClassificationId(0), ImageId(0));
+/// store.apply_batch(vec![
+///     WalOp::RegisterScheme {
+///         id: scheme,
+///         name: "cleanliness".into(),
+///         labels: vec!["clean".into(), "dirty".into()],
 ///     },
-///     ImageOrigin::Original,
-///     None,
-/// )?;
-/// store.annotate(id, scheme, 1, 0.9, AnnotationSource::Human(UserId(1)), None)?;
+///     WalOp::IngestUpload {
+///         marker: None,
+///         id: image,
+///         meta: ImageMeta {
+///             uploader: UserId(1),
+///             gps: GeoPoint::new(34.05, -118.25),
+///             fov: None,
+///             captured_at: 1_546_300_800,
+///             uploaded_at: 1_546_300_900,
+///             keywords: vec!["corner".into()],
+///         },
+///         origin: ImageOrigin::Original,
+///         pixels: None,
+///         features: vec![],
+///     },
+///     WalOp::Annotate(Annotation {
+///         id: AnnotationId(0),
+///         image,
+///         classification: scheme,
+///         label: 1,
+///         confidence: 0.9,
+///         source: AnnotationSource::Human(UserId(1)),
+///         region: None,
+///     }),
+/// ])?;
 /// assert_eq!(store.annotations_with_label(scheme, 1).len(), 1);
 /// # Ok::<(), tvdp_storage::StorageError>(())
 /// ```
@@ -785,7 +846,9 @@ impl VisualStore {
     /// rows (e.g. when only features were uploaded from an edge device).
     ///
     /// Returns the new row's id. Fails when an augmented origin
-    /// references a missing parent.
+    /// references a missing parent. Kept beside [`VisualStore::apply_batch`]
+    /// only for the end-to-end benchmark's corpus set-up, until that
+    /// package is refreshed (ROADMAP item 1).
     pub fn add_image(
         &self,
         meta: ImageMeta,
@@ -803,40 +866,6 @@ impl VisualStore {
             }]
         })?;
         Ok(id)
-    }
-
-    /// Atomically ingests one upload — image row, optional pixels, and
-    /// feature vectors — deduplicated by idempotency `marker`. Returns
-    /// `(id, replayed)`: when the marker is already present the stored
-    /// image's id comes back with `replayed = true` and nothing is
-    /// written, so a client retrying a partially acknowledged upload
-    /// can never duplicate rows. Markers beyond
-    /// [`UPLOAD_MARKER_CAPACITY`] evict oldest-first. (What `Tvdp`
-    /// commits as one `WalOp::IngestUpload`; the unit tests' shorthand.)
-    #[cfg(test)]
-    pub(crate) fn ingest_upload(
-        &self,
-        marker: &str,
-        meta: ImageMeta,
-        origin: ImageOrigin,
-        pixels: Option<Image>,
-        features: &[(FeatureKind, Vec<f32>)],
-    ) -> Result<(ImageId, bool), StorageError> {
-        let mut id = ImageId(0);
-        let replays = self.commit(|t| {
-            id = ImageId(t.next_image);
-            vec![WalOp::IngestUpload {
-                marker: Some(marker.to_string()),
-                id,
-                meta,
-                origin,
-                pixels: pixels.as_ref().map(pixel_blob),
-                features: features.to_vec(),
-            }]
-        })?;
-        Ok(replays
-            .first()
-            .map_or((id, false), |&(_, stored)| (stored, true)))
     }
 
     /// The image a previously acknowledged upload with this idempotency
@@ -909,7 +938,9 @@ impl VisualStore {
 
     /// Stores (or replaces) a feature vector for an image. The bytes
     /// land in the shared feature arena; replacement appends a fresh
-    /// row and repoints the image's handle.
+    /// row and repoints the image's handle. Kept beside
+    /// [`VisualStore::apply_batch`] only for the end-to-end benchmark's
+    /// corpus set-up, until that package is refreshed (ROADMAP item 1).
     pub fn put_feature(
         &self,
         image: ImageId,
@@ -1034,25 +1065,6 @@ impl VisualStore {
             .collect()
     }
 
-    /// Registers a classification scheme with a unique name and a
-    /// non-empty, duplicate-free label vocabulary.
-    pub fn register_scheme(
-        &self,
-        name: impl Into<String>,
-        labels: Vec<String>,
-    ) -> Result<ClassificationId, StorageError> {
-        let mut id = ClassificationId(0);
-        self.commit(|t| {
-            id = ClassificationId(t.next_classification);
-            vec![WalOp::RegisterScheme {
-                id,
-                name: name.into(),
-                labels,
-            }]
-        })?;
-        Ok(id)
-    }
-
     /// The scheme row, if present.
     pub fn scheme(&self, id: ClassificationId) -> Option<ClassificationScheme> {
         self.inner.read().schemes.get(&id).cloned()
@@ -1071,33 +1083,6 @@ impl VisualStore {
     /// All registered schemes.
     pub fn schemes(&self) -> Vec<ClassificationScheme> {
         self.inner.read().schemes.values().cloned().collect()
-    }
-
-    /// Adds an annotation, validating every foreign key and the
-    /// confidence range.
-    pub fn annotate(
-        &self,
-        image: ImageId,
-        classification: ClassificationId,
-        label: usize,
-        confidence: f32,
-        source: AnnotationSource,
-        region: Option<RegionOfInterest>,
-    ) -> Result<AnnotationId, StorageError> {
-        let mut id = AnnotationId(0);
-        self.commit(|t| {
-            id = AnnotationId(t.next_annotation);
-            vec![WalOp::Annotate(Annotation {
-                id,
-                image,
-                classification,
-                label,
-                confidence,
-                source,
-                region,
-            })]
-        })?;
-        Ok(id)
     }
 
     /// Number of annotations carrying a given (scheme, label) pair —
@@ -1169,21 +1154,32 @@ impl VisualStore {
         }
     }
 
-    /// The id the next [`VisualStore::add_image`] will assign. Only
-    /// meaningful while the caller holds exclusive mutation rights (the
-    /// WAL wrapper journals the peeked id before applying the op).
+    /// The store's identity: the FNV-64 of the base segment
+    /// `persist::write_base` would publish for it now (the
+    /// segment magic, then each op of [`Snapshot::into_ops`] as the
+    /// framed record [`WalOp::encode_into`] fills), with no file
+    /// written. Two stores hold the same state exactly when their
+    /// digests agree. A float counts by its bits, so `-0.0` is not
+    /// `+0.0` and a NaN's payload is part of the state.
+    pub fn digest(&self) -> u64 {
+        ops_digest(&self.snapshot().into_ops())
+    }
+
+    /// The lowest image id above every stored one: the id a caller
+    /// gives the next image it commits. Only meaningful while the
+    /// caller holds exclusive mutation rights (the WAL wrapper journals
+    /// the peeked id before applying the op).
     pub fn peek_next_image_id(&self) -> ImageId {
         ImageId(self.inner.read().next_image)
     }
 
-    /// The id the next [`VisualStore::register_scheme`] will assign.
-    /// See [`VisualStore::peek_next_image_id`] for the exclusivity
-    /// caveat.
+    /// The lowest scheme id above every stored one. See
+    /// [`VisualStore::peek_next_image_id`] for the exclusivity caveat.
     pub fn peek_next_classification_id(&self) -> ClassificationId {
         ClassificationId(self.inner.read().next_classification)
     }
 
-    /// The id the next [`VisualStore::annotate`] will assign. See
+    /// The lowest annotation id above every stored one. See
     /// [`VisualStore::peek_next_image_id`] for the exclusivity caveat.
     pub fn peek_next_annotation_id(&self) -> AnnotationId {
         AnnotationId(self.inner.read().next_annotation)
@@ -1193,6 +1189,7 @@ impl VisualStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annotation::AnnotationSource;
     use crate::ids::UserId;
     use tvdp_geo::GeoPoint;
 
@@ -1211,6 +1208,93 @@ mod tests {
         Image::from_fn(4, 4, |x, y| [x as u8, y as u8, 0])
     }
 
+    /// An image row committed at the store's next id.
+    fn add(
+        store: &VisualStore,
+        origin: ImageOrigin,
+        pixels: Option<Image>,
+    ) -> Result<ImageId, StorageError> {
+        let id = store.peek_next_image_id();
+        store.apply_batch(vec![WalOp::AddImage {
+            id,
+            meta: meta(),
+            origin,
+            pixels: pixels.as_ref().map(pixel_blob),
+        }])?;
+        Ok(id)
+    }
+
+    fn put(
+        store: &VisualStore,
+        image: ImageId,
+        kind: FeatureKind,
+        vector: Vec<f32>,
+    ) -> Result<Replays, StorageError> {
+        store.apply_batch(vec![WalOp::PutFeature {
+            image,
+            kind,
+            vector,
+        }])
+    }
+
+    /// A scheme committed at the store's next scheme id.
+    fn scheme(
+        store: &VisualStore,
+        name: &str,
+        labels: &[&str],
+    ) -> Result<ClassificationId, StorageError> {
+        let id = store.peek_next_classification_id();
+        store.apply_batch(vec![WalOp::RegisterScheme {
+            id,
+            name: name.into(),
+            labels: labels.iter().map(|l| l.to_string()).collect(),
+        }])?;
+        Ok(id)
+    }
+
+    /// A human label committed at the store's next annotation id.
+    fn label(
+        store: &VisualStore,
+        image: ImageId,
+        classification: ClassificationId,
+        label: usize,
+    ) -> Result<AnnotationId, StorageError> {
+        let id = store.peek_next_annotation_id();
+        store.apply_batch(vec![WalOp::Annotate(Annotation {
+            id,
+            image,
+            classification,
+            label,
+            confidence: 1.0,
+            source: AnnotationSource::Human(UserId(1)),
+            region: None,
+        })])?;
+        Ok(id)
+    }
+
+    /// One keyed upload at the store's next id, as `Tvdp` commits it:
+    /// `(id, replayed)`, the stored image's id when the marker is held.
+    fn upload(
+        store: &VisualStore,
+        marker: &str,
+        origin: ImageOrigin,
+        pixels: Option<Image>,
+        features: &[(FeatureKind, Vec<f32>)],
+    ) -> Result<(ImageId, bool), StorageError> {
+        let id = store.peek_next_image_id();
+        let replays = store.apply_batch(vec![WalOp::IngestUpload {
+            marker: Some(marker.to_string()),
+            id,
+            meta: meta(),
+            origin,
+            pixels: pixels.as_ref().map(pixel_blob),
+            features: features.to_vec(),
+        }])?;
+        Ok(replays
+            .first()
+            .map_or((id, false), |&(_, stored)| (stored, true)))
+    }
+
     /// A fresh store rebuilt from `store`'s dump, as a base segment is.
     fn rebuilt(store: &VisualStore) -> VisualStore {
         let fresh = VisualStore::new();
@@ -1222,9 +1306,7 @@ mod tests {
     #[test]
     fn add_and_fetch_image() {
         let store = VisualStore::new();
-        let id = store
-            .add_image(meta(), ImageOrigin::Original, Some(tiny_image()))
-            .unwrap();
+        let id = add(&store, ImageOrigin::Original, Some(tiny_image())).unwrap();
         assert_eq!(store.len(), 1);
         let rec = store.image(id).unwrap();
         assert_eq!(rec.width, 4);
@@ -1235,28 +1317,14 @@ mod tests {
     #[test]
     fn augmented_requires_parent() {
         let store = VisualStore::new();
-        let bad = store.add_image(
-            meta(),
-            ImageOrigin::Augmented {
-                parent: ImageId(5),
-                op: "flip_h".into(),
-            },
-            None,
-        );
+        let augmented = |parent| ImageOrigin::Augmented {
+            parent,
+            op: "flip_h".into(),
+        };
+        let bad = add(&store, augmented(ImageId(5)), None);
         assert_eq!(bad.unwrap_err(), StorageError::UnknownImage(ImageId(5)));
-        let parent = store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        let child = store
-            .add_image(
-                meta(),
-                ImageOrigin::Augmented {
-                    parent,
-                    op: "flip_h".into(),
-                },
-                None,
-            )
-            .unwrap();
+        let parent = add(&store, ImageOrigin::Original, None).unwrap();
+        let child = add(&store, augmented(parent), None).unwrap();
         let origin = store.image(child).unwrap().origin;
         assert!(matches!(origin, ImageOrigin::Augmented { parent: p, .. } if p == parent));
     }
@@ -1264,38 +1332,22 @@ mod tests {
     #[test]
     fn features_keyed_by_kind() {
         let store = VisualStore::new();
-        let id = store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        store
-            .put_feature(id, FeatureKind::Cnn, vec![1.0, 2.0])
-            .unwrap();
-        store
-            .put_feature(id, FeatureKind::ColorHistogram, vec![3.0])
-            .unwrap();
+        let id = add(&store, ImageOrigin::Original, None).unwrap();
+        put(&store, id, FeatureKind::Cnn, vec![1.0, 2.0]).unwrap();
+        put(&store, id, FeatureKind::ColorHistogram, vec![3.0]).unwrap();
         assert_eq!(store.feature(id, FeatureKind::Cnn).unwrap(), vec![1.0, 2.0]);
         assert_eq!(store.feature(id, FeatureKind::SiftBow), None);
         assert_eq!(store.images_with_feature(FeatureKind::Cnn), vec![id]);
-        assert!(store
-            .put_feature(ImageId(9), FeatureKind::Cnn, vec![])
-            .is_err());
+        assert!(put(&store, ImageId(9), FeatureKind::Cnn, vec![]).is_err());
     }
 
     #[test]
     fn arena_handles_refs_and_replacement() {
         let store = VisualStore::new();
-        let a = store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        let b = store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        store
-            .put_feature(a, FeatureKind::Cnn, vec![1.0, 2.0])
-            .unwrap();
-        store
-            .put_feature(b, FeatureKind::Cnn, vec![3.0, 4.0])
-            .unwrap();
+        let a = add(&store, ImageOrigin::Original, None).unwrap();
+        let b = add(&store, ImageOrigin::Original, None).unwrap();
+        put(&store, a, FeatureKind::Cnn, vec![1.0, 2.0]).unwrap();
+        put(&store, b, FeatureKind::Cnn, vec![3.0, 4.0]).unwrap();
 
         let ha = store.feature_handle(a, FeatureKind::Cnn).unwrap();
         let hb = store.feature_handle(b, FeatureKind::Cnn).unwrap();
@@ -1313,9 +1365,7 @@ mod tests {
 
         // Replacement appends a new row and repoints the handle; the
         // old row (and snapshots over it) stay valid.
-        store
-            .put_feature(a, FeatureKind::Cnn, vec![9.0, 9.0])
-            .unwrap();
+        put(&store, a, FeatureKind::Cnn, vec![9.0, 9.0]).unwrap();
         let ha2 = store.feature_handle(a, FeatureKind::Cnn).unwrap();
         assert_eq!(ha2.row, 2);
         assert_eq!(store.feature(a, FeatureKind::Cnn).unwrap(), vec![9.0, 9.0]);
@@ -1323,9 +1373,7 @@ mod tests {
         assert_eq!(store.inner.read().slabs[&(FeatureKind::Cnn, 2)].rows(), 3);
 
         // Different dims of the same kind live in separate slabs.
-        store
-            .put_feature(b, FeatureKind::SiftBow, vec![7.0; 5])
-            .unwrap();
+        put(&store, b, FeatureKind::SiftBow, vec![7.0; 5]).unwrap();
         assert_eq!(
             store.inner.read().slabs[&(FeatureKind::SiftBow, 5)].rows(),
             1
@@ -1347,9 +1395,7 @@ mod tests {
         assert_eq!(sift_row(ImageId(999)), None, "no such image");
 
         // Empty vectors round-trip without a slab row.
-        store
-            .put_feature(b, FeatureKind::ColorHistogram, vec![])
-            .unwrap();
+        put(&store, b, FeatureKind::ColorHistogram, vec![]).unwrap();
         assert_eq!(
             store.feature(b, FeatureKind::ColorHistogram).unwrap(),
             Vec::<f32>::new()
@@ -1366,26 +1412,26 @@ mod tests {
     #[test]
     fn a_run_is_read_in_one_walk_across_gaps_and_absent_ids() {
         let store = VisualStore::new();
-        let meta = |t| ImageMeta {
-            uploader: UserId(1),
-            gps: GeoPoint::new(34.0, -118.0),
-            fov: None,
-            captured_at: t,
-            uploaded_at: t,
-            keywords: Vec::new(),
-        };
-        let ids: Vec<ImageId> = (0..12)
-            .map(|t| {
-                store
-                    .add_image(meta(t), ImageOrigin::Original, None)
-                    .unwrap()
-            })
-            .collect();
-        for &id in ids.iter().step_by(3) {
-            store
-                .put_feature(id, FeatureKind::Cnn, vec![1.0; 3])
-                .unwrap();
-        }
+        let ids: Vec<ImageId> = (0..12).map(ImageId).collect();
+        let rows = ids.iter().map(|&id| WalOp::IngestUpload {
+            marker: None,
+            id,
+            meta: ImageMeta {
+                gps: GeoPoint::new(34.0, -118.0),
+                captured_at: id.raw() as i64,
+                uploaded_at: id.raw() as i64,
+                keywords: Vec::new(),
+                ..meta()
+            },
+            origin: ImageOrigin::Original,
+            pixels: None,
+            features: if id.raw() % 3 == 0 {
+                vec![(FeatureKind::Cnn, vec![1.0; 3])]
+            } else {
+                Vec::new()
+            },
+        });
+        store.apply_batch(rows.collect()).unwrap();
         let absent = |n: u64| ImageId(ids[11].0 + n);
         let run = [
             ids[0],
@@ -1414,14 +1460,12 @@ mod tests {
     #[test]
     fn slab_view_is_shared_until_a_caller_needs_rows_it_lacks() {
         let store = VisualStore::new();
-        let put = |v: f32| {
-            let id = store
-                .add_image(meta(), ImageOrigin::Original, None)
-                .unwrap();
-            store.put_feature(id, FeatureKind::Cnn, vec![v; 3]).unwrap();
+        let row = |v: f32| {
+            let id = add(&store, ImageOrigin::Original, None).unwrap();
+            put(&store, id, FeatureKind::Cnn, vec![v; 3]).unwrap();
         };
-        put(0.0);
-        put(1.0);
+        row(0.0);
+        row(1.0);
         let cached = store.slab_view(FeatureKind::Cnn, 3, 2);
         assert_eq!(cached.rows(), 2);
         // Covered requests, including smaller ones, share the cached view.
@@ -1433,7 +1477,7 @@ mod tests {
         }
         // Growth alone replaces nothing: only a caller that needs the
         // new row gets (and publishes) a fresh view that covers it.
-        put(2.0);
+        row(2.0);
         assert!(Arc::ptr_eq(
             &cached,
             &store.slab_view(FeatureKind::Cnn, 3, 2)
@@ -1449,11 +1493,9 @@ mod tests {
             &store.slab_view(FeatureKind::Cnn, 3, 1)
         ));
         // Slabs are cached independently; an unknown shape is empty.
-        put(3.0);
+        row(3.0);
         let id = store.image_ids()[0];
-        store
-            .put_feature(id, FeatureKind::SiftBow, vec![7.0; 5])
-            .unwrap();
+        put(&store, id, FeatureKind::SiftBow, vec![7.0; 5]).unwrap();
         let sift = store.slab_view(FeatureKind::SiftBow, 5, 1);
         assert_eq!(sift.row(0), &[7.0; 5]);
         assert!(Arc::ptr_eq(
@@ -1474,15 +1516,10 @@ mod tests {
     #[test]
     fn label_counts_track_annotations_and_snapshots() {
         let store = VisualStore::new();
-        let cls = store
-            .register_scheme("c", vec!["a".into(), "b".into()])
-            .unwrap();
-        let src = AnnotationSource::Human(UserId(1));
+        let cls = scheme(&store, "c", &["a", "b"]).unwrap();
         for i in 0..5 {
-            let img = store
-                .add_image(meta(), ImageOrigin::Original, None)
-                .unwrap();
-            store.annotate(img, cls, i % 2, 1.0, src, None).unwrap();
+            let img = add(&store, ImageOrigin::Original, None).unwrap();
+            label(&store, img, cls, i % 2).unwrap();
         }
         assert_eq!(store.label_count(cls, 0), 3);
         assert_eq!(store.label_count(cls, 1), 2);
@@ -1495,12 +1532,10 @@ mod tests {
     #[test]
     fn scheme_registration_and_lookup() {
         let store = VisualStore::new();
-        let id = store
-            .register_scheme("street-cleanliness", vec!["clean".into(), "dirty".into()])
-            .unwrap();
+        let id = scheme(&store, "street-cleanliness", &["clean", "dirty"]).unwrap();
         assert_eq!(store.scheme(id).unwrap().labels.len(), 2);
         assert_eq!(store.scheme_by_name("street-cleanliness").unwrap().id, id);
-        let dup = store.register_scheme("street-cleanliness", vec!["x".into()]);
+        let dup = scheme(&store, "street-cleanliness", &["x"]);
         assert!(matches!(dup, Err(StorageError::DuplicateScheme(_))));
         assert_eq!(store.schemes().len(), 1);
     }
@@ -1508,26 +1543,21 @@ mod tests {
     #[test]
     fn annotate_validates_foreign_keys() {
         let store = VisualStore::new();
-        let img = store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        let cls = store
-            .register_scheme("c", vec!["a".into(), "b".into()])
-            .unwrap();
-        let src = AnnotationSource::Human(UserId(1));
+        let img = add(&store, ImageOrigin::Original, None).unwrap();
+        let cls = scheme(&store, "c", &["a", "b"]).unwrap();
         assert!(matches!(
-            store.annotate(ImageId(50), cls, 0, 1.0, src, None),
+            label(&store, ImageId(50), cls, 0),
             Err(StorageError::UnknownImage(_))
         ));
         assert!(matches!(
-            store.annotate(img, ClassificationId(50), 0, 1.0, src, None),
+            label(&store, img, ClassificationId(50), 0),
             Err(StorageError::UnknownClassification(_))
         ));
         assert!(matches!(
-            store.annotate(img, cls, 7, 1.0, src, None),
+            label(&store, img, cls, 7),
             Err(StorageError::LabelOutOfRange { .. })
         ));
-        let ann = store.annotate(img, cls, 1, 0.9, src, None).unwrap();
+        let ann = label(&store, img, cls, 1).unwrap();
         assert_eq!(store.annotations_of(img).len(), 1);
         assert_eq!(store.annotations_of(img)[0].id, ann);
         assert_eq!(store.annotation_count(), 1);
@@ -1536,18 +1566,12 @@ mod tests {
     #[test]
     fn annotations_with_label_filters() {
         let store = VisualStore::new();
-        let cls = store
-            .register_scheme("c", vec!["a".into(), "b".into()])
-            .unwrap();
-        let src = AnnotationSource::Human(UserId(1));
+        let cls = scheme(&store, "c", &["a", "b"]).unwrap();
         let mut b_images = Vec::new();
         for i in 0..6 {
-            let img = store
-                .add_image(meta(), ImageOrigin::Original, None)
-                .unwrap();
-            let label = i % 2;
-            store.annotate(img, cls, label, 1.0, src, None).unwrap();
-            if label == 1 {
+            let img = add(&store, ImageOrigin::Original, None).unwrap();
+            label(&store, img, cls, i % 2).unwrap();
+            if i % 2 == 1 {
                 b_images.push(img);
             }
         }
@@ -1559,16 +1583,10 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let store = VisualStore::new();
-        let img = store
-            .add_image(meta(), ImageOrigin::Original, Some(tiny_image()))
-            .unwrap();
-        let cls = store.register_scheme("c", vec!["a".into()]).unwrap();
-        store
-            .put_feature(img, FeatureKind::Cnn, vec![0.5; 4])
-            .unwrap();
-        store
-            .annotate(img, cls, 0, 1.0, AnnotationSource::Human(UserId(1)), None)
-            .unwrap();
+        let img = add(&store, ImageOrigin::Original, Some(tiny_image())).unwrap();
+        let cls = scheme(&store, "c", &["a"]).unwrap();
+        put(&store, img, FeatureKind::Cnn, vec![0.5; 4]).unwrap();
+        label(&store, img, cls, 0).unwrap();
         let restored = rebuilt(&store);
         assert_eq!(restored.len(), 1);
         assert_eq!(restored.pixels(img).unwrap(), tiny_image());
@@ -1577,11 +1595,57 @@ mod tests {
             vec![0.5; 4]
         );
         assert_eq!(restored.annotations_of(img).len(), 1);
+        assert_eq!(restored.digest(), store.digest());
         // Id allocation continues past restored rows.
-        let next = restored
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
+        let next = add(&restored, ImageOrigin::Original, None).unwrap();
         assert!(next.raw() > img.raw());
+    }
+
+    /// A store's identity is its bytes: a `-0.0` is not a `+0.0`, a NaN
+    /// payload survives a reopen, and the digest is the FNV-64 of the
+    /// base segment a fold of the store publishes.
+    #[test]
+    fn the_digest_is_the_bytes_of_the_base_a_fold_publishes() {
+        let store_with = |vector: Vec<f32>| {
+            let store = VisualStore::new();
+            let id = add(&store, ImageOrigin::Original, None).unwrap();
+            put(&store, id, FeatureKind::Cnn, vector).unwrap();
+            store
+        };
+        let positive = store_with(vec![0.0, 1.0]);
+        let negative = store_with(vec![-0.0, 1.0]);
+        assert_eq!(
+            positive.feature(ImageId(0), FeatureKind::Cnn),
+            negative.feature(ImageId(0), FeatureKind::Cnn),
+            "the floats compare equal"
+        );
+        assert_ne!(positive.digest(), negative.digest());
+        let reference = [
+            positive.snapshot().into_ops(),
+            negative.snapshot().into_ops(),
+        ];
+        assert!(first_difference(&reference[0], &reference[1])
+            .is_some_and(|found| found.starts_with("record 0: Some(IngestUpload")));
+
+        let nan = f32::from_bits(0x7fc0_1234);
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("tvdp-store-digest-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (durable, _) = crate::DurableStore::open(&dir).unwrap();
+        durable
+            .apply_batch(store_with(vec![nan, -0.0, 2.0]).snapshot().into_ops()[..1].to_vec())
+            .unwrap();
+        let live = durable.store_arc().digest();
+        assert_ne!(live, store_with(vec![f32::NAN, -0.0, 2.0]).digest());
+        drop(durable);
+        let (reopened, report) = crate::DurableStore::open(&dir).unwrap();
+        assert_eq!(report.replayed_ops, 1);
+        assert_eq!(reopened.store_arc().digest(), live, "replayed");
+        let epoch = reopened.compact().unwrap().epoch;
+        let base = std::fs::read(dir.join(format!("base-{epoch}.seg"))).unwrap();
+        assert_eq!(fnv64(FNV_OFFSET, &base), live, "the folded base's bytes");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1618,7 +1682,7 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![9, 4, 2, 5, 7]);
-        assert_eq!(rebuilt(&store).snapshot(), store.snapshot());
+        assert_eq!(rebuilt(&store).digest(), store.digest());
     }
 
     /// The image table is one `Vec` sorted by id: an explicit id below
@@ -1699,7 +1763,10 @@ mod tests {
             ]
         );
         let restored = rebuilt(&store);
-        assert_eq!(restored.snapshot(), dump);
+        assert_eq!(
+            first_difference(&restored.snapshot().into_ops(), &dump.into_ops()),
+            None
+        );
         assert_eq!(restored.image_ids(), store.image_ids());
         assert_eq!(restored.peek_next_image_id(), ImageId(10));
     }
@@ -1710,20 +1777,12 @@ mod tests {
     #[test]
     fn a_feature_replacement_repoints_the_handle_in_place() {
         let store = VisualStore::new();
-        let a = store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        store
-            .put_feature(a, FeatureKind::Cnn, vec![1.0; 3])
-            .unwrap();
-        store
-            .put_feature(a, FeatureKind::SiftBow, vec![5.0; 2])
-            .unwrap();
+        let a = add(&store, ImageOrigin::Original, None).unwrap();
+        put(&store, a, FeatureKind::Cnn, vec![1.0; 3]).unwrap();
+        put(&store, a, FeatureKind::SiftBow, vec![5.0; 2]).unwrap();
         let sift = store.feature_handle(a, FeatureKind::SiftBow);
         let first = store.feature_handle(a, FeatureKind::Cnn).unwrap();
-        store
-            .put_feature(a, FeatureKind::Cnn, vec![2.0; 3])
-            .unwrap();
+        put(&store, a, FeatureKind::Cnn, vec![2.0; 3]).unwrap();
         let second = store.feature_handle(a, FeatureKind::Cnn).unwrap();
         assert_eq!((first.row, second.row), (0, 1));
         assert_eq!(store.len(), 1);
@@ -1740,63 +1799,77 @@ mod tests {
         assert_eq!(cnn, vec![&vec![2.0; 3]]);
     }
 
+    /// Each peek names the lowest id above every committed one, so a
+    /// caller that commits at the peeked id never collides, and an
+    /// explicit id below the peek does not move it back.
     #[test]
     fn peeked_ids_match_assigned_ids() {
         let store = VisualStore::new();
         let peek_img = store.peek_next_image_id();
-        let img = store
-            .add_image(meta(), ImageOrigin::Original, None)
-            .unwrap();
-        assert_eq!(peek_img, img);
+        let img = add(&store, ImageOrigin::Original, None).unwrap();
+        assert_eq!((peek_img, img), (ImageId(0), ImageId(0)));
         let peek_cls = store.peek_next_classification_id();
-        let cls = store.register_scheme("c", vec!["a".into()]).unwrap();
+        let cls = scheme(&store, "c", &["a"]).unwrap();
         assert_eq!(peek_cls, cls);
         let peek_ann = store.peek_next_annotation_id();
-        let ann = store
-            .annotate(img, cls, 0, 1.0, AnnotationSource::Human(UserId(1)), None)
-            .unwrap();
+        let ann = label(&store, img, cls, 0).unwrap();
         assert_eq!(peek_ann, ann);
-        // Peeks advance with the store.
-        assert_eq!(store.peek_next_image_id(), ImageId(img.raw() + 1));
+        // Peeks advance past explicit ids, and never back.
+        store
+            .apply_batch(vec![
+                WalOp::AddImage {
+                    id: ImageId(7),
+                    meta: meta(),
+                    origin: ImageOrigin::Original,
+                    pixels: None,
+                },
+                WalOp::AddImage {
+                    id: ImageId(3),
+                    meta: meta(),
+                    origin: ImageOrigin::Original,
+                    pixels: None,
+                },
+            ])
+            .unwrap();
+        assert_eq!(store.peek_next_image_id(), ImageId(8));
+        assert_eq!(store.peek_next_classification_id(), ClassificationId(1));
+        assert_eq!(store.peek_next_annotation_id(), AnnotationId(1));
     }
 
     #[test]
     fn ingest_upload_dedups_by_marker() {
         let store = VisualStore::new();
         let features = vec![(FeatureKind::Cnn, vec![1.0, 2.0])];
-        let (id, replayed) = store
-            .ingest_upload(
-                "edge3-s41",
-                meta(),
-                ImageOrigin::Original,
-                Some(tiny_image()),
-                &features,
-            )
-            .unwrap();
+        let (id, replayed) = upload(
+            &store,
+            "edge3-s41",
+            ImageOrigin::Original,
+            Some(tiny_image()),
+            &features,
+        )
+        .unwrap();
         assert!(!replayed);
         assert_eq!(store.len(), 1);
         assert_eq!(store.upload_marker("edge3-s41"), Some(id));
         assert_eq!(store.feature(id, FeatureKind::Cnn).unwrap(), vec![1.0, 2.0]);
 
         // A retry of the same upload is acknowledged without writing.
-        let (again, replayed) = store
-            .ingest_upload(
-                "edge3-s41",
-                meta(),
-                ImageOrigin::Original,
-                Some(tiny_image()),
-                &features,
-            )
-            .unwrap();
+        let (again, replayed) = upload(
+            &store,
+            "edge3-s41",
+            ImageOrigin::Original,
+            Some(tiny_image()),
+            &features,
+        )
+        .unwrap();
         assert!(replayed);
         assert_eq!(again, id);
         assert_eq!(store.len(), 1);
         assert_eq!(store.inner.read().upload_markers.len(), 1);
 
         // A different marker is a fresh upload.
-        let (other, replayed) = store
-            .ingest_upload("edge3-s42", meta(), ImageOrigin::Original, None, &[])
-            .unwrap();
+        let (other, replayed) =
+            upload(&store, "edge3-s42", ImageOrigin::Original, None, &[]).unwrap();
         assert!(!replayed);
         assert_ne!(other, id);
         assert_eq!(store.len(), 2);
@@ -1805,9 +1878,9 @@ mod tests {
     #[test]
     fn ingest_upload_validates_augmented_parent() {
         let store = VisualStore::new();
-        let bad = store.ingest_upload(
+        let bad = upload(
+            &store,
             "k",
-            meta(),
             ImageOrigin::Augmented {
                 parent: ImageId(9),
                 op: "flip_h".into(),
@@ -1823,9 +1896,7 @@ mod tests {
     fn upload_marker_table_is_bounded_with_oldest_first_eviction() {
         let store = VisualStore::new();
         for i in 0..=UPLOAD_MARKER_CAPACITY {
-            store
-                .ingest_upload(&format!("m{i}"), meta(), ImageOrigin::Original, None, &[])
-                .unwrap();
+            upload(&store, &format!("m{i}"), ImageOrigin::Original, None, &[]).unwrap();
         }
         assert_eq!(
             store.inner.read().upload_markers.len(),
@@ -1846,24 +1917,23 @@ mod tests {
     #[test]
     fn a_marker_table_op_restores_the_markers_and_refuses_bad_ones() {
         let store = VisualStore::new();
-        let (id, _) = store
-            .ingest_upload("edge0-s1", meta(), ImageOrigin::Original, None, &[])
-            .unwrap();
+        let (id, _) = upload(&store, "edge0-s1", ImageOrigin::Original, None, &[]).unwrap();
         let good = store.snapshot();
         assert_eq!(good.markers, vec![("edge0-s1".to_string(), id, 0)]);
+        let good = good.into_ops();
 
         let restored = rebuilt(&store);
         assert_eq!(restored.upload_marker("edge0-s1"), Some(id));
         // The sequence counter resumes past restored markers, so new
         // markers still evict in insertion order.
-        let (_, replayed) = restored
-            .ingest_upload("edge0-s1", meta(), ImageOrigin::Original, None, &[])
-            .unwrap();
+        let (_, replayed) =
+            upload(&restored, "edge0-s1", ImageOrigin::Original, None, &[]).unwrap();
         assert!(replayed);
-        assert_eq!(restored.snapshot(), good);
-        restored
-            .ingest_upload("edge0-s2", meta(), ImageOrigin::Original, None, &[])
-            .unwrap();
+        assert_eq!(
+            first_difference(&restored.snapshot().into_ops(), &good),
+            None
+        );
+        upload(&restored, "edge0-s2", ImageOrigin::Original, None, &[]).unwrap();
         assert_eq!(restored.snapshot().markers[1].2, 1);
 
         // A marker naming no image, a key the table holds, a key twice.
@@ -1888,7 +1958,7 @@ mod tests {
         // An upload later in the batch whose key the table just brought
         // in is a replay of it.
         let fresh = VisualStore::new();
-        let mut ops = good.clone().into_ops();
+        let mut ops = good.clone();
         ops.push(WalOp::IngestUpload {
             marker: Some("edge0-s1".into()),
             id: ImageId(9),
@@ -1898,7 +1968,7 @@ mod tests {
             features: vec![],
         });
         assert_eq!(fresh.apply_batch(ops).unwrap(), vec![(ImageId(9), id)]);
-        assert_eq!(fresh.snapshot(), good);
+        assert_eq!(first_difference(&fresh.snapshot().into_ops(), &good), None);
     }
 
     #[test]
@@ -1909,11 +1979,18 @@ mod tests {
     fn concurrent_ingest_is_safe() {
         let store = Arc::new(VisualStore::new());
         let mut handles = Vec::new();
-        for _ in 0..4 {
+        for t in 0..4u64 {
             let s = Arc::clone(&store);
             handles.push(std::thread::spawn(move || {
-                for _ in 0..50 {
-                    s.add_image(meta(), ImageOrigin::Original, None).unwrap();
+                // Interleaved ids, so rows often land below the last one.
+                for i in 0..50 {
+                    let row = WalOp::AddImage {
+                        id: ImageId(t + 4 * i),
+                        meta: meta(),
+                        origin: ImageOrigin::Original,
+                        pixels: None,
+                    };
+                    s.apply_batch(vec![row]).unwrap();
                 }
             }));
         }
@@ -1921,10 +1998,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(store.len(), 200);
-        // Ids are unique.
-        let ids = store.image_ids();
-        let mut dedup = ids.clone();
-        dedup.dedup();
-        assert_eq!(ids.len(), dedup.len());
+        // Ids are unique and ascend.
+        assert_eq!(store.image_ids(), (0..200).map(ImageId).collect::<Vec<_>>());
     }
 }

@@ -155,11 +155,13 @@ pub fn pixel_blob(image: &Image) -> PixelBlob {
 /// [`crate::VisualStore::apply_batch`] and, on a durable store, the
 /// journal. Ops carry explicit ids (allocated by the caller, or peeked
 /// under the mutation lock), so replay reproduces the exact same rows.
-#[derive(Debug, Clone, PartialEq)]
+/// Two ops are the same op exactly when they encode to the same bytes
+/// ([`WalOp::encode`]); there is no float equality over them.
+#[derive(Debug, Clone)]
 pub enum WalOp {
-    /// [`crate::store::VisualStore::add_image`] with its assigned id.
+    /// An image row at its id, without features.
     AddImage {
-        /// Id the store assigned.
+        /// Id the row is stored at.
         id: ImageId,
         /// Upload-time metadata.
         meta: ImageMeta,
@@ -168,7 +170,7 @@ pub enum WalOp {
         /// Pixel payload, if any.
         pixels: Option<PixelBlob>,
     },
-    /// [`crate::store::VisualStore::put_feature`].
+    /// A feature vector for a stored image, replacing any of its kind.
     PutFeature {
         /// Image the vector belongs to.
         image: ImageId,
@@ -177,18 +179,18 @@ pub enum WalOp {
         /// The vector.
         vector: Vec<f32>,
     },
-    /// [`crate::store::VisualStore::register_scheme`] with its assigned
-    /// id.
+    /// A classification scheme at its id: a unique name and a
+    /// non-empty, duplicate-free vocabulary.
     RegisterScheme {
-        /// Id the store assigned.
+        /// Id the row is stored at.
         id: ClassificationId,
         /// Unique scheme name.
         name: String,
         /// Label vocabulary.
         labels: Vec<String>,
     },
-    /// [`crate::store::VisualStore::annotate`]; the annotation carries
-    /// its assigned id.
+    /// An annotation, at the id it carries, of a stored image under a
+    /// stored scheme.
     Annotate(Annotation),
     /// One whole upload — the image row, its feature vectors and, when
     /// the client sent an idempotency key, the dedup marker — as one
@@ -202,7 +204,7 @@ pub enum WalOp {
         /// Idempotency key the uploading client attached; `None` touches
         /// no marker state.
         marker: Option<String>,
-        /// Id the store assigned.
+        /// Id the row is stored at.
         id: ImageId,
         /// Upload-time metadata.
         meta: ImageMeta,
@@ -606,7 +608,7 @@ fn read_feature(r: &mut Reader<'_>) -> Result<(FeatureKind, Vec<f32>), DecodeErr
 /// Appends one framed record to `buf` — the header, then whatever
 /// `write_payload` appends, then the header patched with that payload's
 /// length and checksum — and returns the payload's length.
-fn push_record(buf: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+pub(crate) fn push_record(buf: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) -> usize {
     let start = buf.len();
     buf.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     write_payload(buf);
@@ -945,6 +947,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::first_difference;
 
     fn meta(uploader: u64, keywords: &[&str]) -> ImageMeta {
         ImageMeta {
@@ -1090,7 +1093,13 @@ mod tests {
     fn ops_roundtrip_through_encode_decode() {
         for op in every_shape() {
             let payload = op.encode();
-            assert_eq!(WalOp::decode(&payload).unwrap(), op);
+            assert_eq!(
+                first_difference(
+                    &[WalOp::decode(&payload).unwrap()],
+                    std::slice::from_ref(&op)
+                ),
+                None
+            );
             // `encode_into` appends: what is already in the buffer stays.
             let mut buf = vec![0xAA];
             op.encode_into(&mut buf);
@@ -1334,7 +1343,13 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&legacy[i..i + 2], 16).unwrap())
             .collect();
-        assert_eq!(WalOp::decode(&bytes).unwrap(), *coded_op);
+        assert_eq!(
+            first_difference(
+                &[WalOp::decode(&bytes).unwrap()],
+                std::slice::from_ref(coded_op)
+            ),
+            None
+        );
         // The frame around a payload: its length, its CRC, then itself.
         assert_eq!(
             hex(&frame(b"123456789")),
@@ -1352,7 +1367,7 @@ mod tests {
         }
         drop(wal);
         let (_, ops, torn) = open_recover(&path).unwrap();
-        assert_eq!(ops, sample_ops());
+        assert_eq!(first_difference(&ops, &sample_ops()), None);
         assert_eq!(torn, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -1369,7 +1384,11 @@ mod tests {
             // The recovered prefix is exactly the ops whose full
             // records fit in the cut.
             let intact = ends.iter().filter(|&&e| e <= cut).count().saturating_sub(1);
-            assert_eq!(recovered, ops[..intact].to_vec(), "cut at byte {cut}");
+            assert_eq!(
+                first_difference(&recovered, &ops[..intact]),
+                None,
+                "cut at byte {cut}"
+            );
             // After recovery the file holds exactly the header and the
             // intact records.
             assert_eq!(
@@ -1404,7 +1423,7 @@ mod tests {
         // ... and to the header plus `frame(encode())` of each op.
         assert_eq!(std::fs::read(&batched).unwrap(), segment(&ops).0);
         let (_, recovered, torn) = open_recover(&batched).unwrap();
-        assert_eq!(recovered, ops);
+        assert_eq!(first_difference(&recovered, &ops), None);
         assert_eq!(torn, 0);
         std::fs::remove_file(&per_op).ok();
         std::fs::remove_file(&batched).ok();
@@ -1421,7 +1440,11 @@ mod tests {
             std::fs::write(&path, &full[..cut]).unwrap();
             let (_, recovered, _) = open_recover(&path).unwrap();
             let intact = ends.iter().filter(|&&e| e <= cut).count().saturating_sub(1);
-            assert_eq!(recovered, ops[..intact].to_vec(), "cut at byte {cut}");
+            assert_eq!(
+                first_difference(&recovered, &ops[..intact]),
+                None,
+                "cut at byte {cut}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1457,7 +1480,7 @@ mod tests {
         wal.append(&sample_ops()[2]).unwrap();
         drop(wal);
         let (_, ops, torn) = open_recover(&path).unwrap();
-        assert_eq!(ops, vec![sample_ops()[1].clone(), sample_ops()[2].clone()]);
+        assert_eq!(first_difference(&ops, &sample_ops()[1..3]), None);
         assert_eq!(torn, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -1474,7 +1497,7 @@ mod tests {
             wal.append(&sample_ops()[1]).unwrap();
             drop(wal);
             let (_, ops, torn) = open_recover(&path).unwrap();
-            assert_eq!(ops, sample_ops()[1..2].to_vec());
+            assert_eq!(first_difference(&ops, &sample_ops()[1..2]), None);
             assert_eq!(torn, 0);
         }
         std::fs::remove_file(&path).ok();
@@ -1487,7 +1510,7 @@ mod tests {
         let (mut bytes, ends) = segment(&sample_ops()[..2]);
         bytes.extend_from_slice(&[0; 4096]);
         let scanned = scan_bytes(&bytes).unwrap();
-        assert_eq!(scanned.ops, sample_ops()[..2].to_vec());
+        assert_eq!(first_difference(&scanned.ops, &sample_ops()[..2]), None);
         assert_eq!(scanned.valid_len, ends[2]);
         // A whole zeroed file is not a journal of this format at all.
         assert!(matches!(
@@ -1511,7 +1534,11 @@ mod tests {
             Ok(scanned) => {
                 assert!(scanned.valid_len <= bytes.len(), "{what}");
                 assert!(scanned.ops.len() <= ops.len(), "{what}");
-                assert_eq!(scanned.ops, ops[..scanned.ops.len()].to_vec(), "{what}");
+                assert_eq!(
+                    first_difference(&scanned.ops, &ops[..scanned.ops.len()]),
+                    None,
+                    "{what}"
+                );
                 Some(scanned.ops.len())
             }
             Err(WalError::Corrupt { .. } | WalError::UnsupportedFormat { .. }) => None,
@@ -1586,7 +1613,7 @@ mod tests {
         payloads.push(p);
         // AddImage: keyword count, then the byte count of a code or of
         // an older build's raw pixels.
-        let add_image = |keywords: &[u8], pixels: Option<(u8, &[u8])>| {
+        let image_payload = |keywords: &[u8], pixels: Option<(u8, &[u8])>| {
             let mut p = vec![TAG_ADD_IMAGE];
             le::put_u64(&mut p, 1);
             le::put_u64(&mut p, 1);
@@ -1602,9 +1629,9 @@ mod tests {
             }
             p
         };
-        payloads.push(add_image(&bomb, None));
-        payloads.push(add_image(&[0; 4], Some((PIXELS_CODED, &bomb))));
-        payloads.push(add_image(&[0; 4], Some((PIXELS_RAW, &bomb))));
+        payloads.push(image_payload(&bomb, None));
+        payloads.push(image_payload(&[0; 4], Some((PIXELS_CODED, &bomb))));
+        payloads.push(image_payload(&[0; 4], Some((PIXELS_RAW, &bomb))));
         // PutFeature: a sparse float count, whose bitmap alone is past
         // the record's end.
         let mut p = vec![TAG_PUT_FEATURE];
@@ -1695,7 +1722,7 @@ mod tests {
         let serial = scan_serial(bytes).unwrap();
         let windowed = scan_bytes(bytes).unwrap();
         assert_eq!(windowed.valid_len, serial.valid_len, "{what}");
-        assert!(windowed.ops == serial.ops, "{what}: the ops differ");
+        assert_eq!(first_difference(&windowed.ops, &serial.ops), None, "{what}");
         windowed
     }
 

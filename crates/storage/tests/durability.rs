@@ -5,8 +5,10 @@
 //! arbitrary prefix of the intended bytes on disk
 //! ([`FailingWriter`]). For each offset, these tests materialize that
 //! exact prefix as the on-disk file, reopen the store through full
-//! recovery, and compare [`VisualStore::snapshot`] equality against
-//! the enumerated legal states — a torn third state is a failure.
+//! recovery, and compare its encoded bytes ([`VisualStore::digest`])
+//! against the enumerated legal states — a torn third state is a
+//! failure. The states hold `-0.0`s and NaN payloads, which a float
+//! equality would not tell from `+0.0` and from each other.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -14,11 +16,11 @@ use std::path::{Path, PathBuf};
 use tvdp_geo::GeoPoint;
 use tvdp_storage::fault::FailingWriter;
 use tvdp_storage::persist;
-use tvdp_storage::store::Snapshot;
+use tvdp_storage::store::first_difference;
 use tvdp_storage::wal::{frame, pixel_blob, WalError, SEGMENT_MAGIC};
 use tvdp_storage::{
-    Annotation, AnnotationSource, ClassificationId, DurableError, DurableStore, HealthState,
-    ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp, WriteFaultPlan,
+    Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableError, DurableStore,
+    HealthState, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp, WriteFaultPlan,
 };
 use tvdp_vision::{FeatureKind, Image};
 
@@ -36,7 +38,7 @@ fn meta(keyword: &str) -> ImageMeta {
 // Single mutations, each journaled as a batch of one at the store's
 // next id, the way `Tvdp::commit` journals them.
 
-fn add_image(
+fn journal_image(
     ds: &DurableStore,
     meta: ImageMeta,
     origin: ImageOrigin,
@@ -52,7 +54,7 @@ fn add_image(
     Ok(id)
 }
 
-fn put_feature(
+fn journal_feature(
     ds: &DurableStore,
     image: ImageId,
     kind: FeatureKind,
@@ -66,7 +68,7 @@ fn put_feature(
     .map(drop)
 }
 
-fn register_scheme(
+fn journal_scheme(
     ds: &DurableStore,
     name: &str,
     labels: Vec<String>,
@@ -80,7 +82,7 @@ fn register_scheme(
     Ok(id)
 }
 
-fn annotate(
+fn journal_label(
     ds: &DurableStore,
     image: ImageId,
     classification: ClassificationId,
@@ -118,13 +120,24 @@ fn write_dir(dir: &Path, base: Option<&[u8]>, epoch: u64, wal: &[u8]) {
     std::fs::write(dir.join(format!("wal-{epoch}.log")), wal).unwrap();
 }
 
-/// The base segment compaction publishes for `snap`.
-fn render_base(snap: &Snapshot) -> Vec<u8> {
+/// The base segment compaction publishes for a store whose dump is
+/// `ops`.
+fn render_base(ops: &[WalOp]) -> Vec<u8> {
     let mut bytes = SEGMENT_MAGIC.to_vec();
-    for op in snap.clone().into_ops() {
+    for op in ops {
         bytes.extend_from_slice(&frame(&op.encode()));
     }
     bytes
+}
+
+/// The store's state as the records a base segment of it holds.
+fn dump(store: &VisualStore) -> Vec<WalOp> {
+    store.snapshot().into_ops()
+}
+
+/// A NaN whose payload a canonicalising copy would lose.
+fn nan_with_payload() -> f32 {
+    f32::from_bits(0xffc0_0042)
 }
 
 /// The crash prefix a write killed after `budget` bytes leaves behind.
@@ -150,51 +163,73 @@ fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
     bounds
 }
 
-fn base_store() -> VisualStore {
-    let store = VisualStore::new();
-    let img = store
-        .add_image(
-            meta("base"),
-            ImageOrigin::Original,
-            Some(Image::from_fn(1, 1, |_, _| [10, 20, 30])),
-        )
-        .unwrap();
-    let cls = store
-        .register_scheme("cleanliness", vec!["clean".into(), "dirty".into()])
-        .unwrap();
-    store
-        .put_feature(img, FeatureKind::ColorHistogram, vec![0.5, 0.25, 0.125])
-        .unwrap();
-    store
-        .annotate(img, cls, 0, 0.9, AnnotationSource::Human(UserId(1)), None)
-        .unwrap();
-    store
+/// The dump of the store every scripted test starts from, written out
+/// by hand: a scheme, one upload with pixels and a colour vector holding
+/// a `-0.0` and a NaN payload, an annotation, and the empty marker
+/// table. A store that holds anything else for these ops, or a replay
+/// that reads them back as anything else, fails every comparison.
+fn base_ops() -> Vec<WalOp> {
+    let (img, cls) = (ImageId(0), ClassificationId(0));
+    vec![
+        WalOp::RegisterScheme {
+            id: cls,
+            name: "cleanliness".into(),
+            labels: vec!["clean".into(), "dirty".into()],
+        },
+        WalOp::IngestUpload {
+            marker: None,
+            id: img,
+            meta: meta("base"),
+            origin: ImageOrigin::Original,
+            pixels: Some(pixel_blob(&Image::from_fn(1, 1, |_, _| [10, 20, 30]))),
+            features: vec![(
+                FeatureKind::ColorHistogram,
+                vec![0.5, -0.0, nan_with_payload(), 0.125],
+            )],
+        },
+        WalOp::Annotate(Annotation {
+            id: AnnotationId(0),
+            image: img,
+            classification: cls,
+            label: 0,
+            confidence: 0.9,
+            source: AnnotationSource::Human(UserId(1)),
+            region: None,
+        }),
+        WalOp::UploadMarkers(Vec::new()),
+    ]
+}
+
+/// The CNN vector the scripted mutations put: a `-0.0` and a NaN
+/// payload among ordinary floats, in the raw form (no `+0.0`).
+fn scripted_cnn() -> Vec<f32> {
+    vec![0.1, -0.0, nan_with_payload(), -2.5]
 }
 
 /// Replays a scripted mutation sequence against a fresh durable dir
 /// seeded with the base snapshot, returning the WAL bytes it produced
 /// and the store state after each op (index 0 = pre-mutation state).
-fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Snapshot>) {
-    let base = base_store().snapshot();
+fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Vec<WalOp>>) {
+    let base = base_ops();
     write_dir(scratch, Some(&render_base(&base)), 0, b"");
     let (ds, _) = DurableStore::open(scratch).unwrap();
-    let mut states = vec![ds.store_arc().snapshot()];
-    assert_eq!(states[0], base);
+    let mut states = vec![dump(&ds.store_arc())];
+    assert_eq!(first_difference(&states[0], &base), None);
 
-    let img = add_image(
+    let img = journal_image(
         &ds,
         meta("wal-born"),
         ImageOrigin::Original,
         Some(Image::from_fn(1, 1, |_, _| [1, 2, 3])),
     )
     .unwrap();
-    states.push(ds.store_arc().snapshot());
-    put_feature(&ds, img, FeatureKind::Cnn, vec![0.1, -2.5]).unwrap();
-    states.push(ds.store_arc().snapshot());
-    let cls = register_scheme(&ds, "graffiti", vec!["none".into(), "tagged".into()]).unwrap();
-    states.push(ds.store_arc().snapshot());
-    annotate(&ds, img, cls, 1, 0.7, AnnotationSource::Human(UserId(2))).unwrap();
-    states.push(ds.store_arc().snapshot());
+    states.push(dump(&ds.store_arc()));
+    journal_feature(&ds, img, FeatureKind::Cnn, scripted_cnn()).unwrap();
+    states.push(dump(&ds.store_arc()));
+    let cls = journal_scheme(&ds, "graffiti", vec!["none".into(), "tagged".into()]).unwrap();
+    states.push(dump(&ds.store_arc()));
+    journal_label(&ds, img, cls, 1, 0.7, AnnotationSource::Human(UserId(2))).unwrap();
+    states.push(dump(&ds.store_arc()));
 
     let wal_bytes = std::fs::read(scratch.join("wal-0.log")).unwrap();
     (wal_bytes, states)
@@ -202,15 +237,21 @@ fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Snapshot>) {
 
 #[test]
 fn save_killed_at_every_offset_preserves_the_old_snapshot() {
-    let old = base_store().snapshot();
+    let old = base_ops();
     let old_bytes = render_base(&old);
 
     // The new state a crashed save was trying to persist.
-    let store = base_store();
+    let store = VisualStore::new();
+    store.apply_batch(old.clone()).unwrap();
     store
-        .add_image(meta("new"), ImageOrigin::Original, None)
+        .apply_batch(vec![WalOp::AddImage {
+            id: ImageId(1),
+            meta: meta("new"),
+            origin: ImageOrigin::Original,
+            pixels: None,
+        }])
         .unwrap();
-    let new = store.snapshot();
+    let new = dump(&store);
     let new_bytes = render_base(&new);
 
     let dir = temp_dir("save-torture");
@@ -224,14 +265,18 @@ fn save_killed_at_every_offset_preserves_the_old_snapshot() {
         )
         .unwrap();
         let (ds, report) = DurableStore::open(&dir).unwrap();
-        assert_eq!(ds.store_arc().snapshot(), old, "staging cut at byte {cut}");
+        assert_eq!(
+            first_difference(&dump(&ds.store_arc()), &old),
+            None,
+            "staging cut at byte {cut}"
+        );
         assert!(report.debris_removed >= 1);
     }
 
     // Crash after the rename committed: the new snapshot is complete.
     write_dir(&dir, Some(&new_bytes), 0, b"");
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), new);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), &new), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -252,8 +297,8 @@ fn wal_append_killed_at_every_offset_is_pre_or_post_never_torn() {
         // record fully made it to disk — nothing in between.
         let intact = bounds.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
-            ds.store_arc().snapshot(),
-            states[intact],
+            first_difference(&dump(&ds.store_arc()), &states[intact]),
+            None,
             "wal cut at byte {cut}: expected state after {intact} op(s)"
         );
         assert_eq!(report.replayed_ops, intact);
@@ -272,25 +317,25 @@ fn journaled_mutation_that_returned_ok_survives_reopen() {
     let (ds, _) = DurableStore::open(&dir).unwrap();
     // After each acknowledged mutation, a crash (drop without
     // compaction or any explicit flush) must not lose it.
-    let img = add_image(
+    let img = journal_image(
         &ds,
         meta("acked"),
         ImageOrigin::Original,
         Some(Image::from_fn(1, 1, |_, _| [9, 9, 9])),
     )
     .unwrap();
-    let after_add = ds.store_arc().snapshot();
+    let after_add = dump(&ds.store_arc());
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), after_add);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), &after_add), None);
 
-    let cls = register_scheme(&ds, "acked-scheme", vec!["yes".into(), "no".into()]).unwrap();
-    put_feature(&ds, img, FeatureKind::SiftBow, vec![1.0; 8]).unwrap();
-    annotate(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(3))).unwrap();
-    let after_all = ds.store_arc().snapshot();
+    let cls = journal_scheme(&ds, "acked-scheme", vec!["yes".into(), "no".into()]).unwrap();
+    journal_feature(&ds, img, FeatureKind::SiftBow, vec![1.0; 8]).unwrap();
+    journal_label(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(3))).unwrap();
+    let after_all = dump(&ds.store_arc());
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), after_all);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), &after_all), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -298,17 +343,17 @@ fn journaled_mutation_that_returned_ok_survives_reopen() {
 fn snapshot_plus_wal_replay_equals_live_store() {
     let dir = temp_dir("replay-equality");
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    let img = add_image(
+    let img = journal_image(
         &ds,
         meta("live"),
         ImageOrigin::Original,
         Some(Image::from_fn(2, 3, |x, y| [x as u8, y as u8, 7])),
     )
     .unwrap();
-    let cls = register_scheme(&ds, "lighting", vec!["lit".into(), "dark".into()]).unwrap();
+    let cls = journal_scheme(&ds, "lighting", vec!["lit".into(), "dark".into()]).unwrap();
     ds.compact().unwrap();
     // Post-compaction mutations live only in the WAL.
-    let child = add_image(
+    let child = journal_image(
         &ds,
         meta("child"),
         ImageOrigin::Augmented {
@@ -318,16 +363,16 @@ fn snapshot_plus_wal_replay_equals_live_store() {
         None,
     )
     .unwrap();
-    put_feature(&ds, child, FeatureKind::Cnn, vec![0.25; 4]).unwrap();
-    annotate(&ds, child, cls, 1, 0.6, AnnotationSource::Human(UserId(1))).unwrap();
-    let live = ds.store_arc().snapshot();
+    journal_feature(&ds, child, FeatureKind::Cnn, vec![0.25; 4]).unwrap();
+    journal_label(&ds, child, cls, 1, 0.6, AnnotationSource::Human(UserId(1))).unwrap();
+    let live = dump(&ds.store_arc());
     drop(ds);
 
     let (reopened, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(report.replayed_ops, 3);
-    assert_eq!(reopened.store_arc().snapshot(), live);
+    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
     // Ids keep advancing from where the live store left off.
-    let next = add_image(&reopened, meta("next"), ImageOrigin::Original, None).unwrap();
+    let next = journal_image(&reopened, meta("next"), ImageOrigin::Original, None).unwrap();
     assert!(next.raw() > child.raw());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -337,16 +382,16 @@ fn compaction_preserves_state_and_shrinks_the_log() {
     let dir = temp_dir("compaction");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     for i in 0..8 {
-        let img = add_image(
+        let img = journal_image(
             &ds,
             meta(&format!("img-{i}")),
             ImageOrigin::Original,
             Some(Image::from_fn(4, 4, |x, y| [x as u8, y as u8, i])),
         )
         .unwrap();
-        put_feature(&ds, img, FeatureKind::Cnn, vec![f32::from(i); 16]).unwrap();
+        journal_feature(&ds, img, FeatureKind::Cnn, vec![f32::from(i); 16]).unwrap();
     }
-    let live = ds.store_arc().snapshot();
+    let live = dump(&ds.store_arc());
     let wal_bytes = |epoch: u64| {
         std::fs::metadata(dir.join(format!("wal-{epoch}.log")))
             .unwrap()
@@ -359,12 +404,12 @@ fn compaction_preserves_state_and_shrinks_the_log() {
     let empty = SEGMENT_MAGIC.len() as u64;
     assert!(wal_before > empty);
     assert_eq!(wal_bytes(1), empty);
-    assert_eq!(ds.store_arc().snapshot(), live);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), &live), None);
     drop(ds);
     let (reopened, recovery) = DurableStore::open(&dir).unwrap();
     assert_eq!(recovery.epoch, 1);
     assert_eq!(recovery.replayed_ops, 0);
-    assert_eq!(reopened.store_arc().snapshot(), live);
+    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -390,7 +435,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     write_dir(&dir, Some(&base_bytes), 0, &wal_bytes);
     std::fs::write(dir.join("wal-1.log"), b"").unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), *live);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), live), None);
     assert_eq!(report.epoch, 1);
     assert_eq!(report.replayed_ops, states.len() - 1);
     assert_eq!(report.debris_removed, 0);
@@ -402,7 +447,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     write_dir(&dir, Some(&live_bytes_epoch1), 1, b"");
     std::fs::write(dir.join("wal-0.log"), &wal_bytes).unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), *live);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), live), None);
     assert_eq!(report.epoch, 1);
     assert_eq!(report.replayed_ops, 0);
     assert_eq!(report.debris_removed, 1); // the superseded wal-0.log
@@ -413,7 +458,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     std::fs::write(dir.join("wal-0.log"), &wal_bytes).unwrap();
     std::fs::write(dir.join("base-0.seg"), &base_bytes).unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), *live);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), live), None);
     assert_eq!((report.epoch, report.replayed_ops), (1, 0));
     assert_eq!(report.debris_removed, 2);
     assert!(!dir.join("base-0.seg").exists());
@@ -429,7 +474,7 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     .unwrap();
     std::fs::write(dir.join("wal-1.log"), b"").unwrap();
     let (ds, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), *live);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), live), None);
     assert_eq!(report.epoch, 1);
     assert_eq!(report.replayed_ops, states.len() - 1);
     assert_eq!(report.debris_removed, 1); // the torn staging file
@@ -530,11 +575,7 @@ fn a_json_snapshot_from_an_older_build_is_refused_untouched() {
 
     // A current base beside it does not make the JSON one ignorable: the
     // directory was written by two formats and is refused the same way.
-    std::fs::write(
-        dir.join("base-3.seg"),
-        render_base(&base_store().snapshot()),
-    )
-    .unwrap();
+    std::fs::write(dir.join("base-3.seg"), render_base(&base_ops())).unwrap();
     let before = listing(&dir);
     assert!(matches!(
         DurableStore::open(&dir),
@@ -560,7 +601,7 @@ fn scripted_batch(ds: &DurableStore) -> Vec<WalOp> {
         WalOp::PutFeature {
             image: img,
             kind: FeatureKind::Cnn,
-            vector: vec![0.1, -2.5],
+            vector: scripted_cnn(),
         },
         WalOp::RegisterScheme {
             id: cls,
@@ -594,7 +635,10 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
     write_dir(&scratch2, Some(&base_bytes), 0, b"");
     let (ds, _) = DurableStore::open(&scratch2).unwrap();
     ds.apply_batch(scripted_batch(&ds)).unwrap();
-    assert_eq!(ds.store_arc().snapshot(), *states.last().unwrap());
+    assert_eq!(
+        first_difference(&dump(&ds.store_arc()), states.last().unwrap()),
+        None
+    );
     drop(ds);
     let batch_bytes = std::fs::read(scratch2.join("wal-0.log")).unwrap();
     std::fs::remove_dir_all(&scratch2).ok();
@@ -610,8 +654,8 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
         let (ds, report) = DurableStore::open(&dir).unwrap();
         let intact = bounds.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
-            ds.store_arc().snapshot(),
-            states[intact],
+            first_difference(&dump(&ds.store_arc()), &states[intact]),
+            None,
             "batch cut at byte {cut}: expected the first {intact} op(s)"
         );
         assert_eq!(report.replayed_ops, intact);
@@ -624,11 +668,11 @@ fn acked_group_commit_batch_survives_reopen() {
     let dir = temp_dir("batch-acked");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     ds.apply_batch(scripted_batch(&ds)).unwrap();
-    let live = ds.store_arc().snapshot();
+    let live = dump(&ds.store_arc());
     drop(ds); // crash without flush or compaction
     let (ds, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(report.replayed_ops, 4);
-    assert_eq!(ds.store_arc().snapshot(), live);
+    assert_eq!(first_difference(&dump(&ds.store_arc()), &live), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -661,7 +705,11 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
             "fault at byte {cut} must surface ENOSPC, got: {msg}"
         );
         // Read-consistent: the shed batch left no partial application.
-        assert_eq!(ds.store_arc().snapshot(), states[0], "cut at byte {cut}");
+        assert_eq!(
+            first_difference(&dump(&ds.store_arc()), &states[0]),
+            None,
+            "cut at byte {cut}"
+        );
         let health = ds.health();
         assert_eq!(health.state, HealthState::ReadOnly, "cut at byte {cut}");
         assert_eq!(health.write_faults, 1);
@@ -669,12 +717,12 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
 
         // While the disk stays full, further mutations are shed with the
         // typed read-only error — still no panic, still serving reads.
-        let shed = add_image(&ds, meta("while-full"), ImageOrigin::Original, None).unwrap_err();
+        let shed = journal_image(&ds, meta("while-full"), ImageOrigin::Original, None).unwrap_err();
         assert!(
             shed.to_string().contains("read-only"),
             "expected typed read-only shed, got: {shed}"
         );
-        assert_eq!(ds.store_arc().snapshot(), states[0]);
+        assert_eq!(first_difference(&dump(&ds.store_arc()), &states[0]), None);
         drop(ds);
 
         // Crash while full: the shed mutation's repair probe already
@@ -683,8 +731,8 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
         // never resurrects ops the caller was told had failed.
         let (reopened, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(
-            reopened.store_arc().snapshot(),
-            states[0],
+            first_difference(&dump(&reopened.store_arc()), &states[0]),
+            None,
             "reopen after cut at byte {cut}"
         );
         assert_eq!(report.replayed_ops, 0);
@@ -705,38 +753,42 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     // journal stays append-clean.
     let dir = temp_dir("fault-cycle");
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    let img = add_image(&ds, meta("acked"), ImageOrigin::Original, None).unwrap();
-    let acked = ds.store_arc().snapshot();
+    let img = journal_image(&ds, meta("acked"), ImageOrigin::Original, None).unwrap();
+    let acked = dump(&ds.store_arc());
     assert_eq!(ds.health().state, HealthState::Ok);
 
     let plan = WriteFaultPlan::new();
     ds.set_write_fault_plan(Some(plan.clone()));
     plan.arm_enospc(3); // three bytes of torn debris, then no space
 
-    put_feature(&ds, img, FeatureKind::Cnn, vec![1.0; 4]).unwrap_err();
+    journal_feature(&ds, img, FeatureKind::Cnn, vec![1.0; 4]).unwrap_err();
     assert_eq!(ds.health().state, HealthState::ReadOnly);
-    assert_eq!(ds.store_arc().snapshot(), acked, "reads keep working");
+    assert_eq!(
+        first_difference(&dump(&ds.store_arc()), &acked),
+        None,
+        "reads keep working"
+    );
 
     // Still full: mutations shed, fault counter climbs deterministically.
-    register_scheme(&ds, "shed", vec!["a".into()]).unwrap_err();
+    journal_scheme(&ds, "shed", vec!["a".into()]).unwrap_err();
     assert_eq!(ds.health().state, HealthState::ReadOnly);
     assert_eq!(ds.health().write_faults, 2);
 
     // Operator frees space; the next mutation repairs the torn tail,
     // lands durably, and the store enters probation.
     plan.clear();
-    put_feature(&ds, img, FeatureKind::Cnn, vec![2.0; 4]).unwrap();
+    journal_feature(&ds, img, FeatureKind::Cnn, vec![2.0; 4]).unwrap();
     assert_eq!(ds.health().state, HealthState::Degraded);
-    let cls = register_scheme(&ds, "healed", vec!["ok".into()]).unwrap();
+    let cls = journal_scheme(&ds, "healed", vec!["ok".into()]).unwrap();
     assert_eq!(ds.health().state, HealthState::Ok);
     assert!(ds.health().last_error.is_none());
-    annotate(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(1))).unwrap();
+    journal_label(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(1))).unwrap();
 
     // Everything acked across the cycle survives a crash/reopen.
-    let live = ds.store_arc().snapshot();
+    let live = dump(&ds.store_arc());
     drop(ds);
     let (reopened, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(reopened.store_arc().snapshot(), live);
+    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -754,8 +806,9 @@ fn writers_keep_journaling_while_compactions_fold() {
             for round in 0..ROUNDS {
                 for i in 0..IMAGES_PER_ROUND {
                     let keyword = format!("round-{round}-{i}");
-                    let img = add_image(&ds, meta(&keyword), ImageOrigin::Original, None).unwrap();
-                    put_feature(&ds, img, FeatureKind::Cnn, vec![i as f32; 4]).unwrap();
+                    let img =
+                        journal_image(&ds, meta(&keyword), ImageOrigin::Original, None).unwrap();
+                    journal_feature(&ds, img, FeatureKind::Cnn, vec![i as f32; 4]).unwrap();
                 }
                 round_done.wait();
             }
@@ -768,14 +821,14 @@ fn writers_keep_journaling_while_compactions_fold() {
         writer.join().unwrap();
         folded
     });
-    let live = ds.store_arc().snapshot();
+    let live = dump(&ds.store_arc());
     assert_eq!(ds.store_arc().len(), ROUNDS * IMAGES_PER_ROUND);
     drop(ds);
 
     // Every journaled op was folded exactly once or is still in the
     // journal, and the directory reopens to the live store.
     let (reopened, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(reopened.store_arc().snapshot(), live);
+    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
     assert_eq!(folded + report.replayed_ops, 2 * ROUNDS * IMAGES_PER_ROUND);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,12 +1,15 @@
 //! Property-based tests: arbitrary store contents survive the
 //! persistence round trips — a rendered base segment, a compacted
-//! directory — intact.
+//! directory — intact, compared by their encoded bytes. The generated
+//! features hold `+0.0`, `-0.0` and NaN payloads, which the store must
+//! keep bit for bit.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tvdp_geo::GeoPoint;
 use tvdp_kernel::rng::{for_each_case, Rng};
+use tvdp_storage::store::first_difference;
 use tvdp_storage::wal::{frame, pixel_blob, SEGMENT_MAGIC};
 use tvdp_storage::{
     Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableStore, ImageId, ImageMeta,
@@ -35,6 +38,19 @@ fn arb_word(rng: &mut Rng) -> String {
         .collect()
 }
 
+/// A feature element: mostly a float in `[-scale, scale)`, now and then
+/// a `+0.0`, a `-0.0` or a NaN with a payload and either sign.
+fn arb_float(rng: &mut Rng, scale: f32) -> f32 {
+    match rng.gen_range(0..8u32) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::from_bits(
+            rng.gen_range(0..2u32) << 31 | 0x7fc0_0000 | rng.gen_range(1..0x40_0000u32),
+        ),
+        _ => rng.gen_range(-scale..scale),
+    }
+}
+
 fn arb_row(rng: &mut Rng) -> Row {
     Row {
         lat: rng.gen_range(33.5..34.5),
@@ -43,7 +59,7 @@ fn arb_row(rng: &mut Rng) -> Row {
         keywords: (0..rng.gen_range(0..3)).map(|_| arb_word(rng)).collect(),
         label: rng.gen_range(0..3),
         confidence: rng.gen_range(0.0..=1.0),
-        feature: (0..4).map(|_| rng.gen_range(-10.0..10.0)).collect(),
+        feature: (0..4).map(|_| arb_float(rng, 10.0)).collect(),
         with_pixels: rng.gen_bool(0.5),
     }
 }
@@ -72,40 +88,60 @@ fn reopened_from_its_base(store: &VisualStore, tag: u64) -> Arc<VisualStore> {
     restored
 }
 
-fn populate(rows: &[Row]) -> VisualStore {
-    let store = VisualStore::new();
-    let scheme = store
-        .register_scheme("s", vec!["a".into(), "b".into(), "c".into()])
-        .unwrap();
-    for (i, row) in rows.iter().enumerate() {
-        let meta = ImageMeta {
-            uploader: UserId(i as u64 % 4),
-            gps: GeoPoint::new(row.lat, row.lon),
-            fov: None,
-            captured_at: row.captured,
-            uploaded_at: row.captured + 1,
-            keywords: row.keywords.clone(),
-        };
+/// The store's state as the records a base segment of it holds.
+fn dump(store: &VisualStore) -> Vec<WalOp> {
+    store.snapshot().into_ops()
+}
+
+/// The dump of the store `rows` describe, in the order
+/// [`tvdp_storage::Snapshot::into_ops`] renders one: a scheme, one
+/// upload per row (a CNN feature, pixels on some), an annotation per
+/// row, and the empty marker table.
+fn dump_of(rows: &[Row]) -> Vec<WalOp> {
+    let scheme = ClassificationId(0);
+    let mut ops = vec![WalOp::RegisterScheme {
+        id: scheme,
+        name: "s".into(),
+        labels: vec!["a".into(), "b".into(), "c".into()],
+    }];
+    ops.extend(rows.iter().enumerate().map(|(i, row)| {
         let pixels = row
             .with_pixels
             .then(|| Image::from_fn(4, 4, |x, y| [(x + i) as u8, y as u8, row.label as u8]));
-        let id = store
-            .add_image(meta, ImageOrigin::Original, pixels)
-            .unwrap();
-        store
-            .put_feature(id, FeatureKind::Cnn, row.feature.clone())
-            .unwrap();
-        store
-            .annotate(
-                id,
-                scheme,
-                row.label,
-                row.confidence,
-                AnnotationSource::Human(UserId(0)),
-                None,
-            )
-            .unwrap();
-    }
+        WalOp::IngestUpload {
+            marker: None,
+            id: ImageId(i as u64),
+            meta: ImageMeta {
+                uploader: UserId(i as u64 % 4),
+                gps: GeoPoint::new(row.lat, row.lon),
+                fov: None,
+                captured_at: row.captured,
+                uploaded_at: row.captured + 1,
+                keywords: row.keywords.clone(),
+            },
+            origin: ImageOrigin::Original,
+            pixels: pixels.as_ref().map(pixel_blob),
+            features: vec![(FeatureKind::Cnn, row.feature.clone())],
+        }
+    }));
+    ops.extend(rows.iter().enumerate().map(|(i, row)| {
+        WalOp::Annotate(Annotation {
+            id: AnnotationId(i as u64),
+            image: ImageId(i as u64),
+            classification: scheme,
+            label: row.label,
+            confidence: row.confidence,
+            source: AnnotationSource::Human(UserId(0)),
+            region: None,
+        })
+    }));
+    ops.push(WalOp::UploadMarkers(Vec::new()));
+    ops
+}
+
+fn populate(rows: &[Row]) -> VisualStore {
+    let store = VisualStore::new();
+    store.apply_batch(dump_of(rows)).unwrap();
     store
 }
 
@@ -113,18 +149,17 @@ fn populate(rows: &[Row]) -> VisualStore {
 fn snapshot_roundtrip_preserves_everything() {
     for_each_case(CASES, |case, rng| {
         let rows = arb_rows(rng, 20);
+        let want = dump_of(&rows);
         let store = populate(&rows);
+        assert_eq!(first_difference(&dump(&store), &want), None, "case {case}");
         let restored = reopened_from_its_base(&store, case);
-        assert_eq!(restored.len(), store.len());
-        assert_eq!(restored.annotation_count(), store.annotation_count());
+        assert_eq!(
+            first_difference(&dump(&restored), &want),
+            None,
+            "case {case}: reopened"
+        );
         for id in store.image_ids() {
-            assert_eq!(restored.image(id), store.image(id));
             assert_eq!(restored.pixels(id), store.pixels(id));
-            assert_eq!(
-                restored.feature(id, FeatureKind::Cnn),
-                store.feature(id, FeatureKind::Cnn)
-            );
-            assert_eq!(restored.annotations_of(id), store.annotations_of(id));
         }
     });
 }
@@ -135,9 +170,8 @@ fn persistence_roundtrip_preserves_everything() {
         let rows = arb_rows(rng, 12);
         let store = populate(&rows);
         let restored = reopened_from_its_base(&store, 100 + case);
-        assert_eq!(restored.len(), store.len());
+        assert_eq!(restored.digest(), store.digest(), "case {case}");
         for id in store.image_ids() {
-            assert_eq!(restored.image(id), store.image(id));
             assert_eq!(restored.pixels(id), store.pixels(id));
         }
         // Label queries agree.
@@ -158,6 +192,8 @@ fn id_allocation_never_collides_after_restore() {
         let store = populate(&rows);
         let restored = reopened_from_its_base(&store, 200 + case);
         let before = restored.image_ids();
+        let new_id = restored.peek_next_image_id();
+        assert!(!before.contains(&new_id), "fresh id {new_id} collides");
         let meta = ImageMeta {
             uploader: UserId(0),
             gps: GeoPoint::new(34.0, -118.5),
@@ -166,10 +202,15 @@ fn id_allocation_never_collides_after_restore() {
             uploaded_at: 1,
             keywords: vec![],
         };
-        let new_id = restored
-            .add_image(meta, ImageOrigin::Original, None)
+        restored
+            .apply_batch(vec![WalOp::AddImage {
+                id: new_id,
+                meta,
+                origin: ImageOrigin::Original,
+                pixels: None,
+            }])
             .unwrap();
-        assert!(!before.contains(&new_id), "fresh id {new_id} collides");
+        assert_eq!(restored.len(), before.len() + 1);
     });
 }
 
@@ -227,7 +268,7 @@ fn arb_history(rng: &mut Rng) -> Vec<Vec<WalOp>> {
                 vec![
                     (
                         FeatureKind::Cnn,
-                        (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                        (0..4).map(|_| arb_float(rng, 1.0)).collect(),
                     ),
                     (FeatureKind::ColorHistogram, Vec::new()),
                 ]
@@ -257,7 +298,7 @@ fn arb_history(rng: &mut Rng) -> Vec<Vec<WalOp>> {
             1 | 2 => batch.extend((0..2).map(|_| WalOp::PutFeature {
                 image: known,
                 kind: FeatureKind::Cnn,
-                vector: (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+                vector: (0..4).map(|_| arb_float(rng, 1.0)).collect(),
             })),
             3 => {
                 batch.push(WalOp::Annotate(Annotation {
@@ -315,8 +356,9 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
         assert_eq!((recovery.replayed_ops, recovery.torn_bytes), (0, 0));
         assert_eq!(recovery.epoch, report.epoch);
         let same = |what: &str, restored: &VisualStore| {
-            assert!(
-                restored.snapshot() == live.snapshot(),
+            assert_eq!(
+                first_difference(&dump(restored), &dump(&live)),
+                None,
                 "case {case}: {what}"
             );
             assert_eq!(restored.peek_next_image_id(), live.peek_next_image_id());
@@ -464,7 +506,11 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
             rng.shuffle(&mut probes);
             for &id in &probes {
                 let want = model.get(&id);
-                assert_eq!(store.image(id).as_ref(), want.map(|(r, _)| r), "{id}");
+                assert_eq!(
+                    store.image(id).as_ref().map(row_bytes),
+                    want.map(|(r, _)| row_bytes(r)),
+                    "{id}"
+                );
                 for kind in KINDS {
                     let want = want.and_then(|(_, f)| f.get(&kind));
                     let handle = store.feature_handle(id, kind);
@@ -473,7 +519,11 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
                         want.map(|v| (kind, v.len())),
                         "{id} {kind:?}"
                     );
-                    assert_eq!(store.feature(id, kind).as_ref(), want, "{id} {kind:?}");
+                    assert_eq!(
+                        store.feature(id, kind).as_deref().map(bits),
+                        want.map(|v| bits(v)),
+                        "{id} {kind:?}"
+                    );
                 }
             }
             let mut listed = Vec::new();
@@ -499,11 +549,15 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
             })
             .collect();
         want.push(WalOp::UploadMarkers(Vec::new()));
-        let live = durable.store_arc().snapshot();
-        assert_eq!(live.clone().into_ops(), want, "case {case}");
+        let live = dump(&durable.store_arc());
+        assert_eq!(first_difference(&live, &want), None, "case {case}");
         drop(durable);
         let (reopened, _) = DurableStore::open(&dir).unwrap();
-        assert!(reopened.store_arc().snapshot() == live, "case {case}");
+        assert_eq!(
+            first_difference(&dump(&reopened.store_arc()), &live),
+            None,
+            "case {case}"
+        );
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     });
@@ -512,8 +566,25 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
 /// Zero to five floats: an empty vector is a row of its own.
 fn arb_vector(rng: &mut Rng) -> Vec<f32> {
     (0..rng.gen_range(0..6))
-        .map(|_| rng.gen_range(-1.0..1.0))
+        .map(|_| arb_float(rng, 1.0))
         .collect()
+}
+
+/// A vector's bits: how two feature rows compare.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// A record's fields as the journal encodes them: how two image rows
+/// compare.
+fn row_bytes(r: &ImageRecord) -> Vec<u8> {
+    let op = WalOp::AddImage {
+        id: r.id,
+        meta: r.meta.clone(),
+        origin: r.origin.clone(),
+        pixels: None,
+    };
+    op.encode()
 }
 
 /// Replay applies a journal one record at a time, each checked against
@@ -552,12 +623,20 @@ fn a_journal_reopens_to_the_store_its_ops_build_one_at_a_time() {
                 journaled = 0;
             }
         }
-        let live = durable.store_arc().snapshot();
-        assert!(one_at_a_time.snapshot() == live, "case {case}");
+        let live = dump(&durable.store_arc());
+        assert_eq!(
+            first_difference(&dump(&one_at_a_time), &live),
+            None,
+            "case {case}"
+        );
         drop(durable);
         let (reopened, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, journaled, "case {case}");
-        assert!(reopened.store_arc().snapshot() == live, "case {case}");
+        assert_eq!(
+            first_difference(&dump(&reopened.store_arc()), &live),
+            None,
+            "case {case}"
+        );
         assert_eq!(
             reopened.store_arc().peek_next_image_id(),
             one_at_a_time.peek_next_image_id()

@@ -103,22 +103,18 @@ fn main() {
     let extractor = ColorHistogramExtractor::paper_default();
     let store = tvdp.store();
     for d in &corpus[..360] {
-        let id = tvdp
-            .ingest(
-                dept,
-                d.image.clone(),
-                IngestRequest {
-                    gps: d.fov.camera,
-                    fov: Some(d.fov),
-                    captured_at: d.captured_at,
-                    uploaded_at: d.uploaded_at,
-                    keywords: vec![],
-                },
-            )
-            .expect("corpus ingest");
-        store
-            .put_feature(id, FeatureKind::ColorHistogram, extractor.extract(&d.image))
-            .expect("store feature");
+        tvdp.ingest(
+            dept,
+            d.image.clone(),
+            IngestRequest {
+                gps: d.fov.camera,
+                fov: Some(d.fov),
+                captured_at: d.captured_at,
+                uploaded_at: d.uploaded_at,
+                keywords: vec![],
+            },
+        )
+        .expect("corpus ingest");
     }
     // A color-appearance engine over the same store.
     let engine = QueryEngine::build(
