@@ -2,6 +2,7 @@
 # Before/after in alternating pairs over two revisions.
 #
 #   crates/bench/probe_pairs.sh <rev-a> <rev-b> probe replay [probe args]
+#   crates/bench/probe_pairs.sh <rev-a> <rev-b> probe rows [probe args]
 #   crates/bench/probe_pairs.sh <rev-a> <rev-b> e2e --workload <w> --seed <s>
 #
 # Checks each revision out as a detached worktree in a scratch directory
@@ -20,7 +21,7 @@ set -euo pipefail
 
 pairs=10
 if (($# < 3)); then
-  sed -n '2,5p' "$0" >&2
+  sed -n '2,6p' "$0" >&2
   exit 2
 fi
 rev_a=$1 rev_b=$2 mode=$3
@@ -74,9 +75,13 @@ def metrics(text):
     if mode == "probe":
         report = json.loads(text)
         for name, entry in report.items():
-            if isinstance(entry, dict) and "open_ms" in entry:
+            if isinstance(entry, dict) and "median" in entry:
+                found[name] = entry["median"]
+            elif isinstance(entry, dict) and "open_ms" in entry:
                 for figure in ("open_ms", "rss_after_open_mib", "rss_after_first_visual_search_mib"):
                     found[f"{name}.{figure}"] = entry[figure]["median"]
+            elif name.endswith("_bytes") and isinstance(entry, (int, float)):
+                found[name] = entry
         return found, None
     last = json.loads(text.strip().splitlines()[-1])
     for name, entry in last["metrics"].items():

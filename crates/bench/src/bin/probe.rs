@@ -26,8 +26,20 @@
 //!     [--rows 8000] [--opens 11] [--one-process]
 //! ```
 //!
-//! `probe_pairs.sh` beside this crate's manifest runs it (or the e2e
-//! benchmark) in alternating pairs over two `git archive` checkouts.
+//! `probe rows` fills an in-memory `Tvdp::with_store` with e2e-shaped
+//! rows (the `e2e_base` jitter, applied three ops a row) and reports the
+//! `VmRSS` before the fill, after it, after the platform's engine build
+//! and after the first visual top-k, each the median and interquartile
+//! range of `--runs` fresh processes (this binary re-run as `probe
+//! rows-once <rows>`), with the arena's and the projected column's
+//! counted bytes from the last run:
+//!
+//! ```text
+//! cargo run --release -p tvdp-bench --bin probe -- rows [--rows 24000] [--runs 5]
+//! ```
+//!
+//! `probe_pairs.sh` beside this crate's manifest runs either (or the e2e
+//! benchmark) in alternating pairs over two checkouts.
 
 #![expect(
     clippy::disallowed_methods,
@@ -37,6 +49,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
 use std::time::Instant;
 
 use tvdp_bench::report::{ensure, ok, percentile, Header, Kind, Report};
@@ -44,8 +57,9 @@ use tvdp_core::{IngestRequest, PlatformConfig, Role, Tvdp};
 use tvdp_datagen::{generate, DatasetConfig, StreetGrid, SyntheticImage};
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_kernel::rng::Rng;
+use tvdp_kernel::{RowSource, ROWS_PER_CHUNK};
 use tvdp_query::{Query, VisualMode};
-use tvdp_storage::{DurableStore, ImageId, ImageMeta, ImageOrigin, UserId, WalOp};
+use tvdp_storage::{DurableStore, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp};
 use tvdp_vision::{CnnExtractor, ColorHistogramExtractor, FeatureExtractor, FeatureKind};
 
 /// Rendered scenes the e2e-shaped rows are jittered from (the e2e
@@ -58,7 +72,8 @@ const BATCH_ROWS: usize = 256;
 /// The datagen seed both inputs are laid down from.
 const SEED: u64 = 1;
 
-const USAGE: &str = "usage: probe replay [--rows N] [--opens N] [--one-process]";
+const USAGE: &str =
+    "usage: probe replay [--rows N] [--opens N] [--one-process] | probe rows [--rows N] [--runs N]";
 
 struct Args {
     rows: usize,
@@ -66,10 +81,12 @@ struct Args {
     one_process: bool,
 }
 
-fn parse(mut args: impl Iterator<Item = String>) -> Args {
+/// The flags after a subcommand, over its default `rows` and `opens`
+/// (`--runs` is `--opens` by the name `probe rows` gives it).
+fn parse(mut args: impl Iterator<Item = String>, rows: usize, opens: usize) -> Args {
     let mut parsed = Args {
-        rows: 8_000,
-        opens: 11,
+        rows,
+        opens,
         one_process: false,
     };
     while let Some(flag) = args.next() {
@@ -83,13 +100,14 @@ fn parse(mut args: impl Iterator<Item = String>) -> Args {
         match flag.as_str() {
             "--rows" => parsed.rows = value("--rows"),
             "--opens" => parsed.opens = value("--opens"),
+            "--runs" => parsed.opens = value("--runs"),
             "--one-process" => parsed.one_process = true,
             other => ensure(false, format_args!("unknown argument {other:?}; {USAGE}")),
         }
     }
     ensure(
         parsed.rows > 0 && parsed.opens > 0,
-        "--rows and --opens must be positive",
+        "--rows, --opens and --runs must be positive",
     );
     parsed
 }
@@ -97,7 +115,13 @@ fn parse(mut args: impl Iterator<Item = String>) -> Args {
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("replay") => replay(parse(args)),
+        Some("replay") => replay(parse(args, 8_000, 11)),
+        Some("rows") => rows(parse(args, 24_000, 5)),
+        Some("rows-once") => {
+            let rows = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
+            let figures: Vec<String> = rows_once(rows).iter().map(f64::to_string).collect();
+            println!("{}", figures.join(" "));
+        }
         Some("open-once") => {
             let dir = PathBuf::from(args.next().unwrap_or_default());
             let [secs, rss_open, rss_search] = open_once(&dir);
@@ -187,25 +211,32 @@ fn replay(args: Args) {
 
 /// `open_once` in a fresh process: this binary run as `open-once`.
 fn open_in_child(dir: &Path) -> [f64; 3] {
+    let values = in_child(&["open-once".as_ref(), dir.as_os_str()], 3);
+    [values[0], values[1], values[2]]
+}
+
+/// The `n` numbers this binary prints when run with `args`, in a fresh
+/// process.
+fn in_child(args: &[&std::ffi::OsStr], n: usize) -> Vec<f64> {
     let exe = ok(std::env::current_exe(), "locate the probe binary");
-    let out = ok(
-        Command::new(exe).arg("open-once").arg(dir).output(),
-        "run open-once",
-    );
+    let out = ok(Command::new(exe).args(args).output(), "run a child probe");
     let text = String::from_utf8_lossy(&out.stdout);
     ensure(
         out.status.success(),
-        format_args!("open-once failed: {}", String::from_utf8_lossy(&out.stderr)),
+        format_args!(
+            "child probe failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        ),
     );
     let values: Vec<f64> = text
         .split_whitespace()
         .filter_map(|v| v.parse().ok())
         .collect();
     ensure(
-        values.len() == 3,
-        format_args!("open-once printed {text:?}"),
+        values.len() == n,
+        format_args!("child probe printed {text:?}"),
     );
-    [values[0], values[1], values[2]]
+    values
 }
 
 /// `{ "median": .., "iqr": .., "samples": [..] }` of `values`.
@@ -234,24 +265,39 @@ fn scenes(n: usize, seed: u64) -> Vec<SyntheticImage> {
 /// rows) by the e2e benchmark's rule (`jitter_row` in
 /// `examples/e2e/src/corpus.rs`: camera within ±0.0004° clamped to the
 /// street grid, heading ±10°, CNN ±0.01 renormalised, colour ×0.9–1.1
-/// renormalised unless it sums to zero), journaled three ops a row.
-/// The draws come from `tvdp_kernel::rng::Rng`, not the e2e's `StdRng`,
-/// so the rows have the e2e base's shape but are not its rows.
-fn e2e_base(dir: &Path, rows: usize, seed: u64) {
-    let color = ColorHistogramExtractor::paper_default();
-    let cnn = CnnExtractor::with_config(PlatformConfig::default().cnn);
-    let bases: Vec<(SyntheticImage, Vec<f32>, Vec<f32>)> = scenes(BASE_SCENES.min(rows), seed)
-        .into_iter()
-        .map(|s| {
-            let features = (color.extract(&s.image), cnn.extract(&s.image));
-            (s, features.0, features.1)
-        })
-        .collect();
-    let config = DatasetConfig::default();
-    let region = *StreetGrid::downtown_la().region();
-    let mut rng = Rng::seed_from_u64(seed ^ 0xC0_4B05);
-    let mut jitter = |i: usize| -> [WalOp; 3] {
-        let (base, base_color, base_cnn) = &bases[i % bases.len()];
+/// renormalised unless it sums to zero), three ops a row: row `i` is
+/// `next_row(i)`, drawn in call order. The draws come from
+/// `tvdp_kernel::rng::Rng`, not the e2e's `StdRng`, so the rows have
+/// the e2e base's shape but are not its rows.
+struct E2eRows {
+    bases: Vec<(SyntheticImage, Vec<f32>, Vec<f32>)>,
+    config: DatasetConfig,
+    region: tvdp_geo::BBox,
+    rng: Rng,
+}
+
+impl E2eRows {
+    fn new(rows: usize, seed: u64) -> Self {
+        let color = ColorHistogramExtractor::paper_default();
+        let cnn = CnnExtractor::with_config(PlatformConfig::default().cnn);
+        let bases = scenes(BASE_SCENES.min(rows), seed)
+            .into_iter()
+            .map(|s| {
+                let features = (color.extract(&s.image), cnn.extract(&s.image));
+                (s, features.0, features.1)
+            })
+            .collect();
+        Self {
+            bases,
+            config: DatasetConfig::default(),
+            region: *StreetGrid::downtown_la().region(),
+            rng: Rng::seed_from_u64(seed ^ 0xC0_4B05),
+        }
+    }
+
+    fn next_row(&mut self, i: usize) -> [WalOp; 3] {
+        let (rng, region) = (&mut self.rng, &self.region);
+        let (base, base_color, base_cnn) = &self.bases[i % self.bases.len()];
         let gps = GeoPoint::new(
             (base.fov.camera.lat + rng.gen_range(-0.0004..0.0004))
                 .clamp(region.min_lat, region.max_lat),
@@ -260,7 +306,7 @@ fn e2e_base(dir: &Path, rows: usize, seed: u64) {
         );
         let heading = (base.fov.heading_deg + rng.gen_range(-10.0..10.0)).rem_euclid(360.0);
         let fov = Fov::new(gps, heading, base.fov.angle_deg, base.fov.radius_m);
-        let captured_at = config.period_start + rng.gen_range(0..config.period_len);
+        let captured_at = self.config.period_start + rng.gen_range(0..self.config.period_len);
         let mut cnn: Vec<f32> = base_cnn
             .iter()
             .map(|&x| x + rng.gen_range(-0.01f32..0.01))
@@ -301,7 +347,12 @@ fn e2e_base(dir: &Path, rows: usize, seed: u64) {
                 vector: cnn,
             },
         ]
-    };
+    }
+}
+
+/// `rows` e2e-shaped rows ([`E2eRows`]) journaled in 256-row batches.
+fn e2e_base(dir: &Path, rows: usize, seed: u64) {
+    let mut source = E2eRows::new(rows, seed);
     ok(
         std::fs::create_dir_all(dir),
         "create the e2e base directory",
@@ -309,10 +360,88 @@ fn e2e_base(dir: &Path, rows: usize, seed: u64) {
     let (store, _) = ok(DurableStore::open(dir), "open the e2e base");
     for first in (0..rows).step_by(BATCH_ROWS) {
         let ops = (first..rows.min(first + BATCH_ROWS))
-            .flat_map(&mut jitter)
+            .flat_map(|i| source.next_row(i))
             .collect();
         ok(store.apply_batch(ops), "journal an e2e base batch");
     }
+}
+
+/// One `probe rows` sample: `[VmRSS MiB before the fill, after the
+/// fill, after the engine build, after the first visual top-k, arena
+/// bytes, projected column bytes]`. The rows go into an in-memory store
+/// one commit of three ops each, as the e2e benchmark's set-up adds
+/// them; the engine is `Tvdp::with_store`'s build.
+fn rows_once(rows: usize) -> [f64; 6] {
+    ensure(rows > 0, "rows-once takes a positive row count");
+    let mut source = E2eRows::new(rows, SEED);
+    let rss_before = rss_mib();
+    let store = Arc::new(VisualStore::new());
+    for i in 0..rows {
+        ok(store.apply_batch(source.next_row(i).into()), "store a row");
+    }
+    drop(source);
+    let rss_fill = rss_mib();
+    let platform = Tvdp::with_store(Arc::clone(&store), PlatformConfig::default());
+    let rss_build = rss_mib();
+    let example = ok(
+        store
+            .feature(ImageId(0), FeatureKind::Cnn)
+            .ok_or("no CNN row"),
+        "visual example",
+    );
+    let query = Query::Visual {
+        example,
+        kind: FeatureKind::Cnn,
+        mode: VisualMode::TopK(10),
+    };
+    let hits = ok(platform.search(&query), "visual search");
+    ensure(hits.len() == 10, "the visual top-k answers 10 rows");
+    let rss_search = rss_mib();
+    // Every chunk's buffer is allocated at its full size on its first
+    // row, the partial one too.
+    let (mut arena, mut projected) = (0, 0);
+    for kind in [FeatureKind::ColorHistogram, FeatureKind::Cnn] {
+        for dim in store.feature_widths(kind) {
+            let view = store.slab_view(kind, dim, 0);
+            arena += view.rows().div_ceil(ROWS_PER_CHUNK) * ROWS_PER_CHUNK * dim * 4;
+            projected += view.projected_bytes();
+        }
+    }
+    [
+        rss_before,
+        rss_fill,
+        rss_build,
+        rss_search,
+        arena as f64,
+        projected as f64,
+    ]
+}
+
+/// `probe rows`: `rows_once` in `--runs` fresh processes.
+fn rows(args: Args) {
+    let rows = args.rows.to_string();
+    let samples: Vec<Vec<f64>> = (0..args.opens)
+        .map(|_| in_child(&["rows-once".as_ref(), rows.as_ref()], 6))
+        .collect();
+    let mut report = Report::new(Header {
+        description: "Where the resident set goes: an in-memory Tvdp::with_store over e2e-shaped rows, VmRSS before and after the fill, after the engine build and after the first visual top-k",
+        methodology: "Each run is a fresh process. It derives the base rows' features from 480 tvdp-datagen scenes at seed 1 (fewer for fewer rows), reads VmRSS, commits the jittered rows three ops at a time into an in-memory VisualStore, reads VmRSS, builds the platform with Tvdp::with_store (the segment build), reads VmRSS, runs one visual top-k of 10 over row 0's CNN vector and reads VmRSS. Each figure is the median and the interquartile range (p75 - p25, integer percentile rule) of the runs. arena_bytes counts every feature chunk at its allocated size; projected_column_bytes is SlabView::projected_bytes after the search; both are exact and the same every run.",
+        regenerate: "cargo run --release -p tvdp-bench --bin probe -- rows",
+        kind: Kind::Measured { probes: Vec::new() },
+    });
+    let column = |i: usize| -> Vec<f64> { samples.iter().map(|s| s[i]).collect() };
+    let last = samples.last().cloned().unwrap_or_else(|| vec![0.0; 6]);
+    report
+        .field("rows", args.rows)
+        .field("seed", SEED)
+        .field("runs", args.opens)
+        .field("rss_before_fill_mib", spread(column(0)))
+        .field("rss_after_fill_mib", spread(column(1)))
+        .field("rss_after_engine_build_mib", spread(column(2)))
+        .field("rss_after_first_visual_search_mib", spread(column(3)))
+        .field("arena_bytes", last[4])
+        .field("projected_column_bytes", last[5]);
+    report.print();
 }
 
 /// `rows` rendered scenes uploaded through the platform's ingest path,

@@ -301,7 +301,6 @@ impl SlabView {
     /// Bytes the view's chunks hold for projected bounds: the slab's
     /// projection and every projected column derived so far. 0 until
     /// the first [`SlabView::projected`] on any view of the slab.
-    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-core's test that a platform answering no visual top-k never fits the projection reads it")
     pub fn projected_bytes(&self) -> usize {
         let fit = self.full().first().and_then(|c| c.fit.get());
         let columns = self.full().iter().filter_map(|chunk| chunk.column.get());
