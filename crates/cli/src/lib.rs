@@ -552,7 +552,7 @@ fn hotspots_cmd(path: &str, rest: &[String]) -> Result<String, CliError> {
     let (scheme, label) = resolve_label(store, &format!("{scheme_name}:{label_name}"))?;
     // Aggregate over the bounding box of all camera positions.
     let mut points = Vec::new();
-    store.for_each_image(|r| points.push(r.meta.gps));
+    store.for_each_image(|r| points.push(r.gps));
     let Some(region) = BBox::from_points(&points) else {
         return Ok("store is empty".into());
     };

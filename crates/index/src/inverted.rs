@@ -11,31 +11,88 @@ use std::collections::BTreeMap;
 
 use tvdp_kernel::{TopK, TotalF64};
 
-/// Document handles are dense `usize` values assigned by the caller.
+/// A write-once index over documents with dense handles `0..n`, in the
+/// order they were added ([`IndexBuilder`], or [`InvertedIndex::build`]
+/// over one text per document).
 ///
 /// ```
 /// use tvdp_index::InvertedIndex;
 ///
-/// let mut idx = InvertedIndex::new();
-/// idx.index_document(0, "homeless encampment under the overpass");
-/// idx.index_document(1, "clean street");
+/// let idx = InvertedIndex::build(["homeless encampment under the overpass", "clean street"]);
 /// assert_eq!(idx.search_and("encampment overpass"), vec![0]);
 /// assert_eq!(idx.search_or("street overpass"), vec![0, 1]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    /// term -> postings (doc, term frequency), sorted by doc. An
-    /// ordered map (lint rule L2): postings iteration must never leak
-    /// hash order into ranked results.
-    postings: BTreeMap<String, Vec<(usize, u32)>>,
+    /// term -> postings `(doc, term frequency)`, docs ascending, each
+    /// list allocated at its size. An ordered map (lint rule L2):
+    /// postings iteration must never leak hash order into ranked
+    /// results.
+    postings: BTreeMap<String, Box<[(u32, u32)]>>,
     /// Number of terms per document (for length normalization), indexed
-    /// by the dense handle; [`UNINDEXED`] marks a handle not (yet) used.
+    /// by the dense handle.
     doc_lengths: Vec<u32>,
-    n_docs: usize,
 }
 
-/// The `doc_lengths` slot of a handle no document holds.
-const UNINDEXED: u32 = u32::MAX;
+/// Collects the documents of an [`InvertedIndex`]: a term gets a
+/// number the first time [`IndexBuilder::terms`] meets it, a document
+/// is a run of term numbers ([`IndexBuilder::push_doc`]), and
+/// [`IndexBuilder::finish`] lays every postings list down at its size.
+/// A caller whose documents share texts tokenizes each text once and
+/// pushes its numbers for every document that holds it.
+#[derive(Debug, Default)]
+pub struct IndexBuilder {
+    terms: BTreeMap<String, u32>,
+    /// `(term, doc)` of every token, in document order.
+    hits: Vec<(u32, u32)>,
+    doc_lengths: Vec<u32>,
+}
+
+impl IndexBuilder {
+    /// The numbers of `text`'s tokens in order, each lowercased as
+    /// [`tokenize`] lowercases it.
+    pub fn terms(&mut self, text: &str) -> Vec<u32> {
+        tokens(text)
+            .map(|token| {
+                let term = lowered(token);
+                if let Some(&n) = self.terms.get(&*term) {
+                    return n;
+                }
+                let n = self.terms.len() as u32;
+                self.terms.insert(term.into_owned(), n);
+                n
+            })
+            .collect()
+    }
+
+    /// Adds the next document (its handle is the count of documents
+    /// before it) holding the tokens numbered `terms`.
+    pub fn push_doc(&mut self, terms: &[u32]) {
+        let doc = self.doc_lengths.len() as u32;
+        self.hits.extend(terms.iter().map(|&term| (term, doc)));
+        self.doc_lengths.push(terms.len() as u32);
+    }
+
+    /// The index: each term's `(doc, tf)` list counted first, then
+    /// filled into an allocation of exactly that length.
+    pub fn finish(mut self) -> InvertedIndex {
+        self.hits.sort_unstable();
+        // A run of one `(term, doc)` is one posting, its length the tf.
+        let runs = || self.hits.chunk_by(|a, b| a == b);
+        let mut lengths = vec![0; self.terms.len()];
+        runs().for_each(|run| lengths[run[0].0 as usize] += 1);
+        let mut lists: Vec<Vec<(u32, u32)>> = lengths.into_iter().map(Vec::with_capacity).collect();
+        runs().for_each(|run| lists[run[0].0 as usize].push((run[0].1, run.len() as u32)));
+        let postings = self.terms.into_iter().map(|(term, n)| {
+            let list = std::mem::take(&mut lists[n as usize]);
+            (term, list.into_boxed_slice())
+        });
+        InvertedIndex {
+            postings: postings.collect(),
+            doc_lengths: self.doc_lengths,
+        }
+    }
+}
 
 /// Lowercases and splits text into alphanumeric tokens.
 pub fn tokenize(text: &str) -> Vec<String> {
@@ -76,60 +133,14 @@ pub fn ranked_term_contribution(tf: u32, doc_len: u32, n_docs: usize, df: usize)
 }
 
 impl InvertedIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Indexes a document's text under handle `doc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `doc` was already indexed (documents are immutable).
-    pub fn index_document(&mut self, doc: usize, text: &str) {
-        self.index_keywords(doc, &[text]);
-    }
-
-    /// Indexes under handle `doc` the document whose text is `keywords`
-    /// joined by a space: the same tokens, term frequencies and length
-    /// as [`InvertedIndex::index_document`] over that text, without
-    /// building it. A token is counted in place in its term's postings,
-    /// so a term the index already holds costs no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `doc` was already indexed (documents are immutable).
-    pub fn index_keywords(&mut self, doc: usize, keywords: &[impl AsRef<str>]) {
-        assert!(
-            self.doc_lengths
-                .get(doc)
-                .is_none_or(|&len| len == UNINDEXED),
-            "document {doc} already indexed"
-        );
-        let mut len = 0u32;
-        for token in keywords.iter().flat_map(|k| tokens(k.as_ref())) {
-            len += 1;
-            let term = lowered(token);
-            let Some(list) = self.postings.get_mut(&*term) else {
-                self.postings.insert(term.into_owned(), vec![(doc, 1)]);
-                continue;
-            };
-            // Handles arrive in any order (mostly ascending, so the
-            // common case appends); keep postings sorted by doc.
-            let pos = match list.last() {
-                Some(&(last, _)) if last < doc => list.len(),
-                _ => list.partition_point(|&(d, _)| d < doc),
-            };
-            match list.get_mut(pos) {
-                Some((d, tf)) if *d == doc => *tf += 1,
-                _ => list.insert(pos, (doc, 1)),
-            }
+    /// The index over one text per document, handles in order.
+    pub fn build(texts: impl IntoIterator<Item = impl AsRef<str>>) -> Self {
+        let mut builder = IndexBuilder::default();
+        for text in texts {
+            let terms = builder.terms(text.as_ref());
+            builder.push_doc(&terms);
         }
-        if self.doc_lengths.len() <= doc {
-            self.doc_lengths.resize(doc + 1, UNINDEXED);
-        }
-        self.doc_lengths[doc] = len;
-        self.n_docs += 1;
+        builder.finish()
     }
 
     /// Documents containing *every* query term (boolean AND), sorted.
@@ -138,7 +149,7 @@ impl InvertedIndex {
         if terms.is_empty() {
             return Vec::new();
         }
-        let mut lists: Vec<&Vec<(usize, u32)>> = Vec::with_capacity(terms.len());
+        let mut lists: Vec<&[(u32, u32)]> = Vec::with_capacity(terms.len());
         for t in &terms {
             match self.postings.get(t) {
                 Some(l) => lists.push(l),
@@ -147,14 +158,14 @@ impl InvertedIndex {
         }
         // Intersect starting from the shortest list.
         lists.sort_by_key(|l| l.len());
-        let mut result: Vec<usize> = lists[0].iter().map(|&(d, _)| d).collect();
+        let mut result: Vec<u32> = lists[0].iter().map(|&(d, _)| d).collect();
         for list in &lists[1..] {
             result.retain(|d| list.binary_search_by_key(d, |&(doc, _)| doc).is_ok());
             if result.is_empty() {
                 break;
             }
         }
-        result
+        result.into_iter().map(|d| d as usize).collect()
     }
 
     /// Documents containing *any* query term (boolean OR), sorted.
@@ -162,7 +173,7 @@ impl InvertedIndex {
         let mut docs: Vec<usize> = tokenize(query)
             .iter()
             .filter_map(|t| self.postings.get(t))
-            .flat_map(|l| l.iter().map(|&(d, _)| d))
+            .flat_map(|l| l.iter().map(|&(d, _)| d as usize))
             .collect();
         docs.sort_unstable();
         docs.dedup();
@@ -174,7 +185,7 @@ impl InvertedIndex {
     /// least one term. Selection runs through a bounded top-k heap
     /// (`O(n log k)`) instead of sorting every scored document.
     pub fn search_ranked(&self, query: &str, k: usize) -> Vec<(f64, usize)> {
-        self.search_ranked_with_stats(query, k, self.n_docs, |_, list_len| list_len)
+        self.search_ranked_with_stats(query, k, self.doc_lengths.len(), |_, list_len| list_len)
     }
 
     /// [`InvertedIndex::search_ranked`] scored against externally
@@ -201,9 +212,9 @@ impl InvertedIndex {
                 continue;
             };
             let term_df = df(term, list.len());
-            for &(doc, tf) in list {
-                *scores.entry(doc).or_insert(0.0) +=
-                    ranked_term_contribution(tf, self.doc_lengths[doc], n_docs, term_df);
+            for &(doc, tf) in list.iter() {
+                *scores.entry(doc as usize).or_insert(0.0) +=
+                    ranked_term_contribution(tf, self.doc_lengths[doc as usize], n_docs, term_df);
             }
         }
         // "Smallest k" under (Reverse(score), doc) = highest score first,
@@ -219,7 +230,9 @@ impl InvertedIndex {
     /// Document frequency of a term (diagnostics, admission estimates
     /// and the global statistics of two-phase ranked retrieval).
     pub fn doc_frequency(&self, term: &str) -> usize {
-        self.postings.get(&term.to_lowercase()).map_or(0, Vec::len)
+        self.postings
+            .get(&term.to_lowercase())
+            .map_or(0, |l| l.len())
     }
 }
 
@@ -228,13 +241,13 @@ mod tests {
     use super::*;
 
     fn sample_index() -> InvertedIndex {
-        let mut idx = InvertedIndex::new();
-        idx.index_document(0, "illegal dumping near the overpass");
-        idx.index_document(1, "homeless encampment under overpass bridge");
-        idx.index_document(2, "clean street after sweep");
-        idx.index_document(3, "bulky item: abandoned couch, street corner");
-        idx.index_document(4, "Overpass graffiti and dumping, dumping again");
-        idx
+        InvertedIndex::build([
+            "illegal dumping near the overpass",
+            "homeless encampment under overpass bridge",
+            "clean street after sweep",
+            "bulky item: abandoned couch, street corner",
+            "Overpass graffiti and dumping, dumping again",
+        ])
     }
 
     #[test]
@@ -277,11 +290,8 @@ mod tests {
 
     #[test]
     fn ranked_idf_downweights_common_terms() {
-        let mut idx = InvertedIndex::new();
         // "street" in every doc; "graffiti" rare.
-        idx.index_document(0, "street graffiti");
-        idx.index_document(1, "street");
-        idx.index_document(2, "street");
+        let idx = InvertedIndex::build(["street graffiti", "street", "street"]);
         let ranked = idx.search_ranked("street graffiti", 10);
         assert_eq!(ranked[0].1, 0, "doc with rare term must rank first");
     }
@@ -299,15 +309,7 @@ mod tests {
         assert_eq!(idx.doc_frequency("overpass"), 3);
         assert_eq!(idx.doc_frequency("OVERPASS"), 3);
         assert_eq!(idx.doc_frequency("nothing"), 0);
-        assert_eq!(idx.n_docs, 5);
+        assert_eq!(idx.doc_lengths.len(), 5);
         assert!(idx.postings.len() > 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "already indexed")]
-    fn duplicate_doc_rejected() {
-        let mut idx = InvertedIndex::new();
-        idx.index_document(1, "a");
-        idx.index_document(1, "b");
     }
 }

@@ -6,18 +6,22 @@
 //! the oriented R-tree stores, alongside the spatial MBR, the union of the
 //! viewing-direction arcs of all FOVs beneath it; a directional query can
 //! then discard whole subtrees whose direction summary misses the query
-//! arc. The tree itself is [`crate::rtree`]'s shared body; this file is
-//! the entry, the arc summary and the prune test.
+//! arc. A row without an FOV is held under its scene box and the empty
+//! arc, so directed descents prune it and descents by box alone (range,
+//! nearest, covering) find it: one tree answers every spatial leaf of a
+//! segment. The tree itself is [`crate::rtree`]'s shared body; this file
+//! is the entry, the arc summary and the prune test.
 
 use tvdp_geo::{AngularRange, BBox, Fov, GeoPoint};
 
 use crate::rtree::{HasBBox, Node, Tree};
 
-/// A leaf entry: scene-location box, the FOV itself, and the payload.
+/// A leaf entry: scene-location box, the FOV (none for a row without
+/// direction metadata), and the payload.
 #[derive(Debug, Clone)]
 struct Entry<T> {
     bbox: BBox,
-    fov: Fov,
+    fov: Option<Fov>,
     value: T,
 }
 
@@ -27,29 +31,29 @@ impl<T> HasBBox for Entry<T> {
     }
 }
 
-/// The smallest arc covering a non-empty run of arcs, folded in order.
-#[expect(
-    clippy::expect_used,
-    reason = "OR-tree structural invariant: the node touched here is non-empty by construction"
-)]
-fn union_of(arcs: impl Iterator<Item = AngularRange>) -> AngularRange {
-    let union = arcs.reduce(|all, arc| all.union(&arc));
-    union.expect("non-empty node")
+/// The viewing arcs beneath a node, `None` being the empty arc.
+type Dirs = Option<AngularRange>;
+
+/// The smallest arc covering a run of arcs, folded in order; empty arcs
+/// add nothing.
+fn union_of(arcs: impl Iterator<Item = Dirs>) -> Dirs {
+    arcs.flatten().reduce(|all, arc| all.union(&arc))
 }
 
 /// The union of the viewing arcs beneath a node: of its FOVs' (a leaf)
 /// or of its children's summaries, in child order.
-fn dirs_of<T>(node: &Node<Entry<T>, AngularRange>) -> AngularRange {
+fn dirs_of<T>(node: &Node<Entry<T>, Dirs>) -> Dirs {
     match node {
-        Node::Leaf(entries) => union_of(entries.iter().map(|e| e.fov.direction_range())),
+        Node::Leaf(entries) => union_of(entries.iter().map(|e| e.fov.map(|f| f.direction_range()))),
         Node::Internal(children) => union_of(children.iter().map(|c| c.summary)),
     }
 }
 
-/// An R-tree over FOVs with per-node viewing-direction summaries.
+/// An R-tree over scene boxes, each with its FOV if it has one, with
+/// per-node viewing-direction summaries.
 #[derive(Debug, Clone)]
 pub struct OrientedRTree<T> {
-    tree: Tree<Entry<T>, AngularRange>,
+    tree: Tree<Entry<T>, Dirs>,
 }
 
 impl<T> Default for OrientedRTree<T> {
@@ -64,11 +68,11 @@ impl<T> OrientedRTree<T> {
         Self { tree: Tree::new() }
     }
 
-    /// The tree over `fovs` (`(scene location, FOV, payload)`), packed
-    /// as [`crate::RTree::build`] packs, with each node's arc computed
-    /// once.
-    pub fn build(fovs: impl IntoIterator<Item = (BBox, Fov, T)>) -> Self {
-        let entries = fovs
+    /// The tree over `rows` (`(scene location, FOV if any, payload)`),
+    /// packed as [`crate::RTree::build`] packs, with each node's arc
+    /// computed once.
+    pub fn build(rows: impl IntoIterator<Item = (BBox, Option<Fov>, T)>) -> Self {
+        let entries = rows
             .into_iter()
             .map(|(bbox, fov, value)| Entry { bbox, fov, value });
         Self {
@@ -76,7 +80,7 @@ impl<T> OrientedRTree<T> {
         }
     }
 
-    /// Number of stored FOVs.
+    /// Number of stored rows.
     pub fn len(&self) -> usize {
         self.tree.len()
     }
@@ -86,53 +90,75 @@ impl<T> OrientedRTree<T> {
         self.len() == 0
     }
 
-    /// Inserts an FOV with payload under its scene location `bbox`: the
+    /// Inserts a row with payload under its scene location `bbox`: the
     /// grown reference the packed tree is tested against.
     #[cfg(test)]
-    pub(crate) fn insert(&mut self, bbox: BBox, fov: Fov, value: T) {
+    pub(crate) fn insert(&mut self, bbox: BBox, fov: Option<Fov>, value: T) {
         self.tree.insert(Entry { bbox, fov, value }, &dirs_of);
     }
 
+    /// Hands `found` the scene box and payload of every row whose box
+    /// intersects `query`, FOV or not, in tree order: a descent by box
+    /// alone. Every node it enters is added to `nodes`.
+    pub fn visit_range<'a>(
+        &'a self,
+        query: &BBox,
+        nodes: &mut u64,
+        mut found: impl FnMut(&BBox, &'a T),
+    ) {
+        self.tree
+            .visit_box(query, nodes, &mut |e| found(&e.bbox, &e.value));
+    }
+
+    /// The `k` rows nearest to `p` by scene-box min-distance, closest
+    /// first and by payload among rows at one distance, as
+    /// `(distance_m, payload)`. Every node the search expands is added
+    /// to `nodes`.
+    pub fn knn(&self, p: &GeoPoint, k: usize, nodes: &mut u64) -> Vec<(f64, &T)>
+    where
+        T: Ord,
+    {
+        self.tree.knn(p, k, |e| &e.value, nodes)
+    }
+
     /// FOVs whose scene location intersects `region` and whose viewing
-    /// direction overlaps `directions`. Pass [`AngularRange::FULL`] for a
-    /// purely spatial query. Every node the descent enters is added to
-    /// `nodes`.
+    /// direction overlaps `directions`; rows without an FOV are pruned.
+    /// Pass [`AngularRange::FULL`] for every FOV in the region. Every
+    /// node the descent enters is added to `nodes`.
     pub fn range_directed(
         &self,
         region: &BBox,
         directions: &AngularRange,
         nodes: &mut u64,
     ) -> Vec<(&Fov, &T)> {
-        let admits =
-            |bbox: &BBox, dirs: &AngularRange| bbox.intersects(region) && dirs.overlaps(directions);
+        let seen = |dirs: &Dirs| dirs.is_some_and(|d| d.overlaps(directions));
+        let admits = |bbox: &BBox, dirs: &Dirs| bbox.intersects(region) && seen(dirs);
         let mut out = Vec::new();
         self.tree.visit(
             &admits,
-            &mut |e| {
-                if admits(&e.bbox, &e.fov.direction_range()) {
-                    out.push((&e.fov, &e.value));
+            &mut |e| match &e.fov {
+                Some(fov) if admits(&e.bbox, &Some(fov.direction_range())) => {
+                    out.push((fov, &e.value));
                 }
+                _ => {}
             },
             nodes,
         );
         out
     }
 
-    /// FOVs that actually *see* point `p` (exact sector test after index
-    /// pruning), optionally restricted to a viewing-direction arc. Every
-    /// node the descent enters is added to `nodes`.
-    pub fn covering_point(
-        &self,
-        p: &GeoPoint,
-        directions: Option<&AngularRange>,
-        nodes: &mut u64,
-    ) -> Vec<(&Fov, &T)> {
-        let region = BBox::from_point(*p);
-        let dirs = directions.copied().unwrap_or(AngularRange::FULL);
-        self.range_directed(&region, &dirs, nodes)
-            .into_iter()
-            .filter(|(fov, _)| fov.contains(p))
-            .collect()
+    /// Rows that *see* point `p`: an FOV whose sector holds it (exact
+    /// test after a descent by box alone), or a row without an FOV whose
+    /// scene box holds it. Every node the descent enters is added to
+    /// `nodes`.
+    pub fn covering_point(&self, p: &GeoPoint, nodes: &mut u64) -> Vec<&T> {
+        let mut out = Vec::new();
+        self.tree.visit_box(&BBox::from_point(*p), nodes, &mut |e| {
+            if e.fov.as_ref().is_none_or(|fov| fov.contains(p)) {
+                out.push(&e.value);
+            }
+        });
+        out
     }
 
     /// Verifies the shared structure (`Tree::check_invariants`) and
@@ -140,12 +166,16 @@ impl<T> OrientedRTree<T> {
     pub fn check_invariants(&self) {
         self.tree.check_invariants(&|slot| {
             // Every direction covered below must be inside the stored
-            // summary: test a dense sample.
-            let below = dirs_of(&slot.node);
+            // summary: test a dense sample. An empty arc below needs no
+            // cover.
+            let Some(below) = dirs_of(&slot.node) else {
+                return;
+            };
             for step in 0..72 {
                 let deg = step as f64 * 5.0;
                 if below.contains(deg) {
-                    assert!(slot.summary.contains(deg), "direction summary misses {deg}");
+                    let covered = slot.summary.is_some_and(|s| s.contains(deg));
+                    assert!(covered, "direction summary misses {deg}");
                 }
             }
         });
@@ -173,7 +203,7 @@ mod tests {
         let fovs = make_fovs(150);
         let mut tree = OrientedRTree::new();
         for (f, id) in &fovs {
-            tree.insert(f.scene_location(), *f, *id);
+            tree.insert(f.scene_location(), Some(*f), *id);
         }
         tree.check_invariants();
         let region = BBox::new(34.002, -118.297, 34.008, -118.291);
@@ -201,7 +231,7 @@ mod tests {
         let fovs = make_fovs(150);
         let mut tree = OrientedRTree::new();
         for (f, id) in &fovs {
-            tree.insert(f.scene_location(), *f, *id);
+            tree.insert(f.scene_location(), Some(*f), *id);
         }
         let region = BBox::new(33.99, -118.31, 34.03, -118.27);
         let all = tree
@@ -222,19 +252,21 @@ mod tests {
         let cam = GeoPoint::new(34.01, -118.29);
         let mut tree = OrientedRTree::new();
         let north = Fov::new(cam, 0.0, 60.0, 100.0);
-        tree.insert(north.scene_location(), north, "north");
+        tree.insert(north.scene_location(), Some(north), "north");
         let south = Fov::new(cam, 180.0, 60.0, 100.0);
-        tree.insert(south.scene_location(), south, "south");
+        tree.insert(south.scene_location(), Some(south), "south");
         let ahead = cam.destination(0.0, 50.0);
-        let hits = tree.covering_point(&ahead, None, &mut 0);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(*hits[0].1, "north");
-        // Direction-constrained: ask for south-facing cameras seeing the
-        // north point — none.
-        let south_dirs = AngularRange::centered(180.0, 40.0);
+        assert_eq!(tree.covering_point(&ahead, &mut 0), vec![&"north"]);
+        // A row without an FOV covers exactly its own point, and no
+        // directed query finds it.
+        tree.insert(BBox::from_point(ahead), None, "point");
+        let mut hits = tree.covering_point(&ahead, &mut 0);
+        hits.sort_unstable();
+        assert_eq!(hits, vec![&"north", &"point"]);
         assert!(tree
-            .covering_point(&ahead, Some(&south_dirs), &mut 0)
-            .is_empty());
+            .range_directed(&BBox::from_point(ahead), &AngularRange::FULL, &mut 0)
+            .iter()
+            .all(|(_, id)| **id != "point"));
     }
 
     #[test]
@@ -251,7 +283,7 @@ mod tests {
         let fovs = make_fovs(300);
         let mut tree = OrientedRTree::new();
         for (f, id) in &fovs {
-            tree.insert(f.scene_location(), *f, *id);
+            tree.insert(f.scene_location(), Some(*f), *id);
         }
         assert_eq!(tree.len(), 300);
         tree.check_invariants();

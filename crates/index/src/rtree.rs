@@ -176,6 +176,44 @@ impl<E: HasBBox, S> Tree<E, S> {
         self.root.visit(descend, found, nodes);
     }
 
+    /// Hands `found` every entry whose box intersects `query`, in tree
+    /// order: a descent by box alone, no summary read.
+    pub(crate) fn visit_box<'a>(
+        &'a self,
+        query: &BBox,
+        nodes: &mut u64,
+        found: &mut impl FnMut(&'a E),
+    ) {
+        let found = &mut |e: &'a E| {
+            if e.bbox().intersects(query) {
+                found(e);
+            }
+        };
+        self.visit(&|bbox, _| bbox.intersects(query), found, nodes);
+    }
+
+    /// The `k` entries nearest to `p` by box min-distance, as
+    /// `(distance_m, payload)`, closest first and by payload among
+    /// entries at one distance: [`Tree::nearest`] by box alone.
+    pub(crate) fn knn<'a, T: Ord>(
+        &'a self,
+        p: &GeoPoint,
+        k: usize,
+        payload: impl Fn(&'a E) -> &'a T,
+        nodes: &mut u64,
+    ) -> Vec<(f64, &'a T)> {
+        let distance = |bbox: &BBox| TotalF64(bbox.min_distance_m(p));
+        self.nearest(
+            k,
+            |bbox, _| Some(distance(bbox)),
+            |e| Some((distance(&e.bbox()), payload(e))),
+            nodes,
+        )
+        .into_iter()
+        .map(|(TotalF64(d), value)| (d, value))
+        .collect()
+    }
+
     /// Inserts one entry; every slot on the insert path is re-summarised
     /// by `summary_of`.
     pub(crate) fn insert(&mut self, entry: E, summary_of: &impl Fn(&Node<E, S>) -> S) {
@@ -405,15 +443,8 @@ impl<T> RTree<T> {
     /// in tree order, without collecting them, and adds every node the
     /// descent enters to `nodes`.
     pub fn visit_range<'a>(&'a self, query: &BBox, nodes: &mut u64, mut found: impl FnMut(&'a T)) {
-        self.tree.visit(
-            &|bbox, ()| bbox.intersects(query),
-            &mut |(bbox, value)| {
-                if bbox.intersects(query) {
-                    found(value);
-                }
-            },
-            nodes,
-        );
+        self.tree
+            .visit_box(query, nodes, &mut |(_, value)| found(value));
     }
 
     /// The `k` entries nearest to `p` by box min-distance, closest first
@@ -424,17 +455,7 @@ impl<T> RTree<T> {
     where
         T: Ord,
     {
-        let distance = |bbox: &BBox| TotalF64(bbox.min_distance_m(p));
-        self.tree
-            .nearest(
-                k,
-                |bbox, ()| Some(distance(bbox)),
-                |(bbox, value)| Some((distance(bbox), value)),
-                nodes,
-            )
-            .into_iter()
-            .map(|(TotalF64(d), value)| (d, value))
-            .collect()
+        self.tree.knn(p, k, |(_, value)| value, nodes)
     }
 
     /// Verifies structural invariants (tests/debugging): the shared
@@ -773,9 +794,11 @@ mod tests {
     /// the oriented tree, and a grown hybrid tree against a scan, at
     /// sizes that are empty, fit one leaf, fill it and spill one entry
     /// past it, then at random sizes up to 300. Boxes, FOVs and rows
-    /// repeat, so splits, tiles and searches meet ties. Filters agree as
-    /// sets; best-first searches agree entry for entry, in
-    /// `(rank, payload)` order.
+    /// repeat, so splits, tiles and searches meet ties, and one oriented
+    /// row in five has no FOV, so its directed, box-only, covering and
+    /// nearest answers all meet the empty arc. Filters agree as sets;
+    /// best-first searches agree entry for entry, in `(rank, payload)`
+    /// order.
     #[test]
     fn packed_trees_answer_as_grown_trees_and_a_scan() {
         let fixed = [0usize, 1, 16, 17];
@@ -846,28 +869,69 @@ mod tests {
                 }
             }
 
+            // The oriented tree holds every row; one in five has no FOV
+            // and sits under the degenerate box at its camera.
+            let oriented: Vec<(BBox, Option<Fov>, u32)> = rows
+                .iter()
+                .map(|&(fov, _, id)| match id % 5 {
+                    4 => (BBox::from_point(fov.camera), None, id),
+                    _ => (fov.scene_location(), Some(fov), id),
+                })
+                .collect();
             let mut grown = OrientedRTree::new();
-            for (&(fov, _, id), (scene, _)) in rows.iter().zip(scenes()) {
+            for &(scene, fov, id) in &oriented {
                 grown.insert(scene, fov, id);
             }
-            let packed = OrientedRTree::build(
-                rows.iter()
-                    .zip(scenes())
-                    .map(|(&(fov, _, id), (scene, _))| (scene, fov, id)),
-            );
+            let packed = OrientedRTree::build(oriented.iter().copied());
             grown.check_invariants();
             packed.check_invariants();
             assert_eq!(packed.len(), n);
             let ids = |hits: Vec<(&Fov, &u32)>| sorted(hits.into_iter().map(|(_, id)| id));
             for region in &regions {
                 for dirs in [AngularRange::FULL, AngularRange::centered(90.0, 60.0)] {
-                    let scan = rows.iter().filter(|(fov, _, _)| {
-                        fov.scene_location().intersects(region)
-                            && fov.direction_range().overlaps(&dirs)
+                    let scan = oriented.iter().filter(|(scene, fov, _)| {
+                        fov.is_some_and(|fov| {
+                            scene.intersects(region) && fov.direction_range().overlaps(&dirs)
+                        })
                     });
                     let want = sorted(scan.map(|(_, _, id)| id));
                     assert_eq!(ids(packed.range_directed(region, &dirs, &mut 0)), want);
                     assert_eq!(ids(grown.range_directed(region, &dirs, &mut 0)), want);
+                }
+                let scan = oriented
+                    .iter()
+                    .filter(|(scene, _, _)| scene.intersects(region));
+                let want = sorted(scan.map(|(_, _, id)| id));
+                for tree in [&packed, &grown] {
+                    let mut hits = Vec::new();
+                    tree.visit_range(region, &mut 0, |scene, id| {
+                        assert!(scene.intersects(region));
+                        hits.push(id);
+                    });
+                    assert_eq!(sorted(hits), want);
+                }
+            }
+            // Covering at free points and at a FOV-less row's camera.
+            let cameras = oriented.iter().filter(|(_, fov, _)| fov.is_none());
+            let cameras = cameras.map(|(scene, _, _)| scene.center()).take(2);
+            for p in points.iter().copied().chain(cameras) {
+                let scan = oriented.iter().filter(|(scene, fov, _)| match fov {
+                    Some(fov) => fov.contains(&p),
+                    None => scene.contains(&p),
+                });
+                let want = sorted(scan.map(|(_, _, id)| id));
+                assert_eq!(sorted(packed.covering_point(&p, &mut 0)), want);
+                assert_eq!(sorted(grown.covering_point(&p, &mut 0)), want);
+                for k in [1, 7, 40] {
+                    let scan = oriented
+                        .iter()
+                        .map(|(b, _, id)| (b.min_distance_m(&p), *id));
+                    let want = lowest(scan.collect(), k);
+                    let got = |hits: Vec<(f64, &u32)>| -> Vec<(f64, u32)> {
+                        hits.into_iter().map(|(d, id)| (d, *id)).collect()
+                    };
+                    assert_eq!(got(packed.knn(&p, k, &mut 0)), want, "n = {n}, k = {k}");
+                    assert_eq!(got(grown.knn(&p, k, &mut 0)), want, "n = {n}, k = {k}");
                 }
             }
 

@@ -114,7 +114,7 @@ fn oriented_rtree_equals_linear_scan() {
         let tree = OrientedRTree::build(
             fovs.iter()
                 .zip(0..)
-                .map(|(f, i)| (f.scene_location(), *f, i)),
+                .map(|(f, i)| (f.scene_location(), Some(*f), i)),
         );
         tree.check_invariants();
         let dirs = AngularRange::new(dir_start, dir_width);
@@ -191,10 +191,7 @@ fn inverted_and_subset_of_or() {
         if rng.gen_bool(0.5) {
             query = format!("{query} {}", text(rng, b"abcd", 1));
         }
-        let mut idx = InvertedIndex::new();
-        for (i, d) in docs.iter().enumerate() {
-            idx.index_document(i, d);
-        }
+        let idx = InvertedIndex::build(&docs);
         let and = idx.search_and(&query);
         let or = idx.search_or(&query);
         for d in &and {

@@ -19,9 +19,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tvdp_geo::{BBox, Fov};
-use tvdp_index::{inverted::tokenize, InvertedIndex, OrientedRTree, RTree};
+use tvdp_index::inverted::{tokenize, IndexBuilder};
+use tvdp_index::{InvertedIndex, OrientedRTree};
 use tvdp_kernel::{l2_sq_within, Pool, ProjectedQuery, RowSource, SlabView, TopK, TotalF32};
-use tvdp_storage::{FeatureHandle, ImageId, ImageRecord, VisualStore};
+use tvdp_storage::{FeatureHandle, ImageId, ImageRow, VisualStore};
 use tvdp_vision::FeatureKind;
 
 use crate::plan::{Cut, DeadlineCtx, Trace, View};
@@ -71,20 +72,18 @@ fn within(row: &[f32], example: &[f32], max_dist: f32) -> Option<f32> {
 pub struct QueryEngine {
     store: Arc<VisualStore>,
     config: EngineConfig,
-    scene_tree: RTree<ImageId>,
-    fov_tree: OrientedRTree<ImageId>,
+    /// The segment's one spatial tree: every doc under its scene box,
+    /// with its FOV if it has one, keyed by doc handle.
+    tree: OrientedRTree<u32>,
     text: InvertedIndex,
-    /// Dense doc handle -> image id, ascending: the indexed set, and
-    /// (by binary search) image id -> doc handle.
+    /// Dense doc handle -> image id, ascending: the indexed set.
     docs: Vec<ImageId>,
-    /// Per-doc columns, parallel to `docs`: capture/upload timestamps,
-    /// scene boxes, whether the row carries an FOV and its arena row of
-    /// the indexed family ([`NO_ROW`] when it holds none), recorded at
-    /// index time so per-candidate predicates never take the store lock.
+    /// Per-doc columns, parallel to `docs`: capture/upload timestamps
+    /// and the arena row of the indexed family ([`NO_ROW`] when it holds
+    /// none), recorded at index time so per-candidate predicates never
+    /// take the store lock.
     captured_at: Vec<i64>,
     uploaded_at: Vec<i64>,
-    scenes: Vec<BBox>,
-    has_fov: Vec<bool>,
     rows: Vec<u32>,
     /// The docs in `(captured_at, doc)` and `(uploaded_at, doc)` order.
     captured_order: Vec<u32>,
@@ -113,10 +112,12 @@ impl QueryEngine {
     /// exactly the rows the segment owns, sharing the store's feature
     /// arena zero-copy.
     ///
-    /// The id list is final, so everything is built write-once: the two
-    /// trees are packed from their entry lists (each node summary
-    /// computed once) and each time order is one sort. No feature value
-    /// is read: a visual leaf scans the `rows` column.
+    /// The id list is final, so everything is built write-once: the
+    /// tree is packed from its entry list (each node summary computed
+    /// once), each postings list is laid down at its size, each
+    /// keyword string is tokenized once however many rows hold it, and
+    /// each time order is one sort. No feature value is read: a visual
+    /// leaf scans the `rows` column.
     pub fn build_over(store: Arc<VisualStore>, config: EngineConfig, ids: &[ImageId]) -> Self {
         let mut ids = ids.to_vec();
         ids.sort_unstable();
@@ -124,14 +125,11 @@ impl QueryEngine {
         let mut engine = Self {
             store: Arc::clone(&store),
             config,
-            scene_tree: RTree::new(),
-            fov_tree: OrientedRTree::new(),
-            text: InvertedIndex::new(),
+            tree: OrientedRTree::new(),
+            text: InvertedIndex::default(),
             docs: Vec::with_capacity(ids.len()),
             captured_at: Vec::with_capacity(ids.len()),
             uploaded_at: Vec::with_capacity(ids.len()),
-            scenes: Vec::with_capacity(ids.len()),
-            has_fov: Vec::with_capacity(ids.len()),
             rows: Vec::with_capacity(ids.len()),
             captured_order: Vec::new(),
             uploaded_order: Vec::new(),
@@ -139,23 +137,27 @@ impl QueryEngine {
             rows_hi: 0,
             extent: None,
         };
-        let mut scenes: Vec<(BBox, ImageId)> = Vec::with_capacity(ids.len());
-        let mut fovs: Vec<(BBox, Fov, ImageId)> = Vec::new();
-        store.with_image_rows(&ids, engine.config.visual_kind, |record, handle| {
-            let (scene, fov) = engine.index_row(record, handle);
-            scenes.push((scene, record.id));
-            fovs.extend(fov.map(|fov| (scene, fov, record.id)));
+        let mut entries: Vec<(BBox, Option<Fov>, u32)> = Vec::with_capacity(ids.len());
+        let mut text = IndexBuilder::default();
+        // The term numbers of each keyword string, by its store-wide
+        // number: tokenized on its first row in this build.
+        let mut terms_of: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        let mut doc_terms = Vec::new();
+        store.with_image_rows(&ids, engine.config.visual_kind, |row, handle| {
+            doc_terms.clear();
+            for (&number, word) in row.keyword_numbers().iter().zip(row.keywords()) {
+                let terms = terms_of.entry(number).or_insert_with(|| text.terms(word));
+                doc_terms.extend_from_slice(terms);
+            }
+            text.push_doc(&doc_terms);
+            let doc = engine.docs.len() as u32;
+            entries.push((engine.index_row(row, handle), row.fov, doc));
         });
         engine.captured_order = time_order(&engine.captured_at);
         engine.uploaded_order = time_order(&engine.uploaded_at);
-        engine.scene_tree = RTree::build(scenes);
-        engine.fov_tree = OrientedRTree::build(fovs);
+        engine.tree = OrientedRTree::build(entries);
+        engine.text = text.finish();
         engine
-    }
-
-    /// The doc handle of `id`, if indexed.
-    fn doc_of(&self, id: ImageId) -> Option<usize> {
-        self.docs.binary_search(&id).ok()
     }
 
     /// The indexed image ids, ascending.
@@ -174,39 +176,31 @@ impl QueryEngine {
     }
 
     /// Appends the per-doc columns of one image above every indexed id,
-    /// read from its store `record` and the arena `handle` of its row of
-    /// the indexed family (if it holds one), and returns what the trees
-    /// key it by: its scene box and its FOV.
+    /// read from its store `row` and the arena `handle` of its row of
+    /// the indexed family (if it holds one), and returns the scene box
+    /// the tree keys it by.
     ///
     /// # Panics
     ///
     /// Panics when the row's length differs from the first indexed
     /// row's.
-    fn index_row(
-        &mut self,
-        record: &ImageRecord,
-        handle: Option<FeatureHandle>,
-    ) -> (BBox, Option<Fov>) {
-        let id = record.id;
+    fn index_row(&mut self, row: ImageRow<'_>, handle: Option<FeatureHandle>) -> BBox {
+        let id = row.id;
         debug_assert!(self.docs.last().is_none_or(|&last| last < id));
         if let Some(handle) = handle {
             let dim = *self.visual_dim.get_or_insert(handle.dim as usize);
             assert_eq!(handle.dim as usize, dim, "feature dimension mismatch");
         }
-        let scene = record.scene_location();
-        let doc = self.docs.len();
+        let scene = row.scene_location();
         self.docs.push(id);
-        self.text.index_keywords(doc, &record.meta.keywords);
-        self.captured_at.push(record.meta.captured_at);
-        self.uploaded_at.push(record.meta.uploaded_at);
-        self.scenes.push(scene);
-        self.has_fov.push(record.meta.fov.is_some());
+        self.captured_at.push(row.captured_at);
+        self.uploaded_at.push(row.uploaded_at);
         self.extent = Some(self.extent.map_or(scene, |e| e.union(&scene)));
         self.rows.push(handle.map_or(NO_ROW, |h| h.row));
         if let Some(handle) = handle {
             self.rows_hi = self.rows_hi.max(handle.row.saturating_add(1));
         }
-        (scene, record.meta.fov)
+        scene
     }
 
     /// The docs whose `field` timestamp lies in `[from, to]`, in
@@ -321,46 +315,41 @@ impl QueryEngine {
             .collect()
     }
 
-    /// A spatial leaf from the trees, counting the nodes their descents
-    /// enter into `nodes`.
+    /// A spatial leaf from the tree, counting the nodes its descents
+    /// enter into `nodes`. Range, nearest, within and covering go by
+    /// box alone, so they find rows without an FOV; directed goes by
+    /// box and arc, which prunes them.
     fn execute_spatial(&self, sq: &SpatialQuery, nodes: &mut u64) -> Vec<QueryResult> {
+        let hit = |doc: &u32, score: f64| QueryResult::new(self.docs[*doc as usize], score);
         let mut out = Vec::new();
         match sq {
-            SpatialQuery::Range(bbox) => self.scene_tree.visit_range(bbox, nodes, |id| {
-                out.push(QueryResult::new(*id, 0.0));
-            }),
+            SpatialQuery::Range(bbox) => {
+                self.tree
+                    .visit_range(bbox, nodes, |_, doc| out.push(hit(doc, 0.0)));
+            }
             SpatialQuery::Nearest { point, k } => {
-                let nearest = self.scene_tree.knn(point, *k, nodes);
-                out.extend(nearest.into_iter().map(|(d, id)| QueryResult::new(*id, d)));
+                let nearest = self.tree.knn(point, *k, nodes);
+                out.extend(nearest.into_iter().map(|(d, doc)| hit(doc, d)));
             }
             SpatialQuery::Within(polygon) => {
                 // Index pre-filter on the polygon's bounding box, then the
                 // exact polygon-rectangle test on the index-time scene.
-                self.scene_tree.visit_range(&polygon.bbox(), nodes, |id| {
-                    let hit = self.doc_of(*id);
-                    if hit.is_some_and(|doc| polygon.intersects_bbox(&self.scenes[doc])) {
-                        out.push(QueryResult::new(*id, 0.0));
+                self.tree.visit_range(&polygon.bbox(), nodes, |scene, doc| {
+                    if polygon.intersects_bbox(scene) {
+                        out.push(hit(doc, 0.0));
                     }
                 });
             }
             SpatialQuery::Covering(p) => {
-                // FOV-backed visibility plus degenerate matches from
-                // images without direction metadata.
-                let covering = self.fov_tree.covering_point(p, None, nodes);
-                let mut ids: Vec<ImageId> = covering.into_iter().map(|(_, id)| *id).collect();
-                self.scene_tree
-                    .visit_range(&BBox::from_point(*p), nodes, |id| {
-                        if self.doc_of(*id).is_some_and(|doc| !self.has_fov[doc]) {
-                            ids.push(*id);
-                        }
-                    });
-                ids.sort_unstable();
-                ids.dedup();
-                out.extend(ids.into_iter().map(|id| QueryResult::new(id, 0.0)));
+                // FOVs that see `p`, and rows without one whose box
+                // holds it: one descent.
+                let mut docs = self.tree.covering_point(p, nodes);
+                docs.sort_unstable();
+                out.extend(docs.into_iter().map(|doc| hit(doc, 0.0)));
             }
             SpatialQuery::Directed { region, directions } => {
-                let hits = self.fov_tree.range_directed(region, directions, nodes);
-                out.extend(hits.into_iter().map(|(_, id)| QueryResult::new(*id, 0.0)));
+                let hits = self.tree.range_directed(region, directions, nodes);
+                out.extend(hits.into_iter().map(|(_, doc)| hit(doc, 0.0)));
             }
         }
         out
@@ -369,7 +358,7 @@ impl QueryEngine {
     /// Visual query, optionally restricted to a spatial region (the
     /// hybrid spatial-visual plan, which the planner scatters as one
     /// leaf per segment): the candidates are every doc, or the
-    /// scene tree's hits for `region`, and each candidate's row is read
+    /// tree's hits by box for `region`, and each candidate's row is read
     /// in place from the shared arena snapshot and scored by
     /// [`l2_sq_within`]. A threshold is the limit of every row. A top-k
     /// row is limited by the smaller of this segment's current `k`-th
@@ -377,8 +366,8 @@ impl QueryEngine {
     /// bound is above the cut is rejected before its full width is
     /// read; only a row strictly worse than either is dropped, so a tie
     /// at the cut is still ranked by id. Nothing is cloned per query.
-    /// Rows bounded and scored, and scene tree nodes entered, are
-    /// counted into `trace`.
+    /// Rows bounded and scored, and tree nodes entered, are counted
+    /// into `trace`.
     pub(crate) fn execute_visual(
         &self,
         example: &[f32],
@@ -438,7 +427,7 @@ impl QueryEngine {
     /// with the lowest projected bounds, as `(bound, id)` in ascending
     /// order. Rows without a projected column (in the arena's partial
     /// chunk) have no bound to rank by and are left out. Rows bounded
-    /// and scene tree nodes entered are counted into `trace`.
+    /// and tree nodes entered are counted into `trace`.
     pub(crate) fn visual_bounds(
         &self,
         projected: &ProjectedQuery,
@@ -461,8 +450,8 @@ impl QueryEngine {
     }
 
     /// Calls `f` with the id and arena row handle of every doc holding
-    /// a row of the indexed family, or with `region`, of every scene
-    /// tree hit holding one (counting the tree nodes entered into
+    /// a row of the indexed family, or with `region`, of every tree hit
+    /// by box holding one (counting the tree nodes entered into
     /// `nodes`).
     fn visual_rows(&self, region: Option<&BBox>, nodes: &mut u64, mut f: impl FnMut(ImageId, u32)) {
         let mut visit = |doc: usize| {
@@ -473,11 +462,9 @@ impl QueryEngine {
         };
         match region {
             None => (0..self.docs.len()).for_each(&mut visit),
-            Some(region) => self.scene_tree.visit_range(region, nodes, |id| {
-                if let Some(doc) = self.doc_of(*id) {
-                    visit(doc);
-                }
-            }),
+            Some(region) => self
+                .tree
+                .visit_range(region, nodes, |_, &doc| visit(doc as usize)),
         }
     }
 

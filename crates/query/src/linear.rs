@@ -15,7 +15,7 @@ use std::sync::Arc;
 use tvdp_geo::BBox;
 use tvdp_index::inverted::{tokenize, tokens};
 use tvdp_kernel::{l2, l2_sq, TopK, TotalF32, TotalF64};
-use tvdp_storage::{ImageId, ImageRecord, VisualStore};
+use tvdp_storage::{ImageId, ImageRow, VisualStore};
 use tvdp_vision::FeatureKind;
 
 use crate::plan;
@@ -59,13 +59,13 @@ impl LinearSegment<'_> {
             Query::Spatial(sq) => self.filter(|r| match sq {
                 SpatialQuery::Range(bbox) => r.scene_location().intersects(bbox),
                 SpatialQuery::Within(polygon) => polygon.intersects_bbox(&r.scene_location()),
-                SpatialQuery::Covering(p) => match &r.meta.fov {
+                SpatialQuery::Covering(p) => match r.fov.as_ref() {
                     Some(fov) => fov.contains(p),
                     None => r.scene_location().contains(p),
                 },
                 // A record's scene box is its FOV's scene location.
                 SpatialQuery::Directed { region, directions } => {
-                    r.meta.fov.as_ref().is_some_and(|fov| {
+                    r.fov.as_ref().is_some_and(|fov| {
                         r.scene_location().intersects(region)
                             && fov.direction_range().overlaps(directions)
                     })
@@ -74,8 +74,8 @@ impl LinearSegment<'_> {
             }),
             Query::Temporal { field, from, to } => self.filter(|r| {
                 let t = match field {
-                    TemporalField::Captured => r.meta.captured_at,
-                    TemporalField::Uploaded => r.meta.uploaded_at,
+                    TemporalField::Captured => r.captured_at,
+                    TemporalField::Uploaded => r.uploaded_at,
                 };
                 t >= *from && t <= *to
             }),
@@ -89,7 +89,7 @@ impl LinearSegment<'_> {
                 }
                 self.filter(|r| {
                     let has = |term: &String| {
-                        let mut words = r.meta.keywords.iter().flat_map(|k| tokens(k));
+                        let mut words = r.keywords().flat_map(tokens);
                         words.any(|t| token_eq(t, term))
                     };
                     match mode {
@@ -107,7 +107,7 @@ impl LinearSegment<'_> {
         }
     }
 
-    fn filter(&self, mut hit: impl FnMut(&ImageRecord) -> bool) -> Vec<QueryResult> {
+    fn filter(&self, mut hit: impl FnMut(ImageRow<'_>) -> bool) -> Vec<QueryResult> {
         let mut out = Vec::new();
         self.store.with_images(self.ids, |r| {
             if hit(r) {
@@ -178,7 +178,7 @@ impl LinearSegment<'_> {
         self.store.with_images(self.ids, |r| {
             let mut len = 0u32;
             let mut tf = vec![0u32; terms.len()];
-            for tok in r.meta.keywords.iter().flat_map(|k| tokens(k)) {
+            for tok in r.keywords().flat_map(tokens) {
                 len += 1;
                 for (slot, term) in tf.iter_mut().zip(terms) {
                     if token_eq(tok, term) {
@@ -251,12 +251,13 @@ impl LinearExecutor {
             } => {
                 // Brute-force tf-idf: one index over the whole corpus,
                 // what the engines' two-phase scoring is checked against.
-                let mut idx = tvdp_index::InvertedIndex::new();
+                let mut texts = Vec::with_capacity(ids.len());
                 let mut docs = Vec::with_capacity(ids.len());
                 self.store.with_images(ids, |r| {
-                    idx.index_document(docs.len(), &r.meta.keywords.join(" "));
+                    texts.push(r.keywords().collect::<Vec<_>>().join(" "));
                     docs.push(r.id);
                 });
+                let idx = tvdp_index::InvertedIndex::build(&texts);
                 idx.search_ranked(text, *k)
                     .into_iter()
                     .map(|(s, doc)| QueryResult::new(docs[doc], s))

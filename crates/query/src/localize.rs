@@ -63,10 +63,13 @@ pub fn localize(
     let mut neighbours = Vec::with_capacity(results.len());
     let mut points = Vec::with_capacity(results.len());
     for r in &results {
-        let record = store.image(r.image)?;
-        points.push(record.scene_location().center());
         weights.push(1.0 / (r.score + 1e-6));
         neighbours.push((r.image, r.score));
+    }
+    let ids: Vec<ImageId> = neighbours.iter().map(|&(id, _)| id).collect();
+    store.with_images(&ids, |row| points.push(row.scene_location().center()));
+    if points.len() < ids.len() {
+        return None;
     }
     // Weighted geometric medoid: robust against a minority of visually
     // similar but far-away neighbours.

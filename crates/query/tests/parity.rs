@@ -652,6 +652,165 @@ fn non_ascii_keywords_match_the_same_in_segments_and_tail() {
     }
 }
 
+/// Rows that mix FOV and FOV-less rows (some sharing one point), with
+/// hostile keywords (none, repeats, mixed case, non-ASCII, empty and
+/// space-only strings, a list longer than any inline width), answer
+/// every spatial family, boolean text and `And[Range, Visual]` as the
+/// linear reference does, score for score, at seal caps {1, 128} x
+/// pools {1, 4}: each segment's one tree holds a FOV-less row under the
+/// empty arc, and its text index numbers each keyword string once.
+#[test]
+fn one_tree_and_interned_keywords_answer_as_the_linear_scan() {
+    let long: Vec<&str> = (0..40)
+        .map(|i| ["Tent", "tent", "TRASH", "Straße"][i % 4])
+        .collect();
+    let lists: [&[&str]; 7] = [
+        &[],
+        &["Street", "street", "STREET", "Street"],
+        &["Straße", "İstanbul café", "ΟΔΟΣ 7"],
+        &["", "  ", "alley-corner"],
+        &long,
+        &["STRASSE", "istanbul", "trash"],
+        &["downtown"],
+    ];
+    let mut rng = Rng::seed_from_u64(49);
+    let shared = GeoPoint::new(34.02, -118.28);
+    let rows: Vec<WalOp> = (0..300u64)
+        .map(|i| {
+            // Rows 0-3 of every ten share a point; row 3 has no FOV.
+            let gps = match i % 10 {
+                0..=3 => shared,
+                _ => GeoPoint::new(
+                    34.0 + rng.gen_range(0.0..0.05),
+                    -118.3 + rng.gen_range(0.0..0.05),
+                ),
+            };
+            let fov = (i % 5 < 3).then(|| {
+                let heading = rng.gen_range(0.0..360.0);
+                Fov::new(
+                    gps,
+                    heading,
+                    rng.gen_range(40.0..80.0),
+                    rng.gen_range(50.0..150.0),
+                )
+            });
+            let class = (i % 3) as f32;
+            let feature: Vec<f32> = (0..DIM)
+                .map(|_| class * 2.0 + rng.gen_range(-0.3..0.3))
+                .collect();
+            WalOp::IngestUpload {
+                marker: None,
+                id: ImageId(i),
+                meta: ImageMeta {
+                    uploader: UserId(1),
+                    gps,
+                    fov,
+                    captured_at: 1_000 + i as i64,
+                    uploaded_at: 2_000,
+                    keywords: lists[i as usize % lists.len()]
+                        .iter()
+                        .map(|k| k.to_string())
+                        .collect(),
+                },
+                origin: ImageOrigin::Original,
+                pixels: None,
+                features: vec![(FeatureKind::Cnn, feature)],
+            }
+        })
+        .collect();
+    let store = Arc::new(VisualStore::new());
+    store.apply_batch(rows).unwrap();
+
+    let mut queries = Vec::new();
+    for _ in 0..4 {
+        let lat = 34.0 + rng.gen_range(0.0..0.04);
+        let lon = -118.3 + rng.gen_range(0.0..0.04);
+        let side = rng.gen_range(0.005..0.03);
+        let region = BBox::new(lat, lon, lat + side, lon + side);
+        let a = GeoPoint::new(lat, lon);
+        let point = GeoPoint::new(lat + side / 2.0, lon + side / 2.0);
+        queries.extend([
+            Query::Spatial(SpatialQuery::Range(region)),
+            Query::Spatial(SpatialQuery::Nearest {
+                point,
+                k: rng.gen_range(1..40),
+            }),
+            Query::Spatial(SpatialQuery::Within(GeoPolygon::new(vec![
+                a,
+                a.destination(90.0, rng.gen_range(1_000.0..4_000.0)),
+                a.destination(0.0, rng.gen_range(1_000.0..4_000.0)),
+            ]))),
+            Query::Spatial(SpatialQuery::Covering(point)),
+            Query::Spatial(SpatialQuery::Directed {
+                region,
+                directions: AngularRange::centered(rng.gen_range(0.0..360.0), 90.0),
+            }),
+            Query::And(vec![
+                Query::Spatial(SpatialQuery::Range(region)),
+                Query::Visual {
+                    example: random_example(&mut rng),
+                    kind: FeatureKind::Cnn,
+                    mode: VisualMode::TopK(rng.gen_range(1..20)),
+                },
+            ]),
+            Query::And(vec![
+                Query::Spatial(SpatialQuery::Range(region)),
+                Query::Visual {
+                    example: random_example(&mut rng),
+                    kind: FeatureKind::Cnn,
+                    mode: VisualMode::Threshold(rng.gen_range(0.8..4.0)),
+                },
+            ]),
+        ]);
+    }
+    queries.push(Query::Spatial(SpatialQuery::Covering(shared)));
+    queries.push(Query::Spatial(SpatialQuery::Nearest {
+        point: shared,
+        k: 45,
+    }));
+    for text in [
+        "street",
+        "STRASSE",
+        "istanbul café",
+        "tent trash",
+        "οδος",
+        "alley",
+        "",
+        "  ",
+    ] {
+        for mode in [TextualMode::All, TextualMode::Any] {
+            queries.push(Query::Textual {
+                text: text.into(),
+                mode,
+            });
+        }
+    }
+
+    let linear = LinearExecutor::new(Arc::clone(&store));
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|q| canonical(&linear.execute(q)))
+        .collect();
+    // The shared point is covered by its 30 FOV-less rows, at least.
+    let covering = linear.execute(&Query::Spatial(SpatialQuery::Covering(shared)));
+    let ids: Vec<u64> = covering.iter().map(|r| r.image.raw()).collect();
+    assert!((3..300).step_by(10).all(|i| ids.contains(&i)), "{ids:?}");
+    for cap in [1, 128] {
+        let engine =
+            ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], EngineConfig::default(), cap);
+        for threads in [1, 4] {
+            let got = answers(&engine, &queries, threads);
+            for ((q, rows), want) in queries.iter().zip(got).zip(&expected) {
+                assert_eq!(
+                    &canonical(&rows),
+                    want,
+                    "seal cap {cap} x {threads} threads diverged on {q:?}"
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Spatial-region validation: boxes that wrap the antimeridian (or carry
 // out-of-range latitudes) must be rejected with a typed error, not

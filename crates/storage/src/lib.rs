@@ -2,8 +2,9 @@
 //!
 //! Implements the comprehensive data model of the paper's Fig. 2:
 //!
-//! * `Images` — [`ImageRecord`]: GPS location, capture/upload timestamps,
-//!   uploader, original-vs-augmented lineage,
+//! * `Images` — one compact row per image, read in place as an
+//!   [`ImageRow`] (an owned [`ImageRecord`] on request): GPS location,
+//!   capture/upload timestamps, uploader, original-vs-augmented lineage,
 //! * `Image_FOV` / `Image_Scene_Location` — spatial descriptors attached
 //!   to each image,
 //! * `Image_Visual_Features` — per-image feature vectors keyed by feature
@@ -12,7 +13,9 @@
 //!   `..._Annotation` — classification schemes (e.g. *street
 //!   cleanliness*), their label vocabularies, and per-image annotations
 //!   with confidence and human/machine provenance,
-//! * `Image_Manual_Keywords` — textual descriptors.
+//! * `Image_Manual_Keywords` — textual descriptors, each distinct
+//!   string held once by the store and numbered, each row a run of
+//!   those numbers.
 //!
 //! The store ([`VisualStore`]) is concurrency-safe (readers-writer locks
 //! per table) and persists as a directory of journal segments folded
@@ -35,7 +38,7 @@ pub mod wal;
 pub use annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
 pub use fault::{FailingWriter, FaultKind, WriteFaultPlan};
 pub use ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
-pub use record::{ImageMeta, ImageOrigin, ImageRecord};
+pub use record::{ImageMeta, ImageOrigin, ImageRecord, ImageRow};
 pub use recovery::{
     CompactionReport, DurableError, DurableStore, HealthState, RecoveryReport, StoreHealth,
 };

@@ -10,7 +10,7 @@ use tvdp_vision::{FeatureKind, Image};
 use crate::annotation::{Annotation, ClassificationScheme, RegionOfInterest};
 use crate::ids::{AnnotationId, ClassificationId, ImageId};
 use crate::pixels;
-use crate::record::{ImageMeta, ImageOrigin, ImageRecord};
+use crate::record::{ImageMeta, ImageOrigin, ImageRecord, ImageRow, Keywords, StoredImage};
 use crate::wal::{self, pixel_blob, PixelBlob, WalOp, SEGMENT_MAGIC};
 
 /// Capacity of the upload idempotency table (the markers of
@@ -56,7 +56,7 @@ pub enum StorageError {
     BadConfidence(f32),
     /// A pixel code's byte count is one no code of a `width` x `height`
     /// image has ([`crate::pixels::coded_len_ok`]), or a dimension is
-    /// zero.
+    /// zero or does not fit a `u32`.
     BlobShape {
         /// Image the code belongs to.
         image: ImageId,
@@ -250,7 +250,7 @@ pub struct FeatureHandle {
 /// kind in the arena, where vector bytes live exactly once.
 #[derive(Debug)]
 struct Row {
-    record: ImageRecord,
+    image: StoredImage,
     features: [Option<FeatureHandle>; 3],
 }
 
@@ -276,6 +276,10 @@ struct Tables {
     /// handed out ascending, so a row is appended; an explicit id below
     /// the last one is inserted in place.
     rows: Vec<Row>,
+    /// Every row's keywords, each distinct string held once.
+    keywords: Keywords,
+    /// Augmented rows' origins, `(parent, op)` by child id.
+    origins: BTreeMap<ImageId, (ImageId, String)>,
     /// Each image's pixels, kept as the op carried them: coded.
     blobs: BTreeMap<ImageId, PixelBlob>,
     /// The feature arena: one append-only slab per `(kind, dim)` family.
@@ -348,10 +352,8 @@ impl Tables {
     /// last row is checked before any binary search.
     fn row_index(&self, id: ImageId) -> Result<usize, usize> {
         match self.rows.last() {
-            Some(last) if last.record.id == id => Ok(self.rows.len() - 1),
-            Some(last) if last.record.id > id => {
-                self.rows.binary_search_by_key(&id, |r| r.record.id)
-            }
+            Some(last) if last.image.id == id => Ok(self.rows.len() - 1),
+            Some(last) if last.image.id > id => self.rows.binary_search_by_key(&id, |r| r.image.id),
             _ => Err(self.rows.len()),
         }
     }
@@ -364,6 +366,15 @@ impl Tables {
     /// The handle of `image`'s feature of `kind`, if stored.
     fn handle(&self, image: ImageId, kind: FeatureKind) -> Option<FeatureHandle> {
         self.row(image)?.features[slot(kind)]
+    }
+
+    /// `row` read in place.
+    fn view<'a>(&'a self, row: &'a Row) -> ImageRow<'a> {
+        ImageRow {
+            image: &row.image,
+            keywords: &self.keywords,
+            origins: &self.origins,
+        }
     }
 
     /// Appends `vector` to the arena and repoints the `(image, kind)`
@@ -439,11 +450,10 @@ impl Tables {
     ) -> Result<Option<(ImageId, ImageId)>, StorageError> {
         // The pixel `(width, height)` of a stored or pending image.
         let image = |id: ImageId| {
-            pending
-                .images
-                .get(&id)
-                .copied()
-                .or_else(|| self.row(id).map(|r| (r.record.width, r.record.height)))
+            pending.images.get(&id).copied().or_else(|| {
+                self.row(id)
+                    .map(|r| (r.image.width as usize, r.image.height as usize))
+            })
         };
         let check_new_image = |id: ImageId, origin: &ImageOrigin, pixels: &Option<PixelBlob>| {
             if let ImageOrigin::Augmented { parent, .. } = origin {
@@ -459,7 +469,8 @@ impl Tables {
             }
             match pixels {
                 Some((width, height, code))
-                    if pixels::coded_len_ok(*width, *height, code.len()).is_none() =>
+                    if pixels::coded_len_ok(*width, *height, code.len()).is_none()
+                        || u32::try_from(*width.max(height)).is_err() =>
                 {
                     Err(StorageError::BlobShape {
                         image: id,
@@ -666,9 +677,14 @@ impl Tables {
         pixels: Option<PixelBlob>,
     ) {
         self.next_image = self.next_image.max(id.0.saturating_add(1));
+        // The validator has refused a dimension wider than `u32`.
         let (width, height) = pixel_dims(&pixels);
+        let dims = (width as u32, height as u32);
+        if let ImageOrigin::Augmented { parent, op } = origin {
+            self.origins.insert(id, (parent, op));
+        }
         let row = Row {
-            record: ImageRecord::new(id, meta, origin, width, height),
+            image: StoredImage::new(id, meta, dims, &mut self.keywords),
             features: [None; 3],
         };
         // At the end, unless an explicit id lands below the last one.
@@ -874,9 +890,10 @@ impl VisualStore {
         self.inner.read().upload_markers.get(key).map(|(id, _)| *id)
     }
 
-    /// The image row, if present.
+    /// The image row, if present, assembled as an owned record.
     pub fn image(&self, id: ImageId) -> Option<ImageRecord> {
-        self.inner.read().row(id).map(|r| r.record.clone())
+        let t = self.inner.read();
+        t.row(id).map(|r| t.view(r).to_record())
     }
 
     /// The pixel data, if stored, decoded from its code outside the
@@ -891,27 +908,28 @@ impl VisualStore {
 
     /// All image ids, ascending.
     pub fn image_ids(&self) -> Vec<ImageId> {
-        self.inner.read().rows.iter().map(|r| r.record.id).collect()
+        self.inner.read().rows.iter().map(|r| r.image.id).collect()
     }
 
-    /// Runs `f` over every image record (under the read lock; keep `f`
-    /// cheap).
-    pub fn for_each_image(&self, mut f: impl FnMut(&ImageRecord)) {
-        for row in &self.inner.read().rows {
-            f(&row.record);
+    /// Runs `f` over every image row, read in place (under the read
+    /// lock; keep `f` cheap).
+    pub fn for_each_image(&self, mut f: impl FnMut(ImageRow<'_>)) {
+        let t = self.inner.read();
+        for row in &t.rows {
+            f(t.view(row));
         }
     }
 
-    /// Runs `f` over the records of `ids` (in the given order, skipping
-    /// absent ids) under a single read-lock acquisition — the
-    /// zero-clone analogue of calling [`VisualStore::image`] in a loop.
-    /// `f` must not call back into the store (the read lock is held and
-    /// is not recursively acquirable).
-    pub fn with_images(&self, ids: &[ImageId], mut f: impl FnMut(&ImageRecord)) {
+    /// Runs `f` over the rows of `ids` (in the given order, skipping
+    /// absent ids), read in place under a single read-lock acquisition
+    /// — the zero-clone analogue of calling [`VisualStore::image`] in a
+    /// loop. `f` must not call back into the store (the read lock is
+    /// held and is not recursively acquirable).
+    pub fn with_images(&self, ids: &[ImageId], mut f: impl FnMut(ImageRow<'_>)) {
         let t = self.inner.read();
         for &id in ids {
             if let Some(row) = t.row(id) {
-                f(&row.record);
+                f(t.view(row));
             }
         }
     }
@@ -924,13 +942,13 @@ impl VisualStore {
         &self,
         ids: &[ImageId],
         kind: FeatureKind,
-        mut f: impl FnMut(&ImageRecord, &[f32]),
+        mut f: impl FnMut(ImageRow<'_>, &[f32]),
     ) {
         let t = self.inner.read();
         for &id in ids {
             if let Some(row) = t.row(id) {
                 if let Some(handle) = &row.features[slot(kind)] {
-                    f(&row.record, t.feature_slice(handle));
+                    f(t.view(row), t.feature_slice(handle));
                 }
             }
         }
@@ -1025,8 +1043,8 @@ impl VisualStore {
         slabs.map(|(&(_, dim), _)| dim as usize).collect()
     }
 
-    /// Runs `f` over the record of each of `ids` (ascending; absent ids
-    /// are skipped) and, when it holds a non-empty feature of `kind`,
+    /// Runs `f` over the row of each of `ids` (ascending; absent ids
+    /// are skipped), read in place, and, when it holds a non-empty feature of `kind`,
     /// that feature's arena handle: everything an index reads to build
     /// over the run, zero-copy, under one read-lock acquisition, walking
     /// the image table forward from the run's first row. Keep `f` cheap
@@ -1036,7 +1054,7 @@ impl VisualStore {
         &self,
         ids: &[ImageId],
         kind: FeatureKind,
-        mut f: impl FnMut(&ImageRecord, Option<FeatureHandle>),
+        mut f: impl FnMut(ImageRow<'_>, Option<FeatureHandle>),
     ) {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
         let t = self.inner.read();
@@ -1044,13 +1062,13 @@ impl VisualStore {
         for &id in ids {
             // A run's ids are mostly consecutive rows: step to the next
             // one, and search forward only past a gap.
-            if t.rows.get(at).is_none_or(|row| row.record.id != id) {
-                at += t.rows[at.min(t.rows.len())..].partition_point(|row| row.record.id < id);
+            if t.rows.get(at).is_none_or(|row| row.image.id != id) {
+                at += t.rows[at.min(t.rows.len())..].partition_point(|row| row.image.id < id);
             }
-            let Some(row) = t.rows.get(at).filter(|row| row.record.id == id) else {
+            let Some(row) = t.rows.get(at).filter(|row| row.image.id == id) else {
                 continue;
             };
-            f(&row.record, row.features[slot(kind)].filter(|h| h.dim > 0));
+            f(t.view(row), row.features[slot(kind)].filter(|h| h.dim > 0));
             at += 1;
         }
     }
@@ -1061,7 +1079,7 @@ impl VisualStore {
         t.rows
             .iter()
             .filter(|r| r.features[slot(kind)].is_some())
-            .map(|r| r.record.id)
+            .map(|r| r.image.id)
             .collect()
     }
 
@@ -1131,7 +1149,7 @@ impl VisualStore {
     pub fn snapshot(&self) -> Snapshot {
         let t = self.inner.read();
         Snapshot {
-            images: t.rows.iter().map(|r| r.record.clone()).collect(),
+            images: t.rows.iter().map(|r| t.view(r).to_record()).collect(),
             blobs: t
                 .blobs
                 .iter()
@@ -1141,7 +1159,7 @@ impl VisualStore {
             features: t
                 .rows
                 .iter()
-                .flat_map(|r| r.features.iter().flatten().map(move |h| (r.record.id, h)))
+                .flat_map(|r| r.features.iter().flatten().map(move |h| (r.image.id, h)))
                 .map(|(id, handle)| (id, handle.kind, t.feature_slice(handle).to_vec()))
                 .collect(),
             schemes: t.schemes.values().cloned().collect(),

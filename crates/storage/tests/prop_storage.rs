@@ -485,7 +485,13 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
                     features,
                     ..
                 } if accepted => {
-                    let record = ImageRecord::new(id, meta, origin, 0, 0);
+                    let record = ImageRecord {
+                        id,
+                        meta,
+                        origin,
+                        width: 0,
+                        height: 0,
+                    };
                     model.insert(id, (record, features.into_iter().collect()));
                 }
                 WalOp::PutFeature {
