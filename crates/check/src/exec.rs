@@ -1,28 +1,26 @@
 //! The deterministic DFS scheduler behind the model checker.
 //!
-//! One *execution* runs a model program — a setup closure that creates
-//! [`crate::shim`] objects and [`spawn`]s threads — under one explicit
-//! schedule. Model threads are real OS threads, but they never run
-//! freely: every shim operation first *announces* itself and parks
-//! until the controller grants it the baton, so exactly one model
-//! thread makes progress at any instant and the interleaving is fully
-//! determined by the controller's sequence of choices.
+//! One *execution* runs a model program — a setup closure that builds
+//! shipped state and [`spawn`]s threads — under one explicit schedule.
+//! Model threads are real OS threads, but they never run freely: each
+//! installs [`on_lock`] as its `tvdp_kernel::sync` hook, so at every
+//! acquire of a `sync` lock (and so of every `GenCell`) the thread
+//! parks before taking the lock, and at every release it parks after
+//! freeing it, until it is granted the baton. Exactly one model thread
+//! makes progress at any instant, and the interleaving is fully
+//! determined by the sequence of grants. A lock is known by its address
+//! from its first operation on; nothing registers it beforehand.
 //!
-//! The controller explores the choice tree depth-first: each execution
+//! The thread that leaves the system quiescent — every model thread
+//! announced or finished — makes the next decision itself, so a step
+//! that keeps the same thread running costs no context switch. The
+//! decisions explore the choice tree depth-first: each execution
 //! replays a recorded prefix of decisions and extends it with
 //! first-available choices; backtracking flips the last decision that
-//! still has an untried alternative. Two knobs bound the walk:
-//!
-//! * **preemption bounding** — [`CheckerConfig::preemption_bound`]
-//!   caps how many times a schedule may switch away from a thread that
-//!   could have kept running (context switches forced by blocking are
-//!   free). Most protocol bugs show up within two preemptions.
-//! * **state-hash pruning** — [`CheckerConfig::prune_states`] hashes
-//!   the scheduler-visible state (per-thread progress and observation
-//!   history, every shim object's value, remaining preemption budget)
-//!   at each new decision point; a revisited state's subtree is
-//!   identical to the first visit's, so no alternatives are enqueued.
-//!   Sound for deterministic model bodies, which the checker requires.
+//! still has an untried alternative. [`CheckerConfig::preemption_bound`]
+//! caps how many times a schedule may switch away from a thread that
+//! could have kept running (context switches forced by blocking are
+//! free). Most protocol bugs show up within two preemptions.
 //!
 //! A *violation* is an assertion failure inside a model thread or the
 //! `finally` closure, a deadlock (threads alive, none enabled), or a
@@ -37,12 +35,14 @@
 )]
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 
-/// Exploration bounds and toggles.
+use tvdp_kernel::sync::{self as kernel_sync, LockEvent, LockOp};
+
+/// Exploration bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckerConfig {
     /// Maximum number of *preemptive* context switches per schedule
@@ -56,8 +56,6 @@ pub struct CheckerConfig {
     /// (a model spinning on shared state cannot terminate under an
     /// adversarial schedule).
     pub max_steps: usize,
-    /// Collapse decision points whose system state was already visited.
-    pub prune_states: bool,
 }
 
 impl Default for CheckerConfig {
@@ -66,19 +64,8 @@ impl Default for CheckerConfig {
             preemption_bound: None,
             max_schedules: 500_000,
             max_steps: 10_000,
-            prune_states: true,
         }
     }
-}
-
-/// A counterexample: what went wrong and the schedule that got there.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Assertion message, deadlock description, or step-cap notice.
-    pub message: String,
-    /// One line per scheduling step of the failing execution, in
-    /// order: `t<id>: <operation>(<object>)`.
-    pub trace: Vec<String>,
 }
 
 /// The outcome of exploring one model.
@@ -86,13 +73,16 @@ pub struct Violation {
 pub struct Report {
     /// Schedules (executions) actually run.
     pub schedules: usize,
-    /// Decision points collapsed by state-hash pruning.
-    pub pruned: usize,
     /// `true` when the bounded choice tree was explored to exhaustion
     /// (no violation, no schedule-cap stop).
     pub complete: bool,
-    /// The first counterexample found, if any.
-    pub violation: Option<Violation>,
+    /// What went wrong in the first counterexample found, if any: an
+    /// assertion message, a deadlock description or a step-cap notice.
+    pub violation: Option<String>,
+    /// One line per scheduling step of the last schedule run — the
+    /// counterexample's, when there is one — in order:
+    /// `t<id>: <operation>(<lock>)`.
+    pub trace: Vec<String>,
 }
 
 impl Report {
@@ -102,59 +92,13 @@ impl Report {
     }
 }
 
-/// Index of a registered shim object within one execution.
-pub(crate) type ObjId = usize;
-
-/// What a parked thread is asking to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpKind {
-    /// Thread start (the first schedulable point of every thread).
-    Begin,
-    /// `shim::Atomic` load.
-    AtomicLoad,
-    /// `shim::Atomic` store.
-    AtomicStore,
-    /// `shim::Atomic` read-modify-write.
-    AtomicRmw,
-    /// `shim::Mutex` acquire (enabled only while free).
-    MutexLock,
-    /// `shim::Mutex` release.
-    MutexUnlock,
-    /// `shim::RwLock` shared acquire (enabled while no writer).
-    RwRead,
-    /// `shim::RwLock` exclusive acquire (enabled while free).
-    RwWrite,
-    /// `shim::RwLock` shared release.
-    RwUnlockRead,
-    /// `shim::RwLock` exclusive release.
-    RwUnlockWrite,
-}
-
-/// An announced operation: the kind plus its target object.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Op {
-    pub kind: OpKind,
-    pub obj: Option<ObjId>,
-}
-
-/// Kinds of registered shim objects (drives enabledness rules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ObjKind {
-    Atomic,
-    Mutex,
-    RwLock,
-}
-
-/// Scheduler-visible state of one shim object.
-#[derive(Debug)]
-pub(crate) struct ObjState {
-    pub name: &'static str,
+/// Scheduler-visible state of one lock.
+#[derive(Debug, Clone, Copy, Default)]
+struct LockState {
     /// Mutex held / RwLock writer present.
-    pub locked: bool,
+    locked: bool,
     /// RwLock shared holders.
-    pub readers: usize,
-    /// Hash of the current value (updated by mutating ops).
-    pub value_hash: u64,
+    readers: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,21 +111,23 @@ enum ThreadStatus {
     Finished,
 }
 
-#[derive(Debug)]
 struct ThreadState {
     status: ThreadStatus,
-    op: Option<Op>,
-    ops_done: usize,
-    /// Running hash of everything this thread has observed through
-    /// shim operations; together with `ops_done` it pins down the
-    /// thread's local state (bodies are deterministic).
-    obs_hash: u64,
+    /// The announced acquire; `None` while the thread waits to start
+    /// or to go on after a release, which it always may.
+    op: Option<LockEvent>,
+    /// What the thread parks on until granted, so a grant wakes the
+    /// granted thread alone.
+    wake: Arc<Condvar>,
+    /// The thread's body until its start is granted: only then is it
+    /// sent to a model thread, which wakes no other.
+    start: Option<Body>,
 }
 
-/// Which phase of an execution we are in; shim ops only schedule
-/// during `Running` (setup and `finally` are single-threaded).
+/// Which phase of an execution we are in; `spawn` and `finally` are
+/// only valid during `Setup`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
+enum Phase {
     Setup,
     Running,
     Final,
@@ -189,26 +135,172 @@ pub(crate) enum Phase {
 
 type Body = Box<dyn FnOnce() + Send + 'static>;
 
-/// Everything the controller and the model threads share.
-pub(crate) struct Sched {
-    pub(crate) phase: Phase,
+/// Everything one execution's threads share.
+struct Sched {
+    phase: Phase,
     threads: Vec<ThreadState>,
-    pub(crate) objects: Vec<ObjState>,
+    /// Every lock a model thread has operated on, by address.
+    locks: BTreeMap<usize, LockState>,
     /// Thread currently granted the baton.
     grant: Option<usize>,
     /// Execution is being torn down; parked threads must unwind.
     abort: bool,
-    violation: Option<Violation>,
-    trace: Vec<String>,
-    steps: usize,
+    violation: Option<String>,
+    /// Each grant in order: the thread and its operation (`None`: its
+    /// start). Rendered as text only for the report.
+    trace: Vec<(usize, Option<LockEvent>)>,
     bodies: Vec<Body>,
     finals: Vec<Body>,
+    /// Where each thread's body is sent to run.
+    workers: Vec<mpsc::Sender<Body>>,
+    config: CheckerConfig,
+    /// The DFS trail: the first `replay_len` decisions are replayed,
+    /// later ones are pushed as this execution makes them.
+    trail: Vec<Decision>,
+    replay_len: usize,
+    /// Decisions made so far in this execution.
+    pos: usize,
+    preemptions: usize,
+    /// The thread granted last.
+    prev: Option<usize>,
 }
 
-/// One execution's shared core: the schedule state plus its condvar.
-pub(crate) struct Inner {
-    pub(crate) m: Mutex<Sched>,
-    pub(crate) cv: Condvar,
+impl Sched {
+    /// The lock state after `event` (applied at its grant).
+    fn apply(&mut self, event: LockEvent) {
+        let l = self.locks.entry(event.lock).or_default();
+        match event.op {
+            LockOp::Lock | LockOp::Write => l.locked = true,
+            LockOp::Unlock | LockOp::Unwrite => l.locked = false,
+            LockOp::Read => l.readers += 1,
+            LockOp::Unread => l.readers = l.readers.saturating_sub(1),
+        }
+    }
+
+    /// Whether `event` could proceed now.
+    fn enabled(&self, event: LockEvent) -> bool {
+        let l = self.locks.get(&event.lock).copied().unwrap_or_default();
+        match event.op {
+            LockOp::Lock | LockOp::Read => !l.locked,
+            LockOp::Write => !l.locked && l.readers == 0,
+            LockOp::Unlock | LockOp::Unread | LockOp::Unwrite => true,
+        }
+    }
+
+    /// Records `message` unless a violation is already recorded, and
+    /// tears the execution down: every parked thread wakes to unwind.
+    fn fail(&mut self, message: String) {
+        self.violation.get_or_insert(message);
+        self.abort = true;
+        for t in &mut self.threads {
+            if t.start.take().is_some() {
+                t.status = ThreadStatus::Finished;
+            }
+            t.wake.notify_one();
+        }
+    }
+
+    /// Wakes the thread granted the baton, starting it on its model
+    /// thread if this is its first grant.
+    fn wake_granted(&mut self) {
+        let Some(tid) = self.grant else { return };
+        match self.threads[tid].start.take() {
+            Some(body) => {
+                if self.workers[tid].send(body).is_err() {
+                    self.fail(format!("model thread {tid} is gone"));
+                }
+            }
+            None => self.threads[tid].wake.notify_one(),
+        }
+    }
+
+    /// Puts `tid`'s operation (`None`: its start) on the trace and
+    /// into effect on its lock.
+    fn record(&mut self, tid: usize, op: Option<LockEvent>) {
+        self.trace.push((tid, op));
+        if let Some(event) = op {
+            self.apply(event);
+        }
+    }
+
+    /// Makes the next scheduling decision once no model thread is
+    /// running: grants the baton to one enabled thread, or ends the
+    /// execution with a violation. Does nothing while a thread runs,
+    /// after an abort, or once every thread has finished.
+    fn decide(&mut self) {
+        if self.abort
+            || self
+                .threads
+                .iter()
+                .any(|t| t.status == ThreadStatus::Running)
+            || self
+                .threads
+                .iter()
+                .all(|t| t.status == ThreadStatus::Finished)
+        {
+            return;
+        }
+        if self.trace.len() > self.config.max_steps {
+            return self.fail(format!(
+                "step cap exceeded ({} ops): model cannot terminate under an \
+                 adversarial schedule (unbounded spin on shared state?)",
+                self.config.max_steps
+            ));
+        }
+        let enabled: Vec<usize> = (0..self.threads.len())
+            .filter(|&tid| {
+                let t = &self.threads[tid];
+                t.status == ThreadStatus::Waiting && t.op.is_none_or(|event| self.enabled(event))
+            })
+            .collect();
+        if enabled.is_empty() {
+            let stuck = blocked_summary(self);
+            return self.fail(format!("deadlock: no runnable thread ({stuck})"));
+        }
+        let chosen = if self.pos < self.replay_len {
+            let d = &self.trail[self.pos];
+            let tid = d.candidates[d.chosen];
+            if !enabled.contains(&tid) {
+                return self.fail(
+                    "replay diverged: recorded thread no longer enabled \
+                     (model body is nondeterministic)"
+                        .to_string(),
+                );
+            }
+            tid
+        } else {
+            let mut candidates = enabled.clone();
+            // Preemption bounding: out of budget, stick with the
+            // previous thread while it can still run.
+            if let (Some(bound), Some(p)) = (self.config.preemption_bound, self.prev) {
+                if self.preemptions >= bound && enabled.contains(&p) {
+                    candidates = vec![p];
+                }
+            }
+            let tid = candidates[0];
+            self.trail.push(Decision {
+                candidates,
+                chosen: 0,
+            });
+            tid
+        };
+        if let Some(p) = self.prev {
+            if p != chosen && enabled.contains(&p) {
+                self.preemptions += 1;
+            }
+        }
+        self.prev = Some(chosen);
+        self.pos += 1;
+        self.threads[chosen].status = ThreadStatus::Running;
+        self.grant = Some(chosen);
+    }
+}
+
+/// One execution's shared core: the schedule state, and the condvar
+/// the controller waits on until every model thread has finished.
+struct Inner {
+    m: Mutex<Sched>,
+    finished: Condvar,
 }
 
 impl Inner {
@@ -219,11 +311,11 @@ impl Inner {
     fn lock(&self) -> MutexGuard<'_, Sched> {
         self.m.lock().unwrap_or_else(|e| e.into_inner())
     }
+}
 
-    /// Condvar wait with the same poison recovery.
-    fn wait<'a>(&self, g: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
-        self.cv.wait(g).unwrap_or_else(|e| e.into_inner())
-    }
+/// Condvar wait with [`Inner::lock`]'s poison recovery.
+fn wait<'a>(cv: &Condvar, g: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
+    cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
 /// Sentinel panic payload used to unwind parked model threads when an
@@ -253,18 +345,6 @@ fn install_quiet_hook() {
             }
         }));
     });
-}
-
-/// Hash any value with the std hasher (fixed-key SipHash: stable
-/// within a process, which is all pruning needs).
-pub(crate) fn hash_of<T: Hash>(value: &T) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
-fn fnv_fold(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// The current execution context, if this thread is inside a checker
@@ -319,74 +399,80 @@ pub fn finally<F: FnOnce() + Send + 'static>(check: F) {
     s.finals.push(Box::new(check));
 }
 
-/// Shim-side hooks into the current execution. All return quickly when
-/// the calling code runs outside a checker (direct mode), so shim-built
-/// types stay usable in plain unit tests.
-pub(crate) struct Hooks;
-
-impl Hooks {
-    /// Registers a shim object, returning its id, or `None` in direct
-    /// mode. Objects must be created during setup so ids (and state
-    /// hashes) are schedule-independent.
-    pub(crate) fn register(
-        name: &'static str,
-        _kind: ObjKind,
-        value_hash: u64,
-    ) -> Option<(Arc<Inner>, ObjId)> {
-        let ctx = current()?;
-        let mut s = ctx.inner.lock();
-        assert!(
-            s.phase == Phase::Setup,
-            "shim objects must be created during model setup, \
-             not from running model threads"
-        );
-        s.objects.push(ObjState {
-            name,
-            locked: false,
-            readers: 0,
-            value_hash,
-        });
-        let id = s.objects.len() - 1;
-        Some((Arc::clone(&ctx.inner), id))
+/// `a::b::C<d::E>` as `C<E>`: a type name without its paths.
+fn short_type_name(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    let mut word = String::new();
+    for c in name.chars().chain(std::iter::once(' ')) {
+        if c.is_alphanumeric() || c == '_' || c == ':' {
+            word.push(c);
+        } else {
+            out.push_str(word.rsplit("::").next().unwrap_or(""));
+            word.clear();
+            out.push(c);
+        }
     }
+    out.pop();
+    out
+}
 
-    /// Whether the calling thread is a scheduled model thread (as
-    /// opposed to the controller in setup/finally or plain test code).
-    fn scheduled_tid(inner: &Arc<Inner>) -> Option<usize> {
-        let ctx = current()?;
-        let tid = ctx.tid?;
-        if !Arc::ptr_eq(&ctx.inner, inner) {
-            return None;
-        }
-        Some(tid)
+/// A trace as text, one `t<id>: <operation>(<lock>)` line per grant.
+fn render(trace: &[(usize, Option<LockEvent>)]) -> Vec<String> {
+    trace
+        .iter()
+        .map(|&(tid, op)| format!("t{tid}: {}", op.map_or_else(|| "begin".into(), describe)))
+        .collect()
+}
+
+/// A trace line's operation: `write(RwLock<Arc<Generation>>)`.
+fn describe(event: LockEvent) -> String {
+    let (verb, kind) = match event.op {
+        LockOp::Lock => ("lock", "Mutex"),
+        LockOp::Unlock => ("unlock", "Mutex"),
+        LockOp::Read => ("read", "RwLock"),
+        LockOp::Unread => ("unread", "RwLock"),
+        LockOp::Write => ("write", "RwLock"),
+        LockOp::Unwrite => ("unwrite", "RwLock"),
+    };
+    format!("{verb}({kind}<{}>)", short_type_name(event.guards))
+}
+
+/// The `tvdp_kernel::sync` hook every model thread installs: each lock
+/// operation becomes a scheduling point. An unwinding thread's releases
+/// free their locks without parking (a parked thread cannot be unparked
+/// by a panicking sibling).
+fn on_lock(event: LockEvent) {
+    let Some(Ctx {
+        inner,
+        tid: Some(tid),
+    }) = current()
+    else {
+        return;
+    };
+    if std::thread::panicking() {
+        inner.lock().apply(event);
+        return;
     }
+    schedule(&inner, tid, event);
+}
 
-    /// Announces `op` and parks until the scheduler grants it. Returns
-    /// after the grant: the caller then performs the operation's data
-    /// access exclusively (every other model thread is parked until
-    /// this thread's next announce).
-    pub(crate) fn schedule(inner: &Arc<Inner>, op: Op, desc: &str) {
-        let Some(tid) = Self::scheduled_tid(inner) else {
-            return; // direct mode: setup, finally, or plain tests
-        };
-        if std::thread::panicking() {
-            // Guard drops during an unwind must not re-enter the
-            // scheduler (a parked thread cannot be unparked by a
-            // panicking sibling); perform the op silently.
-            return;
-        }
-        let mut s = inner.lock();
-        if s.abort {
-            drop(s);
-            #[expect(
-                clippy::panic,
-                reason = "unwinds a model thread out of an aborted execution; `worker_main` catches the `AbortExecution` payload"
-            )]
-            panic::panic_any(AbortExecution);
-        }
-        s.threads[tid].status = ThreadStatus::Waiting;
-        s.threads[tid].op = Some(op);
-        inner.cv.notify_all();
+/// Parks the calling model thread at `op` until the scheduler grants
+/// it the baton: before an acquire, which takes effect at the grant, or
+/// after a release, which took effect when the lock was freed — so
+/// another thread may run between a release and what follows it. On
+/// return the caller runs alone until its next lock operation.
+fn schedule(inner: &Inner, tid: usize, op: LockEvent) {
+    let mut s = inner.lock();
+    let acquire = matches!(op.op, LockOp::Lock | LockOp::Read | LockOp::Write);
+    if !acquire {
+        s.record(tid, Some(op));
+    }
+    s.threads[tid].status = ThreadStatus::Waiting;
+    s.threads[tid].op = acquire.then_some(op);
+    s.decide();
+    if s.grant != Some(tid) {
+        s.wake_granted();
+        let wake = Arc::clone(&s.threads[tid].wake);
         while s.grant != Some(tid) {
             if s.abort {
                 drop(s);
@@ -396,44 +482,12 @@ impl Hooks {
                 )]
                 panic::panic_any(AbortExecution);
             }
-            s = inner.wait(s);
-        }
-        // Granted. Do the bookkeeping the scheduler needs for
-        // enabledness, then run the data access outside the lock.
-        s.grant = None;
-        s.threads[tid].op = None;
-        s.threads[tid].ops_done += 1;
-        s.steps += 1;
-        let line = format!("t{tid}: {desc}");
-        s.trace.push(line);
-        if let Some(oid) = op.obj {
-            let o = &mut s.objects[oid];
-            match op.kind {
-                OpKind::MutexLock | OpKind::RwWrite => o.locked = true,
-                OpKind::MutexUnlock | OpKind::RwUnlockWrite => o.locked = false,
-                OpKind::RwRead => o.readers += 1,
-                OpKind::RwUnlockRead => o.readers = o.readers.saturating_sub(1),
-                _ => {}
-            }
+            s = wait(&wake, s);
         }
     }
-
-    /// Records the data outcome of the op just performed: what this
-    /// thread observed (folded into its observation hash) and the
-    /// object's new value hash.
-    pub(crate) fn record(inner: &Arc<Inner>, obj: Option<ObjId>, observed: u64, new_value: u64) {
-        let Some(tid) = Self::scheduled_tid(inner) else {
-            return;
-        };
-        if std::thread::panicking() {
-            return;
-        }
-        let mut s = inner.lock();
-        let prior = s.threads[tid].obs_hash;
-        s.threads[tid].obs_hash = fnv_fold(fnv_fold(prior, observed), 0x9e37);
-        if let Some(oid) = obj {
-            s.objects[oid].value_hash = new_value;
-        }
+    s.grant = None;
+    if acquire {
+        s.record(tid, Some(op));
     }
 }
 
@@ -446,17 +500,23 @@ struct Decision {
     chosen: usize,
 }
 
-/// Outcome of a single execution.
-struct ExecOutcome {
-    violation: Option<Violation>,
-}
-
-/// The model checker: owns the DFS trail, the seen-state set, and the
-/// exploration counters across executions of one model.
+/// The model checker: explores every (bounded) schedule of one model
+/// at a time.
 pub struct Checker {
     config: CheckerConfig,
-    seen: BTreeSet<u64>,
-    pruned: usize,
+    /// The model threads, kept from one execution to the next (spawning
+    /// them per schedule tripled the suite's time): each runs the bodies
+    /// sent to it, and is joined when the checker drops.
+    workers: Vec<(mpsc::Sender<Body>, JoinHandle<()>)>,
+}
+
+impl Drop for Checker {
+    fn drop(&mut self) {
+        for (bodies, thread) in self.workers.drain(..) {
+            drop(bodies);
+            let _ = thread.join(); // a model thread catches its body's panic
+        }
+    }
 }
 
 impl Checker {
@@ -465,86 +525,81 @@ impl Checker {
         install_quiet_hook();
         Checker {
             config,
-            seen: BTreeSet::new(),
-            pruned: 0,
+            workers: Vec::new(),
         }
     }
 
     /// Explores every (bounded) interleaving of `model`. The closure
-    /// runs once per execution: it creates shim state, [`spawn`]s the
-    /// model threads, and may register a [`finally`] postcondition.
-    /// Returns at the first violation or when the choice tree is
-    /// exhausted.
+    /// runs once per execution: it builds the state under test,
+    /// [`spawn`]s the model threads, and may register a [`finally`]
+    /// postcondition. Returns at the first violation or when the choice
+    /// tree is exhausted.
     pub fn check<F: Fn()>(&mut self, model: F) -> Report {
         let mut trail: Vec<Decision> = Vec::new();
         let mut replay_len = 0usize;
         let mut schedules = 0usize;
         loop {
-            if schedules >= self.config.max_schedules {
-                return Report {
-                    schedules,
-                    pruned: self.pruned,
-                    complete: false,
-                    violation: None,
-                };
-            }
             schedules += 1;
-            let outcome = self.run_one(&model, &mut trail, replay_len);
-            if let Some(v) = outcome.violation {
-                return Report {
-                    schedules,
-                    pruned: self.pruned,
-                    complete: false,
-                    violation: Some(v),
-                };
-            }
+            let (violation, trace) = self.run_one(&model, &mut trail, replay_len);
             // Backtrack: flip the deepest decision with an untried
             // alternative, drop everything after it.
             let next = trail
                 .iter()
                 .rposition(|d| d.chosen + 1 < d.candidates.len());
-            match next {
-                None => {
-                    return Report {
-                        schedules,
-                        pruned: self.pruned,
-                        complete: true,
-                        violation: None,
-                    };
-                }
-                Some(i) => {
-                    trail.truncate(i + 1);
-                    trail[i].chosen += 1;
-                    replay_len = i + 1;
-                }
+            let Some(i) = next.filter(|_| violation.is_none()) else {
+                return Report {
+                    schedules,
+                    complete: violation.is_none(),
+                    violation,
+                    trace: render(&trace),
+                };
+            };
+            if schedules >= self.config.max_schedules {
+                return Report {
+                    schedules,
+                    complete: false,
+                    violation: None,
+                    trace: render(&trace),
+                };
             }
+            trail.truncate(i + 1);
+            trail[i].chosen += 1;
+            replay_len = i + 1;
         }
     }
 
-    /// Runs one execution: setup, scheduled run, teardown, finally.
+    /// Runs one execution: setup, scheduled run, finally, replaying
+    /// and then extending `trail`. Returns its violation, if any, and
+    /// its trace.
     fn run_one<F: Fn()>(
         &mut self,
         model: &F,
         trail: &mut Vec<Decision>,
         replay_len: usize,
-    ) -> ExecOutcome {
+    ) -> (Option<String>, Vec<(usize, Option<LockEvent>)>) {
         let inner = Arc::new(Inner {
             m: Mutex::new(Sched {
                 phase: Phase::Setup,
                 threads: Vec::new(),
-                objects: Vec::new(),
+                locks: BTreeMap::new(),
                 grant: None,
                 abort: false,
                 violation: None,
                 trace: Vec::new(),
-                steps: 0,
                 bodies: Vec::new(),
                 finals: Vec::new(),
+                workers: Vec::new(),
+                config: self.config,
+                trail: std::mem::take(trail),
+                replay_len,
+                pos: 0,
+                preemptions: 0,
+                prev: None,
             }),
-            cv: Condvar::new(),
+            finished: Condvar::new(),
         });
 
-        // --- Setup (single-threaded, shim ops run direct). ---
+        // --- Setup (single-threaded; this thread has no lock hook). ---
         CURRENT.with_borrow_mut(|c| {
             *c = Some(Ctx {
                 inner: Arc::clone(&inner),
@@ -555,42 +610,47 @@ impl Checker {
         let setup = panic::catch_unwind(AssertUnwindSafe(&model));
         IN_MODEL.set(false);
         if let Err(p) = setup {
-            CURRENT.with_borrow_mut(|c| *c = None);
-            return ExecOutcome {
-                violation: Some(Violation {
-                    message: format!("setup panicked: {}", payload_msg(p.as_ref())),
-                    trace: Vec::new(),
-                }),
-            };
+            inner
+                .lock()
+                .fail(format!("setup panicked: {}", payload_msg(p.as_ref())));
         }
 
-        // --- Spawn the model threads; they park at their Begin op. ---
-        let (bodies, n) = {
-            let mut s = inner.lock();
-            let bodies = std::mem::take(&mut s.bodies);
-            let n = bodies.len();
-            s.threads = (0..n)
-                .map(|_| ThreadState {
-                    status: ThreadStatus::Running, // until Begin announced
+        // --- Run the model threads: every thread waits to start, the
+        // first grant starts one, and each thread's next announce (or
+        // its end) makes the next decision. ---
+        let mut s = inner.lock();
+        let bodies = std::mem::take(&mut s.bodies);
+        let bodies = if s.abort { Vec::new() } else { bodies };
+        while self.workers.len() < bodies.len() {
+            let (sender, received) = mpsc::channel::<Body>();
+            let thread = std::thread::spawn(move || received.into_iter().for_each(|body| body()));
+            self.workers.push((sender, thread));
+        }
+        s.workers = self.workers[..bodies.len()]
+            .iter()
+            .map(|(sender, _)| sender.clone())
+            .collect();
+        s.threads = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(tid, body)| {
+                let inner = Arc::clone(&inner);
+                let start: Body = Box::new(move || worker_main(inner, tid, body));
+                ThreadState {
+                    status: ThreadStatus::Waiting,
                     op: None,
-                    ops_done: 0,
-                    obs_hash: 0xcbf2_9ce4_8422_2325,
-                })
-                .collect();
-            s.phase = Phase::Running;
-            (bodies, n)
-        };
-        let mut handles = Vec::with_capacity(n);
-        for (tid, body) in bodies.into_iter().enumerate() {
-            let inner2 = Arc::clone(&inner);
-            handles.push(std::thread::spawn(move || worker_main(inner2, tid, body)));
+                    wake: Arc::default(),
+                    start: Some(start),
+                }
+            })
+            .collect();
+        s.phase = Phase::Running;
+        s.decide();
+        s.wake_granted();
+        while s.threads.iter().any(|t| t.status != ThreadStatus::Finished) {
+            s = wait(&inner.finished, s);
         }
-
-        // --- Drive the schedule. ---
-        self.drive(&inner, trail, replay_len);
-        for h in handles {
-            let _ = h.join();
-        }
+        drop(s);
 
         // --- Finally (single-threaded again). ---
         let finals = {
@@ -598,194 +658,35 @@ impl Checker {
             s.phase = Phase::Final;
             std::mem::take(&mut s.finals)
         };
-        let had_violation = inner.lock().violation.is_some();
-        if !had_violation {
+        if inner.lock().violation.is_none() {
             for f in finals {
                 IN_MODEL.set(true);
                 let r = panic::catch_unwind(AssertUnwindSafe(f));
                 IN_MODEL.set(false);
                 if let Err(p) = r {
-                    let mut s = inner.lock();
-                    let trace = s.trace.clone();
-                    s.violation = Some(Violation {
-                        message: format!("postcondition failed: {}", payload_msg(p.as_ref())),
-                        trace,
-                    });
+                    inner
+                        .lock()
+                        .fail(format!("postcondition failed: {}", payload_msg(p.as_ref())));
                     break;
                 }
             }
         }
         CURRENT.with_borrow_mut(|c| *c = None);
-        let v = inner.lock().violation.clone();
-        ExecOutcome { violation: v }
-    }
-
-    /// The controller loop: wait for quiescence, decide, grant.
-    fn drive(&mut self, inner: &Arc<Inner>, trail: &mut Vec<Decision>, replay_len: usize) {
-        let mut pos = 0usize;
-        let mut preemptions = 0usize;
-        let mut prev: Option<usize> = None;
         let mut s = inner.lock();
-        loop {
-            while s.threads.iter().any(|t| t.status == ThreadStatus::Running)
-                && s.violation.is_none()
-            {
-                s = inner.wait(s);
-            }
-            if s.violation.is_some() {
-                Self::tear_down(inner, s);
-                return;
-            }
-            if s.threads.iter().all(|t| t.status == ThreadStatus::Finished) {
-                return;
-            }
-            if s.steps > self.config.max_steps {
-                let trace = s.trace.clone();
-                s.violation = Some(Violation {
-                    message: format!(
-                        "step cap exceeded ({} ops): model cannot terminate under an \
-                         adversarial schedule (unbounded spin on shared state?)",
-                        self.config.max_steps
-                    ),
-                    trace,
-                });
-                Self::tear_down(inner, s);
-                return;
-            }
-            let enabled = enabled_threads(&s);
-            if enabled.is_empty() {
-                let trace = s.trace.clone();
-                let stuck = blocked_summary(&s);
-                s.violation = Some(Violation {
-                    message: format!("deadlock: no runnable thread ({stuck})"),
-                    trace,
-                });
-                Self::tear_down(inner, s);
-                return;
-            }
-
-            let chosen_tid = if pos < replay_len.min(trail.len()) {
-                let d = &trail[pos];
-                let tid = d.candidates[d.chosen];
-                if !enabled.contains(&tid) {
-                    let trace = s.trace.clone();
-                    s.violation = Some(Violation {
-                        message: "replay diverged: recorded thread no longer enabled \
-                                  (model body is nondeterministic)"
-                            .to_string(),
-                        trace,
-                    });
-                    Self::tear_down(inner, s);
-                    return;
-                }
-                tid
-            } else {
-                let mut candidates = enabled.clone();
-                // Preemption bounding: out of budget, stick with the
-                // previous thread while it can still run.
-                if let Some(bound) = self.config.preemption_bound {
-                    if preemptions >= bound {
-                        if let Some(p) = prev {
-                            if enabled.contains(&p) {
-                                candidates = vec![p];
-                            }
-                        }
-                    }
-                }
-                if self.config.prune_states {
-                    let key = state_key(&s, preemptions);
-                    if !self.seen.insert(key) {
-                        // Subtree already explored from this state:
-                        // follow one path through, register no
-                        // alternatives.
-                        if candidates.len() > 1 {
-                            candidates.truncate(1);
-                            self.pruned += 1;
-                        }
-                    }
-                }
-                trail.push(Decision {
-                    candidates: candidates.clone(),
-                    chosen: 0,
-                });
-                candidates[0]
-            };
-            if let Some(p) = prev {
-                if p != chosen_tid && enabled.contains(&p) {
-                    preemptions += 1;
-                }
-            }
-            prev = Some(chosen_tid);
-            pos += 1;
-            s.threads[chosen_tid].status = ThreadStatus::Running;
-            s.grant = Some(chosen_tid);
-            inner.cv.notify_all();
-        }
+        *trail = std::mem::take(&mut s.trail);
+        (s.violation.take(), std::mem::take(&mut s.trace))
     }
-
-    /// Unwinds every still-parked thread after a violation/deadlock.
-    fn tear_down(inner: &Inner, mut s: MutexGuard<'_, Sched>) {
-        s.abort = true;
-        inner.cv.notify_all();
-        while !s.threads.iter().all(|t| t.status == ThreadStatus::Finished) {
-            s = inner.wait(s);
-        }
-    }
-}
-
-fn enabled_threads(s: &Sched) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (tid, t) in s.threads.iter().enumerate() {
-        if t.status != ThreadStatus::Waiting {
-            continue;
-        }
-        let Some(op) = t.op else { continue };
-        let ok = match (op.kind, op.obj) {
-            (OpKind::MutexLock | OpKind::RwWrite, Some(o)) => {
-                let obj = &s.objects[o];
-                !obj.locked && (op.kind == OpKind::MutexLock || obj.readers == 0)
-            }
-            (OpKind::RwRead, Some(o)) => !s.objects[o].locked,
-            _ => true,
-        };
-        if ok {
-            out.push(tid);
-        }
-    }
-    out
 }
 
 fn blocked_summary(s: &Sched) -> String {
-    let mut parts = Vec::new();
-    for (tid, t) in s.threads.iter().enumerate() {
-        if t.status == ThreadStatus::Waiting {
-            if let Some(op) = t.op {
-                let name = op.obj.map_or("?", |o| s.objects[o].name);
-                parts.push(format!("t{tid} blocked on {:?}({name})", op.kind));
-            }
-        }
-    }
+    let parts: Vec<String> = s
+        .threads
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.status == ThreadStatus::Waiting)
+        .filter_map(|(tid, t)| Some(format!("t{tid} blocked on {}", describe(t.op?))))
+        .collect();
     parts.join(", ")
-}
-
-fn state_key(s: &Sched, preemptions: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv_fold(h, preemptions as u64);
-    for t in &s.threads {
-        h = fnv_fold(h, t.status as u64);
-        h = fnv_fold(h, t.ops_done as u64);
-        h = fnv_fold(h, t.obs_hash);
-        if let Some(op) = t.op {
-            h = fnv_fold(h, op.kind as u64);
-            h = fnv_fold(h, op.obj.map_or(u64::MAX, |o| o as u64));
-        }
-    }
-    for o in &s.objects {
-        h = fnv_fold(h, u64::from(o.locked));
-        h = fnv_fold(h, o.readers as u64);
-        h = fnv_fold(h, o.value_hash);
-    }
-    h
 }
 
 fn worker_main(inner: Arc<Inner>, tid: usize, body: Body) {
@@ -796,31 +697,28 @@ fn worker_main(inner: Arc<Inner>, tid: usize, body: Body) {
         })
     });
     IN_MODEL.set(true);
-    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        Hooks::schedule(
-            &inner,
-            Op {
-                kind: OpKind::Begin,
-                obj: None,
-            },
-            "begin",
-        );
-        body();
-    }));
+    kernel_sync::set_hook(Some(on_lock));
+    {
+        let mut s = inner.lock();
+        s.grant = None;
+        s.record(tid, None);
+    }
+    let result = panic::catch_unwind(AssertUnwindSafe(body));
+    kernel_sync::set_hook(None);
+    CURRENT.with_borrow_mut(|c| *c = None);
     let mut s = inner.lock();
     s.threads[tid].status = ThreadStatus::Finished;
     s.threads[tid].op = None;
     if let Err(p) = result {
-        if p.downcast_ref::<AbortExecution>().is_none() && s.violation.is_none() {
-            let trace = s.trace.clone();
-            s.violation = Some(Violation {
-                message: payload_msg(p.as_ref()),
-                trace,
-            });
-            s.abort = true;
+        if p.downcast_ref::<AbortExecution>().is_none() {
+            s.fail(payload_msg(p.as_ref()));
         }
     }
-    inner.cv.notify_all();
+    s.decide();
+    s.wake_granted();
+    if s.threads.iter().all(|t| t.status == ThreadStatus::Finished) {
+        inner.finished.notify_one();
+    }
 }
 
 fn payload_msg(p: &(dyn std::any::Any + Send)) -> String {
@@ -830,5 +728,22 @@ fn payload_msg(p: &(dyn std::any::Any + Send)) -> String {
         m.clone()
     } else {
         "model thread panicked".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::short_type_name;
+
+    #[test]
+    fn type_names_lose_their_paths() {
+        assert_eq!(
+            short_type_name("alloc::sync::Arc<tvdp_query::sharded::Generation>"),
+            "Arc<Generation>"
+        );
+        assert_eq!(
+            short_type_name("std::collections::BTreeMap<(a::K, u32), alloc::sync::Arc<b::V>>"),
+            "BTreeMap<(K, u32), Arc<V>>"
+        );
     }
 }

@@ -1,63 +1,64 @@
 //! `tvdp-check`: a deterministic, exhaustive-interleaving model
-//! checker for TVDP's concurrency protocols.
+//! checker for TVDP's concurrency protocols, run on the shipped code.
 //!
 //! Loom-in-spirit but hand-rolled to honor the workspace invariants
 //! (no wall-clock, no ambient randomness, no extra dependencies): a
-//! model is a plain closure that builds [`shim`] primitives, spawns
-//! model threads with [`spawn`], and asserts its invariants inline or
-//! in a [`finally`] postcondition. [`Checker::check`] then runs the
-//! model under *every* interleaving of its primitive operations
-//! (optionally bounded by preemption count), pruning revisited states
-//! by hash, and reports either exhaustion or a counterexample trace.
+//! model is a plain closure that builds shipped state, spawns model
+//! threads with [`spawn`], and asserts its invariants inline or in a
+//! [`finally`] postcondition. Each model thread installs the checker as
+//! its `tvdp_kernel::sync` hook, so every lock the workspace takes —
+//! `sync::Mutex`, `sync::RwLock` and the lock inside every `GenCell` —
+//! is a scheduling point. [`Checker::check`] then runs the model under
+//! *every* interleaving of those operations (optionally bounded by
+//! preemption count) and reports either exhaustion or a counterexample
+//! trace.
 //!
-//! The five protocol models under [`models`] are the reason this crate
-//! exists: GenCell publish/read, shard append/seal vs scatter/gather
-//! readers, WAL journal-before-apply, the edge circuit breaker, and
-//! admission control.
-//! Each ships with deliberately broken mutant variants proving the
-//! checker actually distinguishes correct protocols from subtly wrong
-//! ones — see `tests/protocols.rs`.
+//! `tests/protocols.rs` drives the shipped protocols through it:
+//! `GenCell` publish/read, `ShardedEngine::index_image` against
+//! `try_execute`, `DurableStore::apply_batch`'s journal-before-apply,
+//! `AdmissionController::admit`, and the edge `CircuitBreaker` behind a
+//! `sync::Mutex`. Beside them, one small model per bug class, each a
+//! deliberately broken use of the same locks, shows the checker catches
+//! what the shipped code avoids.
 
 mod exec;
-pub mod models;
-pub mod shim;
 
-pub use exec::{finally, spawn, Checker, CheckerConfig, Report, Violation};
+pub use exec::{finally, spawn, Checker, CheckerConfig, Report};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tvdp_kernel::sync::{Mutex, RwLock};
 
-    /// Two unsynchronized read-modify-write-as-two-ops increments on a
-    /// counter: the textbook lost update. The checker must find it.
+    /// Two increments that read and write the counter under separate
+    /// lock holds: the textbook lost update. The checker must find it.
     fn lost_update_model() {
-        let c = shim::Atomic::new("counter", 0u32);
+        let c = Arc::new(Mutex::new(0u32));
         for _ in 0..2 {
-            let c = c.clone();
+            let c = Arc::clone(&c);
             spawn(move || {
-                let v = c.load();
-                c.store(v + 1);
+                let v = *c.lock();
+                *c.lock() = v + 1;
             });
         }
-        let c2 = c.clone();
         finally(move || {
-            assert_eq!(c2.load(), 2, "increment lost");
+            assert_eq!(*c.lock(), 2, "increment lost");
         });
     }
 
-    /// Same counter, but incremented with an indivisible rmw: correct
-    /// under every schedule.
+    /// Same counter, incremented under one lock hold: correct under
+    /// every schedule.
     fn rmw_model() {
-        let c = shim::Atomic::new("counter", 0u32);
+        let c = Arc::new(Mutex::new(0u32));
         for _ in 0..2 {
-            let c = c.clone();
+            let c = Arc::clone(&c);
             spawn(move || {
-                c.rmw(|v| v + 1);
+                *c.lock() += 1;
             });
         }
-        let c2 = c.clone();
         finally(move || {
-            assert_eq!(c2.load(), 2, "increment lost");
+            assert_eq!(*c.lock(), 2, "increment lost");
         });
     }
 
@@ -66,8 +67,12 @@ mod tests {
         let mut ck = Checker::new(CheckerConfig::default());
         let report = ck.check(lost_update_model);
         let v = report.violation.expect("lost update must be found");
-        assert!(v.message.contains("increment lost"), "got: {}", v.message);
-        assert!(!v.trace.is_empty(), "counterexample must carry a trace");
+        assert!(v.contains("increment lost"), "got: {v}");
+        assert!(
+            report.trace.iter().any(|l| l.contains("lock(Mutex<u32>)")),
+            "the counterexample's trace names the lock: {:?}",
+            report.trace
+        );
     }
 
     #[test]
@@ -82,7 +87,7 @@ mod tests {
     fn zero_preemption_bound_misses_the_race() {
         // With no preemptions allowed, each thread runs to completion
         // once started — the lost update needs one preemption between
-        // load and store, so the bounded search must come up empty.
+        // the read and the write, so the bounded search comes up empty.
         let mut ck = Checker::new(CheckerConfig {
             preemption_bound: Some(0),
             ..CheckerConfig::default()
@@ -106,33 +111,11 @@ mod tests {
     }
 
     #[test]
-    fn pruning_reduces_schedules_with_same_verdict() {
-        let mut full = Checker::new(CheckerConfig {
-            prune_states: false,
-            ..CheckerConfig::default()
-        });
-        let unpruned = full.check(rmw_model);
-        let mut pruned = Checker::new(CheckerConfig::default());
-        let with_pruning = pruned.check(rmw_model);
-        assert!(unpruned.passed() && with_pruning.passed());
-        assert!(
-            with_pruning.schedules <= unpruned.schedules,
-            "pruning must not expand the search: {} > {}",
-            with_pruning.schedules,
-            unpruned.schedules
-        );
-        assert!(
-            with_pruning.pruned > 0,
-            "model revisits states; some must prune"
-        );
-    }
-
-    #[test]
     fn exploration_is_deterministic() {
         let run = || {
             let mut ck = Checker::new(CheckerConfig::default());
             let r = ck.check(lost_update_model);
-            (r.schedules, r.violation.map(|v| (v.message, v.trace)))
+            (r.schedules, r.violation, r.trace)
         };
         assert_eq!(run(), run(), "same model, same config => same exploration");
     }
@@ -141,10 +124,10 @@ mod tests {
     fn deadlock_is_reported() {
         // Classic ABBA deadlock across two mutexes.
         let model = || {
-            let a = shim::Mutex::new("a", 0u8);
-            let b = shim::Mutex::new("b", 0u8);
+            let a = Arc::new(Mutex::new(0u8));
+            let b = Arc::new(Mutex::new(0u16));
             {
-                let (a, b) = (a.clone(), b.clone());
+                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
                 spawn(move || {
                     let _ga = a.lock();
                     let _gb = b.lock();
@@ -158,7 +141,8 @@ mod tests {
         let mut ck = Checker::new(CheckerConfig::default());
         let report = ck.check(model);
         let v = report.violation.expect("ABBA deadlock must be found");
-        assert!(v.message.contains("deadlock"), "got: {}", v.message);
+        assert!(v.contains("deadlock"), "got: {v}");
+        assert!(v.contains("blocked on lock(Mutex<u16>)"), "got: {v}");
     }
 
     #[test]
@@ -166,18 +150,17 @@ mod tests {
         // A writer publishes two fields together under the write lock;
         // readers must never see them out of sync.
         let model = || {
-            let cell = shim::RwLock::new("cell", (0u32, 0u32));
+            let cell = Arc::new(RwLock::new((0u32, 0u32)));
             {
-                let cell = cell.clone();
+                let cell = Arc::clone(&cell);
                 spawn(move || {
                     let mut g = cell.write();
                     g.0 = 7;
                     g.1 = 7;
                 });
             }
-            let cell2 = cell.clone();
             spawn(move || {
-                let g = cell2.read();
+                let g = cell.read();
                 assert_eq!(g.0, g.1, "torn read through RwLock");
             });
         };

@@ -133,7 +133,7 @@ impl Tvdp {
         region: Option<RegionOfInterest>,
     ) -> Result<AnnotationId, PlatformError> {
         self.require_user(user)?;
-        if self.store.image(image).is_none() {
+        if !self.store.contains(image) {
             return Err(PlatformError::UnknownImage(image));
         }
         let id = self.analysis.alloc_annotation_id();

@@ -53,7 +53,7 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Closed {
         consecutive_failures: u32,
@@ -72,10 +72,7 @@ enum State {
 }
 
 /// One device's breaker.
-///
-/// Derives `PartialEq`/`Eq`/`Hash` so model checkers (`tvdp-check`)
-/// can treat a breaker as a hashable state value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
     state: State,

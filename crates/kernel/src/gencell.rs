@@ -12,18 +12,16 @@
 //! This is the **only** sanctioned publication primitive for shared
 //! mutable-by-replacement state outside the pool (rule L3, the root
 //! `clippy.toml`, flags ad-hoc `std::sync` locks). Internally
-//! it is a lock held only for the duration of an `Arc` clone or
-//! pointer store — nanoseconds, never across user code — so the
-//! determinism contract holds trivially: a `load` returns whichever
-//! generation was most recently published, and computed values depend
-//! only on that generation's contents.
+//! it is a [`crate::sync::RwLock`] held only for the duration of an
+//! `Arc` clone or pointer store — nanoseconds, never across user code —
+//! so the determinism contract holds trivially: a `load` returns
+//! whichever generation was most recently published, and computed
+//! values depend only on that generation's contents. Being a `sync`
+//! lock, it reports to a model checker's hook like every other lock.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "L3 owner: the publication primitive is built on a `std::sync::RwLock` here, once"
-)]
+use std::sync::Arc;
 
-use std::sync::{Arc, RwLock};
+use crate::sync::RwLock;
 
 /// A cell publishing immutable generations of `T` to concurrent
 /// readers. See the module docs for the reader/writer contract.
@@ -44,16 +42,13 @@ impl<T> GenCell<T> {
     /// `Arc` stays valid (and immutable) regardless of later
     /// [`GenCell::store`] calls.
     pub fn load(&self) -> Arc<T> {
-        // A panicking writer can only poison the lock *after* its store
-        // completed (the critical section is one pointer assignment),
-        // so the recovered value is always a fully published generation.
-        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&self.current.read())
     }
 
     /// Publishes `next` as the new current generation. In-flight
     /// readers keep the generation they loaded; new readers see `next`.
     pub fn store(&self, next: Arc<T>) {
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
+        *self.current.write() = next;
     }
 }
 

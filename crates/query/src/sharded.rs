@@ -187,7 +187,7 @@ impl ShardedEngine {
     /// Panics when `shard` is not 0, the one store's index.
     pub fn index_image(&self, shard: usize, id: ImageId) {
         assert_eq!(shard, 0, "a ShardedEngine indexes one store, shard 0");
-        if self.store.image(id).is_none() {
+        if !self.store.contains(id) {
             return;
         }
         let mut w = self.writer.lock();

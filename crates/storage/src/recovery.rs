@@ -695,7 +695,7 @@ impl DurableStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
     use crate::ids::{AnnotationId, ClassificationId, ImageId, UserId};
@@ -731,11 +731,34 @@ mod tests {
         }
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
+    /// A scratch directory under the temp dir, removed when dropped —
+    /// by a failing test's unwinding too.
+    pub(crate) struct Scratch(PathBuf);
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for Scratch {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    pub(crate) fn temp_dir(name: &str) -> Scratch {
         let mut p = std::env::temp_dir();
         p.push(format!("tvdp-recovery-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&p).ok();
-        p
+        Scratch(p)
     }
 
     /// An image at the store's next id, journaled as a batch of one.
@@ -1479,7 +1502,7 @@ mod tests {
     }
 
     /// A directory holding `records` as its base segment at epoch 0.
-    fn dir_with_base(name: &str, records: &[WalOp]) -> PathBuf {
+    fn dir_with_base(name: &str, records: &[WalOp]) -> Scratch {
         let dir = temp_dir(name);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("base-0.seg"), render(records)).unwrap();

@@ -890,6 +890,12 @@ impl VisualStore {
         self.inner.read().upload_markers.get(key).map(|(id, _)| *id)
     }
 
+    /// Whether image `id` is stored: one lookup in the row table, no
+    /// record assembled.
+    pub fn contains(&self, id: ImageId) -> bool {
+        self.inner.read().row_index(id).is_ok()
+    }
+
     /// The image row, if present, assembled as an owned record.
     pub fn image(&self, id: ImageId) -> Option<ImageRecord> {
         let t = self.inner.read();
@@ -1646,9 +1652,7 @@ mod tests {
             .is_some_and(|found| found.starts_with("record 0: Some(IngestUpload")));
 
         let nan = f32::from_bits(0x7fc0_1234);
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("tvdp-store-digest-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::recovery::tests::temp_dir("store-digest");
         let (durable, _) = crate::DurableStore::open(&dir).unwrap();
         durable
             .apply_batch(store_with(vec![nan, -0.0, 2.0]).snapshot().into_ops()[..1].to_vec())

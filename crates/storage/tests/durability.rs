@@ -10,8 +10,11 @@
 //! failure. The states hold `-0.0`s and NaN payloads, which a float
 //! equality would not tell from `+0.0` and from each other.
 
+mod common;
+
+use common::Scratch;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_storage::fault::FailingWriter;
@@ -102,11 +105,8 @@ fn journal_label(
     .map(drop)
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("tvdp-durability-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
+fn temp_dir(name: &str) -> Scratch {
+    Scratch::new(format!("tvdp-durability-{name}-{}", std::process::id()))
 }
 
 /// Lays a durable-store directory down from raw bytes: a base segment

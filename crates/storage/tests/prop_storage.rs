@@ -4,6 +4,9 @@
 //! features hold `+0.0`, `-0.0` and NaN payloads, which the store must
 //! keep bit for bit.
 
+mod common;
+
+use common::Scratch;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -71,9 +74,7 @@ fn arb_rows(rng: &mut Rng, max: usize) -> Vec<Row> {
 /// `store`'s dump rendered as the base segment of a directory, and the
 /// store that directory opens to.
 fn reopened_from_its_base(store: &VisualStore, tag: u64) -> Arc<VisualStore> {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("tvdp-prop-base-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = Scratch::new(format!("tvdp-prop-base-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut base = SEGMENT_MAGIC.to_vec();
     for op in store.snapshot().into_ops() {
@@ -325,9 +326,7 @@ fn arb_history(rng: &mut Rng) -> Vec<Vec<WalOp>> {
 #[test]
 fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
     for_each_case(3, |case, rng| {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("tvdp-prop-compact-{}-{case}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = Scratch::new(format!("tvdp-prop-compact-{}-{case}", std::process::id()));
         let (durable, _) = DurableStore::open(&dir).unwrap();
         // The same history on an in-memory store: what the directory
         // must come back as.
@@ -414,9 +413,7 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
         FeatureKind::Cnn,
     ];
     for_each_case(6, |case, rng| {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("tvdp-prop-order-{}-{case}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = Scratch::new(format!("tvdp-prop-order-{}-{case}", std::process::id()));
         let (durable, _) = DurableStore::open(&dir).unwrap();
         let mut model: BTreeMap<ImageId, (ImageRecord, BTreeMap<FeatureKind, Vec<f32>>)> =
             BTreeMap::new();
@@ -601,9 +598,7 @@ fn row_bytes(r: &ImageRecord) -> Vec<u8> {
 #[test]
 fn a_journal_reopens_to_the_store_its_ops_build_one_at_a_time() {
     for_each_case(4, |case, rng| {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("tvdp-prop-replay-{}-{case}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = Scratch::new(format!("tvdp-prop-replay-{}-{case}", std::process::id()));
         let (durable, _) = DurableStore::open(&dir).unwrap();
         let one_at_a_time = VisualStore::new();
         let history = arb_history(rng);

@@ -3,7 +3,10 @@
 //! feature fields, which every older build wrote, that replay and fold
 //! into the sparse form.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::Scratch;
+use std::path::Path;
 
 use tvdp_geo::GeoPoint;
 use tvdp_kernel::rng::{for_each_case, Rng};
@@ -230,12 +233,10 @@ fn meta() -> ImageMeta {
     }
 }
 
-fn temp_dir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("tvdp-sparse-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    std::fs::create_dir_all(&p).unwrap();
-    p
+fn temp_dir(name: &str) -> Scratch {
+    let dir = Scratch::new(format!("tvdp-sparse-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 /// The record a build before the sparse form wrote for a `PutFeature`:

@@ -86,12 +86,8 @@ pub struct Finding {
 #[derive(Debug, Clone, Copy)]
 pub struct Policy {
     /// Enforce L5 (`false` inside `tvdp-kernel`, which implements the
-    /// dispatch primitives, and `tvdp-check`, which deliberately models
-    /// broken locking).
+    /// dispatch primitives).
     pub check_lock_discipline: bool,
-    /// Enforce L6 (`false` inside `tvdp-check`, whose scheduler shims
-    /// are the reviewed home of explicit orderings).
-    pub check_atomic_ordering: bool,
     /// Enforce L7 (`false` inside `tvdp-kernel`, home of the canonical
     /// deterministic reductions, and `tvdp-bench` reporting code).
     pub check_float_reduction: bool,
@@ -102,7 +98,6 @@ impl Policy {
     pub fn strict() -> Self {
         Policy {
             check_lock_discipline: true,
-            check_atomic_ordering: true,
             check_float_reduction: true,
         }
     }
@@ -146,9 +141,7 @@ pub fn check(model: &SourceModel, policy: Policy, dead_api: Option<Vec<Finding>>
     if policy.check_lock_discipline {
         lock_discipline(model, &mut raw);
     }
-    if policy.check_atomic_ordering {
-        atomic_ordering(model, &mut raw);
-    }
+    atomic_ordering(model, &mut raw);
     if policy.check_float_reduction {
         float_reduction(model, &mut raw);
     }

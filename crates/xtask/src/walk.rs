@@ -9,9 +9,6 @@
 //! * `crates/kernel` — the home of the canonical fixed-order reductions
 //!   (L7 off), and implements the dispatch primitives L5 polices (L5
 //!   off);
-//! * `crates/check` — the model checker's shims are the reviewed home of
-//!   explicit atomic orderings, so L5/L6 are off there (it deliberately
-//!   models broken locking);
 //! * `crates/bench` — exists to report float means, so L7 is off.
 //!
 //! The owners of threads and clocks (L3, L4) opt out of clippy's
@@ -27,13 +24,8 @@ use crate::rules::{check, check_manifest, Finding, Policy};
 use crate::source::SourceModel;
 
 /// Crates exempt from lock-discipline L5: the kernel implements the
-/// dispatch primitives, and the checker deliberately models broken
-/// locking (its mutants are the rule's counterexamples).
-const LOCK_DISCIPLINE_EXEMPT: [&str; 2] = ["kernel", "check"];
-
-/// Crates exempt from atomic-ordering L6: the checker's scheduler shims
-/// are the one reviewed home of explicit orderings.
-const ATOMIC_ORDERING_EXEMPT: [&str; 1] = ["check"];
+/// dispatch primitives.
+const LOCK_DISCIPLINE_EXEMPT: [&str; 1] = ["kernel"];
 
 /// Crates exempt from float-reduction L7: the kernel owns the canonical
 /// fixed-order reduce paths, and bench reports are diagnostics.
@@ -49,7 +41,6 @@ pub fn policy_for(rel_path: &str) -> Policy {
         .unwrap_or("");
     Policy {
         check_lock_discipline: !LOCK_DISCIPLINE_EXEMPT.contains(&crate_name),
-        check_atomic_ordering: !ATOMIC_ORDERING_EXEMPT.contains(&crate_name),
         check_float_reduction: !FLOAT_REDUCTION_EXEMPT.contains(&crate_name),
     }
 }
@@ -201,10 +192,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn checker_owns_its_scheduler_and_orderings() {
+    fn the_checker_gets_every_rule() {
         let p = policy_for("crates/check/src/exec.rs");
-        assert!(!p.check_lock_discipline);
-        assert!(!p.check_atomic_ordering);
+        assert!(p.check_lock_discipline);
         assert!(p.check_float_reduction, "no float math in the checker");
     }
 
@@ -213,13 +203,8 @@ mod tests {
         let p = policy_for("crates/kernel/src/pool.rs");
         assert!(!p.check_lock_discipline);
         assert!(!p.check_float_reduction);
-        assert!(
-            p.check_atomic_ordering,
-            "kernel orderings still need review"
-        );
         let q = policy_for("crates/query/src/sharded.rs");
         assert!(q.check_lock_discipline);
-        assert!(q.check_atomic_ordering);
         assert!(q.check_float_reduction);
     }
 
