@@ -15,13 +15,15 @@
 //! * a request is one physical journal write, so a write fault at any
 //!   byte of it stores none of the request.
 
-use std::path::PathBuf;
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tvdp_api::{ApiRequest, ApiServer, RateLimitConfig};
 use tvdp_core::{AdmissionConfig, PlatformConfig, Role, Tvdp};
+use tvdp_storage::disk::{self, Fault, Op};
 use tvdp_storage::store::first_difference;
-use tvdp_storage::{codec, VisualStore, WalOp, WriteFaultPlan};
+use tvdp_storage::{codec, VisualStore, WalOp};
 use tvdp_vision::{CnnConfig, FeatureKind, Image};
 
 fn fast_config() -> PlatformConfig {
@@ -77,11 +79,52 @@ fn call_at(
     server.handle(&ApiRequest::new(key, endpoint, body), now_ms)
 }
 
-fn temp_dir(name: &str) -> PathBuf {
+/// A scratch directory under the temp dir, removed when dropped — by a
+/// failing test's unwinding too.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn temp_dir(name: &str) -> Scratch {
     let mut p = std::env::temp_dir();
     p.push(format!("tvdp-api-resilience-{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&p).ok();
-    p
+    Scratch(p)
+}
+
+thread_local! {
+    /// Bytes the next write on a full disk keeps.
+    static KEEP: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Fills the disk for this thread — the one `ApiServer::handle` commits
+/// on: its next write keeps `kept` bytes and fails with ENOSPC, and
+/// every later one keeps none, until [`free_disk`].
+fn fill_disk(kept: usize) {
+    KEEP.set(kept);
+    disk::set_hook(Some(full));
+}
+
+fn free_disk() {
+    disk::set_hook(None);
+}
+
+fn full(op: &Op<'_>) -> Option<Fault> {
+    matches!(op, Op::Write { .. }).then(|| Fault {
+        kept: KEEP.replace(0),
+        error: std::io::Error::from_raw_os_error(28),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -347,11 +390,7 @@ fn write_fault_flips_read_only_and_heals_through_the_api() {
 
     // The volume fills mid-append: the next WAL write takes a 3-byte
     // torn prefix and fails with ENOSPC, then stays full.
-    let plan = Arc::new(WriteFaultPlan::new());
-    platform
-        .set_write_fault_plan(Some(Arc::clone(&plan)))
-        .unwrap();
-    plan.arm_enospc(3);
+    fill_disk(3);
 
     // The faulted upload is refused with 503 — not a panic, not a
     // silent drop.
@@ -384,7 +423,7 @@ fn write_fault_flips_read_only_and_heals_through_the_api() {
     // the intermediate Degraded state (healing but not yet proven) is
     // observable through the health endpoint before the next write
     // returns the platform to Ok. No restart involved.
-    plan.clear();
+    free_disk();
     let healed = call_at(
         &server,
         &key,
@@ -417,7 +456,6 @@ fn write_fault_flips_read_only_and_heals_through_the_api() {
     drop(platform);
     let (reopened, _r) = Tvdp::open(&dir, fast_config()).unwrap();
     assert_eq!(reopened.stats().images, 4);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -465,13 +503,9 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
     let dump = |store: &VisualStore| -> Vec<WalOp> { store.snapshot().into_ops() };
     let mut acked_state = dump(platform.store());
 
-    let plan = WriteFaultPlan::new();
-    platform
-        .set_write_fault_plan(Some(Arc::clone(&plan)))
-        .unwrap();
     for budget in 0..=frames_len {
         let body = tiny_add_body(0, budget);
-        plan.arm_enospc(budget);
+        fill_disk(budget);
         let cut = call_at(&server, &key, "data/add", &body, 1);
         assert_eq!(cut.status, 503, "budget {budget}: {cut:?}");
         assert_eq!(platform.stats().images, acked, "budget {budget}");
@@ -480,7 +514,7 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
             None,
             "budget {budget}: part of the refused upload was stored"
         );
-        plan.clear();
+        free_disk();
         let retry = call_at(&server, &key, "data/add", &body, 2);
         assert!(retry.is_ok(), "budget {budget}: {retry:?}");
         acked += 1;
@@ -500,7 +534,6 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
         reopened.store().images_with_feature(FeatureKind::Cnn).len(),
         acked
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -552,20 +585,16 @@ fn a_write_fault_at_any_byte_of_a_model_application_stores_no_annotation() {
     assert_eq!(platform.stats().annotations, annotations);
 
     // Wherever the write is cut — inside the first frame or after it —
-    // no prediction of the refused request is stored. The plan is
-    // re-armed without healing in between: every attempt first repairs
-    // the tail its predecessor tore.
-    let plan = WriteFaultPlan::new();
-    platform
-        .set_write_fault_plan(Some(Arc::clone(&plan)))
-        .unwrap();
+    // no prediction of the refused request is stored. The disk is
+    // filled again without freeing it in between: every attempt first
+    // repairs the tail its predecessor tore.
     for budget in 0..=frames_len {
-        plan.arm_enospc(budget);
+        fill_disk(budget);
         let cut = call_at(&server, &key, "models/apply", &apply, 2);
         assert_eq!(cut.status, 503, "budget {budget}: {cut:?}");
         assert_eq!(platform.stats().annotations, annotations, "budget {budget}");
     }
-    plan.clear();
+    free_disk();
     let r = call_at(&server, &key, "models/apply", &apply, 3);
     assert!(r.is_ok(), "{r:?}");
     annotations += K;
@@ -574,7 +603,6 @@ fn a_write_fault_at_any_byte_of_a_model_application_stores_no_annotation() {
 
     let (reopened, _) = Tvdp::open(&dir, fast_config()).unwrap();
     assert_eq!(reopened.stats().annotations, annotations);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -197,20 +197,6 @@ impl Tvdp {
         self.durable.as_ref().map(DurableStore::health)
     }
 
-    /// Installs (or, with `None`, removes) a write-fault plan on the
-    /// durable store's WAL — chaos instrumentation for exercising
-    /// the degraded-mode state machine against live traffic. Durable
-    /// platforms only.
-    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-api's resilience tests inject write faults through it")
-    pub fn set_write_fault_plan(
-        &self,
-        plan: Option<std::sync::Arc<tvdp_storage::WriteFaultPlan>>,
-    ) -> Result<(), PlatformError> {
-        let durable = self.durable.as_ref().ok_or(PlatformError::NotDurable)?;
-        durable.set_write_fault_plan(plan);
-        Ok(())
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> PlatformStats {
         PlatformStats {

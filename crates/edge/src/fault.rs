@@ -1,8 +1,9 @@
 //! Deterministic network-fault injection for the upload transport.
 //!
-//! The storage layer's `FailingWriter` reproduces the one fault a disk
-//! write can suffer — dying after an arbitrary byte prefix. A city
-//! uplink has a richer failure menu, but the same testing philosophy
+//! The storage layer's disk faults are injected through
+//! `tvdp_storage::disk`'s per-thread hook: a write that keeps a byte
+//! prefix and fails, a failed `fsync`, a failed removal. A city uplink
+//! has a different failure menu, but the same testing philosophy
 //! applies: every fault is *planned*, either scripted attempt-by-attempt
 //! or drawn from a seeded RNG, so a chaos run replays bit-for-bit.
 //! [`FaultPlan`] is the planner; [`crate::transport::EdgeTransport`]

@@ -25,7 +25,7 @@
 
 pub mod annotation;
 pub mod codec;
-pub mod fault;
+pub mod disk;
 pub mod ids;
 pub mod le;
 pub mod persist;
@@ -36,7 +36,6 @@ pub mod store;
 pub mod wal;
 
 pub use annotation::{Annotation, AnnotationSource, ClassificationScheme, RegionOfInterest};
-pub use fault::{FailingWriter, FaultKind, WriteFaultPlan};
 pub use ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
 pub use record::{ImageMeta, ImageOrigin, ImageRecord, ImageRow};
 pub use recovery::{

@@ -31,13 +31,25 @@
 //! directory is touched.
 //!
 //! Compaction is one call, [`DurableStore::compact`]. Under the journal
-//! lock — atomically with respect to every mutator — it cuts a dump of
-//! the store *and* rotates the live segment, so the cut covers exactly
-//! the ops in the segments it seals. Writers then proceed into the new
-//! live segment while the fold writes the cut outside the lock,
-//! publishes it with the PR 4 staged-rename protocol (stage, fsync,
-//! rename, parent fsync) and retires the old base and the folded
-//! segments; writers only ever wait for the cut.
+//! lock — atomically with respect to every mutator — it repairs a torn
+//! tail a failed append left (a sealed segment is never repaired), cuts
+//! a dump of the store *and* rotates the live segment, so the cut
+//! covers exactly the ops in the segments it seals. Writers then proceed
+//! into the new live segment while the fold writes the cut outside the
+//! lock, publishes it with the PR 4 staged-rename protocol (stage,
+//! fsync, rename, parent fsync) and retires the old base and the folded
+//! segments without syncing their removal; writers only ever wait for
+//! the cut.
+//!
+//! Every call that changes the disk goes through [`crate::disk`], whose
+//! per-thread hook lets a test fail one or record the trace a crash
+//! explorer enumerates crash states from (`tests/crash_states.rs`): a
+//! crash keeps every synced effect, any prefix of a file's unsynced
+//! writes (or, for a short one, any subset of its pages) and an
+//! in-order prefix of a directory's unsynced creates, renames and
+//! removals. That is why [`DurableStore::open`] syncs the parent of a
+//! directory it creates, and why a zeroed header reads as an unstamped
+//! one.
 //!
 //! Epochs make all of this crash-safe. A base at epoch `B` means
 //! "replay every `wal-<e>.log` with `e >= B`, ascending"; the next
@@ -53,6 +65,7 @@ use std::sync::Arc;
 
 use tvdp_kernel::sync::Mutex;
 
+use crate::disk;
 use crate::persist;
 use crate::store::{Replays, StorageError, VisualStore};
 use crate::wal::{self, Wal, WalError, WalOp};
@@ -245,9 +258,6 @@ struct Journal {
     write_faults: u64,
     /// Most recent write fault, until fully recovered.
     last_error: Option<String>,
-    /// Injected fault script, re-installed into every WAL the store
-    /// rotates to (chaos tests only).
-    fault: Option<Arc<crate::fault::WriteFaultPlan>>,
 }
 
 impl Journal {
@@ -433,7 +443,8 @@ fn replay_sealed(store: &mut VisualStore, path: &Path, base: bool) -> Result<usi
 }
 
 impl DurableStore {
-    /// Opens (or creates) the durable store at `dir`, recovering from
+    /// Opens (or creates, its parent synced so that the new directory
+    /// survives a crash) the durable store at `dir`, recovering from
     /// any crash: replays the newest base segment, then every live WAL
     /// segment (epoch >= the base's) in ascending order — truncating a
     /// torn tail only on the highest segment, the one a crash could
@@ -441,7 +452,7 @@ impl DurableStore {
     /// files, bases and segments older than the base, the spill files
     /// of older builds).
     pub fn open(dir: &Path) -> Result<(DurableStore, RecoveryReport), DurableError> {
-        std::fs::create_dir_all(dir)?;
+        disk::create_dir(dir)?;
 
         // Inventory the directory: bases (the highest wins), journal
         // segments, and debris — staging files (a base that never
@@ -503,10 +514,10 @@ impl DurableStore {
         let base_epoch = base_epoch.unwrap_or(0);
         debris.sort();
         for path in &debris {
-            std::fs::remove_file(path)?;
+            disk::remove(path)?;
         }
-        if !debris.is_empty() {
-            persist::fsync_parent(&debris[0])?;
+        if let Some(path) = debris.first() {
+            disk::sync_parent(path)?;
         }
         let (live_epoch, sealed) = match segments.split_last() {
             Some((&highest, sealed)) => (highest, sealed),
@@ -546,7 +557,6 @@ impl DurableStore {
                     health: HealthState::Ok,
                     write_faults: 0,
                     last_error: None,
-                    fault: None,
                 }),
                 fold_active: Mutex::new(false),
             },
@@ -585,17 +595,6 @@ impl DurableStore {
             self.store.apply_validated(ops);
         }
         Ok(replays)
-    }
-
-    /// Installs (or removes) an injected write-fault script on the
-    /// journal: the plan follows the live WAL across compactions, so a
-    /// chaos test can fill the "disk" mid-traffic and watch the health
-    /// machine shed, probe, and recover. Chaos tooling only; a cleared
-    /// plan has no effect on the write path.
-    pub fn set_write_fault_plan(&self, plan: Option<Arc<crate::fault::WriteFaultPlan>>) {
-        let mut journal = self.journal.lock();
-        journal.wal.set_fault_plan(plan.clone());
-        journal.fault = plan;
     }
 
     /// The store's current write-path health (see [`HealthState`]).
@@ -643,6 +642,11 @@ impl DurableStore {
     /// [`DurableStore::compact`] behind its gate.
     fn fold(&self) -> Result<CompactionReport, DurableError> {
         let mut journal = self.journal.lock();
+        // A failed append may have left torn bytes in the live segment,
+        // and a sealed segment is never repaired: cut them now, or the
+        // rotation below seals them and the next open refuses the
+        // directory. If that fails, nothing rotates.
+        journal.wal.repair_tail()?;
         let mut folded = Vec::new();
         let mut wal_bytes_before = 0u64;
         for epoch in journal.base_epoch..=journal.epoch {
@@ -653,8 +657,7 @@ impl DurableStore {
             }
         }
         let new_base = journal.epoch + 1;
-        let mut next_wal = Wal::create(&wal_path(&self.dir, new_base))?;
-        next_wal.set_fault_plan(journal.fault.clone());
+        let next_wal = Wal::create(&wal_path(&self.dir, new_base))?;
         // The cut happens while the journal lock still excludes every
         // mutator: ops journaled up to here are in the cut and in the
         // sealed segments; ops journaled after go to the new live
@@ -678,12 +681,12 @@ impl DurableStore {
             }
         };
         self.journal.lock().base_epoch = new_base;
-        // Retire what the new base supersedes. Best-effort: a file whose
-        // removal does not happen is swept as debris by the next open.
+        // Retire what the new base supersedes. Best-effort, and not
+        // synced: the published base outranks the files, so a removal a
+        // crash undoes is swept as debris by the next open.
         for path in [&base_path(&self.dir, old_base)].into_iter().chain(&folded) {
-            std::fs::remove_file(path).ok();
+            disk::remove(path).ok();
         }
-        persist::fsync_parent(&dest)?;
         Ok(CompactionReport {
             epoch: new_base,
             ops_compacted,
@@ -1460,6 +1463,37 @@ pub(crate) mod tests {
         assert_eq!((report.replayed_ops, report.debris_removed), (0, 0));
         assert_eq!(first_difference(&dump(&ds2.store), &live), None);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A disk-full hook: every write keeps three bytes and fails.
+    fn three_bytes_then_enospc(op: &disk::Op<'_>) -> Option<disk::Fault> {
+        matches!(op, disk::Op::Write { .. }).then(|| disk::Fault {
+            kept: 3,
+            error: std::io::Error::from_raw_os_error(28),
+        })
+    }
+
+    #[test]
+    fn a_fold_repairs_the_torn_tail_it_would_otherwise_seal() {
+        let dir = temp_dir("fold-torn-tail");
+        let (ds, _) = DurableStore::open(&dir).unwrap();
+        let img = journal_image(&ds, ImageOrigin::Original, None).unwrap();
+        let acked = dump(&ds.store);
+        let intact = ds.wal_bytes().unwrap();
+        disk::set_hook(Some(three_bytes_then_enospc));
+        let torn = ds.apply_batch(vec![feature(img, FeatureKind::Cnn, vec![1.0; 4])]);
+        disk::set_hook(None);
+        assert!(torn.is_err());
+        assert_eq!(ds.wal_bytes().unwrap(), intact + 3);
+        // The publish fails: the fold rotated past wal-0.log and a crash
+        // leaves it sealed.
+        std::fs::create_dir(dir.join("base-1.seg")).unwrap();
+        assert!(matches!(ds.compact(), Err(DurableError::Io(_))));
+        drop(ds);
+        std::fs::remove_dir(dir.join("base-1.seg")).unwrap();
+        let (reopened, report) = DurableStore::open(&dir).unwrap();
+        assert_eq!((report.replayed_ops, report.torn_bytes), (1, 0));
+        assert_eq!(first_difference(&dump(&reopened.store), &acked), None);
     }
 
     #[test]

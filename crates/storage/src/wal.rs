@@ -62,15 +62,15 @@
 //! [`scan`]. It alone may carry [`WalOp::UploadMarkers`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_kernel::crc32;
 use tvdp_vision::{FeatureKind, Image};
 
 use crate::annotation::{Annotation, AnnotationSource, RegionOfInterest};
+use crate::disk;
 use crate::ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
 use crate::le::{self, DecodeError, Reader};
 use crate::pixels;
@@ -623,8 +623,7 @@ pub(crate) fn push_record(buf: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec
 
 /// Frames one op payload as a full WAL record (`len`, `crc32`,
 /// payload): the bytes [`Wal::append`] adds to a segment for that op.
-/// Exposed so fault-injection tests can materialize arbitrary crash
-/// prefixes of an append.
+/// Exposed so tests can lay segments down and size records by hand.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
     push_record(&mut buf, |out| out.extend_from_slice(payload));
@@ -789,6 +788,17 @@ impl<R: Read> Iterator for Scan<R> {
     }
 }
 
+/// Whether a segment whose first bytes are `head` holds nothing but
+/// them, all zero.
+fn zeroed_header<R: Read>(head: &[u8], source: &mut R) -> Result<bool, WalError> {
+    if head.is_empty() || head.iter().any(|&b| b != 0) {
+        return Ok(false);
+    }
+    let mut more = Vec::new();
+    source.take(1).read_to_end(&mut more)?;
+    Ok(more.is_empty())
+}
+
 /// Scans a segment read from `source` (a file, or bytes already in
 /// memory), yielding its ops in order and stopping at the first torn
 /// record: one whose header is cut short, whose length is 0, above
@@ -798,16 +808,18 @@ impl<R: Read> Iterator for Scan<R> {
 /// no more than one op is decoded at a time. A record whose checksum
 /// verifies but whose payload doesn't decode is a hard error (see
 /// [`WalError::Corrupt`]) that ends the scan, as are leading bytes that
-/// are not (a prefix of) the magic.
+/// are not (a prefix of) the magic, unless the segment is at most a
+/// header's length of zeros.
 pub fn scan<R: Read>(path: &Path, mut source: R) -> Result<Scan<R>, WalError> {
     let mut head = Vec::with_capacity(SEGMENT_MAGIC.len());
     (&mut source)
         .take(SEGMENT_MAGIC.len() as u64)
         .read_to_end(&mut head)?;
     // A crash inside `Wal::create` leaves a strict prefix of the magic,
-    // possibly none of it: a segment with no record.
+    // possibly none of it, or a header's length of zeros where its page
+    // was never written: a segment with no record.
     let whole = head == SEGMENT_MAGIC;
-    if !whole && !SEGMENT_MAGIC.starts_with(&head) {
+    if !whole && !SEGMENT_MAGIC.starts_with(&head) && !zeroed_header(&head, &mut source)? {
         return Err(unsupported(path, &head));
     }
     Ok(Scan {
@@ -827,12 +839,11 @@ pub fn scan<R: Read>(path: &Path, mut source: R) -> Result<Scan<R>, WalError> {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
+    path: PathBuf,
     /// Bytes known to hold only the header and intact, fsynced records.
     /// A failed append may leave torn bytes past this mark;
     /// [`Wal::repair_tail`] truncates back to it.
     valid_len: u64,
-    /// Optional injected write-fault script (chaos tests only).
-    fault: Option<Arc<crate::fault::WriteFaultPlan>>,
 }
 
 impl Wal {
@@ -840,14 +851,14 @@ impl Wal {
     /// holding only the segment header, and fsyncs it plus its parent
     /// directory so the file itself survives a crash.
     pub fn create(path: &Path) -> Result<Wal, WalError> {
-        let mut file = File::create(path)?;
-        file.write_all(&SEGMENT_MAGIC)?;
-        file.sync_all()?;
-        crate::persist::fsync_parent(path)?;
+        let mut file = disk::create(path)?;
+        disk::write(&mut file, path, &SEGMENT_MAGIC)?;
+        disk::sync_all(&file, path)?;
+        disk::sync_parent(path)?;
         Ok(Wal {
             file,
+            path: path.to_path_buf(),
             valid_len: SEGMENT_MAGIC.len() as u64,
-            fault: None,
         })
     }
 
@@ -859,46 +870,17 @@ impl Wal {
         if valid_len == 0 {
             return Wal::create(path);
         }
-        let file = OpenOptions::new().append(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
         if file.metadata()?.len() > valid_len {
-            file.set_len(valid_len)?;
-            file.sync_all()?;
+            disk::set_len(&file, path, valid_len)?;
+            disk::sync_all(&file, path)?;
         }
+        file.seek(SeekFrom::Start(valid_len))?;
         Ok(Wal {
             file,
+            path: path.to_path_buf(),
             valid_len,
-            fault: None,
         })
-    }
-
-    /// Installs (or removes) an injected write-fault script. Every
-    /// later [`Wal::append`] / [`Wal::append_batch`] consults the plan
-    /// before touching the file; an armed plan makes the write leave
-    /// only its torn prefix on disk and fail with the plan's error.
-    pub fn set_fault_plan(&mut self, plan: Option<Arc<crate::fault::WriteFaultPlan>>) {
-        self.fault = plan;
-    }
-
-    /// One guarded physical append: fault plan first, then
-    /// `write_all` + `sync_data`, advancing the valid-byte mark only
-    /// on full success.
-    fn guarded_write(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        if let Some(plan) = &self.fault {
-            if let Some((prefix, e)) = plan.intercept(bytes.len()) {
-                // The torn prefix really lands on disk (and is synced)
-                // so recovery sees exactly what a crashed or
-                // out-of-space append would have left behind.
-                if prefix > 0 {
-                    self.file.write_all(&bytes[..prefix])?;
-                    self.file.sync_data()?;
-                }
-                return Err(WalError::Io(e));
-            }
-        }
-        self.file.write_all(bytes)?;
-        self.file.sync_data()?;
-        self.valid_len += bytes.len() as u64;
-        Ok(())
     }
 
     /// Truncates any torn bytes a failed append left past the last
@@ -909,13 +891,12 @@ impl Wal {
         let on_disk = self.file.metadata()?.len();
         let torn = on_disk.saturating_sub(self.valid_len);
         if torn > 0 {
-            self.file.set_len(self.valid_len)?;
-            // A freshly created WAL writes through a plain (non-append)
-            // handle whose cursor the torn write advanced; park it back
-            // at the truncation point or the next append would leave a
-            // NUL gap that recovery reads as a torn tail.
+            disk::set_len(&self.file, &self.path, self.valid_len)?;
+            // The torn write advanced the cursor; park it back at the
+            // truncation point or the next append would leave a NUL gap
+            // that recovery reads as a torn tail.
             self.file.seek(SeekFrom::Start(self.valid_len))?;
-            self.file.sync_all()?;
+            disk::sync_all(&self.file, &self.path)?;
         }
         Ok(torn)
     }
@@ -940,7 +921,10 @@ impl Wal {
         }
         let mut buf = Vec::new();
         push_records(&mut buf, ops)?;
-        self.guarded_write(&buf)
+        disk::write(&mut self.file, &self.path, &buf)?;
+        disk::sync_data(&self.file, &self.path)?;
+        self.valid_len += buf.len() as u64;
+        Ok(())
     }
 }
 
@@ -948,6 +932,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::store::first_difference;
+    use std::io::Write;
 
     fn meta(uploader: u64, keywords: &[&str]) -> ImageMeta {
         ImageMeta {
@@ -1488,11 +1473,17 @@ mod tests {
     #[test]
     fn blank_and_half_stamped_segments_open_empty_and_are_stamped() {
         let path = temp_path("blank");
-        for cut in 0..SEGMENT_MAGIC.len() {
-            std::fs::write(&path, &SEGMENT_MAGIC[..cut]).unwrap();
+        // A strict prefix of the magic, or zeros where the header's page
+        // was never written.
+        let zeros = [0; SEGMENT_MAGIC.len()];
+        let heads = (0..SEGMENT_MAGIC.len())
+            .map(|cut| &SEGMENT_MAGIC[..cut])
+            .chain((1..=zeros.len()).map(|cut| &zeros[..cut]));
+        for head in heads {
+            std::fs::write(&path, head).unwrap();
             let (mut wal, ops, torn) = open_recover(&path).unwrap();
             assert!(ops.is_empty());
-            assert_eq!(torn, cut as u64);
+            assert_eq!(torn, head.len() as u64);
             assert_eq!(std::fs::read(&path).unwrap(), SEGMENT_MAGIC);
             wal.append(&sample_ops()[1]).unwrap();
             drop(wal);

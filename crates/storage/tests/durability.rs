@@ -1,29 +1,30 @@
-//! Crash-safety torture suite: kill every write at every byte offset
-//! and prove recovery always lands on the pre- or post-write state.
+//! Durability suite: a write killed at every byte offset recovers the
+//! pre- or post-write state, acknowledged writes survive a reopen, a
+//! fold keeps the state, an older build's files are refused untouched,
+//! and a full disk sheds writes and heals without a restart.
 //!
-//! The deterministic fault model: a crash during a write leaves an
-//! arbitrary prefix of the intended bytes on disk
-//! ([`FailingWriter`]). For each offset, these tests materialize that
-//! exact prefix as the on-disk file, reopen the store through full
-//! recovery, and compare its encoded bytes ([`VisualStore::digest`])
-//! against the enumerated legal states — a torn third state is a
-//! failure. The states hold `-0.0`s and NaN payloads, which a float
-//! equality would not tell from `+0.0` and from each other.
+//! The disk fills through `tvdp_storage::disk`'s hook on the test's own
+//! thread. Stores are compared by their encoded bytes
+//! ([`VisualStore::digest`], `first_difference`), and the states hold
+//! `-0.0`s and NaN payloads, which a float equality would not tell from
+//! `+0.0` and from each other. A crash is a byte prefix of one write
+//! here, laid down by hand; `crash_states.rs` opens every state a crash
+//! at any disk operation can leave, which these tortures are a subset
+//! of.
 
 mod common;
 
 use common::Scratch;
-use std::io::Write;
+use std::cell::Cell;
 use std::path::Path;
 
 use tvdp_geo::{Fov, GeoPoint};
-use tvdp_storage::fault::FailingWriter;
-use tvdp_storage::persist;
+use tvdp_storage::disk::{self, Fault, Op};
 use tvdp_storage::store::first_difference;
 use tvdp_storage::wal::{frame, pixel_blob, WalError, SEGMENT_MAGIC};
 use tvdp_storage::{
     Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableError, DurableStore,
-    HealthState, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp, WriteFaultPlan,
+    HealthState, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp,
 };
 use tvdp_vision::{FeatureKind, Image};
 
@@ -105,6 +106,30 @@ fn journal_label(
     .map(drop)
 }
 
+thread_local! {
+    /// Bytes the next write on a full disk keeps.
+    static KEEP: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Fills this thread's disk: its next write keeps `kept` bytes and
+/// fails with ENOSPC, and every later one keeps none, until
+/// [`free_disk`].
+fn fill_disk(kept: usize) {
+    KEEP.set(kept);
+    disk::set_hook(Some(full));
+}
+
+fn free_disk() {
+    disk::set_hook(None);
+}
+
+fn full(op: &Op<'_>) -> Option<Fault> {
+    matches!(op, Op::Write { .. }).then(|| Fault {
+        kept: KEEP.replace(0),
+        error: std::io::Error::from_raw_os_error(28),
+    })
+}
+
 fn temp_dir(name: &str) -> Scratch {
     Scratch::new(format!("tvdp-durability-{name}-{}", std::process::id()))
 }
@@ -138,13 +163,6 @@ fn dump(store: &VisualStore) -> Vec<WalOp> {
 /// A NaN whose payload a canonicalising copy would lose.
 fn nan_with_payload() -> f32 {
     f32::from_bits(0xffc0_0042)
-}
-
-/// The crash prefix a write killed after `budget` bytes leaves behind.
-fn crash_prefix(bytes: &[u8], budget: usize) -> Vec<u8> {
-    let mut w = FailingWriter::new(budget);
-    let _ = w.write_all(bytes);
-    w.into_written()
 }
 
 /// Byte offsets at which each WAL record ends (plus leading 0: until
@@ -259,11 +277,7 @@ fn save_killed_at_every_offset_preserves_the_old_snapshot() {
         // Crash mid-staging: the real snapshot is untouched, the
         // staging file holds whatever prefix made it to disk.
         write_dir(&dir, Some(&old_bytes), 0, b"");
-        std::fs::write(
-            persist::staging_path(&dir.join("base-1.seg")).unwrap(),
-            crash_prefix(&new_bytes, cut),
-        )
-        .unwrap();
+        std::fs::write(dir.join("base-1.seg.tmp"), &new_bytes[..cut]).unwrap();
         let (ds, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(
             first_difference(&dump(&ds.store_arc()), &old),
@@ -277,21 +291,19 @@ fn save_killed_at_every_offset_preserves_the_old_snapshot() {
     write_dir(&dir, Some(&new_bytes), 0, b"");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     assert_eq!(first_difference(&dump(&ds.store_arc()), &new), None);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn wal_append_killed_at_every_offset_is_pre_or_post_never_torn() {
     let scratch = temp_dir("wal-torture-scratch");
     let (wal_bytes, states) = scripted_mutations(&scratch);
-    std::fs::remove_dir_all(&scratch).ok();
     let bounds = record_boundaries(&wal_bytes);
     assert_eq!(bounds.len(), states.len());
 
     let base_bytes = render_base(&states[0]);
     let dir = temp_dir("wal-torture");
     for cut in 0..=wal_bytes.len() {
-        write_dir(&dir, Some(&base_bytes), 0, &crash_prefix(&wal_bytes, cut));
+        write_dir(&dir, Some(&base_bytes), 0, &wal_bytes[..cut]);
         let (ds, report) = DurableStore::open(&dir).unwrap();
         // The store must equal the state after the last op whose
         // record fully made it to disk — nothing in between.
@@ -308,7 +320,6 @@ fn wal_append_killed_at_every_offset_is_pre_or_post_never_torn() {
             assert!(report.torn_bytes > 0, "cut at byte {cut} should be torn");
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -336,7 +347,6 @@ fn journaled_mutation_that_returned_ok_survives_reopen() {
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
     assert_eq!(first_difference(&dump(&ds.store_arc()), &after_all), None);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -374,7 +384,6 @@ fn snapshot_plus_wal_replay_equals_live_store() {
     // Ids keep advancing from where the live store left off.
     let next = journal_image(&reopened, meta("next"), ImageOrigin::Original, None).unwrap();
     assert!(next.raw() > child.raw());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -410,7 +419,6 @@ fn compaction_preserves_state_and_shrinks_the_log() {
     assert_eq!(recovery.epoch, 1);
     assert_eq!(recovery.replayed_ops, 0);
     assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Rows that mix FOV and FOV-less rows with hostile keywords (none,
@@ -500,7 +508,6 @@ fn interned_keywords_and_side_origins_keep_the_digest_through_reopen_and_fold() 
     assert_eq!(report.replayed_ops, 0);
     assert_eq!(folded.store_arc().digest(), digest);
     read_back(&folded.store_arc());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -511,7 +518,6 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     // segment with epoch >= B, ascending).
     let scratch = temp_dir("compact-crash-scratch");
     let (wal_bytes, states) = scripted_mutations(&scratch);
-    std::fs::remove_dir_all(&scratch).ok();
     let base = &states[0];
     let live = states.last().unwrap();
     let base_bytes = render_base(base);
@@ -558,8 +564,8 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     // both the sealed segment and the old snapshot intact.
     write_dir(&dir, Some(&base_bytes), 0, &wal_bytes);
     std::fs::write(
-        persist::staging_path(&dir.join("base-1.seg")).unwrap(),
-        crash_prefix(&live_bytes_epoch1, live_bytes_epoch1.len() / 2),
+        dir.join("base-1.seg.tmp"),
+        &live_bytes_epoch1[..live_bytes_epoch1.len() / 2],
     )
     .unwrap();
     std::fs::write(dir.join("wal-1.log"), b"").unwrap();
@@ -569,8 +575,6 @@ fn compaction_crash_windows_never_lose_or_double_apply() {
     assert_eq!(report.replayed_ops, states.len() - 1);
     assert_eq!(report.debris_removed, 1); // the torn staging file
     drop(ds);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Two records as the text journal of the builds before format v3 wrote
@@ -615,7 +619,6 @@ fn a_text_journal_from_an_older_build_is_refused_untouched() {
         std::fs::read(&wal_file).unwrap(),
         V2_TEXT_JOURNAL.as_bytes()
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The head of the JSON-lines snapshot the builds up to PR 20 published
@@ -672,7 +675,6 @@ fn a_json_snapshot_from_an_older_build_is_refused_untouched() {
         Err(DurableError::Wal(WalError::UnsupportedFormat { .. }))
     ));
     assert_eq!(listing(&dir), before);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The scripted ops of [`scripted_mutations`] as explicit-id
@@ -717,7 +719,6 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
     // record prefix of the batch — never a torn or reordered state.
     let scratch = temp_dir("batch-torture-scratch");
     let (per_op_bytes, states) = scripted_mutations(&scratch);
-    std::fs::remove_dir_all(&scratch).ok();
 
     // Journal the same ops through the group-commit path.
     let scratch2 = temp_dir("batch-torture-scratch2");
@@ -731,7 +732,6 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
     );
     drop(ds);
     let batch_bytes = std::fs::read(scratch2.join("wal-0.log")).unwrap();
-    std::fs::remove_dir_all(&scratch2).ok();
     assert_eq!(
         batch_bytes, per_op_bytes,
         "group commit must journal byte-identical frames"
@@ -740,7 +740,7 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
     let bounds = record_boundaries(&batch_bytes);
     let dir = temp_dir("batch-torture");
     for cut in 0..=batch_bytes.len() {
-        write_dir(&dir, Some(&base_bytes), 0, &crash_prefix(&batch_bytes, cut));
+        write_dir(&dir, Some(&base_bytes), 0, &batch_bytes[..cut]);
         let (ds, report) = DurableStore::open(&dir).unwrap();
         let intact = bounds.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
@@ -750,7 +750,6 @@ fn group_commit_batch_killed_at_every_offset_is_all_or_prefix() {
         );
         assert_eq!(report.replayed_ops, intact);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -763,7 +762,6 @@ fn acked_group_commit_batch_survives_reopen() {
     let (ds, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(report.replayed_ops, 4);
     assert_eq!(first_difference(&dump(&ds.store_arc()), &live), None);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -777,16 +775,13 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
     // it to disk — never a torn third state.
     let scratch = temp_dir("enospc-scratch");
     let (batch_bytes, states) = scripted_mutations(&scratch);
-    std::fs::remove_dir_all(&scratch).ok();
     let base_bytes = render_base(&states[0]);
 
     let dir = temp_dir("enospc-torture");
     for cut in 0..=batch_bytes.len() {
         write_dir(&dir, Some(&base_bytes), 0, b"");
         let (ds, _) = DurableStore::open(&dir).unwrap();
-        let plan = WriteFaultPlan::new();
-        ds.set_write_fault_plan(Some(plan.clone()));
-        plan.arm_enospc(cut);
+        fill_disk(cut);
 
         let err = ds.apply_batch(scripted_batch(&ds)).unwrap_err();
         let msg = err.to_string();
@@ -814,6 +809,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
         );
         assert_eq!(first_difference(&dump(&ds.store_arc()), &states[0]), None);
         drop(ds);
+        free_disk();
 
         // Crash while full: the shed mutation's repair probe already
         // truncated the unacked batch debris back to the acked prefix,
@@ -832,7 +828,6 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
             "a fresh open with a healthy disk starts Ok"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -847,9 +842,7 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     let acked = dump(&ds.store_arc());
     assert_eq!(ds.health().state, HealthState::Ok);
 
-    let plan = WriteFaultPlan::new();
-    ds.set_write_fault_plan(Some(plan.clone()));
-    plan.arm_enospc(3); // three bytes of torn debris, then no space
+    fill_disk(3); // three bytes of torn debris, then no space
 
     journal_feature(&ds, img, FeatureKind::Cnn, vec![1.0; 4]).unwrap_err();
     assert_eq!(ds.health().state, HealthState::ReadOnly);
@@ -866,7 +859,7 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
 
     // Operator frees space; the next mutation repairs the torn tail,
     // lands durably, and the store enters probation.
-    plan.clear();
+    free_disk();
     journal_feature(&ds, img, FeatureKind::Cnn, vec![2.0; 4]).unwrap();
     assert_eq!(ds.health().state, HealthState::Degraded);
     let cls = journal_scheme(&ds, "healed", vec!["ok".into()]).unwrap();
@@ -879,7 +872,6 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     drop(ds);
     let (reopened, _) = DurableStore::open(&dir).unwrap();
     assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -920,5 +912,4 @@ fn writers_keep_journaling_while_compactions_fold() {
     let (reopened, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
     assert_eq!(folded + report.replayed_ops, 2 * ROUNDS * IMAGES_PER_ROUND);
-    std::fs::remove_dir_all(&dir).ok();
 }
