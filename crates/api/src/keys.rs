@@ -1,7 +1,5 @@
 //! API key issuance and validation.
 
-use std::collections::HashMap;
-
 use tvdp_kernel::sync::RwLock;
 use tvdp_storage::UserId;
 
@@ -14,7 +12,11 @@ pub struct ApiKeyRegistry {
 #[derive(Debug, Default)]
 struct Inner {
     counter: u64,
-    keys: HashMap<String, UserId>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup only: keys are inserted and looked up, never iterated"
+    )]
+    keys: std::collections::HashMap<String, UserId>,
 }
 
 impl ApiKeyRegistry {
@@ -43,16 +45,6 @@ impl ApiKeyRegistry {
     pub fn validate(&self, key: &str) -> Option<UserId> {
         self.inner.read().keys.get(key).copied()
     }
-
-    /// Number of active keys.
-    pub fn len(&self) -> usize {
-        self.inner.read().keys.len()
-    }
-
-    /// Whether no key is active.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +60,7 @@ mod tests {
         assert_eq!(reg.validate(&k1), Some(UserId(1)));
         assert_eq!(reg.validate(&k2), Some(UserId(2)));
         assert_eq!(reg.validate("tvdp_bogus"), None);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.inner.read().keys.len(), 2);
     }
 
     #[test]
@@ -86,6 +78,6 @@ mod tests {
         for k in &keys {
             assert_eq!(reg.validate(k), Some(UserId(3)));
         }
-        assert_eq!(reg.len(), 10);
+        assert_eq!(reg.inner.read().keys.len(), 10);
     }
 }

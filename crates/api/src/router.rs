@@ -428,6 +428,7 @@ impl ApiServer {
     /// Wraps a platform with admission control: every priced endpoint
     /// (ingest, search, dispatch) asks the controller before doing
     /// work, and shed requests are answered 503 with `retry_after_ms`.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn with_admission(
         platform: Arc<Tvdp>,
         limit: RateLimitConfig,
@@ -473,6 +474,7 @@ impl ApiServer {
     }
 
     /// The wrapped platform.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn platform(&self) -> &Arc<Tvdp> {
         &self.platform
     }

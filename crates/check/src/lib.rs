@@ -15,11 +15,11 @@
 //!
 //! `tests/protocols.rs` drives the shipped protocols through it:
 //! `GenCell` publish/read, `ShardedEngine::index_image` against
-//! `try_execute`, `DurableStore::apply_batch`'s journal-before-apply,
-//! `AdmissionController::admit`, and the edge `CircuitBreaker` behind a
-//! `sync::Mutex`. Beside them, one small model per bug class, each a
-//! deliberately broken use of the same locks, shows the checker catches
-//! what the shipped code avoids.
+//! `try_execute_with_pool`, `DurableStore::apply_batch`'s
+//! journal-before-apply, `AdmissionController::admit`, and the edge
+//! `CircuitBreaker` behind a `sync::Mutex`. Beside them, one small model
+//! per bug class, each a deliberately broken use of the same locks,
+//! shows the checker catches what the shipped code avoids.
 
 mod exec;
 

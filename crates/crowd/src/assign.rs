@@ -5,8 +5,6 @@
 //! exact maximum task assignment via augmenting-path bipartite matching,
 //! both respecting worker ranges and capacities.
 
-use std::collections::HashMap;
-
 use crate::task::{SpatialTask, TaskId};
 use crate::worker::{Worker, WorkerId};
 
@@ -25,7 +23,11 @@ pub struct Assignment {
 /// with remaining capacity. Fast (`O(tasks × workers)`) but can strand
 /// tasks a different pairing would have served.
 pub fn assign_greedy(workers: &[Worker], tasks: &[SpatialTask]) -> Assignment {
-    let mut remaining: HashMap<WorkerId, usize> =
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup only: capacities are read and decremented by worker id, never iterated"
+    )]
+    let mut remaining: std::collections::HashMap<WorkerId, usize> =
         workers.iter().map(|w| (w.id, w.capacity)).collect();
     let mut pairs = Vec::new();
     let mut unassigned = Vec::new();

@@ -98,6 +98,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan that never injects anything.
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-edge's chaos suite builds its fault-free plans through it")
     pub fn reliable() -> Self {
         FaultPlan::scripted(Vec::new())
     }

@@ -105,6 +105,7 @@ impl UplinkConfig {
     }
 
     /// A lossy urban link with default retry/breaker tuning.
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-edge's chaos suite runs the crowd-learning loop over a lossy uplink through it")
     pub fn lossy(seed: u64) -> Self {
         UplinkConfig {
             rates: FaultRates::lossy(),

@@ -57,11 +57,13 @@ impl AngularRange {
     }
 
     /// Start angle in `[0, 360)`.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn start(&self) -> f64 {
         self.start
     }
 
     /// Width in degrees in `[0, 360]`.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn width(&self) -> f64 {
         self.width
     }

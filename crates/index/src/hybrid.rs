@@ -117,6 +117,7 @@ impl Ball {
 
 /// The hybrid spatial-visual index over arena row handles.
 #[derive(Debug, Clone)]
+// tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
 pub struct VisualRTree<T> {
     tree: Tree<Entry<T>, Ball>,
     dim: usize,
@@ -124,6 +125,7 @@ pub struct VisualRTree<T> {
 
 impl<T> VisualRTree<T> {
     /// An empty tree over `dim`-dimensional feature vectors.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "zero-dimensional features");
         Self {
@@ -141,6 +143,7 @@ impl<T> VisualRTree<T> {
     /// # Panics
     ///
     /// Panics on feature dimensionality mismatch.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn insert(&mut self, rows: &impl RowSource, bbox: BBox, row: u32, value: T) {
         assert_eq!(rows.dim(), self.dim, "feature dimension mismatch");
         self.tree
@@ -151,6 +154,7 @@ impl<T> VisualRTree<T> {
     /// similar to `query`, via best-first traversal on the feature-distance
     /// lower bound; entries at one distance come out by payload, whatever
     /// the tree's shape.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn knn_visual(
         &self,
         rows: &impl RowSource,
@@ -184,6 +188,7 @@ impl<T> VisualRTree<T> {
     /// Verifies the shared structure (`Tree::check_invariants`) and
     /// the bounding-ball invariant: every entry's feature lies within
     /// its ancestors' balls (test helper).
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-index's property tests walk the tree's balls through it")
     pub fn check_invariants(&self, rows: &impl RowSource) {
         self.tree.check_invariants(&|slot| {
             let mut below = 0;

@@ -81,13 +81,9 @@ impl<T> OrientedRTree<T> {
     }
 
     /// Number of stored rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.tree.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Inserts a row with payload under its scene location `bbox`: the
@@ -163,6 +159,7 @@ impl<T> OrientedRTree<T> {
 
     /// Verifies the shared structure (`Tree::check_invariants`) and
     /// that every stored arc covers the arcs beneath it (test helper).
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-index's property tests walk the tree's arcs through it")
     pub fn check_invariants(&self) {
         self.tree.check_invariants(&|slot| {
             // Every direction covered below must be inside the stored
@@ -275,7 +272,7 @@ mod tests {
         assert!(tree
             .range_directed(&BBox::new(0.0, 0.0, 1.0, 1.0), &AngularRange::FULL, &mut 0)
             .is_empty());
-        assert!(tree.is_empty());
+        assert_eq!(tree.len(), 0);
     }
 
     #[test]

@@ -384,6 +384,7 @@ impl<E, S> Tree<E, S> {
 /// assert_eq!(*nearest[0].1, "campus");
 /// ```
 #[derive(Debug, Clone)]
+// tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
 pub struct RTree<T> {
     tree: Tree<(BBox, T), ()>,
 }
@@ -411,18 +412,9 @@ impl<T> RTree<T> {
     }
 
     /// [`RTree::build`] under its older name.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn bulk_load(items: Vec<(BBox, T)>) -> Self {
         Self::build(items)
-    }
-
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Inserts a rectangle with payload: the grown reference the
@@ -433,6 +425,7 @@ impl<T> RTree<T> {
     }
 
     /// All payloads whose rectangle intersects `query`.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn range(&self, query: &BBox) -> Vec<&T> {
         let mut out = Vec::new();
         self.visit_range(query, &mut 0, |value| out.push(value));
@@ -451,6 +444,7 @@ impl<T> RTree<T> {
     /// and by payload among entries at one distance, whatever the
     /// tree's shape. Returns `(distance_m, payload)` pairs, and adds
     /// every node the search expands to `nodes`.
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-index's property tests rank a brute-force scan against it")
     pub fn knn(&self, p: &GeoPoint, k: usize, nodes: &mut u64) -> Vec<(f64, &T)>
     where
         T: Ord,
@@ -461,6 +455,7 @@ impl<T> RTree<T> {
     /// Verifies structural invariants (tests/debugging): the shared
     /// walk of `Tree::check_invariants`; a plain tree has no summary
     /// to check.
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-index's property tests walk the tree through it")
     pub fn check_invariants(&self) {
         self.tree.check_invariants(&|_| ());
     }
@@ -643,7 +638,7 @@ mod tests {
         for (p, id) in &pts {
             tree.insert(BBox::from_point(*p), *id);
         }
-        assert_eq!(tree.len(), 144);
+        assert_eq!(tree.tree.len(), 144);
         tree.check_invariants();
         let query = BBox::new(34.002, -118.297, 34.006, -118.293);
         let mut got: Vec<usize> = tree.range(&query).into_iter().copied().collect();
@@ -662,7 +657,7 @@ mod tests {
     fn range_on_empty_tree() {
         let tree: RTree<u32> = RTree::new();
         assert!(tree.range(&BBox::new(0.0, 0.0, 1.0, 1.0)).is_empty());
-        assert!(tree.is_empty());
+        assert_eq!(tree.tree.len(), 0);
     }
 
     #[test]
@@ -751,7 +746,7 @@ mod tests {
                 .collect(),
         );
         packed.check_invariants();
-        assert_eq!(packed.len(), 324);
+        assert_eq!(packed.tree.len(), 324);
         assert!(packed.tree.height() <= incremental.tree.height());
         for query in [
             BBox::new(34.0, -118.3, 34.004, -118.296),
@@ -769,9 +764,9 @@ mod tests {
     #[test]
     fn bulk_load_handles_empty_and_tiny() {
         let empty: RTree<u8> = RTree::bulk_load(vec![]);
-        assert!(empty.is_empty());
+        assert_eq!(empty.tree.len(), 0);
         let one = RTree::bulk_load(vec![(BBox::new(0.0, 0.0, 1.0, 1.0), 7u8)]);
-        assert_eq!(one.len(), 1);
+        assert_eq!(one.tree.len(), 1);
         assert_eq!(one.range(&BBox::new(0.5, 0.5, 0.6, 0.6)), vec![&7]);
     }
 
@@ -845,7 +840,7 @@ mod tests {
             let packed = RTree::build(scenes());
             grown.check_invariants();
             packed.check_invariants();
-            assert_eq!(packed.len(), n);
+            assert_eq!(packed.tree.len(), n);
             for region in &regions {
                 let scan = rows
                     .iter()

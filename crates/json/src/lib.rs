@@ -69,6 +69,7 @@ impl Value {
     }
 
     /// The value as an `i64`, when it is a number token that parses as one.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Num(tok) => tok.parse().ok(),
@@ -77,6 +78,7 @@ impl Value {
     }
 
     /// The value as an `f64`, when it is a number token.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(tok) => tok.parse().ok(),
@@ -365,8 +367,10 @@ impl<'a> Parser<'a> {
             .get(self.pos..end)
             .ok_or("truncated \\u escape")?;
         self.pos = end;
-        let s = std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape".to_string())?;
-        u32::from_str_radix(s, 16).map_err(|_| format!("bad \\u escape `{s}`"))
+        // Exactly four hex digits: `u32::from_str_radix` would take a sign.
+        hex.iter()
+            .try_fold(0, |cp, &b| Some(cp * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| format!("bad \\u escape `{}`", String::from_utf8_lossy(hex)))
     }
 
     fn array(&mut self, depth: usize) -> Result<Value, DecodeError> {
@@ -583,6 +587,8 @@ mod tests {
             "01a",
             "\"\\q\"",
             "\"\\ud83d\"", // lone high surrogate
+            "\"\\u+041\"", // a sign is not a hex digit
+            "\"\\ud83d\\u-de0\"",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -592,6 +598,40 @@ mod tests {
     fn deep_nesting_rejected_not_overflowed() {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(parse(&deep).is_err());
+    }
+
+    /// Seeded mutations and truncations of valid documents: each ends in
+    /// a value that renders and re-parses to itself, or in an error;
+    /// none panics, and nesting past [`MAX_DEPTH`] is refused.
+    #[test]
+    fn mutated_and_truncated_documents_parse_or_fail_typed() {
+        let docs = [
+            r#"{"a":[1,-2.5e3,{"b":null}],"c":{"d":true,"e":false}}"#,
+            r#"["\u0041\ud83d\ude00","a\"b\\c\n\t\/",inf,NaN,-0.0]"#,
+            r#"{"id":7,"bbox":{"min_lat":34.0,"max_lon":-118.2},"tags":["λ","漢"]}"#,
+        ];
+        let palette = b"[]{}\",:\\u0aF+-.eE 9tfn\x01\xff";
+        tvdp_kernel::rng::for_each_case(2_000, |_, rng| {
+            let mut bytes = docs[rng.gen_range(0..docs.len())].as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..=bytes.len());
+                let b = palette[rng.gen_range(0..palette.len())];
+                match rng.gen_range(0..4) {
+                    0 => bytes.truncate(at),
+                    1 => bytes.insert(at, b),
+                    2 if at < bytes.len() => bytes[at] = b,
+                    _ if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => {}
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(v) = parse(&text) {
+                assert_eq!(parse(&v.render()).as_ref(), Ok(&v), "{text}");
+            }
+        });
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_ok());
+        assert_eq!(parse(&nest(MAX_DEPTH + 2)), Err("nesting too deep".into()));
     }
 
     #[test]

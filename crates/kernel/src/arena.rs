@@ -239,6 +239,7 @@ impl SlabView {
 
     /// Number of rows [`SlabView::quant_row`] can resolve: the rows in
     /// full chunks (a prefix of the view; the partial tail has none).
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn quant_rows(&self) -> usize {
         self.full().len() * ROWS_PER_CHUNK
     }
@@ -249,6 +250,7 @@ impl SlabView {
     /// whole chunk from its floats and every later call, on any view,
     /// reuses the result.
     #[inline]
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn quant_row(&self, row: u32) -> Option<(&[u8], &QuantParams)> {
         let r = row as usize;
         let chunk = self.full().get(r / ROWS_PER_CHUNK)?;

@@ -71,6 +71,7 @@ impl Pool {
     }
 
     /// Worker count.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -147,16 +148,6 @@ impl Pool {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.map_index(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Runs `f` inside a scoped-thread context with this pool's width,
-    /// for callers that need manual control over what each worker does.
-    /// Spawn at most [`Pool::threads`] workers for CPU-bound work.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> R,
-    {
-        std::thread::scope(f)
     }
 }
 

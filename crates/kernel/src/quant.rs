@@ -55,22 +55,13 @@ impl QuantParams {
         self.min.len()
     }
 
-    /// Per-dimension decode offsets.
-    pub fn min(&self) -> &[f32] {
-        &self.min
-    }
-
-    /// Per-dimension decode scales (`0.0` for constant dimensions).
-    pub fn scale(&self) -> &[f32] {
-        &self.scale
-    }
-
     /// Decode-error radius: an upper bound on the Euclidean distance
     /// between any encoded row and its decoded counterpart.
     /// `|l2(q, x) - l2(q, decode(x))| <= eps` for every row `x` of the chunk, so
     /// an approximate ranking cut `2 * eps` past the k-th approximate
     /// distance provably covers the exact top-k.
-    pub fn eps(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn eps(&self) -> f32 {
         self.eps
     }
 }
@@ -176,6 +167,7 @@ impl QuantChunk {
 ///
 /// Panics in debug builds when lengths disagree with `params.dim()`.
 #[inline]
+// tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
 pub fn l2_sq_asym(q: &[f32], codes: &[u8], params: &QuantParams) -> f32 {
     debug_assert_eq!(q.len(), params.dim(), "query dimension mismatch");
     debug_assert_eq!(codes.len(), params.dim(), "code dimension mismatch");
@@ -235,7 +227,7 @@ mod tests {
             .row_codes(row)
             .iter()
             .enumerate()
-            .map(|(d, &c)| p.min()[d] + p.scale()[d] * f32::from(c))
+            .map(|(d, &c)| p.min[d] + p.scale[d] * f32::from(c))
             .collect()
     }
 
@@ -298,7 +290,7 @@ mod tests {
             .map(|i| if i % dim == 2 { 7.5 } else { i as f32 })
             .collect();
         let chunk = QuantChunk::encode(&data, dim);
-        assert_eq!(chunk.params().scale()[2], 0.0);
+        assert_eq!(chunk.params().scale[2], 0.0);
         for r in 0..3 {
             assert_eq!(decode(&chunk, r)[2], 7.5);
         }

@@ -166,13 +166,12 @@ impl QueryEngine {
     }
 
     /// Number of indexed images.
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "nothing asks whether an engine is empty"
+    )]
     pub fn len(&self) -> usize {
         self.docs.len()
-    }
-
-    /// Whether nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
     }
 
     /// Appends the per-doc columns of one image above every indexed id,

@@ -78,10 +78,10 @@ struct WriterState {
 /// Segmented query executor over one store with lock-free snapshot
 /// reads.
 ///
-/// Readers are lock-free: [`ShardedEngine::try_execute`] loads the
-/// published generation (an `Arc` clone) and never blocks on concurrent
-/// [`ShardedEngine::index_image`] calls; writers contend only with each
-/// other.
+/// Readers are lock-free: [`ShardedEngine::try_execute_with_deadline`]
+/// loads the published generation (an `Arc` clone) and never blocks on
+/// concurrent [`ShardedEngine::index_image`] calls; writers contend only
+/// with each other.
 pub struct ShardedEngine {
     store: Arc<VisualStore>,
     writer: Mutex<WriterState>,
@@ -164,14 +164,14 @@ impl ShardedEngine {
     }
 
     /// Total indexed images in the published generation.
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "nothing asks whether an engine is empty"
+    )]
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-check's shard protocol counts the published rows through it")
     pub fn len(&self) -> usize {
         let g = self.published.load();
         g.segments.iter().map(|e| e.len()).sum::<usize>() + g.tail.len()
-    }
-
-    /// Whether nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Indexes one image of the store, publishing a new generation.
@@ -233,16 +233,12 @@ impl ShardedEngine {
         Ok(view)
     }
 
-    /// Executes a query: scatter across the published generation on the
-    /// global pool, gather deterministically. A visual leaf whose
-    /// feature family or example length differs from the indexed rows
-    /// is rejected with [`QueryError::KindMismatch`] /
+    /// Executes a query: scatter across the published generation on
+    /// `pool`, gather deterministically. A visual leaf whose feature
+    /// family or example length differs from the indexed rows is
+    /// rejected with [`QueryError::KindMismatch`] /
     /// [`QueryError::DimMismatch`].
-    pub fn try_execute(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
-        self.try_execute_with_pool(query, Pool::global())
-    }
-
-    /// [`ShardedEngine::try_execute`] scattering on the given pool.
+    // tvdp-lint: allow(dead_api, reason = "(a) test support: tvdp-query's parity, determinism and deadline suites scatter through it on chosen pools")
     pub fn try_execute_with_pool(
         &self,
         query: &Query,
@@ -466,11 +462,14 @@ mod tests {
         let store = store_of(40);
         let engine = ShardedEngine::with_seal_cap(vec![Arc::clone(&store)], Default::default(), 8);
         let hits = engine
-            .try_execute(&Query::Visual {
-                example: vec![0.0; 4],
-                kind: FeatureKind::Cnn,
-                mode: VisualMode::Threshold(1e6),
-            })
+            .try_execute_with_pool(
+                &Query::Visual {
+                    example: vec![0.0; 4],
+                    kind: FeatureKind::Cnn,
+                    mode: VisualMode::Threshold(1e6),
+                },
+                Pool::global(),
+            )
             .unwrap();
         assert_eq!(hits.len(), 40, "the query went through every segment");
         let shared = store.slab_view(FeatureKind::Cnn, 4, 0);

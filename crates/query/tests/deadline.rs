@@ -300,5 +300,8 @@ fn temporal_estimate_survives_a_span_wider_than_i64() {
     assert_eq!(sharded.estimate_query_units(&whole), 4);
     // The conjunction runs both legs over the same span.
     let both = Query::And(vec![narrow, whole]);
-    assert!(sharded.try_execute(&both).unwrap().is_empty());
+    assert!(sharded
+        .try_execute_with_pool(&both, tvdp_kernel::Pool::global())
+        .unwrap()
+        .is_empty());
 }

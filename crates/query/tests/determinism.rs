@@ -433,7 +433,13 @@ fn the_trace_is_pool_invariant_and_each_leaf_counts_what_the_oracle_returns() {
                     "cap {cap}: {q:?}"
                 );
             }
-            assert_eq!(rows, engine.try_execute(q).unwrap(), "cap {cap}: {q:?}");
+            assert_eq!(
+                rows,
+                engine
+                    .try_execute_with_pool(q, tvdp_kernel::Pool::global())
+                    .unwrap(),
+                "cap {cap}: {q:?}"
+            );
             assert!(!trace.leaves.is_empty(), "cap {cap}: {q:?}");
             for leaf in &trace.leaves {
                 let alone = oracle.execute(&leaf.query(q));

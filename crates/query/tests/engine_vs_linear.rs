@@ -317,10 +317,13 @@ fn incremental_indexing_picks_up_new_images() {
     engine.index_image(0, id);
     assert_eq!(engine.len(), before + 1);
     let hits = engine
-        .try_execute(&Query::Textual {
-            text: "uniquekeyword".into(),
-            mode: TextualMode::All,
-        })
+        .try_execute_with_pool(
+            &Query::Textual {
+                text: "uniquekeyword".into(),
+                mode: TextualMode::All,
+            },
+            tvdp_kernel::Pool::global(),
+        )
         .unwrap();
     let ids: Vec<_> = hits.iter().map(|r| r.image).collect();
     assert_eq!(ids, vec![id]);
@@ -601,8 +604,14 @@ fn rows_tying_on_the_reported_score_come_out_in_id_order_everywhere() {
         for q in [visual(mode), Query::And(vec![world.clone(), visual(mode)])] {
             assert_eq!(linear.execute(&q), want, "linear on {q:?}");
             assert_eq!(run(&engine, &q), want, "engine on {q:?}");
-            assert_eq!(sealed.try_execute(&q).unwrap(), want, "segments on {q:?}");
-            assert_eq!(tail.try_execute(&q).unwrap(), want, "tail on {q:?}");
+            let pool = tvdp_kernel::Pool::global();
+            let segments = sealed.try_execute_with_pool(&q, pool).unwrap();
+            assert_eq!(segments, want, "segments on {q:?}");
+            assert_eq!(
+                tail.try_execute_with_pool(&q, pool).unwrap(),
+                want,
+                "tail on {q:?}"
+            );
         }
     }
 }
@@ -644,8 +653,16 @@ fn wrong_length_example_is_rejected_wherever_the_leaf_sits() {
             Query::And(vec![visual(DIM), visual(2)]),
         ] {
             assert_eq!(engine.try_execute(&q), Err(err), "engine on {q:?}");
-            assert_eq!(sealed.try_execute(&q), Err(err), "segments on {q:?}");
-            assert_eq!(tail.try_execute(&q), Err(err), "tail on {q:?}");
+            assert_eq!(
+                sealed.try_execute_with_pool(&q, tvdp_kernel::Pool::global()),
+                Err(err),
+                "segments on {q:?}"
+            );
+            assert_eq!(
+                tail.try_execute_with_pool(&q, tvdp_kernel::Pool::global()),
+                Err(err),
+                "tail on {q:?}"
+            );
             assert_eq!(
                 sealed.try_execute_with_deadline(&q, pool, 0, i64::MAX),
                 Err(err),
@@ -653,14 +670,21 @@ fn wrong_length_example_is_rejected_wherever_the_leaf_sits() {
             );
         }
         assert!(engine.try_execute(&visual(DIM)).is_ok());
-        assert!(sealed.try_execute(&visual(DIM)).is_ok());
-        assert!(tail.try_execute(&visual(DIM)).is_ok());
+        assert!(sealed
+            .try_execute_with_pool(&visual(DIM), tvdp_kernel::Pool::global())
+            .is_ok());
+        assert!(tail
+            .try_execute_with_pool(&visual(DIM), tvdp_kernel::Pool::global())
+            .is_ok());
 
         let empty = Arc::new(VisualStore::new());
         let nothing_indexed = QueryEngine::build(Arc::clone(&empty), Default::default());
         assert_eq!(nothing_indexed.try_execute(&visual(2)), Ok(Vec::new()));
         let nothing_sharded =
             ShardedEngine::with_seal_cap(vec![empty], Default::default(), DEFAULT_SEAL_CAP);
-        assert_eq!(nothing_sharded.try_execute(&visual(2)), Ok(Vec::new()));
+        assert_eq!(
+            nothing_sharded.try_execute_with_pool(&visual(2), tvdp_kernel::Pool::global()),
+            Ok(Vec::new())
+        );
     }
 }

@@ -647,7 +647,13 @@ fn non_ascii_keywords_match_the_same_in_segments_and_tail() {
                 canonical(&rows).into_iter().map(|row| row.0).collect()
             };
             assert_eq!(ids(linear.execute(&q)), expected, "oracle on {q:?}");
-            assert_eq!(ids(sharded.try_execute(&q).unwrap()), expected, "{q:?}");
+            assert_eq!(
+                ids(sharded
+                    .try_execute_with_pool(&q, tvdp_kernel::Pool::global())
+                    .unwrap()),
+                expected,
+                "{q:?}"
+            );
         }
     }
 }
@@ -851,7 +857,7 @@ fn sharded_engine_rejects_antimeridian_wrapping_region() {
         directions: AngularRange::centered(90.0, 45.0),
     });
     assert_eq!(
-        engine.try_execute(&q),
+        engine.try_execute_with_pool(&q, tvdp_kernel::Pool::global()),
         Err(QueryError::Geo(GeoError::AntimeridianSpan {
             min_lon: 170.0,
             max_lon: -170.0,
@@ -869,7 +875,7 @@ fn sharded_engine_rejects_wrong_kind_visual() {
         mode: VisualMode::TopK(3),
     };
     assert_eq!(
-        engine.try_execute(&q),
+        engine.try_execute_with_pool(&q, tvdp_kernel::Pool::global()),
         Err(QueryError::KindMismatch {
             indexed: FeatureKind::Cnn,
             queried: FeatureKind::ColorHistogram,
@@ -929,12 +935,22 @@ fn non_finite_visual_numbers_are_refused() {
         ),
     ];
     for (q, err) in &cases {
-        assert_eq!(sharded.try_execute(q), Err(*err), "{q:?}");
+        assert_eq!(
+            sharded.try_execute_with_pool(q, tvdp_kernel::Pool::global()),
+            Err(*err),
+            "{q:?}"
+        );
         assert_eq!(single.try_execute(q), Err(*err), "{q:?}");
     }
     // An infinite threshold is a number: it matches every row.
     let all = visual(vec![0.5; DIM], VisualMode::Threshold(f32::INFINITY));
-    assert_eq!(sharded.try_execute(&all).unwrap().len(), 40);
+    assert_eq!(
+        sharded
+            .try_execute_with_pool(&all, tvdp_kernel::Pool::global())
+            .unwrap()
+            .len(),
+        40
+    );
 }
 
 /// The engine indexes one store: a second one is refused at

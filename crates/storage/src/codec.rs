@@ -35,6 +35,7 @@ pub fn decode_kind(v: &Value) -> Result<FeatureKind, DecodeError> {
 }
 
 /// Encodes a geographic point.
+// tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
 pub fn encode_point(p: &GeoPoint) -> Value {
     obj(vec![("lat", Value::num(p.lat)), ("lon", Value::num(p.lon))])
 }
@@ -47,6 +48,7 @@ pub fn decode_point(v: &Value) -> Result<GeoPoint, DecodeError> {
 }
 
 /// Encodes a bounding box.
+// tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
 pub fn encode_bbox(b: &BBox) -> Value {
     obj(vec![
         ("min_lat", Value::num(b.min_lat)),

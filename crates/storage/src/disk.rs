@@ -84,6 +84,7 @@ thread_local! {
 
 /// Installs `hook` on the calling thread (`None` removes it) and
 /// returns the one it replaces. Other threads are unaffected.
+// tvdp-lint: allow(dead_api, reason = "(a) test support: the crash explorer and the full-disk tests install their hook through it")
 pub fn set_hook(hook: Option<Hook>) -> Option<Hook> {
     HOOK.replace(hook)
 }

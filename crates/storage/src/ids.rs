@@ -66,9 +66,12 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test checks the derived `Hash` through a set it never iterates"
+    )]
     fn ids_are_ordered_and_hashable() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
+        let mut set = std::collections::HashSet::new();
         set.insert(ImageId(1));
         set.insert(ImageId(1));
         set.insert(ImageId(2));

@@ -624,6 +624,7 @@ pub(crate) fn push_record(buf: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec
 /// Frames one op payload as a full WAL record (`len`, `crc32`,
 /// payload): the bytes [`Wal::append`] adds to a segment for that op.
 /// Exposed so tests can lay segments down and size records by hand.
+// tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
     push_record(&mut buf, |out| out.extend_from_slice(payload));
@@ -902,6 +903,7 @@ impl Wal {
     }
 
     /// Appends one op and fsyncs before returning: a batch of one.
+    // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
     pub fn append(&mut self, op: &WalOp) -> Result<(), WalError> {
         self.append_batch(std::slice::from_ref(op))
     }

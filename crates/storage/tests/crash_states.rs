@@ -39,7 +39,7 @@
 mod common;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
@@ -522,7 +522,7 @@ impl Model {
         let pending: Vec<usize> = (0..self.dirs.len())
             .filter(|&d| !self.dirs[d].pending.is_empty())
             .collect();
-        let mut contents: HashMap<usize, Vec<Vec<u8>>> = HashMap::new();
+        let mut contents: BTreeMap<usize, Vec<Vec<u8>>> = BTreeMap::new();
         let mut states = BTreeSet::new();
         let mut kept = vec![0; pending.len()];
         loop {
@@ -978,7 +978,7 @@ fn explore(
     run: &Run,
     trace: &[Step],
     crash: &Path,
-    opened: &mut HashMap<u64, Result<Opened, String>>,
+    opened: &mut BTreeMap<u64, Result<Opened, String>>,
     first_only: bool,
     check_model: bool,
 ) -> Explored {
@@ -986,7 +986,7 @@ fn explore(
     let mut model = Model::new();
     let (mut acked, mut unacked) = (Vec::new(), Vec::new());
     let (mut folded, mut path) = (0, "append");
-    let mut legal_sets = HashMap::new();
+    let mut legal_sets = BTreeMap::new();
     let mut real = run.real.iter().peekable();
     let mut states = model.crash_states();
     for k in 0..=trace.len() {
@@ -1065,7 +1065,7 @@ fn every_crash_state_of_every_path_opens_to_the_acked_store() {
         &run,
         &run.trace,
         &root.join("crash"),
-        &mut HashMap::new(),
+        &mut BTreeMap::new(),
         false,
         true,
     );
@@ -1193,7 +1193,7 @@ fn fold_unrepaired(trace: &[Step]) -> Vec<Step> {
 fn each_mutant_trace_is_caught_with_the_trace_that_shows_it() {
     let root = scratch("mutants");
     let run = run_script(&root.join("run"));
-    let mut opened = HashMap::new();
+    let mut opened = BTreeMap::new();
     let mutants: [(&str, Edit); 5] = [
         (
             "a base publish without its directory sync",

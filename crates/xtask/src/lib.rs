@@ -4,15 +4,16 @@
 //! analysis pass enforcing the platform's reproducibility invariants
 //! that clippy has no lint for (see [`rules`]): city-scale query
 //! serving needs answers that are bit-reproducible across runs and
-//! thread counts (L2, L5, L7), with every explicit atomic ordering
-//! carrying a reviewed justification (L6) — and buildable offline from
-//! a bare checkout: every manifest may depend on workspace path crates
-//! only (L0). Crash-freedom (L1), pool-only threading (L3) and no
-//! ambient time (L4) are clippy's, through the `cargo no-panic` alias
-//! and the root `clippy.toml`. In
-//! workspace mode a public item that no shipped code names is a finding
-//! too (L8, [`dead_api`]); the `allow(dead_api, ..)` comments are the
-//! inventory of those kept on purpose.
+//! thread counts (L5, L7), with every explicit atomic ordering carrying
+//! a reviewed justification (L6) — and buildable offline from a bare
+//! checkout: every manifest may depend on workspace path crates only
+//! (L0). Crash-freedom (L1), no hash collections (L2), pool-only
+//! threading (L3), no ambient time (L4) and one owner of durable calls
+//! (L9) are clippy's, through the `cargo no-panic` alias and the root
+//! `clippy.toml`. In workspace mode a public item that no shipped code
+//! reaches is a finding too (L8, [`dead_api`]), which rustc decides;
+//! the `allow(dead_api, ..)` comments are the inventory of those kept
+//! on purpose.
 //!
 //! Run as `cargo xtask lint` (whole workspace) or
 //! `cargo xtask lint <file>...` (specific files, strict policy). Add

@@ -12,11 +12,12 @@ fn usage() -> ExitCode {
         "usage: cargo xtask lint [--format text|json] [FILE...]\n\
          \n\
          Enforces the TVDP invariants over crates/*/src and every\n\
-         manifest (no args) or the given files: L2 determinism, L5\n\
-         lock discipline, L6 reviewed atomic orderings, L7 canonical\n\
-         float reductions, (no args) L8 no public item that shipped\n\
-         code never names, and (Cargo.toml) L0 path-crate dependencies\n\
-         only. L1, L3 and L4 are clippy's (`cargo no-panic`, clippy.toml)."
+         manifest (no args) or the given files: L5 lock discipline, L6\n\
+         reviewed atomic orderings, L7 canonical float reductions, (no\n\
+         args) L8 no public item that shipped code does not reach, by\n\
+         rustc's probe under target/l8-probe, and (Cargo.toml) L0\n\
+         path-crate dependencies only. L1, L2, L3, L4 and L9 are\n\
+         clippy's (`cargo no-panic`, clippy.toml)."
     );
     ExitCode::from(2)
 }

@@ -3,17 +3,17 @@
 //!
 //! | id  | rule                  | what it forbids (outside `#[cfg(test)]`)        |
 //! |-----|-----------------------|--------------------------------------------------|
-//! | L2  | `determinism`         | iterating a `HashMap`/`HashSet` (order leaks)    |
 //! | L5  | `lock_discipline`     | lock guards held across a pool dispatch, and nested lock acquisition while a guard is live |
 //! | L6  | `atomic_ordering`     | any explicit `Ordering::{Relaxed,..,SeqCst}` without a reviewed allow annotation |
 //! | L7  | `float_reduction`     | ad-hoc `f32`/`f64` `sum`/`fold`/`+=` reductions outside the kernel's canonical reduce paths |
-//! | L8  | `dead_api`            | (workspace mode, [`crate::dead_api`]) a `pub` item in `crates/*/src` that no shipped code names |
+//! | L8  | `dead_api`            | (workspace mode, [`crate::dead_api`]) a `pub` item in `crates/*/src` that rustc finds no shipped code reaching |
 //! | L0  | `registry_dependency` | (manifests) any dependency that is not a `tvdp-*`/`xtask` path crate |
 //!
-//! L1 (`no_panic`), L3 (`pool_only_threading`) and L4 (`no_wall_clock`)
-//! are clippy's: the `cargo no-panic` alias and the root `clippy.toml`
-//! (DESIGN.md §8). Clippy resolves paths, so an alias or a re-export
-//! cannot get past it as it got past matching spellings here.
+//! L1 (`no_panic`), L2 (`determinism`), L3 (`pool_only_threading`), L4
+//! (`no_wall_clock`) and L9 (`durable_calls_one_owner`) are clippy's: the
+//! `cargo no-panic` alias and the root `clippy.toml` (DESIGN.md §8).
+//! Clippy resolves paths, so an alias, a re-export or a fully qualified
+//! path cannot get past it as it got past matching spellings here.
 //!
 //! Every rule is suppressible per line with
 //! `// tvdp-lint: allow(<rule>, reason = "...")`. The escape hatch is
@@ -21,20 +21,18 @@
 //! fires on the annotated line, is an L0 `bad_allow` finding — stale
 //! suppressions must be deleted, not accumulated.
 
-use crate::source::{is_ident_byte, word_occurrences, SourceModel};
+use crate::source::{is_ident_byte, matching_bracket, word_occurrences, SourceModel};
 
 /// A rule identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// L2: hash-order iteration that can leak into results.
-    Determinism,
     /// L5: lock guards held across pool dispatch or nested acquisition.
     LockDiscipline,
     /// L6: explicit atomic memory orderings without a reviewed allow.
     AtomicOrdering,
     /// L7: ad-hoc floating-point reductions (order-sensitive rounding).
     FloatReduction,
-    /// L8: a public item that no shipped code names.
+    /// L8: a public item that no shipped code reaches.
     DeadApi,
     /// Malformed or unused `tvdp-lint:` escape-hatch comment.
     BadAllow,
@@ -46,7 +44,6 @@ impl Rule {
     /// Short id shown in reports (`L0`..`L8`).
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Determinism => "L2",
             Rule::LockDiscipline => "L5",
             Rule::AtomicOrdering => "L6",
             Rule::FloatReduction => "L7",
@@ -58,7 +55,6 @@ impl Rule {
     /// Name used in `allow(...)` comments.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Determinism => "determinism",
             Rule::LockDiscipline => "lock_discipline",
             Rule::AtomicOrdering => "atomic_ordering",
             Rule::FloatReduction => "float_reduction",
@@ -137,7 +133,6 @@ fn prev_non_ws(bytes: &[u8], i: usize) -> Option<u8> {
 pub fn check(model: &SourceModel, policy: Policy, dead_api: Option<Vec<Finding>>) -> Vec<Finding> {
     let audit_dead_api = dead_api.is_some();
     let mut raw = dead_api.unwrap_or_default();
-    determinism(model, &mut raw);
     if policy.check_lock_discipline {
         lock_discipline(model, &mut raw);
     }
@@ -195,98 +190,6 @@ pub fn check(model: &SourceModel, policy: Policy, dead_api: Option<Vec<Finding>>
     findings
 }
 
-/// L2: collect identifiers bound to `HashMap`/`HashSet`, then flag
-/// order-dependent iteration over them.
-fn determinism(model: &SourceModel, out: &mut Vec<Finding>) {
-    let hay = &model.masked;
-
-    // Pass A: names declared with a hash-collection type. Covers
-    // `let x: HashMap<..>`, `let x = HashMap::new()`, struct fields and
-    // fn params (`name: HashMap<..>`), including `Option<HashSet<..>>`.
-    let mut tracked: Vec<String> = Vec::new();
-    for ty in ["HashMap", "HashSet"] {
-        for s in word_occurrences(hay, ty) {
-            if let Some(name) = binding_name_for(hay, s) {
-                if !tracked.contains(&name) {
-                    tracked.push(name);
-                }
-            }
-        }
-    }
-    tracked.sort();
-
-    // Pass B: iteration over a tracked name.
-    const ITER_METHODS: [&str; 7] = [
-        ".iter()",
-        ".iter_mut()",
-        ".into_iter()",
-        ".keys()",
-        ".values()",
-        ".values_mut()",
-        ".drain(",
-    ];
-    let bytes = hay.as_bytes();
-    for name in &tracked {
-        for s in word_occurrences(hay, name) {
-            // rustfmt breaks method chains across lines; skip whitespace
-            // between the receiver and `.method(`.
-            let mut j = s + name.len();
-            while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            let after = &hay[j..];
-            if let Some(m) = ITER_METHODS.iter().find(|m| after.starts_with(**m)) {
-                let (line, col) = model.line_col(s);
-                out.push(Finding {
-                    rule: Rule::Determinism,
-                    line,
-                    col,
-                    message: format!(
-                        "`{name}{m}` iterates a hash collection: iteration order is \
-                         nondeterministic; use BTreeMap/BTreeSet or sort explicitly"
-                    ),
-                });
-            }
-        }
-    }
-
-    // `for x in name` / `for x in &name` — iteration without a method.
-    for s in word_occurrences(hay, "for") {
-        let Some(in_rel) = hay[s..].find(" in ") else {
-            continue;
-        };
-        let expr_start = s + in_rel + 4;
-        let Some(brace_rel) = hay[expr_start..].find('{') else {
-            continue;
-        };
-        if hay[s..expr_start].contains('\n') || brace_rel > 200 {
-            continue; // not a plausible single `for` header
-        }
-        let expr = &hay[expr_start..expr_start + brace_rel];
-        for name in &tracked {
-            let hits = word_occurrences(expr, name);
-            // Only flag bare iteration of the collection itself, not
-            // e.g. `map.get(..)` chains inside the expression.
-            let bare = hits.iter().any(|&h| {
-                let after = expr[h + name.len()..].trim_start();
-                after.is_empty() || after.starts_with('{')
-            });
-            if bare {
-                let (line, col) = model.line_col(expr_start);
-                out.push(Finding {
-                    rule: Rule::Determinism,
-                    line,
-                    col,
-                    message: format!(
-                        "`for .. in {name}` iterates a hash collection: iteration order \
-                         is nondeterministic; use BTreeMap/BTreeSet or sort explicitly"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// L0 over a `Cargo.toml`: every entry of every dependency table must be
 /// a workspace path crate (`tvdp`, `tvdp-*`, `xtask`), either inherited
 /// (`name.workspace = true`) or given by `path`. The workspace builds
@@ -336,26 +239,6 @@ pub fn check_manifest(text: &str) -> Vec<Finding> {
         }
     }
     out
-}
-
-/// Matching close for the `(` at byte `open`, if parens balance.
-fn matching_paren(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
 }
 
 /// End byte (exclusive) of the block enclosing byte `from`: the `}`
@@ -412,14 +295,14 @@ fn guard_binding_at(hay: &str, call_start: usize, method_len: usize) -> Option<(
     // The guard must reach the `;` unconsumed: only whitespace or the
     // poison-recovery `.unwrap_or_else(..)` may follow the call.
     let open = call_start + hay[call_start + method_len..].find('(')? + method_len;
-    let mut end = matching_paren(bytes, open)? + 1;
+    let mut end = matching_bracket(bytes, open, b'(', b')')? + 1;
     loop {
         match next_non_ws(bytes, end) {
             Some(b';') => break,
             Some(b'.') if hay[end..].trim_start().starts_with(".unwrap_or_else") => {
                 let dot = end + hay[end..].find('.')?;
                 let open2 = dot + hay[dot..].find('(')?;
-                end = matching_paren(bytes, open2)? + 1;
+                end = matching_bracket(bytes, open2, b'(', b')')? + 1;
             }
             _ => return None, // `.lock().foo()` — result consumed, no live guard
         }
@@ -692,61 +575,6 @@ fn float_reduction(model: &SourceModel, out: &mut Vec<Finding>) {
     }
 }
 
-/// For a `HashMap`/`HashSet` type token at byte `s`, the identifier the
-/// value is bound to, when the site is a binding (`let x:`, `let x =`,
-/// field `x:`, param `x:`).
-fn binding_name_for(hay: &str, s: usize) -> Option<String> {
-    let line_start = hay[..s].rfind('\n').map_or(0, |p| p + 1);
-    let line_end = hay[s..].find('\n').map_or(hay.len(), |p| s + p);
-    let line = &hay[line_start..line_end];
-    let rel = s - line_start;
-
-    // `= HashMap::new()` style: name is the ident before `=` (skipping
-    // `let`/`mut` and any `: Type` annotation).
-    if let Some(eq) = line[..rel].rfind('=') {
-        let lhs = &line[..eq];
-        let lhs = lhs.split(':').next().unwrap_or(lhs);
-        let name = lhs
-            .split_whitespace()
-            .rev()
-            .find(|w| w.bytes().all(is_ident_byte) && !w.is_empty())?;
-        if name != "let" && name != "mut" {
-            return Some(name.to_string());
-        }
-        return None;
-    }
-    // `name: HashMap<..>` / `name: Option<HashMap<..>>` style: name is
-    // the ident before the first `:` left of the type token.
-    let colon = line[..rel].rfind(':')?;
-    // Reject `::` paths (e.g. `std::collections::HashMap`): scan left
-    // past the whole `path::to::HashMap` chain first.
-    if colon > 0 && line.as_bytes()[colon - 1] == b':' {
-        let path_start = line[..colon]
-            .rfind(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
-            .map_or(0, |p| p + 1);
-        let before = &line[..path_start];
-        let colon2 = before.rfind(':')?;
-        if colon2 > 0 && before.as_bytes()[colon2 - 1] == b':' {
-            return None;
-        }
-        return name_left_of_colon(before, colon2);
-    }
-    name_left_of_colon(line, colon)
-}
-
-fn name_left_of_colon(line: &str, colon: usize) -> Option<String> {
-    let name = line[..colon].trim_end();
-    let start = name
-        .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .map_or(0, |p| p + 1);
-    let ident = &name[start..];
-    if ident.is_empty() || ident.bytes().next().is_some_and(|b| b.is_ascii_digit()) {
-        None
-    } else {
-        Some(ident.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,45 +589,6 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n fn t(xs: &[f64]) -> f64 { xs.iter().sum() }\n}\n";
         assert!(findings(src).is_empty());
         assert!(findings("const S: &str = \"let t: f64 = xs.iter().sum();\";\n").is_empty());
-    }
-
-    #[test]
-    fn l2_flags_hash_iteration() {
-        let src = "use std::collections::HashMap;\nfn f(m: HashMap<u8, u8>) -> Vec<u8> {\n m.values().copied().collect()\n}\n";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::Determinism);
-    }
-
-    #[test]
-    fn l2_flags_for_loop_over_hash() {
-        let src = "use std::collections::HashMap;\nfn f() {\n let tf: HashMap<u8, u8> = HashMap::new();\n for (k, v) in tf {\n let _ = (k, v);\n }\n}\n";
-        let f = findings(src);
-        assert!(
-            f.iter().any(|f| f.rule == Rule::Determinism),
-            "for-loop over HashMap must fire: {f:?}"
-        );
-    }
-
-    #[test]
-    fn l2_flags_multiline_method_chain() {
-        // rustfmt style: receiver and `.iter()` on different lines.
-        let src = "use std::collections::HashMap;\nfn f(m: HashMap<u8, u8>) -> Vec<u8> {\n m\n  .values()\n  .copied()\n  .collect()\n}\n";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::Determinism);
-    }
-
-    #[test]
-    fn l2_allows_lookup_only_use() {
-        let src = "use std::collections::HashMap;\nfn f(m: &HashMap<u8, u8>) -> Option<u8> {\n m.get(&1).copied()\n}\n";
-        assert!(findings(src).is_empty());
-    }
-
-    #[test]
-    fn l2_btreemap_is_fine() {
-        let src = "use std::collections::BTreeMap;\nfn f(m: BTreeMap<u8, u8>) -> Vec<u8> {\n m.values().copied().collect()\n}\n";
-        assert!(findings(src).is_empty());
     }
 
     #[test]

@@ -443,7 +443,7 @@ fn item_end_after(bytes: &[u8], from: usize) -> usize {
 }
 
 /// Offset of the bracket matching `open` at `bytes[start]`.
-fn matching_bracket(bytes: &[u8], start: usize, open: u8, close: u8) -> Option<usize> {
+pub(crate) fn matching_bracket(bytes: &[u8], start: usize, open: u8, close: u8) -> Option<usize> {
     debug_assert_eq!(bytes.get(start), Some(&open));
     let mut depth = 0usize;
     for (off, &b) in bytes.iter().enumerate().skip(start) {

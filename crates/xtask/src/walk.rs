@@ -2,18 +2,20 @@
 //!
 //! Workspace mode walks `crates/*/src/**/*.rs` plus the umbrella crate's
 //! `src/`, then the root and `crates/*` manifests (L0: path crates
-//! only), in sorted order (the linter obeys its own determinism rule).
-//! L8 reads `examples/**` too, as callers only.
-//! Policy for sources is derived from the path:
+//! only), in sorted order, so reports are the same run to run. L8
+//! mirrors the sources and manifests, with the root package's
+//! `examples/*.rs`, under `target/l8-probe/` and asks rustc which items
+//! they reach ([`crate::dead_api`]). Policy for sources is derived from
+//! the path:
 //!
 //! * `crates/kernel` — the home of the canonical fixed-order reductions
 //!   (L7 off), and implements the dispatch primitives L5 polices (L5
 //!   off);
 //! * `crates/bench` — exists to report float means, so L7 is off.
 //!
-//! The owners of threads and clocks (L3, L4) opt out of clippy's
-//! `disallowed_*` lints in their own source instead, one `#![expect]`
-//! each.
+//! The lookup-only hash maps and the owners of threads, clocks and
+//! durable calls (L2, L3, L4, L9) opt out of clippy's `disallowed_*`
+//! lints in their own source instead, one `#[expect]` each.
 
 use std::fs;
 use std::io;
@@ -114,23 +116,12 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
     for dir in crate_dirs {
         let src = dir.join("src");
         if src.is_dir() {
-            collect_rs(&src, &[], &mut files)?;
+            collect_rs(&src, &mut files)?;
         }
     }
     let umbrella = root.join("src");
     if umbrella.is_dir() {
-        collect_rs(&umbrella, &[], &mut files)?;
-    }
-    Ok(relative(root, files))
-}
-
-/// The sources under `examples/`, sorted, build output aside: read by
-/// L8 for callers, never linted themselves.
-pub fn example_sources(root: &Path) -> io::Result<Vec<String>> {
-    let examples = root.join("examples");
-    let mut files = Vec::new();
-    if examples.is_dir() {
-        collect_rs(&examples, &[examples.join("e2e/target")], &mut files)?;
+        collect_rs(&umbrella, &mut files)?;
     }
     Ok(relative(root, files))
 }
@@ -149,16 +140,14 @@ fn relative(root: &Path, files: Vec<PathBuf>) -> Vec<String> {
     rel
 }
 
-fn collect_rs(dir: &Path, skip: &[PathBuf], out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            if !skip.contains(&path) {
-                collect_rs(&path, skip, out)?;
-            }
+            collect_rs(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -167,17 +156,16 @@ fn collect_rs(dir: &Path, skip: &[PathBuf], out: &mut Vec<PathBuf>) -> io::Resul
 }
 
 /// Lints the whole workspace rooted at `root`: every rule over every
-/// library source (L8 across them and the examples), then the manifests.
+/// library source (L8 across them, by its probe), then the manifests.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<FileFinding>> {
-    let sources = workspace_sources(root)?;
     let mut files = Vec::new();
-    for rel in sources.iter().chain(&example_sources(root)?) {
-        let text = fs::read_to_string(root.join(rel))?;
-        files.push((rel.clone(), SourceModel::parse(&text)));
+    for rel in workspace_sources(root)? {
+        let text = fs::read_to_string(root.join(&rel))?;
+        files.push((rel, SourceModel::parse(&text)));
     }
-    let dead = dead_api(&files);
+    let dead = dead_api(root, &files)?;
     let mut findings = Vec::new();
-    for ((rel, model), dead) in files.iter().zip(dead).take(sources.len()) {
+    for ((rel, model), dead) in files.iter().zip(dead) {
         let found = check(model, policy_for(rel), Some(dead));
         findings.extend(bind(rel, &model.raw, found));
     }
