@@ -1671,6 +1671,87 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One fixed store, built through every op kind, dumps to the same
+    /// bytes and peeks the same next ids on every build: a change to how
+    /// a dump is rendered, or to how the next ids are found, that moves
+    /// a single byte of the base segment or one peek fails here. The
+    /// store holds an augmented child committed below its parent, a
+    /// replaced feature (its orphaned arena row is no part of the
+    /// dump), a `-0.0` and a NaN payload, pixels, a region annotation,
+    /// and more keyed uploads than the marker table holds.
+    #[test]
+    fn a_fixed_store_dumps_to_pinned_bytes_and_peeks_pinned_ids() {
+        let store = VisualStore::new();
+        let cls = scheme(&store, "cleanliness", &["clean", "dirty", "bulky"]).unwrap();
+        let row = |id: u64, parent: Option<u64>, pixels: Option<Image>| WalOp::AddImage {
+            id: ImageId(id),
+            meta: ImageMeta {
+                captured_at: 1_000 + id as i64,
+                keywords: vec![format!("k{}", id % 3)],
+                ..meta()
+            },
+            origin: parent.map_or(ImageOrigin::Original, |p| ImageOrigin::Augmented {
+                parent: ImageId(p),
+                op: "flip_h".into(),
+            }),
+            pixels: pixels.as_ref().map(pixel_blob),
+        };
+        let feature = |id: u64, kind, vector: Vec<f32>| WalOp::PutFeature {
+            image: ImageId(id),
+            kind,
+            vector,
+        };
+        let nan = f32::from_bits(0x7fc0_1234);
+        store
+            .apply_batch(vec![
+                row(0, None, Some(tiny_image())),
+                row(6, None, None),
+                row(3, Some(6), None),
+                feature(0, FeatureKind::Cnn, vec![1.0, 2.0, 3.0]),
+                feature(0, FeatureKind::ColorHistogram, vec![-0.0, 0.0, 0.5]),
+                feature(3, FeatureKind::Cnn, vec![nan, 0.0, 0.0]),
+            ])
+            .unwrap();
+        put(&store, ImageId(0), FeatureKind::Cnn, vec![4.0, 5.0, 6.0]).unwrap();
+        store
+            .apply_batch(vec![WalOp::Annotate(Annotation {
+                id: store.peek_next_annotation_id(),
+                image: ImageId(0),
+                classification: cls,
+                label: 2,
+                confidence: 0.75,
+                source: AnnotationSource::Machine(crate::ids::ModelId(4)),
+                region: Some(RegionOfInterest {
+                    x: 1,
+                    y: 0,
+                    width: 3,
+                    height: 2,
+                }),
+            })])
+            .unwrap();
+        label(&store, ImageId(3), cls, 1).unwrap();
+        store
+            .apply_batch(vec![WalOp::UploadMarkers(vec![
+                ("restored-low".into(), ImageId(6), 3),
+                ("restored-high".into(), ImageId(0), 9_000),
+            ])])
+            .unwrap();
+        for i in 0..UPLOAD_MARKER_CAPACITY + 5 {
+            let key = format!("edge-{i}");
+            let features = [(FeatureKind::Cnn, vec![i as f32, 0.0, 1.0])];
+            upload(&store, &key, ImageOrigin::Original, None, &features).unwrap();
+        }
+        // Eviction took the two restored markers, then the first five.
+        for key in ["restored-low", "restored-high", "edge-4"] {
+            assert!(store.upload_marker(key).is_none(), "{key} evicted");
+        }
+        assert!(store.upload_marker("edge-5").is_some());
+        assert_eq!(store.digest(), 0xc2ca_69a8_8201_e7f0);
+        assert_eq!(store.peek_next_image_id(), ImageId(4108));
+        assert_eq!(store.peek_next_classification_id(), ClassificationId(1));
+        assert_eq!(store.peek_next_annotation_id(), AnnotationId(2));
+    }
+
     #[test]
     fn dump_ops_put_a_parent_before_a_child_committed_at_a_lower_id() {
         let store = VisualStore::new();
