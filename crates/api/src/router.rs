@@ -18,6 +18,7 @@ use tvdp_core::models::ModelInterface;
 use tvdp_core::platform::Algorithm;
 use tvdp_core::{
     AdmissionConfig, AdmissionController, IngestRequest, PlatformError, RequestClass, Tvdp, Upload,
+    DISPATCH_UNITS, INGEST_UNITS_PER_IMAGE,
 };
 use tvdp_edge::{
     DeviceClass, DispatchConstraints, DispatchDecision, LinkConditions, ModelDispatcher, MODEL_ZOO,
@@ -539,11 +540,6 @@ impl ApiServer {
         }
     }
 
-    /// Modeled admission cost of one upload, in work units. Roughly
-    /// the feature-extraction plus index-insert work relative to one
-    /// scanned query row.
-    const INGEST_UNITS_PER_IMAGE: u64 = 8;
-
     fn add_data(
         &self,
         user: UserId,
@@ -553,7 +549,7 @@ impl ApiServer {
     ) -> Handled {
         let mut upload = decode_upload(body).map_err(|e| ApiResponse::err(400, e))?;
         upload.key = idempotency_key.map(str::to_string);
-        self.admit(RequestClass::Ingest, Self::INGEST_UNITS_PER_IMAGE, now_ms)?;
+        self.admit(RequestClass::Ingest, INGEST_UNITS_PER_IMAGE, now_ms)?;
         let stored = self
             .platform
             .ingest_uploads(user, vec![upload], &Pool::serial())?;
@@ -577,7 +573,7 @@ impl ApiServer {
             };
             uploads.push(upload);
         }
-        let batch_units = Self::INGEST_UNITS_PER_IMAGE * uploads.len().max(1) as u64;
+        let batch_units = INGEST_UNITS_PER_IMAGE * uploads.len().max(1) as u64;
         self.admit(RequestClass::Ingest, batch_units, now_ms)?;
         let pool = Pool::new(uploads.len().clamp(1, 8));
         let rows = self.platform.ingest_uploads(user, uploads, &pool)?;
@@ -828,7 +824,7 @@ impl ApiServer {
             "rpi" | "raspberrypi" | "raspberry_pi" => DeviceClass::RaspberryPi,
             other => return Err(ApiResponse::err(400, format!("unknown device {other}"))),
         };
-        self.admit(RequestClass::Dispatch, 1, now_ms)?;
+        self.admit(RequestClass::Dispatch, DISPATCH_UNITS, now_ms)?;
         let constraints = DispatchConstraints {
             max_latency_ms,
             min_accuracy,

@@ -21,9 +21,9 @@ use std::sync::Arc;
 
 use tvdp_api::{ApiRequest, ApiServer, RateLimitConfig};
 use tvdp_core::{AdmissionConfig, PlatformConfig, Role, Tvdp};
+use tvdp_storage::codec;
 use tvdp_storage::disk::{self, Fault, Op};
 use tvdp_storage::store::first_difference;
-use tvdp_storage::{codec, VisualStore, WalOp};
 use tvdp_vision::{CnnConfig, FeatureKind, Image};
 
 fn fast_config() -> PlatformConfig {
@@ -500,8 +500,7 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
     assert!(r.is_ok(), "{r:?}");
     let frames_len = std::fs::metadata(dir.join("wal-0.log")).unwrap().len() as usize;
     let mut acked = 1;
-    let dump = |store: &VisualStore| -> Vec<WalOp> { store.snapshot().into_ops() };
-    let mut acked_state = dump(platform.store());
+    let mut acked_state = platform.store().ops();
 
     for budget in 0..=frames_len {
         let body = tiny_add_body(0, budget);
@@ -510,7 +509,7 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
         assert_eq!(cut.status, 503, "budget {budget}: {cut:?}");
         assert_eq!(platform.stats().images, acked, "budget {budget}");
         assert_eq!(
-            first_difference(&dump(platform.store()), &acked_state),
+            first_difference(&platform.store().ops(), &acked_state),
             None,
             "budget {budget}: part of the refused upload was stored"
         );
@@ -518,7 +517,7 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
         let retry = call_at(&server, &key, "data/add", &body, 2);
         assert!(retry.is_ok(), "budget {budget}: {retry:?}");
         acked += 1;
-        acked_state = dump(platform.store());
+        acked_state = platform.store().ops();
     }
     drop(server);
     drop(platform);
@@ -527,7 +526,7 @@ fn a_write_fault_at_any_byte_of_an_upload_stores_none_of_it() {
     let (reopened, _) = Tvdp::open(&dir, fast_config()).unwrap();
     assert_eq!(reopened.stats().images, acked);
     assert_eq!(
-        first_difference(&dump(reopened.store()), &acked_state),
+        first_difference(&reopened.store().ops(), &acked_state),
         None
     );
     assert_eq!(

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use tvdp_api::{ApiRequest, ApiResponse, ApiServer, RateLimitConfig};
 use tvdp_core::{AdmissionConfig, PlatformConfig, Role, Tvdp};
+use tvdp_kernel::{fnv64, FNV64_OFFSET};
 use tvdp_storage::codec;
 use tvdp_storage::UserId;
 use tvdp_vision::{CnnConfig, Image};
@@ -41,16 +42,6 @@ const ROUTES: &[(&str, u64)] = &[
     ("nope/nope", 0x71fc_1717_835d_4ce1),
 ];
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// The script's responses, each under the route it exercised.
 #[derive(Default)]
 struct Transcript {
@@ -70,13 +61,13 @@ impl Transcript {
     }
 
     fn fold(h: u64, (route, status, body): &(String, u16, String)) -> u64 {
-        let h = fnv(h, route.as_bytes());
-        let h = fnv(h, &status.to_le_bytes());
-        fnv(h, body.as_bytes())
+        let h = fnv64(h, route.as_bytes());
+        let h = fnv64(h, &status.to_le_bytes());
+        fnv64(h, body.as_bytes())
     }
 
     fn total(&self) -> u64 {
-        self.steps.iter().fold(FNV_OFFSET, Self::fold)
+        self.steps.iter().fold(FNV64_OFFSET, Self::fold)
     }
 
     fn routes(&self) -> Vec<(String, u64)> {
@@ -84,7 +75,7 @@ impl Transcript {
         for step in &self.steps {
             match routes.iter_mut().find(|(r, _)| *r == step.0) {
                 Some((_, h)) => *h = Self::fold(*h, step),
-                None => routes.push((step.0.clone(), Self::fold(FNV_OFFSET, step))),
+                None => routes.push((step.0.clone(), Self::fold(FNV64_OFFSET, step))),
             }
         }
         routes

@@ -29,7 +29,10 @@
 //! user.
 
 use tvdp_bench::report::{self, percentile, Acceptance, Header, Kind, Report};
-use tvdp_core::{AdmissionConfig, AdmissionController, PlatformError, RequestClass};
+use tvdp_core::{
+    AdmissionConfig, AdmissionController, PlatformError, RequestClass, DISPATCH_UNITS,
+    INGEST_UNITS_PER_IMAGE,
+};
 
 /// Default virtual users; one request each. Override: `TVDP_LOAD_VUS`.
 const DEFAULT_VUS: usize = 1_000_000;
@@ -43,9 +46,13 @@ const DISPATCH_BOUND_MS: i64 = 15;
 const QUERY_BOUND_MS: i64 = 40;
 const INGEST_BOUND_MS: i64 = 60;
 
-/// Workload split per mille of the request stream.
-const INGEST_UNITS: u64 = 8;
-const DISPATCH_UNITS: u64 = 1;
+/// The one budget both servers model.
+const CONFIG: AdmissionConfig = AdmissionConfig {
+    capacity_units_per_sec: CAPACITY_UNITS_PER_SEC,
+    dispatch_max_delay_ms: DISPATCH_BOUND_MS,
+    query_max_delay_ms: QUERY_BOUND_MS,
+    ingest_max_delay_ms: INGEST_BOUND_MS,
+};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -134,7 +141,7 @@ fn build_script(vus: usize) -> Vec<Request> {
             for _ in 0..size {
                 let h = splitmix64(0x10ad ^ index);
                 let (class, cost_units, deadline_budget_ms) = match h % 10 {
-                    0..=5 => (RequestClass::Ingest, INGEST_UNITS, 0),
+                    0..=5 => (RequestClass::Ingest, INGEST_UNITS_PER_IMAGE, 0),
                     // Budgets start above the nominal latency tail:
                     // a well-provisioned phase misses no deadlines, and
                     // under overload the admission bound (40 ms + service
@@ -165,12 +172,6 @@ fn build_script(vus: usize) -> Vec<Request> {
 }
 
 // --- the two servers -------------------------------------------------
-
-fn service_ms(cost_units: u64) -> i64 {
-    (cost_units.max(1) * 1_000)
-        .div_ceil(CAPACITY_UNITS_PER_SEC)
-        .max(1) as i64
-}
 
 #[derive(Default, Clone)]
 struct PhaseOut {
@@ -210,12 +211,7 @@ fn sort_latencies(mut phases: Vec<PhaseOut>) -> Vec<PhaseOut> {
 
 /// Replays the script through the production admission controller.
 fn run_admission(script: &[Request]) -> (Vec<PhaseOut>, AdmissionController) {
-    let ctl = AdmissionController::new(AdmissionConfig {
-        capacity_units_per_sec: CAPACITY_UNITS_PER_SEC,
-        dispatch_max_delay_ms: DISPATCH_BOUND_MS,
-        query_max_delay_ms: QUERY_BOUND_MS,
-        ingest_max_delay_ms: INGEST_BOUND_MS,
-    });
+    let ctl = AdmissionController::new(CONFIG);
     let mut phases = vec![PhaseOut::default(); 3];
     for r in script {
         let out = &mut phases[r.phase];
@@ -228,7 +224,7 @@ fn run_admission(script: &[Request]) -> (Vec<PhaseOut>, AdmissionController) {
             }
             other => report::ok(other, "unexpected admission error"),
         };
-        let latency = ticket.queued_delay_ms + service_ms(r.cost_units);
+        let latency = ticket.queued_delay_ms + CONFIG.service_ms(r.cost_units);
         report::ensure(
             ticket.queued_delay_ms
                 <= match r.class {
@@ -256,7 +252,7 @@ fn run_baseline(script: &[Request]) -> Vec<PhaseOut> {
         let out = &mut phases[r.phase];
         out.requests += 1;
         let start = backlog_done_at_ms.max(r.arrival_ms);
-        let svc = service_ms(r.cost_units);
+        let svc = CONFIG.service_ms(r.cost_units);
         backlog_done_at_ms = start + svc;
         let latency = start - r.arrival_ms + svc;
         out.admitted += 1;

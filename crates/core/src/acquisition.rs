@@ -680,9 +680,8 @@ mod batch_tests {
             .collect();
         let par_ids = par.ingest_batch(user_p, batch, 4).unwrap();
         assert_eq!(seq_ids, par_ids, "ids in input order");
-        let dump = |tvdp: &Tvdp| tvdp.store().snapshot().into_ops();
         assert_eq!(
-            tvdp_storage::store::first_difference(&dump(&seq), &dump(&par)),
+            tvdp_storage::store::first_difference(&seq.store().ops(), &par.store().ops()),
             None,
             "parallel extraction must be bit-identical"
         );

@@ -66,6 +66,13 @@ impl RequestClass {
     }
 }
 
+/// Admission price of one uploaded image, in work units: roughly the
+/// feature extraction plus index insert, against one scanned query row.
+pub const INGEST_UNITS_PER_IMAGE: u64 = 8;
+
+/// Admission price of one edge dispatch, in work units: a flat charge.
+pub const DISPATCH_UNITS: u64 = 1;
+
 /// Capacity budget and per-class queueing-delay bounds.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
@@ -94,6 +101,15 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
+    /// The virtual ms that `cost_units` of work occupies the server.
+    /// Ceil division: even a 1-unit request takes at least one whole
+    /// virtual millisecond once capacity is finite, so unbounded
+    /// request rates cannot be free.
+    pub fn service_ms(&self, cost_units: u64) -> i64 {
+        let per_sec = self.capacity_units_per_sec.max(1);
+        (cost_units.max(1) * 1_000).div_ceil(per_sec).max(1) as i64
+    }
+
     fn max_delay_ms(&self, class: RequestClass) -> i64 {
         match class {
             RequestClass::Dispatch => self.dispatch_max_delay_ms,
@@ -196,12 +212,7 @@ impl AdmissionController {
                 retry_after_ms: (delay - bound).max(1),
             });
         }
-        // Ceil division: even a 1-unit request occupies the server for
-        // at least one whole virtual millisecond once capacity is
-        // finite, so unbounded request rates cannot be free.
-        let per_sec = self.config.capacity_units_per_sec.max(1);
-        let service_ms = (cost_units.max(1) * 1_000).div_ceil(per_sec).max(1) as i64;
-        s.backlog_done_at_ms = start + service_ms;
+        s.backlog_done_at_ms = start + self.config.service_ms(cost_units);
         s.stats.total.admitted += 1;
         s.stats.total.admitted_units += cost_units;
         let pc = &mut s.stats.per_class[class.idx()];

@@ -36,7 +36,8 @@ pub mod video;
 
 pub use acquisition::Upload;
 pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionStats, AdmissionTicket, ClassStats, RequestClass,
+    AdmissionConfig, AdmissionController, AdmissionStats, AdmissionTicket, ClassStats,
+    RequestClass, DISPATCH_UNITS, INGEST_UNITS_PER_IMAGE,
 };
 pub use error::{PlatformError, WidthSetBy};
 pub use models::{ModelEntry, ModelInterface, ModelRegistry};

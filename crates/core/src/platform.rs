@@ -142,16 +142,17 @@ impl Tvdp {
     /// history.
     ///
     /// **Wait-for-quiesce semantics:** `flush` waits only for in-flight
-    /// writers to quiesce at the journal lock — the snapshot cut and
-    /// segment rotation happen atomically inside that critical section,
-    /// so an op either lands wholly before the cut (folded into the
-    /// snapshot) or wholly after (journaled in the new live segment).
+    /// writers to quiesce at the journal lock — the cut (the store
+    /// rendered as the ops of its base segment) and the segment
+    /// rotation happen atomically inside that critical section, so an
+    /// op either lands wholly before the cut (folded into the base) or
+    /// wholly after (journaled in the new live segment).
     /// Writers are *not* blocked for the fold itself:
     /// [`tvdp_storage::DurableStore::compact`] writes and publishes the
     /// base outside the lock, concurrent with new writes, and `flush`
     /// returns once it has published. Ops acknowledged after `flush`
     /// was called may therefore be in the new live segment rather than
-    /// the snapshot — durable either way.
+    /// the base — durable either way.
     pub fn flush(&self) -> Result<CompactionReport, PlatformError> {
         let durable = self.durable.as_ref().ok_or(PlatformError::NotDurable)?;
         Ok(durable.compact()?)

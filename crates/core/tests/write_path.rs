@@ -65,11 +65,6 @@ fn upload(i: usize, key: Option<&str>) -> Upload {
     }
 }
 
-/// The store's state as the records a base segment of it holds.
-fn dump(store: &VisualStore) -> Vec<WalOp> {
-    store.snapshot().into_ops()
-}
-
 fn temp_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("tvdp-write-path-{name}-{}", std::process::id()));
@@ -160,14 +155,14 @@ fn script(tvdp: &Tvdp) {
 fn one_script_ends_in_one_state_on_every_platform_kind() {
     let memory = Tvdp::new(config());
     script(&memory);
-    let expected = dump(memory.store());
+    let expected = memory.store().ops();
     assert_ne!(memory.store().digest(), VisualStore::new().digest());
 
     let dir = temp_dir("parity");
     let (durable, _) = Tvdp::open(&dir, config()).unwrap();
     script(&durable);
     assert_eq!(
-        first_difference(&dump(durable.store()), &expected),
+        first_difference(&durable.store().ops(), &expected),
         None,
         "journaled"
     );
@@ -175,7 +170,7 @@ fn one_script_ends_in_one_state_on_every_platform_kind() {
 
     let (reopened, _) = Tvdp::open(&dir, config()).unwrap();
     assert_eq!(
-        first_difference(&dump(reopened.store()), &expected),
+        first_difference(&reopened.store().ops(), &expected),
         None,
         "replayed"
     );
@@ -185,7 +180,7 @@ fn one_script_ends_in_one_state_on_every_platform_kind() {
         .ingest_uploads(user, vec![upload(3, Some("k3"))], &Pool::serial())
         .unwrap();
     assert!(retry[0].1);
-    assert_eq!(first_difference(&dump(reopened.store()), &expected), None);
+    assert_eq!(first_difference(&reopened.store().ops(), &expected), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -277,7 +272,7 @@ fn a_journal_of_raw_pixels_reopens_and_flushes_into_codes() {
         let user = tvdp.register_user("LASAN", Role::Government);
         let uploads = (0..N).map(|i| upload(i, Some(&format!("k{i}")))).collect();
         tvdp.ingest_uploads(user, uploads, &Pool::serial()).unwrap();
-        dump(tvdp.store())
+        tvdp.store().ops()
     };
     // The same journal as an older build wrote it: every pixel raw.
     let journal = dir.join("wal-0.log");
@@ -290,7 +285,7 @@ fn a_journal_of_raw_pixels_reopens_and_flushes_into_codes() {
 
     let (tvdp, report) = Tvdp::open(&dir, config()).unwrap();
     assert_eq!(report.replayed_ops, N);
-    assert_eq!(first_difference(&dump(tvdp.store()), &expected), None);
+    assert_eq!(first_difference(&tvdp.store().ops(), &expected), None);
     for i in 0..N {
         let id = ImageId(i as u64);
         assert_eq!(tvdp.store().pixels(id), Some(scene(i)), "image {i}");
@@ -305,7 +300,7 @@ fn a_journal_of_raw_pixels_reopens_and_flushes_into_codes() {
     }
     assert!(rewritten == std::fs::read(&base).unwrap());
     let (reopened, _) = Tvdp::open(&dir, config()).unwrap();
-    assert_eq!(first_difference(&dump(reopened.store()), &expected), None);
+    assert_eq!(first_difference(&reopened.store().ops(), &expected), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -482,13 +482,8 @@ mod tests {
     /// FNV-1a over every pool in order: id, length, then each sample's
     /// feature bits and label.
     fn pools_fingerprint(edges: &[EdgeNode]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
+        let mut h = tvdp_kernel::FNV64_OFFSET;
+        let mut eat = |bytes: &[u8]| h = tvdp_kernel::fnv64(h, bytes);
         for e in edges {
             eat(&e.id.to_le_bytes());
             eat(&(e.pool.len() as u64).to_le_bytes());

@@ -46,12 +46,7 @@ impl VirtualClock {
 
 /// FNV-1a 64-bit checksum guarding payload integrity in flight.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    tvdp_kernel::fnv64(tvdp_kernel::FNV64_OFFSET, bytes)
 }
 
 /// Status the simulated server uses to reject a checksum mismatch; the

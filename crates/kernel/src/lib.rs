@@ -42,6 +42,8 @@
 //! * [`crc32`] — the IEEE CRC-32 that frames every journal and
 //!   base-segment record: folded by carry-less multiply (PCLMULQDQ) on
 //!   an x86-64 CPU that reports it, slicing-by-8 everywhere else.
+//! * [`fnv64`] — FNV-1a 64, the hash of every pinned digest and of
+//!   the edge transport's payload checksum.
 //! * [`expand`] — a feature vector stored without its `+0.0`s (a
 //!   presence bitmap and the kept floats) back into the dense vector,
 //!   bit for bit, in one branch-free pass that masks each element by
@@ -57,6 +59,7 @@
 pub mod arena;
 mod crc;
 mod expand;
+mod fnv;
 pub mod gencell;
 pub mod pool;
 mod proj;
@@ -68,6 +71,7 @@ pub mod topk;
 pub use arena::{FeatureSlab, RowRef, RowSource, SlabView, ROWS_PER_CHUNK};
 pub use crc::crc32;
 pub use expand::expand;
+pub use fnv::{fnv64, FNV64_OFFSET};
 pub use gencell::GenCell;
 pub use pool::Pool;
 pub use proj::ProjectedQuery;

@@ -41,7 +41,5 @@ pub use record::{ImageMeta, ImageOrigin, ImageRecord, ImageRow};
 pub use recovery::{
     CompactionReport, DurableError, DurableStore, HealthState, RecoveryReport, StoreHealth,
 };
-pub use store::{
-    FeatureHandle, Replays, Snapshot, StorageError, VisualStore, UPLOAD_MARKER_CAPACITY,
-};
+pub use store::{FeatureHandle, Replays, StorageError, VisualStore, UPLOAD_MARKER_CAPACITY};
 pub use wal::WalOp;

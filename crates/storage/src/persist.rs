@@ -3,8 +3,9 @@
 //! A base segment is a journal segment ([`crate::wal`]: the same
 //! [`SEGMENT_MAGIC`] header, the same CRC-framed records) holding the
 //! ops that rebuild a store on an empty one
-//! ([`crate::store::Snapshot::into_ops`]). Compaction publishes its cut
-//! as one through [`write_base`] and recovery reads it back with the
+//! ([`crate::VisualStore::ops`]). Compaction publishes its cut as one
+//! through [`write_base`] (failing with [`DurableError`], as the
+//! journal does) and recovery reads it back with the
 //! journal's own scanner and the store's validator, so there is one
 //! encoder, one scanner and one validator for every row that reaches
 //! disk.

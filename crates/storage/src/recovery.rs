@@ -6,8 +6,8 @@
 //!
 //! * `base-<epoch>.seg` — the *base segment*: the store as compaction
 //!   last cut it, rendered as the ops that rebuild it
-//!   ([`crate::store::Snapshot::into_ops`]). The epoch in its name is
-//!   the WAL epoch it was cut against; the highest one wins,
+//!   ([`VisualStore::ops`]). The epoch in its name is the WAL epoch it
+//!   was cut against; the highest one wins,
 //! * `wal-<epoch>.log` — append-only journal segments: every segment
 //!   with epoch >= the base's holds mutations since that cut. Only the
 //!   highest is live; a lower one was sealed by a compaction that
@@ -27,19 +27,20 @@
 //! which wrote cold feature chunks out of memory). A file in any other
 //! format — the text journal of builds before v3, the `snapshot.json` of
 //! builds up to PR 20 — fails the open with
-//! [`crate::wal::WalError::UnsupportedFormat`] before anything in the
-//! directory is touched.
+//! [`DurableError::UnsupportedFormat`] before anything in the directory
+//! is touched. Opening, appending, scanning, publishing and folding all
+//! fail with that one error type.
 //!
 //! Compaction is one call, [`DurableStore::compact`]. Under the journal
 //! lock — atomically with respect to every mutator — it repairs a torn
 //! tail a failed append left (a sealed segment is never repaired), cuts
-//! a dump of the store *and* rotates the live segment, so the cut
-//! covers exactly the ops in the segments it seals. Writers then proceed
-//! into the new live segment while the fold writes the cut outside the
-//! lock, publishes it with the PR 4 staged-rename protocol (stage,
-//! fsync, rename, parent fsync) and retires the old base and the folded
-//! segments without syncing their removal; writers only ever wait for
-//! the cut.
+//! the store's ops ([`VisualStore::ops`]) *and* rotates the live
+//! segment, so the cut covers exactly the ops in the segments it seals.
+//! Writers then proceed into the new live segment while the fold writes
+//! the cut outside the lock, publishes it with the PR 4 staged-rename
+//! protocol (stage, fsync, rename, parent fsync) and retires the old
+//! base and the folded segments without syncing their removal; writers
+//! only ever wait for the cut.
 //!
 //! Every call that changes the disk goes through [`crate::disk`], whose
 //! per-thread hook lets a test fail one or record the trace a crash
@@ -68,19 +69,36 @@ use tvdp_kernel::sync::Mutex;
 use crate::disk;
 use crate::persist;
 use crate::store::{Replays, StorageError, VisualStore};
-use crate::wal::{self, Wal, WalError, WalOp};
+use crate::wal::{self, Wal, WalOp};
 
 /// File name of the JSON snapshot that builds up to PR 20 kept in a
 /// durable store directory; its presence fails the open.
 const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
 
-/// Errors from opening, mutating, or compacting a durable store.
+/// Errors from opening, mutating, or compacting a durable store, and
+/// from appending to or scanning one of its segments ([`crate::wal`]).
 #[derive(Debug)]
 pub enum DurableError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A segment failed to append or scan.
-    Wal(WalError),
+    /// A record with an intact checksum carried an undecodable payload
+    /// — version skew or a buggy writer, not a torn write; recovery
+    /// refuses rather than silently dropping acknowledged operations.
+    Corrupt {
+        /// 0-based index of the bad record.
+        record: usize,
+        /// Decoder message.
+        message: String,
+    },
+    /// The segment does not start with [`crate::wal::SEGMENT_MAGIC`]:
+    /// it holds some other format's bytes (or, for a sealed segment,
+    /// lost its header). The file is left exactly as found.
+    UnsupportedFormat {
+        /// The refused segment.
+        path: PathBuf,
+        /// Its first bytes (at most eight).
+        found: Vec<u8>,
+    },
     /// A mutation was refused by the store's validator before anything
     /// was journaled.
     Storage(StorageError),
@@ -102,7 +120,18 @@ impl std::fmt::Display for DurableError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DurableError::Io(e) => write!(f, "io error: {e}"),
-            DurableError::Wal(e) => write!(f, "{e}"),
+            DurableError::Corrupt { record, message } => {
+                write!(f, "corrupt wal record {record}: {message}")
+            }
+            DurableError::UnsupportedFormat { path, found } => write!(
+                f,
+                "{} is not a v3 segment (it starts with \"{}\") and is left as found. Text \
+                 journals, JSON snapshots and JSON store files come from older builds: commit \
+                 0104dbe (PR 20) is the last that reads the JSON form, and `tvdp compact <dir>` \
+                 with the build that wrote a text journal folds it into that form",
+                path.display(),
+                found.escape_ascii()
+            ),
             DurableError::Storage(e) => write!(f, "{e}"),
             DurableError::Rejected(m) => write!(f, "rejected: {m}"),
             DurableError::Replay(m) => write!(f, "replay failed: {m}"),
@@ -118,12 +147,6 @@ impl std::error::Error for DurableError {}
 impl From<std::io::Error> for DurableError {
     fn from(e: std::io::Error) -> Self {
         DurableError::Io(e)
-    }
-}
-
-impl From<WalError> for DurableError {
-    fn from(e: WalError) -> Self {
-        DurableError::Wal(e)
     }
 }
 
@@ -299,7 +322,7 @@ impl Journal {
                 if entered == HealthState::ReadOnly {
                     Err(DurableError::ReadOnly(message))
                 } else {
-                    Err(e.into())
+                    Err(e)
                 }
             }
         }
@@ -424,7 +447,7 @@ fn replay_sealed(store: &mut VisualStore, path: &Path, base: bool) -> Result<usi
     let replayed = replay_segment(store, path, base)?;
     if replayed.valid_len == 0 {
         // The file is a strict prefix of the header: a few bytes.
-        return Err(wal::unsupported(path, &std::fs::read(path)?).into());
+        return Err(wal::unsupported(path, &std::fs::read(path)?));
     }
     if replayed.torn > 0 {
         return Err(DurableError::Replay(format!(
@@ -472,7 +495,7 @@ impl DurableStore {
                 std::fs::File::open(entry.path())?
                     .take(wal::SEGMENT_MAGIC.len() as u64)
                     .read_to_end(&mut found)?;
-                return Err(wal::unsupported(&entry.path(), &found).into());
+                return Err(wal::unsupported(&entry.path(), &found));
             } else if let Some(epoch) = epoch_of(&name, "base-", ".seg") {
                 bases.push(epoch);
             } else if let Some(epoch) = epoch_of(&name, "wal-", ".log") {
@@ -610,7 +633,7 @@ impl DurableStore {
 
     /// Folds the journal into a fresh base segment and rotates the WAL
     /// to the next epoch. Under the journal lock — atomically with
-    /// respect to every mutator — this cuts a dump of the store and
+    /// respect to every mutator — this cuts the store's ops and
     /// rotates the live segment, so the cut covers exactly the ops
     /// journaled so far and nothing that lands afterwards. Writers wait
     /// for that cut only: the base is written, published and the folded
@@ -662,7 +685,7 @@ impl DurableStore {
         // mutator: ops journaled up to here are in the cut and in the
         // sealed segments; ops journaled after go to the new live
         // segment only. Either way nothing can replay twice.
-        let cut = self.store.snapshot();
+        let cut = self.store.ops();
         let ops_compacted = journal.wal_ops;
         let old_base = journal.base_epoch;
         journal.wal = next_wal;
@@ -671,7 +694,7 @@ impl DurableStore {
         drop(journal);
 
         let dest = base_path(&self.dir, new_base);
-        let snapshot_bytes = match persist::write_base(&dest, &cut.into_ops()) {
+        let snapshot_bytes = match persist::write_base(&dest, &cut) {
             Ok(bytes) => bytes,
             Err(e) => {
                 // Nothing was published: the sealed segments still
@@ -708,8 +731,12 @@ pub(crate) mod tests {
     use tvdp_geo::GeoPoint;
     use tvdp_vision::{FeatureKind, Image};
 
-    fn dump(store: &VisualStore) -> Vec<WalOp> {
-        store.snapshot().into_ops()
+    /// The upload-marker table of `store`: the last op of its dump.
+    pub(crate) fn markers(store: &VisualStore) -> Vec<(String, ImageId, u64)> {
+        match store.ops().pop() {
+            Some(WalOp::UploadMarkers(markers)) => markers,
+            other => panic!("a dump ends in its marker table, not {other:?}"),
+        }
     }
 
     impl DurableStore {
@@ -860,13 +887,13 @@ pub(crate) mod tests {
         let (ds, report) = DurableStore::open(&dir).unwrap();
         assert!(!report.snapshot_found);
         let (img, cls) = populate(&ds);
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 4);
         assert_eq!(report.torn_bytes, 0);
-        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
+        assert_eq!(first_difference(&ds2.store.ops(), &live), None);
         assert_eq!(ds2.store.annotations_of(img).len(), 1);
         assert!(ds2.store.scheme(cls).is_some());
         std::fs::remove_dir_all(&dir).ok();
@@ -891,7 +918,7 @@ pub(crate) mod tests {
             })
             .collect();
         ds.apply_batch(ops).unwrap();
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
         let before = ds.wal_bytes().unwrap();
         assert!(before > EMPTY_WAL);
         let report = ds.compact().unwrap();
@@ -899,7 +926,7 @@ pub(crate) mod tests {
         assert_eq!(report.ops_compacted, 4 + rows);
         assert_eq!(report.wal_bytes_before, before);
         assert_eq!(ds.wal_bytes().unwrap(), EMPTY_WAL);
-        assert_eq!(first_difference(&dump(&ds.store), &live), None);
+        assert_eq!(first_difference(&ds.store.ops(), &live), None);
         // The journal is the only format a compaction writes: no
         // `spill-*` file beside the base.
         let mut files: Vec<String> = std::fs::read_dir(&dir)
@@ -920,7 +947,7 @@ pub(crate) mod tests {
         assert!(report.snapshot_found);
         assert_eq!(report.epoch, 1);
         assert_eq!(report.replayed_ops, 0);
-        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
+        assert_eq!(first_difference(&ds2.store.ops(), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -931,11 +958,11 @@ pub(crate) mod tests {
         let (img, cls) = populate(&ds);
         ds.compact().unwrap();
         annotate(&ds, img, cls, 0, 0.4).unwrap();
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 1);
-        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
+        assert_eq!(first_difference(&ds2.store.ops(), &live), None);
         // The base's own records were not replayed ops, so the next fold
         // counts only what the journal held.
         assert_eq!(ds2.compact().unwrap().ops_compacted, 1);
@@ -1026,11 +1053,11 @@ pub(crate) mod tests {
         // "m0" was evicted, so the same key is a fresh upload again and
         // the journal now names that marker twice — legitimately.
         assert!(ds.apply_batch(vec![upload(n, "m0")]).unwrap().is_empty());
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops as u64, n + 1);
-        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
+        assert_eq!(first_difference(&ds2.store.ops(), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1080,14 +1107,14 @@ pub(crate) mod tests {
             .into_iter()
             .map(|(key, (id, seq))| (key, id, seq))
             .collect();
-        assert_eq!(ds.store.snapshot().markers, model);
-        let live = dump(&ds.store);
+        assert_eq!(markers(&ds.store), model);
+        let live = ds.store.ops();
         drop(ds);
         let (ds, report) = DurableStore::open(&dir).unwrap();
         let retries = (0..uploads).filter(|i| i % 100 == 99).count();
         assert_eq!(report.replayed_ops, uploads - retries);
-        assert_eq!(ds.store.snapshot().markers, model);
-        assert_eq!(first_difference(&dump(&ds.store), &live), None);
+        assert_eq!(markers(&ds.store), model);
+        assert_eq!(first_difference(&ds.store.ops(), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1189,13 +1216,13 @@ pub(crate) mod tests {
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let hist = feature(img, FeatureKind::ColorHistogram, vec![0.1, 0.2]);
         ds.apply_batch(vec![hist]).unwrap(); // 1 op in segment 2
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.epoch, 2);
         assert_eq!(report.replayed_ops, 6);
-        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
+        assert_eq!(first_difference(&ds2.store.ops(), &live), None);
         // The next fold takes every segment at once.
         let folded = ds2.compact().unwrap();
         assert_eq!((folded.epoch, folded.ops_compacted), (3, 6));
@@ -1259,7 +1286,7 @@ pub(crate) mod tests {
         ds.apply_batch(ops).unwrap();
         assert_eq!(ds.store.len(), 1);
         assert_eq!(ds.store.annotations_of(img).len(), 1);
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
 
         // A batch with a bad op anywhere journals and applies nothing.
         let wal_before = ds.wal_bytes().unwrap();
@@ -1287,12 +1314,12 @@ pub(crate) mod tests {
             ))))
         ));
         assert_eq!(ds.wal_bytes().unwrap(), wal_before);
-        assert_eq!(first_difference(&dump(&ds.store), &live), None);
+        assert_eq!(first_difference(&ds.store.ops(), &live), None);
         drop(ds);
 
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, 4);
-        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
+        assert_eq!(first_difference(&ds2.store.ops(), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1338,7 +1365,7 @@ pub(crate) mod tests {
         .unwrap();
 
         let wal_before = ds.wal_bytes().unwrap();
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
         let next = ds.store.peek_next_image_id();
         for bad in [
             vec![label(img, region(usize::MAX, 0, 1, 1))],
@@ -1361,7 +1388,7 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(ds.wal_bytes().unwrap(), wal_before, "nothing journaled");
-        assert_eq!(first_difference(&dump(&ds.store), &live), None);
+        assert_eq!(first_difference(&ds.store.ops(), &live), None);
 
         // A row stored without pixels has no bounds to check against.
         let bare = journal_image(&ds, ImageOrigin::Original, None).unwrap();
@@ -1438,7 +1465,7 @@ pub(crate) mod tests {
             ["base-2.seg", "wal-0.log", "wal-1.log", "wal-2.log"]
         );
         std::fs::remove_dir(&blocker).unwrap();
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
 
         // A crash here replays every segment to the live state.
         let frozen = temp_dir("failed-fold-frozen");
@@ -1448,7 +1475,7 @@ pub(crate) mod tests {
         }
         let (reopened, report) = DurableStore::open(&frozen).unwrap();
         assert_eq!((report.replayed_ops, report.epoch), (5, 2));
-        assert_eq!(first_difference(&dump(&reopened.store), &live), None);
+        assert_eq!(first_difference(&reopened.store.ops(), &live), None);
         drop(reopened);
         std::fs::remove_dir_all(&frozen).ok();
 
@@ -1461,7 +1488,7 @@ pub(crate) mod tests {
         drop(ds);
         let (ds2, report) = DurableStore::open(&dir).unwrap();
         assert_eq!((report.replayed_ops, report.debris_removed), (0, 0));
-        assert_eq!(first_difference(&dump(&ds2.store), &live), None);
+        assert_eq!(first_difference(&ds2.store.ops(), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1478,7 +1505,7 @@ pub(crate) mod tests {
         let dir = temp_dir("fold-torn-tail");
         let (ds, _) = DurableStore::open(&dir).unwrap();
         let img = journal_image(&ds, ImageOrigin::Original, None).unwrap();
-        let acked = dump(&ds.store);
+        let acked = ds.store.ops();
         let intact = ds.wal_bytes().unwrap();
         disk::set_hook(Some(three_bytes_then_enospc));
         let torn = ds.apply_batch(vec![feature(img, FeatureKind::Cnn, vec![1.0; 4])]);
@@ -1493,7 +1520,7 @@ pub(crate) mod tests {
         std::fs::remove_dir(dir.join("base-1.seg")).unwrap();
         let (reopened, report) = DurableStore::open(&dir).unwrap();
         assert_eq!((report.replayed_ops, report.torn_bytes), (1, 0));
-        assert_eq!(first_difference(&dump(&reopened.store), &acked), None);
+        assert_eq!(first_difference(&reopened.store.ops(), &acked), None);
     }
 
     #[test]
@@ -1600,8 +1627,8 @@ pub(crate) mod tests {
     #[test]
     fn a_dump_rendered_as_a_base_opens_to_the_store_it_was_cut_from() {
         let store = populated_store();
-        let rendered = render(&store.snapshot().into_ops());
-        let dir = dir_with_base("rendered-base", &store.snapshot().into_ops());
+        let rendered = render(&store.ops());
+        let dir = dir_with_base("rendered-base", &store.ops());
         let (ds, report) = DurableStore::open(&dir).unwrap();
         assert!(report.snapshot_found);
         assert_eq!((report.replayed_ops, report.torn_bytes), (0, 0));
@@ -1616,7 +1643,7 @@ pub(crate) mod tests {
         assert_eq!(loaded.pixels(ids[0]).unwrap().get(1, 2), [1, 2, 9]);
         assert!(loaded.scheme_by_name("cleanliness").is_some());
         assert_eq!(loaded.upload_marker("edge2-s9"), Some(ids[2]));
-        assert_eq!(first_difference(&dump(loaded), &dump(&store)), None);
+        assert_eq!(first_difference(&loaded.ops(), &store.ops()), None);
         // What a compaction of that store publishes is the same bytes.
         let report = ds.compact().unwrap();
         assert_eq!(report.snapshot_bytes, rendered.len() as u64);
@@ -1648,15 +1675,14 @@ pub(crate) mod tests {
             b"TVDPWAL\x04",
             json,
         ] {
-            let DurableError::Wal(refusal @ WalError::UnsupportedFormat { .. }) = refused(bytes)
-            else {
+            let refusal @ DurableError::UnsupportedFormat { .. } = refused(bytes) else {
                 panic!("{bytes:?}: not an unsupported-format refusal");
             };
             assert!(refusal.to_string().contains("0104dbe"), "{refusal}");
         }
         // A base cut short or with bytes after its last record is torn,
         // and a base is never repaired by truncation.
-        let ops = populated_store().snapshot().into_ops();
+        let ops = populated_store().ops();
         let whole = render(&ops);
         let mut longer = whole.clone();
         longer.extend_from_slice(b"{not a record\n");
@@ -1846,7 +1872,7 @@ pub(crate) mod tests {
         populate(&ds);
         upload(&ds, "edge0-s7", vec![]);
         ds.compact().unwrap();
-        let live = dump(&ds.store);
+        let live = ds.store.ops();
         drop(ds);
         let base = dir.join("base-1.seg");
         let whole = std::fs::read(&base).unwrap();
@@ -1856,7 +1882,11 @@ pub(crate) mod tests {
         let refused = |bytes: &[u8], what: &str| {
             std::fs::write(&base, bytes).unwrap();
             match DurableStore::open(&dir) {
-                Err(DurableError::Replay(_) | DurableError::Wal(_)) => {}
+                Err(
+                    DurableError::Replay(_)
+                    | DurableError::Corrupt { .. }
+                    | DurableError::UnsupportedFormat { .. },
+                ) => {}
                 Err(other) => panic!("{what}: untyped refusal {other}"),
                 Ok(_) => panic!("{what}: a damaged base opened"),
             }
@@ -1893,7 +1923,7 @@ pub(crate) mod tests {
         std::fs::write(&base, &garbage).unwrap();
         assert!(matches!(
             DurableStore::open(&dir),
-            Err(DurableError::Wal(WalError::Corrupt { .. }))
+            Err(DurableError::Corrupt { .. })
         ));
         // Put back whole, it opens to the state that was compacted.
         std::fs::write(&base, &whole).unwrap();
@@ -1901,7 +1931,7 @@ pub(crate) mod tests {
         assert_eq!((report.replayed_ops, report.torn_bytes), (0, 0));
         assert_eq!(report.debris_removed, 1);
         assert!(!superseded.exists());
-        assert_eq!(first_difference(&dump(&ds.store), &live), None);
+        assert_eq!(first_difference(&ds.store.ops(), &live), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

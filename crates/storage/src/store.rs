@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use tvdp_kernel::sync::RwLock;
-use tvdp_kernel::{FeatureSlab, GenCell, RowRef, RowSource, SlabView};
+use tvdp_kernel::{fnv64, FeatureSlab, GenCell, RowRef, RowSource, SlabView, FNV64_OFFSET};
 use tvdp_vision::{FeatureKind, Image};
 
 use crate::annotation::{Annotation, ClassificationScheme, RegionOfInterest};
@@ -153,84 +153,6 @@ fn confidence_ok(confidence: f32) -> bool {
     (0.0..=1.0).contains(&confidence)
 }
 
-/// Dump of every table: what a base segment is rendered from
-/// ([`Snapshot::into_ops`]).
-///
-/// A dump has no equality of its own: two stores are the same state
-/// exactly when their ops encode to the same records, which
-/// [`VisualStore::digest`] hashes and [`first_difference`] compares.
-#[derive(Debug, Default, Clone)]
-pub struct Snapshot {
-    pub(crate) images: Vec<ImageRecord>,
-    /// Pixels as `(image, width, height, code)`.
-    pub(crate) blobs: Vec<(ImageId, usize, usize, Vec<u8>)>,
-    pub(crate) features: Vec<(ImageId, FeatureKind, Vec<f32>)>,
-    pub(crate) schemes: Vec<ClassificationScheme>,
-    pub(crate) annotations: Vec<Annotation>,
-    /// Upload idempotency markers as `(key, image, sequence)`.
-    pub(crate) markers: Vec<(String, ImageId, u64)>,
-}
-
-impl Snapshot {
-    /// The dump as ops that rebuild it on an empty store, in an order
-    /// the validator accepts: schemes; then each image with its pixels
-    /// and features as one unkeyed upload, by id, except that an
-    /// augmented child committed at a lower id than its parent follows
-    /// that parent; then annotations; then the marker table, always
-    /// and last, which is how a reader knows the dump is whole.
-    pub fn into_ops(self) -> Vec<WalOp> {
-        let mut blobs: BTreeMap<ImageId, PixelBlob> = self
-            .blobs
-            .into_iter()
-            .map(|(id, width, height, raw)| (id, (width, height, raw)))
-            .collect();
-        let mut features: BTreeMap<ImageId, Vec<(FeatureKind, Vec<f32>)>> = BTreeMap::new();
-        for (id, kind, vector) in self.features {
-            features.entry(id).or_default().push((kind, vector));
-        }
-        let mut images: BTreeMap<ImageId, ImageRecord> =
-            self.images.into_iter().map(|r| (r.id, r)).collect();
-        let mut ops =
-            Vec::with_capacity(self.schemes.len() + images.len() + self.annotations.len() + 1);
-        ops.extend(self.schemes.into_iter().map(|s| WalOp::RegisterScheme {
-            id: s.id,
-            name: s.name,
-            labels: s.labels,
-        }));
-        // `images` holds what is not yet emitted, so its first key is
-        // the lowest such id and any parent still in it has a higher one.
-        while let Some(lowest) = images.keys().next().copied() {
-            let mut lineage = vec![lowest];
-            while let Some(ImageOrigin::Augmented { parent, .. }) = lineage
-                .last()
-                .and_then(|id| images.get(id))
-                .map(|r| &r.origin)
-            {
-                if !images.contains_key(parent) {
-                    break;
-                }
-                lineage.push(*parent);
-            }
-            for id in lineage.into_iter().rev() {
-                let Some(record) = images.remove(&id) else {
-                    continue;
-                };
-                ops.push(WalOp::IngestUpload {
-                    marker: None,
-                    id,
-                    meta: record.meta,
-                    origin: record.origin,
-                    pixels: blobs.remove(&id),
-                    features: features.remove(&id).unwrap_or_default(),
-                });
-            }
-        }
-        ops.extend(self.annotations.into_iter().map(WalOp::Annotate));
-        ops.push(WalOp::UploadMarkers(self.markers));
-        ops
-    }
-}
-
 /// Stable address of one feature row in the store's arena: the slab is
 /// keyed by `(kind, dim)` and `row` indexes into it. Handles never move
 /// once issued (replacement repoints the handle at a fresh row), so
@@ -263,14 +185,19 @@ fn slot(kind: FeatureKind) -> usize {
     }
 }
 
+/// The id after `last`, the highest one a table holds: 0 for an empty
+/// table. No table ever loses its highest key (rows, schemes and
+/// annotations are never removed, and marker eviction takes the lowest
+/// sequence), so this is the lowest id above every one ever applied.
+fn after(last: Option<u64>) -> u64 {
+    last.map_or(0, |id| id.saturating_add(1))
+}
+
 #[derive(Debug, Default)]
 struct Tables {
-    next_image: u64,
-    next_annotation: u64,
-    next_classification: u64,
     // Every table iterates in key order (ordered maps, never hash maps,
     // and one sorted `Vec`): table iteration feeds query results and
-    // persisted snapshots, so iteration order must be reproducible
+    // base segments, so iteration order must be reproducible
     // (lint rule L2).
     /// The image table: one row per image, sorted by id. Ids are mostly
     /// handed out ascending, so a row is appended; an explicit id below
@@ -294,10 +221,8 @@ struct Tables {
     /// produced, insertion sequence for oldest-first eviction).
     upload_markers: BTreeMap<String, (ImageId, u64)>,
     /// The same markers as `(sequence, key)`: the first is the one to
-    /// evict.
+    /// evict, the last the one a new marker is stamped after.
     marker_order: BTreeSet<(u64, String)>,
-    /// Sequence counter stamping marker insertion order.
-    next_marker_seq: u64,
 }
 
 /// What the ops of a batch ahead of the one being checked add to the
@@ -347,6 +272,11 @@ impl<'a> Pending<'a> {
 }
 
 impl Tables {
+    /// The lowest image id above every stored one.
+    fn next_image(&self) -> ImageId {
+        ImageId(after(self.rows.last().map(|r| r.image.id.0)))
+    }
+
     /// Where image `id`'s row is (`Ok`) or would go (`Err`) in `rows`.
     /// Replay and live uploads name the last row or one past it, so the
     /// last row is checked before any binary search.
@@ -379,10 +309,10 @@ impl Tables {
 
     /// Appends `vector` to the arena and repoints the `(image, kind)`
     /// handle in the image's row. Replacement leaves the previous arena
-    /// row in place (rows are write-once so outstanding snapshots stay
-    /// valid); the orphaned row is reclaimed on the next
-    /// snapshot/restore cycle. The image must be stored (the validator
-    /// has checked it).
+    /// row in place (rows are write-once so outstanding views stay
+    /// valid); the orphaned row is no part of [`VisualStore::ops`], so a
+    /// store rebuilt from them (a fold, then a reopen) drops it. The
+    /// image must be stored (the validator has checked it).
     fn put_feature_row(&mut self, image: ImageId, kind: FeatureKind, vector: &[f32]) {
         let handle = if vector.is_empty() {
             FeatureHandle {
@@ -599,7 +529,7 @@ impl Tables {
     }
 
     /// Applies one op [`Tables::validate_batch`] has passed, at exactly
-    /// the ids it carries; each auto-assign counter advances past them.
+    /// the ids it carries.
     fn apply_op(&mut self, op: WalOp) {
         match op {
             WalOp::AddImage {
@@ -614,12 +544,10 @@ impl Tables {
                 vector,
             } => self.put_feature_row(image, kind, &vector),
             WalOp::RegisterScheme { id, name, labels } => {
-                self.next_classification = self.next_classification.max(id.0.saturating_add(1));
                 self.schemes
                     .insert(id, ClassificationScheme { id, name, labels });
             }
             WalOp::Annotate(a) => {
-                self.next_annotation = self.next_annotation.max(a.id.0.saturating_add(1));
                 self.annotations_by_image
                     .entry(a.image)
                     .or_default()
@@ -643,7 +571,8 @@ impl Tables {
                     self.put_feature_row(id, *kind, vector);
                 }
                 if let Some(marker) = marker {
-                    self.remember_marker(marker, id, self.next_marker_seq);
+                    let seq = after(self.marker_order.last().map(|(seq, _)| *seq));
+                    self.remember_marker(marker, id, seq);
                 }
             }
             WalOp::UploadMarkers(markers) => {
@@ -654,12 +583,11 @@ impl Tables {
         }
     }
 
-    /// Records an upload's idempotency marker at `seq` (the counter
-    /// resumes past it), evicting the oldest one — the lowest sequence,
-    /// then the lowest key — past [`UPLOAD_MARKER_CAPACITY`]. A validated
-    /// op never names a held key, so the marker is a new one.
+    /// Records an upload's idempotency marker at `seq`, evicting the
+    /// oldest one — the lowest sequence, then the lowest key — past
+    /// [`UPLOAD_MARKER_CAPACITY`]. A validated op never names a held key,
+    /// so the marker is a new one.
     fn remember_marker(&mut self, marker: String, id: ImageId, seq: u64) {
-        self.next_marker_seq = self.next_marker_seq.max(seq.saturating_add(1));
         self.marker_order.insert((seq, marker.clone()));
         self.upload_markers.insert(marker, (id, seq));
         if self.upload_markers.len() > UPLOAD_MARKER_CAPACITY {
@@ -676,7 +604,6 @@ impl Tables {
         origin: ImageOrigin,
         pixels: Option<PixelBlob>,
     ) {
-        self.next_image = self.next_image.max(id.0.saturating_add(1));
         // The validator has refused a dimension wider than `u32`.
         let (width, height) = pixel_dims(&pixels);
         let dims = (width as u32, height as u32);
@@ -694,24 +621,30 @@ impl Tables {
             self.blobs.insert(id, blob);
         }
     }
-}
 
-/// FNV-1a 64 of `bytes`, continuing from `hash`.
-fn fnv64(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    /// `row` as the unkeyed upload that rebuilds it: its record, its
+    /// pixels and its features in `FeatureKind` order.
+    fn upload(&self, row: &Row) -> WalOp {
+        let record = self.view(row).to_record();
+        WalOp::IngestUpload {
+            marker: None,
+            id: record.id,
+            meta: record.meta,
+            origin: record.origin,
+            pixels: self.blobs.get(&record.id).cloned(),
+            features: (row.features.iter().flatten())
+                .map(|h| (h.kind, self.feature_slice(h).to_vec()))
+                .collect(),
+        }
+    }
 }
-
-/// FNV-64's offset basis: the hash of no bytes.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-64 over `ops` as a base segment holds them: the segment magic,
 /// then each op's framed record ([`WalOp::encode_into`]).
 fn ops_digest(ops: &[WalOp]) -> u64 {
     let mut record = Vec::new();
     ops.iter()
-        .fold(fnv64(FNV_OFFSET, &SEGMENT_MAGIC), |hash, op| {
+        .fold(fnv64(FNV64_OFFSET, &SEGMENT_MAGIC), |hash, op| {
             record.clear();
             wal::push_record(&mut record, |out| op.encode_into(out));
             fnv64(hash, &record)
@@ -721,7 +654,7 @@ fn ops_digest(ops: &[WalOp]) -> u64 {
 /// `None` when `a` and `b` encode to the same records (one
 /// [`VisualStore::digest`]), else the first record where they differ,
 /// with the op each side holds there. How tests compare two store
-/// states: `a` and `b` are dumps ([`Snapshot::into_ops`]) or the ops a
+/// states: `a` and `b` are dumps ([`VisualStore::ops`]) or the ops a
 /// dump must equal.
 // tvdp-lint: allow(dead_api, reason = "(a) test support: every test that compares two store states")
 pub fn first_difference(a: &[WalOp], b: &[WalOp]) -> Option<String> {
@@ -873,7 +806,7 @@ impl VisualStore {
     ) -> Result<ImageId, StorageError> {
         let mut id = ImageId(0);
         self.commit(|t| {
-            id = ImageId(t.next_image);
+            id = t.next_image();
             vec![WalOp::AddImage {
                 id,
                 meta,
@@ -1042,8 +975,8 @@ impl VisualStore {
 
     /// The widths of the `kind` rows the feature arena holds, ascending:
     /// one per slab, so a read of a handful of map keys. A replaced
-    /// feature's old row stays in its slab until the next snapshot, so
-    /// a width listed here may have no live row left.
+    /// feature's old row stays in its slab until the store is rebuilt
+    /// from its ops, so a width listed here may have no live row left.
     pub fn feature_widths(&self, kind: FeatureKind) -> Vec<usize> {
         let t = self.inner.read();
         let slabs = t.slabs.range((kind, 1)..=(kind, u32::MAX));
@@ -1152,42 +1085,58 @@ impl VisualStore {
         self.inner.read().annotations.len()
     }
 
-    /// Dump of every table.
-    pub fn snapshot(&self) -> Snapshot {
+    /// The store as the ops a base segment holds, which rebuild it on
+    /// an empty store in an order the validator accepts: schemes; then
+    /// each row with its pixels and features as one unkeyed upload, by
+    /// id, except that an augmented child committed below its parent
+    /// follows that parent; then annotations; then the marker table,
+    /// always and last, which is how a reader knows the dump is whole.
+    /// A dump has no equality of its own: two stores are the same state
+    /// exactly when their ops encode to the same records, which
+    /// [`VisualStore::digest`] hashes and [`first_difference`] compares.
+    pub fn ops(&self) -> Vec<WalOp> {
         let t = self.inner.read();
-        Snapshot {
-            images: t.rows.iter().map(|r| t.view(r).to_record()).collect(),
-            blobs: t
-                .blobs
-                .iter()
-                .map(|(id, (width, height, code))| (*id, *width, *height, code.clone()))
-                .collect(),
-            // By id, then in `FeatureKind` order.
-            features: t
-                .rows
-                .iter()
-                .flat_map(|r| r.features.iter().flatten().map(move |h| (r.image.id, h)))
-                .map(|(id, handle)| (id, handle.kind, t.feature_slice(handle).to_vec()))
-                .collect(),
-            schemes: t.schemes.values().cloned().collect(),
-            annotations: t.annotations.values().cloned().collect(),
-            markers: t
-                .upload_markers
-                .iter()
+        let mut ops = Vec::with_capacity(t.schemes.len() + t.rows.len() + t.annotations.len() + 1);
+        ops.extend(t.schemes.values().map(|s| WalOp::RegisterScheme {
+            id: s.id,
+            name: s.name.clone(),
+            labels: s.labels.clone(),
+        }));
+        // Every row below `at` is emitted by the time the walk reaches
+        // it, so a parent not yet emitted sits above its child: the
+        // lineage up to the first emitted ancestor goes out eldest first.
+        let mut emitted = vec![false; t.rows.len()];
+        let mut lineage = Vec::new();
+        for at in 0..t.rows.len() {
+            let mut next = Some(at);
+            while let Some(i) = next.filter(|&i| !emitted[i]) {
+                lineage.push(i);
+                next = (t.origins.get(&t.rows[i].image.id))
+                    .and_then(|(parent, _)| t.row_index(*parent).ok());
+            }
+            while let Some(i) = lineage.pop() {
+                emitted[i] = true;
+                ops.push(t.upload(&t.rows[i]));
+            }
+        }
+        ops.extend(t.annotations.values().cloned().map(WalOp::Annotate));
+        ops.push(WalOp::UploadMarkers(
+            (t.upload_markers.iter())
                 .map(|(key, (id, seq))| (key.clone(), *id, *seq))
                 .collect(),
-        }
+        ));
+        ops
     }
 
     /// The store's identity: the FNV-64 of the base segment
     /// `persist::write_base` would publish for it now (the
-    /// segment magic, then each op of [`Snapshot::into_ops`] as the
+    /// segment magic, then each op of [`VisualStore::ops`] as the
     /// framed record [`WalOp::encode_into`] fills), with no file
     /// written. Two stores hold the same state exactly when their
     /// digests agree. A float counts by its bits, so `-0.0` is not
     /// `+0.0` and a NaN's payload is part of the state.
     pub fn digest(&self) -> u64 {
-        ops_digest(&self.snapshot().into_ops())
+        ops_digest(&self.ops())
     }
 
     /// The lowest image id above every stored one: the id a caller
@@ -1195,19 +1144,21 @@ impl VisualStore {
     /// caller holds exclusive mutation rights (the WAL wrapper journals
     /// the peeked id before applying the op).
     pub fn peek_next_image_id(&self) -> ImageId {
-        ImageId(self.inner.read().next_image)
+        self.inner.read().next_image()
     }
 
     /// The lowest scheme id above every stored one. See
     /// [`VisualStore::peek_next_image_id`] for the exclusivity caveat.
     pub fn peek_next_classification_id(&self) -> ClassificationId {
-        ClassificationId(self.inner.read().next_classification)
+        let t = self.inner.read();
+        ClassificationId(after(t.schemes.last_key_value().map(|(id, _)| id.0)))
     }
 
     /// The lowest annotation id above every stored one. See
     /// [`VisualStore::peek_next_image_id`] for the exclusivity caveat.
     pub fn peek_next_annotation_id(&self) -> AnnotationId {
-        AnnotationId(self.inner.read().next_annotation)
+        let t = self.inner.read();
+        AnnotationId(after(t.annotations.last_key_value().map(|(id, _)| id.0)))
     }
 }
 
@@ -1216,6 +1167,7 @@ mod tests {
     use super::*;
     use crate::annotation::AnnotationSource;
     use crate::ids::UserId;
+    use crate::recovery::tests::markers;
     use tvdp_geo::GeoPoint;
 
     fn meta() -> ImageMeta {
@@ -1320,10 +1272,22 @@ mod tests {
             .map_or((id, false), |&(_, stored)| (stored, true)))
     }
 
+    /// The `(image, kind, vector)` of every feature a dump's uploads
+    /// carry, in the dump's order.
+    fn dump_features(dump: &[WalOp]) -> Vec<(ImageId, FeatureKind, Vec<f32>)> {
+        let uploads = dump.iter().filter_map(|op| match op {
+            WalOp::IngestUpload { id, features, .. } => Some((*id, features)),
+            _ => None,
+        });
+        uploads
+            .flat_map(|(id, features)| features.iter().map(move |(k, v)| (id, *k, v.clone())))
+            .collect()
+    }
+
     /// A fresh store rebuilt from `store`'s dump, as a base segment is.
     fn rebuilt(store: &VisualStore) -> VisualStore {
         let fresh = VisualStore::new();
-        let replays = fresh.apply_batch(store.snapshot().into_ops()).unwrap();
+        let replays = fresh.apply_batch(store.ops()).unwrap();
         assert!(replays.is_empty());
         fresh
     }
@@ -1645,10 +1609,7 @@ mod tests {
             "the floats compare equal"
         );
         assert_ne!(positive.digest(), negative.digest());
-        let reference = [
-            positive.snapshot().into_ops(),
-            negative.snapshot().into_ops(),
-        ];
+        let reference = [positive.ops(), negative.ops()];
         assert!(first_difference(&reference[0], &reference[1])
             .is_some_and(|found| found.starts_with("record 0: Some(IngestUpload")));
 
@@ -1656,7 +1617,7 @@ mod tests {
         let dir = crate::recovery::tests::temp_dir("store-digest");
         let (durable, _) = crate::DurableStore::open(&dir).unwrap();
         durable
-            .apply_batch(store_with(vec![nan, -0.0, 2.0]).snapshot().into_ops()[..1].to_vec())
+            .apply_batch(store_with(vec![nan, -0.0, 2.0]).ops()[..1].to_vec())
             .unwrap();
         let live = durable.store_arc().digest();
         assert_ne!(live, store_with(vec![f32::NAN, -0.0, 2.0]).digest());
@@ -1666,7 +1627,7 @@ mod tests {
         assert_eq!(reopened.store_arc().digest(), live, "replayed");
         let epoch = reopened.compact().unwrap().epoch;
         let base = std::fs::read(dir.join(format!("base-{epoch}.seg"))).unwrap();
-        assert_eq!(fnv64(FNV_OFFSET, &base), live, "the folded base's bytes");
+        assert_eq!(fnv64(FNV64_OFFSET, &base), live, "the folded base's bytes");
         drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1776,8 +1737,7 @@ mod tests {
             ])
             .unwrap();
         let order: Vec<u64> = store
-            .snapshot()
-            .into_ops()
+            .ops()
             .iter()
             .filter_map(|op| match op {
                 WalOp::IngestUpload { id, .. } => Some(id.raw()),
@@ -1851,11 +1811,10 @@ mod tests {
             "in the order asked, featureless skipped"
         );
         // Features dump by id, then in `FeatureKind` order.
-        let dump = store.snapshot();
-        let features: Vec<(u64, FeatureKind)> = dump
-            .features
-            .iter()
-            .map(|(id, kind, _)| (id.raw(), *kind))
+        let dump = store.ops();
+        let features: Vec<(u64, FeatureKind)> = dump_features(&dump)
+            .into_iter()
+            .map(|(id, kind, _)| (id.raw(), kind))
             .collect();
         assert_eq!(
             features,
@@ -1867,10 +1826,7 @@ mod tests {
             ]
         );
         let restored = rebuilt(&store);
-        assert_eq!(
-            first_difference(&restored.snapshot().into_ops(), &dump.into_ops()),
-            None
-        );
+        assert_eq!(first_difference(&restored.ops(), &dump), None);
         assert_eq!(restored.image_ids(), store.image_ids());
         assert_eq!(restored.peek_next_image_id(), ImageId(10));
     }
@@ -1893,14 +1849,12 @@ mod tests {
         assert_eq!(store.image_ids(), vec![a]);
         assert_eq!(store.feature_handle(a, FeatureKind::SiftBow), sift);
         assert_eq!(store.feature(a, FeatureKind::Cnn), Some(vec![2.0; 3]));
-        let dump = store.snapshot();
-        let cnn: Vec<&Vec<f32>> = dump
-            .features
-            .iter()
+        let cnn: Vec<Vec<f32>> = dump_features(&store.ops())
+            .into_iter()
             .filter(|(_, kind, _)| *kind == FeatureKind::Cnn)
             .map(|(_, _, v)| v)
             .collect();
-        assert_eq!(cnn, vec![&vec![2.0; 3]]);
+        assert_eq!(cnn, vec![vec![2.0; 3]]);
     }
 
     /// Each peek names the lowest id above every committed one, so a
@@ -2022,23 +1976,19 @@ mod tests {
     fn a_marker_table_op_restores_the_markers_and_refuses_bad_ones() {
         let store = VisualStore::new();
         let (id, _) = upload(&store, "edge0-s1", ImageOrigin::Original, None, &[]).unwrap();
-        let good = store.snapshot();
-        assert_eq!(good.markers, vec![("edge0-s1".to_string(), id, 0)]);
-        let good = good.into_ops();
+        assert_eq!(markers(&store), vec![("edge0-s1".to_string(), id, 0)]);
+        let good = store.ops();
 
         let restored = rebuilt(&store);
         assert_eq!(restored.upload_marker("edge0-s1"), Some(id));
-        // The sequence counter resumes past restored markers, so new
-        // markers still evict in insertion order.
+        // New markers are stamped past the restored ones, so they
+        // still evict in insertion order.
         let (_, replayed) =
             upload(&restored, "edge0-s1", ImageOrigin::Original, None, &[]).unwrap();
         assert!(replayed);
-        assert_eq!(
-            first_difference(&restored.snapshot().into_ops(), &good),
-            None
-        );
+        assert_eq!(first_difference(&restored.ops(), &good), None);
         upload(&restored, "edge0-s2", ImageOrigin::Original, None, &[]).unwrap();
-        assert_eq!(restored.snapshot().markers[1].2, 1);
+        assert_eq!(markers(&restored)[1].2, 1);
 
         // A marker naming no image, a key the table holds, a key twice.
         let table = |markers: &[(&str, ImageId)]| {
@@ -2072,7 +2022,7 @@ mod tests {
             features: vec![],
         });
         assert_eq!(fresh.apply_batch(ops).unwrap(), vec![(ImageId(9), id)]);
-        assert_eq!(first_difference(&fresh.snapshot().into_ops(), &good), None);
+        assert_eq!(first_difference(&fresh.ops(), &good), None);
     }
 
     #[test]

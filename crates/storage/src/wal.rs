@@ -52,14 +52,18 @@
 //! A non-empty segment that does not start with the magic was written by
 //! some other format (the text journal of builds before v3, the JSON
 //! snapshot and store file of builds up to PR 20) and is refused
-//! untouched with [`WalError::UnsupportedFormat`]; an older build, for
-//! its part, would read a v3 segment as one torn tail, so downgrading
-//! over a live journal is not supported either.
+//! untouched with [`DurableError::UnsupportedFormat`]; an older build,
+//! for its part, would read a v3 segment as one torn tail, so
+//! downgrading over a live journal is not supported either.
 //!
 //! The same header and records are the whole on-disk format: a *base
 //! segment* (`base-<epoch>.seg`) is a store rendered as records by
-//! [`crate::store::Snapshot::into_ops`] and read back by the same
-//! [`scan`]. It alone may carry [`WalOp::UploadMarkers`].
+//! [`crate::VisualStore::ops`] and read back by the same [`scan`]. It
+//! alone may carry [`WalOp::UploadMarkers`].
+//!
+//! Appending and scanning fail with the durable store's one error type,
+//! [`DurableError`]: [`DurableError::Io`], [`DurableError::Corrupt`] or
+//! [`DurableError::UnsupportedFormat`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
@@ -75,6 +79,7 @@ use crate::ids::{AnnotationId, ClassificationId, ImageId, ModelId, UserId};
 use crate::le::{self, DecodeError, Reader};
 use crate::pixels;
 use crate::record::{ImageMeta, ImageOrigin};
+use crate::recovery::DurableError;
 
 /// First bytes of every segment: `TVDPWAL` and the format version.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"TVDPWAL\x03";
@@ -86,59 +91,6 @@ const RECORD_HEADER_LEN: usize = 8;
 /// larger, so the scanner can call a longer claimed length torn without
 /// looking further.
 pub const MAX_RECORD_BYTES: usize = 1 << 30;
-
-/// Errors from appending to or recovering a WAL.
-#[derive(Debug)]
-pub enum WalError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// A record with an intact checksum carried an undecodable payload
-    /// — version skew or a buggy writer, not a torn write; recovery
-    /// refuses rather than silently dropping acknowledged operations.
-    Corrupt {
-        /// 0-based index of the bad record.
-        record: usize,
-        /// Decoder message.
-        message: String,
-    },
-    /// The segment does not start with [`SEGMENT_MAGIC`]: it holds some
-    /// other format's bytes (or, for a sealed segment, lost its header).
-    /// The file is left exactly as found.
-    UnsupportedFormat {
-        /// The refused segment.
-        path: PathBuf,
-        /// Its first bytes (at most eight).
-        found: Vec<u8>,
-    },
-}
-
-impl std::fmt::Display for WalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalError::Io(e) => write!(f, "wal io error: {e}"),
-            WalError::Corrupt { record, message } => {
-                write!(f, "corrupt wal record {record}: {message}")
-            }
-            WalError::UnsupportedFormat { path, found } => write!(
-                f,
-                "{} is not a v3 segment (it starts with \"{}\") and is left as found. Text \
-                 journals, JSON snapshots and JSON store files come from older builds: commit \
-                 0104dbe (PR 20) is the last that reads the JSON form, and `tvdp compact <dir>` \
-                 with the build that wrote a text journal folds it into that form",
-                path.display(),
-                found.escape_ascii()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for WalError {}
-
-impl From<std::io::Error> for WalError {
-    fn from(e: std::io::Error) -> Self {
-        WalError::Io(e)
-    }
-}
 
 /// A pixel payload as an op carries it: `(width, height, code)`, the
 /// code being [`crate::pixels::encode`]'s bytes. It is the one form
@@ -635,11 +587,11 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// segment holds for them, whether [`Wal::append_batch`] journals them
 /// or a base segment is rendered from them. An op over
 /// [`MAX_RECORD_BYTES`] is refused.
-pub(crate) fn push_records(buf: &mut Vec<u8>, ops: &[WalOp]) -> Result<(), WalError> {
+pub(crate) fn push_records(buf: &mut Vec<u8>, ops: &[WalOp]) -> Result<(), DurableError> {
     for op in ops {
         let len = push_record(buf, |out| op.encode_into(out));
         if len > MAX_RECORD_BYTES {
-            return Err(WalError::Io(std::io::Error::new(
+            return Err(DurableError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!("a {len} byte op exceeds the journal's record limit"),
             )));
@@ -648,8 +600,8 @@ pub(crate) fn push_records(buf: &mut Vec<u8>, ops: &[WalOp]) -> Result<(), WalEr
     Ok(())
 }
 
-pub(crate) fn unsupported(path: &Path, bytes: &[u8]) -> WalError {
-    WalError::UnsupportedFormat {
+pub(crate) fn unsupported(path: &Path, bytes: &[u8]) -> DurableError {
+    DurableError::UnsupportedFormat {
         path: path.to_path_buf(),
         found: bytes.iter().take(SEGMENT_MAGIC.len()).copied().collect(),
     }
@@ -696,7 +648,7 @@ impl<R: Read> Scan<R> {
     /// Reads until the window holds `len` bytes or the source ends. The
     /// window grows only with bytes that arrive, so a claimed length
     /// past the end of the segment allocates nothing for itself.
-    fn read_to(&mut self, len: usize) -> Result<(), WalError> {
+    fn read_to(&mut self, len: usize) -> Result<(), DurableError> {
         let want = len.saturating_sub(self.window.len());
         if want > 0 && !self.eof {
             let got = (&mut self.source)
@@ -710,7 +662,7 @@ impl<R: Read> Scan<R> {
     /// Makes `window[at..]` hold `need` bytes, or all the segment has
     /// left: drops the records already yielded, then reads on to a full
     /// window, or further for a record longer than one.
-    fn fill(&mut self, need: usize) -> Result<(), WalError> {
+    fn fill(&mut self, need: usize) -> Result<(), DurableError> {
         self.window.drain(..self.at);
         self.at = 0;
         if self.window.capacity() < SCAN_WINDOW_BYTES {
@@ -725,7 +677,7 @@ impl<R: Read> Scan<R> {
     /// the first torn record: a header cut short, a length of 0, above
     /// [`MAX_RECORD_BYTES`] or past the segment's end, or a checksum
     /// that does not match.
-    fn next_record(&mut self) -> Result<Option<std::ops::Range<usize>>, WalError> {
+    fn next_record(&mut self) -> Result<Option<std::ops::Range<usize>>, DurableError> {
         if self.window.len() - self.at < RECORD_HEADER_LEN {
             self.fill(RECORD_HEADER_LEN)?;
         }
@@ -754,7 +706,7 @@ impl<R: Read> Scan<R> {
 }
 
 impl<R: Read> Iterator for Scan<R> {
-    type Item = Result<WalOp, WalError>;
+    type Item = Result<WalOp, DurableError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.done {
@@ -780,7 +732,7 @@ impl<R: Read> Iterator for Scan<R> {
             }
             Err(message) => {
                 self.done = true;
-                Err(WalError::Corrupt {
+                Err(DurableError::Corrupt {
                     record: self.records,
                     message,
                 })
@@ -791,7 +743,7 @@ impl<R: Read> Iterator for Scan<R> {
 
 /// Whether a segment whose first bytes are `head` holds nothing but
 /// them, all zero.
-fn zeroed_header<R: Read>(head: &[u8], source: &mut R) -> Result<bool, WalError> {
+fn zeroed_header<R: Read>(head: &[u8], source: &mut R) -> Result<bool, DurableError> {
     if head.is_empty() || head.iter().any(|&b| b != 0) {
         return Ok(false);
     }
@@ -808,10 +760,10 @@ fn zeroed_header<R: Read>(head: &[u8], source: &mut R) -> Result<bool, WalError>
 /// [`SCAN_WINDOW_BYTES`], nothing is allocated on a claimed length, and
 /// no more than one op is decoded at a time. A record whose checksum
 /// verifies but whose payload doesn't decode is a hard error (see
-/// [`WalError::Corrupt`]) that ends the scan, as are leading bytes that
-/// are not (a prefix of) the magic, unless the segment is at most a
-/// header's length of zeros.
-pub fn scan<R: Read>(path: &Path, mut source: R) -> Result<Scan<R>, WalError> {
+/// [`DurableError::Corrupt`]) that ends the scan, as are leading
+/// bytes that are not (a prefix of) the magic, unless the segment is
+/// at most a header's length of zeros.
+pub fn scan<R: Read>(path: &Path, mut source: R) -> Result<Scan<R>, DurableError> {
     let mut head = Vec::with_capacity(SEGMENT_MAGIC.len());
     (&mut source)
         .take(SEGMENT_MAGIC.len() as u64)
@@ -851,7 +803,7 @@ impl Wal {
     /// Creates a fresh WAL at `path` (truncating any existing file)
     /// holding only the segment header, and fsyncs it plus its parent
     /// directory so the file itself survives a crash.
-    pub fn create(path: &Path) -> Result<Wal, WalError> {
+    pub fn create(path: &Path) -> Result<Wal, DurableError> {
         let mut file = disk::create(path)?;
         disk::write(&mut file, path, &SEGMENT_MAGIC)?;
         disk::sync_all(&file, path)?;
@@ -867,7 +819,7 @@ impl Wal {
     /// intact bytes: truncates the torn tail a crash mid-append left
     /// past them, or, when not even the header survived (a crash inside
     /// [`Wal::create`]), stamps the file afresh.
-    pub fn resume(path: &Path, valid_len: u64) -> Result<Wal, WalError> {
+    pub fn resume(path: &Path, valid_len: u64) -> Result<Wal, DurableError> {
         if valid_len == 0 {
             return Wal::create(path);
         }
@@ -888,7 +840,7 @@ impl Wal {
     /// intact record and syncs, returning how many bytes were dropped.
     /// After `Ok`, the log is byte-identical to one that never saw the
     /// failed append, and appending may resume.
-    pub fn repair_tail(&mut self) -> Result<u64, WalError> {
+    pub fn repair_tail(&mut self) -> Result<u64, DurableError> {
         let on_disk = self.file.metadata()?.len();
         let torn = on_disk.saturating_sub(self.valid_len);
         if torn > 0 {
@@ -904,7 +856,7 @@ impl Wal {
 
     /// Appends one op and fsyncs before returning: a batch of one.
     // tvdp-lint: allow(dead_api, reason = "(d) benchmark surface: only examples/e2e calls it; ROADMAP item 2 or 16 deletes it after item 1")
-    pub fn append(&mut self, op: &WalOp) -> Result<(), WalError> {
+    pub fn append(&mut self, op: &WalOp) -> Result<(), DurableError> {
         self.append_batch(std::slice::from_ref(op))
     }
 
@@ -917,7 +869,7 @@ impl Wal {
     /// batch survives. An empty batch is a no-op (no write, no fsync);
     /// an op over [`MAX_RECORD_BYTES`] fails the batch before any byte
     /// of it is written.
-    pub fn append_batch(&mut self, ops: &[WalOp]) -> Result<(), WalError> {
+    pub fn append_batch(&mut self, ops: &[WalOp]) -> Result<(), DurableError> {
         if ops.is_empty() {
             return Ok(());
         }
@@ -1051,7 +1003,7 @@ mod tests {
         valid_len: usize,
     }
 
-    fn scan_bytes(bytes: &[u8]) -> Result<Scanned, WalError> {
+    fn scan_bytes(bytes: &[u8]) -> Result<Scanned, DurableError> {
         let mut scan = scan(Path::new("test.log"), bytes)?;
         let ops = scan.by_ref().collect::<Result<_, _>>()?;
         Ok(Scanned {
@@ -1062,7 +1014,7 @@ mod tests {
 
     /// What `DurableStore::open` does with its live segment: scan, then
     /// reopen for appending. Returns the torn byte count last.
-    fn open_recover(path: &Path) -> Result<(Wal, Vec<WalOp>, u64), WalError> {
+    fn open_recover(path: &Path) -> Result<(Wal, Vec<WalOp>, u64), DurableError> {
         let bytes = std::fs::read(path)?;
         let scanned = scan_bytes(&bytes)?;
         let wal = Wal::resume(path, scanned.valid_len as u64)?;
@@ -1508,14 +1460,14 @@ mod tests {
         // A whole zeroed file is not a journal of this format at all.
         assert!(matches!(
             scan_bytes(&[0; 64]),
-            Err(WalError::UnsupportedFormat { .. })
+            Err(DurableError::UnsupportedFormat { .. })
         ));
         // And a checksummed payload whose tag is 0 is corrupt, not an op.
         let mut tagged = SEGMENT_MAGIC.to_vec();
         tagged.extend_from_slice(&frame(&[0]));
         assert!(matches!(
             scan_bytes(&tagged),
-            Err(WalError::Corrupt { record: 0, .. })
+            Err(DurableError::Corrupt { record: 0, .. })
         ));
     }
 
@@ -1534,8 +1486,8 @@ mod tests {
                 );
                 Some(scanned.ops.len())
             }
-            Err(WalError::Corrupt { .. } | WalError::UnsupportedFormat { .. }) => None,
-            Err(WalError::Io(e)) => panic!("{what}: scanning does no i/o, got {e}"),
+            Err(DurableError::Corrupt { .. } | DurableError::UnsupportedFormat { .. }) => None,
+            Err(e) => panic!("{what}: in-memory bytes scan or fail typed, got {e}"),
         }
     }
 
@@ -1663,7 +1615,7 @@ mod tests {
                 bytes.extend_from_slice(&frame(&payload));
                 assert!(matches!(
                     scan_bytes(&bytes),
-                    Err(WalError::Corrupt { record: 0, .. })
+                    Err(DurableError::Corrupt { record: 0, .. })
                 ));
             }
         }
@@ -1671,7 +1623,7 @@ mod tests {
 
     /// The scanner as it was before it read through a window: one
     /// record at a time over bytes already in memory.
-    fn scan_serial(bytes: &[u8]) -> Result<Scanned, WalError> {
+    fn scan_serial(bytes: &[u8]) -> Result<Scanned, DurableError> {
         let Some(mut rest) = bytes.strip_prefix(&SEGMENT_MAGIC) else {
             assert!(SEGMENT_MAGIC.starts_with(bytes), "not a segment");
             return Ok(Scanned {
@@ -1696,12 +1648,12 @@ mod tests {
             if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
                 break;
             }
-            scanned
-                .ops
-                .push(WalOp::decode(payload).map_err(|message| WalError::Corrupt {
+            scanned.ops.push(
+                WalOp::decode(payload).map_err(|message| DurableError::Corrupt {
                     record: scanned.ops.len(),
                     message,
-                })?);
+                })?,
+            );
             scanned.valid_len += RECORD_HEADER_LEN + len;
             rest = after;
         }
@@ -1834,7 +1786,10 @@ mod tests {
             let (mut bytes, ends) = segment(&sample_ops()[..1]);
             bytes.extend_from_slice(&frame(payload));
             assert!(
-                matches!(scan_bytes(&bytes), Err(WalError::Corrupt { record: 1, .. })),
+                matches!(
+                    scan_bytes(&bytes),
+                    Err(DurableError::Corrupt { record: 1, .. })
+                ),
                 "{what}"
             );
             // The same bytes with a wrong checksum are merely torn.

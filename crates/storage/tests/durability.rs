@@ -19,7 +19,7 @@ use std::path::Path;
 use tvdp_geo::{Fov, GeoPoint};
 use tvdp_storage::disk::{self, Fault, Op};
 use tvdp_storage::store::first_difference;
-use tvdp_storage::wal::{frame, pixel_blob, WalError, SEGMENT_MAGIC};
+use tvdp_storage::wal::{frame, pixel_blob, SEGMENT_MAGIC};
 use tvdp_storage::{
     Annotation, AnnotationId, AnnotationSource, ClassificationId, DurableError, DurableStore,
     HealthState, ImageId, ImageMeta, ImageOrigin, UserId, VisualStore, WalOp,
@@ -153,11 +153,6 @@ fn render_base(ops: &[WalOp]) -> Vec<u8> {
     bytes
 }
 
-/// The store's state as the records a base segment of it holds.
-fn dump(store: &VisualStore) -> Vec<WalOp> {
-    store.snapshot().into_ops()
-}
-
 /// A NaN whose payload a canonicalising copy would lose.
 fn nan_with_payload() -> f32 {
     f32::from_bits(0xffc0_0042)
@@ -213,7 +208,7 @@ fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Vec<WalOp>>) {
     let base = base_ops();
     write_dir(scratch, Some(&render_base(&base)), 0, b"");
     let (ds, _) = DurableStore::open(scratch).unwrap();
-    let mut states = vec![dump(&ds.store_arc())];
+    let mut states = vec![ds.store_arc().ops()];
     assert_eq!(first_difference(&states[0], &base), None);
 
     let img = journal_image(
@@ -223,13 +218,13 @@ fn scripted_mutations(scratch: &Path) -> (Vec<u8>, Vec<Vec<WalOp>>) {
         Some(Image::from_fn(1, 1, |_, _| [1, 2, 3])),
     )
     .unwrap();
-    states.push(dump(&ds.store_arc()));
+    states.push(ds.store_arc().ops());
     journal_feature(&ds, img, FeatureKind::Cnn, scripted_cnn()).unwrap();
-    states.push(dump(&ds.store_arc()));
+    states.push(ds.store_arc().ops());
     let cls = journal_scheme(&ds, "graffiti", vec!["none".into(), "tagged".into()]).unwrap();
-    states.push(dump(&ds.store_arc()));
+    states.push(ds.store_arc().ops());
     journal_label(&ds, img, cls, 1, 0.7, AnnotationSource::Human(UserId(2))).unwrap();
-    states.push(dump(&ds.store_arc()));
+    states.push(ds.store_arc().ops());
 
     let wal_bytes = std::fs::read(scratch.join("wal-0.log")).unwrap();
     (wal_bytes, states)
@@ -248,18 +243,18 @@ fn journaled_mutation_that_returned_ok_survives_reopen() {
         Some(Image::from_fn(1, 1, |_, _| [9, 9, 9])),
     )
     .unwrap();
-    let after_add = dump(&ds.store_arc());
+    let after_add = ds.store_arc().ops();
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(first_difference(&dump(&ds.store_arc()), &after_add), None);
+    assert_eq!(first_difference(&ds.store_arc().ops(), &after_add), None);
 
     let cls = journal_scheme(&ds, "acked-scheme", vec!["yes".into(), "no".into()]).unwrap();
     journal_feature(&ds, img, FeatureKind::SiftBow, vec![1.0; 8]).unwrap();
     journal_label(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(3))).unwrap();
-    let after_all = dump(&ds.store_arc());
+    let after_all = ds.store_arc().ops();
     drop(ds);
     let (ds, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(first_difference(&dump(&ds.store_arc()), &after_all), None);
+    assert_eq!(first_difference(&ds.store_arc().ops(), &after_all), None);
 }
 
 #[test]
@@ -288,12 +283,12 @@ fn snapshot_plus_wal_replay_equals_live_store() {
     .unwrap();
     journal_feature(&ds, child, FeatureKind::Cnn, vec![0.25; 4]).unwrap();
     journal_label(&ds, child, cls, 1, 0.6, AnnotationSource::Human(UserId(1))).unwrap();
-    let live = dump(&ds.store_arc());
+    let live = ds.store_arc().ops();
     drop(ds);
 
     let (reopened, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(report.replayed_ops, 3);
-    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
+    assert_eq!(first_difference(&reopened.store_arc().ops(), &live), None);
     // Ids keep advancing from where the live store left off.
     let next = journal_image(&reopened, meta("next"), ImageOrigin::Original, None).unwrap();
     assert!(next.raw() > child.raw());
@@ -313,7 +308,7 @@ fn compaction_preserves_state_and_shrinks_the_log() {
         .unwrap();
         journal_feature(&ds, img, FeatureKind::Cnn, vec![f32::from(i); 16]).unwrap();
     }
-    let live = dump(&ds.store_arc());
+    let live = ds.store_arc().ops();
     let wal_bytes = |epoch: u64| {
         std::fs::metadata(dir.join(format!("wal-{epoch}.log")))
             .unwrap()
@@ -326,12 +321,12 @@ fn compaction_preserves_state_and_shrinks_the_log() {
     let empty = SEGMENT_MAGIC.len() as u64;
     assert!(wal_before > empty);
     assert_eq!(wal_bytes(1), empty);
-    assert_eq!(first_difference(&dump(&ds.store_arc()), &live), None);
+    assert_eq!(first_difference(&ds.store_arc().ops(), &live), None);
     drop(ds);
     let (reopened, recovery) = DurableStore::open(&dir).unwrap();
     assert_eq!(recovery.epoch, 1);
     assert_eq!(recovery.replayed_ops, 0);
-    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
+    assert_eq!(first_difference(&reopened.store_arc().ops(), &live), None);
 }
 
 /// Rows that mix FOV and FOV-less rows with hostile keywords (none,
@@ -441,10 +436,10 @@ fn a_text_journal_from_an_older_build_is_refused_untouched() {
         let legacy = &V2_TEXT_JOURNAL.as_bytes()[..cut];
         write_dir(&dir, None, 0, legacy);
         let refusal = match DurableStore::open(&dir) {
-            Err(DurableError::Wal(e)) => e,
-            other => panic!("{cut} legacy byte(s): expected a refusal, got {other:?}"),
+            Err(e) => e,
+            Ok(_) => panic!("{cut} legacy byte(s): expected a refusal, got an open store"),
         };
-        let WalError::UnsupportedFormat { path, found } = &refusal else {
+        let DurableError::UnsupportedFormat { path, found } = &refusal else {
             panic!("{cut} legacy byte(s): wrong refusal: {refusal}");
         };
         assert_eq!(path, &wal_file);
@@ -459,7 +454,7 @@ fn a_text_journal_from_an_older_build_is_refused_untouched() {
     std::fs::write(&wal_file, V2_TEXT_JOURNAL).unwrap();
     assert!(matches!(
         DurableStore::open(&dir),
-        Err(DurableError::Wal(WalError::UnsupportedFormat { .. }))
+        Err(DurableError::UnsupportedFormat { .. })
     ));
     assert_eq!(
         std::fs::read(&wal_file).unwrap(),
@@ -498,10 +493,10 @@ fn a_json_snapshot_from_an_older_build_is_refused_untouched() {
     assert_eq!(before.len(), 2);
 
     let refusal = match DurableStore::open(&dir) {
-        Err(DurableError::Wal(e)) => e,
-        other => panic!("expected a refusal, got {other:?}"),
+        Err(e) => e,
+        Ok(_) => panic!("expected a refusal, got an open store"),
     };
-    let WalError::UnsupportedFormat { path, found } = &refusal else {
+    let DurableError::UnsupportedFormat { path, found } = &refusal else {
         panic!("wrong refusal: {refusal}");
     };
     assert_eq!(path, &snapshot_file);
@@ -518,7 +513,7 @@ fn a_json_snapshot_from_an_older_build_is_refused_untouched() {
     let before = listing(&dir);
     assert!(matches!(
         DurableStore::open(&dir),
-        Err(DurableError::Wal(WalError::UnsupportedFormat { .. }))
+        Err(DurableError::UnsupportedFormat { .. })
     ));
     assert_eq!(listing(&dir), before);
 }
@@ -563,11 +558,11 @@ fn acked_group_commit_batch_survives_reopen() {
     let dir = temp_dir("batch-acked");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     ds.apply_batch(scripted_batch(&ds)).unwrap();
-    let live = dump(&ds.store_arc());
+    let live = ds.store_arc().ops();
     drop(ds); // crash without flush or compaction
     let (ds, report) = DurableStore::open(&dir).unwrap();
     assert_eq!(report.replayed_ops, 4);
-    assert_eq!(first_difference(&dump(&ds.store_arc()), &live), None);
+    assert_eq!(first_difference(&ds.store_arc().ops(), &live), None);
 }
 
 #[test]
@@ -597,7 +592,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
         );
         // Read-consistent: the shed batch left no partial application.
         assert_eq!(
-            first_difference(&dump(&ds.store_arc()), &states[0]),
+            first_difference(&ds.store_arc().ops(), &states[0]),
             None,
             "cut at byte {cut}"
         );
@@ -613,7 +608,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
             shed.to_string().contains("read-only"),
             "expected typed read-only shed, got: {shed}"
         );
-        assert_eq!(first_difference(&dump(&ds.store_arc()), &states[0]), None);
+        assert_eq!(first_difference(&ds.store_arc().ops(), &states[0]), None);
         drop(ds);
         free_disk();
 
@@ -623,7 +618,7 @@ fn group_commit_enospc_at_every_byte_sheds_batch_and_degrades() {
         // never resurrects ops the caller was told had failed.
         let (reopened, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(
-            first_difference(&dump(&reopened.store_arc()), &states[0]),
+            first_difference(&reopened.store_arc().ops(), &states[0]),
             None,
             "reopen after cut at byte {cut}"
         );
@@ -645,7 +640,7 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     let dir = temp_dir("fault-cycle");
     let (ds, _) = DurableStore::open(&dir).unwrap();
     let img = journal_image(&ds, meta("acked"), ImageOrigin::Original, None).unwrap();
-    let acked = dump(&ds.store_arc());
+    let acked = ds.store_arc().ops();
     assert_eq!(ds.health().state, HealthState::Ok);
 
     fill_disk(3); // three bytes of torn debris, then no space
@@ -653,7 +648,7 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     journal_feature(&ds, img, FeatureKind::Cnn, vec![1.0; 4]).unwrap_err();
     assert_eq!(ds.health().state, HealthState::ReadOnly);
     assert_eq!(
-        first_difference(&dump(&ds.store_arc()), &acked),
+        first_difference(&ds.store_arc().ops(), &acked),
         None,
         "reads keep working"
     );
@@ -674,10 +669,10 @@ fn write_fault_cycle_degrades_then_recovers_to_ok() {
     journal_label(&ds, img, cls, 0, 1.0, AnnotationSource::Human(UserId(1))).unwrap();
 
     // Everything acked across the cycle survives a crash/reopen.
-    let live = dump(&ds.store_arc());
+    let live = ds.store_arc().ops();
     drop(ds);
     let (reopened, _) = DurableStore::open(&dir).unwrap();
-    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
+    assert_eq!(first_difference(&reopened.store_arc().ops(), &live), None);
 }
 
 #[test]
@@ -713,13 +708,13 @@ fn writers_keep_journaling_while_compactions_fold() {
         writer.join().unwrap();
         folded
     });
-    let live = dump(&ds.store_arc());
+    let live = ds.store_arc().ops();
     assert_eq!(ds.store_arc().len(), ROUNDS * IMAGES_PER_ROUND);
     drop(ds);
 
     // Every journaled op was folded exactly once or is still in the
     // journal, and the directory reopens to the live store.
     let (reopened, report) = DurableStore::open(&dir).unwrap();
-    assert_eq!(first_difference(&dump(&reopened.store_arc()), &live), None);
+    assert_eq!(first_difference(&reopened.store_arc().ops(), &live), None);
     assert_eq!(folded + report.replayed_ops, 2 * ROUNDS * IMAGES_PER_ROUND);
 }

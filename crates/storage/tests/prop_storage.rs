@@ -77,7 +77,7 @@ fn reopened_from_its_base(store: &VisualStore, tag: u64) -> Arc<VisualStore> {
     let dir = Scratch::new(format!("tvdp-prop-base-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut base = SEGMENT_MAGIC.to_vec();
-    for op in store.snapshot().into_ops() {
+    for op in store.ops() {
         base.extend_from_slice(&frame(&op.encode()));
     }
     std::fs::write(dir.join("base-0.seg"), base).unwrap();
@@ -89,13 +89,8 @@ fn reopened_from_its_base(store: &VisualStore, tag: u64) -> Arc<VisualStore> {
     restored
 }
 
-/// The store's state as the records a base segment of it holds.
-fn dump(store: &VisualStore) -> Vec<WalOp> {
-    store.snapshot().into_ops()
-}
-
 /// The dump of the store `rows` describe, in the order
-/// [`tvdp_storage::Snapshot::into_ops`] renders one: a scheme, one
+/// [`VisualStore::ops`] renders one: a scheme, one
 /// upload per row (a CNN feature, pixels on some), an annotation per
 /// row, and the empty marker table.
 fn dump_of(rows: &[Row]) -> Vec<WalOp> {
@@ -152,10 +147,10 @@ fn snapshot_roundtrip_preserves_everything() {
         let rows = arb_rows(rng, 20);
         let want = dump_of(&rows);
         let store = populate(&rows);
-        assert_eq!(first_difference(&dump(&store), &want), None, "case {case}");
+        assert_eq!(first_difference(&store.ops(), &want), None, "case {case}");
         let restored = reopened_from_its_base(&store, case);
         assert_eq!(
-            first_difference(&dump(&restored), &want),
+            first_difference(&restored.ops(), &want),
             None,
             "case {case}: reopened"
         );
@@ -335,7 +330,7 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
             let replays = live.apply_batch(batch.clone()).unwrap();
             assert_eq!(durable.apply_batch(batch).unwrap(), replays);
         }
-        let markers = match live.snapshot().into_ops().pop() {
+        let markers = match live.ops().pop() {
             Some(WalOp::UploadMarkers(markers)) => markers.len(),
             _ => 0,
         };
@@ -356,7 +351,7 @@ fn a_compacted_directory_reopens_to_the_store_that_was_compacted() {
         assert_eq!(recovery.epoch, report.epoch);
         let same = |what: &str, restored: &VisualStore| {
             assert_eq!(
-                first_difference(&dump(restored), &dump(&live)),
+                first_difference(&restored.ops(), &live.ops()),
                 None,
                 "case {case}: {what}"
             );
@@ -552,12 +547,12 @@ fn explicit_ids_in_any_order_answer_as_a_sorted_model() {
             })
             .collect();
         want.push(WalOp::UploadMarkers(Vec::new()));
-        let live = dump(&durable.store_arc());
+        let live = durable.store_arc().ops();
         assert_eq!(first_difference(&live, &want), None, "case {case}");
         drop(durable);
         let (reopened, _) = DurableStore::open(&dir).unwrap();
         assert_eq!(
-            first_difference(&dump(&reopened.store_arc()), &live),
+            first_difference(&reopened.store_arc().ops(), &live),
             None,
             "case {case}"
         );
@@ -624,9 +619,9 @@ fn a_journal_reopens_to_the_store_its_ops_build_one_at_a_time() {
                 journaled = 0;
             }
         }
-        let live = dump(&durable.store_arc());
+        let live = durable.store_arc().ops();
         assert_eq!(
-            first_difference(&dump(&one_at_a_time), &live),
+            first_difference(&one_at_a_time.ops(), &live),
             None,
             "case {case}"
         );
@@ -634,7 +629,7 @@ fn a_journal_reopens_to_the_store_its_ops_build_one_at_a_time() {
         let (reopened, report) = DurableStore::open(&dir).unwrap();
         assert_eq!(report.replayed_ops, journaled, "case {case}");
         assert_eq!(
-            first_difference(&dump(&reopened.store_arc()), &live),
+            first_difference(&reopened.store_arc().ops(), &live),
             None,
             "case {case}"
         );

@@ -12,8 +12,8 @@ use tvdp_geo::GeoPoint;
 use tvdp_kernel::rng::{for_each_case, Rng};
 use tvdp_storage::le;
 use tvdp_storage::store::first_difference;
-use tvdp_storage::wal::{self, frame, WalError, SEGMENT_MAGIC};
-use tvdp_storage::{DurableStore, ImageId, ImageMeta, ImageOrigin, UserId, WalOp};
+use tvdp_storage::wal::{self, frame, SEGMENT_MAGIC};
+use tvdp_storage::{DurableError, DurableStore, ImageId, ImageMeta, ImageOrigin, UserId, WalOp};
 use tvdp_vision::FeatureKind;
 
 /// Lengths every test walks: each bitmap tail 0-7 twice over, the
@@ -141,7 +141,7 @@ fn corrupt_or_the_stated_length(payload: &[u8], what: &str) {
     segment.extend_from_slice(&frame(payload));
     let mut scan = wal::scan(Path::new("sparse.log"), &segment[..]).unwrap();
     match scan.next() {
-        Some(Err(WalError::Corrupt { record: 0, .. })) => {}
+        Some(Err(DurableError::Corrupt { record: 0, .. })) => {}
         Some(Ok(WalOp::PutFeature { vector, .. })) => {
             let stated = u32::from_le_bytes(payload[COUNT_AT..COUNT_AT + 4].try_into().unwrap());
             assert_eq!(vector.len(), stated as usize, "{what}");
@@ -328,7 +328,7 @@ fn a_raw_feature_journal_reopens_bit_identical_and_folds_into_the_sparse_form() 
         .collect();
     want.push(WalOp::UploadMarkers(Vec::new()));
     let check = |ds: &DurableStore, what: &str| {
-        let dump = ds.store_arc().snapshot().into_ops();
+        let dump = ds.store_arc().ops();
         assert_eq!(first_difference(&dump, &want), None, "{what}");
     };
     let (ds, report) = DurableStore::open(&dir).unwrap();

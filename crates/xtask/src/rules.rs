@@ -312,7 +312,7 @@ fn guard_binding_at(hay: &str, call_start: usize, method_len: usize) -> Option<(
 }
 
 /// L5: lock discipline. A `let`-bound guard must not stay live across
-/// a `Pool` dispatch (`scope`/`map`/`map_index` park worker threads for
+/// a `Pool` dispatch (`map`/`map_index` park worker threads for
 /// arbitrarily long, so a held lock serializes or deadlocks the pool),
 /// and no second lock may be acquired while one is live (nested
 /// acquisition is the ABBA deadlock shape the sharded engine forbids).
@@ -320,7 +320,7 @@ fn lock_discipline(model: &SourceModel, out: &mut Vec<Finding>) {
     let hay = &model.masked;
     let bytes = hay.as_bytes();
     const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
-    const DISPATCH: [&str; 3] = [".scope(", ".map(", ".map_index("];
+    const DISPATCH: [&str; 2] = [".map(", ".map_index("];
     // `.map(` is also `Option`/`Iterator` vocabulary; it only counts as
     // a dispatch when the receiver is a pool (`pool.map(`, `self.pool
     // .map(`, `Pool::global().map(`).
@@ -674,7 +674,7 @@ mod tests {
     fn l5_flags_guard_held_across_pool_dispatch() {
         let src = "fn f(m: &tvdp_kernel::sync::Mutex<u8>, pool: &Pool) {\n \
                    let g = m.lock();\n \
-                   pool.scope(|| {});\n \
+                   pool.map_index(1, |_| {});\n \
                    let _ = *g;\n}\n";
         let f = findings(src);
         assert!(
@@ -704,7 +704,7 @@ mod tests {
                    let g = m.lock();\n \
                    let v = *g;\n \
                    drop(g);\n \
-                   pool.scope(|| v);\n}\n";
+                   pool.map_index(1, |_| v);\n}\n";
         assert!(findings(src).is_empty());
     }
 
